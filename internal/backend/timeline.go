@@ -9,15 +9,45 @@ import (
 // The replica timeline. Each replica simulates its queue under the
 // deterministic background process, event by event, in model time. The
 // fleet's queries arrive in arbitrary order (users' model clocks are
-// not synchronized), so the timeline keeps checkpoints — full copies
-// of the simulation state every ckptEvery background arrivals — and
-// answers a query by cloning the last checkpoint at or before the
-// queried instant and replaying forward. Replay work per query is
-// bounded by the checkpoint interval; checkpoints are append-only and
-// grow with the model horizon actually explored.
+// not synchronized), so the timeline keeps saved states at two levels
+// and answers a query by unpacking the latest saved state at or before
+// the queried instant and replaying forward:
+//
+//   - the spine: a permanent checkpoint every spineEvery arrivals,
+//     append-only, growing with the model horizon actually explored at
+//     a few hundredths of a byte per arrival;
+//   - the fine cache: a fixed-size store of the states recent queries
+//     landed on, one per fineEvery-arrival stretch of the timeline,
+//     filled by the replays that serve the queries and evicted freely.
+//
+// Both hold the state exactly as the replay had it at an event
+// boundary — after an arrival was applied, before any query's partial
+// drain — so a saved state is a pure function of (seed, replica, event
+// index) whichever query's replay produced it, and resuming from a fine
+// state is bit-for-bit resuming from the spine a little further on.
+// Eviction therefore changes how far a query replays, never what it
+// answers. Saved states are packed into pointer-free word arrays:
+// packedHdr header words plus only the live PS marks.
 
-// ckptEvery is the background-arrival interval between checkpoints.
-const ckptEvery = 512
+const (
+	// spineEvery is the number of arrivals between two spine checkpoints,
+	// whatever the width of the state: it bounds the replay of a query
+	// the fine cache cannot serve. A checkpoint costs 8 bytes a packed
+	// word, so the spine grows by words/512 bytes per explored arrival —
+	// at most 0.05 for a PS queue 16 deep (the 512-arrival clones it
+	// replaces cost eight times that at any width).
+	spineEvery = 4096
+	// fineEvery is the stretch of arrivals one fine-cache slot stands
+	// for: the cache holds at most one state per stretch.
+	fineEvery = 64
+	// The fine cache is a direct-mapped directory of cacheSlots states
+	// (a power of two) over a ring of cacheWords packed words — 72 KB a
+	// replica, some 750 states of a lightly loaded queue.
+	cacheSlots = 1024
+	cacheWords = 7168
+	// packedHdr is the number of header words of a packed state.
+	packedHdr = 8
+)
 
 // completionEps is the remaining-work epsilon (seconds) below which a
 // PS job is complete — one nanosecond, the model's output resolution.
@@ -35,9 +65,11 @@ type state struct {
 	// job's remaining demand is jobs[i] − off: draining every job by an
 	// equal share is one add to off, and the next completion is always
 	// jobs[0] — this is what keeps overloaded-queue replay linear in
-	// events rather than quadratic in backlog.
-	jobs []float64
-	off  float64
+	// events rather than quadratic in backlog. jobs is a window of buf:
+	// completions advance its start, and an insert that finds the end of
+	// buf reclaims the space they left (see insertJob).
+	jobs, buf []float64
+	off       float64
 	// events counts background arrivals consumed so far.
 	events int64
 	// nextAt/nextDemand are the next background arrival's instant and
@@ -48,53 +80,191 @@ type state struct {
 }
 
 // insertJob admits a job of the given remaining demand, keeping the
-// marks sorted.
+// marks sorted. With no room left after the window it first moves the
+// marks to the start of buf if completions have freed more there than
+// is live (so the moves stay amortized constant per insert), and to a
+// buffer twice the size otherwise.
 func (st *state) insertJob(demand float64) {
 	mark := demand + st.off
 	i := sort.SearchFloat64s(st.jobs, mark)
-	st.jobs = append(st.jobs, 0)
+	if n := len(st.jobs); n == cap(st.jobs) {
+		if cap(st.buf) <= 2*n {
+			st.buf = make([]float64, 0, 2*n+8)
+		}
+		st.setJobs(st.jobs)
+	}
+	st.jobs = st.jobs[:len(st.jobs)+1]
 	copy(st.jobs[i+1:], st.jobs[i:])
 	st.jobs[i] = mark
 }
 
-// dropDone pops completed jobs off the front.
+// dropDone removes completed jobs from the front of the window.
 func (st *state) dropDone() {
-	for len(st.jobs) > 0 && st.jobs[0] <= st.off+completionEps {
-		st.jobs = st.jobs[1:]
+	n := 0
+	for n < len(st.jobs) && st.jobs[n] <= st.off+completionEps {
+		n++
+	}
+	st.jobs = st.jobs[n:]
+}
+
+// setJobs makes the window a copy of marks at the start of buf.
+func (st *state) setJobs(marks []float64) {
+	st.buf = append(st.buf[:0], marks...)
+	st.jobs = st.buf
+}
+
+// copyFrom deep-copies src into st, reusing st's buf.
+func (st *state) copyFrom(src *state) {
+	buf := st.buf
+	*st = *src
+	st.buf = buf
+	st.setJobs(src.jobs)
+}
+
+// pack appends st to dst: packedHdr header words, then the marks.
+func (st *state) pack(dst []uint64) []uint64 {
+	dst = append(dst, uint64(len(st.jobs)), uint64(st.events),
+		math.Float64bits(st.t), math.Float64bits(st.work), math.Float64bits(st.off),
+		math.Float64bits(st.nextAt), math.Float64bits(st.nextDemand), st.r.s)
+	for _, m := range st.jobs {
+		dst = append(dst, math.Float64bits(m))
+	}
+	return dst
+}
+
+// unpack restores st from the packed state at the head of src, reusing
+// st's buf.
+func (st *state) unpack(src []uint64) {
+	st.events = packedEvents(src)
+	st.t = packedT(src)
+	st.work = math.Float64frombits(src[3])
+	st.off = math.Float64frombits(src[4])
+	st.nextAt = math.Float64frombits(src[5])
+	st.nextDemand = math.Float64frombits(src[6])
+	st.r.s = src[7]
+	st.buf = st.buf[:0]
+	for _, w := range src[packedHdr : packedHdr+src[0]] {
+		st.buf = append(st.buf, math.Float64frombits(w))
+	}
+	st.jobs = st.buf
+}
+
+func packedEvents(src []uint64) int64 { return int64(src[1]) }
+func packedT(src []uint64) float64    { return math.Float64frombits(src[2]) }
+
+// fineCache holds recently replayed fine states. Slot f mod cacheSlots
+// belongs to the latest state cached after one of the arrivals
+// f×fineEvery … (f+1)×fineEvery−1; its packed words live in ring,
+// written round-robin, so the oldest states are overwritten first and a
+// slot whose words have been lapped reads as empty.
+type fineCache struct {
+	// at is the instant of the slot's state and pos the absolute word
+	// position (never wrapped) of its packed form; a zero slot is empty.
+	at   []float64
+	pos  []int64
+	ring []uint64
+	head int64 // absolute position of the next word written
+}
+
+func newFineCache() fineCache {
+	return fineCache{
+		at:   make([]float64, cacheSlots),
+		pos:  make([]int64, cacheSlots),
+		ring: make([]uint64, cacheWords),
 	}
 }
 
-// copyFrom deep-copies src into st, reusing st's jobs capacity.
-func (st *state) copyFrom(src *state) {
-	jobs := append(st.jobs[:0], src.jobs...)
-	*st = *src
-	st.jobs = jobs
+// intact reports whether the words of the state in slot are still in
+// the ring.
+func (c *fineCache) intact(slot int64) bool {
+	return c.head-c.pos[slot] <= int64(len(c.ring))
+}
+
+// put caches st, which must be the state just after an arrival.
+func (c *fineCache) put(st *state) {
+	need := packedHdr + len(st.jobs)
+	if need > len(c.ring) {
+		return
+	}
+	slot := st.events / fineEvery & (cacheSlots - 1)
+	if c.at[slot] == st.t && c.intact(slot) {
+		return // already cached: arrival instants are strictly increasing
+	}
+	off := int(c.head % int64(len(c.ring)))
+	if off+need > len(c.ring) {
+		c.head += int64(len(c.ring) - off)
+		off = 0
+	}
+	st.pack(c.ring[off : off : off+need])
+	c.at[slot], c.pos[slot] = st.t, c.head
+	c.head += int64(need)
+}
+
+// latest scans the slots of fine indices lo..hi and returns the
+// packed form of the latest state found with after < instant ≤ t, or
+// nil. A slot may hold a state from another stretch of the timeline
+// (the same index mod cacheSlots); the instant test alone decides,
+// because every cached state is a true state of this replica.
+func (c *fineCache) latest(lo, hi int64, after, t float64) []uint64 {
+	if len(c.at) == 0 {
+		return nil // the zero fineCache caches nothing
+	}
+	if hi-lo >= cacheSlots {
+		hi = lo + cacheSlots - 1
+	}
+	best := int64(-1)
+	for f := lo; f <= hi; f++ {
+		slot := f & (cacheSlots - 1)
+		if a := c.at[slot]; a > after && a <= t && c.intact(slot) {
+			after, best = a, slot
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return c.ring[c.pos[best]%int64(len(c.ring)):]
 }
 
 type replica struct {
 	m  *Model
 	mu sync.Mutex
-	// cps are the checkpoints in event order; cps[0] is genesis (t=0,
-	// empty queue, first arrival drawn).
-	cps []state
+	// spine holds the permanent checkpoints packed back to back in event
+	// order, spineAt[i] the word offset of checkpoint i; checkpoint 0 is
+	// genesis (t=0, empty queue, first arrival drawn).
+	spine   []uint64
+	spineAt []int
+	// spineEvents is the event count of the last checkpoint; explored
+	// the highest event count any replay has reached.
+	spineEvents, explored int64
+	fine                  fineCache
 	// scratch is the query working state; scratch2 the tagged-job clone
-	// (both reused under mu so steady-state queries stay allocation-lean).
+	// (both reused under mu so steady-state queries do not allocate).
 	scratch, scratch2 state
 
 	acct acct
 }
 
 func newReplica(m *Model, idx int) *replica {
-	rp := &replica{m: m}
+	rp := &replica{m: m, fine: newFineCache()}
 	genesis := state{r: rng{s: mix(uint64(m.opts.Seed)^0xB0E57A7E_5EED_0001) ^ uint64(idx)*0x9FB21C651E98DF25}}
 	genesis.nextAt = math.Inf(1)
 	if m.lambda > 0 {
 		genesis.nextAt = genesis.r.exp() / m.lambda
 		genesis.nextDemand = m.drawBackgroundDemand(&genesis.r)
 	}
-	rp.cps = append(rp.cps, genesis)
+	rp.checkpoint(&genesis)
 	return rp
 }
+
+// checkpoint appends st to the spine.
+func (rp *replica) checkpoint(st *state) {
+	rp.spineAt = append(rp.spineAt, len(rp.spine))
+	rp.spine = st.pack(rp.spine)
+	rp.spineEvents = st.events
+}
+
+// spineState returns the packed form of spine checkpoint i.
+func (rp *replica) spineState(i int) []uint64 { return rp.spine[rp.spineAt[i]:] }
 
 // drawBackgroundDemand draws one background job's service demand from
 // the stream.
@@ -115,35 +285,46 @@ func (m *Model) drawBackgroundDemand(r *rng) float64 {
 // scratch buffer. Caller holds mu; the result is valid until the next
 // stateAt/tagged call.
 func (rp *replica) stateAt(t float64) *state {
-	// Latest checkpoint at or before t. Checkpoint times are strictly
-	// increasing, so binary search applies.
-	lo, hi := 0, len(rp.cps)
+	// Latest spine checkpoint at or before t. Checkpoint instants are
+	// strictly increasing, so binary search applies.
+	lo, hi := 0, len(rp.spineAt)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if rp.cps[mid].t <= t {
+		if packedT(rp.spineState(mid)) <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	cp := &rp.cps[lo-1]
+	from := rp.spineState(lo - 1)
+	// The fine states of this spine segment: past the checkpoint, up to
+	// the next one (or as far as any replay has been).
+	last := rp.explored
+	if lo < len(rp.spineAt) {
+		last = packedEvents(rp.spineState(lo))
+	}
+	if fine := rp.fine.latest(packedEvents(from)/fineEvery, last/fineEvery, packedT(from), t); fine != nil {
+		from = fine
+	}
 	st := &rp.scratch
-	st.copyFrom(cp)
-	frontier := rp.cps[len(rp.cps)-1].events
-	rp.advance(st, t, frontier)
+	st.unpack(from)
+	rp.advance(st, t)
+	if st.events > rp.explored {
+		rp.explored = st.events
+	}
 	return st
 }
 
 // advance replays background events up to and including instant t,
 // then drains the final partial interval so st describes t exactly.
-// While the replay pushes past the checkpoint frontier it appends new
-// checkpoints every ckptEvery arrivals.
-func (rp *replica) advance(st *state, t float64, frontier int64) {
+// The states it passes on the way are saved (consumeArrival) before
+// that final drain, which is what keeps them independent of t.
+func (rp *replica) advance(st *state, t float64) {
 	switch rp.m.opts.Discipline {
 	case PS:
-		rp.advancePS(st, t, frontier)
+		rp.advancePS(st, t)
 	default:
-		rp.advanceFIFO(st, t, frontier)
+		rp.advanceFIFO(st, t)
 	}
 }
 
@@ -151,7 +332,7 @@ func (rp *replica) advance(st *state, t float64, frontier int64) {
 // the server drains unfinished work at rate 1; an arrival over the
 // backlog bound is dropped (the background load sheds too — the bound
 // is the replica's, not the observer's).
-func (rp *replica) advanceFIFO(st *state, t float64, frontier int64) {
+func (rp *replica) advanceFIFO(st *state, t float64) {
 	for st.nextAt <= t {
 		if d := st.nextAt - st.t; st.work > d {
 			st.work -= d
@@ -162,7 +343,7 @@ func (rp *replica) advanceFIFO(st *state, t float64, frontier int64) {
 		if rp.m.bound <= 0 || st.work < rp.m.bound {
 			st.work += st.nextDemand
 		}
-		rp.consumeArrival(st, frontier)
+		rp.consumeArrival(st, t)
 	}
 	if d := t - st.t; st.work > d {
 		st.work -= d
@@ -175,7 +356,7 @@ func (rp *replica) advanceFIFO(st *state, t float64, frontier int64) {
 // advancePS replays arrivals and completions: n admitted jobs each
 // progress at rate 1/n; an arrival over the multiprogramming bound is
 // dropped.
-func (rp *replica) advancePS(st *state, t float64, frontier int64) {
+func (rp *replica) advancePS(st *state, t float64) {
 	for {
 		nc := math.Inf(1)
 		if n := len(st.jobs); n > 0 {
@@ -196,7 +377,7 @@ func (rp *replica) advancePS(st *state, t float64, frontier int64) {
 			if rp.m.opts.QueueDepth <= 0 || len(st.jobs) < rp.m.opts.QueueDepth {
 				st.insertJob(st.nextDemand)
 			}
-			rp.consumeArrival(st, frontier)
+			rp.consumeArrival(st, t)
 			continue
 		}
 		break
@@ -209,16 +390,22 @@ func (rp *replica) advancePS(st *state, t float64, frontier int64) {
 }
 
 // consumeArrival books one background arrival as processed, draws the
-// next one, and checkpoints at the interval while st is past the
-// frontier.
-func (rp *replica) consumeArrival(st *state, frontier int64) {
+// next one, and saves the resulting state where one is due: on the
+// spine once the replay is spineEvery arrivals past its last
+// checkpoint, else in the fine cache if this was the last arrival at
+// or before the replay's target t. A replay thus caches where its query
+// landed — the one state a clock stepping forward resumes from — and
+// not its trail, which nothing has asked for and which would push as
+// many states that were asked for out of the ring.
+func (rp *replica) consumeArrival(st *state, t float64) {
 	st.events++
 	st.nextAt += st.r.exp() / rp.m.lambda
 	st.nextDemand = rp.m.drawBackgroundDemand(&st.r)
-	if st.events > frontier && st.events%ckptEvery == 0 {
-		cp := state{}
-		cp.copyFrom(st)
-		rp.cps = append(rp.cps, cp)
+	switch {
+	case st.events-rp.spineEvents >= spineEvery:
+		rp.checkpoint(st)
+	case st.nextAt > t:
+		rp.fine.put(st)
 	}
 }
 

@@ -1,0 +1,166 @@
+package backend
+
+import (
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"pocketcloudlets/internal/faults"
+)
+
+// fixedCacheBytes is what one replica's fine cache holds whatever the
+// horizon: the directory's two rows and the ring.
+const fixedCacheBytes = 8 * (2*cacheSlots + cacheWords)
+
+// retainedBytes is the memory the replica's saved states hold: the
+// fine cache plus the spine, append slack included.
+func (rp *replica) retainedBytes() int {
+	c := &rp.fine
+	return 8 * (cap(c.at) + cap(c.pos) + cap(c.ring) + cap(rp.spine) + cap(rp.spineAt))
+}
+
+// TestTimelineMemoryBound: saved states cost the fixed cache plus one
+// checkpoint per spineEvery explored arrivals — under a tenth of a byte
+// per arrival for a scalar FIFO state and a PS queue 16 deep, and no
+// more than the widest state (twice over, for append slack) per
+// spineEvery arrivals at any width: a saturated queue 64 deep, and an
+// unbounded PS queue under sustained overload, whose backlog grows with
+// model time and is part of every state. A tenth of a byte per arrival
+// would buy that last queue no checkpoint at all, and so no bound on the
+// replay; a checkpoint every 512 arrivals retains eight times the limit.
+func TestTimelineMemoryBound(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		o       Options
+		horizon time.Duration
+		tenth   bool // holds a tenth of a byte per explored arrival
+	}{
+		{"ps-bounded", opts(PS, 30, 20, 16), 4000 * time.Second, true},
+		{"fifo", opts(FIFO, 30, 20, 16), 4000 * time.Second, true},
+		{"ps-saturated", opts(PS, 30, 60, 64), 2000 * time.Second, false},         // λ = 40 vs μ = 30
+		{"ps-unbounded-overload", opts(PS, 10, 30, 0), 2000 * time.Second, false}, // λ = 20 vs μ = 10
+	} {
+		m := NewModel(tc.o)
+		rp := m.reps[0]
+		for i := 1; i <= 4; i++ {
+			m.Price(0, tc.horizon*time.Duration(i)/4, uint64(i), 3, 1, 1)
+		}
+		if rp.explored < 8*spineEvery {
+			t.Fatalf("%s: explored only %d arrivals", tc.name, rp.explored)
+		}
+		widest := packedHdr + tc.o.QueueDepth
+		if tc.o.QueueDepth == 0 {
+			widest = packedHdr + len(rp.stateAt(tc.horizon.Seconds()).jobs)
+			if widest < cacheWords {
+				t.Fatalf("%s: a backlog of %d words does not outgrow the cache", tc.name, widest)
+			}
+		}
+		limit := fixedCacheBytes + 2*8*widest*int(1+rp.explored/spineEvery)
+		if tc.tenth {
+			limit = fixedCacheBytes + int(rp.explored/10)
+		}
+		if got := rp.retainedBytes(); got > limit {
+			t.Errorf("%s: %d B retained after %d arrivals, want at most %d", tc.name, got, rp.explored, limit)
+		}
+		// The replay of a query the cache cannot serve is bounded at any width.
+		for i := 1; i < len(rp.spineAt); i++ {
+			if d := packedEvents(rp.spineState(i)) - packedEvents(rp.spineState(i-1)); d != spineEvery {
+				t.Errorf("%s: checkpoints %d and %d are %d arrivals apart, want %d", tc.name, i-1, i, d, spineEvery)
+			}
+		}
+		if d := rp.explored - rp.spineEvents; d >= spineEvery {
+			t.Errorf("%s: the spine ends %d arrivals short of the explored horizon, want under %d", tc.name, d, spineEvery)
+		}
+	}
+}
+
+// TestPricePureUnderEviction is TestPricePure over a horizon several
+// times the fine cache's reach: whatever the cache holds or has lost —
+// queried in ascending order, in an order that makes successive queries
+// collide in the direct-mapped slots, or by concurrent monotone walkers
+// — every admission equals the one a model with no cache at all (spine
+// only) computes.
+func TestPricePureUnderEviction(t *testing.T) {
+	const (
+		n       = 3000
+		horizon = 10000 * time.Second // 200k arrivals at λ = 20/s
+		walkers = 8
+	)
+	r := rand.New(rand.NewSource(11))
+	ats := make([]time.Duration, n)
+	for i := range ats {
+		ats[i] = time.Duration(r.Int63n(int64(horizon)))
+	}
+	sort.Slice(ats, func(i, j int) bool { return ats[i] < ats[j] })
+	price := func(m *Model, i int) faults.Admission {
+		return m.Price(0, ats[i], uint64(i%97), uint64(i)*0x9E3779B97F4A7C15, uint64(i), 1+i%3)
+	}
+
+	for _, tc := range []struct {
+		disc  Discipline
+		depth int
+	}{{FIFO, 16}, {FIFO, 0}, {PS, 16}, {PS, 0}} {
+		o := Options{
+			Enabled: true, Seed: 5, ServiceRate: 30, QueueDepth: tc.depth,
+			Discipline: tc.disc, Offered: 20,
+		}
+		evicted := func(m *Model) bool { return m.reps[0].fine.head > 2*cacheWords }
+
+		spineOnly := NewModel(o)
+		spineOnly.reps[0].fine = fineCache{}
+		want := make([]faults.Admission, n)
+		for i := range want {
+			want[i] = price(spineOnly, i)
+		}
+		if spineOnly.reps[0].fine.head != 0 {
+			t.Fatalf("%v/%d: the spine-only reference cached a state", tc.disc, tc.depth)
+		}
+
+		ascending := NewModel(o)
+		for i := range want {
+			if got := price(ascending, i); got != want[i] {
+				t.Fatalf("%v/%d: ascending query %d: got %+v want %+v", tc.disc, tc.depth, i, got, want[i])
+			}
+		}
+
+		// Two instants one alias period apart — cacheSlots fine intervals —
+		// share a slot, so ordering the queries by their phase within the
+		// period makes neighbours evict each other.
+		period := time.Duration(float64(cacheSlots*fineEvery) / ascending.lambda * float64(time.Second))
+		thrash := make([]int, n)
+		for i := range thrash {
+			thrash[i] = i
+		}
+		sort.Slice(thrash, func(a, b int) bool { return ats[thrash[a]]%period < ats[thrash[b]]%period })
+		strided := NewModel(o)
+		for _, i := range thrash {
+			if got := price(strided, i); got != want[i] {
+				t.Fatalf("%v/%d: strided query %d: got %+v want %+v", tc.disc, tc.depth, i, got, want[i])
+			}
+		}
+
+		concurrent := NewModel(o)
+		var wg sync.WaitGroup
+		for w := 0; w < walkers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < n; i += walkers {
+					if got := price(concurrent, i); got != want[i] {
+						t.Errorf("%v/%d: walker %d query %d: got %+v want %+v", tc.disc, tc.depth, w, i, got, want[i])
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		for name, m := range map[string]*Model{"ascending": ascending, "strided": strided, "concurrent": concurrent} {
+			if !evicted(m) {
+				t.Errorf("%v/%d: the %s pass never lapped the ring (head %d)", tc.disc, tc.depth, name, m.reps[0].fine.head)
+			}
+		}
+	}
+}

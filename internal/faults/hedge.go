@@ -215,7 +215,7 @@ func PlanHedged(injs []*Injector, pol RetryPolicy, hp HedgePolicy, p radio.Param
 	}
 
 	handshake := time.Duration(p.HandshakeRTTs) * p.RTT
-	hplan := HedgedPlan{Winner: -1}
+	hplan := HedgedPlan{Launches: make([]HedgeLaunch, 0, hp.CloneFactor), Winner: -1}
 	answerAt := time.Duration(-1) // earliest instant an answer is in hand; -1 = none yet
 	winAnswerAt := time.Duration(0)
 	for slot := 0; slot < hp.CloneFactor; slot++ {

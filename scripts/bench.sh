@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Runs the fleet serving benchmarks (BenchmarkFleetServe* in the root
-# package) and writes a machine-readable snapshot to BENCH_<date>.json
-# so successive runs can be diffed for regressions.
+# package) and the miss-path layer benchmarks (BenchmarkPrice* in
+# internal/backend, BenchmarkPlanHedgedPriced in internal/faults) and
+# writes a machine-readable snapshot to BENCH_<date>.json so successive
+# runs can be diffed for regressions.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=3s scripts/bench.sh     # longer, steadier numbers
@@ -17,6 +19,16 @@ OUT="${1:-BENCH_$(date -u +%Y%m%d).json}"
 
 raw=$(go test -bench FleetServe -benchtime "$BENCHTIME" -benchmem -run '^$' .)
 echo "$raw"
+
+# The miss path's planning layers: backend pricing in order, shuffled
+# and as interleaved per-user clocks, and a hedged plan priced against
+# the backend. Each explores its horizon in an untimed pass, so a fixed
+# iteration count measures steady state whatever BENCHTIME says (the
+# rows' own "iterations" field records it).
+layer_raw=$(go test -bench 'Price|PlanHedgedPriced' -benchtime 20000x \
+    -benchmem -run '^$' ./internal/backend ./internal/faults)
+echo "$layer_raw"
+raw="$raw"$'\n'"$layer_raw"
 
 # A short hedged fault run, normalized by cmd/reportnorm so it is
 # byte-deterministic, rides along in the snapshot: its hedge counters

@@ -32,6 +32,15 @@ go test ./...
 echo "== go test -race -short ./... =="
 go test -race -short ./...
 
+echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
+# bench/ is its own module (BENCHMARK.json's program), so neither root
+# `go test ./...` pass above reaches it. Its smoke test runs both passes
+# of all four workloads at a small scale and holds every simulated
+# statistic against bench/golden/ — the digests are what a change to
+# the model's internals (backend timeline, planners) must not move.
+# One run, under the race detector (~40 s).
+(cd bench && go test -short -race ./...)
+
 echo "== fuzz seed-corpus regression: go test -run Fuzz ./... =="
 # Replays every fuzz target over its committed seed corpus (plus any
 # crashers committed to testdata/fuzz) without open-ended fuzz time, so
@@ -166,17 +175,39 @@ echo "== bench smoke: FleetServe =="
 # The 100k-user benchmark's steady-state hit path is allocation-free
 # by construction (see DESIGN.md, "Capacity model"); any allocs/op
 # above zero is a serving-path regression and fails the gate.
+# allocs_per_op prints "<benchmark> <allocs/op>" for every result line of
+# the `go test -bench` output on stdin whose name starts with $1.
+allocs_per_op() {
+    awk -v prefix="$1" 'index($1, prefix) == 1 {
+        for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "allocs/op") print $1, $i
+    }'
+}
 bench_raw=$(go test -bench FleetServe -benchtime 1x -benchmem -run '^$' .)
 echo "$bench_raw"
-allocs=$(echo "$bench_raw" | awk '/^BenchmarkFleetServe100kUsers/ {
-    for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "allocs/op") print $i
-}')
+allocs=$(echo "$bench_raw" | allocs_per_op BenchmarkFleetServe100kUsers | awk '{print $2}')
 if [ -z "$allocs" ]; then
     echo "bench smoke: BenchmarkFleetServe100kUsers produced no allocs/op metric" >&2
     exit 1
 fi
 if [ "$allocs" != "0" ]; then
     echo "bench smoke: serve path regressed to $allocs allocs/op (baseline 0)" >&2
+    exit 1
+fi
+
+echo "== bench smoke: backend Price =="
+# Steady-state pricing is allocation-free by construction (DESIGN.md,
+# "Queued backends": saved states are unpacked into reused scratch):
+# every BenchmarkPrice* row, FIFO and PS, must report 0 allocs/op.
+price_raw=$(go test -bench Price -benchtime 2000x -benchmem -run '^$' ./internal/backend)
+echo "$price_raw"
+price_allocs=$(echo "$price_raw" | allocs_per_op BenchmarkPrice)
+if [ -z "$price_allocs" ]; then
+    echo "bench smoke: BenchmarkPrice* produced no allocs/op metric" >&2
+    exit 1
+fi
+if echo "$price_allocs" | grep -qv ' 0$'; then
+    echo "bench smoke: backend pricing allocates in steady state (baseline 0):" >&2
+    echo "$price_allocs" | grep -v ' 0$' >&2
     exit 1
 fi
 
