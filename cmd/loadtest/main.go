@@ -73,6 +73,10 @@
 // code path and a flag run's per-user outcomes are byte-identical to
 // the equivalent scenario.
 //
+// -cpuprofile and -memprofile write pprof profiles of the whole
+// invocation on clean exit (the paths are checked for writability up
+// front); they compose with every mode and with -scenario.
+//
 // Example (the acceptance run):
 //
 //	loadtest -users 10000 -duration 5s -seed 1
@@ -83,6 +87,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,6 +170,9 @@ type runFlags struct {
 	check   bool
 	jsonOut bool
 
+	cpuProfile string
+	memProfile string
+
 	// setFlags records which flags the command line set explicitly
 	// (see noteSet); validate uses it to reject workload flags that
 	// conflict with -scenario.
@@ -227,6 +236,8 @@ func (rf *runFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&rf.noSuggest, "nosuggest", false, "skip the per-user auto-suggest index (million-user fleets: saves ~2.5 KB/user; no modeled outcome changes)")
 	fs.BoolVar(&rf.check, "check", false, "verify report invariants after the run and exit non-zero on violation")
 	fs.BoolVar(&rf.jsonOut, "json", false, "emit the report as JSON only")
+	fs.StringVar(&rf.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole invocation (ecosystem build, fleet set-up and run) to this file on clean exit; read it with go tool pprof")
+	fs.StringVar(&rf.memProfile, "memprofile", "", "write a heap profile (live objects after a final GC, and cumulative allocations) to this file on clean exit")
 }
 
 // noteSet records which flags the command line set explicitly, so
@@ -241,7 +252,7 @@ func (rf *runFlags) noteSet(fs *flag.FlagSet) {
 // owns the workload shape: population/seed scaling and output control.
 var scenarioCompatible = map[string]bool{
 	"scenario": true, "users": true, "seed": true, "json": true, "check": true,
-	"communityusers": true, "nosuggest": true,
+	"communityusers": true, "nosuggest": true, "cpuprofile": true, "memprofile": true,
 }
 
 // validate returns every problem with the flag combination, or nil
@@ -250,6 +261,23 @@ func (rf *runFlags) validate() []string {
 	var problems []string
 	bad := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
+	}
+
+	// A profile is written when the run is over; an unwritable path
+	// must fail now, not after the minutes the run took.
+	for _, pf := range []struct{ name, path string }{{"cpuprofile", rf.cpuProfile}, {"memprofile", rf.memProfile}} {
+		if pf.path == "" {
+			continue
+		}
+		f, err := os.OpenFile(pf.path, os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			bad("-%s: %v", pf.name, err)
+			continue
+		}
+		f.Close()
+	}
+	if rf.cpuProfile != "" && rf.cpuProfile == rf.memProfile {
+		bad("-cpuprofile and -memprofile name the same file %q", rf.cpuProfile)
 	}
 
 	if rf.scenarioRef != "" {
@@ -682,12 +710,16 @@ func main() {
 		os.Exit(1)
 	}
 
+	stopProfiles, err := startProfiles(rf.cpuProfile, rf.memProfile)
+	if err != nil {
+		fail(err)
+	}
+
 	// Both paths — flags and -scenario — compile to the same scenario
 	// spec and run through the same machinery.
 	var (
 		spec   *scenario.Spec
 		source string
-		err    error
 	)
 	if rf.scenarioRef != "" {
 		spec, source, err = scenario.Load(rf.scenarioRef)
@@ -793,6 +825,50 @@ func main() {
 		}
 		progress("checks passed\n")
 	}
+	if err := stopProfiles(); err != nil {
+		fail(err)
+	}
+}
+
+// startProfiles starts the CPU profile, when asked for, and returns the
+// function that finishes it and writes the heap profile. main calls
+// that function only on its clean exit: a failed run or a failed
+// -check leaves no profile worth reading.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("-cpuprofile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		mem, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		runtime.GC() // so the profile's in-use figures are the live heap
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			mem.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		if err := mem.Close(); err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // checkReport verifies the report's accounting invariants: every

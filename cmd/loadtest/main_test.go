@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -120,6 +122,54 @@ func TestValidateAcceptsRealInvocations(t *testing.T) {
 		if problems := parse(t, args...).validate(); len(problems) != 0 {
 			t.Errorf("args %v should validate, got %v", args, problems)
 		}
+	}
+}
+
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	// Writable paths validate, alone and composed with a scenario.
+	for _, args := range [][]string{
+		{"-cpuprofile", cpu, "-memprofile", mem},
+		{"-scenario", "flash-crowd", "-cpuprofile", cpu},
+	} {
+		if problems := parse(t, args...).validate(); len(problems) != 0 {
+			t.Errorf("args %v should validate, got %v", args, problems)
+		}
+	}
+	// An unwritable path is a usage error, found before the run.
+	missing := filepath.Join(dir, "no-such-dir", "x.prof")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cpuprofile", missing}, "-cpuprofile"},
+		{[]string{"-memprofile", missing}, "-memprofile"},
+		{[]string{"-memprofile", dir}, "-memprofile"}, // a directory
+		{[]string{"-scenario", "commuter", "-memprofile", missing}, "-memprofile"},
+		{[]string{"-cpuprofile", cpu, "-memprofile", cpu}, "same file"},
+	} {
+		problems := strings.Join(parse(t, tc.args...).validate(), "\n")
+		if !strings.Contains(problems, tc.want) {
+			t.Errorf("args %v: problems %q, want one mentioning %q", tc.args, problems, tc.want)
+		}
+	}
+
+	// Both profiles are written when the returned stop function runs.
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
+		}
+	}
+	if _, err := startProfiles(missing, ""); err == nil {
+		t.Error("an unwritable -cpuprofile should fail to start")
 	}
 }
 

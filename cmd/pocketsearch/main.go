@@ -112,7 +112,7 @@ func main() {
 		if len(suggestions) > 0 {
 			clickURL = suggestions[0].URL
 		} else if resp, ok := sim.Engine.Search(query); ok {
-			clickURL = resp.Results[0].URL
+			clickURL = sim.Universe.ResultURL(resp.ID(0))
 		}
 		out, err := ps.Query(query, clickURL)
 		if err != nil {

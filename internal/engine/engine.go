@@ -148,13 +148,76 @@ func New(u *Universe) *Engine { return &Engine{u: u} }
 // Universe returns the engine's corpus.
 func (e *Engine) Universe() *Universe { return e.u }
 
-// SearchResponse is what the engine returns for a query.
+// SearchResponse is what the engine returns for a query: the ranked
+// results by identifier. Result text is a pure function of the
+// identifier, so the response carries no strings of its own; Results
+// and Find materialize exactly what a caller reads, and a caller that
+// reads only PageBytes (a load generator pricing the radio exchange)
+// costs the engine no allocation at all.
 type SearchResponse struct {
-	Query   string
-	Results []Result
+	Query string
 	// PageBytes is the size of the rendered result page shipped to
-	// the device (~100 KB).
+	// the device (~100 KB); zero when the engine had no results.
 	PageBytes int
+
+	// The ranked results are the n consecutive identifiers from first
+	// (see Universe.resultsForQuery).
+	u     *Universe
+	first searchlog.ResultID
+	n     int
+}
+
+// Len returns the number of ranked results.
+func (r SearchResponse) Len() int { return r.n }
+
+// ID returns the identifier of the i-th ranked result, best first.
+func (r SearchResponse) ID(i int) searchlog.ResultID {
+	return r.first + searchlog.ResultID(i)
+}
+
+// Results materializes every ranked result, best first.
+func (r SearchResponse) Results() []Result {
+	if r.n == 0 {
+		return nil
+	}
+	out := make([]Result, r.n)
+	for i := range out {
+		out[i] = r.u.Result(r.ID(i))
+	}
+	return out
+}
+
+// Find materializes the one ranked result with the given web address
+// — the result the user clicked — or reports that the response does not
+// contain it.
+func (r SearchResponse) Find(url string) (Result, bool) {
+	if r.n == 0 {
+		return Result{}, false
+	}
+	id, ok := r.u.ResolveURL(url)
+	if !ok || id < r.first || int(id-r.first) >= r.n {
+		return Result{}, false
+	}
+	res := r.u.Result(id)
+	// ResolveURL tolerates non-canonical numerals ("www.site01.com/");
+	// only the exact address names the result.
+	return res, res.URL == url
+}
+
+// resultsForQuery returns a query's ranked results as a run of
+// consecutive identifiers: a navigational query's front page and
+// section page are results 2b and 2b+1 of its block, and every
+// non-navigational pair clicks its own result, so a query's click list
+// is the contiguous rank range of its pairs. It is PairsForQuery
+// composed with ResultOf, without the slice.
+func (u *Universe) resultsForQuery(q searchlog.QueryID) (first searchlog.ResultID, n int) {
+	if int(q) < u.navQueries {
+		return searchlog.ResultID(2 * (int(q) / 4)), 2
+	}
+	qidx := int(q) - u.navQueries
+	s := u.nnSegmentForQuery(qidx)
+	rank := s.pairStart + (qidx-s.queryStart)*s.perQuery
+	return searchlog.ResultID(u.navResults + rank), s.perQuery
 }
 
 // Search resolves a query string. Unknown queries return ok == false
@@ -164,16 +227,14 @@ func (e *Engine) Search(query string) (SearchResponse, bool) {
 	if !ok {
 		return SearchResponse{Query: query}, false
 	}
-	pairs := e.u.PairsForQuery(q)
-	resp := SearchResponse{Query: query, Results: make([]Result, 0, len(pairs))}
-	for _, p := range pairs {
-		r := e.u.Result(e.u.ResultOf(p))
-		resp.Results = append(resp.Results, r)
-		if resp.PageBytes == 0 {
-			resp.PageBytes = e.u.PageBytes(r.ID)
-		}
-	}
-	return resp, true
+	first, n := e.u.resultsForQuery(q)
+	return SearchResponse{
+		Query:     query,
+		PageBytes: e.u.PageBytes(first),
+		u:         e.u,
+		first:     first,
+		n:         n,
+	}, true
 }
 
 // SearchBatch resolves a batch of query strings in one engine visit —

@@ -225,11 +225,11 @@ func TestSearchReturnsRankedResults(t *testing.T) {
 	if !ok {
 		t.Fatalf("Search(%q) failed", q)
 	}
-	if len(resp.Results) != 6 {
-		t.Fatalf("top non-nav query returned %d results, want 6", len(resp.Results))
+	if len(resp.Results()) != 6 {
+		t.Fatalf("top non-nav query returned %d results, want 6", len(resp.Results()))
 	}
 	seen := map[string]bool{}
-	for _, r := range resp.Results {
+	for _, r := range resp.Results() {
 		if seen[r.URL] {
 			t.Errorf("duplicate result URL %q", r.URL)
 		}
@@ -255,7 +255,7 @@ func TestNavQueryAliasesReachSameURL(t *testing.T) {
 		if !ok {
 			t.Fatalf("Search(%q) failed", q)
 		}
-		urls = append(urls, resp.Results[0].URL)
+		urls = append(urls, resp.Results()[0].URL)
 	}
 	for i := 1; i < len(urls); i++ {
 		if urls[i] != urls[0] {

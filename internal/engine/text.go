@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pocketcloudlets/internal/searchlog"
@@ -14,7 +15,7 @@ import (
 // average record at 500 bytes: title, short description of the landing
 // page, and the human-readable form of the hyperlink).
 
-var lexicon = []string{
+var lexicon = [...]string{
 	"mobile", "service", "official", "community", "guide", "daily",
 	"results", "network", "online", "photo", "music", "video", "news",
 	"local", "review", "profile", "market", "travel", "health", "game",
@@ -47,21 +48,45 @@ func (u *Universe) title(r searchlog.ResultID) string {
 	i := int(r)
 	w1 := lexicon[i%len(lexicon)]
 	w2 := lexicon[(i/7+3)%len(lexicon)]
+	// Concatenated in a stack buffer: one allocation, the string itself.
+	var a [80]byte
+	b := a[:0]
+	tail := " reference"
 	if i < u.navResults {
-		site := b36(i / 2)
+		b = append(b, "Site "...)
+		b = strconv.AppendInt(b, int64(i/2), 36)
 		if i%2 == 0 {
-			return fmt.Sprintf("Site %s — the %s %s portal", site, w1, w2)
+			b, tail = append(b, " — the "...), " portal"
+		} else {
+			b, tail = append(b, " Videos — "...), " section"
 		}
-		return fmt.Sprintf("Site %s Videos — %s %s section", site, w1, w2)
+	} else {
+		b = append(b, "Info "...)
+		b = strconv.AppendInt(b, int64(i-u.navResults), 36)
+		b = append(b, ": "...)
 	}
-	return fmt.Sprintf("Info %s: %s %s reference", b36(i-u.navResults), w1, w2)
+	b = append(b, w1...)
+	b = append(b, ' ')
+	b = append(b, w2...)
+	return string(append(b, tail...))
 }
 
-// snippet produces a deterministic ~400-character landing-page
+// snippets holds every landing-page description the universe can
+// produce. Word n of result i's snippet is
+// lexicon[(i*31+n*17+n*n)%len(lexicon)], which depends on i only through
+// i%len(lexicon), so there are len(lexicon) distinct snippets and a
+// result's snippet is a table read, not a rebuild.
+var snippets = func() (t [len(lexicon)]string) {
+	for i := range t {
+		t[i] = buildSnippet(i)
+	}
+	return t
+}()
+
+// buildSnippet produces a deterministic ~400-character landing-page
 // description so that records land near the paper's 500-byte average.
-func (u *Universe) snippet(r searchlog.ResultID) string {
+func buildSnippet(i int) string {
 	var b strings.Builder
-	i := int(r)
 	for n := 0; b.Len() < 390; n++ {
 		w := lexicon[(i*31+n*17+n*n)%len(lexicon)]
 		if n == 0 {
@@ -76,6 +101,10 @@ func (u *Universe) snippet(r searchlog.ResultID) string {
 	return b.String()
 }
 
+func (u *Universe) snippet(r searchlog.ResultID) string {
+	return snippets[int(r)%len(snippets)]
+}
+
 // recordSep separates fields inside a serialized record; it never
 // appears in generated text.
 const recordSep = '\x1f'
@@ -83,15 +112,14 @@ const recordSep = '\x1f'
 // Record serializes the result into the plain-text form stored in the
 // custom database files.
 func (r Result) Record() []byte {
-	var b bytes.Buffer
-	b.WriteString(r.Title)
-	b.WriteByte(recordSep)
-	b.WriteString(r.URL)
-	b.WriteByte(recordSep)
-	b.WriteString(r.DisplayURL)
-	b.WriteByte(recordSep)
-	b.WriteString(r.Snippet)
-	return b.Bytes()
+	b := make([]byte, 0, len(r.Title)+len(r.URL)+len(r.DisplayURL)+len(r.Snippet)+3)
+	b = append(b, r.Title...)
+	b = append(b, recordSep)
+	b = append(b, r.URL...)
+	b = append(b, recordSep)
+	b = append(b, r.DisplayURL...)
+	b = append(b, recordSep)
+	return append(b, r.Snippet...)
 }
 
 // ParseRecord deserializes a record produced by Record. The result ID

@@ -255,13 +255,20 @@ func (u *Universe) QueryText(q searchlog.QueryID) string {
 
 // ResultURL implements searchlog.PairMeta.
 func (u *Universe) ResultURL(r searchlog.ResultID) string {
+	// Assembled in a stack buffer: one allocation, the string itself.
+	var a [48]byte
+	b := a[:0]
 	if int(r) < u.navResults {
-		b := int(r) / 2
+		b = append(b, "www.site"...)
+		b = strconv.AppendInt(b, int64(r)/2, 36)
 		if int(r)%2 == 0 {
-			return "www.site" + b36(b) + ".com/"
+			return string(append(b, ".com/"...))
 		}
-		return "www.site" + b36(b) + ".com/videos"
+		return string(append(b, ".com/videos"...))
 	}
-	j := int(r) - u.navResults
-	return "www.info" + b36(j) + ".net/article/" + b36(j%97)
+	j := int64(int(r) - u.navResults)
+	b = append(b, "www.info"...)
+	b = strconv.AppendInt(b, j, 36)
+	b = append(b, ".net/article/"...)
+	return string(strconv.AppendInt(b, j%97, 36))
 }

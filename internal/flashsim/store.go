@@ -113,9 +113,9 @@ func (fs *FileStore) Peek(name string) ([]byte, bool) {
 // PeekRef is Peek without the copy: it returns a read-only view of the
 // named file's stored bytes. The view is valid until the file is next
 // written, appended to, or deleted — Write/ReplaceSilently install a
-// fresh slice and Append may grow in place, so a caller must drop its
-// view whenever it performs any mutation of the file
-// (internal/resultdb's file cache invalidates on its single write
+// different slice and Append may grow in place, so a caller must drop
+// its view whenever it performs any mutation of the file
+// (internal/resultdb's file cache is re-pointed on its single write
 // funnel). Callers must not modify the returned slice.
 func (fs *FileStore) PeekRef(name string) ([]byte, bool) {
 	data, ok := fs.files[name]
@@ -123,9 +123,13 @@ func (fs *FileStore) PeekRef(name string) ([]byte, bool) {
 }
 
 // ReplaceSilently sets the named file's contents without charging any
-// device cost, for layers that charge their own modeled latencies.
+// device cost, for layers that charge their own modeled latencies. The
+// store takes ownership of data — it is stored, not copied, so a layer
+// that rewrites a file per cached record pays for one buffer, not two.
+// The caller may keep reading data under PeekRef's rule (until the
+// file's next write, append or delete) and must never modify it.
 func (fs *FileStore) ReplaceSilently(name string, data []byte) {
-	fs.files[name] = append([]byte(nil), data...)
+	fs.files[name] = data
 }
 
 // Delete removes the named file. Deleting a missing file is an error.

@@ -280,10 +280,9 @@ func (sh *shard) completeFaultedMiss(req Request, mc missCtx) Response {
 		return sh.degradeLocked(st, req, mc, cold)
 	}
 	resp := Response{Req: req, Source: SourceCloud, Attempts: mc.plan.Attempts}
-	before := st.cache.DB().LogicalBytes()
 	resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
 	resp.Outcome.Network += mc.plan.FailedWait + mc.hedgeWait() + mc.backendWait()
-	sh.recordExpansion(st, req.User, mc.qh, mc.ch, before)
+	sh.recordExpansion(st, req.User, mc.qh, mc.ch, resp.Outcome.Stored)
 	st.served++
 	if resp.Outcome.Hit {
 		st.hits++
@@ -387,10 +386,9 @@ func (sh *shard) applyFaultedBatched(req Request, eresp engine.SearchResponse, f
 		return sh.degradeLocked(st, req, mc, cold)
 	}
 	resp := Response{Req: req, Source: SourceCloud, BatchSize: bt.Size(), Attempts: mc.plan.Attempts}
-	before := st.cache.DB().LogicalBytes()
 	resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, eresp, found, bt.ItemLatency(slot), bt.ItemShare(slot))
 	resp.Outcome.Network += mc.plan.FailedWait + mc.hedgeWait() + mc.backendWait()
-	sh.recordExpansion(st, req.User, mc.qh, mc.ch, before)
+	sh.recordExpansion(st, req.User, mc.qh, mc.ch, resp.Outcome.Stored)
 	st.served++
 	st.clock.Observe()
 	resp.RadioJ = bt.ItemRadioEnergy(st.rt.link, slot) +

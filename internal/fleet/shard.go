@@ -415,9 +415,8 @@ func (sh *shard) serveLocked(st *userState, req Request, qh, ch uint64, tier Sou
 		if err := sh.materialize(st); err != nil {
 			return Response{Req: req, Err: err}
 		}
-		before := st.cache.DB().LogicalBytes()
 		resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
-		sh.recordExpansion(st, req.User, qh, ch, before)
+		sh.recordExpansion(st, req.User, qh, ch, resp.Outcome.Stored)
 	}
 	sh.accountLocked(st, &resp)
 	return resp
@@ -482,9 +481,8 @@ func (sh *shard) applyBatchedMiss(req Request, eresp engine.SearchResponse, foun
 	}
 	qh := hash64.Sum(req.Query)
 	ch := hash64.Sum(req.Click)
-	before := st.cache.DB().LogicalBytes()
 	resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, eresp, found, bt.ItemLatency(i), bt.ItemShare(i))
-	sh.recordExpansion(st, req.User, qh, ch, before)
+	sh.recordExpansion(st, req.User, qh, ch, resp.Outcome.Stored)
 	st.served++
 	st.clock.Observe()
 	resp.RadioJ = bt.ItemRadioEnergy(st.rt.link, i)
@@ -493,9 +491,10 @@ func (sh *shard) applyBatchedMiss(req Request, eresp engine.SearchResponse, foun
 }
 
 // recordExpansion books the personal-flash delta a served miss left
-// behind and enforces the per-user budget. Caller holds mu.
-func (sh *shard) recordExpansion(st *userState, uid searchlog.UserID, qh, ch uint64, before int64) {
-	if delta := st.cache.DB().LogicalBytes() - before; delta > 0 {
+// behind (Outcome.Stored) and enforces the per-user budget. Caller
+// holds mu.
+func (sh *shard) recordExpansion(st *userState, uid searchlog.UserID, qh, ch uint64, delta int64) {
+	if delta > 0 {
 		ref := evictRef{user: uid, queryHash: qh, resultHash: ch, bytes: delta}
 		key := itemKey(uid, ch)
 		if st.refs == nil {

@@ -123,8 +123,6 @@ type Cache struct {
 	// the index can follow hash table updates.
 	completions *suggest.Index
 	queryText   map[uint64]string
-	// lastQueryText carries the miss-path query string to expand.
-	lastQueryText string
 	// refsBuf is the scratch buffer hash-table lookups reuse so the
 	// steady-state serve path allocates nothing. Single-owner like the
 	// rest of the cache: only the serialized mutating methods touch it.
@@ -373,6 +371,11 @@ type Outcome struct {
 	// hit): the fleet layer reads it to attribute radio energy per
 	// request.
 	Radio radio.Transfer
+	// Stored is the logical flash bytes the miss's cache expansion
+	// added to the result database (zero on a hit, and when the clicked
+	// result was already stored): the fleet layer books it against the
+	// user's storage budget.
+	Stored int64
 }
 
 // ResponseTime is the end-to-end user response time of the query.
@@ -583,7 +586,6 @@ func (c *Cache) Query(queryText, clickURL string) (Outcome, error) {
 
 	// Cache miss: query the engine over the radio.
 	c.stats.misses.Add(1)
-	c.lastQueryText = queryText
 	resp, found := c.eng.Search(queryText)
 	pageBytes := MissPageBytes(resp)
 	tr := c.dev.NetworkRequest(QueryRequestBytes, pageBytes)
@@ -592,11 +594,11 @@ func (c *Cache) Query(queryText, clickURL string) (Outcome, error) {
 	out.Render = c.dev.Render(pageBytes)
 	out.Misc = c.dev.Misc()
 	if found && !c.opts.DiscardResults {
-		out.Results = resp.Results
+		out.Results = resp.Results()
 	}
 
 	if !c.opts.DisablePersonalization && clickURL != "" {
-		c.expand(qh, ch, clickURL, resp, found)
+		out.Stored = c.expand(qh, ch, queryText, clickURL, resp)
 	}
 	return out, nil
 }
@@ -632,18 +634,17 @@ func (c *Cache) ApplyBatchedMiss(queryText, clickURL string, resp engine.SearchR
 	out.Lookup = LookupCost
 	c.dev.Busy(LookupCost, "lookup")
 
-	c.lastQueryText = queryText
 	c.dev.NetworkBatchShare(wait, share)
 	out.Network = wait
 	out.Radio = radio.Transfer{RadioActive: share}
 	out.Render = c.dev.Render(MissPageBytes(resp))
 	out.Misc = c.dev.Misc()
 	if found && !c.opts.DiscardResults {
-		out.Results = resp.Results
+		out.Results = resp.Results()
 	}
 
 	if !c.opts.DisablePersonalization && clickURL != "" {
-		c.expand(qh, ch, clickURL, resp, found)
+		out.Stored = c.expand(qh, ch, queryText, clickURL, resp)
 	}
 	return out
 }
@@ -655,30 +656,30 @@ const QueryRequestBytes = 800
 
 // expand implements the personalization component's cache expansion:
 // after a miss, the (query, clicked result) pair enters the cache with
-// score 1 so future repeats hit locally.
-func (c *Cache) expand(qh, ch uint64, clickURL string, resp engine.SearchResponse, found bool) {
-	var rec []byte
-	if found {
-		for _, r := range resp.Results {
-			if r.URL == clickURL {
-				rec = r.Record()
-				break
-			}
-		}
-	}
-	if rec == nil {
+// score 1 so future repeats hit locally. Only the clicked result's text
+// is materialized. The record is stored before the pair is indexed, so
+// a failed write leaves the query a clean miss and never an index entry
+// whose record cannot be fetched. It returns the logical flash bytes
+// the database grew by.
+func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse) int64 {
+	res, ok := resp.Find(clickURL)
+	if !ok {
 		// The engine did not return the clicked result (synthetic
 		// streams never hit this; defensive for interactive use).
-		return
+		return 0
 	}
+	before := c.db.LogicalBytes()
+	lat, err := c.db.Put(ch, res.Record())
+	if err != nil {
+		return 0
+	}
+	// Stored off the critical path, but still paid in time/energy.
+	c.dev.FlashBusy(lat)
 	c.table.Put(qh, hashtable.SearchRef{ResultHash: ch, Score: 1})
 	c.table.MarkAccessed(qh, ch)
-	c.indexQuery(qh, c.lastQueryText, suggestPersonalBoost)
-	if lat, err := c.db.Put(ch, rec); err == nil {
-		// Stored off the critical path, but still paid in time/energy.
-		c.dev.FlashBusy(lat)
-	}
+	c.indexQuery(qh, queryText, suggestPersonalBoost)
 	c.stats.expansions.Add(1)
+	return c.db.LogicalBytes() - before
 }
 
 // personalizeClick applies Equations 1 and 2: the clicked result's

@@ -53,29 +53,42 @@ type DB struct {
 	// fileNames): a million-user fleet holds one database per user and
 	// they all name their files identically.
 	names []string
-	// cache holds the parsed header and a no-copy view of the body for
-	// each file touched so far, so repeated retrievals (the cache-hit
-	// serve path) parse and allocate nothing. It is a map keyed by file
-	// index, populated lazily, because a typical per-user database
-	// touches only a handful of its files — an eager per-file array
-	// costs ~2 KB per user at the default 32 files. Entries are
-	// invalidated by storeFile — the single funnel every database write
-	// goes through — and the modeled latency is computed from the
-	// recorded header length, so a cached retrieval charges exactly
-	// what an uncached one would.
-	cache map[int]*fileCache
+	// cache holds the parsed header and a no-copy view of each file
+	// read or written so far, so repeated retrievals (the cache-hit
+	// serve path) parse and allocate nothing. It is a slice sorted by
+	// file index, grown one exact-capacity element per file, because a
+	// typical per-user database occupies only some of its files and a
+	// fleet holds a database per user: an eager per-file array costs
+	// ~2 KB per user at the default 32 files, and a map of pointers a
+	// third more than this slice. Only files that exist are cached.
+	// Entries are replaced by storeFile — the single funnel every
+	// database write goes through — with the parse of what it just
+	// wrote, so a write never causes a re-parse, and the modeled latency
+	// is computed from the recorded header length, so a cached
+	// retrieval charges exactly what an uncached one would.
+	cache []fileCache
+	// bytes is the total size of the database files, kept current by
+	// storeFile and seeded from the store in New. The database must be
+	// the only writer of its files; a store changed from outside is
+	// picked up by reopening it with New.
+	bytes int64
 }
 
-// fileCache is one file's parsed state. body aliases the store's
-// backing slice, which is safe because storeFile replaces the whole
-// slice (never writes in place) and invalidates this entry first.
+// fileCache is one existing file's parsed state. data is the very
+// slice the store holds (storeFile hands the store a fresh slice and
+// keeps a view; nothing ever writes into it), so every view handed out
+// from it — GetView, the store's PeekRef — is valid until the file's
+// next write, which installs a new slice and leaves the old one to its
+// remaining holders.
 type fileCache struct {
-	valid  bool
-	exists bool
+	file   int32 // file index, the sort key of DB.cache
+	hdrLen int32 // header line length including '\n'
 	hdr    header
-	body   []byte
-	hdrLen int // header line length including '\n', for latency
+	data   []byte // the whole file: header line, then the body
 }
+
+// body is the record area the header's offsets index.
+func (fc *fileCache) body() []byte { return fc.data[fc.hdrLen:] }
 
 // New creates (or reopens) a database over the given flash store.
 func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
@@ -93,6 +106,11 @@ func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
 	}
 	db := &DB{store: store, cfg: cfg}
 	db.names = fileNames(cfg.Prefix, cfg.Files)
+	for _, name := range db.names {
+		if sz, err := store.Size(name); err == nil {
+			db.bytes += int64(sz)
+		}
+	}
 	return db, nil
 }
 
@@ -114,17 +132,35 @@ func fileNames(prefix string, files int) []string {
 	return v.([]string)
 }
 
-// cacheEntry returns file i's cache slot, creating it on first touch.
-func (db *DB) cacheEntry(i int) *fileCache {
-	if fc, ok := db.cache[i]; ok {
-		return fc
+// cachePos returns the position of file i in the sorted cache, or the
+// position it would be inserted at.
+func (db *DB) cachePos(i int) (pos int, found bool) {
+	lo, hi := 0, len(db.cache)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(db.cache[mid].file) < i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if db.cache == nil {
-		db.cache = make(map[int]*fileCache, 4)
+	return lo, lo < len(db.cache) && int(db.cache[lo].file) == i
+}
+
+// setCache installs file i's parsed state at its sorted position. A
+// new file grows the slice by exactly one element: the per-user
+// database gains a file a handful of times in its life, and append's
+// doubling would be resident slack in every one of a fleet's users.
+func (db *DB) setCache(fc fileCache) *fileCache {
+	pos, found := db.cachePos(int(fc.file))
+	if !found {
+		grown := make([]fileCache, len(db.cache)+1)
+		copy(grown, db.cache[:pos])
+		copy(grown[pos+1:], db.cache[pos:])
+		db.cache = grown
 	}
-	fc := &fileCache{}
-	db.cache[i] = fc
-	return fc
+	db.cache[pos] = fc
+	return &db.cache[pos]
 }
 
 // Files returns the configured file count.
@@ -143,13 +179,25 @@ type header struct {
 	entries []headerEntry
 }
 
+// headerEntry locates one record in the file body. 32-bit offsets keep
+// an entry at 16 bytes (a fleet holds tens of them per user): a
+// database file is megabytes at most, and parseHeader refuses a header
+// that says otherwise.
 type headerEntry struct {
 	hash        uint64
-	off, length int
+	off, length uint32
 }
 
-func (h *header) find(hash uint64) (headerEntry, bool) {
-	for _, e := range h.entries {
+// end is the body offset one past the record.
+func (e headerEntry) end() int { return int(e.off) + int(e.length) }
+
+// find looks a record up in the file's header; a nil receiver is a
+// file that does not exist and holds nothing.
+func (fc *fileCache) find(hash uint64) (headerEntry, bool) {
+	if fc == nil {
+		return headerEntry{}, false
+	}
+	for _, e := range fc.hdr.entries {
 		if e.hash == hash {
 			return e, true
 		}
@@ -157,17 +205,29 @@ func (h *header) find(hash uint64) (headerEntry, bool) {
 	return headerEntry{}, false
 }
 
+// maxTripleLen bounds one rendered header triple with its separator:
+// ';' and three 64-bit hex fields joined by two commas.
+const maxTripleLen = 1 + 3*16 + 2
+
+// appendTriple renders one header entry as "hash,off,len" in hex.
+func appendTriple(b []byte, e headerEntry) []byte {
+	b = strconv.AppendUint(b, e.hash, 16)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(e.off), 16)
+	b = append(b, ',')
+	return strconv.AppendUint(b, uint64(e.length), 16)
+}
+
 // serialize renders the header line: "hash,off,len;...\n" in hex.
 func (h *header) serialize() []byte {
-	var b bytes.Buffer
+	b := make([]byte, 0, len(h.entries)*maxTripleLen+1)
 	for i, e := range h.entries {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		fmt.Fprintf(&b, "%x,%x,%x", e.hash, e.off, e.length)
+		b = appendTriple(b, e)
 	}
-	b.WriteByte('\n')
-	return b.Bytes()
+	return append(b, '\n')
 }
 
 func parseHeader(line []byte) (*header, error) {
@@ -176,6 +236,7 @@ func parseHeader(line []byte) (*header, error) {
 	if s == "" {
 		return h, nil
 	}
+	h.entries = make([]headerEntry, 0, strings.Count(s, ";")+1)
 	for _, part := range strings.Split(s, ";") {
 		fields := strings.Split(part, ",")
 		if len(fields) != 3 {
@@ -185,104 +246,124 @@ func parseHeader(line []byte) (*header, error) {
 		if err != nil {
 			return nil, fmt.Errorf("resultdb: bad header hash: %v", err)
 		}
-		off, err := strconv.ParseInt(fields[1], 16, 64)
+		off, err := strconv.ParseUint(fields[1], 16, 32)
 		if err != nil {
 			return nil, fmt.Errorf("resultdb: bad header offset: %v", err)
 		}
-		length, err := strconv.ParseInt(fields[2], 16, 64)
+		length, err := strconv.ParseUint(fields[2], 16, 32)
 		if err != nil {
 			return nil, fmt.Errorf("resultdb: bad header length: %v", err)
 		}
-		h.entries = append(h.entries, headerEntry{hash: hash, off: int(off), length: int(length)})
+		h.entries = append(h.entries, headerEntry{hash: hash, off: uint32(off), length: uint32(length)})
 	}
 	return h, nil
 }
 
-// loadFile returns one database file's parsed header, raw body, and
-// the modeled latency of reading the header portion (open + header
-// pages + per-entry parse CPU). Body latency charging is left to the
-// caller since most operations touch only one record. The parse is
-// served from the per-file cache when valid; the latency formula is
-// evaluated either way, so caching never changes modeled costs.
-func (db *DB) loadFile(i int) (*header, []byte, time.Duration, error) {
-	fc := db.cacheEntry(i)
-	if !fc.valid {
-		if err := db.fillCache(i); err != nil {
-			return nil, nil, 0, err
-		}
+// file returns file i's parsed state without device-cost accounting,
+// parsing it on first touch; nil when the file does not exist. The
+// pointer is valid until the next file enters the cache.
+func (db *DB) file(i int) (*fileCache, error) {
+	if pos, found := db.cachePos(i); found {
+		return &db.cache[pos], nil
 	}
-	if !fc.exists {
-		return &header{}, nil, db.store.Device().OpenCost(), nil
-	}
-	// Model: open the file, read the header pages, parse each entry.
-	lat := db.store.Device().OpenCost() +
-		db.store.Device().ReadCost(fc.hdrLen) +
-		time.Duration(len(fc.hdr.entries))*db.cfg.HeaderParseCost
-	return &fc.hdr, fc.body, lat, nil
-}
-
-// fillCache (re)parses file i into its cache slot.
-func (db *DB) fillCache(i int) error {
-	fc := db.cacheEntry(i)
 	name := db.fileName(i)
 	data, ok := db.store.PeekRef(name)
 	if !ok {
-		*fc = fileCache{valid: true}
-		return nil
+		return nil, nil
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return fmt.Errorf("resultdb: file %q has no header line", name)
+		return nil, fmt.Errorf("resultdb: file %q has no header line", name)
 	}
 	h, err := parseHeader(data[:nl+1])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	*fc = fileCache{valid: true, exists: true, hdr: *h, body: data[nl+1:], hdrLen: nl + 1}
-	return nil
+	return db.setCache(fileCache{file: int32(i), hdrLen: int32(nl + 1), hdr: *h, data: data}), nil
+}
+
+// loadFile is file plus the modeled latency of reading the header
+// portion (open + header pages + per-entry parse CPU). Body latency
+// charging is left to the caller since most operations touch only one
+// record. The latency formula is evaluated whether or not the parse was
+// cached, so caching never changes modeled costs.
+func (db *DB) loadFile(i int) (*fileCache, time.Duration, error) {
+	fc, err := db.file(i)
+	if err != nil {
+		return nil, 0, err
+	}
+	if fc == nil {
+		return nil, db.store.Device().OpenCost(), nil
+	}
+	// Model: open the file, read the header pages, parse each entry.
+	lat := db.store.Device().OpenCost() +
+		db.store.Device().ReadCost(int(fc.hdrLen)) +
+		time.Duration(len(fc.hdr.entries))*db.cfg.HeaderParseCost
+	return fc, lat, nil
 }
 
 // Put stores a record under its result hash, appending it to its file
 // and augmenting the header. Storing an existing hash again is a no-op
 // (results are shared across queries and stored once — the paper's
 // factor-of-8 storage saving). It returns the modeled flash latency.
+// The record is copied; the caller keeps ownership of it.
+//
+// The write is incremental: the new file is the stored header line
+// extended by one triple, the stored body and the record, built in a
+// single allocation, and the parsed header gains one entry — nothing
+// is re-serialized and nothing is re-parsed.
 func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 	i := db.FileOf(resultHash)
-	h, body, lat, err := db.loadFile(i)
+	fc, lat, err := db.loadFile(i)
 	if err != nil {
 		return 0, err
 	}
-	if _, exists := h.find(resultHash); exists {
+	if _, exists := fc.find(resultHash); exists {
 		return lat, nil
 	}
-	// Build the new header and body in fresh slices: h and body may
-	// alias the file cache and the store's backing array.
-	h2 := header{entries: make([]headerEntry, 0, len(h.entries)+1)}
-	h2.entries = append(append(h2.entries, h.entries...),
-		headerEntry{hash: resultHash, off: len(body), length: len(record)})
-	newBody := make([]byte, 0, len(body)+len(record))
-	newBody = append(append(newBody, body...), record...)
+	// The stored header line minus its newline, the body and the parsed
+	// entries; all empty for a new file.
+	var (
+		line, body []byte
+		old        []headerEntry
+	)
+	if fc != nil {
+		line, body, old = fc.data[:fc.hdrLen-1], fc.body(), fc.hdr.entries
+	}
+	e := headerEntry{hash: resultHash, off: uint32(len(body)), length: uint32(len(record))}
+	var tb [maxTripleLen]byte
+	triple := tb[:0]
+	if len(old) > 0 {
+		triple = append(triple, ';')
+	}
+	triple = appendTriple(triple, e)
+	hdrLen := len(line) + len(triple) + 1
+	// One exactly sized allocation (and Join does not zero it first).
+	data := bytes.Join([][]byte{line, triple, {'\n'}, body, record}, nil)
+	// Entries grow to exact capacity: a file gains a record or two over
+	// a user's month, and append's doubling would be resident slack.
+	entries := make([]headerEntry, len(old)+1)
+	entries[copy(entries, old)] = e
 	// The header line changes size, so it is rewritten in place
 	// (charged as a flash rewrite); the record itself is an append.
-	hdr := h2.serialize()
-	lat += db.store.Device().RewriteCost(len(hdr)) + db.store.Device().WriteCost(len(record))
-	db.storeFile(i, hdr, newBody)
+	lat += db.store.Device().RewriteCost(hdrLen) + db.store.Device().WriteCost(len(record))
+	db.storeFile(i, header{entries: entries}, data, hdrLen)
 	return lat, nil
 }
 
-// storeFile writes the serialized file content without charging
-// additional device cost (costs are charged explicitly by callers).
-// It is the single funnel every database write goes through (Put,
-// ReplaceFile, and Delete via ReplaceFile), so invalidating the file
-// cache here keeps cached views consistent.
-func (db *DB) storeFile(i int, hdr, body []byte) {
-	if fc, ok := db.cache[i]; ok {
-		*fc = fileCache{}
-	}
-	content := make([]byte, 0, len(hdr)+len(body))
-	content = append(content, hdr...)
-	content = append(content, body...)
-	db.store.ReplaceSilently(db.fileName(i), content)
+// storeFile installs a file's new content — data is the header line of
+// hdrLen bytes that renders h, then the body — without charging device
+// cost (costs are charged explicitly by callers). It is the single
+// funnel every database write goes through (Put, ReplaceFile, and
+// Delete via ReplaceFile): the store takes ownership of data, the file
+// cache becomes a view of it, and the running size total moves by the
+// difference. The caller must not touch data afterwards.
+func (db *DB) storeFile(i int, h header, data []byte, hdrLen int) {
+	name := db.fileName(i)
+	old, _ := db.store.Size(name) // zero for a file that does not exist yet
+	db.bytes += int64(len(data) - old)
+	db.setCache(fileCache{file: int32(i), hdrLen: int32(hdrLen), hdr: h, data: data})
+	db.store.ReplaceSilently(name, data)
 }
 
 // Get retrieves the record stored under the result hash, with the
@@ -303,56 +384,42 @@ func (db *DB) Get(resultHash uint64) ([]byte, time.Duration, error) {
 // retain it.
 func (db *DB) GetView(resultHash uint64) ([]byte, time.Duration, error) {
 	i := db.FileOf(resultHash)
-	h, body, lat, err := db.loadFile(i)
+	fc, lat, err := db.loadFile(i)
 	if err != nil {
 		return nil, 0, err
 	}
-	e, ok := h.find(resultHash)
+	e, ok := fc.find(resultHash)
 	if !ok {
 		return nil, lat, fmt.Errorf("resultdb: result %x not found in file %d", resultHash, i)
 	}
-	if e.off < 0 || e.off+e.length > len(body) {
+	body := fc.body()
+	if e.end() > len(body) {
 		return nil, lat, fmt.Errorf("resultdb: corrupt header entry for %x", resultHash)
 	}
-	lat += db.store.Device().ReadCost(e.length)
-	return body[e.off : e.off+e.length], lat, nil
+	lat += db.store.Device().ReadCost(int(e.length))
+	return body[e.off:e.end()], lat, nil
 }
 
 // Contains reports whether a record exists, without charging latency
 // (existence is known from the DRAM hash table in the real system).
 func (db *DB) Contains(resultHash uint64) bool {
-	h, _, ok, err := db.peekFile(db.FileOf(resultHash))
-	if err != nil || !ok {
+	fc, err := db.file(db.FileOf(resultHash))
+	if err != nil {
 		return false
 	}
-	_, found := h.find(resultHash)
+	_, found := fc.find(resultHash)
 	return found
-}
-
-// peekFile returns a file's cached parse without device-cost
-// accounting. ok reports whether the file exists.
-func (db *DB) peekFile(i int) (h *header, body []byte, ok bool, err error) {
-	fc := db.cacheEntry(i)
-	if !fc.valid {
-		if err := db.fillCache(i); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	if !fc.exists {
-		return nil, nil, false, nil
-	}
-	return &fc.hdr, fc.body, true, nil
 }
 
 // Hashes returns every stored result hash in ascending order.
 func (db *DB) Hashes() []uint64 {
 	var out []uint64
 	for i := 0; i < db.cfg.Files; i++ {
-		h, _, ok, err := db.peekFile(i)
-		if err != nil || !ok {
+		fc, err := db.file(i)
+		if err != nil || fc == nil {
 			continue
 		}
-		for _, e := range h.entries {
+		for _, e := range fc.hdr.entries {
 			out = append(out, e.hash)
 		}
 	}
@@ -364,8 +431,8 @@ func (db *DB) Hashes() []uint64 {
 func (db *DB) Len() int {
 	n := 0
 	for i := 0; i < db.cfg.Files; i++ {
-		if h, _, ok, err := db.peekFile(i); err == nil && ok {
-			n += len(h.entries)
+		if fc, err := db.file(i); err == nil && fc != nil {
+			n += len(fc.hdr.entries)
 		}
 	}
 	return n
@@ -378,24 +445,28 @@ func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, erro
 	if i < 0 || i >= db.cfg.Files {
 		return 0, fmt.Errorf("resultdb: file index %d out of range [0, %d)", i, db.cfg.Files)
 	}
-	h := &header{}
-	var body []byte
-	hashes := make([]uint64, 0, len(records))
+	h := header{entries: make([]headerEntry, 0, len(records))}
 	for hash := range records {
 		if db.FileOf(hash) != i {
 			return 0, fmt.Errorf("resultdb: record %x does not belong in file %d", hash, i)
 		}
-		hashes = append(hashes, hash)
+		h.entries = append(h.entries, headerEntry{hash: hash})
 	}
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a] < hashes[b] })
-	for _, hash := range hashes {
-		rec := records[hash]
-		h.entries = append(h.entries, headerEntry{hash: hash, off: len(body), length: len(rec)})
-		body = append(body, rec...)
+	sort.Slice(h.entries, func(a, b int) bool { return h.entries[a].hash < h.entries[b].hash })
+	bodyLen := 0
+	for k := range h.entries {
+		e := &h.entries[k]
+		e.off, e.length = uint32(bodyLen), uint32(len(records[e.hash]))
+		bodyLen += len(records[e.hash])
 	}
 	hdr := h.serialize()
-	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(len(hdr)+len(body))
-	db.storeFile(i, hdr, body)
+	data := make([]byte, len(hdr), len(hdr)+bodyLen)
+	copy(data, hdr)
+	for _, e := range h.entries {
+		data = append(data, records[e.hash]...)
+	}
+	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(len(data))
+	db.storeFile(i, h, data, len(hdr))
 	return lat, nil
 }
 
@@ -425,32 +496,26 @@ func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 // server-side read when computing patches.
 func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
 	out := make(map[uint64][]byte)
-	h, body, ok, err := db.peekFile(i)
+	fc, err := db.file(i)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if fc == nil {
 		return out, nil
 	}
-	for _, e := range h.entries {
-		if e.off < 0 || e.off+e.length > len(body) {
+	body := fc.body()
+	for _, e := range fc.hdr.entries {
+		if e.end() > len(body) {
 			return nil, fmt.Errorf("resultdb: corrupt entry %x in file %d", e.hash, i)
 		}
-		out[e.hash] = append([]byte(nil), body[e.off:e.off+e.length]...)
+		out[e.hash] = append([]byte(nil), body[e.off:e.end()]...)
 	}
 	return out, nil
 }
 
-// LogicalBytes is the total size of the database files.
-func (db *DB) LogicalBytes() int64 {
-	var n int64
-	for i := 0; i < db.cfg.Files; i++ {
-		if sz, err := db.store.Size(db.fileName(i)); err == nil {
-			n += int64(sz)
-		}
-	}
-	return n
-}
+// LogicalBytes is the total size of the database files: a running
+// total (see DB.bytes), not a scan.
+func (db *DB) LogicalBytes() int64 { return db.bytes }
 
 // AllocatedBytes is the flash space the database occupies including
 // allocation slack.

@@ -238,14 +238,14 @@ func TestAccountingConsistency(t *testing.T) {
 func TestHeaderSerializationRoundTrip(t *testing.T) {
 	f := func(hashes []uint64, sizes []uint16) bool {
 		h := &header{}
-		off := 0
+		off := uint32(0)
 		n := len(hashes)
 		if len(sizes) < n {
 			n = len(sizes)
 		}
 		for i := 0; i < n; i++ {
-			h.entries = append(h.entries, headerEntry{hash: hashes[i], off: off, length: int(sizes[i])})
-			off += int(sizes[i])
+			h.entries = append(h.entries, headerEntry{hash: hashes[i], off: off, length: uint32(sizes[i])})
+			off += uint32(sizes[i])
 		}
 		parsed, err := parseHeader(h.serialize())
 		if err != nil {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Runs the fleet serving benchmarks (BenchmarkFleetServe* in the root
-# package) and the miss-path layer benchmarks (BenchmarkPrice* in
+# package), the miss-path planning benchmarks (BenchmarkPrice* in
 # internal/backend, BenchmarkPlanHedgedPriced in internal/faults) and
-# writes a machine-readable snapshot to BENCH_<date>.json so successive
-# runs can be diffed for regressions.
+# the cold-miss write-path benchmarks (BenchmarkSearch* in
+# internal/engine, BenchmarkPut in internal/resultdb, BenchmarkQueryMiss
+# in internal/pocketsearch) and writes a machine-readable snapshot to
+# BENCH_<date>.json so successive runs can be diffed for regressions.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=3s scripts/bench.sh     # longer, steadier numbers
@@ -29,6 +31,17 @@ layer_raw=$(go test -bench 'Price|PlanHedgedPriced' -benchtime 20000x \
     -benchmem -run '^$' ./internal/backend ./internal/faults)
 echo "$layer_raw"
 raw="$raw"$'\n'"$layer_raw"
+
+# The cold-miss write path, layer by layer: the engine resolving a query
+# (and materializing the clicked result), the result database taking a
+# record (per-user and repository-benchmark shapes), and a whole
+# PocketSearch miss with its cache expansion. Fixed iteration counts
+# again: Put and QueryMiss refill fresh databases every 40/256
+# iterations, so ns/op is a mean over whole fills only at a multiple.
+write_raw=$(go test -p 1 -bench 'Search|Put|QueryMiss' -benchtime 51200x \
+    -benchmem -run '^$' ./internal/engine ./internal/resultdb ./internal/pocketsearch)
+echo "$write_raw"
+raw="$raw"$'\n'"$write_raw"
 
 # A short hedged fault run, normalized by cmd/reportnorm so it is
 # byte-deterministic, rides along in the snapshot: its hedge counters

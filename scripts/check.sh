@@ -8,7 +8,9 @@
 # magnitude, past the per-package test timeout on small machines,
 # and they are single-goroutine anyway. Every concurrent code path —
 # fleet serving, load generation, workload, cloudletos — runs under
-# the detector at full depth.
+# the detector at full depth, and so does the result database's
+# differential test against its legacy reference (the buffers it hands
+# to the flash store are shared views, not copies).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -208,6 +210,23 @@ fi
 if echo "$price_allocs" | grep -qv ' 0$'; then
     echo "bench smoke: backend pricing allocates in steady state (baseline 0):" >&2
     echo "$price_allocs" | grep -v ' 0$' >&2
+    exit 1
+fi
+
+echo "== bench smoke: engine Search =="
+# A cloud miss under DiscardResults reads only the response's page size,
+# and result text is materialized per result on demand (DESIGN.md,
+# "Result text on demand"), so resolving a query allocates nothing:
+# BenchmarkSearch must stay at its recorded 0 allocs/op.
+search_raw=$(go test -bench 'Search$' -benchtime 2000x -benchmem -run '^$' ./internal/engine)
+echo "$search_raw"
+search_allocs=$(echo "$search_raw" | allocs_per_op BenchmarkSearch | awk '{print $2}')
+if [ -z "$search_allocs" ]; then
+    echo "bench smoke: BenchmarkSearch produced no allocs/op metric" >&2
+    exit 1
+fi
+if [ "$search_allocs" != "0" ]; then
+    echo "bench smoke: engine.Search regressed to $search_allocs allocs/op (recorded 0)" >&2
     exit 1
 fi
 
