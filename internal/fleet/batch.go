@@ -83,15 +83,17 @@ func (s BatchStats) MeanSize() float64 {
 	return float64(s.BatchedMisses) / float64(s.Batches)
 }
 
-// missTask is one classified cloud miss parked for coalescing.
+// missTask is one classified cloud miss awaiting application: parked
+// for coalescing, or owing a wall pause first.
 type missTask struct {
 	t task
 	// mc is the miss's fault plan, computed at classification time
-	// under the shard lock (zero value when fault injection is off).
+	// under the shard lock.
 	mc missCtx
 	// done is closed once the miss has been applied and its response
 	// delivered; the owning worker waits on it before serving the same
-	// user's next request, preserving per-user submission order.
+	// user's next request, preserving per-user submission order. Nil
+	// for a miss the worker itself paces and applies.
 	done chan struct{}
 }
 
@@ -292,74 +294,31 @@ func (d *dispatcher) run() {
 // execute fires one batched session: a single engine visit resolves
 // every query, a single radio session (one wake-up, one handshake, one
 // tail) carries the exchanges, and the misses are applied to their
-// shards in submission order.
+// shards in submission order. Each member carries its own precomputed
+// fault plan (missCtx): only members whose plan succeeded ride the
+// shared radio session — a member the network dropped never produced an
+// exchange — and members with no survivors open no session at all.
+// Failed attempts are replayed on each member's own device when the
+// miss is applied, so per-user outcomes stay independent of batch
+// composition.
 func (d *dispatcher) execute(batch []*missTask) {
 	f := d.f
-	if f.faulted {
-		d.executeFaulted(batch)
-		return
-	}
+	// One wall pause for the worst member's planned failure wait
+	// (members failed concurrently; their pauses overlap, not stack).
+	var pause time.Duration
 	queries := make([]string, len(batch))
 	for i, mt := range batch {
 		queries[i] = mt.t.req.Query
-	}
-	resps, found := f.cfg.Engine.SearchBatch(queries)
-	items := make([]radio.Exchange, len(batch))
-	for i := range batch {
-		items[i] = radio.Exchange{
-			ReqBytes:  pocketsearch.QueryRequestBytes,
-			RespBytes: pocketsearch.MissPageBytes(resps[i]),
+		if mt.mc.pause > pause {
+			pause = mt.mc.pause
 		}
 	}
-	bt := radio.BatchExchange(f.cfg.Radio, items)
-	f.recordBatch(bt)
-	shards := f.topo.Load().shards
-	for i, mt := range batch {
-		resp := shards[mt.t.shard].applyBatchedMiss(mt.t.req, resps[i], found[i], bt, i)
-		f.finish(resp, mt.t)
-		close(mt.done)
-	}
-}
-
-// executeFaulted fires one batched session under fault injection.
-// Each member carries its own precomputed fault plan (missCtx): only
-// members whose plan succeeded ride the shared radio session — a
-// member the network dropped never produced an exchange — and members
-// with no survivors open no session at all. Failed attempts are
-// replayed on each member's own device when the miss is applied, so
-// per-user outcomes stay independent of batch composition.
-func (d *dispatcher) executeFaulted(batch []*missTask) {
-	f := d.f
-	// Book the retry counters, drive each shard's breaker, and take one
-	// wall pause for the worst member's planned failure wait (members
-	// failed concurrently; their pauses overlap, not stack).
-	var maxWait time.Duration
-	pace := false
-	shards := f.topo.Load().shards
-	for _, mt := range batch {
-		pl := mt.mc.plan
-		f.recordMissPlan(mt.mc)
-		sh := shards[mt.t.shard]
-		if pl.Failures() > 0 && sh.paceBreaker(mt.mc) {
-			pace = true
-		}
-		sh.recordBreakers(mt.mc)
-		if pl.FailedWait > maxWait {
-			maxWait = pl.FailedWait
-		}
-	}
-	if pace {
-		if dur := f.cfg.Retry.WallPause(maxWait); dur > 0 {
-			time.Sleep(dur)
-		}
-	}
-	queries := make([]string, len(batch))
-	for i, mt := range batch {
-		queries[i] = mt.t.req.Query
+	if pause > 0 {
+		time.Sleep(pause)
 	}
 	resps, found := f.cfg.Engine.SearchBatch(queries)
 	slot := make([]int, len(batch))
-	var items []radio.Exchange
+	items := make([]radio.Exchange, 0, len(batch))
 	for i, mt := range batch {
 		slot[i] = -1
 		if mt.mc.plan.Success {
@@ -375,9 +334,10 @@ func (d *dispatcher) executeFaulted(batch []*missTask) {
 		bt = radio.BatchExchange(f.cfg.Radio, items)
 		f.recordBatch(bt)
 	}
+	shards := f.topo.Load().shards
 	for i, mt := range batch {
-		resp := shards[mt.t.shard].applyFaultedBatched(mt.t.req, resps[i], found[i], bt, slot[i], mt.mc)
-		f.finish(resp, mt.t)
+		x := exchange{bt: &bt, slot: slot[i], eresp: resps[i], found: found[i]}
+		f.finish(shards[mt.t.shard].applyMiss(mt.t.req, mt.mc, x), mt.t)
 		close(mt.done)
 	}
 }

@@ -3,12 +3,13 @@ package fleet
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"pocketcloudlets/internal/backend"
 	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/faults"
-	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/searchlog"
@@ -34,7 +35,10 @@ type BreakerOptions struct {
 	Threshold int
 	// Cooldown is how many misses skip pacing while open before a
 	// half-open probe is paced again (a probe that fails restarts the
-	// cooldown; one that succeeds closes the breaker). Zero selects
+	// cooldown; one that succeeds closes the breaker). It counts every
+	// cloud miss whose primary dispatch targets the breaker's replica,
+	// planned clean or not, and counts it when the miss is planned —
+	// the same with miss coalescing on and off. Zero selects
 	// DefaultBreakerCooldown.
 	Cooldown int
 }
@@ -134,50 +138,94 @@ type missCtx struct {
 	// plan, or — when hedged — the winning dispatch's plan (the
 	// primary's when every dispatch exhausted).
 	plan faults.Plan
-	// hedged marks a miss planned across replicas; hplan then carries
-	// the full dispatch set for breaker recording, telemetry and the
-	// losers' wasted-work charges.
-	hedged bool
-	hplan  faults.HedgedPlan
+	// hplan is the full dispatch set of a miss planned across replicas,
+	// for breaker recording, telemetry and the losers' wasted-work
+	// charges. An unhedged miss carries the zero HedgedPlan: no
+	// launches, no wait, no waste.
+	hplan faults.HedgedPlan
+	// pause is the real pause the miss owes before it is applied: the
+	// retry policy's wall-clock price of the plan's modeled failure
+	// wait, zero for a clean ladder and while the primary replica's
+	// breaker is open.
+	pause time.Duration
 }
 
-// planCtxLocked plans one cloud miss's whole attempt/backoff ladder —
+// exchange selects the radio exchange a planned miss's successful
+// attempt rides. The zero value is the user's own link (cache.Query
+// runs the engine visit and the exchange itself); with bt set it is
+// member slot of a shared uplink session, whose engine response the
+// batch's single engine visit already fetched. A batch of one is not
+// the user's own link — the shared uplink is a different one — so this
+// stays a two-valued parameter, chosen by whether a dispatcher exists.
+// A member whose plan failed never produced an exchange: its slot is
+// -1 and bt does not include it.
+type exchange struct {
+	bt    *radio.BatchTransfer
+	slot  int
+	eresp engine.SearchResponse
+	found bool
+}
+
+// planLocked plans one cloud miss's whole attempt/backoff ladder —
 // against the single backend, or hedged across the replica set when
-// the user's cohort hedges. Caller holds mu. The per-user miss
-// sequence number feeds the pure fault hashes so repeats of a query
-// draw fresh outcomes, and — being incremented in per-user submission
-// order — is identical between the batched and unbatched paths.
-func (sh *shard) planCtxLocked(st *userState, uid searchlog.UserID, qh, ch uint64) missCtx {
+// the user's cohort hedges — and settles its wall-clock pacing with
+// the shard's circuit breakers. A user whose cohort has no injector
+// plans the clean single-attempt success, for which every fault charge
+// downstream is a no-op. Caller holds mu. The per-user miss sequence
+// number feeds the pure fault hashes so repeats of a query draw fresh
+// outcomes, and — being incremented in per-user submission order — is
+// identical between the batched and unbatched exchanges.
+func (sh *shard) planLocked(st *userState, uid searchlog.UserID, qh, ch uint64) missCtx {
 	st.missSeq++
 	mc := missCtx{qh: qh, ch: ch}
 	pr := sh.cohorts.pricer
+	primary := 0
 	if st.rt.hedged() {
-		mc.hedged = true
 		mc.hplan = faults.PlanHedged(st.rt.injs, st.rt.retry, st.rt.hedge, st.rt.link, pr,
 			st.clock.Now(), st.cache.Device().Link().TailRemaining(), uint64(uid), qh, st.missSeq)
 		mc.plan = mc.hplan.Delivered()
-		return mc
+		primary = mc.hplan.Launches[0].Replica
+	} else {
+		warm := st.cache.Device().Link().State() != radio.Idle
+		mc.plan = faults.PlanMiss(st.rt.inj, st.rt.retry, st.rt.link, pr, 0, st.clock.Now(), warm, uint64(uid), qh, st.missSeq)
 	}
-	warm := st.cache.Device().Link().State() != radio.Idle
-	mc.plan = faults.PlanMiss(st.rt.inj, st.rt.retry, st.rt.link, pr, 0, st.clock.Now(), warm, uint64(uid), qh, st.missSeq)
+	// Every miss asks the primary replica's breaker whether to take its
+	// real retry pause — an open breaker's cooldown counts misses, clean
+	// ones included (BreakerOptions.Cooldown) — and then every dispatched
+	// replica's breaker learns what its own ladder did, so one dead
+	// replica opens only its own breaker.
+	pace := sh.breaker(primary).pace()
+	if len(mc.hplan.Launches) == 0 {
+		sh.breaker(0).record(mc.plan.Success)
+	}
+	for _, l := range mc.hplan.Launches {
+		sh.breaker(l.Replica).record(l.Plan.Success)
+	}
+	if pace && mc.plan.FailedWait > 0 {
+		// Wall-clock pacing stays governed by the fleet-wide policy.
+		mc.pause = sh.cohorts.def.retry.WallPause(mc.plan.FailedWait)
+	}
 	return mc
 }
 
-// hedgeWait returns the extra user-visible wait the hedge added on top
-// of the delivered ladder (zero for unhedged misses).
-func (mc missCtx) hedgeWait() time.Duration {
-	if !mc.hedged {
-		return 0
+// chargeWaits charges the user-visible waits a plan carries beyond its
+// radio ladder and returns their sum: the extra wait the hedge added on
+// top of the delivered ladder (zero for unhedged misses), and the
+// modeled backend time the delivered ladder spent at its replica —
+// failed exchanges' queue-and-service time plus the successful
+// exchange's own admission. Both are local device time with no extra
+// radio energy (the link idles down naturally while the server
+// grinds), and both are zero without hedging or a backend model, so the
+// charge is byte-neutral when they are off.
+func (mc missCtx) chargeWaits(dev *device.Device) time.Duration {
+	if w := mc.hplan.Wait; w > 0 {
+		dev.Busy(w, "hedge")
 	}
-	return mc.hplan.Wait
-}
-
-// backendWait is the modeled backend time the delivered ladder spent at
-// its replica: failed exchanges' queue-and-service time plus the
-// successful exchange's own admission. Zero without a backend model, so
-// every charge site below is byte-neutral when the model is off.
-func (mc missCtx) backendWait() time.Duration {
-	return mc.plan.BackendWait + mc.plan.FinalBackend()
+	backend := mc.plan.BackendWait + mc.plan.FinalBackend()
+	if backend > 0 {
+		dev.Busy(backend, "backend")
+	}
+	return mc.hplan.Wait + backend
 }
 
 // hedgeWasteJ prices the hedge's losing dispatches in radio energy:
@@ -187,42 +235,17 @@ func (mc missCtx) backendWait() time.Duration {
 // the radio cost model (radio.ExchangeCost with an empty response: the
 // request went up, nobody read the answer). Losers run concurrently
 // with the winner on the network side, so none of this enters the
-// user's modeled latency; it is pure energy waste.
-func hedgeWasteJ(p radio.Params, mc missCtx) float64 {
-	if !mc.hedged {
-		return 0
-	}
-	active := mc.hplan.WastedActive
-	if mc.hplan.Abandoned > 0 {
-		active += time.Duration(mc.hplan.Abandoned) * radio.ExchangeCost(p, 0, 0, true).RadioActive
+// user's modeled latency; it is pure energy waste. Zero for the zero
+// HedgedPlan of an unhedged miss.
+func hedgeWasteJ(p radio.Params, hp faults.HedgedPlan) float64 {
+	active := hp.WastedActive
+	if hp.Abandoned > 0 {
+		active += time.Duration(hp.Abandoned) * radio.ExchangeCost(p, 0, 0, true).RadioActive
 	}
 	if active <= 0 {
 		return 0
 	}
 	return p.ActiveEnergy(active)
-}
-
-// classifyFaulted routes one request on the fault-injected unbatched
-// path: local tiers are served inline (faults only touch the radio);
-// a cloud miss comes back as a plan for the caller to pace and then
-// complete. miss reports which return is meaningful.
-func (sh *shard) classifyFaulted(req Request) (resp Response, mc missCtx, miss bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, err := sh.user(req.User)
-	if err != nil {
-		return Response{Req: req, Err: err}, missCtx{}, false
-	}
-	qh := hash64.Sum(req.Query)
-	ch := hash64.Sum(req.Click)
-	tier := sh.tierOf(st, qh, ch)
-	if tier != SourceCloud {
-		return sh.serveLocked(st, req, qh, ch, tier), missCtx{}, false
-	}
-	if err := sh.materialize(st); err != nil {
-		return Response{Req: req, Err: err}, missCtx{}, false
-	}
-	return Response{}, sh.planCtxLocked(st, req.User, qh, ch), true
 }
 
 // replayFailedAttempts charges a plan's failed attempts and backoffs
@@ -244,60 +267,75 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 	return cold
 }
 
-// completeFaultedMiss executes a planned cloud miss on the unbatched
-// path: the failures are replayed on the user's device, then either
-// the final successful exchange runs (the ordinary miss path, with the
-// failure costs folded into the outcome) or the miss degrades down the
-// ladder.
-func (sh *shard) completeFaultedMiss(req Request, mc missCtx) Response {
+// applyMiss applies a planned miss that could not be applied under the
+// lock hold that planned it — the worker paced it first, or a
+// dispatcher coalesced it: the user is looked up afresh and the
+// pending-miss marker cleared.
+func (sh *shard) applyMiss(req Request, mc missCtx, x exchange) Response {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st, err := sh.user(req.User)
-	if err == nil {
-		err = sh.materialize(st)
-	}
-	if err != nil {
+	delete(sh.pendingMiss, req.User)
+	st := sh.user(req.User)
+	if err := sh.materialize(st); err != nil {
 		return Response{Req: req, Err: err}
 	}
-	dev := st.cache.Device()
-	if mc.plan.Success {
-		// A hedged clone win waits out the winner's launch stagger
-		// before its ladder starts; the primary's doomed attempts run
-		// concurrently during it and are charged as waste, off the link.
-		if w := mc.hedgeWait(); w > 0 {
-			dev.Busy(w, "hedge")
-		}
-		// The backend's queue wait and service time are user-visible
-		// wait, charged like hedge wait: local device time, no extra
-		// radio energy (the link idles down naturally while the server
-		// grinds).
-		if w := mc.backendWait(); w > 0 {
-			dev.Busy(w, "backend")
-		}
+	return sh.applyMissLocked(st, req, mc, x)
+}
+
+// applyMissLocked executes a planned cloud miss — the one miss path
+// (DESIGN.md, "The miss path"). The plan's failures are replayed on the
+// user's device, then either the successful exchange runs — on the
+// user's own link, or as the member's slice of a shared session, with
+// the failure costs folded into the outcome either way — and expands
+// the personal component, or the miss degrades down the ladder. A
+// clean plan replays nothing, waits for nothing and wastes nothing, so
+// it is the fault-free miss. Caller holds mu.
+func (sh *shard) applyMissLocked(st *userState, req Request, mc missCtx, x exchange) Response {
+	sh.miss.record(mc, sh.cohorts.bk)
+	resp := Response{Req: req, Source: SourceCloud}
+	if st.rt.inj != nil {
+		resp.Attempts = mc.plan.Attempts
 	}
-	cold := replayFailedAttempts(dev, mc.plan)
+	dev, link := st.cache.Device(), st.rt.link
+	failedActive, wasteJ := mc.plan.FailedActive, hedgeWasteJ(link, mc.hplan)
 	if !mc.plan.Success {
-		return sh.degradeLocked(st, req, mc, cold)
-	}
-	resp := Response{Req: req, Source: SourceCloud, Attempts: mc.plan.Attempts}
-	resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
-	resp.Outcome.Network += mc.plan.FailedWait + mc.hedgeWait() + mc.backendWait()
-	sh.recordExpansion(st, req.User, mc.qh, mc.ch, resp.Outcome.Stored)
-	st.served++
-	if resp.Outcome.Hit {
-		st.hits++
-	}
-	st.clock.Observe()
-	resp.EnergyJ = sh.basePower * resp.Outcome.ResponseTime().Seconds()
-	if resp.Err == nil {
-		resp.RadioJ = st.rt.link.ActiveEnergy(resp.Outcome.Radio.RadioActive+mc.plan.FailedActive) +
-			hedgeWasteJ(st.rt.link, mc)
-		if !resp.Outcome.Radio.WasWarm {
-			cold++
+		// A hedged miss degrades only once its last ladder has given up,
+		// and an exhausted ladder may still have burned backend time on
+		// engine errors: the user waits both out after the replay.
+		cold := replayFailedAttempts(dev, mc.plan)
+		waits := mc.chargeWaits(dev)
+		resp.Source, resp.Outcome = sh.degradeLocked(st, req.Query, mc, waits)
+		resp.RadioJ = link.ActiveEnergy(failedActive) + float64(cold)*link.TailEnergy() + wasteJ
+	} else {
+		// A hedged clone win waits out the winner's launch stagger before
+		// its ladder starts; the primary's doomed attempts run
+		// concurrently during it and are charged as waste, off the link.
+		waits := mc.chargeWaits(dev)
+		cold := replayFailedAttempts(dev, mc.plan)
+		// The two exchanges sum their radio joules in different float
+		// orders, and the ledger is exact to the nanojoule: each keeps
+		// its own expression.
+		if x.bt != nil {
+			resp.BatchSize = x.bt.Size()
+			resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, x.eresp, x.found, x.bt.ItemLatency(x.slot), x.bt.ItemShare(x.slot))
+			resp.RadioJ = x.bt.ItemRadioEnergy(link, x.slot) + link.ActiveEnergy(failedActive) +
+				float64(cold)*link.TailEnergy() + wasteJ
+		} else {
+			resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
+			// The radio-active energy of the exchange and, when it opened
+			// a session (paid the wake-up), the session's eventual tail.
+			if !resp.Outcome.Radio.WasWarm {
+				cold++
+			}
+			resp.RadioJ = link.ActiveEnergy(resp.Outcome.Radio.RadioActive+failedActive) + wasteJ
+			resp.RadioJ += float64(cold) * link.TailEnergy()
 		}
-		resp.RadioJ += float64(cold) * st.rt.link.TailEnergy()
-		resp.EnergyJ += resp.RadioJ
+		resp.Outcome.Network += mc.plan.FailedWait + waits
+		sh.recordExpansion(st, req.User, mc.qh, mc.ch, resp.Outcome.Stored)
 	}
+	st.served++
+	st.clock.Observe()
+	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
 	return resp
 }
 
@@ -307,23 +345,11 @@ func (sh *shard) completeFaultedMiss(req Request, mc missCtx) Response {
 // rendered "results unavailable" page. The failed attempts' wait and
 // radio-active time ride along in the outcome — an unreachable cloud
 // is slow *and* costs energy before the fallback even starts. Caller
-// holds mu; cold is the count of cold sessions the replay opened.
-func (sh *shard) degradeLocked(st *userState, req Request, mc missCtx, cold int) Response {
-	resp := Response{Req: req, Attempts: mc.plan.Attempts}
-	dev := st.cache.Device()
-	// A hedged miss degrades only once its last ladder has given up:
-	// the clones' extra exhaust time past the primary's ladder is
-	// user-visible wait.
-	if w := mc.hedgeWait(); w > 0 {
-		dev.Busy(w, "hedge")
-	}
-	// An exhausted ladder may still have burned backend time on engine
-	// errors before giving up — the user waited that out too.
-	if w := mc.backendWait(); w > 0 {
-		dev.Busy(w, "backend")
-	}
+// holds mu and has replayed the plan; waits is the hedge and backend
+// wait it charged on top.
+func (sh *shard) degradeLocked(st *userState, query string, mc missCtx, waits time.Duration) (Source, pocketsearch.Outcome) {
 	out := pocketsearch.Outcome{
-		Network: mc.plan.FailedWait + mc.hedgeWait() + mc.backendWait(),
+		Network: mc.plan.FailedWait + waits,
 		Radio:   radio.Transfer{RadioActive: mc.plan.FailedActive, Failed: true},
 	}
 	graft := func(stale pocketsearch.Outcome) {
@@ -332,155 +358,75 @@ func (sh *shard) degradeLocked(st *userState, req Request, mc missCtx, cold int)
 	}
 	switch {
 	case st.cache.ContainsQuery(mc.qh):
-		stale, _ := st.cache.ServeStale(req.Query)
+		stale, _ := st.cache.ServeStale(query)
 		graft(stale)
-		resp.Source = SourceDegraded
 	case sh.community.ContainsQuery(mc.qh):
-		stale, _ := sh.community.ServeStale(req.Query)
+		stale, _ := sh.community.ServeStale(query)
 		graft(stale)
-		resp.Source = SourceDegraded
 	default:
+		dev := st.cache.Device()
 		out.Lookup = pocketsearch.LookupCost
 		dev.Busy(pocketsearch.LookupCost, "lookup")
 		out.Render = dev.Render(pocketsearch.UnavailablePageBytes)
 		out.Misc = dev.Misc()
-		resp.Source = SourceUnavailable
+		return SourceUnavailable, out
 	}
-	resp.Outcome = out
-	st.served++
-	st.clock.Observe()
-	resp.RadioJ = st.rt.link.ActiveEnergy(mc.plan.FailedActive) +
-		float64(cold)*st.rt.link.TailEnergy() + hedgeWasteJ(st.rt.link, mc)
-	resp.EnergyJ = sh.basePower*out.ResponseTime().Seconds() + resp.RadioJ
-	return resp
+	return SourceDegraded, out
 }
 
-// applyFaultedBatched applies member slot of a batched session under
-// fault injection. A member whose plan failed never produced an
-// exchange — slot is -1, bt does not include it — and degrades after
-// its failures are replayed; a successful member takes its slice of
-// the shared session like any batched miss, plus its own failure
-// costs. Clears the user's pending-miss marker either way.
-func (sh *shard) applyFaultedBatched(req Request, eresp engine.SearchResponse, found bool, bt radio.BatchTransfer, slot int, mc missCtx) Response {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.pendingMiss, req.User)
-	st, err := sh.user(req.User)
-	if err == nil {
-		err = sh.materialize(st)
+// missStats are the fleet-wide miss-plan counters. Every shard books
+// each applied miss's plan into them.
+type missStats struct {
+	// retries counts radio attempts beyond each completed miss's first;
+	// exhausted counts misses that ran out of attempts and fell to the
+	// degradation ladder.
+	retries   atomic.Int64
+	exhausted atomic.Int64
+	// Hedging telemetry: clone dispatches beyond each hedged miss's
+	// primary, hedged misses delivered by the primary vs a clone, and
+	// attempts the losing dispatches burned before cancellation.
+	clonesLaunched atomic.Int64
+	primaryWins    atomic.Int64
+	cloneWins      atomic.Int64
+	wastedAttempts atomic.Int64
+}
+
+// record books a planned miss's retry/hedge telemetry into the fleet
+// counters, and its priced-dispatch ledgers into the backend's
+// per-replica accounting (shared by both exchanges; a nil model
+// records nothing). A clean unhedged plan touches no counter: the fault-free miss must not contend on
+// atomics it would only add zero to. The hedge counters move only for
+// misses planned across replicas, so they stay zero when hedging is
+// off.
+func (ms *missStats) record(mc missCtx, bk *backend.Model) {
+	if n := mc.plan.Attempts - 1; n > 0 {
+		ms.retries.Add(int64(n))
 	}
-	if err != nil {
-		return Response{Req: req, Err: err}
-	}
-	dev := st.cache.Device()
-	if mc.plan.Success {
-		if w := mc.hedgeWait(); w > 0 {
-			dev.Busy(w, "hedge")
-		}
-		if w := mc.backendWait(); w > 0 {
-			dev.Busy(w, "backend")
-		}
-	}
-	cold := replayFailedAttempts(dev, mc.plan)
 	if !mc.plan.Success {
-		return sh.degradeLocked(st, req, mc, cold)
+		ms.exhausted.Add(1)
 	}
-	resp := Response{Req: req, Source: SourceCloud, BatchSize: bt.Size(), Attempts: mc.plan.Attempts}
-	resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, eresp, found, bt.ItemLatency(slot), bt.ItemShare(slot))
-	resp.Outcome.Network += mc.plan.FailedWait + mc.hedgeWait() + mc.backendWait()
-	sh.recordExpansion(st, req.User, mc.qh, mc.ch, resp.Outcome.Stored)
-	st.served++
-	st.clock.Observe()
-	resp.RadioJ = bt.ItemRadioEnergy(st.rt.link, slot) +
-		st.rt.link.ActiveEnergy(mc.plan.FailedActive) +
-		float64(cold)*st.rt.link.TailEnergy() +
-		hedgeWasteJ(st.rt.link, mc)
-	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
-	return resp
-}
-
-// serveFaulted runs one task on the fault-injected unbatched path:
-// classify and plan under the shard lock, pace the wall clock for the
-// planned failures (unless the shard's breaker is open), then execute
-// the plan against the model.
-func (f *Fleet) serveFaulted(t task) {
-	sh := f.topo.Load().shards[t.shard]
-	resp, mc, miss := sh.classifyFaulted(t.req)
-	if !miss {
-		f.finish(resp, t)
+	launches := mc.hplan.Launches
+	if len(launches) == 0 {
+		bk.Record(mc.plan.Arrivals)
 		return
 	}
-	pace := sh.paceBreaker(mc)
-	sh.recordBreakers(mc)
-	if pace && !f.pauseWall(mc.plan, t.ctx) {
-		f.cancelTask(t)
-		return
+	for i := range launches {
+		bk.Record(launches[i].Plan.Arrivals)
 	}
-	f.recordMissPlan(mc)
-	f.finish(sh.completeFaultedMiss(t.req, mc), t)
-}
-
-// paceBreaker asks the primary replica's circuit breaker whether this
-// miss should take its real retry pause.
-func (sh *shard) paceBreaker(mc missCtx) bool {
-	r := 0
-	if mc.hedged {
-		r = mc.hplan.Launches[0].Replica
-	}
-	return sh.breaker(r).pace()
-}
-
-// recordBreakers books a planned miss's outcome into the shard's
-// circuit breakers: every dispatched replica's breaker learns what its
-// own ladder did, so one dead replica opens only its own breaker.
-func (sh *shard) recordBreakers(mc missCtx) {
-	if !mc.hedged {
-		sh.breaker(0).record(mc.plan.Success)
-		return
-	}
-	for _, l := range mc.hplan.Launches {
-		sh.breaker(l.Replica).record(l.Plan.Success)
-	}
-}
-
-// recordMissPlan books a planned miss's retry/hedge telemetry into the
-// fleet counters, and its priced-dispatch ledgers into the backend's
-// per-replica accounting (shared by the batched and unbatched paths).
-func (f *Fleet) recordMissPlan(mc missCtx) {
-	f.retries.Add(int64(mc.plan.Attempts - 1))
-	if !mc.plan.Success {
-		f.exhausted.Add(1)
-	}
-	if bk := f.cohorts.bk; bk != nil {
-		if mc.hedged {
-			for i := range mc.hplan.Launches {
-				bk.Record(mc.hplan.Launches[i].Plan.Arrivals)
-			}
-		} else {
-			bk.Record(mc.plan.Arrivals)
-		}
-	}
-	if !mc.hedged {
-		return
-	}
-	f.clonesLaunched.Add(int64(mc.hplan.Clones()))
-	f.wastedAttempts.Add(int64(mc.hplan.WastedAttempts))
+	ms.clonesLaunched.Add(int64(mc.hplan.Clones()))
+	ms.wastedAttempts.Add(int64(mc.hplan.WastedAttempts))
 	switch {
 	case mc.hplan.Winner == 0:
-		f.primaryWins.Add(1)
+		ms.primaryWins.Add(1)
 	case mc.hplan.Winner > 0:
-		f.cloneWins.Add(1)
+		ms.cloneWins.Add(1)
 	}
 }
 
-// pauseWall takes the real pause the retry policy prices for a plan's
-// modeled failure wait. It reports false when ctx was done first — the
-// caller abandoned the request mid-pause.
-func (f *Fleet) pauseWall(pl faults.Plan, ctx context.Context) bool {
-	d := f.cfg.Retry.WallPause(pl.FailedWait)
-	if d <= 0 {
-		return true
-	}
+// pauseWall takes the real pause d the retry policy priced for a
+// plan's modeled failure wait. It reports false when ctx was done first
+// — the caller abandoned the request mid-pause.
+func pauseWall(ctx context.Context, d time.Duration) bool {
 	if ctx == nil {
 		time.Sleep(d)
 		return true

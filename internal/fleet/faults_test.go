@@ -23,36 +23,57 @@ type faultTrace struct {
 	attempts []int
 }
 
-// runFaultTraces drives every user's month-1 tape through the fleet
+// runResponses drives every user's month-1 tape through the fleet
 // closed-loop (each user from its own goroutine, waiting for each
-// response) and returns the per-user traces.
-func runFaultTraces(t *testing.T, f *Fleet, g *workload.Generator, users []workload.UserProfile) map[searchlog.UserID]*faultTrace {
+// response) and returns the per-user responses, with the measured wall
+// latency — the one field that is not modeled — zeroed.
+func runResponses(t *testing.T, f *Fleet, g *workload.Generator, users []workload.UserProfile) map[searchlog.UserID][]Response {
 	t.Helper()
-	traces := make(map[searchlog.UserID]*faultTrace, len(users))
+	resps := make(map[searchlog.UserID][]Response, len(users))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, up := range users {
 		wg.Add(1)
 		go func(up workload.UserProfile) {
 			defer wg.Done()
-			tr := &faultTrace{}
+			var rs []Response
 			for _, req := range requestsFor(g, up, 1) {
 				resp := f.Do(req)
 				if resp.Shed || resp.Err != nil {
 					t.Errorf("user %d request failed: %+v", up.ID, resp)
 					return
 				}
-				tr.hits = append(tr.hits, resp.Hit())
-				tr.sources = append(tr.sources, resp.Source)
-				tr.attempts = append(tr.attempts, resp.Attempts)
+				resp.Wall = 0
+				rs = append(rs, resp)
 			}
 			mu.Lock()
-			traces[up.ID] = tr
+			resps[up.ID] = rs
 			mu.Unlock()
 		}(up)
 	}
 	wg.Wait()
+	return resps
+}
+
+// faultTraces reduces per-user responses to their fault traces.
+func faultTraces(resps map[searchlog.UserID][]Response) map[searchlog.UserID]*faultTrace {
+	traces := make(map[searchlog.UserID]*faultTrace, len(resps))
+	for uid, rs := range resps {
+		tr := &faultTrace{}
+		for _, resp := range rs {
+			tr.hits = append(tr.hits, resp.Hit())
+			tr.sources = append(tr.sources, resp.Source)
+			tr.attempts = append(tr.attempts, resp.Attempts)
+		}
+		traces[uid] = tr
+	}
 	return traces
+}
+
+// runFaultTraces is runResponses reduced to the per-user fault traces.
+func runFaultTraces(t *testing.T, f *Fleet, g *workload.Generator, users []workload.UserProfile) map[searchlog.UserID]*faultTrace {
+	t.Helper()
+	return faultTraces(runResponses(t, f, g, users))
 }
 
 // missBeyondContent returns a request the engine can answer that is a
@@ -179,11 +200,11 @@ func TestFaultStatsDeterministicSequential(t *testing.T) {
 
 // TestInertFaultsMatchDisabled is the zero-cost-when-off guarantee
 // from the other side: an *enabled* fault model with no failure source
-// configured must route every request through the faulted serve path
-// and still produce responses byte-identical to a fleet with the model
-// disabled — same outcomes, same energy, same counters. Attempts is
-// the one deliberate exception (the faulted path books its single
-// successful attempt; the disabled path books none).
+// configured must plan every miss through its injector and still
+// produce responses byte-identical to a fleet with the model disabled —
+// same outcomes, same energy, same counters. Attempts is the one
+// deliberate exception (a user with an injector books their single
+// successful attempt; a user without one books none).
 func TestInertFaultsMatchDisabled(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
@@ -194,30 +215,12 @@ func TestInertFaultsMatchDisabled(t *testing.T) {
 			cfg.QueueDepth = 4096
 			cfg.Faults = opts
 		})
-		resps := make(map[searchlog.UserID][]Response, len(users))
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for _, up := range users {
-			wg.Add(1)
-			go func(up workload.UserProfile) {
-				defer wg.Done()
-				var rs []Response
-				for _, req := range requestsFor(g, up, 1) {
-					resp := f.Do(req)
-					if resp.Shed || resp.Err != nil {
-						t.Errorf("user %d request failed: %+v", up.ID, resp)
-						return
-					}
-					resp.Attempts = 0 // the one permitted model difference
-					resp.Wall = 0     // real wall-clock latency, not modeled
-					rs = append(rs, resp)
-				}
-				mu.Lock()
-				resps[up.ID] = rs
-				mu.Unlock()
-			}(up)
+		resps := runResponses(t, f, g, users)
+		for _, rs := range resps {
+			for i := range rs {
+				rs[i].Attempts = 0 // the one permitted model difference
+			}
 		}
-		wg.Wait()
 		return resps, f.Stats()
 	}
 

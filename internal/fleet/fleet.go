@@ -34,7 +34,7 @@
 //     energy argument). Determinism is preserved: at most one miss per
 //     user is ever in flight, and a worker flushes and waits before
 //     serving the same user's next request, so per-user hit/miss
-//     outcomes are byte-identical to the unbatched path for the same
+//     outcomes are byte-identical to an unbatched fleet's for the same
 //     seed.
 //   - Per-user state is compact and arena-allocated so the fleet
 //     scales to million-user populations: each shard keeps its users
@@ -178,8 +178,10 @@ type Response struct {
 	Canceled bool
 	// Attempts is the number of modeled radio attempts a cloud-path
 	// request made under the fault model (1 means the first exchange
-	// got through). Zero for local serves and whenever fault injection
-	// is disabled — the fault layer must be invisible when off.
+	// got through). Zero for local serves, and for every user whose
+	// cohort has no fault injector — decided per user, not per fleet:
+	// the fault layer must be invisible to anyone it does not inject
+	// for, whatever the rest of the fleet runs.
 	Attempts int
 }
 
@@ -358,10 +360,10 @@ type cohortRT struct {
 	hedge faults.HedgePolicy
 }
 
-// hedged reports whether this cohort's misses take the hedged path:
-// faults on, at least two replicas to dispatch to, and a clone factor
-// that actually clones. Everything else runs the legacy single-backend
-// ladder, byte-identical to an unreplicated fleet.
+// hedged reports whether this cohort's misses are planned across
+// replicas: faults on, at least two replicas to dispatch to, and a
+// clone factor that actually clones. Everything else plans the
+// single-backend ladder, byte-identical to an unreplicated fleet.
 func (rt *cohortRT) hedged() bool {
 	return rt.inj != nil && len(rt.injs) > 1 && rt.hedge.Active()
 }
@@ -373,8 +375,7 @@ type cohortTable struct {
 	cohorts []cohortRT
 	of      func(searchlog.UserID) int
 	// faulted reports whether any injector (fleet-wide or cohort) is
-	// live — the one flag every fault branch checks so the layer stays
-	// provably zero-cost when nothing injects.
+	// live: breakers and a backend model are only built when one is.
 	faulted bool
 	// bk is the shared queued-backend model (nil when disabled); pricer
 	// is bk as a faults.Pricer, kept as a separate field so a disabled
@@ -385,15 +386,10 @@ type cohortTable struct {
 	pricer faults.Pricer
 }
 
-// resolve returns the runtime for one user. Pure: same uid, same
+// resolvePtr returns the runtime for one user as a pointer into the
+// immutable table, so every resident user interns one shared *cohortRT
+// instead of carrying the runtime fields by value. Pure: same uid, same
 // answer, on every shard, forever — the migration-safety contract.
-func (ct *cohortTable) resolve(uid searchlog.UserID) cohortRT {
-	return *ct.resolvePtr(uid)
-}
-
-// resolvePtr is resolve returning a pointer into the immutable table,
-// so every resident user interns one shared *cohortRT instead of
-// carrying the three runtime fields by value. Same purity contract.
 func (ct *cohortTable) resolvePtr(uid searchlog.UserID) *cohortRT {
 	if ct.of == nil || len(ct.cohorts) == 0 {
 		return &ct.def
@@ -536,12 +532,9 @@ type Fleet struct {
 	// inj is the fleet-wide connectivity-fault injector; nil when
 	// fault injection is disabled. cohorts resolves each user to the
 	// runtime (radio link, injector, retry policy) their device is
-	// built with; faulted caches whether any injector — fleet-wide or
-	// per-cohort — is live, which every fault branch checks first so
-	// the layer is provably zero-cost when nothing injects.
+	// built with.
 	inj     *faults.Injector
 	cohorts *cohortTable
-	faulted bool
 
 	// mu guards closed against concurrent Submit/Do/Close, and — held
 	// exclusively — fences route publications: enqueue computes a
@@ -583,19 +576,10 @@ type Fleet struct {
 	shed     atomic.Int64
 	errors   atomic.Int64
 	canceled atomic.Int64
-	// retries counts radio attempts beyond each completed miss's first;
-	// exhausted counts misses that ran out of attempts and fell to the
-	// degradation ladder.
-	retries   atomic.Int64
-	exhausted atomic.Int64
-	bySource  [numSources]atomic.Int64
-	// Hedging telemetry: clone dispatches beyond each hedged miss's
-	// primary, hedged misses delivered by the primary vs a clone, and
-	// attempts the losing dispatches burned before cancellation.
-	clonesLaunched atomic.Int64
-	primaryWins    atomic.Int64
-	cloneWins      atomic.Int64
-	wastedAttempts atomic.Int64
+	bySource [numSources]atomic.Int64
+	// miss holds the retry and hedging counters the shards book each
+	// applied miss's plan into.
+	miss missStats
 
 	batchMu    sync.Mutex
 	batchStats BatchStats
@@ -641,9 +625,8 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	f.cohorts = ct
-	f.faulted = ct.faulted
 
-	shards, err := buildShards(cfg, ct, f.tl, 0, cfg.Shards)
+	shards, err := buildShards(cfg, ct, &f.miss, f.tl, 0, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -682,7 +665,7 @@ func New(cfg Config) (*Fleet, error) {
 
 // buildShards constructs shards [lo, hi) in parallel (community
 // replicas preload the shared content, the expensive part).
-func buildShards(cfg Config, ct *cohortTable, tl *modeltime.Timeline, lo, hi int) ([]*shard, error) {
+func buildShards(cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.Timeline, lo, hi int) ([]*shard, error) {
 	shards := make([]*shard, hi-lo)
 	errs := make([]error, hi-lo)
 	var build sync.WaitGroup
@@ -690,7 +673,7 @@ func buildShards(cfg Config, ct *cohortTable, tl *modeltime.Timeline, lo, hi int
 		build.Add(1)
 		go func(i int) {
 			defer build.Done()
-			shards[i], errs[i] = newShard(lo+i, cfg, ct, tl)
+			shards[i], errs[i] = newShard(lo+i, cfg, ct, ms, tl)
 		}(i)
 	}
 	build.Wait()
@@ -747,7 +730,16 @@ func (f *Fleet) worker(id int) {
 }
 
 // process serves one request task — from a worker loop, or from the
-// migration drainer replaying held tasks.
+// migration drainer replaying held tasks. Local hits, and cloud misses
+// that owe no wall pause, come back served from the shard. A planned
+// miss that owes one is paced here — the real pause the retry policy
+// prices for its planned failures, skipped while the shard's breaker is
+// open — and then applied against the model. With miss coalescing on, a
+// classified cloud miss is instead parked with the shard's dispatcher,
+// which completes it asynchronously; if the user already has a miss in
+// flight the worker flushes and waits for it first, so each user's
+// requests are still applied in submission order — the determinism
+// guarantee batching must not break.
 func (f *Fleet) process(t task) {
 	if t.ctx != nil && t.ctx.Err() != nil {
 		f.cancelTask(t)
@@ -757,37 +749,23 @@ func (f *Fleet) process(t task) {
 		return
 	}
 	tp := f.topo.Load()
-	if len(tp.dispatchers) == 0 {
-		if f.faulted {
-			f.serveFaulted(t)
-			return
-		}
-		f.finish(tp.shards[t.shard].serve(t.req), t)
-		return
-	}
-	f.serveBatched(t)
-}
-
-// serveBatched routes one task with miss coalescing on: local hits are
-// served inline; a classified cloud miss is parked with the shard's
-// dispatcher, which completes it asynchronously. If the user already
-// has a miss in flight the worker flushes and waits for it first, so
-// each user's requests are still applied in submission order — the
-// determinism guarantee batching must not break.
-func (f *Fleet) serveBatched(t task) {
-	sh := f.topo.Load().shards[t.shard]
+	sh, d := tp.shards[t.shard], f.dispatcherOf(tp, t.shard)
 	for {
-		resp, miss, waitFor := sh.routeBatched(t)
-		if waitFor != nil {
-			f.dispatcherOf(t.shard).flush()
+		resp, miss, waitFor := sh.route(t, d != nil)
+		switch {
+		case waitFor != nil:
+			d.flush()
 			<-waitFor.done
 			continue
+		case miss == nil:
+			f.finish(resp, t)
+		case d != nil:
+			d.submit(miss)
+		case pauseWall(t.ctx, miss.mc.pause):
+			f.finish(sh.applyMiss(t.req, miss.mc, exchange{}), t)
+		default:
+			f.cancelTask(t)
 		}
-		if miss != nil {
-			f.dispatcherOf(t.shard).submit(miss)
-			return
-		}
-		f.finish(resp, t)
 		return
 	}
 }
@@ -828,10 +806,13 @@ func (f *Fleet) finish(resp Response, t task) {
 	}
 }
 
-// dispatcherOf returns the dispatcher coalescing the shard's misses.
-func (f *Fleet) dispatcherOf(shard int) *dispatcher {
-	tp := f.topo.Load()
-	if f.cfg.Batch.FleetWide {
+// dispatcherOf returns the dispatcher coalescing the shard's misses,
+// nil when miss coalescing is off.
+func (f *Fleet) dispatcherOf(tp *topology, shard int) *dispatcher {
+	switch {
+	case len(tp.dispatchers) == 0:
+		return nil
+	case f.cfg.Batch.FleetWide:
 		return tp.dispatchers[0]
 	}
 	return tp.dispatchers[shard]
@@ -1126,13 +1107,13 @@ func (f *Fleet) Stats() Stats {
 		Degraded:       f.bySource[SourceDegraded].Load(),
 		Unavailable:    f.bySource[SourceUnavailable].Load(),
 		Canceled:       f.canceled.Load(),
-		Retries:        f.retries.Load(),
-		Exhausted:      f.exhausted.Load(),
+		Retries:        f.miss.retries.Load(),
+		Exhausted:      f.miss.exhausted.Load(),
 		Replicas:       f.cfg.Replicas,
-		ClonesLaunched: f.clonesLaunched.Load(),
-		PrimaryWins:    f.primaryWins.Load(),
-		CloneWins:      f.cloneWins.Load(),
-		WastedAttempts: f.wastedAttempts.Load(),
+		ClonesLaunched: f.miss.clonesLaunched.Load(),
+		PrimaryWins:    f.miss.primaryWins.Load(),
+		CloneWins:      f.miss.cloneWins.Load(),
+		WastedAttempts: f.miss.wastedAttempts.Load(),
 		Backend:        f.cohorts.bk.Stats(),
 	}
 	if f.cfg.Replicas > 1 {

@@ -15,7 +15,6 @@ import (
 	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/modeltime"
 	"pocketcloudlets/internal/pocketsearch"
-	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/updater"
 )
@@ -56,8 +55,8 @@ type userState struct {
 	hits   int64
 	// missSeq numbers this user's cloud-classified misses in submission
 	// order; it keys the pure fault hashes (internal/faults), so it must
-	// be identical between the batched and unbatched paths — both bump
-	// it at classification time, under the pending-miss ordering guard.
+	// be identical with miss coalescing on and off — it is bumped at
+	// classification time, under the pending-miss ordering guard.
 	missSeq uint64
 	// refs indexes the user's personal records by eviction key, so the
 	// budget enforcer can find this user's lowest-utility items without
@@ -212,15 +211,15 @@ type shard struct {
 	// lowest-utility records first.
 	perUserBytes int64
 	// cohorts resolves each resident user to their device runtime
-	// (radio link, fault injector, retry policy); faulted mirrors
-	// Fleet.faulted so the serve paths branch on one bool. brks holds
-	// one circuit breaker per cloud replica — index 0 is the legacy
-	// single-backend breaker — so a dead replica cannot open the
-	// breaker for its healthy peers (empty unless something injects and
-	// the breaker is enabled).
+	// (radio link, fault injector, retry policy). brks holds one circuit
+	// breaker per cloud replica — index 0 is the legacy single-backend
+	// breaker — so a dead replica cannot open the breaker for its
+	// healthy peers (empty unless something injects and the breaker is
+	// enabled). miss points at the fleet's miss-plan counters, which
+	// every applied miss books into.
 	cohorts *cohortTable
-	faulted bool
 	brks    []*breaker
+	miss    *missStats
 	// tl is the fleet-wide model timeline every resident user's clock
 	// registers on; commClock is the community replica's own clock view
 	// (community hits advance the replica's device, not the user's).
@@ -283,7 +282,7 @@ func itemKey(uid searchlog.UserID, resultHash uint64) uint64 {
 // newShard builds one shard: a community cache replica preloaded with
 // the shared content (provisioned overnight, so its model clock is
 // reset afterwards) and an empty user arena.
-func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*shard, error) {
+func newShard(id int, cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.Timeline) (*shard, error) {
 	commOpts := cfg.Options
 	// The community replica is shared by every user of the shard, so
 	// it must never absorb one user's personalization — and it runs on
@@ -301,7 +300,7 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		opts:         cfg.Options,
 		perUserBytes: cfg.PerUserBytes,
 		cohorts:      ct,
-		faulted:      ct.faulted,
+		miss:         ms,
 		tl:           tl,
 		commClock:    tl.UserClock(dev),
 		basePower:    dev.Config().BasePower,
@@ -338,13 +337,13 @@ func (sh *shard) breaker(r int) *breaker {
 // user returns (lazily creating) the per-user state. The state starts
 // compact — counters and cohort runtime only; the simulated device and
 // personal cache are materialized on first need. Caller holds mu.
-func (sh *shard) user(uid searchlog.UserID) (*userState, error) {
+func (sh *shard) user(uid searchlog.UserID) *userState {
 	if st := sh.users.get(uid); st != nil {
-		return st, nil
+		return st
 	}
 	st := sh.users.put(uid)
 	st.rt = sh.cohorts.resolvePtr(uid)
-	return st, nil
+	return st
 }
 
 // materialize builds the user's simulated device and personal cache if
@@ -368,23 +367,55 @@ func (sh *shard) materialize(st *userState) error {
 	return nil
 }
 
-// serve executes one request under the shard lock. The routing mirrors
-// the paper's two-component cache (Figure 6) at fleet scale: the
-// personal component is consulted first (it carries the user's own
-// expansions and click scores), then the shared community replica, and
-// only a miss in both pays the radio round trip — which also expands
-// the user's personal component so the next repeat hits locally.
-func (sh *shard) serve(req Request) Response {
+// route classifies one task under the shard lock and serves whatever
+// can be served at once. The routing mirrors the paper's two-component
+// cache (Figure 6) at fleet scale: the personal component is consulted
+// first (it carries the user's own expansions and click scores), then
+// the shared community replica, and only a miss in both pays the radio
+// round trip — which also expands the user's personal component so the
+// next repeat hits locally.
+//
+// Exactly one of the returns is meaningful: a completed response (a
+// local hit, an error, or a cloud miss on the user's own link whose
+// plan owes no wall pause — applied under the same lock hold that
+// planned it), a planned miss the caller must pace and then apply
+// (applyMiss) or, with park set, hand to a dispatcher, or the user's
+// in-flight miss the caller must wait on before retrying — the ordering
+// guard that keeps per-user outcomes byte-identical to the unbatched
+// path.
+func (sh *shard) route(t task, park bool) (resp Response, miss, waitFor *missTask) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	st, err := sh.user(req.User)
-	if err != nil {
-		return Response{Req: req, Err: err}
+	if prev := sh.pendingMiss[t.req.User]; prev != nil {
+		return Response{}, nil, prev
 	}
-	qh := hash64.Sum(req.Query)
-	ch := hash64.Sum(req.Click)
-	return sh.serveLocked(st, req, qh, ch, sh.tierOf(st, qh, ch))
+	st := sh.user(t.req.User)
+	qh := hash64.Sum(t.req.Query)
+	ch := hash64.Sum(t.req.Click)
+	tier := sh.tierOf(st, qh, ch)
+	if tier != SourceCloud {
+		return sh.serveLocal(st, t.req, tier), nil, nil
+	}
+	if err := sh.materialize(st); err != nil {
+		return Response{Req: t.req, Err: err}, nil, nil
+	}
+	// Plan the miss's whole fault ladder now, against the user's current
+	// model clock: the clock cannot move before the miss is applied (the
+	// owning worker is pacing it, or pendingMiss blocks the user's next
+	// request), so the plan — and with it every per-user outcome — is
+	// independent of how a dispatcher later composes batches.
+	mc := sh.planLocked(st, t.req.User, qh, ch)
+	switch {
+	case park:
+		miss = &missTask{t: t, mc: mc, done: make(chan struct{})}
+		sh.pendingMiss[t.req.User] = miss
+	case mc.pause > 0:
+		miss = &missTask{t: t, mc: mc}
+	default:
+		resp = sh.applyMissLocked(st, t.req, mc, exchange{})
+	}
+	return resp, miss, nil
 }
 
 // tierOf classifies which tier will serve the pair. A user whose
@@ -401,92 +432,27 @@ func (sh *shard) tierOf(st *userState, qh, ch uint64) Source {
 	}
 }
 
-// serveLocked serves one request against its classified tier; the
-// cloud tier pays an unbatched radio round trip on the user's own
-// link. Caller holds mu.
-func (sh *shard) serveLocked(st *userState, req Request, qh, ch uint64, tier Source) Response {
+// serveLocal serves one request from the local tier it classified to —
+// the user's personal component or the shard's community replica — and
+// applies the per-user serving counters and the modeled energy
+// attribution: base power over the response time. Caller holds mu.
+func (sh *shard) serveLocal(st *userState, req Request, tier Source) Response {
 	resp := Response{Req: req, Source: tier}
-	switch tier {
-	case SourcePersonal:
+	if tier == SourcePersonal {
 		resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
-	case SourceCommunity:
+	} else {
 		resp.Outcome, resp.Err = sh.community.Query(req.Query, req.Click)
-	default:
-		if err := sh.materialize(st); err != nil {
-			return Response{Req: req, Err: err}
-		}
-		resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
-		sh.recordExpansion(st, req.User, qh, ch, resp.Outcome.Stored)
+		// A community hit advanced the replica's device, not the user's.
+		sh.commClock.Observe()
 	}
-	sh.accountLocked(st, &resp)
-	return resp
-}
-
-// routeBatched classifies one task for the miss-coalescing path.
-// Exactly one of the returns is meaningful: a completed response (a
-// local hit, or an error), a newly parked miss the caller must hand to
-// a dispatcher, or the user's in-flight miss the caller must wait on
-// before retrying — the ordering guard that keeps per-user outcomes
-// byte-identical to the unbatched path.
-func (sh *shard) routeBatched(t task) (resp Response, miss, waitFor *missTask) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	if prev := sh.pendingMiss[t.req.User]; prev != nil {
-		return Response{}, nil, prev
-	}
-	st, err := sh.user(t.req.User)
-	if err != nil {
-		return Response{Req: t.req, Err: err}, nil, nil
-	}
-	qh := hash64.Sum(t.req.Query)
-	ch := hash64.Sum(t.req.Click)
-	tier := sh.tierOf(st, qh, ch)
-	if tier != SourceCloud {
-		return sh.serveLocked(st, t.req, qh, ch, tier), nil, nil
-	}
-	if err := sh.materialize(st); err != nil {
-		return Response{Req: t.req, Err: err}, nil, nil
-	}
-	mt := &missTask{t: t, done: make(chan struct{})}
-	if sh.faulted {
-		// Plan the miss's whole fault ladder now, against the user's
-		// current model clock: the clock cannot move before the miss is
-		// applied (pendingMiss blocks the user's next request), so the
-		// plan — and with it every per-user outcome — is independent of
-		// how the dispatcher later composes batches.
-		mt.mc = sh.planCtxLocked(st, t.req.User, qh, ch)
-	}
-	sh.pendingMiss[t.req.User] = mt
-	return Response{}, mt, nil
-}
-
-// applyBatchedMiss applies member i of a batched radio session to its
-// user: the engine response was fetched by the batch's single engine
-// visit, and the exchange costs are the member's slice of the shared
-// session. It clears the user's pending-miss marker.
-func (sh *shard) applyBatchedMiss(req Request, eresp engine.SearchResponse, found bool, bt radio.BatchTransfer, i int) Response {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	resp := Response{Req: req, Source: SourceCloud, BatchSize: bt.Size()}
-	delete(sh.pendingMiss, req.User)
-	st, err := sh.user(req.User)
-	if err == nil {
-		err = sh.materialize(st)
-	}
-	if err != nil {
-		resp.Err = err
-		return resp
-	}
-	qh := hash64.Sum(req.Query)
-	ch := hash64.Sum(req.Click)
-	resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, eresp, found, bt.ItemLatency(i), bt.ItemShare(i))
-	sh.recordExpansion(st, req.User, qh, ch, resp.Outcome.Stored)
 	st.served++
-	st.clock.Observe()
-	resp.RadioJ = bt.ItemRadioEnergy(st.rt.link, i)
-	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
+	if resp.Outcome.Hit {
+		st.hits++
+	}
+	resp.EnergyJ = sh.basePower * resp.Outcome.ResponseTime().Seconds()
+	if st.cache != nil {
+		st.clock.Observe()
+	}
 	return resp
 }
 
@@ -505,33 +471,6 @@ func (sh *shard) recordExpansion(st *userState, uid searchlog.UserID, qh, ch uin
 		st.bytes += delta
 		sh.personalBytes += delta
 		sh.enforceUserBudget(st)
-	}
-}
-
-// accountLocked applies the per-user serving counters and the modeled
-// energy attribution: base power over the response time, plus — for an
-// unbatched cloud miss — the radio-active energy of its exchange and,
-// when the exchange opened a session (paid the wake-up), the session's
-// eventual tail. Caller holds mu.
-func (sh *shard) accountLocked(st *userState, resp *Response) {
-	st.served++
-	if resp.Outcome.Hit {
-		st.hits++
-	}
-	resp.EnergyJ = sh.basePower * resp.Outcome.ResponseTime().Seconds()
-	if resp.Source == SourceCloud && resp.Err == nil {
-		resp.RadioJ = st.rt.link.ActiveEnergy(resp.Outcome.Radio.RadioActive)
-		if !resp.Outcome.Radio.WasWarm {
-			resp.RadioJ += st.rt.link.TailEnergy()
-		}
-		resp.EnergyJ += resp.RadioJ
-	}
-	if st.cache != nil {
-		st.clock.Observe()
-	}
-	if resp.Source == SourceCommunity {
-		// A community hit advanced the replica's device, not the user's.
-		sh.commClock.Observe()
 	}
 }
 
@@ -724,10 +663,7 @@ func (sh *shard) importUser(uid searchlog.UserID, ex userExport) error {
 	if sh.users.get(uid) != nil {
 		return fmt.Errorf("fleet: user %d already resident on shard %d", uid, sh.id)
 	}
-	st, err := sh.user(uid)
-	if err != nil {
-		return err
-	}
+	st := sh.user(uid)
 	if err := sh.materialize(st); err != nil {
 		sh.users.remove(uid)
 		return err

@@ -1165,13 +1165,6 @@ func OpenEvents(g *workload.Generator, cfg OpenConfig) ([]TraceEvent, error) {
 	return events, nil
 }
 
-// replayEvents releases the events at their offsets against the fleet,
-// bucketing arrivals (and sheds) into the offered curve over horizon.
-func replayEvents(f *fleet.Fleet, events []TraceEvent, horizon time.Duration, start time.Time) (offered, shedPerBucket []uint64, maxLag time.Duration) {
-	offered, shedPerBucket, maxLag, _ = replayTimeline(f, events, horizon, start, nil, nil)
-	return offered, shedPerBucket, maxLag
-}
-
 // demandCount sums submissions the fleet has booked so far — served
 // plus shed across live shards, plus the counters shrinks retired.
 // After a drain it equals the number of Submit calls made, so the
@@ -1186,7 +1179,9 @@ func demandCount(f *fleet.Fleet) int64 {
 	return total
 }
 
-// replayTimeline is replayEvents plus the model-time control plane: it
+// replayTimeline releases the events at their offsets against the
+// fleet, bucketing arrivals (and sheds) into the offered curve over
+// horizon, and runs the model-time control plane alongside: it
 // interleaves scheduled resize events (timeline) and autoscaler samples
 // (ctl) with the arrival schedule, firing everything due at or before
 // an arrival's offset — in model-time order, ties resolved timeline
@@ -1395,7 +1390,9 @@ func RunTrace(f *fleet.Fleet, col *Collector, events []TraceEvent, cfg TraceConf
 	col.Reset()
 	before, beforeBatch, beforeMig, beforeEnergy := f.Stats(), f.BatchStats(), f.MigrationStats(), f.EnergyStats()
 	start := time.Now()
-	offered, shedPerBucket, maxLag := replayEvents(f, events, horizon, start)
+	// The only errors are control-plane resizes, and a recorded trace
+	// carries no control plane.
+	offered, shedPerBucket, maxLag, _ := replayTimeline(f, events, horizon, start, nil, nil)
 	f.Drain()
 	elapsed := time.Since(start)
 

@@ -587,20 +587,28 @@ func (c *Cache) Query(queryText, clickURL string) (Outcome, error) {
 	// Cache miss: query the engine over the radio.
 	c.stats.misses.Add(1)
 	resp, found := c.eng.Search(queryText)
-	pageBytes := MissPageBytes(resp)
-	tr := c.dev.NetworkRequest(QueryRequestBytes, pageBytes)
-	out.Network = tr.Total()
-	out.Radio = tr
-	out.Render = c.dev.Render(pageBytes)
+	tr := c.dev.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
+	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, tr.Total(), tr), nil
+}
+
+// missOutcome is the tail every cache miss shares once its exchange has
+// been charged to the device — network is the modeled latency until the
+// response landed and tr the radio's account of it, the one term in
+// which a miss on the device's own link and a member of a coalesced
+// session differ. The lookup was charged before the exchange; the
+// device still renders the downloaded page and pays the fixed misc
+// cost, and the clicked result expands the personalization component.
+func (c *Cache) missOutcome(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse, found bool, network time.Duration, tr radio.Transfer) Outcome {
+	out := Outcome{Lookup: LookupCost, Network: network, Radio: tr}
+	out.Render = c.dev.Render(MissPageBytes(resp))
 	out.Misc = c.dev.Misc()
 	if found && !c.opts.DiscardResults {
 		out.Results = resp.Results()
 	}
-
 	if !c.opts.DisablePersonalization && clickURL != "" {
 		out.Stored = c.expand(qh, ch, queryText, clickURL, resp)
 	}
-	return out, nil
+	return out
 }
 
 // MissPageBytes returns the result-page size a miss for resp ships
@@ -627,26 +635,10 @@ func MissPageBytes(resp engine.SearchResponse) int {
 func (c *Cache) ApplyBatchedMiss(queryText, clickURL string, resp engine.SearchResponse, found bool, wait, share time.Duration) Outcome {
 	c.stats.queries.Add(1)
 	c.stats.misses.Add(1)
-	qh := hash64.Sum(queryText)
-	ch := hash64.Sum(clickURL)
-
-	var out Outcome
-	out.Lookup = LookupCost
 	c.dev.Busy(LookupCost, "lookup")
-
 	c.dev.NetworkBatchShare(wait, share)
-	out.Network = wait
-	out.Radio = radio.Transfer{RadioActive: share}
-	out.Render = c.dev.Render(MissPageBytes(resp))
-	out.Misc = c.dev.Misc()
-	if found && !c.opts.DiscardResults {
-		out.Results = resp.Results()
-	}
-
-	if !c.opts.DisablePersonalization && clickURL != "" {
-		out.Stored = c.expand(qh, ch, queryText, clickURL, resp)
-	}
-	return out
+	return c.missOutcome(hash64.Sum(queryText), hash64.Sum(clickURL), queryText, clickURL, resp, found,
+		wait, radio.Transfer{RadioActive: share})
 }
 
 // QueryRequestBytes is the size of the HTTP search request — exported

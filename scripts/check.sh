@@ -230,4 +230,13 @@ if [ "$search_allocs" != "0" ]; then
     exit 1
 fi
 
+echo "== serve-stack size: non-test Go lines =="
+# ROADMAP's "one serve path, one driver, one configuration surface"
+# item is graded in non-test lines across these four directories;
+# simplicity PRs quote their before/after from here. Informational,
+# never a failure.
+for d in internal/fleet internal/faults internal/loadgen cmd/loadtest; do
+    find "$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0
+done | sort -z | xargs -0 wc -l
+
 echo "all checks passed"
