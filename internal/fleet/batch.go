@@ -84,16 +84,17 @@ func (s BatchStats) MeanSize() float64 {
 }
 
 // missTask is one classified cloud miss awaiting application: parked
-// for coalescing, or owing a wall pause first.
+// for coalescing, or owing a wall pause first. While it waits it is the
+// user's shard.pendingMiss entry.
 type missTask struct {
 	t task
 	// mc is the miss's fault plan, computed at classification time
 	// under the shard lock.
 	mc missCtx
 	// done is closed once the miss has been applied and its response
-	// delivered; the owning worker waits on it before serving the same
-	// user's next request, preserving per-user submission order. Nil
-	// for a miss the worker itself paces and applies.
+	// delivered (or the miss abandoned); whoever serves the same user's
+	// next request waits on it first, preserving per-user submission
+	// order and the clock the plan was computed against.
 	done chan struct{}
 }
 
@@ -217,7 +218,8 @@ func (d *dispatcher) flushWait() {
 
 // close stops the dispatcher after it has drained its queue. Callers
 // must guarantee no further submits (the fleet closes dispatchers only
-// after every worker has exited).
+// after every worker has exited and, having taken f.mu to set closed,
+// after every caller-run serve has returned).
 func (d *dispatcher) close() {
 	close(d.ch)
 	<-d.done

@@ -268,9 +268,10 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 }
 
 // applyMiss applies a planned miss that could not be applied under the
-// lock hold that planned it — the worker paced it first, or a
+// lock hold that planned it — its server paced it first, or a
 // dispatcher coalesced it: the user is looked up afresh and the
-// pending-miss marker cleared.
+// pending-miss marker cleared. The caller closes the miss's done
+// channel once the response is delivered.
 func (sh *shard) applyMiss(req Request, mc missCtx, x exchange) Response {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -280,6 +281,16 @@ func (sh *shard) applyMiss(req Request, mc missCtx, x exchange) Response {
 		return Response{Req: req, Err: err}
 	}
 	return sh.applyMissLocked(st, req, mc, x)
+}
+
+// abandonMiss drops a planned miss whose caller gave up mid-pause: the
+// pending marker is cleared with the plan unapplied (the user's clock
+// never moved) and the user's waiting requests are released.
+func (sh *shard) abandonMiss(mt *missTask) {
+	sh.mu.Lock()
+	delete(sh.pendingMiss, mt.t.req.User)
+	sh.mu.Unlock()
+	close(mt.done)
 }
 
 // applyMissLocked executes a planned cloud miss — the one miss path

@@ -55,6 +55,59 @@ func runResponses(t *testing.T, f *Fleet, g *workload.Generator, users []workloa
 	return resps
 }
 
+// recorder is an Observer keeping every response per user in the order
+// observed, wall latency zeroed — what runQueued reads back, and the
+// apply order the caller-runs tests check submission order against.
+type recorder struct {
+	mu    sync.Mutex
+	resps map[searchlog.UserID][]Response
+}
+
+func (r *recorder) Observe(resp Response) {
+	resp.Wall = 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.resps == nil {
+		r.resps = make(map[searchlog.UserID][]Response)
+	}
+	r.resps[resp.Req.User] = append(r.resps[resp.Req.User], resp)
+}
+
+// runQueued is runResponses through the other side of the who-runs-it
+// selection: each user's goroutine Submits its whole tape without
+// waiting, so every request crosses a worker queue, and the responses
+// are read back from rec — which must be the fleet's Observer — after a
+// Drain. A user's requests are finished in submission order, so the
+// observed per-user sequence is the submitted one.
+func runQueued(t *testing.T, f *Fleet, rec *recorder, g *workload.Generator, users []workload.UserProfile) map[searchlog.UserID][]Response {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, up := range users {
+		wg.Add(1)
+		go func(up workload.UserProfile) {
+			defer wg.Done()
+			for _, req := range requestsFor(g, up, 1) {
+				if !f.Submit(req) {
+					t.Errorf("user %d request shed", up.ID)
+					return
+				}
+			}
+		}(up)
+	}
+	wg.Wait()
+	f.Drain()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	for uid, rs := range rec.resps {
+		for _, resp := range rs {
+			if resp.Err != nil {
+				t.Errorf("user %d request failed: %+v", uid, resp)
+			}
+		}
+	}
+	return rec.resps
+}
+
 // faultTraces reduces per-user responses to their fault traces.
 func faultTraces(resps map[searchlog.UserID][]Response) map[searchlog.UserID]*faultTrace {
 	traces := make(map[searchlog.UserID]*faultTrace, len(resps))

@@ -11,31 +11,37 @@
 //     (preloaded from community logs, read-mostly) plus the personal
 //     PocketSearch state of every resident user, all guarded by the
 //     shard lock.
-//   - A pool of W workers drains W bounded queues. A shard is owned by
-//     exactly one worker (shard s → queue s mod W), so the requests of
-//     one user — who hashes to one shard — are always served in
-//     submission order. That, plus seedable workloads, makes fleet hit
-//     rates reproducible run to run.
-//   - Submission is non-blocking with explicit backpressure: when the
-//     owning worker's queue is full the request is shed and counted,
+//   - Who runs a request: a shard's state is guarded by its lock,
+//     whichever goroutine serves. W workers drain W bounded queues
+//     (shard s → queue s mod W) in FIFO order; a caller that blocks for
+//     its answer (Do) and finds nothing pending on that queue serves
+//     its own request under the same lock instead. One user's requests
+//     — a user hashes to one shard — are thus applied in submission
+//     order for any one submitting goroutine; order across users, or
+//     across goroutines racing on one user, is unconstrained. That,
+//     plus seedable workloads, makes fleet hit rates reproducible.
+//     Workers bounds queue-draining goroutines, not closed-loop
+//     parallelism: that is the number of clients.
+//   - Submission (Submit) is non-blocking with explicit backpressure:
+//     when the shard's queue is full the request is shed and counted,
 //     never silently queued without bound (an open-loop load generator
 //     must observe overload, not hide it).
 //   - Personal state lives under a fleet-wide storage budget managed
 //     by the Section 7 cloudlet manager (internal/cloudletos): each
 //     shard registers its users' personal records as one cloudlet, and
 //     Reclaim evicts the lowest-utility records across the whole fleet.
-//   - With Config.Batch enabled, cloud misses are coalesced: workers
-//     classify a request under the shard lock and, if it must go to the
-//     cloud, park it with a dispatcher goroutine instead of paying a
-//     full radio round trip inline. The dispatcher collects concurrent
+//   - With Config.Batch enabled, cloud misses are coalesced: a request
+//     is classified under the shard lock and, if it must go to the
+//     cloud, parked with a dispatcher goroutine instead of paying a
+//     full radio round trip there. The dispatcher collects concurrent
 //     misses (up to MaxBatch, or until the Linger window expires) and
 //     fires them as one radio session — one wake-up, one handshake and
 //     one tail, amortized across the members (the paper's Section 5
 //     energy argument). Determinism is preserved: at most one miss per
-//     user is ever in flight, and a worker flushes and waits before
-//     serving the same user's next request, so per-user hit/miss
+//     user is ever in flight, and whoever serves the same user's next
+//     request flushes and waits for it first, so per-user hit/miss
 //     outcomes are byte-identical to an unbatched fleet's for the same
-//     seed.
+//     seed (a miss paced rather than parked obeys the same rule).
 //   - Per-user state is compact and arena-allocated so the fleet
 //     scales to million-user populations: each shard keeps its users
 //     in chunked slabs of by-value userState records, indexed by a
@@ -189,8 +195,8 @@ type Response struct {
 func (r Response) Hit() bool { return !r.Shed && r.Err == nil && r.Outcome.Hit }
 
 // Observer receives every completed (or shed) response. Observe is
-// called concurrently from worker goroutines and must be safe for
-// concurrent use.
+// called concurrently from whichever goroutines serve — workers,
+// dispatchers, blocking callers — and must be safe for concurrent use.
 type Observer interface {
 	Observe(Response)
 }
@@ -227,9 +233,10 @@ type Config struct {
 	// then remaps — and migrates — only ~|Δn|/n of the population.
 	// When set, Placement.Shards() must agree with Shards.
 	Placement placement.Placement
-	// Workers is the worker-pool size. Zero selects
-	// min(Shards, GOMAXPROCS); values above Shards are clamped (a
-	// shard is owned by exactly one worker).
+	// Workers is the number of goroutines draining the task queues. Zero
+	// selects min(Shards, GOMAXPROCS); values above Shards are clamped
+	// (one worker drains a shard's queued tasks, in order). It does not
+	// bound closed-loop parallelism: see the package comment.
 	Workers int
 	// QueueDepth is each worker queue's capacity; submissions beyond
 	// it are shed. Zero selects 1024.
@@ -506,10 +513,21 @@ type task struct {
 	claimed *atomic.Bool
 }
 
+// workerQueue is one worker's bounded task queue. pending counts the
+// request tasks enqueued on ch and not yet fully processed — bumped in
+// enqueue, dropped by the worker once process returns — and is what a
+// blocking caller reads to decide who runs its request (see enqueue).
+// Padded to a cache line so neighbouring counters do not false-share.
+type workerQueue struct {
+	ch      chan task
+	pending atomic.Int64
+	_       [48]byte
+}
+
 // Fleet is a running serving layer.
 type Fleet struct {
 	cfg    Config
-	queues []chan task
+	queues []workerQueue
 	wg     sync.WaitGroup
 
 	// topo is the physical serving view — shards plus the dispatchers
@@ -605,7 +623,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:    cfg,
-		queues: make([]chan task, cfg.Workers),
+		queues: make([]workerQueue, cfg.Workers),
 		tl:     modeltime.NewTimeline(),
 	}
 	if cfg.Faults.Enabled {
@@ -656,7 +674,7 @@ func New(cfg Config) (*Fleet, error) {
 	f.topo.Store(&topology{shards: shards, dispatchers: dispatchers})
 	f.route.Store(&routeTable{place: cfg.Placement, from: -1})
 	for w := range f.queues {
-		f.queues[w] = make(chan task, cfg.QueueDepth)
+		f.queues[w].ch = make(chan task, cfg.QueueDepth)
 		f.wg.Add(1)
 		go f.worker(w)
 	}
@@ -716,30 +734,36 @@ func (f *Fleet) shardOf(uid searchlog.UserID) int {
 	return f.route.Load().shardOf(placement.UserKey(uint64(uid)))
 }
 
-// worker drains one queue, serving each task against its shard.
+// worker drains one queue in FIFO order, serving each task against its
+// shard.
 func (f *Fleet) worker(id int) {
 	defer f.wg.Done()
-	for t := range f.queues[id] {
+	q := &f.queues[id]
+	for t := range q.ch {
 		if t.barrier != nil {
 			f.flushDispatchers(id)
 			t.barrier <- struct{}{}
 			continue
 		}
 		f.process(t)
+		q.pending.Add(-1)
 	}
 }
 
-// process serves one request task — from a worker loop, or from the
+// process serves one request task — from a worker loop, from a blocking
+// caller with nothing queued ahead of it (enqueue), or from the
 // migration drainer replaying held tasks. Local hits, and cloud misses
 // that owe no wall pause, come back served from the shard. A planned
 // miss that owes one is paced here — the real pause the retry policy
 // prices for its planned failures, skipped while the shard's breaker is
 // open — and then applied against the model. With miss coalescing on, a
 // classified cloud miss is instead parked with the shard's dispatcher,
-// which completes it asynchronously; if the user already has a miss in
-// flight the worker flushes and waits for it first, so each user's
-// requests are still applied in submission order — the determinism
-// guarantee batching must not break.
+// which completes it asynchronously. Either way the miss is applied
+// after the lock hold that planned it, so the shard marks it pending
+// and whoever routes the same user's next request waits for it first:
+// a user's requests are applied one at a time, in submission order for
+// any one goroutine — the determinism guarantee neither batching nor
+// caller-run serving may break.
 func (f *Fleet) process(t task) {
 	if t.ctx != nil && t.ctx.Err() != nil {
 		f.cancelTask(t)
@@ -754,7 +778,9 @@ func (f *Fleet) process(t task) {
 		resp, miss, waitFor := sh.route(t, d != nil)
 		switch {
 		case waitFor != nil:
-			d.flush()
+			if d != nil {
+				d.flush()
+			}
 			<-waitFor.done
 			continue
 		case miss == nil:
@@ -763,7 +789,9 @@ func (f *Fleet) process(t task) {
 			d.submit(miss)
 		case pauseWall(t.ctx, miss.mc.pause):
 			f.finish(sh.applyMiss(t.req, miss.mc, exchange{}), t)
+			close(miss.done)
 		default:
+			sh.abandonMiss(miss)
 			f.cancelTask(t)
 		}
 		return
@@ -772,7 +800,7 @@ func (f *Fleet) process(t task) {
 
 // finish completes one task: it stamps wall latency, books the
 // fleet-wide counters, and delivers the response to the observer and
-// any waiting caller. Called from workers (inline serves) and from
+// any waiting caller. Called from whoever ran process, and from
 // dispatchers (batched misses).
 func (f *Fleet) finish(resp Response, t task) {
 	if t.claimed != nil && !t.claimed.CompareAndSwap(false, true) {
@@ -818,10 +846,10 @@ func (f *Fleet) dispatcherOf(tp *topology, shard int) *dispatcher {
 	return tp.dispatchers[shard]
 }
 
-// flushDispatchers forces out every miss this worker has parked, and
-// waits until they are applied — the Drain barrier must not ack while
-// misses are still lingering. Worker id owns shards s with
-// s mod W == id, hence exactly those shards' dispatchers.
+// flushDispatchers forces out every miss parked for worker id's shards
+// (s mod W == id), by the worker or by a blocking caller, and waits
+// until they are applied — the Drain barrier must not ack while misses
+// are still lingering.
 func (f *Fleet) flushDispatchers(id int) {
 	tp := f.topo.Load()
 	if len(tp.dispatchers) == 0 {
@@ -836,13 +864,22 @@ func (f *Fleet) flushDispatchers(id int) {
 	}
 }
 
-// enqueue routes a task to the owning worker's queue without blocking.
-// It reports false — and records the shed — when the queue is full or
-// the fleet is closed. The task's shard is computed here, under the
-// read lock, so a concurrent route publication (storeRoute holds the
-// write lock) can fence out every task still routed by the old table
-// before it starts an epoch barrier.
-func (f *Fleet) enqueue(t task) bool {
+// enqueue admits one task and decides which goroutine serves it. The
+// default is the shard's worker queue, without blocking: it reports
+// false — and records the shed — when the queue is full or the fleet is
+// closed. A caller that blocks for the answer anyway (callerRuns)
+// instead runs process itself when that queue has nothing pending:
+// nothing it must be ordered behind exists, and serving from here saves
+// both goroutine handoffs. With work pending it queues like everyone
+// else, so one goroutine's Submit(u, a) then Do(u, b) apply in order.
+//
+// The task's shard is computed — and a caller-run task processed —
+// under the read lock, so a route publication (storeRoute holds the
+// write lock) fences out every task routed by the old table, queued or
+// running, before it starts an epoch barrier, and Close waits out the
+// same. The caller awaits its reply after the lock is released: a held
+// or parked task answers later.
+func (f *Fleet) enqueue(t task, callerRuns bool) bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	t.shard = f.shardOf(t.req.User)
@@ -850,10 +887,17 @@ func (f *Fleet) enqueue(t task) bool {
 		f.recordShed(t.req, t.shard)
 		return false
 	}
+	q := &f.queues[t.shard%len(f.queues)]
+	if callerRuns && q.pending.Load() == 0 {
+		f.process(t)
+		return true
+	}
+	q.pending.Add(1)
 	select {
-	case f.queues[t.shard%len(f.queues)] <- t:
+	case q.ch <- t:
 		return true
 	default:
+		q.pending.Add(-1)
 		f.recordShed(t.req, t.shard)
 		return false
 	}
@@ -872,7 +916,7 @@ func (f *Fleet) recordShed(req Request, shard int) {
 // outcome reaches the Observer. It reports false when the request was
 // shed by backpressure.
 func (f *Fleet) Submit(req Request) bool {
-	return f.enqueue(task{req: req, enqueued: time.Now()})
+	return f.enqueue(task{req: req, enqueued: time.Now()}, false)
 }
 
 // Do serves a request and blocks for its response — the closed-loop
@@ -883,7 +927,7 @@ func (f *Fleet) Do(req Request) Response {
 }
 
 // replyPool recycles reply channels for both Do paths. The
-// uncancelable path always receives the worker's single buffered send
+// uncancelable path always receives its task's single buffered send
 // before returning, so its channel is provably empty when pooled. The
 // cancelable path pools too: every send into a reply channel (finish,
 // cancelTask) is gated on winning the task's claimed CAS, so at most
@@ -908,7 +952,7 @@ func (f *Fleet) DoContext(ctx context.Context, req Request) Response {
 	t.reply = reply
 	if ctx == nil || ctx.Done() == nil {
 		// Uncancelable: the single response is always received here.
-		if !f.enqueue(t) {
+		if !f.enqueue(t, true) {
 			replyPool.Put(reply)
 			return Response{Req: req, Shed: true, Source: SourceShed}
 		}
@@ -924,7 +968,9 @@ func (f *Fleet) DoContext(ctx context.Context, req Request) Response {
 		replyPool.Put(reply)
 		return f.recordCanceled(req)
 	}
-	if !f.enqueue(t) {
+	// Cancelable requests always queue: abandoning one mid-serve takes a
+	// second goroutine to be serving it.
+	if !f.enqueue(t, false) {
 		replyPool.Put(reply)
 		return Response{Req: req, Shed: true, Source: SourceShed}
 	}
@@ -987,7 +1033,7 @@ func (f *Fleet) Drain() {
 	}
 	for w := range f.queues {
 		acks[w] = make(chan struct{}, 1)
-		f.queues[w] <- task{barrier: acks[w]}
+		f.queues[w].ch <- task{barrier: acks[w]}
 	}
 	f.mu.RUnlock()
 	for _, ack := range acks {
@@ -1006,8 +1052,8 @@ func (f *Fleet) Close() {
 		return
 	}
 	f.closed = true
-	for _, q := range f.queues {
-		close(q)
+	for w := range f.queues {
+		close(f.queues[w].ch)
 	}
 	f.mu.Unlock()
 	f.wg.Wait()

@@ -36,8 +36,10 @@ import (
 //
 // In-flight requests always finish on the shard they were routed to:
 // the epoch barrier runs after the route flip is fenced by the enqueue
-// read-lock (see storeRoute), so "old route" tasks are applied before
-// any state leaves the source shard.
+// read-lock (see storeRoute), which a caller-run request holds until
+// process returns, so "old route" tasks — queued or running on their
+// callers' goroutines — are applied before any state leaves the source
+// shard.
 
 // topology is the immutable physical serving view: the shards and the
 // dispatchers coalescing their misses. Workers load it atomically per
@@ -72,10 +74,11 @@ func (rt *routeTable) shardOf(key uint64) int {
 }
 
 // storeRoute publishes rt after waiting out every in-flight enqueue:
-// enqueue computes a task's shard under f.mu.RLock, so once the write
-// lock is held, no task routed by the previous table is still on its
-// way into a queue — the epoch barrier that follows covers all of
-// them.
+// enqueue computes a task's shard — and a blocking caller serves its
+// own task — under f.mu.RLock, so once the write lock is held, no task
+// routed by the previous table is still on its way into a queue or
+// being processed outside one: the epoch barrier that follows covers
+// the rest. A publication so waits out the longest caller-run serve.
 func (f *Fleet) storeRoute(rt *routeTable) {
 	f.mu.Lock()
 	f.route.Store(rt)
@@ -288,7 +291,7 @@ func (f *Fleet) migrateEpoch(tp *topology, p1, p2 placement.Placement, flipped [
 	// moves. Tasks routed *away* by the flip are held at their
 	// destinations until this epoch closes.
 	ack := make(chan struct{}, 1)
-	f.queues[s%len(f.queues)] <- task{barrier: ack}
+	f.queues[s%len(f.queues)].ch <- task{barrier: ack}
 	<-ack
 
 	// Snapshot the movers after the barrier, when every user the old

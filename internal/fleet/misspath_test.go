@@ -121,13 +121,18 @@ func sameModel(a, b missPathRun, fullResponses, attempts bool, normalize func(*S
 }
 
 // TestMissPathTable holds the one miss path against every combination
-// of its parameters (run under -race by scripts/check.sh). Within each
-// row the two exchanges agree: batched and unbatched runs produce
-// identical per-user hit/source/attempt traces and identical fleet
-// counters. Across rows the degenerate settings are the plain miss:
-// an inert injector equals a disabled one, an infinitely fast backend
-// equals none, and three replicas at clone factor 1 equal the single
-// backend — response for response (energy included) when unbatched.
+// of its parameters (run under -race by scripts/check.sh). Each cell
+// runs twice — every request served by its blocking caller (Do with
+// nothing queued ahead), and every request through a worker queue
+// (Submit, observer, Drain) — and the two sides of that selection must
+// agree: response for response when unbatched, trace for trace when
+// batched. Within each row the two exchanges agree: batched and
+// unbatched runs produce identical per-user hit/source/attempt traces
+// and identical fleet counters. Across rows the degenerate settings are
+// the plain miss: an inert injector equals a disabled one, an
+// infinitely fast backend equals none, and three replicas at clone
+// factor 1 equal the single backend — response for response (energy
+// included) when unbatched.
 func TestMissPathTable(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
@@ -149,11 +154,21 @@ func TestMissPathTable(t *testing.T) {
 		}
 	}
 	runs := make(map[missPathCell]missPathRun, len(cells))
+	queued := make(map[missPathCell]missPathRun, len(cells))
+	finish := func(f *Fleet, resps map[searchlog.UserID][]Response) missPathRun {
+		defer f.Close()
+		return missPathRun{resps: resps, stats: f.Stats(), batches: f.BatchStats().Batches}
+	}
 	for _, c := range cells {
 		f := newTestFleet(t, g, content, c.configure)
-		resps := runResponses(t, f, g, users)
-		runs[c] = missPathRun{resps: resps, stats: f.Stats(), batches: f.BatchStats().Batches}
-		f.Close()
+		runs[c] = finish(f, runResponses(t, f, g, users))
+
+		rec := &recorder{}
+		f = newTestFleet(t, g, content, func(cfg *Config) {
+			c.configure(cfg)
+			cfg.Observer = rec
+		})
+		queued[c] = finish(f, runQueued(t, f, rec, g, users))
 	}
 	if t.Failed() {
 		return
@@ -161,6 +176,9 @@ func TestMissPathTable(t *testing.T) {
 
 	nothing := func(*Stats) {}
 	for _, c := range cells {
+		if diff := sameModel(runs[c], queued[c], !c.batch, false, nothing); diff != "" {
+			t.Errorf("%v: caller-run ≢ queued: %s", c, diff)
+		}
 		r := runs[c]
 		// The cell must exercise what it names, or it proves nothing.
 		s := r.stats

@@ -196,11 +196,11 @@ func (ut *userTable) forEach(fn func(*userState)) {
 	}
 }
 
-// shard owns a deterministic slice of the user population: one shared
+// shard holds a deterministic slice of the user population: one shared
 // community cache replica plus every resident user's personal state.
-// All mutation happens under mu; the fleet guarantees that requests of
-// one user are always executed in submission order (a user hashes to
-// exactly one shard and each shard is drained by exactly one worker).
+// All of it is guarded by mu, whichever goroutine serves — the worker
+// draining the shard's queued tasks or a blocking caller running its
+// own request (package comment, "Who runs a request").
 type shard struct {
 	id   int
 	eng  *engine.Engine
@@ -253,11 +253,12 @@ type shard struct {
 	// keys routes cloudletos eviction keys back to their owner.
 	keys          map[uint64]evictRef
 	personalBytes int64
-	// pendingMiss marks users with a cloud miss parked in a batch
-	// dispatcher (at most one per user: the owning worker blocks on it
-	// before serving the user's next request, so per-user submission
-	// order — and therefore every per-user outcome — is identical to
-	// the unbatched path).
+	// pendingMiss marks users with a cloud miss planned but not yet
+	// applied — parked in a batch dispatcher, or being paced by the
+	// goroutine serving it. At most one per user: whoever routes the
+	// user's next request waits on it first, so nothing moves the model
+	// clock the plan was computed against and every per-user outcome is
+	// identical to serving each miss in one lock hold.
 	pendingMiss map[searchlog.UserID]*missTask
 	// holds parks requests for users caught mid-migration: their old
 	// home shard has flipped but their state has not landed here yet.
@@ -378,11 +379,11 @@ func (sh *shard) materialize(st *userState) error {
 // Exactly one of the returns is meaningful: a completed response (a
 // local hit, an error, or a cloud miss on the user's own link whose
 // plan owes no wall pause — applied under the same lock hold that
-// planned it), a planned miss the caller must pace and then apply
-// (applyMiss) or, with park set, hand to a dispatcher, or the user's
-// in-flight miss the caller must wait on before retrying — the ordering
-// guard that keeps per-user outcomes byte-identical to the unbatched
-// path.
+// planned it), a planned miss marked pending that the caller must pace
+// and then apply (applyMiss) or, with park set, hand to a dispatcher,
+// or the user's pending miss the caller must wait on before retrying.
+// A miss applied after this lock hold is always marked pending: the one
+// rule that keeps the model clock its plan was computed against still.
 func (sh *shard) route(t task, park bool) (resp Response, miss, waitFor *missTask) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -395,27 +396,23 @@ func (sh *shard) route(t task, park bool) (resp Response, miss, waitFor *missTas
 	ch := hash64.Sum(t.req.Click)
 	tier := sh.tierOf(st, qh, ch)
 	if tier != SourceCloud {
-		return sh.serveLocal(st, t.req, tier), nil, nil
+		return sh.serveLocal(st, t.req, tier, qh, ch), nil, nil
 	}
 	if err := sh.materialize(st); err != nil {
 		return Response{Req: t.req, Err: err}, nil, nil
 	}
 	// Plan the miss's whole fault ladder now, against the user's current
-	// model clock: the clock cannot move before the miss is applied (the
-	// owning worker is pacing it, or pendingMiss blocks the user's next
-	// request), so the plan — and with it every per-user outcome — is
-	// independent of how a dispatcher later composes batches.
+	// model clock: the clock cannot move before the miss is applied
+	// (pendingMiss blocks the user's next request), so the plan — and
+	// with it every per-user outcome — is independent of how a dispatcher
+	// later composes batches and of which goroutine serves what.
 	mc := sh.planLocked(st, t.req.User, qh, ch)
-	switch {
-	case park:
-		miss = &missTask{t: t, mc: mc, done: make(chan struct{})}
-		sh.pendingMiss[t.req.User] = miss
-	case mc.pause > 0:
-		miss = &missTask{t: t, mc: mc}
-	default:
-		resp = sh.applyMissLocked(st, t.req, mc, exchange{})
+	if !park && mc.pause <= 0 {
+		return sh.applyMissLocked(st, t.req, mc, exchange{}), nil, nil
 	}
-	return resp, miss, nil
+	miss = &missTask{t: t, mc: mc, done: make(chan struct{})}
+	sh.pendingMiss[t.req.User] = miss
+	return Response{}, miss, nil
 }
 
 // tierOf classifies which tier will serve the pair. A user whose
@@ -435,13 +432,14 @@ func (sh *shard) tierOf(st *userState, qh, ch uint64) Source {
 // serveLocal serves one request from the local tier it classified to —
 // the user's personal component or the shard's community replica — and
 // applies the per-user serving counters and the modeled energy
-// attribution: base power over the response time. Caller holds mu.
-func (sh *shard) serveLocal(st *userState, req Request, tier Source) Response {
+// attribution: base power over the response time. qh and ch are the
+// hashes route classified the pair by. Caller holds mu.
+func (sh *shard) serveLocal(st *userState, req Request, tier Source, qh, ch uint64) Response {
 	resp := Response{Req: req, Source: tier}
 	if tier == SourcePersonal {
-		resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
+		resp.Outcome, resp.Err = st.cache.QueryHashed(qh, ch, req.Query, req.Click)
 	} else {
-		resp.Outcome, resp.Err = sh.community.Query(req.Query, req.Click)
+		resp.Outcome, resp.Err = sh.community.QueryHashed(qh, ch, req.Query, req.Click)
 		// A community hit advanced the replica's device, not the user's.
 		sh.commClock.Observe()
 	}

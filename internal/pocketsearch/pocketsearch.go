@@ -528,9 +528,15 @@ const ResultsPageBytes = 100_000
 // clicked result is among its cached results — the same criterion the
 // paper uses for repeated queries (same query, same clicked result).
 func (c *Cache) Query(queryText, clickURL string) (Outcome, error) {
+	return c.QueryHashed(hash64.Sum(queryText), hash64.Sum(clickURL), queryText, clickURL)
+}
+
+// QueryHashed is Query for a caller that already holds the pair's
+// hashes — qh must be hash64.Sum(queryText) and ch hash64.Sum(clickURL).
+// The fleet classifies every request by those hashes before it knows
+// which cache will serve it, so its serve path hashes each string once.
+func (c *Cache) QueryHashed(qh, ch uint64, queryText, clickURL string) (Outcome, error) {
 	c.stats.queries.Add(1)
-	qh := hash64.Sum(queryText)
-	ch := hash64.Sum(clickURL)
 
 	var out Outcome
 	out.Lookup = LookupCost

@@ -8,18 +8,24 @@
 # BENCH_<date>.json so successive runs can be diffed for regressions.
 #
 # Usage: scripts/bench.sh [output.json]
-#   BENCHTIME=3s scripts/bench.sh     # longer, steadier numbers
+#   BENCHTIME=100000x COUNT=9 scripts/bench.sh   # longer, steadier numbers
 #
-# The default BENCHTIME of 1x keeps the script cheap enough for CI,
-# where it runs non-gating (see .github/workflows/ci.yml); locally,
-# raise it for numbers worth comparing.
+# Every row is a fixed iteration count, so a row means the same thing on
+# every host and in CI (where the script runs non-gating, see
+# .github/workflows/ci.yml). The fleet serving rows run COUNT times and
+# the snapshot records each metric's median plus the ns/op range, so one
+# slow first-touch iteration or a noisy neighbour cannot become history
+# (the first three BENCH_*.json files recorded FleetServe* at one
+# iteration each; their ns/op, B/op and allocs/op are first-touch costs,
+# not steady state).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHTIME="${BENCHTIME:-1x}"
+BENCHTIME="${BENCHTIME:-20000x}"
+COUNT="${COUNT:-5}"
 OUT="${1:-BENCH_$(date -u +%Y%m%d).json}"
 
-raw=$(go test -bench FleetServe -benchtime "$BENCHTIME" -benchmem -run '^$' .)
+raw=$(go test -bench FleetServe -benchtime "$BENCHTIME" -count "$COUNT" -benchmem -run '^$' .)
 echo "$raw"
 
 # The miss path's planning layers: backend pricing in order, shuffled
@@ -73,20 +79,46 @@ autoscaled=$(go run ./cmd/loadtest -users 200 -qps 800 -duration 2s -seed 5 \
     echo '{'
     echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
     echo "  \"benchtime\": \"$BENCHTIME\","
+    echo "  \"count\": $COUNT,"
     echo "  \"go\": \"$(go env GOVERSION)\","
     echo '  "benchmarks": ['
+    # One row per benchmark name: the median of each metric over the
+    # runs of that name, the run count, and the ns/op range.
     echo "$raw" | awk '
-        /^Benchmark/ {
-            name = $1; iters = $2; metrics = "";
-            for (i = 3; i + 1 <= NF; i += 2) {
-                if (metrics != "") metrics = metrics ", ";
-                metrics = metrics "\"" $(i + 1) "\": " $i;
-            }
-            line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {%s}}", name, iters, metrics);
-            if (out != "") out = out ",\n";
-            out = out line;
+        # stats sorts the n runs recorded under key and sets med, lo, hi.
+        function stats(key, n,    i, j, t, v) {
+            for (i = 1; i <= n; i++) v[i] = vals[key, i];
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && v[j] + 0 < v[j - 1] + 0; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+            med = (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2;
+            lo = v[1]; hi = v[n];
         }
-        END { print out }
+        /^Benchmark/ {
+            name = $1;
+            if (!(name in runs)) order[++names] = name;
+            r = ++runs[name]; iters[name] = $2;
+            for (i = 3; i + 1 <= NF; i += 2) {
+                unit = $(i + 1);
+                if (!((name, unit) in seen)) { seen[name, unit] = 1; units[name, ++nunits[name]] = unit }
+                vals[name SUBSEP unit, r] = $i;
+            }
+        }
+        END {
+            for (k = 1; k <= names; k++) {
+                name = order[k]; metrics = "";
+                for (u = 1; u <= nunits[name]; u++) {
+                    unit = units[name, u];
+                    stats(name SUBSEP unit, runs[name]);
+                    if (unit == "ns/op") range = "[" lo ", " hi "]";
+                    if (metrics != "") metrics = metrics ", ";
+                    metrics = metrics "\"" unit "\": " med;
+                }
+                line = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"runs\": %d, \"ns_per_op_range\": %s, \"metrics\": {%s}}",
+                    name, iters[name], runs[name], range, metrics);
+                printf "%s%s", (k > 1 ? ",\n" : ""), line;
+            }
+            print "";
+        }
     '
     echo '  ],'
     echo "  \"hedged_loadtest\": $hedged,"
