@@ -120,10 +120,16 @@ type dispatcher struct {
 	lc *lingerControl
 }
 
-func newDispatcher(f *Fleet, depth int) *dispatcher {
+// dispatcherInbox is the dispatcher channel's buffer: a few full batches
+// at the default MaxBatch. It need not track QueueDepth — a full inbox
+// only makes the goroutine parking a miss wait for the dispatcher it is
+// handing that miss to, and the dispatcher never waits on its senders.
+const dispatcherInbox = 64
+
+func newDispatcher(f *Fleet) *dispatcher {
 	d := &dispatcher{
 		f:    f,
-		ch:   make(chan dispatchMsg, depth),
+		ch:   make(chan dispatchMsg, dispatcherInbox),
 		done: make(chan struct{}),
 		lc:   newLingerControl(f.cfg.Batch),
 	}
@@ -339,8 +345,9 @@ func (d *dispatcher) execute(batch []*missTask) {
 	shards := f.topo.Load().shards
 	for i, mt := range batch {
 		x := exchange{bt: &bt, slot: slot[i], eresp: resps[i], found: found[i]}
-		f.finish(shards[mt.t.shard].applyMiss(mt.t.req, mt.mc, x), mt.t)
-		close(mt.done)
+		sh := shards[mt.t.shard]
+		f.finish(sh.applyMiss(mt.t.req, mt.mc, x), mt.t)
+		sh.releaseMiss(mt)
 	}
 }
 

@@ -269,13 +269,11 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 
 // applyMiss applies a planned miss that could not be applied under the
 // lock hold that planned it — its server paced it first, or a
-// dispatcher coalesced it: the user is looked up afresh and the
-// pending-miss marker cleared. The caller closes the miss's done
-// channel once the response is delivered.
+// dispatcher coalesced it: the user is looked up afresh. The caller
+// releases the miss (releaseMiss) once the response is delivered.
 func (sh *shard) applyMiss(req Request, mc missCtx, x exchange) Response {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	delete(sh.pendingMiss, req.User)
 	st := sh.user(req.User)
 	if err := sh.materialize(st); err != nil {
 		return Response{Req: req, Err: err}
@@ -283,10 +281,13 @@ func (sh *shard) applyMiss(req Request, mc missCtx, x exchange) Response {
 	return sh.applyMissLocked(st, req, mc, x)
 }
 
-// abandonMiss drops a planned miss whose caller gave up mid-pause: the
-// pending marker is cleared with the plan unapplied (the user's clock
-// never moved) and the user's waiting requests are released.
-func (sh *shard) abandonMiss(mt *missTask) {
+// releaseMiss clears a planned miss's pending marker and releases the
+// user's waiting requests. Called once the miss's response has been
+// delivered — not when it is applied: a marker cleared earlier lets a
+// worker serve, and the Observer see, the user's next request while a
+// dispatcher is still delivering this one — or, when the caller gave up
+// mid-pause, with the plan unapplied (the user's clock never moved).
+func (sh *shard) releaseMiss(mt *missTask) {
 	sh.mu.Lock()
 	delete(sh.pendingMiss, mt.t.req.User)
 	sh.mu.Unlock()

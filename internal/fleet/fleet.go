@@ -238,8 +238,10 @@ type Config struct {
 	// (one worker drains a shard's queued tasks, in order). It does not
 	// bound closed-loop parallelism: see the package comment.
 	Workers int
-	// QueueDepth is each worker queue's capacity; submissions beyond
-	// it are shed. Zero selects 1024.
+	// QueueDepth bounds each worker queue's backlog: a submission that
+	// finds this many requests waiting is shed. It is a bound, not a
+	// reservation — a queue's memory follows what is actually waiting.
+	// Zero selects 1024.
 	QueueDepth int
 	// Options configure each user's personal cache (and, with
 	// personalization forced off, the community replicas).
@@ -492,12 +494,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// processStart anchors task timestamps: a submission records one
+// monotonic reading as an offset from it (8 bytes a queued task, not a
+// 24-byte time.Time carrying a wall clock nobody reads).
+var processStart = time.Now()
+
+func sinceStart() int64 { return int64(time.Since(processStart)) }
+
 // task is one queued unit of work. A nil reply means fire-and-forget;
 // a non-nil barrier is a drain marker instead of a request.
 type task struct {
 	req      Request
 	shard    int
-	enqueued time.Time
+	enqueued int64 // sinceStart() at submission
 	reply    chan Response
 	barrier  chan struct{}
 	// held marks a task replayed from a migration hold queue; it must
@@ -511,17 +520,6 @@ type task struct {
 	// Served — and Served+Shed+Canceled always sums to the submissions.
 	ctx     context.Context
 	claimed *atomic.Bool
-}
-
-// workerQueue is one worker's bounded task queue. pending counts the
-// request tasks enqueued on ch and not yet fully processed — bumped in
-// enqueue, dropped by the worker once process returns — and is what a
-// blocking caller reads to decide who runs its request (see enqueue).
-// Padded to a cache line so neighbouring counters do not false-share.
-type workerQueue struct {
-	ch      chan task
-	pending atomic.Int64
-	_       [48]byte
 }
 
 // Fleet is a running serving layer.
@@ -668,13 +666,13 @@ func New(cfg Config) (*Fleet, error) {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			dispatchers = append(dispatchers, newDispatcher(f, cfg.QueueDepth))
+			dispatchers = append(dispatchers, newDispatcher(f))
 		}
 	}
 	f.topo.Store(&topology{shards: shards, dispatchers: dispatchers})
 	f.route.Store(&routeTable{place: cfg.Placement, from: -1})
 	for w := range f.queues {
-		f.queues[w].ch = make(chan task, cfg.QueueDepth)
+		f.queues[w].init(cfg.QueueDepth)
 		f.wg.Add(1)
 		go f.worker(w)
 	}
@@ -734,19 +732,31 @@ func (f *Fleet) shardOf(uid searchlog.UserID) int {
 	return f.route.Load().shardOf(placement.UserKey(uint64(uid)))
 }
 
-// worker drains one queue in FIFO order, serving each task against its
-// shard.
+// worker drains one queue in FIFO order, a whole backlog per hand-off,
+// serving each task against its shard.
 func (f *Fleet) worker(id int) {
 	defer f.wg.Done()
 	q := &f.queues[id]
-	for t := range q.ch {
-		if t.barrier != nil {
-			f.flushDispatchers(id)
-			t.barrier <- struct{}{}
-			continue
+	var batch []task
+	for {
+		if batch = q.take(batch); batch == nil {
+			return
 		}
-		f.process(t)
-		q.pending.Add(-1)
+		for i, t := range batch {
+			if t.barrier != nil {
+				f.flushDispatchers(id)
+				if i == len(batch)-1 {
+					// Nothing else in hand: give a finished backlog's
+					// buffers back before the barrier's waiter can look.
+					batch = q.release(batch)
+				}
+				t.barrier <- struct{}{}
+				continue
+			}
+			q.waiting.Add(-1)
+			f.process(t)
+			q.pending.Add(-1)
+		}
 	}
 }
 
@@ -789,9 +799,9 @@ func (f *Fleet) process(t task) {
 			d.submit(miss)
 		case pauseWall(t.ctx, miss.mc.pause):
 			f.finish(sh.applyMiss(t.req, miss.mc, exchange{}), t)
-			close(miss.done)
+			sh.releaseMiss(miss)
 		default:
-			sh.abandonMiss(miss)
+			sh.releaseMiss(miss)
 			f.cancelTask(t)
 		}
 		return
@@ -808,7 +818,7 @@ func (f *Fleet) finish(resp Response, t task) {
 		// request as canceled; drop the late response.
 		return
 	}
-	resp.Wall = time.Since(t.enqueued)
+	resp.Wall = time.Duration(sinceStart() - t.enqueued)
 	f.served.Add(1)
 	sh := f.topo.Load().shards[t.shard]
 	sh.served.Add(1)
@@ -893,14 +903,12 @@ func (f *Fleet) enqueue(t task, callerRuns bool) bool {
 		return true
 	}
 	q.pending.Add(1)
-	select {
-	case q.ch <- t:
-		return true
-	default:
+	if !q.push(t) {
 		q.pending.Add(-1)
 		f.recordShed(t.req, t.shard)
 		return false
 	}
+	return true
 }
 
 func (f *Fleet) recordShed(req Request, shard int) {
@@ -916,7 +924,7 @@ func (f *Fleet) recordShed(req Request, shard int) {
 // outcome reaches the Observer. It reports false when the request was
 // shed by backpressure.
 func (f *Fleet) Submit(req Request) bool {
-	return f.enqueue(task{req: req, enqueued: time.Now()}, false)
+	return f.enqueue(task{req: req, enqueued: sinceStart()}, false)
 }
 
 // Do serves a request and blocks for its response — the closed-loop
@@ -946,7 +954,7 @@ var replyPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
 func (f *Fleet) DoContext(ctx context.Context, req Request) Response {
 	t := task{
 		req:      req,
-		enqueued: time.Now(),
+		enqueued: sinceStart(),
 	}
 	reply := replyPool.Get().(chan Response)
 	t.reply = reply
@@ -1033,7 +1041,7 @@ func (f *Fleet) Drain() {
 	}
 	for w := range f.queues {
 		acks[w] = make(chan struct{}, 1)
-		f.queues[w].ch <- task{barrier: acks[w]}
+		f.queues[w].push(task{barrier: acks[w]})
 	}
 	f.mu.RUnlock()
 	for _, ack := range acks {
@@ -1053,7 +1061,7 @@ func (f *Fleet) Close() {
 	}
 	f.closed = true
 	for w := range f.queues {
-		close(f.queues[w].ch)
+		f.queues[w].close()
 	}
 	f.mu.Unlock()
 	f.wg.Wait()

@@ -204,7 +204,7 @@ func (f *Fleet) ResizeWith(n int, opts ResizeOptions) (ResizeStats, error) {
 		dispatchers := append([]*dispatcher(nil), tp.dispatchers...)
 		if f.cfg.Batch.Enabled && !f.cfg.Batch.FleetWide {
 			for i := n1; i < n; i++ {
-				dispatchers = append(dispatchers, newDispatcher(f, f.cfg.QueueDepth))
+				dispatchers = append(dispatchers, newDispatcher(f))
 			}
 		}
 		f.topo.Store(&topology{shards: shards, dispatchers: dispatchers})
@@ -291,7 +291,7 @@ func (f *Fleet) migrateEpoch(tp *topology, p1, p2 placement.Placement, flipped [
 	// moves. Tasks routed *away* by the flip are held at their
 	// destinations until this epoch closes.
 	ack := make(chan struct{}, 1)
-	f.queues[s%len(f.queues)].ch <- task{barrier: ack}
+	f.queues[s%len(f.queues)].push(task{barrier: ack})
 	<-ack
 
 	// Snapshot the movers after the barrier, when every user the old

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the fleet serving benchmarks (BenchmarkFleetServe* in the root
-# package), the miss-path planning benchmarks (BenchmarkPrice* in
+# package, plus the worker-queue hop on its own, BenchmarkFleetSubmitDrain
+# in internal/fleet), the miss-path planning benchmarks (BenchmarkPrice* in
 # internal/backend, BenchmarkPlanHedgedPriced in internal/faults) and
 # the cold-miss write-path benchmarks (BenchmarkSearch* in
 # internal/engine, BenchmarkPut in internal/resultdb, BenchmarkQueryMiss
@@ -12,12 +13,12 @@
 #
 # Every row is a fixed iteration count, so a row means the same thing on
 # every host and in CI (where the script runs non-gating, see
-# .github/workflows/ci.yml). The fleet serving rows run COUNT times and
-# the snapshot records each metric's median plus the ns/op range, so one
-# slow first-touch iteration or a noisy neighbour cannot become history
-# (the first three BENCH_*.json files recorded FleetServe* at one
-# iteration each; their ns/op, B/op and allocs/op are first-touch costs,
-# not steady state).
+# .github/workflows/ci.yml). The fleet serving and queue rows run COUNT
+# times and the snapshot records each metric's median plus the ns/op
+# range, so one slow first-touch iteration or a noisy neighbour cannot
+# become history (the first three BENCH_*.json files recorded
+# FleetServe* at one iteration each; their ns/op, B/op and allocs/op are
+# first-touch costs, not steady state).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +26,8 @@ BENCHTIME="${BENCHTIME:-20000x}"
 COUNT="${COUNT:-5}"
 OUT="${1:-BENCH_$(date -u +%Y%m%d).json}"
 
-raw=$(go test -bench FleetServe -benchtime "$BENCHTIME" -count "$COUNT" -benchmem -run '^$' .)
+raw=$(go test -bench 'FleetServe|FleetSubmitDrain' -benchtime "$BENCHTIME" -count "$COUNT" \
+    -benchmem -run '^$' . ./internal/fleet)
 echo "$raw"
 
 # The miss path's planning layers: backend pricing in order, shuffled

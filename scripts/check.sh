@@ -203,6 +203,18 @@ for gate in BenchmarkFleetServe100kUsers:0 BenchmarkFleetServeDo:2; do
     fi
 done
 
+echo "== bench smoke: worker-queue hop =="
+# Bursts of 512 warmed Submits with a Drain after each: a burst fits the
+# buffers a drained queue keeps (DESIGN.md, "The worker queues"), so the
+# queue hop allocates nothing per request in steady state.
+queue_raw=$(go test -bench FleetSubmitDrain -benchtime 20000x -benchmem -run '^$' ./internal/fleet)
+echo "$queue_raw"
+queue_allocs=$(echo "$queue_raw" | allocs_per_op BenchmarkFleetSubmitDrain | awk '{print $2}')
+if [ "$queue_allocs" != "0" ]; then
+    echo "bench smoke: BenchmarkFleetSubmitDrain at '${queue_allocs}' allocs/op (recorded 0)" >&2
+    exit 1
+fi
+
 echo "== bench smoke: backend Price =="
 # Steady-state pricing is allocation-free by construction (DESIGN.md,
 # "Queued backends": saved states are unpacked into reused scratch):
