@@ -68,10 +68,9 @@
 // report broken down per SLO class. Built-in presets: clone-storm,
 // commuter, flash-crowd, regional-outage, mixed-fleet. Only -users and -seed may
 // override a scenario (population and seed scaling); every other
-// workload flag conflicts. Flag-only runs are themselves compiled as a
-// single-class scenario tagged "default", so both paths exercise one
-// code path and a flag run's per-user outcomes are byte-identical to
-// the equivalent scenario.
+// workload flag conflicts. Each workload flag is shorthand for one key
+// of that spec (DESIGN.md, "Configuration surface"; README's flag table
+// names the key).
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole
 // invocation on clean exit (the paths are checked for writability up
@@ -83,14 +82,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -98,139 +96,147 @@ import (
 	"pocketcloudlets/internal/scenario"
 )
 
-// runFlags is the parsed command line. Keeping it a plain struct lets
-// validate run (and be tested) before any of the expensive ecosystem
-// build starts, so a bad invocation fails in microseconds with a usage
-// message instead of minutes later with a panic from deep inside the
-// stack.
-type runFlags struct {
-	mode        string
-	users       int
-	qps         float64
-	arrivals    string
-	diurnalPeak float64
-	pace        float64
-	duration    time.Duration
-	shards      int
-	workers     int
-	queue       int
-	seed        int64
-	share       float64
-	month       int
-	radio       string
-	userBudget  int64
-	fleetBudget int64
-
-	placementName string
-	vnodes        int
-	resizeTo      int
-	resizeAt      time.Duration
-	resizeDrop    bool
-
-	autoscale         bool
-	autoscaleInterval time.Duration
-	autoscaleMin      int
-	autoscaleMax      int
-	autoscaleHigh     float64
-	autoscaleLow      float64
-	autoscaleUp       int
-	autoscaleDown     int
-	autoscaleRate     float64
-
-	batch         bool
-	batchMax      int
-	batchLinger   time.Duration
-	batchWide     bool
-	batchAdaptive bool
-
-	faults    bool
-	loss      float64
-	engineErr float64
-	outage    string
-	retries   int
-	faultSeed int64
-
-	replicas   int
-	hedge      int
-	hedgeDelay time.Duration
-	hedgeMax   int
-
-	backendRate    string
-	backendQueue   int
-	backendDisc    string
-	backendDist    string
-	backendOffered float64
-	backendCancel  bool
-
-	scenarioRef string
-
-	communityUsers int
-	noSuggest      bool
-
-	check   bool
-	jsonOut bool
-
-	cpuProfile string
-	memProfile string
-
-	// setFlags records which flags the command line set explicitly
-	// (see noteSet); validate uses it to reject workload flags that
-	// conflict with -scenario.
-	setFlags map[string]bool
+// knob is one workload flag: a shorthand for one key of the scenario
+// spec. The table below is the only place a workload flag is declared;
+// its type and default come from the key it names (in baseSpec), its
+// decoding and every check on its value from internal/scenario.
+type knob struct {
+	name, path, usage string
+	block             string // on a switch, the JSON the flag stands for: -faults is "faults": {}
+	enables           bool   // may create the absent pointer block its key lies in; the flags under that block "require" this one
+	nonzero           bool   // the key's 0 means "the default" in a spec file, but the flag has always refused it
 }
 
+// knobs are overlaid onto the base spec in this order, so the flag that
+// creates a block comes before the flags that set keys inside it.
+var knobs = []knob{
+	{name: "mode", path: "mode", usage: "load protocol: open (Poisson at -qps) or closed (-users concurrent users)"},
+	{name: "users", path: "users", usage: "simulated user population (and closed-loop concurrency)"},
+	{name: "qps", path: "qps", usage: "open-loop target mean arrival rate"},
+	{name: "arrivals", path: "classes[0].arrival.process", enables: true, usage: "open-loop arrival process: poisson, diurnal or peruser"},
+	{name: "diurnal-peak", path: "classes[0].arrival.peak_trough", usage: "diurnal peak/trough rate ratio (with -arrivals diurnal); 0 = default 4"},
+	{name: "pace", path: "classes[0].think.scale", enables: true, usage: "closed-loop think-time scale: sleep this fraction of each modeled response time between a user's requests; 0 = unpaced"},
+	{name: "duration", path: "duration", usage: "run length; 0 in closed mode replays exactly one month"},
+	{name: "shards", path: "fleet.shards", nonzero: true, usage: "user shards (community cache replicas)"},
+	{name: "workers", path: "fleet.workers", usage: "worker pool size; 0 selects min(shards, GOMAXPROCS)"},
+	{name: "queue", path: "fleet.queue", nonzero: true, usage: "per-worker queue depth before shedding"},
+	{name: "seed", path: "seed", usage: "simulation and arrival-schedule seed"},
+	{name: "share", path: "community_share", nonzero: true, usage: "community cache cumulative-volume share"},
+	{name: "month", path: "month", nonzero: true, usage: "month to replay (content is built from the preceding month)"},
+	{name: "radio", path: "fleet.radio", usage: "radio technology: 3g, edge, wifi"},
+	{name: "userbudget", path: "fleet.user_budget_bytes", usage: "per-user personal flash cap in bytes; 0 = unlimited"},
+	{name: "fleetbudget", path: "fleet.fleet_budget_bytes", usage: "fleet-wide personal flash budget in bytes; 0 = default 2.5 GB"},
+	{name: "placement", path: "fleet.placement", usage: "user→shard routing: modulo (legacy static) or ring (consistent hashing)"},
+	{name: "vnodes", path: "fleet.vnodes", usage: "virtual nodes per shard on the ring (with -placement ring); 0 = default 64"},
+	{name: "autoscale", path: "fleet.autoscale", block: "{}", enables: true, usage: "drive shard count from per-shard occupancy sampled on a model-time cadence (open mode with -placement ring)"},
+	{name: "autoscale-interval", path: "fleet.autoscale.interval", usage: "autoscaler model-time sampling cadence (with -autoscale); 0 = default 1s"},
+	{name: "autoscale-min", path: "fleet.autoscale.min", usage: "autoscaler shard floor (with -autoscale); 0 = default 1"},
+	{name: "autoscale-max", path: "fleet.autoscale.max", usage: "autoscaler shard ceiling (with -autoscale); 0 = default 4x the initial -shards"},
+	{name: "autoscale-high", path: "fleet.autoscale.high", usage: "occupancy watermark above which samples count toward scaling up (with -autoscale); 0 = default 0.75"},
+	{name: "autoscale-low", path: "fleet.autoscale.low", usage: "occupancy watermark below which samples count toward scaling down (with -autoscale); 0 = default 0.35"},
+	{name: "autoscale-up", path: "fleet.autoscale.up_after", usage: "consecutive hot samples before a scale-up fires (with -autoscale); 0 = default 2"},
+	{name: "autoscale-down", path: "fleet.autoscale.down_after", usage: "consecutive cold samples before a scale-down fires (with -autoscale); 0 = default 3"},
+	{name: "autoscale-rate", path: "fleet.autoscale.rate_per_shard", usage: "model-time serving rate (req/s) at which one shard counts as fully occupied (with -autoscale); 0 = default 50"},
+	{name: "batch", path: "fleet.batch.enabled", usage: "coalesce concurrent cloud misses into batched radio sessions"},
+	{name: "batchmax", path: "fleet.batch.max", usage: "max misses per batched radio session; 0 = default 16"},
+	{name: "batchlinger", path: "fleet.batch.linger", usage: "how long a dispatcher holds an open batch for more misses; 0 = default 200µs"},
+	{name: "batchwide", path: "fleet.batch.fleet_wide", usage: "pool misses fleet-wide into one dispatcher instead of one per shard"},
+	{name: "batchadaptive", path: "fleet.batch.adaptive", usage: "size the batch linger window from the observed miss arrival rate"},
+	{name: "faults", path: "faults", block: "{}", enables: true, usage: "enable the deterministic connectivity-fault model"},
+	{name: "loss", path: "faults.loss", usage: "per-attempt probability a radio exchange is dropped (with -faults)"},
+	{name: "engineerr", path: "faults.engine_err", usage: "per-attempt probability of a transient cloud engine error (with -faults)"},
+	{name: "outage", path: "faults.outage", usage: `outage spec (with -faults): "6s/30s" duty cycle or "10s-20s,40s-45s" windows`},
+	{name: "retries", path: "faults.retries", usage: "max radio attempts per cloud miss (with -faults); 0 = default 4"},
+	{name: "faultseed", path: "faults.seed", usage: "fault-model seed (with -faults); 0 reuses -seed"},
+	{name: "replicas", path: "fleet.replicas", usage: "modeled cloud backend replicas with independent fault draws (with -faults); 0 = single backend"},
+	{name: "hedge", path: "classes[0].hedge.clone_factor", enables: true, usage: "hedged-miss clone factor: dispatch each cloud miss to up to this many replicas, first success wins (with -faults and -replicas ≥ 2); 0 or 1 = no hedging"},
+	{name: "hedgedelay", path: "classes[0].hedge.delay", usage: "model-time delay before each hedge clone launches (with -hedge); 0 = immediate clones"},
+	{name: "hedgemax", path: "classes[0].hedge.max_inflight", usage: "max concurrent dispatches per hedged miss (with -hedge); 0 = clone factor"},
+	{name: "backend-rate", path: "fleet.backend.service_rate", enables: true, usage: `model the cloud replicas as finite-capacity queues at this per-replica service rate in requests/second, or "inf" for an infinitely fast server (with -faults); empty = analytic miss path`},
+	{name: "backend-queue", path: "fleet.backend.queue", usage: "replica queue bound (with -backend-rate): fifo caps backlog at this many mean service times, ps caps concurrent sharing; 0 = unbounded"},
+	{name: "backend-disc", path: "fleet.backend.discipline", usage: "replica queueing discipline (with -backend-rate): fifo or ps; empty = fifo"},
+	{name: "backend-dist", path: "fleet.backend.dist", usage: "replica service-time distribution (with -backend-rate): exp or fixed; empty = exp"},
+	{name: "backend-offered", path: "fleet.backend.offered", usage: "fleet-wide background miss arrival rate in requests/second the replica queues simmer under (with -backend-rate); 0 = no background load"},
+	{name: "backend-cancel", path: "fleet.backend.cancel_on_win", usage: "reclaim a hedge loser's unexecuted service when the winner's answer cancels it (with -backend-rate)"},
+}
+
+// baseSpec is the bare run — what loadtest does with no workload flag
+// set — and so also where -h reads every workload flag's default. The
+// implicit class is tagged "default", which gives flag runs a per-class
+// report row; a closed run schedules no arrivals, so its base carries
+// neither a rate nor an arrival block.
+func baseSpec(closed bool) *scenario.Spec {
+	s := &scenario.Spec{
+		Version:        scenario.Version,
+		Mode:           "closed",
+		Users:          4000,
+		Seed:           1,
+		Month:          1,
+		Duration:       scenario.Duration(5 * time.Second),
+		CommunityShare: 0.55,
+		Fleet:          scenario.FleetSpec{Shards: 8, Queue: 1024, Radio: "3g", Placement: "modulo"},
+		Classes:        []scenario.ClassSpec{{Name: "default", Share: 1}},
+	}
+	if !closed {
+		s.Mode, s.QPS = "open", 2000
+		s.Classes[0].Arrival = &scenario.ArrivalSpec{Process: "poisson", RateFraction: 1}
+	}
+	return s
+}
+
+// runFlags is the parsed command line: the process-side switches, the
+// three wall-timer resize knobs (an operation performed on the fleet
+// during the run, not a key of the workload), and the text of every
+// flag the command line set. compile turns it into a runnable scenario
+// before any of the expensive ecosystem build starts, so a bad
+// invocation fails in microseconds with a usage message.
+type runFlags struct {
+	resizeTo   int
+	resizeAt   time.Duration
+	resizeDrop bool
+
+	scenarioRef    string
+	communityUsers int
+	noSuggest      bool
+	check, jsonOut bool
+	cpuProfile     string
+	memProfile     string
+
+	// set maps each flag the command line set explicitly to its value's
+	// text (see noteSet).
+	set map[string]string
+}
+
+// register declares each knob with the flag type and default of the
+// key it names, so -h and the flag package's own type errors read as
+// they always have, and then the flags that have no spec key.
 func (rf *runFlags) register(fs *flag.FlagSet) {
-	fs.StringVar(&rf.mode, "mode", "open", "load protocol: open (Poisson at -qps) or closed (-users concurrent users)")
-	fs.IntVar(&rf.users, "users", 4000, "simulated user population (and closed-loop concurrency)")
-	fs.Float64Var(&rf.qps, "qps", 2000, "open-loop target mean arrival rate")
-	fs.StringVar(&rf.arrivals, "arrivals", "poisson", "open-loop arrival process: poisson, diurnal or peruser")
-	fs.Float64Var(&rf.diurnalPeak, "diurnal-peak", 0, "diurnal peak/trough rate ratio (with -arrivals diurnal); 0 = default 4")
-	fs.Float64Var(&rf.pace, "pace", 0, "closed-loop think-time scale: sleep this fraction of each modeled response time between a user's requests; 0 = unpaced")
-	fs.DurationVar(&rf.duration, "duration", 5*time.Second, "run length; 0 in closed mode replays exactly one month")
-	fs.IntVar(&rf.shards, "shards", 8, "user shards (community cache replicas)")
-	fs.IntVar(&rf.workers, "workers", 0, "worker pool size; 0 selects min(shards, GOMAXPROCS)")
-	fs.IntVar(&rf.queue, "queue", 1024, "per-worker queue depth before shedding")
-	fs.Int64Var(&rf.seed, "seed", 1, "simulation and arrival-schedule seed")
-	fs.Float64Var(&rf.share, "share", 0.55, "community cache cumulative-volume share")
-	fs.IntVar(&rf.month, "month", 1, "month to replay (content is built from the preceding month)")
-	fs.StringVar(&rf.radio, "radio", "3g", "radio technology: 3g, edge, wifi")
-	fs.Int64Var(&rf.userBudget, "userbudget", 0, "per-user personal flash cap in bytes; 0 = unlimited")
-	fs.Int64Var(&rf.fleetBudget, "fleetbudget", 0, "fleet-wide personal flash budget in bytes; 0 = default 2.5 GB")
-	fs.StringVar(&rf.placementName, "placement", "modulo", "user→shard routing: modulo (legacy static) or ring (consistent hashing)")
-	fs.IntVar(&rf.vnodes, "vnodes", 0, "virtual nodes per shard on the ring (with -placement ring); 0 = default 64")
+	defaults := baseSpec(false)
+	for _, k := range knobs {
+		leaf, err := scenario.Field(defaults, k.path, true)
+		if err != nil {
+			panic(err) // a typo in the table; TestKnobPathsResolve reports it properly
+		}
+		switch def := leaf.Interface().(type) {
+		case int:
+			fs.Int(k.name, def, k.usage)
+		case int64:
+			fs.Int64(k.name, def, k.usage)
+		case float64:
+			fs.Float64(k.name, def, k.usage)
+		case scenario.Duration:
+			fs.Duration(k.name, def.D(), k.usage)
+		case string:
+			fs.String(k.name, def, k.usage)
+		case scenario.Rate:
+			fs.String(k.name, "", k.usage)
+		default: // a bool key, or a block the switch makes present
+			fs.Bool(k.name, false, k.usage)
+		}
+	}
 	fs.IntVar(&rf.resizeTo, "resize-to", 0, "live-reshard the fleet to this many shards during the run; 0 = no resize")
 	fs.DurationVar(&rf.resizeAt, "resize-at", time.Second, "when after the run starts to trigger the -resize-to resize")
 	fs.BoolVar(&rf.resizeDrop, "resize-drop", false, "discard movers' personal state on resize instead of migrating it (cold-start baseline)")
-	fs.BoolVar(&rf.autoscale, "autoscale", false, "drive shard count from per-shard occupancy sampled on a model-time cadence (open mode with -placement ring)")
-	fs.DurationVar(&rf.autoscaleInterval, "autoscale-interval", 0, "autoscaler model-time sampling cadence (with -autoscale); 0 = default 1s")
-	fs.IntVar(&rf.autoscaleMin, "autoscale-min", 0, "autoscaler shard floor (with -autoscale); 0 = default 1")
-	fs.IntVar(&rf.autoscaleMax, "autoscale-max", 0, "autoscaler shard ceiling (with -autoscale); 0 = default 4x the initial -shards")
-	fs.Float64Var(&rf.autoscaleHigh, "autoscale-high", 0, "occupancy watermark above which samples count toward scaling up (with -autoscale); 0 = default 0.75")
-	fs.Float64Var(&rf.autoscaleLow, "autoscale-low", 0, "occupancy watermark below which samples count toward scaling down (with -autoscale); 0 = default 0.35")
-	fs.IntVar(&rf.autoscaleUp, "autoscale-up", 0, "consecutive hot samples before a scale-up fires (with -autoscale); 0 = default 2")
-	fs.IntVar(&rf.autoscaleDown, "autoscale-down", 0, "consecutive cold samples before a scale-down fires (with -autoscale); 0 = default 3")
-	fs.Float64Var(&rf.autoscaleRate, "autoscale-rate", 0, "model-time serving rate (req/s) at which one shard counts as fully occupied (with -autoscale); 0 = default 50")
-	fs.BoolVar(&rf.batch, "batch", false, "coalesce concurrent cloud misses into batched radio sessions")
-	fs.IntVar(&rf.batchMax, "batchmax", 0, "max misses per batched radio session; 0 = default 16")
-	fs.DurationVar(&rf.batchLinger, "batchlinger", 0, "how long a dispatcher holds an open batch for more misses; 0 = default 200µs")
-	fs.BoolVar(&rf.batchWide, "batchwide", false, "pool misses fleet-wide into one dispatcher instead of one per shard")
-	fs.BoolVar(&rf.batchAdaptive, "batchadaptive", false, "size the batch linger window from the observed miss arrival rate")
-	fs.BoolVar(&rf.faults, "faults", false, "enable the deterministic connectivity-fault model")
-	fs.Float64Var(&rf.loss, "loss", 0, "per-attempt probability a radio exchange is dropped (with -faults)")
-	fs.Float64Var(&rf.engineErr, "engineerr", 0, "per-attempt probability of a transient cloud engine error (with -faults)")
-	fs.StringVar(&rf.outage, "outage", "", `outage spec (with -faults): "6s/30s" duty cycle or "10s-20s,40s-45s" windows`)
-	fs.IntVar(&rf.retries, "retries", 0, "max radio attempts per cloud miss (with -faults); 0 = default 4")
-	fs.Int64Var(&rf.faultSeed, "faultseed", 0, "fault-model seed (with -faults); 0 reuses -seed")
-	fs.IntVar(&rf.replicas, "replicas", 0, "modeled cloud backend replicas with independent fault draws (with -faults); 0 = single backend")
-	fs.IntVar(&rf.hedge, "hedge", 0, "hedged-miss clone factor: dispatch each cloud miss to up to this many replicas, first success wins (with -faults and -replicas ≥ 2); 0 or 1 = no hedging")
-	fs.DurationVar(&rf.hedgeDelay, "hedgedelay", 0, "model-time delay before each hedge clone launches (with -hedge); 0 = immediate clones")
-	fs.IntVar(&rf.hedgeMax, "hedgemax", 0, "max concurrent dispatches per hedged miss (with -hedge); 0 = clone factor")
-	fs.StringVar(&rf.backendRate, "backend-rate", "", `model the cloud replicas as finite-capacity queues at this per-replica service rate in requests/second, or "inf" for an infinitely fast server (with -faults); empty = analytic miss path`)
-	fs.IntVar(&rf.backendQueue, "backend-queue", 0, "replica queue bound (with -backend-rate): fifo caps backlog at this many mean service times, ps caps concurrent sharing; 0 = unbounded")
-	fs.StringVar(&rf.backendDisc, "backend-disc", "", "replica queueing discipline (with -backend-rate): fifo or ps; empty = fifo")
-	fs.StringVar(&rf.backendDist, "backend-dist", "", "replica service-time distribution (with -backend-rate): exp or fixed; empty = exp")
-	fs.Float64Var(&rf.backendOffered, "backend-offered", 0, "fleet-wide background miss arrival rate in requests/second the replica queues simmer under (with -backend-rate); 0 = no background load")
-	fs.BoolVar(&rf.backendCancel, "backend-cancel", false, "reclaim a hedge loser's unexecuted service when the winner's answer cancels it (with -backend-rate)")
 	fs.StringVar(&rf.scenarioRef, "scenario", "", "run a declarative scenario: a JSON file path or a preset (clone-storm, commuter, flash-crowd, regional-outage, mixed-fleet)")
 	fs.IntVar(&rf.communityUsers, "communityusers", 0, "build community content from only the first N users' logs (million-user fleets: avoids materializing the full month log); 0 = all users")
 	fs.BoolVar(&rf.noSuggest, "nosuggest", false, "skip the per-user auto-suggest index (million-user fleets: saves ~2.5 KB/user; no modeled outcome changes)")
@@ -240,24 +246,24 @@ func (rf *runFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&rf.memProfile, "memprofile", "", "write a heap profile (live objects after a final GC, and cumulative allocations) to this file on clean exit")
 }
 
-// noteSet records which flags the command line set explicitly, so
-// validate can tell "-mode open" from the default. Call it right
-// after fs.Parse.
+// noteSet records which flags the command line set explicitly, and to
+// what. Call it right after fs.Parse.
 func (rf *runFlags) noteSet(fs *flag.FlagSet) {
-	rf.setFlags = map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { rf.setFlags[f.Name] = true })
+	rf.set = map[string]string{}
+	fs.Visit(func(f *flag.Flag) { rf.set[f.Name] = f.Value.String() })
 }
 
-// scenarioCompatible are the flags that still apply when -scenario
-// owns the workload shape: population/seed scaling and output control.
-var scenarioCompatible = map[string]bool{
-	"scenario": true, "users": true, "seed": true, "json": true, "check": true,
-	"communityusers": true, "nosuggest": true, "cpuprofile": true, "memprofile": true,
+// under reports whether key path a is b or lies inside b.
+func under(a, b string) bool {
+	return a == b || strings.HasPrefix(a, b+".") || strings.HasPrefix(a, b+"[")
 }
 
-// validate returns every problem with the flag combination, or nil
-// when the invocation is runnable.
-func (rf *runFlags) validate() []string {
+// compile resolves the command line to a compiled scenario: the set
+// knobs overlaid in table order onto the base spec — or, with
+// -scenario, -users and -seed onto the loaded one — and handed to the
+// one validator. It returns every problem with the invocation, each
+// naming the flags it concerns, or none and a runnable scenario.
+func (rf *runFlags) compile() (*scenario.Compiled, []string) {
 	var problems []string
 	bad := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
@@ -269,112 +275,17 @@ func (rf *runFlags) validate() []string {
 		if pf.path == "" {
 			continue
 		}
-		f, err := os.OpenFile(pf.path, os.O_WRONLY|os.O_CREATE, 0o644)
-		if err != nil {
+		if f, err := os.OpenFile(pf.path, os.O_WRONLY|os.O_CREATE, 0o644); err != nil {
 			bad("-%s: %v", pf.name, err)
-			continue
+		} else {
+			f.Close()
 		}
-		f.Close()
 	}
 	if rf.cpuProfile != "" && rf.cpuProfile == rf.memProfile {
 		bad("-cpuprofile and -memprofile name the same file %q", rf.cpuProfile)
 	}
-
-	if rf.scenarioRef != "" {
-		var conflicts []string
-		for name := range rf.setFlags {
-			if !scenarioCompatible[name] {
-				conflicts = append(conflicts, name)
-			}
-		}
-		sort.Strings(conflicts)
-		for _, name := range conflicts {
-			bad("-%s conflicts with -scenario (the scenario owns the workload shape; only -users, -seed, -json and -check compose)", name)
-		}
-		if rf.setFlags["users"] && rf.users <= 0 {
-			bad("-users must be positive, got %d", rf.users)
-		}
-		return problems
-	}
-
-	switch rf.mode {
-	case "open":
-		if rf.qps <= 0 {
-			bad("-qps must be positive in open mode, got %g", rf.qps)
-		}
-		if rf.duration <= 0 {
-			bad("-duration must be positive in open mode, got %v", rf.duration)
-		}
-		if rf.pace != 0 {
-			bad("-pace only applies to closed mode")
-		}
-	case "closed":
-		if rf.duration < 0 {
-			bad("-duration must be non-negative, got %v", rf.duration)
-		}
-		if rf.arrivals != "poisson" {
-			bad("-arrivals only applies to open mode")
-		}
-		if rf.pace < 0 {
-			bad("-pace must be non-negative, got %g", rf.pace)
-		}
-	default:
-		bad("unknown -mode %q (want open or closed)", rf.mode)
-	}
-	if _, err := pocketcloudlets.ParseArrivalKind(rf.arrivals); err != nil {
-		bad("bad -arrivals: %v", err)
-	}
-	if rf.diurnalPeak != 0 {
-		if rf.arrivals != "diurnal" {
-			bad("-diurnal-peak requires -arrivals diurnal")
-		}
-		if rf.diurnalPeak < 1 {
-			bad("-diurnal-peak must be at least 1, got %g", rf.diurnalPeak)
-		}
-	}
-	if rf.users <= 0 {
-		bad("-users must be positive, got %d", rf.users)
-	}
-	if rf.shards <= 0 {
-		bad("-shards must be positive, got %d", rf.shards)
-	}
-	if rf.workers < 0 {
-		bad("-workers must be non-negative, got %d", rf.workers)
-	}
-	if rf.queue <= 0 {
-		bad("-queue must be positive, got %d", rf.queue)
-	}
-	if rf.share <= 0 || rf.share > 1 {
-		bad("-share must be in (0, 1], got %g", rf.share)
-	}
-	if rf.month < 1 {
-		bad("-month must be at least 1 (content is built from the preceding month), got %d", rf.month)
-	}
-	switch strings.ToLower(rf.radio) {
-	case "3g", "edge", "wifi":
-	default:
-		bad("unknown -radio %q (want 3g, edge or wifi)", rf.radio)
-	}
-	if rf.userBudget < 0 {
-		bad("-userbudget must be non-negative, got %d", rf.userBudget)
-	}
-	if rf.fleetBudget < 0 {
-		bad("-fleetbudget must be non-negative, got %d", rf.fleetBudget)
-	}
 	if rf.communityUsers < 0 {
 		bad("-communityusers must be non-negative, got %d", rf.communityUsers)
-	}
-
-	switch rf.placementName {
-	case "modulo", "ring":
-	default:
-		bad("unknown -placement %q (want modulo or ring)", rf.placementName)
-	}
-	if rf.vnodes < 0 {
-		bad("-vnodes must be non-negative, got %d", rf.vnodes)
-	}
-	if rf.vnodes > 0 && rf.placementName != "ring" {
-		bad("-vnodes only applies to -placement ring")
 	}
 	if rf.resizeTo < 0 {
 		bad("-resize-to must be non-negative, got %d", rf.resizeTo)
@@ -385,305 +296,75 @@ func (rf *runFlags) validate() []string {
 	if rf.resizeDrop && rf.resizeTo == 0 {
 		bad("-resize-drop requires -resize-to")
 	}
-
-	if !rf.autoscale {
-		for _, n := range []struct {
-			name string
-			set  bool
-		}{
-			{"autoscale-interval", rf.autoscaleInterval != 0},
-			{"autoscale-min", rf.autoscaleMin != 0},
-			{"autoscale-max", rf.autoscaleMax != 0},
-			{"autoscale-high", rf.autoscaleHigh != 0},
-			{"autoscale-low", rf.autoscaleLow != 0},
-			{"autoscale-up", rf.autoscaleUp != 0},
-			{"autoscale-down", rf.autoscaleDown != 0},
-			{"autoscale-rate", rf.autoscaleRate != 0},
-		} {
-			if n.set {
-				bad("-%s requires -autoscale", n.name)
-			}
-		}
-	} else {
-		if rf.mode != "open" {
-			bad("-autoscale only applies to open mode (the sampler rides the arrival schedule)")
-		}
-		if rf.placementName != "ring" {
-			bad("-autoscale requires -placement ring (resizes route through consistent hashing)")
-		}
-		if rf.resizeTo != 0 {
-			bad("-autoscale conflicts with -resize-to (the controller owns the topology)")
-		}
-		if rf.autoscaleInterval < 0 {
-			bad("-autoscale-interval must be non-negative, got %v", rf.autoscaleInterval)
-		}
-		if rf.autoscaleMin < 0 || rf.autoscaleMax < 0 {
-			bad("-autoscale-min/-autoscale-max must be non-negative, got %d/%d", rf.autoscaleMin, rf.autoscaleMax)
-		}
-		if rf.autoscaleMin > 0 && rf.autoscaleMax > 0 && rf.autoscaleMin > rf.autoscaleMax {
-			bad("-autoscale-min %d exceeds -autoscale-max %d", rf.autoscaleMin, rf.autoscaleMax)
-		}
-		if rf.autoscaleHigh < 0 || rf.autoscaleHigh > 1 {
-			bad("-autoscale-high must be in [0, 1], got %g", rf.autoscaleHigh)
-		}
-		if rf.autoscaleLow < 0 {
-			bad("-autoscale-low must be non-negative, got %g", rf.autoscaleLow)
-		}
-		if rf.autoscaleHigh > 0 && rf.autoscaleLow > 0 && rf.autoscaleLow >= rf.autoscaleHigh {
-			bad("-autoscale-low %g must be below -autoscale-high %g", rf.autoscaleLow, rf.autoscaleHigh)
-		}
-		if rf.autoscaleUp < 0 || rf.autoscaleDown < 0 {
-			bad("-autoscale-up/-autoscale-down must be non-negative, got %d/%d", rf.autoscaleUp, rf.autoscaleDown)
-		}
-		if rf.autoscaleRate < 0 {
-			bad("-autoscale-rate must be non-negative, got %g", rf.autoscaleRate)
-		}
+	if rf.set["autoscale"] == "true" && rf.resizeTo != 0 {
+		bad("-autoscale conflicts with -resize-to (the controller owns the topology)")
 	}
 
-	if !rf.batch {
-		if rf.batchMax != 0 {
-			bad("-batchmax requires -batch")
-		}
-		if rf.batchLinger != 0 {
-			bad("-batchlinger requires -batch")
-		}
-		if rf.batchWide {
-			bad("-batchwide requires -batch")
-		}
-		if rf.batchAdaptive {
-			bad("-batchadaptive requires -batch")
-		}
-	} else {
-		if rf.batchMax < 0 {
-			bad("-batchmax must be non-negative, got %d", rf.batchMax)
-		}
-		if rf.batchLinger < 0 {
-			bad("-batchlinger must be non-negative, got %v", rf.batchLinger)
-		}
+	spec, source := baseSpec(rf.set["mode"] == "closed"), ""
+	conflict := func(name string) {
+		bad("-%s conflicts with -scenario (the scenario owns the workload shape; only -users, -seed, -json and -check compose)", name)
 	}
-
-	if !rf.faults {
-		if rf.loss != 0 {
-			bad("-loss requires -faults")
+	if rf.scenarioRef != "" {
+		var err error
+		if spec, source, err = scenario.Load(rf.scenarioRef); err != nil {
+			bad("-scenario: %v", err)
+			return nil, problems
 		}
-		if rf.engineErr != 0 {
-			bad("-engineerr requires -faults")
-		}
-		if rf.outage != "" {
-			bad("-outage requires -faults")
-		}
-		if rf.retries != 0 {
-			bad("-retries requires -faults")
-		}
-		if rf.faultSeed != 0 {
-			bad("-faultseed requires -faults")
-		}
-		if rf.replicas != 0 {
-			bad("-replicas requires -faults")
-		}
-		if rf.hedge != 0 {
-			bad("-hedge requires -faults")
-		}
-		if rf.backendRate != "" {
-			bad("-backend-rate requires -faults (the admission planner runs on the faulted miss path)")
-		}
-	} else {
-		if rf.loss < 0 || rf.loss >= 1 {
-			bad("-loss must be in [0, 1), got %g", rf.loss)
-		}
-		if rf.engineErr < 0 || rf.engineErr >= 1 {
-			bad("-engineerr must be in [0, 1), got %g", rf.engineErr)
-		}
-		if rf.retries < 0 {
-			bad("-retries must be non-negative, got %d", rf.retries)
-		}
-		if rf.outage != "" {
-			if _, _, _, err := pocketcloudlets.ParseOutageSpec(rf.outage); err != nil {
-				bad("bad -outage: %v", err)
-			}
-		}
-		if rf.replicas < 0 {
-			bad("-replicas must be non-negative, got %d", rf.replicas)
-		}
-		if rf.hedge < 0 {
-			bad("-hedge must be non-negative, got %d", rf.hedge)
-		}
-		if rf.hedge >= 2 && rf.replicas < 2 {
-			bad("-hedge %d requires -replicas ≥ 2, got %d", rf.hedge, rf.replicas)
-		}
-	}
-	if rf.backendRate == "" {
-		if rf.backendQueue != 0 {
-			bad("-backend-queue requires -backend-rate")
-		}
-		if rf.backendDisc != "" {
-			bad("-backend-disc requires -backend-rate")
-		}
-		if rf.backendDist != "" {
-			bad("-backend-dist requires -backend-rate")
-		}
-		if rf.backendOffered != 0 {
-			bad("-backend-offered requires -backend-rate")
-		}
-		if rf.backendCancel {
-			bad("-backend-cancel requires -backend-rate")
-		}
-	} else {
-		if _, err := parseRate(rf.backendRate); err != nil {
-			bad("bad -backend-rate: %v", err)
-		}
-		if rf.backendQueue < 0 {
-			bad("-backend-queue must be non-negative, got %d", rf.backendQueue)
-		}
-		switch rf.backendDisc {
-		case "", "fifo", "ps":
-		default:
-			bad("unknown -backend-disc %q (want fifo or ps)", rf.backendDisc)
-		}
-		switch rf.backendDist {
-		case "", "exp", "fixed":
-		default:
-			bad("unknown -backend-dist %q (want exp or fixed)", rf.backendDist)
-		}
-		if rf.backendOffered < 0 {
-			bad("-backend-offered must be non-negative, got %g", rf.backendOffered)
-		}
-	}
-
-	if rf.hedge < 2 {
-		if rf.hedgeDelay != 0 {
-			bad("-hedgedelay requires -hedge ≥ 2")
-		}
-		if rf.hedgeMax != 0 {
-			bad("-hedgemax requires -hedge ≥ 2")
-		}
-	} else {
-		if rf.hedgeDelay < 0 {
-			bad("-hedgedelay must be non-negative, got %v", rf.hedgeDelay)
-		}
-		if rf.hedgeMax < 0 {
-			bad("-hedgemax must be non-negative, got %d", rf.hedgeMax)
-		}
-		if rf.hedgeMax > rf.hedge {
-			bad("-hedgemax %d exceeds -hedge %d", rf.hedgeMax, rf.hedge)
-		}
-	}
-	return problems
-}
-
-// parseRate parses a service rate: a positive requests-per-second
-// number, or "inf" for an infinitely fast server.
-func parseRate(s string) (float64, error) {
-	if strings.EqualFold(s, "inf") {
-		return math.Inf(1), nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("want a rate number or \"inf\", got %q", s)
-	}
-	if v <= 0 || math.IsInf(v, -1) || math.IsNaN(v) {
-		return 0, fmt.Errorf("rate must be positive (or \"inf\"), got %q", s)
-	}
-	return v, nil
-}
-
-// placement resolves the -placement/-vnodes flags; nil selects the
-// fleet's default (modulo), keeping the legacy mapping byte-identical.
-func (rf *runFlags) placement() (pocketcloudlets.Placement, error) {
-	if rf.placementName == "ring" {
-		return pocketcloudlets.NewRingPlacement(rf.shards, rf.vnodes)
-	}
-	return nil, nil
-}
-
-// toSpec lowers the legacy flag surface onto a single-class scenario
-// spec, so the flag path and the -scenario path run through one
-// compiler. The implicit class is tagged "default", which also gives
-// flag runs a per-class report row; per-user outcomes are
-// byte-identical to the pre-scenario flag path.
-func (rf *runFlags) toSpec() *scenario.Spec {
-	spec := &scenario.Spec{
-		Version:        scenario.Version,
-		Mode:           rf.mode,
-		Users:          rf.users,
-		Seed:           rf.seed,
-		Month:          rf.month,
-		Duration:       scenario.Duration(rf.duration),
-		CommunityShare: rf.share,
-		Fleet: scenario.FleetSpec{
-			Shards:           rf.shards,
-			Workers:          rf.workers,
-			Queue:            rf.queue,
-			Radio:            strings.ToLower(rf.radio),
-			Placement:        rf.placementName,
-			VNodes:           rf.vnodes,
-			UserBudgetBytes:  rf.userBudget,
-			FleetBudgetBytes: rf.fleetBudget,
-			Batch: scenario.BatchSpec{
-				Enabled:   rf.batch,
-				Max:       rf.batchMax,
-				Linger:    scenario.Duration(rf.batchLinger),
-				FleetWide: rf.batchWide,
-				Adaptive:  rf.batchAdaptive,
-			},
-		},
-	}
-	if rf.autoscale {
-		spec.Fleet.Autoscale = &scenario.AutoscaleSpec{
-			Interval:     scenario.Duration(rf.autoscaleInterval),
-			Min:          rf.autoscaleMin,
-			Max:          rf.autoscaleMax,
-			High:         rf.autoscaleHigh,
-			Low:          rf.autoscaleLow,
-			UpAfter:      rf.autoscaleUp,
-			DownAfter:    rf.autoscaleDown,
-			RatePerShard: rf.autoscaleRate,
-		}
-	}
-	cls := scenario.ClassSpec{Name: "default", Share: 1}
-	switch rf.mode {
-	case "open":
-		spec.QPS = rf.qps
-		cls.Arrival = &scenario.ArrivalSpec{
-			Process:      rf.arrivals,
-			RateFraction: 1,
-			PeakTrough:   rf.diurnalPeak,
-		}
-	case "closed":
-		if rf.pace > 0 {
-			cls.Think = &scenario.ThinkSpec{Scale: rf.pace}
-		}
-	}
-	if rf.faults {
-		spec.Faults = &scenario.FaultSpec{
-			Loss:      rf.loss,
-			EngineErr: rf.engineErr,
-			Outage:    rf.outage,
-			Retries:   rf.retries,
-			Seed:      rf.faultSeed,
-		}
-		spec.Fleet.Replicas = rf.replicas
-		if rf.hedge >= 2 {
-			cls.Hedge = &scenario.HedgeSpec{
-				CloneFactor: rf.hedge,
-				Delay:       scenario.Duration(rf.hedgeDelay),
-				MaxInflight: rf.hedgeMax,
-			}
-		}
-		if rf.backendRate != "" {
-			rate, _ := parseRate(rf.backendRate) // validate already vetted it
-			spec.Fleet.Backend = &scenario.BackendSpec{
-				ServiceRate: scenario.Rate(rate),
-				Queue:       rf.backendQueue,
-				Discipline:  rf.backendDisc,
-				Dist:        rf.backendDist,
-				Offered:     rf.backendOffered,
-				CancelOnWin: rf.backendCancel,
+		for _, name := range []string{"resize-at", "resize-drop", "resize-to"} {
+			if _, set := rf.set[name]; set {
+				conflict(name)
 			}
 		}
 	}
-	spec.Classes = []scenario.ClassSpec{cls}
-	return spec
+	for _, k := range knobs {
+		v, set := rf.set[k.name]
+		switch {
+		case !set, k.block != "" && v != "true":
+			continue
+		case rf.scenarioRef != "" && k.name != "users" && k.name != "seed":
+			conflict(k.name)
+			continue
+		case k.nonzero && v == "0":
+			bad("-%s: must not be 0 (only a spec file's %s: 0 selects the default)", k.name, k.path)
+			continue
+		case k.block != "":
+			v = k.block
+		}
+		err := scenario.Set(spec, k.path, v, k.enables)
+		var absent *scenario.AbsentBlockError
+		if errors.As(err, &absent) {
+			for _, e := range knobs {
+				if e.enables && under(e.path, absent.Block) {
+					bad("-%s requires -%s", k.name, e.name)
+				}
+			}
+		} else if err != nil {
+			bad("-%s: %s", k.name, strings.TrimPrefix(err.Error(), "scenario: "))
+		}
+	}
+
+	comp, err := scenario.Compile(spec, source)
+	var invalid *scenario.Error
+	if errors.As(err, &invalid) {
+		// Name, for each problem at a spec path, the flags set at, under
+		// or above it.
+		for _, p := range invalid.Problems {
+			path, _, _ := strings.Cut(p, ": ")
+			var names []string
+			for _, k := range knobs {
+				if _, set := rf.set[k.name]; set && (under(k.path, path) || under(path, k.path)) {
+					names = append(names, "-"+k.name)
+				}
+			}
+			if len(names) > 0 {
+				p = strings.Join(names, ", ") + ": " + p
+			}
+			bad("%s", p)
+		}
+	} else if err != nil {
+		bad("%v", err)
+	}
+	return comp, problems
 }
 
 func main() {
@@ -692,13 +373,19 @@ func main() {
 	flag.Parse()
 	rf.noteSet(flag.CommandLine)
 
-	if problems := rf.validate(); len(problems) > 0 {
+	comp, problems := rf.compile()
+	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintf(os.Stderr, "loadtest: %s\n", p)
 		}
 		fmt.Fprintln(os.Stderr, "run with -h for usage")
 		os.Exit(2)
 	}
+	spec := comp.Spec
+	// The live-resize knobs ride outside the spec: they describe an
+	// operation performed on the fleet during the run, not the workload.
+	comp.Open.ResizeTo, comp.Open.ResizeAt, comp.Open.ResizeDrop = rf.resizeTo, rf.resizeAt, rf.resizeDrop
+	comp.Closed.ResizeTo, comp.Closed.ResizeAt, comp.Closed.ResizeDrop = rf.resizeTo, rf.resizeAt, rf.resizeDrop
 
 	progress := func(format string, args ...any) {
 		if !rf.jsonOut {
@@ -714,35 +401,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-
-	// Both paths — flags and -scenario — compile to the same scenario
-	// spec and run through the same machinery.
-	var (
-		spec   *scenario.Spec
-		source string
-	)
-	if rf.scenarioRef != "" {
-		spec, source, err = scenario.Load(rf.scenarioRef)
-		if err != nil {
-			fail(err)
-		}
-		if rf.setFlags["users"] {
-			spec.Users = rf.users
-		}
-		if rf.setFlags["seed"] {
-			spec.Seed = rf.seed
-		}
-	} else {
-		spec = rf.toSpec()
-	}
-	comp, err := scenario.Compile(spec, source)
-	if err != nil {
-		fail(err)
-	}
-	// The live-resize knobs ride outside the spec: they describe an
-	// operation performed on the fleet during the run, not the workload.
-	comp.Open.ResizeTo, comp.Open.ResizeAt, comp.Open.ResizeDrop = rf.resizeTo, rf.resizeAt, rf.resizeDrop
-	comp.Closed.ResizeTo, comp.Closed.ResizeAt, comp.Closed.ResizeDrop = rf.resizeTo, rf.resizeAt, rf.resizeDrop
 
 	progress("building ecosystem: %d users, seed %d...\n", spec.Users, spec.Seed)
 	ucfg := scenario.UniverseConfig()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"math"
 	"os"
@@ -26,8 +27,25 @@ func parse(t *testing.T, args ...string) *runFlags {
 	return &rf
 }
 
+// problemsOf is every problem compile finds with a command line.
+func problemsOf(t *testing.T, args ...string) []string {
+	t.Helper()
+	_, problems := parse(t, args...).compile()
+	return problems
+}
+
+// compiled is the scenario a runnable command line compiles to.
+func compiled(t *testing.T, args ...string) *scenario.Compiled {
+	t.Helper()
+	comp, problems := parse(t, args...).compile()
+	if len(problems) != 0 {
+		t.Fatalf("args %v should compile, got %v", args, problems)
+	}
+	return comp
+}
+
 func TestValidateDefaultsAreRunnable(t *testing.T) {
-	if problems := parse(t).validate(); len(problems) != 0 {
+	if problems := problemsOf(t); len(problems) != 0 {
 		t.Errorf("default flags should validate: %v", problems)
 	}
 }
@@ -50,10 +68,10 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-month", "0"}, "-month"},
 		{[]string{"-radio", "5g"}, "-radio"},
 		{[]string{"-userbudget", "-1"}, "-userbudget"},
-		{[]string{"-batchmax", "4"}, "-batchmax requires -batch"},
-		{[]string{"-batchlinger", "1ms"}, "-batchlinger requires -batch"},
-		{[]string{"-batchwide"}, "-batchwide requires -batch"},
-		{[]string{"-batchadaptive"}, "-batchadaptive requires -batch"},
+		{[]string{"-batchmax", "4"}, "-batchmax"},
+		{[]string{"-batchlinger", "1ms"}, "-batchlinger"},
+		{[]string{"-batchwide"}, "-batchwide"},
+		{[]string{"-batchadaptive"}, "-batchadaptive"},
 		{[]string{"-batch", "-batchmax", "-2"}, "-batchmax"},
 		{[]string{"-loss", "0.5"}, "-loss requires -faults"},
 		{[]string{"-engineerr", "0.1"}, "-engineerr requires -faults"},
@@ -64,32 +82,32 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-faults", "-outage", "gibberish"}, "-outage"},
 		{[]string{"-placement", "rendezvous"}, "-placement"},
 		{[]string{"-vnodes", "-1"}, "-vnodes"},
-		{[]string{"-vnodes", "32"}, "-vnodes only applies"},
+		{[]string{"-vnodes", "32"}, "-vnodes"},
 		{[]string{"-resize-to", "-2"}, "-resize-to"},
 		{[]string{"-resize-at", "-1s"}, "-resize-at"},
 		{[]string{"-resize-drop"}, "-resize-drop requires -resize-to"},
 		{[]string{"-arrivals", "weekly"}, "-arrivals"},
-		{[]string{"-mode", "closed", "-arrivals", "diurnal"}, "-arrivals only applies"},
-		{[]string{"-diurnal-peak", "4"}, "-diurnal-peak requires -arrivals diurnal"},
+		{[]string{"-mode", "closed", "-arrivals", "diurnal"}, "-arrivals"},
+		{[]string{"-diurnal-peak", "4"}, "-diurnal-peak"},
 		{[]string{"-arrivals", "diurnal", "-diurnal-peak", "0.5"}, "-diurnal-peak"},
-		{[]string{"-pace", "0.01"}, "-pace only applies"},
+		{[]string{"-pace", "0.01"}, "-pace"},
 		{[]string{"-mode", "closed", "-pace", "-1"}, "-pace"},
-		{[]string{"-backend-rate", "50"}, "-backend-rate requires -faults"},
+		{[]string{"-backend-rate", "50"}, "-backend-rate"},
 		{[]string{"-backend-queue", "8"}, "-backend-queue requires -backend-rate"},
 		{[]string{"-backend-disc", "ps"}, "-backend-disc requires -backend-rate"},
 		{[]string{"-backend-dist", "fixed"}, "-backend-dist requires -backend-rate"},
 		{[]string{"-backend-offered", "20"}, "-backend-offered requires -backend-rate"},
 		{[]string{"-backend-cancel"}, "-backend-cancel requires -backend-rate"},
-		{[]string{"-faults", "-backend-rate", "fast"}, "bad -backend-rate"},
-		{[]string{"-faults", "-backend-rate", "-5"}, "bad -backend-rate"},
-		{[]string{"-faults", "-backend-rate", "0"}, "bad -backend-rate"},
+		{[]string{"-faults", "-backend-rate", "fast"}, "-backend-rate"},
+		{[]string{"-faults", "-backend-rate", "-5"}, "-backend-rate"},
+		{[]string{"-faults", "-backend-rate", "0"}, "-backend-rate"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-queue", "-1"}, "-backend-queue"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-disc", "lifo"}, "-backend-disc"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-dist", "pareto"}, "-backend-dist"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-offered", "-2"}, "-backend-offered"},
 	}
 	for _, tc := range cases {
-		problems := parse(t, tc.args...).validate()
+		problems := problemsOf(t, tc.args...)
 		found := false
 		for _, p := range problems {
 			if strings.Contains(p, tc.want) {
@@ -119,7 +137,7 @@ func TestValidateAcceptsRealInvocations(t *testing.T) {
 		{"-faults", "-backend-rate", "inf"},
 	}
 	for _, args := range cases {
-		if problems := parse(t, args...).validate(); len(problems) != 0 {
+		if problems := problemsOf(t, args...); len(problems) != 0 {
 			t.Errorf("args %v should validate, got %v", args, problems)
 		}
 	}
@@ -133,7 +151,7 @@ func TestProfileFlags(t *testing.T) {
 		{"-cpuprofile", cpu, "-memprofile", mem},
 		{"-scenario", "flash-crowd", "-cpuprofile", cpu},
 	} {
-		if problems := parse(t, args...).validate(); len(problems) != 0 {
+		if problems := problemsOf(t, args...); len(problems) != 0 {
 			t.Errorf("args %v should validate, got %v", args, problems)
 		}
 	}
@@ -149,7 +167,7 @@ func TestProfileFlags(t *testing.T) {
 		{[]string{"-scenario", "commuter", "-memprofile", missing}, "-memprofile"},
 		{[]string{"-cpuprofile", cpu, "-memprofile", cpu}, "same file"},
 	} {
-		problems := strings.Join(parse(t, tc.args...).validate(), "\n")
+		problems := strings.Join(problemsOf(t, tc.args...), "\n")
 		if !strings.Contains(problems, tc.want) {
 			t.Errorf("args %v: problems %q, want one mentioning %q", tc.args, problems, tc.want)
 		}
@@ -174,17 +192,15 @@ func TestProfileFlags(t *testing.T) {
 }
 
 func TestPlacementResolution(t *testing.T) {
-	rf := parse(t, "-placement", "ring", "-shards", "8", "-vnodes", "16")
-	p, err := rf.placement()
-	if err != nil || p == nil {
-		t.Fatalf("ring placement: %v, %v", p, err)
+	cfg, err := compiled(t, "-placement", "ring", "-shards", "8", "-vnodes", "16").FleetConfig(nil)
+	if err != nil || cfg.Placement == nil {
+		t.Fatalf("ring placement: %v, %v", cfg.Placement, err)
 	}
-	if p.Name() != "ring" || p.Shards() != 8 {
+	if p := cfg.Placement; p.Name() != "ring" || p.Shards() != 8 {
 		t.Errorf("got %s/%d", p.Name(), p.Shards())
 	}
-	rf = parse(t)
-	if p, err := rf.placement(); err != nil || p != nil {
-		t.Errorf("modulo must resolve to nil (fleet default), got %v, %v", p, err)
+	if cfg, err := compiled(t).FleetConfig(nil); err != nil || cfg.Placement != nil {
+		t.Errorf("modulo must resolve to nil (fleet default), got %v, %v", cfg.Placement, err)
 	}
 }
 
@@ -218,7 +234,7 @@ func TestScenarioFlagConflicts(t *testing.T) {
 	}
 	for _, extra := range conflicting {
 		args := append([]string{"-scenario", "flash-crowd"}, extra...)
-		problems := parse(t, args...).validate()
+		problems := problemsOf(t, args...)
 		found := false
 		for _, p := range problems {
 			if strings.Contains(p, extra[0]+" conflicts with -scenario") {
@@ -239,18 +255,18 @@ func TestScenarioFlagComposition(t *testing.T) {
 		{"-scenario", "commuter", "-json", "-check"},
 	}
 	for _, args := range ok {
-		if problems := parse(t, args...).validate(); len(problems) != 0 {
+		if problems := problemsOf(t, args...); len(problems) != 0 {
 			t.Errorf("args %v should validate, got %v", args, problems)
 		}
 	}
-	problems := parse(t, "-scenario", "commuter", "-users", "0").validate()
-	if len(problems) == 0 {
-		t.Error("-scenario with -users 0 should fail")
+	problems := strings.Join(problemsOf(t, "-scenario", "commuter", "-users", "0"), "\n")
+	if !strings.Contains(problems, "-users") {
+		t.Errorf("-scenario with -users 0 should fail naming -users, got %q", problems)
 	}
 }
 
-func TestToSpecCompiles(t *testing.T) {
-	// The flag funnel must produce a spec the scenario compiler
+func TestOverlayCompiles(t *testing.T) {
+	// The flag overlay must produce a spec the scenario compiler
 	// accepts, for both modes and with the kitchen sink on.
 	cases := [][]string{
 		{},
@@ -263,20 +279,12 @@ func TestToSpecCompiles(t *testing.T) {
 			"-backend-disc", "ps", "-backend-offered", "25", "-backend-cancel"},
 	}
 	for _, args := range cases {
-		rf := parse(t, args...)
-		if problems := rf.validate(); len(problems) != 0 {
-			t.Fatalf("args %v should validate, got %v", args, problems)
-		}
-		spec := rf.toSpec()
-		comp, err := scenario.Compile(spec, "")
-		if err != nil {
-			t.Errorf("args %v: compiled spec rejected: %v", args, err)
-			continue
-		}
+		comp := compiled(t, args...)
+		spec := comp.Spec
 		if len(spec.Classes) != 1 || spec.Classes[0].Name != "default" {
-			t.Errorf("args %v: flag funnel should produce one \"default\" class, got %+v", args, spec.Classes)
+			t.Errorf("args %v: flag overlay should produce one \"default\" class, got %+v", args, spec.Classes)
 		}
-		switch rf.mode {
+		switch spec.Mode {
 		case "open":
 			if comp.Open.ClassTag != "default" {
 				t.Errorf("args %v: open class tag %q", args, comp.Open.ClassTag)
@@ -289,24 +297,16 @@ func TestToSpecCompiles(t *testing.T) {
 	}
 }
 
-func TestToSpecLowersBackendFlags(t *testing.T) {
-	rf := parse(t, "-faults", "-loss", "0.1", "-backend-rate", "40", "-backend-queue", "32",
+func TestOverlayLowersBackendFlags(t *testing.T) {
+	comp := compiled(t, "-faults", "-loss", "0.1", "-backend-rate", "40", "-backend-queue", "32",
 		"-backend-disc", "ps", "-backend-dist", "fixed", "-backend-offered", "25", "-backend-cancel")
-	if problems := rf.validate(); len(problems) != 0 {
-		t.Fatalf("backend flags should validate, got %v", problems)
-	}
-	spec := rf.toSpec()
-	b := spec.Fleet.Backend
+	b := comp.Spec.Fleet.Backend
 	if b == nil {
-		t.Fatal("toSpec dropped the backend block")
+		t.Fatal("the overlay dropped the backend block")
 	}
 	if float64(b.ServiceRate) != 40 || b.Queue != 32 || b.Discipline != "ps" ||
 		b.Dist != "fixed" || b.Offered != 25 || !b.CancelOnWin {
 		t.Errorf("backend block mislowered: %+v", *b)
-	}
-	comp, err := scenario.Compile(spec, "")
-	if err != nil {
-		t.Fatalf("compiled backend spec rejected: %v", err)
 	}
 	cfg, err := comp.FleetConfig(nil)
 	if err != nil {
@@ -317,16 +317,89 @@ func TestToSpecLowersBackendFlags(t *testing.T) {
 	}
 }
 
-func TestParseRate(t *testing.T) {
-	if v, err := parseRate("inf"); err != nil || !math.IsInf(v, 1) {
-		t.Errorf(`parseRate("inf") = %v, %v`, v, err)
+func TestBackendRateFlag(t *testing.T) {
+	rate := func(arg string) float64 {
+		return float64(compiled(t, "-faults", "-backend-rate", arg).Spec.Fleet.Backend.ServiceRate)
 	}
-	if v, err := parseRate("12.5"); err != nil || v != 12.5 {
-		t.Errorf(`parseRate("12.5") = %v, %v`, v, err)
+	if v := rate("inf"); !math.IsInf(v, 1) {
+		t.Errorf(`-backend-rate inf = %v`, v)
 	}
-	for _, bad := range []string{"fast", "0", "-3", "nan", "-inf"} {
-		if _, err := parseRate(bad); err == nil {
-			t.Errorf("parseRate(%q) should fail", bad)
+	if v := rate("12.5"); v != 12.5 {
+		t.Errorf(`-backend-rate 12.5 = %v`, v)
+	}
+	for _, bad := range []string{"fast", "0", "-3", "nan", "-inf", ""} {
+		if problems := strings.Join(problemsOf(t, "-faults", "-backend-rate", bad), "\n"); !strings.Contains(problems, "-backend-rate") {
+			t.Errorf("-backend-rate %q should fail naming the flag, got %q", bad, problems)
 		}
+	}
+}
+
+// TestKnobPathsResolve holds every row of the flag table to the spec:
+// its path must resolve through scenario.Field and Set on the base spec
+// of each mode, creating a block only where the row may — which also
+// holds the table's order, a block's flag before the flags inside it —
+// so a typo in a path fails here and not in front of a user.
+func TestKnobPathsResolve(t *testing.T) {
+	for _, closed := range []bool{false, true} {
+		spec := baseSpec(closed)
+		if _, err := scenario.Compile(baseSpec(closed), ""); err != nil {
+			t.Errorf("%s base spec is not runnable: %v", spec.Mode, err)
+		}
+		for _, k := range knobs {
+			leaf, err := scenario.Field(spec, k.path, k.enables)
+			if err != nil {
+				t.Errorf("%s base, -%s: path %q: %v", spec.Mode, k.name, k.path, err)
+				continue
+			}
+			// Setting a key to its own text must decode.
+			text := k.block
+			if text == "" {
+				raw, _ := json.Marshal(leaf.Interface())
+				text = strings.Trim(string(raw), `"`)
+			}
+			if err := scenario.Set(spec, k.path, text, k.enables); err != nil {
+				t.Errorf("%s base, -%s: Set(%q, %q): %v", spec.Mode, k.name, k.path, text, err)
+			}
+		}
+	}
+	if got := len(knobs); got != 48 {
+		t.Errorf("%d workload flags, want 48 (none may be added or dropped silently)", got)
+	}
+}
+
+// TestReadmeFlagTable holds README's flag table to the binary: every
+// flag -h prints has a row, every row names a real flag, and a
+// workload flag's row names the spec key the table maps it to.
+func TestReadmeFlagTable(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{} // flag → its README row
+	for _, line := range strings.Split(string(readme), "\n") {
+		if name, _, ok := strings.Cut(strings.TrimPrefix(line, "| `-"), "`"); ok && strings.HasPrefix(line, "| `-") {
+			rows[name] = line
+		}
+	}
+	keys := map[string]string{}
+	for _, k := range knobs {
+		keys[k.name] = k.path
+	}
+	var rf runFlags
+	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
+	rf.register(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		row, ok := rows[f.Name]
+		if !ok {
+			t.Errorf("README's flag table has no row for -%s", f.Name)
+			return
+		}
+		delete(rows, f.Name)
+		if key := keys[f.Name]; key != "" && !strings.Contains(row, "`"+key+"`") {
+			t.Errorf("README's row for -%s does not name its spec key %s: %s", f.Name, key, row)
+		}
+	})
+	for name := range rows {
+		t.Errorf("README's flag table lists -%s, which loadtest does not have", name)
 	}
 }

@@ -730,37 +730,59 @@ func (r Report) String() string {
 	return b.String()
 }
 
+// baseline is the fleet's cumulative accounting as a run starts; the
+// run's report is the delta from it.
+type baseline struct {
+	stats  fleet.Stats
+	batch  fleet.BatchStats
+	mig    fleet.MigrationStats
+	energy energy.Snapshot
+}
+
+// begin starts a measured run: it refuses a fleet the collector would
+// not hear from, resets the collector and captures the baseline.
+func begin(f *fleet.Fleet, col *Collector) (baseline, error) {
+	if f == nil || col == nil {
+		return baseline{}, fmt.Errorf("loadgen: fleet and collector are required")
+	}
+	if f.Observer() == nil {
+		return baseline{}, fmt.Errorf("loadgen: fleet has no Observer; set fleet.Config.Observer to the collector or latencies and energy go unrecorded")
+	}
+	col.Reset()
+	return baseline{f.Stats(), f.BatchStats(), f.MigrationStats(), f.EnergyStats()}, nil
+}
+
 // fill populates the shared report fields. Serving counters come from
 // the fleet's own Stats as before/after deltas — authoritative no
 // matter how the observer is wired — while latency histograms and
 // energy sums come from the collector.
-func fill(r *Report, f *fleet.Fleet, col *Collector, before fleet.Stats, beforeBatch fleet.BatchStats, beforeMig fleet.MigrationStats, beforeEnergy energy.Snapshot, elapsed time.Duration) {
+func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time.Duration) {
 	cnt := col.snapshot()
 	st := f.Stats()
 	r.Shards = f.NumShards()
 	r.Workers = f.NumWorkers()
-	r.Served = uint64(st.Served - before.Served)
-	r.Shed = uint64(st.Shed - before.Shed)
-	r.Errors = uint64(st.Errors - before.Errors)
-	r.PersonalHits = uint64(st.PersonalHits - before.PersonalHits)
-	r.CommunityHits = uint64(st.CommunityHits - before.CommunityHits)
-	r.CloudMisses = uint64(st.CloudMisses - before.CloudMisses)
-	r.Degraded = uint64(st.Degraded - before.Degraded)
-	r.Unavailable = uint64(st.Unavailable - before.Unavailable)
-	r.Canceled = uint64(st.Canceled - before.Canceled)
-	r.Retries = st.Retries - before.Retries
-	r.Exhausted = st.Exhausted - before.Exhausted
-	r.BreakerOpens = st.BreakerOpens - before.BreakerOpens
+	r.Served = uint64(st.Served - base.stats.Served)
+	r.Shed = uint64(st.Shed - base.stats.Shed)
+	r.Errors = uint64(st.Errors - base.stats.Errors)
+	r.PersonalHits = uint64(st.PersonalHits - base.stats.PersonalHits)
+	r.CommunityHits = uint64(st.CommunityHits - base.stats.CommunityHits)
+	r.CloudMisses = uint64(st.CloudMisses - base.stats.CloudMisses)
+	r.Degraded = uint64(st.Degraded - base.stats.Degraded)
+	r.Unavailable = uint64(st.Unavailable - base.stats.Unavailable)
+	r.Canceled = uint64(st.Canceled - base.stats.Canceled)
+	r.Retries = st.Retries - base.stats.Retries
+	r.Exhausted = st.Exhausted - base.stats.Exhausted
+	r.BreakerOpens = st.BreakerOpens - base.stats.BreakerOpens
 	r.Replicas = st.Replicas
-	r.ClonesLaunched = st.ClonesLaunched - before.ClonesLaunched
-	r.PrimaryWins = st.PrimaryWins - before.PrimaryWins
-	r.CloneWins = st.CloneWins - before.CloneWins
-	r.WastedAttempts = st.WastedAttempts - before.WastedAttempts
+	r.ClonesLaunched = st.ClonesLaunched - base.stats.ClonesLaunched
+	r.PrimaryWins = st.PrimaryWins - base.stats.PrimaryWins
+	r.CloneWins = st.CloneWins - base.stats.CloneWins
+	r.WastedAttempts = st.WastedAttempts - base.stats.WastedAttempts
 	if len(st.ReplicaBreakerOpens) > 0 {
 		r.ReplicaBreakerOpens = make([]int64, len(st.ReplicaBreakerOpens))
 		for i, n := range st.ReplicaBreakerOpens {
-			if i < len(before.ReplicaBreakerOpens) {
-				n -= before.ReplicaBreakerOpens[i]
+			if i < len(base.stats.ReplicaBreakerOpens) {
+				n -= base.stats.ReplicaBreakerOpens[i]
 			}
 			r.ReplicaBreakerOpens[i] = n
 		}
@@ -768,8 +790,8 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, before fleet.Stats, beforeB
 	if len(st.Backend) > 0 {
 		r.Backend = make([]BackendReport, len(st.Backend))
 		for i, bs := range st.Backend {
-			if i < len(before.Backend) {
-				bs = bs.Sub(before.Backend[i])
+			if i < len(base.stats.Backend) {
+				bs = bs.Sub(base.stats.Backend[i])
 			}
 			r.Backend[i] = backendReport(i, bs)
 		}
@@ -801,14 +823,14 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, before fleet.Stats, beforeB
 		r.RadioEnergyPerMissJ = cnt.missRadioJ / float64(misses)
 	}
 	bs := f.BatchStats()
-	r.Batches = bs.Batches - beforeBatch.Batches
-	r.BatchedMisses = bs.BatchedMisses - beforeBatch.BatchedMisses
-	r.RadioWakeups = cnt.wakeups + uint64(bs.Wakeups-beforeBatch.Wakeups)
+	r.Batches = bs.Batches - base.batch.Batches
+	r.BatchedMisses = bs.BatchedMisses - base.batch.BatchedMisses
+	r.RadioWakeups = cnt.wakeups + uint64(bs.Wakeups-base.batch.Wakeups)
 	if r.Batches > 0 {
 		r.MeanBatchSize = float64(r.BatchedMisses) / float64(r.Batches)
 		r.BatchSizes = make(map[string]int64)
 		for size, n := range bs.SizeCounts {
-			if d := n - beforeBatch.SizeCounts[size]; d > 0 {
+			if d := n - base.batch.SizeCounts[size]; d > 0 {
 				r.BatchSizes[strconv.Itoa(size)] = d
 			}
 		}
@@ -842,22 +864,22 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, before fleet.Stats, beforeB
 	}
 
 	mig := f.MigrationStats()
-	r.Resizes = mig.Resizes - beforeMig.Resizes
-	r.MigratedUsers = mig.MovedUsers - beforeMig.MovedUsers
-	r.MigratedBytes = mig.MovedBytes - beforeMig.MovedBytes
-	r.MigrationTransferBytes = mig.TransferBytes - beforeMig.TransferBytes
-	r.DroppedUsers = mig.DroppedUsers - beforeMig.DroppedUsers
-	r.HeldRequests = mig.HeldRequests - beforeMig.HeldRequests
+	r.Resizes = mig.Resizes - base.mig.Resizes
+	r.MigratedUsers = mig.MovedUsers - base.mig.MovedUsers
+	r.MigratedBytes = mig.MovedBytes - base.mig.MovedBytes
+	r.MigrationTransferBytes = mig.TransferBytes - base.mig.TransferBytes
+	r.DroppedUsers = mig.DroppedUsers - base.mig.DroppedUsers
+	r.HeldRequests = mig.HeldRequests - base.mig.HeldRequests
 	rl := f.RetiredLoad()
 	r.RetiredServed = rl.Served
 	r.RetiredShed = rl.Shed
 
 	es := f.EnergyStats()
 	er := &EnergyReport{
-		DeviceBaseJ:  es.DeviceBaseJ - beforeEnergy.DeviceBaseJ,
-		RadioJ:       es.RadioJ - beforeEnergy.RadioJ,
-		ShardIdleJ:   es.ShardIdleJ - beforeEnergy.ShardIdleJ,
-		ShardActiveJ: es.ShardActiveJ - beforeEnergy.ShardActiveJ,
+		DeviceBaseJ:  es.DeviceBaseJ - base.energy.DeviceBaseJ,
+		RadioJ:       es.RadioJ - base.energy.RadioJ,
+		ShardIdleJ:   es.ShardIdleJ - base.energy.ShardIdleJ,
+		ShardActiveJ: es.ShardActiveJ - base.energy.ShardActiveJ,
 	}
 	er.DeviceJ = er.DeviceBaseJ + er.RadioJ
 	er.ShardJ = er.ShardIdleJ + er.ShardActiveJ
@@ -1269,47 +1291,21 @@ func replayTimeline(f *fleet.Fleet, events []TraceEvent, horizon time.Duration, 
 // Observer; it is reset at the start of the run. The call returns
 // after every scheduled request has been served or shed.
 func RunOpen(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg OpenConfig) (Report, error) {
-	if f == nil || col == nil || g == nil {
-		return Report{}, fmt.Errorf("loadgen: fleet, collector and generator are required")
-	}
-	if f.Observer() == nil {
-		return Report{}, fmt.Errorf("loadgen: fleet has no Observer; set fleet.Config.Observer to the collector or latencies and energy go unrecorded")
+	if g == nil {
+		return Report{}, fmt.Errorf("loadgen: a workload generator is required")
 	}
 	events, err := OpenEvents(g, cfg)
 	if err != nil {
 		return Report{}, err
 	}
-	var ctl *autoscale.Controller
-	if cfg.Autoscale != nil {
-		ac := cfg.Autoscale.WithDefaults(f.NumShards())
-		if err := ac.Validate(); err != nil {
-			return Report{}, fmt.Errorf("loadgen: %w", err)
-		}
-		ctl = autoscale.New(ac)
-	}
-
-	col.Reset()
-	before, beforeBatch, beforeMig, beforeEnergy := f.Stats(), f.BatchStats(), f.MigrationStats(), f.EnergyStats()
-	finishResize := scheduleResize(f, cfg.ResizeTo, cfg.ResizeAt, cfg.ResizeDrop)
-	start := time.Now()
-	offered, shedPerBucket, maxLag, err := replayTimeline(f, events, cfg.Duration, start, ctl, cfg.Events)
-	if err != nil {
-		return Report{}, err
-	}
-	f.Drain()
-	if err := finishResize(); err != nil {
-		return Report{}, fmt.Errorf("loadgen: resize: %w", err)
-	}
-	elapsed := time.Since(start)
-
 	r := Report{
-		Mode:             "open",
-		Scenario:         cfg.Scenario,
-		Seed:             cfg.Seed,
-		Users:            len(g.Users()),
-		OfferedQPS:       cfg.QPS,
-		MaxScheduleLagNS: int64(maxLag),
+		Mode:       "open",
+		Scenario:   cfg.Scenario,
+		Seed:       cfg.Seed,
+		Users:      len(g.Users()),
+		OfferedQPS: cfg.QPS,
 	}
+	r.Arrivals = "mixed"
 	if len(cfg.Classes) == 0 {
 		r.Arrivals = cfg.Arrivals.String()
 		if cfg.Arrivals == modeltime.Diurnal {
@@ -1318,16 +1314,47 @@ func RunOpen(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg OpenConf
 				r.DiurnalPeak = modeltime.DefaultPeakTrough
 			}
 		}
-	} else {
-		r.Arrivals = "mixed"
 	}
+	err = replaySchedule(&r, f, col, events, cfg)
+	return r, err
+}
+
+// replaySchedule is the open-loop run RunOpen and RunTrace share:
+// release events on their offsets under cfg's control plane (autoscaler,
+// timeline, wall-timer resize), drain, and fill the measured part of r.
+func replaySchedule(r *Report, f *fleet.Fleet, col *Collector, events []TraceEvent, cfg OpenConfig) error {
+	base, err := begin(f, col)
+	if err != nil {
+		return err
+	}
+	var ctl *autoscale.Controller
+	if cfg.Autoscale != nil {
+		ac := cfg.Autoscale.WithDefaults(f.NumShards())
+		if err := ac.Validate(); err != nil {
+			return fmt.Errorf("loadgen: %w", err)
+		}
+		ctl = autoscale.New(ac)
+	}
+	finishResize := scheduleResize(f, cfg.ResizeTo, cfg.ResizeAt, cfg.ResizeDrop)
+	start := time.Now()
+	offered, shedPerBucket, maxLag, err := replayTimeline(f, events, cfg.Duration, start, ctl, cfg.Events)
+	if err != nil {
+		return err
+	}
+	f.Drain()
+	if err := finishResize(); err != nil {
+		return fmt.Errorf("loadgen: resize: %w", err)
+	}
+	elapsed := time.Since(start)
+
+	r.MaxScheduleLagNS = int64(maxLag)
 	r.OfferedCurve, r.PeakTroughServedRatio = offeredCurve(cfg.Duration, offered, shedPerBucket)
-	fill(&r, f, col, before, beforeBatch, beforeMig, beforeEnergy, elapsed)
+	fill(r, f, col, base, elapsed)
 	r.MeanUserHitRate = f.MeanUserHitRate()
 	if ctl != nil {
 		r.Autoscale = autoscaleReport(ctl, f.NumShards())
 	}
-	return r, nil
+	return nil
 }
 
 // autoscaleReport folds the controller's run into its report block.
@@ -1373,41 +1400,23 @@ type TraceConfig struct {
 // whether or not the fleet keeps up. Replaying the same trace against
 // an identically built fleet yields byte-identical per-user outcomes.
 func RunTrace(f *fleet.Fleet, col *Collector, events []TraceEvent, cfg TraceConfig) (Report, error) {
-	if f == nil || col == nil {
-		return Report{}, fmt.Errorf("loadgen: fleet and collector are required")
-	}
 	if len(events) == 0 {
 		return Report{}, fmt.Errorf("loadgen: empty trace")
-	}
-	if f.Observer() == nil {
-		return Report{}, fmt.Errorf("loadgen: fleet has no Observer; set fleet.Config.Observer to the collector or latencies and energy go unrecorded")
 	}
 	horizon := cfg.Horizon
 	if horizon <= 0 {
 		horizon = events[len(events)-1].At + 1
 	}
-
-	col.Reset()
-	before, beforeBatch, beforeMig, beforeEnergy := f.Stats(), f.BatchStats(), f.MigrationStats(), f.EnergyStats()
-	start := time.Now()
-	// The only errors are control-plane resizes, and a recorded trace
-	// carries no control plane.
-	offered, shedPerBucket, maxLag, _ := replayTimeline(f, events, horizon, start, nil, nil)
-	f.Drain()
-	elapsed := time.Since(start)
-
 	r := Report{
-		Mode:             "trace",
-		Scenario:         cfg.Scenario,
-		Seed:             cfg.Seed,
-		Users:            cfg.Users,
-		OfferedQPS:       float64(len(events)) / horizon.Seconds(),
-		MaxScheduleLagNS: int64(maxLag),
+		Mode:       "trace",
+		Scenario:   cfg.Scenario,
+		Seed:       cfg.Seed,
+		Users:      cfg.Users,
+		OfferedQPS: float64(len(events)) / horizon.Seconds(),
 	}
-	r.OfferedCurve, r.PeakTroughServedRatio = offeredCurve(horizon, offered, shedPerBucket)
-	fill(&r, f, col, before, beforeBatch, beforeMig, beforeEnergy, elapsed)
-	r.MeanUserHitRate = f.MeanUserHitRate()
-	return r, nil
+	// A recorded trace carries no control plane.
+	err := replaySchedule(&r, f, col, events, OpenConfig{Duration: horizon})
+	return r, err
 }
 
 // offeredCurve folds the per-bucket arrival counters into the report's
@@ -1516,8 +1525,8 @@ type ClosedClassConfig struct {
 // replay evaluation. col must be installed as the fleet's Observer; it
 // is reset at the start of the run.
 func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg ClosedConfig) (Report, error) {
-	if f == nil || col == nil || g == nil {
-		return Report{}, fmt.Errorf("loadgen: fleet, collector and generator are required")
+	if g == nil {
+		return Report{}, fmt.Errorf("loadgen: a workload generator is required")
 	}
 	profiles := g.Users()
 	if cfg.Users <= 0 || cfg.Users > len(profiles) {
@@ -1527,13 +1536,12 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 	if weeks <= 0 {
 		weeks = 5
 	}
-	if f.Observer() == nil {
-		return Report{}, fmt.Errorf("loadgen: fleet has no Observer; set fleet.Config.Observer to the collector or latencies and energy go unrecorded")
-	}
 	u := g.Config().Universe
 
-	col.Reset()
-	before, beforeBatch, beforeMig, beforeEnergy := f.Stats(), f.BatchStats(), f.MigrationStats(), f.EnergyStats()
+	base, err := begin(f, col)
+	if err != nil {
+		return Report{}, err
+	}
 	finishResize := scheduleResize(f, cfg.ResizeTo, cfg.ResizeAt, cfg.ResizeDrop)
 	outcomes := make([]replay.UserOutcome, cfg.Users)
 	var deadline time.Time
@@ -1607,7 +1615,7 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 		r.Paced = true
 		r.PaceScale = paceScale
 	}
-	fill(&r, f, col, before, beforeBatch, beforeMig, beforeEnergy, elapsed)
+	fill(&r, f, col, base, elapsed)
 
 	classSum := make(map[string]float64)
 	classN := make(map[string]int)

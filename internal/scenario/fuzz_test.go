@@ -2,10 +2,63 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+// FuzzParse hammers the spec decoder and validator, seeded from the
+// presets and the validation goldens' inputs: whatever the bytes, Parse
+// must not panic; a rejection is an *Error that names at least one
+// problem and carries no spec; and an accepted spec — defaults
+// resolved — marshals to JSON that parses back to the very same spec,
+// so what a report or a tool writes out is what a later run reads in.
+func FuzzParse(f *testing.F) {
+	for _, name := range PresetNames() {
+		raw, _ := Preset(name)
+		f.Add([]byte(raw))
+	}
+	inputs, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(inputs) == 0 {
+		f.Fatalf("no testdata specs: %v", err)
+	}
+	for _, path := range inputs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			var invalid *Error
+			if !errors.As(err, &invalid) || len(invalid.Problems) == 0 {
+				t.Fatalf("rejection is not an *Error with problems: %#v", err)
+			}
+			if spec != nil {
+				t.Fatalf("error %v came with a spec", err)
+			}
+			return
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := Parse(raw)
+		if err != nil {
+			t.Fatalf("accepted spec re-marshalled as %s is rejected: %v", raw, err)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("round trip changed the spec:\n was %+v\n now %+v\n via %s", spec, back, raw)
+		}
+	})
+}
 
 // traceSeeds materializes the four open-mode presets (commuter is
 // closed-loop and cannot Materialize) into serialized traces, shrunk

@@ -29,7 +29,10 @@
 //
 // Everything is stdlib encoding/json; validation is strict (unknown
 // fields are errors) and positional (problems name their path, e.g.
-// "classes[2].arrival.process").
+// "classes[2].arrival.process"). The struct declarations below are the
+// only list of configuration keys: Parse's decoder and the path setter
+// cmd/loadtest's flags go through (Field, Set) both find a key by its
+// json tag.
 package scenario
 
 import (

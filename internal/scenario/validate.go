@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 
 	"pocketcloudlets/internal/backend"
 	"pocketcloudlets/internal/faults"
@@ -27,7 +29,12 @@ func (p *problems) addf(format string, args ...any) {
 // resolved. On failure the error is an *Error listing every problem.
 func Parse(data []byte) (*Spec, error) {
 	p := &problems{}
-	s := parseSpec(p, data)
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		p.addf("spec is not a JSON object: %v", err)
+	}
+	s := &Spec{}
+	decodeFields(p, "", raw, reflect.ValueOf(s).Elem())
 	if len(p.list) > 0 {
 		return nil, &Error{Problems: p.list}
 	}
@@ -51,368 +58,73 @@ func decodeInto(p *problems, path string, raw json.RawMessage, dst any) {
 	}
 }
 
-// decodeObject unmarshals one object level into its raw fields.
-func decodeObject(p *problems, path string, raw json.RawMessage) (map[string]json.RawMessage, bool) {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		p.addf("%s: want a JSON object", path)
-		return nil, false
+// jsonField finds the field of block v that a JSON key names; a leaf
+// has none. The json tags on scenario.go's declarations are the only
+// list of keys — the decoder and Field both look a key up here — and a
+// key must match its tag exactly (encoding/json itself would fold case).
+func jsonField(v reflect.Value, key string) (reflect.Value, bool) {
+	if v.Kind() != reflect.Struct {
+		return reflect.Value{}, false
 	}
-	return m, true
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		if name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); name == key {
+			return v.Field(i), true
+		}
+	}
+	return reflect.Value{}, false
 }
 
-// sortedKeys walks object fields in a stable order so problem lists
-// are deterministic.
-func sortedKeys(m map[string]json.RawMessage) []string {
+// decode unmarshals raw into dst: a block (a struct or a pointer to
+// one), a list, or a leaf. A pointer block is allocated once raw turns
+// out to be an object — JSON null counts, so "faults": null is a
+// present-but-empty profile — and every leaf, Duration and Rate
+// included, goes through json.Unmarshal and so its own UnmarshalJSON.
+func decode(p *problems, path string, raw json.RawMessage, dst reflect.Value) {
+	switch dst.Kind() {
+	case reflect.Struct, reflect.Pointer:
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &m); err != nil {
+			p.addf("%s: want a JSON object", path)
+			return
+		}
+		if dst.Kind() == reflect.Pointer {
+			dst.Set(reflect.New(dst.Type().Elem()))
+			dst = dst.Elem()
+		}
+		decodeFields(p, path+".", m, dst)
+	case reflect.Slice:
+		var items []json.RawMessage
+		if err := json.Unmarshal(raw, &items); err != nil {
+			p.addf("%s: want a JSON array", path)
+			return
+		}
+		dst.SetZero()
+		for i, item := range items {
+			dst.Set(reflect.Append(dst, reflect.Zero(dst.Type().Elem())))
+			decode(p, fmt.Sprintf("%s[%d]", path, i), item, dst.Index(i))
+		}
+	default:
+		decodeInto(p, path, raw, dst.Addr().Interface())
+	}
+}
+
+// decodeFields fills block dst from one object level, walking the keys
+// in sorted order so problem lists are deterministic. A key no json tag
+// of the block declares is a problem.
+func decodeFields(p *problems, prefix string, m map[string]json.RawMessage, dst reflect.Value) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
-}
-
-func parseSpec(p *problems, data []byte) *Spec {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		p.addf("spec is not a JSON object: %v", err)
-		return nil
-	}
-	s := &Spec{}
-	for _, key := range sortedKeys(raw) {
-		v := raw[key]
-		switch key {
-		case "version":
-			decodeInto(p, key, v, &s.Version)
-		case "name":
-			decodeInto(p, key, v, &s.Name)
-		case "mode":
-			decodeInto(p, key, v, &s.Mode)
-		case "users":
-			decodeInto(p, key, v, &s.Users)
-		case "seed":
-			decodeInto(p, key, v, &s.Seed)
-		case "month":
-			decodeInto(p, key, v, &s.Month)
-		case "duration":
-			decodeInto(p, key, v, &s.Duration)
-		case "qps":
-			decodeInto(p, key, v, &s.QPS)
-		case "community_share":
-			decodeInto(p, key, v, &s.CommunityShare)
-		case "trace":
-			decodeInto(p, key, v, &s.Trace)
-		case "max_requests":
-			decodeInto(p, key, v, &s.MaxRequests)
-		case "fleet":
-			parseFleet(p, key, v, &s.Fleet)
-		case "faults":
-			s.Faults = parseFaults(p, key, v)
-		case "events":
-			parseEvents(p, key, v, s)
-		case "classes":
-			parseClasses(p, key, v, s)
-		default:
-			p.addf("%s: unknown field", key)
+	for _, key := range keys {
+		if f, ok := jsonField(dst, key); ok {
+			decode(p, prefix+key, m[key], f)
+		} else {
+			p.addf("%s%s: unknown field", prefix, key)
 		}
 	}
-	return s
-}
-
-func parseFleet(p *problems, path string, raw json.RawMessage, f *FleetSpec) {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return
-	}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "shards":
-			decodeInto(p, kp, v, &f.Shards)
-		case "workers":
-			decodeInto(p, kp, v, &f.Workers)
-		case "queue":
-			decodeInto(p, kp, v, &f.Queue)
-		case "radio":
-			decodeInto(p, kp, v, &f.Radio)
-		case "placement":
-			decodeInto(p, kp, v, &f.Placement)
-		case "vnodes":
-			decodeInto(p, kp, v, &f.VNodes)
-		case "user_budget_bytes":
-			decodeInto(p, kp, v, &f.UserBudgetBytes)
-		case "fleet_budget_bytes":
-			decodeInto(p, kp, v, &f.FleetBudgetBytes)
-		case "replicas":
-			decodeInto(p, kp, v, &f.Replicas)
-		case "batch":
-			parseBatch(p, kp, v, &f.Batch)
-		case "backend":
-			f.Backend = parseBackend(p, kp, v)
-		case "autoscale":
-			f.Autoscale = parseAutoscale(p, kp, v)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-}
-
-func parseBackend(p *problems, path string, raw json.RawMessage) *BackendSpec {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return nil
-	}
-	b := &BackendSpec{}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "service_rate":
-			decodeInto(p, kp, v, &b.ServiceRate)
-		case "queue":
-			decodeInto(p, kp, v, &b.Queue)
-		case "discipline":
-			decodeInto(p, kp, v, &b.Discipline)
-		case "dist":
-			decodeInto(p, kp, v, &b.Dist)
-		case "offered":
-			decodeInto(p, kp, v, &b.Offered)
-		case "cancel_on_win":
-			decodeInto(p, kp, v, &b.CancelOnWin)
-		case "seed":
-			decodeInto(p, kp, v, &b.Seed)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return b
-}
-
-func parseAutoscale(p *problems, path string, raw json.RawMessage) *AutoscaleSpec {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return nil
-	}
-	a := &AutoscaleSpec{}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "interval":
-			decodeInto(p, kp, v, &a.Interval)
-		case "min":
-			decodeInto(p, kp, v, &a.Min)
-		case "max":
-			decodeInto(p, kp, v, &a.Max)
-		case "high":
-			decodeInto(p, kp, v, &a.High)
-		case "low":
-			decodeInto(p, kp, v, &a.Low)
-		case "up_after":
-			decodeInto(p, kp, v, &a.UpAfter)
-		case "down_after":
-			decodeInto(p, kp, v, &a.DownAfter)
-		case "rate_per_shard":
-			decodeInto(p, kp, v, &a.RatePerShard)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return a
-}
-
-func parseEvents(p *problems, path string, raw json.RawMessage, s *Spec) {
-	var items []json.RawMessage
-	if err := json.Unmarshal(raw, &items); err != nil {
-		p.addf("%s: want a JSON array", path)
-		return
-	}
-	for i, item := range items {
-		s.Events = append(s.Events, parseEvent(p, fmt.Sprintf("%s[%d]", path, i), item))
-	}
-}
-
-func parseEvent(p *problems, path string, raw json.RawMessage) EventSpec {
-	var e EventSpec
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return e
-	}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "at":
-			decodeInto(p, kp, v, &e.At)
-		case "resize":
-			decodeInto(p, kp, v, &e.Resize)
-		case "drop":
-			decodeInto(p, kp, v, &e.Drop)
-		case "outage":
-			decodeInto(p, kp, v, &e.Outage)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return e
-}
-
-func parseBatch(p *problems, path string, raw json.RawMessage, b *BatchSpec) {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return
-	}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "enabled":
-			decodeInto(p, kp, v, &b.Enabled)
-		case "max":
-			decodeInto(p, kp, v, &b.Max)
-		case "linger":
-			decodeInto(p, kp, v, &b.Linger)
-		case "fleet_wide":
-			decodeInto(p, kp, v, &b.FleetWide)
-		case "adaptive":
-			decodeInto(p, kp, v, &b.Adaptive)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-}
-
-func parseFaults(p *problems, path string, raw json.RawMessage) *FaultSpec {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return nil
-	}
-	f := &FaultSpec{}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "loss":
-			decodeInto(p, kp, v, &f.Loss)
-		case "engine_err":
-			decodeInto(p, kp, v, &f.EngineErr)
-		case "outage":
-			decodeInto(p, kp, v, &f.Outage)
-		case "retries":
-			decodeInto(p, kp, v, &f.Retries)
-		case "seed":
-			decodeInto(p, kp, v, &f.Seed)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return f
-}
-
-func parseClasses(p *problems, path string, raw json.RawMessage, s *Spec) {
-	var items []json.RawMessage
-	if err := json.Unmarshal(raw, &items); err != nil {
-		p.addf("%s: want a JSON array", path)
-		return
-	}
-	for i, item := range items {
-		s.Classes = append(s.Classes, parseClass(p, fmt.Sprintf("%s[%d]", path, i), item))
-	}
-}
-
-func parseClass(p *problems, path string, raw json.RawMessage) ClassSpec {
-	var c ClassSpec
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return c
-	}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "name":
-			decodeInto(p, kp, v, &c.Name)
-		case "share":
-			decodeInto(p, kp, v, &c.Share)
-		case "slo_class":
-			decodeInto(p, kp, v, &c.SLOClass)
-		case "device":
-			decodeInto(p, kp, v, &c.Device)
-		case "arrival":
-			c.Arrival = parseArrival(p, kp, v)
-		case "think":
-			c.Think = parseThink(p, kp, v)
-		case "max_queries_per_user":
-			decodeInto(p, kp, v, &c.MaxQueriesPerUser)
-		case "faults":
-			c.Faults = parseFaults(p, kp, v)
-		case "hedge":
-			c.Hedge = parseHedge(p, kp, v)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return c
-}
-
-func parseHedge(p *problems, path string, raw json.RawMessage) *HedgeSpec {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return nil
-	}
-	h := &HedgeSpec{}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "clone_factor":
-			decodeInto(p, kp, v, &h.CloneFactor)
-		case "delay":
-			decodeInto(p, kp, v, &h.Delay)
-		case "max_inflight":
-			decodeInto(p, kp, v, &h.MaxInflight)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return h
-}
-
-func parseArrival(p *problems, path string, raw json.RawMessage) *ArrivalSpec {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return nil
-	}
-	a := &ArrivalSpec{}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "process":
-			decodeInto(p, kp, v, &a.Process)
-		case "rate_fraction":
-			decodeInto(p, kp, v, &a.RateFraction)
-		case "peak_trough":
-			decodeInto(p, kp, v, &a.PeakTrough)
-		case "period":
-			decodeInto(p, kp, v, &a.Period)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return a
-}
-
-func parseThink(p *problems, path string, raw json.RawMessage) *ThinkSpec {
-	m, ok := decodeObject(p, path, raw)
-	if !ok {
-		return nil
-	}
-	t := &ThinkSpec{}
-	for _, key := range sortedKeys(m) {
-		v, kp := m[key], path+"."+key
-		switch key {
-		case "scale":
-			decodeInto(p, kp, v, &t.Scale)
-		case "max_pause":
-			decodeInto(p, kp, v, &t.MaxPause)
-		default:
-			p.addf("%s: unknown field", kp)
-		}
-	}
-	return t
 }
 
 // validRadios are the radio tiers the facade knows how to price.
@@ -468,8 +180,11 @@ func validateSpec(p *problems, s *Spec) {
 	if s.Faults != nil {
 		validateFaults(p, "faults", s.Faults)
 	}
-	if s.Fleet.Backend != nil && s.Faults == nil && !anyClassFaults(s) {
+	if s.Fleet.Backend != nil && !anyFaults(s) {
 		p.addf("fleet.backend: needs a fault profile (fleet-wide \"faults\" or a class override) — the admission planner runs on the faulted miss path")
+	}
+	if s.Fleet.Replicas > 0 && !anyFaults(s) {
+		p.addf("fleet.replicas: needs a fault profile (fleet-wide \"faults\" or a class override) — replicas differ only in the faults they draw")
 	}
 	validateClasses(p, s)
 }
@@ -708,17 +423,24 @@ func validateHedge(p *problems, path string, h *HedgeSpec, s *Spec) {
 	if h.CloneFactor >= 2 && s.Fleet.Replicas < 2 {
 		p.addf("%s: clone_factor %d needs fleet.replicas ≥ 2, got %d", path, h.CloneFactor, s.Fleet.Replicas)
 	}
+	if h.CloneFactor < 2 && (h.Delay != 0 || h.MaxInflight != 0) {
+		p.addf("%s: delay and max_inflight shape clones, which need clone_factor ≥ 2", path)
+	}
+	if !anyFaults(s) {
+		p.addf("%s: needs a fault profile (fleet-wide \"faults\" or a class override) — hedging runs on the faulted miss path", path)
+	}
 }
 
-// anyClassFaults reports whether any class carries its own fault
-// profile (an empty override still enables the injector for the class).
-func anyClassFaults(s *Spec) bool {
+// anyFaults reports whether the spec carries a fault profile at all,
+// fleet-wide or on a class (an empty override still enables the
+// injector for the class).
+func anyFaults(s *Spec) bool {
 	for _, c := range s.Classes {
 		if c.Faults != nil {
 			return true
 		}
 	}
-	return false
+	return s.Faults != nil
 }
 
 // effectiveRateFraction is the class's share of the scenario QPS: the

@@ -30,7 +30,6 @@ package pocketcloudlets
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"pocketcloudlets/internal/adlet"
 	"pocketcloudlets/internal/autoscale"
@@ -197,10 +196,6 @@ const (
 	ArrivalsDiurnal = modeltime.Diurnal
 	ArrivalsPerUser = modeltime.PerUser
 )
-
-// ParseArrivalKind parses the -arrivals command-line syntax
-// ("poisson", "diurnal" or "peruser").
-func ParseArrivalKind(s string) (ArrivalKind, error) { return modeltime.ParseKind(s) }
 
 // RadioTech selects a radio technology for a simulated phone.
 type RadioTech int
@@ -387,13 +382,6 @@ func NewModuloPlacement(shards int) (Placement, error) {
 // live Fleet.Resize cheap. vnodes <= 0 selects the default (64).
 func NewRingPlacement(shards, vnodes int) (Placement, error) {
 	return placement.NewRing(shards, vnodes)
-}
-
-// ParseOutageSpec parses the -outage command-line syntax into fault
-// options fields: "6s/30s" is a periodic duty cycle (down the first 6s
-// of every 30s of model time), "10s-20s,40s-45s" absolute windows.
-func ParseOutageSpec(spec string) (every, down time.Duration, windows []FaultWindow, err error) {
-	return faults.ParseOutageSpec(spec)
 }
 
 // RunOpenLoad replays workload queries against a fleet as an open-loop

@@ -254,8 +254,15 @@ echo "== serve-stack size: non-test Go lines =="
 # item is graded in non-test lines across these four directories;
 # simplicity PRs quote their before/after from here. Informational,
 # never a failure.
-for d in internal/fleet internal/faults internal/loadgen cmd/loadtest; do
-    find "$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0
-done | sort -z | xargs -0 wc -l
+# internal/scenario — the configuration surface those four are driven
+# through — is tallied separately so the graded total stays comparable
+# across PRs.
+nontest_lines() {
+    for d in "$@"; do
+        find "$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0
+    done | sort -z | xargs -0 wc -l
+}
+nontest_lines internal/fleet internal/faults internal/loadgen cmd/loadtest
+nontest_lines internal/scenario
 
 echo "all checks passed"

@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Report differential against another commit: builds cmd/loadtest and
+# cmd/reportnorm from <git-ref> (a `git archive` snapshot in a temp
+# dir — no worktree to clean up) and from the working tree, runs a
+# fixed list of command lines through both, normalizes each JSON report
+# with `reportnorm -keep backend,energy,autoscale` (wall-clock fields
+# stripped, every model-deterministic block kept) and compares the
+# pairs byte for byte. Exits non-zero at the first difference.
+#
+# The list covers every scripts/check.sh smoke plus the corners a
+# configuration refactor can bend (-hedge 1, bare -faults,
+# -backend-rate inf, ring/vnodes, -pace, peruser and diurnal+autoscale
+# open runs, -scenario presets). Runs whose model outcome legitimately
+# follows the wall clock are left out (-batch with -outage), and
+# open-loop flag runs use -queue 100000 so nothing sheds.
+#
+#   scripts/clidiff.sh HEAD~1
+set -euo pipefail
+cd "$(dirname "$0")/.."
+ref=${1:?usage: scripts/clidiff.sh <git-ref>}
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/ref"
+git archive "$ref" | tar -x -C "$tmp/ref"
+(cd "$tmp/ref" && go build -o "$tmp/ref-loadtest" ./cmd/loadtest && go build -o "$tmp/ref-reportnorm" ./cmd/reportnorm)
+go build -o "$tmp/new-loadtest" ./cmd/loadtest
+go build -o "$tmp/new-reportnorm" ./cmd/reportnorm
+
+closed="-mode closed -users 64 -duration 0 -seed 3"
+faulted="$closed -faults -loss 0.2 -outage 6s/30s -retries 3"
+n=0
+while IFS= read -r args; do
+    [ -n "$args" ] || continue
+    n=$((n + 1))
+    for side in ref new; do
+        # shellcheck disable=SC2086 # args is a word list
+        "$tmp/$side-loadtest" $args -json | "$tmp/$side-reportnorm" -keep backend,energy,autoscale > "$tmp/$side.json"
+    done
+    if ! cmp -s "$tmp/ref.json" "$tmp/new.json"; then
+        echo "clidiff: reports differ between $ref and the tree for: loadtest $args" >&2
+        diff -u "$tmp/ref.json" "$tmp/new.json" | head -40 >&2
+        exit 1
+    fi
+    echo "same: loadtest $args"
+done <<EOF_CMDS
+$closed
+$closed -faults
+$closed -placement ring -vnodes 32
+$closed -radio wifi -share 0.4 -month 2 -userbudget 200000
+$closed -pace 0.0001
+$faulted
+$faulted -replicas 3 -hedge 1
+$faulted -replicas 3 -hedge 2
+$faulted -replicas 3 -hedge 2 -backend-rate inf
+$closed -faults -loss 0.2 -retries 3 -replicas 3 -hedge 2 -backend-rate 30 -backend-queue 16 -backend-disc ps -backend-offered 20 -backend-cancel
+-users 300 -qps 500 -duration 2s -seed 1 -queue 100000
+-users 200 -qps 400 -duration 2s -seed 2 -arrivals peruser -queue 100000
+-users 200 -qps 800 -duration 2s -seed 5 -arrivals diurnal -diurnal-peak 6 -placement ring -shards 4 -autoscale -autoscale-interval 250ms -autoscale-rate 120 -queue 100000
+-scenario flash-crowd -users 150
+-scenario green-day -users 300
+-scenario commuter -users 60
+-scenario clone-storm -users 120
+EOF_CMDS
+echo "clidiff: $n command lines, no differences against $ref"
