@@ -384,8 +384,8 @@ func main() {
 	spec := comp.Spec
 	// The live-resize knobs ride outside the spec: they describe an
 	// operation performed on the fleet during the run, not the workload.
-	comp.Open.ResizeTo, comp.Open.ResizeAt, comp.Open.ResizeDrop = rf.resizeTo, rf.resizeAt, rf.resizeDrop
-	comp.Closed.ResizeTo, comp.Closed.ResizeAt, comp.Closed.ResizeDrop = rf.resizeTo, rf.resizeAt, rf.resizeDrop
+	comp.Open.Resize = pocketcloudlets.LoadResize{To: rf.resizeTo, At: rf.resizeAt, Drop: rf.resizeDrop}
+	comp.Closed.Resize = comp.Open.Resize
 
 	progress := func(format string, args ...any) {
 		if !rf.jsonOut {

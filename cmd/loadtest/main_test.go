@@ -286,12 +286,12 @@ func TestOverlayCompiles(t *testing.T) {
 		}
 		switch spec.Mode {
 		case "open":
-			if comp.Open.ClassTag != "default" {
-				t.Errorf("args %v: open class tag %q", args, comp.Open.ClassTag)
+			if tag := comp.Open.Classes[0].Name; tag != "default" {
+				t.Errorf("args %v: open class tag %q", args, tag)
 			}
 		case "closed":
-			if comp.Closed.ClassTag != "default" {
-				t.Errorf("args %v: closed class tag %q", args, comp.Closed.ClassTag)
+			if tag := comp.Closed.Classes[0].Name; tag != "default" {
+				t.Errorf("args %v: closed class tag %q", args, tag)
 			}
 		}
 	}

@@ -15,14 +15,11 @@
 //     these two fields are the only permitted report differences;
 //   - the per-replica backend rows removed ("backend") — they are keyed
 //     by replica index, so the single-backend vs replicated comparison
-//     that check.sh runs would trivially differ; pass -keep backend to
-//     retain them (scripts/bench.sh does, so backend counters can be
-//     diffed across commits);
-//   - the energy-ledger and autoscale blocks removed ("energy",
-//     "autoscale") — new report rows must not break byte-identity
-//     comparisons against reports from older configurations; pass
-//     -keep energy / -keep autoscale to retain them (scripts/bench.sh
-//     keeps energy, so J/answered can be diffed across commits);
+//     that check.sh runs would trivially differ, and the backend-free vs
+//     -backend-rate inf one differs in them by construction; pass
+//     -keep backend to retain them (scripts/bench.sh and
+//     scripts/clidiff.sh do, so backend counters can be diffed across
+//     commits);
 //   - floating-point values reformatted at 9 significant digits —
 //     energy totals are accumulated across worker goroutines and the
 //     summation order perturbs the last few ulps;
@@ -58,12 +55,9 @@ var volatileKeys = map[string]bool{
 }
 
 // defaultStrip keys are model-deterministic but presentation-variant
-// (per-replica shape, or report rows newer than the comparison
-// baseline), so they are stripped unless named in -keep.
+// (per-replica shape), so they are stripped unless named in -keep.
 var defaultStrip = map[string]bool{
-	"backend":   true,
-	"energy":    true,
-	"autoscale": true,
+	"backend": true,
 }
 
 // stripSet resolves the final delete set: all volatile keys, plus the
@@ -82,7 +76,7 @@ func stripSet(keep string) (map[string]bool, error) {
 			continue
 		}
 		if !defaultStrip[k] {
-			return nil, fmt.Errorf("-keep %q: not a default-stripped key (want \"backend\", \"energy\" or \"autoscale\")", k)
+			return nil, fmt.Errorf("-keep %q: not a default-stripped key (want \"backend\")", k)
 		}
 		delete(strip, k)
 	}
@@ -142,7 +136,7 @@ func run(keep string, in io.Reader, out io.Writer) error {
 }
 
 func main() {
-	keep := flag.String("keep", "", "comma-separated default-stripped keys to retain (e.g. \"backend,energy\")")
+	keep := flag.String("keep", "", "comma-separated default-stripped keys to retain (\"backend\")")
 	flag.Parse()
 	if err := run(*keep, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "reportnorm: %v\n", err)

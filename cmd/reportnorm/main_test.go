@@ -15,8 +15,6 @@ import (
 //
 //	go run ./cmd/reportnorm < cmd/reportnorm/testdata/report.json > cmd/reportnorm/testdata/report.golden
 //	go run ./cmd/reportnorm -keep backend < cmd/reportnorm/testdata/report.json > cmd/reportnorm/testdata/report_keep_backend.golden
-//	go run ./cmd/reportnorm -keep energy < cmd/reportnorm/testdata/report.json > cmd/reportnorm/testdata/report_keep_energy.golden
-//	go run ./cmd/reportnorm -keep autoscale < cmd/reportnorm/testdata/report.json > cmd/reportnorm/testdata/report_keep_autoscale.golden
 func TestGolden(t *testing.T) {
 	cases := []struct {
 		keep   string
@@ -24,8 +22,6 @@ func TestGolden(t *testing.T) {
 	}{
 		{"", "report.golden"},
 		{"backend", "report_keep_backend.golden"},
-		{"energy", "report_keep_energy.golden"},
-		{"autoscale", "report_keep_autoscale.golden"},
 	}
 	in, err := os.ReadFile(filepath.Join("testdata", "report.json"))
 	if err != nil {
@@ -65,9 +61,7 @@ func TestGoldenStripsTheRightKeys(t *testing.T) {
 		}
 	}
 	for keep, golden := range map[string]string{
-		"backend":   "report_keep_backend.golden",
-		"energy":    "report_keep_energy.golden",
-		"autoscale": "report_keep_autoscale.golden",
+		"backend": "report_keep_backend.golden",
 	} {
 		kept, err := os.ReadFile(filepath.Join("testdata", golden))
 		if err != nil {
@@ -93,8 +87,10 @@ func TestKeepRejectsUnknownKeys(t *testing.T) {
 	if _, err := stripSet("elapsed_ns"); err == nil {
 		t.Error("-keep elapsed_ns should be rejected: volatile keys are not restorable")
 	}
-	if _, err := stripSet("nonsense"); err == nil {
-		t.Error("-keep nonsense should be rejected")
+	for _, k := range []string{"nonsense", "energy", "autoscale"} {
+		if _, err := stripSet(k); err == nil {
+			t.Errorf("-keep %s should be rejected: only \"backend\" is stripped by default", k)
+		}
 	}
 	if _, err := stripSet(" backend , "); err != nil {
 		t.Errorf("-keep with spaces should parse: %v", err)

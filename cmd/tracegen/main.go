@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pocketcloudlets/internal/engine"
@@ -28,25 +29,30 @@ import (
 )
 
 func main() {
-	var (
-		users   = flag.Int("users", 2000, "population size (ignored with -scenario; use the spec or loadtest -users)")
-		seed    = flag.Int64("seed", 1, "generator seed (ignored with -scenario)")
-		month   = flag.Int("month", 0, "month index to generate (ignored with -scenario)")
-		scenRef = flag.String("scenario", "", "materialize this scenario's open-loop schedule as a replayable trace instead of a search log")
-		out     = flag.String("o", "-", "output file (- for stdout)")
-	)
-	flag.Parse()
-
-	fail := func(err error) {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
 
-	w := os.Stdout
+// run is the command: args are the command line, stdout where "-o -"
+// writes.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ExitOnError)
+	var (
+		users   = fs.Int("users", 2000, "population size (with -scenario: overrides the spec's users)")
+		seed    = fs.Int64("seed", 1, "generator seed (with -scenario: overrides the spec's seed)")
+		month   = fs.Int("month", 0, "month index to generate (with -scenario: overrides the spec's month)")
+		scenRef = fs.String("scenario", "", "materialize this scenario's open-loop schedule as a replayable trace instead of a search log")
+		out     = fs.String("o", "-", "output file (- for stdout)")
+	)
+	fs.Parse(args) // exits on a bad command line
+
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		w = f
@@ -55,48 +61,61 @@ func main() {
 	if *scenRef != "" {
 		spec, source, err := scenario.Load(*scenRef)
 		if err != nil {
-			fail(err)
+			return err
+		}
+		// As in cmd/loadtest, a flag set on the command line overrides
+		// the key it names in the loaded spec.
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "users" || f.Name == "seed" || f.Name == "month" {
+				if serr := scenario.Set(spec, f.Name, f.Value.String(), false); serr != nil && err == nil {
+					err = fmt.Errorf("-%s: %w", f.Name, serr)
+				}
+			}
+		})
+		if err != nil {
+			return err
 		}
 		comp, err := scenario.Compile(spec, source)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		// The corpus must match cmd/loadtest's, or the recorded queries
 		// would not exist in the replaying fleet's universe.
 		ucfg := scenario.UniverseConfig()
 		u, err := engine.NewUniverse(ucfg)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		g, err := workload.New(workload.DefaultConfig(u, spec.Users, spec.Seed))
 		if err != nil {
-			fail(err)
+			return err
 		}
 		events, err := comp.Materialize(g)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if err := scenario.WriteTrace(w, events); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d trace events (%s, %d users, seed %d)\n",
 			len(events), source, spec.Users, spec.Seed)
-		return
+		return nil
 	}
 
 	u := engine.MustUniverse(engine.DefaultConfig())
 	g, err := workload.New(workload.DefaultConfig(u, *users, *seed))
 	if err != nil {
-		fail(err)
+		return err
 	}
 	log := g.MonthLog(*month)
 
 	bw := bufio.NewWriter(w)
 	if err := searchlog.Write(bw, log, u); err != nil {
-		fail(err)
+		return err
 	}
 	if err := bw.Flush(); err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d entries (%d users, month %d)\n", len(log.Entries), *users, *month)
+	return nil
 }

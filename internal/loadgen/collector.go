@@ -27,8 +27,6 @@ type counters struct {
 	batchedMisses uint64
 }
 
-func newCounters() *counters { return &counters{} }
-
 // observe books one response into the aggregate. Caller holds the
 // owning stripe's lock.
 func (c *counters) observe(r fleet.Response) {
@@ -121,7 +119,7 @@ func (c *Collector) Observe(r fleet.Response) {
 			if s.byClass == nil {
 				s.byClass = make(map[string]*counters)
 			}
-			cc = newCounters()
+			cc = &counters{}
 			s.byClass[cls] = cc
 		}
 		cc.observe(r)
@@ -133,7 +131,7 @@ func (c *Collector) Reset() {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
-		s.c = *newCounters()
+		s.c = counters{}
 		s.byClass = nil
 		s.mu.Unlock()
 	}
@@ -160,7 +158,7 @@ func (c *Collector) classSnapshot() map[string]*counters {
 		for k, v := range s.byClass {
 			agg := out[k]
 			if agg == nil {
-				agg = newCounters()
+				agg = &counters{}
 				out[k] = agg
 			}
 			agg.merge(v)

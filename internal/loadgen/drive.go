@@ -3,11 +3,11 @@ package loadgen
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"pocketcloudlets/internal/autoscale"
+	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/fleet"
 	"pocketcloudlets/internal/modeltime"
 	"pocketcloudlets/internal/replay"
@@ -15,9 +15,22 @@ import (
 	"pocketcloudlets/internal/workload"
 )
 
+// WallResize is a live resize fired on the wall clock during a run: to
+// To shards (off unless positive), At into the run, Drop discarding
+// movers' personal state instead of migrating it — the
+// remap-and-cold-start baseline. A resize the run finishes before firing
+// is run just after serving completes, so its counters are always
+// measured.
+type WallResize struct {
+	To   int
+	At   time.Duration
+	Drop bool
+}
+
 // OpenConfig parameterizes an open-loop run.
 type OpenConfig struct {
-	// QPS is the target mean arrival rate.
+	// QPS is the target mean arrival rate, which the Classes' QPSShares
+	// divide.
 	QPS float64
 	// Duration bounds the arrival schedule; the schedule (and so the
 	// request count) is deterministic given Seed, QPS and Duration.
@@ -27,56 +40,38 @@ type OpenConfig struct {
 	Month int
 	// Seed drives the arrival schedule.
 	Seed int64
-	// Arrivals selects the arrival process (modeltime.Kind). The zero
-	// value is the classic homogeneous Poisson process; Diurnal warps
-	// the same arrivals onto a day curve (same total, same tape order);
-	// PerUser gives every user an independent renewal process weighted
-	// by their workload class, replaying each user's own stream.
-	Arrivals modeltime.Kind
-	// DiurnalPeak is the diurnal peak/trough rate ratio; zero selects
-	// modeltime.DefaultPeakTrough. Diurnal runs only.
-	DiurnalPeak float64
-	// DiurnalPeriod is the diurnal curve's period; zero spans the run
-	// with a single day. Diurnal runs only.
-	DiurnalPeriod time.Duration
 	// MaxRequests caps the schedule length. Zero selects 10 million.
 	MaxRequests int
-	// ResizeTo, when positive, live-resizes the fleet to that many
-	// shards ResizeAt into the run (immediately when ResizeAt is zero).
-	// A resize the run finishes before firing is run just after serving
-	// completes, so its counters are always measured.
-	ResizeTo int
-	// ResizeAt delays the resize from the start of the run.
-	ResizeAt time.Duration
-	// ResizeDrop discards movers' personal state instead of migrating
-	// it — the remap-and-cold-start baseline.
-	ResizeDrop bool
+	// Resize is the wall-timer live resize.
+	Resize WallResize
 	// Events are resize events executed at model offsets of the arrival
-	// schedule: an event fires just before the first arrival at or past
-	// its offset, so its position in the tape — and with it every
-	// per-user outcome — is a pure function of the spec, unlike the
-	// wall-timer ResizeTo/ResizeAt path. Must be sorted by At.
+	// schedule (see Replay), so an event's position in the tape — and
+	// with it every per-user outcome — is a pure function of the spec,
+	// unlike the wall-timer Resize. Must be sorted by At.
 	Events []TimelineEvent
 	// Autoscale, when non-nil, turns on the occupancy-driven shard
-	// autoscaler (internal/autoscale): the run samples per-shard
-	// occupancy on the controller's model-time cadence — after a fleet
-	// drain, so the sample is a pure function of the tape prefix — and
-	// drives Fleet.Resize from its hysteresis decisions. Zero fields
-	// are resolved against the fleet's initial shard count.
+	// autoscaler (internal/autoscale), sampled on its model-time cadence
+	// (see Replay) and driving Fleet.Resize from its hysteresis
+	// decisions. Zero fields are resolved against the fleet's initial
+	// shard count.
 	Autoscale *autoscale.Config
-	// ClassTag, when set, stamps every request with this class so the
-	// report carries a per-class breakdown — the single-class scenario
-	// path. It never affects serving or per-user outcomes.
-	ClassTag string
-	// Classes, when non-empty, splits the run into client classes: each
-	// owns a contiguous slice of the user population and its own arrival
-	// process, and its requests carry its tag. The per-class schedules
-	// are merged by arrival time. QPS is then the total rate the class
-	// QPSShares divide; the top-level Arrivals/Diurnal fields are
-	// ignored. Empty keeps the single-process run exactly as before.
+	// Classes are the run's client classes: each owns a contiguous slice
+	// of the user population and its own arrival process, and its
+	// requests carry its tag. A lone class draws its schedule from Seed
+	// itself; several draw each from a seed derived from it and are
+	// merged by arrival time. Empty is one untagged Poisson class over
+	// everyone.
 	Classes []OpenClassConfig
 	// Scenario labels the report (Report.Scenario).
 	Scenario string
+}
+
+// classes resolves the class list for a population of users.
+func (cfg OpenConfig) classes(users int) []OpenClassConfig {
+	if len(cfg.Classes) == 0 {
+		return []OpenClassConfig{{Hi: users, QPSShare: 1}}
+	}
+	return cfg.Classes
 }
 
 // TimelineEvent is one scheduled resize of an open-loop run's event
@@ -91,9 +86,11 @@ type TimelineEvent struct {
 	DropState bool
 }
 
-// OpenClassConfig is one client class of a multi-class open-loop run.
+// OpenClassConfig is one client class of an open-loop run.
 type OpenClassConfig struct {
-	// Name is the SLO-class tag stamped on the class's requests.
+	// Name is the SLO-class tag stamped on the class's requests, so the
+	// report carries a per-class breakdown; it never affects serving or
+	// per-user outcomes.
 	Name string
 	// Lo and Hi bound the class's user indices: the class owns
 	// profiles [Lo, Hi) of the generator population.
@@ -101,30 +98,61 @@ type OpenClassConfig struct {
 	// QPSShare is the fraction of the run's total QPS this class
 	// offers.
 	QPSShare float64
-	// Arrivals is the class's arrival process; Poisson ("flat"),
-	// Diurnal or PerUser.
+	// Arrivals is the class's arrival process (modeltime.Kind). The zero
+	// value is the homogeneous Poisson process; Diurnal warps the same
+	// arrivals onto a day curve (same total, same tape order); PerUser
+	// gives every user an independent renewal process weighted by their
+	// workload class, replaying each user's own stream.
 	Arrivals modeltime.Kind
-	// DiurnalPeak and DiurnalPeriod shape a Diurnal class's curve.
+	// DiurnalPeak is a Diurnal class's peak/trough rate ratio (zero
+	// selects modeltime.DefaultPeakTrough) and DiurnalPeriod its curve's
+	// period (zero spans the run with a single day).
 	DiurnalPeak   float64
 	DiurnalPeriod time.Duration
 }
 
-// scheduleResize arms the mid-run live resize. The returned finish
-// func stops the timer, guarantees the resize ran exactly once, and
-// reports its error.
-func scheduleResize(f *fleet.Fleet, to int, at time.Duration, drop bool) func() error {
-	if to <= 0 {
-		return func() error { return nil }
+// measure is the one measured run every driver goes through: capture
+// the baseline, arm the wall resize, drive, settle the resize — on every
+// exit, so no timer outlives the run — and fill r from the deltas.
+func measure(r *Report, f *fleet.Fleet, col *Collector, resize WallResize, drive func() error) error {
+	base, err := begin(f, col)
+	if err != nil {
+		return err
+	}
+	settle := armResize(f, resize)
+	start := time.Now()
+	if err := drive(); err != nil {
+		settle(false)
+		return err
+	}
+	if err := settle(true); err != nil {
+		return fmt.Errorf("loadgen: resize: %w", err)
+	}
+	fill(r, f, col, base, time.Since(start))
+	return nil
+}
+
+// armResize arms the wall resize. The returned settle func stops the
+// timer and waits out a resize in flight; with run set it guarantees the
+// resize ran exactly once and reports its error, without it a resize
+// that has not fired never will.
+func armResize(f *fleet.Fleet, w WallResize) func(run bool) error {
+	if w.To <= 0 {
+		return func(bool) error { return nil }
 	}
 	var (
 		once sync.Once
 		err  error
 	)
-	run := func() { _, err = f.ResizeWith(to, fleet.ResizeOptions{DropState: drop}) }
-	timer := time.AfterFunc(at, func() { once.Do(run) })
-	return func() error {
+	resize := func() { _, err = f.ResizeWith(w.To, fleet.ResizeOptions{DropState: w.Drop}) }
+	timer := time.AfterFunc(w.At, func() { once.Do(resize) })
+	return func(run bool) error {
 		timer.Stop()
-		once.Do(run)
+		once.Do(func() {
+			if run {
+				resize()
+			}
+		})
 		return err
 	}
 }
@@ -213,91 +241,173 @@ func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed
 			}
 		}
 		if len(tape) == 0 {
-			if cc.Name == "" {
-				return nil, fmt.Errorf("loadgen: month %d log is empty", cfg.Month)
-			}
 			return nil, fmt.Errorf("loadgen: class %q has no month-%d log entries", cc.Name, cfg.Month)
 		}
 	}
-	events := make([]TraceEvent, 0, len(schedule))
+	events := make([]TraceEvent, len(schedule))
 	for i, a := range schedule {
-		ev := TraceEvent{At: a.At, Class: cc.Name}
+		var e searchlog.Entry
 		if a.User >= 0 {
 			// Per-user arrival: the user replays their own stream, so
 			// skewed arrival rates meet matching per-user content.
 			if cursors[a.User] == nil {
 				cursors[a.User] = g.Cursor(profiles[a.User], cfg.Month)
 			}
-			e, _ := cursors[a.User].Next()
-			ev.User = profiles[a.User].ID
-			ev.Query = u.QueryText(u.QueryOf(e.Pair))
-			ev.Click = u.ResultURL(u.ResultOf(e.Pair))
+			e, _ = cursors[a.User].Next()
 		} else {
-			e := tape[i%len(tape)]
-			ev.User = e.User
-			ev.Query = u.QueryText(u.QueryOf(e.Pair))
-			ev.Click = u.ResultURL(u.ResultOf(e.Pair))
+			e = tape[i%len(tape)]
 		}
-		events = append(events, ev)
+		rq := request(u, e, cc.Name)
+		events[i] = TraceEvent{At: a.At, User: rq.User, Class: rq.Class, Query: rq.Query, Click: rq.Click}
 	}
 	return events, nil
 }
 
-// OpenEvents materializes an open-loop run's whole request schedule.
-// With no Classes configured this is exactly the schedule RunOpen has
-// always replayed (same spec, same tape order); with Classes, each
-// class's schedule is drawn from its own derived seed and the streams
-// are merged by arrival time (ties break by class order, then
-// within-class order, so the merge is deterministic).
+// request is the fleet request a log entry stands for.
+func request(u *engine.Universe, e searchlog.Entry, class string) fleet.Request {
+	return fleet.Request{User: e.User, Query: u.QueryText(u.QueryOf(e.Pair)), Click: u.ResultURL(u.ResultOf(e.Pair)), Class: class}
+}
+
+// OpenEvents materializes an open-loop run's whole request schedule:
+// each class's schedule, merged by arrival time (ties break by class
+// order, then within-class order, so the merge is deterministic).
 func OpenEvents(g *workload.Generator, cfg OpenConfig) ([]TraceEvent, error) {
 	maxReq := cfg.MaxRequests
 	if maxReq <= 0 {
 		maxReq = 10_000_000
 	}
-	if len(cfg.Classes) == 0 {
-		cc := OpenClassConfig{
-			Name:          cfg.ClassTag,
-			Lo:            0,
-			Hi:            len(g.Users()),
-			QPSShare:      1,
-			Arrivals:      cfg.Arrivals,
-			DiurnalPeak:   cfg.DiurnalPeak,
-			DiurnalPeriod: cfg.DiurnalPeriod,
+	classes := cfg.classes(len(g.Users()))
+	streams := make([][]TraceEvent, len(classes))
+	for ci, cc := range classes {
+		seed := cfg.Seed
+		if len(classes) > 1 {
+			seed = modeltime.DeriveSeed(cfg.Seed, ci)
 		}
-		return classEvents(g, cfg, cc, cfg.Seed, maxReq)
-	}
-	type tagged struct {
-		ev  TraceEvent
-		ci  int
-		seq int
-	}
-	var all []tagged
-	for ci, cc := range cfg.Classes {
-		evs, err := classEvents(g, cfg, cc, modeltime.DeriveSeed(cfg.Seed, ci), maxReq)
-		if err != nil {
+		var err error
+		if streams[ci], err = classEvents(g, cfg, cc, seed, maxReq); err != nil {
 			return nil, err
 		}
-		for seq, ev := range evs {
-			all = append(all, tagged{ev, ci, seq})
+	}
+	return mergeByArrival(streams, maxReq), nil
+}
+
+// mergeByArrival is the k-way merge of per-class schedules, each sorted
+// by arrival time, cut at limit events: the earliest head goes next and a
+// tie goes to the lower stream. The merge of one stream is that stream.
+func mergeByArrival(streams [][]TraceEvent, limit int) []TraceEvent {
+	total := 0
+	for _, s := range streams {
+		total += len(s)
+	}
+	total = min(total, limit)
+	if len(streams) == 1 {
+		return streams[0][:total]
+	}
+	out := make([]TraceEvent, 0, total)
+	for len(out) < total {
+		best := -1
+		for si, s := range streams {
+			if len(s) > 0 && (best < 0 || s[0].At < streams[best][0].At) {
+				best = si
+			}
+		}
+		out = append(out, streams[best][0])
+		streams[best] = streams[best][1:]
+	}
+	return out
+}
+
+// Replay owns the control plane of an open-loop replay: the scheduled
+// resize events and the autoscaler's samples, interleaved with the
+// arrival tape in model time. A caller fires every action due at or
+// before an arrival's offset before submitting it, then whatever
+// remains after the last arrival. A resize event goes before a sample
+// at the same offset; resize events past the last arrival still fire
+// (their resizes must be measured), samples past it do not. Each sample
+// drains the fleet first, so the occupancy it reads is a function of
+// the tape prefix alone and the whole control sequence is deterministic
+// for a deterministic spec.
+type Replay struct {
+	f          *fleet.Fleet
+	timeline   []TimelineEvent
+	ctl        *autoscale.Controller // nil without an autoscaler
+	nextSample time.Duration
+	lastSample time.Duration // no sample is due past the last arrival
+	lastDemand int64
+}
+
+// NewReplay starts cfg's control plane (Events and Autoscale) over f
+// for a replay of events.
+func NewReplay(f *fleet.Fleet, cfg OpenConfig, events []TraceEvent) (*Replay, error) {
+	p := &Replay{f: f, timeline: cfg.Events, lastSample: -1}
+	if cfg.Autoscale != nil {
+		ac := cfg.Autoscale.WithDefaults(f.NumShards())
+		if err := ac.Validate(); err != nil {
+			return nil, fmt.Errorf("loadgen: %w", err)
+		}
+		p.ctl, p.nextSample = autoscale.New(ac), ac.Interval
+		if len(events) > 0 {
+			p.lastSample = events[len(events)-1].At
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].ev.At != all[j].ev.At {
-			return all[i].ev.At < all[j].ev.At
-		}
-		if all[i].ci != all[j].ci {
-			return all[i].ci < all[j].ci
-		}
-		return all[i].seq < all[j].seq
-	})
-	if len(all) > maxReq {
-		all = all[:maxReq]
+	return p, nil
+}
+
+// Next reports the model offset of the next control action, and false
+// when none remains.
+func (p *Replay) Next() (time.Duration, bool) {
+	sample := p.nextSample <= p.lastSample
+	if len(p.timeline) > 0 && (!sample || p.timeline[0].At <= p.nextSample) {
+		return p.timeline[0].At, true
 	}
-	events := make([]TraceEvent, len(all))
-	for i, t := range all {
-		events[i] = t.ev
+	return p.nextSample, sample
+}
+
+// Fire performs the action Next reported; with none remaining it does
+// nothing.
+func (p *Replay) Fire() error {
+	at, ok := p.Next()
+	switch {
+	case !ok:
+	case len(p.timeline) > 0 && p.timeline[0].At == at:
+		te := p.timeline[0]
+		p.timeline = p.timeline[1:]
+		if te.ResizeTo > 0 {
+			if _, err := p.f.ResizeWith(te.ResizeTo, fleet.ResizeOptions{DropState: te.DropState}); err != nil {
+				return fmt.Errorf("loadgen: timeline resize at %v: %w", te.At, err)
+			}
+		}
+	default:
+		p.f.Drain()
+		demand, shards, ac := demandCount(p.f), p.f.NumShards(), p.ctl.Config()
+		occ := ac.Occupancy(demand-p.lastDemand, ac.Interval, shards)
+		p.lastDemand = demand
+		p.nextSample += ac.Interval
+		if target, resize := p.ctl.Step(at, occ, shards); resize {
+			if _, err := p.f.Resize(target); err != nil {
+				return fmt.Errorf("loadgen: autoscale resize to %d: %w", target, err)
+			}
+		}
 	}
-	return events, nil
+	return nil
+}
+
+// Actions is the autoscaler's resize log so far, in order.
+func (p *Replay) Actions() []autoscale.Action {
+	if p.ctl == nil {
+		return nil
+	}
+	return p.ctl.Actions()
+}
+
+// fireThrough fires every action due at or before offset at.
+func (p *Replay) fireThrough(at time.Duration) error {
+	for due, ok := p.Next(); ok && due <= at; due, ok = p.Next() {
+		if err := p.Fire(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // demandCount sums submissions the fleet has booked so far — served
@@ -314,95 +424,11 @@ func demandCount(f *fleet.Fleet) int64 {
 	return total
 }
 
-// replayTimeline releases the events at their offsets against the
-// fleet, bucketing arrivals (and sheds) into the offered curve over
-// horizon, and runs the model-time control plane alongside: it
-// interleaves scheduled resize events (timeline) and autoscaler samples
-// (ctl) with the arrival schedule, firing everything due at or before
-// an arrival's offset — in model-time order, ties resolved timeline
-// first — before that arrival is submitted. Each autoscale sample
-// drains the fleet first, so the occupancy it reads is a function of
-// the tape prefix alone and the whole control sequence is
-// deterministic for a deterministic spec.
-func replayTimeline(f *fleet.Fleet, events []TraceEvent, horizon time.Duration, start time.Time, ctl *autoscale.Controller, timeline []TimelineEvent) (offered, shedPerBucket []uint64, maxLag time.Duration, err error) {
-	offered = make([]uint64, curveBuckets)
-	shedPerBucket = make([]uint64, curveBuckets)
-	var (
-		ti         int
-		nextSample = time.Duration(math.MaxInt64)
-		lastDemand int64
-	)
-	if ctl != nil {
-		nextSample = ctl.Config().Interval
-	}
-	for _, ev := range events {
-		// Fire everything due before this arrival, in model-time order.
-		for {
-			tDue := ti < len(timeline) && timeline[ti].At <= ev.At
-			sDue := ctl != nil && nextSample <= ev.At
-			switch {
-			case tDue && (!sDue || timeline[ti].At <= nextSample):
-				te := timeline[ti]
-				ti++
-				if te.ResizeTo > 0 {
-					if _, rerr := f.ResizeWith(te.ResizeTo, fleet.ResizeOptions{DropState: te.DropState}); rerr != nil {
-						return offered, shedPerBucket, maxLag, fmt.Errorf("loadgen: timeline resize at %v: %w", te.At, rerr)
-					}
-				}
-				continue
-			case sDue:
-				f.Drain()
-				demand := demandCount(f)
-				delta := demand - lastDemand
-				lastDemand = demand
-				shards := f.NumShards()
-				occ := ctl.Config().Occupancy(delta, ctl.Config().Interval, shards)
-				if target, resize := ctl.Step(nextSample, occ, shards); resize {
-					if _, rerr := f.Resize(target); rerr != nil {
-						return offered, shedPerBucket, maxLag, fmt.Errorf("loadgen: autoscale resize to %d: %w", target, rerr)
-					}
-				}
-				nextSample += ctl.Config().Interval
-				continue
-			}
-			break
-		}
-		now := time.Since(start)
-		if wait := ev.At - now; wait > 0 {
-			time.Sleep(wait)
-		} else if lag := -wait; lag > maxLag {
-			maxLag = lag
-		}
-		b := int(int64(ev.At) * curveBuckets / int64(horizon))
-		if b >= curveBuckets {
-			b = curveBuckets - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		offered[b]++
-		if !f.Submit(fleet.Request{User: ev.User, Query: ev.Query, Click: ev.Click, Class: ev.Class}) {
-			shedPerBucket[b]++
-		}
-	}
-	// Timeline events scheduled past the last arrival still run — their
-	// resizes must be measured.
-	for ; ti < len(timeline); ti++ {
-		if te := timeline[ti]; te.ResizeTo > 0 {
-			if _, rerr := f.ResizeWith(te.ResizeTo, fleet.ResizeOptions{DropState: te.DropState}); rerr != nil {
-				return offered, shedPerBucket, maxLag, fmt.Errorf("loadgen: timeline resize at %v: %w", te.At, rerr)
-			}
-		}
-	}
-	return offered, shedPerBucket, maxLag, nil
-}
-
 // RunOpen replays workload queries against the fleet as an open-loop
-// arrival process drawn from modeltime (Poisson, diurnal or per-user;
-// see OpenConfig.Arrivals), or as a merge of per-class processes when
-// OpenConfig.Classes is set. col must be installed as the fleet's
-// Observer; it is reset at the start of the run. The call returns
-// after every scheduled request has been served or shed.
+// arrival process drawn from modeltime per class (see
+// OpenConfig.Classes). col must be installed as the fleet's Observer; it
+// is reset at the start of the run. The call returns after every
+// scheduled request has been served or shed.
 func RunOpen(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg OpenConfig) (Report, error) {
 	if g == nil {
 		return Report{}, fmt.Errorf("loadgen: a workload generator is required")
@@ -417,12 +443,12 @@ func RunOpen(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg OpenConf
 		Seed:       cfg.Seed,
 		Users:      len(g.Users()),
 		OfferedQPS: cfg.QPS,
+		Arrivals:   "mixed",
 	}
-	r.Arrivals = "mixed"
-	if len(cfg.Classes) == 0 {
-		r.Arrivals = cfg.Arrivals.String()
-		if cfg.Arrivals == modeltime.Diurnal {
-			r.DiurnalPeak = cfg.DiurnalPeak
+	if classes := cfg.classes(r.Users); len(classes) == 1 {
+		r.Arrivals = classes[0].Arrivals.String()
+		if classes[0].Arrivals == modeltime.Diurnal {
+			r.DiurnalPeak = classes[0].DiurnalPeak
 			if r.DiurnalPeak == 0 {
 				r.DiurnalPeak = modeltime.DefaultPeakTrough
 			}
@@ -433,39 +459,49 @@ func RunOpen(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg OpenConf
 }
 
 // replaySchedule is the open-loop run RunOpen and RunTrace share:
-// release events on their offsets under cfg's control plane (autoscaler,
-// timeline, wall-timer resize), drain, and fill the measured part of r.
+// release events on their offsets whether or not the fleet keeps up,
+// firing cfg's control plane before each, bucket arrivals (and sheds)
+// into the offered curve over cfg.Duration, and drain.
 func replaySchedule(r *Report, f *fleet.Fleet, col *Collector, events []TraceEvent, cfg OpenConfig) error {
-	base, err := begin(f, col)
-	if err != nil {
-		return err
-	}
-	var ctl *autoscale.Controller
-	if cfg.Autoscale != nil {
-		ac := cfg.Autoscale.WithDefaults(f.NumShards())
-		if err := ac.Validate(); err != nil {
-			return fmt.Errorf("loadgen: %w", err)
+	var (
+		p              *Replay
+		offered, sheds [curveBuckets]uint64
+		maxLag         time.Duration
+	)
+	err := measure(r, f, col, cfg.Resize, func() (err error) {
+		if p, err = NewReplay(f, cfg, events); err != nil {
+			return err
 		}
-		ctl = autoscale.New(ac)
-	}
-	finishResize := scheduleResize(f, cfg.ResizeTo, cfg.ResizeAt, cfg.ResizeDrop)
-	start := time.Now()
-	offered, shedPerBucket, maxLag, err := replayTimeline(f, events, cfg.Duration, start, ctl, cfg.Events)
+		start := time.Now()
+		for _, ev := range events {
+			if err := p.fireThrough(ev.At); err != nil {
+				return err
+			}
+			if wait := ev.At - time.Since(start); wait > 0 {
+				time.Sleep(wait)
+			} else if lag := -wait; lag > maxLag {
+				maxLag = lag
+			}
+			b := min(max(int(int64(ev.At)*curveBuckets/int64(cfg.Duration)), 0), curveBuckets-1)
+			offered[b]++
+			if !f.Submit(fleet.Request{User: ev.User, Query: ev.Query, Click: ev.Click, Class: ev.Class}) {
+				sheds[b]++
+			}
+		}
+		if err := p.fireThrough(math.MaxInt64); err != nil {
+			return err
+		}
+		f.Drain()
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	f.Drain()
-	if err := finishResize(); err != nil {
-		return fmt.Errorf("loadgen: resize: %w", err)
-	}
-	elapsed := time.Since(start)
-
 	r.MaxScheduleLagNS = int64(maxLag)
-	r.OfferedCurve, r.PeakTroughServedRatio = offeredCurve(cfg.Duration, offered, shedPerBucket)
-	fill(r, f, col, base, elapsed)
+	r.OfferedCurve, r.PeakTroughServedRatio = offeredCurve(cfg.Duration, offered[:], sheds[:])
 	r.MeanUserHitRate = f.MeanUserHitRate()
-	if ctl != nil {
-		r.Autoscale = autoscaleReport(ctl, f.NumShards())
+	if p.ctl != nil {
+		r.Autoscale = autoscaleReport(p.ctl, f.NumShards())
 	}
 	return nil
 }
@@ -519,54 +555,36 @@ type ClosedConfig struct {
 	// makes the run's request count — and every derived counter —
 	// deterministic.
 	Duration time.Duration
-	// MaxQueriesPerUser caps each user's stream. Zero means no cap.
-	MaxQueriesPerUser int
-	// Weeks is the weekly bucket count for per-user accounting. Zero
-	// selects 5, matching the replay harness.
-	Weeks int
 	// Seed is recorded in the report (closed-loop arrivals are fully
 	// determined by the generator's own seed).
 	Seed int64
-	// Pace, when enabled, makes each user "think" for their modeled
-	// response time (wall-compressed by Pace.Scale) before issuing the
-	// next query. Pacing is wall-clock only — it inserts real sleeps
-	// between a user's own requests and never touches model state — so
-	// per-user outcomes are byte-identical to an unpaced run on the
-	// same tape. The zero value is the unpaced as-fast-as-possible
-	// protocol.
-	Pace modeltime.Pacer
-	// ResizeTo, when positive, live-resizes the fleet to that many
-	// shards ResizeAt into the run (immediately when ResizeAt is zero).
-	// A resize the run finishes before firing is run just after serving
-	// completes, so its counters are always measured.
-	ResizeTo int
-	// ResizeAt delays the resize from the start of the run.
-	ResizeAt time.Duration
-	// ResizeDrop discards movers' personal state instead of migrating
-	// it — the remap-and-cold-start baseline.
-	ResizeDrop bool
-	// ClassTag, when set, stamps every request with this class so the
-	// report carries a per-class breakdown — the single-class scenario
-	// path. It never affects serving or per-user outcomes.
-	ClassTag string
-	// Classes, when non-empty, splits the simulated users into client
-	// classes: a user whose index falls in a class's [Lo, Hi) range
-	// issues requests carrying the class tag, paced by the class's own
-	// Pacer and capped by its own MaxQueriesPerUser. Users outside
-	// every range fall back to the top-level ClassTag/Pace/
-	// MaxQueriesPerUser.
+	// Resize is the wall-timer live resize.
+	Resize WallResize
+	// Classes are the run's client classes: a user whose index falls in
+	// a class's [Lo, Hi) range issues requests carrying the class tag,
+	// paced by the class's Pacer and capped by its MaxQueriesPerUser.
+	// Users outside every range — everyone, when empty — run untagged,
+	// unpaced and uncapped.
 	Classes []ClosedClassConfig
 	// Scenario labels the report (Report.Scenario).
 	Scenario string
 }
 
-// ClosedClassConfig is one client class of a multi-class closed run.
+// ClosedClassConfig is one client class of a closed-loop run.
 type ClosedClassConfig struct {
-	// Name is the SLO-class tag stamped on the class's requests.
+	// Name is the SLO-class tag stamped on the class's requests, so the
+	// report carries a per-class breakdown; it never affects serving or
+	// per-user outcomes.
 	Name string
 	// Lo and Hi bound the class's user indices ([Lo, Hi)).
 	Lo, Hi int
-	// Pace is the class's think-time pacing (wall-clock only).
+	// Pace, when enabled, makes each class user "think" for their
+	// modeled response time (wall-compressed by Pace.Scale) before
+	// issuing the next query. Pacing is wall-clock only — it inserts
+	// real sleeps between a user's own requests and never touches model
+	// state — so per-user outcomes are byte-identical to an unpaced run
+	// on the same tape. The zero value is the unpaced
+	// as-fast-as-possible protocol.
 	Pace modeltime.Pacer
 	// MaxQueriesPerUser caps each class user's stream; zero means no
 	// cap.
@@ -586,69 +604,9 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 	if cfg.Users <= 0 || cfg.Users > len(profiles) {
 		return Report{}, fmt.Errorf("loadgen: Users must be in [1, %d], got %d", len(profiles), cfg.Users)
 	}
-	weeks := cfg.Weeks
-	if weeks <= 0 {
-		weeks = 5
-	}
 	u := g.Config().Universe
 
-	base, err := begin(f, col)
-	if err != nil {
-		return Report{}, err
-	}
-	finishResize := scheduleResize(f, cfg.ResizeTo, cfg.ResizeAt, cfg.ResizeDrop)
 	outcomes := make([]replay.UserOutcome, cfg.Users)
-	var deadline time.Time
-	if cfg.Duration > 0 {
-		deadline = time.Now().Add(cfg.Duration)
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Users; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tag, pace, maxQ := cfg.ClassTag, cfg.Pace, cfg.MaxQueriesPerUser
-			for _, cc := range cfg.Classes {
-				if i >= cc.Lo && i < cc.Hi {
-					tag, pace, maxQ = cc.Name, cc.Pace, cc.MaxQueriesPerUser
-					break
-				}
-			}
-			up := profiles[i]
-			cur := g.Cursor(up, cfg.Month)
-			uo := replay.NewUserOutcome(up, weeks)
-			for n := 0; maxQ <= 0 || n < maxQ; n++ {
-				if cfg.Duration > 0 && !time.Now().Before(deadline) {
-					break
-				}
-				e, month := cur.Next()
-				if cfg.Duration <= 0 && month > cfg.Month {
-					break
-				}
-				resp := f.Do(fleet.Request{
-					User:  up.ID,
-					Query: u.QueryText(u.QueryOf(e.Pair)),
-					Click: u.ResultURL(u.ResultOf(e.Pair)),
-					Class: tag,
-				})
-				if resp.Shed || resp.Err != nil {
-					continue
-				}
-				uo.Record(e.At, u.Navigational(e.Pair), resp.Outcome)
-				if d := pace.Pause(resp.Outcome.ResponseTime()); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			outcomes[i] = uo
-		}(i)
-	}
-	wg.Wait()
-	if err := finishResize(); err != nil {
-		return Report{}, fmt.Errorf("loadgen: resize: %w", err)
-	}
-	elapsed := time.Since(start)
-
 	r := Report{
 		Mode:     "closed",
 		Scenario: cfg.Scenario,
@@ -656,20 +614,57 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 		Users:    cfg.Users,
 		Outcomes: outcomes,
 	}
-	paced, paceScale := cfg.Pace.Enabled(), cfg.Pace.Scale
+	err := measure(&r, f, col, cfg.Resize, func() error {
+		var deadline time.Time
+		if cfg.Duration > 0 {
+			deadline = time.Now().Add(cfg.Duration)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < cfg.Users; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var cls ClosedClassConfig
+				for _, cc := range cfg.Classes {
+					if i >= cc.Lo && i < cc.Hi {
+						cls = cc
+						break
+					}
+				}
+				up := profiles[i]
+				cur := g.Cursor(up, cfg.Month)
+				uo := replay.NewUserOutcome(up, 0) // the replay harness's weekly buckets
+				for n := 0; cls.MaxQueriesPerUser <= 0 || n < cls.MaxQueriesPerUser; n++ {
+					if cfg.Duration > 0 && !time.Now().Before(deadline) {
+						break
+					}
+					e, month := cur.Next()
+					if cfg.Duration <= 0 && month > cfg.Month {
+						break
+					}
+					resp := f.Do(request(u, e, cls.Name))
+					if resp.Shed || resp.Err != nil {
+						continue
+					}
+					uo.Record(e.At, u.Navigational(e.Pair), resp.Outcome)
+					if d := cls.Pace.Pause(resp.Outcome.ResponseTime()); d > 0 {
+						time.Sleep(d)
+					}
+				}
+				outcomes[i] = uo
+			}(i)
+		}
+		wg.Wait()
+		return nil
+	})
+	if err != nil {
+		return Report{}, err
+	}
 	for _, cc := range cfg.Classes {
-		if cc.Pace.Enabled() {
-			paced = true
-			if paceScale == 0 {
-				paceScale = cc.Pace.Scale
-			}
+		if cc.Pace.Enabled() && !r.Paced {
+			r.Paced, r.PaceScale = true, cc.Pace.Scale
 		}
 	}
-	if paced {
-		r.Paced = true
-		r.PaceScale = paceScale
-	}
-	fill(&r, f, col, base, elapsed)
 
 	classSum := make(map[string]float64)
 	classN := make(map[string]int)
@@ -704,11 +699,7 @@ func Tape(g *workload.Generator, up workload.UserProfile, month int) []fleet.Req
 	stream := g.UserStream(up, month)
 	out := make([]fleet.Request, len(stream))
 	for i, e := range stream {
-		out[i] = fleet.Request{
-			User:  e.User,
-			Query: u.QueryText(u.QueryOf(e.Pair)),
-			Click: u.ResultURL(u.ResultOf(e.Pair)),
-		}
+		out[i] = request(u, e, "")
 	}
 	return out
 }

@@ -420,7 +420,7 @@ func TestReportShardOccupancyAndResize(t *testing.T) {
 
 	r, err := RunClosed(f, col, g, ClosedConfig{
 		Users: 48, Month: 1,
-		ResizeTo: 6, ResizeAt: 10 * time.Millisecond,
+		Resize: WallResize{To: 6, At: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -469,8 +469,9 @@ func TestScheduleResizeAlwaysRuns(t *testing.T) {
 	g := smallGen(t, 16)
 	f, col := newRig(t, g, smallContent(t, g))
 	r, err := RunClosed(f, col, g, ClosedConfig{
-		Users: 8, Month: 1, MaxQueriesPerUser: 2,
-		ResizeTo: 6, ResizeAt: time.Hour,
+		Users: 8, Month: 1,
+		Classes: []ClosedClassConfig{{Hi: 8, MaxQueriesPerUser: 2}},
+		Resize:  WallResize{To: 6, At: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +491,8 @@ func TestPacedClosedLoopByteIdentical(t *testing.T) {
 
 	run := func(pace modeltime.Pacer) Report {
 		f, col := newRig(t, g, content)
-		r, err := RunClosed(f, col, g, ClosedConfig{Users: 120, Month: 1, Seed: 4, Pace: pace})
+		r, err := RunClosed(f, col, g, ClosedConfig{Users: 120, Month: 1, Seed: 4,
+			Classes: []ClosedClassConfig{{Hi: 120, Pace: pace}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,8 +542,7 @@ func TestDiurnalOpenLoopMatchesFlatArrivals(t *testing.T) {
 	}
 	flat := run(base)
 	diCfg := base
-	diCfg.Arrivals = modeltime.Diurnal
-	diCfg.DiurnalPeak = 4
+	diCfg.Classes = []OpenClassConfig{{Hi: 64, QPSShare: 1, Arrivals: modeltime.Diurnal, DiurnalPeak: 4}}
 	di := run(diCfg)
 
 	if di.Requests != flat.Requests {
@@ -575,7 +576,8 @@ func TestDiurnalOpenLoopMatchesFlatArrivals(t *testing.T) {
 func TestPerUserOpenLoop(t *testing.T) {
 	g := smallGen(t, 64)
 	content := smallContent(t, g)
-	cfg := OpenConfig{QPS: 1500, Duration: 300 * time.Millisecond, Month: 1, Seed: 3, Arrivals: modeltime.PerUser}
+	cfg := OpenConfig{QPS: 1500, Duration: 300 * time.Millisecond, Month: 1, Seed: 3,
+		Classes: []OpenClassConfig{{Hi: 64, QPSShare: 1, Arrivals: modeltime.PerUser}}}
 
 	run := func() Report {
 		f, col := newRig(t, g, content)
@@ -640,7 +642,7 @@ func TestAutoscaledOpenLoopDeterministic(t *testing.T) {
 	content := smallContent(t, g)
 	cfg := OpenConfig{
 		QPS: 2000, Duration: 500 * time.Millisecond, Month: 1, Seed: 11,
-		Arrivals: modeltime.Diurnal, DiurnalPeak: 6,
+		Classes: []OpenClassConfig{{Hi: 64, QPSShare: 1, Arrivals: modeltime.Diurnal, DiurnalPeak: 6}},
 		Autoscale: &autoscale.Config{
 			Interval: 50 * time.Millisecond, Min: 2, Max: 12, RatePerShard: 600,
 		},
@@ -707,8 +709,7 @@ func TestAutoscaledOpenLoopDeterministic(t *testing.T) {
 }
 
 // TestAutoscaleOffReportShape: without a controller the report carries
-// no autoscale block — so older byte-identity comparisons hold through
-// reportnorm — while the energy ledger is always present.
+// no autoscale block, while the energy ledger is always present.
 func TestAutoscaleOffReportShape(t *testing.T) {
 	g := smallGen(t, 32)
 	f, col := newRig(t, g, smallContent(t, g))

@@ -162,7 +162,7 @@ type Report struct {
 	ShardSkew float64 `json:"shard_skew,omitempty"`
 
 	// Migration counters for live resizes performed during the run
-	// (OpenConfig/ClosedConfig ResizeTo); all zero when no resize ran.
+	// (wall-timer, timeline or autoscaler); all zero when no resize ran.
 	Resizes                int64 `json:"resizes,omitempty"`
 	MigratedUsers          int64 `json:"migrated_users,omitempty"`
 	MigratedBytes          int64 `json:"migrated_bytes,omitempty"`
@@ -181,8 +181,7 @@ type Report struct {
 	// Energy is the fleet energy ledger for the run: the device-side
 	// joules broken down radio vs baseline, the shard-side (cloudlet
 	// server) idle floor and active increment, and the whole-system
-	// total per answered query. Always present; cmd/reportnorm strips
-	// it by default so byte-identity smokes keep passing.
+	// total per answered query. Always present.
 	Energy *EnergyReport `json:"energy,omitempty"`
 	// Autoscale summarizes the occupancy-driven controller's run:
 	// samples taken, resize actions fired and the bounds they respected.
@@ -604,19 +603,12 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 		r.ServedQPS = float64(r.Served) / elapsed.Seconds()
 	}
 	r.ModelMakespanNS = int64(f.ModelMakespan())
-	r.Wall = cnt.wall.Summary()
-	r.Model = cnt.model.Summary()
+	// The collector-side fields are the all-classes row of classReport.
+	all := classReport("", &cnt)
+	r.Wall, r.Model = all.Wall, all.Model
+	r.EnergyJ, r.EnergyPerQueryJ = all.EnergyJ, all.EnergyPerQueryJ
+	r.RadioEnergyJ, r.RadioEnergyPerMissJ = all.RadioEnergyJ, all.RadioEnergyPerMissJ
 
-	r.EnergyJ = cnt.energyJ
-	r.RadioEnergyJ = cnt.radioJ
-	observed := cnt.bySource[fleet.SourcePersonal] + cnt.bySource[fleet.SourceCommunity] + cnt.bySource[fleet.SourceCloud] +
-		cnt.bySource[fleet.SourceDegraded] + cnt.bySource[fleet.SourceUnavailable]
-	if observed > 0 {
-		r.EnergyPerQueryJ = cnt.energyJ / float64(observed)
-	}
-	if misses := cnt.bySource[fleet.SourceCloud]; misses > 0 {
-		r.RadioEnergyPerMissJ = cnt.missRadioJ / float64(misses)
-	}
 	bs := f.BatchStats()
 	r.Batches = bs.Batches - base.batch.Batches
 	r.BatchedMisses = bs.BatchedMisses - base.batch.BatchedMisses

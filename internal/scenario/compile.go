@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"pocketcloudlets/internal/autoscale"
 	"pocketcloudlets/internal/backend"
@@ -82,6 +81,13 @@ func Compile(spec *Spec, source string) (*Compiled, error) {
 	if label == "" {
 		label = source
 	}
+	// A spec without classes is one flat class over everyone, tagged
+	// "default".
+	classes, ranges := spec.Classes, c.Ranges
+	if len(classes) == 0 {
+		classes = []ClassSpec{{SLOClass: "default", Share: 1}}
+		ranges = []ClassRange{{Hi: spec.Users}}
+	}
 	switch spec.Mode {
 	case "open":
 		c.Open = loadgen.OpenConfig{
@@ -114,28 +120,18 @@ func Compile(spec *Spec, source string) (*Compiled, error) {
 				})
 			}
 		}
-		switch len(spec.Classes) {
-		case 0:
-			c.Open.ClassTag = "default"
-		case 1:
-			// A single class is the legacy single-stream schedule with a
-			// tag: same seed, same tape, byte-identical arrivals.
-			cs := spec.Classes[0]
-			c.Open.ClassTag = cs.SLOClass
-			c.Open.Arrivals, c.Open.DiurnalPeak, c.Open.DiurnalPeriod = arrivalParams(cs.Arrival)
-		default:
-			for ci, cs := range spec.Classes {
-				kind, peak, period := arrivalParams(cs.Arrival)
-				c.Open.Classes = append(c.Open.Classes, loadgen.OpenClassConfig{
-					Name:          cs.SLOClass,
-					Lo:            c.Ranges[ci].Lo,
-					Hi:            c.Ranges[ci].Hi,
-					QPSShare:      cs.effectiveRateFraction(),
-					Arrivals:      kind,
-					DiurnalPeak:   peak,
-					DiurnalPeriod: period,
-				})
+		for ci, cs := range classes {
+			oc := loadgen.OpenClassConfig{
+				Name:     cs.SLOClass,
+				Lo:       ranges[ci].Lo,
+				Hi:       ranges[ci].Hi,
+				QPSShare: cs.effectiveRateFraction(),
 			}
+			if a := cs.Arrival; a != nil {
+				oc.Arrivals, _ = modeltime.ParseKind(a.Process)
+				oc.DiurnalPeak, oc.DiurnalPeriod = a.PeakTrough, a.Period.D()
+			}
+			c.Open.Classes = append(c.Open.Classes, oc)
 		}
 	case "closed":
 		c.Closed = loadgen.ClosedConfig{
@@ -145,24 +141,17 @@ func Compile(spec *Spec, source string) (*Compiled, error) {
 			Seed:     spec.Seed,
 			Scenario: label,
 		}
-		switch len(spec.Classes) {
-		case 0:
-			c.Closed.ClassTag = "default"
-		case 1:
-			cs := spec.Classes[0]
-			c.Closed.ClassTag = cs.SLOClass
-			c.Closed.Pace = pacer(cs.Think)
-			c.Closed.MaxQueriesPerUser = cs.MaxQueriesPerUser
-		default:
-			for ci, cs := range spec.Classes {
-				c.Closed.Classes = append(c.Closed.Classes, loadgen.ClosedClassConfig{
-					Name:              cs.SLOClass,
-					Lo:                c.Ranges[ci].Lo,
-					Hi:                c.Ranges[ci].Hi,
-					Pace:              pacer(cs.Think),
-					MaxQueriesPerUser: cs.MaxQueriesPerUser,
-				})
+		for ci, cs := range classes {
+			cc := loadgen.ClosedClassConfig{
+				Name:              cs.SLOClass,
+				Lo:                ranges[ci].Lo,
+				Hi:                ranges[ci].Hi,
+				MaxQueriesPerUser: cs.MaxQueriesPerUser,
 			}
+			if t := cs.Think; t != nil {
+				cc.Pace = modeltime.Pacer{Scale: t.Scale, MaxPause: t.MaxPause.D()}
+			}
+			c.Closed.Classes = append(c.Closed.Classes, cc)
 		}
 	}
 	return c, nil
@@ -258,23 +247,6 @@ func (c *Compiled) buildCohorts() error {
 		return -1
 	}
 	return nil
-}
-
-// arrivalParams lowers an arrival spec; nil is the flat process.
-func arrivalParams(a *ArrivalSpec) (modeltime.Kind, float64, time.Duration) {
-	if a == nil {
-		return modeltime.Poisson, 0, 0
-	}
-	kind, _ := modeltime.ParseKind(a.Process)
-	return kind, a.PeakTrough, a.Period.D()
-}
-
-// pacer lowers a think spec; nil is the unpaced protocol.
-func pacer(t *ThinkSpec) modeltime.Pacer {
-	if t == nil {
-		return modeltime.Pacer{}
-	}
-	return modeltime.Pacer{Scale: t.Scale, MaxPause: t.MaxPause.D()}
 }
 
 // radioParams maps a validated radio tier name to its parameter set.

@@ -341,63 +341,70 @@ func TestTraceReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestSingleClassMatchesLegacy checks the scenario compiler's
-// flag-funnel contract: a single-class scenario produces byte-identical
-// per-user outcomes to the legacy untagged config it replaces.
+// TestSingleClassMatchesLegacy checks the one-class identities: a
+// single-class scenario, a spec with no classes, a hand-built one-class
+// loadgen config and the untagged config with no classes at all draw the
+// same schedule from the same seed, so per-user outcomes are
+// byte-identical; only the tag differs.
 func TestSingleClassMatchesLegacy(t *testing.T) {
 	const users, seed = 32, 9
-	spec := &Spec{
-		Version: 1, Mode: "open", Users: users, Seed: seed,
-		QPS: 300, Duration: Duration(250 * time.Millisecond),
-		Fleet: FleetSpec{Shards: 4, Workers: 2, Queue: 4096},
-		Classes: []ClassSpec{
-			{Name: "default", Share: 1, Arrival: &ArrivalSpec{Process: "flat"}},
-		},
+	spec := func(classes ...ClassSpec) *Spec {
+		return &Spec{
+			Version: 1, Mode: "open", Users: users, Seed: seed,
+			QPS: 300, Duration: Duration(250 * time.Millisecond),
+			Fleet:   FleetSpec{Shards: 4, Workers: 2, Queue: 4096},
+			Classes: classes,
+		}
 	}
-	comp, err := Compile(spec, "")
+	comp, err := Compile(spec(ClassSpec{Name: "only", Share: 1, Arrival: &ArrivalSpec{Process: "flat"}}), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := Compile(spec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := smallGen(t, users, seed)
 	content := smallContent(t, g)
 
-	sf, scol := rig(t, comp, g, content)
-	sreport, err := comp.Run(sf, scol, g)
-	if err != nil {
-		t.Fatal(err)
+	run := func(name string, cfg loadgen.OpenConfig, wantTag string) []fleet.UserServeCount {
+		t.Helper()
+		f, col := rig(t, comp, g, content)
+		r, err := loadgen.RunOpen(f, col, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Shed != 0 {
+			t.Fatalf("%s: shed %d requests; the identity check needs shed-free runs", name, r.Shed)
+		}
+		if r.Arrivals != "poisson" {
+			t.Errorf("%s: arrivals reported as %q, want poisson", name, r.Arrivals)
+		}
+		switch {
+		case wantTag == "" && len(r.Classes) != 0:
+			t.Errorf("%s: untagged run has class rows: %+v", name, r.Classes)
+		case wantTag != "" && (len(r.Classes) != 1 || r.Classes[0].Class != wantTag):
+			t.Errorf("%s: report classes = %+v, want one %q row", name, r.Classes, wantTag)
+		}
+		return f.UserServeCounts()
 	}
+	untagged := loadgen.OpenConfig{QPS: 300, Duration: 250 * time.Millisecond, Month: 1, Seed: seed}
+	oneClass := untagged
+	oneClass.Classes = []loadgen.OpenClassConfig{{Name: "mine", Hi: users, QPSShare: 1}}
 
-	// The legacy path: same fleet shape, hand-built untagged config.
-	lcol := loadgen.NewCollector()
-	lcfg, err := comp.FleetConfig(lcol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lcfg.Engine = engine.New(g.Config().Universe)
-	lcfg.Content = content
-	lf, err := fleet.New(lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	lreport, err := loadgen.RunOpen(lf, lcol, g, loadgen.OpenConfig{
-		QPS: 300, Duration: 250 * time.Millisecond, Month: 1, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if sreport.Shed != 0 || lreport.Shed != 0 {
-		t.Fatalf("shed %d/%d requests; the identity check needs shed-free runs", sreport.Shed, lreport.Shed)
-	}
-	if !reflect.DeepEqual(sf.UserServeCounts(), lf.UserServeCounts()) {
-		t.Error("single-class scenario diverges from the legacy untagged run")
-	}
-	if len(sreport.Classes) != 1 || sreport.Classes[0].Class != "default" {
-		t.Errorf("single-class scenario report classes = %+v, want one \"default\" row", sreport.Classes)
-	}
-	if len(lreport.Classes) != 0 {
-		t.Errorf("legacy untagged run unexpectedly has class rows: %+v", lreport.Classes)
+	want := run("no classes", untagged, "")
+	for _, c := range []struct {
+		name string
+		cfg  loadgen.OpenConfig
+		tag  string
+	}{
+		{"single-class scenario", comp.Open, "only"},
+		{"scenario without classes", bare.Open, "default"},
+		{"one hand-built class", oneClass, "mine"},
+	} {
+		if got := run(c.name, c.cfg, c.tag); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s diverges from the untagged run with no classes", c.name)
+		}
 	}
 }
 

@@ -158,10 +158,17 @@ type (
 	LoadCollector = loadgen.Collector
 	// LoadReport is the machine-readable result of one load phase.
 	LoadReport = loadgen.Report
-	// OpenLoadConfig parameterizes an open-loop (Poisson) load run.
+	// OpenLoadConfig parameterizes an open-loop load run; its Classes
+	// (OpenLoadClass) carry the arrival processes.
 	OpenLoadConfig = loadgen.OpenConfig
-	// ClosedLoadConfig parameterizes a closed-loop (K users) load run.
+	OpenLoadClass  = loadgen.OpenClassConfig
+	// ClosedLoadConfig parameterizes a closed-loop (K users) load run;
+	// its Classes (ClosedLoadClass) carry pacing and per-user caps.
 	ClosedLoadConfig = loadgen.ClosedConfig
+	ClosedLoadClass  = loadgen.ClosedClassConfig
+	// LoadResize is the wall-timer live resize of a load run
+	// (OpenLoadConfig.Resize, ClosedLoadConfig.Resize).
+	LoadResize = loadgen.WallResize
 	// ArrivalKind selects an open-loop arrival process: poisson,
 	// diurnal (a day-curve warp of the same arrivals) or peruser
 	// (per-user renewal processes weighted by workload class).
@@ -385,7 +392,7 @@ func NewRingPlacement(shards, vnodes int) (Placement, error) {
 }
 
 // RunOpenLoad replays workload queries against a fleet as an open-loop
-// arrival process (Poisson by default; OpenLoadConfig.Arrivals selects
+// arrival process (Poisson by default; OpenLoadClass.Arrivals selects
 // diurnal or per-user) and reports latency percentiles, throughput,
 // hit- and shed-rates and the offered-rate curve.
 func (s *Simulation) RunOpenLoad(f *Fleet, col *LoadCollector, cfg OpenLoadConfig) (LoadReport, error) {

@@ -57,15 +57,14 @@ raw="$raw"$'\n'"$write_raw"
 # model outputs, so a diff between two snapshots surfaces any drift
 # in the hedging policy the serving benchmarks would not see. The
 # queued backends are on (finite rate, bounded PS, cancel-on-win) and
-# the per-replica rows and energy ledger kept (-keep backend,energy),
-# so backend utilization, queue-wait counters and joules-per-answered
-# diff across commits too.
+# the per-replica rows kept (-keep backend), so backend utilization,
+# queue-wait counters and joules-per-answered diff across commits too.
 hedged=$(go run ./cmd/loadtest -mode closed -users 64 -duration 0 -seed 3 \
     -faults -loss 0.2 -outage 6s/30s -retries 3 \
     -replicas 3 -hedge 2 \
     -backend-rate 30 -backend-queue 16 -backend-disc ps \
     -backend-offered 20 -backend-cancel -json |
-    go run ./cmd/reportnorm -keep backend,energy)
+    go run ./cmd/reportnorm -keep backend)
 
 # An autoscaled diurnal run rides along as well: its energy ledger and
 # autoscale action log are pure model outputs (occupancy is sampled
@@ -75,7 +74,7 @@ hedged=$(go run ./cmd/loadtest -mode closed -users 64 -duration 0 -seed 3 \
 autoscaled=$(go run ./cmd/loadtest -users 200 -qps 800 -duration 2s -seed 5 \
     -arrivals diurnal -diurnal-peak 6 -placement ring -shards 4 \
     -autoscale -autoscale-interval 250ms -autoscale-rate 120 -json |
-    go run ./cmd/reportnorm -keep energy,autoscale)
+    go run ./cmd/reportnorm)
 
 {
     echo '{'

