@@ -94,6 +94,7 @@ import (
 
 	"pocketcloudlets"
 	"pocketcloudlets/internal/scenario"
+	"pocketcloudlets/internal/searchlog"
 )
 
 // knob is one workload flag: a shorthand for one key of the scenario
@@ -464,18 +465,15 @@ func main() {
 	}
 	if rf.check {
 		faultsOn := spec.Faults != nil
-		hedgeOn := false
 		for _, cls := range spec.Classes {
 			if cls.Faults != nil {
 				faultsOn = true
 			}
-			if cls.Hedge != nil && cls.Hedge.CloneFactor >= 2 && spec.Fleet.Replicas >= 2 {
-				hedgeOn = true
-			}
 		}
 		backendOn := spec.Fleet.Backend != nil
 		autoscaleOn := spec.Fleet.Autoscale != nil
-		if problems := checkReport(report, faultsOn, hedgeOn, backendOn, autoscaleOn); len(problems) > 0 {
+		hedgeOn, hedged := hedgedMisses(f, comp, report)
+		if problems := checkReport(report, faultsOn, hedgeOn, hedged, backendOn, autoscaleOn); len(problems) > 0 {
 			for _, p := range problems {
 				fmt.Fprintf(os.Stderr, "check failed: %s\n", p)
 			}
@@ -529,17 +527,55 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
+// hedgedMisses reports whether anybody's cloud misses were planned
+// across replicas and how many cloud misses the report books to those
+// who were: it asks the fleet, which resolved who hedges when it was
+// built, about one user of each class, and sums the hedging classes'
+// rows (the fleet-wide count when every class hedges). The count is -1
+// when the report cannot tell: a class that does not hedge shares a
+// hedging class's SLO tag, or the run replayed a trace, whose requests
+// carry the tags they were recorded under.
+func hedgedMisses(f *pocketcloudlets.Fleet, comp *scenario.Compiled, r pocketcloudlets.LoadReport) (on bool, misses int64) {
+	hedging, plain := map[string]bool{}, map[string]bool{}
+	for _, rg := range comp.Ranges {
+		if rg.Lo == rg.Hi {
+			continue
+		}
+		if f.Hedges(searchlog.UserID(rg.Lo)) {
+			hedging[rg.SLO] = true
+		} else {
+			plain[rg.SLO] = true
+		}
+	}
+	on = len(hedging) > 0
+	switch {
+	case len(plain) == 0:
+		return on, int64(r.CloudMisses)
+	case comp.Spec.Mode == "trace":
+		return on, -1
+	}
+	for _, cr := range r.Classes {
+		if hedging[cr.Class] && plain[cr.Class] {
+			return on, -1
+		}
+		if hedging[cr.Class] {
+			misses += int64(cr.CloudMisses)
+		}
+	}
+	return on, misses
+}
+
 // checkReport verifies the report's accounting invariants: every
 // submission is booked exactly once, every served request came from
 // exactly one tier, the fault counters are silent when fault
-// injection is off, the hedge counters cross-foot (every hedged
-// cloud serve was won by exactly one dispatch; wasted clones never
-// exceed clones launched), the backend replica rows cross-foot
+// injection is off, the hedge counters cross-foot (every cloud serve
+// of a user who hedges was won by exactly one dispatch; wasted clones
+// never exceed clones launched), the backend replica rows cross-foot
 // (arrivals partition into served, rejected and abandoned), the
 // energy ledger cross-foots (device = base + radio, and it tracks the
 // collector's per-response sum; fleet = device + shards), and the
 // autoscale action log stays within bounds and chains shard counts.
-func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn, backendOn, autoscaleOn bool) []string {
+func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMisses int64, backendOn, autoscaleOn bool) []string {
 	var problems []string
 	if r.Errors != 0 {
 		problems = append(problems, fmt.Sprintf("errors: %d", r.Errors))
@@ -562,10 +598,12 @@ func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn, backendOn, aut
 	}
 	if hedgeOn {
 		// Every hedged cloud miss is won by exactly one dispatch, so with
-		// no cancellations the wins partition the cloud serves.
-		if r.Canceled == 0 && r.PrimaryWins+r.CloneWins != int64(r.CloudMisses) {
-			problems = append(problems, fmt.Sprintf("primary wins %d + clone wins %d != cloud misses %d",
-				r.PrimaryWins, r.CloneWins, r.CloudMisses))
+		// no cancellations the wins partition the cloud serves of the
+		// users who hedge (hedgedMisses; negative when the report cannot
+		// tell them apart).
+		if hedgedMisses >= 0 && r.Canceled == 0 && r.PrimaryWins+r.CloneWins != hedgedMisses {
+			problems = append(problems, fmt.Sprintf("primary wins %d + clone wins %d != %d cloud misses of the classes that hedge",
+				r.PrimaryWins, r.CloneWins, hedgedMisses))
 		}
 		if r.CloneWins > r.ClonesLaunched {
 			problems = append(problems, fmt.Sprintf("clone wins %d exceed clones launched %d", r.CloneWins, r.ClonesLaunched))

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pocketcloudlets"
 	"pocketcloudlets/internal/scenario"
 )
 
@@ -401,5 +402,76 @@ func TestReadmeFlagTable(t *testing.T) {
 	})
 	for name := range rows {
 		t.Errorf("README's flag table lists -%s, which loadtest does not have", name)
+	}
+}
+
+// runScenario serves a command line's scenario the way main does —
+// ecosystem, community content, fleet, generator run — and returns what
+// -check gets to look at.
+func runScenario(t *testing.T, args ...string) (*scenario.Compiled, *pocketcloudlets.Fleet, pocketcloudlets.LoadReport) {
+	t.Helper()
+	comp := compiled(t, args...)
+	spec := comp.Spec
+	ucfg := scenario.UniverseConfig()
+	sim, err := pocketcloudlets.NewSimulation(pocketcloudlets.SimConfig{
+		Seed: spec.Seed, Users: spec.Users, UniverseConfig: &ucfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	content, err := sim.CommunityContentFrom(spec.Month-1, spec.CommunityShare, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := pocketcloudlets.NewLoadCollector()
+	fcfg, err := comp.FleetConfig(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := sim.NewFleet(content, fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	report, err := comp.Run(f, col, sim.Generator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp, f, report
+}
+
+// TestCheckHedgeWinsPartitionHedgedMisses: -check holds the hedge wins
+// against the cloud misses of the classes that hedge. With one class
+// hedging beside one that does not, that is the hedging class's row —
+// demanding the fleet-wide count failed a correct run — and with every
+// class hedging it is still the fleet-wide count, enforced.
+func TestCheckHedgeWinsPartitionHedgedMisses(t *testing.T) {
+	comp, f, report := runScenario(t, "-scenario", filepath.Join("testdata", "mixed-hedge.json"))
+	on, misses := hedgedMisses(f, comp, report)
+	var hedgers uint64
+	for _, cr := range report.Classes {
+		if cr.Class == "hedgers" {
+			hedgers = cr.CloudMisses
+		}
+	}
+	if !on || misses != int64(hedgers) || hedgers == 0 || hedgers >= report.CloudMisses {
+		t.Fatalf("mixed spec: hedging %v over %d misses, hedgers row has %d of %d cloud misses", on, misses, hedgers, report.CloudMisses)
+	}
+	if problems := checkReport(report, true, on, misses, false, false); len(problems) != 0 {
+		t.Errorf("mixed spec: a correct run fails -check: %v", problems)
+	}
+
+	comp, f, report = runScenario(t, "-scenario", "clone-storm", "-users", "120")
+	on, misses = hedgedMisses(f, comp, report)
+	if !on || misses != int64(report.CloudMisses) {
+		t.Fatalf("every class hedges: hedging %v over %d misses, want all %d", on, misses, report.CloudMisses)
+	}
+	if problems := checkReport(report, true, on, misses, true, false); len(problems) != 0 {
+		t.Errorf("clone-storm fails -check: %v", problems)
+	}
+	report.PrimaryWins--
+	problems := checkReport(report, true, on, misses, true, false)
+	if len(problems) != 1 || !strings.Contains(problems[0], "cloud misses of the classes that hedge") {
+		t.Errorf("a lost hedge win went unnoticed fleet-wide: %v", problems)
 	}
 }

@@ -9,7 +9,37 @@ import (
 	"pocketcloudlets/internal/radio"
 )
 
-var benchClones int
+var benchClones, benchAttempts int
+
+// BenchmarkPlanClean plans misses that have nothing to go wrong and
+// nothing to hedge across — a cohort with no injector (whose resolved
+// policy is the zero one), and an inert injector under clone factor 1,
+// both on three replicas and unpriced — through PlanHedged, the way the
+// fleet plans every miss. Their one-launch plan holds its only launch
+// inline and an unfailed, unpriced ladder has no slices to fill, so the
+// fault-free miss allocates nothing here (gated at 0 allocs/op by
+// scripts/check.sh).
+func BenchmarkPlanClean(b *testing.B) {
+	retry := faults.RetryPolicy{}.WithDefaults()
+	link := radio.ThreeG()
+	for _, bc := range []struct {
+		name  string
+		injs  []*faults.Injector
+		hedge faults.HedgePolicy
+	}{
+		{"nil-injector", faults.Replicas(nil, 3), faults.HedgePolicy{}},
+		{"inert", faults.Replicas(faults.New(faults.Options{Enabled: true}), 3), faults.HedgePolicy{CloneFactor: 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hp := faults.PlanHedged(bc.injs, retry, bc.hedge, link, nil, time.Duration(i)*time.Second, 0,
+					uint64(i%600), uint64(i)*0x9E3779B97F4A7C15, uint64(i))
+				benchAttempts += hp.Primary.Plan.Attempts
+			}
+		})
+	}
+}
 
 // BenchmarkPlanHedgedPriced plans hedged misses against the queued
 // backend under the fault_hedge profile of the repository benchmark

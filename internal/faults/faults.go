@@ -46,9 +46,10 @@ type Window struct {
 // Options configure the fault model. The zero value disables it.
 type Options struct {
 	// Enabled turns fault injection on. With Enabled set and every
-	// other field zero the model is inert: the faulted serve path runs
-	// but injects nothing, producing outcomes identical to a disabled
-	// model (the fleet's zero-cost-when-off test relies on this).
+	// other field zero the model is inert: every miss is planned through
+	// an injector that injects nothing, producing outcomes identical to
+	// a disabled model (the "inert ≡ faults off" rows of the fleet's
+	// TestMissPathTable rely on this).
 	Enabled bool
 	// Seed drives the loss and engine-error hashes. Independent of the
 	// workload seed so fault scenarios can vary against a fixed load.
@@ -315,8 +316,8 @@ type Plan struct {
 	// FailedWait is the model time burned by failed attempts and the
 	// backoffs between attempts; FailedActive is the radio-active part
 	// (the wake-ups and handshakes of the failed attempts — energy the
-	// device pays for nothing, the tentpole's "you pay for the radio
-	// even when the network drops you").
+	// device pays for nothing: the radio costs the same whether or not
+	// the network delivers).
 	FailedWait   time.Duration
 	FailedActive time.Duration
 	// BackendWait is the modeled backend time — queue wait plus service —
@@ -332,13 +333,12 @@ type Plan struct {
 	// a Pricer.
 	FinalQueueWait time.Duration
 	FinalService   time.Duration
-	// Rejects counts dispatches the replica's bounded queue turned away —
-	// failures that cost a radio attempt but no backend time.
-	Rejects int
 	// Arrivals is the priced-dispatch ledger: one entry per attempt that
 	// reached the replica, in attempt order, for the fleet to book into
-	// the backend's accounting after the plan replays. Nil without a
-	// Pricer (the legacy path allocates nothing).
+	// the backend's accounting after the plan replays. A dispatch the
+	// replica's bounded queue turned away — a failure that cost a radio
+	// attempt but no backend time — is an ArrivalRejected entry. Nil
+	// without a Pricer (an unpriced ladder allocates nothing).
 	Arrivals []Arrival
 	// Backoffs are the pauses taken between attempts, in order, so the
 	// fleet can replay the exact failure sequence against the device
@@ -403,7 +403,6 @@ func PlanMiss(in *Injector, pol RetryPolicy, p radio.Params, pr Pricer, replica 
 			}
 			switch {
 			case adm.Rejected:
-				pl.Rejects++
 				pl.Arrivals = append(pl.Arrivals, Arrival{
 					Replica: replica, Attempt: attempt, At: now, Status: ArrivalRejected,
 				})

@@ -59,9 +59,9 @@ func Replicas(base *Injector, n int) []*Injector {
 // at once. The zero value disables hedging.
 type HedgePolicy struct {
 	// CloneFactor is the total number of dispatches one miss may make,
-	// primary included. Values below 2 disable hedging — the miss runs
-	// the single-backend ladder against replica 0, byte-identical to an
-	// unreplicated fleet.
+	// primary included. Values below 2 disable hedging — the miss is
+	// planned as its one-launch value, the single-backend ladder against
+	// replica 0, byte-identical to an unreplicated fleet.
 	CloneFactor int
 	// Delay is the stagger between successive launches: clone i waits
 	// i×Delay after the primary before dispatching, and only launches
@@ -76,6 +76,18 @@ type HedgePolicy struct {
 // Active reports whether the policy actually hedges.
 func (h HedgePolicy) Active() bool { return h.CloneFactor >= 2 }
 
+// Over resolves the policy against the replica injectors a miss would
+// be planned over — the one who-hedges rule: an injector to draw faults
+// from, at least two replicas to dispatch to, and a clone factor that
+// actually clones. Anything else resolves to the zero policy, whose
+// plan is the single-backend ladder. Idempotent.
+func (h HedgePolicy) Over(injs []*Injector) HedgePolicy {
+	if !h.Active() || len(injs) < 2 || injs[0] == nil {
+		return HedgePolicy{}
+	}
+	return h
+}
+
 // WithDefaults normalizes the policy: negative delay becomes
 // immediate, a missing inflight cap becomes the clone factor.
 func (h HedgePolicy) WithDefaults() HedgePolicy {
@@ -88,10 +100,10 @@ func (h HedgePolicy) WithDefaults() HedgePolicy {
 	return h
 }
 
-// HedgeLaunch is one dispatch of a hedged miss: which replica it went
+// HedgeLaunch is one dispatch of a planned miss: which replica it went
 // to, when it launched (offset from the miss start), and the attempt
-// ladder it planned there. Losers additionally carry the waste they
-// accrued before the winner's answer canceled them.
+// ladder it planned there. A loser's ladder keeps only the arrivals of
+// attempts that had started when the winner's answer canceled it.
 type HedgeLaunch struct {
 	// Replica indexes the replica this dispatch targeted.
 	Replica int
@@ -100,56 +112,70 @@ type HedgeLaunch struct {
 	// Plan is the full attempt ladder planned against the replica's
 	// injector, starting at the launch offset.
 	Plan Plan
-	// Warm reports whether the dispatch's first attempt started inside
-	// the device link's remaining tail.
-	Warm bool
-	// Wasted is how many of the ladder's attempts actually started
-	// before cancellation and were thrown away (zero for the winner);
-	// WastedActive is their radio-active cost.
-	Wasted       int
-	WastedActive time.Duration
-	// Abandoned reports that the dispatch's *successful* exchange was
-	// already in flight when the winner's answer arrived — the request
-	// went up, the response was discarded. The fleet charges it per the
-	// radio cost model (radio.ExchangeCost with an empty response).
-	Abandoned bool
 }
 
-// HedgedPlan is the analytically simulated outcome of one hedged cloud
-// miss across its replica dispatches, before any model state is
-// touched — the hedging analogue of Plan, and just as deterministic.
+// HedgedPlan is the analytically simulated outcome of one cloud miss
+// across its replica dispatches, before any model state is touched —
+// the miss path's one plan value, as deterministic as the ladders it is
+// made of. Its one-launch value (no clones, Hedged false) is the
+// single-backend ladder.
 type HedgedPlan struct {
-	// Launches are the dispatches that actually happened, in launch
-	// order. Launches[0] is always the primary; slots suppressed by an
-	// early answer or the inflight cap never appear.
-	Launches []HedgeLaunch
-	// Winner indexes into Launches the dispatch that delivered the
-	// answer, or -1 when every dispatch exhausted its ladder and the
-	// miss must degrade.
-	Winner int
+	// Primary is the first dispatch, launched at offset zero; held
+	// inline, so the one-launch plan carries no launch slice.
+	Primary HedgeLaunch
+	// clones are the dispatches beyond the primary that actually
+	// happened, in launch order; slots suppressed by an early answer or
+	// the inflight cap never appear.
+	clones []HedgeLaunch
 	// Wait is the extra user-visible wait the hedge added on top of the
 	// delivered ladder: the winner's launch offset when a clone wins
 	// (zero when the primary wins), or — when all dispatches exhaust —
 	// how far past the primary's own exhaustion the last ladder kept
 	// trying before the miss degraded.
 	Wait time.Duration
-	// Aggregate waste across the losing dispatches.
-	WastedAttempts int
+	// WastedAttempts counts the attempts the losing dispatches had
+	// started before cancellation; WastedActive is the radio-active time
+	// they cost, plus one abandoned exchange (radio.ExchangeCost with an
+	// empty response: the request went up, nobody read the answer) per
+	// loser whose *successful* exchange was in flight when the winner's
+	// answer arrived. Losers run beside the winner on the network side,
+	// so this is energy, never latency.
 	WastedActive   time.Duration
-	Abandoned      int
+	WastedAttempts int32
+	// Winner is the launch index (see Launch) of the dispatch that
+	// delivered the answer, or -1 when every dispatch exhausted its
+	// ladder and the miss must degrade. (32-bit counts keep the plan,
+	// which every parked miss carries, the size of the pair it replaced.)
+	Winner int32
+	// Hedged reports that the miss was planned across replicas. A quiet
+	// hedged miss that launched no clone is still Hedged; the
+	// single-backend ladder never is, so hedge telemetry moves only for
+	// misses that could have cloned.
+	Hedged bool
+}
+
+// Launches is how many dispatches actually happened, primary included.
+func (h *HedgedPlan) Launches() int { return 1 + len(h.clones) }
+
+// Launch returns dispatch i in launch order; Launch(0) is the primary.
+func (h *HedgedPlan) Launch(i int) *HedgeLaunch {
+	if i == 0 {
+		return &h.Primary
+	}
+	return &h.clones[i-1]
 }
 
 // Delivered returns the plan whose ladder the user's timeline rides:
 // the winner's, or the primary's when every dispatch exhausted.
 func (h HedgedPlan) Delivered() Plan {
-	if h.Winner >= 0 {
-		return h.Launches[h.Winner].Plan
+	if h.Winner > 0 {
+		return h.clones[h.Winner-1].Plan
 	}
-	return h.Launches[0].Plan
+	return h.Primary.Plan
 }
 
 // Clones is how many dispatches beyond the primary actually launched.
-func (h HedgedPlan) Clones() int { return len(h.Launches) - 1 }
+func (h HedgedPlan) Clones() int { return len(h.clones) }
 
 // hedgeStart rotates the primary replica per miss so load (and fault
 // exposure) spreads across the replica set instead of pinning replica
@@ -176,19 +202,22 @@ func cloneQueryHash(qh uint64, slot int) uint64 {
 	return qh ^ mix(0xC10E5A17_0000_0000^uint64(slot))
 }
 
-// PlanHedged simulates one hedged cloud miss analytically: up to
-// CloneFactor dispatches, each against its own replica injector, each
-// a full PlanMiss ladder starting at its staggered launch offset. The
-// winner is the dispatch whose successful exchange starts first (ties
-// go to the earlier launch); the answer is considered in hand one
-// handshake later, at which point the losers are canceled and charged
-// for every attempt they had already started. A clone slot never
-// launches if an earlier dispatch's answer is already in hand at its
-// launch time, or if the inflight cap is reached.
+// PlanHedged plans one cloud miss analytically — the miss path's one
+// planner call. A policy that does not hedge (HedgePolicy.Over) plans
+// the one-launch value: a single PlanMiss ladder against replica 0,
+// nothing rotated, waited for or wasted. One that does makes up to
+// CloneFactor dispatches, each a full PlanMiss ladder against its own
+// replica injector from its staggered launch offset. The winner is the
+// dispatch whose answer is in hand first — its ladder, its successful
+// exchange's queue wait and service, and one handshake — ties going to
+// the earlier launch; at that instant the losers are canceled and
+// charged for every attempt they had already started. A clone slot
+// never launches if an earlier dispatch's answer is already in hand at
+// its launch time, or if the inflight cap is reached.
 //
 // Like PlanMiss, every decision is a pure function of the injector
 // seeds and the caller-supplied identifiers — never of wall time — so
-// hedged outcomes are byte-reproducible under -race.
+// planned outcomes are byte-reproducible under -race.
 //
 // now is the user's model clock, tailLeft how much of the device
 // link's post-transfer tail remains at the miss start (zero when
@@ -197,27 +226,27 @@ func cloneQueryHash(qh uint64, slot int) uint64 {
 // clones — their cost is charged analytically, off the link — which
 // keeps the plan in exact agreement with the fleet's device replay.
 func PlanHedged(injs []*Injector, pol RetryPolicy, hp HedgePolicy, p radio.Params, pr Pricer, now time.Duration, tailLeft time.Duration, uid, qh, seq uint64) HedgedPlan {
-	hp = hp.WithDefaults()
-	n := len(injs)
-	if n == 0 {
-		injs, n = []*Injector{nil}, 1
+	if len(injs) == 0 {
+		injs = []*Injector{nil}
 	}
-	start := hedgeStart(n, uid, qh, seq)
+	hp = hp.Over(injs).WithDefaults()
 	if !hp.Active() {
-		// Degenerate single dispatch; the fleet never takes this path
-		// (it runs the legacy ladder instead), but keep it well-defined.
-		pl := PlanMiss(injs[0], pol, p, pr, 0, now, tailLeft > 0, uid, qh, seq)
-		w := 0
-		if !pl.Success {
-			w = -1
+		h := HedgedPlan{Primary: HedgeLaunch{Plan: PlanMiss(injs[0], pol, p, pr, 0, now, tailLeft > 0, uid, qh, seq)}}
+		if !h.Primary.Plan.Success {
+			h.Winner = -1
 		}
-		return HedgedPlan{Launches: []HedgeLaunch{{Replica: 0, Plan: pl}}, Winner: w}
+		return h
 	}
 
+	n := len(injs)
+	start := hedgeStart(n, uid, qh, seq)
 	handshake := time.Duration(p.HandshakeRTTs) * p.RTT
-	hplan := HedgedPlan{Launches: make([]HedgeLaunch, 0, hp.CloneFactor), Winner: -1}
-	answerAt := time.Duration(-1) // earliest instant an answer is in hand; -1 = none yet
-	winAnswerAt := time.Duration(0)
+	h := HedgedPlan{Hedged: true, Winner: -1}
+	// answerAt is the earliest instant an answer is in hand (-1 = none
+	// yet) — queue and service time included, so a fast replica beats a
+	// congested one whose exchange *started* first — and Winner the
+	// launch that has it.
+	answerAt := time.Duration(-1)
 	for slot := 0; slot < hp.CloneFactor; slot++ {
 		at := time.Duration(slot) * hp.Delay
 		if slot > 0 {
@@ -225,11 +254,9 @@ func PlanHedged(injs []*Injector, pol RetryPolicy, hp HedgePolicy, p radio.Param
 				break // an earlier dispatch already delivered
 			}
 			inflight := 0
-			for _, l := range hplan.Launches {
-				end := l.At + l.Plan.LadderWait()
-				if l.Plan.Success {
-					end += l.Plan.FinalBackend()
-				}
+			for i := 0; i < h.Launches(); i++ {
+				l := h.Launch(i)
+				end := l.At + l.Plan.LadderWait() + l.Plan.FinalBackend()
 				if end > at || (l.Plan.Success && end == at) {
 					inflight++
 				}
@@ -239,79 +266,63 @@ func PlanHedged(injs []*Injector, pol RetryPolicy, hp HedgePolicy, p radio.Param
 			}
 		}
 		rep := (start + slot) % n
-		warm := at < tailLeft
-		pl := PlanMiss(injs[rep], pol, p, pr, rep, now+at, warm, uid, cloneQueryHash(qh, slot), seq)
-		hplan.Launches = append(hplan.Launches, HedgeLaunch{Replica: rep, At: at, Plan: pl, Warm: warm})
-		if pl.Success {
-			handAt := at + pl.LadderWait() + pl.FinalBackend() + handshake
+		l := HedgeLaunch{Replica: rep, At: at,
+			Plan: PlanMiss(injs[rep], pol, p, pr, rep, now+at, at < tailLeft, uid, cloneQueryHash(qh, slot), seq)}
+		if slot == 0 {
+			h.Primary = l
+		} else {
+			if h.clones == nil {
+				h.clones = make([]HedgeLaunch, 0, hp.CloneFactor-1)
+			}
+			h.clones = append(h.clones, l)
+		}
+		if l.Plan.Success {
+			handAt := at + l.Plan.LadderWait() + l.Plan.FinalBackend() + handshake
 			if answerAt < 0 || handAt < answerAt {
-				answerAt = handAt
+				answerAt, h.Winner = handAt, int32(h.Launches()-1)
 			}
 		}
 	}
 
-	// Pick the winner: earliest answer in hand — ladder, queue and
-	// service time included, so a fast replica beats a congested one
-	// even when the congested dispatch's exchange *started* first. Ties
-	// go to the earlier launch.
-	for i, l := range hplan.Launches {
-		if !l.Plan.Success {
-			continue
-		}
-		handAt := l.At + l.Plan.LadderWait() + l.Plan.FinalBackend() + handshake
-		if hplan.Winner < 0 || handAt < winAnswerAt {
-			hplan.Winner, winAnswerAt = i, handAt
-		}
-	}
-
-	if hplan.Winner < 0 {
+	if h.Winner < 0 {
 		// Every dispatch exhausted. The primary's ladder is the user's
 		// replayed timeline; the clones' whole ladders are waste, and
 		// the miss degrades only once the last ladder has given up.
-		exhaustAt := time.Duration(0)
-		for i := range hplan.Launches {
-			l := &hplan.Launches[i]
+		exhaustAt := h.Primary.Plan.LadderWait()
+		for i := range h.clones {
+			l := &h.clones[i]
 			if end := l.At + l.Plan.LadderWait(); end > exhaustAt {
 				exhaustAt = end
 			}
-			if i == 0 {
-				continue
-			}
-			l.Wasted = l.Plan.Attempts
-			l.WastedActive = l.Plan.FailedActive
-			hplan.WastedAttempts += l.Wasted
-			hplan.WastedActive += l.WastedActive
+			h.WastedAttempts += int32(l.Plan.Attempts)
+			h.WastedActive += l.Plan.FailedActive
 		}
-		if extra := exhaustAt - hplan.Launches[0].Plan.LadderWait(); extra > 0 {
-			hplan.Wait = extra
-		}
-		return hplan
+		h.Wait = exhaustAt - h.Primary.Plan.LadderWait()
+		return h
 	}
 
-	hplan.Wait = hplan.Launches[hplan.Winner].At
-	cancelAt := winAnswerAt
-	for i := range hplan.Launches {
-		if i == hplan.Winner {
+	h.Wait = h.Launch(int(h.Winner)).At
+	for i := 0; i < h.Launches(); i++ {
+		if i == int(h.Winner) {
 			continue
 		}
-		l := &hplan.Launches[i]
-		l.Wasted, l.WastedActive, l.Abandoned = truncateLadder(l, p, cancelAt)
-		hplan.WastedAttempts += l.Wasted
-		hplan.WastedActive += l.WastedActive
-		if l.Abandoned {
-			hplan.Abandoned++
-		}
+		l := h.Launch(i)
+		wasted, active := truncateLadder(l, l.At < tailLeft, p, answerAt)
+		h.WastedAttempts += int32(wasted)
+		h.WastedActive += active
 	}
-	return hplan
+	return h
 }
 
-// truncateLadder replays launch l's planned ladder timeline and counts
-// the attempts that had already started when the winner's answer
-// canceled it at cancelAt: each started failed attempt is charged its
-// full session overhead (the wake-up and handshake are spent whether
-// or not anyone waits for the outcome). A successful loser whose final
-// exchange had started by cancelAt is marked abandoned — its request
-// went up, its response will be discarded.
+// truncateLadder replays launch l's planned ladder timeline — warm says
+// whether its first attempt started inside the device link's remaining
+// tail — and counts the attempts that had already started when the
+// winner's answer canceled it at cancelAt: each started failed attempt
+// is charged its full session overhead (the wake-up and handshake are
+// spent whether or not anyone waits for the outcome). A successful
+// loser whose final exchange had started by cancelAt abandoned it — its
+// request went up, its response will be discarded — and is charged
+// that exchange too.
 //
 // The plan's arrival ledger is truncated in step: dispatches of
 // attempts that never started are dropped (they never arrived), and
@@ -320,17 +331,12 @@ func PlanHedged(injs []*Injector, pol RetryPolicy, hp HedgePolicy, p radio.Param
 // Reclaimable — what a cancel-on-win backend gets back. Failed
 // exchanges that started keep their full burn: the replica served the
 // error whether or not anyone was listening.
-func truncateLadder(l *HedgeLaunch, p radio.Params, cancelAt time.Duration) (wasted int, active time.Duration, abandoned bool) {
+func truncateLadder(l *HedgeLaunch, warm bool, p radio.Params, cancelAt time.Duration) (wasted int, active time.Duration) {
 	t := l.At
-	warm := l.Warm
 	failures := l.Plan.Failures()
 	arr := l.Plan.Arrivals
 	ai := 0 // arrivals of attempts that actually started
-	for i := 0; i < failures; i++ {
-		if t >= cancelAt {
-			l.Plan.Arrivals = arr[:ai]
-			return wasted, active, false
-		}
+	for i := 0; i < failures && t < cancelAt; i++ {
 		attempt := i + 1
 		cost := radio.FailedAttemptCost(p, warm)
 		wasted++
@@ -365,9 +371,8 @@ func truncateLadder(l *HedgeLaunch, p radio.Params, cancelAt time.Duration) (was
 			fin.Reclaimable = fin.Service - executed
 			ai++
 		}
-		l.Plan.Arrivals = arr[:ai]
-		return wasted, active, true
+		active += radio.ExchangeCost(p, 0, 0, true).RadioActive
 	}
 	l.Plan.Arrivals = arr[:ai]
-	return wasted, active, false
+	return wasted, active
 }

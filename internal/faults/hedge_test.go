@@ -123,14 +123,14 @@ func TestPlanHedgedQuietBackends(t *testing.T) {
 	p := radio.ThreeG()
 	hp := HedgePolicy{CloneFactor: 2, Delay: 10 * time.Second}
 	hplan := PlanHedged(injs, pol, hp, p, nil, 0, 0, 1, 2, 3)
-	if len(hplan.Launches) != 1 {
-		t.Fatalf("quiet backends launched %d dispatches, want 1", len(hplan.Launches))
+	if hplan.Launches() != 1 {
+		t.Fatalf("quiet backends launched %d dispatches, want 1", hplan.Launches())
 	}
-	if hplan.Winner != 0 || hplan.Wait != 0 || hplan.WastedAttempts != 0 || hplan.Abandoned != 0 {
-		t.Errorf("quiet hedge accrued winner=%d wait=%v waste=%d abandoned=%d",
-			hplan.Winner, hplan.Wait, hplan.WastedAttempts, hplan.Abandoned)
+	if hplan.Winner != 0 || hplan.Wait != 0 || hplan.WastedAttempts != 0 || hplan.WastedActive != 0 {
+		t.Errorf("quiet hedge accrued winner=%d wait=%v waste=%d/%v",
+			hplan.Winner, hplan.Wait, hplan.WastedAttempts, hplan.WastedActive)
 	}
-	want := PlanMiss(injs[hplan.Launches[0].Replica], pol, p, nil, 0, 0, false, 1, 2, 3)
+	want := PlanMiss(injs[hplan.Primary.Replica], pol, p, nil, 0, 0, false, 1, 2, 3)
 	if got := hplan.Delivered(); !reflect.DeepEqual(got, want) {
 		t.Errorf("delivered ladder diverged from the single-backend plan:\n%+v\n%+v", got, want)
 	}
@@ -154,8 +154,8 @@ func TestPlanHedgedCloneWins(t *testing.T) {
 		}
 		found = true
 		hplan := PlanHedged([]*Injector{dead, healthy}, pol, hp, p, nil, 0, 0, 9, 7, seq)
-		if len(hplan.Launches) != 2 {
-			t.Fatalf("seq %d: want 2 launches, got %d", seq, len(hplan.Launches))
+		if hplan.Launches() != 2 {
+			t.Fatalf("seq %d: want 2 launches, got %d", seq, hplan.Launches())
 		}
 		if hplan.Winner != 1 {
 			t.Fatalf("seq %d: winner %d, want the clone", seq, hplan.Winner)
@@ -188,14 +188,15 @@ func TestPlanHedgedAllFail(t *testing.T) {
 	if hplan.Delivered().Success {
 		t.Error("delivered ladder succeeded with every replica down")
 	}
-	if !reflect.DeepEqual(hplan.Delivered(), hplan.Launches[0].Plan) {
+	if !reflect.DeepEqual(hplan.Delivered(), hplan.Primary.Plan) {
 		t.Error("all-fail must deliver the primary's ladder (the user's replayed spine)")
 	}
-	clone := hplan.Launches[1]
-	if clone.Wasted != clone.Plan.Attempts || hplan.WastedAttempts != clone.Wasted {
-		t.Errorf("clone waste %d/%d, aggregate %d", clone.Wasted, clone.Plan.Attempts, hplan.WastedAttempts)
+	clone := hplan.Launch(1)
+	if int(hplan.WastedAttempts) != clone.Plan.Attempts || hplan.WastedActive != clone.Plan.FailedActive {
+		t.Errorf("clone ladder %d attempts / %v active, wasted %d / %v",
+			clone.Plan.Attempts, clone.Plan.FailedActive, hplan.WastedAttempts, hplan.WastedActive)
 	}
-	wantWait := clone.At + clone.Plan.FailedWait - hplan.Launches[0].Plan.FailedWait
+	wantWait := clone.At + clone.Plan.FailedWait - hplan.Primary.Plan.FailedWait
 	if wantWait < 0 {
 		wantWait = 0
 	}
@@ -212,7 +213,7 @@ func TestPlanHedgedMaxInflight(t *testing.T) {
 	hplan := PlanHedged(injs, pol, hp, p, nil, 0, 0, 1, 2, 3)
 	// The primary's failing ladder keeps the single inflight slot busy
 	// past every clone's launch point, so no clone may launch.
-	if len(hplan.Launches) != 1 {
-		t.Fatalf("max_inflight 1 still launched %d dispatches", len(hplan.Launches))
+	if hplan.Launches() != 1 {
+		t.Fatalf("max_inflight 1 still launched %d dispatches", hplan.Launches())
 	}
 }

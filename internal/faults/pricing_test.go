@@ -34,6 +34,17 @@ func (zeroPricer) Price(int, time.Duration, uint64, uint64, uint64, int) Admissi
 // reaches the replica.
 func inert() *Injector { return New(Options{Enabled: true}) }
 
+// rejects counts the dispatches of a plan that a replica's bounded
+// queue turned away.
+func rejects(pl Plan) (n int) {
+	for _, a := range pl.Arrivals {
+		if a.Status == ArrivalRejected {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPlanMissPricesFinalExchange(t *testing.T) {
 	pr := &repPricer{adm: map[int]Admission{2: {Wait: 100 * time.Millisecond, Service: 50 * time.Millisecond}}}
 	pl := PlanMiss(inert(), RetryPolicy{}.WithDefaults(), radio.ThreeG(), pr, 2, 0, false, 1, 2, 1)
@@ -43,7 +54,7 @@ func TestPlanMissPricesFinalExchange(t *testing.T) {
 	if pl.FinalQueueWait != 100*time.Millisecond || pl.FinalService != 50*time.Millisecond {
 		t.Fatalf("final admission not carried: %+v", pl)
 	}
-	if pl.BackendWait != 0 || pl.Rejects != 0 {
+	if pl.BackendWait != 0 || rejects(pl) != 0 {
 		t.Fatalf("clean miss accrued failure pricing: %+v", pl)
 	}
 	want := []Arrival{{Replica: 2, Attempt: 1, Wait: 100 * time.Millisecond, Service: 50 * time.Millisecond, Status: ArrivalServed}}
@@ -59,7 +70,7 @@ func TestPlanMissRejectionRetries(t *testing.T) {
 	pr := &repPricer{adm: map[int]Admission{0: {Service: time.Millisecond}}, rejectFirst: 2}
 	pol := RetryPolicy{MaxAttempts: 4}.WithDefaults()
 	pl := PlanMiss(inert(), pol, radio.ThreeG(), pr, 0, 0, false, 1, 2, 1)
-	if !pl.Success || pl.Attempts != 3 || pl.Rejects != 2 {
+	if !pl.Success || pl.Attempts != 3 || rejects(pl) != 2 {
 		t.Fatalf("rejection ladder wrong: %+v", pl)
 	}
 	if pl.FailedWait == 0 || pl.FailedActive == 0 {
@@ -76,7 +87,7 @@ func TestPlanMissRejectionRetries(t *testing.T) {
 	// A ladder of nothing but rejections exhausts like any other failure.
 	pr.rejectFirst = 99
 	pl = PlanMiss(inert(), pol, radio.ThreeG(), pr, 0, 0, false, 1, 2, 1)
-	if pl.Success || pl.Rejects != pl.Attempts {
+	if pl.Success || rejects(pl) != pl.Attempts {
 		t.Fatalf("all-rejected ladder did not exhaust: %+v", pl)
 	}
 }
@@ -141,16 +152,18 @@ func TestPlanHedgedBackendTimeDecidesWinner(t *testing.T) {
 	}
 	pr := &repPricer{adm: map[int]Admission{0: slow, 1: fast}}
 	hplan := PlanHedged(injs, pol, hp, p, pr, 0, 0, 1, 2, seq)
-	if len(hplan.Launches) != 2 {
+	if hplan.Launches() != 2 {
 		t.Fatalf("want 2 launches, got %+v", hplan)
 	}
 	if hplan.Winner != 1 {
 		t.Fatalf("fast clone did not win: %+v", hplan)
 	}
-	if hplan.Abandoned != 1 {
-		t.Fatalf("slow primary not abandoned: %+v", hplan)
+	// The inert primary failed nothing; its whole waste is the one
+	// exchange it had in flight when the clone's answer arrived.
+	if hplan.WastedAttempts != 0 || hplan.WastedActive != radio.ExchangeCost(p, 0, 0, true).RadioActive {
+		t.Fatalf("slow primary not charged one abandoned exchange: %+v", hplan)
 	}
-	loser := hplan.Launches[0]
+	loser := hplan.Primary
 	if len(loser.Plan.Arrivals) != 1 || loser.Plan.Arrivals[0].Status != ArrivalAbandoned {
 		t.Fatalf("loser ledger not reclassified: %+v", loser.Plan.Arrivals)
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -16,56 +15,6 @@ import (
 // replicas without drowning the run in outages.
 func backendBiteFaults(seed int64) faults.Options {
 	return faults.Options{Enabled: true, Seed: seed, LossProb: 0.2, EngineErrProb: 0.1}
-}
-
-// TestBackendOffAndInfiniteRateByteIdentity is the refactor's
-// acceptance rail: a fleet with the backend model disabled, and one
-// with it enabled at an infinite service rate, must both reproduce the
-// pre-backend fleet byte-for-byte — identical per-user traces,
-// identical counters, identical model makespan. The infinite-rate run
-// still counts arrivals; it just prices them all at exactly zero.
-func TestBackendOffAndInfiniteRateByteIdentity(t *testing.T) {
-	g := smallGen(t, 32)
-	content := smallContent(t, g)
-	users := g.Users()[:24]
-
-	run := func(bo backend.Options) (map[searchlog.UserID]*faultTrace, Stats, time.Duration) {
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			cfg.QueueDepth = 4096
-			cfg.Faults = backendBiteFaults(5)
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
-			cfg.Backend = bo
-		})
-		return runFaultTraces(t, f, g, users), f.Stats(), f.ModelMakespan()
-	}
-
-	tr1, s1, mk1 := run(backend.Options{})
-	tr2, s2, mk2 := run(backend.Options{
-		Enabled: true, Seed: 11, ServiceRate: math.Inf(1),
-		Offered: 50, QueueDepth: 4,
-	})
-	if !reflect.DeepEqual(tr1, tr2) {
-		t.Error("per-user traces diverge between disabled and infinite-rate backends")
-	}
-	if mk1 != mk2 {
-		t.Errorf("model makespan diverges: disabled %v, infinite rate %v", mk1, mk2)
-	}
-	if len(s2.Backend) != 1 {
-		t.Fatalf("infinite-rate run has no backend stats: %+v", s2.Backend)
-	}
-	bs := s2.Backend[0]
-	if bs.Arrivals == 0 {
-		t.Error("infinite-rate backend counted no arrivals")
-	}
-	if bs.Rejected != 0 || bs.BusyNs != 0 || bs.WaitSumNs != 0 {
-		t.Errorf("infinite-rate backend priced nonzero: %+v", bs)
-	}
-	// Backend accounting is the only permitted presentation difference.
-	s2.Backend = s1.Backend
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("fleet counters diverge:\n  disabled: %+v\n  inf-rate: %+v", s1, s2)
-	}
 }
 
 // TestBackendRequiresFaults: the admission planner lives on the faulted
@@ -178,5 +127,59 @@ func TestBackendCongestionIsVisible(t *testing.T) {
 	}
 	if bs.MeanWait() <= 0 || bs.P99Wait() < bs.MeanWait() {
 		t.Errorf("wait summary inconsistent: mean %v p99 %v", bs.MeanWait(), bs.P99Wait())
+	}
+}
+
+// TestBackendCloneLoadFollowsResolvedPolicy: the backend's background
+// load scales with the cloning the fleet really does, not with the
+// clone factor somebody configured. On one replica a clone factor of 2
+// resolves to no hedging — no miss ever clones — so the replica must
+// simmer under the same background arrival rate, and every response
+// must be identical, with the hedge policy set and with it zero. The
+// same goes for three replicas whose only hedging cohort has no
+// injector to hedge with.
+func TestBackendCloneLoadFollowsResolvedPolicy(t *testing.T) {
+	g := smallGen(t, 16)
+	content := smallContent(t, g)
+	users := g.Users()[:12]
+
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		// hedge applies policy hp (zero for the unhedged twin) to the fleet.
+		hedge func(cfg *Config, hp faults.HedgePolicy)
+	}{
+		{"one replica", 1, func(cfg *Config, hp faults.HedgePolicy) { cfg.Hedge = hp }},
+		{"hedging cohort without an injector", 3, func(cfg *Config, hp faults.HedgePolicy) {
+			cfg.Cohorts = []Cohort{{Name: "clean", Faults: &faults.Options{}, Hedge: &hp}}
+			cfg.CohortOf = func(uid searchlog.UserID) int { return int(uid%2) - 1 }
+		}},
+	} {
+		run := func(hp faults.HedgePolicy) (map[searchlog.UserID][]Response, Stats) {
+			f := newTestFleet(t, g, content, func(cfg *Config) {
+				cfg.QueueDepth = 4096
+				cfg.Faults = backendBiteFaults(5)
+				cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+				cfg.Breaker = BreakerOptions{Threshold: -1}
+				cfg.Replicas = tc.replicas
+				cfg.Backend = backend.Options{
+					Enabled: true, Seed: 11, ServiceRate: 2, Offered: 1.5,
+					Discipline: backend.PS, QueueDepth: 8,
+				}
+				tc.hedge(cfg, hp)
+			})
+			return runResponses(t, f, g, users), f.Stats()
+		}
+		plain, plainStats := run(faults.HedgePolicy{})
+		got, gotStats := run(faults.HedgePolicy{CloneFactor: 2, Delay: 50 * time.Millisecond})
+		if plainStats.Backend[0].WaitSumNs == 0 {
+			t.Fatalf("%s: the background load never queued anything", tc.name)
+		}
+		if !reflect.DeepEqual(plain, got) {
+			t.Errorf("%s: an unhedgeable clone factor changed what users were served", tc.name)
+		}
+		if !reflect.DeepEqual(plainStats, gotStats) {
+			t.Errorf("%s: an unhedgeable clone factor changed the fleet counters:\n  %+v\n  %+v", tc.name, plainStats, gotStats)
+		}
 	}
 }

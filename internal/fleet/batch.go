@@ -329,7 +329,7 @@ func (d *dispatcher) execute(batch []*missTask) {
 	items := make([]radio.Exchange, 0, len(batch))
 	for i, mt := range batch {
 		slot[i] = -1
-		if mt.mc.plan.Success {
+		if mt.mc.hplan.Winner >= 0 {
 			slot[i] = len(items)
 			items = append(items, radio.Exchange{
 				ReqBytes:  pocketsearch.QueryRequestBytes,

@@ -127,21 +127,18 @@ func (b *breaker) openCount() int64 {
 	return b.opens
 }
 
-// missCtx carries a cloud-classified miss's fault plan from
-// classification to execution. The plan is computed under the shard
-// lock against the user's model clock and stays valid until the miss
-// is applied: at most one miss per user is in flight (pendingMiss), so
-// nothing advances the user's device in between.
+// missCtx carries a cloud-classified miss's plan from classification to
+// execution. The plan is computed under the shard lock against the
+// user's model clock and stays valid until the miss is applied: at most
+// one miss per user is in flight (pendingMiss), so nothing advances the
+// user's device in between.
 type missCtx struct {
 	qh, ch uint64
-	// plan is the ladder the user's timeline rides: the single-backend
-	// plan, or — when hedged — the winning dispatch's plan (the
-	// primary's when every dispatch exhausted).
-	plan faults.Plan
-	// hplan is the full dispatch set of a miss planned across replicas,
-	// for breaker recording, telemetry and the losers' wasted-work
-	// charges. An unhedged miss carries the zero HedgedPlan: no
-	// launches, no wait, no waste.
+	// hplan is the miss's one plan: every dispatch it made, for breaker
+	// recording, telemetry and the losers' wasted-work charge, and
+	// through Delivered the ladder the user's timeline rides. A miss with
+	// nothing to hedge across carries the one-launch plan: the
+	// single-backend ladder, no wait, no waste.
 	hplan faults.HedgedPlan
 	// pause is the real pause the miss owes before it is applied: the
 	// retry policy's wall-clock price of the plan's modeled failure
@@ -166,86 +163,54 @@ type exchange struct {
 	found bool
 }
 
-// planLocked plans one cloud miss's whole attempt/backoff ladder —
-// against the single backend, or hedged across the replica set when
-// the user's cohort hedges — and settles its wall-clock pacing with
-// the shard's circuit breakers. A user whose cohort has no injector
-// plans the clean single-attempt success, for which every fault charge
-// downstream is a no-op. Caller holds mu. The per-user miss sequence
-// number feeds the pure fault hashes so repeats of a query draw fresh
-// outcomes, and — being incremented in per-user submission order — is
-// identical between the batched and unbatched exchanges.
+// planLocked plans one cloud miss — one planner call, whatever the
+// user's cohort: hedged across the replica set when its resolved policy
+// clones, the single-backend ladder when not — and settles its
+// wall-clock pacing with the shard's circuit breakers. A user whose
+// cohort has no injector plans the clean single-attempt success, for
+// which every fault charge downstream is a no-op. Caller holds mu. The
+// per-user miss sequence number feeds the pure fault hashes so repeats
+// of a query draw fresh outcomes, and — incremented in per-user
+// submission order — is identical between the two exchanges.
 func (sh *shard) planLocked(st *userState, uid searchlog.UserID, qh, ch uint64) missCtx {
 	st.missSeq++
-	mc := missCtx{qh: qh, ch: ch}
-	pr := sh.cohorts.pricer
-	primary := 0
-	if st.rt.hedged() {
-		mc.hplan = faults.PlanHedged(st.rt.injs, st.rt.retry, st.rt.hedge, st.rt.link, pr,
-			st.clock.Now(), st.cache.Device().Link().TailRemaining(), uint64(uid), qh, st.missSeq)
-		mc.plan = mc.hplan.Delivered()
-		primary = mc.hplan.Launches[0].Replica
-	} else {
-		warm := st.cache.Device().Link().State() != radio.Idle
-		mc.plan = faults.PlanMiss(st.rt.inj, st.rt.retry, st.rt.link, pr, 0, st.clock.Now(), warm, uint64(uid), qh, st.missSeq)
-	}
+	mc := missCtx{qh: qh, ch: ch, hplan: faults.PlanHedged(st.rt.injs, st.rt.retry, st.rt.hedge, st.rt.link, sh.cohorts.pricer,
+		st.clock.Now(), st.cache.Device().Link().TailRemaining(), uint64(uid), qh, st.missSeq)}
 	// Every miss asks the primary replica's breaker whether to take its
 	// real retry pause — an open breaker's cooldown counts misses, clean
 	// ones included (BreakerOptions.Cooldown) — and then every dispatched
 	// replica's breaker learns what its own ladder did, so one dead
 	// replica opens only its own breaker.
-	pace := sh.breaker(primary).pace()
-	if len(mc.hplan.Launches) == 0 {
-		sh.breaker(0).record(mc.plan.Success)
-	}
-	for _, l := range mc.hplan.Launches {
+	pace := sh.breaker(mc.hplan.Primary.Replica).pace()
+	for i := 0; i < mc.hplan.Launches(); i++ {
+		l := mc.hplan.Launch(i)
 		sh.breaker(l.Replica).record(l.Plan.Success)
 	}
-	if pace && mc.plan.FailedWait > 0 {
+	if wait := mc.hplan.Delivered().FailedWait; pace && wait > 0 {
 		// Wall-clock pacing stays governed by the fleet-wide policy.
-		mc.pause = sh.cohorts.def.retry.WallPause(mc.plan.FailedWait)
+		mc.pause = sh.cohorts.def.retry.WallPause(wait)
 	}
 	return mc
 }
 
-// chargeWaits charges the user-visible waits a plan carries beyond its
-// radio ladder and returns their sum: the extra wait the hedge added on
-// top of the delivered ladder (zero for unhedged misses), and the
-// modeled backend time the delivered ladder spent at its replica —
-// failed exchanges' queue-and-service time plus the successful
-// exchange's own admission. Both are local device time with no extra
-// radio energy (the link idles down naturally while the server
-// grinds), and both are zero without hedging or a backend model, so the
-// charge is byte-neutral when they are off.
-func (mc missCtx) chargeWaits(dev *device.Device) time.Duration {
+// chargeWaits charges the user-visible waits a miss carries beyond its
+// delivered ladder pl and returns their sum: the extra wait the hedge
+// added on top of the ladder (zero for a one-launch plan), and the
+// modeled backend time the ladder spent at its replica — failed
+// exchanges' queue-and-service time plus the successful exchange's own
+// admission. Both are local device time with no extra radio energy (the
+// link idles down naturally while the server grinds), and both are zero
+// without hedging or a backend model, so the charge is byte-neutral
+// when they are off.
+func (mc missCtx) chargeWaits(dev *device.Device, pl faults.Plan) time.Duration {
 	if w := mc.hplan.Wait; w > 0 {
 		dev.Busy(w, "hedge")
 	}
-	backend := mc.plan.BackendWait + mc.plan.FinalBackend()
+	backend := pl.BackendWait + pl.FinalBackend()
 	if backend > 0 {
 		dev.Busy(backend, "backend")
 	}
 	return mc.hplan.Wait + backend
-}
-
-// hedgeWasteJ prices the hedge's losing dispatches in radio energy:
-// the active time of every attempt a loser had started when the
-// winner's answer canceled it, plus — for each loser whose successful
-// exchange was already in flight — one abandoned exchange priced by
-// the radio cost model (radio.ExchangeCost with an empty response: the
-// request went up, nobody read the answer). Losers run concurrently
-// with the winner on the network side, so none of this enters the
-// user's modeled latency; it is pure energy waste. Zero for the zero
-// HedgedPlan of an unhedged miss.
-func hedgeWasteJ(p radio.Params, hp faults.HedgedPlan) float64 {
-	active := hp.WastedActive
-	if hp.Abandoned > 0 {
-		active += time.Duration(hp.Abandoned) * radio.ExchangeCost(p, 0, 0, true).RadioActive
-	}
-	if active <= 0 {
-		return 0
-	}
-	return p.ActiveEnergy(active)
 }
 
 // replayFailedAttempts charges a plan's failed attempts and backoffs
@@ -303,27 +268,30 @@ func (sh *shard) releaseMiss(mt *missTask) {
 // clean plan replays nothing, waits for nothing and wastes nothing, so
 // it is the fault-free miss. Caller holds mu.
 func (sh *shard) applyMissLocked(st *userState, req Request, mc missCtx, x exchange) Response {
-	sh.miss.record(mc, sh.cohorts.bk)
+	pl := mc.hplan.Delivered()
+	sh.miss.record(&mc.hplan, pl, sh.cohorts.bk)
 	resp := Response{Req: req, Source: SourceCloud}
-	if st.rt.inj != nil {
-		resp.Attempts = mc.plan.Attempts
+	if st.rt.injs[0] != nil {
+		resp.Attempts = pl.Attempts
 	}
 	dev, link := st.cache.Device(), st.rt.link
-	failedActive, wasteJ := mc.plan.FailedActive, hedgeWasteJ(link, mc.hplan)
-	if !mc.plan.Success {
+	// The losers' attempts ran beside the winner's, off the link: pure
+	// energy waste, zero for a one-launch plan.
+	failedActive, wasteJ := pl.FailedActive, link.ActiveEnergy(mc.hplan.WastedActive)
+	if !pl.Success {
 		// A hedged miss degrades only once its last ladder has given up,
 		// and an exhausted ladder may still have burned backend time on
 		// engine errors: the user waits both out after the replay.
-		cold := replayFailedAttempts(dev, mc.plan)
-		waits := mc.chargeWaits(dev)
-		resp.Source, resp.Outcome = sh.degradeLocked(st, req.Query, mc, waits)
+		cold := replayFailedAttempts(dev, pl)
+		waits := mc.chargeWaits(dev, pl)
+		resp.Source, resp.Outcome = sh.degradeLocked(st, req.Query, mc.qh, pl, waits)
 		resp.RadioJ = link.ActiveEnergy(failedActive) + float64(cold)*link.TailEnergy() + wasteJ
 	} else {
 		// A hedged clone win waits out the winner's launch stagger before
 		// its ladder starts; the primary's doomed attempts run
 		// concurrently during it and are charged as waste, off the link.
-		waits := mc.chargeWaits(dev)
-		cold := replayFailedAttempts(dev, mc.plan)
+		waits := mc.chargeWaits(dev, pl)
+		cold := replayFailedAttempts(dev, pl)
 		// The two exchanges sum their radio joules in different float
 		// orders, and the ledger is exact to the nanojoule: each keeps
 		// its own expression.
@@ -342,7 +310,7 @@ func (sh *shard) applyMissLocked(st *userState, req Request, mc missCtx, x excha
 			resp.RadioJ = link.ActiveEnergy(resp.Outcome.Radio.RadioActive+failedActive) + wasteJ
 			resp.RadioJ += float64(cold) * link.TailEnergy()
 		}
-		resp.Outcome.Network += mc.plan.FailedWait + waits
+		resp.Outcome.Network += pl.FailedWait + waits
 		sh.recordExpansion(st, req.User, mc.qh, mc.ch, resp.Outcome.Stored)
 	}
 	st.served++
@@ -357,22 +325,22 @@ func (sh *shard) applyMissLocked(st *userState, req Request, mc missCtx, x excha
 // rendered "results unavailable" page. The failed attempts' wait and
 // radio-active time ride along in the outcome — an unreachable cloud
 // is slow *and* costs energy before the fallback even starts. Caller
-// holds mu and has replayed the plan; waits is the hedge and backend
-// wait it charged on top.
-func (sh *shard) degradeLocked(st *userState, query string, mc missCtx, waits time.Duration) (Source, pocketsearch.Outcome) {
+// holds mu and has replayed the delivered ladder pl; waits is the hedge
+// and backend wait it charged on top.
+func (sh *shard) degradeLocked(st *userState, query string, qh uint64, pl faults.Plan, waits time.Duration) (Source, pocketsearch.Outcome) {
 	out := pocketsearch.Outcome{
-		Network: mc.plan.FailedWait + waits,
-		Radio:   radio.Transfer{RadioActive: mc.plan.FailedActive, Failed: true},
+		Network: pl.FailedWait + waits,
+		Radio:   radio.Transfer{RadioActive: pl.FailedActive, Failed: true},
 	}
 	graft := func(stale pocketsearch.Outcome) {
 		out.Lookup, out.Fetch, out.Render, out.Misc = stale.Lookup, stale.Fetch, stale.Render, stale.Misc
 		out.Results = stale.Results
 	}
 	switch {
-	case st.cache.ContainsQuery(mc.qh):
+	case st.cache.ContainsQuery(qh):
 		stale, _ := st.cache.ServeStale(query)
 		graft(stale)
-	case sh.community.ContainsQuery(mc.qh):
+	case sh.community.ContainsQuery(qh):
 		stale, _ := sh.community.ServeStale(query)
 		graft(stale)
 	default:
@@ -404,33 +372,31 @@ type missStats struct {
 }
 
 // record books a planned miss's retry/hedge telemetry into the fleet
-// counters, and its priced-dispatch ledgers into the backend's
-// per-replica accounting (shared by both exchanges; a nil model
-// records nothing). A clean unhedged plan touches no counter: the fault-free miss must not contend on
-// atomics it would only add zero to. The hedge counters move only for
-// misses planned across replicas, so they stay zero when hedging is
-// off.
-func (ms *missStats) record(mc missCtx, bk *backend.Model) {
-	if n := mc.plan.Attempts - 1; n > 0 {
+// counters — pl is the plan's delivered ladder — and every launch's
+// priced-dispatch ledger into the backend's per-replica accounting
+// (shared by both exchanges; a nil model records nothing). A clean
+// one-launch plan touches no counter: the fault-free miss must not
+// contend on atomics it would only add zero to. The hedge counters move
+// only for misses the plan says were planned across replicas.
+func (ms *missStats) record(hp *faults.HedgedPlan, pl faults.Plan, bk *backend.Model) {
+	if n := pl.Attempts - 1; n > 0 {
 		ms.retries.Add(int64(n))
 	}
-	if !mc.plan.Success {
+	if !pl.Success {
 		ms.exhausted.Add(1)
 	}
-	launches := mc.hplan.Launches
-	if len(launches) == 0 {
-		bk.Record(mc.plan.Arrivals)
+	for i := 0; i < hp.Launches(); i++ {
+		bk.Record(hp.Launch(i).Plan.Arrivals)
+	}
+	if !hp.Hedged {
 		return
 	}
-	for i := range launches {
-		bk.Record(launches[i].Plan.Arrivals)
-	}
-	ms.clonesLaunched.Add(int64(mc.hplan.Clones()))
-	ms.wastedAttempts.Add(int64(mc.hplan.WastedAttempts))
+	ms.clonesLaunched.Add(int64(hp.Clones()))
+	ms.wastedAttempts.Add(int64(hp.WastedAttempts))
 	switch {
-	case mc.hplan.Winner == 0:
+	case hp.Winner == 0:
 		ms.primaryWins.Add(1)
-	case mc.hplan.Winner > 0:
+	case hp.Winner > 0:
 		ms.cloneWins.Add(1)
 	}
 }

@@ -251,50 +251,6 @@ func TestFaultStatsDeterministicSequential(t *testing.T) {
 	}
 }
 
-// TestInertFaultsMatchDisabled is the zero-cost-when-off guarantee
-// from the other side: an *enabled* fault model with no failure source
-// configured must plan every miss through its injector and still
-// produce responses byte-identical to a fleet with the model disabled —
-// same outcomes, same energy, same counters. Attempts is the one
-// deliberate exception (a user with an injector books their single
-// successful attempt; a user without one books none).
-func TestInertFaultsMatchDisabled(t *testing.T) {
-	g := smallGen(t, 16)
-	content := smallContent(t, g)
-	users := g.Users()[:12]
-
-	run := func(opts faults.Options) (map[searchlog.UserID][]Response, Stats) {
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			cfg.QueueDepth = 4096
-			cfg.Faults = opts
-		})
-		resps := runResponses(t, f, g, users)
-		for _, rs := range resps {
-			for i := range rs {
-				rs[i].Attempts = 0 // the one permitted model difference
-			}
-		}
-		return resps, f.Stats()
-	}
-
-	plain, plainStats := run(faults.Options{})
-	inert, inertStats := run(faults.Options{Enabled: true})
-	if !reflect.DeepEqual(plainStats, inertStats) {
-		t.Errorf("fleet counters diverge:\n  disabled: %+v\n  inert:    %+v", plainStats, inertStats)
-	}
-	if !reflect.DeepEqual(plain, inert) {
-		for uid, p := range plain {
-			in := inert[uid]
-			for i := range p {
-				if i >= len(in) || !reflect.DeepEqual(p[i], in[i]) {
-					t.Fatalf("user %d request %d diverges:\n  disabled: %+v\n  inert:    %+v", uid, i, p[i], in[i])
-				}
-			}
-		}
-		t.Fatal("responses diverge between disabled and inert fault model")
-	}
-}
-
 // TestDegradationLadder walks the three rungs end to end against a
 // crafted outage: a cloud miss that succeeds before the dead zone
 // seeds the personal cache, then every later miss degrades — stale
@@ -518,49 +474,5 @@ func TestDoContextReplyPoolStress(t *testing.T) {
 			t.Fatalf("booked %d+%d+%d of %d submissions", s.Served, s.Shed, s.Canceled, iters)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestFaultedBatchedMatchesUnbatched extends the batching determinism
-// guarantee to the fault-injected path: with clock-free fault sources
-// (loss and engine errors — outages depend on model clocks, which
-// batching legitimately shifts) every user's per-request outcome,
-// attempt count and every fleet counter must be identical whether
-// misses are coalesced — here with the adaptive linger window — or
-// serviced one by one.
-func TestFaultedBatchedMatchesUnbatched(t *testing.T) {
-	g := smallGen(t, 32)
-	content := smallContent(t, g)
-	users := g.Users()[:24]
-
-	run := func(batch BatchOptions) (map[searchlog.UserID]*faultTrace, Stats) {
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			cfg.Shards = 1
-			cfg.Workers = 1
-			cfg.QueueDepth = 4096
-			cfg.Batch = batch
-			cfg.Faults = faults.Options{
-				Enabled:       true,
-				Seed:          9,
-				LossProb:      0.4,
-				EngineErrProb: 0.2,
-			}
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
-		})
-		return runFaultTraces(t, f, g, users), f.Stats()
-	}
-
-	plain, plainStats := run(BatchOptions{})
-	coal, coalStats := run(BatchOptions{Enabled: true, Linger: time.Millisecond, AdaptiveLinger: true})
-
-	if !reflect.DeepEqual(plainStats, coalStats) {
-		t.Errorf("fleet counters diverge:\n  unbatched: %+v\n  batched:   %+v", plainStats, coalStats)
-	}
-	if !reflect.DeepEqual(plain, coal) {
-		t.Error("per-user outcome traces diverge between faulted batched and unbatched runs")
-	}
-	if plainStats.Retries == 0 || plainStats.Exhausted == 0 {
-		t.Errorf("scenario did not bite: %+v", plainStats)
 	}
 }

@@ -289,27 +289,29 @@ type Config struct {
 	// path may dispatch to. Each replica beyond the first draws its
 	// faults from an independently salted injector
 	// (faults.ReplicaOptions); replica 0 is byte-identical to the
-	// single-backend model. Zero or one keeps the legacy single
-	// backend. Only meaningful with fault injection on.
+	// single-backend model. Zero or one is the single backend, on which
+	// nothing hedges whatever Hedge says. Only meaningful with fault
+	// injection on.
 	Replicas int
 	// Backend configures the modeled cloud backend servers
 	// (internal/backend): per-replica queues with finite service
 	// capacity, so a miss's exchange pays a queue wait and service time
 	// — and may be rejected by a bounded queue — instead of answering
-	// instantly. Replicas and CloneFactor are derived from the fleet's
-	// own Replicas and Hedge configuration; the remaining fields are the
-	// caller's. Requires fault injection (the admission planner lives on
-	// the faulted miss path). The zero value — or an infinite
-	// ServiceRate — keeps every outcome byte-identical to an unqueued
-	// fleet.
+	// instantly. Replicas and CloneFactor are the fleet's to derive: its
+	// own Replicas, and the heaviest clone factor any cohort really
+	// hedges with (see Hedge). Requires fault injection (only an
+	// injector's ladder has attempts to price). The zero value — or an
+	// infinite ServiceRate — keeps every outcome byte-identical to an
+	// unqueued fleet.
 	Backend backend.Options
-	// Hedge is the fleet-wide hedging policy for cloud misses: with
-	// CloneFactor >= 2 and Replicas >= 2, a miss is dispatched to up to
-	// CloneFactor replicas (staggered by Hedge.Delay) and the first
-	// successful ladder wins; the losers' spent attempts are charged as
-	// wasted radio energy. The zero value — or CloneFactor < 2 — keeps
-	// the single-dispatch path, byte-identical to an unreplicated
-	// fleet. Cohorts may override it per class.
+	// Hedge is the fleet-wide hedging policy for cloud misses: a miss is
+	// dispatched to up to CloneFactor replicas (staggered by Hedge.Delay)
+	// and the first answer in hand wins; the losers' spent attempts are
+	// charged as wasted radio energy. Who hedges is one rule,
+	// faults.HedgePolicy.Over — an injector, Replicas >= 2 and
+	// CloneFactor >= 2 — resolved per cohort when the fleet is built;
+	// everyone else plans the single-backend ladder, byte-identical to
+	// an unreplicated fleet. Cohorts may override the policy per class.
 	Hedge faults.HedgePolicy
 	// Cohorts describe population slices whose devices differ from the
 	// fleet-wide defaults — a different radio tier, their own fault
@@ -352,7 +354,8 @@ type Cohort struct {
 	// Hedge overrides the hedging policy for the cohort's cloud misses.
 	// Nil inherits Config.Hedge; non-nil with CloneFactor < 2 disables
 	// hedging for the cohort even when the fleet hedges. The replica
-	// count stays fleet-wide (Config.Replicas).
+	// count stays fleet-wide (Config.Replicas); Config.Hedge names the
+	// rule for who actually hedges.
 	Hedge *faults.HedgePolicy
 }
 
@@ -360,21 +363,14 @@ type Cohort struct {
 // actually built with.
 type cohortRT struct {
 	link  radio.Params
-	inj   *faults.Injector
 	retry faults.RetryPolicy
-	// injs are the per-replica injectors (injs[0] == inj); length 1
-	// unless the fleet is replicated and this cohort injects faults.
+	// injs are the per-replica injectors: one per modeled replica when
+	// the cohort injects faults, the single nil injector when not.
 	injs []*faults.Injector
-	// hedge is the cohort's resolved hedging policy.
+	// hedge is the cohort's *resolved* hedging policy
+	// (faults.HedgePolicy.Over applied): zero unless the cohort's misses
+	// really are planned across replicas.
 	hedge faults.HedgePolicy
-}
-
-// hedged reports whether this cohort's misses are planned across
-// replicas: faults on, at least two replicas to dispatch to, and a
-// clone factor that actually clones. Everything else plans the
-// single-backend ladder, byte-identical to an unreplicated fleet.
-func (rt *cohortRT) hedged() bool {
-	return rt.inj != nil && len(rt.injs) > 1 && rt.hedge.Active()
 }
 
 // cohortTable resolves users to their cohort runtime. Immutable after
@@ -385,7 +381,10 @@ type cohortTable struct {
 	of      func(searchlog.UserID) int
 	// faulted reports whether any injector (fleet-wide or cohort) is
 	// live: breakers and a backend model are only built when one is.
-	faulted bool
+	// cloneLoad is the heaviest resolved clone factor of any cohort (zero
+	// when nobody hedges); it scales the backend's background load.
+	faulted   bool
+	cloneLoad int
 	// bk is the shared queued-backend model (nil when disabled); pricer
 	// is bk as a faults.Pricer, kept as a separate field so a disabled
 	// backend passes a true nil interface to the planners (they gate
@@ -411,29 +410,23 @@ func (ct *cohortTable) resolvePtr(uid searchlog.UserID) *cohortRT {
 
 // buildCohortTable resolves Config.Cohorts against the fleet defaults.
 // cfg must already have defaults applied.
-func buildCohortTable(cfg Config, inj *faults.Injector) (*cohortTable, error) {
+func buildCohortTable(cfg Config) (*cohortTable, error) {
 	if len(cfg.Cohorts) > 0 && cfg.CohortOf == nil {
 		return nil, fmt.Errorf("fleet: %d cohorts configured without CohortOf", len(cfg.Cohorts))
 	}
-	ct := &cohortTable{
-		def: cohortRT{
-			link: cfg.Radio, inj: inj, retry: cfg.Retry,
-			injs: faults.Replicas(inj, cfg.Replicas), hedge: cfg.Hedge,
-		},
-		of:      cfg.CohortOf,
-		faulted: inj != nil,
+	base := cohortRT{
+		link: cfg.Radio, retry: cfg.Retry,
+		injs: replicaInjectors(cfg.Faults, cfg.Replicas), hedge: cfg.Hedge,
 	}
+	ct := &cohortTable{of: cfg.CohortOf}
+	ct.def = ct.resolve(base)
 	for _, co := range cfg.Cohorts {
-		rt := ct.def
+		rt := base
 		if co.Radio.Name != "" {
 			rt.link = co.Radio
 		}
 		if co.Faults != nil {
-			rt.inj = nil
-			if co.Faults.Enabled {
-				rt.inj = faults.New(*co.Faults)
-			}
-			rt.injs = faults.Replicas(rt.inj, cfg.Replicas)
+			rt.injs = replicaInjectors(*co.Faults, cfg.Replicas)
 		}
 		if co.Retry != nil {
 			rt.retry = co.Retry.WithDefaults()
@@ -441,12 +434,27 @@ func buildCohortTable(cfg Config, inj *faults.Injector) (*cohortTable, error) {
 		if co.Hedge != nil {
 			rt.hedge = *co.Hedge
 		}
-		if rt.inj != nil {
-			ct.faulted = true
-		}
-		ct.cohorts = append(ct.cohorts, rt)
+		ct.cohorts = append(ct.cohorts, ct.resolve(rt))
 	}
 	return ct, nil
+}
+
+// replicaInjectors builds one fault profile's per-replica injectors:
+// the single nil injector when the profile is disabled.
+func replicaInjectors(o faults.Options, n int) []*faults.Injector {
+	if !o.Enabled {
+		return faults.Replicas(nil, n)
+	}
+	return faults.Replicas(faults.New(o), n)
+}
+
+// resolve settles who hedges for one cohort runtime, once, and folds
+// the runtime into the table-wide facts.
+func (ct *cohortTable) resolve(rt cohortRT) cohortRT {
+	rt.hedge = rt.hedge.Over(rt.injs)
+	ct.faulted = ct.faulted || rt.injs[0] != nil
+	ct.cloneLoad = max(ct.cloneLoad, rt.hedge.CloneFactor)
+	return rt
 }
 
 func (c Config) withDefaults() Config {
@@ -470,22 +478,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
-	}
-	if c.Backend.Enabled {
-		// The backend's replica count and clone-load scaling are the
-		// fleet's own, not caller knobs. Cohort hedge overrides count
-		// too: the background load models the heaviest cloning any
-		// cohort sends at the replicas.
-		c.Backend.Replicas = c.Replicas
-		c.Backend.CloneFactor = 1
-		if c.Hedge.Active() {
-			c.Backend.CloneFactor = c.Hedge.CloneFactor
-		}
-		for _, co := range c.Cohorts {
-			if co.Hedge != nil && co.Hedge.Active() && co.Hedge.CloneFactor > c.Backend.CloneFactor {
-				c.Backend.CloneFactor = co.Hedge.CloneFactor
-			}
-		}
 	}
 	c.Batch = c.Batch.withDefaults()
 	c.Retry = c.Retry.WithDefaults()
@@ -545,11 +537,8 @@ type Fleet struct {
 	// makespan of everything served is one atomic read away.
 	tl *modeltime.Timeline
 
-	// inj is the fleet-wide connectivity-fault injector; nil when
-	// fault injection is disabled. cohorts resolves each user to the
-	// runtime (radio link, injector, retry policy) their device is
-	// built with.
-	inj     *faults.Injector
+	// cohorts resolves each user to the runtime (radio link, replica
+	// injectors, retry and hedge policy) their device is built with.
 	cohorts *cohortTable
 
 	// mu guards closed against concurrent Submit/Do/Close, and — held
@@ -619,15 +608,7 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: placement routes over %d shards, config has %d",
 			cfg.Placement.Shards(), cfg.Shards)
 	}
-	f := &Fleet{
-		cfg:    cfg,
-		queues: make([]workerQueue, cfg.Workers),
-		tl:     modeltime.NewTimeline(),
-	}
-	if cfg.Faults.Enabled {
-		f.inj = faults.New(cfg.Faults)
-	}
-	ct, err := buildCohortTable(cfg, f.inj)
+	ct, err := buildCohortTable(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -635,12 +616,18 @@ func New(cfg Config) (*Fleet, error) {
 		if !ct.faulted {
 			return nil, fmt.Errorf("fleet: backend model requires fault injection (the admission planner runs on the faulted miss path)")
 		}
+		// The backend's replica count and clone-load scaling are the
+		// fleet's own, not caller knobs.
+		cfg.Backend.Replicas, cfg.Backend.CloneFactor = cfg.Replicas, ct.cloneLoad
 		ct.bk = backend.NewModel(cfg.Backend)
-		if ct.bk != nil {
-			ct.pricer = ct.bk
-		}
+		ct.pricer = ct.bk
 	}
-	f.cohorts = ct
+	f := &Fleet{
+		cfg:     cfg,
+		queues:  make([]workerQueue, cfg.Workers),
+		tl:      modeltime.NewTimeline(),
+		cohorts: ct,
+	}
 
 	shards, err := buildShards(cfg, ct, &f.miss, f.tl, 0, cfg.Shards)
 	if err != nil {
@@ -721,6 +708,11 @@ func (f *Fleet) Manager() *cloudletos.Manager { return f.manager }
 // deterministic workload — the timeline folds clocks with a
 // commutative max, so worker interleaving cannot change it.
 func (f *Fleet) ModelMakespan() time.Duration { return f.tl.Makespan() }
+
+// Hedges reports whether the user's cloud misses are planned across
+// replicas, as resolved for the user's cohort when the fleet was built
+// (report checkers ask instead of re-deriving the rule).
+func (f *Fleet) Hedges(uid searchlog.UserID) bool { return f.cohorts.resolvePtr(uid).hedge.Active() }
 
 // Observer returns the configured response observer (nil when none was
 // installed). Load generators use it to check they are actually wired

@@ -25,49 +25,6 @@ func hedgeBiteFaults(seed int64) faults.Options {
 	}
 }
 
-// TestHedgeCloneFactor1ByteIdentity is the acceptance guarantee that a
-// replicated fleet with hedging disabled is indistinguishable from the
-// single-backend fleet: Replicas = 3 with clone factor 1 must produce
-// byte-identical per-user traces and counters (the replica count and
-// the per-replica breaker breakdown in Stats are the only permitted
-// presentation differences).
-func TestHedgeCloneFactor1ByteIdentity(t *testing.T) {
-	g := smallGen(t, 32)
-	content := smallContent(t, g)
-	users := g.Users()[:24]
-
-	run := func(replicas, cloneFactor int) (map[searchlog.UserID]*faultTrace, Stats) {
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			cfg.QueueDepth = 4096
-			cfg.Faults = hedgeBiteFaults(5)
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
-			cfg.Replicas = replicas
-			cfg.Hedge = faults.HedgePolicy{CloneFactor: cloneFactor, Delay: 100 * time.Millisecond}
-		})
-		return runFaultTraces(t, f, g, users), f.Stats()
-	}
-
-	tr1, s1 := run(0, 0)
-	tr2, s2 := run(3, 1)
-	if !reflect.DeepEqual(tr1, tr2) {
-		t.Error("per-user traces diverge between single-backend and clone-factor-1 replicated fleets")
-	}
-	if s2.Replicas != 3 {
-		t.Errorf("replicated fleet reports %d replicas", s2.Replicas)
-	}
-	if s2.ClonesLaunched+s2.PrimaryWins+s2.CloneWins+s2.WastedAttempts != 0 {
-		t.Errorf("clone factor 1 accrued hedge counters: %+v", s2)
-	}
-	// Normalize the two permitted presentation differences, then demand
-	// byte identity.
-	s2.Replicas = s1.Replicas
-	s2.ReplicaBreakerOpens = s1.ReplicaBreakerOpens
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("fleet counters diverge:\n  single:     %+v\n  replicated: %+v", s1, s2)
-	}
-}
-
 // TestHedgedDeterministicConcurrent extends the fault-determinism
 // guarantee to the hedged path (run under -race by scripts/check.sh):
 // two concurrent closed-loop runs over replicated backends with hedging

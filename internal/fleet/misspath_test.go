@@ -16,33 +16,52 @@ import (
 // path (DESIGN.md, "The miss path"): the plan's three sources — fault
 // injection, replicas/hedging, the queued backend — and the exchange.
 type missPathCell struct {
-	faults  string // "off", "inert" (enabled, no failure source), "lossy"
+	faults  string // "off", "inert" (enabled, no failure source), "lossy", "outage" (loss plus a periodic outage: clock-dependent)
 	hedge   string // "single" (1 replica), "clone1" (3 replicas, clone factor 1), "hedged" (3 replicas, clone factor 2)
 	backend string // "off", "inf" (infinite rate), "ps" (finite-rate processor sharing)
 	batch   bool
+	// defaults leaves the retry policy and the circuit breaker at the
+	// fleet's defaults — real wall pauses, breakers armed — instead of
+	// the quiet settings every other cell runs under.
+	defaults bool
 }
 
 func (c missPathCell) String() string {
-	return fmt.Sprintf("faults=%s/%s/backend=%s/batch=%v", c.faults, c.hedge, c.backend, c.batch)
+	return fmt.Sprintf("faults=%s/%s/backend=%s/batch=%v/defaults=%v", c.faults, c.hedge, c.backend, c.batch, c.defaults)
 }
 
-// configure applies the cell to a fleet config. Every fault and pricing
-// source is clock-free — loss and engine errors are pure hash rolls, and
-// the PS backend carries no background load, so a dispatch pays its
-// hashed service time but never a queue wait that depends on when it
-// arrived — because batching legitimately shifts model clocks (a shared
-// session's wait is not a solo exchange's), and only clock-free plans
-// are comparable across the two exchanges. Breakers are off and wall
-// pauses disabled, so nothing about goroutine scheduling can leak in.
+// replicas is how many modeled cloud replicas the cell's fleet has.
+func (c missPathCell) replicas() int {
+	if c.hedge == "single" {
+		return 1
+	}
+	return 3
+}
+
+// configure applies the cell to a fleet config. Except for "outage",
+// every fault and pricing source is clock-free — loss and engine errors
+// are pure hash rolls, and the PS backend carries no background load,
+// so a dispatch pays its hashed service time but never a queue wait
+// that depends on when it arrived — because batching legitimately
+// shifts model clocks (a shared session's wait is not a solo
+// exchange's), and only clock-free plans are comparable across the two
+// exchanges; an outage is read off the user's model clock, so "outage"
+// cells exist unbatched only. Breakers are off and wall pauses disabled
+// unless the cell asks for the defaults, so nothing about goroutine
+// scheduling can leak in.
 func (c missPathCell) configure(cfg *Config) {
 	cfg.QueueDepth = 4096
-	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-	cfg.Breaker = BreakerOptions{Threshold: -1}
+	if !c.defaults {
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+		cfg.Breaker = BreakerOptions{Threshold: -1}
+	}
 	switch c.faults {
 	case "inert":
 		cfg.Faults = faults.Options{Enabled: true}
 	case "lossy":
 		cfg.Faults = faults.Options{Enabled: true, Seed: 9, LossProb: 0.4, EngineErrProb: 0.2}
+	case "outage":
+		cfg.Faults = hedgeBiteFaults(5)
 	}
 	switch c.hedge {
 	case "clone1":
@@ -65,9 +84,10 @@ func (c missPathCell) configure(cfg *Config) {
 
 // missPathRun is what one cell produced.
 type missPathRun struct {
-	resps   map[searchlog.UserID][]Response
-	stats   Stats
-	batches int64
+	resps    map[searchlog.UserID][]Response
+	stats    Stats
+	batches  int64
+	makespan time.Duration
 }
 
 // sameModel reports how run b differs from run a, ignoring the named
@@ -78,7 +98,8 @@ type missPathRun struct {
 // field is ignored too (an inert injector books the single successful
 // attempt a disabled one does not). The same goes for the backend's
 // horizon — the latest model instant a dispatch touched, a clock
-// reading, and batch composition shifts clocks run to run.
+// reading, and batch composition shifts clocks run to run — and for the
+// fleet's model makespan, which only unbatched runs must agree on.
 func sameModel(a, b missPathRun, fullResponses, attempts bool, normalize func(*Stats)) string {
 	as, bs := a.stats, b.stats
 	for _, s := range []*Stats{&as, &bs} {
@@ -112,6 +133,9 @@ func sameModel(a, b missPathRun, fullResponses, attempts bool, normalize func(*S
 		if !reflect.DeepEqual(ar, br) {
 			return "per-user responses diverge"
 		}
+		if a.makespan != b.makespan {
+			return fmt.Sprintf("model makespan diverges: %v vs %v", a.makespan, b.makespan)
+		}
 		return ""
 	}
 	if !reflect.DeepEqual(faultTraces(ar), faultTraces(br)) {
@@ -129,17 +153,19 @@ func sameModel(a, b missPathRun, fullResponses, attempts bool, normalize func(*S
 // batched. Within each row the two exchanges agree: batched and
 // unbatched runs produce identical per-user hit/source/attempt traces
 // and identical fleet counters. Across rows the degenerate settings are
-// the plain miss: an inert injector equals a disabled one, an
-// infinitely fast backend equals none, and three replicas at clone
-// factor 1 equal the single backend — response for response (energy
-// included) when unbatched.
+// the plain miss: an inert injector equals a disabled one (under the
+// quiet settings and under the default retry policy and breakers), an
+// infinitely fast backend equals none while still counting every
+// arrival at a price of zero, and three replicas at clone factor 1
+// equal the single backend with every hedge counter at zero — response
+// for response (energy and model makespan included) when unbatched.
 func TestMissPathTable(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
 	users := g.Users()[:12]
 
 	var cells []missPathCell
-	for _, fl := range []string{"off", "inert", "lossy"} {
+	for _, fl := range []string{"off", "inert", "lossy", "outage"} {
 		for _, hg := range []string{"single", "clone1", "hedged"} {
 			for _, bk := range []string{"off", "inf", "ps"} {
 				if fl == "off" && bk != "off" {
@@ -148,16 +174,24 @@ func TestMissPathTable(t *testing.T) {
 					continue
 				}
 				for _, batch := range []bool{false, true} {
-					cells = append(cells, missPathCell{fl, hg, bk, batch})
+					if fl == "outage" && batch {
+						continue
+					}
+					cells = append(cells, missPathCell{faults: fl, hedge: hg, backend: bk, batch: batch})
 				}
 			}
+		}
+	}
+	for _, fl := range []string{"off", "inert"} {
+		for _, batch := range []bool{false, true} {
+			cells = append(cells, missPathCell{faults: fl, hedge: "single", backend: "off", batch: batch, defaults: true})
 		}
 	}
 	runs := make(map[missPathCell]missPathRun, len(cells))
 	queued := make(map[missPathCell]missPathRun, len(cells))
 	finish := func(f *Fleet, resps map[searchlog.UserID][]Response) missPathRun {
 		defer f.Close()
-		return missPathRun{resps: resps, stats: f.Stats(), batches: f.BatchStats().Batches}
+		return missPathRun{resps: resps, stats: f.Stats(), batches: f.BatchStats().Batches, makespan: f.ModelMakespan()}
 	}
 	for _, c := range cells {
 		f := newTestFleet(t, g, content, c.configure)
@@ -185,17 +219,34 @@ func TestMissPathTable(t *testing.T) {
 		if c.batch != (r.batches > 0) {
 			t.Errorf("%v: %d batched sessions", c, r.batches)
 		}
-		if c.faults == "lossy" && (s.Retries == 0 || s.Exhausted == 0) {
+		if (c.faults == "lossy" || c.faults == "outage") && (s.Retries == 0 || s.Exhausted == 0) {
 			t.Errorf("%v: loss did not bite: %+v", c, s)
 		}
-		if hedging := c.hedge == "hedged" && c.faults != "off"; hedging != (s.ClonesLaunched > 0) || hedging != (s.PrimaryWins+s.CloneWins > 0) {
-			t.Errorf("%v: hedge counters %d launched, %d+%d wins", c, s.ClonesLaunched, s.PrimaryWins, s.CloneWins)
+		if s.Replicas != c.replicas() {
+			t.Errorf("%v: fleet reports %d replicas", c, s.Replicas)
+		}
+		hedging := c.hedge == "hedged" && c.faults != "off"
+		if hedging != (s.ClonesLaunched > 0) || hedging != (s.PrimaryWins+s.CloneWins > 0) || (!hedging && s.WastedAttempts != 0) {
+			t.Errorf("%v: hedge counters %d launched, %d+%d wins, %d wasted", c, s.ClonesLaunched, s.PrimaryWins, s.CloneWins, s.WastedAttempts)
 		}
 		if c.backend == "ps" && s.Backend[0].BusyNs == 0 {
 			t.Errorf("%v: finite-rate backend charged no service time", c)
 		}
+		if c.backend == "inf" {
+			// Infinite rate still counts arrivals; it prices them at zero.
+			var arrivals int64
+			for _, bs := range s.Backend {
+				arrivals += bs.Arrivals
+				if bs.Rejected != 0 || bs.BusyNs != 0 || bs.WaitSumNs != 0 {
+					t.Errorf("%v: infinite-rate backend priced nonzero: %+v", c, bs)
+				}
+			}
+			if len(s.Backend) != c.replicas() || arrivals == 0 {
+				t.Errorf("%v: infinite-rate backend has %d replica rows, %d arrivals", c, len(s.Backend), arrivals)
+			}
+		}
 
-		if !c.batch {
+		if !c.batch && c.faults != "outage" {
 			twin := c
 			twin.batch = true
 			if diff := sameModel(r, runs[twin], false, false, nothing); diff != "" {
@@ -266,6 +317,11 @@ func TestMixedCohortMissPath(t *testing.T) {
 					return 1
 				}
 			})
+			for _, up := range users {
+				if f.Hedges(up.ID) == clean(up.ID) {
+					t.Errorf("user %d: Hedges = %v", up.ID, f.Hedges(up.ID))
+				}
+			}
 			mixed := runResponses(t, f, g, users)
 			if t.Failed() {
 				return

@@ -313,11 +313,7 @@ func newShard(id int, cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.
 		holds:        make(map[searchlog.UserID]*holdQueue),
 	}
 	if ct.faulted {
-		n := cfg.Replicas
-		if n < 1 {
-			n = 1
-		}
-		for r := 0; r < n; r++ {
+		for r := 0; r < cfg.Replicas; r++ {
 			if b := newBreaker(cfg.Breaker); b != nil {
 				sh.brks = append(sh.brks, b)
 			}

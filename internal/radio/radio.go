@@ -194,7 +194,7 @@ func (l *Link) Params() Params { return l.params }
 // Now returns the link's current model time.
 func (l *Link) Now() time.Duration { return l.now }
 
-// StateAt reports the link state at the current model time.
+// State reports the link state at the current model time.
 func (l *Link) State() State {
 	if l.now < l.tailEnds {
 		return Tail

@@ -2,11 +2,12 @@
 # Runs the fleet serving benchmarks (BenchmarkFleetServe* in the root
 # package, plus the worker-queue hop on its own, BenchmarkFleetSubmitDrain
 # in internal/fleet), the miss-path planning benchmarks (BenchmarkPrice* in
-# internal/backend, BenchmarkPlanHedgedPriced in internal/faults) and
-# the cold-miss write-path benchmarks (BenchmarkSearch* in
-# internal/engine, BenchmarkPut in internal/resultdb, BenchmarkQueryMiss
-# in internal/pocketsearch) and writes a machine-readable snapshot to
-# BENCH_<date>.json so successive runs can be diffed for regressions.
+# internal/backend, BenchmarkPlanHedgedPriced and BenchmarkPlanClean in
+# internal/faults) and the cold-miss write-path benchmarks
+# (BenchmarkSearch* in internal/engine, BenchmarkPut in
+# internal/resultdb, BenchmarkQueryMiss in internal/pocketsearch) and
+# writes a machine-readable snapshot to BENCH_<date>.json so successive
+# runs can be diffed for regressions.
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME=100000x COUNT=9 scripts/bench.sh   # longer, steadier numbers
@@ -31,11 +32,12 @@ raw=$(go test -bench 'FleetServe|FleetSubmitDrain' -benchtime "$BENCHTIME" -coun
 echo "$raw"
 
 # The miss path's planning layers: backend pricing in order, shuffled
-# and as interleaved per-user clocks, and a hedged plan priced against
-# the backend. Each explores its horizon in an untimed pass, so a fixed
-# iteration count measures steady state whatever BENCHTIME says (the
-# rows' own "iterations" field records it).
-layer_raw=$(go test -bench 'Price|PlanHedgedPriced' -benchtime 20000x \
+# and as interleaved per-user clocks, a hedged plan priced against the
+# backend, and the clean one-launch plan of a miss with nothing to go
+# wrong. Each priced row explores its horizon in an untimed pass, so a
+# fixed iteration count measures steady state whatever BENCHTIME says
+# (the rows' own "iterations" field records it).
+layer_raw=$(go test -bench 'Price|PlanHedgedPriced|PlanClean' -benchtime 20000x \
     -benchmem -run '^$' ./internal/backend ./internal/faults)
 echo "$layer_raw"
 raw="$raw"$'\n'"$layer_raw"

@@ -231,6 +231,25 @@ if echo "$price_allocs" | grep -qv ' 0$'; then
     exit 1
 fi
 
+echo "== bench smoke: clean miss plan =="
+# A miss with nothing to go wrong and nothing to hedge across is planned
+# through the same faults.PlanHedged call as every other miss; its
+# one-launch plan holds its launch inline and fills no slices (DESIGN.md,
+# "The miss path"), so both BenchmarkPlanClean rows — no injector, inert
+# injector — must report 0 allocs/op.
+plan_raw=$(go test -bench PlanClean -benchtime 20000x -benchmem -run '^$' ./internal/faults)
+echo "$plan_raw"
+plan_allocs=$(echo "$plan_raw" | allocs_per_op BenchmarkPlanClean)
+if [ -z "$plan_allocs" ]; then
+    echo "bench smoke: BenchmarkPlanClean produced no allocs/op metric" >&2
+    exit 1
+fi
+if echo "$plan_allocs" | grep -qv ' 0$'; then
+    echo "bench smoke: the clean miss plan allocates (baseline 0):" >&2
+    echo "$plan_allocs" | grep -v ' 0$' >&2
+    exit 1
+fi
+
 echo "== bench smoke: engine Search =="
 # A cloud miss under DiscardResults reads only the response's page size,
 # and result text is materialized per result on demand (DESIGN.md,

@@ -10,11 +10,12 @@
 # The list covers every scripts/check.sh smoke plus the corners a
 # configuration or driver refactor can bend (-hedge 1, bare -faults,
 # -backend-rate inf, ring/vnodes, -pace, peruser and diurnal+autoscale
-# open runs, the open-loop -scenario presets single- and multi-class),
-# and a trace leg: one trace written by the tree's tracegen, replayed
-# by both sides in trace mode. Runs whose model outcome legitimately
-# follows the wall clock are left out (-batch with -outage), and
-# open-loop flag runs use -queue 100000 so nothing sheds.
+# open runs, the open-loop -scenario presets single- and multi-class, a
+# spec file in which only one of two classes hedges), and a trace leg:
+# one trace written by the tree's tracegen, replayed by both sides in
+# trace mode. Runs whose model outcome legitimately follows the wall
+# clock are left out (-batch with -outage), and open-loop flag runs use
+# -queue 100000 so nothing sheds.
 #
 #   scripts/clidiff.sh HEAD~1
 set -euo pipefail
@@ -72,6 +73,7 @@ $closed -faults -loss 0.2 -retries 3 -replicas 3 -hedge 2 -backend-rate 30 -back
 -scenario clone-storm -users 120
 -scenario regional-outage -users 150
 -scenario mixed-fleet -users 150
+-scenario cmd/loadtest/testdata/mixed-hedge.json
 -scenario $tmp/replay.json
 EOF_CMDS
 echo "clidiff: $n command lines, no differences against $ref"
