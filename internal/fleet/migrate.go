@@ -2,7 +2,8 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"pocketcloudlets/internal/cloudletos"
@@ -23,8 +24,10 @@ import (
 //     s's worker queue so every request routed to s before the flip —
 //     including parked batch misses — is fully applied; snapshot the
 //     users of s whose new home differs; export each one's personal
-//     state through the updater wire format and import it at its
-//     destination.
+//     state through the updater wire format, in user order on the
+//     resizing goroutine, while one importer per destination shard
+//     installs what has been exported, in that same order; the epoch
+//     does not close until every importer has finished.
 //  3. Requests for a moving user that arrive at the destination while
 //     its epoch is open are parked in a per-user FIFO hold queue and
 //     replayed once the epoch closes — per-user submission order is
@@ -151,6 +154,10 @@ func (f *Fleet) Resize(n int) (ResizeStats, error) {
 // mid-move are briefly parked, never dropped). Resizes are serialized
 // with each other and with Close.
 func (f *Fleet) ResizeWith(n int, opts ResizeOptions) (ResizeStats, error) {
+	return f.resize(n, opts, moveUsers)
+}
+
+func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, error) {
 	if n < 1 {
 		return ResizeStats{}, fmt.Errorf("fleet: cannot resize to %d shards", n)
 	}
@@ -215,7 +222,7 @@ func (f *Fleet) ResizeWith(n int, opts ResizeOptions) (ResizeStats, error) {
 	f.migrating.Store(1)
 	flipped := make([]bool, n1)
 	for s := 0; s < n1; s++ {
-		f.migrateEpoch(tp, p1, p2, flipped, s, opts, &st)
+		f.migrateEpoch(tp, p1, p2, flipped, s, opts, move, &st)
 		st.Epochs++
 	}
 
@@ -280,7 +287,7 @@ func (f *Fleet) ResizeWith(n int, opts ResizeOptions) (ResizeStats, error) {
 // migrateEpoch runs one source shard's epoch: flip its users to the new
 // placement, fence and drain everything already routed to it, move the
 // affected users' state, then close the epoch and replay held requests.
-func (f *Fleet) migrateEpoch(tp *topology, p1, p2 placement.Placement, flipped []bool, s int, opts ResizeOptions, st *ResizeStats) {
+func (f *Fleet) migrateEpoch(tp *topology, p1, p2 placement.Placement, flipped []bool, s int, opts ResizeOptions, move moveFunc, st *ResizeStats) {
 	flipped[s] = true
 	flip := append([]bool(nil), flipped...)
 	f.storeRoute(&routeTable{place: p2, prev: p1, flipped: flip, from: s})
@@ -305,12 +312,9 @@ func (f *Fleet) migrateEpoch(tp *topology, p1, p2 placement.Placement, flipped [
 		}
 	})
 	src.mu.Unlock()
-	sort.Slice(movers, func(i, j int) bool { return movers[i] < movers[j] })
+	slices.Sort(movers)
 
-	for _, uid := range movers {
-		dst := tp.shards[p2.ShardOf(placement.UserKey(uint64(uid)))]
-		f.migrateUser(src, dst, uid, opts, st)
-	}
+	move(tp, p2, src, movers, opts, st)
 
 	// Close the epoch — new arrivals for the moved users now serve
 	// directly — then replay what was parked while it was open.
@@ -318,25 +322,82 @@ func (f *Fleet) migrateEpoch(tp *topology, p1, p2 placement.Placement, flipped [
 	f.drainHolds(tp)
 }
 
-// migrateUser moves one user's personal state from src to dst.
-// Failures (and DropState) cold-start the user at the destination; the
-// user is never left resident on both shards.
-func (f *Fleet) migrateUser(src, dst *shard, uid searchlog.UserID, opts ResizeOptions, st *ResizeStats) {
-	ex, ok, err := src.exportUser(uid)
-	if !ok {
-		return
+// moveFunc moves one epoch's movers (in user order) off src to their
+// homes under p2, booking them into st. The fleet has one, moveUsers;
+// the parameter exists so a test can hold it to the one-at-a-time loop
+// it replaced.
+type moveFunc func(tp *topology, p2 placement.Placement, src *shard, movers []searchlog.UserID, opts ResizeOptions, st *ResizeStats)
+
+// importBacklog bounds the exports waiting on one destination's
+// importer: enough that the exporter rarely stalls behind an importer
+// sharing a lock with live traffic, few enough that a resize holds a
+// handful of users' records in flight rather than a shard's.
+const importBacklog = 16
+
+// moveUsers is the epoch's transfer: this goroutine exports the movers
+// in user order — under the source's lock, one user per hold — and hands
+// each to its destination's importer, one goroutine per destination
+// shard, which installs them in the order they arrive. A user's export
+// and import touch the source and destination shards only through their
+// own locks and everything else (the timeline, the ledger, the counters
+// in st) through commutative updates, so per-user state and every total
+// are the same as moving the users one at a time; what differs run to run
+// is wall interleaving, which already decided the destination's arena
+// slot order whenever it served traffic during a resize. Failures (and
+// DropState) cold-start the user at the destination; the user is never
+// left resident on both shards. It returns once every importer has.
+func moveUsers(tp *topology, p2 placement.Placement, src *shard, movers []searchlog.UserID, opts ResizeOptions, st *ResizeStats) {
+	type job struct {
+		uid searchlog.UserID
+		ex  userExport
 	}
-	st.MovedUsers++
-	if err != nil || opts.DropState {
-		st.DroppedUsers++
-		return
+	type importer struct {
+		jobs chan job
+		// dropped, bytes and transfer are this importer's share of st,
+		// folded in once it has finished.
+		dropped, bytes, transfer int64
 	}
-	if err := dst.importUser(uid, ex); err != nil {
-		st.DroppedUsers++
-		return
+	importers := make(map[*shard]*importer)
+	var wg sync.WaitGroup
+	for _, uid := range movers {
+		ex, ok, err := src.exportUser(uid)
+		if !ok {
+			continue
+		}
+		st.MovedUsers++
+		if err != nil || opts.DropState {
+			st.DroppedUsers++
+			continue
+		}
+		dst := tp.shards[p2.ShardOf(placement.UserKey(uint64(uid)))]
+		im := importers[dst]
+		if im == nil {
+			im = &importer{jobs: make(chan job, importBacklog)}
+			importers[dst] = im
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := range im.jobs {
+					if err := dst.importUser(j.uid, j.ex); err != nil {
+						im.dropped++
+						continue
+					}
+					im.bytes += j.ex.bytes
+					im.transfer += j.ex.update.TotalBytes()
+				}
+			}()
+		}
+		im.jobs <- job{uid, ex}
 	}
-	st.MovedBytes += ex.bytes
-	st.TransferBytes += ex.update.TotalBytes()
+	for _, im := range importers {
+		close(im.jobs)
+	}
+	wg.Wait()
+	for _, im := range importers {
+		st.DroppedUsers += im.dropped
+		st.MovedBytes += im.bytes
+		st.TransferBytes += im.transfer
+	}
 }
 
 // maybeHold parks a task whose user is caught mid-epoch: the user's old
@@ -384,19 +445,31 @@ func (f *Fleet) maybeHold(t task) bool {
 // shard and queue).
 func (f *Fleet) drainHolds(tp *topology) {
 	for _, sh := range tp.shards {
-		for {
-			sh.mu.Lock()
-			var uid searchlog.UserID
-			found := false
-			for u := range sh.holds {
-				if !found || u < uid {
-					uid, found = u, true
-				}
-			}
-			sh.mu.Unlock()
-			if !found {
-				break
-			}
+		f.drainShardHolds(sh)
+	}
+}
+
+// drainShardHolds empties one shard's hold map and returns the passes it
+// took. A pass snapshots the held users once, sorted, and drains each in
+// turn — one scan of the map per pass, not one per user, which under
+// load (a wall-timer resize holding thousands of users) was quadratic
+// under the shard lock. No queue opens once the closing route is
+// published (maybeHold re-reads it under this lock), so one pass empties
+// the map; the loop states that rather than assumes it.
+func (f *Fleet) drainShardHolds(sh *shard) (passes int) {
+	for {
+		sh.mu.Lock()
+		uids := make([]searchlog.UserID, 0, len(sh.holds))
+		for u := range sh.holds {
+			uids = append(uids, u)
+		}
+		sh.mu.Unlock()
+		if len(uids) == 0 {
+			return passes
+		}
+		passes++
+		slices.Sort(uids)
+		for _, uid := range uids {
 			f.drainUserHolds(sh, uid)
 		}
 	}

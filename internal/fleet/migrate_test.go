@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"pocketcloudlets/internal/placement"
 	"pocketcloudlets/internal/searchlog"
@@ -318,4 +322,275 @@ func mustRing(t *testing.T, n int) placement.Placement {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// BenchmarkResizeMigrate times live migration where the work is: a ring
+// fleet of warmed users (each has replayed a month, so each carries a
+// personal table and a few database files) grown 4→6 and shrunk back,
+// per moved user. Nothing is being served meanwhile, so the figure is
+// the export/import pair and the epoch around it, not queueing.
+func BenchmarkResizeMigrate(b *testing.B) {
+	const users = 1500
+	g := smallGen(b, users)
+	f := newRingFleet(b, g, func(cfg *Config) {
+		cfg.Population = users
+		cfg.Options.DisableSuggest = true
+		cfg.Options.DiscardResults = true
+	})
+	for _, up := range g.Users() {
+		for _, req := range requestsFor(g, up, 1) {
+			if resp := f.Do(req); resp.Shed || resp.Err != nil {
+				b.Fatalf("warm-up request failed: %+v", resp)
+			}
+		}
+	}
+	b.ResetTimer()
+	var moved int64
+	for i := 0; i < b.N; i++ {
+		for _, n := range []int{6, 4} {
+			st, err := f.Resize(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.DroppedUsers != 0 {
+				b.Fatalf("resize to %d dropped %d users", n, st.DroppedUsers)
+			}
+			moved += st.MovedUsers
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(moved), "us/moved-user")
+}
+
+// orderObserver records the queries each user was answered, in answer
+// order.
+type orderObserver struct {
+	mu   sync.Mutex
+	seen map[searchlog.UserID][]string
+}
+
+func (o *orderObserver) Observe(r Response) {
+	o.mu.Lock()
+	o.seen[r.Req.User] = append(o.seen[r.Req.User], r.Req.Query)
+	o.mu.Unlock()
+}
+
+// TestDrainHoldsManyUsers closes an epoch over a shard holding 2,500
+// users' requests — a wall-timer resize under load — while a client keeps
+// submitting for some of them. Every held request is answered in its
+// user's submission order, a request that arrived during the drain after
+// the ones it queued behind, and the shard's hold map is scanned once,
+// not once per held user.
+func TestDrainHoldsManyUsers(t *testing.T) {
+	const (
+		heldUsers = 2500
+		perUser   = 3
+		firstUID  = searchlog.UserID(100_000) // outside the population: nobody is resident
+	)
+	g := smallGen(t, 16)
+	u := g.Config().Universe
+	request := func(uid searchlog.UserID, k int) Request {
+		p := u.NavPair(8 * k)
+		return Request{User: uid, Query: u.QueryText(u.QueryOf(p)), Click: u.ResultURL(u.ResultOf(p))}
+	}
+	obs := &orderObserver{seen: make(map[searchlog.UserID][]string)}
+	f := newRingFleet(t, g, func(cfg *Config) { cfg.Observer = obs })
+	sh := f.topo.Load().shards[1]
+
+	sh.mu.Lock()
+	for i := 0; i < heldUsers; i++ {
+		uid := firstUID + searchlog.UserID(i)
+		q := &holdQueue{}
+		for k := 0; k < perUser; k++ {
+			q.tasks = append(q.tasks, task{req: request(uid, k), shard: sh.id})
+		}
+		sh.holds[uid] = q
+		f.holdEntries.Add(1)
+	}
+	sh.mu.Unlock()
+
+	// The late arrivals: one more request for every fifth user, racing
+	// the drain. Each is parked behind its user's queue or, once that
+	// queue is gone, served directly — after the held ones either way.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < heldUsers; i += 5 {
+			f.process(task{req: request(firstUID+searchlog.UserID(i), perUser), shard: sh.id})
+		}
+	}()
+	passes := f.drainShardHolds(sh)
+	wg.Wait()
+	// A late request either joined a queue the pass had yet to delete or
+	// found none and was served: nothing is left for a second pass.
+	if again := f.drainShardHolds(sh); passes != 1 || again != 0 {
+		t.Errorf("%d held users drained in %d passes over the hold map (then %d more), want 1 (then 0)", heldUsers, passes, again)
+	}
+	sh.mu.Lock()
+	left := len(sh.holds)
+	sh.mu.Unlock()
+	if left != 0 || f.holdEntries.Load() != 0 {
+		t.Fatalf("%d hold queues left (%d counted) after the drain", left, f.holdEntries.Load())
+	}
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	for i := 0; i < heldUsers; i++ {
+		uid := firstUID + searchlog.UserID(i)
+		want := perUser
+		if i%5 == 0 {
+			want++
+		}
+		got := obs.seen[uid]
+		if len(got) != want {
+			t.Fatalf("user %d was answered %d times, want %d", uid, len(got), want)
+		}
+		for k, q := range got {
+			if q != request(uid, k).Query {
+				t.Fatalf("user %d answer %d is %q, want %q: hold order broken", uid, k, q, request(uid, k).Query)
+			}
+		}
+	}
+}
+
+// moveOneAtATime is the epoch's transfer as it was before moveUsers: each
+// mover exported and then imported before the next is touched, all on
+// the resizing goroutine. Kept as the oracle the pipelined transfer is
+// held to.
+func moveOneAtATime(tp *topology, p2 placement.Placement, src *shard, movers []searchlog.UserID, opts ResizeOptions, st *ResizeStats) {
+	for _, uid := range movers {
+		ex, ok, err := src.exportUser(uid)
+		if !ok {
+			continue
+		}
+		st.MovedUsers++
+		if err != nil || opts.DropState {
+			st.DroppedUsers++
+			continue
+		}
+		if err := tp.shards[p2.ShardOf(placement.UserKey(uint64(uid)))].importUser(uid, ex); err != nil {
+			st.DroppedUsers++
+			continue
+		}
+		st.MovedBytes += ex.bytes
+		st.TransferBytes += ex.update.TotalBytes()
+	}
+}
+
+// userImage is everything a resident user carries, in comparable form.
+type userImage struct {
+	Shard                 int
+	Served, Hits, Bytes   int64
+	MissSeq               uint64
+	Clock                 time.Duration
+	Table                 []byte            // the personal table's wire encoding
+	Files                 map[string][]byte // the result database, file by file
+	Refs                  map[uint64]evictRef
+	Queries, Hit, Expands int // the personal cache's own counters
+}
+
+// fleetImage snapshots every resident user of a drained fleet.
+func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
+	t.Helper()
+	out := make(map[searchlog.UserID]userImage)
+	for _, sh := range f.topo.Load().shards {
+		sh.mu.Lock()
+		sh.users.forEach(func(st *userState) {
+			img := userImage{Shard: sh.id, Served: st.served, Hits: st.hits, Bytes: st.bytes, MissSeq: st.missSeq, Refs: st.refs}
+			if st.cache != nil {
+				var buf bytes.Buffer
+				if err := st.cache.Table().Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				store := st.cache.Device().Store()
+				img.Table, img.Clock, img.Files = buf.Bytes(), st.clock.Now(), make(map[string][]byte)
+				for _, name := range store.Names() {
+					img.Files[name], _ = store.Peek(name)
+				}
+				cs := st.cache.Stats()
+				img.Queries, img.Hit, img.Expands = cs.Queries, cs.Hits, cs.Expansions
+			}
+			out[st.uid] = img
+		})
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// TestPipelinedResizeMatchesOneAtATime is the migration differential:
+// two identical warmed ring fleets walk 4→3→6→8→4→2, one through the
+// pipelined epoch, one through the one-at-a-time loop it replaced, with
+// a round of traffic after every step. After each step the resize
+// counters, the fleet totals, the energy ledger and every resident
+// user's whole state — shard, serving counters, miss sequence, device
+// clock, table encoding, every database file's bytes, eviction index —
+// must be equal.
+func TestPipelinedResizeMatchesOneAtATime(t *testing.T) {
+	g := smallGen(t, 160)
+	tapes := tapesFor(g, 160, 1)
+	uids := make([]searchlog.UserID, 0, len(tapes))
+	for uid := range tapes {
+		uids = append(uids, uid)
+	}
+	slices.Sort(uids)
+	// serve replays a slice of every user's tape, users in ID order, so
+	// both fleets see one submission order.
+	serve := func(f *Fleet, from, to int) {
+		for _, uid := range uids {
+			tape := tapes[uid]
+			for _, req := range tape[min(from, len(tape)):min(to, len(tape))] {
+				if resp := f.Do(req); resp.Shed || resp.Err != nil {
+					t.Fatalf("user %d request failed: %+v", uid, resp)
+				}
+			}
+		}
+	}
+	build := func() *Fleet {
+		return newRingFleet(t, g, func(cfg *Config) {
+			cfg.Population = 160
+			cfg.PerUserBytes = 6_000 // tight enough that imports re-enforce the budget
+		})
+	}
+	piped, serial := build(), build()
+	serve(piped, 0, 12)
+	serve(serial, 0, 12)
+
+	for step, n := range []int{3, 6, 8, 4, 2} {
+		got, err := piped.resize(n, ResizeOptions{}, moveUsers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serial.resize(n, ResizeOptions{}, moveOneAtATime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("resize to %d: stats %+v, one at a time %+v", n, got, want)
+		}
+		if got.MovedUsers == 0 || got.DroppedUsers != 0 || got.TransferBytes == 0 {
+			t.Fatalf("resize to %d moved nothing worth comparing: %+v", n, got)
+		}
+		serve(piped, 12+6*step, 18+6*step)
+		serve(serial, 12+6*step, 18+6*step)
+		piped.Drain()
+		serial.Drain()
+
+		if a, b := piped.Stats(), serial.Stats(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("after resize to %d: stats %+v, one at a time %+v", n, a, b)
+		}
+		if a, b := piped.EnergyStats(), serial.EnergyStats(); a != b {
+			t.Fatalf("after resize to %d: energy %+v, one at a time %+v", n, a, b)
+		}
+		if a, b := piped.MigrationStats(), serial.MigrationStats(); a != b {
+			t.Fatalf("after resize to %d: migration totals %+v, one at a time %+v", n, a, b)
+		}
+		a, b := fleetImage(t, piped), fleetImage(t, serial)
+		if len(a) != len(uids) || len(b) != len(uids) {
+			t.Fatalf("after resize to %d: %d and %d resident users, want %d", n, len(a), len(b), len(uids))
+		}
+		for _, uid := range uids {
+			if !reflect.DeepEqual(a[uid], b[uid]) {
+				t.Fatalf("after resize to %d: user %d differs:\n pipelined  %+v\n one by one %+v", n, uid, a[uid], b[uid])
+			}
+		}
+	}
 }

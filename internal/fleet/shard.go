@@ -672,11 +672,10 @@ func (sh *shard) importUser(uid searchlog.UserID, ex userExport) error {
 	st.missSeq = ex.missSeq
 	st.bytes = st.cache.DB().LogicalBytes()
 	sh.personalBytes += st.bytes
+	// The source slot was zeroed by the export, so its index map is this
+	// user's to keep.
+	st.refs = ex.refs
 	for key, ref := range ex.refs {
-		if st.refs == nil {
-			st.refs = make(map[uint64]evictRef)
-		}
-		st.refs[key] = ref
 		sh.keys[key] = ref
 	}
 	sh.enforceUserBudget(st)

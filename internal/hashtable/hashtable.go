@@ -13,10 +13,11 @@
 package hashtable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // SearchRef is one search-result slot: the hash of the result's web
@@ -281,13 +282,50 @@ func (t *Table) Pairs() []Pair {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].QueryHash != out[j].QueryHash {
-			return out[i].QueryHash < out[j].QueryHash
-		}
-		return out[i].ResultHash < out[j].ResultHash
+	slices.SortFunc(out, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.QueryHash, b.QueryHash), cmp.Compare(a.ResultHash, b.ResultHash))
 	})
 	return out
+}
+
+// FromPairs builds the table Decode builds from the encoding of pairs,
+// without the bytes in between: pairs must be as Pairs returns them —
+// ordered by (query, result) hash, each at most once — and each query's
+// results fill its chain's entries front to back, as Put would have
+// placed them. State migration copies a user's table this way (the
+// updater's ExportState); EncodedLen sizes the transfer it stands for.
+func FromPairs(slotsPerEntry int, pairs []Pair) (*Table, error) {
+	t, err := New(slotsPerEntry)
+	if err != nil {
+		return nil, err
+	}
+	t.refCount = len(pairs)
+	for len(pairs) > 0 {
+		run := pairs[:queryRun(pairs)]
+		chain := make([]entry, (len(run)+t.slots-1)/t.slots)
+		for k, p := range run {
+			e := &chain[k/t.slots]
+			if e.refs == nil {
+				e.refs = make([]SearchRef, 0, t.slots)
+			}
+			e.refs = append(e.refs, SearchRef{ResultHash: p.ResultHash, Score: p.Score})
+			if p.Accessed {
+				e.flags |= accessedBit << uint(k%t.slots)
+			}
+		}
+		t.entries[run[0].QueryHash] = chain
+		pairs = pairs[len(run):]
+	}
+	return t, nil
+}
+
+// queryRun is the length of the leading run of pairs sharing one query.
+func queryRun(pairs []Pair) int {
+	n := 1
+	for n < len(pairs) && pairs[n].QueryHash == pairs[0].QueryHash {
+		n++
+	}
+	return n
 }
 
 // Modeled on-device entry layout (Figure 10): an 8-byte query hash,
@@ -310,6 +348,10 @@ func EntryBytes(k int) int { return entryFixedBytes + k*refBytes }
 func (t *Table) FootprintBytes() int64 {
 	return int64(t.NumEntries()) * int64(EntryBytes(t.slots))
 }
+
+// EncodedLen is the number of bytes Encode writes for a table of the
+// given number of pairs.
+func EncodedLen(pairs int) int { return 16 + 25*pairs }
 
 // Encode serializes the table (used when the phone transmits its hash
 // table to the server for the Section 5.4 update cycle).

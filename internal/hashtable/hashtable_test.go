@@ -3,6 +3,7 @@ package hashtable
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -204,6 +205,54 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("pair %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestFromPairsMatchesDecode holds FromPairs to the wire round trip it
+// stands in for: over random tables at one to four slots — chains longer
+// than an entry, removals that leave gaps the encoding closes, accessed
+// flags — FromPairs(Pairs()) is deeply equal to Decode(Encode()), its
+// size is EncodedLen, and the two stay equal under further Puts.
+func TestFromPairsMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		slots := 1 + trial%4
+		tbl := MustNew(slots)
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			qh, rh := uint64(rng.Intn(12)), uint64(rng.Intn(40))
+			tbl.Put(qh, SearchRef{ResultHash: rh, Score: rng.Float64() * 5})
+			if rng.Intn(3) == 0 {
+				tbl.MarkAccessed(qh, rh)
+			}
+			if rng.Intn(5) == 0 {
+				tbl.Remove(uint64(rng.Intn(12)), uint64(rng.Intn(40)))
+			}
+		}
+		var buf bytes.Buffer
+		if err := tbl.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != EncodedLen(tbl.NumRefs()) {
+			t.Fatalf("trial %d: encoding is %d bytes, EncodedLen says %d", trial, buf.Len(), EncodedLen(tbl.NumRefs()))
+		}
+		want, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromPairs(slots, tbl.Pairs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d slots): FromPairs differs from Decode(Encode):\n got %+v\nwant %+v", trial, slots, got, want)
+		}
+		for qh := uint64(0); qh < 12; qh++ {
+			got.Put(qh, SearchRef{ResultHash: 1000, Score: 9})
+			want.Put(qh, SearchRef{ResultHash: 1000, Score: 9})
+		}
+		if !reflect.DeepEqual(got.Pairs(), want.Pairs()) || got.NumEntries() != want.NumEntries() {
+			t.Fatalf("trial %d: the copy diverges from the decoded table after further Puts", trial)
 		}
 	}
 }

@@ -195,13 +195,11 @@ type TraceEvent struct {
 	Click string
 }
 
-// classEvents materializes one class's arrival schedule as concrete
-// request events. The whole schedule is drawn up front so the arrival
-// count is a pure function of the spec — an open-loop generator must
-// not let fleet backpressure slow the arrivals.
-func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed int64, maxReq int) ([]TraceEvent, error) {
-	u := g.Config().Universe
-	profiles := g.Users()
+// classSchedule draws one class's arrival schedule. The whole schedule
+// is drawn up front so the arrival count is a pure function of the spec
+// — an open-loop generator must not let fleet backpressure slow the
+// arrivals.
+func classSchedule(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed int64, maxReq int) ([]modeltime.Arrival, error) {
 	spec := modeltime.Spec{
 		Kind:       cc.Arrivals,
 		QPS:        cfg.QPS * cc.QPSShare,
@@ -211,7 +209,6 @@ func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed
 		PeakTrough: cc.DiurnalPeak,
 		Period:     cc.DiurnalPeriod,
 	}
-	var cursors []*workload.Cursor
 	if cc.Arrivals == modeltime.PerUser {
 		w := perUserWeights(g)
 		for i := range w {
@@ -220,21 +217,33 @@ func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed
 			}
 		}
 		spec.Weights = w
-		cursors = make([]*workload.Cursor, len(profiles))
 	}
 	schedule, err := modeltime.Schedule(spec)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)
 	}
-	var tape []searchlog.Entry
-	if cc.Arrivals != modeltime.PerUser {
-		full := g.MonthLog(cfg.Month).Entries
+	return schedule, nil
+}
+
+// classEvents materializes one class's schedule as concrete request
+// events. A per-user arrival replays its user's own stream; every other
+// arrival takes the next entry of the class's tape — the run's month log
+// filtered to the class's users — wrapping if the schedule outruns it.
+func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, schedule []modeltime.Arrival, log []searchlog.Entry, texts *pairTexts) ([]TraceEvent, error) {
+	profiles := g.Users()
+	var (
+		cursors []*workload.Cursor
+		tape    []searchlog.Entry
+	)
+	if cc.Arrivals == modeltime.PerUser {
+		cursors = make([]*workload.Cursor, len(profiles))
+	} else {
 		if cc.Lo <= 0 && cc.Hi >= len(profiles) {
-			tape = full
+			tape = log
 		} else {
 			// The workload invariant profiles[i].ID == UserID(i) makes a
 			// contiguous index range a contiguous ID range.
-			for _, e := range full {
+			for _, e := range log {
 				if idx := int(e.User); idx >= cc.Lo && idx < cc.Hi {
 					tape = append(tape, e)
 				}
@@ -257,8 +266,8 @@ func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed
 		} else {
 			e = tape[i%len(tape)]
 		}
-		rq := request(u, e, cc.Name)
-		events[i] = TraceEvent{At: a.At, User: rq.User, Class: rq.Class, Query: rq.Query, Click: rq.Click}
+		query, click := texts.of(e.Pair)
+		events[i] = TraceEvent{At: a.At, User: e.User, Class: cc.Name, Query: query, Click: click}
 	}
 	return events, nil
 }
@@ -268,23 +277,66 @@ func request(u *engine.Universe, e searchlog.Entry, class string) fleet.Request 
 	return fleet.Request{User: e.User, Query: u.QueryText(u.QueryOf(e.Pair)), Click: u.ResultURL(u.ResultOf(e.Pair)), Class: class}
 }
 
+// pairTexts interns the request text of each distinct pair of a
+// schedule: a tape repeats a Zipf-skewed pair set (a quarter of a day's
+// events are distinct), and a query and a click built per event are two
+// allocations each.
+type pairTexts struct {
+	u     *engine.Universe
+	texts map[searchlog.PairID][2]string
+}
+
+func (t *pairTexts) of(p searchlog.PairID) (query, click string) {
+	qc, ok := t.texts[p]
+	if !ok {
+		qc = [2]string{t.u.QueryText(t.u.QueryOf(p)), t.u.ResultURL(t.u.ResultOf(p))}
+		t.texts[p] = qc
+	}
+	return qc[0], qc[1]
+}
+
 // OpenEvents materializes an open-loop run's whole request schedule:
 // each class's schedule, merged by arrival time (ties break by class
-// order, then within-class order, so the merge is deterministic).
+// order, then within-class order, so the merge is deterministic). The
+// run's month log is built once, whatever the number of classes that
+// replay it, and while this goroutine draws the arrival schedules.
 func OpenEvents(g *workload.Generator, cfg OpenConfig) ([]TraceEvent, error) {
 	maxReq := cfg.MaxRequests
 	if maxReq <= 0 {
 		maxReq = 10_000_000
 	}
 	classes := cfg.classes(len(g.Users()))
-	streams := make([][]TraceEvent, len(classes))
+	var log []searchlog.Entry
+	logBuilt := make(chan struct{})
+	go func() {
+		defer close(logBuilt)
+		for _, cc := range classes {
+			if cc.Arrivals != modeltime.PerUser {
+				log = g.MonthLog(cfg.Month).Entries
+				return
+			}
+		}
+	}()
+	schedules := make([][]modeltime.Arrival, len(classes))
+	errs := make([]error, len(classes))
 	for ci, cc := range classes {
 		seed := cfg.Seed
 		if len(classes) > 1 {
 			seed = modeltime.DeriveSeed(cfg.Seed, ci)
 		}
+		schedules[ci], errs[ci] = classSchedule(g, cfg, cc, seed, maxReq)
+	}
+	<-logBuilt
+	texts := &pairTexts{u: g.Config().Universe, texts: make(map[searchlog.PairID][2]string)}
+	streams := make([][]TraceEvent, len(classes))
+	for ci, cc := range classes {
+		// A class's bad schedule is reported before a later class's empty
+		// tape, as when each class was materialized whole in turn.
+		if errs[ci] != nil {
+			return nil, errs[ci]
+		}
 		var err error
-		if streams[ci], err = classEvents(g, cfg, cc, seed, maxReq); err != nil {
+		if streams[ci], err = classEvents(g, cfg, cc, schedules[ci], log, texts); err != nil {
 			return nil, err
 		}
 	}

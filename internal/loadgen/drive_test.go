@@ -10,6 +10,8 @@ import (
 
 	"pocketcloudlets/internal/autoscale"
 	"pocketcloudlets/internal/modeltime"
+	"pocketcloudlets/internal/searchlog"
+	"pocketcloudlets/internal/workload"
 )
 
 // Test helpers the external-package tests (package loadgen_test) share.
@@ -109,6 +111,42 @@ func TestReplayOrder(t *testing.T) {
 	}
 }
 
+// refClassEvents is classEvents as it was when every class built its own
+// month log and every event its own request text — the reference
+// OpenEvents' shared log and interned text are held to.
+func refClassEvents(t *testing.T, g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed int64, maxReq int) []TraceEvent {
+	t.Helper()
+	schedule, err := classSchedule(g, cfg, cc, seed, maxReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := g.Users()
+	cursors := make([]*workload.Cursor, len(profiles))
+	var tape []searchlog.Entry
+	if cc.Arrivals != modeltime.PerUser {
+		for _, e := range g.MonthLog(cfg.Month).Entries {
+			if idx := int(e.User); idx >= cc.Lo && idx < cc.Hi {
+				tape = append(tape, e)
+			}
+		}
+	}
+	events := make([]TraceEvent, len(schedule))
+	for i, a := range schedule {
+		var e searchlog.Entry
+		if a.User >= 0 {
+			if cursors[a.User] == nil {
+				cursors[a.User] = g.Cursor(profiles[a.User], cfg.Month)
+			}
+			e, _ = cursors[a.User].Next()
+		} else {
+			e = tape[i%len(tape)]
+		}
+		rq := request(g.Config().Universe, e, cc.Name)
+		events[i] = TraceEvent{At: a.At, User: rq.User, Class: rq.Class, Query: rq.Query, Click: rq.Click}
+	}
+	return events
+}
+
 // TestMergeMatchesSort holds the k-way merge against the sort it
 // replaced — by (At, class, within-class order) over all streams — on a
 // three-class schedule whose timestamps are coarsened to force ties
@@ -155,10 +193,7 @@ func TestMergeMatchesSort(t *testing.T) {
 	draw := func(grain time.Duration) [][]TraceEvent {
 		streams := make([][]TraceEvent, len(cfg.Classes))
 		for ci, cc := range cfg.Classes {
-			evs, err := classEvents(g, cfg, cc, modeltime.DeriveSeed(cfg.Seed, ci), 1<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
+			evs := refClassEvents(t, g, cfg, cc, modeltime.DeriveSeed(cfg.Seed, ci), 1<<20)
 			for i := range evs {
 				evs[i].At = evs[i].At.Truncate(grain)
 			}

@@ -1,6 +1,7 @@
 package modeltime
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -180,5 +181,117 @@ func TestPerUserMaxCap(t *testing.T) {
 	}
 	if len(sched) != 100 {
 		t.Errorf("capped schedule has %d arrivals, want 100", len(sched))
+	}
+}
+
+// bisectWarp is the warp Schedule used before the warper: the plain
+// 62-step bisection that evaluates the rate curve at every midpoint. It
+// is kept as the oracle the warper must reproduce bit for bit.
+func bisectWarp(u, horizon, period time.Duration, a float64) time.Duration {
+	target := float64(u) / float64(horizon) * cumRate(horizon, period, a)
+	lo, hi := time.Duration(0), horizon
+	for i := 0; i < 62 && lo < hi; i++ {
+		mid := lo + (hi-lo)/2
+		if cumRate(mid, period, a) < target {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// bisectSchedule is the diurnal Schedule over bisectWarp.
+func bisectSchedule(s Spec) []Arrival {
+	base := homogeneous(s.Seed, s.QPS, s.Horizon, s.Max)
+	out := make([]Arrival, len(base))
+	for i, at := range base {
+		out[i] = Arrival{At: bisectWarp(at, s.Horizon, s.period(), s.amplitude()), User: -1}
+	}
+	return out
+}
+
+// TestWarpMatchesBisection holds the warper to the plain bisection on
+// every arrival of a grid of curves: horizons from a second to a month
+// (where a one-nanosecond step is below the rate curve's float
+// resolution and only the bisection's own midpoints define the answer),
+// peak/trough ratios from nearly flat to a trough 1000 times below the
+// peak (where the margin is widest), and one, three and seven periods
+// per horizon.
+func TestWarpMatchesBisection(t *testing.T) {
+	arrivals := 200_000
+	if testing.Short() {
+		arrivals = 10_000
+	}
+	day := 24 * time.Hour
+	for _, horizon := range []time.Duration{time.Second, time.Hour, day, 30 * day} {
+		for _, ratio := range []float64{1.0001, 4, 60, 1000} {
+			for _, periods := range []int{1, 3, 7} {
+				spec := Spec{
+					Kind: Diurnal, QPS: float64(arrivals) / horizon.Seconds(), Horizon: horizon,
+					Seed: int64(periods) + int64(ratio), Max: 10_000_000,
+					PeakTrough: ratio, Period: horizon / time.Duration(periods),
+				}
+				assertWarpMatches(t, spec)
+			}
+		}
+	}
+}
+
+// TestWarpMatchesBisectionEdges covers the schedules whose shape the
+// grid does not: one cut short by Max, one whose first gap already
+// overshoots the horizon (no arrivals), the default period and ratio,
+// and the ratios whose amplitude rounds to 1 or is NaN, where the
+// margin bounds nothing and every midpoint must still evaluate.
+func TestWarpMatchesBisectionEdges(t *testing.T) {
+	for _, spec := range []Spec{
+		{Kind: Diurnal, QPS: 50000, Horizon: time.Second, Seed: 3, Max: 777, PeakTrough: 6},
+		{Kind: Diurnal, QPS: 1e-9, Horizon: time.Millisecond, Seed: 3, Max: 10},
+		{Kind: Diurnal, QPS: 20000, Horizon: 1500 * time.Millisecond, Seed: 8, Max: 1 << 20},
+		{Kind: Diurnal, QPS: 20000, Horizon: time.Second, Seed: 8, Max: 1 << 20, PeakTrough: 1e18},
+		{Kind: Diurnal, QPS: 2000, Horizon: time.Second, Seed: 8, Max: 1 << 20, PeakTrough: math.Inf(1)},
+	} {
+		assertWarpMatches(t, spec)
+	}
+}
+
+func assertWarpMatches(t *testing.T, spec Spec) {
+	t.Helper()
+	got, err := Schedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bisectSchedule(spec)
+	if len(got) != len(want) {
+		t.Fatalf("%+v: %d arrivals, bisection %d", spec, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%+v: arrival %d = %+v, bisection %+v", spec, i, got[i], want[i])
+		}
+	}
+}
+
+// BenchmarkScheduleDiurnal draws 300k diurnal arrivals over a second
+// (the repository benchmark's day_replay schedule) and over a day, where
+// arrivals are 288 µs apart and each Newton start is farther from its
+// root.
+func BenchmarkScheduleDiurnal(b *testing.B) {
+	for _, horizon := range []time.Duration{time.Second, 24 * time.Hour} {
+		b.Run(horizon.String(), func(b *testing.B) {
+			spec := Spec{
+				Kind: Diurnal, QPS: 300000 / horizon.Seconds(), Horizon: horizon,
+				Seed: 1, Max: 10_000_000, PeakTrough: 6,
+			}
+			var n int
+			for i := 0; i < b.N; i++ {
+				arr, err := Schedule(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n += len(arr)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/arrival")
+		})
 	}
 }

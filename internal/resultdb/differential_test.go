@@ -403,6 +403,50 @@ func TestDifferentialAgainstLegacyDatabase(t *testing.T) {
 					for ph, rec := range recs {
 						d.live[ph] = rec
 					}
+				case op < 18 && step%2 == 0:
+					// The update cycle's patch step: a whole record set at
+					// once, most files keeping what they hold. The reference
+					// is the per-file loop ReplaceAll replaced — read each
+					// file's records, replace the file when they differ.
+					name = fmt.Sprintf("step %d ReplaceAll", step)
+					next := map[uint64][]byte{}
+					for ph, rec := range d.live {
+						next[ph] = rec
+					}
+					changed := rng.Intn(tc.files)
+					for _, ph := range pool {
+						if d.db().FileOf(ph) == changed {
+							if delete(next, ph); rng.Intn(2) == 0 {
+								next[ph] = record()
+							}
+						}
+					}
+					var recs []resultdb.Record
+					for ph, rec := range next {
+						recs = append(recs, resultdb.Record{Hash: ph, Data: rec})
+					}
+					lat, err := d.db().ReplaceAll(recs)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					var wantLat time.Duration
+					for f := 0; f < tc.files; f++ {
+						want := map[uint64][]byte{}
+						for ph, rec := range next {
+							if d.ref.fileOf(ph) == f {
+								want[ph] = rec
+							}
+						}
+						if !reflect.DeepEqual(d.ref.RecordsOf(f), want) {
+							l, err := d.ref.ReplaceFile(f, want)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							wantLat += l
+						}
+					}
+					d.sameLat(name, lat, wantLat)
+					d.live = next
 				case op < 18:
 					// Shard-to-shard migration: export the cache's state
 					// and apply it to an empty cache on a fresh device.

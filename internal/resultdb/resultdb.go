@@ -16,7 +16,10 @@ package resultdb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -154,8 +157,11 @@ func (db *DB) cachePos(i int) (pos int, found bool) {
 func (db *DB) setCache(fc fileCache) *fileCache {
 	pos, found := db.cachePos(int(fc.file))
 	if !found {
-		grown := make([]fileCache, len(db.cache)+1)
-		copy(grown, db.cache[:pos])
+		grown := db.cache[:min(len(db.cache)+1, cap(db.cache))] // room ReplaceAll reserved
+		if len(grown) == len(db.cache) {
+			grown = make([]fileCache, len(db.cache)+1)
+			copy(grown, db.cache[:pos])
+		}
 		copy(grown[pos+1:], db.cache[pos:])
 		db.cache = grown
 	}
@@ -218,9 +224,8 @@ func appendTriple(b []byte, e headerEntry) []byte {
 	return strconv.AppendUint(b, uint64(e.length), 16)
 }
 
-// serialize renders the header line: "hash,off,len;...\n" in hex.
-func (h *header) serialize() []byte {
-	b := make([]byte, 0, len(h.entries)*maxTripleLen+1)
+// appendTo appends the header line, "hash,off,len;...\n" in hex, to b.
+func (h *header) appendTo(b []byte) []byte {
 	for i, e := range h.entries {
 		if i > 0 {
 			b = append(b, ';')
@@ -229,6 +234,20 @@ func (h *header) serialize() []byte {
 	}
 	return append(b, '\n')
 }
+
+// lineLen is the header line's exact length, known from its numbers'
+// widths before a digit is written: per entry three hex fields and two
+// commas, a ';' between entries, and the newline.
+func (h *header) lineLen() int {
+	n := max(len(h.entries), 1) // the separators and the newline
+	for _, e := range h.entries {
+		n += hexLen(e.hash) + hexLen(uint64(e.off)) + hexLen(uint64(e.length)) + 2
+	}
+	return n
+}
+
+// hexLen is the number of digits strconv renders x with in base 16.
+func hexLen(x uint64) int { return max(1, (bits.Len64(x)+3)/4) }
 
 func parseHeader(line []byte) (*header, error) {
 	h := &header{}
@@ -438,6 +457,12 @@ func (db *DB) Len() int {
 	return n
 }
 
+// Record is one result record and the hash it is stored under.
+type Record struct {
+	Hash uint64
+	Data []byte
+}
+
 // ReplaceFile atomically replaces one database file's full record set
 // — the patch-application primitive of the Section 5.4 update cycle.
 // It returns the modeled flash latency of rewriting the file.
@@ -445,29 +470,107 @@ func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, erro
 	if i < 0 || i >= db.cfg.Files {
 		return 0, fmt.Errorf("resultdb: file index %d out of range [0, %d)", i, db.cfg.Files)
 	}
-	h := header{entries: make([]headerEntry, 0, len(records))}
-	for hash := range records {
+	recs := make([]Record, 0, len(records))
+	for hash, data := range records {
 		if db.FileOf(hash) != i {
 			return 0, fmt.Errorf("resultdb: record %x does not belong in file %d", hash, i)
 		}
-		h.entries = append(h.entries, headerEntry{hash: hash})
+		recs = append(recs, Record{hash, data})
 	}
-	sort.Slice(h.entries, func(a, b int) bool { return h.entries[a].hash < h.entries[b].hash })
+	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Hash, b.Hash) })
+	return db.rewrite(i, recs), nil
+}
+
+// rewrite installs recs — file i's records, ordered by hash — as the
+// file's whole content, built in one exactly sized allocation, and
+// returns the modeled latency of the rewrite.
+func (db *DB) rewrite(i int, recs []Record) time.Duration {
+	h := header{entries: make([]headerEntry, len(recs))}
 	bodyLen := 0
-	for k := range h.entries {
-		e := &h.entries[k]
-		e.off, e.length = uint32(bodyLen), uint32(len(records[e.hash]))
-		bodyLen += len(records[e.hash])
+	for k, r := range recs {
+		h.entries[k] = headerEntry{hash: r.Hash, off: uint32(bodyLen), length: uint32(len(r.Data))}
+		bodyLen += len(r.Data)
 	}
-	hdr := h.serialize()
-	data := make([]byte, len(hdr), len(hdr)+bodyLen)
-	copy(data, hdr)
-	for _, e := range h.entries {
-		data = append(data, records[e.hash]...)
+	hdrLen := h.lineLen()
+	data := h.appendTo(make([]byte, 0, hdrLen+bodyLen))
+	for _, r := range recs {
+		data = append(data, r.Data...)
 	}
 	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(len(data))
-	db.storeFile(i, h, data, len(hdr))
-	return lat, nil
+	db.storeFile(i, h, data, hdrLen)
+	return lat
+}
+
+// ReplaceAll makes the database hold exactly records (each hash at most
+// once; the slice is reordered): every file whose record set differs is
+// rewritten as ReplaceFile would, files already holding their share are
+// left alone, and the summed latency of the rewrites is returned — the
+// whole patch step of an update, or of a migrated user's import, in one
+// pass over the records and none over the files they leave untouched.
+func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
+	slices.SortFunc(records, func(a, b Record) int {
+		return cmp.Or(cmp.Compare(db.FileOf(a.Hash), db.FileOf(b.Hash)), cmp.Compare(a.Hash, b.Hash))
+	})
+	// Every file with a record ends this call cached; make the room for
+	// the new ones once, and exactly (see setCache).
+	room := 0
+	for k, r := range records {
+		if f := db.FileOf(r.Hash); k == 0 || f != db.FileOf(records[k-1].Hash) {
+			if _, cached := db.cachePos(f); !cached {
+				room++
+			}
+		}
+	}
+	if cap(db.cache)-len(db.cache) < room {
+		db.cache = append(make([]fileCache, 0, len(db.cache)+room), db.cache...)
+	}
+	var total time.Duration
+	for i := 0; i < db.cfg.Files; i++ {
+		n := 0
+		for n < len(records) && db.FileOf(records[n].Hash) == i {
+			n++
+		}
+		next := records[:n]
+		records = records[n:]
+		fc, err := db.file(i)
+		if err != nil {
+			return total, err
+		}
+		same, err := fc.holds(next)
+		if err != nil {
+			return total, fmt.Errorf("%w in file %d", err, i)
+		}
+		if !same {
+			total += db.rewrite(i, next)
+		}
+	}
+	return total, nil
+}
+
+// holds reports whether the file's record set is exactly recs, which
+// are ordered by hash. A file that does not exist holds nothing.
+func (fc *fileCache) holds(recs []Record) (bool, error) {
+	if fc == nil {
+		return len(recs) == 0, nil
+	}
+	body := fc.body()
+	for _, e := range fc.hdr.entries {
+		if e.end() > len(body) {
+			return false, fmt.Errorf("resultdb: corrupt entry %x", e.hash)
+		}
+	}
+	if len(fc.hdr.entries) != len(recs) {
+		return false, nil
+	}
+	// The header is in insertion order; compare in hash order.
+	entries := slices.Clone(fc.hdr.entries)
+	slices.SortFunc(entries, func(a, b headerEntry) int { return cmp.Compare(a.hash, b.hash) })
+	for k, e := range entries {
+		if e.hash != recs[k].Hash || !bytes.Equal(body[e.off:e.end()], recs[k].Data) {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // Delete removes the record stored under resultHash, rewriting its

@@ -247,8 +247,9 @@ func TestHeaderSerializationRoundTrip(t *testing.T) {
 			h.entries = append(h.entries, headerEntry{hash: hashes[i], off: off, length: uint32(sizes[i])})
 			off += uint32(sizes[i])
 		}
-		parsed, err := parseHeader(h.serialize())
-		if err != nil {
+		line := h.appendTo(make([]byte, 0, h.lineLen()))
+		parsed, err := parseHeader(line)
+		if err != nil || len(line) != h.lineLen() || cap(line) != len(line) {
 			return false
 		}
 		if len(parsed.entries) != len(h.entries) {

@@ -18,6 +18,7 @@ import (
 	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/pocketsearch"
+	"pocketcloudlets/internal/resultdb"
 )
 
 // Policy tunes the server-side merge.
@@ -125,33 +126,32 @@ func BuildUpdate(phone *hashtable.Table, fresh cachegen.Content, u *engine.Unive
 
 // ExportState snapshots a cache's full state as an Update — the same
 // wire format the overnight cycle ships, reused by fleet resharding to
-// move a user's personal component between shards. The table travels
-// through its wire encoding (which sizes TableBytes and is also a deep
-// copy preserving per-pair Accessed bits); every record the table
-// references is read out of the result database, and Queries carries
-// the auto-completion vocabulary. Applying the export to an empty
-// cache reproduces the source cache's hit/miss behavior exactly.
+// move a user's personal component between shards. The table is the one
+// decoding its wire encoding would build (a deep copy preserving per-pair
+// Accessed bits, sized as that encoding in TableBytes), made without
+// writing the bytes; every record the table references is a read-only
+// view of the result database's stored bytes, which no later write to
+// either cache changes; and Queries carries the auto-completion
+// vocabulary. Applying the export to an empty cache reproduces the
+// source cache's hit/miss behavior exactly.
 func ExportState(c *pocketsearch.Cache) (Update, error) {
-	var buf bytes.Buffer
-	if err := c.Table().Encode(&buf); err != nil {
-		return Update{}, err
-	}
-	table, err := hashtable.Decode(bytes.NewReader(buf.Bytes()))
+	pairs := c.Table().Pairs()
+	table, err := hashtable.FromPairs(c.Table().SlotsPerEntry(), pairs)
 	if err != nil {
 		return Update{}, err
 	}
 	upd := Update{
 		Table:      table,
-		Records:    make(map[uint64][]byte),
+		Records:    make(map[uint64][]byte, len(pairs)),
 		Queries:    c.QueryTexts(),
-		TableBytes: int64(buf.Len()),
+		TableBytes: int64(hashtable.EncodedLen(len(pairs))),
 	}
 	db := c.DB()
-	for _, p := range table.Pairs() {
+	for _, p := range pairs {
 		if _, ok := upd.Records[p.ResultHash]; ok {
 			continue
 		}
-		rec, _, err := db.Get(p.ResultHash)
+		rec, _, err := db.GetView(p.ResultHash)
 		if err != nil {
 			// The record is gone from flash; the pair cannot survive the
 			// move.
@@ -174,9 +174,9 @@ func Apply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 	}
 	db := c.DB()
 
-	// Group the merged record set by database file, resolving keep
-	// sentinels against the phone's current records.
-	perFile := make(map[int]map[uint64][]byte)
+	// The merged record set, keep sentinels resolved against the phone's
+	// current records.
+	records := make([]resultdb.Record, 0, len(upd.Records))
 	for rh, rec := range upd.Records {
 		if rec == nil {
 			existing, _, err := db.Get(rh)
@@ -187,46 +187,13 @@ func Apply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 			}
 			rec = existing
 		}
-		f := db.FileOf(rh)
-		if perFile[f] == nil {
-			perFile[f] = make(map[uint64][]byte)
-		}
-		perFile[f][rh] = rec
+		records = append(records, resultdb.Record{Hash: rh, Data: rec})
 	}
-
-	var total time.Duration
-	for f := 0; f < db.Files(); f++ {
-		current, err := db.RecordsOf(f)
-		if err != nil {
-			return total, err
-		}
-		next := perFile[f]
-		if next == nil {
-			next = map[uint64][]byte{}
-		}
-		if recordsEqual(current, next) {
-			continue
-		}
-		lat, err := db.ReplaceFile(f, next)
-		if err != nil {
-			return total, err
-		}
-		total += lat
+	total, err := db.ReplaceAll(records)
+	if err != nil {
+		return total, err
 	}
 	c.ReplaceTable(upd.Table, upd.Queries)
 	c.Device().FlashBusy(total)
 	return total, nil
-}
-
-func recordsEqual(a, b map[uint64][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, va := range a {
-		vb, ok := b[k]
-		if !ok || !bytes.Equal(va, vb) {
-			return false
-		}
-	}
-	return true
 }

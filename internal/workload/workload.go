@@ -26,10 +26,13 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"pocketcloudlets/internal/engine"
@@ -384,7 +387,32 @@ func (g *Generator) userSeed(id searchlog.UserID, month int) int64 {
 // UserStream generates one user's query stream for the given month
 // index, ordered by time within the window.
 func (g *Generator) UserStream(u UserProfile, month int) []searchlog.Entry {
-	rng := rand.New(rand.NewSource(g.userSeed(u.ID, month)))
+	return (&streamer{g: g}).stream(u, month)
+}
+
+// streamer is the scratch one goroutine draws user streams with, back
+// to back: a source reseeded per (user, month) — seeding is a stream's
+// largest fixed cost, and a fresh source per user another 5 KB of
+// garbage on top of it — and the time and history buffers. A stream is
+// the same whichever streamer draws it.
+type streamer struct {
+	g       *Generator
+	src     rand.Source // made by the first stream, with its seed: a source is seeded at birth
+	rng     *rand.Rand
+	times   []time.Duration
+	history []searchlog.PairID
+}
+
+// stream draws one user's month into a slice of its own.
+func (s *streamer) stream(u UserProfile, month int) []searchlog.Entry {
+	g := s.g
+	if seed := g.userSeed(u.ID, month); s.src == nil {
+		s.src = rand.NewSource(seed)
+		s.rng = rand.New(s.src)
+	} else {
+		s.src.Seed(seed)
+	}
+	rng := s.rng
 	spec := g.classSpec(u.Class)
 
 	// Monthly volume: log-uniform within the class bracket, redrawn
@@ -401,14 +429,14 @@ func (g *Generator) UserStream(u UserProfile, month int) []searchlog.Entry {
 	// Times are drawn first and sorted so pair choices can depend on
 	// when in the month the query happens (trending events are only
 	// active for a few days).
-	times := make([]time.Duration, v)
+	times := slices.Grow(s.times[:0], v)[:v]
 	for i := range times {
 		times[i] = time.Duration(rng.Int63n(int64(g.cfg.Window)))
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	slices.Sort(times)
 
 	entries := make([]searchlog.Entry, 0, v)
-	history := make([]searchlog.PairID, 0, v)
+	history := slices.Grow(s.history[:0], v)
 	for i := 0; i < v; i++ {
 		var pair searchlog.PairID
 		canRepeat := len(history) > 0 || len(u.Favorites) > 0
@@ -434,6 +462,7 @@ func (g *Generator) UserStream(u UserProfile, month int) []searchlog.Entry {
 			Device: u.Device,
 		})
 	}
+	s.times, s.history = times, history
 	return entries
 }
 
@@ -512,12 +541,31 @@ func (g *Generator) drawTrending(rng *rand.Rand, month int, at time.Duration) se
 }
 
 // MonthLog generates the full community log for a month: every user's
-// stream merged and ordered by time.
+// stream merged and ordered by time. The streams are independent draws,
+// so contiguous blocks of users are drawn on GOMAXPROCS goroutines and
+// laid end to end in user order before the one sort; the log is the
+// same at any width.
 func (g *Generator) MonthLog(month int) searchlog.Log {
-	var all []searchlog.Entry
-	for _, u := range g.users {
-		all = append(all, g.UserStream(u, month)...)
+	streams := make([][]searchlog.Entry, len(g.users))
+	workers := min(runtime.GOMAXPROCS(0), len(g.users))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*len(g.users)/workers, (w+1)*len(g.users)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := &streamer{g: g}
+			for i := lo; i < hi; i++ {
+				streams[i] = s.stream(g.users[i], month)
+			}
+		}()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].At < all[j].At })
+	wg.Wait()
+	all := slices.Concat(streams...)
+	// Not a stable sort: entries of equal At land where the standard
+	// library's pattern-defeating quicksort leaves them, as they did under
+	// sort.Slice, whose generated twin this is without the reflective
+	// swapper.
+	slices.SortFunc(all, func(a, b searchlog.Entry) int { return cmp.Compare(a.At, b.At) })
 	return searchlog.Log{Window: g.cfg.Window, Entries: all}
 }

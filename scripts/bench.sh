@@ -3,9 +3,12 @@
 # package, plus the worker-queue hop on its own, BenchmarkFleetSubmitDrain
 # in internal/fleet), the miss-path planning benchmarks (BenchmarkPrice* in
 # internal/backend, BenchmarkPlanHedgedPriced and BenchmarkPlanClean in
-# internal/faults) and the cold-miss write-path benchmarks
+# internal/faults), the cold-miss write-path benchmarks
 # (BenchmarkSearch* in internal/engine, BenchmarkPut in
-# internal/resultdb, BenchmarkQueryMiss in internal/pocketsearch) and
+# internal/resultdb, BenchmarkQueryMiss in internal/pocketsearch) and the
+# open-loop day's schedule-build and migration benchmarks
+# (BenchmarkScheduleDiurnal in internal/modeltime, BenchmarkMonthLog in
+# internal/workload, BenchmarkResizeMigrate in internal/fleet), and
 # writes a machine-readable snapshot to BENCH_<date>.json so successive
 # runs can be diffed for regressions.
 #
@@ -52,6 +55,16 @@ write_raw=$(go test -p 1 -bench 'Search|Put|QueryMiss' -benchtime 51200x \
     -benchmem -run '^$' ./internal/engine ./internal/resultdb ./internal/pocketsearch)
 echo "$write_raw"
 raw="$raw"$'\n'"$write_raw"
+
+# The open-loop day's driver-side half, where the work is: the diurnal
+# arrival schedule (ns/arrival at 300k arrivals over a second and over a
+# day), the month log behind the request tape (5,000 users) and live
+# migration (us per moved user, ring 4→6→4 over warmed users). Whole
+# builds and whole resizes per iteration, so ten of each.
+day_raw=$(go test -p 1 -bench 'ScheduleDiurnal|MonthLog|ResizeMigrate' -benchtime 10x -count "$COUNT" \
+    -benchmem -run '^$' ./internal/modeltime ./internal/workload ./internal/fleet)
+echo "$day_raw"
+raw="$raw"$'\n'"$day_raw"
 
 # A short hedged fault run, normalized by cmd/reportnorm so it is
 # byte-deterministic, rides along in the snapshot: its hedge counters
