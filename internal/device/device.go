@@ -149,16 +149,6 @@ func (d *Device) record(dur time.Duration, extraWatts float64, label string) {
 	})
 }
 
-// radioExtraIdle returns the radio's current non-active extra draw,
-// used to compose trace segments during local work.
-func (d *Device) radioExtraIdle() float64 {
-	p := d.link.Params()
-	if d.link.State() == radio.Tail {
-		return p.ExtraTailPower
-	}
-	return p.ExtraIdlePower
-}
-
 // Busy advances the model clock by d with the device active locally
 // (CPU/screen on, radio not transmitting). The radio continues its own
 // tail/idle accounting in parallel.
@@ -166,7 +156,7 @@ func (d *Device) Busy(dur time.Duration, label string) {
 	if dur <= 0 {
 		return
 	}
-	d.record(dur, d.radioExtraIdle(), label)
+	d.record(dur, d.link.InactiveExtraPower(), label)
 	d.meter.Charge(d.cfg.BasePower, dur)
 	d.link.Advance(dur)
 	d.clock += dur

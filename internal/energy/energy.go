@@ -170,9 +170,12 @@ type Counter struct {
 	nj atomic.Int64
 }
 
-// Add accumulates j joules.
+// Add accumulates j joules. Adding nothing writes nothing: a request
+// that used no radio leaves the radio counter's cache line alone.
 func (c *Counter) Add(j float64) {
-	c.nj.Add(int64(math.Round(j * 1e9)))
+	if nj := int64(math.Round(j * 1e9)); nj != 0 {
+		c.nj.Add(nj)
+	}
 }
 
 // Charge integrates watts over d and accumulates the joules.
@@ -183,6 +186,15 @@ func (c *Counter) Charge(watts float64, d time.Duration) {
 // Joules returns the accumulated total.
 func (c *Counter) Joules() float64 {
 	return float64(c.nj.Load()) / 1e9
+}
+
+// Merge adds o's total to c as integer nanojoules — no rounding, so a
+// sum of counters reads exactly what one counter charged with all of
+// their Adds would.
+func (c *Counter) Merge(o *Counter) {
+	if nj := o.nj.Load(); nj != 0 {
+		c.nj.Add(nj)
+	}
 }
 
 // Ledger groups a fleet's atomic joule counters by origin, so one
@@ -202,6 +214,16 @@ type Ledger struct {
 	ShardIdle Counter
 	// ShardActive is the shards' active increment over busy time.
 	ShardActive Counter
+}
+
+// Merge adds every counter of o into l, as integers (Counter.Merge): a
+// fleet keeps one ledger per shard, so that serving a request writes no
+// fleet-wide counter, and reads them merged.
+func (l *Ledger) Merge(o *Ledger) {
+	l.Radio.Merge(&o.Radio)
+	l.DeviceBase.Merge(&o.DeviceBase)
+	l.ShardIdle.Merge(&o.ShardIdle)
+	l.ShardActive.Merge(&o.ShardActive)
 }
 
 // Snapshot is a point-in-time ledger reading, in joules.

@@ -224,7 +224,7 @@ func (d *dispatcher) flushWait() {
 
 // close stops the dispatcher after it has drained its queue. Callers
 // must guarantee no further submits (the fleet closes dispatchers only
-// after every worker has exited and, having taken f.mu to set closed,
+// after every worker has exited and, having taken the fence to set closed,
 // after every caller-run serve has returned).
 func (d *dispatcher) close() {
 	close(d.ch)
@@ -343,10 +343,12 @@ func (d *dispatcher) execute(batch []*missTask) {
 		f.recordBatch(bt)
 	}
 	shards := f.topo.Load().shards
+	var resp Response
 	for i, mt := range batch {
 		x := exchange{bt: &bt, slot: slot[i], eresp: resps[i], found: found[i]}
 		sh := shards[mt.t.shard]
-		f.finish(sh.applyMiss(mt.t.req, mt.mc, x), mt.t)
+		sh.applyMiss(&mt.t.req, &mt.mc, x, &resp)
+		f.finish(sh, &resp, &mt.t)
 		sh.releaseMiss(mt)
 	}
 }

@@ -202,7 +202,7 @@ func (sh *shard) planLocked(st *userState, uid searchlog.UserID, qh, ch uint64) 
 // link idles down naturally while the server grinds), and both are zero
 // without hedging or a backend model, so the charge is byte-neutral
 // when they are off.
-func (mc missCtx) chargeWaits(dev *device.Device, pl faults.Plan) time.Duration {
+func (mc *missCtx) chargeWaits(dev *device.Device, pl faults.Plan) time.Duration {
 	if w := mc.hplan.Wait; w > 0 {
 		dev.Busy(w, "hedge")
 	}
@@ -236,14 +236,15 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 // lock hold that planned it — its server paced it first, or a
 // dispatcher coalesced it: the user is looked up afresh. The caller
 // releases the miss (releaseMiss) once the response is delivered.
-func (sh *shard) applyMiss(req Request, mc missCtx, x exchange) Response {
+func (sh *shard) applyMiss(req *Request, mc *missCtx, x exchange, resp *Response) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := sh.user(req.User)
 	if err := sh.materialize(st); err != nil {
-		return Response{Req: req, Err: err}
+		*resp = Response{Req: *req, Err: err}
+		return
 	}
-	return sh.applyMissLocked(st, req, mc, x)
+	sh.applyMissLocked(st, req, mc, x, resp)
 }
 
 // releaseMiss clears a planned miss's pending marker and releases the
@@ -267,10 +268,11 @@ func (sh *shard) releaseMiss(mt *missTask) {
 // the personal component, or the miss degrades down the ladder. A
 // clean plan replays nothing, waits for nothing and wastes nothing, so
 // it is the fault-free miss. Caller holds mu.
-func (sh *shard) applyMissLocked(st *userState, req Request, mc missCtx, x exchange) Response {
+func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exchange, resp *Response) {
 	pl := mc.hplan.Delivered()
 	sh.miss.record(&mc.hplan, pl, sh.cohorts.bk)
-	resp := Response{Req: req, Source: SourceCloud}
+	*resp = Response{Source: SourceCloud}
+	resp.Req = *req
 	if st.rt.injs[0] != nil {
 		resp.Attempts = pl.Attempts
 	}
@@ -301,7 +303,7 @@ func (sh *shard) applyMissLocked(st *userState, req Request, mc missCtx, x excha
 			resp.RadioJ = x.bt.ItemRadioEnergy(link, x.slot) + link.ActiveEnergy(failedActive) +
 				float64(cold)*link.TailEnergy() + wasteJ
 		} else {
-			resp.Outcome, resp.Err = st.cache.Query(req.Query, req.Click)
+			resp.Outcome, resp.Err = st.cache.QueryHashed(mc.qh, mc.ch, req.Query, req.Click)
 			// The radio-active energy of the exchange and, when it opened
 			// a session (paid the wake-up), the session's eventual tail.
 			if !resp.Outcome.Radio.WasWarm {
@@ -316,7 +318,6 @@ func (sh *shard) applyMissLocked(st *userState, req Request, mc missCtx, x excha
 	st.served++
 	st.clock.Observe()
 	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
-	return resp
 }
 
 // degradeLocked serves a miss whose retry ladder exhausted, walking the

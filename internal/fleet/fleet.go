@@ -49,8 +49,11 @@
 //     scenario ranges) with a sparse map fallback for the rest, and a
 //     user's simulation objects (device, cache, clock) materialize
 //     lazily on their first cloud miss. The steady-state hit path
-//     allocates nothing — reply channels are pooled, lookups reuse
-//     per-cache scratch buffers — which BenchmarkFleetServe100kUsers
+//     allocates nothing — a caller-run answer is built in the caller's
+//     own Response, later ones travel through pooled reply channels,
+//     lookups reuse per-cache scratch buffers — and writes no cache line
+//     a request on another shard writes (DESIGN.md, "What a request
+//     writes"), which BenchmarkFleetServe100kUsers
 //     and the scripts/check.sh gate hold at 0 allocs/op. DESIGN.md's
 //     "Capacity model" chapter documents the bytes-per-user budget.
 //
@@ -493,8 +496,9 @@ var processStart = time.Now()
 
 func sinceStart() int64 { return int64(time.Since(processStart)) }
 
-// task is one queued unit of work. A nil reply means fire-and-forget;
-// a non-nil barrier is a drain marker instead of a request.
+// task is one queued unit of work. A nil reply means fire-and-forget
+// (unless inPlace); a non-nil barrier is a drain marker instead of a
+// request.
 type task struct {
 	req      Request
 	shard    int
@@ -505,6 +509,10 @@ type task struct {
 	// not be held again (its hold entry is, by construction, present
 	// while it is being replayed).
 	held bool
+	// inPlace marks a task its blocked caller is serving itself: process
+	// builds the answer in the caller's own Response and no channel is
+	// involved, unless the task turns out to be answered later (mailbox).
+	inPlace bool
 	// ctx, when non-nil, lets the caller abandon the request
 	// (DoContext). claimed arbitrates the race between the canceling
 	// caller and the serving worker: whoever flips it first books the
@@ -514,11 +522,22 @@ type task struct {
 	claimed *atomic.Bool
 }
 
-// Fleet is a running serving layer.
+// mailbox trades an in-place task's mark for the reply channel its
+// caller will wait on: the task is about to be copied to where another
+// goroutine answers it later (a hold queue, a dispatcher).
+func (t *task) mailbox() {
+	if t.inPlace {
+		t.inPlace = false
+		t.reply = replyPool.Get().(chan Response)
+	}
+}
+
+// Fleet is a running serving layer. What every request reads comes first
+// and shares no cache line with anything a request writes; a served
+// request writes only its shard and one fence stripe (layout_test.go).
 type Fleet struct {
 	cfg    Config
 	queues []workerQueue
-	wg     sync.WaitGroup
 
 	// topo is the physical serving view — shards plus the dispatchers
 	// coalescing their cloud misses — published atomically so workers
@@ -541,22 +560,19 @@ type Fleet struct {
 	// injectors, retry and hedge policy) their device is built with.
 	cohorts *cohortTable
 
-	// mu guards closed against concurrent Submit/Do/Close, and — held
-	// exclusively — fences route publications: enqueue computes a
-	// task's shard under the read lock, so a storeRoute caller knows no
-	// task routed by the previous table is still on its way into a
-	// queue.
-	mu     sync.RWMutex
-	closed bool
-
-	// resizeMu serializes Resize against itself and Close.
-	resizeMu sync.Mutex
+	closed bool // guarded by fence
 	// migrating is nonzero while a resize epoch may hold tasks;
 	// holdEntries counts live hold queues. Both zero is the fast path
 	// that keeps the serve path free of migration work outside a
 	// resize.
 	migrating   atomic.Int64
 	holdEntries atomic.Int64
+
+	_  [64]byte // end of what every request reads
+	wg sync.WaitGroup
+
+	// resizeMu serializes Resize against itself and Close.
+	resizeMu sync.Mutex
 	// Cumulative migration counters (see MigrationStats).
 	migResizes   atomic.Int64
 	migMoved     atomic.Int64
@@ -565,29 +581,56 @@ type Fleet struct {
 	migDropped   atomic.Int64
 	heldRequests atomic.Int64
 
-	// ledger is the fleet energy ledger: device radio and baseline
-	// joules are charged per response in finish; shard idle/active
-	// integrals of retired shards are folded in at retirement, live
-	// shards' accrue lazily in EnergyStats. Counters are commutative
-	// fixed-point atomics, so totals are interleaving-independent.
-	ledger energy.Ledger
-	// retiredServed/retiredShed preserve the occupancy counters of
-	// shards a shrink retired, so Served/Shed cross-foots against
-	// ShardLoads plus RetiredLoad across resizes.
-	retiredServed atomic.Int64
-	retiredShed   atomic.Int64
+	// retired is the fold of the counter blocks (shard.ctr) of every
+	// shard a shrink retired, closed-out energy integrals included: a
+	// fleet-wide total is retired plus the live shards, summed as
+	// integers. retireMu makes a retirement — topology swap plus fold —
+	// one step to a reader taking such a total.
+	retireMu sync.Mutex
+	retired  shardCounters
 
-	served   atomic.Int64
-	shed     atomic.Int64
-	errors   atomic.Int64
-	canceled atomic.Int64
-	bySource [numSources]atomic.Int64
+	canceled atomic.Int64 // no shard: a request may be canceled unrouted
 	// miss holds the retry and hedging counters the shards book each
 	// applied miss's plan into.
 	miss missStats
 
 	batchMu    sync.Mutex
 	batchStats BatchStats
+
+	// fence guards closed against concurrent Submit/Do/Close, and — held
+	// exclusively — fences route publications: enqueue computes a
+	// task's shard under its user's stripe, so a storeRoute caller knows
+	// no task routed by the previous table is still on its way into a
+	// queue.
+	fence routeFence
+}
+
+// routeFence is a reader/writer lock whose readers share no cache line:
+// a reader locks the stripe its user maps to, the writer every stripe in
+// index order — excluding what one RWMutex would. Stripes are two lines
+// wide, so their lock words share none wherever the array starts.
+type routeFence struct {
+	_       [64]byte
+	stripes [32]struct {
+		sync.RWMutex
+		_ [104]byte
+	}
+}
+
+func (l *routeFence) reader(uid searchlog.UserID) *sync.RWMutex {
+	return &l.stripes[uint64(uid)%uint64(len(l.stripes))].RWMutex
+}
+
+func (l *routeFence) Lock() {
+	for i := range l.stripes {
+		l.stripes[i].Lock()
+	}
+}
+
+func (l *routeFence) Unlock() {
+	for i := range l.stripes {
+		l.stripes[i].Unlock()
+	}
 }
 
 // New builds the shards (community replicas are preloaded in
@@ -730,23 +773,26 @@ func (f *Fleet) worker(id int) {
 	defer f.wg.Done()
 	q := &f.queues[id]
 	var batch []task
+	var resp Response
 	for {
 		if batch = q.take(batch); batch == nil {
 			return
 		}
-		for i, t := range batch {
+		for i := range batch {
+			t := &batch[i]
 			if t.barrier != nil {
 				f.flushDispatchers(id)
+				barrier := t.barrier
 				if i == len(batch)-1 {
 					// Nothing else in hand: give a finished backlog's
 					// buffers back before the barrier's waiter can look.
 					batch = q.release(batch)
 				}
-				t.barrier <- struct{}{}
+				barrier <- struct{}{}
 				continue
 			}
 			q.waiting.Add(-1)
-			f.process(t)
+			f.process(t, &resp)
 			q.pending.Add(-1)
 		}
 	}
@@ -754,19 +800,20 @@ func (f *Fleet) worker(id int) {
 
 // process serves one request task — from a worker loop, from a blocking
 // caller with nothing queued ahead of it (enqueue), or from the
-// migration drainer replaying held tasks. Local hits, and cloud misses
-// that owe no wall pause, come back served from the shard. A planned
-// miss that owes one is paced here — the real pause the retry policy
-// prices for its planned failures, skipped while the shard's breaker is
-// open — and then applied against the model. With miss coalescing on, a
-// classified cloud miss is instead parked with the shard's dispatcher,
-// which completes it asynchronously. Either way the miss is applied
-// after the lock hold that planned it, so the shard marks it pending
-// and whoever routes the same user's next request waits for it first:
-// a user's requests are applied one at a time, in submission order for
-// any one goroutine — the determinism guarantee neither batching nor
-// caller-run serving may break.
-func (f *Fleet) process(t task) {
+// migration drainer replaying held tasks — building its answer in resp.
+// Local hits, and cloud misses that owe no wall pause, come back served
+// from the shard. A planned miss that owes one is paced here — the real
+// pause the retry policy prices for its planned failures, skipped while
+// the shard's breaker is open — and then applied against the model. With
+// miss coalescing on, a classified cloud miss is instead parked with the
+// shard's dispatcher, which completes it asynchronously. Either way the
+// miss is applied after the lock hold that planned it, so the shard marks
+// it pending and whoever routes the same user's next request waits for it
+// first: a user's requests are applied one at a time, in submission order
+// for any one goroutine — the determinism guarantee neither batching nor
+// caller-run serving may break. A task still inPlace on return was
+// finished here and resp is its caller's answer.
+func (f *Fleet) process(t *task, resp *Response) {
 	if t.ctx != nil && t.ctx.Err() != nil {
 		f.cancelTask(t)
 		return
@@ -777,7 +824,7 @@ func (f *Fleet) process(t task) {
 	tp := f.topo.Load()
 	sh, d := tp.shards[t.shard], f.dispatcherOf(tp, t.shard)
 	for {
-		resp, miss, waitFor := sh.route(t, d != nil)
+		miss, waitFor := sh.route(t, d != nil, resp)
 		switch {
 		case waitFor != nil:
 			if d != nil {
@@ -786,11 +833,12 @@ func (f *Fleet) process(t task) {
 			<-waitFor.done
 			continue
 		case miss == nil:
-			f.finish(resp, t)
+			f.finish(sh, resp, t)
 		case d != nil:
 			d.submit(miss)
 		case pauseWall(t.ctx, miss.mc.pause):
-			f.finish(sh.applyMiss(t.req, miss.mc, exchange{}), t)
+			sh.applyMiss(&t.req, &miss.mc, exchange{}, resp)
+			f.finish(sh, resp, t)
 			sh.releaseMiss(miss)
 		default:
 			sh.releaseMiss(miss)
@@ -800,39 +848,24 @@ func (f *Fleet) process(t task) {
 	}
 }
 
-// finish completes one task: it stamps wall latency, books the
-// fleet-wide counters, and delivers the response to the observer and
-// any waiting caller. Called from whoever ran process, and from
-// dispatchers (batched misses).
-func (f *Fleet) finish(resp Response, t task) {
+// finish completes one task served by sh: it stamps wall latency, books
+// the response into the shard's counter block, and delivers it to the
+// observer and to a caller waiting on a reply channel (an in-place
+// task's resp already is its caller's). Called from whoever ran process,
+// and from dispatchers (batched misses).
+func (f *Fleet) finish(sh *shard, resp *Response, t *task) {
 	if t.claimed != nil && !t.claimed.CompareAndSwap(false, true) {
 		// The caller's context won the race and already booked the
 		// request as canceled; drop the late response.
 		return
 	}
 	resp.Wall = time.Duration(sinceStart() - t.enqueued)
-	f.served.Add(1)
-	sh := f.topo.Load().shards[t.shard]
-	sh.served.Add(1)
-	// Every serve path lands here, so this is the one ledger charge
-	// site: the response's device-side joules split radio vs baseline,
-	// and the shard's busy time grows by the server-local part of the
-	// modeled latency (network and radio wait excluded — the shard is
-	// free while the device waits on the air).
-	if busy := resp.Outcome.ResponseTime() - resp.Outcome.Network; busy > 0 {
-		sh.busyNS.Add(int64(busy))
-	}
-	f.ledger.Radio.Add(resp.RadioJ)
-	f.ledger.DeviceBase.Add(resp.EnergyJ - resp.RadioJ)
-	f.bySource[resp.Source].Add(1)
-	if resp.Err != nil {
-		f.errors.Add(1)
-	}
+	sh.ctr.book(resp)
 	if obs := f.cfg.Observer; obs != nil {
-		obs.Observe(resp)
+		obs.Observe(*resp)
 	}
 	if t.reply != nil {
-		t.reply <- resp
+		t.reply <- *resp
 	}
 }
 
@@ -869,30 +902,37 @@ func (f *Fleet) flushDispatchers(id int) {
 // enqueue admits one task and decides which goroutine serves it. The
 // default is the shard's worker queue, without blocking: it reports
 // false — and records the shed — when the queue is full or the fleet is
-// closed. A caller that blocks for the answer anyway (callerRuns)
-// instead runs process itself when that queue has nothing pending:
-// nothing it must be ordered behind exists, and serving from here saves
-// both goroutine handoffs. With work pending it queues like everyone
-// else, so one goroutine's Submit(u, a) then Do(u, b) apply in order.
+// closed. A caller that blocks for the answer anyway hands in the
+// Response it wants filled (resp non-nil) and runs process itself, in
+// place, when that queue has nothing pending: nothing it must be ordered
+// behind exists, and serving from here saves both goroutine handoffs and
+// the answer's trip through a channel. With work pending it queues like
+// everyone else, with a reply channel to wait on, so one goroutine's
+// Submit(u, a) then Do(u, b) apply in order.
 //
 // The task's shard is computed — and a caller-run task processed —
-// under the read lock, so a route publication (storeRoute holds the
-// write lock) fences out every task routed by the old table, queued or
-// running, before it starts an epoch barrier, and Close waits out the
-// same. The caller awaits its reply after the lock is released: a held
-// or parked task answers later.
-func (f *Fleet) enqueue(t task, callerRuns bool) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+// under the read lock of the user's fence stripe, so a route publication
+// (storeRoute holds every stripe) fences out every task routed by the old
+// table, queued or running, before it starts an epoch barrier, and Close
+// waits out the same. A caller whose task is no longer inPlace awaits its
+// reply after the lock is released: a held or parked task answers later.
+func (f *Fleet) enqueue(t *task, resp *Response) bool {
+	mu := f.fence.reader(t.req.User)
+	mu.RLock()
+	defer mu.RUnlock()
 	t.shard = f.shardOf(t.req.User)
 	if f.closed {
 		f.recordShed(t.req, t.shard)
 		return false
 	}
 	q := &f.queues[t.shard%len(f.queues)]
-	if callerRuns && q.pending.Load() == 0 {
-		f.process(t)
-		return true
+	if resp != nil {
+		if q.pending.Load() == 0 {
+			t.inPlace = true
+			f.process(t, resp)
+			return true
+		}
+		t.reply = replyPool.Get().(chan Response)
 	}
 	q.pending.Add(1)
 	if !q.push(t) {
@@ -904,9 +944,7 @@ func (f *Fleet) enqueue(t task, callerRuns bool) bool {
 }
 
 func (f *Fleet) recordShed(req Request, shard int) {
-	f.shed.Add(1)
-	f.topo.Load().shards[shard].shed.Add(1)
-	f.bySource[SourceShed].Add(1)
+	f.topo.Load().shards[shard].ctr.shed.Add(1)
 	if obs := f.cfg.Observer; obs != nil {
 		obs.Observe(Response{Req: req, Shed: true, Source: SourceShed})
 	}
@@ -916,7 +954,7 @@ func (f *Fleet) recordShed(req Request, shard int) {
 // outcome reaches the Observer. It reports false when the request was
 // shed by backpressure.
 func (f *Fleet) Submit(req Request) bool {
-	return f.enqueue(task{req: req, enqueued: sinceStart()}, false)
+	return f.enqueue(&task{req: req, enqueued: sinceStart()}, nil)
 }
 
 // Do serves a request and blocks for its response — the closed-loop
@@ -926,7 +964,9 @@ func (f *Fleet) Do(req Request) Response {
 	return f.DoContext(context.Background(), req)
 }
 
-// replyPool recycles reply channels for both Do paths. The
+// replyPool recycles reply channels: the mailboxes of answers that
+// arrive later than the call that asked — a Do queued behind other
+// work, held or parked, and every cancelable DoContext. The
 // uncancelable path always receives its task's single buffered send
 // before returning, so its channel is provably empty when pooled. The
 // cancelable path pools too: every send into a reply channel (finish,
@@ -943,54 +983,48 @@ var replyPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
 // (Source SourceCanceled) and the request is counted exactly once —
 // Served+Shed+Canceled always sums to submissions. A context that can
 // never be canceled (context.Background) adds no overhead over Do.
-func (f *Fleet) DoContext(ctx context.Context, req Request) Response {
-	t := task{
-		req:      req,
-		enqueued: sinceStart(),
-	}
-	reply := replyPool.Get().(chan Response)
-	t.reply = reply
+func (f *Fleet) DoContext(ctx context.Context, req Request) (resp Response) {
+	var t task // filled in place: its address is taken, a literal would be copied in
+	t.req, t.enqueued = req, sinceStart()
 	if ctx == nil || ctx.Done() == nil {
-		// Uncancelable: the single response is always received here.
-		if !f.enqueue(t, true) {
-			replyPool.Put(reply)
+		// Uncancelable: answered in place, or the single response is
+		// always received from the mailbox the task was given.
+		if !f.enqueue(&t, &resp) {
 			return Response{Req: req, Shed: true, Source: SourceShed}
 		}
-		resp := <-reply
-		replyPool.Put(reply)
+		if !t.inPlace {
+			resp = <-t.reply
+			replyPool.Put(t.reply)
+		}
 		return resp
 	}
 	t.ctx = ctx
 	t.claimed = new(atomic.Bool)
-	if t.ctx.Err() != nil {
-		// Never enqueued: nothing can ever send on the channel.
+	if ctx.Err() != nil {
+		// Never enqueued: nothing can ever answer it.
 		t.claimed.Store(true)
-		replyPool.Put(reply)
 		return f.recordCanceled(req)
 	}
 	// Cancelable requests always queue: abandoning one mid-serve takes a
 	// second goroutine to be serving it.
-	if !f.enqueue(t, false) {
-		replyPool.Put(reply)
+	t.reply = replyPool.Get().(chan Response)
+	defer replyPool.Put(t.reply)
+	if !f.enqueue(&t, nil) {
 		return Response{Req: req, Shed: true, Source: SourceShed}
 	}
 	select {
-	case resp := <-reply:
+	case resp = <-t.reply:
 		// The single CAS-winning send was just consumed; empty.
-		replyPool.Put(reply)
 		return resp
-	case <-t.ctx.Done():
+	case <-ctx.Done():
 		if t.claimed.CompareAndSwap(false, true) {
 			// The caller won: every future sender loses the CAS and
 			// drops its response, so no send can ever land.
-			replyPool.Put(reply)
-			return f.recordCanceled(t.req)
+			return f.recordCanceled(req)
 		}
 		// The worker claimed it first; its single response is (or will
 		// be) in the buffered reply channel.
-		resp := <-reply
-		replyPool.Put(reply)
-		return resp
+		return <-t.reply
 	}
 }
 
@@ -998,7 +1032,6 @@ func (f *Fleet) DoContext(ctx context.Context, req Request) Response {
 // response delivered for it.
 func (f *Fleet) recordCanceled(req Request) Response {
 	f.canceled.Add(1)
-	f.bySource[SourceCanceled].Add(1)
 	resp := Response{Req: req, Canceled: true, Source: SourceCanceled}
 	if obs := f.cfg.Observer; obs != nil {
 		obs.Observe(resp)
@@ -1010,7 +1043,7 @@ func (f *Fleet) recordCanceled(req Request) Response {
 // done. If the caller has not yet claimed the request the worker books
 // it as canceled here; either way the caller's reply channel is fed so
 // DoContext never blocks.
-func (f *Fleet) cancelTask(t task) {
+func (f *Fleet) cancelTask(t *task) {
 	if t.claimed != nil && !t.claimed.CompareAndSwap(false, true) {
 		return // caller already booked it
 	}
@@ -1026,16 +1059,17 @@ func (f *Fleet) cancelTask(t task) {
 // not be covered).
 func (f *Fleet) Drain() {
 	acks := make([]chan struct{}, len(f.queues))
-	f.mu.RLock()
+	mu := f.fence.reader(0) // any stripe holds off Close
+	mu.RLock()
 	if f.closed {
-		f.mu.RUnlock()
+		mu.RUnlock()
 		return
 	}
 	for w := range f.queues {
 		acks[w] = make(chan struct{}, 1)
-		f.queues[w].push(task{barrier: acks[w]})
+		f.queues[w].push(&task{barrier: acks[w]})
 	}
-	f.mu.RUnlock()
+	mu.RUnlock()
 	for _, ack := range acks {
 		<-ack
 	}
@@ -1046,16 +1080,16 @@ func (f *Fleet) Drain() {
 func (f *Fleet) Close() {
 	f.resizeMu.Lock()
 	defer f.resizeMu.Unlock()
-	f.mu.Lock()
+	f.fence.Lock()
 	if f.closed {
-		f.mu.Unlock()
+		f.fence.Unlock()
 		return
 	}
 	f.closed = true
 	for w := range f.queues {
 		f.queues[w].close()
 	}
-	f.mu.Unlock()
+	f.fence.Unlock()
 	f.wg.Wait()
 	for _, d := range f.topo.Load().dispatchers {
 		d.close()
@@ -1140,18 +1174,34 @@ func (s Stats) AnsweredRate() float64 {
 	return float64(s.Served-s.Unavailable) / float64(s.Served)
 }
 
-// Stats returns a fleet-wide snapshot. The per-shard walk takes each
-// shard lock briefly; counters are atomics.
+// totals adds every live shard's counter block and the retired fold
+// into sum and returns the topology it walked.
+func (f *Fleet) totals(sum *shardCounters) *topology {
+	f.retireMu.Lock()
+	defer f.retireMu.Unlock()
+	tp := f.topo.Load()
+	f.retired.addTo(sum)
+	for _, sh := range tp.shards {
+		sh.ctr.addTo(sum)
+	}
+	return tp
+}
+
+// Stats returns a fleet-wide snapshot. Per-response counters are sums
+// over the shards that booked them; the per-shard walk takes each shard
+// lock briefly.
 func (f *Fleet) Stats() Stats {
+	var sum shardCounters
+	tp := f.totals(&sum)
 	s := Stats{
-		Served:         f.served.Load(),
-		Shed:           f.shed.Load(),
-		Errors:         f.errors.Load(),
-		PersonalHits:   f.bySource[SourcePersonal].Load(),
-		CommunityHits:  f.bySource[SourceCommunity].Load(),
-		CloudMisses:    f.bySource[SourceCloud].Load(),
-		Degraded:       f.bySource[SourceDegraded].Load(),
-		Unavailable:    f.bySource[SourceUnavailable].Load(),
+		Served:         sum.served.Load(),
+		Shed:           sum.shed.Load(),
+		Errors:         sum.errors.Load(),
+		PersonalHits:   sum.bySource[SourcePersonal].Load(),
+		CommunityHits:  sum.bySource[SourceCommunity].Load(),
+		CloudMisses:    sum.bySource[SourceCloud].Load(),
+		Degraded:       sum.bySource[SourceDegraded].Load(),
+		Unavailable:    sum.bySource[SourceUnavailable].Load(),
 		Canceled:       f.canceled.Load(),
 		Retries:        f.miss.retries.Load(),
 		Exhausted:      f.miss.exhausted.Load(),
@@ -1165,7 +1215,7 @@ func (f *Fleet) Stats() Stats {
 	if f.cfg.Replicas > 1 {
 		s.ReplicaBreakerOpens = make([]int64, f.cfg.Replicas)
 	}
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range tp.shards {
 		for r, b := range sh.brks {
 			opens := b.openCount()
 			s.BreakerOpens += opens
@@ -1182,7 +1232,9 @@ func (f *Fleet) Stats() Stats {
 }
 
 // EnergyStats snapshots the fleet energy ledger in joules. Device-side
-// counters (radio, baseline) accumulate per response; shard-side
+// counters (radio, baseline) accumulate per response in the serving
+// shard's ledger and are summed as integer nanojoules, live shards plus
+// the retired fold, before the one conversion to joules; shard-side
 // counters integrate each shard's power envelope over model time —
 // idle draw from the shard's provisioning instant to the current
 // makespan plus the active increment over its busy time — with retired
@@ -1190,13 +1242,15 @@ func (f *Fleet) Stats() Stats {
 // deterministic workload once the fleet is drained: every term is a
 // function of modeled outcomes, never of wall time.
 func (f *Fleet) EnergyStats() energy.Snapshot {
-	s := f.ledger.Snapshot()
+	var sum shardCounters
+	tp := f.totals(&sum)
+	s := sum.ledger.Snapshot()
 	mk := f.tl.Makespan()
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range tp.shards {
 		if d := mk - sh.provisionedAt; d > 0 {
 			s.ShardIdleJ += sh.power.IdleJ(d)
 		}
-		if busy := time.Duration(sh.busyNS.Load()); busy > 0 {
+		if busy := time.Duration(sh.ctr.busyNS.Load()); busy > 0 {
 			s.ShardActiveJ += sh.power.ActiveJ(busy)
 		}
 	}

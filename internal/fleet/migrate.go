@@ -78,14 +78,14 @@ func (rt *routeTable) shardOf(key uint64) int {
 
 // storeRoute publishes rt after waiting out every in-flight enqueue:
 // enqueue computes a task's shard — and a blocking caller serves its
-// own task — under f.mu.RLock, so once the write lock is held, no task
-// routed by the previous table is still on its way into a queue or
+// own task — under a read lock of the fence, so once every stripe is
+// held, no task routed by the previous table is still on its way into a queue or
 // being processed outside one: the epoch barrier that follows covers
 // the rest. A publication so waits out the longest caller-run serve.
 func (f *Fleet) storeRoute(rt *routeTable) {
-	f.mu.Lock()
+	f.fence.Lock()
 	f.route.Store(rt)
-	f.mu.Unlock()
+	f.fence.Unlock()
 }
 
 // holdQueue is one migrating user's parked requests, FIFO.
@@ -163,9 +163,10 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 	}
 	f.resizeMu.Lock()
 	defer f.resizeMu.Unlock()
-	f.mu.RLock()
+	mu := f.fence.reader(0)
+	mu.RLock()
 	closed := f.closed
-	f.mu.RUnlock()
+	mu.RUnlock()
 	if closed {
 		return ResizeStats{}, fmt.Errorf("fleet: resize after Close")
 	}
@@ -241,26 +242,27 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 			retiredDisp = tp.dispatchers[n:]
 			dispatchers = append([]*dispatcher(nil), tp.dispatchers[:n]...)
 		}
+		// Retire the orphans: close out each one's energy integrals in its
+		// own ledger — idle from provisioning to this retirement instant,
+		// active over its busy time — and fold its counter block into
+		// f.retired, which keeps every fleet-wide total and the occupancy
+		// cross-foot (ShardLoads + RetiredLoad == Served/Shed) intact.
+		// Post-drain the counters are final.
+		retiredAt := f.tl.Makespan()
+		f.retireMu.Lock()
 		f.topo.Store(&topology{shards: shards, dispatchers: dispatchers})
+		for _, sh := range retired {
+			if d := retiredAt - sh.provisionedAt; d > 0 {
+				sh.ctr.ledger.ShardIdle.Add(sh.power.IdleJ(d))
+			}
+			if busy := time.Duration(sh.ctr.busyNS.Load()); busy > 0 {
+				sh.ctr.ledger.ShardActive.Add(sh.power.ActiveJ(busy))
+			}
+			sh.ctr.addTo(&f.retired)
+		}
+		f.retireMu.Unlock()
 		for _, d := range retiredDisp {
 			d.close()
-		}
-		// Fold the retired shards' final counters into the fleet-level
-		// accumulators: their serving tallies keep the occupancy
-		// cross-foot (ShardLoads + RetiredLoad == Served/Shed) intact,
-		// and their energy integrals — idle from provisioning to this
-		// retirement instant, active over their busy time — close out in
-		// the ledger. Post-drain the counters are final.
-		retiredAt := f.tl.Makespan()
-		for _, sh := range retired {
-			f.retiredServed.Add(sh.served.Load())
-			f.retiredShed.Add(sh.shed.Load())
-			if d := retiredAt - sh.provisionedAt; d > 0 {
-				f.ledger.ShardIdle.Add(sh.power.IdleJ(d))
-			}
-			if busy := time.Duration(sh.busyNS.Load()); busy > 0 {
-				f.ledger.ShardActive.Add(sh.power.ActiveJ(busy))
-			}
 		}
 		for _, sh := range retired {
 			if err := f.manager.Unregister(sh.Name()); err != nil {
@@ -298,7 +300,7 @@ func (f *Fleet) migrateEpoch(tp *topology, p1, p2 placement.Placement, flipped [
 	// moves. Tasks routed *away* by the flip are held at their
 	// destinations until this epoch closes.
 	ack := make(chan struct{}, 1)
-	f.queues[s%len(f.queues)].push(task{barrier: ack})
+	f.queues[s%len(f.queues)].push(&task{barrier: ack})
 	<-ack
 
 	// Snapshot the movers after the barrier, when every user the old
@@ -407,7 +409,7 @@ func moveUsers(tp *topology, p2 placement.Placement, src *shard, movers []search
 // keeps per-user order while the drainer replays the queue. The
 // double-zero fast path keeps this off the serve path entirely outside
 // a resize.
-func (f *Fleet) maybeHold(t task) bool {
+func (f *Fleet) maybeHold(t *task) bool {
 	if t.held {
 		return false
 	}
@@ -418,7 +420,8 @@ func (f *Fleet) maybeHold(t task) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if q, ok := sh.holds[t.req.User]; ok {
-		q.tasks = append(q.tasks, t)
+		t.mailbox()
+		q.tasks = append(q.tasks, *t)
 		f.heldRequests.Add(1)
 		return true
 	}
@@ -433,7 +436,8 @@ func (f *Fleet) maybeHold(t task) bool {
 	if rt.prev.ShardOf(placement.UserKey(uint64(t.req.User))) != rt.from {
 		return false
 	}
-	sh.holds[t.req.User] = &holdQueue{tasks: []task{t}}
+	t.mailbox()
+	sh.holds[t.req.User] = &holdQueue{tasks: []task{*t}}
 	f.holdEntries.Add(1)
 	f.heldRequests.Add(1)
 	return true
@@ -480,6 +484,7 @@ func (f *Fleet) drainShardHolds(sh *shard) (passes int) {
 // concurrently append behind it instead of overtaking; the entry is
 // deleted only once it is observed empty.
 func (f *Fleet) drainUserHolds(sh *shard, uid searchlog.UserID) {
+	var resp Response
 	for {
 		sh.mu.Lock()
 		q := sh.holds[uid]
@@ -497,7 +502,7 @@ func (f *Fleet) drainUserHolds(sh *shard, uid searchlog.UserID) {
 		q.tasks = q.tasks[1:]
 		sh.mu.Unlock()
 		t.held = true
-		f.process(t)
+		f.process(&t, &resp)
 	}
 }
 
@@ -518,8 +523,8 @@ type ShardLoad struct {
 func (f *Fleet) RetiredLoad() ShardLoad {
 	return ShardLoad{
 		Shard:  -1,
-		Served: f.retiredServed.Load(),
-		Shed:   f.retiredShed.Load(),
+		Served: f.retired.served.Load(),
+		Shed:   f.retired.shed.Load(),
 	}
 }
 
@@ -529,7 +534,7 @@ func (f *Fleet) ShardLoads() []ShardLoad {
 	tp := f.topo.Load()
 	out := make([]ShardLoad, len(tp.shards))
 	for i, sh := range tp.shards {
-		out[i] = ShardLoad{Shard: sh.id, Served: sh.served.Load(), Shed: sh.shed.Load()}
+		out[i] = ShardLoad{Shard: sh.id, Served: sh.ctr.served.Load(), Shed: sh.ctr.shed.Load()}
 		sh.mu.Lock()
 		out[i].Users = sh.users.resident
 		out[i].PersonalBytes = sh.personalBytes

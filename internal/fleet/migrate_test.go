@@ -415,8 +415,9 @@ func TestDrainHoldsManyUsers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var resp Response
 		for i := 0; i < heldUsers; i += 5 {
-			f.process(task{req: request(firstUID+searchlog.UserID(i), perUser), shard: sh.id})
+			f.process(&task{req: request(firstUID+searchlog.UserID(i), perUser), shard: sh.id}, &resp)
 		}
 	}()
 	passes := f.drainShardHolds(sh)

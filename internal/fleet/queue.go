@@ -44,8 +44,8 @@ func (q *workerQueue) init(limit int) {
 // push appends t in admission order without blocking. A request is
 // refused once limit of them are waiting; a barrier is always admitted —
 // it occupies one slot for one hand-off, and its sender (Drain under
-// f.mu.RLock, a migration epoch) must never wait on a full queue.
-func (q *workerQueue) push(t task) bool {
+// a fence read lock, a migration epoch) must never wait on a full queue.
+func (q *workerQueue) push(t *task) bool {
 	q.mu.Lock()
 	if t.barrier == nil {
 		if q.waiting.Load() >= q.limit {
@@ -54,7 +54,7 @@ func (q *workerQueue) push(t task) bool {
 		}
 		q.waiting.Add(1)
 	}
-	q.in = append(q.in, t)
+	q.in = append(q.in, *t)
 	wake := len(q.in) == 1
 	q.mu.Unlock()
 	if wake {

@@ -80,7 +80,7 @@ func TestQueueFIFOPerProducer(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				for !q.push(task{shard: p, enqueued: int64(i)}) {
+				for !q.push(&task{shard: p, enqueued: int64(i)}) {
 					if failed.Load() {
 						return
 					}
@@ -180,8 +180,8 @@ func TestBarrierAdmittedToFullQueue(t *testing.T) {
 		queued = len(q.in)
 		q.mu.Unlock()
 	}
-	f.mu.Lock() // would deadlock against a Drain still holding RLock
-	f.mu.Unlock()
+	f.fence.Lock() // would deadlock against a Drain still holding a read lock
+	f.fence.Unlock()
 	if f.Submit(tape[0]) {
 		t.Error("the barrier's slot admitted a request to a full queue")
 	}
@@ -218,9 +218,10 @@ func TestCloseServesEverythingAdmitted(t *testing.T) {
 		close(closed)
 	}()
 	for marked := false; !marked; runtime.Gosched() {
-		f.mu.RLock()
+		mu := f.fence.reader(0)
+		mu.RLock()
 		marked = f.closed
-		f.mu.RUnlock()
+		mu.RUnlock()
 	}
 	if f.Submit(tape[0]) {
 		t.Error("admitted a request after Close")

@@ -13,6 +13,7 @@ import (
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/flashsim"
 	"pocketcloudlets/internal/hash64"
+	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/modeltime"
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/searchlog"
@@ -238,14 +239,8 @@ type shard struct {
 	power         energy.ShardPower
 	provisionedAt time.Duration
 
-	// served and shed are this shard's occupancy counters, bumped
-	// lock-free on the completion paths so shard skew is observable
-	// without touching mu. busyNS accumulates the server-local part of
-	// every served response's modeled latency, feeding the active term
-	// of the shard power model.
-	served atomic.Int64
-	shed   atomic.Int64
-	busyNS atomic.Int64
+	// ctr is everything delivering a response writes outside mu.
+	ctr shardCounters
 
 	mu        sync.Mutex
 	community *pocketsearch.Cache
@@ -266,6 +261,59 @@ type shard struct {
 	// epoch completes (see migrate.go), preserving per-user submission
 	// order across the move.
 	holds map[searchlog.UserID]*holdQueue
+}
+
+// shardCounters is the one home of every counter a served or shed
+// request bumps, owned by the shard that served it and padded at both
+// ends: serving writes no line a request on another shard writes.
+// Fleet-wide readings are sums over the live shards' blocks plus
+// Fleet.retired. Atomics, because finish runs outside mu; integers, so
+// totals are interleaving-independent.
+type shardCounters struct {
+	_ [64]byte
+	// served and shed are the shard's occupancy; busyNS is the
+	// server-local part of every served response's modeled latency, the
+	// active term of the shard power model.
+	served atomic.Int64
+	busyNS atomic.Int64
+	// ledger takes the served responses' device-side joules; its
+	// shard-side counters are filled in at retirement.
+	ledger   energy.Ledger
+	bySource [numSources]atomic.Int64
+	errors   atomic.Int64
+	shed     atomic.Int64
+	_        [64]byte
+}
+
+// book records one delivered response. Every serve path lands here, so
+// this is the one ledger charge site: the response's device-side joules
+// split radio vs baseline (a term that is zero writes nothing), and the
+// shard's busy time grows by the server-local part of the modeled
+// latency (network and radio wait excluded — the shard is free while the
+// device waits on the air).
+func (c *shardCounters) book(resp *Response) {
+	c.served.Add(1)
+	if busy := resp.Outcome.ResponseTime() - resp.Outcome.Network; busy > 0 {
+		c.busyNS.Add(int64(busy))
+	}
+	c.ledger.Radio.Add(resp.RadioJ)
+	c.ledger.DeviceBase.Add(resp.EnergyJ - resp.RadioJ)
+	c.bySource[resp.Source].Add(1)
+	if resp.Err != nil {
+		c.errors.Add(1)
+	}
+}
+
+// addTo adds the block into sum — all but busyNS, which is read beside
+// the shard's power envelope (EnergyStats, retirement).
+func (c *shardCounters) addTo(sum *shardCounters) {
+	sum.served.Add(c.served.Load())
+	sum.shed.Add(c.shed.Load())
+	sum.errors.Add(c.errors.Load())
+	for i := range c.bySource {
+		sum.bySource[i].Add(c.bySource[i].Load())
+	}
+	sum.ledger.Merge(&c.ledger)
 }
 
 // itemKey derives the stable eviction key of a (user, result) personal
@@ -372,30 +420,31 @@ func (sh *shard) materialize(st *userState) error {
 // round trip — which also expands the user's personal component so the
 // next repeat hits locally.
 //
-// Exactly one of the returns is meaningful: a completed response (a
-// local hit, an error, or a cloud miss on the user's own link whose
+// Exactly one outcome is meaningful: a completed response built in resp
+// (a local hit, an error, or a cloud miss on the user's own link whose
 // plan owes no wall pause — applied under the same lock hold that
-// planned it), a planned miss marked pending that the caller must pace
-// and then apply (applyMiss) or, with park set, hand to a dispatcher,
-// or the user's pending miss the caller must wait on before retrying.
-// A miss applied after this lock hold is always marked pending: the one
-// rule that keeps the model clock its plan was computed against still.
-func (sh *shard) route(t task, park bool) (resp Response, miss, waitFor *missTask) {
+// planned it) and two nils, a planned miss marked pending that the
+// caller must pace and then apply (applyMiss) or, with park set, hand to
+// a dispatcher, or the user's pending miss the caller must wait on
+// before retrying. A miss applied after this lock hold is always marked
+// pending: the one rule that keeps the model clock its plan was computed
+// against still.
+func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missTask) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
 	if prev := sh.pendingMiss[t.req.User]; prev != nil {
-		return Response{}, nil, prev
+		return nil, prev
 	}
 	st := sh.user(t.req.User)
 	qh := hash64.Sum(t.req.Query)
 	ch := hash64.Sum(t.req.Click)
-	tier := sh.tierOf(st, qh, ch)
-	if tier != SourceCloud {
-		return sh.serveLocal(st, t.req, tier, qh, ch), nil, nil
+	if sh.serveLocal(st, &t.req, qh, ch, resp) {
+		return nil, nil
 	}
 	if err := sh.materialize(st); err != nil {
-		return Response{Req: t.req, Err: err}, nil, nil
+		*resp = Response{Req: t.req, Err: err}
+		return nil, nil
 	}
 	// Plan the miss's whole fault ladder now, against the user's current
 	// model clock: the clock cannot move before the miss is applied
@@ -404,38 +453,42 @@ func (sh *shard) route(t task, park bool) (resp Response, miss, waitFor *missTas
 	// later composes batches and of which goroutine serves what.
 	mc := sh.planLocked(st, t.req.User, qh, ch)
 	if !park && mc.pause <= 0 {
-		return sh.applyMissLocked(st, t.req, mc, exchange{}), nil, nil
+		sh.applyMissLocked(st, &t.req, &mc, exchange{}, resp)
+		return nil, nil
 	}
-	miss = &missTask{t: t, mc: mc, done: make(chan struct{})}
+	if park {
+		t.mailbox() // before the copy the dispatcher answers from
+	}
+	miss = &missTask{t: *t, mc: mc, done: make(chan struct{})}
 	sh.pendingMiss[t.req.User] = miss
-	return Response{}, miss, nil
+	return miss, nil
 }
 
-// tierOf classifies which tier will serve the pair. A user whose
-// personal cache is not materialized cannot have a personal hit.
-// Caller holds mu.
-func (sh *shard) tierOf(st *userState, qh, ch uint64) Source {
-	switch {
-	case st.cache != nil && st.cache.ContainsPair(qh, ch):
-		return SourcePersonal
-	case sh.community.ContainsPair(qh, ch):
-		return SourceCommunity
-	default:
-		return SourceCloud
+// serveLocal serves the request from the local tier that holds the pair
+// — the user's personal component (none before the user's cache is
+// materialized), else the shard's community replica — into resp, and
+// reports false, resp untouched, when neither does: the request is the
+// cloud's. The tier serves from the position its index was probed at, so
+// each chain is searched once per request. Per-user serving counters and
+// the modeled energy attribution (base power over the response time) are
+// applied here. Caller holds mu.
+func (sh *shard) serveLocal(st *userState, req *Request, qh, ch uint64, resp *Response) bool {
+	cache, tier := st.cache, SourcePersonal
+	var p hashtable.Probe
+	var ok bool
+	if cache != nil {
+		p, ok = cache.Probe(qh, ch)
 	}
-}
-
-// serveLocal serves one request from the local tier it classified to —
-// the user's personal component or the shard's community replica — and
-// applies the per-user serving counters and the modeled energy
-// attribution: base power over the response time. qh and ch are the
-// hashes route classified the pair by. Caller holds mu.
-func (sh *shard) serveLocal(st *userState, req Request, tier Source, qh, ch uint64) Response {
-	resp := Response{Req: req, Source: tier}
-	if tier == SourcePersonal {
-		resp.Outcome, resp.Err = st.cache.QueryHashed(qh, ch, req.Query, req.Click)
-	} else {
-		resp.Outcome, resp.Err = sh.community.QueryHashed(qh, ch, req.Query, req.Click)
+	if !ok {
+		cache, tier = sh.community, SourceCommunity
+		if p, ok = cache.Probe(qh, ch); !ok {
+			return false
+		}
+	}
+	*resp = Response{Source: tier}
+	resp.Req = *req
+	resp.Err = cache.Hit(p, qh, req.Query, &resp.Outcome)
+	if tier == SourceCommunity {
 		// A community hit advanced the replica's device, not the user's.
 		sh.commClock.Observe()
 	}
@@ -447,7 +500,7 @@ func (sh *shard) serveLocal(st *userState, req Request, tier Source, qh, ch uint
 	if st.cache != nil {
 		st.clock.Observe()
 	}
-	return resp
+	return true
 }
 
 // recordExpansion books the personal-flash delta a served miss left

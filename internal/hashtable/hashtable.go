@@ -107,6 +107,11 @@ func (t *Table) LookupInto(queryHash uint64, buf []SearchRef) []SearchRef {
 	if !ok {
 		return nil
 	}
+	return sortedRefs(chain, buf)
+}
+
+// sortedRefs collects a chain's refs into buf in Lookup order.
+func sortedRefs(chain []entry, buf []SearchRef) []SearchRef {
 	refs := buf[:0]
 	for _, e := range chain {
 		refs = append(refs, e.refs...)
@@ -139,15 +144,65 @@ func (t *Table) ContainsRef(queryHash, resultHash uint64) bool {
 
 // find locates the chain entry and slot index of a (query, result).
 func (t *Table) find(queryHash, resultHash uint64) (ei, si int, ok bool) {
-	for ei, e := range t.entries[queryHash] {
-		for si, r := range e.refs {
+	p, ok := t.Probe(queryHash, resultHash)
+	return p.ei, p.si, ok
+}
+
+// Probe is the position of one stored (query, result) pair: the query's
+// chain and the entry and slot that hold the pair. A serve that has
+// classified a pair as a hit does everything else a hit does to the
+// table — rank the query's results, apply the click, set the accessed
+// bit — from the position, without walking the chain from the map again.
+//
+// A Probe aliases the table's storage. It is valid until the next Put,
+// Remove or RemoveResult on the table it came from; using one after
+// that is a misuse (it may read or write a chain the table no longer
+// holds). The fleet never does: it probes and serves under one
+// shard-lock hold.
+type Probe struct {
+	chain  []entry
+	ei, si int
+}
+
+// Probe locates the (query, result) pair; ok is false when it is not
+// stored.
+func (t *Table) Probe(queryHash, resultHash uint64) (p Probe, ok bool) {
+	chain := t.entries[queryHash]
+	for ei := range chain {
+		for si, r := range chain[ei].refs {
 			if r.ResultHash == resultHash {
-				return ei, si, true
+				return Probe{chain: chain, ei: ei, si: si}, true
 			}
 		}
 	}
-	return 0, 0, false
+	return Probe{}, false
 }
+
+// Refs is Table.LookupInto for the probed pair's query: every result of
+// the query in Lookup order, written into buf.
+func (p Probe) Refs(buf []SearchRef) []SearchRef { return sortedRefs(p.chain, buf) }
+
+// Click applies Equations 1 and 2 of the paper to the probed pair's
+// query in place: the clicked (probed) result's score grows by one and
+// every sibling's is multiplied by decay (e^-lambda). It returns the
+// clicked result's new score.
+func (p Probe) Click(decay float64) float64 {
+	for ei := range p.chain {
+		refs := p.chain[ei].refs
+		for si := range refs {
+			if ei == p.ei && si == p.si {
+				refs[si].Score++
+			} else {
+				refs[si].Score *= decay
+			}
+		}
+	}
+	return p.chain[p.ei].refs[p.si].Score
+}
+
+// MarkAccessed sets the probed pair's accessed flag (Table.MarkAccessed
+// without the search).
+func (p Probe) MarkAccessed() { p.chain[p.ei].flags |= accessedBit << uint(p.si) }
 
 // Score returns the ranking score of a (query, result) pair.
 func (t *Table) Score(queryHash, resultHash uint64) (float64, bool) {

@@ -335,3 +335,54 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 	}
 }
+
+// TestProbeMatchesSearches: everything a Probe does from the position it
+// found equals the search-per-call methods it stands in for — Refs is
+// LookupInto, Click is a SetScore per result of the query, MarkAccessed
+// is MarkAccessed — on random tables of every slot count, chained
+// entries included, and a pair that is not stored does not probe.
+func TestProbeMatchesSearches(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for slots := 1; slots <= 4; slots++ {
+		got, want := MustNew(slots), MustNew(slots)
+		for i := 0; i < 400; i++ {
+			ref := SearchRef{ResultHash: uint64(rng.Intn(9)), Score: rng.Float64()}
+			qh := uint64(rng.Intn(40))
+			got.Put(qh, ref)
+			want.Put(qh, ref)
+		}
+		for i := 0; i < 2000; i++ {
+			qh, rh := uint64(rng.Intn(41)), uint64(rng.Intn(10))
+			p, ok := got.Probe(qh, rh)
+			if ok != want.ContainsRef(qh, rh) {
+				t.Fatalf("slots %d: Probe(%d, %d) found %v, ContainsRef %v", slots, qh, rh, ok, !ok)
+			}
+			if !ok {
+				continue
+			}
+			refs := want.Lookup(qh)
+			if !reflect.DeepEqual(p.Refs(nil), refs) {
+				t.Fatalf("slots %d: Probe(%d, %d).Refs = %v, Lookup = %v", slots, qh, rh, p.Refs(nil), refs)
+			}
+			const decay = 0.9048374180359595
+			for _, r := range refs {
+				if r.ResultHash == rh {
+					want.SetScore(qh, rh, r.Score+1)
+				} else {
+					want.SetScore(qh, r.ResultHash, r.Score*decay)
+				}
+			}
+			clicked, _ := want.Score(qh, rh)
+			if s := p.Click(decay); s != clicked {
+				t.Fatalf("slots %d: Click scored the pair %v, SetScore %v", slots, s, clicked)
+			}
+			if i%3 == 0 {
+				p.MarkAccessed()
+				want.MarkAccessed(qh, rh)
+			}
+		}
+		if !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
+			t.Fatalf("slots %d: tables diverge after probed updates", slots)
+		}
+	}
+}

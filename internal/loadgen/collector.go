@@ -29,7 +29,7 @@ type counters struct {
 
 // observe books one response into the aggregate. Caller holds the
 // owning stripe's lock.
-func (c *counters) observe(r fleet.Response) {
+func (c *counters) observe(r *fleet.Response) {
 	if r.Canceled {
 		c.canceled++
 		return
@@ -112,7 +112,7 @@ func (c *Collector) Observe(r fleet.Response) {
 	s := &c.stripes[uint64(r.Req.User)%collectorStripes]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.c.observe(r)
+	s.c.observe(&r)
 	if cls := r.Req.Class; cls != "" {
 		cc := s.byClass[cls]
 		if cc == nil {
@@ -122,7 +122,7 @@ func (c *Collector) Observe(r fleet.Response) {
 			cc = &counters{}
 			s.byClass[cls] = cc
 		}
-		cc.observe(r)
+		cc.observe(&r)
 	}
 }
 

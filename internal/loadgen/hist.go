@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -28,17 +29,61 @@ type Histogram struct {
 	min, max time.Duration
 }
 
+// bucketLower[i] is the least duration bucket i holds: the boundaries of
+// 1 + floor(4·log2(d/1µs)) as float64 arithmetic draws them, precomputed
+// so a sample costs integer compares instead of a logarithm (hist_test.go
+// keeps the formula and holds every entry to it). Exact quarter octaves
+// up to ~6 days; beyond, float64 rounding had placed them a little early.
+var bucketLower = [histBuckets]time.Duration{
+	0, 1000, 1190, 1415, 1682, 2000, 2379, 2829, 3364, 4000, 4757, 5657, 6728, 8000, 9514,
+	11314, 13455, 16000, 19028, 22628, 26909, 32000, 38055, 45255, 53818, 64000, 76110, 90510,
+	107635, 128000, 152219, 181020, 215270, 256000, 304438, 362039, 430539, 512000, 608875,
+	724078, 861078, 1024000, 1217749, 1448155, 1722156, 2048000, 2435497, 2896310, 3444312,
+	4096000, 4870993, 5792619, 6888624, 8192000, 9741985, 11585238, 13777247, 16384000,
+	19483970, 23170476, 27554494, 32768000, 38967939, 46340951, 55108988, 65536000, 77935878,
+	92681901, 110217975, 131072000, 155871755, 185363801, 220435950, 262144000, 311743510,
+	370727601, 440871900, 524288000, 623487020, 741455201, 881743800, 1048576000, 1246974040,
+	1482910401, 1763487600, 2097152000, 2493948080, 2965820801, 3526975199, 4194304000,
+	4987896160, 5931641602, 7053950397, 8388608000, 9975792319, 11863283204, 14107900793,
+	16777216000, 19951584638, 23726566407, 28215801585, 33554432000, 39903169275, 47453132813,
+	56431603170, 67108864000, 79806338549, 94906265625, 112863206339, 134217728000,
+	159612677098, 189812531249, 225726412678, 268435456000, 319225354195, 379625062498,
+	451452825355, 536870912000, 638450708389, 759250124995, 902905650710, 1073741824000,
+	1276901416777, 1518500249989, 1805811301420, 2147483648000, 2553802833554, 3037000499977,
+	3611622602839, 4294967296000, 5107605667108, 6074000999953, 7223245205677, 8589934592000,
+	10215211334215, 12148001999905, 14446490411354, 17179869184000, 20430422668429,
+	24296003999809, 28892980822707, 34359738368000, 40860845336858, 48592007999617,
+	57785961645414, 68719476736000, 81721690673715, 97184015999234, 115571923290827,
+	137438953472000, 163443381347430, 194368031998467, 231143846581654, 274877906944000,
+	326886762694860, 388736063996934, 462287693163307, 549755813887999, 653773525389720,
+	777472127993867, 924575386326613, 1099511627775998, 1307547050779440, 1554944255987734,
+	1849150772653226, 2199023255551995, 2615094101558879, 3109888511975468, 3698301545306451,
+	4398046511103990, 5230188203117758, 6219777023950935, 7396603090612901, 8796093022207979,
+	10460376406235515, 12439554047901870, 14793206181225802, 17592186044415958,
+	20920752812471030, 24879108095803739, 29586412362451603, 35184372088831915,
+	41841505624942060, 49758216191607477, 59172824724903205, 70368744177663829,
+	83683011249884120, 99516432383214953, 118345649449806409, 140737488355327657,
+	167366022499768240, 199032864766429905, 236691298899612817, 281474976710655313,
+	334732044999536480, 398065729532859809, 473382597799225633, 562949953421310625,
+	669464089999072960, 796131459065719617,
+}
+
 // bucketOf maps a duration to its bucket index.
 func bucketOf(d time.Duration) int {
 	if d < time.Microsecond {
 		return 0
 	}
-	i := 1 + int(math.Floor(math.Log2(float64(d)/float64(time.Microsecond))*4))
-	if i < 1 {
-		i = 1
+	if d >= bucketLower[histBuckets-1] {
+		return histBuckets - 1
 	}
-	if i >= histBuckets {
-		i = histBuckets - 1
+	// floor(log2 d) - 10 is d's octave above 1 µs (1000 ≈ 2^9.97), or one
+	// below it: settle the octave, then the quarter within it.
+	i := 4*(bits.Len64(uint64(d))-11) + 1
+	if i < 1 || i+4 < histBuckets && d >= bucketLower[i+4] {
+		i += 4
+	}
+	for d >= bucketLower[i+1] {
+		i++
 	}
 	return i
 }

@@ -113,3 +113,80 @@ func TestSummaryOrdering(t *testing.T) {
 		t.Errorf("count = %d, want 5000", s.Count)
 	}
 }
+
+// floatBucketOf is the bucket formula bucketOf replaced — a logarithm per
+// sample — kept as the oracle the integer path and its table answer to.
+func floatBucketOf(d time.Duration) int {
+	if d < time.Microsecond {
+		return 0
+	}
+	i := 1 + int(math.Floor(math.Log2(float64(d)/float64(time.Microsecond))*4))
+	if i < 1 {
+		i = 1
+	}
+	if i >= histBuckets {
+		i = histBuckets - 1
+	}
+	return i
+}
+
+// TestBucketOfMatchesFloatFormula: the integer path buckets every
+// duration as the float formula did — around each of the 200 boundaries
+// (found by bisecting the formula, not read from the table), at the
+// extremes, and on seeded random durations of every magnitude.
+func TestBucketOfMatchesFloatFormula(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketOf(d), floatBucketOf(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, the float formula says %d", d, got, want)
+		}
+	}
+	for i := 0; i < histBuckets; i++ {
+		// The least d the formula puts in bucket i or above.
+		lo, hi := time.Duration(0), time.Duration(math.MaxInt64)
+		for lo < hi {
+			if mid := lo + (hi-lo)/2; floatBucketOf(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if bucketLower[i] != lo {
+			t.Errorf("bucketLower[%d] = %d, the float formula starts the bucket at %d", i, bucketLower[i], lo)
+		}
+		for d := lo - 2; d <= lo+2; d++ {
+			check(max(d, 0))
+		}
+	}
+	for _, d := range []time.Duration{math.MinInt64, -1, 0, 1, 999, 1000, 1023, 1024, math.MaxInt64 - 1, math.MaxInt64} {
+		check(d)
+	}
+	n := 10_000_000
+	if testing.Short() {
+		n /= 10
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		// Uniform in magnitude, then in value: every octave gets its share.
+		check(time.Duration(rng.Int63() >> uint(rng.Intn(63))))
+	}
+}
+
+// BenchmarkHistogramObserve is one sample into a histogram, over
+// latencies spread across the six decades a load run produces.
+func BenchmarkHistogramObserve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]time.Duration, 4096)
+	for i := range samples {
+		samples[i] = time.Duration(float64(time.Microsecond) * math.Pow(10, 6*rng.Float64()))
+	}
+	var h Histogram
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(samples[i%len(samples)])
+	}
+	if h.Count() != uint64(b.N) {
+		b.Fatal("samples lost")
+	}
+}

@@ -39,7 +39,7 @@ func TestFailedStoreLeavesCleanMiss(t *testing.T) {
 	if st.Misses != 2 || st.Hits != 0 || st.Expansions != 0 {
 		t.Errorf("stats = %+v, want 2 misses and no expansion", st)
 	}
-	if f.cache.ContainsPair(qh, ch) || f.cache.ContainsQuery(qh) {
+	if _, ok := f.cache.Probe(qh, ch); ok || f.cache.ContainsQuery(qh) {
 		t.Error("the pair was indexed although its record was not stored")
 	}
 	if got := f.cache.Autocomplete(q[:2], 5); len(got) != 0 {

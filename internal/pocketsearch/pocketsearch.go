@@ -55,13 +55,22 @@ type Options struct {
 	DatabaseFiles int
 	// Lambda is the Equation 2 decay constant. Zero selects DefaultLambda.
 	Lambda float64
-	// DisablePersonalization turns off cache expansion and score
-	// updates — the "community only" configuration of Figure 17.
-	DisablePersonalization bool
 	// ResultsShown is how many top-ranked cached results are fetched
 	// and displayed on a hit (the prototype shows results in the
 	// auto-suggest box; two are fetched in Table 4's breakdown).
 	ResultsShown int
+	// IndexPlacement selects where the hash table lives across power
+	// cycles (Section 3.3): the default two-tier DRAM+NAND hierarchy
+	// reloads it from flash at every boot, while a three-tier
+	// hierarchy keeps it instantly available in PCM.
+	IndexPlacement device.IndexPlacement
+
+	// The three switches sit last, together, so that they pack into one
+	// word: a fleet holds an Options in every resident user's cache.
+
+	// DisablePersonalization turns off cache expansion and score
+	// updates — the "community only" configuration of Figure 17.
+	DisablePersonalization bool
 	// DiscardResults skips materializing Outcome.Results: records are
 	// still fetched (and their flash latency charged) and engine
 	// responses still ship, but no result structs are parsed or
@@ -69,11 +78,6 @@ type Options struct {
 	// generators, large-fleet benchmarks — that never read the result
 	// list. Every latency, energy and hit/miss number is unchanged.
 	DiscardResults bool
-	// IndexPlacement selects where the hash table lives across power
-	// cycles (Section 3.3): the default two-tier DRAM+NAND hierarchy
-	// reloads it from flash at every boot, while a three-tier
-	// hierarchy keeps it instantly available in PCM.
-	IndexPlacement device.IndexPlacement
 	// DisableSuggest skips maintaining the auto-completion index and
 	// its query-text map. Nothing modeled reads them — every latency,
 	// energy and hit/miss number is unchanged — but they cost a trie
@@ -127,6 +131,9 @@ type Cache struct {
 	// steady-state serve path allocates nothing. Single-owner like the
 	// rest of the cache: only the serialized mutating methods touch it.
 	refsBuf []hashtable.SearchRef
+	// decay is e^-Lambda, the factor Equation 2 applies to every
+	// unselected sibling of a clicked result.
+	decay float64
 }
 
 // cacheStats is the atomic backing store for Stats.
@@ -175,6 +182,7 @@ func New(dev *device.Device, eng *engine.Engine, opts Options) (*Cache, error) {
 		table: tbl,
 		db:    db,
 		eng:   eng,
+		decay: math.Exp(-o.Lambda),
 	}
 	if !o.DisableSuggest {
 		c.completions = suggest.New()
@@ -378,8 +386,11 @@ type Outcome struct {
 	Stored int64
 }
 
-// ResponseTime is the end-to-end user response time of the query.
-func (o Outcome) ResponseTime() time.Duration {
+// ResponseTime is the end-to-end user response time of the query. A
+// pointer method: the serve path asks several times per request, of an
+// Outcome inside a Response it holds by pointer, and a value receiver
+// copied the whole struct each time.
+func (o *Outcome) ResponseTime() time.Duration {
 	return o.Lookup + o.Fetch + o.Render + o.Misc + o.Network
 }
 
@@ -397,12 +408,13 @@ func (c *Cache) RemovePair(queryHash, resultHash uint64) bool {
 	return ok
 }
 
-// ContainsPair reports whether the cache holds the (query, clicked
-// result) pair — Query's hit criterion — without charging any model
-// cost. The fleet layer uses it to route a request to the cache tier
-// that will serve it.
-func (c *Cache) ContainsPair(queryHash, resultHash uint64) bool {
-	return c.table.ContainsRef(queryHash, resultHash)
+// Probe reports whether the cache holds the (query, clicked result)
+// pair — Query's hit criterion — without charging any model cost, and
+// where: the pair's position in the cache index, which Hit serves from.
+// The fleet layer routes a request to the cache tier that will serve it
+// this way, and hands that tier the position.
+func (c *Cache) Probe(queryHash, resultHash uint64) (hashtable.Probe, bool) {
+	return c.table.Probe(queryHash, resultHash)
 }
 
 // ContainsQuery reports whether the cache holds any results for the
@@ -532,69 +544,68 @@ func (c *Cache) Query(queryText, clickURL string) (Outcome, error) {
 }
 
 // QueryHashed is Query for a caller that already holds the pair's
-// hashes — qh must be hash64.Sum(queryText) and ch hash64.Sum(clickURL).
-// The fleet classifies every request by those hashes before it knows
-// which cache will serve it, so its serve path hashes each string once.
+// hashes — qh must be hash64.Sum(queryText) and ch hash64.Sum(clickURL):
+// the fleet, which classified the request by them.
 func (c *Cache) QueryHashed(qh, ch uint64, queryText, clickURL string) (Outcome, error) {
-	c.stats.queries.Add(1)
-
-	var out Outcome
-	out.Lookup = LookupCost
-	c.dev.Busy(LookupCost, "lookup")
-
-	refs := c.lookupScratch(qh)
-	var clickCached bool
-	for _, r := range refs {
-		if r.ResultHash == ch {
-			clickCached = true
-			break
-		}
-	}
-
-	if len(refs) > 0 && clickCached {
-		// Cache hit: fetch the top-ranked records from flash, render.
-		// This is the steady-state serve path; with DiscardResults set
-		// it allocates nothing.
-		c.stats.hits.Add(1)
-		out.Hit = true
-		shown := c.opts.ResultsShown
-		if shown > len(refs) {
-			shown = len(refs)
-		}
-		for _, r := range refs[:shown] {
-			rec, lat, err := c.db.GetView(r.ResultHash)
-			if err != nil {
-				return out, fmt.Errorf("pocketsearch: hit fetch: %w", err)
-			}
-			out.Fetch += lat
-			if !c.opts.DiscardResults {
-				res, err := engine.ParseRecord(rec)
-				if err != nil {
-					return out, fmt.Errorf("pocketsearch: hit parse: %w", err)
-				}
-				out.Results = append(out.Results, res)
-			}
-		}
-		c.dev.FlashBusy(out.Fetch)
-		out.Render = c.dev.Render(ResultsPageBytes)
-		out.Misc = c.dev.Misc()
-		if !c.opts.DisablePersonalization {
-			c.personalizeClick(qh, ch)
-			if s, ok := c.table.Score(qh, ch); ok {
-				// Personal clicks outweigh raw community volume in the
-				// completion ranking: the user's own queries surface first.
-				c.indexQuery(qh, queryText, s*suggestPersonalBoost)
-			}
-		}
-		c.table.MarkAccessed(qh, ch)
-		return out, nil
+	if p, ok := c.table.Probe(qh, ch); ok {
+		var out Outcome
+		err := c.Hit(p, qh, queryText, &out)
+		return out, err
 	}
 
 	// Cache miss: query the engine over the radio.
+	c.stats.queries.Add(1)
+	c.dev.Busy(LookupCost, "lookup")
 	c.stats.misses.Add(1)
 	resp, found := c.eng.Search(queryText)
 	tr := c.dev.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
 	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, tr.Total(), tr), nil
+}
+
+// Hit serves a cache hit into out: p is where a Probe of this cache found
+// the (query, clicked result) pair — with no Put or Remove on the index
+// since (hashtable.Probe) — and qh the query's hash. The top-ranked
+// records are fetched from flash and rendered, the click is folded into
+// the ranking scores (Equations 1 and 2) and the pair is marked accessed,
+// all from the probed position: the index is searched once per hit. This
+// is the steady-state serve path; with DiscardResults set it allocates
+// nothing.
+func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome) error {
+	c.stats.queries.Add(1)
+	c.stats.hits.Add(1)
+	*out = Outcome{Hit: true, Lookup: LookupCost}
+	c.dev.Busy(LookupCost, "lookup")
+
+	refs := p.Refs(c.refsBuf)
+	c.refsBuf = refs[:0]
+	shown := c.opts.ResultsShown
+	if shown > len(refs) {
+		shown = len(refs)
+	}
+	for _, r := range refs[:shown] {
+		rec, lat, err := c.db.GetView(r.ResultHash)
+		if err != nil {
+			return fmt.Errorf("pocketsearch: hit fetch: %w", err)
+		}
+		out.Fetch += lat
+		if !c.opts.DiscardResults {
+			res, err := engine.ParseRecord(rec)
+			if err != nil {
+				return fmt.Errorf("pocketsearch: hit parse: %w", err)
+			}
+			out.Results = append(out.Results, res)
+		}
+	}
+	c.dev.FlashBusy(out.Fetch)
+	out.Render = c.dev.Render(ResultsPageBytes)
+	out.Misc = c.dev.Misc()
+	if !c.opts.DisablePersonalization {
+		// Personal clicks outweigh raw community volume in the
+		// completion ranking: the user's own queries surface first.
+		c.indexQuery(qh, queryText, p.Click(c.decay)*suggestPersonalBoost)
+	}
+	p.MarkAccessed()
+	return nil
 }
 
 // missOutcome is the tail every cache miss shares once its exchange has
@@ -678,18 +689,4 @@ func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.Se
 	c.indexQuery(qh, queryText, suggestPersonalBoost)
 	c.stats.expansions.Add(1)
 	return c.db.LogicalBytes() - before
-}
-
-// personalizeClick applies Equations 1 and 2: the clicked result's
-// score increases by one; every sibling decays by e^-lambda. It reuses
-// the lookup scratch, so callers must be done with any slice a prior
-// lookupScratch returned.
-func (c *Cache) personalizeClick(qh, ch uint64) {
-	for _, r := range c.lookupScratch(qh) {
-		if r.ResultHash == ch {
-			c.table.SetScore(qh, ch, r.Score+1)
-		} else {
-			c.table.SetScore(qh, r.ResultHash, r.Score*math.Exp(-c.opts.Lambda))
-		}
-	}
 }

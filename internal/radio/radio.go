@@ -202,6 +202,16 @@ func (l *Link) State() State {
 	return Idle
 }
 
+// InactiveExtraPower returns the radio's extra draw while it is not
+// transferring, at the current model time: the tail power while the
+// post-transfer tail lasts, the idle power afterwards.
+func (l *Link) InactiveExtraPower() float64 {
+	if l.State() == Tail {
+		return l.params.ExtraTailPower
+	}
+	return l.params.ExtraIdlePower
+}
+
 // TailRemaining returns how much of the post-transfer tail is left at
 // the current model time — zero when the link is idle. The hedging
 // planner (internal/faults.PlanHedged) uses it to decide whether a

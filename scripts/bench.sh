@@ -5,7 +5,9 @@
 # internal/backend, BenchmarkPlanHedgedPriced and BenchmarkPlanClean in
 # internal/faults), the cold-miss write-path benchmarks
 # (BenchmarkSearch* in internal/engine, BenchmarkPut in
-# internal/resultdb, BenchmarkQueryMiss in internal/pocketsearch) and the
+# internal/resultdb, BenchmarkQueryMiss in internal/pocketsearch), the
+# hit's own layers (BenchmarkQueryHit in internal/pocketsearch,
+# BenchmarkHistogramObserve in internal/loadgen) and the
 # open-loop day's schedule-build and migration benchmarks
 # (BenchmarkScheduleDiurnal in internal/modeltime, BenchmarkMonthLog in
 # internal/workload, BenchmarkResizeMigrate in internal/fleet), and
@@ -55,6 +57,15 @@ write_raw=$(go test -p 1 -bench 'Search|Put|QueryMiss' -benchtime 51200x \
     -benchmem -run '^$' ./internal/engine ./internal/resultdb ./internal/pocketsearch)
 echo "$write_raw"
 raw="$raw"$'\n'"$write_raw"
+
+# The layers under a hit that the fleet rows above do not isolate: one
+# PocketSearch hit (probe, fetch, render, click, accessed bit — no result
+# text) and one latency sample into the collector's histogram (two per
+# response).
+hit_raw=$(go test -p 1 -bench 'QueryHit|HistogramObserve' -benchtime 200000x -count "$COUNT" \
+    -benchmem -run '^$' ./internal/pocketsearch ./internal/loadgen)
+echo "$hit_raw"
+raw="$raw"$'\n'"$hit_raw"
 
 # The open-loop day's driver-side half, where the work is: the diurnal
 # arrival schedule (ns/arrival at 300k arrivals over a second and over a

@@ -34,6 +34,15 @@ go test ./...
 echo "== go test -race -short ./... =="
 go test -race -short ./...
 
+echo "== hit-path rails x3: go test -race -count 3 ./internal/fleet =="
+# The rails of the rebuilt hit path (internal/fleet/hitpath_test.go):
+# counters that live with the shard still cross-foot through concurrent
+# Do/Submit/DoContext and live resizes, a caller-run Do handed on (held,
+# parked, paced) is answered exactly once, the striped route fence
+# excludes what one lock would, and the cache-line layout they rest on.
+# Scheduling-dependent, so three rounds under the detector.
+go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout' ./internal/fleet
+
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root
 # `go test ./...` pass above reaches it. Its smoke test runs both passes
@@ -211,6 +220,18 @@ echo "$queue_raw"
 queue_allocs=$(echo "$queue_raw" | allocs_per_op BenchmarkFleetSubmitDrain | awk '{print $2}')
 if [ "$queue_allocs" != "0" ]; then
     echo "bench smoke: BenchmarkFleetSubmitDrain at '${queue_allocs}' allocs/op (recorded 0)" >&2
+    exit 1
+fi
+
+echo "== bench smoke: PocketSearch hit =="
+# A hit that materializes no result text probes its index once and
+# touches nothing it has to allocate for (DESIGN.md, "The zero-allocation
+# serve path"): BenchmarkQueryHit stays at 0 allocs/op.
+hit_raw=$(go test -bench 'QueryHit$' -benchtime 20000x -benchmem -run '^$' ./internal/pocketsearch)
+echo "$hit_raw"
+hit_allocs=$(echo "$hit_raw" | allocs_per_op BenchmarkQueryHit | awk '{print $2}')
+if [ "$hit_allocs" != "0" ]; then
+    echo "bench smoke: BenchmarkQueryHit at '${hit_allocs}' allocs/op (recorded 0)" >&2
     exit 1
 fi
 
