@@ -565,24 +565,22 @@ func hedgedMisses(f *pocketcloudlets.Fleet, comp *scenario.Compiled, r pocketclo
 	return on, misses
 }
 
-// checkReport verifies the report's accounting invariants: every
-// submission is booked exactly once, every served request came from
-// exactly one tier, the fault counters are silent when fault
+// checkReport verifies the report's accounting invariants — each one
+// holds two sources that could disagree against each other, never a
+// field against the arithmetic that derived it: every served request
+// came from exactly one tier, the fault counters are silent when fault
 // injection is off, the hedge counters cross-foot (every cloud serve
 // of a user who hedges was won by exactly one dispatch; wasted clones
 // never exceed clones launched), the backend replica rows cross-foot
-// (arrivals partition into served, rejected and abandoned), the
-// energy ledger cross-foots (device = base + radio, and it tracks the
-// collector's per-response sum; fleet = device + shards), and the
-// autoscale action log stays within bounds and chains shard counts.
+// (arrivals partition into served, rejected and abandoned), shard
+// occupancy and class rows sum to the fleet's counters, the fleet's
+// energy ledger tracks the collector's per-response sums (device and
+// radio joules), and the autoscale action log stays within bounds and
+// chains shard counts.
 func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMisses int64, backendOn, autoscaleOn bool) []string {
 	var problems []string
 	if r.Errors != 0 {
 		problems = append(problems, fmt.Sprintf("errors: %d", r.Errors))
-	}
-	if r.Requests != r.Served+r.Shed+r.Canceled {
-		problems = append(problems, fmt.Sprintf("requests %d != served %d + shed %d + canceled %d",
-			r.Requests, r.Served, r.Shed, r.Canceled))
 	}
 	tiers := r.PersonalHits + r.CommunityHits + r.CloudMisses + r.Degraded + r.Unavailable
 	if tiers+r.Errors != r.Served {
@@ -607,15 +605,6 @@ func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMis
 		}
 		if r.CloneWins > r.ClonesLaunched {
 			problems = append(problems, fmt.Sprintf("clone wins %d exceed clones launched %d", r.CloneWins, r.ClonesLaunched))
-		}
-	}
-	if len(r.ReplicaBreakerOpens) > 0 {
-		var sum int64
-		for _, n := range r.ReplicaBreakerOpens {
-			sum += n
-		}
-		if sum != r.BreakerOpens {
-			problems = append(problems, fmt.Sprintf("replica breaker opens sum to %d, report says %d", sum, r.BreakerOpens))
 		}
 	}
 	if !backendOn && len(r.Backend) > 0 {
@@ -680,26 +669,13 @@ func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMis
 				problems = append(problems, fmt.Sprintf("energy.%s negative: %g", n.name, n.v))
 			}
 		}
-		if !near(e.DeviceBaseJ+e.RadioJ, e.DeviceJ) {
-			problems = append(problems, fmt.Sprintf("energy: device base %g + radio %g != device %g",
-				e.DeviceBaseJ, e.RadioJ, e.DeviceJ))
-		}
-		if !near(e.ShardIdleJ+e.ShardActiveJ, e.ShardJ) {
-			problems = append(problems, fmt.Sprintf("energy: shard idle %g + active %g != shard %g",
-				e.ShardIdleJ, e.ShardActiveJ, e.ShardJ))
-		}
-		if !near(e.DeviceJ+e.ShardJ, e.FleetJ) {
-			problems = append(problems, fmt.Sprintf("energy: device %g + shard %g != fleet %g",
-				e.DeviceJ, e.ShardJ, e.FleetJ))
-		}
 		if !near(e.DeviceJ, r.EnergyJ) {
 			problems = append(problems, fmt.Sprintf(
 				"energy: ledger device joules %g disagree with collector energy_j %g", e.DeviceJ, r.EnergyJ))
 		}
-		if answered := int64(r.Served) - int64(r.Unavailable); answered > 0 &&
-			!near(e.PerAnsweredJ*float64(answered), e.FleetJ) {
-			problems = append(problems, fmt.Sprintf("energy: per_answered %g × %d answered != fleet %g",
-				e.PerAnsweredJ, answered, e.FleetJ))
+		if !near(e.RadioJ, r.RadioEnergyJ) {
+			problems = append(problems, fmt.Sprintf(
+				"energy: ledger radio joules %g disagree with collector radio_energy_j %g", e.RadioJ, r.RadioEnergyJ))
 		}
 	}
 

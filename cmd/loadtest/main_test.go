@@ -475,3 +475,28 @@ func TestCheckHedgeWinsPartitionHedgedMisses(t *testing.T) {
 		t.Errorf("a lost hedge win went unnoticed fleet-wide: %v", problems)
 	}
 }
+
+// TestCheckLedgerRadioAgainstCollector: -check holds the fleet ledger's
+// radio joules against the collector's per-response radio sum. A report
+// whose ledger moved joules from device base to radio still adds up —
+// device = base + radio, device ≈ energy_j — so only that comparison can
+// see it.
+func TestCheckLedgerRadioAgainstCollector(t *testing.T) {
+	_, _, report := runScenario(t, "-mode", "closed", "-duration", "0", "-users", "40",
+		"-faults", "-loss", "0.2", "-batch")
+	if problems := checkReport(report, true, false, 0, false, false); len(problems) != 0 {
+		t.Fatalf("a correct run fails -check: %v", problems)
+	}
+	e := *report.Energy
+	if e.RadioJ <= 0 {
+		t.Fatalf("the run booked no radio joules: %+v", e)
+	}
+	shift := e.RadioJ / 10
+	e.RadioJ += shift
+	e.DeviceBaseJ -= shift
+	report.Energy = &e
+	problems := checkReport(report, true, false, 0, false, false)
+	if len(problems) != 1 || !strings.Contains(problems[0], "radio_energy_j") {
+		t.Errorf("a ledger radio 10%% off the collector's went unnoticed: %v", problems)
+	}
+}

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"pocketcloudlets/internal/faults"
+	"pocketcloudlets/internal/hash64"
 )
 
 // Discipline selects how a replica's server shares itself among queued
@@ -183,17 +184,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// mix is the splitmix64 finalizer (the same bijective avalanche the
-// fault hashes use).
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // rng is a splitmix64 stream — cheap, seedable, and checkpointable by
 // copying one word, which is what lets the timeline resume from any
 // checkpoint.
@@ -201,7 +191,7 @@ type rng struct{ s uint64 }
 
 func (r *rng) next() uint64 {
 	r.s += 0x9E3779B97F4A7C15
-	return mix(r.s)
+	return hash64.Mix(r.s)
 }
 
 // float returns a uniform draw in [0, 1).
@@ -265,12 +255,12 @@ func (m *Model) drawService(replica int, uid, qh, seq uint64, attempt int) float
 	if m.mean == 0 || m.opts.Dist == DistFixed {
 		return m.mean
 	}
-	x := mix(uint64(m.opts.Seed) ^ 0x5EBAC4E17E57D15E)
-	x = mix(x ^ uint64(replica)*0xA24BAED4963EE407)
-	x = mix(x ^ uid*0x9E3779B97F4A7C15)
-	x = mix(x ^ qh)
-	x = mix(x ^ seq*0xD1B54A32D192ED03)
-	x = mix(x ^ uint64(attempt))
+	x := hash64.Mix(uint64(m.opts.Seed) ^ 0x5EBAC4E17E57D15E)
+	x = hash64.Mix(x ^ uint64(replica)*0xA24BAED4963EE407)
+	x = hash64.Mix(x ^ uid*0x9E3779B97F4A7C15)
+	x = hash64.Mix(x ^ qh)
+	x = hash64.Mix(x ^ seq*0xD1B54A32D192ED03)
+	x = hash64.Mix(x ^ uint64(attempt))
 	u := float64(x>>11) / float64(1<<53)
 	return -math.Log1p(-u) * m.mean
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"pocketcloudlets/internal/hash64"
 )
 
 // The replica timeline. Each replica simulates its queue under the
@@ -246,7 +248,7 @@ type replica struct {
 
 func newReplica(m *Model, idx int) *replica {
 	rp := &replica{m: m, fine: newFineCache()}
-	genesis := state{r: rng{s: mix(uint64(m.opts.Seed)^0xB0E57A7E_5EED_0001) ^ uint64(idx)*0x9FB21C651E98DF25}}
+	genesis := state{r: rng{s: hash64.Mix(uint64(m.opts.Seed)^0xB0E57A7E_5EED_0001) ^ uint64(idx)*0x9FB21C651E98DF25}}
 	genesis.nextAt = math.Inf(1)
 	if m.lambda > 0 {
 		genesis.nextAt = genesis.r.exp() / m.lambda

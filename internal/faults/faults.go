@@ -33,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/radio"
 )
 
@@ -173,26 +174,16 @@ func (in *Injector) Options() Options { return in.opts }
 // user's model time now.
 func (in *Injector) RadioDown(now time.Duration) bool { return in.opts.Down(now) }
 
-// mix is the splitmix64 finalizer: a bijective avalanche over 64 bits.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // roll hashes (seed, salt, uid, qh, seq, attempt) to a uniform float
 // in [0, 1). seq is the user's miss sequence number, so repeats of the
 // same query draw fresh outcomes instead of failing identically
 // forever.
 func (in *Injector) roll(salt, uid, qh, seq uint64, attempt int) float64 {
-	x := mix(uint64(in.opts.Seed) ^ salt)
-	x = mix(x ^ uid*0x9E3779B97F4A7C15)
-	x = mix(x ^ qh)
-	x = mix(x ^ seq*0xD1B54A32D192ED03)
-	x = mix(x ^ uint64(attempt))
+	x := hash64.Mix(uint64(in.opts.Seed) ^ salt)
+	x = hash64.Mix(x ^ uid*0x9E3779B97F4A7C15)
+	x = hash64.Mix(x ^ qh)
+	x = hash64.Mix(x ^ seq*0xD1B54A32D192ED03)
+	x = hash64.Mix(x ^ uint64(attempt))
 	return float64(x>>11) / float64(1<<53)
 }
 

@@ -3,6 +3,7 @@ package faults
 import (
 	"time"
 
+	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/radio"
 )
 
@@ -26,9 +27,9 @@ func ReplicaOptions(base Options, replica int) Options {
 		return base
 	}
 	o := base
-	o.Seed = int64(mix(uint64(base.Seed) ^ uint64(replica)*0xA24BAED4963EE407))
+	o.Seed = int64(hash64.Mix(uint64(base.Seed) ^ uint64(replica)*0xA24BAED4963EE407))
 	if o.OutageEvery > 0 && o.OutageFor > 0 {
-		shift := mix(uint64(base.Seed)^uint64(replica)*0x9FB21C651E98DF25) % uint64(o.OutageEvery)
+		shift := hash64.Mix(uint64(base.Seed)^uint64(replica)*0x9FB21C651E98DF25) % uint64(o.OutageEvery)
 		o.OutagePhase = base.OutagePhase + time.Duration(shift)
 	}
 	return o
@@ -184,9 +185,9 @@ func hedgeStart(n int, uid, qh, seq uint64) int {
 	if n <= 1 {
 		return 0
 	}
-	x := mix(uid*0x9E3779B97F4A7C15 ^ 0x48ED6E3C0FF1CE00)
-	x = mix(x ^ qh)
-	x = mix(x ^ seq*0xD1B54A32D192ED03)
+	x := hash64.Mix(uid*0x9E3779B97F4A7C15 ^ 0x48ED6E3C0FF1CE00)
+	x = hash64.Mix(x ^ qh)
+	x = hash64.Mix(x ^ seq*0xD1B54A32D192ED03)
 	return int(x % uint64(n))
 }
 
@@ -199,7 +200,7 @@ func cloneQueryHash(qh uint64, slot int) uint64 {
 	if slot == 0 {
 		return qh
 	}
-	return qh ^ mix(0xC10E5A17_0000_0000^uint64(slot))
+	return qh ^ hash64.Mix(0xC10E5A17_0000_0000^uint64(slot))
 }
 
 // PlanHedged plans one cloud miss analytically — the miss path's one

@@ -59,30 +59,6 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	return o
 }
 
-// BatchStats summarize miss-coalescing activity.
-type BatchStats struct {
-	// Batches is the number of batched radio sessions dispatched;
-	// BatchedMisses the misses they carried.
-	Batches, BatchedMisses int64
-	// Wakeups is the radio wake-ups those sessions paid — one per
-	// batch (the shared uplink sleeps between linger windows), versus
-	// one per session-opening miss on the unbatched path.
-	Wakeups int64
-	// MaxBatch is the largest session observed.
-	MaxBatch int
-	// SizeCounts maps batch size to the number of sessions of that
-	// size.
-	SizeCounts map[int]int64
-}
-
-// MeanSize is the mean number of misses per batched session.
-func (s BatchStats) MeanSize() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchedMisses) / float64(s.Batches)
-}
-
 // missTask is one classified cloud miss awaiting application: parked
 // for coalescing, or owing a wall pause first. While it waits it is the
 // user's shard.pendingMiss entry.
@@ -337,12 +313,13 @@ func (d *dispatcher) execute(batch []*missTask) {
 			})
 		}
 	}
+	shards := f.topo.Load().shards
 	var bt radio.BatchTransfer
 	if len(items) > 0 {
 		bt = radio.BatchExchange(f.cfg.Radio, items)
-		f.recordBatch(bt)
+		// Totals are sums over blocks, so the first member's serves.
+		shards[batch[0].t.shard].ctr.bookBatch(&bt)
 	}
-	shards := f.topo.Load().shards
 	var resp Response
 	for i, mt := range batch {
 		x := exchange{bt: &bt, slot: slot[i], eresp: resps[i], found: found[i]}
@@ -353,33 +330,12 @@ func (d *dispatcher) execute(batch []*missTask) {
 	}
 }
 
-// recordBatch books one batched session into the fleet's batch stats.
-func (f *Fleet) recordBatch(bt radio.BatchTransfer) {
-	f.batchMu.Lock()
-	defer f.batchMu.Unlock()
-	s := &f.batchStats
-	s.Batches++
-	s.BatchedMisses += int64(bt.Size())
+// bookBatch books one shared radio session a dispatcher fired.
+func (c *shardCounters) bookBatch(bt *radio.BatchTransfer) {
+	c.batches.Add(1)
+	c.batchedMisses.Add(int64(bt.Size()))
+	c.batchSizes[bt.Size()].Add(1)
 	if !bt.WasWarm {
-		s.Wakeups++
+		c.wakeups.Add(1)
 	}
-	if bt.Size() > s.MaxBatch {
-		s.MaxBatch = bt.Size()
-	}
-	if s.SizeCounts == nil {
-		s.SizeCounts = make(map[int]int64)
-	}
-	s.SizeCounts[bt.Size()]++
-}
-
-// BatchStats returns a snapshot of miss-coalescing activity.
-func (f *Fleet) BatchStats() BatchStats {
-	f.batchMu.Lock()
-	defer f.batchMu.Unlock()
-	s := f.batchStats
-	s.SizeCounts = make(map[int]int64, len(f.batchStats.SizeCounts))
-	for k, v := range f.batchStats.SizeCounts {
-		s.SizeCounts[k] = v
-	}
-	return s
 }

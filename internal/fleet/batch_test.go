@@ -69,7 +69,7 @@ func TestBatchedOutcomesMatchUnbatched(t *testing.T) {
 	content := smallContent(t, g)
 	users := g.Users()[:40]
 
-	run := func(batch BatchOptions) (map[searchlog.UserID]*userTrace, Stats, BatchStats) {
+	run := func(batch BatchOptions) (map[searchlog.UserID]*userTrace, Stats) {
 		f := newTestFleet(t, g, content, func(cfg *Config) {
 			cfg.Shards = 1
 			cfg.Workers = 1
@@ -77,16 +77,16 @@ func TestBatchedOutcomesMatchUnbatched(t *testing.T) {
 			cfg.Batch = batch
 		})
 		traces := runTraced(t, f, g, users)
-		return traces, f.Stats(), f.BatchStats()
+		return traces, f.Stats()
 	}
 
-	plain, plainStats, plainBatch := run(BatchOptions{})
-	coal, coalStats, coalBatch := run(BatchOptions{Enabled: true, Linger: time.Millisecond})
+	plain, plainStats := run(BatchOptions{})
+	coal, coalStats := run(BatchOptions{Enabled: true, Linger: time.Millisecond})
 
-	if plainBatch.Batches != 0 {
-		t.Errorf("unbatched fleet recorded %d batches", plainBatch.Batches)
+	if plainStats.Batches != 0 || plainStats.BatchSizes != nil {
+		t.Errorf("unbatched fleet recorded %d batches (sizes %v)", plainStats.Batches, plainStats.BatchSizes)
 	}
-	if !reflect.DeepEqual(plainStats, coalStats) {
+	if !reflect.DeepEqual(withoutSessions(plainStats), withoutSessions(coalStats)) {
 		t.Errorf("fleet counters diverge:\n  unbatched: %+v\n  batched:   %+v", plainStats, coalStats)
 	}
 	if len(coal) != len(plain) {
@@ -119,24 +119,31 @@ func TestBatchedOutcomesMatchUnbatched(t *testing.T) {
 	}
 
 	// Batch accounting must be self-consistent and actually coalesce.
-	if coalBatch.Batches == 0 || coalBatch.BatchedMisses != int64(coalStats.CloudMisses) {
-		t.Errorf("batch stats inconsistent with %d cloud misses: %+v", coalStats.CloudMisses, coalBatch)
+	if coalStats.Batches == 0 || coalStats.BatchedMisses != coalStats.CloudMisses {
+		t.Errorf("batch stats inconsistent with %d cloud misses: %+v", coalStats.CloudMisses, coalStats)
 	}
-	if coalBatch.Wakeups != coalBatch.Batches {
-		t.Errorf("wakeups %d != batches %d; dispatcher sessions always start cold", coalBatch.Wakeups, coalBatch.Batches)
+	if coalStats.RadioWakeups != coalStats.Batches {
+		t.Errorf("wakeups %d != batches %d; dispatcher sessions always start cold", coalStats.RadioWakeups, coalStats.Batches)
 	}
-	var sized int64
-	for size, n := range coalBatch.SizeCounts {
-		if size < 1 || size > DefaultMaxBatch {
+	if plainStats.RadioWakeups == 0 {
+		t.Error("the unbatched run booked no cold wake-up")
+	}
+	var sized, carried, maxBatch int64
+	for size, n := range coalStats.BatchSizes {
+		if n > 0 && (size < 1 || size > DefaultMaxBatch) {
 			t.Errorf("impossible batch size %d", size)
 		}
 		sized += n
+		carried += int64(size) * n
+		if n > 0 {
+			maxBatch = int64(size)
+		}
 	}
-	if sized != coalBatch.Batches {
-		t.Errorf("size histogram sums to %d, want %d", sized, coalBatch.Batches)
+	if sized != coalStats.Batches || carried != coalStats.BatchedMisses {
+		t.Errorf("size histogram sums to %d sessions of %d misses, want %d of %d", sized, carried, coalStats.Batches, coalStats.BatchedMisses)
 	}
-	if coalBatch.MaxBatch < 2 {
-		t.Errorf("max batch %d; 40 concurrent users on one shard should coalesce", coalBatch.MaxBatch)
+	if maxBatch < 2 {
+		t.Errorf("max batch %d; 40 concurrent users on one shard should coalesce", maxBatch)
 	}
 
 	// The acceptance criterion: mean radio energy per miss drops.
@@ -148,7 +155,7 @@ func TestBatchedOutcomesMatchUnbatched(t *testing.T) {
 		t.Errorf("radio energy per miss %.3f J batched vs %.3f J unbatched; want a measurable drop", coalPer, plainPer)
 	}
 	t.Logf("radio energy per miss: %.3f J unbatched → %.3f J batched (%d misses, mean batch %.2f)",
-		plainPer, coalPer, misses, coalBatch.MeanSize())
+		plainPer, coalPer, misses, float64(coalStats.BatchedMisses)/float64(coalStats.Batches))
 }
 
 // TestBatchedOutcomesMatchUnbatchedSharded repeats the determinism
@@ -170,7 +177,7 @@ func TestBatchedOutcomesMatchUnbatchedSharded(t *testing.T) {
 
 	plain, plainStats := run(BatchOptions{})
 	coal, coalStats := run(BatchOptions{Enabled: true, FleetWide: true, Linger: time.Millisecond})
-	if !reflect.DeepEqual(plainStats, coalStats) {
+	if !reflect.DeepEqual(withoutSessions(plainStats), withoutSessions(coalStats)) {
 		t.Errorf("fleet counters diverge:\n  unbatched: %+v\n  fleet-wide batched: %+v", plainStats, coalStats)
 	}
 	for uid, p := range plain {
@@ -265,8 +272,8 @@ func TestDrainFlushesLingeringBatches(t *testing.T) {
 	if st.Served != accepted {
 		t.Errorf("served %d, want %d accepted", st.Served, accepted)
 	}
-	if bs := f.BatchStats(); st.CloudMisses > 0 && bs.BatchedMisses != st.CloudMisses {
-		t.Errorf("batched misses %d, want every one of %d cloud misses", bs.BatchedMisses, st.CloudMisses)
+	if st.CloudMisses > 0 && st.BatchedMisses != st.CloudMisses {
+		t.Errorf("batched misses %d, want every one of %d cloud misses", st.BatchedMisses, st.CloudMisses)
 	}
 }
 
@@ -307,8 +314,12 @@ func TestBatchOptionsDefaults(t *testing.T) {
 	if o.MaxBatch != 3 || o.Linger != time.Second {
 		t.Errorf("explicit knobs overridden: %+v", o)
 	}
-	var s BatchStats
-	if s.MeanSize() != 0 {
-		t.Error("MeanSize of zero stats should be 0")
-	}
+}
+
+// withoutSessions drops the counters only a batched fleet books, or
+// books differently — its sessions and their wake-ups — so a batched
+// run's Stats can be held to an unbatched one's.
+func withoutSessions(s Stats) Stats {
+	s.Batches, s.BatchedMisses, s.BatchSizes, s.RadioWakeups = 0, 0, nil, 0
+	return s
 }

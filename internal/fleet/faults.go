@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pocketcloudlets/internal/backend"
@@ -53,36 +51,23 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 	return o
 }
 
-// breaker is one shard's circuit breaker. All methods are nil-safe: a
-// nil breaker is permanently closed (always paces, never opens), which
-// is how Threshold < 0 and fault-free fleets run.
+// breaker is one shard's circuit breaker for one replica, guarded by the
+// shard lock. All methods are nil-safe: a nil breaker is permanently
+// closed (always paces, never opens), which is how Threshold < 0 and
+// fault-free fleets run.
 type breaker struct {
-	mu        sync.Mutex
 	threshold int
 	cooldown  int
 	fails     int // consecutive planned failures while closed
 	skipped   int // misses that skipped pacing since the breaker opened
 	open      bool
-	opens     int64
-}
-
-func newBreaker(o BreakerOptions) *breaker {
-	if o.Threshold < 0 {
-		return nil
-	}
-	return &breaker{threshold: o.Threshold, cooldown: o.Cooldown}
 }
 
 // pace reports whether this miss should take its real retry pause.
 // Closed: always. Open: skip for the cooldown, then pace one half-open
 // probe whose outcome (record) decides what happens next.
 func (b *breaker) pace() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
+	if b == nil || !b.open {
 		return true
 	}
 	if b.skipped < b.cooldown {
@@ -92,39 +77,26 @@ func (b *breaker) pace() bool {
 	return true
 }
 
-// record books one miss's planned outcome into the breaker state.
-func (b *breaker) record(success bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if success {
+// record books one miss's planned outcome into the breaker state and
+// reports whether it opened the breaker.
+func (b *breaker) record(success bool) (opened bool) {
+	switch {
+	case b == nil:
+	case success:
 		b.open, b.fails, b.skipped = false, 0, 0
-		return
-	}
-	if b.open {
+	case b.open:
 		if b.skipped >= b.cooldown {
 			// The half-open probe failed: restart the cooldown.
 			b.skipped = 0
 		}
-		return
+	default:
+		b.fails++
+		opened = b.fails >= b.threshold
+		if opened {
+			b.open, b.skipped = true, 0
+		}
 	}
-	b.fails++
-	if b.fails >= b.threshold {
-		b.open, b.skipped = true, 0
-		b.opens++
-	}
-}
-
-// openCount returns the closed→open transitions so far.
-func (b *breaker) openCount() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
+	return opened
 }
 
 // missCtx carries a cloud-classified miss's plan from classification to
@@ -180,11 +152,14 @@ func (sh *shard) planLocked(st *userState, uid searchlog.UserID, qh, ch uint64) 
 	// real retry pause — an open breaker's cooldown counts misses, clean
 	// ones included (BreakerOptions.Cooldown) — and then every dispatched
 	// replica's breaker learns what its own ladder did, so one dead
-	// replica opens only its own breaker.
+	// replica opens only its own breaker — and books the opening in the
+	// shard's block.
 	pace := sh.breaker(mc.hplan.Primary.Replica).pace()
 	for i := 0; i < mc.hplan.Launches(); i++ {
 		l := mc.hplan.Launch(i)
-		sh.breaker(l.Replica).record(l.Plan.Success)
+		if sh.breaker(l.Replica).record(l.Plan.Success) {
+			sh.ctr.breakerOpens[l.Replica].Add(1)
+		}
 	}
 	if wait := mc.hplan.Delivered().FailedWait; pace && wait > 0 {
 		// Wall-clock pacing stays governed by the fleet-wide policy.
@@ -270,7 +245,7 @@ func (sh *shard) releaseMiss(mt *missTask) {
 // it is the fault-free miss. Caller holds mu.
 func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exchange, resp *Response) {
 	pl := mc.hplan.Delivered()
-	sh.miss.record(&mc.hplan, pl, sh.cohorts.bk)
+	sh.ctr.bookPlan(&mc.hplan, pl, sh.cohorts.bk)
 	*resp = Response{Source: SourceCloud}
 	resp.Req = *req
 	if st.rt.injs[0] != nil {
@@ -355,36 +330,19 @@ func (sh *shard) degradeLocked(st *userState, query string, qh uint64, pl faults
 	return SourceDegraded, out
 }
 
-// missStats are the fleet-wide miss-plan counters. Every shard books
-// each applied miss's plan into them.
-type missStats struct {
-	// retries counts radio attempts beyond each completed miss's first;
-	// exhausted counts misses that ran out of attempts and fell to the
-	// degradation ladder.
-	retries   atomic.Int64
-	exhausted atomic.Int64
-	// Hedging telemetry: clone dispatches beyond each hedged miss's
-	// primary, hedged misses delivered by the primary vs a clone, and
-	// attempts the losing dispatches burned before cancellation.
-	clonesLaunched atomic.Int64
-	primaryWins    atomic.Int64
-	cloneWins      atomic.Int64
-	wastedAttempts atomic.Int64
-}
-
-// record books a planned miss's retry/hedge telemetry into the fleet
-// counters — pl is the plan's delivered ladder — and every launch's
+// bookPlan books an applied miss's retry/hedge telemetry into the
+// shard's block — pl is the plan's delivered ladder — and every launch's
 // priced-dispatch ledger into the backend's per-replica accounting
 // (shared by both exchanges; a nil model records nothing). A clean
-// one-launch plan touches no counter: the fault-free miss must not
-// contend on atomics it would only add zero to. The hedge counters move
-// only for misses the plan says were planned across replicas.
-func (ms *missStats) record(hp *faults.HedgedPlan, pl faults.Plan, bk *backend.Model) {
+// one-launch plan adds nothing: the fault-free miss writes no counter it
+// would only add zero to. The hedge counters move only for misses the
+// plan says were planned across replicas.
+func (c *shardCounters) bookPlan(hp *faults.HedgedPlan, pl faults.Plan, bk *backend.Model) {
 	if n := pl.Attempts - 1; n > 0 {
-		ms.retries.Add(int64(n))
+		c.retries.Add(int64(n))
 	}
 	if !pl.Success {
-		ms.exhausted.Add(1)
+		c.exhausted.Add(1)
 	}
 	for i := 0; i < hp.Launches(); i++ {
 		bk.Record(hp.Launch(i).Plan.Arrivals)
@@ -392,13 +350,13 @@ func (ms *missStats) record(hp *faults.HedgedPlan, pl faults.Plan, bk *backend.M
 	if !hp.Hedged {
 		return
 	}
-	ms.clonesLaunched.Add(int64(hp.Clones()))
-	ms.wastedAttempts.Add(int64(hp.WastedAttempts))
+	c.clonesLaunched.Add(int64(hp.Clones()))
+	c.wastedAttempts.Add(int64(hp.WastedAttempts))
 	switch {
 	case hp.Winner == 0:
-		ms.primaryWins.Add(1)
+		c.primaryWins.Add(1)
 	case hp.Winner > 0:
-		ms.cloneWins.Add(1)
+		c.cloneWins.Add(1)
 	}
 }
 

@@ -56,6 +56,15 @@
 //     writes"), which BenchmarkFleetServe100kUsers
 //     and the scripts/check.sh gate hold at 0 allocs/op. DESIGN.md's
 //     "Capacity model" chapter documents the bytes-per-user budget.
+//   - Accounting has one home: every counter serving a request books —
+//     tiers, energy, a miss's retries and hedge telemetry, breaker
+//     openings, batch sessions, radio wake-ups — lives in the serving
+//     shard's padded block, and every fleet-wide total (Stats,
+//     EnergyStats, ShardLoads) is one fold over the live blocks plus the
+//     block a shrink folds each retired shard into, so a resize never
+//     moves a total. Two counters stay on the fleet: canceled (a request
+//     canceled before admission has no shard) and the migration
+//     counters (the resize writes them, not a request).
 //
 // Request routing mirrors the paper's two-component cache at fleet
 // scale: personal component first, then the shared community replica,
@@ -534,7 +543,7 @@ func (t *task) mailbox() {
 
 // Fleet is a running serving layer. What every request reads comes first
 // and shares no cache line with anything a request writes; a served
-// request writes only its shard and one fence stripe (layout_test.go).
+// request writes only its shard and one fence stripe (hitpath_test.go).
 type Fleet struct {
 	cfg    Config
 	queues []workerQueue
@@ -590,12 +599,6 @@ type Fleet struct {
 	retired  shardCounters
 
 	canceled atomic.Int64 // no shard: a request may be canceled unrouted
-	// miss holds the retry and hedging counters the shards book each
-	// applied miss's plan into.
-	miss missStats
-
-	batchMu    sync.Mutex
-	batchStats BatchStats
 
 	// fence guards closed against concurrent Submit/Do/Close, and — held
 	// exclusively — fences route publications: enqueue computes a
@@ -672,7 +675,7 @@ func New(cfg Config) (*Fleet, error) {
 		cohorts: ct,
 	}
 
-	shards, err := buildShards(cfg, ct, &f.miss, f.tl, 0, cfg.Shards)
+	shards, err := buildShards(cfg, ct, f.tl, 0, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -711,7 +714,7 @@ func New(cfg Config) (*Fleet, error) {
 
 // buildShards constructs shards [lo, hi) in parallel (community
 // replicas preload the shared content, the expensive part).
-func buildShards(cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.Timeline, lo, hi int) ([]*shard, error) {
+func buildShards(cfg Config, ct *cohortTable, tl *modeltime.Timeline, lo, hi int) ([]*shard, error) {
 	shards := make([]*shard, hi-lo)
 	errs := make([]error, hi-lo)
 	var build sync.WaitGroup
@@ -719,7 +722,7 @@ func buildShards(cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.Timel
 		build.Add(1)
 		go func(i int) {
 			defer build.Done()
-			shards[i], errs[i] = newShard(lo+i, cfg, ct, ms, tl)
+			shards[i], errs[i] = newShard(lo+i, cfg, ct, tl)
 		}(i)
 	}
 	build.Wait()
@@ -1134,6 +1137,16 @@ type Stats struct {
 	// attempts losing dispatches had started when the winner's answer
 	// canceled them.
 	ClonesLaunched, PrimaryWins, CloneWins, WastedAttempts int64
+	// Miss coalescing, zero with batching off: Batches counts the shared
+	// radio sessions dispatched, BatchedMisses the misses they carried,
+	// and BatchSizes[n] the sessions that carried n (nil with batching
+	// off).
+	Batches, BatchedMisses int64
+	BatchSizes             []int64
+	// RadioWakeups counts the cold radio wake-ups cloud misses paid: one
+	// per session-opening unbatched miss, one per batched session (the
+	// shared uplink sleeps between linger windows).
+	RadioWakeups int64
 	// Users is the number of resident users (personal states).
 	Users int
 	// PersonalBytes is the personal flash footprint across all users.
@@ -1187,9 +1200,9 @@ func (f *Fleet) totals(sum *shardCounters) *topology {
 	return tp
 }
 
-// Stats returns a fleet-wide snapshot. Per-response counters are sums
-// over the shards that booked them; the per-shard walk takes each shard
-// lock briefly.
+// Stats returns a fleet-wide snapshot. Every per-request counter is the
+// one fold of the shards' blocks (totals); canceled is the fleet's own.
+// The per-shard residency walk takes each shard lock briefly.
 func (f *Fleet) Stats() Stats {
 	var sum shardCounters
 	tp := f.totals(&sum)
@@ -1203,32 +1216,44 @@ func (f *Fleet) Stats() Stats {
 		Degraded:       sum.bySource[SourceDegraded].Load(),
 		Unavailable:    sum.bySource[SourceUnavailable].Load(),
 		Canceled:       f.canceled.Load(),
-		Retries:        f.miss.retries.Load(),
-		Exhausted:      f.miss.exhausted.Load(),
+		Retries:        sum.retries.Load(),
+		Exhausted:      sum.exhausted.Load(),
 		Replicas:       f.cfg.Replicas,
-		ClonesLaunched: f.miss.clonesLaunched.Load(),
-		PrimaryWins:    f.miss.primaryWins.Load(),
-		CloneWins:      f.miss.cloneWins.Load(),
-		WastedAttempts: f.miss.wastedAttempts.Load(),
+		ClonesLaunched: sum.clonesLaunched.Load(),
+		PrimaryWins:    sum.primaryWins.Load(),
+		CloneWins:      sum.cloneWins.Load(),
+		WastedAttempts: sum.wastedAttempts.Load(),
+		Batches:        sum.batches.Load(),
+		BatchedMisses:  sum.batchedMisses.Load(),
+		BatchSizes:     loads(sum.batchSizes, 0),
+		RadioWakeups:   sum.wakeups.Load(),
 		Backend:        f.cohorts.bk.Stats(),
 	}
+	for i := range sum.breakerOpens {
+		s.BreakerOpens += sum.breakerOpens[i].Load()
+	}
 	if f.cfg.Replicas > 1 {
-		s.ReplicaBreakerOpens = make([]int64, f.cfg.Replicas)
+		s.ReplicaBreakerOpens = loads(sum.breakerOpens, f.cfg.Replicas)
 	}
 	for _, sh := range tp.shards {
-		for r, b := range sh.brks {
-			opens := b.openCount()
-			s.BreakerOpens += opens
-			if s.ReplicaBreakerOpens != nil {
-				s.ReplicaBreakerOpens[r] += opens
-			}
-		}
 		sh.mu.Lock()
 		s.Users += sh.users.resident
 		s.PersonalBytes += sh.personalBytes
 		sh.mu.Unlock()
 	}
 	return s
+}
+
+// loads reads a folded counter slice, at least n long; nil when empty.
+func loads(a []atomic.Int64, n int) []int64 {
+	if n = max(n, len(a)); n == 0 {
+		return nil
+	}
+	out := make([]int64, n)
+	for i := range a {
+		out[i] = a[i].Load()
+	}
+	return out
 }
 
 // EnergyStats snapshots the fleet energy ledger in joules. Device-side

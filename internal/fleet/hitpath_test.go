@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"pocketcloudlets/internal/faults"
 	"pocketcloudlets/internal/searchlog"
 )
 
@@ -65,8 +66,6 @@ func TestHitPathLayout(t *testing.T) {
 	written := []span{
 		fieldSpan("heldRequests", unsafe.Offsetof(f.heldRequests), unsafe.Sizeof(f.heldRequests)),
 		fieldSpan("canceled", unsafe.Offsetof(f.canceled), unsafe.Sizeof(f.canceled)),
-		fieldSpan("miss", unsafe.Offsetof(f.miss), unsafe.Sizeof(f.miss)),
-		fieldSpan("batchMu", unsafe.Offsetof(f.batchMu), unsafe.Sizeof(f.batchMu)),
 		fieldSpan("fence.stripes", fence, unsafe.Sizeof(f.fence.stripes)),
 	}
 	for _, r := range read {
@@ -87,7 +86,7 @@ func TestHitPathLayout(t *testing.T) {
 	var sh shard
 	ctr := unsafe.Offsetof(sh.ctr)
 	first := ctr + unsafe.Offsetof(sh.ctr.served)
-	last := ctr + unsafe.Offsetof(sh.ctr.shed) + unsafe.Sizeof(sh.ctr.shed)
+	last := ctr + unsafe.Offsetof(sh.ctr.breakerOpens) + unsafe.Sizeof(sh.ctr.breakerOpens)
 	if first-ctr < cacheLine || ctr+unsafe.Sizeof(sh.ctr)-last < cacheLine {
 		t.Errorf("shard.ctr's counters span [%d,%d) of a block at [%d,%d): less than a line of padding on a side",
 			first, last, ctr, ctr+unsafe.Sizeof(sh.ctr))
@@ -166,6 +165,18 @@ func TestRouteFence(t *testing.T) {
 	wg.Wait()
 }
 
+// lossyHedgedBatched is a fleet whose misses retry, hedge across three
+// replicas and share radio sessions, with loss as the only fault: no
+// outage window, so a plan does not read the clock a batch-mate or a
+// migration can shift.
+func lossyHedgedBatched(cfg *Config) {
+	cfg.Faults = faults.Options{Enabled: true, Seed: 9, LossProb: 0.3}
+	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+	cfg.Replicas = 3
+	cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+	cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
+}
+
 // TestCountersCrossFootThroughResizes: clients mixing Do, Submit and
 // cancelable DoContext while the fleet resizes 4→6→3, counters now
 // living with whichever shard served. Every submission is booked once
@@ -174,8 +185,17 @@ func TestRouteFence(t *testing.T) {
 // energy ledger equals, to the nanojoule, both the sum over the
 // responses the observer saw and a one-goroutine, never-resized replay
 // of the same tapes — integer sums do not care which shard's block, or
-// the retired fold, took an add.
+// the retired fold, took an add. On the lossy fleet the miss-plan
+// counters (retries, exhausted, clones, wins, wasted) equal the replay's
+// too, and the sessions' sizes sum to the misses they carried. Breaker
+// opens are left out: they depend on cross-user order (which is why
+// bench/digest.go leaves them out too).
 func TestCountersCrossFootThroughResizes(t *testing.T) {
+	t.Run("clean", func(t *testing.T) { crossFootThroughResizes(t, func(*Config) {}) })
+	t.Run("lossy", func(t *testing.T) { crossFootThroughResizes(t, lossyHedgedBatched) })
+}
+
+func crossFootThroughResizes(t *testing.T, configure func(*Config)) {
 	const users, clients = 48, 4
 	g := smallGen(t, users)
 	tapes := tapesFor(g, users, 1)
@@ -185,21 +205,32 @@ func TestCountersCrossFootThroughResizes(t *testing.T) {
 	nj := func(j float64) int64 { return int64(math.Round(j * 1e9)) }
 
 	// Both fleets are primed by one goroutine: afterwards every pair of
-	// every tape is cached, so the measured pass is all local hits, whose
-	// modeled cost does not depend on where a resize has moved the user
-	// (a miss's does: a migrated device's radio starts cold).
-	prime := func(f *Fleet) {
+	// every tape is cached — a miss the cloud never answered is asked
+	// again — so the measured pass is all local hits, whose modeled cost
+	// does not depend on where a resize has moved the user (a miss's
+	// does: a migrated device's radio starts cold).
+	prime := func(f *Fleet) (n int64) {
 		for _, up := range g.Users()[:users] {
 			for _, req := range tapes[up.ID] {
-				if resp := f.Do(req); resp.Shed || resp.Err != nil {
-					t.Fatalf("priming: %+v", resp)
+				for unanswered := true; unanswered; n++ {
+					resp := f.Do(req)
+					if resp.Shed || resp.Err != nil {
+						t.Fatalf("priming: %+v", resp)
+					}
+					unanswered = resp.Source == SourceDegraded || resp.Source == SourceUnavailable
 				}
 			}
 		}
+		return n
 	}
 	rec := &recorder{}
-	f := newRingFleet(t, g, func(cfg *Config) { cfg.Observer = rec; cfg.QueueDepth = 1 << 16 })
-	prime(f)
+	f := newRingFleet(t, g, func(cfg *Config) {
+		configure(cfg)
+		cfg.Observer = rec
+		cfg.QueueDepth = 1 << 16
+	})
+	primed := prime(f)
+	primedMisses := f.Stats().CloudMisses
 
 	var submitted, precanceled atomic.Int64
 	var wg sync.WaitGroup
@@ -249,11 +280,10 @@ func TestCountersCrossFootThroughResizes(t *testing.T) {
 	wg.Wait()
 	f.Drain()
 
-	var primed int64
-	for _, tape := range tapes {
-		primed += int64(len(tape))
-	}
 	s := f.Stats()
+	if s.CloudMisses != primedMisses {
+		t.Errorf("%d cloud misses after priming; the measured pass was to be all hits", s.CloudMisses-primedMisses)
+	}
 	if want := primed + submitted.Load(); s.Served+s.Shed+s.Canceled != want || s.Shed != 0 || s.Canceled != precanceled.Load() {
 		t.Errorf("served %d + shed %d + canceled %d, want %d submissions (%d of them canceled)", s.Served, s.Shed, s.Canceled, want, precanceled.Load())
 	}
@@ -286,14 +316,73 @@ func TestCountersCrossFootThroughResizes(t *testing.T) {
 		t.Errorf("ledger reads radio %d nJ, base %d nJ; the responses sum to %d, %d", nj(es.RadioJ), nj(es.DeviceBaseJ), radio, base)
 	}
 
-	control := newRingFleet(t, g, func(cfg *Config) { cfg.Workers = 1 })
+	control := newRingFleet(t, g, func(cfg *Config) {
+		configure(cfg)
+		cfg.Workers = 1
+	})
 	prime(control)
 	prime(control)
-	if cs, ce := control.Stats(), control.EnergyStats(); nj(ce.RadioJ) != nj(es.RadioJ) || nj(ce.DeviceBaseJ) != nj(es.DeviceBaseJ) ||
+	cs, ce := control.Stats(), control.EnergyStats()
+	if nj(ce.RadioJ) != nj(es.RadioJ) || nj(ce.DeviceBaseJ) != nj(es.DeviceBaseJ) ||
 		cs.PersonalHits != s.PersonalHits || cs.CommunityHits != s.CommunityHits || cs.CloudMisses != s.CloudMisses {
 		t.Errorf("one goroutine, no resize: radio %d nJ, base %d nJ, tiers %d/%d/%d; %d clients through 4→6→3: %d, %d, %d/%d/%d",
 			nj(ce.RadioJ), nj(ce.DeviceBaseJ), cs.PersonalHits, cs.CommunityHits, cs.CloudMisses,
 			clients, nj(es.RadioJ), nj(es.DeviceBaseJ), s.PersonalHits, s.CommunityHits, s.CloudMisses)
+	}
+	plan := func(s Stats) [6]int64 {
+		return [6]int64{s.Retries, s.Exhausted, s.ClonesLaunched, s.PrimaryWins, s.CloneWins, s.WastedAttempts}
+	}
+	if plan(cs) != plan(s) {
+		t.Errorf("retries, exhausted, clones, primary/clone wins, wasted: one goroutine, no resize %v; through 4→6→3 %v", plan(cs), plan(s))
+	}
+	var carried int64
+	for size, n := range s.BatchSizes {
+		carried += int64(size) * n
+	}
+	if carried != s.BatchedMisses {
+		t.Errorf("the sessions carried %d misses by size, %d by count", carried, s.BatchedMisses)
+	}
+	if s.BatchSizes != nil && (s.Retries == 0 || s.ClonesLaunched == 0 || f.retired.retries.Load() == 0) {
+		t.Errorf("the lossy fleet left the miss-plan fold unexercised: %+v (retired retries %d)", s, f.retired.retries.Load())
+	}
+}
+
+// TestResizeLeavesStatsAlone: a resize serves nothing, so on a drained
+// faulted, hedged, batched fleet a traffic-free grow and then a
+// traffic-free shrink each leave every Stats field where it was — the
+// retired shards' breaker opens included, because every counter a
+// request books lives in the block a retirement folds.
+func TestResizeLeavesStatsAlone(t *testing.T) {
+	g := smallGen(t, 32)
+	f := newRingFleet(t, g, func(cfg *Config) {
+		cfg.QueueDepth = 4096
+		cfg.Faults = faults.Options{Enabled: true, Seed: 5, LossProb: 0.5}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 2, WallPauseScale: -1}
+		cfg.Breaker = BreakerOptions{Threshold: 2, Cooldown: 3}
+		cfg.Replicas = 3
+		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+		cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
+	})
+	runResponses(t, f, g, g.Users()[:24])
+	f.Drain()
+	want := f.Stats()
+	if want.BreakerOpens == 0 || want.Batches == 0 || want.ClonesLaunched == 0 {
+		t.Fatalf("no breaker opened, no session fired or no clone launched: %+v", want)
+	}
+	for _, n := range []int{6, 2} {
+		if _, err := f.Resize(n); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("Resize(%d) moved Stats:\n  before %+v\n  after  %+v", n, want, got)
+		}
+	}
+	var retiredOpens int64
+	for i := range f.retired.breakerOpens {
+		retiredOpens += f.retired.breakerOpens[i].Load()
+	}
+	if retiredOpens == 0 {
+		t.Error("the shrink retired no breaker opening: the fold went unexercised")
 	}
 }
 

@@ -186,7 +186,7 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 	// the budget.
 	tp := f.topo.Load()
 	if n > n1 {
-		grown, err := buildShards(f.cfg, f.cohorts, &f.miss, f.tl, n1, n)
+		grown, err := buildShards(f.cfg, f.cohorts, f.tl, n1, n)
 		if err != nil {
 			return st, err
 		}

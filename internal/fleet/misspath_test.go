@@ -86,7 +86,6 @@ func (c missPathCell) configure(cfg *Config) {
 type missPathRun struct {
 	resps    map[searchlog.UserID][]Response
 	stats    Stats
-	batches  int64
 	makespan time.Duration
 }
 
@@ -98,7 +97,8 @@ type missPathRun struct {
 // field is ignored too (an inert injector books the single successful
 // attempt a disabled one does not). The same goes for the backend's
 // horizon — the latest model instant a dispatch touched, a clock
-// reading, and batch composition shifts clocks run to run — and for the
+// reading, and batch composition shifts clocks run to run — for the
+// session counters a batched run books (withoutSessions), and for the
 // fleet's model makespan, which only unbatched runs must agree on.
 func sameModel(a, b missPathRun, fullResponses, attempts bool, normalize func(*Stats)) string {
 	as, bs := a.stats, b.stats
@@ -108,6 +108,9 @@ func sameModel(a, b missPathRun, fullResponses, attempts bool, normalize func(*S
 			if !fullResponses {
 				s.Backend[i].HorizonNs = 0
 			}
+		}
+		if !fullResponses {
+			*s = withoutSessions(*s)
 		}
 		normalize(s)
 	}
@@ -191,7 +194,7 @@ func TestMissPathTable(t *testing.T) {
 	queued := make(map[missPathCell]missPathRun, len(cells))
 	finish := func(f *Fleet, resps map[searchlog.UserID][]Response) missPathRun {
 		defer f.Close()
-		return missPathRun{resps: resps, stats: f.Stats(), batches: f.BatchStats().Batches, makespan: f.ModelMakespan()}
+		return missPathRun{resps: resps, stats: f.Stats(), makespan: f.ModelMakespan()}
 	}
 	for _, c := range cells {
 		f := newTestFleet(t, g, content, c.configure)
@@ -216,8 +219,8 @@ func TestMissPathTable(t *testing.T) {
 		r := runs[c]
 		// The cell must exercise what it names, or it proves nothing.
 		s := r.stats
-		if c.batch != (r.batches > 0) {
-			t.Errorf("%v: %d batched sessions", c, r.batches)
+		if c.batch != (s.Batches > 0) {
+			t.Errorf("%v: %d batched sessions", c, s.Batches)
 		}
 		if (c.faults == "lossy" || c.faults == "outage") && (s.Retries == 0 || s.Exhausted == 0) {
 			t.Errorf("%v: loss did not bite: %+v", c, s)

@@ -216,11 +216,10 @@ type shard struct {
 	// breaker per cloud replica — index 0 is the legacy single-backend
 	// breaker — so a dead replica cannot open the breaker for its
 	// healthy peers (empty unless something injects and the breaker is
-	// enabled). miss points at the fleet's miss-plan counters, which
-	// every applied miss books into.
+	// enabled). Guarded by mu: breakers are only asked and told in
+	// planLocked.
 	cohorts *cohortTable
 	brks    []*breaker
-	miss    *missStats
 	// tl is the fleet-wide model timeline every resident user's clock
 	// registers on; commClock is the community replica's own clock view
 	// (community hits advance the replica's device, not the user's).
@@ -263,12 +262,13 @@ type shard struct {
 	holds map[searchlog.UserID]*holdQueue
 }
 
-// shardCounters is the one home of every counter a served or shed
-// request bumps, owned by the shard that served it and padded at both
-// ends: serving writes no line a request on another shard writes.
-// Fleet-wide readings are sums over the live shards' blocks plus
-// Fleet.retired. Atomics, because finish runs outside mu; integers, so
-// totals are interleaving-independent.
+// shardCounters is the one home of every counter serving a request
+// bumps — hit, miss plan, breaker, batch session — owned by the shard
+// that served it and padded at both ends: serving writes no line a
+// request on another shard writes. Every fleet-wide reading is one fold:
+// the live shards' blocks plus Fleet.retired (Fleet.totals). Atomics,
+// because finish runs outside mu; integers, so totals are
+// interleaving-independent.
 type shardCounters struct {
 	_ [64]byte
 	// served and shed are the shard's occupancy; busyNS is the
@@ -282,7 +282,21 @@ type shardCounters struct {
 	bySource [numSources]atomic.Int64
 	errors   atomic.Int64
 	shed     atomic.Int64
-	_        [64]byte
+	// wakeups counts cold radio wake-ups: each session-opening unbatched
+	// miss, each batched session that started cold.
+	wakeups atomic.Int64
+	// The applied miss plans' telemetry (Stats documents each).
+	retries, exhausted                                     atomic.Int64
+	clonesLaunched, primaryWins, cloneWins, wastedAttempts atomic.Int64
+	// batches and batchedMisses count the shared radio sessions a
+	// dispatcher fired and the misses they carried.
+	batches, batchedMisses atomic.Int64
+	// batchSizes[n] counts sessions of n misses (MaxBatch+1 long with
+	// batching on); breakerOpens[r] counts replica r's breaker's
+	// closed→open transitions (one per replica with breakers on). Sized
+	// when the shard is built and nil otherwise, the same for every block.
+	batchSizes, breakerOpens []atomic.Int64
+	_                        [64]byte
 }
 
 // book records one delivered response. Every serve path lands here, so
@@ -301,6 +315,8 @@ func (c *shardCounters) book(resp *Response) {
 	c.bySource[resp.Source].Add(1)
 	if resp.Err != nil {
 		c.errors.Add(1)
+	} else if resp.Source == SourceCloud && resp.BatchSize == 0 && !resp.Outcome.Radio.WasWarm {
+		c.wakeups.Add(1)
 	}
 }
 
@@ -310,28 +326,43 @@ func (c *shardCounters) addTo(sum *shardCounters) {
 	sum.served.Add(c.served.Load())
 	sum.shed.Add(c.shed.Load())
 	sum.errors.Add(c.errors.Load())
-	for i := range c.bySource {
-		sum.bySource[i].Add(c.bySource[i].Load())
-	}
+	sum.wakeups.Add(c.wakeups.Load())
+	sum.retries.Add(c.retries.Load())
+	sum.exhausted.Add(c.exhausted.Load())
+	sum.clonesLaunched.Add(c.clonesLaunched.Load())
+	sum.primaryWins.Add(c.primaryWins.Load())
+	sum.cloneWins.Add(c.cloneWins.Load())
+	sum.wastedAttempts.Add(c.wastedAttempts.Load())
+	sum.batches.Add(c.batches.Load())
+	sum.batchedMisses.Add(c.batchedMisses.Load())
+	addAll(sum.bySource[:], c.bySource[:])
+	sum.batchSizes = addAll(sum.batchSizes, c.batchSizes)
+	sum.breakerOpens = addAll(sum.breakerOpens, c.breakerOpens)
 	sum.ledger.Merge(&c.ledger)
+}
+
+// addAll adds src into dst element-wise, first sizing an empty dst like
+// src (every block's slices have one length), and returns dst.
+func addAll(dst, src []atomic.Int64) []atomic.Int64 {
+	if len(dst) < len(src) {
+		dst = make([]atomic.Int64, len(src))
+	}
+	for i := range src {
+		dst[i].Add(src[i].Load())
+	}
+	return dst
 }
 
 // itemKey derives the stable eviction key of a (user, result) personal
 // record via splitmix64 finalization.
 func itemKey(uid searchlog.UserID, resultHash uint64) uint64 {
-	x := (uint64(uid)+1)*0x9E3779B97F4A7C15 ^ resultHash
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return hash64.Mix((uint64(uid)+1)*0x9E3779B97F4A7C15 ^ resultHash)
 }
 
 // newShard builds one shard: a community cache replica preloaded with
 // the shared content (provisioned overnight, so its model clock is
 // reset afterwards) and an empty user arena.
-func newShard(id int, cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.Timeline) (*shard, error) {
+func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*shard, error) {
 	commOpts := cfg.Options
 	// The community replica is shared by every user of the shard, so
 	// it must never absorb one user's personalization — and it runs on
@@ -349,7 +380,6 @@ func newShard(id int, cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.
 		opts:         cfg.Options,
 		perUserBytes: cfg.PerUserBytes,
 		cohorts:      ct,
-		miss:         ms,
 		tl:           tl,
 		commClock:    tl.UserClock(dev),
 		basePower:    dev.Config().BasePower,
@@ -360,12 +390,14 @@ func newShard(id int, cfg Config, ct *cohortTable, ms *missStats, tl *modeltime.
 		pendingMiss:  make(map[searchlog.UserID]*missTask),
 		holds:        make(map[searchlog.UserID]*holdQueue),
 	}
-	if ct.faulted {
+	if ct.faulted && cfg.Breaker.Threshold >= 0 {
 		for r := 0; r < cfg.Replicas; r++ {
-			if b := newBreaker(cfg.Breaker); b != nil {
-				sh.brks = append(sh.brks, b)
-			}
+			sh.brks = append(sh.brks, &breaker{threshold: cfg.Breaker.Threshold, cooldown: cfg.Breaker.Cooldown})
 		}
+		sh.ctr.breakerOpens = make([]atomic.Int64, cfg.Replicas)
+	}
+	if cfg.Batch.Enabled {
+		sh.ctr.batchSizes = make([]atomic.Int64, cfg.Batch.MaxBatch+1)
 	}
 	return sh, nil
 }

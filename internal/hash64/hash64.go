@@ -27,6 +27,18 @@ func Sum(s string) uint64 {
 	return h
 }
 
+// Mix is the splitmix64 finalizer: a bijective avalanche over 64 bits,
+// the one every seed derivation, fault and backend draw, routing key
+// and eviction key in the repo finalizes with.
+func Mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
 // SumBytes returns the FNV-1a 64-bit hash of b.
 func SumBytes(b []byte) uint64 {
 	h := uint64(offset64)

@@ -21,10 +21,6 @@ type counters struct {
 	energyJ    float64
 	radioJ     float64
 	missRadioJ float64
-	// wakeups counts cold radio wake-ups paid by unbatched misses;
-	// batched sessions' wake-ups are in fleet.BatchStats.
-	wakeups       uint64
-	batchedMisses uint64
 }
 
 // observe books one response into the aggregate. Caller holds the
@@ -49,11 +45,6 @@ func (c *counters) observe(r *fleet.Response) {
 	c.radioJ += r.RadioJ
 	if r.Source == fleet.SourceCloud {
 		c.missRadioJ += r.RadioJ
-		if r.BatchSize > 0 {
-			c.batchedMisses++
-		} else if !r.Outcome.Radio.WasWarm {
-			c.wakeups++
-		}
 	}
 }
 
@@ -73,8 +64,6 @@ func (c *counters) merge(o *counters) {
 	c.energyJ += o.energyJ
 	c.radioJ += o.radioJ
 	c.missRadioJ += o.missRadioJ
-	c.wakeups += o.wakeups
-	c.batchedMisses += o.batchedMisses
 }
 
 // collectorStripes is the Collector's lock-stripe count. Responses

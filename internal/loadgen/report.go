@@ -277,10 +277,11 @@ func backendReport(replica int, bs backend.ReplicaStats) BackendReport {
 }
 
 // EnergyReport is the run's energy ledger (fleet.EnergyStats deltas),
-// in joules. Cross-footing (cmd/loadtest -check): DeviceJ =
-// DeviceBaseJ + RadioJ and tracks the collector's energy_j sum within
-// fixed-point rounding; ShardJ = ShardIdleJ + ShardActiveJ; FleetJ =
-// DeviceJ + ShardJ; PerAnsweredJ = FleetJ over answered requests.
+// in joules: DeviceJ = DeviceBaseJ + RadioJ, ShardJ = ShardIdleJ +
+// ShardActiveJ, FleetJ = DeviceJ + ShardJ and PerAnsweredJ = FleetJ over
+// answered requests, by construction. cmd/loadtest -check holds DeviceJ
+// and RadioJ against the collector's energy_j and radio_energy_j sums
+// (within fixed-point rounding).
 type EnergyReport struct {
 	// DeviceBaseJ is the devices' screen+CPU baseline over modeled
 	// response time; RadioJ their extra radio draw; DeviceJ the sum —
@@ -528,7 +529,6 @@ func (r Report) String() string {
 // run's report is the delta from it.
 type baseline struct {
 	stats  fleet.Stats
-	batch  fleet.BatchStats
 	mig    fleet.MigrationStats
 	energy energy.Snapshot
 }
@@ -543,7 +543,7 @@ func begin(f *fleet.Fleet, col *Collector) (baseline, error) {
 		return baseline{}, fmt.Errorf("loadgen: fleet has no Observer; set fleet.Config.Observer to the collector or latencies and energy go unrecorded")
 	}
 	col.Reset()
-	return baseline{f.Stats(), f.BatchStats(), f.MigrationStats(), f.EnergyStats()}, nil
+	return baseline{f.Stats(), f.MigrationStats(), f.EnergyStats()}, nil
 }
 
 // fill populates the shared report fields. Serving counters come from
@@ -572,13 +572,17 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 	r.PrimaryWins = st.PrimaryWins - base.stats.PrimaryWins
 	r.CloneWins = st.CloneWins - base.stats.CloneWins
 	r.WastedAttempts = st.WastedAttempts - base.stats.WastedAttempts
-	if len(st.ReplicaBreakerOpens) > 0 {
-		r.ReplicaBreakerOpens = make([]int64, len(st.ReplicaBreakerOpens))
-		for i, n := range st.ReplicaBreakerOpens {
-			if i < len(base.stats.ReplicaBreakerOpens) {
-				n -= base.stats.ReplicaBreakerOpens[i]
+	r.ReplicaBreakerOpens = delta(st.ReplicaBreakerOpens, base.stats.ReplicaBreakerOpens)
+	r.Batches = st.Batches - base.stats.Batches
+	r.BatchedMisses = st.BatchedMisses - base.stats.BatchedMisses
+	r.RadioWakeups = uint64(st.RadioWakeups - base.stats.RadioWakeups)
+	if r.Batches > 0 {
+		r.MeanBatchSize = float64(r.BatchedMisses) / float64(r.Batches)
+		r.BatchSizes = make(map[string]int64)
+		for size, n := range delta(st.BatchSizes, base.stats.BatchSizes) {
+			if n > 0 {
+				r.BatchSizes[strconv.Itoa(size)] = n
 			}
-			r.ReplicaBreakerOpens[i] = n
 		}
 	}
 	if len(st.Backend) > 0 {
@@ -608,20 +612,6 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 	r.Wall, r.Model = all.Wall, all.Model
 	r.EnergyJ, r.EnergyPerQueryJ = all.EnergyJ, all.EnergyPerQueryJ
 	r.RadioEnergyJ, r.RadioEnergyPerMissJ = all.RadioEnergyJ, all.RadioEnergyPerMissJ
-
-	bs := f.BatchStats()
-	r.Batches = bs.Batches - base.batch.Batches
-	r.BatchedMisses = bs.BatchedMisses - base.batch.BatchedMisses
-	r.RadioWakeups = cnt.wakeups + uint64(bs.Wakeups-base.batch.Wakeups)
-	if r.Batches > 0 {
-		r.MeanBatchSize = float64(r.BatchedMisses) / float64(r.Batches)
-		r.BatchSizes = make(map[string]int64)
-		for size, n := range bs.SizeCounts {
-			if d := n - base.batch.SizeCounts[size]; d > 0 {
-				r.BatchSizes[strconv.Itoa(size)] = d
-			}
-		}
-	}
 
 	r.PersonalBytes = st.PersonalBytes
 	r.ResidentUsers = st.Users
@@ -687,6 +677,22 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 			r.Classes = append(r.Classes, classReport(name, byClass[name]))
 		}
 	}
+}
+
+// delta subtracts a per-index counter baseline (which may be shorter)
+// from cur; nil when cur is empty.
+func delta(cur, base []int64) []int64 {
+	if len(cur) == 0 {
+		return nil
+	}
+	out := make([]int64, len(cur))
+	for i, n := range cur {
+		if i < len(base) {
+			n -= base[i]
+		}
+		out[i] = n
+	}
+	return out
 }
 
 // autoscaleReport folds the controller's run into its report block.

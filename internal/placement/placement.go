@@ -48,13 +48,7 @@ const userKeySalt = 0x517CC1B727220A95
 // golden-ratio spread user ID XOR the routing salt), extracted here so
 // every placement routes on the same key space.
 func UserKey(uid uint64) uint64 {
-	x := (uid+1)*0x9E3779B97F4A7C15 ^ userKeySalt
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return hash64.Mix((uid+1)*0x9E3779B97F4A7C15 ^ userKeySalt)
 }
 
 // Modulo is the legacy static mapping: key mod shards. Cheap and
@@ -148,13 +142,7 @@ func NewRing(n, v int) (*Ring, error) {
 // the high bits the ring search keys on. The label depends only on
 // (shard, vnode), which is what makes resizes stable.
 func pointHash(shard, vnode int) uint64 {
-	x := hash64.Sum(fmt.Sprintf("ring-shard-%d-vnode-%d", shard, vnode))
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return hash64.Mix(hash64.Sum(fmt.Sprintf("ring-shard-%d-vnode-%d", shard, vnode)))
 }
 
 // Name implements Placement.

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"pocketcloudlets/internal/engine"
+	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/zipf"
 )
@@ -372,16 +373,10 @@ func (g *Generator) UsersOfClass(c Class) []UserProfile {
 	return out
 }
 
-// userSeed derives the deterministic stream seed for (user, month).
+// userSeed derives the deterministic stream seed for (user, month),
+// splitmix64-finalized for good bit diffusion.
 func (g *Generator) userSeed(id searchlog.UserID, month int) int64 {
-	x := uint64(g.cfg.Seed) ^ (uint64(id)+1)*0x9E3779B97F4A7C15 ^ (uint64(month)+1)*0xBF58476D1CE4E5B9
-	// splitmix64 finalization for good bit diffusion.
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x)
+	return int64(hash64.Mix(uint64(g.cfg.Seed) ^ (uint64(id)+1)*0x9E3779B97F4A7C15 ^ (uint64(month)+1)*0xBF58476D1CE4E5B9))
 }
 
 // UserStream generates one user's query stream for the given month

@@ -121,8 +121,6 @@ type (
 	// FleetBatchOptions configure cloud-miss coalescing into shared
 	// radio sessions.
 	FleetBatchOptions = fleet.BatchOptions
-	// FleetBatchStats summarize miss-coalescing activity.
-	FleetBatchStats = fleet.BatchStats
 	// FaultOptions configure the deterministic connectivity-fault model
 	// (outage windows, per-attempt loss, transient engine errors).
 	FaultOptions = faults.Options

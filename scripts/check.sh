@@ -37,11 +37,13 @@ go test -race -short ./...
 echo "== hit-path rails x3: go test -race -count 3 ./internal/fleet =="
 # The rails of the rebuilt hit path (internal/fleet/hitpath_test.go):
 # counters that live with the shard still cross-foot through concurrent
-# Do/Submit/DoContext and live resizes, a caller-run Do handed on (held,
+# Do/Submit/DoContext and live resizes — miss-plan and batch-session
+# counters included, on a lossy hedged batched fleet — a resize moves no
+# Stats field (the retirement fold), a caller-run Do handed on (held,
 # parked, paced) is answered exactly once, the striped route fence
 # excludes what one lock would, and the cache-line layout they rest on.
 # Scheduling-dependent, so three rounds under the detector.
-go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout' ./internal/fleet
+go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout' ./internal/fleet
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root
@@ -62,9 +64,9 @@ go test -run Fuzz ./...
 echo "== fault-injection smoke: loadtest -faults -check =="
 # A short closed-loop run under loss + a periodic outage with batching
 # and the adaptive linger window, with the report invariants verified
-# by the binary itself (-check): no panics, no errors, every submission
-# booked exactly once, every served request attributed to exactly one
-# tier (including the degraded ones). When CHECK_ARTIFACT_DIR is set
+# by the binary itself (-check): no panics, no errors, every served
+# request attributed to exactly one tier (including the degraded ones),
+# the energy ledger in step with the collector. When CHECK_ARTIFACT_DIR is set
 # (CI does this) the JSON report is kept there instead of discarded,
 # so the workflow can upload it as an artifact.
 smoke_out=/dev/null
@@ -84,8 +86,7 @@ echo "== hedged determinism smoke: clone factor 1 ≡ single backend =="
 # (wall-clock fields stripped, floats canonicalized) and then must be
 # byte-identical. A second run with clone factor 2 exercises the hedge
 # telemetry cross-foot invariants (-check): primary wins + clone wins
-# partition the cloud serves, clone wins never exceed clones launched,
-# per-replica breaker opens sum to the fleet total.
+# partition the cloud serves, clone wins never exceed clones launched.
 hedge_tmp=$(mktemp -d)
 trap 'rm -rf "$hedge_tmp"' EXIT
 hedge_smoke() {
@@ -152,9 +153,9 @@ echo "== autoscale smoke: green-day preset -check =="
 # day curve: the controller samples per-shard occupancy on its
 # model-time cadence and resizes the ring-routed fleet between its
 # bounds. -check verifies the new invariants end to end — the energy
-# ledger cross-foots (device + shard = fleet, per-answered × answered
-# = fleet) and the autoscale action chain is well-formed (From→To
-# links, targets within bounds, final size matches the last action).
+# ledger's device and radio joules track the collector's per-response
+# sums, and the autoscale action chain is well-formed (From→To links,
+# targets within bounds, final size matches the last action).
 autoscale_out=/dev/null
 if [ -n "${CHECK_ARTIFACT_DIR:-}" ]; then
     autoscale_out="$CHECK_ARTIFACT_DIR/loadtest-green-day.json"
