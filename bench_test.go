@@ -14,6 +14,7 @@ package pocketcloudlets_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/experiments"
 	"pocketcloudlets/internal/loadgen"
+	"pocketcloudlets/internal/scenario"
 	"pocketcloudlets/internal/searchlog"
 )
 
@@ -516,4 +518,66 @@ func BenchmarkFleetSubmit(b *testing.B) {
 	}
 	b.StopTimer()
 	rig.f.Drain()
+}
+
+// --- Fleet heap gate ---
+
+// coldFillUsers sizes BenchmarkFleetColdFillHeap's fleet.
+const coldFillUsers = 1000
+
+// BenchmarkFleetColdFillHeap is the deterministic heap gate of
+// scripts/check.sh: the repository benchmark's cold_fill at a size CI
+// can afford — a fresh 4-shard fleet over the scenario universe, its
+// community content from the first 100 users' month 0, filled on one
+// goroutine by every user's month-1 tape — reporting the fleet's live
+// heap per resident user after a forced collection (B/user): community
+// replicas, record table, arenas, per-user devices and caches, over the
+// users they are held for. One caller and a fixed seed make the number
+// repeat to the byte on a given toolchain.
+func BenchmarkFleetColdFillHeap(b *testing.B) {
+	ucfg := scenario.UniverseConfig()
+	sim, err := pocketcloudlets.NewSimulation(pocketcloudlets.SimConfig{
+		Seed: 1, Users: coldFillUsers, UniverseConfig: &ucfg,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	content, err := sim.CommunityContentFrom(0, 0.55, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tapes [][]pocketcloudlets.FleetRequest
+	for _, up := range sim.Generator.Users() {
+		tapes = append(tapes, loadgen.Tape(sim.Generator, up, 1))
+	}
+	cfg := pocketcloudlets.FleetConfig{Shards: 4, Population: coldFillUsers}
+	cfg.Options.DisableSuggest = true
+	var perUser float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := liveHeap()
+		f, err := sim.NewFleet(content, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tape := range tapes {
+			for _, req := range tape {
+				if resp := f.Do(req); resp.Err != nil {
+					b.Fatal(resp.Err)
+				}
+			}
+		}
+		users := f.Stats().Users
+		perUser = float64(liveHeap()-base) / float64(users)
+		f.Close()
+	}
+	b.ReportMetric(perUser, "B/user")
+}
+
+// liveHeap forces a collection and returns the bytes still reachable.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

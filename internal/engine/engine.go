@@ -101,7 +101,7 @@ func (u *Universe) ResolveURL(url string) (searchlog.ResultID, bool) {
 			return 0, false
 		}
 		rid := searchlog.ResultID(u.navResults + j)
-		if u.ResultURL(rid) != url {
+		if !u.isURL(rid, url) {
 			return 0, false
 		}
 		return rid, true
@@ -140,20 +140,46 @@ func parseB36(s string) (int, bool) {
 // modeled by the device/radio layer, not here.
 type Engine struct {
 	u *Universe
+	// records, when set, renders each result's record once for everyone
+	// holding this engine (WithSharedRecords); nil renders a fresh record
+	// per request.
+	records *recordTable
 }
 
 // New creates an engine over the given universe.
 func New(u *Universe) *Engine { return &Engine{u: u} }
 
+// WithSharedRecords returns an engine over the same universe whose
+// Record renders each result once and hands every later caller the same
+// bytes. The table lives exactly as long as the returned engine: the
+// fleet builds one such engine per fleet, so its community replicas,
+// every user's expansions and every migration share one rendering of
+// each result, and the next fleet starts from nothing.
+func (e *Engine) WithSharedRecords() *Engine {
+	return &Engine{u: e.u, records: &recordTable{u: e.u}}
+}
+
 // Universe returns the engine's corpus.
 func (e *Engine) Universe() *Universe { return e.u }
 
+// Record returns result r's stored form, byte for byte
+// Universe.Result(r).Record(). From an engine with shared records the
+// slice is shared — its capacity ends with the record, and nobody may
+// modify it; otherwise it is the caller's own.
+func (e *Engine) Record(r searchlog.ResultID) []byte {
+	if e.records != nil {
+		return e.records.record(r)
+	}
+	return e.u.Result(r).Record()
+}
+
 // SearchResponse is what the engine returns for a query: the ranked
 // results by identifier. Result text is a pure function of the
-// identifier, so the response carries no strings of its own; Results
-// and Find materialize exactly what a caller reads, and a caller that
-// reads only PageBytes (a load generator pricing the radio exchange)
-// costs the engine no allocation at all.
+// identifier, so the response carries no strings of its own: Results
+// materializes the ranked results for a caller that reads them, FindID
+// names the clicked one without text, and a caller that reads only
+// PageBytes (a load generator pricing the radio exchange) costs the
+// engine no allocation at all.
 type SearchResponse struct {
 	Query string
 	// PageBytes is the size of the rendered result page shipped to
@@ -187,21 +213,20 @@ func (r SearchResponse) Results() []Result {
 	return out
 }
 
-// Find materializes the one ranked result with the given web address
-// — the result the user clicked — or reports that the response does not
-// contain it.
-func (r SearchResponse) Find(url string) (Result, bool) {
+// FindID returns the identifier of the ranked result with the given web
+// address — the result the user clicked — or reports that the response
+// does not contain it. It builds no text.
+func (r SearchResponse) FindID(url string) (searchlog.ResultID, bool) {
 	if r.n == 0 {
-		return Result{}, false
+		return 0, false
 	}
 	id, ok := r.u.ResolveURL(url)
 	if !ok || id < r.first || int(id-r.first) >= r.n {
-		return Result{}, false
+		return 0, false
 	}
-	res := r.u.Result(id)
 	// ResolveURL tolerates non-canonical numerals ("www.site01.com/");
 	// only the exact address names the result.
-	return res, res.URL == url
+	return id, r.u.isURL(id, url)
 }
 
 // resultsForQuery returns a query's ranked results as a run of

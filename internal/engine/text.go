@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -44,12 +45,16 @@ func (u *Universe) Result(r searchlog.ResultID) Result {
 }
 
 func (u *Universe) title(r searchlog.ResultID) string {
+	// Concatenated in a stack buffer: one allocation, the string itself.
+	var a [80]byte
+	return string(u.appendTitle(a[:0], r))
+}
+
+// appendTitle appends result r's title to b.
+func (u *Universe) appendTitle(b []byte, r searchlog.ResultID) []byte {
 	i := int(r)
 	w1 := lexicon[i%len(lexicon)]
 	w2 := lexicon[(i/7+3)%len(lexicon)]
-	// Concatenated in a stack buffer: one allocation, the string itself.
-	var a [80]byte
-	b := a[:0]
 	tail := " reference"
 	if i < u.navResults {
 		b = append(b, "Site "...)
@@ -67,7 +72,7 @@ func (u *Universe) title(r searchlog.ResultID) string {
 	b = append(b, w1...)
 	b = append(b, ' ')
 	b = append(b, w2...)
-	return string(append(b, tail...))
+	return append(b, tail...)
 }
 
 // snippets holds every landing-page description the universe can
@@ -119,6 +124,20 @@ func (r Result) Record() []byte {
 	b = append(b, r.DisplayURL...)
 	b = append(b, recordSep)
 	return append(b, r.Snippet...)
+}
+
+// appendRecord appends result r's record — byte for byte
+// Result(r).Record() — to b, building no string on the way.
+func (u *Universe) appendRecord(b []byte, r searchlog.ResultID) []byte {
+	b = u.appendTitle(b, r)
+	b = append(b, recordSep)
+	start := len(b)
+	b = u.appendURL(b, r)
+	url := b[start:]
+	b = append(b, recordSep)
+	b = append(b, bytes.TrimSuffix(url, []byte("/"))...)
+	b = append(b, recordSep)
+	return append(b, u.snippet(r)...)
 }
 
 // ParseRecord deserializes a record produced by Record. The result ID

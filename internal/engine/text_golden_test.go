@@ -120,7 +120,7 @@ func TestSnippetTableCoversEveryResidue(t *testing.T) {
 
 // TestSearchResponseMatchesPairs holds the response's run of result
 // identifiers against PairsForQuery composed with ResultOf, for every
-// query of every segment, and Results/Find against Universe.Result.
+// query of every segment, and Results/FindID against Universe.Result.
 func TestSearchResponseMatchesPairs(t *testing.T) {
 	u := testUniverse(t)
 	e := New(u)
@@ -150,8 +150,8 @@ func TestSearchResponseMatchesPairs(t *testing.T) {
 			if want := u.Result(resp.ID(i)); res != want {
 				t.Fatalf("query %d result %d: %+v, want %+v", q, i, res, want)
 			}
-			if got, ok := resp.Find(res.URL); !ok || got != res {
-				t.Fatalf("query %d: Find(%q) = %+v, %v", q, res.URL, got, ok)
+			if id, ok := resp.FindID(res.URL); !ok || id != res.ID {
+				t.Fatalf("query %d: FindID(%q) = %d, %v", q, res.URL, id, ok)
 			}
 		}
 	}
@@ -168,18 +168,18 @@ func TestFindRejectsWhatTheResponseLacks(t *testing.T) {
 		"www.site1.com/video", // no such page
 		u.ResultURL(searchlog.ResultID(u.navResults)), // a non-navigational result
 	} {
-		if res, ok := resp.Find(url); ok {
-			t.Errorf("Find(%q) = %+v, want not found", url, res)
+		if id, ok := resp.FindID(url); ok {
+			t.Errorf("FindID(%q) = %d, want not found", url, id)
 		}
 	}
-	if _, ok := resp.Find("www.site1.com/videos"); !ok {
+	if _, ok := resp.FindID("www.site1.com/videos"); !ok {
 		t.Error("the section page is the query's second result")
 	}
 	unknown, found := e.Search("no such query")
 	if found || unknown.Len() != 0 || unknown.Results() != nil {
 		t.Errorf("unknown query: %+v, %v", unknown, found)
 	}
-	if _, ok := unknown.Find("www.site1.com/"); ok {
+	if _, ok := unknown.FindID("www.site1.com/"); ok {
 		t.Error("an empty response contains nothing")
 	}
 }
@@ -233,10 +233,10 @@ func BenchmarkSearch(b *testing.B) {
 }
 
 // BenchmarkSearchClicked adds what cache expansion reads: the clicked
-// result's text and its serialized record.
+// result's identifier and its record — rendered per request by a plain
+// engine, once per result by one with shared records (the fleet's).
 func BenchmarkSearchClicked(b *testing.B) {
 	u := MustUniverse(DefaultConfig())
-	e := New(u)
 	rng := rand.New(rand.NewSource(1))
 	queries := make([]string, 4096)
 	clicks := make([]string, len(queries))
@@ -246,11 +246,17 @@ func BenchmarkSearchClicked(b *testing.B) {
 		pairs := u.PairsForQuery(q)
 		clicks[i] = u.ResultURL(u.ResultOf(pairs[rng.Intn(len(pairs))]))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, _ := e.Search(queries[i%len(queries)])
-		res, _ := resp.Find(clicks[i%len(clicks)])
-		benchSink += len(res.Record())
+	for _, bc := range []struct {
+		name string
+		e    *Engine
+	}{{"fresh", New(u)}, {"shared", New(u).WithSharedRecords()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resp, _ := bc.e.Search(queries[i%len(queries)])
+				id, _ := resp.FindID(clicks[i%len(clicks)])
+				benchSink += len(bc.e.Record(id))
+			}
+		})
 	}
 }

@@ -257,18 +257,28 @@ func (u *Universe) QueryText(q searchlog.QueryID) string {
 func (u *Universe) ResultURL(r searchlog.ResultID) string {
 	// Assembled in a stack buffer: one allocation, the string itself.
 	var a [48]byte
-	b := a[:0]
+	return string(u.appendURL(a[:0], r))
+}
+
+// isURL reports whether url is result r's address, building no string.
+func (u *Universe) isURL(r searchlog.ResultID, url string) bool {
+	var a [48]byte
+	return string(u.appendURL(a[:0], r)) == url
+}
+
+// appendURL appends result r's address to b.
+func (u *Universe) appendURL(b []byte, r searchlog.ResultID) []byte {
 	if int(r) < u.navResults {
 		b = append(b, "www.site"...)
 		b = strconv.AppendInt(b, int64(r)/2, 36)
 		if int(r)%2 == 0 {
-			return string(append(b, ".com/"...))
+			return append(b, ".com/"...)
 		}
-		return string(append(b, ".com/videos"...))
+		return append(b, ".com/videos"...)
 	}
 	j := int64(int(r) - u.navResults)
 	b = append(b, "www.info"...)
 	b = strconv.AppendInt(b, j, 36)
 	b = append(b, ".net/article/"...)
-	return string(strconv.AppendInt(b, j%97, 36))
+	return strconv.AppendInt(b, j%97, 36)
 }

@@ -3,6 +3,7 @@ package flashsim
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -226,5 +227,113 @@ func TestBusyTimeAccumulates(t *testing.T) {
 	d.WriteCost(100)
 	if d.Stats().BusyTime <= before {
 		t.Error("busy time did not accumulate")
+	}
+}
+
+// ownedFile is content kept in its owner's form: its bytes are its parts
+// concatenated, rendered only when the store is asked for them.
+type ownedFile struct{ parts []string }
+
+func (o *ownedFile) Len() int {
+	n := 0
+	for _, p := range o.parts {
+		n += len(p)
+	}
+	return n
+}
+
+func (o *ownedFile) AppendTo(b []byte) []byte {
+	for _, p := range o.parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// TestOwnedContentReadsAsItsBytes: a file installed in its owner's form
+// answers every question — sizes, names, accounting, every read and its
+// modeled latency, deletion — exactly as a plain file holding its
+// rendering does, on twin devices.
+func TestOwnedContentReadsAsItsBytes(t *testing.T) {
+	params := Params{AllocUnit: 4096, JitterFrac: 0.2, Seed: 3}
+	owned, plain := NewFileStore(NewDevice(params)), NewFileStore(NewDevice(params))
+	content := &ownedFile{parts: []string{"1,0,5\n", "hello", string(make([]byte, 5000))}}
+	rendered := content.AppendTo(nil)
+	for _, fs := range []*FileStore{owned, plain} {
+		fs.Write("other", []byte("x"))
+	}
+	owned.ReplaceContent("db", content)
+	plain.ReplaceSilently("db", append([]byte(nil), rendered...))
+
+	same := func(step string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: owned %v, plain %v", step, got, want)
+		}
+	}
+	for _, fs := range []*FileStore{owned, plain} {
+		if sz, err := fs.Size("db"); err != nil || sz != len(rendered) {
+			t.Errorf("Size = %d, %v; want %d", sz, err, len(rendered))
+		}
+	}
+	same("Names", owned.Names(), plain.Names())
+	same("LogicalBytes", owned.LogicalBytes(), plain.LogicalBytes())
+	same("AllocatedBytes", owned.AllocatedBytes(), plain.AllocatedBytes())
+	same("FragmentationBytes", owned.FragmentationBytes(), plain.FragmentationBytes())
+	for _, fs := range []*FileStore{owned, plain} {
+		if data, ok := fs.Peek("db"); !ok || !bytes.Equal(data, rendered) {
+			t.Errorf("Peek = %q, %v", data, ok)
+		}
+		if data, ok := fs.PeekRef("db"); !ok || !bytes.Equal(data, rendered) {
+			t.Errorf("PeekRef = %q, %v", data, ok)
+		}
+	}
+	for _, read := range []func(*FileStore) ([]byte, time.Duration, error){
+		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.Read("db") },
+		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.ReadAt("db", 6, 5) },
+		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.ReadAt("db", 3000, 9000) },
+		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.ReadAt("db", len(rendered)+1, 1) },
+	} {
+		got, gotLat, gotErr := read(owned)
+		want, wantLat, wantErr := read(plain)
+		same("read", got, want)
+		same("read latency", gotLat, wantLat)
+		same("read error", gotErr, wantErr)
+	}
+	same("device counters", owned.Device().Stats(), plain.Device().Stats())
+	for _, fs := range []*FileStore{owned, plain} {
+		if err := fs.Delete("db"); err != nil || fs.Exists("db") {
+			t.Errorf("Delete: %v, still exists %v", err, fs.Exists("db"))
+		}
+	}
+	same("LogicalBytes after Delete", owned.LogicalBytes(), plain.LogicalBytes())
+}
+
+// TestThirdPartyWritesMakeOwnedContentPlain: Write, Append and
+// ReplaceSilently over a file kept in its owner's form leave plain bytes
+// — what the owner recognises as someone else's file and parses afresh.
+func TestThirdPartyWritesMakeOwnedContentPlain(t *testing.T) {
+	for name, write := range map[string]func(*FileStore){
+		"Write":           func(fs *FileStore) { fs.Write("db", []byte("new")) },
+		"Append":          func(fs *FileStore) { fs.Append("db", []byte("new")) },
+		"ReplaceSilently": func(fs *FileStore) { fs.ReplaceSilently("db", []byte("new")) },
+	} {
+		fs := NewFileStore(NewDevice(Params{}))
+		owned := &ownedFile{parts: []string{"ab", "c"}}
+		fs.ReplaceContent("db", owned)
+		if c, _ := fs.Content("db"); c != Content(owned) {
+			t.Fatalf("%s: Content does not return what was installed", name)
+		}
+		write(fs)
+		c, ok := fs.Content("db")
+		if _, plain := c.(Bytes); !ok || !plain {
+			t.Errorf("%s: the file is still %T", name, c)
+		}
+		want := "new"
+		if name == "Append" {
+			want = "abcnew"
+		}
+		if data, _ := fs.Peek("db"); string(data) != want {
+			t.Errorf("%s: file holds %q, want %q", name, data, want)
+		}
 	}
 }

@@ -14,12 +14,48 @@ import (
 // patch mechanism (internal/updater) are built on this store.
 type FileStore struct {
 	dev   *Device
-	files map[string][]byte
+	files map[string]Content
+}
+
+// Content is what the store holds for one file. Most files hold their
+// bytes (Bytes); a layer that keeps a file in a form of its own — the
+// result database keeps its files as parsed headers over shared records
+// — installs that form with ReplaceContent, and the store renders the
+// bytes only when a caller asks for them. Every size the store reports
+// is Len, so the two kinds are indistinguishable from outside. An
+// installed Content must not change afterwards: a write installs a new
+// one.
+type Content interface {
+	// Len is the length of the file's bytes.
+	Len() int
+	// AppendTo appends the file's bytes to b and returns the result.
+	AppendTo(b []byte) []byte
+}
+
+// Bytes is a file that holds its bytes.
+type Bytes []byte
+
+// Len implements Content.
+func (b Bytes) Len() int { return len(b) }
+
+// AppendTo implements Content.
+func (b Bytes) AppendTo(dst []byte) []byte { return append(dst, b...) }
+
+// render returns c's bytes as a fresh slice of exactly their length.
+func render(c Content) []byte { return c.AppendTo(make([]byte, 0, c.Len())) }
+
+// view returns c's bytes without a copy when it holds them, and a fresh
+// rendering otherwise.
+func view(c Content) []byte {
+	if b, ok := c.(Bytes); ok {
+		return b
+	}
+	return render(c)
 }
 
 // NewFileStore creates an empty store on the given device.
 func NewFileStore(dev *Device) *FileStore {
-	return &FileStore{dev: dev, files: make(map[string][]byte)}
+	return &FileStore{dev: dev, files: make(map[string]Content)}
 }
 
 // Device returns the underlying flash device.
@@ -40,11 +76,11 @@ func (fs *FileStore) Exists(name string) bool {
 // Size returns the logical size of the named file, or an error if it
 // does not exist.
 func (fs *FileStore) Size(name string) (int, error) {
-	data, ok := fs.files[name]
+	c, ok := fs.files[name]
 	if !ok {
 		return 0, &ErrNotExist{name}
 	}
-	return len(data), nil
+	return c.Len(), nil
 }
 
 // Write replaces the named file's contents, creating it if needed, and
@@ -56,46 +92,52 @@ func (fs *FileStore) Write(name string, data []byte) time.Duration {
 	} else {
 		t += fs.dev.WriteCost(len(data))
 	}
-	fs.files[name] = append([]byte(nil), data...)
+	fs.files[name] = Bytes(append([]byte(nil), data...))
 	return t
 }
 
 // Append adds data to the end of the named file, creating it if needed,
 // and returns the modeled latency. Appends program only the new pages.
+// A file kept in its owner's form becomes plain bytes.
 func (fs *FileStore) Append(name string, data []byte) time.Duration {
 	t := fs.dev.OpenCost() + fs.dev.WriteCost(len(data))
-	fs.files[name] = append(fs.files[name], data...)
+	var old []byte
+	if c, ok := fs.files[name]; ok {
+		old = view(c)
+	}
+	fs.files[name] = Bytes(append(old, data...))
 	return t
 }
 
 // Read returns the full contents of the named file and the modeled
 // latency (open plus per-page reads).
 func (fs *FileStore) Read(name string) ([]byte, time.Duration, error) {
-	data, ok := fs.files[name]
+	c, ok := fs.files[name]
 	if !ok {
 		return nil, 0, &ErrNotExist{name}
 	}
-	t := fs.dev.OpenCost() + fs.dev.ReadCost(len(data))
-	return append([]byte(nil), data...), t, nil
+	t := fs.dev.OpenCost() + fs.dev.ReadCost(c.Len())
+	return render(c), t, nil
 }
 
 // ReadAt returns n bytes starting at off from the named file, charging
 // open cost plus reads for the touched pages only. Reads past the end
 // of the file are truncated.
 func (fs *FileStore) ReadAt(name string, off, n int) ([]byte, time.Duration, error) {
-	data, ok := fs.files[name]
+	c, ok := fs.files[name]
 	if !ok {
 		return nil, 0, &ErrNotExist{name}
 	}
-	if off < 0 || off > len(data) {
-		return nil, 0, fmt.Errorf("flashsim: offset %d out of range for %q (size %d)", off, name, len(data))
+	size := c.Len()
+	if off < 0 || off > size {
+		return nil, 0, fmt.Errorf("flashsim: offset %d out of range for %q (size %d)", off, name, size)
 	}
 	end := off + n
-	if n < 0 || end > len(data) {
-		end = len(data)
+	if n < 0 || end > size {
+		end = size
 	}
 	t := fs.dev.OpenCost() + fs.dev.ReadCost(end-off)
-	return append([]byte(nil), data[off:end]...), t, nil
+	return append([]byte(nil), view(c)[off:end]...), t, nil
 }
 
 // Peek returns the named file's contents without charging any device
@@ -103,33 +145,49 @@ func (fs *FileStore) ReadAt(name string, off, n int) ([]byte, time.Duration, err
 // model their own access costs explicitly and only need the bytes.
 // The returned slice is a copy.
 func (fs *FileStore) Peek(name string) ([]byte, bool) {
-	data, ok := fs.files[name]
+	c, ok := fs.files[name]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), data...), true
+	return render(c), true
 }
 
-// PeekRef is Peek without the copy: it returns a read-only view of the
-// named file's stored bytes. The view is valid until the file is next
-// written, appended to, or deleted — Write/ReplaceSilently install a
-// different slice and Append may grow in place, so a caller must drop
-// its view whenever it performs any mutation of the file
-// (internal/resultdb's file cache is re-pointed on its single write
-// funnel). Callers must not modify the returned slice.
+// PeekRef is Peek without the copy where the store holds the bytes: it
+// returns a read-only view of the named file's stored bytes, or a fresh
+// rendering of a file kept in its owner's form. The view is valid until
+// the file is next written, appended to, or deleted — Write and the
+// Replace methods install different content and Append may grow in
+// place, so a caller must drop its view whenever it performs any
+// mutation of the file. Callers must not modify the returned slice.
 func (fs *FileStore) PeekRef(name string) ([]byte, bool) {
-	data, ok := fs.files[name]
-	return data, ok
+	c, ok := fs.files[name]
+	if !ok {
+		return nil, false
+	}
+	return view(c), true
 }
 
 // ReplaceSilently sets the named file's contents without charging any
 // device cost, for layers that charge their own modeled latencies. The
-// store takes ownership of data — it is stored, not copied, so a layer
-// that rewrites a file per cached record pays for one buffer, not two.
-// The caller may keep reading data under PeekRef's rule (until the
-// file's next write, append or delete) and must never modify it.
+// store takes ownership of data — it is stored, not copied. The caller
+// may keep reading data under PeekRef's rule (until the file's next
+// write, append or delete) and must never modify it.
 func (fs *FileStore) ReplaceSilently(name string, data []byte) {
-	fs.files[name] = data
+	fs.files[name] = Bytes(data)
+}
+
+// ReplaceContent is ReplaceSilently for content kept in its owner's
+// form: the store keeps c and renders its bytes only when asked (Peek,
+// PeekRef, Read, ReadAt, Append).
+func (fs *FileStore) ReplaceContent(name string, c Content) {
+	fs.files[name] = c
+}
+
+// Content returns what the store holds for the named file, so an owner
+// can recognise the content it installed without rendering it.
+func (fs *FileStore) Content(name string) (Content, bool) {
+	c, ok := fs.files[name]
+	return c, ok
 }
 
 // Delete removes the named file. Deleting a missing file is an error.
@@ -154,8 +212,8 @@ func (fs *FileStore) Names() []string {
 // LogicalBytes is the sum of file sizes.
 func (fs *FileStore) LogicalBytes() int64 {
 	var total int64
-	for _, d := range fs.files {
-		total += int64(len(d))
+	for _, c := range fs.files {
+		total += int64(c.Len())
 	}
 	return total
 }
@@ -164,8 +222,8 @@ func (fs *FileStore) LogicalBytes() int64 {
 // each up to the allocation unit.
 func (fs *FileStore) AllocatedBytes() int64 {
 	var total int64
-	for _, d := range fs.files {
-		total += fs.dev.AllocatedBytes(len(d))
+	for _, c := range fs.files {
+		total += fs.dev.AllocatedBytes(c.Len())
 	}
 	return total
 }

@@ -207,15 +207,16 @@ func Build(dev *device.Device, eng *engine.Engine, content cachegen.Content, opt
 
 // Preload installs community content into the cache. Records are
 // bulk-loaded one database file at a time, merged with any records
-// already present.
+// already present; each is the engine's rendering (Engine.Record), so
+// replicas preloaded from one engine with shared records hold one copy.
 func (c *Cache) Preload(content cachegen.Content) error {
 	u := c.eng.Universe()
 	perFile := make(map[int]map[uint64][]byte)
 	for _, tr := range content.Triplets {
 		q := u.QueryText(u.QueryOf(tr.Pair))
-		res := u.Result(u.ResultOf(tr.Pair))
+		id := u.ResultOf(tr.Pair)
 		qh := hash64.Sum(q)
-		rh := hash64.Sum(res.URL)
+		rh := hash64.Sum(u.ResultURL(id))
 		c.table.Put(qh, hashtable.SearchRef{ResultHash: rh, Score: content.Scores[tr.Pair]})
 		// Completions rank by community popularity: the pair's volume.
 		c.indexQuery(qh, q, float64(tr.Volume))
@@ -224,7 +225,7 @@ func (c *Cache) Preload(content cachegen.Content) error {
 			perFile[f] = make(map[uint64][]byte)
 		}
 		if _, dup := perFile[f][rh]; !dup {
-			perFile[f][rh] = res.Record()
+			perFile[f][rh] = c.eng.Record(id)
 		}
 	}
 	for f, recs := range perFile {
@@ -665,20 +666,21 @@ const QueryRequestBytes = 800
 
 // expand implements the personalization component's cache expansion:
 // after a miss, the (query, clicked result) pair enters the cache with
-// score 1 so future repeats hit locally. Only the clicked result's text
-// is materialized. The record is stored before the pair is indexed, so
-// a failed write leaves the query a clean miss and never an index entry
-// whose record cannot be fetched. It returns the logical flash bytes
-// the database grew by.
+// score 1 so future repeats hit locally. Only the clicked result's
+// record is rendered — once per engine with shared records, which the
+// database then references rather than copies. The record is stored
+// before the pair is indexed, so a failed write leaves the query a clean
+// miss and never an index entry whose record cannot be fetched. It
+// returns the logical flash bytes the database grew by.
 func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse) int64 {
-	res, ok := resp.Find(clickURL)
+	id, ok := resp.FindID(clickURL)
 	if !ok {
 		// The engine did not return the clicked result (synthetic
 		// streams never hit this; defensive for interactive use).
 		return 0
 	}
 	before := c.db.LogicalBytes()
-	lat, err := c.db.Put(ch, res.Record())
+	lat, err := c.db.Put(ch, c.eng.Record(id))
 	if err != nil {
 		return 0
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/engine"
@@ -519,24 +520,28 @@ func TestRejectedWritesLeaveTheDatabaseAlone(t *testing.T) {
 	}
 }
 
-// TestViewsOutliveTheNextWrite states the aliasing rule from the safe
-// side: a GetView result is documented valid only until its file's next
-// write, and because a write installs a new buffer and never touches
-// the old one, a view a caller still holds keeps its bytes.
+// TestViewsOutliveTheNextWrite states the ownership rule: Put keeps the
+// very slice it is given (the caller must not modify it afterwards), a
+// GetView result is that slice, capacity clipped to the record, and
+// because no write ever touches a stored record or an installed file, a
+// view — of a record or of the whole file — a caller still holds keeps
+// its bytes through later writes, the record's own deletion included.
 func TestViewsOutliveTheNextWrite(t *testing.T) {
 	store := flashsim.NewFileStore(flashsim.NewDevice(flashsim.Params{}))
 	db, err := resultdb.New(store, resultdb.Config{Files: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := []byte("caller-owned record")
+	rec := []byte("shared record")
 	if _, err := db.Put(1, rec); err != nil {
 		t.Fatal(err)
 	}
-	rec[0] = 'X' // the caller keeps ownership of what it passed to Put
 	view, _, _ := db.GetView(1)
-	if string(view) != "caller-owned record" {
-		t.Fatalf("the database aliases the caller's record: %q", view)
+	if unsafe.SliceData(view) != unsafe.SliceData(rec) || string(view) != "shared record" {
+		t.Fatalf("the database stored a copy of the record: %q", view)
+	}
+	if cap(view) != len(view) {
+		t.Errorf("a view's capacity %d reaches past its %d bytes", cap(view), len(view))
 	}
 	whole, _ := store.PeekRef("psdb-0.db")
 	for h := uint64(2); h < 6; h++ {
@@ -547,7 +552,7 @@ func TestViewsOutliveTheNextWrite(t *testing.T) {
 	if _, _, err := db.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if string(view) != "caller-owned record" || !bytes.HasSuffix(whole, view) {
+	if string(view) != "shared record" || !bytes.HasSuffix(whole, view) {
 		t.Errorf("a held view changed under later writes: %q", view)
 	}
 }

@@ -12,6 +12,13 @@
 // paper's sweep (Figure 12) picks 32 as the knee. Retrieval cost is
 // modeled against the flash device (file open, page reads) plus a CPU
 // charge for parsing header entries.
+//
+// The database keeps each file as its parsed header with a reference to
+// every record, not as a byte image: the flash store renders a file's
+// plain text only when someone asks for it, and every size and cost is
+// computed from the header entries exactly as the bytes would give it.
+// A record is the very slice handed to Put (or ReplaceFile/ReplaceAll),
+// so a fleet whose users cache the same result holds its bytes once.
 package resultdb
 
 import (
@@ -25,6 +32,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"pocketcloudlets/internal/flashsim"
 )
@@ -56,20 +64,16 @@ type DB struct {
 	// fileNames): a million-user fleet holds one database per user and
 	// they all name their files identically.
 	names []string
-	// cache holds the parsed header and a no-copy view of each file
-	// read or written so far, so repeated retrievals (the cache-hit
-	// serve path) parse and allocate nothing. It is a slice sorted by
-	// file index, grown one exact-capacity element per file, because a
-	// typical per-user database occupies only some of its files and a
-	// fleet holds a database per user: an eager per-file array costs
-	// ~2 KB per user at the default 32 files, and a map of pointers a
-	// third more than this slice. Only files that exist are cached.
-	// Entries are replaced by storeFile — the single funnel every
-	// database write goes through — with the parse of what it just
-	// wrote, so a write never causes a re-parse, and the modeled latency
-	// is computed from the recorded header length, so a cached
+	// files holds, by index, every file read or written so far — nil for
+	// one not touched yet or absent — so repeated retrievals (the
+	// cache-hit serve path) find and parse nothing. A pointer per file is
+	// 256 B at the default 32 files, allocated with the first file found
+	// or written: a fleet holds a database per user, and many users never
+	// store a record. A write replaces its file's entry with the file it
+	// just installed, so a write never causes a re-parse, and the modeled
+	// latency is computed from the recorded header length, so a cached
 	// retrieval charges exactly what an uncached one would.
-	cache []fileCache
+	files []*file
 	// bytes is the total size of the database files, kept current by
 	// storeFile and seeded from the store in New. The database must be
 	// the only writer of its files; a store changed from outside is
@@ -77,21 +81,39 @@ type DB struct {
 	bytes int64
 }
 
-// fileCache is one existing file's parsed state. data is the very
-// slice the store holds (storeFile hands the store a fresh slice and
-// keeps a view; nothing ever writes into it), so every view handed out
-// from it — GetView, the store's PeekRef — is valid until the file's
-// next write, which installs a new slice and leaves the old one to its
-// remaining holders.
-type fileCache struct {
-	file   int32 // file index, the sort key of DB.cache
+// file is one database file as the database keeps it: the parsed header,
+// each entry referencing its record. The records tile the body in header
+// order — an entry's offset is the sum of the lengths before it — so the
+// file's bytes are the header line followed by every record in turn, and
+// the flash store renders them only when asked (file implements
+// flashsim.Content). A file never changes: a write builds a new one, so
+// a record view or a rendering taken from it outlives later writes.
+type file struct {
+	header
 	hdrLen int32 // header line length including '\n'
-	hdr    header
-	data   []byte // the whole file: header line, then the body
 }
 
-// body is the record area the header's offsets index.
-func (fc *fileCache) body() []byte { return fc.data[fc.hdrLen:] }
+// bodyLen is the length of the record area; zero for a file that does
+// not exist.
+func (f *file) bodyLen() int {
+	if f == nil || len(f.entries) == 0 {
+		return 0
+	}
+	return f.entries[len(f.entries)-1].end()
+}
+
+// Len implements flashsim.Content: the file's size in bytes.
+func (f *file) Len() int { return int(f.hdrLen) + f.bodyLen() }
+
+// AppendTo implements flashsim.Content: the header line, then the
+// records in header order.
+func (f *file) AppendTo(b []byte) []byte {
+	b = f.appendTo(b)
+	for _, e := range f.entries {
+		b = append(b, e.record()...)
+	}
+	return b
+}
 
 // New creates (or reopens) a database over the given flash store.
 func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
@@ -135,40 +157,6 @@ func fileNames(prefix string, files int) []string {
 	return v.([]string)
 }
 
-// cachePos returns the position of file i in the sorted cache, or the
-// position it would be inserted at.
-func (db *DB) cachePos(i int) (pos int, found bool) {
-	lo, hi := 0, len(db.cache)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(db.cache[mid].file) < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(db.cache) && int(db.cache[lo].file) == i
-}
-
-// setCache installs file i's parsed state at its sorted position. A
-// new file grows the slice by exactly one element: the per-user
-// database gains a file a handful of times in its life, and append's
-// doubling would be resident slack in every one of a fleet's users.
-func (db *DB) setCache(fc fileCache) *fileCache {
-	pos, found := db.cachePos(int(fc.file))
-	if !found {
-		grown := db.cache[:min(len(db.cache)+1, cap(db.cache))] // room ReplaceAll reserved
-		if len(grown) == len(db.cache) {
-			grown = make([]fileCache, len(db.cache)+1)
-			copy(grown, db.cache[:pos])
-		}
-		copy(grown[pos+1:], db.cache[pos:])
-		db.cache = grown
-	}
-	db.cache[pos] = fc
-	return &db.cache[pos]
-}
-
 // Files returns the configured file count.
 func (db *DB) Files() int { return db.cfg.Files }
 
@@ -178,42 +166,48 @@ func (db *DB) FileOf(resultHash uint64) int {
 	return int(resultHash % uint64(db.cfg.Files))
 }
 
-func (db *DB) fileName(i int) string { return db.names[i] }
-
 // header is the parsed first line of a database file.
 type header struct {
 	entries []headerEntry
 }
 
-// headerEntry locates one record in the file body. 32-bit offsets keep
-// an entry at 16 bytes (a fleet holds tens of them per user): a
-// database file is megabytes at most, and parseHeader refuses a header
-// that says otherwise.
+// headerEntry locates one record in the file body and references its
+// bytes: data points at the record's first byte and length says how
+// many follow. A bare pointer rather than a slice keeps an entry at 24
+// bytes (a fleet holds tens of them per user); 32-bit offsets suffice
+// because a database file is megabytes at most, and parseHeader refuses
+// a header that says otherwise.
 type headerEntry struct {
 	hash        uint64
 	off, length uint32
+	data        *byte
 }
+
+// entryFor is the entry of rec stored under hash at body offset off.
+func entryFor(hash uint64, off int, rec []byte) headerEntry {
+	return headerEntry{hash: hash, off: uint32(off), length: uint32(len(rec)), data: unsafe.SliceData(rec)}
+}
+
+// record is the entry's record: the referenced bytes, capacity clipped
+// to the length so no append can reach past them.
+func (e headerEntry) record() []byte { return unsafe.Slice(e.data, e.length) }
 
 // end is the body offset one past the record.
 func (e headerEntry) end() int { return int(e.off) + int(e.length) }
 
 // find looks a record up in the file's header; a nil receiver is a
 // file that does not exist and holds nothing.
-func (fc *fileCache) find(hash uint64) (headerEntry, bool) {
-	if fc == nil {
+func (f *file) find(hash uint64) (headerEntry, bool) {
+	if f == nil {
 		return headerEntry{}, false
 	}
-	for _, e := range fc.hdr.entries {
+	for _, e := range f.entries {
 		if e.hash == hash {
 			return e, true
 		}
 	}
 	return headerEntry{}, false
 }
-
-// maxTripleLen bounds one rendered header triple with its separator:
-// ';' and three 64-bit hex fields joined by two commas.
-const maxTripleLen = 1 + 3*16 + 2
 
 // appendTriple renders one header entry as "hash,off,len" in hex.
 func appendTriple(b []byte, e headerEntry) []byte {
@@ -222,6 +216,11 @@ func appendTriple(b []byte, e headerEntry) []byte {
 	b = strconv.AppendUint(b, uint64(e.off), 16)
 	b = append(b, ',')
 	return strconv.AppendUint(b, uint64(e.length), 16)
+}
+
+// tripleLen is the length appendTriple renders e with.
+func tripleLen(e headerEntry) int {
+	return hexLen(e.hash) + hexLen(uint64(e.off)) + hexLen(uint64(e.length)) + 2
 }
 
 // appendTo appends the header line, "hash,off,len;...\n" in hex, to b.
@@ -241,7 +240,7 @@ func (h *header) appendTo(b []byte) []byte {
 func (h *header) lineLen() int {
 	n := max(len(h.entries), 1) // the separators and the newline
 	for _, e := range h.entries {
-		n += hexLen(e.hash) + hexLen(uint64(e.off)) + hexLen(uint64(e.length)) + 2
+		n += tripleLen(e)
 	}
 	return n
 }
@@ -278,18 +277,13 @@ func parseHeader(line []byte) (*header, error) {
 	return h, nil
 }
 
-// file returns file i's parsed state without device-cost accounting,
-// parsing it on first touch; nil when the file does not exist. The
-// pointer is valid until the next file enters the cache.
-func (db *DB) file(i int) (*fileCache, error) {
-	if pos, found := db.cachePos(i); found {
-		return &db.cache[pos], nil
-	}
-	name := db.fileName(i)
-	data, ok := db.store.PeekRef(name)
-	if !ok {
-		return nil, nil
-	}
+// parseFile reads a file the flash store holds as plain bytes — one the
+// database did not install itself — into the database's form, its
+// entries referencing records inside data. The bytes must be what the
+// database would write: the header in its own rendering, the records
+// tiling the body in header order. Anything else is refused as corrupt,
+// as a file without a header line always was.
+func parseFile(name string, data []byte) (*file, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, fmt.Errorf("resultdb: file %q has no header line", name)
@@ -298,7 +292,54 @@ func (db *DB) file(i int) (*fileCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.setCache(fileCache{file: int32(i), hdrLen: int32(nl + 1), hdr: *h, data: data}), nil
+	f := &file{header: *h, hdrLen: int32(nl + 1)}
+	body := data[nl+1:]
+	off := 0
+	for k := range f.entries {
+		e := &f.entries[k]
+		if int(e.off) != off || e.end() > len(body) {
+			return nil, fmt.Errorf("resultdb: file %q: record %x is not where its header says", name, e.hash)
+		}
+		e.data = unsafe.SliceData(body[e.off:e.end()])
+		off = e.end()
+	}
+	if off != len(body) || !bytes.Equal(f.appendTo(nil), data[:nl+1]) {
+		return nil, fmt.Errorf("resultdb: file %q is not in the database's format", name)
+	}
+	return f, nil
+}
+
+// file returns file i without device-cost accounting, reading it on
+// first touch: the database's own file as the store holds it, or a
+// parse of plain bytes someone else wrote. Nil when the file does not
+// exist.
+func (db *DB) file(i int) (*file, error) {
+	if db.files != nil && db.files[i] != nil {
+		return db.files[i], nil
+	}
+	name := db.names[i]
+	c, ok := db.store.Content(name)
+	if !ok {
+		return nil, nil
+	}
+	f, own := c.(*file)
+	if !own {
+		data, _ := db.store.PeekRef(name)
+		var err error
+		if f, err = parseFile(name, data); err != nil {
+			return nil, err
+		}
+	}
+	db.keep(i, f)
+	return f, nil
+}
+
+// keep makes f the database's file i.
+func (db *DB) keep(i int, f *file) {
+	if db.files == nil {
+		db.files = make([]*file, db.cfg.Files)
+	}
+	db.files[i] = f
 }
 
 // loadFile is file plus the modeled latency of reading the header
@@ -306,59 +347,50 @@ func (db *DB) file(i int) (*fileCache, error) {
 // charging is left to the caller since most operations touch only one
 // record. The latency formula is evaluated whether or not the parse was
 // cached, so caching never changes modeled costs.
-func (db *DB) loadFile(i int) (*fileCache, time.Duration, error) {
-	fc, err := db.file(i)
+func (db *DB) loadFile(i int) (*file, time.Duration, error) {
+	f, err := db.file(i)
 	if err != nil {
 		return nil, 0, err
 	}
-	if fc == nil {
+	if f == nil {
 		return nil, db.store.Device().OpenCost(), nil
 	}
 	// Model: open the file, read the header pages, parse each entry.
 	lat := db.store.Device().OpenCost() +
-		db.store.Device().ReadCost(int(fc.hdrLen)) +
-		time.Duration(len(fc.hdr.entries))*db.cfg.HeaderParseCost
-	return fc, lat, nil
+		db.store.Device().ReadCost(int(f.hdrLen)) +
+		time.Duration(len(f.entries))*db.cfg.HeaderParseCost
+	return f, lat, nil
 }
 
 // Put stores a record under its result hash, appending it to its file
 // and augmenting the header. Storing an existing hash again is a no-op
 // (results are shared across queries and stored once — the paper's
 // factor-of-8 storage saving). It returns the modeled flash latency.
-// The record is copied; the caller keeps ownership of it.
+// The database keeps record itself, not a copy: the caller must not
+// modify it afterwards.
 //
-// The write is incremental: the new file is the stored header line
-// extended by one triple, the stored body and the record, built in a
-// single allocation, and the parsed header gains one entry — nothing
-// is re-serialized and nothing is re-parsed.
+// The write is incremental: the new file is the stored header with one
+// more entry, the header length grows by the new triple and its
+// separator, and nothing is re-serialized, re-parsed or copied but the
+// entries.
 func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 	i := db.FileOf(resultHash)
-	fc, lat, err := db.loadFile(i)
+	f, lat, err := db.loadFile(i)
 	if err != nil {
 		return 0, err
 	}
-	if _, exists := fc.find(resultHash); exists {
+	if _, exists := f.find(resultHash); exists {
 		return lat, nil
 	}
-	// The stored header line minus its newline, the body and the parsed
-	// entries; all empty for a new file.
-	var (
-		line, body []byte
-		old        []headerEntry
-	)
-	if fc != nil {
-		line, body, old = fc.data[:fc.hdrLen-1], fc.body(), fc.hdr.entries
+	e := entryFor(resultHash, f.bodyLen(), record)
+	// The new header line is the stored one, its newline turned into the
+	// ';' before the new triple, then the triple and a newline.
+	hdrLen := tripleLen(e) + 1
+	var old []headerEntry
+	if f != nil && len(f.entries) > 0 {
+		old = f.entries
+		hdrLen += int(f.hdrLen)
 	}
-	e := headerEntry{hash: resultHash, off: uint32(len(body)), length: uint32(len(record))}
-	var tb [maxTripleLen]byte
-	triple := tb[:0]
-	if len(old) > 0 {
-		triple = append(triple, ';')
-	}
-	triple = appendTriple(triple, e)
-	hdrLen := len(line) + len(triple) + 1
-	// One exactly sized allocation (and Join does not zero it first).
-	data := bytes.Join([][]byte{line, triple, {'\n'}, body, record}, nil)
 	// Entries grow to exact capacity: a file gains a record or two over
 	// a user's month, and append's doubling would be resident slack.
 	entries := make([]headerEntry, len(old)+1)
@@ -366,29 +398,27 @@ func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 	// The header line changes size, so it is rewritten in place
 	// (charged as a flash rewrite); the record itself is an append.
 	lat += db.store.Device().RewriteCost(hdrLen) + db.store.Device().WriteCost(len(record))
-	db.storeFile(i, header{entries: entries}, data, hdrLen)
+	db.storeFile(i, &file{header: header{entries: entries}, hdrLen: int32(hdrLen)})
 	return lat, nil
 }
 
-// storeFile installs a file's new content — data is the header line of
-// hdrLen bytes that renders h, then the body — without charging device
-// cost (costs are charged explicitly by callers). It is the single
-// funnel every database write goes through (Put, ReplaceFile, and
-// Delete via ReplaceFile): the store takes ownership of data, the file
-// cache becomes a view of it, and the running size total moves by the
-// difference. The caller must not touch data afterwards.
-func (db *DB) storeFile(i int, h header, data []byte, hdrLen int) {
-	name := db.fileName(i)
+// storeFile installs f as file i without charging device cost (costs are
+// charged explicitly by callers). It is the single funnel every database
+// write goes through (Put, and every rewrite): the store keeps f as the
+// file's content, the database's own entry becomes f, and the running
+// size total moves by the difference.
+func (db *DB) storeFile(i int, f *file) {
+	name := db.names[i]
 	old, _ := db.store.Size(name) // zero for a file that does not exist yet
-	db.bytes += int64(len(data) - old)
-	db.setCache(fileCache{file: int32(i), hdrLen: int32(hdrLen), hdr: h, data: data})
-	db.store.ReplaceSilently(name, data)
+	db.bytes += int64(f.Len() - old)
+	db.keep(i, f)
+	db.store.ReplaceContent(name, f)
 }
 
 // Get retrieves the record stored under the result hash, with the
 // modeled latency: open + header read + header parse + record pages.
-// The returned slice is a copy; use GetView on paths that must not
-// allocate.
+// The returned slice is the caller's own copy; use GetView on paths that
+// must not allocate.
 func (db *DB) Get(resultHash uint64) ([]byte, time.Duration, error) {
 	rec, lat, err := db.GetView(resultHash)
 	if err != nil {
@@ -397,36 +427,33 @@ func (db *DB) Get(resultHash uint64) ([]byte, time.Duration, error) {
 	return append([]byte(nil), rec...), lat, nil
 }
 
-// GetView is Get without the copy: the returned slice is a read-only
-// view into the database's cached file body and is valid only until
-// the next write to the record's file. Callers must not modify or
-// retain it.
+// GetView is Get without the copy: the returned slice is the stored
+// record itself. The database never modifies a record, so a view stays
+// valid after later writes, but it may be shared — with whoever handed
+// it to Put and with every other database holding the same rendering —
+// so callers must not modify it.
 func (db *DB) GetView(resultHash uint64) ([]byte, time.Duration, error) {
 	i := db.FileOf(resultHash)
-	fc, lat, err := db.loadFile(i)
+	f, lat, err := db.loadFile(i)
 	if err != nil {
 		return nil, 0, err
 	}
-	e, ok := fc.find(resultHash)
+	e, ok := f.find(resultHash)
 	if !ok {
 		return nil, lat, fmt.Errorf("resultdb: result %x not found in file %d", resultHash, i)
 	}
-	body := fc.body()
-	if e.end() > len(body) {
-		return nil, lat, fmt.Errorf("resultdb: corrupt header entry for %x", resultHash)
-	}
 	lat += db.store.Device().ReadCost(int(e.length))
-	return body[e.off:e.end()], lat, nil
+	return e.record(), lat, nil
 }
 
 // Contains reports whether a record exists, without charging latency
 // (existence is known from the DRAM hash table in the real system).
 func (db *DB) Contains(resultHash uint64) bool {
-	fc, err := db.file(db.FileOf(resultHash))
+	f, err := db.file(db.FileOf(resultHash))
 	if err != nil {
 		return false
 	}
-	_, found := fc.find(resultHash)
+	_, found := f.find(resultHash)
 	return found
 }
 
@@ -434,11 +461,11 @@ func (db *DB) Contains(resultHash uint64) bool {
 func (db *DB) Hashes() []uint64 {
 	var out []uint64
 	for i := 0; i < db.cfg.Files; i++ {
-		fc, err := db.file(i)
-		if err != nil || fc == nil {
+		f, err := db.file(i)
+		if err != nil || f == nil {
 			continue
 		}
-		for _, e := range fc.hdr.entries {
+		for _, e := range f.entries {
 			out = append(out, e.hash)
 		}
 	}
@@ -450,8 +477,8 @@ func (db *DB) Hashes() []uint64 {
 func (db *DB) Len() int {
 	n := 0
 	for i := 0; i < db.cfg.Files; i++ {
-		if fc, err := db.file(i); err == nil && fc != nil {
-			n += len(fc.hdr.entries)
+		if f, err := db.file(i); err == nil && f != nil {
+			n += len(f.entries)
 		}
 	}
 	return n
@@ -463,41 +490,47 @@ type Record struct {
 	Data []byte
 }
 
+func byHash(a, b Record) int { return cmp.Compare(a.Hash, b.Hash) }
+
 // ReplaceFile atomically replaces one database file's full record set
 // — the patch-application primitive of the Section 5.4 update cycle.
-// It returns the modeled flash latency of rewriting the file.
+// It returns the modeled flash latency of rewriting the file. Like Put,
+// the database keeps the records' slices.
 func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, error) {
+	recs := make([]Record, 0, len(records))
+	for hash, data := range records {
+		recs = append(recs, Record{hash, data})
+	}
+	return db.replace(i, recs)
+}
+
+// replace checks that recs may be file i's whole record set, orders them
+// by hash and rewrites the file with them.
+func (db *DB) replace(i int, recs []Record) (time.Duration, error) {
 	if i < 0 || i >= db.cfg.Files {
 		return 0, fmt.Errorf("resultdb: file index %d out of range [0, %d)", i, db.cfg.Files)
 	}
-	recs := make([]Record, 0, len(records))
-	for hash, data := range records {
-		if db.FileOf(hash) != i {
-			return 0, fmt.Errorf("resultdb: record %x does not belong in file %d", hash, i)
+	for _, r := range recs {
+		if db.FileOf(r.Hash) != i {
+			return 0, fmt.Errorf("resultdb: record %x does not belong in file %d", r.Hash, i)
 		}
-		recs = append(recs, Record{hash, data})
 	}
-	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Hash, b.Hash) })
+	slices.SortFunc(recs, byHash)
 	return db.rewrite(i, recs), nil
 }
 
 // rewrite installs recs — file i's records, ordered by hash — as the
-// file's whole content, built in one exactly sized allocation, and
-// returns the modeled latency of the rewrite.
+// file's whole content and returns the modeled latency of the rewrite.
 func (db *DB) rewrite(i int, recs []Record) time.Duration {
-	h := header{entries: make([]headerEntry, len(recs))}
-	bodyLen := 0
+	f := &file{header: header{entries: make([]headerEntry, len(recs))}}
+	off := 0
 	for k, r := range recs {
-		h.entries[k] = headerEntry{hash: r.Hash, off: uint32(bodyLen), length: uint32(len(r.Data))}
-		bodyLen += len(r.Data)
+		f.entries[k] = entryFor(r.Hash, off, r.Data)
+		off += len(r.Data)
 	}
-	hdrLen := h.lineLen()
-	data := h.appendTo(make([]byte, 0, hdrLen+bodyLen))
-	for _, r := range recs {
-		data = append(data, r.Data...)
-	}
-	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(len(data))
-	db.storeFile(i, h, data, hdrLen)
+	f.hdrLen = int32(f.lineLen())
+	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(f.Len())
+	db.storeFile(i, f)
 	return lat
 }
 
@@ -509,21 +542,8 @@ func (db *DB) rewrite(i int, recs []Record) time.Duration {
 // pass over the records and none over the files they leave untouched.
 func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
 	slices.SortFunc(records, func(a, b Record) int {
-		return cmp.Or(cmp.Compare(db.FileOf(a.Hash), db.FileOf(b.Hash)), cmp.Compare(a.Hash, b.Hash))
+		return cmp.Or(cmp.Compare(db.FileOf(a.Hash), db.FileOf(b.Hash)), byHash(a, b))
 	})
-	// Every file with a record ends this call cached; make the room for
-	// the new ones once, and exactly (see setCache).
-	room := 0
-	for k, r := range records {
-		if f := db.FileOf(r.Hash); k == 0 || f != db.FileOf(records[k-1].Hash) {
-			if _, cached := db.cachePos(f); !cached {
-				room++
-			}
-		}
-	}
-	if cap(db.cache)-len(db.cache) < room {
-		db.cache = append(make([]fileCache, 0, len(db.cache)+room), db.cache...)
-	}
 	var total time.Duration
 	for i := 0; i < db.cfg.Files; i++ {
 		n := 0
@@ -532,15 +552,11 @@ func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
 		}
 		next := records[:n]
 		records = records[n:]
-		fc, err := db.file(i)
+		f, err := db.file(i)
 		if err != nil {
 			return total, err
 		}
-		same, err := fc.holds(next)
-		if err != nil {
-			return total, fmt.Errorf("%w in file %d", err, i)
-		}
-		if !same {
+		if !f.holds(next) {
 			total += db.rewrite(i, next)
 		}
 	}
@@ -549,69 +565,65 @@ func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
 
 // holds reports whether the file's record set is exactly recs, which
 // are ordered by hash. A file that does not exist holds nothing.
-func (fc *fileCache) holds(recs []Record) (bool, error) {
-	if fc == nil {
-		return len(recs) == 0, nil
+func (f *file) holds(recs []Record) bool {
+	if f == nil {
+		return len(recs) == 0
 	}
-	body := fc.body()
-	for _, e := range fc.hdr.entries {
-		if e.end() > len(body) {
-			return false, fmt.Errorf("resultdb: corrupt entry %x", e.hash)
-		}
-	}
-	if len(fc.hdr.entries) != len(recs) {
-		return false, nil
+	if len(f.entries) != len(recs) {
+		return false
 	}
 	// The header is in insertion order; compare in hash order.
-	entries := slices.Clone(fc.hdr.entries)
+	entries := slices.Clone(f.entries)
 	slices.SortFunc(entries, func(a, b headerEntry) int { return cmp.Compare(a.hash, b.hash) })
 	for k, e := range entries {
-		if e.hash != recs[k].Hash || !bytes.Equal(body[e.off:e.end()], recs[k].Data) {
-			return false, nil
+		if e.hash != recs[k].Hash || !bytes.Equal(e.record(), recs[k].Data) {
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // Delete removes the record stored under resultHash, rewriting its
 // database file without it. It reports whether the record existed and
 // the modeled flash latency of the rewrite (zero when absent). The
 // fleet layer uses this to reclaim personal-cache flash under a
-// storage budget.
+// storage budget. The records that stay are the ones the file held, not
+// copies.
 func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
-	f := db.FileOf(resultHash)
-	recs, err := db.RecordsOf(f)
+	i := db.FileOf(resultHash)
+	f, err := db.file(i)
 	if err != nil {
 		return 0, false, err
 	}
-	if _, ok := recs[resultHash]; !ok {
+	if _, ok := f.find(resultHash); !ok {
 		return 0, false, nil
 	}
-	delete(recs, resultHash)
-	lat, err := db.ReplaceFile(f, recs)
+	recs := make([]Record, 0, len(f.entries)-1)
+	for _, e := range f.entries {
+		if e.hash != resultHash {
+			recs = append(recs, Record{e.hash, e.record()})
+		}
+	}
+	lat, err := db.replace(i, recs)
 	if err != nil {
 		return 0, false, err
 	}
 	return lat, true, nil
 }
 
-// RecordsOf returns the records of one file keyed by hash — the
-// server-side read when computing patches.
+// RecordsOf returns copies of the records of one file keyed by hash —
+// the server-side read when computing patches.
 func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
 	out := make(map[uint64][]byte)
-	fc, err := db.file(i)
+	f, err := db.file(i)
 	if err != nil {
 		return nil, err
 	}
-	if fc == nil {
+	if f == nil {
 		return out, nil
 	}
-	body := fc.body()
-	for _, e := range fc.hdr.entries {
-		if e.end() > len(body) {
-			return nil, fmt.Errorf("resultdb: corrupt entry %x in file %d", e.hash, i)
-		}
-		out[e.hash] = append([]byte(nil), body[e.off:e.end()]...)
+	for _, e := range f.entries {
+		out[e.hash] = append([]byte(nil), e.record()...)
 	}
 	return out, nil
 }
@@ -624,8 +636,8 @@ func (db *DB) LogicalBytes() int64 { return db.bytes }
 // allocation slack.
 func (db *DB) AllocatedBytes() int64 {
 	var n int64
-	for i := 0; i < db.cfg.Files; i++ {
-		if sz, err := db.store.Size(db.fileName(i)); err == nil {
+	for _, name := range db.names {
+		if sz, err := db.store.Size(name); err == nil {
 			n += db.store.Device().AllocatedBytes(sz)
 		}
 	}

@@ -278,6 +278,100 @@ func TestParseHeaderRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestPlainFilesParseInTheDatabaseFormat: a file someone else wrote as
+// plain bytes is read on first touch when it is byte for byte what the
+// database writes — and is then the same database — and refused as
+// corrupt otherwise, since a file whose records do not tile its body in
+// header order, or whose header is not the database's rendering, is not
+// one the database can extend.
+func TestPlainFilesParseInTheDatabaseFormat(t *testing.T) {
+	src := newDB(t, 4)
+	src.Put(1, []byte("a"))
+	src.Put(5, []byte("bb"))
+	img, _ := src.store.Peek("psdb-1.db")
+	if string(img) != "1,0,1;5,1,2\nabb" {
+		t.Fatalf("file image %q", img)
+	}
+	for _, tc := range []struct {
+		data string
+		ok   bool
+	}{
+		{string(img), true},
+		{"\n", true},
+		{"01,0,1;5,1,2\nabb", false}, // leading zero
+		{"1,0,1;5,2,2\naXbb", false}, // a gap before the second record
+		{"5,1,2;1,0,1\nabb", false},  // records out of header order
+		{"1,0,1;5,1,2\nabbZ", false}, // trailing bytes
+		{"1,0,1;5,1,3\nabb", false},  // past the end
+	} {
+		db := newDB(t, 4)
+		db.store.ReplaceSilently("psdb-1.db", []byte(tc.data))
+		db, err := New(db.store, Config{Files: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, putErr := db.Put(9, []byte("ccc"))
+		if (putErr == nil) != tc.ok {
+			t.Errorf("%q: Put error %v, want ok=%v", tc.data, putErr, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		after, _ := db.store.Peek("psdb-1.db")
+		want := "9,0,3\nccc"
+		if tc.data == string(img) {
+			want = "1,0,1;5,1,2;9,3,3\nabbccc"
+		}
+		if string(after) != want || db.LogicalBytes() != int64(len(want)) {
+			t.Errorf("%q: after Put the file holds %q (%d bytes counted), want %q", tc.data, after, db.LogicalBytes(), want)
+		}
+	}
+}
+
+// TestReopenAdoptsOrParses: the store keeps the database's own files in
+// the database's form, so a database reopened over the store takes them
+// as they are; a file someone else rewrote is plain bytes again, and the
+// reopened database parses it on first touch into the same records.
+func TestReopenAdoptsOrParses(t *testing.T) {
+	db := newDB(t, 4)
+	rec := []byte("record")
+	db.Put(1, rec)
+	db.Put(5, []byte("another"))
+	reopen := func() *DB {
+		t.Helper()
+		r, err := New(db.store, Config{Files: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if c, _ := db.store.Content("psdb-1.db"); c != flashsim.Content(db.files[1]) {
+		t.Fatalf("the store holds %T, not the database's file", c)
+	}
+	adopted := reopen()
+	view, _, err := adopted.GetView(1)
+	if err != nil || &view[0] != &rec[0] || adopted.files[1] != db.files[1] {
+		t.Fatalf("the reopened database did not adopt the file: %q, %v", view, err)
+	}
+
+	img, _ := db.store.Peek("psdb-1.db")
+	db.store.Write("psdb-1.db", img) // a third party rewrites the same bytes
+	if c, _ := db.store.Content("psdb-1.db"); c.Len() != len(img) {
+		t.Fatalf("rewritten file is %d bytes, want %d", c.Len(), len(img))
+	} else if _, plain := c.(flashsim.Bytes); !plain {
+		t.Fatalf("a third-party write left %T", c)
+	}
+	parsed := reopen()
+	view, _, err = parsed.GetView(1)
+	if err != nil || string(view) != "record" || &view[0] == &rec[0] || parsed.Len() != 2 {
+		t.Fatalf("parse of the plain file: %q, %v, %d records", view, err, parsed.Len())
+	}
+	if parsed.LogicalBytes() != db.LogicalBytes() {
+		t.Errorf("reopened size %d, want %d", parsed.LogicalBytes(), db.LogicalBytes())
+	}
+}
+
 func BenchmarkGet(b *testing.B) {
 	store := flashsim.NewFileStore(flashsim.NewDevice(flashsim.Params{}))
 	db, err := New(store, Config{Files: 32})

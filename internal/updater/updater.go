@@ -129,9 +129,10 @@ func BuildUpdate(phone *hashtable.Table, fresh cachegen.Content, u *engine.Unive
 // move a user's personal component between shards. The table is the one
 // decoding its wire encoding would build (a deep copy preserving per-pair
 // Accessed bits, sized as that encoding in TableBytes), made without
-// writing the bytes; every record the table references is a read-only
-// view of the result database's stored bytes, which no later write to
-// either cache changes; and Queries carries the auto-completion
+// writing the bytes; every record the table references is the result
+// database's stored record itself, which no write to either cache ever
+// changes (Apply stores it by reference, so a migrated user shares it);
+// and Queries carries the auto-completion
 // vocabulary. Applying the export to an empty cache reproduces the
 // source cache's hit/miss behavior exactly.
 func ExportState(c *pocketsearch.Cache) (Update, error) {
@@ -175,11 +176,12 @@ func Apply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 	db := c.DB()
 
 	// The merged record set, keep sentinels resolved against the phone's
-	// current records.
+	// current records (which the database never modifies, so a view is
+	// as good as a copy).
 	records := make([]resultdb.Record, 0, len(upd.Records))
 	for rh, rec := range upd.Records {
 		if rec == nil {
-			existing, _, err := db.Get(rh)
+			existing, _, err := db.GetView(rh)
 			if err != nil {
 				// The phone lost the record; drop the pair entirely.
 				upd.Table.RemoveResult(rh)

@@ -212,6 +212,27 @@ for gate in BenchmarkFleetServe100kUsers:0 BenchmarkFleetServeDo:2; do
     fi
 done
 
+echo "== heap gate: fleet cold fill =="
+# A fresh fleet filled by 1,000 users' months on one goroutine, its live
+# heap per resident user read after a forced collection (DESIGN.md,
+# "Capacity model"): deterministic to a few bytes on a given toolchain,
+# whatever GOMAXPROCS. A structure that grows per user or per record —
+# a record copied instead of shared, a map sized by configuration — shows
+# here first. Recorded 18,982 B/user; more than 5% above it fails.
+heap_raw=$(go test -bench FleetColdFillHeap -benchtime 1x -run '^$' .)
+echo "$heap_raw"
+heap_per_user=$(echo "$heap_raw" | awk '$1 ~ /^BenchmarkFleetColdFillHeap/ {
+    for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "B/user") print $i
+}')
+if [ -z "$heap_per_user" ]; then
+    echo "heap gate: BenchmarkFleetColdFillHeap produced no B/user metric" >&2
+    exit 1
+fi
+if awk -v got="$heap_per_user" 'BEGIN { exit !(got > 18982 * 1.05) }'; then
+    echo "heap gate: $heap_per_user B/user live after a cold fill (recorded 18982, +5% allowed)" >&2
+    exit 1
+fi
+
 echo "== bench smoke: worker-queue hop =="
 # Bursts of 512 warmed Submits with a Drain after each: a burst fits the
 # buffers a drained queue keeps (DESIGN.md, "The worker queues"), so the
