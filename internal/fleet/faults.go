@@ -147,7 +147,7 @@ type exchange struct {
 func (sh *shard) planLocked(st *userState, uid searchlog.UserID, qh, ch uint64) missCtx {
 	st.missSeq++
 	mc := missCtx{qh: qh, ch: ch, hplan: faults.PlanHedged(st.rt.injs, st.rt.retry, st.rt.hedge, st.rt.link, sh.cohorts.pricer,
-		st.clock.Now(), st.cache.Device().Link().TailRemaining(), uint64(uid), qh, st.missSeq)}
+		sh.clock(st).Now(), st.cache.Device().Link().TailRemaining(), uint64(uid), qh, st.missSeq)}
 	// Every miss asks the primary replica's breaker whether to take its
 	// real retry pause — an open breaker's cooldown counts misses, clean
 	// ones included (BreakerOptions.Cooldown) — and then every dispatched
@@ -288,10 +288,10 @@ func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exc
 			resp.RadioJ += float64(cold) * link.TailEnergy()
 		}
 		resp.Outcome.Network += pl.FailedWait + waits
-		sh.recordExpansion(st, req.User, mc.qh, mc.ch, resp.Outcome.Stored)
+		sh.recordExpansion(st, mc.qh, mc.ch, resp.Outcome.Stored)
 	}
 	st.served++
-	st.clock.Observe()
+	sh.clock(st).Observe()
 	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
 }
 

@@ -44,9 +44,10 @@ func apart(a, b span) bool {
 // TestHitPathLayout is the layout rail. What every request reads shares
 // no line with anything a request writes; the blocks different shards'
 // servers write — counter blocks, fence stripes — are a line apart from
-// each other and from their neighbours; and Response and task are the
-// size the copy counts in DESIGN.md were measured at: grow one and this
-// test makes you look (ROADMAP item 1).
+// each other and from their neighbours; Response and task are the size
+// the copy counts in DESIGN.md were measured at: grow one and this test
+// makes you look (ROADMAP item 1); and userState, one per resident user,
+// is no bigger than DESIGN.md's "Per-user state layout" allows.
 func TestHitPathLayout(t *testing.T) {
 	var f Fleet
 	read := []span{
@@ -101,6 +102,9 @@ func TestHitPathLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(task{}); got != 120 {
 		t.Errorf("task is %d B, was 120: it is copied into the queue, a hold queue or a missTask — re-measure day_replay before growing it", got)
+	}
+	if got := unsafe.Sizeof(userState{}); got > 88 {
+		t.Errorf("userState is %d B, at most 88 allowed: every resident user's arena slot pays it, and a shard's arena grows 1,024 slots a chunk — on fault_hedge (~150 users a shard) 16 B more per slot cost ~4%% heap per user", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
 	"slices"
 	"sync"
@@ -485,8 +486,8 @@ type userImage struct {
 	Clock                 time.Duration
 	Table                 []byte            // the personal table's wire encoding
 	Files                 map[string][]byte // the result database, file by file
-	Refs                  map[uint64]evictRef
-	Queries, Hit, Expands int // the personal cache's own counters
+	Refs                  []evictRef        // sorted by result: the list's order means nothing
+	Queries, Hit, Expands int               // the personal cache's own counters
 }
 
 // fleetImage snapshots every resident user of a drained fleet.
@@ -496,14 +497,15 @@ func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
 	for _, sh := range f.topo.Load().shards {
 		sh.mu.Lock()
 		sh.users.forEach(func(st *userState) {
-			img := userImage{Shard: sh.id, Served: st.served, Hits: st.hits, Bytes: st.bytes, MissSeq: st.missSeq, Refs: st.refs}
+			img := userImage{Shard: sh.id, Served: st.served, Hits: st.hits, Bytes: st.bytes, MissSeq: st.missSeq, Refs: slices.Clone(st.refs)}
+			slices.SortFunc(img.Refs, func(a, b evictRef) int { return cmp.Compare(a.resultHash, b.resultHash) })
 			if st.cache != nil {
 				var buf bytes.Buffer
 				if err := st.cache.Table().Encode(&buf); err != nil {
 					t.Fatal(err)
 				}
 				store := st.cache.Device().Store()
-				img.Table, img.Clock, img.Files = buf.Bytes(), st.clock.Now(), make(map[string][]byte)
+				img.Table, img.Clock, img.Files = buf.Bytes(), sh.clock(st).Now(), make(map[string][]byte)
 				for _, name := range store.Names() {
 					img.Files[name], _ = store.Peek(name)
 				}

@@ -1,8 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,15 +41,9 @@ type userState struct {
 	uid  searchlog.UserID
 	live bool
 	// cache is the user's personal PocketSearch instance; nil until the
-	// user's first cloud-classified request materializes it.
+	// user's first cloud-classified request materializes it. The user's
+	// model clock is derived from its device (shard.clock), not stored.
 	cache *pocketsearch.Cache
-	// clock is the user's virtual model clock: the modeltime view over
-	// the user's simulated device, registered on the fleet timeline.
-	// Every model-time read, migration sync and makespan observation
-	// goes through it — serving code never touches the device clock
-	// directly. Interned by value; valid only once cache is non-nil.
-	// Guarded by the shard lock like the rest of the state.
-	clock modeltime.UserClock
 	// bytes is the user's personal flash footprint (logical result-db
 	// bytes), maintained incrementally from expansion/eviction deltas.
 	bytes  int64
@@ -59,10 +54,12 @@ type userState struct {
 	// be identical with miss coalescing on and off — it is bumped at
 	// classification time, under the pending-miss ordering guard.
 	missSeq uint64
-	// refs indexes the user's personal records by eviction key, so the
-	// budget enforcer can find this user's lowest-utility items without
-	// scanning the whole shard. Nil until the first expansion.
-	refs map[uint64]evictRef
+	// refs lists the user's personal records, one per result, in no
+	// particular order: the budget enforcer finds this user's
+	// lowest-utility record without scanning the whole shard, and the
+	// cloudletos methods derive each record's eviction key (itemKey) from
+	// it and uid. Nil until the first expansion.
+	refs []evictRef
 	// rt is the user's resolved cohort runtime: the radio tier their
 	// device is built with, the fault injector their cloud misses draw
 	// from (nil when nothing injects for them), and the retry ladder
@@ -73,9 +70,10 @@ type userState struct {
 	rt *cohortRT
 }
 
-// evictRef locates one personal record for eviction bookkeeping.
+// evictRef is one personal record in its owner's eviction list: the
+// query that stored it (the cloudletos Relation), its result and the
+// flash bytes its expansion added.
 type evictRef struct {
-	user       searchlog.UserID
 	queryHash  uint64
 	resultHash uint64
 	bytes      int64
@@ -241,11 +239,9 @@ type shard struct {
 	// ctr is everything delivering a response writes outside mu.
 	ctr shardCounters
 
-	mu        sync.Mutex
-	community *pocketsearch.Cache
-	users     userTable
-	// keys routes cloudletos eviction keys back to their owner.
-	keys          map[uint64]evictRef
+	mu            sync.Mutex
+	community     *pocketsearch.Cache
+	users         userTable
 	personalBytes int64
 	// pendingMiss marks users with a cloud miss planned but not yet
 	// applied — parked in a batch dispatcher, or being paced by the
@@ -386,7 +382,6 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		power:        cfg.ShardPower.WithDefaults(),
 		community:    community,
 		users:        newUserTable(cfg.Population),
-		keys:         make(map[uint64]evictRef),
 		pendingMiss:  make(map[searchlog.UserID]*missTask),
 		holds:        make(map[searchlog.UserID]*holdQueue),
 	}
@@ -440,8 +435,17 @@ func (sh *shard) materialize(st *userState) error {
 		return err
 	}
 	st.cache = cache
-	st.clock = sh.tl.BoundClock(dev)
 	return nil
+}
+
+// clock is the user's virtual model clock: the modeltime view over the
+// user's simulated device, bound to the fleet timeline. Every model-time
+// read, migration sync and makespan observation goes through it —
+// serving code never touches the device clock directly. Bound per use
+// rather than kept in the arena slot; valid only once st.cache is
+// non-nil. Caller holds mu.
+func (sh *shard) clock(st *userState) modeltime.UserClock {
+	return sh.tl.BoundClock(st.cache.Device())
 }
 
 // route classifies one task under the shard lock and serves whatever
@@ -530,27 +534,35 @@ func (sh *shard) serveLocal(st *userState, req *Request, qh, ch uint64, resp *Re
 	}
 	resp.EnergyJ = sh.basePower * resp.Outcome.ResponseTime().Seconds()
 	if st.cache != nil {
-		st.clock.Observe()
+		sh.clock(st).Observe()
 	}
 	return true
 }
 
 // recordExpansion books the personal-flash delta a served miss left
-// behind (Outcome.Stored) and enforces the per-user budget. Caller
-// holds mu.
-func (sh *shard) recordExpansion(st *userState, uid searchlog.UserID, qh, ch uint64, delta int64) {
-	if delta > 0 {
-		ref := evictRef{user: uid, queryHash: qh, resultHash: ch, bytes: delta}
-		key := itemKey(uid, ch)
-		if st.refs == nil {
-			st.refs = make(map[uint64]evictRef)
-		}
-		st.refs[key] = ref
-		sh.keys[key] = ref
-		st.bytes += delta
-		sh.personalBytes += delta
-		sh.enforceUserBudget(st)
+// behind (Outcome.Stored) and enforces the per-user budget. The database
+// grows only by a record it did not hold, and every listed record is
+// held (evicting one removes both), so a positive delta's result is not
+// in the list yet. Caller holds mu.
+func (sh *shard) recordExpansion(st *userState, qh, ch uint64, delta int64) {
+	if delta <= 0 {
+		return
 	}
+	st.refs = append(st.refs, evictRef{queryHash: qh, resultHash: ch, bytes: delta})
+	st.bytes += delta
+	sh.personalBytes += delta
+	sh.enforceUserBudget(st)
+}
+
+// refIndex is the position of the result's record in the user's list, or
+// -1.
+func (st *userState) refIndex(resultHash uint64) int {
+	for i := range st.refs {
+		if st.refs[i].resultHash == resultHash {
+			return i
+		}
+	}
+	return -1
 }
 
 // utilityOf is the eviction utility of a personal record: the best
@@ -574,32 +586,26 @@ func (sh *shard) enforceUserBudget(st *userState) {
 		return
 	}
 	for st.bytes > sh.perUserBytes && len(st.refs) > 0 {
-		var victim uint64
-		var victimRef evictRef
-		best := false
-		var bestScore float64
-		for key, ref := range st.refs {
-			s := st.utilityOf(ref)
-			if !best || s < bestScore || (s == bestScore && ref.resultHash < victimRef.resultHash) {
-				best, bestScore, victim, victimRef = true, s, key, ref
+		victim, best := 0, st.utilityOf(st.refs[0])
+		for i := 1; i < len(st.refs); i++ {
+			s := st.utilityOf(st.refs[i])
+			if s < best || (s == best && st.refs[i].resultHash < st.refs[victim].resultHash) {
+				victim, best = i, s
 			}
 		}
-		sh.evictLocked(victim, victimRef)
+		sh.evictLocked(st, victim)
 	}
 }
 
-// evictLocked removes one personal record and its index entries.
-// Caller holds mu.
-func (sh *shard) evictLocked(key uint64, ref evictRef) int64 {
-	st := sh.users.get(ref.user)
-	if st == nil || st.cache == nil {
-		return 0
-	}
-	freed := st.cache.EvictResult(ref.resultHash)
+// evictLocked removes the user's i'th personal record from their cache
+// and their list, returning the bytes freed. Caller holds mu.
+func (sh *shard) evictLocked(st *userState, i int) int64 {
+	freed := st.cache.EvictResult(st.refs[i].resultHash)
 	st.bytes -= freed
 	sh.personalBytes -= freed
-	delete(st.refs, key)
-	delete(sh.keys, key)
+	last := len(st.refs) - 1
+	st.refs[i] = st.refs[last]
+	st.refs = st.refs[:last]
 	return freed
 }
 
@@ -611,39 +617,50 @@ func (sh *shard) evictLocked(key uint64, ref evictRef) int64 {
 func (sh *shard) Name() string { return fmt.Sprintf("pocketsearch-shard-%d", sh.id) }
 
 // Items implements cloudletos.Cloudlet: every resident user's personal
-// records, in deterministic key order. Relation carries the query hash
-// so coordinated eviction can link a search record with same-query
-// items in sibling cloudlets (ads, maps).
+// records, in key order. Relation carries the query hash so coordinated
+// eviction can link a search record with same-query items in sibling
+// cloudlets (ads, maps).
 func (sh *shard) Items() []cloudletos.Item {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	keys := make([]uint64, 0, len(sh.keys))
-	for k := range sh.keys {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]cloudletos.Item, 0, len(keys))
-	for _, k := range keys {
-		ref := sh.keys[k]
-		st := sh.users.get(ref.user)
-		out = append(out, cloudletos.Item{
-			Key:      k,
-			Relation: ref.queryHash,
-			Bytes:    ref.bytes,
-			Utility:  st.utilityOf(ref),
-		})
-	}
+	var out []cloudletos.Item
+	sh.users.forEach(func(st *userState) {
+		for _, ref := range st.refs {
+			out = append(out, cloudletos.Item{
+				Key:      itemKey(st.uid, ref.resultHash),
+				Relation: ref.queryHash,
+				Bytes:    ref.bytes,
+				Utility:  st.utilityOf(ref),
+			})
+		}
+	})
+	slices.SortFunc(out, func(a, b cloudletos.Item) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 
-// Evict implements cloudletos.Cloudlet.
+// keyOwner is the user and result an eviction key names.
+type keyOwner struct {
+	st         *userState
+	resultHash uint64
+}
+
+// Evict implements cloudletos.Cloudlet. A key nobody holds — or one
+// named twice — frees nothing.
 func (sh *shard) Evict(keys []uint64) int64 {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	owners := make(map[uint64]keyOwner)
+	sh.users.forEach(func(st *userState) {
+		for _, ref := range st.refs {
+			owners[itemKey(st.uid, ref.resultHash)] = keyOwner{st, ref.resultHash}
+		}
+	})
 	var freed int64
 	for _, k := range keys {
-		if ref, ok := sh.keys[k]; ok {
-			freed += sh.evictLocked(k, ref)
+		if o, ok := owners[k]; ok {
+			if i := o.st.refIndex(o.resultHash); i >= 0 {
+				freed += sh.evictLocked(o.st, i)
+			}
 		}
 	}
 	return freed
@@ -654,15 +671,18 @@ func (sh *shard) Evict(keys []uint64) int64 {
 func (sh *shard) Read(key uint64) ([]byte, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ref, ok := sh.keys[key]
-	if !ok {
+	var owner keyOwner
+	sh.users.forEach(func(st *userState) {
+		for _, ref := range st.refs {
+			if itemKey(st.uid, ref.resultHash) == key {
+				owner = keyOwner{st, ref.resultHash}
+			}
+		}
+	})
+	if owner.st == nil {
 		return nil, false
 	}
-	st := sh.users.get(ref.user)
-	if st == nil || st.cache == nil {
-		return nil, false
-	}
-	rec, _, err := st.cache.DB().Get(ref.resultHash)
+	rec, _, err := owner.st.cache.DB().Get(owner.resultHash)
 	if err != nil {
 		return nil, false
 	}
@@ -683,7 +703,7 @@ type userExport struct {
 	// missSeq keys the pure fault hashes; it must survive the move or
 	// per-user fault outcomes would diverge after a resize.
 	missSeq uint64
-	refs    map[uint64]evictRef
+	refs    []evictRef
 	// clock is the source device's model time; the destination device
 	// syncs forward to it so the user's clock never runs backwards.
 	clock time.Duration
@@ -703,9 +723,6 @@ func (sh *shard) exportUser(uid searchlog.UserID) (ex userExport, ok bool, err e
 	if st == nil {
 		return userExport{}, false, nil
 	}
-	for key := range st.refs {
-		delete(sh.keys, key)
-	}
 	sh.personalBytes -= st.bytes
 	if err := sh.materialize(st); err != nil {
 		sh.users.remove(uid)
@@ -723,9 +740,9 @@ func (sh *shard) exportUser(uid searchlog.UserID) (ex userExport, ok bool, err e
 		hits:    st.hits,
 		missSeq: st.missSeq,
 		refs:    st.refs,
-		clock:   st.clock.Now(),
+		clock:   sh.clock(st).Now(),
 	}
-	// remove zeroes the slot; ex.refs still references the map object.
+	// remove zeroes the slot; ex.refs still references the list.
 	sh.users.remove(uid)
 	return ex, true, nil
 }
@@ -751,18 +768,15 @@ func (sh *shard) importUser(uid searchlog.UserID, ex userExport) error {
 		sh.users.remove(uid)
 		return err
 	}
-	st.clock.SyncForward(ex.clock)
+	sh.clock(st).SyncForward(ex.clock)
 	st.served = ex.served
 	st.hits = ex.hits
 	st.missSeq = ex.missSeq
 	st.bytes = st.cache.DB().LogicalBytes()
 	sh.personalBytes += st.bytes
-	// The source slot was zeroed by the export, so its index map is this
+	// The source slot was zeroed by the export, so its list is this
 	// user's to keep.
 	st.refs = ex.refs
-	for key, ref := range ex.refs {
-		sh.keys[key] = ref
-	}
 	sh.enforceUserBudget(st)
 	return nil
 }

@@ -9,7 +9,16 @@
 // (web-address hash, ranking score), plus a 64-bit flags word. Queries
 // with more results than slots chain additional entries, which the
 // paper creates "by properly setting the second argument of the hash
-// function"; here the chain is an ordered slice per query hash.
+// function".
+//
+// The layout follows the paper's flat array. A table is two slabs of
+// fixed-size elements — entries (chain link, used-slot count, flags) and
+// their refs, SlotsPerEntry refs per entry — plus one map from query
+// hash to the index of its chain's first entry. Entries freed by Remove
+// go on a free list that the next new entry reuses. Nothing in either
+// slab or in the map holds a pointer, so the collector traces a table's
+// three headers however many queries it indexes. TestSlabsHoldNoPointers
+// keeps it that way.
 package hashtable
 
 import (
@@ -27,31 +36,53 @@ type SearchRef struct {
 	Score      float64
 }
 
-// entry is one hash-table entry: up to slotsPerEntry refs plus flags.
+// entry is one hash-table entry. Its refs are the used leading slots of
+// its block in Table.refs.
 type entry struct {
-	refs  []SearchRef
+	// next is the slab index of the chain's next entry (the next free
+	// entry while on the free list), or none.
+	next int32
+	// used counts the entry's occupied slots.
+	used int32
+	// flags holds one accessed bit per slot.
 	flags uint64
 }
+
+// none ends a chain or the free list.
+const none = -1
 
 // Flag bits: bit i set means the user has accessed slot i of the entry.
 // The paper reserves the remaining bits for future use.
 const accessedBit = 1
 
+// MaxSlotsPerEntry is the most slots an entry can have: one accessed
+// bit per slot in the 64-bit flags word.
+const MaxSlotsPerEntry = 64
+
 // Table is the query hash table.
 type Table struct {
-	slots   int
-	entries map[uint64][]entry
-	// refCount tracks the total number of stored refs for O(1) stats.
-	refCount int
+	slots int
+	// heads maps each stored query hash to its chain's first entry.
+	heads   map[uint64]int32
+	entries []entry
+	// refs holds slots refs per entry: entry e's block is
+	// refs[e*slots : (e+1)*slots].
+	refs []SearchRef
+	// free is the first entry of the free list, or none.
+	free int32
+	// numEntries and refCount count chained entries and stored refs for
+	// O(1) stats.
+	numEntries int
+	refCount   int
 }
 
 // New creates a table with the given number of search-result slots per
 // entry. The paper's design uses two; Figure 11 sweeps 1..6.
 func New(slotsPerEntry int) (*Table, error) {
-	if slotsPerEntry < 1 {
-		return nil, fmt.Errorf("hashtable: slots per entry must be >= 1, got %d", slotsPerEntry)
+	if slotsPerEntry < 1 || slotsPerEntry > MaxSlotsPerEntry {
+		return nil, fmt.Errorf("hashtable: slots per entry must be in [1, %d], got %d", MaxSlotsPerEntry, slotsPerEntry)
 	}
-	return &Table{slots: slotsPerEntry, entries: make(map[uint64][]entry)}, nil
+	return &Table{slots: slotsPerEntry, heads: make(map[uint64]int32), free: none}, nil
 }
 
 // MustNew is New for known-good slot counts.
@@ -67,25 +98,25 @@ func MustNew(slotsPerEntry int) *Table {
 func (t *Table) SlotsPerEntry() int { return t.slots }
 
 // NumQueries returns the number of distinct query hashes present.
-func (t *Table) NumQueries() int { return len(t.entries) }
+func (t *Table) NumQueries() int { return len(t.heads) }
 
 // NumEntries returns the total number of entries including chained ones.
-func (t *Table) NumEntries() int {
-	n := 0
-	for _, chain := range t.entries {
-		n += len(chain)
-	}
-	return n
-}
+func (t *Table) NumEntries() int { return t.numEntries }
 
 // NumRefs returns the total number of stored search references.
 func (t *Table) NumRefs() int { return t.refCount }
+
+// block returns entry e's used refs.
+func (t *Table) block(e int32) []SearchRef {
+	base := int(e) * t.slots
+	return t.refs[base : base+int(t.entries[e].used)]
+}
 
 // Contains reports whether the query hash has an entry — the cache
 // hit/miss test. On the paper's prototype this lookup costs ~10 µs and
 // is therefore negligible on both the hit and the miss path (Table 4).
 func (t *Table) Contains(queryHash uint64) bool {
-	_, ok := t.entries[queryHash]
+	_, ok := t.heads[queryHash]
 	return ok
 }
 
@@ -103,18 +134,19 @@ func (t *Table) Lookup(queryHash uint64) []SearchRef {
 // order is identical to Lookup's: descending score, ties broken by
 // ascending result hash.
 func (t *Table) LookupInto(queryHash uint64, buf []SearchRef) []SearchRef {
-	chain, ok := t.entries[queryHash]
+	head, ok := t.heads[queryHash]
 	if !ok {
 		return nil
 	}
-	return sortedRefs(chain, buf)
+	return t.sortedRefs(head, buf)
 }
 
-// sortedRefs collects a chain's refs into buf in Lookup order.
-func sortedRefs(chain []entry, buf []SearchRef) []SearchRef {
+// sortedRefs collects the refs of the chain starting at head into buf in
+// Lookup order.
+func (t *Table) sortedRefs(head int32, buf []SearchRef) []SearchRef {
 	refs := buf[:0]
-	for _, e := range chain {
-		refs = append(refs, e.refs...)
+	for e := head; e != none; e = t.entries[e].next {
+		refs = append(refs, t.block(e)...)
 	}
 	// Insertion sort instead of sort.Slice: chains are short (a handful
 	// of refs) and sort.Slice's reflection-based closure allocates.
@@ -138,178 +170,218 @@ func refLess(a, b SearchRef) bool {
 // ContainsRef reports whether the (query, result) pair is stored,
 // without allocating — the hit-path form of scanning Lookup's slice.
 func (t *Table) ContainsRef(queryHash, resultHash uint64) bool {
-	_, _, ok := t.find(queryHash, resultHash)
+	_, ok := t.Probe(queryHash, resultHash)
 	return ok
-}
-
-// find locates the chain entry and slot index of a (query, result).
-func (t *Table) find(queryHash, resultHash uint64) (ei, si int, ok bool) {
-	p, ok := t.Probe(queryHash, resultHash)
-	return p.ei, p.si, ok
 }
 
 // Probe is the position of one stored (query, result) pair: the query's
 // chain and the entry and slot that hold the pair. A serve that has
 // classified a pair as a hit does everything else a hit does to the
 // table — rank the query's results, apply the click, set the accessed
-// bit — from the position, without walking the chain from the map again.
+// bit — from the position, without looking the query up again.
 //
-// A Probe aliases the table's storage. It is valid until the next Put,
-// Remove or RemoveResult on the table it came from; using one after
-// that is a misuse (it may read or write a chain the table no longer
-// holds). The fleet never does: it probes and serves under one
-// shard-lock hold.
+// A Probe is valid until the next Put, Remove or RemoveResult on the
+// table it came from; using one after that is a misuse (it may read or
+// write slots that now hold another pair). The fleet never does: it
+// probes and serves under one shard-lock hold.
 type Probe struct {
-	chain  []entry
-	ei, si int
+	t         *Table
+	head, ent int32
+	si        int32
 }
 
 // Probe locates the (query, result) pair; ok is false when it is not
 // stored.
 func (t *Table) Probe(queryHash, resultHash uint64) (p Probe, ok bool) {
-	chain := t.entries[queryHash]
-	for ei := range chain {
-		for si, r := range chain[ei].refs {
+	head, ok := t.heads[queryHash]
+	if !ok {
+		return Probe{}, false
+	}
+	for e := head; e != none; e = t.entries[e].next {
+		for si, r := range t.block(e) {
 			if r.ResultHash == resultHash {
-				return Probe{chain: chain, ei: ei, si: si}, true
+				return Probe{t: t, head: head, ent: e, si: int32(si)}, true
 			}
 		}
 	}
 	return Probe{}, false
 }
 
+// ref returns the probed pair's slot.
+func (p Probe) ref() *SearchRef { return &p.t.refs[int(p.ent)*p.t.slots+int(p.si)] }
+
 // Refs is Table.LookupInto for the probed pair's query: every result of
 // the query in Lookup order, written into buf.
-func (p Probe) Refs(buf []SearchRef) []SearchRef { return sortedRefs(p.chain, buf) }
+func (p Probe) Refs(buf []SearchRef) []SearchRef { return p.t.sortedRefs(p.head, buf) }
 
 // Click applies Equations 1 and 2 of the paper to the probed pair's
 // query in place: the clicked (probed) result's score grows by one and
 // every sibling's is multiplied by decay (e^-lambda). It returns the
 // clicked result's new score.
 func (p Probe) Click(decay float64) float64 {
-	for ei := range p.chain {
-		refs := p.chain[ei].refs
+	t := p.t
+	for e := p.head; e != none; e = t.entries[e].next {
+		refs := t.block(e)
 		for si := range refs {
-			if ei == p.ei && si == p.si {
+			if e == p.ent && int32(si) == p.si {
 				refs[si].Score++
 			} else {
 				refs[si].Score *= decay
 			}
 		}
 	}
-	return p.chain[p.ei].refs[p.si].Score
+	return p.ref().Score
 }
 
 // MarkAccessed sets the probed pair's accessed flag (Table.MarkAccessed
 // without the search).
-func (p Probe) MarkAccessed() { p.chain[p.ei].flags |= accessedBit << uint(p.si) }
+func (p Probe) MarkAccessed() { p.t.entries[p.ent].flags |= accessedBit << uint(p.si) }
 
 // Score returns the ranking score of a (query, result) pair.
 func (t *Table) Score(queryHash, resultHash uint64) (float64, bool) {
-	ei, si, ok := t.find(queryHash, resultHash)
+	p, ok := t.Probe(queryHash, resultHash)
 	if !ok {
 		return 0, false
 	}
-	return t.entries[queryHash][ei].refs[si].Score, true
+	return p.ref().Score, true
 }
 
 // Put inserts or updates the (query, result) pair with the given
 // score. New results go into the first entry with a free slot, or a
 // new chained entry when all are full.
 func (t *Table) Put(queryHash uint64, ref SearchRef) {
-	if ei, si, ok := t.find(queryHash, ref.ResultHash); ok {
-		t.entries[queryHash][ei].refs[si].Score = ref.Score
+	head, ok := t.heads[queryHash]
+	if !ok {
+		e := t.newEntry()
+		t.heads[queryHash] = e
+		t.appendRef(e, ref)
 		return
 	}
-	chain := t.entries[queryHash]
-	for i := range chain {
-		if len(chain[i].refs) < t.slots {
-			chain[i].refs = append(chain[i].refs, ref)
-			t.entries[queryHash] = chain
-			t.refCount++
-			return
+	var open, tail int32 = none, none
+	for e := head; e != none; e = t.entries[e].next {
+		for si, r := range t.block(e) {
+			if r.ResultHash == ref.ResultHash {
+				t.refs[int(e)*t.slots+si].Score = ref.Score
+				return
+			}
 		}
+		if open == none && int(t.entries[e].used) < t.slots {
+			open = e
+		}
+		tail = e
 	}
-	t.entries[queryHash] = append(chain, entry{refs: append(make([]SearchRef, 0, t.slots), ref)})
+	if open == none {
+		open = t.newEntry()
+		t.entries[tail].next = open
+	}
+	t.appendRef(open, ref)
+}
+
+// appendRef stores ref in entry e's first free slot.
+func (t *Table) appendRef(e int32, ref SearchRef) {
+	t.refs[int(e)*t.slots+int(t.entries[e].used)] = ref
+	t.entries[e].used++
 	t.refCount++
+}
+
+// newEntry returns an empty, unlinked entry: the free list's first, or a
+// new one at the end of the slabs.
+func (t *Table) newEntry() int32 {
+	t.numEntries++
+	if e := t.free; e != none {
+		t.free = t.entries[e].next
+		t.entries[e] = entry{next: none}
+		return e
+	}
+	t.entries = append(t.entries, entry{next: none})
+	t.refs = slices.Grow(t.refs, t.slots)[:len(t.refs)+t.slots]
+	return int32(len(t.entries) - 1)
 }
 
 // SetScore updates the score of an existing pair.
 func (t *Table) SetScore(queryHash, resultHash uint64, score float64) bool {
-	ei, si, ok := t.find(queryHash, resultHash)
-	if !ok {
-		return false
+	p, ok := t.Probe(queryHash, resultHash)
+	if ok {
+		p.ref().Score = score
 	}
-	t.entries[queryHash][ei].refs[si].Score = score
-	return true
+	return ok
 }
 
 // MarkAccessed sets the pair's accessed flag — the bit the server-side
 // cache manager uses to decide which entries to preserve (Section 5.4).
 func (t *Table) MarkAccessed(queryHash, resultHash uint64) bool {
-	ei, si, ok := t.find(queryHash, resultHash)
-	if !ok {
-		return false
+	p, ok := t.Probe(queryHash, resultHash)
+	if ok {
+		p.MarkAccessed()
 	}
-	t.entries[queryHash][ei].flags |= accessedBit << uint(si)
-	return true
+	return ok
 }
 
 // Accessed reports whether the pair's accessed flag is set.
 func (t *Table) Accessed(queryHash, resultHash uint64) bool {
-	ei, si, ok := t.find(queryHash, resultHash)
-	if !ok {
-		return false
-	}
-	return t.entries[queryHash][ei].flags&(accessedBit<<uint(si)) != 0
+	p, ok := t.Probe(queryHash, resultHash)
+	return ok && t.entries[p.ent].flags&(accessedBit<<uint(p.si)) != 0
 }
 
 // Remove deletes the (query, result) pair, compacting its entry and
 // dropping empty entries. It reports whether the pair existed.
 func (t *Table) Remove(queryHash, resultHash uint64) bool {
-	ei, si, ok := t.find(queryHash, resultHash)
-	if !ok {
-		return false
-	}
-	chain := t.entries[queryHash]
-	e := &chain[ei]
-	// Compact refs and the corresponding flag bits.
-	copy(e.refs[si:], e.refs[si+1:])
-	e.refs = e.refs[:len(e.refs)-1]
-	low := e.flags & ((1 << uint(si)) - 1)
-	high := (e.flags >> uint(si+1)) << uint(si)
-	e.flags = low | high
-	t.refCount--
-	if len(e.refs) == 0 {
-		chain = append(chain[:ei], chain[ei+1:]...)
-	}
-	if len(chain) == 0 {
-		delete(t.entries, queryHash)
-	} else {
-		t.entries[queryHash] = chain
-	}
-	return true
+	head, ok := t.heads[queryHash]
+	return ok && t.removeFrom(queryHash, head, resultHash)
 }
 
 // RemoveResult deletes every pair that references the given result
 // hash (used when a result's record is no longer available). It
 // returns the number of pairs removed.
 func (t *Table) RemoveResult(resultHash uint64) int {
-	type loc struct{ q, r uint64 }
-	var victims []loc
-	for qh, chain := range t.entries {
-		for _, e := range chain {
-			for _, ref := range e.refs {
-				if ref.ResultHash == resultHash {
-					victims = append(victims, loc{qh, ref.ResultHash})
-				}
-			}
+	n := 0
+	for qh, head := range t.heads {
+		if t.removeFrom(qh, head, resultHash) {
+			n++
 		}
 	}
-	for _, v := range victims {
-		t.Remove(v.q, v.r)
+	return n
+}
+
+// removeFrom removes resultHash from queryHash's chain, which starts at
+// head, and reports whether it was there. The entry's later refs and
+// their flag bits shift down one slot, and an entry left empty is
+// unlinked and freed — with the query itself when it was the chain's
+// last.
+func (t *Table) removeFrom(queryHash uint64, head int32, resultHash uint64) bool {
+	prev := int32(none)
+	for e := head; e != none; prev, e = e, t.entries[e].next {
+		refs := t.block(e)
+		si := slices.IndexFunc(refs, func(r SearchRef) bool { return r.ResultHash == resultHash })
+		if si < 0 {
+			continue
+		}
+		copy(refs[si:], refs[si+1:])
+		refs[len(refs)-1] = SearchRef{}
+		en := &t.entries[e]
+		en.used--
+		low := en.flags & ((1 << uint(si)) - 1)
+		high := (en.flags >> uint(si+1)) << uint(si)
+		en.flags = low | high
+		t.refCount--
+		if en.used > 0 {
+			return true
+		}
+		next := en.next
+		switch {
+		case prev != none:
+			t.entries[prev].next = next
+		case next != none:
+			t.heads[queryHash] = next
+		default:
+			delete(t.heads, queryHash)
+		}
+		*en = entry{next: t.free}
+		t.free = e
+		t.numEntries--
+		return true
 	}
-	return len(victims)
+	return false
 }
 
 // Pair is a flattened (query, result) pair with its metadata, used for
@@ -325,14 +397,15 @@ type Pair struct {
 // hash, then result hash).
 func (t *Table) Pairs() []Pair {
 	out := make([]Pair, 0, t.refCount)
-	for qh, chain := range t.entries {
-		for _, e := range chain {
-			for si, r := range e.refs {
+	for qh, head := range t.heads {
+		for e := head; e != none; e = t.entries[e].next {
+			flags := t.entries[e].flags
+			for si, r := range t.block(e) {
 				out = append(out, Pair{
 					QueryHash:  qh,
 					ResultHash: r.ResultHash,
 					Score:      r.Score,
-					Accessed:   e.flags&(accessedBit<<uint(si)) != 0,
+					Accessed:   flags&(accessedBit<<uint(si)) != 0,
 				})
 			}
 		}
@@ -347,28 +420,41 @@ func (t *Table) Pairs() []Pair {
 // without the bytes in between: pairs must be as Pairs returns them —
 // ordered by (query, result) hash, each at most once — and each query's
 // results fill its chain's entries front to back, as Put would have
-// placed them. State migration copies a user's table this way (the
-// updater's ExportState); EncodedLen sizes the transfer it stands for.
+// placed them. Both slabs are sized exactly. State migration copies a
+// user's table this way (the updater's ExportState); EncodedLen sizes
+// the transfer it stands for.
 func FromPairs(slotsPerEntry int, pairs []Pair) (*Table, error) {
 	t, err := New(slotsPerEntry)
 	if err != nil {
 		return nil, err
 	}
-	t.refCount = len(pairs)
+	entries, queries := 0, 0
+	for rest := pairs; len(rest) > 0; queries++ {
+		n := queryRun(rest)
+		entries += (n + t.slots - 1) / t.slots
+		rest = rest[n:]
+	}
+	t.heads = make(map[uint64]int32, queries)
+	t.entries = make([]entry, 0, entries)
+	t.refs = make([]SearchRef, entries*t.slots)
+	t.numEntries, t.refCount = entries, len(pairs)
 	for len(pairs) > 0 {
 		run := pairs[:queryRun(pairs)]
-		chain := make([]entry, (len(run)+t.slots-1)/t.slots)
+		t.heads[run[0].QueryHash] = int32(len(t.entries))
 		for k, p := range run {
-			e := &chain[k/t.slots]
-			if e.refs == nil {
-				e.refs = make([]SearchRef, 0, t.slots)
+			if k%t.slots == 0 {
+				if k > 0 {
+					t.entries[len(t.entries)-1].next = int32(len(t.entries))
+				}
+				t.entries = append(t.entries, entry{next: none})
 			}
-			e.refs = append(e.refs, SearchRef{ResultHash: p.ResultHash, Score: p.Score})
+			e := len(t.entries) - 1
+			t.refs[e*t.slots+k%t.slots] = SearchRef{ResultHash: p.ResultHash, Score: p.Score}
+			t.entries[e].used++
 			if p.Accessed {
-				e.flags |= accessedBit << uint(k%t.slots)
+				t.entries[e].flags |= accessedBit << uint(k%t.slots)
 			}
 		}
-		t.entries[run[0].QueryHash] = chain
 		pairs = pairs[len(run):]
 	}
 	return t, nil
@@ -433,12 +519,16 @@ func (t *Table) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reconstructs a table serialized by Encode.
+// Decode reconstructs a table serialized by Encode. The header's slot
+// count is New's to reject (its error is Decode's), and its pair count
+// sizes nothing: the table grows with the pairs actually read, so a
+// hostile header can claim any count and cost only an error.
 func Decode(r io.Reader) (*Table, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("hashtable: decode header: %w", err)
 	}
+	// A slot count past MaxInt64 converts negative, which New rejects too.
 	slots := int(binary.LittleEndian.Uint64(hdr[:8]))
 	n := binary.LittleEndian.Uint64(hdr[8:16])
 	t, err := New(slots)

@@ -107,27 +107,27 @@ func (tl *Timeline) UserClock(dev DeviceClock) *UserClock {
 }
 
 // BoundClock is UserClock returning the clock by value, for callers
-// that intern per-user clocks inside compact arena slots instead of
-// heap-allocating one clock per user. The value is a valid UserClock;
-// methods work on any addressable copy.
+// that bind a user's clock where they use it instead of heap-allocating
+// one clock per user. The value is a valid UserClock; its methods take
+// the clock by value, so any copy works.
 func (tl *Timeline) BoundClock(dev DeviceClock) UserClock {
 	return UserClock{dev: dev, tl: tl}
 }
 
 // Now returns the user's current model time.
-func (c *UserClock) Now() time.Duration { return c.dev.Now() }
+func (c UserClock) Now() time.Duration { return c.dev.Now() }
 
 // Observe publishes the user's current model time to the timeline.
 // Serving paths call it after charging work to the device, so the
 // timeline's makespan tracks the furthest-advanced user.
-func (c *UserClock) Observe() { c.tl.Observe(c.dev.Now()) }
+func (c UserClock) Observe() { c.tl.Observe(c.dev.Now()) }
 
 // SyncForward advances the user's model clock monotonically to t and
 // publishes the result. A t at or before the current clock is a no-op
 // (the device-level monotonic contract), so replaying a stale
 // timestamp — a migration import racing a fresher serve — can never
 // rewind time.
-func (c *UserClock) SyncForward(t time.Duration) {
+func (c UserClock) SyncForward(t time.Duration) {
 	c.dev.SyncClock(t)
 	c.Observe()
 }
