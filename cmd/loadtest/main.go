@@ -126,7 +126,6 @@ var knobs = []knob{
 	{name: "month", path: "month", nonzero: true, usage: "month to replay (content is built from the preceding month)"},
 	{name: "radio", path: "fleet.radio", usage: "radio technology: 3g, edge, wifi"},
 	{name: "userbudget", path: "fleet.user_budget_bytes", usage: "per-user personal flash cap in bytes; 0 = unlimited"},
-	{name: "fleetbudget", path: "fleet.fleet_budget_bytes", usage: "fleet-wide personal flash budget in bytes; 0 = default 2.5 GB"},
 	{name: "placement", path: "fleet.placement", usage: "user→shard routing: modulo (legacy static) or ring (consistent hashing)"},
 	{name: "vnodes", path: "fleet.vnodes", usage: "virtual nodes per shard on the ring (with -placement ring); 0 = default 64"},
 	{name: "autoscale", path: "fleet.autoscale", block: "{}", enables: true, usage: "drive shard count from per-shard occupancy sampled on a model-time cadence (open mode with -placement ring)"},

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -118,6 +119,15 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		if !found {
 			t.Errorf("args %v: problems %v do not mention %q", tc.args, problems, tc.want)
 		}
+	}
+	// -fleetbudget is no flag: the parser refuses it, not silently ignoring it.
+	var rf runFlags
+	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	rf.register(fs)
+	if err := fs.Parse([]string{"-fleetbudget", "100000"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -fleetbudget") {
+		t.Errorf("-fleetbudget: %v, want it refused as an unknown flag", err)
 	}
 }
 
@@ -363,8 +373,8 @@ func TestKnobPathsResolve(t *testing.T) {
 			}
 		}
 	}
-	if got := len(knobs); got != 48 {
-		t.Errorf("%d workload flags, want 48 (none may be added or dropped silently)", got)
+	if got := len(knobs); got != 47 {
+		t.Errorf("%d workload flags, want 47 (none may be added or dropped silently)", got)
 	}
 }
 

@@ -1,30 +1,28 @@
 package fleet
 
 import (
-	"crypto/sha256"
+	"cmp"
 	"fmt"
 	"os"
 	"slices"
 	"strings"
 	"testing"
 
+	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/searchlog"
 )
 
 // evictIndexGolden is the eviction index's observable behaviour on a
 // small budgeted fleet, recorded before the index moved from map-keyed
 // records to per-user lists. It is a pin, not a fixture: a change that
-// needs it re-recorded changed what the cloudletos manager sees.
+// needs it re-recorded changed which records serving keeps.
 const evictIndexGolden = "testdata/evictindex.golden"
 
-// TestEvictionIndexGolden holds everything the shards' eviction index
-// answers to the Section 7 manager — every shard's Items (key, relation,
-// bytes, utility), the bytes and keys a plain and a coordinated
-// ReclaimPersonal evict, each user's personal bytes, a mediated read per
-// shard, an Evict naming a key twice and a key nobody holds — to the
-// golden, byte for byte. The fleet has a per-user budget (so serving
-// evicts too) and grows 4→6 shards mid-run (so half the users' indexes
-// arrived through a migration).
+// TestEvictionIndexGolden holds what the shards' eviction index holds —
+// every shard's records (key, query hash, bytes, utility) and each
+// user's personal bytes — to the golden, byte for byte. The fleet has a
+// per-user budget (so serving evicts) and grows 4→6 shards mid-run (so
+// half the users' indexes arrived through a migration).
 func TestEvictionIndexGolden(t *testing.T) {
 	want, err := os.ReadFile(evictIndexGolden)
 	if err != nil {
@@ -75,67 +73,42 @@ func renderEvictionIndex(t *testing.T) string {
 	f.Drain()
 
 	var b strings.Builder
-	shards := f.topo.Load().shards
-	items := func(label string) map[string][]uint64 {
-		keys := make(map[string][]uint64)
-		for _, sh := range shards {
-			fmt.Fprintf(&b, "%s items %s\n", label, sh.Name())
-			for _, it := range sh.Items() {
-				fmt.Fprintf(&b, "  %016x rel=%016x bytes=%d utility=%v\n", it.Key, it.Relation, it.Bytes, it.Utility)
-				keys[sh.Name()] = append(keys[sh.Name()], it.Key)
-			}
-		}
-		return keys
-	}
-	userBytes := func(label string) {
-		for _, c := range f.UserServeCounts() {
-			fmt.Fprintf(&b, "%s user %d bytes=%d\n", label, c.User, c.Bytes)
+	for _, sh := range f.topo.Load().shards {
+		fmt.Fprintf(&b, "start items pocketsearch-shard-%d\n", sh.id)
+		for _, it := range shardItems(sh) {
+			fmt.Fprintf(&b, "  %016x rel=%016x bytes=%d utility=%v\n", it.key, it.queryHash, it.bytes, it.utility)
 		}
 	}
-	evicted := func(before, after map[string][]uint64) {
-		for _, sh := range shards {
-			for _, k := range before[sh.Name()] {
-				if !slices.Contains(after[sh.Name()], k) {
-					fmt.Fprintf(&b, "  evicted %s %016x\n", sh.Name(), k)
-				}
-			}
-		}
+	for _, c := range f.UserServeCounts() {
+		fmt.Fprintf(&b, "start user %d bytes=%d\n", c.User, c.Bytes)
 	}
-
-	start := items("start")
-	userBytes("start")
-	for _, sh := range shards {
-		keys := start[sh.Name()]
-		if len(keys) == 0 {
-			fmt.Fprintf(&b, "read %s: no items\n", sh.Name())
-			continue
-		}
-		k := keys[len(keys)/2]
-		rec, err := f.Manager().ReadFrom(sh.Name(), sh.Name(), k)
-		fmt.Fprintf(&b, "read %s %016x: %d bytes sha256=%x err=%v\n", sh.Name(), k, len(rec), sha256.Sum256(rec), err)
-	}
-
-	total := f.Stats().PersonalBytes
-	freed := f.ReclaimPersonal(total/4, false)
-	fmt.Fprintf(&b, "reclaim want=%d coordinate=false freed=%d\n", total/4, freed)
-	plain := items("plain")
-	evicted(start, plain)
-	userBytes("plain")
-
-	total = f.Stats().PersonalBytes
-	freed = f.ReclaimPersonal(total/4, true)
-	fmt.Fprintf(&b, "reclaim want=%d coordinate=true freed=%d\n", total/4, freed)
-	coord := items("coordinated")
-	evicted(plain, coord)
-	userBytes("coordinated")
-
-	sh := shards[0]
-	if keys := coord[sh.Name()]; len(keys) > 0 {
-		k := keys[0]
-		fmt.Fprintf(&b, "evict %s [%016x twice, absent] freed=%d\n", sh.Name(), k, sh.Evict([]uint64{k, k, 0x5eed}))
-		_, err := f.Manager().ReadFrom(sh.Name(), sh.Name(), k)
-		fmt.Fprintf(&b, "read evicted %016x: err=%v\n", k, err)
-	}
-	fmt.Fprintf(&b, "personal bytes %d\n", f.Stats().PersonalBytes)
 	return b.String()
+}
+
+// evictItem is one personal record as the golden lists it.
+type evictItem struct {
+	key, queryHash uint64
+	bytes          int64
+	utility        float64
+}
+
+// shardItems lists every resident user's personal records on sh in key
+// order. The key names a (user, result) record stably across shards, so
+// the order does not depend on arena slots or list order.
+func shardItems(sh *shard) []evictItem {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var out []evictItem
+	sh.users.forEach(func(st *userState) {
+		for _, ref := range st.refs {
+			out = append(out, evictItem{
+				key:       hash64.Mix((uint64(st.uid)+1)*0x9E3779B97F4A7C15 ^ ref.resultHash),
+				queryHash: ref.queryHash,
+				bytes:     ref.bytes,
+				utility:   st.utilityOf(ref),
+			})
+		}
+	})
+	slices.SortFunc(out, func(a, b evictItem) int { return cmp.Compare(a.key, b.key) })
+	return out
 }

@@ -26,10 +26,12 @@
 //     when the shard's queue is full the request is shed and counted,
 //     never silently queued without bound (an open-loop load generator
 //     must observe overload, not hide it).
-//   - Personal state lives under a fleet-wide storage budget managed
-//     by the Section 7 cloudlet manager (internal/cloudletos): each
-//     shard registers its users' personal records as one cloudlet, and
-//     Reclaim evicts the lowest-utility records across the whole fleet.
+//   - Personal state has one eviction policy: Config.PerUserBytes caps
+//     each user's personal flash, enforced on every expansion by
+//     evicting that user's lowest-utility records. The Section 7
+//     multi-cloudlet manager (quotas across cloudlets, coordinated
+//     eviction) lives at device level in internal/cloudletos; the fleet
+//     does not use it.
 //   - With Config.Batch enabled, cloud misses are coalesced: a request
 //     is classified under the shard lock and, if it must go to the
 //     cloud, parked with a dispatcher goroutine instead of paying a
@@ -83,7 +85,6 @@ import (
 
 	"pocketcloudlets/internal/backend"
 	"pocketcloudlets/internal/cachegen"
-	"pocketcloudlets/internal/cloudletos"
 	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/faults"
@@ -213,12 +214,6 @@ type Observer interface {
 	Observe(Response)
 }
 
-// DefaultTotalPersonalBytes is the default fleet-wide personal storage
-// budget: the Table 2 assumption of ~2.5 GB of cloudlet flash, here
-// dedicated to the personal components of the whole resident
-// population.
-const DefaultTotalPersonalBytes = 2_500_000_000
-
 // Config parameterizes a fleet.
 type Config struct {
 	// Engine is the shared cloud engine (stateless, safe to share). The
@@ -269,10 +264,6 @@ type Config struct {
 	// is enforced deterministically on the serving path. Zero means
 	// unlimited.
 	PerUserBytes int64
-	// TotalPersonalBytes is the fleet-wide personal storage budget
-	// registered with the cloudlet manager and divided evenly among
-	// shards. Zero selects DefaultTotalPersonalBytes.
-	TotalPersonalBytes int64
 	// ShardPower is the cloudlet-server power envelope of each shard: a
 	// provisioned shard draws IdleW continuously for as long as it is in
 	// the topology, plus the ActiveW increment over its busy time. Zero
@@ -489,9 +480,6 @@ func (c Config) withDefaults() Config {
 	if c.Radio.Name == "" {
 		c.Radio = radio.ThreeG()
 	}
-	if c.TotalPersonalBytes <= 0 {
-		c.TotalPersonalBytes = DefaultTotalPersonalBytes
-	}
 	if c.Replicas < 1 {
 		c.Replicas = 1
 	}
@@ -561,8 +549,6 @@ type Fleet struct {
 	// placement and flips users over one source shard at a time (see
 	// migrate.go).
 	route atomic.Pointer[routeTable]
-
-	manager *cloudletos.Manager
 
 	// tl is the fleet-wide model timeline: every user clock and
 	// community replica clock is registered on it, so the model-time
@@ -641,8 +627,7 @@ func (l *routeFence) Unlock() {
 }
 
 // New builds the shards (community replicas are preloaded in
-// parallel), registers them with the storage manager, and starts the
-// worker pool.
+// parallel) and starts the worker pool.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("fleet: engine is required")
@@ -684,18 +669,6 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	mgr, err := cloudletos.NewManager(cfg.TotalPersonalBytes)
-	if err != nil {
-		return nil, err
-	}
-	quota := cloudletos.Quota{FlashBytes: cfg.TotalPersonalBytes / int64(cfg.Shards)}
-	for _, sh := range shards {
-		if err := mgr.Register(sh, quota); err != nil {
-			return nil, err
-		}
-	}
-	f.manager = mgr
 
 	var dispatchers []*dispatcher
 	if cfg.Batch.Enabled {
@@ -748,10 +721,6 @@ func (f *Fleet) PlacementName() string { return f.route.Load().place.Name() }
 
 // NumWorkers returns the worker-pool size.
 func (f *Fleet) NumWorkers() int { return len(f.queues) }
-
-// Manager exposes the Section 7 storage manager governing the fleet's
-// personal state.
-func (f *Fleet) Manager() *cloudletos.Manager { return f.manager }
 
 // ModelMakespan returns the fleet-wide model-time makespan: the
 // furthest any model clock (user device or community replica) has
@@ -1359,12 +1328,4 @@ func (f *Fleet) CommunityStats() pocketsearch.Stats {
 		agg.Stale += st.Stale
 	}
 	return agg
-}
-
-// ReclaimPersonal frees at least want bytes of personal flash across
-// the whole fleet, evicting lowest-utility records first via the
-// Section 7 manager. With coordinate set, same-query records are
-// evicted together across shards. It returns the bytes freed.
-func (f *Fleet) ReclaimPersonal(want int64, coordinate bool) int64 {
-	return f.manager.Reclaim(want, coordinate)
 }

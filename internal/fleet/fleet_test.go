@@ -401,33 +401,3 @@ func TestPerUserBudget(t *testing.T) {
 		sh.mu.Unlock()
 	}
 }
-
-// TestReclaimPersonal frees fleet-wide personal flash through the
-// Section 7 manager and verifies the accounting is consistent.
-func TestReclaimPersonal(t *testing.T) {
-	g := smallGen(t, 32)
-	content := smallContent(t, g)
-	f := newTestFleet(t, g, content, nil)
-
-	for _, up := range g.Users()[:8] {
-		for _, req := range requestsFor(g, up, 1) {
-			if resp := f.Do(req); resp.Err != nil {
-				t.Fatal(resp.Err)
-			}
-		}
-	}
-	before := f.Stats().PersonalBytes
-	if before == 0 {
-		t.Fatal("no personal state accumulated")
-	}
-
-	want := before / 2
-	freed := f.ReclaimPersonal(want, false)
-	if freed < want {
-		t.Errorf("reclaimed %d, want at least %d", freed, want)
-	}
-	after := f.Stats().PersonalBytes
-	if after != before-freed {
-		t.Errorf("personal bytes %d, want %d - %d = %d", after, before, freed, before-freed)
-	}
-}

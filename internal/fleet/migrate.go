@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"pocketcloudlets/internal/cloudletos"
 	"pocketcloudlets/internal/placement"
 	"pocketcloudlets/internal/searchlog"
 )
@@ -15,9 +14,8 @@ import (
 // count while the fleet keeps serving. The protocol is epoch-based and
 // flips one *source* shard at a time:
 //
-//  1. Grow the physical topology first (new shards, dispatchers and
-//     rebalanced storage quotas), so every destination the new
-//     placement can name already exists.
+//  1. Grow the physical topology first (new shards and dispatchers),
+//     so every destination the new placement can name already exists.
 //  2. For each old shard s, one epoch: publish a route table in which
 //     users homed on s now route by the new placement (all other
 //     un-flipped shards keep their old homes); push a barrier through
@@ -35,7 +33,7 @@ import (
 //     Served+Shed+Canceled invariant holds throughout.
 //  4. After the last epoch the final route (new placement only) is
 //     published; a full drain then lets a shrink retire the orphaned
-//     shards, their dispatchers and their storage registrations.
+//     shards and their dispatchers.
 //
 // In-flight requests always finish on the shard they were routed to:
 // the epoch barrier runs after the route flip is fenced by the enqueue
@@ -181,9 +179,7 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 	heldBefore := f.heldRequests.Load()
 
 	// Grow the physical topology before any routing changes, so every
-	// shard the new placement can name exists; storage quotas rebalance
-	// survivors-down-then-register so the committed sum never exceeds
-	// the budget.
+	// shard the new placement can name exists.
 	tp := f.topo.Load()
 	if n > n1 {
 		grown, err := buildShards(f.cfg, f.cohorts, f.tl, n1, n)
@@ -196,17 +192,6 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 		provisioned := f.tl.Makespan()
 		for _, sh := range grown {
 			sh.provisionedAt = provisioned
-		}
-		quota := cloudletos.Quota{FlashBytes: f.cfg.TotalPersonalBytes / int64(n)}
-		for _, sh := range tp.shards {
-			if err := f.manager.SetQuota(sh.Name(), quota); err != nil {
-				return st, err
-			}
-		}
-		for _, sh := range grown {
-			if err := f.manager.Register(sh, quota); err != nil {
-				return st, err
-			}
 		}
 		shards := append(append([]*shard(nil), tp.shards...), grown...)
 		dispatchers := append([]*dispatcher(nil), tp.dispatchers...)
@@ -263,17 +248,6 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 		f.retireMu.Unlock()
 		for _, d := range retiredDisp {
 			d.close()
-		}
-		for _, sh := range retired {
-			if err := f.manager.Unregister(sh.Name()); err != nil {
-				return st, err
-			}
-		}
-		quota := cloudletos.Quota{FlashBytes: f.cfg.TotalPersonalBytes / int64(n)}
-		for _, sh := range shards {
-			if err := f.manager.SetQuota(sh.Name(), quota); err != nil {
-				return st, err
-			}
 		}
 	}
 

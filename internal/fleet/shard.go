@@ -1,14 +1,11 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pocketcloudlets/internal/cloudletos"
 	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/engine"
@@ -56,9 +53,8 @@ type userState struct {
 	missSeq uint64
 	// refs lists the user's personal records, one per result, in no
 	// particular order: the budget enforcer finds this user's
-	// lowest-utility record without scanning the whole shard, and the
-	// cloudletos methods derive each record's eviction key (itemKey) from
-	// it and uid. Nil until the first expansion.
+	// lowest-utility record without scanning the whole shard. Nil until
+	// the first expansion.
 	refs []evictRef
 	// rt is the user's resolved cohort runtime: the radio tier their
 	// device is built with, the fault injector their cloud misses draw
@@ -71,8 +67,8 @@ type userState struct {
 }
 
 // evictRef is one personal record in its owner's eviction list: the
-// query that stored it (the cloudletos Relation), its result and the
-// flash bytes its expansion added.
+// query that stored it, its result and the flash bytes its expansion
+// added.
 type evictRef struct {
 	queryHash  uint64
 	resultHash uint64
@@ -349,12 +345,6 @@ func addAll(dst, src []atomic.Int64) []atomic.Int64 {
 	return dst
 }
 
-// itemKey derives the stable eviction key of a (user, result) personal
-// record via splitmix64 finalization.
-func itemKey(uid searchlog.UserID, resultHash uint64) uint64 {
-	return hash64.Mix((uint64(uid)+1)*0x9E3779B97F4A7C15 ^ resultHash)
-}
-
 // newShard builds one shard: a community cache replica preloaded with
 // the shared content (provisioned overnight, so its model clock is
 // reset afterwards) and an empty user arena.
@@ -554,17 +544,6 @@ func (sh *shard) recordExpansion(st *userState, qh, ch uint64, delta int64) {
 	sh.enforceUserBudget(st)
 }
 
-// refIndex is the position of the result's record in the user's list, or
-// -1.
-func (st *userState) refIndex(resultHash uint64) int {
-	for i := range st.refs {
-		if st.refs[i].resultHash == resultHash {
-			return i
-		}
-	}
-	return -1
-}
-
 // utilityOf is the eviction utility of a personal record: the best
 // click score any query still gives it (Equation 1's S values), so a
 // user's stale, decayed records go first.
@@ -607,86 +586,6 @@ func (sh *shard) evictLocked(st *userState, i int) int64 {
 	st.refs[i] = st.refs[last]
 	st.refs = st.refs[:last]
 	return freed
-}
-
-// --- cloudletos.Cloudlet: the shard's personal state is one cloudlet
-// under the fleet-wide storage budget, so the Section 7 manager can
-// arbitrate flash across users exactly as it does across cloudlets.
-
-// Name implements cloudletos.Cloudlet.
-func (sh *shard) Name() string { return fmt.Sprintf("pocketsearch-shard-%d", sh.id) }
-
-// Items implements cloudletos.Cloudlet: every resident user's personal
-// records, in key order. Relation carries the query hash so coordinated
-// eviction can link a search record with same-query items in sibling
-// cloudlets (ads, maps).
-func (sh *shard) Items() []cloudletos.Item {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var out []cloudletos.Item
-	sh.users.forEach(func(st *userState) {
-		for _, ref := range st.refs {
-			out = append(out, cloudletos.Item{
-				Key:      itemKey(st.uid, ref.resultHash),
-				Relation: ref.queryHash,
-				Bytes:    ref.bytes,
-				Utility:  st.utilityOf(ref),
-			})
-		}
-	})
-	slices.SortFunc(out, func(a, b cloudletos.Item) int { return cmp.Compare(a.Key, b.Key) })
-	return out
-}
-
-// keyOwner is the user and result an eviction key names.
-type keyOwner struct {
-	st         *userState
-	resultHash uint64
-}
-
-// Evict implements cloudletos.Cloudlet. A key nobody holds — or one
-// named twice — frees nothing.
-func (sh *shard) Evict(keys []uint64) int64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	owners := make(map[uint64]keyOwner)
-	sh.users.forEach(func(st *userState) {
-		for _, ref := range st.refs {
-			owners[itemKey(st.uid, ref.resultHash)] = keyOwner{st, ref.resultHash}
-		}
-	})
-	var freed int64
-	for _, k := range keys {
-		if o, ok := owners[k]; ok {
-			if i := o.st.refIndex(o.resultHash); i >= 0 {
-				freed += sh.evictLocked(o.st, i)
-			}
-		}
-	}
-	return freed
-}
-
-// Read implements cloudletos.Cloudlet: a mediated read of one personal
-// record, charged to the owning user's device like any flash read.
-func (sh *shard) Read(key uint64) ([]byte, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var owner keyOwner
-	sh.users.forEach(func(st *userState) {
-		for _, ref := range st.refs {
-			if itemKey(st.uid, ref.resultHash) == key {
-				owner = keyOwner{st, ref.resultHash}
-			}
-		}
-	})
-	if owner.st == nil {
-		return nil, false
-	}
-	rec, _, err := owner.st.cache.DB().Get(owner.resultHash)
-	if err != nil {
-		return nil, false
-	}
-	return rec, true
 }
 
 // --- state migration: a user's personal component is packaged through

@@ -734,6 +734,34 @@ func TestAutoscaleOffReportShape(t *testing.T) {
 	}
 }
 
+// TestShortHorizonCurveIsFinite: an open run whose horizon gives each
+// curve bucket less than a nanosecond still reports finite rates, so
+// its JSON report encodes.
+func TestShortHorizonCurveIsFinite(t *testing.T) {
+	g := smallGen(t, 32)
+	f, col := newRig(t, g, smallContent(t, g))
+	r, err := RunOpen(f, col, g, OpenConfig{QPS: 1000, Duration: 10 * time.Nanosecond, Month: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.JSON(); err != nil {
+		t.Fatalf("10 ns open run: %v", err)
+	}
+	offered, shed := make([]uint64, curveBuckets), make([]uint64, curveBuckets)
+	offered[3], offered[7], shed[7] = 2, 3, 1
+	curve, ratio := offeredCurve(10*time.Nanosecond, offered, shed)
+	for _, b := range curve {
+		for _, v := range []float64{b.OfferedQPS, b.ServedQPS} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("bucket %+v: rate %v", b, v)
+			}
+		}
+	}
+	if math.Abs(curve[3].ServedQPS-4e9) > 1 || ratio != 1 {
+		t.Errorf("2 arrivals in a 0.5 ns bucket served at %v/s (ratio %v), want 4e9/s (ratio 1)", curve[3].ServedQPS, ratio)
+	}
+}
+
 // TestTimelineResizeEvents: scheduled events fire at model offsets of
 // the arrival tape — including events past the last arrival — so the
 // resulting topology and per-shard occupancy are deterministic.

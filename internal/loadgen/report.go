@@ -723,9 +723,14 @@ func autoscaleReport(ctl *autoscale.Controller, finalShards int) *AutoscaleRepor
 // offeredCurve folds the per-bucket arrival counters into the report's
 // curve and the measured peak/trough served-QPS ratio (buckets that
 // offered nothing are skipped; the ratio is zero when no bucket served).
+// Bucket bounds are whole nanoseconds; a horizon too short to give each
+// bucket one prices its rates over the fractional width instead.
 func offeredCurve(horizon time.Duration, offered, shed []uint64) ([]RateBucket, float64) {
 	width := horizon / time.Duration(len(offered))
 	secs := width.Seconds()
+	if width == 0 {
+		secs = horizon.Seconds() / float64(len(offered))
+	}
 	curve := make([]RateBucket, len(offered))
 	peak, trough := 0.0, math.Inf(1)
 	for b := range offered {

@@ -294,12 +294,11 @@ func (c *Compiled) FleetConfig(obs fleet.Observer) (fleet.Config, error) {
 		// The workload generator numbers its profiles 0..Users-1, so the
 		// population is a contiguous ID range and every shard can index
 		// residents through dense slots instead of a hash map.
-		Population:         s.Users,
-		Workers:            s.Fleet.Workers,
-		QueueDepth:         s.Fleet.Queue,
-		Radio:              radioParams(s.Fleet.Radio),
-		PerUserBytes:       s.Fleet.UserBudgetBytes,
-		TotalPersonalBytes: s.Fleet.FleetBudgetBytes,
+		Population:   s.Users,
+		Workers:      s.Fleet.Workers,
+		QueueDepth:   s.Fleet.Queue,
+		Radio:        radioParams(s.Fleet.Radio),
+		PerUserBytes: s.Fleet.UserBudgetBytes,
 		Batch: fleet.BatchOptions{
 			Enabled:        s.Fleet.Batch.Enabled,
 			MaxBatch:       s.Fleet.Batch.Max,

@@ -167,10 +167,8 @@ type FleetSpec struct {
 	// virtual nodes per shard (0 = 64).
 	Placement string `json:"placement,omitempty"`
 	VNodes    int    `json:"vnodes,omitempty"`
-	// UserBudgetBytes caps each user's personal flash (0 = unlimited);
-	// FleetBudgetBytes the fleet-wide personal budget (0 = 2.5 GB).
-	UserBudgetBytes  int64 `json:"user_budget_bytes,omitempty"`
-	FleetBudgetBytes int64 `json:"fleet_budget_bytes,omitempty"`
+	// UserBudgetBytes caps each user's personal flash (0 = unlimited).
+	UserBudgetBytes int64 `json:"user_budget_bytes,omitempty"`
 	// Replicas is the number of modeled cloud engine replicas the miss
 	// path may dispatch to (0 or 1 = single backend). Each replica
 	// beyond the first draws its faults independently; classes opt into

@@ -76,6 +76,12 @@ func TestSet(t *testing.T) {
 			t.Errorf("Set(%q, %q) = %v, want an error containing %q", tc.path, tc.value, err, tc.want)
 		}
 	}
+	// fleet_budget_bytes is no spec key: a spec carrying it is refused,
+	// not silently ignored.
+	if _, err := Parse([]byte(`{"version": 1, "mode": "closed", "users": 10, "fleet": {"fleet_budget_bytes": 100000}}`)); err == nil ||
+		!strings.Contains(err.Error(), "fleet.fleet_budget_bytes: unknown field") {
+		t.Errorf("a spec carrying fleet.fleet_budget_bytes: %v, want it rejected as an unknown field", err)
+	}
 }
 
 // TestNullBlockIsPresent pins what the null_block golden shows from the

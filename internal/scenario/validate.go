@@ -199,7 +199,6 @@ func validateFleet(p *problems, f *FleetSpec) {
 		{"fleet.queue", int64(f.Queue)},
 		{"fleet.vnodes", int64(f.VNodes)},
 		{"fleet.user_budget_bytes", f.UserBudgetBytes},
-		{"fleet.fleet_budget_bytes", f.FleetBudgetBytes},
 		{"fleet.replicas", int64(f.Replicas)},
 		{"fleet.batch.max", int64(f.Batch.Max)},
 		{"fleet.batch.linger", int64(f.Batch.Linger)},
