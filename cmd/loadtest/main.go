@@ -594,11 +594,11 @@ func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMis
 			r.ClonesLaunched, r.PrimaryWins, r.CloneWins, r.WastedAttempts))
 	}
 	if hedgeOn {
-		// Every hedged cloud miss is won by exactly one dispatch, so with
-		// no cancellations the wins partition the cloud serves of the
-		// users who hedge (hedgedMisses; negative when the report cannot
-		// tell them apart).
-		if hedgedMisses >= 0 && r.Canceled == 0 && r.PrimaryWins+r.CloneWins != hedgedMisses {
+		// Every hedged cloud miss is won by exactly one dispatch, so the
+		// wins partition the cloud serves of the users who hedge
+		// (hedgedMisses; negative when the report cannot tell them
+		// apart).
+		if hedgedMisses >= 0 && r.PrimaryWins+r.CloneWins != hedgedMisses {
 			problems = append(problems, fmt.Sprintf("primary wins %d + clone wins %d != %d cloud misses of the classes that hedge",
 				r.PrimaryWins, r.CloneWins, hedgedMisses))
 		}
@@ -639,16 +639,15 @@ func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMis
 			shardServed, shardShed, r.Served, r.Shed))
 	}
 	if len(r.Classes) > 0 {
-		var clsServed, clsShed, clsCanceled uint64
+		var clsServed, clsShed uint64
 		for _, cr := range r.Classes {
 			clsServed += cr.Served
 			clsShed += cr.Shed
-			clsCanceled += cr.Canceled
 		}
-		if clsServed != r.Served || clsShed != r.Shed || clsCanceled != r.Canceled {
+		if clsServed != r.Served || clsShed != r.Shed {
 			problems = append(problems, fmt.Sprintf(
-				"class rows sum to %d served / %d shed / %d canceled, report says %d / %d / %d",
-				clsServed, clsShed, clsCanceled, r.Served, r.Shed, r.Canceled))
+				"class rows sum to %d served / %d shed, report says %d / %d",
+				clsServed, clsShed, r.Served, r.Shed))
 		}
 	}
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -90,12 +89,13 @@ func TestSparseFallbackAbovePopulation(t *testing.T) {
 	}
 }
 
-// TestReplyPoolRecycling hammers the pooled reply-channel path — the
-// non-cancelable Do fast path — concurrently with cancelable
-// DoContext calls, some pre-canceled, under a queue small enough to
-// shed. Every response must carry the request it was issued for: a
-// recycled channel that ever delivered another request's response
-// would trip the Req checks (and the race detector) immediately.
+// TestReplyPoolRecycling hammers the pooled reply-channel path: eight
+// clients mix Do with Submit under a queue small enough to shed, so a
+// Do often finds work pending and waits on a recycled mailbox instead
+// of being served in place. Every response must carry the request it
+// was issued for: a recycled channel that ever delivered another
+// request's response would trip the Req checks (and the race detector)
+// immediately.
 func TestReplyPoolRecycling(t *testing.T) {
 	g := smallGen(t, 64)
 	content := smallContent(t, g)
@@ -112,18 +112,10 @@ func TestReplyPoolRecycling(t *testing.T) {
 				reqs = reqs[:200]
 			}
 			for i, r := range reqs {
-				var resp Response
-				switch i % 4 {
-				case 0:
-					ctx, cancel := context.WithCancel(context.Background())
-					if i%8 == 0 {
-						cancel() // pre-canceled: must count, never serve
-					}
-					resp = f.DoContext(ctx, r)
-					cancel()
-				default:
-					resp = f.Do(r)
+				if i%4 == 0 {
+					f.Submit(r) // queued ahead of the Do below when not shed
 				}
+				resp := f.Do(r)
 				if resp.Req.User != r.User || resp.Req.Query != r.Query || resp.Req.Click != r.Click {
 					t.Errorf("worker %d op %d: response for %+v carries request %+v", w, i, r, resp.Req)
 					return

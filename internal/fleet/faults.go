@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"time"
 
 	"pocketcloudlets/internal/backend"
@@ -357,23 +356,5 @@ func (c *shardCounters) bookPlan(hp *faults.HedgedPlan, pl faults.Plan, bk *back
 		c.primaryWins.Add(1)
 	case hp.Winner > 0:
 		c.cloneWins.Add(1)
-	}
-}
-
-// pauseWall takes the real pause d the retry policy priced for a
-// plan's modeled failure wait. It reports false when ctx was done first
-// — the caller abandoned the request mid-pause.
-func pauseWall(ctx context.Context, d time.Duration) bool {
-	if ctx == nil {
-		time.Sleep(d)
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }

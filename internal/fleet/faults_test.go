@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -336,143 +335,5 @@ func TestDegradationLadder(t *testing.T) {
 	}
 	if want := 3.0 / 4.0; s.AnsweredRate() != want {
 		t.Errorf("AnsweredRate = %v, want %v", s.AnsweredRate(), want)
-	}
-}
-
-// TestDoContextCancel covers caller cancellation: a context that dies
-// while the worker paces a retry ladder — and one that is dead on
-// arrival — must both come back Canceled, counted exactly once, with
-// Served+Shed+Canceled summing to the submissions.
-func TestDoContextCancel(t *testing.T) {
-	g := smallGen(t, 16)
-	content := smallContent(t, g)
-	uid := g.Users()[0].ID
-
-	f := newTestFleet(t, g, content, func(cfg *Config) {
-		cfg.Shards = 1
-		cfg.Workers = 1
-		cfg.Faults = faults.Options{Enabled: true, LossProb: 1}
-		cfg.Retry = faults.RetryPolicy{
-			MaxAttempts:    4,
-			WallPauseScale: 1,
-			MaxWallPause:   100 * time.Millisecond,
-		}
-		cfg.Breaker = BreakerOptions{Threshold: -1}
-	})
-
-	// Canceled mid-pause: every attempt is lost, so the worker takes a
-	// real 100ms pause; the 5ms context wins.
-	miss := missBeyondContent(t, g, len(content.Triplets), uid)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	resp := f.DoContext(ctx, miss)
-	if !resp.Canceled || resp.Source != SourceCanceled {
-		t.Fatalf("mid-pause cancel = %+v, want Canceled", resp)
-	}
-
-	// Dead on arrival: never enqueued, still counted exactly once.
-	dead, kill := context.WithCancel(context.Background())
-	kill()
-	resp = f.DoContext(dead, miss)
-	if !resp.Canceled || resp.Source != SourceCanceled {
-		t.Fatalf("pre-canceled context = %+v, want Canceled", resp)
-	}
-
-	// A background context takes the zero-overhead path and serves
-	// normally from a local tier.
-	u := g.Config().Universe
-	pair := content.Triplets[0].Pair
-	resp = f.DoContext(context.Background(), Request{
-		User:  uid,
-		Query: u.QueryText(u.QueryOf(pair)),
-		Click: u.ResultURL(u.ResultOf(pair)),
-	})
-	if resp.Canceled || resp.Source != SourceCommunity {
-		t.Fatalf("community hit under background context = %+v", resp)
-	}
-
-	// Exactly-once accounting across all three submissions.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := f.Stats()
-		if s.Served+s.Shed+s.Canceled == 3 {
-			if s.Canceled != 2 || s.Served != 1 || s.Shed != 0 {
-				t.Fatalf("cancel accounting off: %+v", s)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("submissions never fully booked: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestDoContextReplyPoolStress hammers the pooled reply channels (run
-// under -race by scripts/check.sh): many concurrent DoContext callers,
-// a large fraction abandoning mid-pause, so recycled channels are
-// constantly handed to new requests. A stale send landing on a reused
-// channel would surface here as a response for the wrong request, a
-// double booking, or a race report. Every response must be for the
-// request the caller submitted, and the fleet must book every
-// submission exactly once.
-func TestDoContextReplyPoolStress(t *testing.T) {
-	g := smallGen(t, 16)
-	content := smallContent(t, g)
-	uid := g.Users()[0].ID
-
-	f := newTestFleet(t, g, content, func(cfg *Config) {
-		cfg.Shards = 1
-		cfg.Workers = 2
-		cfg.QueueDepth = 4096
-		cfg.Faults = faults.Options{Enabled: true, LossProb: 0.9}
-		cfg.Retry = faults.RetryPolicy{
-			MaxAttempts:    3,
-			WallPauseScale: 0.001,
-			MaxWallPause:   2 * time.Millisecond,
-		}
-		cfg.Breaker = BreakerOptions{Threshold: -1}
-	})
-
-	miss := missBeyondContent(t, g, len(content.Triplets), uid)
-	const iters = 400
-	var wg sync.WaitGroup
-	for i := 0; i < iters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := miss
-			if i%2 == 0 {
-				// Half the callers give up almost immediately, racing the
-				// worker's finish against their own cancellation.
-				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*100*time.Microsecond)
-				defer cancel()
-				resp := f.DoContext(ctx, req)
-				if resp.Err != nil {
-					t.Errorf("request %d errored: %v", i, resp.Err)
-				}
-				if resp.Req.User != req.User || (resp.Req.Query != "" && resp.Req.Query != req.Query) {
-					t.Errorf("request %d got a response for someone else's request: %+v", i, resp.Req)
-				}
-				return
-			}
-			resp := f.DoContext(context.Background(), req)
-			if resp.Canceled || resp.Shed || resp.Err != nil {
-				t.Errorf("background request %d did not serve: %+v", i, resp)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := f.Stats()
-		if s.Served+s.Shed+s.Canceled == iters {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("booked %d+%d+%d of %d submissions", s.Served, s.Shed, s.Canceled, iters)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -64,9 +64,8 @@
 //     shard's padded block, and every fleet-wide total (Stats,
 //     EnergyStats, ShardLoads) is one fold over the live blocks plus the
 //     block a shrink folds each retired shard into, so a resize never
-//     moves a total. Two counters stay on the fleet: canceled (a request
-//     canceled before admission has no shard) and the migration
-//     counters (the resize writes them, not a request).
+//     moves a total. Only the migration counters stay on the fleet:
+//     the resize writes them, not a request.
 //
 // Request routing mirrors the paper's two-component cache at fleet
 // scale: personal component first, then the shared community replica,
@@ -75,7 +74,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -118,9 +116,6 @@ const (
 	// device rendered a small local "results unavailable" page instead
 	// of erroring.
 	SourceUnavailable
-	// SourceCanceled marks a request abandoned by its caller's context
-	// before a response was delivered.
-	SourceCanceled
 	numSources
 )
 
@@ -144,8 +139,6 @@ func (s Source) String() string {
 		return "degraded"
 	case SourceUnavailable:
 		return "unavailable"
-	case SourceCanceled:
-		return "canceled"
 	default:
 		return fmt.Sprintf("Source(%d)", int(s))
 	}
@@ -159,7 +152,7 @@ type Request struct {
 	// Class is an optional SLO-class tag stamped by the load generator
 	// (the scenario layer's client class). It rides through serving
 	// unchanged — it never affects routing or outcomes — and reaches
-	// the Observer on every response, including shed and canceled ones,
+	// the Observer on every response, including shed ones,
 	// so reports can break counters down per class.
 	Class string
 }
@@ -191,9 +184,9 @@ type Response struct {
 	// completion, including queue wait (not deterministic).
 	Wall time.Duration
 	Err  error
-	// Canceled reports that the caller's context was done before a
-	// response was delivered (Source is SourceCanceled); all other
-	// fields except Req are zero.
+	// Canceled is always false: an admitted request is always served
+	// (neither Do nor Submit can be abandoned). The field stays only
+	// because the benchmark module (bench/) still reads it.
 	Canceled bool
 	// Attempts is the number of modeled radio attempts a cloud-path
 	// request made under the fault model (1 means the first exchange
@@ -514,13 +507,6 @@ type task struct {
 	// builds the answer in the caller's own Response and no channel is
 	// involved, unless the task turns out to be answered later (mailbox).
 	inPlace bool
-	// ctx, when non-nil, lets the caller abandon the request
-	// (DoContext). claimed arbitrates the race between the canceling
-	// caller and the serving worker: whoever flips it first books the
-	// request, so it is counted exactly once — as Canceled or as
-	// Served — and Served+Shed+Canceled always sums to the submissions.
-	ctx     context.Context
-	claimed *atomic.Bool
 }
 
 // mailbox trades an in-place task's mark for the reply channel its
@@ -587,8 +573,6 @@ type Fleet struct {
 	// one step to a reader taking such a total.
 	retireMu sync.Mutex
 	retired  shardCounters
-
-	canceled atomic.Int64 // no shard: a request may be canceled unrouted
 
 	// fence guards closed against concurrent Submit/Do/Close, and — held
 	// exclusively — fences route publications: enqueue computes a
@@ -791,10 +775,6 @@ func (f *Fleet) worker(id int) {
 // caller-run serving may break. A task still inPlace on return was
 // finished here and resp is its caller's answer.
 func (f *Fleet) process(t *task, resp *Response) {
-	if t.ctx != nil && t.ctx.Err() != nil {
-		f.cancelTask(t)
-		return
-	}
 	if f.maybeHold(t) {
 		return
 	}
@@ -813,13 +793,11 @@ func (f *Fleet) process(t *task, resp *Response) {
 			f.finish(sh, resp, t)
 		case d != nil:
 			d.submit(miss)
-		case pauseWall(t.ctx, miss.mc.pause):
+		default:
+			time.Sleep(miss.mc.pause)
 			sh.applyMiss(&t.req, &miss.mc, exchange{}, resp)
 			f.finish(sh, resp, t)
 			sh.releaseMiss(miss)
-		default:
-			sh.releaseMiss(miss)
-			f.cancelTask(t)
 		}
 		return
 	}
@@ -831,11 +809,6 @@ func (f *Fleet) process(t *task, resp *Response) {
 // task's resp already is its caller's). Called from whoever ran process,
 // and from dispatchers (batched misses).
 func (f *Fleet) finish(sh *shard, resp *Response, t *task) {
-	if t.claimed != nil && !t.claimed.CompareAndSwap(false, true) {
-		// The caller's context won the race and already booked the
-		// request as canceled; drop the late response.
-		return
-	}
 	resp.Wall = time.Duration(sinceStart() - t.enqueued)
 	sh.ctr.book(resp)
 	if obs := f.cfg.Observer; obs != nil {
@@ -936,99 +909,28 @@ func (f *Fleet) Submit(req Request) bool {
 
 // Do serves a request and blocks for its response — the closed-loop
 // path (the simulated user waits for their results page). A request
-// shed by backpressure returns immediately with Shed set.
-func (f *Fleet) Do(req Request) Response {
-	return f.DoContext(context.Background(), req)
-}
-
-// replyPool recycles reply channels: the mailboxes of answers that
-// arrive later than the call that asked — a Do queued behind other
-// work, held or parked, and every cancelable DoContext. The
-// uncancelable path always receives its task's single buffered send
-// before returning, so its channel is provably empty when pooled. The
-// cancelable path pools too: every send into a reply channel (finish,
-// cancelTask) is gated on winning the task's claimed CAS, so at most
-// one send can ever land. Each DoContext return proves the channel
-// empty before pooling it — the send already received, or the caller
-// won the CAS so no send can ever happen. A worker may keep a stale
-// reference to a recycled channel (a canceled task still queued or
-// held), but having lost the CAS it will never send on it.
-var replyPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
-
-// DoContext is Do with caller cancellation: when ctx is done before a
-// response is delivered the call returns a Canceled response
-// (Source SourceCanceled) and the request is counted exactly once —
-// Served+Shed+Canceled always sums to submissions. A context that can
-// never be canceled (context.Background) adds no overhead over Do.
-func (f *Fleet) DoContext(ctx context.Context, req Request) (resp Response) {
+// shed by backpressure returns immediately with Shed set. The answer is
+// built in place when enqueue serves the request on the caller's
+// goroutine, and otherwise is the one send its task's mailbox receives.
+func (f *Fleet) Do(req Request) (resp Response) {
 	var t task // filled in place: its address is taken, a literal would be copied in
 	t.req, t.enqueued = req, sinceStart()
-	if ctx == nil || ctx.Done() == nil {
-		// Uncancelable: answered in place, or the single response is
-		// always received from the mailbox the task was given.
-		if !f.enqueue(&t, &resp) {
-			return Response{Req: req, Shed: true, Source: SourceShed}
-		}
-		if !t.inPlace {
-			resp = <-t.reply
-			replyPool.Put(t.reply)
-		}
-		return resp
-	}
-	t.ctx = ctx
-	t.claimed = new(atomic.Bool)
-	if ctx.Err() != nil {
-		// Never enqueued: nothing can ever answer it.
-		t.claimed.Store(true)
-		return f.recordCanceled(req)
-	}
-	// Cancelable requests always queue: abandoning one mid-serve takes a
-	// second goroutine to be serving it.
-	t.reply = replyPool.Get().(chan Response)
-	defer replyPool.Put(t.reply)
-	if !f.enqueue(&t, nil) {
+	if !f.enqueue(&t, &resp) {
 		return Response{Req: req, Shed: true, Source: SourceShed}
 	}
-	select {
-	case resp = <-t.reply:
-		// The single CAS-winning send was just consumed; empty.
-		return resp
-	case <-ctx.Done():
-		if t.claimed.CompareAndSwap(false, true) {
-			// The caller won: every future sender loses the CAS and
-			// drops its response, so no send can ever land.
-			return f.recordCanceled(req)
-		}
-		// The worker claimed it first; its single response is (or will
-		// be) in the buffered reply channel.
-		return <-t.reply
-	}
-}
-
-// recordCanceled books one abandoned request and returns the Canceled
-// response delivered for it.
-func (f *Fleet) recordCanceled(req Request) Response {
-	f.canceled.Add(1)
-	resp := Response{Req: req, Canceled: true, Source: SourceCanceled}
-	if obs := f.cfg.Observer; obs != nil {
-		obs.Observe(resp)
+	if !t.inPlace {
+		resp = <-t.reply
+		replyPool.Put(t.reply)
 	}
 	return resp
 }
 
-// cancelTask abandons a queued task whose caller's context is already
-// done. If the caller has not yet claimed the request the worker books
-// it as canceled here; either way the caller's reply channel is fed so
-// DoContext never blocks.
-func (f *Fleet) cancelTask(t *task) {
-	if t.claimed != nil && !t.claimed.CompareAndSwap(false, true) {
-		return // caller already booked it
-	}
-	resp := f.recordCanceled(t.req)
-	if t.reply != nil {
-		t.reply <- resp
-	}
-}
+// replyPool recycles reply channels: the mailboxes of answers that
+// arrive later than the Do that asked — one queued behind other work,
+// held or parked. finish sends once into a task's channel and Do
+// receives that send before pooling the channel, so a pooled channel is
+// always empty.
+var replyPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
 
 // Drain blocks until every request submitted before the call has been
 // served: it pushes a barrier through each worker queue. Safe to call
@@ -1086,9 +988,9 @@ type Stats struct {
 	// fell all the way to the explicit "results unavailable" page. Both
 	// are included in Served. Zero when fault injection is off.
 	Degraded, Unavailable int64
-	// Canceled counts requests abandoned by their caller's context
-	// before a response was delivered. Not included in Served;
-	// Served+Shed+Canceled sums to the completed submissions.
+	// Canceled is always zero (see Response.Canceled), so Served+Shed
+	// sums to the completed submissions. The field stays only because
+	// the benchmark module (bench/) still reads it.
 	Canceled int64
 	// Retries counts modeled radio attempts beyond each completed cloud
 	// miss's first; Exhausted counts misses that ran out of attempts and
@@ -1175,7 +1077,7 @@ func (f *Fleet) totals(sum *shardCounters) *topology {
 }
 
 // Stats returns a fleet-wide snapshot. Every per-request counter is the
-// one fold of the shards' blocks (totals); canceled is the fleet's own.
+// one fold of the shards' blocks (totals).
 // The per-shard residency walk takes each shard lock briefly.
 func (f *Fleet) Stats() Stats {
 	var sum shardCounters
@@ -1189,7 +1091,6 @@ func (f *Fleet) Stats() Stats {
 		CloudMisses:    sum.bySource[SourceCloud].Load(),
 		Degraded:       sum.bySource[SourceDegraded].Load(),
 		Unavailable:    sum.bySource[SourceUnavailable].Load(),
-		Canceled:       f.canceled.Load(),
 		Retries:        sum.retries.Load(),
 		Exhausted:      sum.exhausted.Load(),
 		Replicas:       f.cfg.Replicas,

@@ -89,17 +89,17 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestSourceString(t *testing.T) {
-	names := map[Source]string{
-		SourceShed: "shed", SourcePersonal: "personal",
-		SourceCommunity: "community", SourceCloud: "cloud",
+	names := []string{"shed", "personal", "community", "cloud", "degraded", "unavailable"}
+	if len(names) != NumSources {
+		t.Fatalf("%d source names for %d sources", len(names), NumSources)
 	}
 	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
+		if got := Source(s).String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", s, got, want)
 		}
 	}
-	if Source(42).String() == "" {
-		t.Error("unknown source should stringify")
+	if got := Source(NumSources).String(); got != "Source(6)" {
+		t.Errorf("the first unused source stringifies as %q", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -113,10 +112,10 @@ func TestHedgingImprovesAvailability(t *testing.T) {
 	}
 }
 
-// TestHedgedExactlyOnceWithCancels re-runs the caller-cancellation
-// accounting with hedging in flight: canceled, served and shed must
-// still sum to the submissions exactly once each.
-func TestHedgedExactlyOnceWithCancels(t *testing.T) {
+// TestHedgedTotalLossWinsNothing: with every attempt on every replica
+// lost, a hedged miss degrades, is booked once as served, and no
+// dispatch — primary or clone — is credited with a win.
+func TestHedgedTotalLossWinsNothing(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
 	uid := g.Users()[0].ID
@@ -125,43 +124,22 @@ func TestHedgedExactlyOnceWithCancels(t *testing.T) {
 		cfg.Shards = 1
 		cfg.Workers = 1
 		cfg.Faults = faults.Options{Enabled: true, LossProb: 1}
-		cfg.Retry = faults.RetryPolicy{
-			MaxAttempts:    4,
-			WallPauseScale: 1,
-			MaxWallPause:   100 * time.Millisecond,
-		}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 4, WallPauseScale: -1}
 		cfg.Breaker = BreakerOptions{Threshold: -1}
 		cfg.Replicas = 3
 		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2}
 	})
 
 	miss := missBeyondContent(t, g, len(content.Triplets), uid)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if resp := f.DoContext(ctx, miss); !resp.Canceled {
-		t.Fatalf("mid-pause cancel = %+v, want Canceled", resp)
-	}
 	if resp := f.Do(miss); resp.Source != SourceUnavailable && resp.Source != SourceDegraded {
 		t.Fatalf("all-lossy hedged miss = %+v, want a degraded serve", resp)
 	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := f.Stats()
-		if s.Served+s.Shed+s.Canceled == 2 {
-			if s.Canceled != 1 || s.Served != 1 {
-				t.Fatalf("cancel accounting off: %+v", s)
-			}
-			// Loss probability 1 on every replica: nothing may win.
-			if s.PrimaryWins+s.CloneWins != 0 || s.CloudMisses != 0 {
-				t.Fatalf("wins through total loss: %+v", s)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("submissions never fully booked: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
+	s := f.Stats()
+	if s.Served != 1 || s.Shed != 0 || s.ClonesLaunched == 0 {
+		t.Fatalf("want one served hedged miss: %+v", s)
+	}
+	if s.PrimaryWins+s.CloneWins != 0 || s.CloudMisses != 0 {
+		t.Fatalf("wins through total loss: %+v", s)
 	}
 }
 

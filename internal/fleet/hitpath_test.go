@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -66,7 +65,6 @@ func TestHitPathLayout(t *testing.T) {
 	stripe := unsafe.Sizeof(f.fence.stripes[0])
 	written := []span{
 		fieldSpan("heldRequests", unsafe.Offsetof(f.heldRequests), unsafe.Sizeof(f.heldRequests)),
-		fieldSpan("canceled", unsafe.Offsetof(f.canceled), unsafe.Sizeof(f.canceled)),
 		fieldSpan("fence.stripes", fence, unsafe.Sizeof(f.fence.stripes)),
 	}
 	for _, r := range read {
@@ -100,8 +98,8 @@ func TestHitPathLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Response{}); got != 256 {
 		t.Errorf("Response is %d B, was 256: it is copied twice per request (Observe's argument) — re-measure hit_closed before growing it", got)
 	}
-	if got := unsafe.Sizeof(task{}); got != 120 {
-		t.Errorf("task is %d B, was 120: it is copied into the queue, a hold queue or a missTask — re-measure day_replay before growing it", got)
+	if got := unsafe.Sizeof(task{}); got != 96 {
+		t.Errorf("task is %d B, was 96: it is copied into the queue, a hold queue or a missTask — re-measure day_replay before growing it", got)
 	}
 	if got := unsafe.Sizeof(userState{}); got > 88 {
 		t.Errorf("userState is %d B, at most 88 allowed: every resident user's arena slot pays it, and a shard's arena grows 1,024 slots a chunk — on fault_hedge (~150 users a shard) 16 B more per slot cost ~4%% heap per user", got)
@@ -181,10 +179,10 @@ func lossyHedgedBatched(cfg *Config) {
 	cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
 }
 
-// TestCountersCrossFootThroughResizes: clients mixing Do, Submit and
-// cancelable DoContext while the fleet resizes 4→6→3, counters now
-// living with whichever shard served. Every submission is booked once
-// (Served+Shed+Canceled), the per-source counters sum to Served,
+// TestCountersCrossFootThroughResizes: clients mixing Do and Submit
+// while the fleet resizes 4→6→3, counters now living with whichever
+// shard served. Every submission is booked once (Served+Shed), the
+// per-source counters sum to Served,
 // occupancy cross-foots against the retired fold, and the device-side
 // energy ledger equals, to the nanojoule, both the sum over the
 // responses the observer saw and a one-goroutine, never-resized replay
@@ -236,40 +234,24 @@ func crossFootThroughResizes(t *testing.T, configure func(*Config)) {
 	primed := prime(f)
 	primedMisses := f.Stats().CloudMisses
 
-	var submitted, precanceled atomic.Int64
+	var submitted atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			dead, kill := context.WithCancel(context.Background())
-			kill()
-			live, done := context.WithCancel(context.Background())
-			defer done()
 			for i := c; i < users; i += clients {
 				for k, req := range tapes[g.Users()[i].ID] {
 					var resp Response
-					switch (i + k) % 4 {
-					case 0:
+					if (i+k)%4 == 0 {
 						if !f.Submit(req) {
 							t.Errorf("Submit shed %+v", req)
 						}
-					case 1:
-						// Cancelable but never canceled: the queued path.
-						resp = f.DoContext(live, req)
-					case 2:
-						resp = f.Do(req)
-						// Canceled before admission: booked, never served.
-						if gone := f.DoContext(dead, req); !gone.Canceled {
-							t.Errorf("pre-canceled request came back %+v", gone)
-						}
-						precanceled.Add(1)
-						submitted.Add(1)
-					default:
+					} else {
 						resp = f.Do(req)
 					}
 					submitted.Add(1)
-					if resp.Shed || resp.Canceled || resp.Err != nil {
+					if resp.Shed || resp.Err != nil {
 						t.Errorf("user %d request %d: %+v", req.User, k, resp)
 					}
 				}
@@ -288,8 +270,8 @@ func crossFootThroughResizes(t *testing.T, configure func(*Config)) {
 	if s.CloudMisses != primedMisses {
 		t.Errorf("%d cloud misses after priming; the measured pass was to be all hits", s.CloudMisses-primedMisses)
 	}
-	if want := primed + submitted.Load(); s.Served+s.Shed+s.Canceled != want || s.Shed != 0 || s.Canceled != precanceled.Load() {
-		t.Errorf("served %d + shed %d + canceled %d, want %d submissions (%d of them canceled)", s.Served, s.Shed, s.Canceled, want, precanceled.Load())
+	if want := primed + submitted.Load(); s.Served != want || s.Shed != 0 {
+		t.Errorf("served %d, shed %d; want all %d submissions served", s.Served, s.Shed, want)
 	}
 	if sum := s.PersonalHits + s.CommunityHits + s.CloudMisses + s.Degraded + s.Unavailable; sum != s.Served || s.Errors != 0 {
 		t.Errorf("per-source counters sum to %d, served %d (errors %d)", sum, s.Served, s.Errors)
@@ -310,10 +292,8 @@ func crossFootThroughResizes(t *testing.T, configure func(*Config)) {
 	var radio, base int64
 	for _, resps := range rec.resps {
 		for _, r := range resps {
-			if !r.Canceled {
-				radio += nj(r.RadioJ)
-				base += nj(r.EnergyJ - r.RadioJ)
-			}
+			radio += nj(r.RadioJ)
+			base += nj(r.EnergyJ - r.RadioJ)
 		}
 	}
 	if nj(es.RadioJ) != radio || nj(es.DeviceBaseJ) != base {
@@ -424,8 +404,8 @@ func TestCallerRunDoAnsweredOnceWhenHandedOn(t *testing.T) {
 		if len(seen) != 1 || !reflect.DeepEqual(seen[0], resp) {
 			t.Fatalf("Do returned %+v; the observer saw %d responses: %+v", resp, len(seen), seen)
 		}
-		if s := f.Stats(); s.Served != 1 || s.Shed+s.Canceled != 0 {
-			t.Fatalf("served %d, shed %d, canceled %d; want exactly one served", s.Served, s.Shed, s.Canceled)
+		if s := f.Stats(); s.Served != 1 || s.Shed != 0 {
+			t.Fatalf("served %d, shed %d; want exactly one served", s.Served, s.Shed)
 		}
 		return resp
 	}

@@ -29,8 +29,8 @@ import (
 //  3. Requests for a moving user that arrive at the destination while
 //     its epoch is open are parked in a per-user FIFO hold queue and
 //     replayed once the epoch closes — per-user submission order is
-//     preserved across the move, and no request is dropped, so the
-//     Served+Shed+Canceled invariant holds throughout.
+//     preserved across the move, and no request is dropped, so
+//     Served+Shed equals the submissions throughout.
 //  4. After the last epoch the final route (new placement only) is
 //     published; a full drain then lets a shrink retire the orphaned
 //     shards and their dispatchers.

@@ -8,11 +8,10 @@ import (
 
 // counters is the aggregate a Collector accumulates.
 type counters struct {
-	wall     Histogram
-	model    Histogram
-	shed     uint64
-	errors   uint64
-	canceled uint64
+	wall   Histogram
+	model  Histogram
+	shed   uint64
+	errors uint64
 	// bySource is a fixed array indexed by fleet.Source — no map churn
 	// on the per-response observation path.
 	bySource [fleet.NumSources]uint64
@@ -26,10 +25,6 @@ type counters struct {
 // observe books one response into the aggregate. Caller holds the
 // owning stripe's lock.
 func (c *counters) observe(r *fleet.Response) {
-	if r.Canceled {
-		c.canceled++
-		return
-	}
 	if r.Shed {
 		c.shed++
 		return
@@ -57,7 +52,6 @@ func (c *counters) merge(o *counters) {
 	c.model.Merge(&o.model)
 	c.shed += o.shed
 	c.errors += o.errors
-	c.canceled += o.canceled
 	for i := range c.bySource {
 		c.bySource[i] += o.bySource[i]
 	}

@@ -40,10 +40,11 @@ type Report struct {
 	CloudMisses   uint64 `json:"cloud_misses"`
 
 	// Degraded and Unavailable are the fault model's fallback serves
-	// (stale cached answers and explicit "unavailable" pages); Canceled
-	// counts requests abandoned by their caller's context. Retries,
+	// (stale cached answers and explicit "unavailable" pages). Retries,
 	// Exhausted and BreakerOpens quantify the retry machinery. All zero
-	// when fault injection is off.
+	// when fault injection is off. Canceled is always zero, so the JSON
+	// omits it (fleet.Stats.Canceled); it stays only because the
+	// benchmark module (bench/) still reads it.
 	Degraded     uint64 `json:"degraded,omitempty"`
 	Unavailable  uint64 `json:"unavailable,omitempty"`
 	Canceled     uint64 `json:"canceled,omitempty"`
@@ -213,10 +214,9 @@ type ClassReport struct {
 	Requests uint64 `json:"requests"`
 	// Served counts completed requests including errored ones, matching
 	// the fleet-wide convention.
-	Served   uint64 `json:"served"`
-	Shed     uint64 `json:"shed"`
-	Errors   uint64 `json:"errors,omitempty"`
-	Canceled uint64 `json:"canceled,omitempty"`
+	Served uint64 `json:"served"`
+	Shed   uint64 `json:"shed"`
+	Errors uint64 `json:"errors,omitempty"`
 
 	PersonalHits  uint64 `json:"personal_hits"`
 	CommunityHits uint64 `json:"community_hits"`
@@ -335,7 +335,6 @@ func classReport(name string, c *counters) ClassReport {
 		Served:        observed + c.errors,
 		Shed:          c.shed,
 		Errors:        c.errors,
-		Canceled:      c.canceled,
 		PersonalHits:  c.bySource[fleet.SourcePersonal],
 		CommunityHits: c.bySource[fleet.SourceCommunity],
 		CloudMisses:   c.bySource[fleet.SourceCloud],
@@ -346,7 +345,7 @@ func classReport(name string, c *counters) ClassReport {
 		EnergyJ:       c.energyJ,
 		RadioEnergyJ:  c.radioJ,
 	}
-	cr.Requests = cr.Served + cr.Shed + cr.Canceled
+	cr.Requests = cr.Served + cr.Shed
 	if cr.Served > 0 {
 		cr.HitRate = float64(cr.PersonalHits+cr.CommunityHits) / float64(cr.Served)
 		cr.AnsweredRate = float64(cr.Served-cr.Unavailable) / float64(cr.Served)
@@ -425,9 +424,6 @@ func (r Report) String() string {
 	if r.Degraded+r.Unavailable > 0 || r.Retries > 0 || r.Exhausted > 0 {
 		fmt.Fprintf(&b, "  faults: answered %.1f%% (degraded %d, unavailable %d, retries %d, exhausted %d, breaker opens %d)\n",
 			100*r.AnsweredRate, r.Degraded, r.Unavailable, r.Retries, r.Exhausted, r.BreakerOpens)
-	}
-	if r.Canceled > 0 {
-		fmt.Fprintf(&b, "  canceled %d\n", r.Canceled)
 	}
 	if r.Replicas > 1 || r.ClonesLaunched > 0 {
 		fmt.Fprintf(&b, "  hedging: %d replicas, %d clones launched, wins primary %d / clone %d, wasted attempts %d",
@@ -563,7 +559,6 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 	r.CloudMisses = uint64(st.CloudMisses - base.stats.CloudMisses)
 	r.Degraded = uint64(st.Degraded - base.stats.Degraded)
 	r.Unavailable = uint64(st.Unavailable - base.stats.Unavailable)
-	r.Canceled = uint64(st.Canceled - base.stats.Canceled)
 	r.Retries = st.Retries - base.stats.Retries
 	r.Exhausted = st.Exhausted - base.stats.Exhausted
 	r.BreakerOpens = st.BreakerOpens - base.stats.BreakerOpens
@@ -594,7 +589,7 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 			r.Backend[i] = backendReport(i, bs)
 		}
 	}
-	r.Requests = r.Served + r.Shed + r.Canceled
+	r.Requests = r.Served + r.Shed
 	if r.Served > 0 {
 		r.HitRate = float64(r.PersonalHits+r.CommunityHits) / float64(r.Served)
 		r.AnsweredRate = float64(r.Served-r.Unavailable) / float64(r.Served)

@@ -37,7 +37,7 @@ go test -race -short ./...
 echo "== hit-path and index rails x3: go test -race -count 3 ./internal/fleet ./internal/hashtable =="
 # The rails of the rebuilt hit path (internal/fleet/hitpath_test.go):
 # counters that live with the shard still cross-foot through concurrent
-# Do/Submit/DoContext and live resizes — miss-plan and batch-session
+# Do/Submit and live resizes — miss-plan and batch-session
 # counters included, on a lossy hedged batched fleet — a resize moves no
 # Stats field (the retirement fold), a caller-run Do handed on (held,
 # parked, paced) is answered exactly once, the striped route fence
