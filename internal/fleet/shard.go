@@ -15,6 +15,7 @@ import (
 	"pocketcloudlets/internal/modeltime"
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/searchlog"
+	"pocketcloudlets/internal/slab"
 	"pocketcloudlets/internal/updater"
 )
 
@@ -538,7 +539,7 @@ func (sh *shard) recordExpansion(st *userState, qh, ch uint64, delta int64) {
 	if delta <= 0 {
 		return
 	}
-	st.refs = append(st.refs, evictRef{queryHash: qh, resultHash: ch, bytes: delta})
+	st.refs = append(slab.Reserve(st.refs, 1), evictRef{queryHash: qh, resultHash: ch, bytes: delta})
 	st.bytes += delta
 	sh.personalBytes += delta
 	sh.enforceUserBudget(st)

@@ -12,13 +12,14 @@
 // function".
 //
 // The layout follows the paper's flat array. A table is two slabs of
-// fixed-size elements — entries (chain link, used-slot count, flags) and
-// their refs, SlotsPerEntry refs per entry — plus one map from query
-// hash to the index of its chain's first entry. Entries freed by Remove
-// go on a free list that the next new entry reuses. Nothing in either
-// slab or in the map holds a pointer, so the collector traces a table's
-// three headers however many queries it indexes. TestSlabsHoldNoPointers
-// keeps it that way.
+// fixed-size elements — entries (query hash, chain link, used-slot
+// count, flags) and their refs, SlotsPerEntry refs per entry — plus an
+// open-addressed index of each chain's first entry. Entries freed by
+// Remove go on a free list that the next new entry reuses. Nothing in
+// the slabs or the index holds a pointer, so the collector traces a
+// table's three headers however many queries it indexes, and the slabs
+// grow by an eighth (internal/slab), not by doubling, so a per-user
+// table carries little slack. TestSlabsHoldNoPointers keeps it that way.
 package hashtable
 
 import (
@@ -26,7 +27,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
+
+	"pocketcloudlets/internal/slab"
 )
 
 // SearchRef is one search-result slot: the hash of the result's web
@@ -39,6 +43,8 @@ type SearchRef struct {
 // entry is one hash-table entry. Its refs are the used leading slots of
 // its block in Table.refs.
 type entry struct {
+	// query is the hash of the query whose chain holds the entry.
+	query uint64
 	// next is the slab index of the chain's next entry (the next free
 	// entry while on the free list), or none.
 	next int32
@@ -62,8 +68,13 @@ const MaxSlotsPerEntry = 64
 // Table is the query hash table.
 type Table struct {
 	slots int
-	// heads maps each stored query hash to its chain's first entry.
-	heads   map[uint64]int32
+	// heads is the index of chain heads, open-addressed with linear
+	// probing: a slot holds one plus the slab index of a chain's first
+	// entry, or zero when empty, and a query's probe starts at its home
+	// slot. Its length is zero or a power of two, at most three quarters
+	// full.
+	heads   []int32
+	queries int
 	entries []entry
 	// refs holds slots refs per entry: entry e's block is
 	// refs[e*slots : (e+1)*slots].
@@ -82,7 +93,7 @@ func New(slotsPerEntry int) (*Table, error) {
 	if slotsPerEntry < 1 || slotsPerEntry > MaxSlotsPerEntry {
 		return nil, fmt.Errorf("hashtable: slots per entry must be in [1, %d], got %d", MaxSlotsPerEntry, slotsPerEntry)
 	}
-	return &Table{slots: slotsPerEntry, heads: make(map[uint64]int32), free: none}, nil
+	return &Table{slots: slotsPerEntry, free: none}, nil
 }
 
 // MustNew is New for known-good slot counts.
@@ -98,13 +109,79 @@ func MustNew(slotsPerEntry int) *Table {
 func (t *Table) SlotsPerEntry() int { return t.slots }
 
 // NumQueries returns the number of distinct query hashes present.
-func (t *Table) NumQueries() int { return len(t.heads) }
+func (t *Table) NumQueries() int { return t.queries }
 
 // NumEntries returns the total number of entries including chained ones.
 func (t *Table) NumEntries() int { return t.numEntries }
 
 // NumRefs returns the total number of stored search references.
 func (t *Table) NumRefs() int { return t.refCount }
+
+// home is a query's first probe slot: the top bits of its hash times
+// 2^64/φ, so nearby hashes land far apart.
+func (t *Table) home(queryHash uint64) int {
+	return int((queryHash * 0x9e3779b97f4a7c15) >> (64 - bits.Len(uint(len(t.heads)-1))))
+}
+
+// slot is the index slot holding queryHash's chain head, or the empty
+// slot where the probe for it ends.
+func (t *Table) slot(queryHash uint64) int {
+	mask := len(t.heads) - 1
+	s := t.home(queryHash)
+	for t.heads[s] != 0 && t.entries[t.heads[s]-1].query != queryHash {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// head returns the first entry of queryHash's chain.
+func (t *Table) head(queryHash uint64) (int32, bool) {
+	if t.queries == 0 {
+		return none, false
+	}
+	h := t.heads[t.slot(queryHash)]
+	return h - 1, h != 0
+}
+
+// addHead indexes e as the first entry of its query's new chain.
+func (t *Table) addHead(e int32) {
+	if 4*(t.queries+1) > 3*len(t.heads) {
+		t.rehash(t.queries + 1)
+	}
+	t.heads[t.slot(t.entries[e].query)] = e + 1
+	t.queries++
+}
+
+// rehash rebuilds the index with room for n chains.
+func (t *Table) rehash(n int) {
+	size := 8
+	for 4*n > 3*size {
+		size *= 2
+	}
+	old := t.heads
+	t.heads = make([]int32, size)
+	for _, h := range old {
+		if h != 0 {
+			t.heads[t.slot(t.entries[h-1].query)] = h
+		}
+	}
+}
+
+// dropHead removes queryHash's chain from the index. The entries after
+// it in its probe run move back over the hole when their probe starts at
+// or before it, so no probe ever crosses an empty slot to reach its key.
+func (t *Table) dropHead(queryHash uint64) {
+	mask := len(t.heads) - 1
+	hole := t.slot(queryHash)
+	t.heads[hole] = 0
+	t.queries--
+	for s := (hole + 1) & mask; t.heads[s] != 0; s = (s + 1) & mask {
+		if (s-t.home(t.entries[t.heads[s]-1].query))&mask >= (s-hole)&mask {
+			t.heads[hole], t.heads[s] = t.heads[s], 0
+			hole = s
+		}
+	}
+}
 
 // block returns entry e's used refs.
 func (t *Table) block(e int32) []SearchRef {
@@ -116,7 +193,7 @@ func (t *Table) block(e int32) []SearchRef {
 // hit/miss test. On the paper's prototype this lookup costs ~10 µs and
 // is therefore negligible on both the hit and the miss path (Table 4).
 func (t *Table) Contains(queryHash uint64) bool {
-	_, ok := t.heads[queryHash]
+	_, ok := t.head(queryHash)
 	return ok
 }
 
@@ -134,7 +211,7 @@ func (t *Table) Lookup(queryHash uint64) []SearchRef {
 // order is identical to Lookup's: descending score, ties broken by
 // ascending result hash.
 func (t *Table) LookupInto(queryHash uint64, buf []SearchRef) []SearchRef {
-	head, ok := t.heads[queryHash]
+	head, ok := t.head(queryHash)
 	if !ok {
 		return nil
 	}
@@ -193,7 +270,7 @@ type Probe struct {
 // Probe locates the (query, result) pair; ok is false when it is not
 // stored.
 func (t *Table) Probe(queryHash, resultHash uint64) (p Probe, ok bool) {
-	head, ok := t.heads[queryHash]
+	head, ok := t.head(queryHash)
 	if !ok {
 		return Probe{}, false
 	}
@@ -250,10 +327,10 @@ func (t *Table) Score(queryHash, resultHash uint64) (float64, bool) {
 // score. New results go into the first entry with a free slot, or a
 // new chained entry when all are full.
 func (t *Table) Put(queryHash uint64, ref SearchRef) {
-	head, ok := t.heads[queryHash]
+	head, ok := t.head(queryHash)
 	if !ok {
-		e := t.newEntry()
-		t.heads[queryHash] = e
+		e := t.newEntry(queryHash)
+		t.addHead(e)
 		t.appendRef(e, ref)
 		return
 	}
@@ -271,7 +348,7 @@ func (t *Table) Put(queryHash uint64, ref SearchRef) {
 		tail = e
 	}
 	if open == none {
-		open = t.newEntry()
+		open = t.newEntry(queryHash)
 		t.entries[tail].next = open
 	}
 	t.appendRef(open, ref)
@@ -284,17 +361,17 @@ func (t *Table) appendRef(e int32, ref SearchRef) {
 	t.refCount++
 }
 
-// newEntry returns an empty, unlinked entry: the free list's first, or a
-// new one at the end of the slabs.
-func (t *Table) newEntry() int32 {
+// newEntry returns an empty, unlinked entry of queryHash's chain: the
+// free list's first, or a new one at the end of the slabs.
+func (t *Table) newEntry(queryHash uint64) int32 {
 	t.numEntries++
 	if e := t.free; e != none {
 		t.free = t.entries[e].next
-		t.entries[e] = entry{next: none}
+		t.entries[e] = entry{query: queryHash, next: none}
 		return e
 	}
-	t.entries = append(t.entries, entry{next: none})
-	t.refs = slices.Grow(t.refs, t.slots)[:len(t.refs)+t.slots]
+	t.entries = append(slab.Reserve(t.entries, 1), entry{query: queryHash, next: none})
+	t.refs = slab.Reserve(t.refs, t.slots)[:len(t.refs)+t.slots]
 	return int32(len(t.entries) - 1)
 }
 
@@ -326,7 +403,7 @@ func (t *Table) Accessed(queryHash, resultHash uint64) bool {
 // Remove deletes the (query, result) pair, compacting its entry and
 // dropping empty entries. It reports whether the pair existed.
 func (t *Table) Remove(queryHash, resultHash uint64) bool {
-	head, ok := t.heads[queryHash]
+	head, ok := t.head(queryHash)
 	return ok && t.removeFrom(queryHash, head, resultHash)
 }
 
@@ -335,8 +412,14 @@ func (t *Table) Remove(queryHash, resultHash uint64) bool {
 // returns the number of pairs removed.
 func (t *Table) RemoveResult(resultHash uint64) int {
 	n := 0
-	for qh, head := range t.heads {
-		if t.removeFrom(qh, head, resultHash) {
+	// A query holds a result at most once, and removal frees entries
+	// without moving any, so one walk of the slab meets each query
+	// holding the result once, at the entry that holds it.
+	for e := range t.entries {
+		if slices.ContainsFunc(t.block(int32(e)), func(r SearchRef) bool { return r.ResultHash == resultHash }) {
+			qh := t.entries[e].query
+			head, _ := t.head(qh)
+			t.removeFrom(qh, head, resultHash)
 			n++
 		}
 	}
@@ -372,9 +455,9 @@ func (t *Table) removeFrom(queryHash uint64, head int32, resultHash uint64) bool
 		case prev != none:
 			t.entries[prev].next = next
 		case next != none:
-			t.heads[queryHash] = next
+			t.heads[t.slot(queryHash)] = next + 1
 		default:
-			delete(t.heads, queryHash)
+			t.dropHead(queryHash)
 		}
 		*en = entry{next: t.free}
 		t.free = e
@@ -397,17 +480,14 @@ type Pair struct {
 // hash, then result hash).
 func (t *Table) Pairs() []Pair {
 	out := make([]Pair, 0, t.refCount)
-	for qh, head := range t.heads {
-		for e := head; e != none; e = t.entries[e].next {
-			flags := t.entries[e].flags
-			for si, r := range t.block(e) {
-				out = append(out, Pair{
-					QueryHash:  qh,
-					ResultHash: r.ResultHash,
-					Score:      r.Score,
-					Accessed:   flags&(accessedBit<<uint(si)) != 0,
-				})
-			}
+	for e, en := range t.entries {
+		for si, r := range t.block(int32(e)) {
+			out = append(out, Pair{
+				QueryHash:  en.query,
+				ResultHash: r.ResultHash,
+				Score:      r.Score,
+				Accessed:   en.flags&(accessedBit<<uint(si)) != 0,
+			})
 		}
 	}
 	slices.SortFunc(out, func(a, b Pair) int {
@@ -434,19 +514,21 @@ func FromPairs(slotsPerEntry int, pairs []Pair) (*Table, error) {
 		entries += (n + t.slots - 1) / t.slots
 		rest = rest[n:]
 	}
-	t.heads = make(map[uint64]int32, queries)
+	t.rehash(queries)
 	t.entries = make([]entry, 0, entries)
 	t.refs = make([]SearchRef, entries*t.slots)
 	t.numEntries, t.refCount = entries, len(pairs)
 	for len(pairs) > 0 {
 		run := pairs[:queryRun(pairs)]
-		t.heads[run[0].QueryHash] = int32(len(t.entries))
 		for k, p := range run {
 			if k%t.slots == 0 {
 				if k > 0 {
 					t.entries[len(t.entries)-1].next = int32(len(t.entries))
 				}
-				t.entries = append(t.entries, entry{next: none})
+				t.entries = append(t.entries, entry{query: p.QueryHash, next: none})
+				if k == 0 {
+					t.addHead(int32(len(t.entries) - 1))
+				}
 			}
 			e := len(t.entries) - 1
 			t.refs[e*t.slots+k%t.slots] = SearchRef{ResultHash: p.ResultHash, Score: p.Score}

@@ -393,3 +393,39 @@ func TestProbeMatchesSearches(t *testing.T) {
 		}
 	}
 }
+
+// TestHeadIndexUnderChurn holds the open-addressed head index to a map
+// through long runs of inserts and removals over a few hundred queries,
+// so probe runs wrap the index, grow it, and close over removed heads:
+// every query stays findable exactly while it holds a result.
+func TestHeadIndexUnderChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, spread := range []uint64{1, 1 << 58, 0x9e3779b97f4a7c15} {
+		tbl := MustNew(2)
+		want := map[uint64]int{}
+		for step := 0; step < 20000; step++ {
+			qh := uint64(rng.Intn(300)) * spread
+			rh := uint64(rng.Intn(3))
+			if rng.Intn(3) > 0 {
+				if !tbl.ContainsRef(qh, rh) {
+					want[qh]++
+				}
+				tbl.Put(qh, SearchRef{ResultHash: rh, Score: 1})
+			} else if tbl.Remove(qh, rh) {
+				if want[qh]--; want[qh] == 0 {
+					delete(want, qh)
+				}
+			}
+			if step%97 == 0 || step > 19900 {
+				if tbl.NumQueries() != len(want) {
+					t.Fatalf("spread %x step %d: %d queries, want %d", spread, step, tbl.NumQueries(), len(want))
+				}
+				for q := uint64(0); q < 300; q++ {
+					if got, n := len(tbl.Lookup(q*spread)), want[q*spread]; got != n || tbl.Contains(q*spread) != (n > 0) {
+						t.Fatalf("spread %x step %d: query %d holds %d results, want %d", spread, step, q, got, n)
+					}
+				}
+			}
+		}
+	}
+}

@@ -511,12 +511,21 @@ func TestRejectedWritesLeaveTheDatabaseAlone(t *testing.T) {
 	if _, err := db.ReplaceFile(4, nil); err == nil {
 		t.Error("a file index out of range should be refused")
 	}
+	if db.LogicalBytes() != size {
+		t.Errorf("size %d after refused rewrites, was %d", db.LogicalBytes(), size)
+	}
+	// A file someone else writes counts in the database's size as the
+	// bytes it holds; a write the corrupt file refuses moves nothing.
 	store.ReplaceSilently("psdb-3.db", []byte("no header line"))
+	size += int64(len("no header line"))
 	if _, err := db.Put(7, []byte("seven")); err == nil {
 		t.Error("a file without a header line should refuse the write")
 	}
+	if data, _ := store.Peek("psdb-3.db"); string(data) != "no header line" {
+		t.Errorf("the refused file holds %q", data)
+	}
 	if db.LogicalBytes() != size || string(view) != "five" || db.Len() != 1 {
-		t.Errorf("size %d (was %d), view %q, %d records", db.LogicalBytes(), size, view, db.Len())
+		t.Errorf("size %d (want %d), view %q, %d records", db.LogicalBytes(), size, view, db.Len())
 	}
 }
 

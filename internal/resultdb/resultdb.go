@@ -13,21 +13,23 @@
 // modeled against the flash device (file open, page reads) plus a CPU
 // charge for parsing header entries.
 //
-// The database keeps each file as its parsed header with a reference to
-// every record, not as a byte image: the flash store renders a file's
-// plain text only when someone asks for it, and every size and cost is
-// computed from the header entries exactly as the bytes would give it.
-// A record is the very slice handed to Put (or ReplaceFile/ReplaceAll),
-// so a fleet whose users cache the same result holds its bytes once.
+// The database keeps its files as one slab of header entries, each
+// referencing its record, not as byte images: it is mounted on its
+// flash store as the volume of its file names, so the store holds
+// nothing per file and renders a file's plain text only when someone
+// asks for it, and every size and cost is computed from the header
+// entries exactly as the bytes would give it. A record is the very
+// slice handed to Put (or ReplaceFile/ReplaceAll), so a fleet whose
+// users cache the same result holds its bytes once.
 package resultdb
 
 import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,6 +37,7 @@ import (
 	"unsafe"
 
 	"pocketcloudlets/internal/flashsim"
+	"pocketcloudlets/internal/slab"
 )
 
 // DefaultFiles is the paper's chosen database file count.
@@ -59,63 +62,102 @@ type Config struct {
 type DB struct {
 	store *flashsim.FileStore
 	cfg   Config
-	// names precomputes the file names so the retrieval path never
-	// formats strings. The slice is interned across databases (see
-	// fileNames): a million-user fleet holds one database per user and
-	// they all name their files identically.
+	// names precomputes the file names so nothing formats strings. The
+	// slice is interned across databases (see fileNames): a million-user
+	// fleet holds one database per user and they all name their files
+	// identically.
 	names []string
-	// files holds, by index, every file read or written so far — nil for
-	// one not touched yet or absent — so repeated retrievals (the
-	// cache-hit serve path) find and parse nothing. A pointer per file is
-	// 256 B at the default 32 files, allocated with the first file found
-	// or written: a fleet holds a database per user, and many users never
-	// store a record. A write replaces its file's entry with the file it
-	// just installed, so a write never causes a re-parse, and the modeled
-	// latency is computed from the recorded header length, so a cached
-	// retrieval charges exactly what an uncached one would.
-	files []*file
+	// entries is the slab: the header entries of every file, grouped by
+	// file in file order, each file's run in header order. A user's
+	// records are this one allocation, however many files they fill.
+	entries []entry
+	// files locates each file's run in the slab and sizes its header:
+	// Files long, allocated with the first file written, so a retrieval
+	// finds its file's run and header length without a search.
+	files []fileRun
+	// raw holds, by file index, the files written from outside the
+	// database as plain bytes (through the store: Write, Append,
+	// ReplaceSilently), parsed into the slab on first touch. Nil while
+	// there are none, which is always in a fleet.
+	raw map[int][]byte
 	// bytes is the total size of the database files, kept current by
-	// storeFile and seeded from the store in New. The database must be
-	// the only writer of its files; a store changed from outside is
-	// picked up by reopening it with New.
+	// every write, the store's included.
 	bytes int64
 }
 
-// file is one database file as the database keeps it: the parsed header,
-// each entry referencing its record. The records tile the body in header
-// order — an entry's offset is the sum of the lengths before it — so the
-// file's bytes are the header line followed by every record in turn, and
-// the flash store renders them only when asked (file implements
-// flashsim.Content). A file never changes: a write builds a new one, so
-// a record view or a rendering taken from it outlives later writes.
-type file struct {
-	header
-	hdrLen int32 // header line length including '\n'
+// fileRun is one file's place in the slab: its run starts at
+// entries[start] and ends where the next file's starts, and hdr is its
+// header line's length — zero when the file does not exist, one (the
+// newline) when it exists without a record.
+type fileRun struct {
+	start, hdr uint32
 }
 
-// bodyLen is the length of the record area; zero for a file that does
-// not exist.
-func (f *file) bodyLen() int {
-	if f == nil || len(f.entries) == 0 {
-		return 0
+// entry is one header entry: it locates a record in its file's body and
+// references the record's bytes — data points at the first byte and
+// length says how many follow. The records tile the body in header
+// order, so an entry's offset is the sum of the lengths before it in its
+// run and is not stored. 32-bit lengths suffice because a database file
+// is megabytes at most, and parseFile refuses a header that says
+// otherwise.
+type entry struct {
+	hash   uint64
+	data   *byte
+	length uint32
+}
+
+// newEntry is the entry of rec stored under hash.
+func newEntry(hash uint64, rec []byte) entry {
+	return entry{hash: hash, data: unsafe.SliceData(rec), length: uint32(len(rec))}
+}
+
+// record is the entry's record: the referenced bytes, capacity clipped
+// to the length so no append can reach past them.
+func (e entry) record() []byte { return unsafe.Slice(e.data, e.length) }
+
+// tripleLen is the length of e's header triple at body offset off: three
+// hex numbers and two commas, known from the numbers' widths before a
+// digit is written.
+func tripleLen(e entry, off int) int {
+	return hexLen(e.hash) + hexLen(uint64(off)) + hexLen(uint64(e.length)) + 2
+}
+
+// lineLen is the header line length of a run: the triples, a ';'
+// between two, and the newline.
+func lineLen(es []entry) int {
+	n, off := max(len(es), 1), 0
+	for _, e := range es {
+		n += tripleLen(e, off)
+		off += int(e.length)
 	}
-	return f.entries[len(f.entries)-1].end()
+	return n
 }
 
-// Len implements flashsim.Content: the file's size in bytes.
-func (f *file) Len() int { return int(f.hdrLen) + f.bodyLen() }
-
-// AppendTo implements flashsim.Content: the header line, then the
-// records in header order.
-func (f *file) AppendTo(b []byte) []byte {
-	b = f.appendTo(b)
-	for _, e := range f.entries {
-		b = append(b, e.record()...)
+// bodyLen is the length of a run's record area.
+func bodyLen(es []entry) int {
+	n := 0
+	for _, e := range es {
+		n += int(e.length)
 	}
-	return b
+	return n
 }
 
-// New creates (or reopens) a database over the given flash store.
+// find is the index in es of the record stored under hash, or -1.
+func find(es []entry, hash uint64) int {
+	for k, e := range es {
+		if e.hash == hash {
+			return k
+		}
+	}
+	return -1
+}
+
+// New creates (or reopens) a database over the given flash store and
+// mounts it there as the volume of its file names. A database reopened
+// over a store that holds one of the same prefix and file count takes
+// its files as they are; any other file under its names — one someone
+// else wrote, or a database of another file count left — is plain bytes
+// to it, parsed on first touch.
 func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
 	if store == nil {
 		return nil, fmt.Errorf("resultdb: store is required")
@@ -131,11 +173,10 @@ func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
 	}
 	db := &DB{store: store, cfg: cfg}
 	db.names = fileNames(cfg.Prefix, cfg.Files)
-	for _, name := range db.names {
-		if sz, err := store.Size(name); err == nil {
-			db.bytes += int64(sz)
-		}
+	if prev, ok := store.Volume(cfg.Prefix).(*volume); ok && prev.cfg.Files == cfg.Files {
+		db.entries, db.files, db.raw, db.bytes = slices.Clone(prev.entries), slices.Clone(prev.files), maps.Clone(prev.raw), prev.bytes
 	}
+	store.Mount(cfg.Prefix, (*volume)(db))
 	return db, nil
 }
 
@@ -166,95 +207,38 @@ func (db *DB) FileOf(resultHash uint64) int {
 	return int(resultHash % uint64(db.cfg.Files))
 }
 
-// header is the parsed first line of a database file.
-type header struct {
-	entries []headerEntry
-}
-
-// headerEntry locates one record in the file body and references its
-// bytes: data points at the record's first byte and length says how
-// many follow. A bare pointer rather than a slice keeps an entry at 24
-// bytes (a fleet holds tens of them per user); 32-bit offsets suffice
-// because a database file is megabytes at most, and parseHeader refuses
-// a header that says otherwise.
-type headerEntry struct {
-	hash        uint64
-	off, length uint32
-	data        *byte
-}
-
-// entryFor is the entry of rec stored under hash at body offset off.
-func entryFor(hash uint64, off int, rec []byte) headerEntry {
-	return headerEntry{hash: hash, off: uint32(off), length: uint32(len(rec)), data: unsafe.SliceData(rec)}
-}
-
-// record is the entry's record: the referenced bytes, capacity clipped
-// to the length so no append can reach past them.
-func (e headerEntry) record() []byte { return unsafe.Slice(e.data, e.length) }
-
-// end is the body offset one past the record.
-func (e headerEntry) end() int { return int(e.off) + int(e.length) }
-
-// find looks a record up in the file's header; a nil receiver is a
-// file that does not exist and holds nothing.
-func (f *file) find(hash uint64) (headerEntry, bool) {
-	if f == nil {
-		return headerEntry{}, false
-	}
-	for _, e := range f.entries {
-		if e.hash == hash {
-			return e, true
-		}
-	}
-	return headerEntry{}, false
-}
-
-// appendTriple renders one header entry as "hash,off,len" in hex.
-func appendTriple(b []byte, e headerEntry) []byte {
-	b = strconv.AppendUint(b, e.hash, 16)
-	b = append(b, ',')
-	b = strconv.AppendUint(b, uint64(e.off), 16)
-	b = append(b, ',')
-	return strconv.AppendUint(b, uint64(e.length), 16)
-}
-
-// tripleLen is the length appendTriple renders e with.
-func tripleLen(e headerEntry) int {
-	return hexLen(e.hash) + hexLen(uint64(e.off)) + hexLen(uint64(e.length)) + 2
-}
-
-// appendTo appends the header line, "hash,off,len;...\n" in hex, to b.
-func (h *header) appendTo(b []byte) []byte {
-	for i, e := range h.entries {
-		if i > 0 {
+// appendHeader appends a run's header line, "hash,off,len;...\n" in
+// hex, to b.
+func appendHeader(b []byte, es []entry) []byte {
+	off := 0
+	for k, e := range es {
+		if k > 0 {
 			b = append(b, ';')
 		}
-		b = appendTriple(b, e)
+		b = strconv.AppendUint(b, e.hash, 16)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(off), 16)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(e.length), 16)
+		off += int(e.length)
 	}
 	return append(b, '\n')
-}
-
-// lineLen is the header line's exact length, known from its numbers'
-// widths before a digit is written: per entry three hex fields and two
-// commas, a ';' between entries, and the newline.
-func (h *header) lineLen() int {
-	n := max(len(h.entries), 1) // the separators and the newline
-	for _, e := range h.entries {
-		n += tripleLen(e)
-	}
-	return n
 }
 
 // hexLen is the number of digits strconv renders x with in base 16.
 func hexLen(x uint64) int { return max(1, (bits.Len64(x)+3)/4) }
 
-func parseHeader(line []byte) (*header, error) {
-	h := &header{}
+// triple is one parsed header entry.
+type triple struct {
+	hash, off, length uint64
+}
+
+func parseHeader(line []byte) ([]triple, error) {
 	s := strings.TrimSuffix(string(line), "\n")
 	if s == "" {
-		return h, nil
+		return nil, nil
 	}
-	h.entries = make([]headerEntry, 0, strings.Count(s, ";")+1)
+	ts := make([]triple, 0, strings.Count(s, ";")+1)
 	for _, part := range strings.Split(s, ";") {
 		fields := strings.Split(part, ",")
 		if len(fields) != 3 {
@@ -272,94 +256,97 @@ func parseHeader(line []byte) (*header, error) {
 		if err != nil {
 			return nil, fmt.Errorf("resultdb: bad header length: %v", err)
 		}
-		h.entries = append(h.entries, headerEntry{hash: hash, off: uint32(off), length: uint32(length)})
+		ts = append(ts, triple{hash, off, length})
 	}
-	return h, nil
+	return ts, nil
 }
 
-// parseFile reads a file the flash store holds as plain bytes — one the
-// database did not install itself — into the database's form, its
-// entries referencing records inside data. The bytes must be what the
-// database would write: the header in its own rendering, the records
-// tiling the body in header order. Anything else is refused as corrupt,
-// as a file without a header line always was.
-func parseFile(name string, data []byte) (*file, error) {
+// parseFile reads a file held as plain bytes into a run of entries
+// referencing records inside data, and its header line's length. The
+// bytes must be what the database would write: the header in its own
+// rendering, the records tiling the body in header order. Anything else
+// is refused as corrupt, as a file without a header line always was.
+func parseFile(name string, data []byte) ([]entry, int, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return nil, fmt.Errorf("resultdb: file %q has no header line", name)
+		return nil, 0, fmt.Errorf("resultdb: file %q has no header line", name)
 	}
-	h, err := parseHeader(data[:nl+1])
-	if err != nil {
-		return nil, err
-	}
-	f := &file{header: *h, hdrLen: int32(nl + 1)}
-	body := data[nl+1:]
-	off := 0
-	for k := range f.entries {
-		e := &f.entries[k]
-		if int(e.off) != off || e.end() > len(body) {
-			return nil, fmt.Errorf("resultdb: file %q: record %x is not where its header says", name, e.hash)
-		}
-		e.data = unsafe.SliceData(body[e.off:e.end()])
-		off = e.end()
-	}
-	if off != len(body) || !bytes.Equal(f.appendTo(nil), data[:nl+1]) {
-		return nil, fmt.Errorf("resultdb: file %q is not in the database's format", name)
-	}
-	return f, nil
-}
-
-// file returns file i without device-cost accounting, reading it on
-// first touch: the database's own file as the store holds it, or a
-// parse of plain bytes someone else wrote. Nil when the file does not
-// exist.
-func (db *DB) file(i int) (*file, error) {
-	if db.files != nil && db.files[i] != nil {
-		return db.files[i], nil
-	}
-	name := db.names[i]
-	c, ok := db.store.Content(name)
-	if !ok {
-		return nil, nil
-	}
-	f, own := c.(*file)
-	if !own {
-		data, _ := db.store.PeekRef(name)
-		var err error
-		if f, err = parseFile(name, data); err != nil {
-			return nil, err
-		}
-	}
-	db.keep(i, f)
-	return f, nil
-}
-
-// keep makes f the database's file i.
-func (db *DB) keep(i int, f *file) {
-	if db.files == nil {
-		db.files = make([]*file, db.cfg.Files)
-	}
-	db.files[i] = f
-}
-
-// loadFile is file plus the modeled latency of reading the header
-// portion (open + header pages + per-entry parse CPU). Body latency
-// charging is left to the caller since most operations touch only one
-// record. The latency formula is evaluated whether or not the parse was
-// cached, so caching never changes modeled costs.
-func (db *DB) loadFile(i int) (*file, time.Duration, error) {
-	f, err := db.file(i)
+	ts, err := parseHeader(data[:nl+1])
 	if err != nil {
 		return nil, 0, err
 	}
-	if f == nil {
-		return nil, db.store.Device().OpenCost(), nil
+	body := data[nl+1:]
+	es := make([]entry, len(ts))
+	off := 0
+	for k, t := range ts {
+		if t.off != uint64(off) || t.length > uint64(len(body)-off) {
+			return nil, 0, fmt.Errorf("resultdb: file %q: record %x is not where its header says", name, t.hash)
+		}
+		es[k] = newEntry(t.hash, body[off:off+int(t.length)])
+		off += int(t.length)
 	}
-	// Model: open the file, read the header pages, parse each entry.
-	lat := db.store.Device().OpenCost() +
-		db.store.Device().ReadCost(int(f.hdrLen)) +
-		time.Duration(len(f.entries))*db.cfg.HeaderParseCost
-	return f, lat, nil
+	if off != len(body) || !bytes.Equal(appendHeader(nil, es), data[:nl+1]) {
+		return nil, 0, fmt.Errorf("resultdb: file %q is not in the database's format", name)
+	}
+	return es, nl + 1, nil
+}
+
+// run is file i's run of the slab, entries[lo:hi], and its header
+// length, zero when the file does not exist.
+func (db *DB) run(i int) (lo, hi, hdr int) {
+	if db.files == nil {
+		return 0, 0, 0
+	}
+	lo, hi = int(db.files[i].start), len(db.entries)
+	if i+1 < len(db.files) {
+		hi = int(db.files[i+1].start)
+	}
+	return lo, hi, int(db.files[i].hdr)
+}
+
+// splice replaces entries[lo:hi], which lie in file i's run, with es,
+// and makes hdr file i's header length (zero deletes the file). The
+// slab grows by an eighth (internal/slab) when it must, and the later
+// files' runs move by the difference.
+func (db *DB) splice(i, lo, hi int, es []entry, hdr int) {
+	if db.files == nil {
+		db.files = make([]fileRun, db.cfg.Files)
+	}
+	db.entries = slices.Replace(slab.Reserve(db.entries, len(es)-(hi-lo)), lo, hi, es...)
+	db.files[i].hdr = uint32(hdr)
+	if delta := uint32(len(es) - (hi - lo)); delta != 0 {
+		for j := i + 1; j < len(db.files); j++ {
+			db.files[j].start += delta
+		}
+	}
+}
+
+// file returns file i's run of the slab and its header length (zero when
+// the file does not exist) without device-cost accounting, first parsing
+// the file into the slab if it is held as plain bytes.
+func (db *DB) file(i int) ([]entry, int, error) {
+	lo, hi, hdr := db.run(i)
+	if data, ok := db.raw[i]; ok {
+		es, n, err := parseFile(db.names[i], data)
+		if err != nil {
+			return nil, 0, err
+		}
+		db.takeRaw(i)
+		db.splice(i, lo, hi, es, n)
+		hi, hdr = lo+len(es), n
+	}
+	return db.entries[lo:hi], hdr, nil
+}
+
+// loadCost is the modeled latency of reading a file's header: open the
+// file, read the header pages, parse each entry. Body latency charging
+// is left to the caller since most operations touch only one record.
+func (db *DB) loadCost(es []entry, hdr int) time.Duration {
+	dev := db.store.Device()
+	if hdr == 0 {
+		return dev.OpenCost()
+	}
+	return dev.OpenCost() + dev.ReadCost(hdr) + time.Duration(len(es))*db.cfg.HeaderParseCost
 }
 
 // Put stores a record under its result hash, appending it to its file
@@ -369,50 +356,35 @@ func (db *DB) loadFile(i int) (*file, time.Duration, error) {
 // The database keeps record itself, not a copy: the caller must not
 // modify it afterwards.
 //
-// The write is incremental: the new file is the stored header with one
-// more entry, the header length grows by the new triple and its
-// separator, and nothing is re-serialized, re-parsed or copied but the
-// entries.
+// The write is incremental: the new entry goes in at the end of its
+// file's run, the header length grows by the new triple and its
+// separator, and nothing is serialized, parsed or copied.
 func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 	i := db.FileOf(resultHash)
-	f, lat, err := db.loadFile(i)
+	es, hdr, err := db.file(i)
 	if err != nil {
 		return 0, err
 	}
-	if _, exists := f.find(resultHash); exists {
+	lat := db.loadCost(es, hdr)
+	if find(es, resultHash) >= 0 {
 		return lat, nil
 	}
-	e := entryFor(resultHash, f.bodyLen(), record)
+	body := bodyLen(es)
+	e := newEntry(resultHash, record)
 	// The new header line is the stored one, its newline turned into the
 	// ';' before the new triple, then the triple and a newline.
-	hdrLen := tripleLen(e) + 1
-	var old []headerEntry
-	if f != nil && len(f.entries) > 0 {
-		old = f.entries
-		hdrLen += int(f.hdrLen)
+	newHdr := tripleLen(e, body) + 1
+	if len(es) > 0 {
+		newHdr += hdr
 	}
-	// Entries grow to exact capacity: a file gains a record or two over
-	// a user's month, and append's doubling would be resident slack.
-	entries := make([]headerEntry, len(old)+1)
-	entries[copy(entries, old)] = e
 	// The header line changes size, so it is rewritten in place
 	// (charged as a flash rewrite); the record itself is an append.
-	lat += db.store.Device().RewriteCost(hdrLen) + db.store.Device().WriteCost(len(record))
-	db.storeFile(i, &file{header: header{entries: entries}, hdrLen: int32(hdrLen)})
+	dev := db.store.Device()
+	lat += dev.RewriteCost(newHdr) + dev.WriteCost(len(record))
+	db.bytes += int64(newHdr - hdr + len(record))
+	_, hi, _ := db.run(i)
+	db.splice(i, hi, hi, []entry{e}, newHdr)
 	return lat, nil
-}
-
-// storeFile installs f as file i without charging device cost (costs are
-// charged explicitly by callers). It is the single funnel every database
-// write goes through (Put, and every rewrite): the store keeps f as the
-// file's content, the database's own entry becomes f, and the running
-// size total moves by the difference.
-func (db *DB) storeFile(i int, f *file) {
-	name := db.names[i]
-	old, _ := db.store.Size(name) // zero for a file that does not exist yet
-	db.bytes += int64(f.Len() - old)
-	db.keep(i, f)
-	db.store.ReplaceContent(name, f)
 }
 
 // Get retrieves the record stored under the result hash, with the
@@ -434,54 +406,49 @@ func (db *DB) Get(resultHash uint64) ([]byte, time.Duration, error) {
 // so callers must not modify it.
 func (db *DB) GetView(resultHash uint64) ([]byte, time.Duration, error) {
 	i := db.FileOf(resultHash)
-	f, lat, err := db.loadFile(i)
+	es, hdr, err := db.file(i)
 	if err != nil {
 		return nil, 0, err
 	}
-	e, ok := f.find(resultHash)
-	if !ok {
+	lat := db.loadCost(es, hdr)
+	k := find(es, resultHash)
+	if k < 0 {
 		return nil, lat, fmt.Errorf("resultdb: result %x not found in file %d", resultHash, i)
 	}
-	lat += db.store.Device().ReadCost(int(e.length))
-	return e.record(), lat, nil
+	lat += db.store.Device().ReadCost(int(es[k].length))
+	return es[k].record(), lat, nil
 }
 
 // Contains reports whether a record exists, without charging latency
 // (existence is known from the DRAM hash table in the real system).
 func (db *DB) Contains(resultHash uint64) bool {
-	f, err := db.file(db.FileOf(resultHash))
-	if err != nil {
-		return false
+	es, _, err := db.file(db.FileOf(resultHash))
+	return err == nil && find(es, resultHash) >= 0
+}
+
+// parseRaw parses every file held as plain bytes that parses; the rest
+// stay as they are.
+func (db *DB) parseRaw() {
+	for i := range db.raw {
+		db.file(i)
 	}
-	_, found := f.find(resultHash)
-	return found
 }
 
 // Hashes returns every stored result hash in ascending order.
 func (db *DB) Hashes() []uint64 {
+	db.parseRaw()
 	var out []uint64
-	for i := 0; i < db.cfg.Files; i++ {
-		f, err := db.file(i)
-		if err != nil || f == nil {
-			continue
-		}
-		for _, e := range f.entries {
-			out = append(out, e.hash)
-		}
+	for _, e := range db.entries {
+		out = append(out, e.hash)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Len returns the number of stored records.
 func (db *DB) Len() int {
-	n := 0
-	for i := 0; i < db.cfg.Files; i++ {
-		if f, err := db.file(i); err == nil && f != nil {
-			n += len(f.entries)
-		}
-	}
-	return n
+	db.parseRaw()
+	return len(db.entries)
 }
 
 // Record is one result record and the hash it is stored under.
@@ -521,17 +488,47 @@ func (db *DB) replace(i int, recs []Record) (time.Duration, error) {
 
 // rewrite installs recs — file i's records, ordered by hash — as the
 // file's whole content and returns the modeled latency of the rewrite.
+// A file held as plain bytes is replaced unread.
 func (db *DB) rewrite(i int, recs []Record) time.Duration {
-	f := &file{header: header{entries: make([]headerEntry, len(recs))}}
-	off := 0
+	es := make([]entry, len(recs))
 	for k, r := range recs {
-		f.entries[k] = entryFor(r.Hash, off, r.Data)
-		off += len(r.Data)
+		es[k] = newEntry(r.Hash, r.Data)
 	}
-	f.hdrLen = int32(f.lineLen())
-	lat := db.store.Device().OpenCost() + db.store.Device().RewriteCost(f.Len())
-	db.storeFile(i, f)
-	return lat
+	hdr := lineLen(es)
+	size := hdr + bodyLen(es)
+	db.drop(i)
+	lo, hi, _ := db.run(i)
+	db.splice(i, lo, hi, es, hdr)
+	db.bytes += int64(size)
+	dev := db.store.Device()
+	return dev.OpenCost() + dev.RewriteCost(size)
+}
+
+// drop deletes file i, in whichever form the database holds it, and
+// reports whether it existed.
+func (db *DB) drop(i int) bool {
+	if data, ok := db.takeRaw(i); ok {
+		db.bytes -= int64(len(data))
+		return true
+	}
+	lo, hi, hdr := db.run(i)
+	if hdr == 0 {
+		return false
+	}
+	db.bytes -= int64(hdr + bodyLen(db.entries[lo:hi]))
+	db.splice(i, lo, hi, nil, 0)
+	return true
+}
+
+// takeRaw removes file i's plain bytes from raw and returns them.
+func (db *DB) takeRaw(i int) ([]byte, bool) {
+	data, ok := db.raw[i]
+	if ok {
+		if delete(db.raw, i); len(db.raw) == 0 {
+			db.raw = nil
+		}
+	}
+	return data, ok
 }
 
 // ReplaceAll makes the database hold exactly records (each hash at most
@@ -552,30 +549,30 @@ func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
 		}
 		next := records[:n]
 		records = records[n:]
-		f, err := db.file(i)
+		es, hdr, err := db.file(i)
 		if err != nil {
 			return total, err
 		}
-		if !f.holds(next) {
+		if !holds(es, hdr, next) {
 			total += db.rewrite(i, next)
 		}
 	}
 	return total, nil
 }
 
-// holds reports whether the file's record set is exactly recs, which
-// are ordered by hash. A file that does not exist holds nothing.
-func (f *file) holds(recs []Record) bool {
-	if f == nil {
+// holds reports whether a file's record set is exactly recs, which are
+// ordered by hash. A file that does not exist (hdr zero) holds nothing.
+func holds(es []entry, hdr int, recs []Record) bool {
+	if hdr == 0 {
 		return len(recs) == 0
 	}
-	if len(f.entries) != len(recs) {
+	if len(es) != len(recs) {
 		return false
 	}
 	// The header is in insertion order; compare in hash order.
-	entries := slices.Clone(f.entries)
-	slices.SortFunc(entries, func(a, b headerEntry) int { return cmp.Compare(a.hash, b.hash) })
-	for k, e := range entries {
+	es = slices.Clone(es)
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.hash, b.hash) })
+	for k, e := range es {
 		if e.hash != recs[k].Hash || !bytes.Equal(e.record(), recs[k].Data) {
 			return false
 		}
@@ -591,15 +588,15 @@ func (f *file) holds(recs []Record) bool {
 // copies.
 func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 	i := db.FileOf(resultHash)
-	f, err := db.file(i)
+	es, _, err := db.file(i)
 	if err != nil {
 		return 0, false, err
 	}
-	if _, ok := f.find(resultHash); !ok {
+	if find(es, resultHash) < 0 {
 		return 0, false, nil
 	}
-	recs := make([]Record, 0, len(f.entries)-1)
-	for _, e := range f.entries {
+	recs := make([]Record, 0, len(es)-1)
+	for _, e := range es {
 		if e.hash != resultHash {
 			recs = append(recs, Record{e.hash, e.record()})
 		}
@@ -614,15 +611,12 @@ func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 // RecordsOf returns copies of the records of one file keyed by hash —
 // the server-side read when computing patches.
 func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
-	out := make(map[uint64][]byte)
-	f, err := db.file(i)
+	es, _, err := db.file(i)
 	if err != nil {
 		return nil, err
 	}
-	if f == nil {
-		return out, nil
-	}
-	for _, e := range f.entries {
+	out := make(map[uint64][]byte, len(es))
+	for _, e := range es {
 		out[e.hash] = append([]byte(nil), e.record()...)
 	}
 	return out, nil
@@ -632,15 +626,23 @@ func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
 // total (see DB.bytes), not a scan.
 func (db *DB) LogicalBytes() int64 { return db.bytes }
 
+// sizes calls fn with the index and size of every database file.
+func (db *DB) sizes(fn func(i, size int)) {
+	for i := range db.files {
+		if lo, hi, hdr := db.run(i); hdr != 0 {
+			fn(i, hdr+bodyLen(db.entries[lo:hi]))
+		}
+	}
+	for i, data := range db.raw {
+		fn(i, len(data))
+	}
+}
+
 // AllocatedBytes is the flash space the database occupies including
 // allocation slack.
 func (db *DB) AllocatedBytes() int64 {
 	var n int64
-	for _, name := range db.names {
-		if sz, err := db.store.Size(name); err == nil {
-			n += db.store.Device().AllocatedBytes(sz)
-		}
-	}
+	db.sizes(func(_, size int) { n += db.store.Device().AllocatedBytes(size) })
 	return n
 }
 
@@ -648,4 +650,73 @@ func (db *DB) AllocatedBytes() int64 {
 // quantity that grows with the file count in the Figure 12 tradeoff.
 func (db *DB) FragmentationBytes() int64 {
 	return db.AllocatedBytes() - db.LogicalBytes()
+}
+
+// volume is the database as its flash store sees it: the
+// flashsim.Volume of its file names.
+type volume DB
+
+// index is the file index name stands for, or -1 when it is not one of
+// the database's names.
+func (v *volume) index(name string) int {
+	rest, ok := strings.CutPrefix(name, v.cfg.Prefix)
+	if !ok {
+		return -1
+	}
+	rest, ok = strings.CutSuffix(rest, ".db")
+	i, err := strconv.Atoi(rest)
+	if !ok || err != nil || i < 0 || i >= v.cfg.Files || v.names[i] != name {
+		return -1
+	}
+	return i
+}
+
+// Claims implements flashsim.Volume.
+func (v *volume) Claims(name string) bool { return v.index(name) >= 0 }
+
+// Size implements flashsim.Volume.
+func (v *volume) Size(name string) (int, bool) {
+	i := v.index(name)
+	if data, ok := v.raw[i]; ok {
+		return len(data), true
+	}
+	lo, hi, hdr := (*DB)(v).run(i)
+	return hdr + bodyLen(v.entries[lo:hi]), hdr != 0
+}
+
+// AppendFile implements flashsim.Volume: the header line, then the
+// records in header order.
+func (v *volume) AppendFile(b []byte, name string) []byte {
+	i := v.index(name)
+	if data, ok := v.raw[i]; ok {
+		return append(b, data...)
+	}
+	lo, hi, _ := (*DB)(v).run(i)
+	b = appendHeader(b, v.entries[lo:hi])
+	for _, e := range v.entries[lo:hi] {
+		b = append(b, e.record()...)
+	}
+	return b
+}
+
+// Put implements flashsim.Volume: a file written from outside the
+// database is held as the plain bytes it was given.
+func (v *volume) Put(name string, data []byte) {
+	db := (*DB)(v)
+	i := v.index(name)
+	db.drop(i)
+	if db.raw == nil {
+		db.raw = make(map[int][]byte)
+	}
+	db.raw[i] = data
+	db.bytes += int64(len(data))
+}
+
+// Remove implements flashsim.Volume.
+func (v *volume) Remove(name string) bool { return (*DB)(v).drop(v.index(name)) }
+
+// Held implements flashsim.Volume.
+func (v *volume) Held(names []string) []string {
+	(*DB)(v).sizes(func(i, _ int) { names = append(names, v.names[i]) })
+	return names
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,28 +238,21 @@ func TestAccountingConsistency(t *testing.T) {
 
 func TestHeaderSerializationRoundTrip(t *testing.T) {
 	f := func(hashes []uint64, sizes []uint16) bool {
-		h := &header{}
-		off := uint32(0)
-		n := len(hashes)
-		if len(sizes) < n {
-			n = len(sizes)
+		es := make([]entry, min(len(hashes), len(sizes)))
+		for i := range es {
+			es[i] = newEntry(hashes[i], make([]byte, sizes[i]))
 		}
-		for i := 0; i < n; i++ {
-			h.entries = append(h.entries, headerEntry{hash: hashes[i], off: off, length: uint32(sizes[i])})
-			off += uint32(sizes[i])
-		}
-		line := h.appendTo(make([]byte, 0, h.lineLen()))
+		line := appendHeader(make([]byte, 0, lineLen(es)), es)
 		parsed, err := parseHeader(line)
-		if err != nil || len(line) != h.lineLen() || cap(line) != len(line) {
+		if err != nil || len(line) != lineLen(es) || cap(line) != len(line) || len(parsed) != len(es) {
 			return false
 		}
-		if len(parsed.entries) != len(h.entries) {
-			return false
-		}
-		for i := range h.entries {
-			if parsed.entries[i] != h.entries[i] {
+		off := 0
+		for i, p := range parsed {
+			if p != (triple{hashes[i], uint64(off), uint64(sizes[i])}) {
 				return false
 			}
+			off += int(sizes[i])
 		}
 		return true
 	}
@@ -273,7 +267,7 @@ func TestParseHeaderRejectsMalformed(t *testing.T) {
 			t.Errorf("parseHeader(%q) should fail", s)
 		}
 	}
-	if h, err := parseHeader([]byte("\n")); err != nil || len(h.entries) != 0 {
+	if ts, err := parseHeader([]byte("\n")); err != nil || len(ts) != 0 {
 		t.Error("empty header should parse to zero entries")
 	}
 }
@@ -329,9 +323,9 @@ func TestPlainFilesParseInTheDatabaseFormat(t *testing.T) {
 	}
 }
 
-// TestReopenAdoptsOrParses: the store keeps the database's own files in
-// the database's form, so a database reopened over the store takes them
-// as they are; a file someone else rewrote is plain bytes again, and the
+// TestReopenAdoptsOrParses: the database is its store's volume for its
+// file names, so a database reopened over the store takes its files as
+// they are; a file someone else rewrote is plain bytes again, and the
 // reopened database parses it on first touch into the same records.
 func TestReopenAdoptsOrParses(t *testing.T) {
 	db := newDB(t, 4)
@@ -346,29 +340,58 @@ func TestReopenAdoptsOrParses(t *testing.T) {
 		}
 		return r
 	}
-	if c, _ := db.store.Content("psdb-1.db"); c != flashsim.Content(db.files[1]) {
-		t.Fatalf("the store holds %T, not the database's file", c)
+	if v := db.store.Volume("psdb-"); v != flashsim.Volume((*volume)(db)) {
+		t.Fatalf("the store's volume is %v, not the database", v)
 	}
 	adopted := reopen()
 	view, _, err := adopted.GetView(1)
-	if err != nil || &view[0] != &rec[0] || adopted.files[1] != db.files[1] {
+	if err != nil || &view[0] != &rec[0] || db.store.Volume("psdb-") != flashsim.Volume((*volume)(adopted)) {
 		t.Fatalf("the reopened database did not adopt the file: %q, %v", view, err)
 	}
 
 	img, _ := db.store.Peek("psdb-1.db")
 	db.store.Write("psdb-1.db", img) // a third party rewrites the same bytes
-	if c, _ := db.store.Content("psdb-1.db"); c.Len() != len(img) {
-		t.Fatalf("rewritten file is %d bytes, want %d", c.Len(), len(img))
-	} else if _, plain := c.(flashsim.Bytes); !plain {
-		t.Fatalf("a third-party write left %T", c)
+	if data, ok := adopted.raw[1]; !ok || !bytes.Equal(data, img) || adopted.LogicalBytes() != db.LogicalBytes() {
+		t.Fatalf("a third-party write left %q in plain bytes, %d bytes counted", data, adopted.LogicalBytes())
 	}
 	parsed := reopen()
 	view, _, err = parsed.GetView(1)
-	if err != nil || string(view) != "record" || &view[0] == &rec[0] || parsed.Len() != 2 {
+	if err != nil || string(view) != "record" || &view[0] == &rec[0] || parsed.Len() != 2 || parsed.raw != nil {
 		t.Fatalf("parse of the plain file: %q, %v, %d records", view, err, parsed.Len())
 	}
 	if parsed.LogicalBytes() != db.LogicalBytes() {
 		t.Errorf("reopened size %d, want %d", parsed.LogicalBytes(), db.LogicalBytes())
+	}
+	if after, _ := db.store.Peek("psdb-1.db"); !bytes.Equal(after, img) {
+		t.Errorf("the parsed file renders %q, want %q", after, img)
+	}
+}
+
+// TestReopenWithAnotherFileCount: a database of another file count over
+// the same names leaves its files to the new one as plain bytes, so what
+// the store holds is unchanged and the new database reads the records it
+// can find where its own file assignment puts them.
+func TestReopenWithAnotherFileCount(t *testing.T) {
+	old := newDB(t, 4)
+	old.Put(8, []byte("eight")) // file 0 of 4 and of 8
+	old.Put(3, []byte("three")) // file 3 of 4 and of 8
+	old.Put(6, []byte("six"))   // file 2 of 4, file 6 of 8
+	names, size := old.store.Names(), old.store.LogicalBytes()
+	db, err := New(old.store, Config{Files: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.store.Names(); !slices.Equal(got, names) || db.store.LogicalBytes() != size {
+		t.Fatalf("files %v (%d bytes), want %v (%d bytes)", got, db.store.LogicalBytes(), names, size)
+	}
+	if got, _, err := db.Get(8); err != nil || string(got) != "eight" {
+		t.Errorf("Get(8) = %q, %v", got, err)
+	}
+	if db.Contains(6) {
+		t.Error("a record in another file count's file was found")
+	}
+	if _, err := db.Put(6, []byte("six")); err != nil || !db.store.Exists("psdb-6.db") {
+		t.Errorf("Put(6): %v", err)
 	}
 }
 
