@@ -107,6 +107,8 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-faults", "-backend-rate", "50", "-backend-disc", "lifo"}, "-backend-disc"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-dist", "pareto"}, "-backend-dist"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-offered", "-2"}, "-backend-offered"},
+		{[]string{"-users", "30", "-duration", "200ms", "-qps", "2000", "-placement", "ring",
+			"-autoscale", "-autoscale-interval", "2ns"}, "-autoscale-interval: fleet.autoscale.interval: 2ns samples the 200ms run"},
 	}
 	for _, tc := range cases {
 		problems := problemsOf(t, tc.args...)

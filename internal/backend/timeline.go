@@ -3,9 +3,9 @@ package backend
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"pocketcloudlets/internal/hash64"
+	"pocketcloudlets/internal/spinlock"
 )
 
 // The replica timeline. Each replica simulates its queue under the
@@ -229,7 +229,7 @@ func (c *fineCache) latest(lo, hi int64, after, t float64) []uint64 {
 
 type replica struct {
 	m  *Model
-	mu sync.Mutex
+	mu spinlock.Mutex
 	// spine holds the permanent checkpoints packed back to back in event
 	// order, spineAt[i] the word offset of checkpoint i; checkpoint 0 is
 	// genesis (t=0, empty queue, first arrival drawn).

@@ -344,3 +344,46 @@ func TestCloseRacesCallerRunDo(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkFleetServeDoContended is the contention the repository
+// benchmark's hit_closed has: two goroutines send caller-run Do hits to
+// a 2-shard fleet, each replaying its own 500 warmed users one whole
+// month at a time, so the two serve on one shard's lock in stretches,
+// about half the time. ns/op is wall time per request over both.
+func BenchmarkFleetServeDoContended(b *testing.B) {
+	const clients, usersPerClient = 2, 500
+	gen := smallGen(b, clients*usersPerClient)
+	f := newTestFleet(b, gen, smallContent(b, gen), func(cfg *Config) {
+		cfg.Shards = 2
+		cfg.Options.DiscardResults = true
+	})
+	var tapes [clients][]Request
+	for c := range tapes {
+		for _, up := range gen.Users()[c*usersPerClient : (c+1)*usersPerClient] {
+			tapes[c] = append(tapes[c], requestsFor(gen, up, 0)...)
+		}
+		for _, r := range tapes[c] { // warm: every later request is a hit
+			f.Do(r)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := range tapes {
+		n := b.N / clients
+		if c == 0 {
+			n += b.N % clients
+		}
+		wg.Add(1)
+		go func(tape []Request, n int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if resp := f.Do(tape[i%len(tape)]); resp.Err != nil {
+					b.Error(resp.Err)
+					return
+				}
+			}
+		}(tapes[c], n)
+	}
+	wg.Wait()
+}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/slab"
+	"pocketcloudlets/internal/spinlock"
 	"pocketcloudlets/internal/updater"
 )
 
@@ -236,7 +236,10 @@ type shard struct {
 	// ctr is everything delivering a response writes outside mu.
 	ctr shardCounters
 
-	mu            sync.Mutex
+	// mu spins before it sleeps: route holds it for about a microsecond,
+	// and a caller parked behind that waits a scheduler wake-up, hundreds
+	// of times longer (DESIGN.md, "Who runs a request").
+	mu            spinlock.Mutex
 	community     *pocketsearch.Cache
 	users         userTable
 	personalBytes int64

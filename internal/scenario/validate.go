@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"time"
 
+	"pocketcloudlets/internal/autoscale"
 	"pocketcloudlets/internal/backend"
 	"pocketcloudlets/internal/faults"
 	"pocketcloudlets/internal/modeltime"
@@ -257,6 +259,9 @@ func validateAutoscale(p *problems, a *AutoscaleSpec, s *Spec) {
 	}
 	if a.Interval < 0 {
 		p.addf("fleet.autoscale.interval: must be non-negative, got %v", a.Interval.D())
+	} else if n := autoscaleSamples(s.Duration.D(), a.Interval.D()); n > maxAutoscaleSamples {
+		p.addf("fleet.autoscale.interval: %v samples the %v run %d times, over the %d-sample limit; use at least %v",
+			a.Interval.D(), s.Duration.D(), n, maxAutoscaleSamples, (s.Duration.D()+maxAutoscaleSamples-1)/maxAutoscaleSamples)
 	}
 	for _, n := range []struct {
 		name string
@@ -283,6 +288,21 @@ func validateAutoscale(p *problems, a *AutoscaleSpec, s *Spec) {
 	if a.RatePerShard < 0 {
 		p.addf("fleet.autoscale.rate_per_shard: must be non-negative, got %g", a.RatePerShard)
 	}
+}
+
+// maxAutoscaleSamples bounds how often the autoscaler may sample one
+// run. A sample drains the fleet and costs about 1.7 µs of wall time
+// even with nothing to drain, so the limit is some 17 s of sampling; a
+// 2 ns cadence over a 200 ms run would take minutes.
+const maxAutoscaleSamples = 10_000_000
+
+// autoscaleSamples is the number of samples the autoscaler takes over a
+// run of duration d at interval (zero selects the controller default).
+func autoscaleSamples(d, interval time.Duration) int64 {
+	if interval <= 0 {
+		interval = autoscale.DefaultInterval
+	}
+	return int64(d / interval)
 }
 
 func validateEvents(p *problems, s *Spec) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the fleet serving benchmarks (BenchmarkFleetServe* in the root
-# package, plus the worker-queue hop on its own, BenchmarkFleetSubmitDrain
-# in internal/fleet), the miss-path planning benchmarks (BenchmarkPrice* in
-# internal/backend, BenchmarkPlanHedgedPriced and BenchmarkPlanClean in
-# internal/faults), the cold-miss write-path benchmarks
+# package; in internal/fleet the two-client shard-lock contention,
+# BenchmarkFleetServeDoContended, and the worker-queue hop on its own,
+# BenchmarkFleetSubmitDrain), the miss-path planning benchmarks
+# (BenchmarkPrice* in internal/backend, BenchmarkPlanHedgedPriced and
+# BenchmarkPlanClean in internal/faults), the cold-miss write-path benchmarks
 # (BenchmarkSearch* in internal/engine, BenchmarkPut in
 # internal/resultdb, BenchmarkQueryMiss in internal/pocketsearch), the
 # hit's own layers (BenchmarkQueryHit in internal/pocketsearch,

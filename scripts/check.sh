@@ -34,7 +34,7 @@ go test ./...
 echo "== go test -race -short ./... =="
 go test -race -short ./...
 
-echo "== hit-path and index rails x3: go test -race -count 3 ./internal/fleet ./internal/hashtable =="
+echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # The rails of the rebuilt hit path (internal/fleet/hitpath_test.go):
 # counters that live with the shard still cross-foot through concurrent
 # Do/Submit and live resizes — miss-plan and batch-session
@@ -46,7 +46,12 @@ echo "== hit-path and index rails x3: go test -race -count 3 ./internal/fleet ./
 # per-user cache index's rails: the slab hash table against its
 # map-of-chains oracle, and the eviction lists against the golden the
 # map-keyed index recorded (internal/fleet/testdata/evictindex.golden).
-go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode' ./internal/fleet ./internal/hashtable
+# And the lock the shard and the backend replica serve under
+# (internal/spinlock: exclusion from 8 goroutines, progress on one
+# processor, a lone waiter behind a 20 ms hold that spins, blocks and
+# returns only after the release, a queued waiter that does not spin),
+# with backend pricing under concurrent walkers.
+go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root
@@ -192,7 +197,9 @@ echo "== bench smoke: FleetServe =="
 # BenchmarkFleetServeDo's fixture hands the caller the result text, so
 # its steady state is the two allocations that text costs (one copy of
 # the stored record, one Results slice — DESIGN.md, "The zero-allocation
-# serve path"); a third is a regression too.
+# serve path"); a third is a regression too. BenchmarkFleetServeDoContended
+# (internal/fleet: two clients on two shards, hit_closed's contention) is
+# held to the same ceiling: a lock waiter that spins allocates nothing.
 # allocs_per_op prints "<benchmark> <allocs/op>" for every result line of
 # the `go test -bench` output on stdin whose name starts with $1.
 allocs_per_op() {
@@ -200,11 +207,12 @@ allocs_per_op() {
         for (i = 3; i + 1 <= NF; i += 2) if ($(i + 1) == "allocs/op") print $1, $i
     }'
 }
-bench_raw=$(go test -bench FleetServe -benchtime 2000x -benchmem -run '^$' .)
+bench_raw=$(go test -bench FleetServe -benchtime 2000x -benchmem -run '^$' . ./internal/fleet)
 echo "$bench_raw"
-for gate in BenchmarkFleetServe100kUsers:0 BenchmarkFleetServeDo:2; do
+for gate in BenchmarkFleetServe100kUsers:0 BenchmarkFleetServeDo:2 BenchmarkFleetServeDoContended:2; do
     name=${gate%:*} want=${gate#*:}
-    allocs=$(echo "$bench_raw" | allocs_per_op "$name" | awk '{print $2}')
+    # The name itself, or with the -GOMAXPROCS suffix — not a longer name.
+    allocs=$(echo "$bench_raw" | allocs_per_op "$name" | awk -v n="$name" '$1 == n || index($1, n "-") == 1 {print $2}')
     if [ -z "$allocs" ]; then
         echo "bench smoke: $name produced no allocs/op metric" >&2
         exit 1
