@@ -107,6 +107,8 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-faults", "-backend-rate", "50", "-backend-disc", "lifo"}, "-backend-disc"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-dist", "pareto"}, "-backend-dist"},
 		{[]string{"-faults", "-backend-rate", "50", "-backend-offered", "-2"}, "-backend-offered"},
+		{[]string{"-faults", "-backend-rate", "30", "-backend-offered", "1e6"}, "-backend-offered: fleet.backend.offered: 1e+06/s is over the 100000/s limit"},
+		{[]string{"-faults", "-backend-rate", "30", "-backend-offered", "1e300"}, "-backend-offered: fleet.backend.offered: 1e+300/s is over the 100000/s limit"},
 		{[]string{"-users", "30", "-duration", "200ms", "-qps", "2000", "-placement", "ring",
 			"-autoscale", "-autoscale-interval", "2ns"}, "-autoscale-interval: fleet.autoscale.interval: 2ns samples the 200ms run"},
 	}

@@ -267,7 +267,10 @@ func (m *Model) drawService(replica int, uid, qh, seq uint64, attempt int) float
 
 // Price implements faults.Pricer: the queueing experience a dispatch
 // arriving at replica at model time at would have. Pure with respect
-// to model state — concurrent and out-of-order calls always agree.
+// to model state — concurrent and out-of-order calls always agree. The
+// replica's lock is held only to pick and unpack a saved state and to
+// publish what the replay saved; the replay runs under no lock, so calls
+// on one replica replay side by side.
 func (m *Model) Price(replica int, at time.Duration, uid, qh, seq uint64, attempt int) faults.Admission {
 	if m == nil {
 		return faults.Admission{}
@@ -288,15 +291,15 @@ func (m *Model) Price(replica int, at time.Duration, uid, qh, seq uint64, attemp
 	}
 	svc := m.drawService(replica, uid, qh, seq, attempt)
 
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	st := rp.stateAt(t)
+	rc := rp.stateAt(t)
+	defer rp.publish(rc)
+	st := &rc.st
 	switch m.opts.Discipline {
 	case PS:
 		if m.opts.QueueDepth > 0 && len(st.jobs) >= m.opts.QueueDepth {
 			return faults.Admission{Rejected: true}
 		}
-		done := rp.tagged(st, t, svc)
+		done := rp.tagged(rc, t, svc)
 		wait := done - t - svc
 		if wait < 0 {
 			wait = 0

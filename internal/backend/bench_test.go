@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,4 +91,35 @@ func BenchmarkPriceWalkers(b *testing.B) {
 		}
 	}
 	benchPrice(b, order)
+}
+
+// BenchmarkPriceParallel: a walker on every processor at once, pricing
+// side by side the way fault_hedge's clients do. Goroutine g steps
+// through its own stretch of the horizon, one of eight, and wraps back
+// to the stretch's start; ns/op is wall time per query over all of them.
+func BenchmarkPriceParallel(b *testing.B) {
+	const walkers = 8
+	for _, load := range benchLoads {
+		b.Run(load.name, func(b *testing.B) {
+			m := NewModel(load.o)
+			price := func(k int) faults.Admission {
+				return m.Price(k%3, time.Duration(k)*benchStep, uint64(k%600), uint64(k)*0x9E3779B97F4A7C15, uint64(k), 1)
+			}
+			for k := 0; k < benchQueries; k++ {
+				price(k)
+			}
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				stretch := benchQueries / walkers
+				base := int(next.Add(1)-1) % walkers * stretch
+				var sink faults.Admission
+				for i := 0; pb.Next(); i++ {
+					sink = price(base + i%stretch)
+				}
+				_ = sink
+			})
+		})
+	}
 }

@@ -182,14 +182,16 @@ func (c *fineCache) intact(slot int64) bool {
 	return c.head-c.pos[slot] <= int64(len(c.ring))
 }
 
-// put caches st, which must be the state just after an arrival.
-func (c *fineCache) put(st *state) {
-	need := packedHdr + len(st.jobs)
+// put caches the packed state p, which must be a state just after an
+// arrival.
+func (c *fineCache) put(p []uint64) {
+	need := packedHdr + int(p[0])
 	if need > len(c.ring) {
 		return
 	}
-	slot := st.events / fineEvery & (cacheSlots - 1)
-	if c.at[slot] == st.t && c.intact(slot) {
+	at := packedT(p)
+	slot := packedEvents(p) / fineEvery & (cacheSlots - 1)
+	if c.at[slot] == at && c.intact(slot) {
 		return // already cached: arrival instants are strictly increasing
 	}
 	off := int(c.head % int64(len(c.ring)))
@@ -197,8 +199,8 @@ func (c *fineCache) put(st *state) {
 		c.head += int64(len(c.ring) - off)
 		off = 0
 	}
-	st.pack(c.ring[off : off : off+need])
-	c.at[slot], c.pos[slot] = st.t, c.head
+	copy(c.ring[off:off+need], p[:need])
+	c.at[slot], c.pos[slot] = at, c.head
 	c.head += int64(need)
 }
 
@@ -227,6 +229,11 @@ func (c *fineCache) latest(lo, hi int64, after, t float64) []uint64 {
 	return c.ring[c.pos[best]%int64(len(c.ring)):]
 }
 
+// replica is one modeled server's saved states. mu guards them, and a
+// Price call holds it twice, briefly: to pick the state its replay
+// resumes from and unpack it into a replay of its own, and to publish
+// what that replay saved. The replay itself runs under no lock, so
+// callers pricing one replica replay side by side.
 type replica struct {
 	m  *Model
 	mu spinlock.Mutex
@@ -239,11 +246,28 @@ type replica struct {
 	// the highest event count any replay has reached.
 	spineEvents, explored int64
 	fine                  fineCache
-	// scratch is the query working state; scratch2 the tagged-job clone
-	// (both reused under mu so steady-state queries do not allocate).
-	scratch, scratch2 state
+	// free holds the replays no Price call is using, so steady-state
+	// queries do not allocate: one per caller that has priced here at
+	// once.
+	free []*replay
 
 	acct acct
+}
+
+// replay is one Price call's working set, taken from its replica's free
+// list in the first hold and given back in the second: the state the
+// replay advances, the tagged-job clone, and what the replay saved on
+// the way for the second hold to publish.
+type replay struct {
+	st, cl state
+	// spineEvents is the spine frontier the replay checkpoints against:
+	// the replica's when the replay began, moved on by every checkpoint
+	// it packs.
+	spineEvents int64
+	// ckpts holds the checkpoints the replay passed, packed back to
+	// back; land the state it landed on, empty when it landed on a
+	// checkpoint or replayed no arrival.
+	ckpts, land []uint64
 }
 
 func newReplica(m *Model, idx int) *replica {
@@ -254,15 +278,9 @@ func newReplica(m *Model, idx int) *replica {
 		genesis.nextAt = genesis.r.exp() / m.lambda
 		genesis.nextDemand = m.drawBackgroundDemand(&genesis.r)
 	}
-	rp.checkpoint(&genesis)
+	rp.spineAt = append(rp.spineAt, 0)
+	rp.spine = genesis.pack(rp.spine)
 	return rp
-}
-
-// checkpoint appends st to the spine.
-func (rp *replica) checkpoint(st *state) {
-	rp.spineAt = append(rp.spineAt, len(rp.spine))
-	rp.spine = st.pack(rp.spine)
-	rp.spineEvents = st.events
 }
 
 // spineState returns the packed form of spine checkpoint i.
@@ -283,10 +301,21 @@ func (m *Model) drawBackgroundDemand(r *rng) float64 {
 	}
 }
 
-// stateAt returns the queue state at instant t in the replica's
-// scratch buffer. Caller holds mu; the result is valid until the next
-// stateAt/tagged call.
-func (rp *replica) stateAt(t float64) *state {
+// stateAt returns a replay whose state describes instant t. It holds
+// mu only to pick the latest saved state at or before t and unpack it;
+// the replay forward from there runs under no lock. The caller gives
+// the replay back with publish.
+func (rp *replica) stateAt(t float64) *replay {
+	rp.mu.Lock()
+	rc := rp.resume(t)
+	rp.mu.Unlock()
+	rp.advance(rc, t)
+	return rc
+}
+
+// resume takes a replay from the free list and unpacks into it the
+// latest saved state at or before t. Caller holds mu.
+func (rp *replica) resume(t float64) *replay {
 	// Latest spine checkpoint at or before t. Checkpoint instants are
 	// strictly increasing, so binary search applies.
 	lo, hi := 0, len(rp.spineAt)
@@ -308,25 +337,54 @@ func (rp *replica) stateAt(t float64) *state {
 	if fine := rp.fine.latest(packedEvents(from)/fineEvery, last/fineEvery, packedT(from), t); fine != nil {
 		from = fine
 	}
-	st := &rp.scratch
-	st.unpack(from)
-	rp.advance(st, t)
-	if st.events > rp.explored {
-		rp.explored = st.events
+	var rc *replay
+	if n := len(rp.free); n > 0 {
+		rc = rp.free[n-1]
+		rp.free = rp.free[:n-1]
+	} else {
+		rc = new(replay)
 	}
-	return st
+	rc.st.unpack(from)
+	rc.spineEvents = rp.spineEvents
+	rc.ckpts, rc.land = rc.ckpts[:0], rc.land[:0]
+	return rc
+}
+
+// publish stores what rc's replay saved and returns rc to the free
+// list. A checkpoint is a pure function of its event index, so one that
+// another replay appended first is skipped, and the spine is the one a
+// serial run builds: checkpoints exactly spineEvery arrivals apart.
+func (rp *replica) publish(rc *replay) {
+	rp.mu.Lock()
+	for p := rc.ckpts; len(p) > 0; p = p[packedHdr+p[0]:] {
+		if packedEvents(p) == rp.spineEvents+spineEvery {
+			rp.spineAt = append(rp.spineAt, len(rp.spine))
+			rp.spine = append(rp.spine, p[:packedHdr+p[0]]...)
+			rp.spineEvents = packedEvents(p)
+		}
+	}
+	if len(rc.land) > 0 {
+		rp.fine.put(rc.land)
+	}
+	if rc.st.events > rp.explored {
+		rp.explored = rc.st.events
+	}
+	rp.free = append(rp.free, rc)
+	rp.mu.Unlock()
 }
 
 // advance replays background events up to and including instant t,
 // then drains the final partial interval so st describes t exactly.
 // The states it passes on the way are saved (consumeArrival) before
-// that final drain, which is what keeps them independent of t.
-func (rp *replica) advance(st *state, t float64) {
+// that final drain, which is what keeps them independent of t. It
+// reads nothing of the replica but its model's configuration, so it
+// runs under no lock.
+func (rp *replica) advance(rc *replay, t float64) {
 	switch rp.m.opts.Discipline {
 	case PS:
-		rp.advancePS(st, t)
+		rp.advancePS(rc, t)
 	default:
-		rp.advanceFIFO(st, t)
+		rp.advanceFIFO(rc, t)
 	}
 }
 
@@ -334,7 +392,8 @@ func (rp *replica) advance(st *state, t float64) {
 // the server drains unfinished work at rate 1; an arrival over the
 // backlog bound is dropped (the background load sheds too — the bound
 // is the replica's, not the observer's).
-func (rp *replica) advanceFIFO(st *state, t float64) {
+func (rp *replica) advanceFIFO(rc *replay, t float64) {
+	st := &rc.st
 	for st.nextAt <= t {
 		if d := st.nextAt - st.t; st.work > d {
 			st.work -= d
@@ -345,7 +404,7 @@ func (rp *replica) advanceFIFO(st *state, t float64) {
 		if rp.m.bound <= 0 || st.work < rp.m.bound {
 			st.work += st.nextDemand
 		}
-		rp.consumeArrival(st, t)
+		rp.consumeArrival(rc, t)
 	}
 	if d := t - st.t; st.work > d {
 		st.work -= d
@@ -358,7 +417,8 @@ func (rp *replica) advanceFIFO(st *state, t float64) {
 // advancePS replays arrivals and completions: n admitted jobs each
 // progress at rate 1/n; an arrival over the multiprogramming bound is
 // dropped.
-func (rp *replica) advancePS(st *state, t float64) {
+func (rp *replica) advancePS(rc *replay, t float64) {
+	st := &rc.st
 	for {
 		nc := math.Inf(1)
 		if n := len(st.jobs); n > 0 {
@@ -379,7 +439,7 @@ func (rp *replica) advancePS(st *state, t float64) {
 			if rp.m.opts.QueueDepth <= 0 || len(st.jobs) < rp.m.opts.QueueDepth {
 				st.insertJob(st.nextDemand)
 			}
-			rp.consumeArrival(st, t)
+			rp.consumeArrival(rc, t)
 			continue
 		}
 		break
@@ -392,22 +452,24 @@ func (rp *replica) advancePS(st *state, t float64) {
 }
 
 // consumeArrival books one background arrival as processed, draws the
-// next one, and saves the resulting state where one is due: on the
-// spine once the replay is spineEvery arrivals past its last
-// checkpoint, else in the fine cache if this was the last arrival at
-// or before the replay's target t. A replay thus caches where its query
-// landed — the one state a clock stepping forward resumes from — and
-// not its trail, which nothing has asked for and which would push as
-// many states that were asked for out of the ring.
-func (rp *replica) consumeArrival(st *state, t float64) {
+// next one, and packs the resulting state into rc where one is due to
+// be saved: as a spine checkpoint once the replay is spineEvery arrivals
+// past the last one, else as the landing state if this was the last
+// arrival at or before the replay's target t. A replay thus caches where
+// its query landed — the one state a clock stepping forward resumes
+// from — and not its trail, which nothing has asked for and which would
+// push as many states that were asked for out of the ring.
+func (rp *replica) consumeArrival(rc *replay, t float64) {
+	st := &rc.st
 	st.events++
 	st.nextAt += st.r.exp() / rp.m.lambda
 	st.nextDemand = rp.m.drawBackgroundDemand(&st.r)
 	switch {
-	case st.events-rp.spineEvents >= spineEvery:
-		rp.checkpoint(st)
+	case st.events-rc.spineEvents >= spineEvery:
+		rc.ckpts = st.pack(rc.ckpts)
+		rc.spineEvents = st.events
 	case st.nextAt > t:
-		rp.fine.put(st)
+		rc.land = st.pack(rc.land[:0])
 	}
 }
 
@@ -427,14 +489,13 @@ const taggedMaxArrivals = 1 << 16
 // state st (which describes t) and returns its completion instant.
 // The tagged job shares the server like any other — it slows the
 // background jobs in this throwaway replay — but the replay never
-// escapes: st and the clone are scratch, so other queries are
-// unperturbed.
-func (rp *replica) tagged(st *state, t, svc float64) float64 {
+// escapes: it runs on rc's clone, so other queries are unperturbed.
+func (rp *replica) tagged(rc *replay, t, svc float64) float64 {
 	if svc <= completionEps {
 		return t
 	}
-	cl := &rp.scratch2
-	cl.copyFrom(st)
+	cl := &rc.cl
+	cl.copyFrom(&rc.st)
 	rem := svc
 	var arrivals int
 	for {

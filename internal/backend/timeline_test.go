@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestTimelineMemoryBound(t *testing.T) {
 		}
 		widest := packedHdr + tc.o.QueueDepth
 		if tc.o.QueueDepth == 0 {
-			widest = packedHdr + len(rp.stateAt(tc.horizon.Seconds()).jobs)
+			widest = packedHdr + len(rp.stateAt(tc.horizon.Seconds()).st.jobs)
 			if widest < cacheWords {
 				t.Fatalf("%s: a backlog of %d words does not outgrow the cache", tc.name, widest)
 			}
@@ -162,5 +163,89 @@ func TestPricePureUnderEviction(t *testing.T) {
 				t.Errorf("%v/%d: the %s pass never lapped the ring (head %d)", tc.disc, tc.depth, name, m.reps[0].fine.head)
 			}
 		}
+	}
+}
+
+// TestSpinePublication: replays that run side by side, each from the
+// frontier it saw when it began, publish exactly the spine one goroutine
+// pricing the same instants in ascending order builds — word for word,
+// one checkpoint every spineEvery arrivals, none twice — and answer what
+// it answers. Walkers each step a monotone clock through their own
+// stretch of the horizon, the way the fleet's clients walk users'
+// months; a first query deep in the horizon replays across many
+// checkpoints another walker is replaying across too. Two replays taken
+// from one snapshot and published one after the other cover the same
+// race without a scheduler.
+func TestSpinePublication(t *testing.T) {
+	const (
+		walkers = 6
+		steps   = 240
+		horizon = 9000 * time.Second // 180k arrivals at λ = 20/s: 43 checkpoints
+	)
+	stretch := horizon / walkers
+	at := func(w, k int) time.Duration { return time.Duration(w)*stretch + time.Duration(k)*(stretch/steps) }
+	price := func(m *Model, w, k int) faults.Admission {
+		return m.Price(0, at(w, k), uint64(w), uint64(k)*0x9E3779B97F4A7C15, uint64(k), 1)
+	}
+	sameSpine := func(name string, got, want *replica) {
+		t.Helper()
+		if !slices.Equal(got.spine, want.spine) || !slices.Equal(got.spineAt, want.spineAt) {
+			t.Errorf("%s: spine of %d checkpoints (%d words), the serial run's %d (%d words)",
+				name, len(got.spineAt), len(got.spine), len(want.spineAt), len(want.spine))
+		}
+		for i := 1; i < len(got.spineAt); i++ {
+			if d := packedEvents(got.spineState(i)) - packedEvents(got.spineState(i-1)); d != spineEvery {
+				t.Fatalf("%s: checkpoints %d and %d are %d arrivals apart, want %d", name, i-1, i, d, spineEvery)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		disc  Discipline
+		depth int
+	}{{FIFO, 16}, {PS, 16}} {
+		o := Options{Enabled: true, Seed: 3, ServiceRate: 30, QueueDepth: tc.depth, Discipline: tc.disc, Offered: 20}
+		name := tc.disc.String()
+
+		serial := NewModel(o)
+		want := make([][]faults.Admission, walkers)
+		for w := range want {
+			want[w] = make([]faults.Admission, steps)
+			for k := range want[w] {
+				want[w][k] = price(serial, w, k)
+			}
+		}
+		if n := len(serial.reps[0].spineAt); n < 40 {
+			t.Fatalf("%s: the serial run built only %d checkpoints", name, n)
+		}
+
+		concurrent := NewModel(o)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < walkers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for k := 0; k < steps; k++ {
+					if got := price(concurrent, w, k); got != want[w][k] {
+						t.Errorf("%s: walker %d step %d: got %+v want %+v", name, w, k, got, want[w][k])
+						return
+					}
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		sameSpine(name+" walkers", concurrent.reps[0], serial.reps[0])
+
+		// Two replays to the end of the horizon from the same (genesis)
+		// snapshot both pack every checkpoint; the second publishes none.
+		twice := NewModel(o)
+		rp := twice.reps[0]
+		end := at(walkers-1, steps-1).Seconds()
+		a, b := rp.stateAt(end), rp.stateAt(end)
+		rp.publish(a)
+		rp.publish(b)
+		sameSpine(name+" one snapshot, two replays", rp, serial.reps[0])
 	}
 }

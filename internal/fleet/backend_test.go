@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,55 +35,90 @@ func TestBackendRequiresFaults(t *testing.T) {
 	}
 }
 
-// TestBackendDeterministicConcurrent extends the byte-determinism
-// guarantee to queued backends (run under -race by scripts/check.sh):
-// two concurrent closed-loop runs over a congested, hedged, bounded
-// backend must agree exactly — traces, counters and per-replica
-// backend accounting — and the accounting must cross-foot: arrivals
-// partition into served, rejected and abandoned on every replica.
+// TestBackendDeterministicConcurrent: a priced miss is planned by the
+// goroutine serving it under no lock and replays the backend queue under
+// no lock, yet what a user is served cannot depend on who else is
+// pricing at the time (run under -race -count 3 by scripts/check.sh).
+// Four closed-loop clients over a congested, hedged, bounded backend must
+// serve every user exactly what one client serving them all does — the
+// per-user responses, the model makespan and every model counter,
+// per-replica backend accounting included; only the breakers' openings
+// are left out, since they pace wall time by the order misses settle in.
+// Each route a priced miss takes is a row:
+//   - caller-run: planned, settled and applied by the blocking caller;
+//   - paused: a tiny positive wall-pause scale makes every miss with a
+//     planned failure owe a real pause, so it is settled, paced and then
+//     applied in a third hold (the breakers are off, so none is excused);
+//   - batched: a dispatcher coalesces every miss. Batch composition
+//     follows the clients and shifts model clocks, so this row's backend
+//     has no background load (a price that no clock moves), and the two
+//     runs compare fault traces and the counters sessions do not book.
+//
+// The accounting must cross-foot too: arrivals partition into served,
+// rejected and abandoned on every replica.
 func TestBackendDeterministicConcurrent(t *testing.T) {
 	g := smallGen(t, 32)
 	content := smallContent(t, g)
 	users := g.Users()[:24]
 
-	run := func() (map[searchlog.UserID]*faultTrace, Stats) {
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			cfg.QueueDepth = 4096
-			cfg.Faults = backendBiteFaults(5)
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
-			cfg.Replicas = 3
-			cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
-			cfg.Backend = backend.Options{
-				Enabled: true, Seed: 11, ServiceRate: 5,
-				Offered: 8, QueueDepth: 16, Discipline: backend.FIFO,
-				CancelOnWin: true,
-			}
-		})
-		return runFaultTraces(t, f, g, users), f.Stats()
-	}
-
-	tr1, s1 := run()
-	tr2, s2 := run()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("counters diverge across identical runs:\n  run 1: %+v\n  run 2: %+v", s1, s2)
-	}
-	if !reflect.DeepEqual(tr1, tr2) {
-		t.Error("per-user traces diverge across identical queued-backend runs")
-	}
-	if len(s1.Backend) != 3 {
-		t.Fatalf("want 3 replica stats, got %d", len(s1.Backend))
-	}
-	var arrivals, busy int64
-	for r, bs := range s1.Backend {
-		if bs.Arrivals != bs.Served+bs.Rejected+bs.Abandoned {
-			t.Errorf("replica %d does not cross-foot: %+v", r, bs)
+	congested := func(disc backend.Discipline) backend.Options {
+		return backend.Options{
+			Enabled: true, Seed: 11, ServiceRate: 5,
+			Offered: 8, QueueDepth: 16, Discipline: disc,
+			CancelOnWin: true,
 		}
-		arrivals += bs.Arrivals
-		busy += bs.BusyNs
 	}
-	if arrivals == 0 || busy == 0 {
-		t.Fatalf("congested backend saw no work: arrivals %d, busy %d", arrivals, busy)
+	for _, route := range []struct {
+		name    string
+		batch   bool
+		retry   faults.RetryPolicy
+		backend backend.Options
+	}{
+		{"caller-run", false, faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}, congested(backend.FIFO)},
+		{"paused", false, faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: 1e-6}, congested(backend.PS)},
+		{"batched", true, faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1},
+			backend.Options{Enabled: true, Seed: 11, ServiceRate: 4, Discipline: backend.PS, CancelOnWin: true}},
+	} {
+		run := func(clients int) missPathRun {
+			f := newTestFleet(t, g, content, func(cfg *Config) {
+				cfg.QueueDepth = 4096
+				cfg.Faults = backendBiteFaults(5)
+				cfg.Retry = route.retry
+				cfg.Breaker = BreakerOptions{Threshold: -1}
+				cfg.Replicas = 3
+				cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+				cfg.Backend = route.backend
+				if route.batch {
+					cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
+				}
+			})
+			return missPathRun{resps: runClients(t, f, g, users, clients), stats: f.Stats(), makespan: f.ModelMakespan()}
+		}
+		one, four := run(1), run(4)
+		breakers := func(s *Stats) { s.BreakerOpens, s.ReplicaBreakerOpens = 0, nil }
+		if diff := sameModel(one, four, !route.batch, false, breakers); diff != "" {
+			t.Errorf("%s: four clients ≢ one: %s", route.name, diff)
+		}
+		s := four.stats
+		if s.Retries == 0 || s.ClonesLaunched == 0 || route.batch != (s.Batches > 0) {
+			t.Errorf("%s: the run did not take its route: %d retries, %d clones, %d batches",
+				route.name, s.Retries, s.ClonesLaunched, s.Batches)
+		}
+		if len(s.Backend) != 3 {
+			t.Fatalf("%s: want 3 replica stats, got %d", route.name, len(s.Backend))
+		}
+		var arrivals, busy, waited int64
+		for r, bs := range s.Backend {
+			if bs.Arrivals != bs.Served+bs.Rejected+bs.Abandoned {
+				t.Errorf("%s: replica %d does not cross-foot: %+v", route.name, r, bs)
+			}
+			arrivals += bs.Arrivals
+			busy += bs.BusyNs
+			waited += bs.WaitSumNs
+		}
+		if arrivals == 0 || busy == 0 || (route.backend.Offered > 0) != (waited > 0) {
+			t.Errorf("%s: backend saw arrivals %d, busy %d, queue wait %d", route.name, arrivals, busy, waited)
+		}
 	}
 }
 
@@ -182,4 +218,61 @@ func TestBackendCloneLoadFollowsResolvedPolicy(t *testing.T) {
 			t.Errorf("%s: an unhedgeable clone factor changed the fleet counters:\n  %+v\n  %+v", tc.name, plainStats, gotStats)
 		}
 	}
+}
+
+// BenchmarkFleetDoPricedMiss is fault_hedge's miss path at layer scale:
+// two goroutines send caller-run Do misses to a 2-shard fleet that
+// prices every dispatch against the workload's queued backend (three PS
+// replicas at 30/s, 16 deep, offered 20, cancel-on-win) under its
+// faults (loss 0.1, a 6 s/30 s outage, three attempts, clone factor 2).
+// Personal caches never expand, so each client replays the misses of
+// its own users' first month over and over; every user's clock, and so
+// the horizon the replicas replay, keeps moving forward as fault_hedge's
+// does. ns/op is wall time per request over both clients.
+func BenchmarkFleetDoPricedMiss(b *testing.B) {
+	const clients, usersPerClient = 2, 100
+	gen := smallGen(b, clients*usersPerClient)
+	f := newTestFleet(b, gen, smallContent(b, gen), func(cfg *Config) {
+		cfg.Shards = 2
+		cfg.Options.DiscardResults = true
+		cfg.Options.DisablePersonalization = true
+		cfg.Faults = faults.Options{Enabled: true, Seed: 1, LossProb: 0.1, OutageEvery: 30 * time.Second, OutageFor: 6 * time.Second}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+		cfg.Replicas = 3
+		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2}
+		cfg.Backend = backend.Options{
+			Enabled: true, Seed: 1, ServiceRate: 30, QueueDepth: 16,
+			Discipline: backend.PS, Offered: 20, CancelOnWin: true,
+		}
+	})
+	var tapes [clients][]Request
+	for c := range tapes {
+		for _, up := range gen.Users()[c*usersPerClient : (c+1)*usersPerClient] {
+			for _, r := range requestsFor(gen, up, 0) {
+				if !f.Do(r).Hit() {
+					tapes[c] = append(tapes[c], r)
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := range tapes {
+		n := b.N / clients
+		if c == 0 {
+			n += b.N % clients
+		}
+		wg.Add(1)
+		go func(tape []Request, n int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if resp := f.Do(tape[i%len(tape)]); resp.Err != nil || resp.Hit() {
+					b.Errorf("want a miss, got %+v", resp)
+					return
+				}
+			}
+		}(tapes[c], n)
+	}
+	wg.Wait()
 }

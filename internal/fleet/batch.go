@@ -64,8 +64,9 @@ func (o BatchOptions) withDefaults() BatchOptions {
 // user's shard.pendingMiss entry.
 type missTask struct {
 	t task
-	// mc is the miss's fault plan, computed at classification time
-	// under the shard lock.
+	// mc is the miss's fault plan: planned in the hold that classified
+	// the miss, or by its classifier right after that hold when a backend
+	// prices it — before the miss is paced or parked either way.
 	mc missCtx
 	// done is closed once the miss has been applied and its response
 	// delivered (or the miss abandoned); whoever serves the same user's

@@ -99,12 +99,17 @@ func (b *breaker) record(success bool) (opened bool) {
 }
 
 // missCtx carries a cloud-classified miss's plan from classification to
-// execution. The plan is computed under the shard lock against the
-// user's model clock and stays valid until the miss is applied: at most
-// one miss per user is in flight (pendingMiss), so nothing advances the
-// user's device in between.
+// execution. The plan is computed against the user's model clock as the
+// classifying lock hold read it — in that hold when nothing prices the
+// miss, after it when a backend does (shard.planMiss) — and stays valid
+// until the miss is applied: a miss applied after the classifying hold
+// is pending (shard.pendingMiss), so nothing advances the user's device
+// in between.
 type missCtx struct {
 	qh, ch uint64
+	// in is what the planner reads of the user, captured when the miss
+	// was classified.
+	in planInput
 	// hplan is the miss's one plan: every dispatch it made, for breaker
 	// recording, telemetry and the losers' wasted-work charge, and
 	// through Delivered the ladder the user's timeline rides. A miss with
@@ -116,6 +121,14 @@ type missCtx struct {
 	// wait, zero for a clean ladder and while the primary replica's
 	// breaker is open.
 	pause time.Duration
+}
+
+// planInput is the user's side of a miss plan: their cohort runtime,
+// model clock, radio tail and miss sequence number at classification.
+type planInput struct {
+	rt        *cohortRT
+	now, tail time.Duration
+	uid, seq  uint64
 }
 
 // exchange selects the radio exchange a planned miss's successful
@@ -134,19 +147,35 @@ type exchange struct {
 	found bool
 }
 
-// planLocked plans one cloud miss — one planner call, whatever the
-// user's cohort: hedged across the replica set when its resolved policy
-// clones, the single-backend ladder when not — and settles its
-// wall-clock pacing with the shard's circuit breakers. A user whose
-// cohort has no injector plans the clean single-attempt success, for
-// which every fault charge downstream is a no-op. Caller holds mu. The
-// per-user miss sequence number feeds the pure fault hashes so repeats
-// of a query draw fresh outcomes, and — incremented in per-user
-// submission order — is identical between the two exchanges.
-func (sh *shard) planLocked(st *userState, uid searchlog.UserID, qh, ch uint64) missCtx {
+// classifyLocked opens one cloud miss: it numbers the miss and captures
+// what the planner reads of the user. Caller holds mu. The per-user miss
+// sequence number feeds the pure fault hashes so repeats of a query draw
+// fresh outcomes, and — incremented in per-user submission order — is
+// identical between the two exchanges.
+func (sh *shard) classifyLocked(st *userState, uid searchlog.UserID, qh, ch uint64) missCtx {
 	st.missSeq++
-	mc := missCtx{qh: qh, ch: ch, hplan: faults.PlanHedged(st.rt.injs, st.rt.retry, st.rt.hedge, st.rt.link, sh.cohorts.pricer,
-		sh.clock(st).Now(), st.cache.Device().Link().TailRemaining(), uint64(uid), qh, st.missSeq)}
+	return missCtx{qh: qh, ch: ch, in: planInput{
+		rt: st.rt, now: sh.clock(st).Now(), tail: st.cache.Device().Link().TailRemaining(),
+		uid: uint64(uid), seq: st.missSeq,
+	}}
+}
+
+// plan plans the miss — one planner call, whatever the user's cohort:
+// hedged across the replica set when its resolved policy clones, the
+// single-backend ladder when not. A user whose cohort has no injector
+// plans the clean single-attempt success, for which every fault charge
+// downstream is a no-op. It reads only the captured inputs and pr,
+// which prices each dispatch against the backend, so it needs no lock.
+func (mc *missCtx) plan(pr faults.Pricer) {
+	in := &mc.in
+	mc.hplan = faults.PlanHedged(in.rt.injs, in.rt.retry, in.rt.hedge, in.rt.link, pr,
+		in.now, in.tail, in.uid, mc.qh, in.seq)
+}
+
+// settleLocked settles a planned miss's wall-clock pacing with the
+// shard's circuit breakers. Caller holds mu: the breakers are asked and
+// told here and nowhere else.
+func (sh *shard) settleLocked(mc *missCtx) {
 	// Every miss asks the primary replica's breaker whether to take its
 	// real retry pause — an open breaker's cooldown counts misses, clean
 	// ones included (BreakerOptions.Cooldown) — and then every dispatched
@@ -164,7 +193,26 @@ func (sh *shard) planLocked(st *userState, uid searchlog.UserID, qh, ch uint64) 
 		// Wall-clock pacing stays governed by the fleet-wide policy.
 		mc.pause = sh.cohorts.def.retry.WallPause(wait)
 	}
-	return mc
+}
+
+// planMiss plans a priced miss that route left pending, under no lock —
+// pricing replays the backend queues, which takes far longer than
+// anything else a request does under the shard lock — and then settles
+// it in one short hold, applying it there as well when apply is set and
+// the plan owes no wall pause. It reports whether it applied the miss;
+// if so the marker is already cleared, and the caller delivers resp and
+// then closes the miss's done.
+func (sh *shard) planMiss(mt *missTask, apply bool, resp *Response) bool {
+	mt.mc.plan(sh.cohorts.pricer)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.settleLocked(&mt.mc)
+	if !apply || mt.mc.pause > 0 {
+		return false
+	}
+	sh.applyPendingLocked(&mt.t.req, &mt.mc, exchange{}, resp)
+	delete(sh.pendingMiss, mt.t.req.User)
+	return true
 }
 
 // chargeWaits charges the user-visible waits a miss carries beyond its
@@ -213,6 +261,12 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 func (sh *shard) applyMiss(req *Request, mc *missCtx, x exchange, resp *Response) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.applyPendingLocked(req, mc, x, resp)
+}
+
+// applyPendingLocked is applyMiss under a hold the caller took. Caller
+// holds mu.
+func (sh *shard) applyPendingLocked(req *Request, mc *missCtx, x exchange, resp *Response) {
 	st := sh.user(req.User)
 	if err := sh.materialize(st); err != nil {
 		*resp = Response{Req: *req, Err: err}

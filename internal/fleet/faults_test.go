@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -23,32 +24,53 @@ type faultTrace struct {
 }
 
 // runResponses drives every user's month-1 tape through the fleet
-// closed-loop (each user from its own goroutine, waiting for each
-// response) and returns the per-user responses, with the measured wall
-// latency — the one field that is not modeled — zeroed.
+// closed-loop, each user from its own goroutine, and returns the per-user
+// responses, with the measured wall latency — the one field that is not
+// modeled — zeroed.
 func runResponses(t *testing.T, f *Fleet, g *workload.Generator, users []workload.UserProfile) map[searchlog.UserID][]Response {
+	t.Helper()
+	return runClients(t, f, g, users, len(users))
+}
+
+// runClients drives every user's month-1 tape through the fleet
+// closed-loop from the given number of client goroutines, the way the
+// load generator's closed mode does: client c owns the users at
+// positions c, c+clients, …, takes one request from each in turn and
+// waits for every response. Wall latency is zeroed.
+func runClients(t *testing.T, f *Fleet, g *workload.Generator, users []workload.UserProfile, clients int) map[searchlog.UserID][]Response {
 	t.Helper()
 	resps := make(map[searchlog.UserID][]Response, len(users))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, up := range users {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(up workload.UserProfile) {
+		go func(c int) {
 			defer wg.Done()
-			var rs []Response
-			for _, req := range requestsFor(g, up, 1) {
-				resp := f.Do(req)
-				if resp.Shed || resp.Err != nil {
-					t.Errorf("user %d request failed: %+v", up.ID, resp)
-					return
+			var tapes [][]Request
+			for i := c; i < len(users); i += clients {
+				tapes = append(tapes, requestsFor(g, users[i], 1))
+			}
+			mine := make(map[searchlog.UserID][]Response, len(tapes))
+			for k, more := 0, true; more; k++ {
+				more = false
+				for _, tape := range tapes {
+					if k >= len(tape) {
+						continue
+					}
+					more = true
+					resp := f.Do(tape[k])
+					if resp.Shed || resp.Err != nil {
+						t.Errorf("user %d request failed: %+v", tape[k].User, resp)
+						return
+					}
+					resp.Wall = 0
+					mine[resp.Req.User] = append(mine[resp.Req.User], resp)
 				}
-				resp.Wall = 0
-				rs = append(rs, resp)
 			}
 			mu.Lock()
-			resps[up.ID] = rs
+			maps.Copy(resps, mine)
 			mu.Unlock()
-		}(up)
+		}(c)
 	}
 	wg.Wait()
 	return resps

@@ -22,6 +22,13 @@
 //     plus seedable workloads, makes fleet hit rates reproducible.
 //     Workers bounds queue-draining goroutines, not closed-loop
 //     parallelism: that is the number of clients.
+//   - A cloud miss priced against queued backend replicas is planned by
+//     the goroutine serving it with no lock held: pricing replays a
+//     replica's background queue, the longest step a request takes. The
+//     shard lock is held only to classify the miss and capture what its
+//     plan reads of the user, and then once more to settle the breakers
+//     and apply it; in between the miss is the user's pending miss, so
+//     nothing moves the clock the plan reads.
 //   - Submission (Submit) is non-blocking with explicit backpressure:
 //     when the shard's queue is full the request is shed and counted,
 //     never silently queued without bound (an open-loop load generator
@@ -763,7 +770,10 @@ func (f *Fleet) worker(id int) {
 // caller with nothing queued ahead of it (enqueue), or from the
 // migration drainer replaying held tasks — building its answer in resp.
 // Local hits, and cloud misses that owe no wall pause, come back served
-// from the shard. A planned miss that owes one is paced here — the real
+// from the shard. A miss a backend prices comes back pending instead and
+// is planned here, under no lock, then settled — and applied, if it owes
+// no pause and nothing coalesces it — in one more short hold
+// (planMiss). A planned miss that owes a pause is paced here — the real
 // pause the retry policy prices for its planned failures, skipped while
 // the shard's breaker is open — and then applied against the model. With
 // miss coalescing on, a classified cloud miss is instead parked with the
@@ -791,6 +801,9 @@ func (f *Fleet) process(t *task, resp *Response) {
 			continue
 		case miss == nil:
 			f.finish(sh, resp, t)
+		case sh.cohorts.pricer != nil && sh.planMiss(miss, d == nil, resp):
+			f.finish(sh, resp, t)
+			close(miss.done)
 		case d != nil:
 			d.submit(miss)
 		default:

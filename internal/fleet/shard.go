@@ -212,7 +212,7 @@ type shard struct {
 	// breaker — so a dead replica cannot open the breaker for its
 	// healthy peers (empty unless something injects and the breaker is
 	// enabled). Guarded by mu: breakers are only asked and told in
-	// planLocked.
+	// settleLocked.
 	cohorts *cohortTable
 	brks    []*breaker
 	// tl is the fleet-wide model timeline every resident user's clock
@@ -451,14 +451,14 @@ func (sh *shard) clock(st *userState) modeltime.UserClock {
 // next repeat hits locally.
 //
 // Exactly one outcome is meaningful: a completed response built in resp
-// (a local hit, an error, or a cloud miss on the user's own link whose
-// plan owes no wall pause — applied under the same lock hold that
-// planned it) and two nils, a planned miss marked pending that the
-// caller must pace and then apply (applyMiss) or, with park set, hand to
-// a dispatcher, or the user's pending miss the caller must wait on
-// before retrying. A miss applied after this lock hold is always marked
-// pending: the one rule that keeps the model clock its plan was computed
-// against still.
+// (a local hit, an error, or an unpriced cloud miss on the user's own
+// link whose plan owes no wall pause — applied under the same lock hold
+// that planned it) and two nils; a miss marked pending, which the caller
+// must plan first when a backend prices it (planMiss), then pace and
+// apply (applyMiss) or, with park set, hand to a dispatcher; or the
+// user's pending miss the caller must wait on before retrying. A miss
+// applied after this lock hold is always marked pending: the one rule
+// that keeps the model clock its plan was computed against still.
 func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missTask) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -476,15 +476,22 @@ func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missT
 		*resp = Response{Req: t.req, Err: err}
 		return nil, nil
 	}
-	// Plan the miss's whole fault ladder now, against the user's current
-	// model clock: the clock cannot move before the miss is applied
+	// The miss's whole fault ladder is planned against the user's model
+	// clock as of now: the clock cannot move before the miss is applied
 	// (pendingMiss blocks the user's next request), so the plan — and
 	// with it every per-user outcome — is independent of how a dispatcher
-	// later composes batches and of which goroutine serves what.
-	mc := sh.planLocked(st, t.req.User, qh, ch)
-	if !park && mc.pause <= 0 {
-		sh.applyMissLocked(st, &t.req, &mc, exchange{}, resp)
-		return nil, nil
+	// later composes batches and of which goroutine serves what. An
+	// unpriced plan is arithmetic and is planned and settled in this hold;
+	// a priced one replays backend queues, so its caller plans it after
+	// this hold (planMiss).
+	mc := sh.classifyLocked(st, t.req.User, qh, ch)
+	if sh.cohorts.pricer == nil {
+		mc.plan(nil)
+		sh.settleLocked(&mc)
+		if !park && mc.pause <= 0 {
+			sh.applyMissLocked(st, &t.req, &mc, exchange{}, resp)
+			return nil, nil
+		}
 	}
 	if park {
 		t.mailbox() // before the copy the dispatcher answers from

@@ -241,10 +241,21 @@ func validateBackend(p *problems, b *BackendSpec) {
 	if _, err := backend.ParseDist(b.Dist); err != nil {
 		p.addf("fleet.backend.dist: want \"exp\" or \"fixed\", got %q", b.Dist)
 	}
-	if b.Offered < 0 || math.IsInf(b.Offered, 1) {
+	switch {
+	case b.Offered < 0 || math.IsInf(b.Offered, 1):
 		p.addf("fleet.backend.offered: must be a non-negative finite rate, got %g", b.Offered)
+	case b.Offered > maxBackendOffered:
+		p.addf("fleet.backend.offered: %g/s is over the %g/s limit: pricing a miss replays every background arrival before it", b.Offered, float64(maxBackendOffered))
 	}
 }
+
+// maxBackendOffered bounds the background miss rate a backend may
+// simmer under. A priced miss replays every background arrival between
+// the saved state it resumes from and its own instant, so its cost grows
+// with the rate. On a 2-vCPU Xeon host a 20-user closed month with
+// three PS replicas takes about 70 ms at 20/s and 2.5 s at 1e5/s; at
+// 1e6/s it was still running after 20 s.
+const maxBackendOffered = 1e5
 
 // validateAutoscale vets the raw (pre-WithDefaults) autoscale block;
 // the controller's own WithDefaults/Validate run again at lowering

@@ -50,8 +50,11 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # (internal/spinlock: exclusion from 8 goroutines, progress on one
 # processor, a lone waiter behind a 20 ms hold that spins, blocks and
 # returns only after the release, a queued waiter that does not spin),
-# with backend pricing under concurrent walkers.
-go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend
+# with backend pricing under concurrent walkers. A priced miss replays
+# under no lock: replays side by side publish the spine a serial run
+# builds, and four clients serve every user what one client does on each
+# route a priced miss takes (caller-run, paused, batched).
+go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root
@@ -290,8 +293,10 @@ fi
 
 echo "== bench smoke: backend Price =="
 # Steady-state pricing is allocation-free by construction (DESIGN.md,
-# "Queued backends": saved states are unpacked into reused scratch):
-# every BenchmarkPrice* row, FIFO and PS, must report 0 allocs/op.
+# "Queued backends": saved states are unpacked into a replay from the
+# replica's free list): every BenchmarkPrice* row, FIFO and PS, one
+# goroutine or one per processor (BenchmarkPriceParallel), must report
+# 0 allocs/op.
 price_raw=$(go test -bench Price -benchtime 2000x -benchmem -run '^$' ./internal/backend)
 echo "$price_raw"
 price_allocs=$(echo "$price_raw" | allocs_per_op BenchmarkPrice)
