@@ -109,6 +109,10 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-faults", "-backend-rate", "50", "-backend-offered", "-2"}, "-backend-offered"},
 		{[]string{"-faults", "-backend-rate", "30", "-backend-offered", "1e6"}, "-backend-offered: fleet.backend.offered: 1e+06/s is over the 100000/s limit"},
 		{[]string{"-faults", "-backend-rate", "30", "-backend-offered", "1e300"}, "-backend-offered: fleet.backend.offered: 1e+300/s is over the 100000/s limit"},
+		{[]string{"-faults", "-replicas", "10000", "-hedge", "10000"}, "-replicas: fleet.replicas: 10000 is over the 64 limit"},
+		{[]string{"-faults", "-replicas", "3", "-hedge", "1000"}, "-hedge: classes[0].hedge.clone_factor: 1000 is over the 64 limit"},
+		{[]string{"-batch", "-batchmax", "1000000000"}, "-batchmax: fleet.batch.max: 1000000000 is over the 4096 limit"},
+		{[]string{"-placement", "ring", "-vnodes", "100000000"}, "-vnodes: fleet.vnodes: 100000000 is over the 4096 limit"},
 		{[]string{"-users", "30", "-duration", "200ms", "-qps", "2000", "-placement", "ring",
 			"-autoscale", "-autoscale-interval", "2ns"}, "-autoscale-interval: fleet.autoscale.interval: 2ns samples the 200ms run"},
 	}

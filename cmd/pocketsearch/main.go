@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"pocketcloudlets"
+	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/engine"
 )
 
@@ -124,8 +125,8 @@ func main() {
 			path = fmt.Sprintf("MISS: fetched over %s", tech)
 		}
 		fmt.Printf("  %s in %v (lookup %v, fetch %v, network %v, render %v)\n",
-			path, out.ResponseTime().Round(0), out.Lookup, out.Fetch.Round(0),
-			out.Network.Round(0), out.Render.Round(0))
+			path, out.ResponseTime().Round(0), out.Stages[device.Lookup], out.Stages[device.Fetch].Round(0),
+			out.Stages.Network().Round(0), out.Stages[device.Render].Round(0))
 		for i, r := range out.Results {
 			if i >= 3 {
 				break

@@ -57,7 +57,7 @@ func main() {
 	}
 	fmt.Printf("\n%q -> %s\n", tailQuery, tailURL)
 	fmt.Printf("  served from cache: %v, response time %v (network %v), radio wakeups %d\n",
-		miss.Hit, miss.ResponseTime().Round(0), miss.Network.Round(0), phone.Link().Wakeups())
+		miss.Hit, miss.ResponseTime().Round(0), miss.Stages.Network().Round(0), phone.Link().Wakeups())
 
 	ratio := float64(miss.ResponseTime()) / float64(hit.ResponseTime())
 	fmt.Printf("\nlocal serving is %.0fx faster — the paper's headline 16x\n", ratio)

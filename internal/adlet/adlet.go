@@ -140,7 +140,7 @@ func (c *Cache) Provision(content cachegen.Content, u *engine.Universe) {
 		c.index[hash64.Sum(u.QueryText(q))] = ads
 		flash += c.dev.Flash().WriteCost(len(ads) * BannerBytes)
 	}
-	c.dev.FlashBusy(flash)
+	c.dev.Busy(flash, device.Store)
 }
 
 // Serve returns the cached ads for a query. It implements the
@@ -160,7 +160,7 @@ func (c *Cache) Serve(queryText string, searchHit bool) []Ad {
 	c.stats.Served++
 	// Reading the banners from flash rides the same charge window as
 	// the search results fetch.
-	c.dev.FlashBusy(c.dev.Flash().ReadCost(len(ads) * BannerBytes))
+	c.dev.Busy(c.dev.Flash().ReadCost(len(ads)*BannerBytes), device.Fetch)
 	for _, ad := range ads {
 		c.log = append(c.log, Impression{AdID: ad.ID, At: c.dev.Now()})
 	}

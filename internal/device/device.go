@@ -52,13 +52,73 @@ func DefaultConfig() Config {
 	}
 }
 
+// Stage is what a span of device time was spent on. Every advance of a
+// device's clock but SyncClock is charged to exactly one stage, and the
+// device keeps a running total per stage (DESIGN.md, "Where a response's
+// time goes"). The first NumResponseStages are a response's: a serve's
+// time is what it charged to them. Store and Boot are device time no
+// user waits on — a miss's expansion write and an eviction's rewrite run
+// off the critical path, and the index loads before the first query.
+type Stage uint8
+
+const (
+	Lookup      Stage = iota // the hash-table lookup (Table 4)
+	Fetch                    // reading result records from flash (Table 4)
+	Render                   // the browser laying out the page (Table 4)
+	Misc                     // the per-query application overhead (Table 4)
+	Radio                    // an exchange that carried the page, solo or a batch member's wait
+	RadioFailed              // an exchange attempt the network dropped
+	Backoff                  // a retry's wait before its next attempt
+	Hedge                    // a clone win's launch stagger
+	Backend                  // queue and service time at the cloud replica
+	Store                    // flash writes: cache expansion, eviction, updates
+	Boot                     // loading the index at power-on (Section 3.3)
+	NumStages
+)
+
+// NumResponseStages is how many stages a response's time is made of:
+// every stage before Store.
+const NumResponseStages = int(Store)
+
+var stageNames = [NumStages]string{
+	"lookup", "fetch", "render", "misc", "radio", "radio-failed", "backoff", "hedge", "backend", "store", "boot",
+}
+
+func (s Stage) String() string { return stageNames[s] }
+
+// Stages is a response's time by stage: what one serve charged to each
+// response stage of the devices that served it.
+type Stages [NumResponseStages]time.Duration
+
+// Total is the response time: the sum of the stages.
+func (s *Stages) Total() time.Duration { return sum(s[:]) }
+
+// Add adds o's stages to s: a response served by two devices.
+func (s *Stages) Add(o *Stages) {
+	for i, d := range o {
+		s[i] += d
+	}
+}
+
+// Network is the part of the response time spent on the cloud: the
+// stages from Radio on, in which the device only waits.
+func (s *Stages) Network() time.Duration { return sum(s[Radio:]) }
+
+func sum(ds []time.Duration) (t time.Duration) {
+	for _, d := range ds {
+		t += d
+	}
+	return t
+}
+
 // PowerSegment is one piece of a device power trace (Figure 16): the
-// total device draw over an interval of model time.
+// total device draw over an interval of model time, and the stage it
+// was charged to.
 type PowerSegment struct {
 	Start    time.Duration
 	Duration time.Duration
 	Watts    float64
-	Label    string
+	Stage    Stage
 }
 
 // End returns the model time at which the segment finishes.
@@ -73,6 +133,7 @@ type Device struct {
 
 	clock   time.Duration
 	meter   energy.Meter // joules from BasePower over busy time
+	stages  [NumStages]time.Duration
 	trace   []PowerSegment
 	tracing bool
 }
@@ -137,29 +198,48 @@ func (d *Device) StartTrace() {
 // Trace returns the recorded power segments.
 func (d *Device) Trace() []PowerSegment { return d.trace }
 
-func (d *Device) record(dur time.Duration, extraWatts float64, label string) {
-	if !d.tracing || dur <= 0 {
-		return
+// Stages returns the device's running totals on the response stages. A
+// serve reads them before it starts and hands them to Since when it is
+// done.
+func (d *Device) Stages() Stages { return Stages(d.stages[:NumResponseStages]) }
+
+// Since returns the response-stage time charged since the device's
+// totals were mark.
+func (d *Device) Since(mark Stages) Stages {
+	for i := range mark {
+		mark[i] = d.stages[i] - mark[i]
 	}
-	d.trace = append(d.trace, PowerSegment{
-		Start:    d.clock,
-		Duration: dur,
-		Watts:    d.cfg.BasePower + extraWatts,
-		Label:    label,
-	})
+	return mark
+}
+
+// StageTotal returns all the time the device has charged to s.
+func (d *Device) StageTotal(s Stage) time.Duration { return d.stages[s] }
+
+// charge advances the model clock by dur, charged to stage s at base
+// power plus extraWatts: the one place device time is booked.
+func (d *Device) charge(dur time.Duration, extraWatts float64, s Stage) {
+	if d.tracing && dur > 0 {
+		d.trace = append(d.trace, PowerSegment{
+			Start:    d.clock,
+			Duration: dur,
+			Watts:    d.cfg.BasePower + extraWatts,
+			Stage:    s,
+		})
+	}
+	d.meter.Charge(d.cfg.BasePower, dur)
+	d.stages[s] += dur
+	d.clock += dur
 }
 
 // Busy advances the model clock by d with the device active locally
-// (CPU/screen on, radio not transmitting). The radio continues its own
-// tail/idle accounting in parallel.
-func (d *Device) Busy(dur time.Duration, label string) {
+// (CPU/screen on, radio not transmitting), charged to stage s. The
+// radio continues its own tail/idle accounting in parallel.
+func (d *Device) Busy(dur time.Duration, s Stage) {
 	if dur <= 0 {
 		return
 	}
-	d.record(dur, d.link.InactiveExtraPower(), label)
-	d.meter.Charge(d.cfg.BasePower, dur)
+	d.charge(dur, d.link.InactiveExtraPower(), s)
 	d.link.Advance(dur)
-	d.clock += dur
 }
 
 // NetworkRequest performs a request/response exchange over the radio,
@@ -167,9 +247,7 @@ func (d *Device) Busy(dur time.Duration, label string) {
 // at base power while waiting (screen on, spinner visible).
 func (d *Device) NetworkRequest(reqBytes, respBytes int) radio.Transfer {
 	tr := d.link.Request(reqBytes, respBytes)
-	d.record(tr.Total(), d.link.Params().ExtraActivePower, "radio")
-	d.meter.Charge(d.cfg.BasePower, tr.Total())
-	d.clock += tr.Total()
+	d.charge(tr.Total(), d.link.Params().ExtraActivePower, Radio)
 	return tr
 }
 
@@ -181,9 +259,7 @@ func (d *Device) NetworkRequest(reqBytes, respBytes int) radio.Transfer {
 // a successful exchange's overhead would.
 func (d *Device) NetworkFailedRequest() radio.Transfer {
 	tr := d.link.FailedRequest()
-	d.record(tr.Total(), d.link.Params().ExtraActivePower, "radio-failed")
-	d.meter.Charge(d.cfg.BasePower, tr.Total())
-	d.clock += tr.Total()
+	d.charge(tr.Total(), d.link.Params().ExtraActivePower, RadioFailed)
 	return tr
 }
 
@@ -196,15 +272,9 @@ func (d *Device) NetworkBatchShare(wait, share time.Duration) {
 	if wait < 0 {
 		wait = 0
 	}
-	d.record(wait, d.link.Params().ExtraActivePower, "radio")
-	d.meter.Charge(d.cfg.BasePower, wait)
+	d.charge(wait, d.link.Params().ExtraActivePower, Radio)
 	d.link.JoinBatch(wait, share)
-	d.clock += wait
 }
-
-// FlashBusy charges a previously computed flash latency against the
-// device clock and energy, treating it as local busy time.
-func (d *Device) FlashBusy(dur time.Duration) { d.Busy(dur, "flash") }
 
 // RenderLatency models the browser rendering a page of the given size.
 func (d *Device) RenderLatency(pageBytes int) time.Duration {
@@ -218,13 +288,13 @@ func (d *Device) RenderLatency(pageBytes int) time.Duration {
 // returns that latency.
 func (d *Device) Render(pageBytes int) time.Duration {
 	lat := d.RenderLatency(pageBytes)
-	d.Busy(lat, "render")
+	d.Busy(lat, Render)
 	return lat
 }
 
 // Misc charges the per-query application overhead.
 func (d *Device) Misc() time.Duration {
-	d.Busy(d.cfg.MiscPerQuery, "misc")
+	d.Busy(d.cfg.MiscPerQuery, Misc)
 	return d.cfg.MiscPerQuery
 }
 
@@ -254,6 +324,7 @@ func (d *Device) SyncClock(t time.Duration) {
 func (d *Device) Reset() {
 	d.clock = 0
 	d.meter.Reset()
+	d.stages = [NumStages]time.Duration{}
 	d.trace = nil
 	d.tracing = false
 	d.link.Reset()

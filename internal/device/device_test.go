@@ -37,7 +37,7 @@ func TestCacheHitLatencyMatchesTable4(t *testing.T) {
 
 func TestBusyAccruesTimeAndEnergy(t *testing.T) {
 	d := newTestDevice()
-	d.Busy(2*time.Second, "test")
+	d.Busy(2*time.Second, Misc)
 	if d.Now() != 2*time.Second {
 		t.Errorf("clock = %v, want 2 s", d.Now())
 	}
@@ -45,7 +45,7 @@ func TestBusyAccruesTimeAndEnergy(t *testing.T) {
 	if got := d.TotalEnergy(); math.Abs(got-want) > 0.05 {
 		t.Errorf("energy = %g J, want ~%g J (base only, radio idle extra small)", got, want)
 	}
-	d.Busy(-time.Second, "noop")
+	d.Busy(-time.Second, Misc)
 	if d.Now() != 2*time.Second {
 		t.Error("negative busy advanced the clock")
 	}
@@ -68,7 +68,7 @@ func TestNetworkRequestAdvancesClockAndEnergy(t *testing.T) {
 // query locally is >15x more energy-efficient than over 3G.
 func TestEnergyRatioVs3G(t *testing.T) {
 	local := newTestDevice()
-	local.FlashBusy(10 * time.Millisecond)
+	local.Busy(10*time.Millisecond, Fetch)
 	local.Render(100 * 1000)
 	local.Misc()
 	eLocal := local.TotalEnergy()
@@ -94,8 +94,8 @@ func TestTraceRecordsSegments(t *testing.T) {
 	if len(tr) != 2 {
 		t.Fatalf("trace has %d segments, want 2", len(tr))
 	}
-	if tr[0].Label != "radio" || tr[1].Label != "render" {
-		t.Errorf("labels = %q, %q", tr[0].Label, tr[1].Label)
+	if tr[0].Stage != Radio || tr[1].Stage != Render {
+		t.Errorf("stages = %v, %v", tr[0].Stage, tr[1].Stage)
 	}
 	if tr[0].Watts <= tr[1].Watts {
 		t.Errorf("radio segment power %g should exceed render power %g", tr[0].Watts, tr[1].Watts)
@@ -119,6 +119,66 @@ func TestTraceRecordsSegments(t *testing.T) {
 	seg := local.Trace()[0]
 	if seg.Watts < 0.89 || seg.Watts > 1.0 {
 		t.Errorf("local-serve power %g W, want ~0.9 W", seg.Watts)
+	}
+
+	// Summed per stage, the Figure 16 trace is the device's stage
+	// account, through every charge entry point: a boot, a hit, a failed
+	// attempt with its backoff and the hedge and backend waits, the
+	// retried miss with its expansion write, and a batch member's miss.
+	d = newTestDevice()
+	d.StartTrace()
+	d.Busy(50*time.Millisecond, Boot)
+	mark := d.Stages()
+	d.Busy(10*time.Microsecond, Lookup)
+	d.Busy(10*time.Millisecond, Fetch)
+	d.Render(100 * 1000)
+	d.Misc()
+	hit := d.Since(mark)
+	if want := 10*time.Microsecond + 10*time.Millisecond + d.RenderLatency(100*1000) + d.Config().MiscPerQuery; hit.Total() != want || hit.Network() != 0 {
+		t.Errorf("the hit's stages %v sum to %v with %v network, want %v and none", hit, hit.Total(), hit.Network(), want)
+	}
+	mark = d.Stages()
+	failed := d.NetworkFailedRequest()
+	d.Busy(500*time.Millisecond, Backoff)
+	d.Busy(200*time.Millisecond, Hedge)
+	d.Busy(30*time.Millisecond, Backend)
+	d.Busy(10*time.Microsecond, Lookup)
+	ok := d.NetworkRequest(800, 100*1000)
+	d.Render(100 * 1000)
+	d.Misc()
+	d.Busy(3*time.Millisecond, Store)
+	miss := d.Since(mark)
+	if miss[RadioFailed] != failed.Total() || miss[Radio] != ok.Total() ||
+		miss.Network() != failed.Total()+500*time.Millisecond+200*time.Millisecond+30*time.Millisecond+ok.Total() {
+		t.Errorf("the retried miss's stages %v do not carry its exchanges %v and %v and its waits", miss, failed.Total(), ok.Total())
+	}
+	d.Busy(10*time.Microsecond, Lookup)
+	d.NetworkBatchShare(2*time.Second, time.Second)
+	d.Render(100 * 1000)
+	d.Misc()
+
+	var traced [NumStages]time.Duration
+	var offResponse time.Duration
+	for _, seg := range d.Trace() {
+		traced[seg.Stage] += seg.Duration
+	}
+	for s := Stage(0); s < NumStages; s++ {
+		if traced[s] != d.StageTotal(s) {
+			t.Errorf("stage %v: the trace holds %v, the account %v", s, traced[s], d.StageTotal(s))
+		}
+		if traced[s] == 0 {
+			t.Errorf("stage %v was never charged", s)
+		}
+		if int(s) >= NumResponseStages {
+			offResponse += d.StageTotal(s)
+		}
+	}
+	all := d.Stages()
+	if all.Total() != d.Now()-offResponse {
+		t.Errorf("the response stages sum to %v, the clock less store and boot to %v", all.Total(), d.Now()-offResponse)
+	}
+	if Store.String() != "store" || RadioFailed.String() != "radio-failed" {
+		t.Errorf("stage names: %v, %v", Store, RadioFailed)
 	}
 }
 
@@ -181,7 +241,7 @@ func TestTierStrings(t *testing.T) {
 
 func TestSyncClockNeverRewinds(t *testing.T) {
 	d := newTestDevice()
-	d.Busy(5*time.Second, "work")
+	d.Busy(5*time.Second, Misc)
 	before := d.Now()
 	energy := d.TotalEnergy()
 	base := energy - d.Link().RadioEnergy()

@@ -118,10 +118,11 @@ func measureServe(l *Lab, p servePath) (time.Duration, float64) {
 				if pageBytes == 0 {
 					pageBytes = 100_000
 				}
-				tr := dev.NetworkRequest(800, pageBytes)
-				out.Network = tr.Total()
-				out.Render = dev.Render(pageBytes)
-				out.Misc = dev.Misc()
+				mark := dev.Stages()
+				dev.NetworkRequest(800, pageBytes)
+				dev.Render(pageBytes)
+				dev.Misc()
+				out.Stages = dev.Since(mark)
 			}
 			totalTime += out.ResponseTime()
 			totalEnergy += dev.TotalEnergy() - before
@@ -145,11 +146,12 @@ type Table4Result struct {
 	Lookup, Fetch, Render, Misc, Total time.Duration
 }
 
-// Table4 measures the mean hit-path breakdown over the perf protocol.
+// Table4 measures the mean hit-path breakdown over the perf protocol:
+// the hits' stages, averaged.
 func Table4(l *Lab) Table4Result {
 	u := l.Universe()
 	_, cache := newServeCache(l, pathPocketSearch)
-	var r Table4Result
+	var sum device.Stages
 	n := 0
 	for _, pair := range probePairs(l, perfQueries) {
 		q := u.QueryText(u.QueryOf(pair))
@@ -161,18 +163,14 @@ func Table4(l *Lab) Table4Result {
 		if !out.Hit {
 			continue
 		}
-		r.Lookup += out.Lookup
-		r.Fetch += out.Fetch
-		r.Render += out.Render
-		r.Misc += out.Misc
+		sum.Add(&out.Stages)
 		n++
 	}
+	var r Table4Result
 	if n > 0 {
 		d := time.Duration(n)
-		r.Lookup /= d
-		r.Fetch /= d
-		r.Render /= d
-		r.Misc /= d
+		r = Table4Result{Lookup: sum[device.Lookup] / d, Fetch: sum[device.Fetch] / d,
+			Render: sum[device.Render] / d, Misc: sum[device.Misc] / d}
 	}
 	r.Total = r.Lookup + r.Fetch + r.Render + r.Misc
 	return r

@@ -216,23 +216,16 @@ func (sh *shard) planMiss(mt *missTask, apply bool, resp *Response) bool {
 }
 
 // chargeWaits charges the user-visible waits a miss carries beyond its
-// delivered ladder pl and returns their sum: the extra wait the hedge
-// added on top of the ladder (zero for a one-launch plan), and the
-// modeled backend time the ladder spent at its replica — failed
-// exchanges' queue-and-service time plus the successful exchange's own
-// admission. Both are local device time with no extra radio energy (the
-// link idles down naturally while the server grinds), and both are zero
-// without hedging or a backend model, so the charge is byte-neutral
-// when they are off.
-func (mc *missCtx) chargeWaits(dev *device.Device, pl faults.Plan) time.Duration {
-	if w := mc.hplan.Wait; w > 0 {
-		dev.Busy(w, "hedge")
-	}
-	backend := pl.BackendWait + pl.FinalBackend()
-	if backend > 0 {
-		dev.Busy(backend, "backend")
-	}
-	return mc.hplan.Wait + backend
+// delivered ladder pl: the extra wait the hedge added on top of the
+// ladder (zero for a one-launch plan), and the modeled backend time the
+// ladder spent at its replica — failed exchanges' queue-and-service time
+// plus the successful exchange's own admission. Both are local device
+// time with no extra radio energy (the link idles down naturally while
+// the server grinds), and both are zero without hedging or a backend
+// model, so the charge is byte-neutral when they are off.
+func (mc *missCtx) chargeWaits(dev *device.Device, pl faults.Plan) {
+	dev.Busy(mc.hplan.Wait, device.Hedge)
+	dev.Busy(pl.BackendWait+pl.FinalBackend(), device.Backend)
 }
 
 // replayFailedAttempts charges a plan's failed attempts and backoffs
@@ -248,7 +241,7 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 			cold++
 		}
 		if i < len(pl.Backoffs) {
-			dev.Busy(pl.Backoffs[i], "backoff")
+			dev.Busy(pl.Backoffs[i], device.Backoff)
 		}
 	}
 	return cold
@@ -291,11 +284,12 @@ func (sh *shard) releaseMiss(mt *missTask) {
 // applyMissLocked executes a planned cloud miss — the one miss path
 // (DESIGN.md, "The miss path"). The plan's failures are replayed on the
 // user's device, then either the successful exchange runs — on the
-// user's own link, or as the member's slice of a shared session, with
-// the failure costs folded into the outcome either way — and expands
-// the personal component, or the miss degrades down the ladder. A
-// clean plan replays nothing, waits for nothing and wastes nothing, so
-// it is the fault-free miss. Caller holds mu.
+// user's own link, or as the member's slice of a shared session — and
+// expands the personal component, or the miss degrades down the ladder.
+// The response's stages are what the whole apply charged to the user's
+// device, plus on the community rung the stale serve the replica's
+// device ran. A clean plan replays nothing, waits for nothing and
+// wastes nothing, so it is the fault-free miss. Caller holds mu.
 func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exchange, resp *Response) {
 	pl := mc.hplan.Delivered()
 	sh.ctr.bookPlan(&mc.hplan, pl, sh.cohorts.bk)
@@ -305,6 +299,8 @@ func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exc
 		resp.Attempts = pl.Attempts
 	}
 	dev, link := st.cache.Device(), st.rt.link
+	mark := dev.Stages()
+	var replica device.Stages
 	// The losers' attempts ran beside the winner's, off the link: pure
 	// energy waste, zero for a one-launch plan.
 	failedActive, wasteJ := pl.FailedActive, link.ActiveEnergy(mc.hplan.WastedActive)
@@ -313,14 +309,14 @@ func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exc
 		// and an exhausted ladder may still have burned backend time on
 		// engine errors: the user waits both out after the replay.
 		cold := replayFailedAttempts(dev, pl)
-		waits := mc.chargeWaits(dev, pl)
-		resp.Source, resp.Outcome = sh.degradeLocked(st, req.Query, mc.qh, pl, waits)
+		mc.chargeWaits(dev, pl)
+		resp.Source, resp.Outcome, replica = sh.degradeLocked(st, req.Query, mc.qh, pl)
 		resp.RadioJ = link.ActiveEnergy(failedActive) + float64(cold)*link.TailEnergy() + wasteJ
 	} else {
 		// A hedged clone win waits out the winner's launch stagger before
 		// its ladder starts; the primary's doomed attempts run
 		// concurrently during it and are charged as waste, off the link.
-		waits := mc.chargeWaits(dev, pl)
+		mc.chargeWaits(dev, pl)
 		cold := replayFailedAttempts(dev, pl)
 		// The two exchanges sum their radio joules in different float
 		// orders, and the ledger is exact to the nanojoule: each keeps
@@ -334,15 +330,16 @@ func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exc
 			resp.Outcome, resp.Err = st.cache.QueryHashed(mc.qh, mc.ch, req.Query, req.Click)
 			// The radio-active energy of the exchange and, when it opened
 			// a session (paid the wake-up), the session's eventual tail.
-			if !resp.Outcome.Radio.WasWarm {
+			if !resp.Outcome.WasWarm {
 				cold++
 			}
-			resp.RadioJ = link.ActiveEnergy(resp.Outcome.Radio.RadioActive+failedActive) + wasteJ
+			resp.RadioJ = link.ActiveEnergy(resp.Outcome.RadioActive+failedActive) + wasteJ
 			resp.RadioJ += float64(cold) * link.TailEnergy()
 		}
-		resp.Outcome.Network += pl.FailedWait + waits
 		sh.recordExpansion(st, mc.qh, mc.ch, resp.Outcome.Stored)
 	}
+	resp.Outcome.Stages = dev.Since(mark)
+	resp.Outcome.Stages.Add(&replica)
 	st.served++
 	sh.clock(st).Observe()
 	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
@@ -351,36 +348,29 @@ func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exc
 // degradeLocked serves a miss whose retry ladder exhausted, walking the
 // degradation rungs: a stale answer from the user's personal component,
 // a stale answer from the community replica, or the explicit locally
-// rendered "results unavailable" page. The failed attempts' wait and
-// radio-active time ride along in the outcome — an unreachable cloud
-// is slow *and* costs energy before the fallback even starts. Caller
-// holds mu and has replayed the delivered ladder pl; waits is the hedge
-// and backend wait it charged on top.
-func (sh *shard) degradeLocked(st *userState, query string, qh uint64, pl faults.Plan, waits time.Duration) (Source, pocketsearch.Outcome) {
-	out := pocketsearch.Outcome{
-		Network: pl.FailedWait + waits,
-		Radio:   radio.Transfer{RadioActive: pl.FailedActive, Failed: true},
-	}
-	graft := func(stale pocketsearch.Outcome) {
-		out.Lookup, out.Fetch, out.Render, out.Misc = stale.Lookup, stale.Fetch, stale.Render, stale.Misc
-		out.Results = stale.Results
-	}
+// rendered "results unavailable" page. The outcome carries the failed
+// attempts' radio-active time — an unreachable cloud is slow *and*
+// costs energy before the fallback even starts — and no stages: the
+// caller reads those off the user's device, and replica is what the
+// community rung's stale serve charged to the replica's. Caller holds mu
+// and has replayed the delivered ladder pl.
+func (sh *shard) degradeLocked(st *userState, query string, qh uint64, pl faults.Plan) (src Source, out pocketsearch.Outcome, replica device.Stages) {
+	out.RadioActive = pl.FailedActive
 	switch {
 	case st.cache.ContainsQuery(qh):
 		stale, _ := st.cache.ServeStale(query)
-		graft(stale)
+		out.Results = stale.Results
 	case sh.community.ContainsQuery(qh):
 		stale, _ := sh.community.ServeStale(query)
-		graft(stale)
+		out.Results, replica = stale.Results, stale.Stages
 	default:
 		dev := st.cache.Device()
-		out.Lookup = pocketsearch.LookupCost
-		dev.Busy(pocketsearch.LookupCost, "lookup")
-		out.Render = dev.Render(pocketsearch.UnavailablePageBytes)
-		out.Misc = dev.Misc()
-		return SourceUnavailable, out
+		dev.Busy(pocketsearch.LookupCost, device.Lookup)
+		dev.Render(pocketsearch.UnavailablePageBytes)
+		dev.Misc()
+		return SourceUnavailable, out, replica
 	}
-	return SourceDegraded, out
+	return SourceDegraded, out, replica
 }
 
 // bookPlan books an applied miss's retry/hedge telemetry into the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/faults"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/workload"
@@ -311,11 +312,11 @@ func TestDegradationLadder(t *testing.T) {
 	if resp.Source != SourceDegraded {
 		t.Fatalf("personal rung = %+v, want SourceDegraded", resp)
 	}
-	if resp.Attempts != 2 || !resp.Outcome.Radio.Failed {
-		t.Errorf("degraded response must carry its failed attempts: attempts %d, radio %+v",
-			resp.Attempts, resp.Outcome.Radio)
+	if resp.Attempts != 2 || resp.Outcome.Stages[device.RadioFailed] == 0 {
+		t.Errorf("degraded response must carry its failed attempts: attempts %d, stages %v",
+			resp.Attempts, resp.Outcome.Stages)
 	}
-	if len(resp.Outcome.Results) == 0 || resp.Outcome.Network == 0 {
+	if len(resp.Outcome.Results) == 0 || resp.Outcome.Stages.Network() == 0 {
 		t.Errorf("stale personal serve should return results and the failed wait: %+v", resp.Outcome)
 	}
 	if st := f.CommunityStats(); st.Stale != 0 {
@@ -347,7 +348,7 @@ func TestDegradationLadder(t *testing.T) {
 	if resp.Source != SourceUnavailable {
 		t.Fatalf("bottom rung = %+v, want SourceUnavailable", resp)
 	}
-	if len(resp.Outcome.Results) != 0 || resp.Outcome.Render == 0 {
+	if len(resp.Outcome.Results) != 0 || resp.Outcome.Stages[device.Render] == 0 {
 		t.Errorf("unavailable page must render locally with no results: %+v", resp.Outcome)
 	}
 

@@ -303,7 +303,7 @@ type shardCounters struct {
 // device waits on the air).
 func (c *shardCounters) book(resp *Response) {
 	c.served.Add(1)
-	if busy := resp.Outcome.ResponseTime() - resp.Outcome.Network; busy > 0 {
+	if busy := resp.Outcome.ResponseTime() - resp.Outcome.Stages.Network(); busy > 0 {
 		c.busyNS.Add(int64(busy))
 	}
 	c.ledger.Radio.Add(resp.RadioJ)
@@ -311,7 +311,7 @@ func (c *shardCounters) book(resp *Response) {
 	c.bySource[resp.Source].Add(1)
 	if resp.Err != nil {
 		c.errors.Add(1)
-	} else if resp.Source == SourceCloud && resp.BatchSize == 0 && !resp.Outcome.Radio.WasWarm {
+	} else if resp.Source == SourceCloud && resp.BatchSize == 0 && !resp.Outcome.WasWarm {
 		c.wakeups.Add(1)
 	}
 }

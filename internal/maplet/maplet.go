@@ -224,7 +224,7 @@ func (c *Cache) ProvisionHome(home Region) (int, error) {
 	c.homeZoom = zoom
 	c.provisionedBytes = bytes
 	// The bulk write happens while charging; charge flash time only.
-	c.dev.FlashBusy(c.dev.Flash().WriteCost(int(min64(bytes, 1<<30))))
+	c.dev.Busy(c.dev.Flash().WriteCost(int(min64(bytes, 1<<30))), device.Store)
 	return zoom, nil
 }
 
@@ -273,14 +273,14 @@ func (c *Cache) Viewport(x, y float64, z, w, h int) (local, total int, err error
 			if c.provisioned(k) {
 				c.stats.TileHits++
 				local++
-				c.dev.FlashBusy(c.dev.Flash().ReadCost(TileBytes))
+				c.dev.Busy(c.dev.Flash().ReadCost(TileBytes), device.Fetch)
 				continue
 			}
 			if _, ok := c.roam[k]; ok {
 				c.roam[k] = c.tick
 				c.stats.TileHits++
 				local++
-				c.dev.FlashBusy(c.dev.Flash().ReadCost(TileBytes))
+				c.dev.Busy(c.dev.Flash().ReadCost(TileBytes), device.Fetch)
 				continue
 			}
 			missing++
@@ -321,7 +321,7 @@ func (c *Cache) admitRoam(k TileKey) {
 	if c.roamBytes+TileBytes <= c.cfg.RoamBudget {
 		c.roam[k] = c.tick
 		c.roamBytes += TileBytes
-		c.dev.FlashBusy(c.dev.Flash().WriteCost(TileBytes))
+		c.dev.Busy(c.dev.Flash().WriteCost(TileBytes), device.Store)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestFailedStoreLeavesCleanMiss(t *testing.T) {
 		if err != nil {
 			t.Fatalf("attempt %d: %v", attempt, err)
 		}
-		if out.Hit || out.Network == 0 {
+		if out.Hit || out.Stages.Network() == 0 {
 			t.Fatalf("attempt %d: want a cloud miss, got %+v", attempt, out)
 		}
 		if out.Stored != 0 {

@@ -366,20 +366,21 @@ type Outcome struct {
 	// Hit reports whether the query (and the clicked result) was
 	// served from the local cache.
 	Hit bool
+	// WasWarm reports that a miss's exchange on the device's own link
+	// found the radio awake and skipped the wake-up: the fleet layer
+	// counts the cold ones.
+	WasWarm bool
 	// Results are the displayed results, best-ranked first (cached
 	// records on a hit, engine results on a miss).
 	Results []engine.Result
-	// Lookup, Fetch, Render, Misc and Network decompose the user
-	// response time (Table 4); Network is zero on a hit.
-	Lookup  time.Duration
-	Fetch   time.Duration
-	Render  time.Duration
-	Misc    time.Duration
-	Network time.Duration
-	// Radio is the modeled radio exchange of a miss (zero value on a
-	// hit): the fleet layer reads it to attribute radio energy per
+	// Stages is the response time by stage — Table 4's lookup, fetch,
+	// render and misc, and on a miss the network stages: what the serve
+	// charged to the device (DESIGN.md, "Where a response's time goes").
+	Stages device.Stages
+	// RadioActive is the radio-active time of a miss's exchange (zero on
+	// a hit): the fleet layer reads it to attribute radio energy per
 	// request.
-	Radio radio.Transfer
+	RadioActive time.Duration
 	// Stored is the logical flash bytes the miss's cache expansion
 	// added to the result database (zero on a hit, and when the clicked
 	// result was already stored): the fleet layer books it against the
@@ -387,13 +388,11 @@ type Outcome struct {
 	Stored int64
 }
 
-// ResponseTime is the end-to-end user response time of the query. A
-// pointer method: the serve path asks several times per request, of an
-// Outcome inside a Response it holds by pointer, and a value receiver
-// copied the whole struct each time.
-func (o *Outcome) ResponseTime() time.Duration {
-	return o.Lookup + o.Fetch + o.Render + o.Misc + o.Network
-}
+// ResponseTime is the end-to-end user response time of the query: the
+// sum of its stages. A pointer method: the serve path asks several times
+// per request, of an Outcome inside a Response it holds by pointer, and
+// a value receiver copied the whole struct each time.
+func (o *Outcome) ResponseTime() time.Duration { return o.Stages.Total() }
 
 // RemovePair removes one (query, result) pair from the cache index,
 // dropping the query from auto-completion when its last result goes
@@ -447,27 +446,29 @@ func (c *Cache) ServeStale(queryText string) (Outcome, bool) {
 	c.stats.stale.Add(1)
 
 	var out Outcome
-	out.Lookup = LookupCost
-	c.dev.Busy(LookupCost, "lookup")
+	mark := c.dev.Stages()
+	c.dev.Busy(LookupCost, device.Lookup)
 	shown := c.opts.ResultsShown
 	if shown > len(refs) {
 		shown = len(refs)
 	}
+	var fetch time.Duration
 	for _, r := range refs[:shown] {
 		rec, lat, err := c.db.GetView(r.ResultHash)
 		if err != nil {
 			continue
 		}
-		out.Fetch += lat
+		fetch += lat
 		if !c.opts.DiscardResults {
 			if res, perr := engine.ParseRecord(rec); perr == nil {
 				out.Results = append(out.Results, res)
 			}
 		}
 	}
-	c.dev.FlashBusy(out.Fetch)
-	out.Render = c.dev.Render(ResultsPageBytes)
-	out.Misc = c.dev.Misc()
+	c.dev.Busy(fetch, device.Fetch)
+	c.dev.Render(ResultsPageBytes)
+	c.dev.Misc()
+	out.Stages = c.dev.Since(mark)
 	return out, true
 }
 
@@ -488,7 +489,7 @@ func (c *Cache) EvictResult(resultHash uint64) int64 {
 		}
 	}
 	if lat, ok, err := c.db.Delete(resultHash); err == nil && ok {
-		c.dev.FlashBusy(lat)
+		c.dev.Busy(lat, device.Store)
 	}
 	return before - c.db.LogicalBytes()
 }
@@ -500,7 +501,7 @@ func (c *Cache) EvictResult(resultHash uint64) int64 {
 // (Section 3.3). The load time is charged to the device and returned.
 func (c *Cache) Boot() time.Duration {
 	lat := c.dev.BootIndexLoad(c.table.FootprintBytes(), c.opts.IndexPlacement)
-	c.dev.Busy(lat, "boot")
+	c.dev.Busy(lat, device.Boot)
 	return lat
 }
 
@@ -556,11 +557,12 @@ func (c *Cache) QueryHashed(qh, ch uint64, queryText, clickURL string) (Outcome,
 
 	// Cache miss: query the engine over the radio.
 	c.stats.queries.Add(1)
-	c.dev.Busy(LookupCost, "lookup")
+	mark := c.dev.Stages()
+	c.dev.Busy(LookupCost, device.Lookup)
 	c.stats.misses.Add(1)
 	resp, found := c.eng.Search(queryText)
 	tr := c.dev.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
-	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, tr.Total(), tr), nil
+	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, mark, tr), nil
 }
 
 // Hit serves a cache hit into out: p is where a Probe of this cache found
@@ -574,8 +576,9 @@ func (c *Cache) QueryHashed(qh, ch uint64, queryText, clickURL string) (Outcome,
 func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome) error {
 	c.stats.queries.Add(1)
 	c.stats.hits.Add(1)
-	*out = Outcome{Hit: true, Lookup: LookupCost}
-	c.dev.Busy(LookupCost, "lookup")
+	*out = Outcome{Hit: true}
+	mark := c.dev.Stages()
+	c.dev.Busy(LookupCost, device.Lookup)
 
 	refs := p.Refs(c.refsBuf)
 	c.refsBuf = refs[:0]
@@ -583,23 +586,27 @@ func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome
 	if shown > len(refs) {
 		shown = len(refs)
 	}
+	var fetch time.Duration
 	for _, r := range refs[:shown] {
 		rec, lat, err := c.db.GetView(r.ResultHash)
 		if err != nil {
+			out.Stages = c.dev.Since(mark)
 			return fmt.Errorf("pocketsearch: hit fetch: %w", err)
 		}
-		out.Fetch += lat
+		fetch += lat
 		if !c.opts.DiscardResults {
 			res, err := engine.ParseRecord(rec)
 			if err != nil {
+				out.Stages = c.dev.Since(mark)
 				return fmt.Errorf("pocketsearch: hit parse: %w", err)
 			}
 			out.Results = append(out.Results, res)
 		}
 	}
-	c.dev.FlashBusy(out.Fetch)
-	out.Render = c.dev.Render(ResultsPageBytes)
-	out.Misc = c.dev.Misc()
+	c.dev.Busy(fetch, device.Fetch)
+	c.dev.Render(ResultsPageBytes)
+	c.dev.Misc()
+	out.Stages = c.dev.Since(mark)
 	if !c.opts.DisablePersonalization {
 		// Personal clicks outweigh raw community volume in the
 		// completion ranking: the user's own queries surface first.
@@ -610,22 +617,23 @@ func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome
 }
 
 // missOutcome is the tail every cache miss shares once its exchange has
-// been charged to the device — network is the modeled latency until the
-// response landed and tr the radio's account of it, the one term in
-// which a miss on the device's own link and a member of a coalesced
-// session differ. The lookup was charged before the exchange; the
-// device still renders the downloaded page and pays the fixed misc
-// cost, and the clicked result expands the personalization component.
-func (c *Cache) missOutcome(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse, found bool, network time.Duration, tr radio.Transfer) Outcome {
-	out := Outcome{Lookup: LookupCost, Network: network, Radio: tr}
-	out.Render = c.dev.Render(MissPageBytes(resp))
-	out.Misc = c.dev.Misc()
+// been charged to the device — tr is the radio's account of it, the one
+// term in which a miss on the device's own link and a member of a
+// coalesced session differ, and mark the device's stage totals before
+// the lookup. The device still renders the downloaded page and pays the
+// fixed misc cost, and the clicked result expands the personalization
+// component, off the response's stages.
+func (c *Cache) missOutcome(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse, found bool, mark device.Stages, tr radio.Transfer) Outcome {
+	out := Outcome{WasWarm: tr.WasWarm, RadioActive: tr.RadioActive}
+	c.dev.Render(MissPageBytes(resp))
+	c.dev.Misc()
 	if found && !c.opts.DiscardResults {
 		out.Results = resp.Results()
 	}
 	if !c.opts.DisablePersonalization && clickURL != "" {
 		out.Stored = c.expand(qh, ch, queryText, clickURL, resp)
 	}
+	out.Stages = c.dev.Since(mark)
 	return out
 }
 
@@ -653,10 +661,11 @@ func MissPageBytes(resp engine.SearchResponse) int {
 func (c *Cache) ApplyBatchedMiss(queryText, clickURL string, resp engine.SearchResponse, found bool, wait, share time.Duration) Outcome {
 	c.stats.queries.Add(1)
 	c.stats.misses.Add(1)
-	c.dev.Busy(LookupCost, "lookup")
+	mark := c.dev.Stages()
+	c.dev.Busy(LookupCost, device.Lookup)
 	c.dev.NetworkBatchShare(wait, share)
 	return c.missOutcome(hash64.Sum(queryText), hash64.Sum(clickURL), queryText, clickURL, resp, found,
-		wait, radio.Transfer{RadioActive: share})
+		mark, radio.Transfer{RadioActive: share})
 }
 
 // QueryRequestBytes is the size of the HTTP search request — exported
@@ -685,7 +694,7 @@ func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.Se
 		return 0
 	}
 	// Stored off the critical path, but still paid in time/energy.
-	c.dev.FlashBusy(lat)
+	c.dev.Busy(lat, device.Store)
 	c.table.Put(qh, hashtable.SearchRef{ResultHash: ch, Score: 1})
 	c.table.MarkAccessed(qh, ch)
 	c.indexQuery(qh, queryText, suggestPersonalBoost)

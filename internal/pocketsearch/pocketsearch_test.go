@@ -65,7 +65,7 @@ func TestHitServedLocally(t *testing.T) {
 	if !out.Hit {
 		t.Fatal("preloaded pair should hit")
 	}
-	if out.Network != 0 {
+	if out.Stages.Network() != 0 {
 		t.Error("hit should not use the radio")
 	}
 	if len(out.Results) == 0 {
@@ -88,14 +88,14 @@ func TestHitResponseTimeMatchesTable4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Lookup != LookupCost {
-		t.Errorf("lookup = %v, want %v", out.Lookup, LookupCost)
+	if got := out.Stages[device.Lookup]; got != LookupCost {
+		t.Errorf("lookup = %v, want %v", got, LookupCost)
 	}
-	if out.Fetch < 4*time.Millisecond || out.Fetch > 20*time.Millisecond {
-		t.Errorf("fetch = %v, want ~10 ms", out.Fetch)
+	if got := out.Stages[device.Fetch]; got < 4*time.Millisecond || got > 20*time.Millisecond {
+		t.Errorf("fetch = %v, want ~10 ms", got)
 	}
-	if out.Render < 350*time.Millisecond || out.Render > 375*time.Millisecond {
-		t.Errorf("render = %v, want ~361 ms", out.Render)
+	if got := out.Stages[device.Render]; got < 350*time.Millisecond || got > 375*time.Millisecond {
+		t.Errorf("render = %v, want ~361 ms", got)
 	}
 	total := out.ResponseTime()
 	if total < 360*time.Millisecond || total > 410*time.Millisecond {
@@ -119,7 +119,7 @@ func TestMissUsesRadioAndIsMuchSlower(t *testing.T) {
 	if miss.Hit {
 		t.Fatal("uncached pair should miss")
 	}
-	if miss.Network == 0 {
+	if miss.Stages[device.Radio] == 0 {
 		t.Fatal("miss should use the radio")
 	}
 	ratio := float64(miss.ResponseTime()) / float64(hit.ResponseTime())
@@ -306,11 +306,31 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryHit is the steady-state hit a load run pays (no result
-// text materialized): 0 allocs/op, gated in scripts/check.sh.
+// hitFixture is the steady-state hit a load run pays: a cache that
+// materializes no result text, and a pair it holds.
+func hitFixture(tb testing.TB) (f *fixture, q, url string) {
+	f = newFixture(tb, 100, Options{DiscardResults: true})
+	q, url = f.pairStrings(f.u.NavPair(0))
+	return f, q, url
+}
+
+// TestQueryHitAllocatesNothing holds hitFixture's hit at 0 allocations
+// (DESIGN.md, "The zero-allocation serve path"): it probes its index
+// once, and its stage account lives on the stack.
+func TestQueryHitAllocatesNothing(t *testing.T) {
+	f, q, url := hitFixture(t)
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := f.cache.Query(q, url); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a hit allocates %.2f objects, want 0", n)
+	}
+}
+
+// BenchmarkQueryHit times hitFixture's hit.
 func BenchmarkQueryHit(b *testing.B) {
-	f := newFixture(b, 100, Options{DiscardResults: true})
-	q, url := f.pairStrings(f.u.NavPair(0))
+	f, q, url := hitFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,14 +19,17 @@ import (
 // refQuery is Query as it served a hit before the index was probed once
 // per hit (Cache.Hit): the sorted lookup twice over, a SetScore search
 // per result with math.Exp per sibling, Score, MarkAccessed — each its
-// own walk of the query's chain. Kept as the oracle Hit answers to.
+// own walk of the query's chain. Kept as the oracle Hit answers to. It
+// writes a hit's stages by hand, as the cache once did, so the vector Hit
+// reads off the device answers to code that never calls Since.
 func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 	qh, ch := hash64.Sum(queryText), hash64.Sum(clickURL)
 	c.stats.queries.Add(1)
 
 	var out Outcome
-	out.Lookup = LookupCost
-	c.dev.Busy(LookupCost, "lookup")
+	mark := c.dev.Stages()
+	out.Stages[device.Lookup] = LookupCost
+	c.dev.Busy(LookupCost, device.Lookup)
 
 	refs := c.lookupScratch(qh)
 	var clickCached bool
@@ -48,7 +51,7 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 			if err != nil {
 				return out, fmt.Errorf("pocketsearch: hit fetch: %w", err)
 			}
-			out.Fetch += lat
+			out.Stages[device.Fetch] += lat
 			if !c.opts.DiscardResults {
 				res, err := engine.ParseRecord(rec)
 				if err != nil {
@@ -57,9 +60,9 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 				out.Results = append(out.Results, res)
 			}
 		}
-		c.dev.FlashBusy(out.Fetch)
-		out.Render = c.dev.Render(ResultsPageBytes)
-		out.Misc = c.dev.Misc()
+		c.dev.Busy(out.Stages[device.Fetch], device.Fetch)
+		out.Stages[device.Render] = c.dev.Render(ResultsPageBytes)
+		out.Stages[device.Misc] = c.dev.Misc()
 		if !c.opts.DisablePersonalization {
 			for _, r := range c.lookupScratch(qh) {
 				if r.ResultHash == ch {
@@ -79,7 +82,7 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 	c.stats.misses.Add(1)
 	resp, found := c.eng.Search(queryText)
 	tr := c.dev.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
-	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, tr.Total(), tr), nil
+	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, mark, tr), nil
 }
 
 // TestProbedHitMatchesChainWalks replays 200 users' month tapes, seeds 1

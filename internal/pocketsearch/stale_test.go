@@ -3,6 +3,7 @@ package pocketsearch
 import (
 	"testing"
 
+	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/hash64"
 )
 
@@ -37,10 +38,10 @@ func TestServeStale(t *testing.T) {
 	if out.Results[0].URL != url {
 		t.Errorf("top stale result %q, want cached %q", out.Results[0].URL, url)
 	}
-	if out.Network != 0 || out.Radio.RadioActive != 0 {
+	if out.Stages.Network() != 0 || out.RadioActive != 0 {
 		t.Error("stale serve must not touch the radio")
 	}
-	if out.Lookup != LookupCost || out.Render == 0 || out.Misc == 0 {
+	if out.Stages[device.Lookup] != LookupCost || out.Stages[device.Render] == 0 || out.Stages[device.Misc] == 0 {
 		t.Errorf("stale serve cost decomposition looks wrong: %+v", out)
 	}
 	if f.dev.Now() != out.ResponseTime() {

@@ -172,7 +172,7 @@ func (c *Cache) admit(url string, bytes int, version uint64, at time.Duration) {
 	// prefix is materialized in the in-memory store.
 	lat := c.dev.Flash().OpenCost() + c.dev.Flash().WriteCost(bytes)
 	c.dev.Store().ReplaceSilently(fileName(h), make([]byte, min(bytes, 4096)))
-	c.dev.FlashBusy(lat)
+	c.dev.Busy(lat, device.Store)
 	c.pages[h] = &page{url: url, bytes: bytes, dynamic: c.src.Dynamic(url), version: version}
 	c.used += int64(bytes)
 }
@@ -245,7 +245,7 @@ func (c *Cache) Visit(url string, at time.Duration) (Outcome, error) {
 		fresh := !p.dynamic || p.version == c.src.Version(url, at)
 		if fresh {
 			c.stats.FreshHits++
-			c.dev.FlashBusy(c.dev.Flash().ReadCost(p.bytes))
+			c.dev.Busy(c.dev.Flash().ReadCost(p.bytes), device.Fetch)
 			c.dev.Render(p.bytes)
 			return Outcome{Hit: true, Latency: c.dev.Now() - start}, nil
 		}

@@ -209,6 +209,9 @@ func validateFleet(p *problems, f *FleetSpec) {
 			p.addf("%s: must be non-negative, got %d", n.name, n.v)
 		}
 	}
+	overLimit(p, "fleet.replicas", f.Replicas, maxReplicas, "every shard keeps a breaker per replica")
+	overLimit(p, "fleet.batch.max", f.Batch.Max, maxBatchMax, "every shard keeps a session-size counter per batch size")
+	overLimit(p, "fleet.vnodes", f.VNodes, maxVNodes, "the ring holds every shard's virtual nodes")
 	if !validRadios[f.Radio] {
 		p.addf("fleet.radio: want \"3g\", \"edge\" or \"wifi\", got %q", f.Radio)
 	}
@@ -256,6 +259,39 @@ func validateBackend(p *problems, b *BackendSpec) {
 // three PS replicas takes about 70 ms at 20/s and 2.5 s at 1e5/s; at
 // 1e6/s it was still running after 20 s.
 const maxBackendOffered = 1e5
+
+// Ceilings on the keys that size per-shard arrays or a per-miss loop:
+// far past any modeled fleet, they exhaust host memory or time before
+// the run serves. Timings are a 20-user closed month on a 2-vCPU Xeon
+// host, faulted at loss 0.2 where replicas or hedging are set; the
+// presets and the benchmark use at most 3 replicas, clone factor 2,
+// batches of 20 and the default 64 vnodes.
+const (
+	// maxReplicas: every cohort keeps an injector and every shard a
+	// breaker per replica — 67 ms at 1,000 replicas, 189 ms at 100,000,
+	// and memory in proportion beyond.
+	maxReplicas = 64
+	// maxCloneFactor: a hedged miss counts the launches in flight at
+	// every clone slot, so its planning is quadratic in the clone factor
+	// — 43 ms at 64, 117 ms at 256, 1.1 s at 1,000.
+	maxCloneFactor = 64
+	// maxBatchMax: every shard keeps a session-size counter per batch
+	// size — 111 ms at 4,096, 544 ms at 1,048,576, and at 1e9 an 8 GB
+	// allocation.
+	maxBatchMax = 4096
+	// maxVNodes: the ring holds every shard's virtual nodes — 61 ms at
+	// 4,096, 459 ms at 65,536, 5.9 s at 1,048,576, and at 1e8 a 12.8 GB
+	// allocation.
+	maxVNodes = 4096
+)
+
+// overLimit refuses a sizing key above its ceiling, saying why there is
+// one.
+func overLimit(p *problems, name string, v, limit int, why string) {
+	if v > limit {
+		p.addf("%s: %d is over the %d limit: %s", name, v, limit, why)
+	}
+}
 
 // validateAutoscale vets the raw (pre-WithDefaults) autoscale block;
 // the controller's own WithDefaults/Validate run again at lowering
@@ -441,6 +477,7 @@ func validateHedge(p *problems, path string, h *HedgeSpec, s *Spec) {
 	if h.CloneFactor < 1 {
 		p.addf("%s.clone_factor: must be ≥ 1, got %d", path, h.CloneFactor)
 	}
+	overLimit(p, path+".clone_factor", h.CloneFactor, maxCloneFactor, "planning a hedged miss is quadratic in it")
 	if h.Delay < 0 {
 		p.addf("%s.delay: must be non-negative, got %v", path, h.Delay.D())
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pocketcloudlets/internal/cachegen"
+	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/searchlog"
@@ -91,7 +92,7 @@ func refApply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 		total += lat
 	}
 	c.ReplaceTable(upd.Table, upd.Queries)
-	c.Device().FlashBusy(total)
+	c.Device().Busy(total, device.Store)
 	return total, nil
 }
 

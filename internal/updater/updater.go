@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pocketcloudlets/internal/cachegen"
+	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/hashtable"
@@ -196,6 +197,6 @@ func Apply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 		return total, err
 	}
 	c.ReplaceTable(upd.Table, upd.Queries)
-	c.Device().FlashBusy(total)
+	c.Device().Busy(total, device.Store)
 	return total, nil
 }

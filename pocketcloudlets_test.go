@@ -79,7 +79,7 @@ func TestSimulationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if miss.Hit || miss.Network == 0 {
+	if miss.Hit || miss.Stages.Network() == 0 {
 		t.Error("tail pair should miss over the radio")
 	}
 	again, _ := ps.Query(tq, turl)

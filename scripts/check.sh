@@ -259,18 +259,6 @@ if [ "$queue_allocs" != "0" ]; then
     exit 1
 fi
 
-echo "== bench smoke: PocketSearch hit =="
-# A hit that materializes no result text probes its index once and
-# touches nothing it has to allocate for (DESIGN.md, "The zero-allocation
-# serve path"): BenchmarkQueryHit stays at 0 allocs/op.
-hit_raw=$(go test -bench 'QueryHit$' -benchtime 20000x -benchmem -run '^$' ./internal/pocketsearch)
-echo "$hit_raw"
-hit_allocs=$(echo "$hit_raw" | allocs_per_op BenchmarkQueryHit | awk '{print $2}')
-if [ "$hit_allocs" != "0" ]; then
-    echo "bench smoke: BenchmarkQueryHit at '${hit_allocs}' allocs/op (recorded 0)" >&2
-    exit 1
-fi
-
 echo "== bench smoke: result database Put =="
 # A Put inserts one entry into its database's slab, which grows by an
 # eighth when full (DESIGN.md, "The resultdb slab"), so a run of Puts
