@@ -265,8 +265,8 @@ func benchUniverseConfig() *engine.Config {
 	}
 }
 
-func fleetBench(b *testing.B) *fleetRig {
-	b.Helper()
+func fleetBench(tb testing.TB) *fleetRig {
+	tb.Helper()
 	fleetRigOnce.Do(func() {
 		sim, err := pocketcloudlets.NewSimulation(pocketcloudlets.SimConfig{
 			Seed: 1, Users: 512, UniverseConfig: benchUniverseConfig(),
@@ -301,7 +301,7 @@ func fleetBench(b *testing.B) *fleetRig {
 		fleetRigLab = rig
 	})
 	if fleetRigErr != nil {
-		b.Fatal(fleetRigErr)
+		tb.Fatal(fleetRigErr)
 	}
 	return fleetRigLab
 }
@@ -316,6 +316,25 @@ func BenchmarkFleetServeDo(b *testing.B) {
 		if resp := rig.f.Do(tape[i%len(tape)]); resp.Err != nil {
 			b.Fatal(resp.Err)
 		}
+	}
+}
+
+// TestFleetServeDoAllocs holds BenchmarkFleetServeDo's closed-loop Do
+// to the two allocations the result text it hands the caller costs: one
+// copy of the stored record, one Results slice (DESIGN.md, "The
+// zero-allocation serve path").
+func TestFleetServeDoAllocs(t *testing.T) {
+	const ceiling = 2
+	rig := fleetBench(t)
+	tape := rig.tapes[0]
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		if resp := rig.f.Do(tape[i%len(tape)]); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		i++
+	}); n > ceiling {
+		t.Errorf("a closed-loop Do allocates %.0f objects, recorded %d", n, ceiling)
 	}
 }
 
@@ -426,11 +445,14 @@ var (
 
 // fleet100kBench builds a fleet with 100,000 resident users, each
 // warmed with one pinned request so that every steady-state replay is
-// a personal-tier hit. The user IDs cover [0, 100k) contiguously, so
-// the whole population lives in the dense slot arena. Requests reuse
-// query/click pairs from one generated tape; only the user ID varies.
-func fleet100kBench(b *testing.B) *fleet100kRig {
-	b.Helper()
+// a personal-tier hit, then primed with one full hit pass: a user's
+// first post-warm-up hit pays one-time costs (per-cache lookup scratch,
+// timeline entries, the pooled reply channel) that are not steady-state
+// serving work. The user IDs cover [0, 100k) contiguously, so the whole
+// population lives in the dense slot arena. Requests reuse query/click
+// pairs from one generated tape; only the user ID varies.
+func fleet100kBench(tb testing.TB) *fleet100kRig {
+	tb.Helper()
 	fleet100kOnce.Do(func() {
 		sim, err := pocketcloudlets.NewSimulation(pocketcloudlets.SimConfig{
 			Seed: 1, Users: 512, UniverseConfig: benchUniverseConfig(),
@@ -465,16 +487,18 @@ func fleet100kBench(b *testing.B) *fleet100kRig {
 			r.User = searchlog.UserID(uid)
 			reqs[uid] = r
 		}
-		for i := range reqs {
-			if resp := f.Do(reqs[i]); resp.Err != nil {
-				fleet100kErr = resp.Err
-				return
+		for pass := 0; pass < 2; pass++ { // warm, then prime
+			for i := range reqs {
+				if resp := f.Do(reqs[i]); resp.Err != nil {
+					fleet100kErr = resp.Err
+					return
+				}
 			}
 		}
 		fleet100kLab = &fleet100kRig{f: f, reqs: reqs}
 	})
 	if fleet100kErr != nil {
-		b.Fatal(fleet100kErr)
+		tb.Fatal(fleet100kErr)
 	}
 	return fleet100kLab
 }
@@ -484,26 +508,34 @@ var errEmptyTape = errors.New("bench: empty warm-up tape")
 // BenchmarkFleetServe100kUsers measures the steady-state closed-loop
 // serve path across 100,000 warmed users: every iteration is a
 // personal-tier hit on a different user, walking the dense slot arena
-// shard by shard. The unfaulted hit path is allocation-free — the
-// reply channel is pooled, lookups reuse per-cache scratch buffers,
-// and result payloads are skipped under Options.DiscardResults — so
-// this reports 0 allocs/op at steady state.
+// shard by shard.
 func BenchmarkFleetServe100kUsers(b *testing.B) {
 	rig := fleet100kBench(b)
-	// Prime with one full hit pass: a user's first post-warm-up hit
-	// pays one-time costs (per-cache lookup scratch, timeline entries,
-	// the pooled reply channel) that are not steady-state serving work.
-	for i := range rig.reqs {
-		if resp := rig.f.Do(rig.reqs[i]); resp.Err != nil {
-			b.Fatal(resp.Err)
-		}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if resp := rig.f.Do(rig.reqs[i%len(rig.reqs)]); resp.Err != nil {
 			b.Fatal(resp.Err)
 		}
+	}
+}
+
+// TestFleetServe100kUsersAllocatesNothing holds
+// BenchmarkFleetServe100kUsers' steady-state hit at 0 allocations: the
+// reply channel is pooled, lookups reuse per-cache scratch buffers, and
+// result payloads are skipped under Options.DiscardResults (DESIGN.md,
+// "Capacity model").
+func TestFleetServe100kUsersAllocatesNothing(t *testing.T) {
+	const ceiling = 0
+	rig := fleet100kBench(t)
+	i := 0
+	if n := testing.AllocsPerRun(2000, func() {
+		if resp := rig.f.Do(rig.reqs[i%len(rig.reqs)]); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+		i++
+	}); n > ceiling {
+		t.Errorf("a warmed hit allocates %.0f objects, recorded %d", n, ceiling)
 	}
 }
 
@@ -522,56 +554,57 @@ func BenchmarkFleetSubmit(b *testing.B) {
 
 // --- Fleet heap gate ---
 
-// coldFillUsers sizes BenchmarkFleetColdFillHeap's fleet.
-const coldFillUsers = 1000
-
-// BenchmarkFleetColdFillHeap is the deterministic heap gate of
-// scripts/check.sh: the repository benchmark's cold_fill at a size CI
-// can afford — a fresh 4-shard fleet over the scenario universe, its
-// community content from the first 100 users' month 0, filled on one
-// goroutine by every user's month-1 tape — reporting the fleet's live
-// heap per resident user after a forced collection (B/user): community
-// replicas, record table, arenas, per-user devices and caches, over the
-// users they are held for. One caller and a fixed seed make the number
-// repeat to the byte on a given toolchain.
-func BenchmarkFleetColdFillHeap(b *testing.B) {
+// TestFleetColdFillHeap holds the repository benchmark's cold_fill, at a
+// size a test can afford, within 5% of the 13,317 B of live heap per
+// resident user recorded (DESIGN.md, "Capacity model"): a fresh 4-shard
+// fleet over the scenario universe, its community content from the first
+// 100 users' month 0, filled on one goroutine by every user's month-1
+// tape, its heap read after a forced collection — community replicas,
+// record table, arenas, per-user devices and caches, over the users they
+// are held for. One caller and a fixed seed make the number repeat to
+// the byte on a given toolchain, whatever GOMAXPROCS. A structure that
+// grows per user or per record — a record copied instead of shared, a
+// map sized by configuration — shows here first.
+func TestFleetColdFillHeap(t *testing.T) {
+	const users, ceiling = 1000, 13_983 // B/user: 13,317 recorded, +5%
 	ucfg := scenario.UniverseConfig()
 	sim, err := pocketcloudlets.NewSimulation(pocketcloudlets.SimConfig{
-		Seed: 1, Users: coldFillUsers, UniverseConfig: &ucfg,
+		Seed: 1, Users: users, UniverseConfig: &ucfg,
 	})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	content, err := sim.CommunityContentFrom(0, 0.55, 100)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	var tapes [][]pocketcloudlets.FleetRequest
 	for _, up := range sim.Generator.Users() {
 		tapes = append(tapes, loadgen.Tape(sim.Generator, up, 1))
 	}
-	cfg := pocketcloudlets.FleetConfig{Shards: 4, Population: coldFillUsers}
+	cfg := pocketcloudlets.FleetConfig{Shards: 4, Population: users}
 	cfg.Options.DisableSuggest = true
-	var perUser float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base := liveHeap()
-		f, err := sim.NewFleet(content, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tape := range tapes {
-			for _, req := range tape {
-				if resp := f.Do(req); resp.Err != nil {
-					b.Fatal(resp.Err)
-				}
+	base := liveHeap()
+	f, err := sim.NewFleet(content, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, tape := range tapes {
+		for _, req := range tape {
+			if resp := f.Do(req); resp.Err != nil {
+				t.Fatal(resp.Err)
 			}
 		}
-		users := f.Stats().Users
-		perUser = float64(liveHeap()-base) / float64(users)
-		f.Close()
 	}
-	b.ReportMetric(perUser, "B/user")
+	perUser := float64(liveHeap()-base) / float64(f.Stats().Users)
+	// The base counts sim and the tapes, so they must outlive the delta.
+	runtime.KeepAlive(sim)
+	runtime.KeepAlive(tapes)
+	t.Logf("%.0f B/user live after a cold fill", perUser)
+	if perUser > ceiling {
+		t.Errorf("over the %d B/user ceiling", ceiling)
+	}
 }
 
 // liveHeap forces a collection and returns the bytes still reachable.

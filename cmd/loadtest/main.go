@@ -463,16 +463,7 @@ func main() {
 		fmt.Print(report.String())
 	}
 	if rf.check {
-		faultsOn := spec.Faults != nil
-		for _, cls := range spec.Classes {
-			if cls.Faults != nil {
-				faultsOn = true
-			}
-		}
-		backendOn := spec.Fleet.Backend != nil
-		autoscaleOn := spec.Fleet.Autoscale != nil
-		hedgeOn, hedged := hedgedMisses(f, comp, report)
-		if problems := checkReport(report, faultsOn, hedgeOn, hedged, backendOn, autoscaleOn); len(problems) > 0 {
+		if problems := check(comp, f, report); len(problems) > 0 {
 			for _, p := range problems {
 				fmt.Fprintf(os.Stderr, "check failed: %s\n", p)
 			}
@@ -564,19 +555,29 @@ func hedgedMisses(f *pocketcloudlets.Fleet, comp *scenario.Compiled, r pocketclo
 	return on, misses
 }
 
-// checkReport verifies the report's accounting invariants — each one
-// holds two sources that could disagree against each other, never a
-// field against the arithmetic that derived it: every served request
-// came from exactly one tier, the fault counters are silent when fault
-// injection is off, the hedge counters cross-foot (every cloud serve
-// of a user who hedges was won by exactly one dispatch; wasted clones
-// never exceed clones launched), the backend replica rows cross-foot
-// (arrivals partition into served, rejected and abandoned), shard
-// occupancy and class rows sum to the fleet's counters, the fleet's
-// energy ledger tracks the collector's per-response sums (device and
-// radio joules), and the autoscale action log stays within bounds and
-// chains shard counts.
-func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMisses int64, backendOn, autoscaleOn bool) []string {
+// check is -check: it verifies the accounting invariants of the report
+// of a run of comp on f — each one holds two sources that could
+// disagree against each other, never a field against the arithmetic
+// that derived it: every served request came from exactly one tier, the
+// fault counters are silent when fault injection is off, the hedge
+// counters cross-foot (every cloud serve of a user who hedges was won
+// by exactly one dispatch; wasted clones never exceed clones launched),
+// the backend replica rows cross-foot (arrivals partition into served,
+// rejected and abandoned), shard occupancy and class rows sum to the
+// fleet's counters, the fleet's energy ledger tracks the collector's
+// per-response sums (device and radio joules), and the autoscale action
+// log stays within bounds and chains shard counts.
+func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.LoadReport) []string {
+	spec := comp.Spec
+	faultsOn := spec.Faults != nil
+	for _, cls := range spec.Classes {
+		if cls.Faults != nil {
+			faultsOn = true
+		}
+	}
+	backendOn := spec.Fleet.Backend != nil
+	autoscaleOn := spec.Fleet.Autoscale != nil
+	hedgeOn, hedged := hedgedMisses(f, comp, r)
 	var problems []string
 	if r.Errors != 0 {
 		problems = append(problems, fmt.Sprintf("errors: %d", r.Errors))
@@ -598,9 +599,9 @@ func checkReport(r pocketcloudlets.LoadReport, faultsOn, hedgeOn bool, hedgedMis
 		// wins partition the cloud serves of the users who hedge
 		// (hedgedMisses; negative when the report cannot tell them
 		// apart).
-		if hedgedMisses >= 0 && r.PrimaryWins+r.CloneWins != hedgedMisses {
+		if hedged >= 0 && r.PrimaryWins+r.CloneWins != hedged {
 			problems = append(problems, fmt.Sprintf("primary wins %d + clone wins %d != %d cloud misses of the classes that hedge",
-				r.PrimaryWins, r.CloneWins, hedgedMisses))
+				r.PrimaryWins, r.CloneWins, hedged))
 		}
 		if r.CloneWins > r.ClonesLaunched {
 			problems = append(problems, fmt.Sprintf("clone wins %d exceed clones launched %d", r.CloneWins, r.ClonesLaunched))

@@ -1,17 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"pocketcloudlets"
+	"pocketcloudlets/internal/reportnorm"
 	"pocketcloudlets/internal/scenario"
 )
 
@@ -113,6 +116,8 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-faults", "-replicas", "3", "-hedge", "1000"}, "-hedge: classes[0].hedge.clone_factor: 1000 is over the 64 limit"},
 		{[]string{"-batch", "-batchmax", "1000000000"}, "-batchmax: fleet.batch.max: 1000000000 is over the 4096 limit"},
 		{[]string{"-placement", "ring", "-vnodes", "100000000"}, "-vnodes: fleet.vnodes: 100000000 is over the 4096 limit"},
+		{[]string{"-shards", "10000000"}, "-shards: fleet.shards: 10000000 is over the 1024 limit"},
+		{[]string{"-placement", "ring", "-autoscale", "-autoscale-max", "10000000"}, "-autoscale-max: fleet.autoscale.max: 10000000 is over the 1024 limit"},
 		{[]string{"-users", "30", "-duration", "200ms", "-qps", "2000", "-placement", "ring",
 			"-autoscale", "-autoscale-interval", "2ns"}, "-autoscale-interval: fleet.autoscale.interval: 2ns samples the 200ms run"},
 	}
@@ -475,7 +480,7 @@ func TestCheckHedgeWinsPartitionHedgedMisses(t *testing.T) {
 	if !on || misses != int64(hedgers) || hedgers == 0 || hedgers >= report.CloudMisses {
 		t.Fatalf("mixed spec: hedging %v over %d misses, hedgers row has %d of %d cloud misses", on, misses, hedgers, report.CloudMisses)
 	}
-	if problems := checkReport(report, true, on, misses, false, false); len(problems) != 0 {
+	if problems := check(comp, f, report); len(problems) != 0 {
 		t.Errorf("mixed spec: a correct run fails -check: %v", problems)
 	}
 
@@ -484,11 +489,11 @@ func TestCheckHedgeWinsPartitionHedgedMisses(t *testing.T) {
 	if !on || misses != int64(report.CloudMisses) {
 		t.Fatalf("every class hedges: hedging %v over %d misses, want all %d", on, misses, report.CloudMisses)
 	}
-	if problems := checkReport(report, true, on, misses, true, false); len(problems) != 0 {
+	if problems := check(comp, f, report); len(problems) != 0 {
 		t.Errorf("clone-storm fails -check: %v", problems)
 	}
 	report.PrimaryWins--
-	problems := checkReport(report, true, on, misses, true, false)
+	problems := check(comp, f, report)
 	if len(problems) != 1 || !strings.Contains(problems[0], "cloud misses of the classes that hedge") {
 		t.Errorf("a lost hedge win went unnoticed fleet-wide: %v", problems)
 	}
@@ -500,9 +505,9 @@ func TestCheckHedgeWinsPartitionHedgedMisses(t *testing.T) {
 // device = base + radio, device ≈ energy_j — so only that comparison can
 // see it.
 func TestCheckLedgerRadioAgainstCollector(t *testing.T) {
-	_, _, report := runScenario(t, "-mode", "closed", "-duration", "0", "-users", "40",
+	comp, f, report := runScenario(t, "-mode", "closed", "-duration", "0", "-users", "40",
 		"-faults", "-loss", "0.2", "-batch")
-	if problems := checkReport(report, true, false, 0, false, false); len(problems) != 0 {
+	if problems := check(comp, f, report); len(problems) != 0 {
 		t.Fatalf("a correct run fails -check: %v", problems)
 	}
 	e := *report.Energy
@@ -513,8 +518,71 @@ func TestCheckLedgerRadioAgainstCollector(t *testing.T) {
 	e.RadioJ += shift
 	e.DeviceBaseJ -= shift
 	report.Energy = &e
-	problems := checkReport(report, true, false, 0, false, false)
+	problems := check(comp, f, report)
 	if len(problems) != 1 || !strings.Contains(problems[0], "radio_energy_j") {
 		t.Errorf("a ledger radio 10%% off the collector's went unnoticed: %v", problems)
 	}
+}
+
+// TestSmokes runs loadtest's end-to-end smokes in-process. A row with
+// one command line must pass -check; a row with two must give reports
+// that reportnorm cannot tell apart. The rows run one at a time, so no
+// shed separates the two runs of a pair.
+func TestSmokes(t *testing.T) {
+	with := func(base []string, extra ...string) []string { return append(slices.Clone(base), extra...) }
+	closed := []string{"-mode", "closed", "-users", "64", "-duration", "0", "-seed", "3", "-faults", "-loss", "0.2", "-retries", "3"}
+	outage := with(closed, "-outage", "6s/30s")
+	hedged := with(outage, "-replicas", "3", "-hedge", "2")
+	autoscaled := []string{"-users", "200", "-qps", "800", "-duration", "2s", "-seed", "5",
+		"-arrivals", "diurnal", "-diurnal-peak", "6", "-placement", "ring", "-shards", "4",
+		"-autoscale", "-autoscale-interval", "250ms", "-autoscale-rate", "120"}
+	for _, tc := range []struct {
+		name string
+		a, b []string
+	}{
+		{"faults", []string{"-mode", "closed", "-users", "100", "-duration", "0", "-seed", "3",
+			"-faults", "-loss", "0.3", "-outage", "6s/30s", "-retries", "3", "-batch", "-batchadaptive"}, nil},
+		{"clone factor 1 ≡ single backend", outage, with(outage, "-replicas", "3", "-hedge", "1")},
+		{"hedged", hedged, nil},
+		{"backend-rate inf ≡ no backend", hedged, with(hedged, "-backend-rate", "inf")},
+		{"finite-rate backend", with(closed, "-replicas", "3", "-hedge", "2", "-backend-rate", "30",
+			"-backend-queue", "16", "-backend-disc", "ps", "-backend-offered", "20", "-backend-cancel"), nil},
+		{"flash-crowd", []string{"-scenario", "flash-crowd", "-users", "150"}, nil},
+		{"green-day", []string{"-scenario", "green-day", "-users", "300"}, nil},
+		{"autoscaled run ≡ itself", autoscaled, autoscaled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			comp, f, report := runScenario(t, tc.a...)
+			if tc.b == nil {
+				if problems := check(comp, f, report); len(problems) > 0 {
+					t.Errorf("%v fails -check: %v", tc.a, problems)
+				}
+				return
+			}
+			_, _, other := runScenario(t, tc.b...)
+			a, b := normalized(t, report), normalized(t, other)
+			for i := range min(len(a), len(b)) {
+				if a[i] != b[i] {
+					t.Fatalf("%v and %v diverge at report line %d:\n%s\n%s", tc.a, tc.b, i+1, a[i], b[i])
+				}
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%v and %v: reports of %d and %d lines", tc.a, tc.b, len(a), len(b))
+			}
+		})
+	}
+}
+
+// normalized is a report's JSON through reportnorm, line by line.
+func normalized(t *testing.T, r pocketcloudlets.LoadReport) []string {
+	t.Helper()
+	raw, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := reportnorm.Run("", bytes.NewReader(raw), &out); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(out.String(), "\n")
 }

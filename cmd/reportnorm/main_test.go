@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pocketcloudlets/internal/reportnorm"
 )
 
 // TestGolden pins the normalized output for a real loadtest report
@@ -33,7 +35,7 @@ func TestGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		if err := run(tc.keep, bytes.NewReader(in), &out); err != nil {
+		if err := reportnorm.Run(tc.keep, bytes.NewReader(in), &out); err != nil {
 			t.Fatalf("-keep %q: %v", tc.keep, err)
 		}
 		if !bytes.Equal(out.Bytes(), want) {
@@ -43,56 +45,42 @@ func TestGolden(t *testing.T) {
 }
 
 func TestGoldenStripsTheRightKeys(t *testing.T) {
-	// Belt and braces next to the byte-exact check: the default golden
-	// must not mention any stripped key, and each -keep golden must
-	// restore exactly its own block.
-	def, err := os.ReadFile(filepath.Join("testdata", "report.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range volatileKeys {
-		if strings.Contains(string(def), `"`+k+`"`) {
-			t.Errorf("default golden still contains volatile key %q", k)
-		}
-	}
-	for k := range defaultStrip {
-		if strings.Contains(string(def), `"`+k+`"`) {
-			t.Errorf("default golden still contains default-stripped key %q", k)
-		}
-	}
+	// Belt and braces next to the byte-exact check: a golden must not
+	// mention any key its -keep strips — the volatile keys always, which
+	// -keep must not restore — and a -keep golden must restore its block.
 	for keep, golden := range map[string]string{
+		"":        "report.golden",
 		"backend": "report_keep_backend.golden",
 	} {
-		kept, err := os.ReadFile(filepath.Join("testdata", golden))
+		out, err := os.ReadFile(filepath.Join("testdata", golden))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(kept), `"`+keep+`"`) {
+		strip, err := reportnorm.StripSet(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range strip {
+			if strings.Contains(string(out), `"`+k+`"`) {
+				t.Errorf("-keep %q golden still contains stripped key %q", keep, k)
+			}
+		}
+		if keep != "" && !strings.Contains(string(out), `"`+keep+`"`) {
 			t.Errorf("-keep %s golden lost its %q block", keep, keep)
-		}
-		for k := range defaultStrip {
-			if k != keep && strings.Contains(string(kept), `"`+k+`"`) {
-				t.Errorf("-keep %s golden contains default-stripped key %q", keep, k)
-			}
-		}
-		for k := range volatileKeys {
-			if strings.Contains(string(kept), `"`+k+`"`) {
-				t.Errorf("-keep %s golden contains volatile key %q — -keep must not restore those", keep, k)
-			}
 		}
 	}
 }
 
 func TestKeepRejectsUnknownKeys(t *testing.T) {
-	if _, err := stripSet("elapsed_ns"); err == nil {
+	if _, err := reportnorm.StripSet("elapsed_ns"); err == nil {
 		t.Error("-keep elapsed_ns should be rejected: volatile keys are not restorable")
 	}
 	for _, k := range []string{"nonsense", "energy", "autoscale"} {
-		if _, err := stripSet(k); err == nil {
+		if _, err := reportnorm.StripSet(k); err == nil {
 			t.Errorf("-keep %s should be rejected: only \"backend\" is stripped by default", k)
 		}
 	}
-	if _, err := stripSet(" backend , "); err != nil {
+	if _, err := reportnorm.StripSet(" backend , "); err != nil {
 		t.Errorf("-keep with spaces should parse: %v", err)
 	}
 }

@@ -38,7 +38,7 @@
 // priced quantity is exactly zero and every dispatch is admitted, so
 // plans, outcomes and reports are byte-identical to the pre-backend
 // fleet. That identity is the refactor's safety rail (DESIGN.md,
-// "Queued backends") and a scripts/check.sh smoke.
+// "Queued backends") and a row of cmd/loadtest's TestSmokes.
 package backend
 
 import (

@@ -11,31 +11,53 @@ import (
 
 var benchClones, benchAttempts int
 
-// BenchmarkPlanClean plans misses that have nothing to go wrong and
-// nothing to hedge across — a cohort with no injector (whose resolved
-// policy is the zero one), and an inert injector under clone factor 1,
-// both on three replicas and unpriced — through PlanHedged, the way the
-// fleet plans every miss. Their one-launch plan holds its only launch
-// inline and an unfailed, unpriced ladder has no slices to fill, so the
-// fault-free miss allocates nothing here (gated at 0 allocs/op by
-// scripts/check.sh).
+// cleanPlans are misses that have nothing to go wrong and nothing to
+// hedge across — a cohort with no injector (whose resolved policy is the
+// zero one), and an inert injector under clone factor 1, both on three
+// replicas and unpriced — planned through PlanHedged, the way the fleet
+// plans every miss.
+var cleanPlans = []struct {
+	name  string
+	injs  []*faults.Injector
+	hedge faults.HedgePolicy
+}{
+	{"nil-injector", faults.Replicas(nil, 3), faults.HedgePolicy{}},
+	{"inert", faults.Replicas(faults.New(faults.Options{Enabled: true}), 3), faults.HedgePolicy{CloneFactor: 1}},
+}
+
+var (
+	cleanRetry = faults.RetryPolicy{}.WithDefaults()
+	cleanLink  = radio.ThreeG()
+)
+
+// planClean plans the i-th miss of cleanPlans[c].
+func planClean(c, i int) {
+	hp := faults.PlanHedged(cleanPlans[c].injs, cleanRetry, cleanPlans[c].hedge, cleanLink, nil,
+		time.Duration(i)*time.Second, 0, uint64(i%600), uint64(i)*0x9E3779B97F4A7C15, uint64(i))
+	benchAttempts += hp.Primary.Plan.Attempts
+}
+
+// TestPlanCleanAllocatesNothing holds a clean miss's plan at 0
+// allocations: its one-launch plan holds its only launch inline, and an
+// unfailed, unpriced ladder has no slices to fill (DESIGN.md, "The miss
+// path").
+func TestPlanCleanAllocatesNothing(t *testing.T) {
+	const ceiling = 0
+	for c, bc := range cleanPlans {
+		i := 0
+		if n := testing.AllocsPerRun(20000, func() { planClean(c, i); i++ }); n > ceiling {
+			t.Errorf("%s: a clean plan allocates %.0f objects, recorded %d", bc.name, n, ceiling)
+		}
+	}
+}
+
+// BenchmarkPlanClean times cleanPlans.
 func BenchmarkPlanClean(b *testing.B) {
-	retry := faults.RetryPolicy{}.WithDefaults()
-	link := radio.ThreeG()
-	for _, bc := range []struct {
-		name  string
-		injs  []*faults.Injector
-		hedge faults.HedgePolicy
-	}{
-		{"nil-injector", faults.Replicas(nil, 3), faults.HedgePolicy{}},
-		{"inert", faults.Replicas(faults.New(faults.Options{Enabled: true}), 3), faults.HedgePolicy{CloneFactor: 1}},
-	} {
+	for c, bc := range cleanPlans {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				hp := faults.PlanHedged(bc.injs, retry, bc.hedge, link, nil, time.Duration(i)*time.Second, 0,
-					uint64(i%600), uint64(i)*0x9E3779B97F4A7C15, uint64(i))
-				benchAttempts += hp.Primary.Plan.Attempts
+				planClean(c, i)
 			}
 		})
 	}

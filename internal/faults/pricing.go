@@ -15,8 +15,8 @@ import "time"
 // byte-for-byte: every added duration is zero and every attempt is
 // admitted, so plans — and therefore fleet outcomes, reports and bench
 // numbers — are unchanged. That equivalence is the refactor's safety
-// rail, asserted by tests here and in internal/fleet and enforced as a
-// scripts/check.sh smoke.
+// rail, asserted by tests here and in internal/fleet and by
+// cmd/loadtest's TestSmokes.
 
 // Pricer prices one dispatch of a cloud miss against a modeled backend
 // replica. Implementations MUST be pure with respect to model state:

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -345,15 +346,15 @@ func TestCloseRacesCallerRunDo(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetServeDoContended is the contention the repository
-// benchmark's hit_closed has: two goroutines send caller-run Do hits to
-// a 2-shard fleet, each replaying its own 500 warmed users one whole
-// month at a time, so the two serve on one shard's lock in stretches,
-// about half the time. ns/op is wall time per request over both.
-func BenchmarkFleetServeDoContended(b *testing.B) {
+// contendedFleet is the contention the repository benchmark's
+// hit_closed has: a 2-shard fleet and two clients, each with its own 500
+// warmed users' months, so the two serve on one shard's lock in
+// stretches, about half the time. serve sends n caller-run Do hits
+// over both clients.
+func contendedFleet(tb testing.TB) (serve func(n int)) {
 	const clients, usersPerClient = 2, 500
-	gen := smallGen(b, clients*usersPerClient)
-	f := newTestFleet(b, gen, smallContent(b, gen), func(cfg *Config) {
+	gen := smallGen(tb, clients*usersPerClient)
+	f := newTestFleet(tb, gen, smallContent(tb, gen), func(cfg *Config) {
 		cfg.Shards = 2
 		cfg.Options.DiscardResults = true
 	})
@@ -366,24 +367,50 @@ func BenchmarkFleetServeDoContended(b *testing.B) {
 			f.Do(r)
 		}
 	}
+	return func(n int) {
+		var wg sync.WaitGroup
+		for c := range tapes {
+			share := n / clients
+			if c == 0 {
+				share += n % clients
+			}
+			wg.Add(1)
+			go func(tape []Request, n int) {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					if resp := f.Do(tape[i%len(tape)]); resp.Err != nil {
+						tb.Error(resp.Err)
+						return
+					}
+				}
+			}(tapes[c], share)
+		}
+		wg.Wait()
+	}
+}
+
+// TestFleetServeDoContendedAllocs holds contendedFleet's hits to the
+// ceiling of an uncontended Do: a lock waiter that spins allocates
+// nothing. The mallocs are read around the run, not through
+// testing.AllocsPerRun, which pins GOMAXPROCS to 1 and so would take
+// away the contention.
+func TestFleetServeDoContendedAllocs(t *testing.T) {
+	const ceiling, n = 2, 2000
+	serve := contendedFleet(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve(n)
+	runtime.ReadMemStats(&after)
+	if per := (after.Mallocs - before.Mallocs) / n; per > ceiling {
+		t.Errorf("a contended Do allocates %d objects, recorded %d", per, ceiling)
+	}
+}
+
+// BenchmarkFleetServeDoContended times contendedFleet: ns/op is wall
+// time per request over both clients.
+func BenchmarkFleetServeDoContended(b *testing.B) {
+	serve := contendedFleet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var wg sync.WaitGroup
-	for c := range tapes {
-		n := b.N / clients
-		if c == 0 {
-			n += b.N % clients
-		}
-		wg.Add(1)
-		go func(tape []Request, n int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if resp := f.Do(tape[i%len(tape)]); resp.Err != nil {
-					b.Error(resp.Err)
-					return
-				}
-			}
-		}(tapes[c], n)
-	}
-	wg.Wait()
+	serve(b.N)
 }

@@ -62,9 +62,9 @@
 //     own Response, later ones travel through pooled reply channels,
 //     lookups reuse per-cache scratch buffers — and writes no cache line
 //     a request on another shard writes (DESIGN.md, "What a request
-//     writes"), which BenchmarkFleetServe100kUsers
-//     and the scripts/check.sh gate hold at 0 allocs/op. DESIGN.md's
-//     "Capacity model" chapter documents the bytes-per-user budget.
+//     writes"), which TestFleetServe100kUsersAllocatesNothing (package
+//     pocketcloudlets) holds at 0 allocations. DESIGN.md's "Capacity
+//     model" chapter documents the bytes-per-user budget.
 //   - Accounting has one home: every counter serving a request books —
 //     tiers, energy, a miss's retries and hedge telemetry, breaker
 //     openings, batch sessions, radio wake-ups — lives in the serving

@@ -281,17 +281,14 @@ func TestQueueFootprintFollowsBacklog(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetSubmitDrain measures the queue hop on its own: warmed
-// requests (every one a hit) Submitted in bursts of 512 with a Drain
-// after each — the shape of the repository benchmark's submit probe.
-// ns/op is per Submit with the drains' share folded in. Steady state
-// allocates nothing per request: a burst fits the buffers a drained
-// queue keeps, and a Drain's acknowledgment channels are 3 allocations
-// a burst.
-func BenchmarkFleetSubmitDrain(b *testing.B) {
+// submitDrainFleet is the queue hop on its own: warmed requests (every
+// one a hit) Submitted in bursts of 512 with a Drain after each — the
+// shape of the repository benchmark's submit probe. submit is the i-th
+// Submit, and the Drain that ends its burst.
+func submitDrainFleet(tb testing.TB) (f *Fleet, submit func(i int)) {
 	const burst = 512
-	gen := smallGen(b, 64)
-	f := newTestFleet(b, gen, smallContent(b, gen), func(cfg *Config) {
+	gen := smallGen(tb, 64)
+	f = newTestFleet(tb, gen, smallContent(tb, gen), func(cfg *Config) {
 		cfg.Options.DiscardResults = true // nobody reads a Submit's results
 	})
 	var tape []Request
@@ -301,19 +298,41 @@ func BenchmarkFleetSubmitDrain(b *testing.B) {
 	for _, r := range tape {
 		f.Do(r)
 	}
-	run := func(n int) {
-		for i := 0; i < n; i++ {
-			if !f.Submit(tape[i%len(tape)]) {
-				b.Fatal("shed below the bound")
-			}
-			if i%burst == burst-1 {
-				f.Drain()
-			}
+	submit = func(i int) {
+		if !f.Submit(tape[i%len(tape)]) {
+			tb.Fatal("shed below the bound")
 		}
-		f.Drain()
+		if i%burst == burst-1 {
+			f.Drain()
+		}
 	}
-	run(burst) // the queues' first buffers
+	for i := 0; i < burst; i++ { // the queues' first buffers
+		submit(i)
+	}
+	return f, submit
+}
+
+// TestFleetSubmitDrainAllocatesNothing holds submitDrainFleet's queue
+// hop at 0 allocations a request: a burst fits the buffers a drained
+// queue keeps, and a Drain's acknowledgment channels are 3 allocations
+// a burst (DESIGN.md, "The worker queues").
+func TestFleetSubmitDrainAllocatesNothing(t *testing.T) {
+	const ceiling = 0
+	_, submit := submitDrainFleet(t)
+	i := 0
+	if n := testing.AllocsPerRun(20000, func() { submit(i); i++ }); n > ceiling {
+		t.Errorf("a Submit allocates %.0f objects, recorded %d", n, ceiling)
+	}
+}
+
+// BenchmarkFleetSubmitDrain times submitDrainFleet: ns/op is per Submit
+// with the drains' share folded in.
+func BenchmarkFleetSubmitDrain(b *testing.B) {
+	f, submit := submitDrainFleet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	run(b.N)
+	for i := 0; i < b.N; i++ {
+		submit(i)
+	}
+	f.Drain()
 }

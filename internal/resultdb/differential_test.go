@@ -577,25 +577,51 @@ func benchRecords(n int) ([]uint64, [][]byte) {
 	return hashes, records
 }
 
-// BenchmarkPut fills fresh 32-file databases: the per-user shape (a
-// month of expansions, ~40 records, a record or two per file) and the
-// 256-record shape the repository benchmark's resultdb layer replays
-// (eight records per file, so the copied file body dominates).
+// putShapes are the databases a Put is held and timed on: fresh 32-file
+// databases in the per-user shape (a month of expansions, ~40 records, a
+// record or two per file) and the 256-record shape the repository
+// benchmark's resultdb layer replays (eight records per file, so the
+// copied file body dominates).
+var putShapes = []int{40, 256}
+
+// putter returns the i-th of a run of Puts into fresh n-record
+// databases, every n-th Put starting a new one.
+func putter(tb testing.TB, n int) (put func(i int)) {
+	hashes, records := benchRecords(n)
+	var db *resultdb.DB
+	return func(i int) {
+		if i%n == 0 {
+			db, _ = resultdb.New(flashsim.NewFileStore(flashsim.NewDevice(flashsim.Params{})),
+				resultdb.Config{Files: resultdb.DefaultFiles})
+		}
+		if _, err := db.Put(hashes[i%n], records[i%n]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestPutAllocatesNothing holds a Put below one allocation in either
+// shape: it inserts into its database's slab, which grows by an eighth
+// when full (DESIGN.md, "The cold-miss write path"). A per-file copy or a
+// per-write file value coming back shows here as 2 or more.
+func TestPutAllocatesNothing(t *testing.T) {
+	const ceiling = 0
+	for _, n := range putShapes {
+		put, i := putter(t, n), 0
+		if got := testing.AllocsPerRun(20000, func() { put(i); i++ }); got > ceiling {
+			t.Errorf("records%d: a Put allocates %.0f objects, recorded %d", n, got, ceiling)
+		}
+	}
+}
+
 func BenchmarkPut(b *testing.B) {
-	for _, n := range []int{40, 256} {
+	for _, n := range putShapes {
 		b.Run(fmt.Sprintf("records%d", n), func(b *testing.B) {
-			hashes, records := benchRecords(n)
-			var db *resultdb.DB
+			put := putter(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if i%n == 0 {
-					db, _ = resultdb.New(flashsim.NewFileStore(flashsim.NewDevice(flashsim.Params{})),
-						resultdb.Config{Files: resultdb.DefaultFiles})
-				}
-				if _, err := db.Put(hashes[i%n], records[i%n]); err != nil {
-					b.Fatal(err)
-				}
+				put(i)
 			}
 		})
 	}

@@ -209,6 +209,7 @@ func validateFleet(p *problems, f *FleetSpec) {
 			p.addf("%s: must be non-negative, got %d", n.name, n.v)
 		}
 	}
+	overLimit(p, "fleet.shards", f.Shards, maxShards, shardsWhy)
 	overLimit(p, "fleet.replicas", f.Replicas, maxReplicas, "every shard keeps a breaker per replica")
 	overLimit(p, "fleet.batch.max", f.Batch.Max, maxBatchMax, "every shard keeps a session-size counter per batch size")
 	overLimit(p, "fleet.vnodes", f.VNodes, maxVNodes, "the ring holds every shard's virtual nodes")
@@ -264,9 +265,15 @@ const maxBackendOffered = 1e5
 // far past any modeled fleet, they exhaust host memory or time before
 // the run serves. Timings are a 20-user closed month on a 2-vCPU Xeon
 // host, faulted at loss 0.2 where replicas or hedging are set; the
-// presets and the benchmark use at most 3 replicas, clone factor 2,
-// batches of 20 and the default 64 vnodes.
+// presets and the benchmark use at most 20 shards, 3 replicas, clone
+// factor 2, batches of 20 and the default 64 vnodes.
 const (
+	// maxShards bounds fleet.shards, fleet.autoscale.max and every
+	// events[i].resize: every shard preloads a community replica, about
+	// 0.4 ms of wall time each — a 50-user closed month takes 53 ms at 8
+	// shards, 461 ms at 1,024 and 1.9 s at 4,096, and at 1e7 shards would
+	// run for about an hour before it served a request.
+	maxShards = 1024
 	// maxReplicas: every cohort keeps an injector and every shard a
 	// breaker per replica — 67 ms at 1,000 replicas, 189 ms at 100,000,
 	// and memory in proportion beyond.
@@ -284,6 +291,9 @@ const (
 	// allocation.
 	maxVNodes = 4096
 )
+
+// shardsWhy is why maxShards is a ceiling.
+const shardsWhy = "every shard preloads a community replica"
 
 // overLimit refuses a sizing key above its ceiling, saying why there is
 // one.
@@ -320,6 +330,7 @@ func validateAutoscale(p *problems, a *AutoscaleSpec, s *Spec) {
 			p.addf("fleet.autoscale.%s: must be non-negative, got %d", n.name, n.v)
 		}
 	}
+	overLimit(p, "fleet.autoscale.max", a.Max, maxShards, shardsWhy)
 	if a.Min > 0 && a.Max > 0 && a.Min > a.Max {
 		p.addf("fleet.autoscale: min %d > max %d", a.Min, a.Max)
 	}
@@ -372,6 +383,7 @@ func validateEvents(p *problems, s *Spec) {
 		if e.Resize < 0 {
 			p.addf("%s.resize: must be non-negative, got %d", path, e.Resize)
 		}
+		overLimit(p, path+".resize", e.Resize, maxShards, shardsWhy)
 		if e.Outage < 0 {
 			p.addf("%s.outage: must be non-negative, got %v", path, e.Outage.D())
 		}

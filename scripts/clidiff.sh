@@ -7,7 +7,7 @@
 # fields stripped, every model-deterministic block kept) and compares
 # the pairs byte for byte. Exits non-zero at the first difference.
 #
-# The list covers every scripts/check.sh smoke plus the corners a
+# The list covers every cmd/loadtest TestSmokes row plus the corners a
 # configuration or driver refactor can bend (-hedge 1, bare -faults,
 # -backend-rate inf, ring/vnodes, -pace, peruser and diurnal+autoscale
 # open runs, the open-loop -scenario presets single- and multi-class, a
