@@ -290,6 +290,9 @@ func (rf *runFlags) compile() (*scenario.Compiled, []string) {
 	if rf.resizeTo < 0 {
 		bad("-resize-to must be non-negative, got %d", rf.resizeTo)
 	}
+	if msg := scenario.OverShardLimit("-resize-to", rf.resizeTo); msg != "" {
+		bad("%s", msg)
+	}
 	if rf.resizeAt < 0 {
 		bad("-resize-at must be non-negative, got %v", rf.resizeAt)
 	}

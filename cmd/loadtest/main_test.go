@@ -89,6 +89,7 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-vnodes", "-1"}, "-vnodes"},
 		{[]string{"-vnodes", "32"}, "-vnodes"},
 		{[]string{"-resize-to", "-2"}, "-resize-to"},
+		{[]string{"-resize-to", "10000000"}, "-resize-to: 10000000 is over the 1024 limit: every shard preloads a community replica"},
 		{[]string{"-resize-at", "-1s"}, "-resize-at"},
 		{[]string{"-resize-drop"}, "-resize-drop requires -resize-to"},
 		{[]string{"-arrivals", "weekly"}, "-arrivals"},

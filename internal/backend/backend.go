@@ -198,7 +198,10 @@ func (r *rng) next() uint64 {
 func (r *rng) float() float64 { return float64(r.next()>>11) / float64(1<<53) }
 
 // exp returns a unit-mean exponential draw (strictly positive).
-func (r *rng) exp() float64 { return -math.Log1p(-r.float()) }
+func (r *rng) exp() float64 { return expDraw(r.float()) }
+
+// skip advances the stream past n draws.
+func (r *rng) skip(n uint64) { r.s += n * 0x9E3779B97F4A7C15 }
 
 // Model is the replicated backend. Safe for concurrent use: pricing is
 // pure per the package contract, accounting is atomic.
@@ -262,7 +265,7 @@ func (m *Model) drawService(replica int, uid, qh, seq uint64, attempt int) float
 	x = hash64.Mix(x ^ seq*0xD1B54A32D192ED03)
 	x = hash64.Mix(x ^ uint64(attempt))
 	u := float64(x>>11) / float64(1<<53)
-	return -math.Log1p(-u) * m.mean
+	return expDraw(u) * m.mean
 }
 
 // Price implements faults.Pricer: the queueing experience a dispatch

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"math"
-	"sort"
 
 	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/spinlock"
@@ -49,6 +48,15 @@ const (
 	cacheWords = 7168
 	// packedHdr is the number of header words of a packed state.
 	packedHdr = 8
+	// aheadMax is the most background arrivals a replay draws ahead of
+	// its state in one refill.
+	aheadMax = 16
+	// shortQueue is the most PS jobs an insert walks from the end, one
+	// mark at a time — cheaper than a search and a memmove call for the
+	// benchmarked queues, 16 and 64 deep. A longer queue (an unbounded
+	// one under overload holds thousands) is binary-searched and moved in
+	// one block, which the walk loses to some fivefold there.
+	shortQueue = 64
 )
 
 // completionEps is the remaining-work epsilon (seconds) below which a
@@ -88,15 +96,32 @@ type state struct {
 // buffer twice the size otherwise.
 func (st *state) insertJob(demand float64) {
 	mark := demand + st.off
-	i := sort.SearchFloat64s(st.jobs, mark)
-	if n := len(st.jobs); n == cap(st.jobs) {
+	n := len(st.jobs)
+	if n == cap(st.jobs) {
 		if cap(st.buf) <= 2*n {
 			st.buf = make([]float64, 0, 2*n+8)
 		}
 		st.setJobs(st.jobs)
 	}
-	st.jobs = st.jobs[:len(st.jobs)+1]
-	copy(st.jobs[i+1:], st.jobs[i:])
+	st.jobs = st.jobs[:n+1]
+	// i is the first mark ≥ mark: walked to from the end, each larger
+	// mark moving up one as it is passed, or binary-searched (shortQueue).
+	i := n
+	if n <= shortQueue {
+		for ; i > 0 && st.jobs[i-1] >= mark; i-- {
+			st.jobs[i] = st.jobs[i-1]
+		}
+	} else {
+		i = 0
+		for j := n; i < j; {
+			if h := int(uint(i+j) >> 1); st.jobs[h] < mark {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		copy(st.jobs[i+1:], st.jobs[i:n])
+	}
 	st.jobs[i] = mark
 }
 
@@ -268,7 +293,17 @@ type replay struct {
 	// back; land the state it landed on, empty when it landed on a
 	// checkpoint or replayed no arrival.
 	ckpts, land []uint64
+	// ahead[next:n] are the background arrivals after st's next one,
+	// drawn ahead from st.r: st.r itself still moves two draws per
+	// arrival consumed, so every state st passes through is the one a
+	// replay drawing one arrival at a time would have.
+	ahead   [aheadMax]arrival
+	next, n int
 }
+
+// arrival is one background arrival drawn ahead: its gap after the
+// previous arrival, in seconds, and its service demand.
+type arrival struct{ gap, demand float64 }
 
 func newReplica(m *Model, idx int) *replica {
 	rp := &replica{m: m, fine: newFineCache()}
@@ -276,7 +311,7 @@ func newReplica(m *Model, idx int) *replica {
 	genesis.nextAt = math.Inf(1)
 	if m.lambda > 0 {
 		genesis.nextAt = genesis.r.exp() / m.lambda
-		genesis.nextDemand = m.drawBackgroundDemand(&genesis.r)
+		genesis.nextDemand = m.backgroundDemand(genesis.r.exp())
 	}
 	rp.spineAt = append(rp.spineAt, 0)
 	rp.spine = genesis.pack(rp.spine)
@@ -286,19 +321,14 @@ func newReplica(m *Model, idx int) *replica {
 // spineState returns the packed form of spine checkpoint i.
 func (rp *replica) spineState(i int) []uint64 { return rp.spine[rp.spineAt[i]:] }
 
-// drawBackgroundDemand draws one background job's service demand from
-// the stream.
-func (m *Model) drawBackgroundDemand(r *rng) float64 {
-	switch {
-	case m.mean == 0:
-		r.next() // keep the stream layout stable across distributions
-		return 0
-	case m.opts.Dist == DistFixed:
-		r.next()
+// backgroundDemand is the service demand of a background job whose
+// unit exponential draw is e. Every distribution takes the draw, so the
+// stream's layout is the same across distributions.
+func (m *Model) backgroundDemand(e float64) float64 {
+	if m.mean == 0 || m.opts.Dist == DistFixed {
 		return m.mean
-	default:
-		return r.exp() * m.mean
 	}
+	return e * m.mean
 }
 
 // stateAt returns a replay whose state describes instant t. It holds
@@ -345,6 +375,7 @@ func (rp *replica) resume(t float64) *replay {
 		rc = new(replay)
 	}
 	rc.st.unpack(from)
+	rc.next, rc.n = 0, 0
 	rc.spineEvents = rp.spineEvents
 	rc.ckpts, rc.land = rc.ckpts[:0], rc.land[:0]
 	return rc
@@ -451,8 +482,10 @@ func (rp *replica) advancePS(rc *replay, t float64) {
 	st.dropDone()
 }
 
-// consumeArrival books one background arrival as processed, draws the
-// next one, and packs the resulting state into rc where one is due to
+// consumeArrival books one background arrival as processed, takes the
+// next one from the arrivals drawn ahead (refilling them when they run
+// out), moves st.r past its two draws, and packs the resulting state
+// into rc where one is due to
 // be saved: as a spine checkpoint once the replay is spineEvery arrivals
 // past the last one, else as the landing state if this was the last
 // arrival at or before the replay's target t. A replay thus caches where
@@ -462,8 +495,14 @@ func (rp *replica) advancePS(rc *replay, t float64) {
 func (rp *replica) consumeArrival(rc *replay, t float64) {
 	st := &rc.st
 	st.events++
-	st.nextAt += st.r.exp() / rp.m.lambda
-	st.nextDemand = rp.m.drawBackgroundDemand(&st.r)
+	if rc.next == rc.n {
+		rc.refill(rp.m, t)
+	}
+	a := rc.ahead[rc.next]
+	rc.next++
+	st.nextAt += a.gap
+	st.nextDemand = a.demand
+	st.r.skip(2)
 	switch {
 	case st.events-rc.spineEvents >= spineEvery:
 		rc.ckpts = st.pack(rc.ckpts)
@@ -471,6 +510,31 @@ func (rp *replica) consumeArrival(rc *replay, t float64) {
 	case st.nextAt > t:
 		rc.land = st.pack(rc.land[:0])
 	}
+}
+
+// refill draws the arrivals after st's next one into rc.ahead, from
+// st.r on: as many as reaching t should take — the expected count
+// (t − nextAt)·λ plus the one past t — rounded up to whole expDraw4
+// calls and at most aheadMax. Each arrival takes two draws, the gap and
+// then the demand.
+func (rc *replay) refill(m *Model, t float64) {
+	st := &rc.st
+	n := aheadMax
+	if want := (t-st.nextAt)*m.lambda + 1; want < aheadMax {
+		n = (int(want) + 2) &^ 1
+	}
+	var u [2 * aheadMax]float64
+	r := st.r
+	for i := range u[:2*n] {
+		u[i] = r.float()
+	}
+	for i := 0; i < 2*n; i += 4 {
+		expDraw4((*[4]float64)(u[i : i+4]))
+	}
+	for i := range rc.ahead[:n] {
+		rc.ahead[i] = arrival{gap: u[2*i] / m.lambda, demand: m.backgroundDemand(u[2*i+1])}
+	}
+	rc.next, rc.n = 0, n
 }
 
 // taggedMaxArrivals caps the tagged replay's forward walk. In an
@@ -526,7 +590,7 @@ func (rp *replica) tagged(rc *replay, t, svc float64) float64 {
 			}
 			cl.events++
 			cl.nextAt += cl.r.exp() / rp.m.lambda
-			cl.nextDemand = rp.m.drawBackgroundDemand(&cl.r)
+			cl.nextDemand = rp.m.backgroundDemand(cl.r.exp())
 			if arrivals++; arrivals >= taggedMaxArrivals {
 				return cl.t // saturated: sojourn is diverging (see taggedMaxArrivals)
 			}

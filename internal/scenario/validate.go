@@ -303,6 +303,18 @@ func overLimit(p *problems, name string, v, limit int, why string) {
 	}
 }
 
+// OverShardLimit is overLimit for a shard count that reaches a fleet
+// without passing through a spec (cmd/loadtest's -resize-to): the
+// problem in the validator's words, or "" within the ceiling.
+func OverShardLimit(name string, n int) string {
+	var p problems
+	overLimit(&p, name, n, maxShards, shardsWhy)
+	if len(p.list) == 0 {
+		return ""
+	}
+	return p.list[0]
+}
+
 // validateAutoscale vets the raw (pre-WithDefaults) autoscale block;
 // the controller's own WithDefaults/Validate run again at lowering
 // with the real initial shard count, so here only explicitly-set
