@@ -55,8 +55,8 @@
 // windows). Failed misses retry up to -retries attempts with capped
 // exponential backoff, then degrade: a stale answer from the personal
 // or community cache, or an explicit "results unavailable" page. The
-// report's answered_rate, degraded, unavailable, retries, exhausted
-// and breaker_opens fields quantify availability under the scenario.
+// report's answered_rate, degraded, unavailable, retries and exhausted
+// fields quantify availability under the scenario.
 // Fault counters are seed-deterministic except when -batch is combined
 // with -outage: outage exposure follows each user's model clock, which
 // batch composition (wall-clock timing) legitimately shifts.
@@ -589,9 +589,9 @@ func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.
 	if tiers+r.Errors != r.Served {
 		problems = append(problems, fmt.Sprintf("tier counts %d + errors %d != served %d", tiers, r.Errors, r.Served))
 	}
-	if !faultsOn && r.Degraded+r.Unavailable+uint64(r.Retries)+uint64(r.Exhausted)+uint64(r.BreakerOpens) != 0 {
-		problems = append(problems, fmt.Sprintf("fault counters nonzero with faults off: degraded %d unavailable %d retries %d exhausted %d breaker %d",
-			r.Degraded, r.Unavailable, r.Retries, r.Exhausted, r.BreakerOpens))
+	if !faultsOn && r.Degraded+r.Unavailable+uint64(r.Retries)+uint64(r.Exhausted) != 0 {
+		problems = append(problems, fmt.Sprintf("fault counters nonzero with faults off: degraded %d unavailable %d retries %d exhausted %d",
+			r.Degraded, r.Unavailable, r.Retries, r.Exhausted))
 	}
 	if !hedgeOn && r.ClonesLaunched+r.PrimaryWins+r.CloneWins+r.WastedAttempts != 0 {
 		problems = append(problems, fmt.Sprintf("hedge counters nonzero with hedging off: clones %d primary wins %d clone wins %d wasted %d",

@@ -83,7 +83,7 @@ func BenchmarkPlanHedgedPriced(b *testing.B) {
 		ServiceRate: 30, QueueDepth: 16, Discipline: backend.PS,
 		Offered: 20, CancelOnWin: true,
 	})
-	retry := faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}.WithDefaults()
+	retry := faults.RetryPolicy{MaxAttempts: 3}.WithDefaults()
 	hedge := faults.HedgePolicy{CloneFactor: 2}
 	link := radio.ThreeG()
 	plan := func(i int) {

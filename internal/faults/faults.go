@@ -201,21 +201,16 @@ func (in *Injector) EngineError(uid, qh, seq uint64, attempt int) bool {
 
 // Default retry-policy constants.
 const (
-	DefaultMaxAttempts    = 4
-	DefaultBaseBackoff    = 500 * time.Millisecond
-	DefaultMaxBackoff     = 8 * time.Second
-	DefaultRetryDeadline  = 30 * time.Second
-	DefaultWallPauseScale = 0.001
-	DefaultMaxWallPause   = 25 * time.Millisecond
+	DefaultMaxAttempts   = 4
+	DefaultBaseBackoff   = 500 * time.Millisecond
+	DefaultMaxBackoff    = 8 * time.Second
+	DefaultRetryDeadline = 30 * time.Second
 )
 
 // RetryPolicy governs how the fleet retries a failed cloud exchange:
 // capped exponential backoff in model time, bounded by a per-miss
-// attempt cap and a model-time deadline. The wall-pause fields couple
-// the *modeled* backoff to *real* serving time, so a load test under
-// faults actually feels retries as reduced throughput; the per-shard
-// circuit breaker (internal/fleet) exists to shed that real cost when
-// a link is persistently dead.
+// attempt cap and a model-time deadline. A retry costs the user modeled
+// latency and radio joules, never host time.
 type RetryPolicy struct {
 	// MaxAttempts caps radio attempts per cloud miss (first try
 	// included). Zero selects DefaultMaxAttempts; 1 disables retrying.
@@ -229,13 +224,10 @@ type RetryPolicy struct {
 	// backing off before it stops retrying. Zero selects
 	// DefaultRetryDeadline; negative means no deadline.
 	Deadline time.Duration
-	// WallPauseScale converts a miss's modeled failure wait into a real
-	// pause of the serving worker (scale × modeled wait, capped at
-	// MaxWallPause). Zero selects DefaultWallPauseScale; negative
-	// disables real pauses entirely (deterministic tests use this).
+	// WallPauseScale is inert: nothing reads it, and a miss never
+	// pauses its server. The field stays only because the benchmark
+	// module (bench/) still sets it.
 	WallPauseScale float64
-	// MaxWallPause caps one real pause. Zero selects DefaultMaxWallPause.
-	MaxWallPause time.Duration
 }
 
 // WithDefaults resolves zero fields to the default policy.
@@ -251,12 +243,6 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 	}
 	if p.Deadline == 0 {
 		p.Deadline = DefaultRetryDeadline
-	}
-	if p.WallPauseScale == 0 {
-		p.WallPauseScale = DefaultWallPauseScale
-	}
-	if p.MaxWallPause <= 0 {
-		p.MaxWallPause = DefaultMaxWallPause
 	}
 	return p
 }
@@ -276,19 +262,6 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 		return p.MaxBackoff
 	}
 	return b
-}
-
-// WallPause converts a modeled failure wait into the real pause the
-// serving worker takes.
-func (p RetryPolicy) WallPause(modelWait time.Duration) time.Duration {
-	if p.WallPauseScale <= 0 || modelWait <= 0 {
-		return 0
-	}
-	d := time.Duration(float64(modelWait) * p.WallPauseScale)
-	if d > p.MaxWallPause {
-		d = p.MaxWallPause
-	}
-	return d
 }
 
 // Plan is the analytically simulated outcome of one cloud miss's

@@ -143,16 +143,12 @@ func TestRollsArePure(t *testing.T) {
 func TestRetryPolicyDefaults(t *testing.T) {
 	p := RetryPolicy{}.WithDefaults()
 	if p.MaxAttempts != DefaultMaxAttempts || p.BaseBackoff != DefaultBaseBackoff ||
-		p.MaxBackoff != DefaultMaxBackoff || p.Deadline != DefaultRetryDeadline ||
-		p.WallPauseScale != DefaultWallPauseScale || p.MaxWallPause != DefaultMaxWallPause {
+		p.MaxBackoff != DefaultMaxBackoff || p.Deadline != DefaultRetryDeadline {
 		t.Errorf("defaults not applied: %+v", p)
 	}
-	p = RetryPolicy{Deadline: -1, WallPauseScale: -1}.WithDefaults()
+	p = RetryPolicy{Deadline: -1}.WithDefaults()
 	if p.Deadline != -1 {
 		t.Error("negative deadline (no deadline) must survive WithDefaults")
-	}
-	if p.WallPauseScale != -1 {
-		t.Error("negative wall-pause scale (disabled) must survive WithDefaults")
 	}
 }
 
@@ -163,19 +159,6 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 		if got := p.Backoff(i + 1); got != w {
 			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
 		}
-	}
-}
-
-func TestWallPause(t *testing.T) {
-	p := RetryPolicy{WallPauseScale: 0.001, MaxWallPause: 25 * time.Millisecond}.WithDefaults()
-	if got := p.WallPause(10 * time.Second); got != 10*time.Millisecond {
-		t.Errorf("WallPause(10s) = %v, want 10ms", got)
-	}
-	if got := p.WallPause(time.Hour); got != 25*time.Millisecond {
-		t.Errorf("WallPause(1h) = %v, want the 25ms cap", got)
-	}
-	if got := (RetryPolicy{WallPauseScale: -1}).WallPause(time.Hour); got != 0 {
-		t.Errorf("disabled scale should pause 0, got %v", got)
 	}
 }
 

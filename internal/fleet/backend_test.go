@@ -41,14 +41,14 @@ func TestBackendRequiresFaults(t *testing.T) {
 // pricing at the time (run under -race -count 3 by scripts/check.sh).
 // Four closed-loop clients over a congested, hedged, bounded backend must
 // serve every user exactly what one client serving them all does — the
-// per-user responses, the model makespan and every model counter,
-// per-replica backend accounting included; only the breakers' openings
-// are left out, since they pace wall time by the order misses settle in.
-// Each route a priced miss takes is a row:
-//   - caller-run: planned, settled and applied by the blocking caller;
-//   - paused: a tiny positive wall-pause scale makes every miss with a
-//     planned failure owe a real pause, so it is settled, paced and then
-//     applied in a third hold (the breakers are off, so none is excused);
+// per-user responses, the model makespan and every Stats field,
+// per-replica backend accounting included. Each route a priced miss
+// takes is a row:
+//   - caller-run: planned and then applied by the blocking caller, on a
+//     FIFO backend;
+//   - slow-priced: the same route on a PS backend, every Price of the
+//     four-client run held open by a slowPricer, so misses of the other
+//     clients' users plan and apply while each one is pending;
 //   - batched: a dispatcher coalesces every miss. Batch composition
 //     follows the clients and shifts model clocks, so this row's backend
 //     has no background load (a price that no clock moves), and the two
@@ -71,20 +71,19 @@ func TestBackendDeterministicConcurrent(t *testing.T) {
 	for _, route := range []struct {
 		name    string
 		batch   bool
-		retry   faults.RetryPolicy
+		sleep   time.Duration
 		backend backend.Options
 	}{
-		{"caller-run", false, faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}, congested(backend.FIFO)},
-		{"paused", false, faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: 1e-6}, congested(backend.PS)},
-		{"batched", true, faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1},
+		{"caller-run", false, 0, congested(backend.FIFO)},
+		{"slow-priced", false, 10 * time.Microsecond, congested(backend.PS)},
+		{"batched", true, 0,
 			backend.Options{Enabled: true, Seed: 11, ServiceRate: 4, Discipline: backend.PS, CancelOnWin: true}},
 	} {
 		run := func(clients int) missPathRun {
 			f := newTestFleet(t, g, content, func(cfg *Config) {
 				cfg.QueueDepth = 4096
 				cfg.Faults = backendBiteFaults(5)
-				cfg.Retry = route.retry
-				cfg.Breaker = BreakerOptions{Threshold: -1}
+				cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 				cfg.Replicas = 3
 				cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
 				cfg.Backend = route.backend
@@ -92,11 +91,13 @@ func TestBackendDeterministicConcurrent(t *testing.T) {
 					cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
 				}
 			})
+			if route.sleep > 0 && clients > 1 {
+				slowPricing(f, route.sleep)
+			}
 			return missPathRun{resps: runClients(t, f, g, users, clients), stats: f.Stats(), makespan: f.ModelMakespan()}
 		}
 		one, four := run(1), run(4)
-		breakers := func(s *Stats) { s.BreakerOpens, s.ReplicaBreakerOpens = 0, nil }
-		if diff := sameModel(one, four, !route.batch, false, breakers); diff != "" {
+		if diff := sameModel(one, four, !route.batch, false, func(*Stats) {}); diff != "" {
 			t.Errorf("%s: four clients ≢ one: %s", route.name, diff)
 		}
 		s := four.stats
@@ -134,8 +135,7 @@ func TestBackendCongestionIsVisible(t *testing.T) {
 		f := newTestFleet(t, g, content, func(cfg *Config) {
 			cfg.QueueDepth = 4096
 			cfg.Faults = backendBiteFaults(5)
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
+			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 			cfg.Backend = bo
 		})
 		runFaultTraces(t, f, g, users)
@@ -195,8 +195,7 @@ func TestBackendCloneLoadFollowsResolvedPolicy(t *testing.T) {
 			f := newTestFleet(t, g, content, func(cfg *Config) {
 				cfg.QueueDepth = 4096
 				cfg.Faults = backendBiteFaults(5)
-				cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-				cfg.Breaker = BreakerOptions{Threshold: -1}
+				cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 				cfg.Replicas = tc.replicas
 				cfg.Backend = backend.Options{
 					Enabled: true, Seed: 11, ServiceRate: 2, Offered: 1.5,
@@ -237,7 +236,7 @@ func BenchmarkFleetDoPricedMiss(b *testing.B) {
 		cfg.Options.DiscardResults = true
 		cfg.Options.DisablePersonalization = true
 		cfg.Faults = faults.Options{Enabled: true, Seed: 1, LossProb: 0.1, OutageEvery: 30 * time.Second, OutageFor: 6 * time.Second}
-		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 		cfg.Replicas = 3
 		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2}
 		cfg.Backend = backend.Options{

@@ -59,19 +59,18 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	return o
 }
 
-// missTask is one classified cloud miss awaiting application: parked
-// for coalescing, or owing a wall pause first. While it waits it is the
-// user's shard.pendingMiss entry.
+// missTask is one classified cloud miss awaiting application: being
+// planned against the backend, or parked for coalescing. While it waits
+// it is the user's shard.pendingMiss entry.
 type missTask struct {
 	t task
-	// mc is the miss's fault plan: planned in the hold that classified
-	// the miss, or by its classifier right after that hold when a backend
-	// prices it — before the miss is paced or parked either way.
+	// mc is the miss's fault plan, planned by its classifier right after
+	// the hold that classified it, before the miss is applied or parked.
 	mc missCtx
 	// done is closed once the miss has been applied and its response
-	// delivered (or the miss abandoned); whoever serves the same user's
-	// next request waits on it first, preserving per-user submission
-	// order and the clock the plan was computed against.
+	// delivered; whoever serves the same user's next request waits on it
+	// first, preserving per-user submission order and the clock the plan
+	// was computed against.
 	done chan struct{}
 }
 
@@ -288,18 +287,9 @@ func (d *dispatcher) run() {
 // composition.
 func (d *dispatcher) execute(batch []*missTask) {
 	f := d.f
-	// One wall pause for the worst member's planned failure wait
-	// (members failed concurrently; their pauses overlap, not stack).
-	var pause time.Duration
 	queries := make([]string, len(batch))
 	for i, mt := range batch {
 		queries[i] = mt.t.req.Query
-		if mt.mc.pause > pause {
-			pause = mt.mc.pause
-		}
-	}
-	if pause > 0 {
-		time.Sleep(pause)
 	}
 	resps, found := f.cfg.Engine.SearchBatch(queries)
 	slot := make([]int, len(batch))

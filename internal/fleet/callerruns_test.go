@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"pocketcloudlets/internal/backend"
+	"pocketcloudlets/internal/cachegen"
 	"pocketcloudlets/internal/faults"
 	"pocketcloudlets/internal/searchlog"
+	"pocketcloudlets/internal/workload"
 )
 
 // These tests pin what "exactly one worker touches a shard" used to
@@ -17,32 +20,67 @@ import (
 // of it serves its own request (DESIGN.md, "Who runs a request"). All
 // run under -race in scripts/check.sh.
 
-// pacedLossy configures one shard whose cloud misses often plan
-// failures and then really sleep for them, so a planned miss stays
-// unapplied long enough for other goroutines to arrive.
-func pacedLossy(pause time.Duration) func(*Config) {
-	return func(cfg *Config) {
-		cfg.Shards = 1
-		cfg.Workers = 1
-		cfg.QueueDepth = 4096
-		cfg.Faults = faults.Options{
-			Enabled:     true,
-			Seed:        9,
-			LossProb:    0.5,
-			OutageEvery: 20 * time.Second,
-			OutageFor:   4 * time.Second,
-		}
-		cfg.Retry = faults.RetryPolicy{MaxAttempts: 4, WallPauseScale: 1, MaxWallPause: pause}
-		cfg.Breaker = BreakerOptions{Threshold: -1}
+// slowPricer prices exactly as the fleet's backend model does, after a
+// real sleep. Price is pure, so every outcome is unchanged, while a
+// priced miss stays pending (shard.pendingMiss) long enough for other
+// goroutines to arrive: the tests' lever for holding a miss open, since
+// a miss owes its server no wall time.
+type slowPricer struct {
+	faults.Pricer
+	sleep  time.Duration
+	priced atomic.Int64
+}
+
+func (p *slowPricer) Price(replica int, at time.Duration, uid, qh, seq uint64, attempt int) faults.Admission {
+	p.priced.Add(1)
+	time.Sleep(p.sleep)
+	return p.Pricer.Price(replica, at, uid, qh, seq, attempt)
+}
+
+// slowPricing puts a slowPricer in front of f's backend model. Call it
+// before f serves anything.
+func slowPricing(f *Fleet, sleep time.Duration) *slowPricer {
+	p := &slowPricer{Pricer: f.cohorts.pricer, sleep: sleep}
+	f.cohorts.pricer = p
+	return p
+}
+
+// slowLossy configures one shard whose cloud misses often plan failures
+// and are priced against a backend, for slowPricing to hold open.
+func slowLossy(cfg *Config) {
+	cfg.Shards = 1
+	cfg.Workers = 1
+	cfg.QueueDepth = 4096
+	cfg.Faults = faults.Options{
+		Enabled:     true,
+		Seed:        9,
+		LossProb:    0.5,
+		OutageEvery: 20 * time.Second,
+		OutageFor:   4 * time.Second,
 	}
+	cfg.Retry = faults.RetryPolicy{MaxAttempts: 4}
+	cfg.Backend = backend.Options{Enabled: true, Seed: 9, ServiceRate: 20, Discipline: backend.PS}
+}
+
+// newSlowFleet is a slowLossy fleet, further configured by mutate (which
+// may be nil), whose priced misses each sleep for sleep.
+func newSlowFleet(t testing.TB, g *workload.Generator, content cachegen.Content, sleep time.Duration, mutate func(*Config)) (*Fleet, *slowPricer) {
+	t.Helper()
+	f := newTestFleet(t, g, content, func(cfg *Config) {
+		slowLossy(cfg)
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
+	return f, slowPricing(f, sleep)
 }
 
 // TestSubmitThenDoKeepsOrder: one goroutine interleaving Submit and Do
-// for the same user, with paced misses keeping the worker's queue
-// non-empty, must have its requests applied in the order it issued them
-// — a Do that finds work pending queues behind it, one that finds none
-// runs at once — so the user's response sequence equals both the
-// all-Do and the all-Submit-then-Drain sequences.
+// for the same user, with slowly priced misses keeping the worker's
+// queue non-empty, must have its requests applied in the order it
+// issued them — a Do that finds work pending queues behind it, one that
+// finds none runs at once — so the user's response sequence equals both
+// the all-Do and the all-Submit-then-Drain sequences.
 func TestSubmitThenDoKeepsOrder(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
@@ -54,16 +92,16 @@ func TestSubmitThenDoKeepsOrder(t *testing.T) {
 
 	run := func(issue func(f *Fleet, i int, req Request)) []Response {
 		rec := &recorder{}
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			pacedLossy(2 * time.Millisecond)(cfg)
-			cfg.Observer = rec
-		})
+		f, slow := newSlowFleet(t, g, content, 2*time.Millisecond, func(cfg *Config) { cfg.Observer = rec })
 		for i, req := range tape {
 			issue(f, i, req)
 		}
 		f.Drain()
 		if s := f.Stats(); s.Served != int64(len(tape)) || s.Shed != 0 {
 			t.Fatalf("served %d shed %d of %d", s.Served, s.Shed, len(tape))
+		}
+		if slow.priced.Load() == 0 {
+			t.Fatal("no miss was priced; nothing kept the queue non-empty")
 		}
 		return rec.resps[uid]
 	}
@@ -93,15 +131,10 @@ func TestSubmitThenDoKeepsOrder(t *testing.T) {
 	if behindQueue == 0 || atOnce == 0 {
 		t.Errorf("%d Do calls found work queued ahead of them, %d found none; the test must exercise both sides", behindQueue, atOnce)
 	}
-	var paced bool
 	for i, resp := range mixed {
 		if resp.Req != tape[i] {
 			t.Fatalf("request %d applied out of submission order: got %+v, want %+v", i, resp.Req, tape[i])
 		}
-		paced = paced || resp.Attempts > 1
-	}
-	if !paced {
-		t.Error("no miss ever retried; nothing kept the queue non-empty")
 	}
 	if !reflect.DeepEqual(mixed, allDo) {
 		t.Error("interleaved Submit/Do sequence diverges from the all-Do sequence")
@@ -131,14 +164,14 @@ func interleavings(a, b []Request) [][]Request {
 }
 
 // TestSameUserConcurrentDoIsSerializable: two goroutines Do-ing the
-// same user's cloud misses on a lossy, really-pausing fleet. A miss's
-// plan is computed against the user's model clock and applied after the
-// pause; if the other goroutine moved the clock in between, the
-// response would mix a plan priced at one instant with a device replay
-// at another — an outcome no serial execution produces. So every round's
-// six responses must together equal what some serial order of the two
-// tapes yields. (Without the pendingMiss marker on paced misses this
-// fails within a round or two.)
+// same user's cloud misses on a lossy fleet whose pricing is slow. A
+// miss's plan is computed against the user's model clock and applied
+// after the pricing; if the other goroutine moved the clock in between,
+// the response would mix a plan priced at one instant with a device
+// replay at another — an outcome no serial execution produces. So every
+// round's six responses must together equal what some serial order of
+// the two tapes yields. (Without route's wait on the pendingMiss marker
+// this fails within a round or two.)
 func TestSameUserConcurrentDoIsSerializable(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
@@ -160,11 +193,8 @@ func TestSameUserConcurrentDoIsSerializable(t *testing.T) {
 	keyOf := func(r Request) key { return key{r.Query, r.Click} }
 	var serial []map[key]Response
 	for _, order := range interleavings(tapes[0], tapes[1]) {
-		// The pause is wall-clock only, so the oracle skips it.
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			pacedLossy(0)(cfg)
-			cfg.Retry.WallPauseScale = -1
-		})
+		// The sleep moves no outcome, so the oracle skips it.
+		f := newTestFleet(t, g, content, slowLossy)
 		out := make(map[key]Response, len(order))
 		for _, req := range order {
 			resp := f.Do(req)
@@ -175,9 +205,9 @@ func TestSameUserConcurrentDoIsSerializable(t *testing.T) {
 		f.Close()
 	}
 
-	var retried bool
+	var priced int64
 	for round := 0; round < 6; round++ {
-		f := newTestFleet(t, g, content, pacedLossy(3*time.Millisecond))
+		f, slow := newSlowFleet(t, g, content, 3*time.Millisecond, nil)
 		got := make(map[key]Response, 6)
 		var mu sync.Mutex
 		var wg sync.WaitGroup
@@ -196,6 +226,7 @@ func TestSameUserConcurrentDoIsSerializable(t *testing.T) {
 		}
 		wg.Wait()
 		f.Close()
+		priced += slow.priced.Load()
 
 		matched := false
 		for _, want := range serial {
@@ -207,12 +238,9 @@ func TestSameUserConcurrentDoIsSerializable(t *testing.T) {
 		if !matched {
 			t.Fatalf("round %d: the six responses together match no serial order of the two tapes", round)
 		}
-		for _, resp := range got {
-			retried = retried || resp.Attempts > 1
-		}
 	}
-	if !retried {
-		t.Error("no miss ever retried; nothing was paced, so the test proves nothing")
+	if priced == 0 {
+		t.Error("no miss was ever priced; nothing was held open, so the test proves nothing")
 	}
 }
 
@@ -303,13 +331,20 @@ func TestCloseRacesCallerRunDo(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
 	users := g.Users()[:8]
-	for name, mutate := range map[string]func(*Config){
-		"plain":   nil,
-		"batched": func(cfg *Config) { cfg.Batch = BatchOptions{Enabled: true, Linger: 200 * time.Microsecond} },
-		"paced":   pacedLossy(time.Millisecond),
+	for name, build := range map[string]func(t *testing.T) *Fleet{
+		"plain": func(t *testing.T) *Fleet { return newTestFleet(t, g, content, nil) },
+		"batched": func(t *testing.T) *Fleet {
+			return newTestFleet(t, g, content, func(cfg *Config) {
+				cfg.Batch = BatchOptions{Enabled: true, Linger: 200 * time.Microsecond}
+			})
+		},
+		"priced": func(t *testing.T) *Fleet {
+			f, _ := newSlowFleet(t, g, content, time.Millisecond, nil)
+			return f
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			f := newTestFleet(t, g, content, mutate)
+			f := build(t)
 			var served, shed atomic.Int64
 			var wg sync.WaitGroup
 			for _, up := range users {

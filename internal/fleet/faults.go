@@ -12,115 +12,23 @@ import (
 	"pocketcloudlets/internal/searchlog"
 )
 
-// Default circuit-breaker constants.
-const (
-	DefaultBreakerThreshold = 8
-	DefaultBreakerCooldown  = 64
-)
-
-// BreakerOptions configure the per-shard circuit breaker. The breaker
-// only governs the *wall-clock* retry pacing (faults.RetryPolicy's
-// WallPause): when a shard's link looks persistently dead — Threshold
-// consecutive misses planned to exhaustion — the breaker opens and the
-// next Cooldown misses skip their real pause, so a load test against a
-// dead zone degrades fast instead of serializing behind sleeps. It
-// never touches modeled outcomes, which stay byte-deterministic.
-type BreakerOptions struct {
-	// Threshold is the consecutive planned-failure count that opens the
-	// breaker. Zero selects DefaultBreakerThreshold; negative disables
-	// the breaker entirely.
-	Threshold int
-	// Cooldown is how many misses skip pacing while open before a
-	// half-open probe is paced again (a probe that fails restarts the
-	// cooldown; one that succeeds closes the breaker). It counts every
-	// cloud miss whose primary dispatch targets the breaker's replica,
-	// planned clean or not, and counts it when the miss is planned —
-	// the same with miss coalescing on and off. Zero selects
-	// DefaultBreakerCooldown.
-	Cooldown int
-}
-
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.Threshold == 0 {
-		o.Threshold = DefaultBreakerThreshold
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = DefaultBreakerCooldown
-	}
-	return o
-}
-
-// breaker is one shard's circuit breaker for one replica, guarded by the
-// shard lock. All methods are nil-safe: a nil breaker is permanently
-// closed (always paces, never opens), which is how Threshold < 0 and
-// fault-free fleets run.
-type breaker struct {
-	threshold int
-	cooldown  int
-	fails     int // consecutive planned failures while closed
-	skipped   int // misses that skipped pacing since the breaker opened
-	open      bool
-}
-
-// pace reports whether this miss should take its real retry pause.
-// Closed: always. Open: skip for the cooldown, then pace one half-open
-// probe whose outcome (record) decides what happens next.
-func (b *breaker) pace() bool {
-	if b == nil || !b.open {
-		return true
-	}
-	if b.skipped < b.cooldown {
-		b.skipped++
-		return false
-	}
-	return true
-}
-
-// record books one miss's planned outcome into the breaker state and
-// reports whether it opened the breaker.
-func (b *breaker) record(success bool) (opened bool) {
-	switch {
-	case b == nil:
-	case success:
-		b.open, b.fails, b.skipped = false, 0, 0
-	case b.open:
-		if b.skipped >= b.cooldown {
-			// The half-open probe failed: restart the cooldown.
-			b.skipped = 0
-		}
-	default:
-		b.fails++
-		opened = b.fails >= b.threshold
-		if opened {
-			b.open, b.skipped = true, 0
-		}
-	}
-	return opened
-}
-
 // missCtx carries a cloud-classified miss's plan from classification to
 // execution. The plan is computed against the user's model clock as the
-// classifying lock hold read it — in that hold when nothing prices the
-// miss, after it when a backend does (shard.planMiss) — and stays valid
-// until the miss is applied: a miss applied after the classifying hold
-// is pending (shard.pendingMiss), so nothing advances the user's device
-// in between.
+// classifying lock hold read it — in that hold when the miss is applied
+// there, after it otherwise — and stays valid until the miss is applied:
+// a miss applied after the classifying hold is pending
+// (shard.pendingMiss), so nothing advances the user's device in between.
 type missCtx struct {
 	qh, ch uint64
 	// in is what the planner reads of the user, captured when the miss
 	// was classified.
 	in planInput
-	// hplan is the miss's one plan: every dispatch it made, for breaker
-	// recording, telemetry and the losers' wasted-work charge, and
-	// through Delivered the ladder the user's timeline rides. A miss with
-	// nothing to hedge across carries the one-launch plan: the
-	// single-backend ladder, no wait, no waste.
+	// hplan is the miss's one plan: every dispatch it made, for
+	// telemetry and the losers' wasted-work charge, and through Delivered
+	// the ladder the user's timeline rides. A miss with nothing to hedge
+	// across carries the one-launch plan: the single-backend ladder, no
+	// wait, no waste.
 	hplan faults.HedgedPlan
-	// pause is the real pause the miss owes before it is applied: the
-	// retry policy's wall-clock price of the plan's modeled failure
-	// wait, zero for a clean ladder and while the primary replica's
-	// breaker is open.
-	pause time.Duration
 }
 
 // planInput is the user's side of a miss plan: their cohort runtime,
@@ -172,47 +80,17 @@ func (mc *missCtx) plan(pr faults.Pricer) {
 		in.now, in.tail, in.uid, mc.qh, in.seq)
 }
 
-// settleLocked settles a planned miss's wall-clock pacing with the
-// shard's circuit breakers. Caller holds mu: the breakers are asked and
-// told here and nowhere else.
-func (sh *shard) settleLocked(mc *missCtx) {
-	// Every miss asks the primary replica's breaker whether to take its
-	// real retry pause — an open breaker's cooldown counts misses, clean
-	// ones included (BreakerOptions.Cooldown) — and then every dispatched
-	// replica's breaker learns what its own ladder did, so one dead
-	// replica opens only its own breaker — and books the opening in the
-	// shard's block.
-	pace := sh.breaker(mc.hplan.Primary.Replica).pace()
-	for i := 0; i < mc.hplan.Launches(); i++ {
-		l := mc.hplan.Launch(i)
-		if sh.breaker(l.Replica).record(l.Plan.Success) {
-			sh.ctr.breakerOpens[l.Replica].Add(1)
-		}
-	}
-	if wait := mc.hplan.Delivered().FailedWait; pace && wait > 0 {
-		// Wall-clock pacing stays governed by the fleet-wide policy.
-		mc.pause = sh.cohorts.def.retry.WallPause(wait)
-	}
-}
-
-// planMiss plans a priced miss that route left pending, under no lock —
-// pricing replays the backend queues, which takes far longer than
-// anything else a request does under the shard lock — and then settles
-// it in one short hold, applying it there as well when apply is set and
-// the plan owes no wall pause. It reports whether it applied the miss;
-// if so the marker is already cleared, and the caller delivers resp and
-// then closes the miss's done.
-func (sh *shard) planMiss(mt *missTask, apply bool, resp *Response) bool {
+// planMiss plans a miss that route left pending, under no lock — a
+// priced plan replays the backend queues, which takes far longer than
+// anything else a request does under the shard lock — and then applies
+// it in one short hold. The marker is cleared on return; the caller
+// delivers resp and then closes the miss's done.
+func (sh *shard) planMiss(mt *missTask, resp *Response) {
 	mt.mc.plan(sh.cohorts.pricer)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.settleLocked(&mt.mc)
-	if !apply || mt.mc.pause > 0 {
-		return false
-	}
 	sh.applyPendingLocked(&mt.t.req, &mt.mc, exchange{}, resp)
 	delete(sh.pendingMiss, mt.t.req.User)
-	return true
 }
 
 // chargeWaits charges the user-visible waits a miss carries beyond its
@@ -247,18 +125,17 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 	return cold
 }
 
-// applyMiss applies a planned miss that could not be applied under the
-// lock hold that planned it — its server paced it first, or a
-// dispatcher coalesced it: the user is looked up afresh. The caller
-// releases the miss (releaseMiss) once the response is delivered.
+// applyMiss applies a planned miss a dispatcher coalesced: the user is
+// looked up afresh. The caller releases the miss (releaseMiss) once the
+// response is delivered.
 func (sh *shard) applyMiss(req *Request, mc *missCtx, x exchange, resp *Response) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.applyPendingLocked(req, mc, x, resp)
 }
 
-// applyPendingLocked is applyMiss under a hold the caller took. Caller
-// holds mu.
+// applyPendingLocked is applyMiss under a hold the caller took
+// (planMiss). Caller holds mu.
 func (sh *shard) applyPendingLocked(req *Request, mc *missCtx, x exchange, resp *Response) {
 	st := sh.user(req.User)
 	if err := sh.materialize(st); err != nil {
@@ -272,8 +149,7 @@ func (sh *shard) applyPendingLocked(req *Request, mc *missCtx, x exchange, resp 
 // user's waiting requests. Called once the miss's response has been
 // delivered — not when it is applied: a marker cleared earlier lets a
 // worker serve, and the Observer see, the user's next request while a
-// dispatcher is still delivering this one — or, when the caller gave up
-// mid-pause, with the plan unapplied (the user's clock never moved).
+// dispatcher is still delivering this one.
 func (sh *shard) releaseMiss(mt *missTask) {
 	sh.mu.Lock()
 	delete(sh.pendingMiss, mt.t.req.User)

@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,9 +177,7 @@ func missBeyondContent(t *testing.T, g *workload.Generator, contentLen int, uid 
 // concurrent runs with the same fault seed, scenario and workload must
 // produce byte-identical fleet counters — including the retry,
 // exhausted and degradation counters — and identical per-user
-// hit/source/attempt sequences. Real wall pauses are disabled and the
-// breaker is off, so nothing about goroutine scheduling can leak into
-// the model.
+// hit/source/attempt sequences.
 func TestFaultStatsDeterministicConcurrent(t *testing.T) {
 	g := smallGen(t, 32)
 	content := smallContent(t, g)
@@ -193,8 +194,7 @@ func TestFaultStatsDeterministicConcurrent(t *testing.T) {
 				OutageEvery:   30 * time.Second,
 				OutageFor:     6 * time.Second,
 			}
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
+			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 		})
 		return runFaultTraces(t, f, g, users), f.Stats()
 	}
@@ -224,52 +224,64 @@ func TestFaultStatsDeterministicConcurrent(t *testing.T) {
 	}
 }
 
-// TestFaultStatsDeterministicSequential covers the breaker-enabled
-// configuration: pacing decisions depend on cross-user arrival order,
-// so the counter-determinism guarantee holds for a sequential driver.
-// A permanent outage exhausts every cloud-tier miss, the breaker must
-// open, and no miss may ever complete against the cloud.
+// TestFaultStatsDeterministicSequential: against absolute dead windows,
+// concurrent clients book exactly the counters a sequential driver does
+// — no fleet counter depends on cross-user arrival order. A permanent
+// outage exhausts every cloud-tier miss, and no miss may ever complete
+// against the cloud; a window that closes at 20 model seconds exhausts
+// the early misses, and cloud serves resume once the clocks leave it.
 func TestFaultStatsDeterministicSequential(t *testing.T) {
-	g := smallGen(t, 16)
+	g := smallGen(t, 32)
 	content := smallContent(t, g)
-	users := g.Users()[:6]
+	users := g.Users()[:24]
 
-	run := func() Stats {
-		f := newTestFleet(t, g, content, func(cfg *Config) {
-			cfg.Shards = 1
-			cfg.Workers = 1
-			cfg.QueueDepth = 4096
-			cfg.Faults = faults.Options{
-				Enabled: true,
-				Windows: []faults.Window{{Start: 0, End: forever}},
-			}
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 2, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: 3, Cooldown: 4}
-		})
-		for _, up := range users {
-			for _, req := range requestsFor(g, up, 1) {
-				if resp := f.Do(req); resp.Shed || resp.Err != nil {
-					t.Fatalf("user %d request failed: %+v", up.ID, resp)
-				}
+	for _, window := range []faults.Window{{Start: 0, End: forever}, {Start: 0, End: 20 * time.Second}} {
+		run := func(clients int) Stats {
+			f := newTestFleet(t, g, content, func(cfg *Config) {
+				cfg.QueueDepth = 4096
+				cfg.Faults = faults.Options{Enabled: true, Windows: []faults.Window{window}}
+				cfg.Retry = faults.RetryPolicy{MaxAttempts: 2}
+				cfg.Replicas = 2
+			})
+			runClients(t, f, g, users, clients)
+			return f.Stats()
+		}
+		seq, conc := run(1), run(len(users))
+		if !reflect.DeepEqual(seq, conc) {
+			t.Errorf("window %v: concurrent counters diverge from sequential:\n  sequential: %+v\n  concurrent: %+v", window, seq, conc)
+		}
+		if seq.Exhausted == 0 || seq.Degraded+seq.Unavailable != seq.Exhausted {
+			t.Errorf("window %v: degradation accounting off: exhausted %d, degraded %d, unavailable %d",
+				window, seq.Exhausted, seq.Degraded, seq.Unavailable)
+		}
+		if permanent := window.End == forever; permanent != (seq.CloudMisses == 0) {
+			t.Errorf("window %v: %d cloud misses completed", window, seq.CloudMisses)
+		}
+	}
+}
+
+// TestServePathNeverSleeps: a miss costs its user modeled latency and
+// joules, never its server's wall time, so no non-test file of the
+// package calls time.Sleep. (The batch dispatcher's linger is a timer
+// it selects on, not a sleep.)
+func TestServePathNeverSleeps(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			if strings.Contains(line, "time.Sleep(") {
+				t.Errorf("%s:%d sleeps on the serve path: %s", path, i+1, strings.TrimSpace(line))
 			}
 		}
-		return f.Stats()
-	}
-
-	s1 := run()
-	s2 := run()
-	if !reflect.DeepEqual(s1, s2) {
-		t.Errorf("fleet counters diverge across identical sequential runs:\n  run 1: %+v\n  run 2: %+v", s1, s2)
-	}
-	if s1.BreakerOpens == 0 {
-		t.Error("breaker never opened against a permanent outage")
-	}
-	if s1.CloudMisses != 0 {
-		t.Errorf("%d cloud misses completed through a permanent outage", s1.CloudMisses)
-	}
-	if s1.Degraded+s1.Unavailable == 0 || s1.Degraded+s1.Unavailable != s1.Exhausted {
-		t.Errorf("degradation accounting off: exhausted %d, degraded %d, unavailable %d",
-			s1.Exhausted, s1.Degraded, s1.Unavailable)
 	}
 }
 
@@ -292,8 +304,7 @@ func TestDegradationLadder(t *testing.T) {
 			// The radio works for the first model second, then never again.
 			Windows: []faults.Window{{Start: time.Second, End: forever}},
 		}
-		cfg.Retry = faults.RetryPolicy{MaxAttempts: 2, WallPauseScale: -1}
-		cfg.Breaker = BreakerOptions{Threshold: -1}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 2}
 	})
 
 	// Rung 0: before the outage a cloud miss completes normally and

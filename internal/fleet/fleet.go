@@ -26,9 +26,9 @@
 //     the goroutine serving it with no lock held: pricing replays a
 //     replica's background queue, the longest step a request takes. The
 //     shard lock is held only to classify the miss and capture what its
-//     plan reads of the user, and then once more to settle the breakers
-//     and apply it; in between the miss is the user's pending miss, so
-//     nothing moves the clock the plan reads.
+//     plan reads of the user, and then once more to apply it; in between
+//     the miss is the user's pending miss, so nothing moves the clock the
+//     plan reads.
 //   - Submission (Submit) is non-blocking with explicit backpressure:
 //     when the shard's queue is full the request is shed and counted,
 //     never silently queued without bound (an open-loop load generator
@@ -50,7 +50,7 @@
 //     user is ever in flight, and whoever serves the same user's next
 //     request flushes and waits for it first, so per-user hit/miss
 //     outcomes are byte-identical to an unbatched fleet's for the same
-//     seed (a miss paced rather than parked obeys the same rule).
+//     seed (a priced miss being planned obeys the same rule).
 //   - Per-user state is compact and arena-allocated so the fleet
 //     scales to million-user populations: each shard keeps its users
 //     in chunked slabs of by-value userState records, indexed by a
@@ -66,8 +66,8 @@
 //     pocketcloudlets) holds at 0 allocations. DESIGN.md's "Capacity
 //     model" chapter documents the bytes-per-user budget.
 //   - Accounting has one home: every counter serving a request books —
-//     tiers, energy, a miss's retries and hedge telemetry, breaker
-//     openings, batch sessions, radio wake-ups — lives in the serving
+//     tiers, energy, a miss's retries and hedge telemetry, batch
+//     sessions, radio wake-ups — lives in the serving
 //     shard's padded block, and every fleet-wide total (Stats,
 //     EnergyStats, ShardLoads) is one fold over the live blocks plus the
 //     block a shrink folds each retired shard into, so a resize never
@@ -281,17 +281,9 @@ type Config struct {
 	// to a fleet built without the fault layer.
 	Faults faults.Options
 	// Retry governs how a faulted cloud miss retries: capped
-	// exponential backoff in model time with a deadline, plus the
-	// wall-clock pacing that makes retries cost real serving time.
-	// Ignored unless Faults.Enabled; zero fields take the defaults.
+	// exponential backoff in model time with a deadline. Ignored unless
+	// Faults.Enabled; zero fields take the defaults.
 	Retry faults.RetryPolicy
-	// Breaker configures the per-shard circuit breaker that stops
-	// wall-clock retry pacing against a persistently dead link. It
-	// never alters modeled outcomes. Ignored unless fault injection is
-	// on for the fleet or any cohort. With Replicas > 1 each shard runs
-	// one breaker per replica, so a single dead backend cannot open the
-	// breaker for its healthy peers.
-	Breaker BreakerOptions
 	// Replicas is the number of modeled cloud engine replicas the miss
 	// path may dispatch to. Each replica beyond the first draws its
 	// faults from an independently salted injector
@@ -354,9 +346,7 @@ type Cohort struct {
 	// on; non-nil with Enabled true gives the cohort its own injector.
 	Faults *faults.Options
 	// Retry overrides the modeled retry ladder for the cohort's cloud
-	// misses. Nil inherits Config.Retry. Wall-clock pacing
-	// (WallPauseScale/MaxWallPause) stays governed by the fleet-wide
-	// policy either way.
+	// misses. Nil inherits Config.Retry.
 	Retry *faults.RetryPolicy
 	// Hedge overrides the hedging policy for the cohort's cloud misses.
 	// Nil inherits Config.Hedge; non-nil with CloneFactor < 2 disables
@@ -387,7 +377,7 @@ type cohortTable struct {
 	cohorts []cohortRT
 	of      func(searchlog.UserID) int
 	// faulted reports whether any injector (fleet-wide or cohort) is
-	// live: breakers and a backend model are only built when one is.
+	// live: a backend model is only built when one is.
 	// cloneLoad is the heaviest resolved clone factor of any cohort (zero
 	// when nobody hedges); it scales the backend's background load.
 	faulted   bool
@@ -485,7 +475,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Batch = c.Batch.withDefaults()
 	c.Retry = c.Retry.WithDefaults()
-	c.Breaker = c.Breaker.withDefaults()
 	c.ShardPower = c.ShardPower.WithDefaults()
 	return c
 }
@@ -769,21 +758,18 @@ func (f *Fleet) worker(id int) {
 // process serves one request task — from a worker loop, from a blocking
 // caller with nothing queued ahead of it (enqueue), or from the
 // migration drainer replaying held tasks — building its answer in resp.
-// Local hits, and cloud misses that owe no wall pause, come back served
-// from the shard. A miss a backend prices comes back pending instead and
-// is planned here, under no lock, then settled — and applied, if it owes
-// no pause and nothing coalesces it — in one more short hold
-// (planMiss). A planned miss that owes a pause is paced here — the real
-// pause the retry policy prices for its planned failures, skipped while
-// the shard's breaker is open — and then applied against the model. With
-// miss coalescing on, a classified cloud miss is instead parked with the
-// shard's dispatcher, which completes it asynchronously. Either way the
-// miss is applied after the lock hold that planned it, so the shard marks
-// it pending and whoever routes the same user's next request waits for it
-// first: a user's requests are applied one at a time, in submission order
-// for any one goroutine — the determinism guarantee neither batching nor
-// caller-run serving may break. A task still inPlace on return was
-// finished here and resp is its caller's answer.
+// Local hits, and cloud misses nothing prices or coalesces, come back
+// served from the shard. Any other miss comes back pending and is
+// planned here, under no lock: a miss a backend prices is then applied
+// in one more short hold (planMiss); with miss coalescing on, a miss is
+// instead parked with the shard's dispatcher, which completes it
+// asynchronously. Either way the miss is applied after the lock hold
+// that classified it, so the shard marks it pending and whoever routes
+// the same user's next request waits for it first: a user's requests are
+// applied one at a time, in submission order for any one goroutine —
+// the determinism guarantee neither batching nor caller-run serving may
+// break. A task still inPlace on return was finished here and resp is
+// its caller's answer.
 func (f *Fleet) process(t *task, resp *Response) {
 	if f.maybeHold(t) {
 		return
@@ -801,16 +787,13 @@ func (f *Fleet) process(t *task, resp *Response) {
 			continue
 		case miss == nil:
 			f.finish(sh, resp, t)
-		case sh.cohorts.pricer != nil && sh.planMiss(miss, d == nil, resp):
-			f.finish(sh, resp, t)
-			close(miss.done)
 		case d != nil:
+			miss.mc.plan(sh.cohorts.pricer)
 			d.submit(miss)
 		default:
-			time.Sleep(miss.mc.pause)
-			sh.applyMiss(&t.req, &miss.mc, exchange{}, resp)
+			sh.planMiss(miss, resp)
 			f.finish(sh, resp, t)
-			sh.releaseMiss(miss)
+			close(miss.done)
 		}
 		return
 	}
@@ -1009,13 +992,6 @@ type Stats struct {
 	// miss's first; Exhausted counts misses that ran out of attempts and
 	// fell to the degradation ladder. Zero when fault injection is off.
 	Retries, Exhausted int64
-	// BreakerOpens counts closed→open transitions across the per-shard
-	// circuit breakers (wall-clock pacing only; model outcomes are
-	// unaffected). With replicas it sums across every replica's breaker;
-	// ReplicaBreakerOpens breaks the same total down per replica (nil
-	// for a single-backend fleet).
-	BreakerOpens        int64
-	ReplicaBreakerOpens []int64
 	// Replicas is the configured cloud-replica count (1 = single
 	// backend).
 	Replicas int
@@ -1116,12 +1092,6 @@ func (f *Fleet) Stats() Stats {
 		BatchSizes:     loads(sum.batchSizes, 0),
 		RadioWakeups:   sum.wakeups.Load(),
 		Backend:        f.cohorts.bk.Stats(),
-	}
-	for i := range sum.breakerOpens {
-		s.BreakerOpens += sum.breakerOpens[i].Load()
-	}
-	if f.cfg.Replicas > 1 {
-		s.ReplicaBreakerOpens = loads(sum.breakerOpens, f.cfg.Replicas)
 	}
 	for _, sh := range tp.shards {
 		sh.mu.Lock()

@@ -2,13 +2,11 @@ package fleet
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"pocketcloudlets/internal/faults"
 	"pocketcloudlets/internal/searchlog"
-	"pocketcloudlets/internal/workload"
 )
 
 // hedgeBiteFaults is a fault scenario nasty enough that hedging has
@@ -39,8 +37,7 @@ func TestHedgedDeterministicConcurrent(t *testing.T) {
 		f := newTestFleet(t, g, content, func(cfg *Config) {
 			cfg.QueueDepth = 4096
 			cfg.Faults = hedgeBiteFaults(5)
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
+			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 			cfg.Replicas = 3
 			cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
 		})
@@ -88,8 +85,7 @@ func TestHedgingImprovesAvailability(t *testing.T) {
 				OutageEvery: 30 * time.Second,
 				OutageFor:   6 * time.Second,
 			}
-			cfg.Retry = faults.RetryPolicy{MaxAttempts: 2, WallPauseScale: -1}
-			cfg.Breaker = BreakerOptions{Threshold: -1}
+			cfg.Retry = faults.RetryPolicy{MaxAttempts: 2}
 			cfg.Replicas = replicas
 			cfg.Hedge = hedge
 		})
@@ -124,8 +120,7 @@ func TestHedgedTotalLossWinsNothing(t *testing.T) {
 		cfg.Shards = 1
 		cfg.Workers = 1
 		cfg.Faults = faults.Options{Enabled: true, LossProb: 1}
-		cfg.Retry = faults.RetryPolicy{MaxAttempts: 4, WallPauseScale: -1}
-		cfg.Breaker = BreakerOptions{Threshold: -1}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 4}
 		cfg.Replicas = 3
 		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2}
 	})
@@ -140,67 +135,5 @@ func TestHedgedTotalLossWinsNothing(t *testing.T) {
 	}
 	if s.PrimaryWins+s.CloneWins != 0 || s.CloudMisses != 0 {
 		t.Fatalf("wins through total loss: %+v", s)
-	}
-}
-
-// TestBreakerHalfOpenProbeConcurrent exercises the per-replica breaker
-// state machine under concurrent misses (run under -race by
-// scripts/check.sh): a dead zone opens the primary breakers and the
-// cooldown/half-open cycle runs with real (tiny) pauses; once the model
-// clocks escape the window, probes succeed, breakers close, and cloud
-// serves resume. Per-replica opens must sum to the fleet total.
-func TestBreakerHalfOpenProbeConcurrent(t *testing.T) {
-	g := smallGen(t, 32)
-	content := smallContent(t, g)
-	users := g.Users()[:24]
-
-	f := newTestFleet(t, g, content, func(cfg *Config) {
-		cfg.QueueDepth = 4096
-		cfg.Faults = faults.Options{
-			Enabled: true,
-			// Down for the first 20 model seconds, healthy after: every
-			// user's early misses exhaust, later ones succeed.
-			Windows: []faults.Window{{Start: 0, End: 20 * time.Second}},
-		}
-		cfg.Retry = faults.RetryPolicy{
-			MaxAttempts:    2,
-			WallPauseScale: 0.0001,
-			MaxWallPause:   time.Millisecond,
-		}
-		cfg.Breaker = BreakerOptions{Threshold: 2, Cooldown: 3}
-		cfg.Replicas = 2
-	})
-
-	var wg sync.WaitGroup
-	for _, up := range users {
-		wg.Add(1)
-		go func(up workload.UserProfile) {
-			defer wg.Done()
-			for _, req := range requestsFor(g, up, 1) {
-				if resp := f.Do(req); resp.Shed || resp.Err != nil {
-					t.Errorf("user %d request failed: %+v", up.ID, resp)
-					return
-				}
-			}
-		}(up)
-	}
-	wg.Wait()
-
-	s := f.Stats()
-	if s.BreakerOpens == 0 {
-		t.Error("breaker never opened against the dead zone")
-	}
-	if s.CloudMisses == 0 {
-		t.Error("no cloud serve after recovery; half-open probes never closed the breaker")
-	}
-	if len(s.ReplicaBreakerOpens) != 2 {
-		t.Fatalf("want 2 per-replica breaker rows, got %v", s.ReplicaBreakerOpens)
-	}
-	var sum int64
-	for _, n := range s.ReplicaBreakerOpens {
-		sum += n
-	}
-	if sum != s.BreakerOpens {
-		t.Errorf("per-replica opens %v sum to %d, fleet total %d", s.ReplicaBreakerOpens, sum, s.BreakerOpens)
 	}
 }

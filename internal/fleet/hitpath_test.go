@@ -85,7 +85,7 @@ func TestHitPathLayout(t *testing.T) {
 	var sh shard
 	ctr := unsafe.Offsetof(sh.ctr)
 	first := ctr + unsafe.Offsetof(sh.ctr.served)
-	last := ctr + unsafe.Offsetof(sh.ctr.breakerOpens) + unsafe.Sizeof(sh.ctr.breakerOpens)
+	last := ctr + unsafe.Offsetof(sh.ctr.batchSizes) + unsafe.Sizeof(sh.ctr.batchSizes)
 	if first-ctr < cacheLine || ctr+unsafe.Sizeof(sh.ctr)-last < cacheLine {
 		t.Errorf("shard.ctr's counters span [%d,%d) of a block at [%d,%d): less than a line of padding on a side",
 			first, last, ctr, ctr+unsafe.Sizeof(sh.ctr))
@@ -173,7 +173,7 @@ func TestRouteFence(t *testing.T) {
 // migration can shift.
 func lossyHedgedBatched(cfg *Config) {
 	cfg.Faults = faults.Options{Enabled: true, Seed: 9, LossProb: 0.3}
-	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 	cfg.Replicas = 3
 	cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
 	cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
@@ -189,9 +189,7 @@ func lossyHedgedBatched(cfg *Config) {
 // of the same tapes — integer sums do not care which shard's block, or
 // the retired fold, took an add. On the lossy fleet the miss-plan
 // counters (retries, exhausted, clones, wins, wasted) equal the replay's
-// too, and the sessions' sizes sum to the misses they carried. Breaker
-// opens are left out: they depend on cross-user order (which is why
-// bench/digest.go leaves them out too).
+// too, and the sessions' sizes sum to the misses they carried.
 func TestCountersCrossFootThroughResizes(t *testing.T) {
 	t.Run("clean", func(t *testing.T) { crossFootThroughResizes(t, func(*Config) {}) })
 	t.Run("lossy", func(t *testing.T) { crossFootThroughResizes(t, lossyHedgedBatched) })
@@ -334,15 +332,14 @@ func crossFootThroughResizes(t *testing.T, configure func(*Config)) {
 // TestResizeLeavesStatsAlone: a resize serves nothing, so on a drained
 // faulted, hedged, batched fleet a traffic-free grow and then a
 // traffic-free shrink each leave every Stats field where it was — the
-// retired shards' breaker opens included, because every counter a
+// retired shards' session sizes included, because every counter a
 // request books lives in the block a retirement folds.
 func TestResizeLeavesStatsAlone(t *testing.T) {
 	g := smallGen(t, 32)
 	f := newRingFleet(t, g, func(cfg *Config) {
 		cfg.QueueDepth = 4096
 		cfg.Faults = faults.Options{Enabled: true, Seed: 5, LossProb: 0.5}
-		cfg.Retry = faults.RetryPolicy{MaxAttempts: 2, WallPauseScale: -1}
-		cfg.Breaker = BreakerOptions{Threshold: 2, Cooldown: 3}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 2}
 		cfg.Replicas = 3
 		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
 		cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
@@ -350,8 +347,8 @@ func TestResizeLeavesStatsAlone(t *testing.T) {
 	runResponses(t, f, g, g.Users()[:24])
 	f.Drain()
 	want := f.Stats()
-	if want.BreakerOpens == 0 || want.Batches == 0 || want.ClonesLaunched == 0 {
-		t.Fatalf("no breaker opened, no session fired or no clone launched: %+v", want)
+	if want.Batches == 0 || want.ClonesLaunched == 0 {
+		t.Fatalf("no session fired or no clone launched: %+v", want)
 	}
 	for _, n := range []int{6, 2} {
 		if _, err := f.Resize(n); err != nil {
@@ -361,20 +358,20 @@ func TestResizeLeavesStatsAlone(t *testing.T) {
 			t.Errorf("Resize(%d) moved Stats:\n  before %+v\n  after  %+v", n, want, got)
 		}
 	}
-	var retiredOpens int64
-	for i := range f.retired.breakerOpens {
-		retiredOpens += f.retired.breakerOpens[i].Load()
+	var retiredSessions int64
+	for i := range f.retired.batchSizes {
+		retiredSessions += f.retired.batchSizes[i].Load()
 	}
-	if retiredOpens == 0 {
-		t.Error("the shrink retired no breaker opening: the fold went unexercised")
+	if retiredSessions == 0 {
+		t.Error("the shrink retired no session size: the fold went unexercised")
 	}
 }
 
 // TestCallerRunDoAnsweredOnceWhenHandedOn: a Do that starts in place and
 // then cannot finish there — its user is held by a migration epoch, its
 // miss is parked with a dispatcher — is answered through a mailbox,
-// exactly once, with the response the observer saw; one that is really
-// paced finishes in place after its pause, also once.
+// exactly once, with the response the observer saw; one whose pricing
+// is slow finishes in place once it is planned, also once.
 func TestCallerRunDoAnsweredOnceWhenHandedOn(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
@@ -449,20 +446,18 @@ func TestCallerRunDoAnsweredOnceWhenHandedOn(t *testing.T) {
 		}
 	})
 
-	t.Run("paced", func(t *testing.T) {
-		// Find a miss the lossy link makes retry, so it really pauses.
+	t.Run("priced", func(t *testing.T) {
+		// Find a miss the lossy link lets reach the backend, so its
+		// pricing really holds it open.
 		for k := 0; k < 64; k++ {
 			rec := &recorder{}
-			f := newTestFleet(t, g, content, func(cfg *Config) {
-				pacedLossy(2 * time.Millisecond)(cfg)
-				cfg.Observer = rec
-			})
+			f, slow := newSlowFleet(t, g, content, 2*time.Millisecond, func(cfg *Config) { cfg.Observer = rec })
 			req := missBeyondContent(t, g, len(content.Triplets)+k, uid)
-			if resp := answered(t, f, rec, req, nil); resp.Attempts > 1 {
+			if answered(t, f, rec, req, nil); slow.priced.Load() > 0 {
 				return
 			}
 			f.Close()
 		}
-		t.Fatal("no miss ever retried; nothing was paced")
+		t.Fatal("no miss was ever priced; nothing was held open")
 	})
 }

@@ -20,9 +20,8 @@ type missPathCell struct {
 	hedge   string // "single" (1 replica), "clone1" (3 replicas, clone factor 1), "hedged" (3 replicas, clone factor 2)
 	backend string // "off", "inf" (infinite rate), "ps" (finite-rate processor sharing)
 	batch   bool
-	// defaults leaves the retry policy and the circuit breaker at the
-	// fleet's defaults — real wall pauses, breakers armed — instead of
-	// the quiet settings every other cell runs under.
+	// defaults leaves the retry policy at the fleet's default instead
+	// of the three-attempt ladder every other cell runs under.
 	defaults bool
 }
 
@@ -46,14 +45,11 @@ func (c missPathCell) replicas() int {
 // shifts model clocks (a shared session's wait is not a solo
 // exchange's), and only clock-free plans are comparable across the two
 // exchanges; an outage is read off the user's model clock, so "outage"
-// cells exist unbatched only. Breakers are off and wall pauses disabled
-// unless the cell asks for the defaults, so nothing about goroutine
-// scheduling can leak in.
+// cells exist unbatched only.
 func (c missPathCell) configure(cfg *Config) {
 	cfg.QueueDepth = 4096
 	if !c.defaults {
-		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
-		cfg.Breaker = BreakerOptions{Threshold: -1}
+		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 	}
 	switch c.faults {
 	case "inert":
@@ -157,7 +153,7 @@ func sameModel(a, b missPathRun, fullResponses, attempts bool, normalize func(*S
 // unbatched runs produce identical per-user hit/source/attempt traces
 // and identical fleet counters. Across rows the degenerate settings are
 // the plain miss: an inert injector equals a disabled one (under the
-// quiet settings and under the default retry policy and breakers), an
+// three-attempt ladder and under the default retry policy), an
 // infinitely fast backend equals none while still counting every
 // arrival at a price of zero, and three replicas at clone factor 1
 // equal the single backend with every hedge counter at zero — response
@@ -276,7 +272,7 @@ func TestMissPathTable(t *testing.T) {
 			twin := c
 			twin.hedge = "single"
 			presentation := func(s *Stats) {
-				s.Replicas, s.ReplicaBreakerOpens = 0, nil
+				s.Replicas = 0
 				if len(s.Backend) > 1 {
 					s.Backend = s.Backend[:1] // clone factor 1 dispatches to replica 0 only
 				}

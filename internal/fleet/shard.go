@@ -207,14 +207,8 @@ type shard struct {
 	// lowest-utility records first.
 	perUserBytes int64
 	// cohorts resolves each resident user to their device runtime
-	// (radio link, fault injector, retry policy). brks holds one circuit
-	// breaker per cloud replica — index 0 is the legacy single-backend
-	// breaker — so a dead replica cannot open the breaker for its
-	// healthy peers (empty unless something injects and the breaker is
-	// enabled). Guarded by mu: breakers are only asked and told in
-	// settleLocked.
+	// (radio link, fault injector, retry policy).
 	cohorts *cohortTable
-	brks    []*breaker
 	// tl is the fleet-wide model timeline every resident user's clock
 	// registers on; commClock is the community replica's own clock view
 	// (community hits advance the replica's device, not the user's).
@@ -243,9 +237,9 @@ type shard struct {
 	community     *pocketsearch.Cache
 	users         userTable
 	personalBytes int64
-	// pendingMiss marks users with a cloud miss planned but not yet
-	// applied — parked in a batch dispatcher, or being paced by the
-	// goroutine serving it. At most one per user: whoever routes the
+	// pendingMiss marks users with a cloud miss classified but not yet
+	// applied — being planned against the backend by the goroutine
+	// serving it, or parked in a batch dispatcher. At most one per user: whoever routes the
 	// user's next request waits on it first, so nothing moves the model
 	// clock the plan was computed against and every per-user outcome is
 	// identical to serving each miss in one lock hold.
@@ -259,7 +253,7 @@ type shard struct {
 }
 
 // shardCounters is the one home of every counter serving a request
-// bumps — hit, miss plan, breaker, batch session — owned by the shard
+// bumps — hit, miss plan, batch session — owned by the shard
 // that served it and padded at both ends: serving writes no line a
 // request on another shard writes. Every fleet-wide reading is one fold:
 // the live shards' blocks plus Fleet.retired (Fleet.totals). Atomics,
@@ -287,12 +281,11 @@ type shardCounters struct {
 	// batches and batchedMisses count the shared radio sessions a
 	// dispatcher fired and the misses they carried.
 	batches, batchedMisses atomic.Int64
-	// batchSizes[n] counts sessions of n misses (MaxBatch+1 long with
-	// batching on); breakerOpens[r] counts replica r's breaker's
-	// closed→open transitions (one per replica with breakers on). Sized
-	// when the shard is built and nil otherwise, the same for every block.
-	batchSizes, breakerOpens []atomic.Int64
-	_                        [64]byte
+	// batchSizes[n] counts sessions of n misses: MaxBatch+1 long with
+	// batching on, sized when the shard is built, and nil otherwise, the
+	// same for every block.
+	batchSizes []atomic.Int64
+	_          [64]byte
 }
 
 // book records one delivered response. Every serve path lands here, so
@@ -333,7 +326,6 @@ func (c *shardCounters) addTo(sum *shardCounters) {
 	sum.batchedMisses.Add(c.batchedMisses.Load())
 	addAll(sum.bySource[:], c.bySource[:])
 	sum.batchSizes = addAll(sum.batchSizes, c.batchSizes)
-	sum.breakerOpens = addAll(sum.breakerOpens, c.breakerOpens)
 	sum.ledger.Merge(&c.ledger)
 }
 
@@ -379,25 +371,10 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		pendingMiss:  make(map[searchlog.UserID]*missTask),
 		holds:        make(map[searchlog.UserID]*holdQueue),
 	}
-	if ct.faulted && cfg.Breaker.Threshold >= 0 {
-		for r := 0; r < cfg.Replicas; r++ {
-			sh.brks = append(sh.brks, &breaker{threshold: cfg.Breaker.Threshold, cooldown: cfg.Breaker.Cooldown})
-		}
-		sh.ctr.breakerOpens = make([]atomic.Int64, cfg.Replicas)
-	}
 	if cfg.Batch.Enabled {
 		sh.ctr.batchSizes = make([]atomic.Int64, cfg.Batch.MaxBatch+1)
 	}
 	return sh, nil
-}
-
-// breaker returns the circuit breaker for replica r, nil (permanently
-// closed) when breakers are disabled or r is out of range.
-func (sh *shard) breaker(r int) *breaker {
-	if r < 0 || r >= len(sh.brks) {
-		return nil
-	}
-	return sh.brks[r]
 }
 
 // user returns (lazily creating) the per-user state. The state starts
@@ -452,13 +429,12 @@ func (sh *shard) clock(st *userState) modeltime.UserClock {
 //
 // Exactly one outcome is meaningful: a completed response built in resp
 // (a local hit, an error, or an unpriced cloud miss on the user's own
-// link whose plan owes no wall pause — applied under the same lock hold
-// that planned it) and two nils; a miss marked pending, which the caller
-// must plan first when a backend prices it (planMiss), then pace and
-// apply (applyMiss) or, with park set, hand to a dispatcher; or the
-// user's pending miss the caller must wait on before retrying. A miss
-// applied after this lock hold is always marked pending: the one rule
-// that keeps the model clock its plan was computed against still.
+// link — planned and applied under this lock hold) and two nils; a miss
+// marked pending, which the caller must plan and then apply (planMiss)
+// or, with park set, hand to a dispatcher; or the user's pending miss
+// the caller must wait on before retrying. A miss applied after this
+// lock hold is always marked pending: the one rule that keeps the model
+// clock its plan was computed against still.
 func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missTask) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -481,17 +457,14 @@ func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missT
 	// (pendingMiss blocks the user's next request), so the plan — and
 	// with it every per-user outcome — is independent of how a dispatcher
 	// later composes batches and of which goroutine serves what. An
-	// unpriced plan is arithmetic and is planned and settled in this hold;
-	// a priced one replays backend queues, so its caller plans it after
-	// this hold (planMiss).
+	// unpriced plan is arithmetic, so a miss nothing coalesces is planned
+	// and applied in this hold; any other miss is planned by its caller
+	// after it — a priced plan replays backend queues (planMiss).
 	mc := sh.classifyLocked(st, t.req.User, qh, ch)
-	if sh.cohorts.pricer == nil {
+	if sh.cohorts.pricer == nil && !park {
 		mc.plan(nil)
-		sh.settleLocked(&mc)
-		if !park && mc.pause <= 0 {
-			sh.applyMissLocked(st, &t.req, &mc, exchange{}, resp)
-			return nil, nil
-		}
+		sh.applyMissLocked(st, &t.req, &mc, exchange{}, resp)
+		return nil, nil
 	}
 	if park {
 		t.mailbox() // before the copy the dispatcher answers from

@@ -91,7 +91,7 @@ func TestStagesMatchPlan(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			f := newTestFleet(t, g, content, func(cfg *Config) {
 				cfg.Faults = faults.Options{Enabled: true}
-				cfg.Retry = faults.RetryPolicy{MaxAttempts: 3, WallPauseScale: -1}
+				cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 			})
 			req := cloud
 			switch row.rung {

@@ -40,17 +40,16 @@ type Report struct {
 	CloudMisses   uint64 `json:"cloud_misses"`
 
 	// Degraded and Unavailable are the fault model's fallback serves
-	// (stale cached answers and explicit "unavailable" pages). Retries,
-	// Exhausted and BreakerOpens quantify the retry machinery. All zero
+	// (stale cached answers and explicit "unavailable" pages). Retries
+	// and Exhausted quantify the retry machinery. All zero
 	// when fault injection is off. Canceled is always zero, so the JSON
 	// omits it (fleet.Stats.Canceled); it stays only because the
 	// benchmark module (bench/) still reads it.
-	Degraded     uint64 `json:"degraded,omitempty"`
-	Unavailable  uint64 `json:"unavailable,omitempty"`
-	Canceled     uint64 `json:"canceled,omitempty"`
-	Retries      int64  `json:"retries,omitempty"`
-	Exhausted    int64  `json:"exhausted,omitempty"`
-	BreakerOpens int64  `json:"breaker_opens,omitempty"`
+	Degraded    uint64 `json:"degraded,omitempty"`
+	Unavailable uint64 `json:"unavailable,omitempty"`
+	Canceled    uint64 `json:"canceled,omitempty"`
+	Retries     int64  `json:"retries,omitempty"`
+	Exhausted   int64  `json:"exhausted,omitempty"`
 	// Hedging counters (replicated cloud backends): Replicas is the
 	// configured backend replica count; ClonesLaunched counts hedge
 	// clones dispatched to secondary replicas, CloneWins / PrimaryWins
@@ -58,15 +57,13 @@ type Report struct {
 	// WastedAttempts counts clone ladder attempts charged to the radio
 	// waste budget without contributing the answer. Cross-footing:
 	// hedged misses = PrimaryWins + CloneWins, and wasted clones
-	// (ClonesLaunched − CloneWins) never exceed ClonesLaunched.
-	// ReplicaBreakerOpens breaks BreakerOpens down per replica when the
-	// fleet runs more than one. All zero/absent without hedging.
-	Replicas            int     `json:"replicas,omitempty"`
-	ClonesLaunched      int64   `json:"clones_launched,omitempty"`
-	PrimaryWins         int64   `json:"hedged_primary_wins,omitempty"`
-	CloneWins           int64   `json:"clone_wins,omitempty"`
-	WastedAttempts      int64   `json:"wasted_attempts,omitempty"`
-	ReplicaBreakerOpens []int64 `json:"replica_breaker_opens,omitempty"`
+	// (ClonesLaunched − CloneWins) never exceed ClonesLaunched. All
+	// zero/absent without hedging.
+	Replicas       int   `json:"replicas,omitempty"`
+	ClonesLaunched int64 `json:"clones_launched,omitempty"`
+	PrimaryWins    int64 `json:"hedged_primary_wins,omitempty"`
+	CloneWins      int64 `json:"clone_wins,omitempty"`
+	WastedAttempts int64 `json:"wasted_attempts,omitempty"`
 	// AnsweredRate is the fraction of served requests that got real
 	// results, fresh or stale — the availability headline under faults.
 	AnsweredRate float64 `json:"answered_rate"`
@@ -422,20 +419,12 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "  hit rate %.1f%% (personal %d, community %d, cloud misses %d)\n",
 		100*r.HitRate, r.PersonalHits, r.CommunityHits, r.CloudMisses)
 	if r.Degraded+r.Unavailable > 0 || r.Retries > 0 || r.Exhausted > 0 {
-		fmt.Fprintf(&b, "  faults: answered %.1f%% (degraded %d, unavailable %d, retries %d, exhausted %d, breaker opens %d)\n",
-			100*r.AnsweredRate, r.Degraded, r.Unavailable, r.Retries, r.Exhausted, r.BreakerOpens)
+		fmt.Fprintf(&b, "  faults: answered %.1f%% (degraded %d, unavailable %d, retries %d, exhausted %d)\n",
+			100*r.AnsweredRate, r.Degraded, r.Unavailable, r.Retries, r.Exhausted)
 	}
 	if r.Replicas > 1 || r.ClonesLaunched > 0 {
-		fmt.Fprintf(&b, "  hedging: %d replicas, %d clones launched, wins primary %d / clone %d, wasted attempts %d",
+		fmt.Fprintf(&b, "  hedging: %d replicas, %d clones launched, wins primary %d / clone %d, wasted attempts %d\n",
 			r.Replicas, r.ClonesLaunched, r.PrimaryWins, r.CloneWins, r.WastedAttempts)
-		if len(r.ReplicaBreakerOpens) > 0 {
-			parts := make([]string, len(r.ReplicaBreakerOpens))
-			for i, n := range r.ReplicaBreakerOpens {
-				parts[i] = strconv.FormatInt(n, 10)
-			}
-			fmt.Fprintf(&b, ", breaker opens by replica [%s]", strings.Join(parts, " "))
-		}
-		fmt.Fprintf(&b, "\n")
 	}
 	for _, br := range r.Backend {
 		fmt.Fprintf(&b, "  backend replica %d: util %.2f  wait mean %s p99 %s  (%d arrivals: %d served, %d rejected, %d abandoned",
@@ -561,13 +550,11 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 	r.Unavailable = uint64(st.Unavailable - base.stats.Unavailable)
 	r.Retries = st.Retries - base.stats.Retries
 	r.Exhausted = st.Exhausted - base.stats.Exhausted
-	r.BreakerOpens = st.BreakerOpens - base.stats.BreakerOpens
 	r.Replicas = st.Replicas
 	r.ClonesLaunched = st.ClonesLaunched - base.stats.ClonesLaunched
 	r.PrimaryWins = st.PrimaryWins - base.stats.PrimaryWins
 	r.CloneWins = st.CloneWins - base.stats.CloneWins
 	r.WastedAttempts = st.WastedAttempts - base.stats.WastedAttempts
-	r.ReplicaBreakerOpens = delta(st.ReplicaBreakerOpens, base.stats.ReplicaBreakerOpens)
 	r.Batches = st.Batches - base.stats.Batches
 	r.BatchedMisses = st.BatchedMisses - base.stats.BatchedMisses
 	r.RadioWakeups = uint64(st.RadioWakeups - base.stats.RadioWakeups)

@@ -1,10 +1,10 @@
 // Package modeltime is the single source of truth for *model time* in
 // the serving stack. The paper states every latency and energy number
 // in modeled device time, and before this layer existed the stack
-// tracked that time in four uncoordinated places: each device's own
-// clock, the fault planner's per-user view of it, the breaker's
-// wall-clock pacing, and the load generator's wall-only Poisson
-// schedule. This package gives each of those a named home:
+// tracked that time in uncoordinated places: each device's own clock,
+// the fault planner's per-user view of it, and the load generator's
+// wall-only Poisson schedule. This package gives each of those a named
+// home:
 //
 //   - UserClock is one user's virtual model clock — a monotonic view
 //     over the user's simulated device, registered on a fleet-wide
@@ -25,10 +25,9 @@
 //     wall-clock only by design: it must never perturb model state, so
 //     paced and unpaced runs produce byte-identical per-user outcomes.
 //
-// Wall-clock pacing that exists to protect the harness itself — the
-// fleet's circuit breaker, the batch dispatcher's linger window —
-// deliberately stays outside this package: it is real time spent
-// serving, not model time, and must never feed back into outcomes.
+// The one wall-clock wait the serving stack keeps for itself — the
+// batch dispatcher's linger window — deliberately stays outside this
+// package: it is real time spent serving, not model time.
 package modeltime
 
 import (

@@ -8,10 +8,10 @@
 //   - wall-clock fields removed (elapsed_ns, served_qps, wall_latency,
 //     max_schedule_lag_ns, heap_alloc_bytes) — these measure the host,
 //     not the model;
-//   - the replica presentation fields removed (replicas,
-//     replica_breaker_opens) — a replicated fleet with hedging off is
-//     required to be model-identical to a single-backend fleet, and
-//     these two fields are the only permitted report differences;
+//   - the replica presentation field removed (replicas) — a replicated
+//     fleet with hedging off is required to be model-identical to a
+//     single-backend fleet, and this field is the only permitted report
+//     difference;
 //   - the per-replica backend rows removed ("backend") — they are keyed
 //     by replica index, so the single-backend vs replicated comparison
 //     would trivially differ, and the backend-free vs -backend-rate inf
@@ -40,13 +40,12 @@ import (
 // rows, nested latency blocks). Unlike defaultStrip, keep cannot
 // restore them: they measure the host, never the model.
 var volatileKeys = map[string]bool{
-	"elapsed_ns":            true,
-	"served_qps":            true,
-	"wall_latency":          true,
-	"max_schedule_lag_ns":   true,
-	"heap_alloc_bytes":      true,
-	"replicas":              true,
-	"replica_breaker_opens": true,
+	"elapsed_ns":          true,
+	"served_qps":          true,
+	"wall_latency":        true,
+	"max_schedule_lag_ns": true,
+	"heap_alloc_bytes":    true,
+	"replicas":            true,
 }
 
 // defaultStrip keys are model-deterministic but presentation-variant

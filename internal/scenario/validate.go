@@ -210,7 +210,7 @@ func validateFleet(p *problems, f *FleetSpec) {
 		}
 	}
 	overLimit(p, "fleet.shards", f.Shards, maxShards, shardsWhy)
-	overLimit(p, "fleet.replicas", f.Replicas, maxReplicas, "every shard keeps a breaker per replica")
+	overLimit(p, "fleet.replicas", f.Replicas, maxReplicas, "every cohort keeps an injector, and a backend a queue, per replica")
 	overLimit(p, "fleet.batch.max", f.Batch.Max, maxBatchMax, "every shard keeps a session-size counter per batch size")
 	overLimit(p, "fleet.vnodes", f.VNodes, maxVNodes, "the ring holds every shard's virtual nodes")
 	if !validRadios[f.Radio] {
@@ -274,9 +274,11 @@ const (
 	// shards, 461 ms at 1,024 and 1.9 s at 4,096, and at 1e7 shards would
 	// run for about an hour before it served a request.
 	maxShards = 1024
-	// maxReplicas: every cohort keeps an injector and every shard a
-	// breaker per replica — 67 ms at 1,000 replicas, 189 ms at 100,000,
-	// and memory in proportion beyond.
+	// maxReplicas: every cohort keeps a fault injector per replica, and
+	// a queued backend a replica queue — a 50-user faulted closed month
+	// hedged across 100,000 replicas takes 97 ms and across 1,000,000
+	// 214 ms; with a backend model, 81 ms at 1,000 replicas and 1.8 s at
+	// 100,000.
 	maxReplicas = 64
 	// maxCloneFactor: a hedged miss counts the launches in flight at
 	// every clone slot, so its planning is quadratic in the clone factor

@@ -136,9 +136,6 @@ type (
 	// replicas, including the winning dispatch and the waste charged to
 	// the losers.
 	HedgedPlan = faults.HedgedPlan
-	// FleetBreakerOptions configure the fleet's per-shard circuit
-	// breaker (wall-clock retry pacing only).
-	FleetBreakerOptions = fleet.BreakerOptions
 	// Placement maps users to fleet shards (FleetConfig.Placement);
 	// implementations are NewModuloPlacement and NewRingPlacement.
 	Placement = placement.Placement

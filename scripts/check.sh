@@ -45,7 +45,7 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # Do/Submit and live resizes — miss-plan and batch-session
 # counters included, on a lossy hedged batched fleet — a resize moves no
 # Stats field (the retirement fold), a caller-run Do handed on (held,
-# parked, paced) is answered exactly once, the striped route fence
+# parked, priced) is answered exactly once, the striped route fence
 # excludes what one lock would, and the cache-line layout they rest on.
 # Scheduling-dependent, so three rounds under the detector. With them, the
 # per-user cache index's rails: the slab hash table against its
@@ -58,7 +58,7 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # with backend pricing under concurrent walkers. A priced miss replays
 # under no lock: replays side by side publish the spine a serial run
 # builds, and four clients serve every user what one client does on each
-# route a priced miss takes (caller-run, paused, batched).
+# route a priced miss takes (caller-run, slow-priced, batched).
 go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
