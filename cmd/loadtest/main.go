@@ -40,8 +40,7 @@
 //
 // Miss batching (-batch) coalesces concurrent cloud misses into shared
 // radio sessions — one wake-up, one handshake, one tail per batch —
-// capped at -batchmax misses after a -batchlinger collection window
-// (sized adaptively from the miss arrival rate with -batchadaptive),
+// capped at -batchmax misses after a -batchlinger collection window,
 // per shard by default or fleet-wide with -batchwide. The report's
 // energy figures (energy_per_query_j, radio_energy_per_miss_j,
 // radio_wakeups) quantify the savings; per-user hit/miss outcomes are
@@ -141,7 +140,6 @@ var knobs = []knob{
 	{name: "batchmax", path: "fleet.batch.max", usage: "max misses per batched radio session; 0 = default 16"},
 	{name: "batchlinger", path: "fleet.batch.linger", usage: "how long a dispatcher holds an open batch for more misses; 0 = default 200µs"},
 	{name: "batchwide", path: "fleet.batch.fleet_wide", usage: "pool misses fleet-wide into one dispatcher instead of one per shard"},
-	{name: "batchadaptive", path: "fleet.batch.adaptive", usage: "size the batch linger window from the observed miss arrival rate"},
 	{name: "faults", path: "faults", block: "{}", enables: true, usage: "enable the deterministic connectivity-fault model"},
 	{name: "loss", path: "faults.loss", usage: "per-attempt probability a radio exchange is dropped (with -faults)"},
 	{name: "engineerr", path: "faults.engine_err", usage: "per-attempt probability of a transient cloud engine error (with -faults)"},
@@ -560,14 +558,14 @@ func hedgedMisses(f *pocketcloudlets.Fleet, comp *scenario.Compiled, r pocketclo
 
 // check is -check: it verifies the accounting invariants of the report
 // of a run of comp on f — each one holds two sources that could
-// disagree against each other, never a field against the arithmetic
-// that derived it: every served request came from exactly one tier, the
-// fault counters are silent when fault injection is off, the hedge
-// counters cross-foot (every cloud serve of a user who hedges was won
-// by exactly one dispatch; wasted clones never exceed clones launched),
-// the backend replica rows cross-foot (arrivals partition into served,
-// rejected and abandoned), shard occupancy and class rows sum to the
-// fleet's counters, the fleet's energy ledger tracks the collector's
+// disagree against each other, or a model invariant, never a field
+// against the arithmetic that derived it: the collector's total row
+// agrees with the fleet's serving counters, the fault counters are
+// silent when fault injection is off, the hedge counters cross-foot
+// (every cloud serve of a user who hedges was won by exactly one
+// dispatch; wasted clones never exceed clones launched), the backend
+// replica rows cross-foot (arrivals partition into served, rejected
+// and abandoned), the fleet's energy ledger tracks the collector's
 // per-response sums (device and radio joules), and the autoscale action
 // log stays within bounds and chains shard counts.
 func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.LoadReport) []string {
@@ -585,9 +583,26 @@ func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.
 	if r.Errors != 0 {
 		problems = append(problems, fmt.Sprintf("errors: %d", r.Errors))
 	}
-	tiers := r.PersonalHits + r.CommunityHits + r.CloudMisses + r.Degraded + r.Unavailable
-	if tiers+r.Errors != r.Served {
-		problems = append(problems, fmt.Sprintf("tier counts %d + errors %d != served %d", tiers, r.Errors, r.Served))
+	// The collector's total row and the fleet's Stats are two folds of
+	// the same responses (the fleet is fresh, so its lifetime counters
+	// are the run's).
+	st := f.Stats()
+	var off []string
+	for _, c := range []struct {
+		key        string
+		row, fleet uint64
+	}{
+		{"served", r.Served, uint64(st.Served)}, {"shed", r.Shed, uint64(st.Shed)}, {"errors", r.Errors, uint64(st.Errors)},
+		{"personal_hits", r.PersonalHits, uint64(st.PersonalHits)}, {"community_hits", r.CommunityHits, uint64(st.CommunityHits)},
+		{"cloud_misses", r.CloudMisses, uint64(st.CloudMisses)}, {"degraded", r.Degraded, uint64(st.Degraded)},
+		{"unavailable", r.Unavailable, uint64(st.Unavailable)},
+	} {
+		if c.row != c.fleet {
+			off = append(off, fmt.Sprintf("%s %d vs %d", c.key, c.row, c.fleet))
+		}
+	}
+	if len(off) > 0 {
+		problems = append(problems, "collector total row disagrees with the fleet's counters: "+strings.Join(off, ", "))
 	}
 	if !faultsOn && r.Degraded+r.Unavailable+uint64(r.Retries)+uint64(r.Exhausted) != 0 {
 		problems = append(problems, fmt.Sprintf("fault counters nonzero with faults off: degraded %d unavailable %d retries %d exhausted %d",
@@ -629,32 +644,6 @@ func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.
 			problems = append(problems, fmt.Sprintf("backend replica %d waste accounting out of range: %+v", br.Replica, br))
 		}
 	}
-	// Live shards plus the folded counters of shards retired by a
-	// resize must account for every booked request.
-	var shardServed, shardShed uint64
-	for _, so := range r.ShardOccupancy {
-		shardServed += uint64(so.Served)
-		shardShed += uint64(so.Shed)
-	}
-	shardServed += uint64(r.RetiredServed)
-	shardShed += uint64(r.RetiredShed)
-	if len(r.ShardOccupancy) > 0 && (shardServed != r.Served || shardShed != r.Shed) {
-		problems = append(problems, fmt.Sprintf("shard occupancy (live + retired) sums %d served / %d shed, report says %d / %d",
-			shardServed, shardShed, r.Served, r.Shed))
-	}
-	if len(r.Classes) > 0 {
-		var clsServed, clsShed uint64
-		for _, cr := range r.Classes {
-			clsServed += cr.Served
-			clsShed += cr.Shed
-		}
-		if clsServed != r.Served || clsShed != r.Shed {
-			problems = append(problems, fmt.Sprintf(
-				"class rows sum to %d served / %d shed, report says %d / %d",
-				clsServed, clsShed, r.Served, r.Shed))
-		}
-	}
-
 	if r.Energy == nil {
 		problems = append(problems, "report has no energy ledger block")
 	} else {
@@ -663,9 +652,8 @@ func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.
 			name string
 			v    float64
 		}{
-			{"device_base_j", e.DeviceBaseJ}, {"radio_j", e.RadioJ}, {"device_j", e.DeviceJ},
+			{"device_base_j", e.DeviceBaseJ}, {"radio_j", e.RadioJ},
 			{"shard_idle_j", e.ShardIdleJ}, {"shard_active_j", e.ShardActiveJ},
-			{"shard_j", e.ShardJ}, {"fleet_j", e.FleetJ}, {"per_answered_j", e.PerAnsweredJ},
 		} {
 			if n.v < 0 {
 				problems = append(problems, fmt.Sprintf("energy.%s negative: %g", n.name, n.v))

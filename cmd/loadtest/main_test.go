@@ -76,7 +76,6 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-batchmax", "4"}, "-batchmax"},
 		{[]string{"-batchlinger", "1ms"}, "-batchlinger"},
 		{[]string{"-batchwide"}, "-batchwide"},
-		{[]string{"-batchadaptive"}, "-batchadaptive"},
 		{[]string{"-batch", "-batchmax", "-2"}, "-batchmax"},
 		{[]string{"-loss", "0.5"}, "-loss requires -faults"},
 		{[]string{"-engineerr", "0.1"}, "-engineerr requires -faults"},
@@ -134,14 +133,18 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 			t.Errorf("args %v: problems %v do not mention %q", tc.args, problems, tc.want)
 		}
 	}
-	// -fleetbudget is no flag: the parser refuses it, not silently ignoring it.
-	var rf runFlags
-	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	rf.register(fs)
-	if err := fs.Parse([]string{"-fleetbudget", "100000"}); err == nil ||
-		!strings.Contains(err.Error(), "flag provided but not defined: -fleetbudget") {
-		t.Errorf("-fleetbudget: %v, want it refused as an unknown flag", err)
+	// -fleetbudget and -batchadaptive are no flags: the parser refuses
+	// them, not silently ignoring them.
+	for _, args := range [][]string{{"-fleetbudget", "100000"}, {"-batchadaptive"}} {
+		var rf runFlags
+		fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		rf.register(fs)
+		name := args[0]
+		if err := fs.Parse(args); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined: "+name) {
+			t.Errorf("%s: %v, want it refused as an unknown flag", name, err)
+		}
 	}
 }
 
@@ -149,7 +152,7 @@ func TestValidateAcceptsRealInvocations(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "closed", "-users", "100", "-duration", "0", "-seed", "3",
 			"-faults", "-loss", "0.3", "-outage", "6s/30s", "-retries", "3",
-			"-batch", "-batchadaptive", "-check", "-json"},
+			"-batch", "-check", "-json"},
 		{"-placement", "ring", "-vnodes", "128", "-resize-to", "12", "-resize-at", "2s"},
 		{"-placement", "ring", "-resize-to", "12", "-resize-drop"},
 		{"-mode", "closed", "-duration", "0"},
@@ -298,7 +301,7 @@ func TestOverlayCompiles(t *testing.T) {
 		{"-mode", "closed", "-duration", "0", "-pace", "0.01"},
 		{"-arrivals", "diurnal", "-diurnal-peak", "6"},
 		{"-mode", "closed", "-faults", "-loss", "0.3", "-outage", "6s/30s", "-retries", "3",
-			"-batch", "-batchadaptive"},
+			"-batch"},
 		{"-placement", "ring", "-vnodes", "64"},
 		{"-faults", "-loss", "0.1", "-backend-rate", "40", "-backend-queue", "32",
 			"-backend-disc", "ps", "-backend-offered", "25", "-backend-cancel"},
@@ -387,8 +390,8 @@ func TestKnobPathsResolve(t *testing.T) {
 			}
 		}
 	}
-	if got := len(knobs); got != 47 {
-		t.Errorf("%d workload flags, want 47 (none may be added or dropped silently)", got)
+	if got := len(knobs); got != 46 {
+		t.Errorf("%d workload flags, want 46 (none may be added or dropped silently)", got)
 	}
 }
 
@@ -525,6 +528,26 @@ func TestCheckLedgerRadioAgainstCollector(t *testing.T) {
 	}
 }
 
+// TestCheckCollectorAgainstFleet: -check holds the collector's total row
+// against the fleet's own serving counters. A count moved between two
+// tiers of the row still adds up to served, so only that comparison can
+// see it.
+func TestCheckCollectorAgainstFleet(t *testing.T) {
+	comp, f, report := runScenario(t, "-mode", "closed", "-duration", "0", "-users", "40")
+	if problems := check(comp, f, report); len(problems) != 0 {
+		t.Fatalf("a correct run fails -check: %v", problems)
+	}
+	if report.PersonalHits == 0 {
+		t.Fatalf("the run booked no personal hits: %+v", report.Row)
+	}
+	report.PersonalHits--
+	report.CommunityHits++
+	problems := check(comp, f, report)
+	if len(problems) != 1 || !strings.Contains(problems[0], "personal_hits") || !strings.Contains(problems[0], "community_hits") {
+		t.Errorf("a hit moved between tiers of the collector's row went unnoticed: %v", problems)
+	}
+}
+
 // TestSmokes runs loadtest's end-to-end smokes in-process. A row with
 // one command line must pass -check; a row with two must give reports
 // that reportnorm cannot tell apart. The rows run one at a time, so no
@@ -542,7 +565,7 @@ func TestSmokes(t *testing.T) {
 		a, b []string
 	}{
 		{"faults", []string{"-mode", "closed", "-users", "100", "-duration", "0", "-seed", "3",
-			"-faults", "-loss", "0.3", "-outage", "6s/30s", "-retries", "3", "-batch", "-batchadaptive"}, nil},
+			"-faults", "-loss", "0.3", "-outage", "6s/30s", "-retries", "3", "-batch"}, nil},
 		{"clone factor 1 ≡ single backend", outage, with(outage, "-replicas", "3", "-hedge", "1")},
 		{"hedged", hedged, nil},
 		{"backend-rate inf ≡ no backend", hedged, with(hedged, "-backend-rate", "inf")},

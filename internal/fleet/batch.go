@@ -32,15 +32,6 @@ type BatchOptions struct {
 	// the default is one dispatcher (one uplink session at a time) per
 	// shard.
 	FleetWide bool
-	// AdaptiveLinger sizes the linger window from the observed miss
-	// arrival rate instead of using the fixed Linger: under dense
-	// arrivals the window is just long enough to collect a full batch
-	// (inter-arrival gap × (MaxBatch−1), capped at Linger); under
-	// sparse arrivals — when the next miss is not expected within any
-	// linger — it shrinks to Linger/8, so a lone miss is not held
-	// hostage to a window nothing will join. Wall-clock only; modeled
-	// outcomes are unaffected.
-	AdaptiveLinger bool
 }
 
 // DefaultMaxBatch is the default cap on misses per radio session.
@@ -90,10 +81,6 @@ type dispatcher struct {
 	f    *Fleet
 	ch   chan dispatchMsg
 	done chan struct{}
-	// lc adapts the linger window to the observed miss arrival rate;
-	// nil unless BatchOptions.AdaptiveLinger. Only the dispatcher
-	// goroutine touches it.
-	lc *lingerControl
 }
 
 // dispatcherInbox is the dispatcher channel's buffer: a few full batches
@@ -107,79 +94,9 @@ func newDispatcher(f *Fleet) *dispatcher {
 		f:    f,
 		ch:   make(chan dispatchMsg, dispatcherInbox),
 		done: make(chan struct{}),
-		lc:   newLingerControl(f.cfg.Batch),
 	}
 	go d.run()
 	return d
-}
-
-// lingerControl sizes the dispatcher's linger window from an EWMA of
-// the miss inter-arrival gap. See BatchOptions.AdaptiveLinger.
-type lingerControl struct {
-	// max is the configured Linger — the ceiling of the adaptive
-	// window; batch is MaxBatch.
-	max   time.Duration
-	batch int
-	ewma  time.Duration
-	last  time.Time
-}
-
-func newLingerControl(o BatchOptions) *lingerControl {
-	if !o.AdaptiveLinger {
-		return nil
-	}
-	return &lingerControl{max: o.Linger, batch: o.MaxBatch}
-}
-
-// observe books one miss arrival into the inter-arrival EWMA. Gaps are
-// clamped at 2×max so one long idle stretch reads as "sparse" without
-// poisoning the average forever. Nil-safe.
-func (lc *lingerControl) observe(now time.Time) {
-	if lc == nil {
-		return
-	}
-	if !lc.last.IsZero() {
-		gap := now.Sub(lc.last)
-		if gap > 2*lc.max {
-			gap = 2 * lc.max
-		}
-		lc.ewma = (3*lc.ewma + gap) / 4
-	}
-	lc.last = now
-}
-
-// window returns the linger window to hold the current batch open:
-// with no signal yet, the full configured linger; under sparse
-// arrivals (expected gap at or beyond the ceiling) the floor; else the
-// time a full batch needs to assemble at the observed rate, clamped to
-// [max/8, max].
-func (lc *lingerControl) window() time.Duration {
-	floor := lc.max / 8
-	if floor <= 0 {
-		floor = 1
-	}
-	switch {
-	case lc.ewma <= 0:
-		return lc.max
-	case lc.ewma >= lc.max:
-		return floor
-	}
-	w := lc.ewma * time.Duration(lc.batch-1)
-	if w < floor {
-		w = floor
-	}
-	if w > lc.max {
-		w = lc.max
-	}
-	return w
-}
-
-// lingerWindow is the duration the run loop arms its batch timer with.
-func (d *dispatcher) lingerWindow() time.Duration {
-	if d.lc != nil {
-		return d.lc.window()
-	}
-	return d.f.cfg.Batch.Linger
 }
 
 // submit parks one classified miss for coalescing.
@@ -240,13 +157,12 @@ func (d *dispatcher) run() {
 				}
 				continue
 			}
-			d.lc.observe(time.Now())
 			batch = append(batch, msg.miss)
 			if len(batch) >= opts.MaxBatch {
 				fire()
 				continue
 			}
-			timer = time.NewTimer(d.lingerWindow())
+			timer = time.NewTimer(opts.Linger)
 			timeout = timer.C
 			continue
 		}
@@ -263,7 +179,6 @@ func (d *dispatcher) run() {
 				}
 				continue
 			}
-			d.lc.observe(time.Now())
 			batch = append(batch, msg.miss)
 			if len(batch) >= opts.MaxBatch {
 				fire()

@@ -74,7 +74,7 @@ func (c missPathCell) configure(cfg *Config) {
 		cfg.Backend = backend.Options{Enabled: true, Seed: 11, ServiceRate: 4, Discipline: backend.PS, CancelOnWin: true}
 	}
 	if c.batch {
-		cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond, AdaptiveLinger: true}
+		cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
 	}
 }
 

@@ -60,6 +60,41 @@ func (c *counters) merge(o *counters) {
 	c.missRadioJ += o.missRadioJ
 }
 
+// row derives the report row of this aggregate: the total row and
+// every class row alike.
+func (c *counters) row() Row {
+	observed := c.bySource[fleet.SourcePersonal] + c.bySource[fleet.SourceCommunity] + c.bySource[fleet.SourceCloud] +
+		c.bySource[fleet.SourceDegraded] + c.bySource[fleet.SourceUnavailable]
+	r := Row{
+		Served:        observed + c.errors,
+		Shed:          c.shed,
+		PersonalHits:  c.bySource[fleet.SourcePersonal],
+		CommunityHits: c.bySource[fleet.SourceCommunity],
+		CloudMisses:   c.bySource[fleet.SourceCloud],
+		Degraded:      c.bySource[fleet.SourceDegraded],
+		Unavailable:   c.bySource[fleet.SourceUnavailable],
+		Wall:          c.wall.Summary(),
+		Model:         c.model.Summary(),
+		EnergyJ:       c.energyJ,
+		RadioEnergyJ:  c.radioJ,
+	}
+	r.Requests = r.Served + r.Shed
+	if r.Served > 0 {
+		r.HitRate = float64(r.PersonalHits+r.CommunityHits) / float64(r.Served)
+		r.AnsweredRate = float64(r.Served-r.Unavailable) / float64(r.Served)
+	}
+	if r.Requests > 0 {
+		r.ShedRate = float64(r.Shed) / float64(r.Requests)
+	}
+	if observed > 0 {
+		r.EnergyPerQueryJ = c.energyJ / float64(observed)
+	}
+	if r.CloudMisses > 0 {
+		r.RadioEnergyPerMissJ = c.missRadioJ / float64(r.CloudMisses)
+	}
+	return r
+}
+
 // collectorStripes is the Collector's lock-stripe count. Responses
 // stripe by user ID, so one stripe sees all of a user's responses and
 // a wide fleet's workers stop serializing on a single observer mutex.

@@ -10,7 +10,6 @@ import (
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/fleet"
 	"pocketcloudlets/internal/modeltime"
-	"pocketcloudlets/internal/replay"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/workload"
 )
@@ -551,7 +550,6 @@ func replaySchedule(r *Report, f *fleet.Fleet, col *Collector, events []TraceEve
 	}
 	r.MaxScheduleLagNS = int64(maxLag)
 	r.OfferedCurve, r.PeakTroughServedRatio = offeredCurve(cfg.Duration, offered[:], sheds[:])
-	r.MeanUserHitRate = f.MeanUserHitRate()
 	if p.ctl != nil {
 		r.Autoscale = autoscaleReport(p.ctl, f.NumShards())
 	}
@@ -658,13 +656,11 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 	}
 	u := g.Config().Universe
 
-	outcomes := make([]replay.UserOutcome, cfg.Users)
 	r := Report{
 		Mode:     "closed",
 		Scenario: cfg.Scenario,
 		Seed:     cfg.Seed,
 		Users:    cfg.Users,
-		Outcomes: outcomes,
 	}
 	err := measure(&r, f, col, cfg.Resize, func() error {
 		var deadline time.Time
@@ -683,9 +679,7 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 						break
 					}
 				}
-				up := profiles[i]
-				cur := g.Cursor(up, cfg.Month)
-				uo := replay.NewUserOutcome(up, 0) // the replay harness's weekly buckets
+				cur := g.Cursor(profiles[i], cfg.Month)
 				for n := 0; cls.MaxQueriesPerUser <= 0 || n < cls.MaxQueriesPerUser; n++ {
 					if cfg.Duration > 0 && !time.Now().Before(deadline) {
 						break
@@ -698,12 +692,10 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 					if resp.Shed || resp.Err != nil {
 						continue
 					}
-					uo.Record(e.At, u.Navigational(e.Pair), resp.Outcome)
 					if d := cls.Pace.Pause(resp.Outcome.ResponseTime()); d > 0 {
 						time.Sleep(d)
 					}
 				}
-				outcomes[i] = uo
 			}(i)
 		}
 		wg.Wait()
@@ -718,23 +710,19 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 		}
 	}
 
+	// The per-class mean of the fleet's per-user hit rates, summed in
+	// user-ID order like fleet.MeanUserHitRate (profiles[i].ID == i).
 	classSum := make(map[string]float64)
 	classN := make(map[string]int)
-	var sum float64
-	var n int
-	for _, uo := range outcomes {
-		if uo.Volume == 0 {
+	for _, uc := range f.UserServeCounts() {
+		if uc.Served == 0 || int(uc.User) >= len(profiles) {
 			continue
 		}
-		hr := uo.HitRate()
-		sum += hr
-		n++
-		name := uo.Profile.Class.String()
-		classSum[name] += hr
+		name := profiles[uc.User].Class.String()
+		classSum[name] += float64(uc.Hits) / float64(uc.Served)
 		classN[name]++
 	}
-	if n > 0 {
-		r.MeanUserHitRate = sum / float64(n)
+	if len(classN) > 0 {
 		r.ClassHitRate = make(map[string]float64, len(classSum))
 		for c, s := range classSum {
 			r.ClassHitRate[c] = s / float64(classN[c])

@@ -140,7 +140,8 @@ func TestClosedLoopDeterministic(t *testing.T) {
 
 // TestClosedLoopMatchesReplay checks the paper-shape acceptance: the
 // fleet's closed-loop mean per-user hit rate lands on the replay
-// harness's Full-mode number (~65%, Figure 17) for the same users.
+// harness's Full-mode number (~65%, Figure 17) for the same users, and
+// so does each workload class's mean.
 func TestClosedLoopMatchesReplay(t *testing.T) {
 	g := smallGen(t, 160)
 	content := smallContent(t, g)
@@ -157,10 +158,14 @@ func TestClosedLoopMatchesReplay(t *testing.T) {
 	}
 	var sum float64
 	var n int
+	classSum := make(map[string]float64)
+	classN := make(map[string]int)
 	for _, uo := range res.Users {
 		if uo.Volume > 0 {
 			sum += uo.HitRate()
 			n++
+			classSum[uo.Profile.Class.String()] += uo.HitRate()
+			classN[uo.Profile.Class.String()]++
 		}
 	}
 	want := sum / float64(n)
@@ -175,9 +180,14 @@ func TestClosedLoopMatchesReplay(t *testing.T) {
 	if r.CommunityHits == 0 || r.PersonalHits == 0 || r.CloudMisses == 0 {
 		t.Errorf("expected all three tiers exercised: %+v", r)
 	}
-	// Per-user accounting is carried for downstream analysis.
-	if len(r.Outcomes) != 160 {
-		t.Errorf("outcomes = %d, want 160", len(r.Outcomes))
+	if len(r.ClassHitRate) != len(classN) {
+		t.Errorf("class hit rates cover %d classes, want the %d present: %v", len(r.ClassHitRate), len(classN), r.ClassHitRate)
+	}
+	for c, s := range classSum {
+		got, ok := r.ClassHitRate[c]
+		if want := s / float64(classN[c]); !ok || math.Abs(got-want) > 1e-9 {
+			t.Errorf("class %s mean user hit rate %.6f (reported %v), replay %.6f", c, got, ok, want)
+		}
 	}
 }
 
@@ -245,9 +255,6 @@ func TestReportJSON(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Errorf("JSON report missing %q", key)
 		}
-	}
-	if _, ok := m["Outcomes"]; ok {
-		t.Error("per-user outcomes must not be serialized")
 	}
 	if r.String() == "" {
 		t.Error("human-readable summary is empty")
@@ -484,17 +491,17 @@ func TestPacedClosedLoopByteIdentical(t *testing.T) {
 	g := smallGen(t, 120)
 	content := smallContent(t, g)
 
-	run := func(pace modeltime.Pacer) Report {
+	run := func(pace modeltime.Pacer) (Report, []fleet.UserServeCount) {
 		f, col := newRig(t, g, content)
 		r, err := RunClosed(f, col, g, ClosedConfig{Users: 120, Month: 1, Seed: 4,
 			Classes: []ClosedClassConfig{{Hi: 120, Pace: pace}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		return r, f.UserServeCounts()
 	}
-	unpaced := run(modeltime.Pacer{})
-	paced := run(modeltime.Pacer{Scale: 1e-4, MaxPause: time.Millisecond})
+	unpaced, unpacedUsers := run(modeltime.Pacer{})
+	paced, pacedUsers := run(modeltime.Pacer{Scale: 1e-4, MaxPause: time.Millisecond})
 
 	if unpaced.Shed != 0 || paced.Shed != 0 {
 		t.Fatalf("closed loop shed requests (%d, %d); identity undefined", unpaced.Shed, paced.Shed)
@@ -513,7 +520,7 @@ func TestPacedClosedLoopByteIdentical(t *testing.T) {
 	if unpaced.ModelMakespanNS != paced.ModelMakespanNS {
 		t.Errorf("model makespan diverges: %d vs %d", unpaced.ModelMakespanNS, paced.ModelMakespanNS)
 	}
-	if !reflect.DeepEqual(unpaced.Outcomes, paced.Outcomes) {
+	if !reflect.DeepEqual(unpacedUsers, pacedUsers) {
 		t.Error("per-user outcomes diverge under pacing; pacing must be wall-only")
 	}
 }

@@ -14,12 +14,13 @@ import (
 	"pocketcloudlets/internal/backend"
 	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/fleet"
-	"pocketcloudlets/internal/replay"
 )
 
-// Report is the machine-readable result of one load phase. Counters
-// and the modeled-latency summary are deterministic given the workload
-// seed (when nothing was shed); wall-clock figures are measurements.
+// Report is the machine-readable result of one load phase: the
+// collector's total row, the fleet's counters for what the collector
+// cannot see, and the per-class rows. Counters and the modeled-latency
+// summary are deterministic given the workload seed (when nothing was
+// shed); wall-clock figures are measurements.
 type Report struct {
 	Mode string `json:"mode"`
 	// Scenario names the scenario (file or preset) that produced the
@@ -30,26 +31,20 @@ type Report struct {
 	Shards   int    `json:"shards"`
 	Workers  int    `json:"workers"`
 
-	Requests uint64 `json:"requests"`
-	Served   uint64 `json:"served"`
-	Shed     uint64 `json:"shed"`
-	Errors   uint64 `json:"errors"`
+	// Row is the run's total row: every response the collector observed,
+	// derived by the same function as each class row. Errors sits beside
+	// it because a class row omits a zero count and the total row does
+	// not.
+	Row
+	Errors uint64 `json:"errors"`
 
-	PersonalHits  uint64 `json:"personal_hits"`
-	CommunityHits uint64 `json:"community_hits"`
-	CloudMisses   uint64 `json:"cloud_misses"`
-
-	// Degraded and Unavailable are the fault model's fallback serves
-	// (stale cached answers and explicit "unavailable" pages). Retries
-	// and Exhausted quantify the retry machinery. All zero
-	// when fault injection is off. Canceled is always zero, so the JSON
-	// omits it (fleet.Stats.Canceled); it stays only because the
-	// benchmark module (bench/) still reads it.
-	Degraded    uint64 `json:"degraded,omitempty"`
-	Unavailable uint64 `json:"unavailable,omitempty"`
-	Canceled    uint64 `json:"canceled,omitempty"`
-	Retries     int64  `json:"retries,omitempty"`
-	Exhausted   int64  `json:"exhausted,omitempty"`
+	// Retries and Exhausted quantify the retry machinery; zero when
+	// fault injection is off. Canceled is always zero, so the JSON omits
+	// it (fleet.Stats.Canceled); it stays only because the benchmark
+	// module (bench/) still reads it.
+	Canceled  uint64 `json:"canceled,omitempty"`
+	Retries   int64  `json:"retries,omitempty"`
+	Exhausted int64  `json:"exhausted,omitempty"`
 	// Hedging counters (replicated cloud backends): Replicas is the
 	// configured backend replica count; ClonesLaunched counts hedge
 	// clones dispatched to secondary replicas, CloneWins / PrimaryWins
@@ -64,22 +59,15 @@ type Report struct {
 	PrimaryWins    int64 `json:"hedged_primary_wins,omitempty"`
 	CloneWins      int64 `json:"clone_wins,omitempty"`
 	WastedAttempts int64 `json:"wasted_attempts,omitempty"`
-	// AnsweredRate is the fraction of served requests that got real
-	// results, fresh or stale — the availability headline under faults.
-	AnsweredRate float64 `json:"answered_rate"`
 
-	HitRate float64 `json:"hit_rate"`
 	// MeanUserHitRate averages per-user hit rates — the paper's
-	// Figure 17 metric. Closed loop computes it from per-user outcome
-	// accounting; open and trace runs take it from the fleet's resident
-	// counters (fleet.MeanUserHitRate), which is what the capacity
-	// study's hit-rate-invariance check compares across population
-	// sizes.
+	// Figure 17 metric — over the fleet's resident users
+	// (fleet.MeanUserHitRate), which is what the capacity study's
+	// hit-rate-invariance check compares across population sizes.
 	MeanUserHitRate float64 `json:"mean_user_hit_rate"`
-	// ClassHitRate is the mean per-user hit rate by user class
-	// (closed loop only).
+	// ClassHitRate is the same mean by workload class (closed loop
+	// only).
 	ClassHitRate map[string]float64 `json:"class_hit_rate,omitempty"`
-	ShedRate     float64            `json:"shed_rate"`
 
 	ElapsedNS int64 `json:"elapsed_ns"`
 	// OfferedQPS is the generator's target mean arrival rate (open loop).
@@ -112,21 +100,6 @@ type Report struct {
 	Paced     bool    `json:"paced,omitempty"`
 	PaceScale float64 `json:"pace_scale,omitempty"`
 
-	// Wall is measured submit-to-completion latency including queue
-	// wait; Model is the modeled on-device response time.
-	Wall  LatencySummary `json:"wall_latency"`
-	Model LatencySummary `json:"model_latency"`
-
-	// EnergyJ is the total modeled energy over observed responses
-	// (device base power over modeled response time, plus radio);
-	// EnergyPerQueryJ divides it by observed responses.
-	EnergyJ         float64 `json:"energy_j"`
-	EnergyPerQueryJ float64 `json:"energy_per_query_j"`
-	// RadioEnergyJ is the radio-only share; RadioEnergyPerMissJ divides
-	// the cloud misses' radio energy by the miss count — the headline
-	// number miss batching drives down.
-	RadioEnergyJ        float64 `json:"radio_energy_j"`
-	RadioEnergyPerMissJ float64 `json:"radio_energy_per_miss_j"`
 	// RadioWakeups counts cold radio wake-ups paid during the run: one
 	// per session-opening unbatched miss plus one per batched session.
 	RadioWakeups uint64 `json:"radio_wakeups"`
@@ -168,11 +141,10 @@ type Report struct {
 	DroppedUsers           int64 `json:"dropped_users,omitempty"`
 	HeldRequests           int64 `json:"held_requests,omitempty"`
 	// RetiredServed/RetiredShed are the serving counters of shards a
-	// shrink retired; together with ShardOccupancy they cross-foot
-	// against Served/Shed (cmd/loadtest -check). Like ShardOccupancy
-	// the counters are cumulative over the fleet's lifetime, which
-	// equals the run for the freshly built fleets the CLI drives.
-	// Absent unless a shrink actually retired shards.
+	// shrink retired (fleet.RetiredLoad). Like ShardOccupancy the
+	// counters are cumulative over the fleet's lifetime, which equals
+	// the run for the freshly built fleets the CLI drives. Absent unless
+	// a shrink actually retired shards.
 	RetiredServed int64 `json:"retired_served,omitempty"`
 	RetiredShed   int64 `json:"retired_shed,omitempty"`
 
@@ -193,45 +165,59 @@ type Report struct {
 	Backend []BackendReport `json:"backend,omitempty"`
 
 	// Classes breaks the run down per SLO class when requests were
-	// tagged (scenario runs): latency histograms, per-tier counters and
-	// energy deltas per class, sorted by class name. Sourced from the
-	// collector, so it covers exactly the observed responses.
+	// tagged (scenario runs), sorted by class name: the total row's
+	// fields restricted to the responses carrying the class tag.
 	Classes []ClassReport `json:"classes,omitempty"`
-
-	// Outcomes carries per-user accounting for further analysis
-	// (closed loop only; not serialized).
-	Outcomes []replay.UserOutcome `json:"-"`
 }
 
-// ClassReport is one SLO class's slice of a tagged run: the same
-// headline counters, latency summaries and energy sums as the
-// fleet-wide report, restricted to responses carrying the class tag.
-type ClassReport struct {
-	Class    string `json:"class"`
+// Row is one slice of a run's responses as the collector observed them
+// — the whole run in Report, one SLO class in ClassReport — derived by
+// one function, counters.row.
+type Row struct {
+	// Requests = Served + Shed; Served counts completed requests,
+	// errored ones included.
 	Requests uint64 `json:"requests"`
-	// Served counts completed requests including errored ones, matching
-	// the fleet-wide convention.
-	Served uint64 `json:"served"`
-	Shed   uint64 `json:"shed"`
-	Errors uint64 `json:"errors,omitempty"`
+	Served   uint64 `json:"served"`
+	Shed     uint64 `json:"shed"`
 
+	// The tier a response came from. Degraded and Unavailable are the
+	// fault model's fallback serves (stale cached answers and explicit
+	// "unavailable" pages), zero when fault injection is off.
 	PersonalHits  uint64 `json:"personal_hits"`
 	CommunityHits uint64 `json:"community_hits"`
 	CloudMisses   uint64 `json:"cloud_misses"`
 	Degraded      uint64 `json:"degraded,omitempty"`
 	Unavailable   uint64 `json:"unavailable,omitempty"`
 
+	// HitRate is the on-device share of served requests; AnsweredRate
+	// the share that got real results, fresh or stale — the availability
+	// headline under faults.
 	HitRate      float64 `json:"hit_rate"`
 	ShedRate     float64 `json:"shed_rate"`
 	AnsweredRate float64 `json:"answered_rate"`
 
+	// Wall is measured submit-to-completion latency including queue
+	// wait; Model is the modeled on-device response time.
 	Wall  LatencySummary `json:"wall_latency"`
 	Model LatencySummary `json:"model_latency"`
 
+	// EnergyJ is the total modeled energy over observed responses
+	// (device base power over modeled response time, plus radio);
+	// EnergyPerQueryJ divides it by observed responses. RadioEnergyJ is
+	// the radio-only share; RadioEnergyPerMissJ divides the cloud misses'
+	// radio energy by the miss count — the headline number miss batching
+	// drives down.
 	EnergyJ             float64 `json:"energy_j"`
 	EnergyPerQueryJ     float64 `json:"energy_per_query_j"`
 	RadioEnergyJ        float64 `json:"radio_energy_j"`
 	RadioEnergyPerMissJ float64 `json:"radio_energy_per_miss_j"`
+}
+
+// ClassReport is one SLO class's row of a tagged run.
+type ClassReport struct {
+	Class string `json:"class"`
+	Row
+	Errors uint64 `json:"errors,omitempty"`
 }
 
 // BackendReport is one modeled cloud replica's row in Report.Backend.
@@ -321,42 +307,6 @@ type AutoscaleAction struct {
 	From      int     `json:"from"`
 	To        int     `json:"to"`
 	Occupancy float64 `json:"occupancy"`
-}
-
-// classReport folds one class's counters into its report row.
-func classReport(name string, c *counters) ClassReport {
-	observed := c.bySource[fleet.SourcePersonal] + c.bySource[fleet.SourceCommunity] + c.bySource[fleet.SourceCloud] +
-		c.bySource[fleet.SourceDegraded] + c.bySource[fleet.SourceUnavailable]
-	cr := ClassReport{
-		Class:         name,
-		Served:        observed + c.errors,
-		Shed:          c.shed,
-		Errors:        c.errors,
-		PersonalHits:  c.bySource[fleet.SourcePersonal],
-		CommunityHits: c.bySource[fleet.SourceCommunity],
-		CloudMisses:   c.bySource[fleet.SourceCloud],
-		Degraded:      c.bySource[fleet.SourceDegraded],
-		Unavailable:   c.bySource[fleet.SourceUnavailable],
-		Wall:          c.wall.Summary(),
-		Model:         c.model.Summary(),
-		EnergyJ:       c.energyJ,
-		RadioEnergyJ:  c.radioJ,
-	}
-	cr.Requests = cr.Served + cr.Shed
-	if cr.Served > 0 {
-		cr.HitRate = float64(cr.PersonalHits+cr.CommunityHits) / float64(cr.Served)
-		cr.AnsweredRate = float64(cr.Served-cr.Unavailable) / float64(cr.Served)
-	}
-	if cr.Requests > 0 {
-		cr.ShedRate = float64(cr.Shed) / float64(cr.Requests)
-	}
-	if observed > 0 {
-		cr.EnergyPerQueryJ = c.energyJ / float64(observed)
-	}
-	if misses := cr.CloudMisses; misses > 0 {
-		cr.RadioEnergyPerMissJ = c.missRadioJ / float64(misses)
-	}
-	return cr
 }
 
 // ShardOccupancy is one shard's row in Report.ShardOccupancy.
@@ -531,23 +481,17 @@ func begin(f *fleet.Fleet, col *Collector) (baseline, error) {
 	return baseline{f.Stats(), f.MigrationStats(), f.EnergyStats()}, nil
 }
 
-// fill populates the shared report fields. Serving counters come from
-// the fleet's own Stats as before/after deltas — authoritative no
-// matter how the observer is wired — while latency histograms and
-// energy sums come from the collector.
+// fill populates the shared report fields. The total row and the class
+// rows come from the collector, one fold of the observed responses; the
+// counters it cannot see — retries, hedging, batches, wake-ups, the
+// backend rows, residency, migration and the energy ledger — are the
+// fleet's own, as before/after deltas.
 func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time.Duration) {
 	cnt := col.snapshot()
 	st := f.Stats()
 	r.Shards = f.NumShards()
 	r.Workers = f.NumWorkers()
-	r.Served = uint64(st.Served - base.stats.Served)
-	r.Shed = uint64(st.Shed - base.stats.Shed)
-	r.Errors = uint64(st.Errors - base.stats.Errors)
-	r.PersonalHits = uint64(st.PersonalHits - base.stats.PersonalHits)
-	r.CommunityHits = uint64(st.CommunityHits - base.stats.CommunityHits)
-	r.CloudMisses = uint64(st.CloudMisses - base.stats.CloudMisses)
-	r.Degraded = uint64(st.Degraded - base.stats.Degraded)
-	r.Unavailable = uint64(st.Unavailable - base.stats.Unavailable)
+	r.Row, r.Errors = cnt.row(), cnt.errors
 	r.Retries = st.Retries - base.stats.Retries
 	r.Exhausted = st.Exhausted - base.stats.Exhausted
 	r.Replicas = st.Replicas
@@ -576,24 +520,12 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 			r.Backend[i] = backendReport(i, bs)
 		}
 	}
-	r.Requests = r.Served + r.Shed
-	if r.Served > 0 {
-		r.HitRate = float64(r.PersonalHits+r.CommunityHits) / float64(r.Served)
-		r.AnsweredRate = float64(r.Served-r.Unavailable) / float64(r.Served)
-	}
-	if r.Requests > 0 {
-		r.ShedRate = float64(r.Shed) / float64(r.Requests)
-	}
 	r.ElapsedNS = int64(elapsed)
 	if elapsed > 0 {
 		r.ServedQPS = float64(r.Served) / elapsed.Seconds()
 	}
 	r.ModelMakespanNS = int64(f.ModelMakespan())
-	// The collector-side fields are the all-classes row of classReport.
-	all := classReport("", &cnt)
-	r.Wall, r.Model = all.Wall, all.Model
-	r.EnergyJ, r.EnergyPerQueryJ = all.EnergyJ, all.EnergyPerQueryJ
-	r.RadioEnergyJ, r.RadioEnergyPerMissJ = all.RadioEnergyJ, all.RadioEnergyPerMissJ
+	r.MeanUserHitRate = f.MeanUserHitRate()
 
 	r.PersonalBytes = st.PersonalBytes
 	r.ResidentUsers = st.Users
@@ -656,7 +588,8 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 		sort.Strings(names)
 		r.Classes = make([]ClassReport, 0, len(names))
 		for _, name := range names {
-			r.Classes = append(r.Classes, classReport(name, byClass[name]))
+			c := byClass[name]
+			r.Classes = append(r.Classes, ClassReport{Class: name, Row: c.row(), Errors: c.errors})
 		}
 	}
 }

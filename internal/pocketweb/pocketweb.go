@@ -183,11 +183,12 @@ func (c *Cache) evictOne(keep uint64) bool {
 	var victim uint64
 	var victimScore float64
 	found := false
-	for h, p := range c.pages {
+	// A page's key is the hash of its URL, so it is the item's ID.
+	for h := range c.pages {
 		if h == keep {
 			continue
 		}
-		s := c.personal.Score(core.ItemID(hash64.Sum(p.url)))
+		s := c.personal.Score(core.ItemID(h))
 		if !found || s < victimScore || (s == victimScore && h < victim) {
 			victim, victimScore, found = h, s, true
 		}

@@ -122,9 +122,7 @@ func NewUserOutcome(up workload.UserProfile, weeks int) UserOutcome {
 // Record accumulates one served query into the outcome: volume, the
 // weekly buckets of Figure 18, response time, and the navigational hit
 // split of Figure 19. at is the query's offset within its month and
-// nav reports whether the pair is navigational. Both the replay
-// harness and the fleet's closed-loop load generator account outcomes
-// through this method so their hit rates are directly comparable.
+// nav reports whether the pair is navigational.
 func (uo *UserOutcome) Record(at time.Duration, nav bool, out pocketsearch.Outcome) {
 	weeks := len(uo.WeekVolume)
 	w := int(at / (7 * 24 * time.Hour))

@@ -300,11 +300,10 @@ func (c *Compiled) FleetConfig(obs fleet.Observer) (fleet.Config, error) {
 		Radio:        radioParams(s.Fleet.Radio),
 		PerUserBytes: s.Fleet.UserBudgetBytes,
 		Batch: fleet.BatchOptions{
-			Enabled:        s.Fleet.Batch.Enabled,
-			MaxBatch:       s.Fleet.Batch.Max,
-			Linger:         s.Fleet.Batch.Linger.D(),
-			FleetWide:      s.Fleet.Batch.FleetWide,
-			AdaptiveLinger: s.Fleet.Batch.Adaptive,
+			Enabled:   s.Fleet.Batch.Enabled,
+			MaxBatch:  s.Fleet.Batch.Max,
+			Linger:    s.Fleet.Batch.Linger.D(),
+			FleetWide: s.Fleet.Batch.FleetWide,
 		},
 		Replicas: s.Fleet.Replicas,
 		Cohorts:  c.cohorts,

@@ -264,12 +264,10 @@ type BackendSpec struct {
 type BatchSpec struct {
 	Enabled bool `json:"enabled,omitempty"`
 	// Max caps misses per session (0 = 16); Linger is the collection
-	// window (0 = 200µs); FleetWide pools all shards' misses; Adaptive
-	// sizes the window from the observed miss rate.
+	// window (0 = 200µs); FleetWide pools all shards' misses.
 	Max       int      `json:"max,omitempty"`
 	Linger    Duration `json:"linger,omitempty"`
 	FleetWide bool     `json:"fleet_wide,omitempty"`
-	Adaptive  bool     `json:"adaptive,omitempty"`
 }
 
 // FaultSpec is a connectivity-fault profile, fleet-wide or per class.

@@ -224,7 +224,7 @@ func validateFleet(p *problems, f *FleetSpec) {
 	if f.VNodes > 0 && f.Placement != "ring" {
 		p.addf("fleet.vnodes: only the ring placement uses virtual nodes")
 	}
-	if !f.Batch.Enabled && (f.Batch.Max > 0 || f.Batch.Linger > 0 || f.Batch.FleetWide || f.Batch.Adaptive) {
+	if !f.Batch.Enabled && (f.Batch.Max > 0 || f.Batch.Linger > 0 || f.Batch.FleetWide) {
 		p.addf("fleet.batch: knobs set but batch.enabled is false")
 	}
 	if f.Backend != nil {
