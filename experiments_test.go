@@ -47,6 +47,7 @@ var experimentMetrics = map[string]struct {
 	"heap_live_bytes_per_user": {false, withThousands},
 	"setup_s":                  {false, func(v float64) string { return fmt.Sprintf("%.3f", v) }},
 	"ns_per_op":                {false, withThousands},
+	"ns_per_draw":              {false, func(v float64) string { return fmt.Sprintf("%.2f", v) }},
 	"served_qps":               {true, withThousands},
 	"wall_p99_ms":              {false, func(v float64) string { return fmt.Sprintf("%.2f", v) }},
 	"served":                   {true, withThousands},

@@ -70,6 +70,22 @@ func expDraw4(u *[4]float64) {
 	}
 }
 
+// expDraws replaces each lattice uniform of u, len(u) a multiple of 4,
+// with its expDraw. The vector kernel draws where there is one;
+// expDraw4 draws each group of four it leaves, and every group where
+// there is none.
+func expDraws(u []float64) {
+	for len(u) > 0 {
+		if vectorDraws {
+			if u = u[expDrawsVector(u):]; len(u) == 0 {
+				return
+			}
+		}
+		expDraw4((*[4]float64)(u[:4]))
+		u = u[4:]
+	}
+}
+
 // expLane is expDraw's branch-free body; ok is false where u needs the
 // math.Log1p fallback, and y is then meaningless. log1p(x) is taken at
 // x = -u; 1 − u below is log1p's 1 + x, the same rounding of the same

@@ -514,9 +514,9 @@ func (rp *replica) consumeArrival(rc *replay, t float64) {
 
 // refill draws the arrivals after st's next one into rc.ahead, from
 // st.r on: as many as reaching t should take — the expected count
-// (t − nextAt)·λ plus the one past t — rounded up to whole expDraw4
-// calls and at most aheadMax. Each arrival takes two draws, the gap and
-// then the demand.
+// (t − nextAt)·λ plus the one past t — rounded up to an even count,
+// so the 2n draws are whole four-lane groups, and at most aheadMax.
+// Each arrival takes two draws, the gap and then the demand.
 func (rc *replay) refill(m *Model, t float64) {
 	st := &rc.st
 	n := aheadMax
@@ -528,9 +528,7 @@ func (rc *replay) refill(m *Model, t float64) {
 	for i := range u[:2*n] {
 		u[i] = r.float()
 	}
-	for i := 0; i < 2*n; i += 4 {
-		expDraw4((*[4]float64)(u[i : i+4]))
-	}
+	expDraws(u[:2*n])
 	for i := range rc.ahead[:n] {
 		rc.ahead[i] = arrival{gap: u[2*i] / m.lambda, demand: m.backgroundDemand(u[2*i+1])}
 	}

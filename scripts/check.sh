@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate (see ROADMAP.md): formatting, static
-# analysis, a full build, the whole test suite, a race-detector pass,
+# analysis, a full build, a vet and build for two other architectures,
+# the whole test suite, a race-detector pass,
 # the scheduling-dependent rails three times over under the detector,
 # and the benchmark module's smoke test. Everything must pass before a
 # change lands. The performance contracts — allocation ceilings, the
@@ -32,6 +33,15 @@ go vet ./...
 
 echo "== go build ./... =="
 go build ./...
+
+echo "== cross-architecture: vet and build for arm64, build for s390x =="
+# An amd64 build never compiles the files that only other platforms
+# build — internal/backend's expdraw_other.go, the draw kernel's
+# dispatch where there is no assembly — nor vets them. arm64 fuses
+# multiply-adds; s390x has math.Log1p in assembly.
+GOARCH=arm64 go vet ./...
+GOARCH=arm64 go build ./...
+GOARCH=s390x go build ./...
 
 echo "== go test ./... =="
 go test ./...
