@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -194,11 +195,10 @@ type TraceEvent struct {
 	Click string
 }
 
-// classSchedule draws one class's arrival schedule. The whole schedule
-// is drawn up front so the arrival count is a pure function of the spec
-// — an open-loop generator must not let fleet backpressure slow the
-// arrivals.
-func classSchedule(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed int64, maxReq int) ([]modeltime.Arrival, error) {
+// classSpec is one class's arrival spec. Its schedule is a pure
+// function of the spec — an open-loop generator must not let fleet
+// backpressure slow the arrivals.
+func classSpec(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed int64, maxReq int) modeltime.Spec {
 	spec := modeltime.Spec{
 		Kind:       cc.Arrivals,
 		QPS:        cfg.QPS * cc.QPSShare,
@@ -217,43 +217,26 @@ func classSchedule(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, se
 		}
 		spec.Weights = w
 	}
-	schedule, err := modeltime.Schedule(spec)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
-	return schedule, nil
+	return spec
 }
 
-// classEvents materializes one class's schedule as concrete request
-// events. A per-user arrival replays its user's own stream; every other
-// arrival takes the next entry of the class's tape — the run's month log
-// filtered to the class's users — wrapping if the schedule outruns it.
-func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, schedule []modeltime.Arrival, log []searchlog.Entry, texts *pairTexts) ([]TraceEvent, error) {
+// classDraw returns one class's event source: the next arrival of seq,
+// made a concrete request. A per-user arrival replays its user's own
+// stream; every other arrival takes the next entry of the class's tape —
+// the run's month log filtered to the class's users — wrapping if the
+// schedule outruns it.
+func classDraw(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seq *modeltime.Sequence, tape []searchlog.Entry, texts *pairTexts) func() (TraceEvent, bool) {
 	profiles := g.Users()
-	var (
-		cursors []*workload.Cursor
-		tape    []searchlog.Entry
-	)
+	var cursors []*workload.Cursor
 	if cc.Arrivals == modeltime.PerUser {
 		cursors = make([]*workload.Cursor, len(profiles))
-	} else {
-		if cc.Lo <= 0 && cc.Hi >= len(profiles) {
-			tape = log
-		} else {
-			// The workload invariant profiles[i].ID == UserID(i) makes a
-			// contiguous index range a contiguous ID range.
-			for _, e := range log {
-				if idx := int(e.User); idx >= cc.Lo && idx < cc.Hi {
-					tape = append(tape, e)
-				}
-			}
-		}
-		if len(tape) == 0 {
-			return nil, fmt.Errorf("loadgen: class %q has no month-%d log entries", cc.Name, cfg.Month)
-		}
 	}
-	events := make([]TraceEvent, len(schedule))
-	for i, a := range schedule {
+	next := 0 // the tape entry the next arrival takes
+	return func() (TraceEvent, bool) {
+		a, ok := seq.Next()
+		if !ok {
+			return TraceEvent{}, false
+		}
 		var e searchlog.Entry
 		if a.User >= 0 {
 			// Per-user arrival: the user replays their own stream, so
@@ -263,12 +246,14 @@ func classEvents(g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, sche
 			}
 			e, _ = cursors[a.User].Next()
 		} else {
-			e = tape[i%len(tape)]
+			e = tape[next]
+			if next++; next == len(tape) {
+				next = 0
+			}
 		}
 		query, click := texts.of(e.Pair)
-		events[i] = TraceEvent{At: a.At, User: e.User, Class: cc.Name, Query: query, Click: click}
+		return TraceEvent{At: a.At, User: e.User, Class: cc.Name, Query: query, Click: click}, true
 	}
-	return events, nil
 }
 
 // request is the fleet request a log entry stands for.
@@ -279,93 +264,185 @@ func request(u *engine.Universe, e searchlog.Entry, class string) fleet.Request 
 // pairTexts interns the request text of each distinct pair of a
 // schedule: a tape repeats a Zipf-skewed pair set (a quarter of a day's
 // events are distinct), and a query and a click built per event are two
-// allocations each.
+// allocations each. A pair finds its text through a dense index, not a
+// map: four bytes a pair of the universe, and one lookup.
 type pairTexts struct {
 	u     *engine.Universe
-	texts map[searchlog.PairID][2]string
+	slot  []int32 // 1 + the pair's index in texts; 0 before its first use
+	texts [][2]string
 }
 
 func (t *pairTexts) of(p searchlog.PairID) (query, click string) {
-	qc, ok := t.texts[p]
-	if !ok {
-		qc = [2]string{t.u.QueryText(t.u.QueryOf(p)), t.u.ResultURL(t.u.ResultOf(p))}
-		t.texts[p] = qc
+	i := t.slot[p]
+	if i == 0 {
+		t.texts = append(t.texts, [2]string{t.u.QueryText(t.u.QueryOf(p)), t.u.ResultURL(t.u.ResultOf(p))})
+		i = int32(len(t.texts))
+		t.slot[p] = i
 	}
+	qc := &t.texts[i-1]
 	return qc[0], qc[1]
 }
 
-// OpenEvents materializes an open-loop run's whole request schedule:
-// each class's schedule, merged by arrival time (ties break by class
-// order, then within-class order, so the merge is deterministic). The
-// run's month log is built once, whatever the number of classes that
-// replay it, and while this goroutine draws the arrival schedules.
-func OpenEvents(g *workload.Generator, cfg OpenConfig) ([]TraceEvent, error) {
+// scheduleChunk is how many events an open-loop schedule is drawn in
+// at a time. A variable so tests can move the chunk boundaries.
+var scheduleChunk = 4096
+
+// scheduleAhead is how many drawn chunks may wait for the release loop:
+// enough that the loop, back from a drain, never waits on the producer
+// (it waits only for the first chunk), and few enough that a run holds
+// about 2 MB of schedule instead of the whole day's.
+const scheduleAhead = 8
+
+// eventStream is an open-loop run's request schedule, drawn a chunk at a
+// time: each class's events in arrival order, merged by arrival time (a
+// tie goes to the lower class, and a class keeps its own order, so the
+// merge is deterministic), cut at MaxRequests.
+type eventStream struct {
+	classes []classHead
+	left    int // events the cut still allows
+}
+
+// classHead is one class's source and the event it has drawn but the
+// merge has not yet taken; ok is false once the class is done.
+type classHead struct {
+	next func() (TraceEvent, bool)
+	ev   TraceEvent
+	ok   bool
+}
+
+// openStream prepares cfg's schedule: each class's arrival sequence
+// checked, its tape cut from the run's month log — built once, whatever
+// the number of classes that replay it — and its first event drawn. It
+// starts no goroutine, so an error leaves nothing running.
+func openStream(g *workload.Generator, cfg OpenConfig) (*eventStream, error) {
 	maxReq := cfg.MaxRequests
 	if maxReq <= 0 {
 		maxReq = 10_000_000
 	}
-	classes := cfg.classes(len(g.Users()))
+	profiles := g.Users()
+	classes := cfg.classes(len(profiles))
+	s := &eventStream{left: maxReq}
+	u := g.Config().Universe
+	texts := &pairTexts{u: u, slot: make([]int32, u.NumPairs())}
 	var log []searchlog.Entry
-	logBuilt := make(chan struct{})
-	go func() {
-		defer close(logBuilt)
-		for _, cc := range classes {
-			if cc.Arrivals != modeltime.PerUser {
-				log = g.MonthLog(cfg.Month).Entries
-				return
-			}
-		}
-	}()
-	schedules := make([][]modeltime.Arrival, len(classes))
-	errs := make([]error, len(classes))
 	for ci, cc := range classes {
 		seed := cfg.Seed
 		if len(classes) > 1 {
 			seed = modeltime.DeriveSeed(cfg.Seed, ci)
 		}
-		schedules[ci], errs[ci] = classSchedule(g, cfg, cc, seed, maxReq)
-	}
-	<-logBuilt
-	texts := &pairTexts{u: g.Config().Universe, texts: make(map[searchlog.PairID][2]string)}
-	streams := make([][]TraceEvent, len(classes))
-	for ci, cc := range classes {
-		// A class's bad schedule is reported before a later class's empty
-		// tape, as when each class was materialized whole in turn.
-		if errs[ci] != nil {
-			return nil, errs[ci]
+		seq, err := modeltime.NewSequence(classSpec(g, cfg, cc, seed, maxReq))
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: %w", err)
 		}
-		var err error
-		if streams[ci], err = classEvents(g, cfg, cc, schedules[ci], log, texts); err != nil {
-			return nil, err
-		}
-	}
-	return mergeByArrival(streams, maxReq), nil
-}
-
-// mergeByArrival is the k-way merge of per-class schedules, each sorted
-// by arrival time, cut at limit events: the earliest head goes next and a
-// tie goes to the lower stream. The merge of one stream is that stream.
-func mergeByArrival(streams [][]TraceEvent, limit int) []TraceEvent {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	total = min(total, limit)
-	if len(streams) == 1 {
-		return streams[0][:total]
-	}
-	out := make([]TraceEvent, 0, total)
-	for len(out) < total {
-		best := -1
-		for si, s := range streams {
-			if len(s) > 0 && (best < 0 || s[0].At < streams[best][0].At) {
-				best = si
+		var tape []searchlog.Entry
+		if cc.Arrivals != modeltime.PerUser {
+			if log == nil {
+				log = g.MonthLog(cfg.Month).Entries
+			}
+			if cc.Lo <= 0 && cc.Hi >= len(profiles) {
+				tape = log
+			} else {
+				// The workload invariant profiles[i].ID == UserID(i) makes a
+				// contiguous index range a contiguous ID range.
+				for _, e := range log {
+					if idx := int(e.User); idx >= cc.Lo && idx < cc.Hi {
+						tape = append(tape, e)
+					}
+				}
+			}
+			if len(tape) == 0 {
+				return nil, fmt.Errorf("loadgen: class %q has no month-%d log entries", cc.Name, cfg.Month)
 			}
 		}
-		out = append(out, streams[best][0])
-		streams[best] = streams[best][1:]
+		c := classHead{next: classDraw(g, cfg, cc, seq, tape, texts)}
+		c.ev, c.ok = c.next()
+		s.classes = append(s.classes, c)
 	}
-	return out
+	return s, nil
+}
+
+// fill appends the stream's next chunk, up to scheduleChunk events, to
+// buf; it appends none once the stream is done.
+func (s *eventStream) fill(buf []TraceEvent) []TraceEvent {
+	for n := 0; n < scheduleChunk && s.left > 0; n++ {
+		best := -1
+		for ci := range s.classes {
+			if c := &s.classes[ci]; c.ok && (best < 0 || c.ev.At < s.classes[best].ev.At) {
+				best = ci
+			}
+		}
+		if best < 0 {
+			s.left = 0
+			break
+		}
+		c := &s.classes[best]
+		buf = append(buf, c.ev)
+		s.left--
+		c.ev, c.ok = c.next()
+	}
+	return buf
+}
+
+// collect draws the whole stream into one slice, copied once from its
+// chunks rather than grown.
+func (s *eventStream) collect() []TraceEvent {
+	var chunks [][]TraceEvent
+	for {
+		chunk := s.fill(make([]TraceEvent, 0, scheduleChunk))
+		if len(chunk) == 0 {
+			return slices.Concat(chunks...)
+		}
+		chunks = append(chunks, chunk)
+	}
+}
+
+// produce draws the stream on a goroutine of its own, at most
+// scheduleAhead chunks ahead of the receiver, and closes chunks after
+// the last one. A chunk handed back on spent is drawn into again, so a
+// run allocates only the chunks in flight. stop ends the producer early
+// and returns once it has exited; a caller defers it, so no producer
+// outlives its run.
+func (s *eventStream) produce() (chunks <-chan []TraceEvent, spent chan<- []TraceEvent, stop func()) {
+	full := make(chan []TraceEvent, scheduleAhead)
+	// Room for every chunk there can be: scheduleAhead queued, one being
+	// drawn and one being released.
+	back := make(chan []TraceEvent, scheduleAhead+2)
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		defer close(full)
+		for {
+			var buf []TraceEvent
+			select {
+			case buf = <-back:
+			default:
+				buf = make([]TraceEvent, 0, scheduleChunk)
+			}
+			chunk := s.fill(buf[:0])
+			if len(chunk) == 0 {
+				return
+			}
+			select {
+			case full <- chunk:
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return full, back, func() {
+		close(quit)
+		<-exited
+	}
+}
+
+// OpenEvents materializes an open-loop run's whole request schedule —
+// the chunks RunOpen replays, collected.
+func OpenEvents(g *workload.Generator, cfg OpenConfig) ([]TraceEvent, error) {
+	s, err := openStream(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.collect(), nil
 }
 
 // Replay owns the control plane of an open-loop replay: the scheduled
@@ -390,18 +467,40 @@ type Replay struct {
 // NewReplay starts cfg's control plane (Events and Autoscale) over f
 // for a replay of events.
 func NewReplay(f *fleet.Fleet, cfg OpenConfig, events []TraceEvent) (*Replay, error) {
+	p, err := newReplay(f, cfg)
+	if err != nil {
+		return nil, err
+	}
+	last := time.Duration(-1)
+	if len(events) > 0 {
+		last = events[len(events)-1].At
+	}
+	p.arrivalsEnd(last)
+	return p, nil
+}
+
+// newReplay starts cfg's control plane for a replay whose last arrival
+// is not yet known: every sample is due until arrivalsEnd says where the
+// arrivals stop, and the replay fires only what is due at or before the
+// arrival in hand.
+func newReplay(f *fleet.Fleet, cfg OpenConfig) (*Replay, error) {
 	p := &Replay{f: f, timeline: cfg.Events, lastSample: -1}
 	if cfg.Autoscale != nil {
 		ac := cfg.Autoscale.WithDefaults(f.NumShards())
 		if err := ac.Validate(); err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
-		p.ctl, p.nextSample = autoscale.New(ac), ac.Interval
-		if len(events) > 0 {
-			p.lastSample = events[len(events)-1].At
-		}
+		p.ctl, p.nextSample, p.lastSample = autoscale.New(ac), ac.Interval, math.MaxInt64
 	}
 	return p, nil
+}
+
+// arrivalsEnd records the last arrival's offset, -1 for none: no sample
+// is due past it.
+func (p *Replay) arrivalsEnd(last time.Duration) {
+	if p.ctl != nil {
+		p.lastSample = last
+	}
 }
 
 // Next reports the model offset of the next control action, and false
@@ -484,7 +583,7 @@ func RunOpen(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg OpenConf
 	if g == nil {
 		return Report{}, fmt.Errorf("loadgen: a workload generator is required")
 	}
-	events, err := OpenEvents(g, cfg)
+	s, err := openStream(g, cfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -505,40 +604,53 @@ func RunOpen(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg OpenConf
 			}
 		}
 	}
-	err = replaySchedule(&r, f, col, events, cfg)
+	chunks, spent, stop := s.produce()
+	defer stop()
+	err = replaySchedule(&r, f, col, chunks, spent, cfg)
 	return r, err
 }
 
 // replaySchedule is the open-loop run RunOpen and RunTrace share:
-// release events on their offsets whether or not the fleet keeps up,
-// firing cfg's control plane before each, bucket arrivals (and sheds)
-// into the offered curve over cfg.Duration, and drain.
-func replaySchedule(r *Report, f *fleet.Fleet, col *Collector, events []TraceEvent, cfg OpenConfig) error {
+// release events, chunk by chunk, on their offsets whether or not the
+// fleet keeps up, firing cfg's control plane before each, bucket
+// arrivals (and sheds) into the offered curve over cfg.Duration, and
+// drain. A released chunk goes back on spent unless that is full (or
+// nil).
+func replaySchedule(r *Report, f *fleet.Fleet, col *Collector, chunks <-chan []TraceEvent, spent chan<- []TraceEvent, cfg OpenConfig) error {
 	var (
 		p              *Replay
 		offered, sheds [curveBuckets]uint64
 		maxLag         time.Duration
 	)
 	err := measure(r, f, col, cfg.Resize, func() (err error) {
-		if p, err = NewReplay(f, cfg, events); err != nil {
+		if p, err = newReplay(f, cfg); err != nil {
 			return err
 		}
+		last := time.Duration(-1)
 		start := time.Now()
-		for _, ev := range events {
-			if err := p.fireThrough(ev.At); err != nil {
-				return err
+		for chunk := range chunks {
+			for _, ev := range chunk {
+				if err := p.fireThrough(ev.At); err != nil {
+					return err
+				}
+				if wait := ev.At - time.Since(start); wait > 0 {
+					time.Sleep(wait)
+				} else if lag := -wait; lag > maxLag {
+					maxLag = lag
+				}
+				b := min(max(int(int64(ev.At)*curveBuckets/int64(cfg.Duration)), 0), curveBuckets-1)
+				offered[b]++
+				if !f.Submit(fleet.Request{User: ev.User, Query: ev.Query, Click: ev.Click, Class: ev.Class}) {
+					sheds[b]++
+				}
+				last = ev.At
 			}
-			if wait := ev.At - time.Since(start); wait > 0 {
-				time.Sleep(wait)
-			} else if lag := -wait; lag > maxLag {
-				maxLag = lag
-			}
-			b := min(max(int(int64(ev.At)*curveBuckets/int64(cfg.Duration)), 0), curveBuckets-1)
-			offered[b]++
-			if !f.Submit(fleet.Request{User: ev.User, Query: ev.Query, Click: ev.Click, Class: ev.Class}) {
-				sheds[b]++
+			select {
+			case spent <- chunk:
+			default:
 			}
 		}
+		p.arrivalsEnd(last)
 		if err := p.fireThrough(math.MaxInt64); err != nil {
 			return err
 		}
@@ -588,8 +700,11 @@ func RunTrace(f *fleet.Fleet, col *Collector, events []TraceEvent, cfg TraceConf
 		Users:      cfg.Users,
 		OfferedQPS: float64(len(events)) / horizon.Seconds(),
 	}
-	// A recorded trace carries no control plane.
-	err := replaySchedule(&r, f, col, events, OpenConfig{Duration: horizon})
+	// A recorded trace is one chunk, and carries no control plane.
+	chunks := make(chan []TraceEvent, 1)
+	chunks <- events
+	close(chunks)
+	err := replaySchedule(&r, f, col, chunks, nil, OpenConfig{Duration: horizon})
 	return r, err
 }
 

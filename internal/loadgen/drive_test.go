@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,7 +119,7 @@ func TestReplayOrder(t *testing.T) {
 // OpenEvents' shared log and interned text are held to.
 func refClassEvents(t *testing.T, g *workload.Generator, cfg OpenConfig, cc OpenClassConfig, seed int64, maxReq int) []TraceEvent {
 	t.Helper()
-	schedule, err := classSchedule(g, cfg, cc, seed, maxReq)
+	schedule, err := modeltime.Schedule(classSpec(g, cfg, cc, seed, maxReq))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +150,66 @@ func refClassEvents(t *testing.T, g *workload.Generator, cfg OpenConfig, cc Open
 	return events
 }
 
-// TestMergeMatchesSort holds the k-way merge against the sort it
-// replaced — by (At, class, within-class order) over all streams — on a
-// three-class schedule whose timestamps are coarsened to force ties
-// within and across classes, and holds OpenEvents to it.
-func TestMergeMatchesSort(t *testing.T) {
-	g := smallGen(t, 60)
-	cfg := OpenConfig{
+// bySort is the merge the lazy one replaced: every stream's events
+// sorted by (At, class, within-class order), cut at limit.
+func bySort(streams [][]TraceEvent, limit int) []TraceEvent {
+	type tagged struct {
+		ev      TraceEvent
+		ci, seq int
+	}
+	var all []tagged
+	for ci, evs := range streams {
+		for seq, ev := range evs {
+			all = append(all, tagged{ev, ci, seq})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].ev.At != all[j].ev.At {
+			return all[i].ev.At < all[j].ev.At
+		}
+		if all[i].ci != all[j].ci {
+			return all[i].ci < all[j].ci
+		}
+		return all[i].seq < all[j].seq
+	})
+	if len(all) > limit {
+		all = all[:limit]
+	}
+	out := make([]TraceEvent, len(all))
+	for i, tg := range all {
+		out[i] = tg.ev
+	}
+	return out
+}
+
+// mergeStreams is the schedule stream's merge over pre-drawn class
+// streams, collected.
+func mergeStreams(streams [][]TraceEvent, limit int) []TraceEvent {
+	return sliceStream(streams, limit).collect()
+}
+
+// sliceStream is a schedule stream over pre-drawn class streams.
+func sliceStream(streams [][]TraceEvent, limit int) *eventStream {
+	s := &eventStream{left: limit}
+	for _, evs := range streams {
+		c := classHead{next: func() (TraceEvent, bool) {
+			if len(evs) == 0 {
+				return TraceEvent{}, false
+			}
+			ev := evs[0]
+			evs = evs[1:]
+			return ev, true
+		}}
+		c.ev, c.ok = c.next()
+		s.classes = append(s.classes, c)
+	}
+	return s
+}
+
+// threeClasses is a schedule of three classes over 60 users, one of
+// each arrival kind.
+func threeClasses() OpenConfig {
+	return OpenConfig{
 		QPS: 3000, Duration: 200 * time.Millisecond, Month: 1, Seed: 5,
 		Classes: []OpenClassConfig{
 			{Name: "a", Lo: 0, Hi: 20, QPSShare: 0.5},
@@ -161,46 +217,50 @@ func TestMergeMatchesSort(t *testing.T) {
 			{Name: "c", Lo: 40, Hi: 60, QPSShare: 0.2, Arrivals: modeltime.PerUser},
 		},
 	}
-	bySort := func(streams [][]TraceEvent, limit int) []TraceEvent {
-		type tagged struct {
-			ev      TraceEvent
-			ci, seq int
+}
+
+// drawClasses draws each class of a multi-class cfg whole, its
+// timestamps truncated to grain — coarse enough to force ties within
+// and across classes.
+func drawClasses(t *testing.T, g *workload.Generator, cfg OpenConfig, grain time.Duration) [][]TraceEvent {
+	streams := make([][]TraceEvent, len(cfg.Classes))
+	for ci, cc := range cfg.Classes {
+		evs := refClassEvents(t, g, cfg, cc, modeltime.DeriveSeed(cfg.Seed, ci), 1<<20)
+		for i := range evs {
+			evs[i].At = evs[i].At.Truncate(grain)
 		}
-		var all []tagged
-		for ci, evs := range streams {
-			for seq, ev := range evs {
-				all = append(all, tagged{ev, ci, seq})
-			}
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].ev.At != all[j].ev.At {
-				return all[i].ev.At < all[j].ev.At
-			}
-			if all[i].ci != all[j].ci {
-				return all[i].ci < all[j].ci
-			}
-			return all[i].seq < all[j].seq
-		})
-		if len(all) > limit {
-			all = all[:limit]
-		}
-		out := make([]TraceEvent, len(all))
-		for i, tg := range all {
-			out[i] = tg.ev
-		}
-		return out
+		streams[ci] = evs
 	}
-	draw := func(grain time.Duration) [][]TraceEvent {
-		streams := make([][]TraceEvent, len(cfg.Classes))
-		for ci, cc := range cfg.Classes {
-			evs := refClassEvents(t, g, cfg, cc, modeltime.DeriveSeed(cfg.Seed, ci), 1<<20)
-			for i := range evs {
-				evs[i].At = evs[i].At.Truncate(grain)
-			}
-			streams[ci] = evs
-		}
-		return streams
+	return streams
+}
+
+// oneShot is cfg's schedule drawn the way OpenEvents drew it before it
+// streamed: every class whole, merged by the sort, cut at MaxRequests.
+func oneShot(t *testing.T, g *workload.Generator, cfg OpenConfig) []TraceEvent {
+	maxReq := cfg.MaxRequests
+	if maxReq <= 0 {
+		maxReq = 10_000_000
 	}
+	classes := cfg.classes(len(g.Users()))
+	streams := make([][]TraceEvent, len(classes))
+	for ci, cc := range classes {
+		seed := cfg.Seed
+		if len(classes) > 1 {
+			seed = modeltime.DeriveSeed(cfg.Seed, ci)
+		}
+		streams[ci] = refClassEvents(t, g, cfg, cc, seed, maxReq)
+	}
+	return bySort(streams, maxReq)
+}
+
+// TestMergeMatchesSort holds the k-way merge against the sort it
+// replaced — by (At, class, within-class order) over all streams — on a
+// three-class schedule whose timestamps are coarsened to force ties
+// within and across classes, and holds OpenEvents to it.
+func TestMergeMatchesSort(t *testing.T) {
+	g := smallGen(t, 60)
+	cfg := threeClasses()
+	draw := func(grain time.Duration) [][]TraceEvent { return drawClasses(t, g, cfg, grain) }
 
 	want := bySort(draw(1), 1<<20)
 	got, err := OpenEvents(g, cfg)
@@ -222,12 +282,142 @@ func TestMergeMatchesSort(t *testing.T) {
 		if ties < 10 {
 			t.Fatalf("only %d cross-class ties; the coarsening forces nothing", ties)
 		}
-		if got := mergeByArrival(draw(5*time.Millisecond), limit); !reflect.DeepEqual(got, want) {
+		if got := mergeStreams(draw(5*time.Millisecond), limit); !reflect.DeepEqual(got, want) {
 			t.Errorf("limit %d: merge diverges from the (At, class, seq) sort", limit)
 		}
 	}
 	one := draw(5 * time.Millisecond)[:1]
-	if got := mergeByArrival(one, 1<<20); &got[0] != &one[0][0] || len(got) != len(one[0]) {
+	if got := mergeStreams(one, 1<<20); !reflect.DeepEqual(got, one[0]) {
 		t.Error("the merge of one stream is not that stream")
+	}
+}
+
+// TestChunkBoundaries holds the streamed schedule to the one drawn whole
+// with a chunk boundary after every event, at an odd size and at the
+// size runs use — both collected (OpenEvents) and as the producer hands
+// it over, in chunks of exactly that size but the last — on the forced
+// ties of TestMergeMatchesSort, a per-user class, a MaxRequests cut
+// inside a chunk, a tape that wraps, and a schedule with no arrivals.
+func TestChunkBoundaries(t *testing.T) {
+	g := smallGen(t, 60)
+	ties := threeClasses()
+	cut := threeClasses()
+	cut.QPS, cut.MaxRequests = 30000, 4099 // inside a chunk at 7 and at 4096
+	perUser := OpenConfig{QPS: 3000, Duration: 300 * time.Millisecond, Month: 1, Seed: 3,
+		Classes: []OpenClassConfig{{Name: "p", Hi: 60, QPSShare: 1, Arrivals: modeltime.PerUser}}}
+	wrap := OpenConfig{QPS: 20000, Duration: 100 * time.Millisecond, Month: 1, Seed: 4,
+		Classes: []OpenClassConfig{{Name: "w", Lo: 0, Hi: 2, QPSShare: 1, Arrivals: modeltime.Diurnal}}}
+	empty := OpenConfig{QPS: 1e-6, Duration: time.Millisecond, Month: 1, Seed: 1}
+	open := func(cfg OpenConfig) func() *eventStream {
+		return func() *eventStream {
+			s, err := openStream(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+	}
+	tape := 0
+	for _, e := range g.MonthLog(1).Entries {
+		if e.User < 2 {
+			tape++
+		}
+	}
+	cases := []struct {
+		name   string
+		stream func() *eventStream
+		want   []TraceEvent
+	}{
+		{"forced ties", func() *eventStream { return sliceStream(drawClasses(t, g, ties, 5*time.Millisecond), 1<<20) },
+			bySort(drawClasses(t, g, ties, 5*time.Millisecond), 1<<20)},
+		{"forced ties, cut", func() *eventStream { return sliceStream(drawClasses(t, g, ties, 5*time.Millisecond), 100) },
+			bySort(drawClasses(t, g, ties, 5*time.Millisecond), 100)},
+		{"three classes", open(ties), oneShot(t, g, ties)},
+		{"per-user", open(perUser), oneShot(t, g, perUser)},
+		{"cut", open(cut), oneShot(t, g, cut)},
+		{"wrap", open(wrap), oneShot(t, g, wrap)},
+		{"empty", open(empty), oneShot(t, g, empty)},
+	}
+	for _, c := range cases[:len(cases)-1] {
+		if len(c.want) < 100 {
+			t.Fatalf("%s: only %d events", c.name, len(c.want))
+		}
+	}
+	if got := len(cases[5].want); got <= 2*tape {
+		t.Fatalf("wrap: %d events over a %d-entry tape do not wrap it twice", got, tape)
+	}
+	if got := len(cases[4].want); got != cut.MaxRequests {
+		t.Fatalf("cut: %d events, want MaxRequests %d", got, cut.MaxRequests)
+	}
+	defer func(size int) { scheduleChunk = size }(scheduleChunk)
+	for _, size := range []int{1, 7, scheduleChunk} {
+		scheduleChunk = size
+		for _, c := range cases {
+			if got := c.stream().collect(); !slices.Equal(got, c.want) {
+				t.Errorf("chunk %d, %s: collected %d events differ from the %d drawn whole", size, c.name, len(got), len(c.want))
+			}
+			chunks, spent, stop := c.stream().produce()
+			var got []TraceEvent
+			for chunk := range chunks {
+				if len(got)%size != 0 || len(chunk) == 0 || len(chunk) > size {
+					t.Errorf("chunk %d, %s: a %d-event chunk after %d events", size, c.name, len(chunk), len(got))
+				}
+				got = append(got, chunk...)
+				spent <- chunk
+			}
+			stop()
+			if !slices.Equal(got, c.want) {
+				t.Errorf("chunk %d, %s: produced %d events differ from the %d drawn whole", size, c.name, len(got), len(c.want))
+			}
+		}
+	}
+}
+
+// TestNoProducerOutlivesItsRun: a run whose timeline resize fails
+// mid-run returns the error with its schedule producer stopped, and a
+// schedule that fails to open leaves no goroutine behind.
+func TestNoProducerOutlivesItsRun(t *testing.T) {
+	defer func(size int) { scheduleChunk = size }(scheduleChunk)
+	scheduleChunk = 7
+	g := smallGen(t, 16)
+	f, col := newRingRig(t, g, smallContent(t, g), 4)
+	f.Close() // every Submit sheds and every resize fails
+	// Fewer is fine: a goroutine an earlier test left exiting may finish
+	// during this one.
+	settled := func(want int) bool {
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if runtime.NumGoroutine() <= want {
+				return true
+			}
+		}
+		return false
+	}
+	before := runtime.NumGoroutine()
+	cfg := OpenConfig{QPS: 20000, Duration: 200 * time.Millisecond, Month: 1, Seed: 1,
+		Events: []TimelineEvent{{At: 20 * time.Millisecond, ResizeTo: 6}}}
+	_, err := RunOpen(f, col, g, cfg)
+	if err == nil || !strings.Contains(err.Error(), "timeline resize") {
+		t.Fatalf("RunOpen returned %v, want the timeline resize's error", err)
+	}
+	// About 400 of the schedule's ~4,000 arrivals come before the resize.
+	if cnt := col.snapshot(); cnt.row().Shed == 0 || cnt.row().Shed > 2000 {
+		t.Fatalf("%d requests went out before the resize; it should fail a tenth of the way in", cnt.row().Shed)
+	}
+	if !settled(before) {
+		t.Errorf("%d goroutines after the failed run, %d before", runtime.NumGoroutine(), before)
+	}
+	for _, bad := range []OpenConfig{
+		{QPS: -1, Duration: time.Second, Month: 1},
+		{QPS: 1000, Duration: time.Second, Month: 1, Classes: []OpenClassConfig{{Name: "none", Lo: 16, Hi: 20, QPSShare: 1}}},
+	} {
+		if _, err := OpenEvents(g, bad); err == nil {
+			t.Fatalf("OpenEvents(%+v) succeeded", bad)
+		}
+		if _, err := RunOpen(f, col, g, bad); err == nil {
+			t.Fatalf("RunOpen(%+v) succeeded", bad)
+		}
+		if !settled(before) {
+			t.Errorf("%d goroutines after a schedule that failed to open, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }

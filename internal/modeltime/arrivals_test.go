@@ -44,6 +44,22 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// legacyTimes is the homogeneous draw as the load generator made it
+// before the modeltime layer existed: seed salt, draw loop, cut.
+func legacyTimes(seed int64, qps float64, horizon time.Duration, max int) []time.Duration {
+	rng := rand.New(rand.NewSource(seed ^ 0x09E2_7C15))
+	var out []time.Duration
+	var at time.Duration
+	for len(out) < max {
+		at += time.Duration(rng.ExpFloat64() / qps * float64(time.Second))
+		if at > horizon {
+			break
+		}
+		out = append(out, at)
+	}
+	return out
+}
+
 // TestPoissonMatchesLegacySchedule pins the Poisson kind to the exact
 // schedule the load generator drew before the modeltime layer existed:
 // same seed salt, same draw loop, byte-identical times.
@@ -51,16 +67,7 @@ func TestPoissonMatchesLegacySchedule(t *testing.T) {
 	const seed, qps = int64(11), 5000.0
 	horizon := 200 * time.Millisecond
 
-	rng := rand.New(rand.NewSource(seed ^ 0x09E2_7C15))
-	var legacy []time.Duration
-	var at time.Duration
-	for len(legacy) < 10_000_000 {
-		at += time.Duration(rng.ExpFloat64() / qps * float64(time.Second))
-		if at > horizon {
-			break
-		}
-		legacy = append(legacy, at)
-	}
+	legacy := legacyTimes(seed, qps, horizon, 10_000_000)
 
 	got, err := Schedule(Spec{Kind: Poisson, QPS: qps, Horizon: horizon, Seed: seed, Max: 10_000_000})
 	if err != nil {
@@ -203,7 +210,7 @@ func bisectWarp(u, horizon, period time.Duration, a float64) time.Duration {
 
 // bisectSchedule is the diurnal Schedule over bisectWarp.
 func bisectSchedule(s Spec) []Arrival {
-	base := homogeneous(s.Seed, s.QPS, s.Horizon, s.Max)
+	base := legacyTimes(s.Seed, s.QPS, s.Horizon, s.Max)
 	out := make([]Arrival, len(base))
 	for i, at := range base {
 		out[i] = Arrival{At: bisectWarp(at, s.Horizon, s.period(), s.amplitude()), User: -1}

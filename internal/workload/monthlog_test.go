@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -135,4 +136,35 @@ func BenchmarkMonthLog(b *testing.B) {
 		n += len(g.MonthLog(1).Entries)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/entry")
+}
+
+// TestByTimeMatchesSort holds byTime to the sort it stands in for on
+// each of its paths: the bucket pass over distinct uniform times, a tie,
+// and times bunched into one bucket so the insertion pass gives up.
+func TestByTimeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const window = time.Duration(1 << 40)
+	draw := func(n int, at func(i int) time.Duration) [][]searchlog.Entry {
+		streams := make([][]searchlog.Entry, 7)
+		for i := 0; i < n; i++ {
+			s := rng.Intn(len(streams))
+			streams[s] = append(streams[s], searchlog.Entry{At: at(i), User: searchlog.UserID(s), Pair: searchlog.PairID(i)})
+		}
+		return streams
+	}
+	for _, c := range []struct {
+		name    string
+		streams [][]searchlog.Entry
+	}{
+		{"uniform", draw(20_000, func(int) time.Duration { return time.Duration(rng.Int63n(int64(window))) })},
+		{"tie", draw(20_000, func(i int) time.Duration { return time.Duration(i%19_999) * (window / 20_000) })},
+		{"bunched", draw(2_000, func(i int) time.Duration { return time.Duration(5_000 - i) })},
+		{"empty", nil},
+	} {
+		want := slices.Concat(c.streams...)
+		slices.SortFunc(want, func(a, b searchlog.Entry) int { return cmp.Compare(a.At, b.At) })
+		if got := byTime(c.streams, window); !slices.Equal(got, want) {
+			t.Errorf("%s: byTime differs from slices.SortFunc", c.name)
+		}
+	}
 }

@@ -29,10 +29,12 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pocketcloudlets/internal/engine"
@@ -282,7 +284,7 @@ func (g *Generator) Config() Config { return g.cfg }
 // Classes returns the class specifications in use.
 func (g *Generator) Classes() []ClassSpec { return g.classes }
 
-// classOf returns the spec for a class.
+// classSpec returns the spec for a class.
 func (g *Generator) classSpec(c Class) ClassSpec {
 	for _, s := range g.classes {
 		if s.Class == c {
@@ -386,14 +388,13 @@ func (g *Generator) UserStream(u UserProfile, month int) []searchlog.Entry {
 }
 
 // streamer is the scratch one goroutine draws user streams with, back
-// to back: a source reseeded per (user, month) — seeding is a stream's
-// largest fixed cost, and a fresh source per user another 5 KB of
-// garbage on top of it — and the time and history buffers. A stream is
-// the same whichever streamer draws it.
+// to back: a source reseeded per (user, month) — a fresh source per user
+// would be another 5 KB of garbage — and the time and history buffers. A
+// stream is the same whichever streamer draws it.
 type streamer struct {
 	g       *Generator
-	src     rand.Source // made by the first stream, with its seed: a source is seeded at birth
-	rng     *rand.Rand
+	src     source
+	rng     *rand.Rand // over src, made by the first stream
 	times   []time.Duration
 	history []searchlog.PairID
 }
@@ -401,11 +402,9 @@ type streamer struct {
 // stream draws one user's month into a slice of its own.
 func (s *streamer) stream(u UserProfile, month int) []searchlog.Entry {
 	g := s.g
-	if seed := g.userSeed(u.ID, month); s.src == nil {
-		s.src = rand.NewSource(seed)
-		s.rng = rand.New(s.src)
-	} else {
-		s.src.Seed(seed)
+	s.src.Seed(g.userSeed(u.ID, month))
+	if s.rng == nil {
+		s.rng = rand.New(&s.src)
 	}
 	rng := s.rng
 	spec := g.classSpec(u.Class)
@@ -538,8 +537,8 @@ func (g *Generator) drawTrending(rng *rand.Rand, month int, at time.Duration) se
 // MonthLog generates the full community log for a month: every user's
 // stream merged and ordered by time. The streams are independent draws,
 // so contiguous blocks of users are drawn on GOMAXPROCS goroutines and
-// laid end to end in user order before the one sort; the log is the
-// same at any width.
+// laid end to end in user order before the one ordering (byTime); the
+// log is the same at any width.
 func (g *Generator) MonthLog(month int) searchlog.Log {
 	streams := make([][]searchlog.Entry, len(g.users))
 	workers := min(runtime.GOMAXPROCS(0), len(g.users))
@@ -556,11 +555,75 @@ func (g *Generator) MonthLog(month int) searchlog.Log {
 		}()
 	}
 	wg.Wait()
-	all := slices.Concat(streams...)
-	// Not a stable sort: entries of equal At land where the standard
-	// library's pattern-defeating quicksort leaves them, as they did under
-	// sort.Slice, whose generated twin this is without the reflective
-	// swapper.
-	slices.SortFunc(all, func(a, b searchlog.Entry) int { return cmp.Compare(a.At, b.At) })
-	return searchlog.Log{Window: g.cfg.Window, Entries: all}
+	return searchlog.Log{Window: g.cfg.Window, Entries: byTime(streams, g.cfg.Window)}
+}
+
+// byTime returns the streams' entries, laid end to end, ordered by At as
+// slices.SortFunc leaves them. Every At lies in [0, window) and is a
+// uniform draw, so a counting sort on At's high bits — about one bucket
+// per entry — leaves each entry a few places from home, and an insertion
+// pass finishes in linear time. The buckets are split in contiguous
+// ranges over GOMAXPROCS goroutines, each placing and then ordering its
+// own stretch. That order is the only one when no two entries tie;
+// entries of equal At land where the standard library's
+// pattern-defeating quicksort leaves them, so a tie (or an insertion
+// pass that has moved more entries than its stretch holds) sorts the
+// concatenation instead, as sort.Slice did before its generated twin.
+func byTime(streams [][]searchlog.Entry, window time.Duration) []searchlog.Entry {
+	n := 0
+	for _, s := range streams {
+		n += len(s)
+	}
+	shift := max(bits.Len64(uint64(window-1))-bits.Len(uint(n)), 0)
+	buckets := int((window-1)>>shift) + 1
+	next := make([]int, buckets+1)
+	for _, s := range streams {
+		for _, e := range s {
+			next[e.At>>shift+1]++
+		}
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	out := make([]searchlog.Entry, n)
+	workers := min(runtime.GOMAXPROCS(0), buckets)
+	var (
+		wg   sync.WaitGroup
+		ties atomic.Bool
+	)
+	for w := 0; w < workers; w++ {
+		blo, bhi := time.Duration(w*buckets/workers), time.Duration((w+1)*buckets/workers)
+		lo, hi := next[blo], next[bhi]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, s := range streams {
+				for _, e := range s {
+					if b := e.At >> shift; b >= blo && b < bhi {
+						out[next[b]] = e
+						next[b]++
+					}
+				}
+			}
+			moved := 0
+			for i := lo + 1; i < hi; i++ {
+				e, j := out[i], i
+				for ; j > lo && out[j-1].At > e.At; j-- {
+					out[j] = out[j-1]
+				}
+				out[j] = e
+				if moved += i - j; (j > lo && out[j-1].At == e.At) || moved > hi-lo {
+					ties.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ties.Load() {
+		all := slices.Concat(streams...)
+		slices.SortFunc(all, func(a, b searchlog.Entry) int { return cmp.Compare(a.At, b.At) })
+		return all
+	}
+	return out
 }

@@ -10,12 +10,13 @@
 // The standard library's rand.Zipf only supports exponents s > 1, so
 // this package implements a general bounded sampler over ranks
 // 1..N with probability proportional to rank^(-s) for any s >= 0,
-// using a precomputed cumulative table and binary search.
+// using a precomputed cumulative table and a guided binary search.
 package zipf
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -26,6 +27,10 @@ type Dist struct {
 	n   int
 	s   float64
 	cum []float64 // cum[i] = P(rank <= i); cum[n-1] == 1
+	// guide[k] is the first rank whose cum reaches k/K, K = len(guide)-1
+	// a power of two, so a draw in [k/K, (k+1)/K) lands in
+	// [guide[k], guide[k+1]] and the search starts there.
+	guide []int32
 }
 
 // New builds a bounded Zipf distribution over n ranks with exponent s.
@@ -48,6 +53,16 @@ func New(n int, s float64) *Dist {
 		d.cum[i] *= inv
 	}
 	d.cum[n-1] = 1 // guard against floating-point shortfall
+	// Between n/8 and n/4 cells: a few ranks a cell past the head.
+	k := 1 << max(bits.Len(uint(n))-3, 0)
+	d.guide = make([]int32, k+1)
+	rank := 0
+	for c := range d.guide {
+		for d.cum[rank] < float64(c)/float64(k) {
+			rank++
+		}
+		d.guide[c] = int32(rank)
+	}
 	return d
 }
 
@@ -58,9 +73,16 @@ func (d *Dist) N() int { return d.n }
 func (d *Dist) S() float64 { return d.s }
 
 // Sample draws a rank in [0, N) using the provided random source.
-func (d *Dist) Sample(r *rand.Rand) int {
-	u := r.Float64()
-	return sort.SearchFloat64s(d.cum, u)
+func (d *Dist) Sample(r *rand.Rand) int { return d.rank(r.Float64()) }
+
+// rank is the first rank whose cum reaches u ∈ [0, 1) — what a binary
+// search of the whole table returns. u times a power of two and c/K are
+// exact, so the cell is u's own and the bounds hold: every rank below
+// guide[c] has cum < c/K ≤ u, and cum[guide[c+1]] ≥ (c+1)/K > u.
+func (d *Dist) rank(u float64) int {
+	c := int(u * float64(len(d.guide)-1))
+	lo, hi := int(d.guide[c]), int(d.guide[c+1])
+	return lo + sort.SearchFloat64s(d.cum[lo:hi], u)
 }
 
 // P returns the probability mass of the given rank.

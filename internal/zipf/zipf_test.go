@@ -3,6 +3,7 @@ package zipf
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +123,42 @@ func TestConcentrationReference(t *testing.T) {
 	nonNav := New(1000000, 0.80)
 	if got := nonNav.TopShare(5000); got < 0.25 || got > 0.35 {
 		t.Errorf("s=0.80 top-5000 share = %.3f, want ~0.30", got)
+	}
+}
+
+// TestRankMatchesSearch holds the guided search to a binary search of
+// the whole table on flat, shallow, steep and degenerate curves, at
+// random draws and at every cell boundary and the draws beside it.
+func TestRankMatchesSearch(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		n int
+		s float64
+	}{{1, 1}, {2, 0.5}, {3, 0}, {7, 2}, {8, 1}, {9, 1}, {1000, 0.4}, {24000, 0.9}, {120000, 0.47}, {5000, 3}, {4096, 0}} {
+		d := New(c.n, c.s)
+		check := func(u float64) {
+			if u < 0 || u >= 1 {
+				return
+			}
+			if got, want := d.rank(u), sort.SearchFloat64s(d.cum, u); got != want {
+				t.Fatalf("n=%d s=%g u=%v: rank %d, binary search %d", c.n, c.s, u, got, want)
+			}
+		}
+		k := float64(len(d.guide) - 1)
+		for cell := 0.0; cell <= k; cell++ {
+			u := cell / k
+			check(u)
+			check(math.Nextafter(u, 0))
+			check(math.Nextafter(u, 1))
+		}
+		for _, p := range d.cum {
+			check(p)
+			check(math.Nextafter(p, 0))
+		}
+		for i := 0; i < 20000; i++ {
+			check(r.Float64())
+		}
+		check(0)
 	}
 }
 

@@ -68,8 +68,12 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # with backend pricing under concurrent walkers. A priced miss replays
 # under no lock: replays side by side publish the spine a serial run
 # builds, and four clients serve every user what one client does on each
-# route a priced miss takes (caller-run, slow-priced, batched).
-go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend
+# route a priced miss takes (caller-run, slow-priced, batched). And the
+# open-loop schedule's producer (internal/loadgen): the chunked stream is
+# the one-shot schedule at every chunk size, handed over and recycled
+# across goroutines, and a run that fails mid-replay stops its producer
+# before it returns.
+go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent|TestChunkBoundaries|TestNoProducerOutlivesItsRun' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend ./internal/loadgen
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root
