@@ -48,6 +48,8 @@ var experimentMetrics = map[string]struct {
 	"setup_s":                  {false, func(v float64) string { return fmt.Sprintf("%.3f", v) }},
 	"ns_per_op":                {false, withThousands},
 	"ns_per_draw":              {false, func(v float64) string { return fmt.Sprintf("%.2f", v) }},
+	"arrivals_per_op":          {false, func(v float64) string { return fmt.Sprintf("%.1f", v) }},
+	"arrivals_per_price":       {false, func(v float64) string { return fmt.Sprintf("%.1f", v) }},
 	"served_qps":               {true, withThousands},
 	"wall_p99_ms":              {false, func(v float64) string { return fmt.Sprintf("%.2f", v) }},
 	"served":                   {true, withThousands},

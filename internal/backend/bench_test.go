@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -43,25 +44,54 @@ const (
 
 var benchSink faults.Admission
 
-// pricer returns the function that prices the i-th query of an access
-// pattern (order; nil: ascending) over benchQueries instants of a model
-// with options o. One pass over the pattern explores the horizon first,
-// so what follows is steady state: the spine is built and nothing is
-// left to allocate (DESIGN.md, "Queued backends": saved states are
-// unpacked into a replay from the replica's free list).
-func pricer(o Options, order []int) (price func(i int) faults.Admission) {
-	m := NewModel(o)
-	price = func(i int) faults.Admission {
-		k := i % benchQueries
+// benchQuery is one query of an access pattern: the replica and
+// instant it prices, and the user asking.
+type benchQuery struct {
+	replica int
+	at      time.Duration
+	uid     uint64
+}
+
+// stepQueries is the access pattern that visits the instants
+// k·benchStep in the given order (nil: ascending), on replica k mod 3.
+func stepQueries(order []int) []benchQuery {
+	qs := make([]benchQuery, benchQueries)
+	for i := range qs {
+		k := i
 		if order != nil {
-			k = order[k]
+			k = order[i]
 		}
-		return m.Price(k%3, time.Duration(k)*benchStep, uint64(k%600), uint64(k)*0x9E3779B97F4A7C15, uint64(k), 1)
+		qs[i] = benchQuery{replica: k % 3, at: time.Duration(k) * benchStep, uid: uint64(k % 600)}
 	}
-	for i := 0; i < benchQueries; i++ {
+	return qs
+}
+
+// pricer returns the function that prices the i-th query of the access
+// pattern qs (repeated past its end) on a model with options o, and the
+// model. One pass over the pattern explores the horizon first, so what
+// follows is steady state: the spine is built and nothing is left to
+// allocate (DESIGN.md, "Queued backends": saved states are unpacked into
+// a replay from the replica's free list).
+func pricer(o Options, qs []benchQuery) (price func(i int) faults.Admission, m *Model) {
+	m = NewModel(o)
+	price = func(i int) faults.Admission {
+		q := qs[i%len(qs)]
+		return m.Price(q.replica, q.at, q.uid, uint64(i)*0x9E3779B97F4A7C15, uint64(i), 1)
+	}
+	for i := range qs {
 		price(i)
 	}
-	return price
+	return price, m
+}
+
+// replayed is the number of background arrivals m's replays have
+// consumed so far. Read it with no Price call under way.
+func replayed(m *Model) int64 {
+	var n int64
+	for _, rp := range m.reps {
+		n += rp.replayed
+	}
+	return n
 }
 
 // shuffledOrder is uniformly random instants over the horizon.
@@ -82,6 +112,38 @@ func walkersOrder() []int {
 		}
 	}
 	return order
+}
+
+// usersQueries is the pattern fault_hedge makes of its users: each user
+// has a clock of its own that a pass walks through one span, the spans
+// spread sixteenfold across users (log-uniform, a quarter to four times
+// 160 s), and users take turns, each walking its whole span before the
+// next starts. Pass p walks user u through [p, p+1)·span(u), so later
+// passes revisit stretches that faster or slower users walked in other
+// passes. A user's steps cycle through the three replicas, so at
+// λ = 13.3/s its step on one replica is some 100 to 1,600 arrivals, and
+// the 8 passes lay down more landings than the fine cache holds.
+func usersQueries() []benchQuery {
+	const (
+		users  = 64
+		steps  = 16
+		passes = benchQueries / (users * steps)
+	)
+	r := rand.New(rand.NewSource(2))
+	span := make([]time.Duration, users)
+	for u := range span {
+		span[u] = time.Duration(160 * math.Exp2(4*r.Float64()-2) * float64(time.Second))
+	}
+	qs := make([]benchQuery, 0, benchQueries)
+	for p := 0; p < passes; p++ {
+		for u := 0; u < users; u++ {
+			for s := 0; s < steps; s++ {
+				at := time.Duration(p)*span[u] + time.Duration(s)*span[u]/steps
+				qs = append(qs, benchQuery{replica: (u + s) % 3, at: at, uid: uint64(u)})
+			}
+		}
+	}
+	return qs
 }
 
 // priceParallel prices n queries from procs goroutines side by side, the
@@ -112,16 +174,20 @@ func TestPriceAllocatesNothing(t *testing.T) {
 	const ceiling = 0
 	for _, load := range benchLoads {
 		for _, pattern := range []struct {
-			name  string
-			order []int
-		}{{"in-order", nil}, {"shuffled", shuffledOrder()}, {"walkers", walkersOrder()}} {
-			price, i := pricer(load.o, pattern.order), 0
+			name string
+			qs   []benchQuery
+		}{
+			{"in-order", stepQueries(nil)}, {"shuffled", stepQueries(shuffledOrder())},
+			{"walkers", stepQueries(walkersOrder())}, {"users", usersQueries()},
+		} {
+			price, _ := pricer(load.o, pattern.qs)
+			i := 0
 			if n := testing.AllocsPerRun(2000, func() { price(i); i++ }); n > ceiling {
 				t.Errorf("%s/%s: a Price allocates %.0f objects, recorded %d", load.name, pattern.name, n, ceiling)
 			}
 		}
 		const n = 2000
-		price := pricer(load.o, nil)
+		price, _ := pricer(load.o, stepQueries(nil))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		priceParallel(price, runtime.GOMAXPROCS(0), n)
@@ -132,28 +198,35 @@ func TestPriceAllocatesNothing(t *testing.T) {
 	}
 }
 
-// benchPrice times the given access pattern (nil: ascending).
-func benchPrice(b *testing.B, order []int) {
+// benchPrice times the given access pattern. Besides time and
+// allocations, a row reports arrivals/op: the background arrivals a
+// Price replays, on average.
+func benchPrice(b *testing.B, qs []benchQuery) {
 	for _, load := range benchLoads {
 		b.Run(load.name, func(b *testing.B) {
-			price := pricer(load.o, order)
+			price, m := pricer(load.o, qs)
+			from := replayed(m)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchSink = price(i)
 			}
+			b.ReportMetric(float64(replayed(m)-from)/float64(b.N), "arrivals/op")
 		})
 	}
 }
 
 // BenchmarkPriceInOrder: one monotone clock, the best case.
-func BenchmarkPriceInOrder(b *testing.B) { benchPrice(b, nil) }
+func BenchmarkPriceInOrder(b *testing.B) { benchPrice(b, stepQueries(nil)) }
 
 // BenchmarkPriceShuffled: shuffledOrder.
-func BenchmarkPriceShuffled(b *testing.B) { benchPrice(b, shuffledOrder()) }
+func BenchmarkPriceShuffled(b *testing.B) { benchPrice(b, stepQueries(shuffledOrder())) }
 
 // BenchmarkPriceWalkers: walkersOrder.
-func BenchmarkPriceWalkers(b *testing.B) { benchPrice(b, walkersOrder()) }
+func BenchmarkPriceWalkers(b *testing.B) { benchPrice(b, stepQueries(walkersOrder())) }
+
+// BenchmarkPriceUsers: usersQueries.
+func BenchmarkPriceUsers(b *testing.B) { benchPrice(b, usersQueries()) }
 
 // BenchmarkPriceParallel: priceParallel's walkers, one on every
 // processor; ns/op is wall time per query over all of them.
@@ -161,7 +234,8 @@ func BenchmarkPriceParallel(b *testing.B) {
 	const walkers = 8
 	for _, load := range benchLoads {
 		b.Run(load.name, func(b *testing.B) {
-			price := pricer(load.o, nil)
+			price, m := pricer(load.o, stepQueries(nil))
+			from := replayed(m)
 			var next atomic.Int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -174,6 +248,7 @@ func BenchmarkPriceParallel(b *testing.B) {
 				}
 				_ = sink
 			})
+			b.ReportMetric(float64(replayed(m)-from)/float64(b.N), "arrivals/op")
 		})
 	}
 }

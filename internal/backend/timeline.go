@@ -18,8 +18,8 @@ import (
 //     append-only, growing with the model horizon actually explored at
 //     a few hundredths of a byte per arrival;
 //   - the fine cache: a fixed-size store of the states recent queries
-//     landed on, one per fineEvery-arrival stretch of the timeline,
-//     filled by the replays that serve the queries and evicted freely.
+//     landed on, filed by instant, filled by the replays that serve the
+//     queries and evicted oldest first.
 //
 // Both hold the state exactly as the replay had it at an event
 // boundary — after an arrival was applied, before any query's partial
@@ -27,27 +27,40 @@ import (
 // index) whichever query's replay produced it, and resuming from a fine
 // state is bit-for-bit resuming from the spine a little further on.
 // Eviction therefore changes how far a query replays, never what it
-// answers. Saved states are packed into pointer-free word arrays:
-// packedHdr header words plus only the live PS marks.
+// answers. Saved states are packed into pointer-free word arrays that
+// keep only what the event index does not say: packedHdr header words
+// plus the live PS marks (see pack).
+
+// A directory entry must hold every ring offset plus one.
+const _ uint16 = cacheWords
 
 const (
 	// spineEvery is the number of arrivals between two spine checkpoints,
 	// whatever the width of the state: it bounds the replay of a query
 	// the fine cache cannot serve. A checkpoint costs 8 bytes a packed
 	// word, so the spine grows by words/512 bytes per explored arrival —
-	// at most 0.05 for a PS queue 16 deep (the 512-arrival clones it
-	// replaces cost eight times that at any width).
+	// 0.006 for a FIFO queue, some 0.01 for a PS queue 16 deep under
+	// fault_hedge's load.
 	spineEvery = 4096
-	// fineEvery is the stretch of arrivals one fine-cache slot stands
-	// for: the cache holds at most one state per stretch.
-	fineEvery = 64
-	// The fine cache is a direct-mapped directory of cacheSlots states
+	// fineEvery is the mean number of arrivals one fine-cache bucket
+	// spans: bucket b is the model time [b, b+1)·fineEvery/λ, and the
+	// cache files at most one state in it.
+	fineEvery = 8
+	// The fine cache is a direct-mapped directory of cacheSlots buckets
 	// (a power of two) over a ring of cacheWords packed words — 72 KB a
-	// replica, some 750 states of a lightly loaded queue.
-	cacheSlots = 1024
-	cacheWords = 7168
-	// packedHdr is the number of header words of a packed state.
-	packedHdr = 8
+	// replica, some 1,700 states of fault_hedge's PS queue, 2,700 of a
+	// FIFO one. A directory entry is a uint16: one past a ring offset.
+	cacheSlots = 4096
+	cacheWords = 8192
+	// cacheProbes caps the buckets a lookup walks back: twice a spine
+	// segment's mean span, which only a query past the explored horizon
+	// reaches.
+	cacheProbes = 2 * spineEvery / fineEvery
+	// packedHdr is the number of header words of a packed state, and
+	// eventBits the bits of its first word that hold the event count;
+	// the rest hold the number of marks.
+	packedHdr = 3
+	eventBits = 40
 	// aheadMax is the most background arrivals a replay draws ahead of
 	// its state in one refill.
 	aheadMax = 16
@@ -148,110 +161,166 @@ func (st *state) copyFrom(src *state) {
 	st.setJobs(src.jobs)
 }
 
-// pack appends st to dst: packedHdr header words, then the marks.
-func (st *state) pack(dst []uint64) []uint64 {
-	dst = append(dst, uint64(len(st.jobs)), uint64(st.events),
-		math.Float64bits(st.t), math.Float64bits(st.work), math.Float64bits(st.off),
-		math.Float64bits(st.nextAt), math.Float64bits(st.nextDemand), st.r.s)
+// A packed state is, in words: the event count and, above its
+// eventBits, the number of marks; the instant t; the FIFO work or, under
+// PS, the drain offset (the other is always zero); then the marks. The
+// rest of a state is a function of its event count e, so unpacking
+// re-derives it (derive): the draw stream sits 2(e+1) draws past its
+// genesis, the next arrival's gap and demand are draws 2e+1 and 2e+2, and
+// nextAt is t plus that gap — as a replay that consumed arrival e left it.
+
+// pack appends st to dst in packed form. A state past what a header
+// holds — 2⁴⁰ arrivals, or 2²⁴ marks — is not saved, and queries past it
+// replay from the last state that was.
+func (rp *replica) pack(dst []uint64, st *state) []uint64 {
+	n := uint64(len(st.jobs))
+	if n >= 1<<(64-eventBits) || st.events >= 1<<eventBits {
+		return dst
+	}
+	level := st.work
+	if rp.m.opts.Discipline == PS {
+		level = st.off
+	}
+	dst = append(dst, n<<eventBits|uint64(st.events), math.Float64bits(st.t), math.Float64bits(level))
 	for _, m := range st.jobs {
 		dst = append(dst, math.Float64bits(m))
 	}
 	return dst
 }
 
-// unpack restores st from the packed state at the head of src, reusing
-// st's buf.
-func (st *state) unpack(src []uint64) {
+// unpack restores st's packed fields from the packed state at the head
+// of src, reusing st's buf; derive restores the rest.
+func (rp *replica) unpack(st *state, src []uint64) {
 	st.events = packedEvents(src)
 	st.t = packedT(src)
-	st.work = math.Float64frombits(src[3])
-	st.off = math.Float64frombits(src[4])
-	st.nextAt = math.Float64frombits(src[5])
-	st.nextDemand = math.Float64frombits(src[6])
-	st.r.s = src[7]
+	level := math.Float64frombits(src[2])
+	st.work, st.off = level, 0
+	if rp.m.opts.Discipline == PS {
+		st.work, st.off = 0, level
+	}
 	st.buf = st.buf[:0]
-	for _, w := range src[packedHdr : packedHdr+src[0]] {
+	for _, w := range src[packedHdr:packedLen(src)] {
 		st.buf = append(st.buf, math.Float64frombits(w))
 	}
 	st.jobs = st.buf
 }
 
-func packedEvents(src []uint64) int64 { return int64(src[1]) }
-func packedT(src []uint64) float64    { return math.Float64frombits(src[2]) }
-
-// fineCache holds recently replayed fine states. Slot f mod cacheSlots
-// belongs to the latest state cached after one of the arrivals
-// f×fineEvery … (f+1)×fineEvery−1; its packed words live in ring,
-// written round-robin, so the oldest states are overwritten first and a
-// slot whose words have been lapped reads as empty.
-type fineCache struct {
-	// at is the instant of the slot's state and pos the absolute word
-	// position (never wrapped) of its packed form; a zero slot is empty.
-	at   []float64
-	pos  []int64
-	ring []uint64
-	head int64 // absolute position of the next word written
-}
-
-func newFineCache() fineCache {
-	return fineCache{
-		at:   make([]float64, cacheSlots),
-		pos:  make([]int64, cacheSlots),
-		ring: make([]uint64, cacheWords),
+// derive restores what a packed state leaves out: the draw stream and
+// the next arrival, from st's event count and instant. It reads only
+// the replica's genesis and its model's configuration, so it runs under
+// no lock.
+func (rp *replica) derive(st *state) {
+	st.r = rng{s: rp.genesis}
+	st.nextAt, st.nextDemand = math.Inf(1), 0
+	if rp.m.lambda > 0 {
+		st.r.skip(2 * uint64(st.events))
+		st.nextAt = st.t + st.r.exp()/rp.m.lambda
+		st.nextDemand = rp.m.backgroundDemand(st.r.exp())
 	}
 }
 
-// intact reports whether the words of the state in slot are still in
-// the ring.
-func (c *fineCache) intact(slot int64) bool {
-	return c.head-c.pos[slot] <= int64(len(c.ring))
+func packedEvents(src []uint64) int64 { return int64(src[0] & (1<<eventBits - 1)) }
+func packedT(src []uint64) float64    { return math.Float64frombits(src[1]) }
+func packedLen(src []uint64) int      { return packedHdr + int(src[0]>>eventBits) }
+
+// fineCache holds recently replayed fine states, filed by instant:
+// bucket b (model time [b, b+1)·fineEvery/λ) belongs to slot b mod
+// cacheSlots, which holds the state put last in any of its buckets — of
+// two in one bucket, the later. The packed words live in ring, written
+// round-robin, so the oldest states are overwritten first; a state
+// leaves the directory as its words are overwritten, so every entry
+// names a whole state.
+type fineCache struct {
+	// dir holds one past the ring offset of the slot's state, 0 when the
+	// slot is empty.
+	dir  []uint16
+	ring []uint64
+	// next is the ring offset the next state is written at, and head
+	// the words written so far, skipped ones included. The states of the
+	// ring's previous lap not yet overwritten lie at offsets [tail, end).
+	next, tail, end int
+	head            int64
+	// perSecond is buckets per second of model time: λ/fineEvery.
+	perSecond float64
 }
+
+func newFineCache(lambda float64) fineCache {
+	return fineCache{
+		dir:       make([]uint16, cacheSlots),
+		ring:      make([]uint64, cacheWords),
+		perSecond: lambda / fineEvery,
+	}
+}
+
+// bucket is the bucket of instant at; slot its directory slot.
+func (c *fineCache) bucket(at float64) int64 { return int64(at * c.perSecond) }
+func slot(b int64) int64                     { return b & (cacheSlots - 1) }
 
 // put caches the packed state p, which must be a state just after an
 // arrival.
 func (c *fineCache) put(p []uint64) {
-	need := packedHdr + int(p[0])
+	need := packedLen(p)
 	if need > len(c.ring) {
-		return
+		return // the zero fineCache caches nothing
 	}
 	at := packedT(p)
-	slot := packedEvents(p) / fineEvery & (cacheSlots - 1)
-	if c.at[slot] == at && c.intact(slot) {
-		return // already cached: arrival instants are strictly increasing
+	b := c.bucket(at)
+	s := slot(b)
+	if e := c.dir[s]; e != 0 {
+		// A bucket keeps its latest state: this one, unless the slot holds
+		// it already or a later one of the same bucket.
+		if a := packedT(c.ring[e-1:]); a >= at && c.bucket(a) == b {
+			return
+		}
 	}
-	off := int(c.head % int64(len(c.ring)))
-	if off+need > len(c.ring) {
-		c.head += int64(len(c.ring) - off)
-		off = 0
+	if c.next+need > len(c.ring) {
+		// The lap ends here. What is left of the one before it lies past
+		// next, and goes with the words skipped.
+		c.evict(c.end)
+		c.head += int64(len(c.ring) - c.next)
+		c.tail, c.end, c.next = 0, c.next, 0
 	}
-	copy(c.ring[off:off+need], p[:need])
-	c.at[slot], c.pos[slot] = at, c.head
+	c.evict(c.next + need)
+	copy(c.ring[c.next:], p[:need])
+	c.dir[s] = uint16(c.next + 1)
+	c.next += need
 	c.head += int64(need)
 }
 
-// latest scans the slots of fine indices lo..hi and returns the
-// packed form of the latest state found with after < instant ≤ t, or
-// nil. A slot may hold a state from another stretch of the timeline
-// (the same index mod cacheSlots); the instant test alone decides,
-// because every cached state is a true state of this replica.
-func (c *fineCache) latest(lo, hi int64, after, t float64) []uint64 {
-	if len(c.at) == 0 {
-		return nil // the zero fineCache caches nothing
-	}
-	if hi-lo >= cacheSlots {
-		hi = lo + cacheSlots - 1
-	}
-	best := int64(-1)
-	for f := lo; f <= hi; f++ {
-		slot := f & (cacheSlots - 1)
-		if a := c.at[slot]; a > after && a <= t && c.intact(slot) {
-			after, best = a, slot
+// evict drops the previous lap's states that begin before ring offset
+// to, emptying the slots that still name them.
+func (c *fineCache) evict(to int) {
+	for c.tail < to && c.tail < c.end {
+		p := c.ring[c.tail:]
+		if s := slot(c.bucket(packedT(p))); int(c.dir[s]) == c.tail+1 {
+			c.dir[s] = 0
 		}
+		c.tail += packedLen(p)
 	}
-	if best < 0 {
+}
+
+// latest returns the packed form of the latest state cached with
+// after < instant ≤ t, or nil. It walks t's bucket and those before it,
+// down to after's and at most cacheProbes of them; a slot may hold a
+// state of another bucket (the same bucket mod cacheSlots), which the
+// state's own instant tells.
+func (c *fineCache) latest(after, t float64) []uint64 {
+	if len(c.dir) == 0 {
 		return nil
 	}
-	return c.ring[c.pos[best]%int64(len(c.ring)):]
+	lo, hi := c.bucket(after), c.bucket(t)
+	lo = max(lo, hi-cacheProbes+1)
+	for b := hi; b >= lo; b-- {
+		e := c.dir[slot(b)]
+		if e == 0 {
+			continue
+		}
+		p := c.ring[e-1:]
+		if a := packedT(p); a > after && a <= t && c.bucket(a) == b {
+			return p
+		}
+	}
+	return nil
 }
 
 // replica is one modeled server's saved states. mu guards them, and a
@@ -260,21 +329,25 @@ func (c *fineCache) latest(lo, hi int64, after, t float64) []uint64 {
 // what that replay saved. The replay itself runs under no lock, so
 // callers pricing one replica replay side by side.
 type replica struct {
-	m  *Model
-	mu spinlock.Mutex
+	m *Model
+	// genesis is the draw stream's state at t = 0, before any draw.
+	genesis uint64
+	mu      spinlock.Mutex
 	// spine holds the permanent checkpoints packed back to back in event
 	// order, spineAt[i] the word offset of checkpoint i; checkpoint 0 is
-	// genesis (t=0, empty queue, first arrival drawn).
+	// genesis (t=0, empty queue).
 	spine   []uint64
 	spineAt []int
-	// spineEvents is the event count of the last checkpoint; explored
-	// the highest event count any replay has reached.
-	spineEvents, explored int64
-	fine                  fineCache
+	// spineEvents is the event count of the last checkpoint.
+	spineEvents int64
+	fine        fineCache
 	// free holds the replays no Price call is using, so steady-state
 	// queries do not allocate: one per caller that has priced here at
 	// once.
 	free []*replay
+	// replayed counts the background arrivals every replay published so
+	// far consumed: how far queries replay, which the benchmarks report.
+	replayed int64
 
 	acct acct
 }
@@ -285,6 +358,9 @@ type replica struct {
 // the way for the second hold to publish.
 type replay struct {
 	st, cl state
+	// from is the event count of the saved state the replay resumed
+	// from.
+	from int64
 	// spineEvents is the spine frontier the replay checkpoints against:
 	// the replica's when the replay began, moved on by every checkpoint
 	// it packs.
@@ -306,15 +382,13 @@ type replay struct {
 type arrival struct{ gap, demand float64 }
 
 func newReplica(m *Model, idx int) *replica {
-	rp := &replica{m: m, fine: newFineCache()}
-	genesis := state{r: rng{s: hash64.Mix(uint64(m.opts.Seed)^0xB0E57A7E_5EED_0001) ^ uint64(idx)*0x9FB21C651E98DF25}}
-	genesis.nextAt = math.Inf(1)
-	if m.lambda > 0 {
-		genesis.nextAt = genesis.r.exp() / m.lambda
-		genesis.nextDemand = m.backgroundDemand(genesis.r.exp())
+	rp := &replica{
+		m:       m,
+		genesis: hash64.Mix(uint64(m.opts.Seed)^0xB0E57A7E_5EED_0001) ^ uint64(idx)*0x9FB21C651E98DF25,
+		fine:    newFineCache(m.lambda),
 	}
 	rp.spineAt = append(rp.spineAt, 0)
-	rp.spine = genesis.pack(rp.spine)
+	rp.spine = rp.pack(rp.spine, &state{})
 	return rp
 }
 
@@ -333,12 +407,14 @@ func (m *Model) backgroundDemand(e float64) float64 {
 
 // stateAt returns a replay whose state describes instant t. It holds
 // mu only to pick the latest saved state at or before t and unpack it;
-// the replay forward from there runs under no lock. The caller gives
-// the replay back with publish.
+// the derivation of the rest of that state and the replay forward from
+// there run under no lock. The caller gives the replay back with
+// publish.
 func (rp *replica) stateAt(t float64) *replay {
 	rp.mu.Lock()
 	rc := rp.resume(t)
 	rp.mu.Unlock()
+	rp.derive(&rc.st)
 	rp.advance(rc, t)
 	return rc
 }
@@ -358,13 +434,7 @@ func (rp *replica) resume(t float64) *replay {
 		}
 	}
 	from := rp.spineState(lo - 1)
-	// The fine states of this spine segment: past the checkpoint, up to
-	// the next one (or as far as any replay has been).
-	last := rp.explored
-	if lo < len(rp.spineAt) {
-		last = packedEvents(rp.spineState(lo))
-	}
-	if fine := rp.fine.latest(packedEvents(from)/fineEvery, last/fineEvery, packedT(from), t); fine != nil {
+	if fine := rp.fine.latest(packedT(from), t); fine != nil {
 		from = fine
 	}
 	var rc *replay
@@ -374,7 +444,8 @@ func (rp *replica) resume(t float64) *replay {
 	} else {
 		rc = new(replay)
 	}
-	rc.st.unpack(from)
+	rp.unpack(&rc.st, from)
+	rc.from = rc.st.events
 	rc.next, rc.n = 0, 0
 	rc.spineEvents = rp.spineEvents
 	rc.ckpts, rc.land = rc.ckpts[:0], rc.land[:0]
@@ -387,19 +458,17 @@ func (rp *replica) resume(t float64) *replay {
 // serial run builds: checkpoints exactly spineEvery arrivals apart.
 func (rp *replica) publish(rc *replay) {
 	rp.mu.Lock()
-	for p := rc.ckpts; len(p) > 0; p = p[packedHdr+p[0]:] {
+	for p := rc.ckpts; len(p) > 0; p = p[packedLen(p):] {
 		if packedEvents(p) == rp.spineEvents+spineEvery {
 			rp.spineAt = append(rp.spineAt, len(rp.spine))
-			rp.spine = append(rp.spine, p[:packedHdr+p[0]]...)
+			rp.spine = append(rp.spine, p[:packedLen(p)]...)
 			rp.spineEvents = packedEvents(p)
 		}
 	}
 	if len(rc.land) > 0 {
 		rp.fine.put(rc.land)
 	}
-	if rc.st.events > rp.explored {
-		rp.explored = rc.st.events
-	}
+	rp.replayed += rc.st.events - rc.from
 	rp.free = append(rp.free, rc)
 	rp.mu.Unlock()
 }
@@ -505,10 +574,10 @@ func (rp *replica) consumeArrival(rc *replay, t float64) {
 	st.r.skip(2)
 	switch {
 	case st.events-rc.spineEvents >= spineEvery:
-		rc.ckpts = st.pack(rc.ckpts)
+		rc.ckpts = rp.pack(rc.ckpts, st)
 		rc.spineEvents = st.events
 	case st.nextAt > t:
-		rc.land = st.pack(rc.land[:0])
+		rc.land = rp.pack(rc.land[:0], st)
 	}
 }
 

@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -12,14 +14,14 @@ import (
 )
 
 // fixedCacheBytes is what one replica's fine cache holds whatever the
-// horizon: the directory's two rows and the ring.
-const fixedCacheBytes = 8 * (2*cacheSlots + cacheWords)
+// horizon: the directory and the ring.
+const fixedCacheBytes = 2*cacheSlots + 8*cacheWords
 
 // retainedBytes is the memory the replica's saved states hold: the
 // fine cache plus the spine, append slack included.
 func (rp *replica) retainedBytes() int {
 	c := &rp.fine
-	return 8 * (cap(c.at) + cap(c.pos) + cap(c.ring) + cap(rp.spine) + cap(rp.spineAt))
+	return 2*cap(c.dir) + 8*(cap(c.ring)+cap(rp.spine)+cap(rp.spineAt))
 }
 
 // TestTimelineMemoryBound: saved states cost the fixed cache plus one
@@ -48,22 +50,24 @@ func TestTimelineMemoryBound(t *testing.T) {
 		for i := 1; i <= 4; i++ {
 			m.Price(0, tc.horizon*time.Duration(i)/4, uint64(i), 3, 1, 1)
 		}
-		if rp.explored < 8*spineEvery {
-			t.Fatalf("%s: explored only %d arrivals", tc.name, rp.explored)
+		end := rp.stateAt(tc.horizon.Seconds()).st
+		explored := end.events
+		if explored < 8*spineEvery {
+			t.Fatalf("%s: explored only %d arrivals", tc.name, explored)
 		}
 		widest := packedHdr + tc.o.QueueDepth
 		if tc.o.QueueDepth == 0 {
-			widest = packedHdr + len(rp.stateAt(tc.horizon.Seconds()).st.jobs)
+			widest = packedHdr + len(end.jobs)
 			if widest < cacheWords {
 				t.Fatalf("%s: a backlog of %d words does not outgrow the cache", tc.name, widest)
 			}
 		}
-		limit := fixedCacheBytes + 2*8*widest*int(1+rp.explored/spineEvery)
+		limit := fixedCacheBytes + 2*8*widest*int(1+explored/spineEvery)
 		if tc.tenth {
-			limit = fixedCacheBytes + int(rp.explored/10)
+			limit = fixedCacheBytes + int(explored/10)
 		}
 		if got := rp.retainedBytes(); got > limit {
-			t.Errorf("%s: %d B retained after %d arrivals, want at most %d", tc.name, got, rp.explored, limit)
+			t.Errorf("%s: %d B retained after %d arrivals, want at most %d", tc.name, got, explored, limit)
 		}
 		// The replay of a query the cache cannot serve is bounded at any width.
 		for i := 1; i < len(rp.spineAt); i++ {
@@ -71,7 +75,7 @@ func TestTimelineMemoryBound(t *testing.T) {
 				t.Errorf("%s: checkpoints %d and %d are %d arrivals apart, want %d", tc.name, i-1, i, d, spineEvery)
 			}
 		}
-		if d := rp.explored - rp.spineEvents; d >= spineEvery {
+		if d := explored - rp.spineEvents; d >= spineEvery {
 			t.Errorf("%s: the spine ends %d arrivals short of the explored horizon, want under %d", tc.name, d, spineEvery)
 		}
 	}
@@ -85,7 +89,7 @@ func TestTimelineMemoryBound(t *testing.T) {
 // only) computes.
 func TestPricePureUnderEviction(t *testing.T) {
 	const (
-		n       = 3000
+		n       = 6000                // laps the ring twice with 3-word FIFO states
 		horizon = 10000 * time.Second // 200k arrivals at λ = 20/s
 		walkers = 8
 	)
@@ -247,5 +251,70 @@ func TestSpinePublication(t *testing.T) {
 		rp.publish(a)
 		rp.publish(b)
 		sameSpine(name+" one snapshot, two replays", rp, serial.reps[0])
+	}
+}
+
+// stateBits lists every field of st that describes the queue, as bits:
+// the instant, FIFO work, PS offset and marks, event count, the next
+// arrival and the draw stream.
+func stateBits(st *state) []uint64 {
+	b := []uint64{
+		math.Float64bits(st.t), math.Float64bits(st.work), math.Float64bits(st.off),
+		uint64(st.events), math.Float64bits(st.nextAt), math.Float64bits(st.nextDemand), st.r.s,
+	}
+	for _, m := range st.jobs {
+		b = append(b, math.Float64bits(m))
+	}
+	return b
+}
+
+// TestPackRoundTrip: a packed state keeps only the event count, the
+// instant, the FIFO work or PS offset and the marks, and unpack with
+// derive restores every field of the state, the draw stream and the
+// next arrival's instant and demand included, bit for bit — at genesis,
+// whose derived fields are held to a straight queue's first draws, and
+// after every arrival of a replay across several spine checkpoints:
+// FIFO and PS, bounded and unbounded, exponential and fixed service,
+// with and without background load.
+func TestPackRoundTrip(t *testing.T) {
+	const arrivals = 3 * spineEvery
+	for _, disc := range []Discipline{FIFO, PS} {
+		for _, depth := range []int{0, 4} {
+			for _, dist := range []Dist{DistExp, DistFixed} {
+				for _, offered := range []float64{0, 30} {
+					o := Options{
+						Enabled: true, Seed: 13, Replicas: 2, ServiceRate: 30, QueueDepth: depth,
+						Discipline: disc, Dist: dist, Offered: offered, CloneFactor: 2,
+					}
+					name := fmt.Sprintf("%v/depth%d/%v/offered%g", disc, depth, dist, offered)
+					rp := NewModel(o).reps[1]
+					rc := rp.stateAt(0)
+					q := newStraightQueue(o, 1)
+					genesis := state{nextAt: q.nextAt, nextDemand: q.nextDemand, r: rng{s: q.s}}
+					if got, want := stateBits(&rc.st), stateBits(&genesis); !slices.Equal(got, want) {
+						t.Fatalf("%s: genesis %x, a straight queue's %x", name, got, want)
+					}
+					var back state
+					for i := 0; ; i++ {
+						p := rp.pack(nil, &rc.st)
+						if len(p) != packedHdr+len(rc.st.jobs) {
+							t.Fatalf("%s: after %d arrivals a state of %d marks packs to %d words", name, i, len(rc.st.jobs), len(p))
+						}
+						rp.unpack(&back, p)
+						rp.derive(&back)
+						if got, want := stateBits(&back), stateBits(&rc.st); !slices.Equal(got, want) {
+							t.Fatalf("%s: after %d arrivals the round trip gives %x, want %x", name, i, got, want)
+						}
+						if offered == 0 || i == arrivals {
+							break
+						}
+						rp.advance(rc, rc.st.nextAt)
+						if rc.st.events != int64(i+1) {
+							t.Fatalf("%s: the replay consumed %d arrivals, want %d", name, rc.st.events, i+1)
+						}
+					}
+				}
+			}
+		}
 	}
 }

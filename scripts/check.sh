@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate (see ROADMAP.md): formatting, static
 # analysis, a full build, a vet and build for two other architectures,
-# the whole test suite, a race-detector pass,
+# the whole test suite, one iteration of the backend pricing
+# benchmarks, a race-detector pass,
 # the scheduling-dependent rails three times over under the detector,
 # and the benchmark module's smoke test. Everything must pass before a
 # change lands. The performance contracts — allocation ceilings, the
@@ -45,6 +46,13 @@ GOARCH=s390x go build ./...
 
 echo "== go test ./... =="
 go test ./...
+
+echo "== backend pricing benchmarks, one iteration each =="
+# go test runs no benchmark, so this is what executes every
+# BenchmarkPrice* access pattern (in order, shuffled, walkers, users,
+# parallel) at each gate: a pattern that panics or a pricer that stops
+# building fails here. One iteration times nothing.
+go test -run '^$' -bench BenchmarkPrice -benchtime 1x ./internal/backend
 
 echo "== go test -race -short ./... =="
 go test -race -short ./...
