@@ -22,11 +22,11 @@
 // Routing is pluggable (-placement): "modulo" is the legacy static
 // uid-hash mod shards mapping; "ring" is consistent hashing over
 // -vnodes virtual nodes per shard, which keeps a live resize cheap.
-// -resize-to N reshards the fleet to N shards -resize-at into the run
-// while it keeps serving: movers' personal caches are migrated with
-// them (unless -resize-drop discards them — the remap-and-cold-start
-// baseline), and the report's resizes/migrated_*/held_requests fields
-// quantify the migration work.
+// -resize-to N reshards the fleet to N shards -resize-at into the run;
+// requests wait while the resize drains, moves and publishes. Movers'
+// personal caches are migrated with them (unless -resize-drop discards
+// them — the remap-and-cold-start baseline), and the report's
+// resizes/migrated_* fields quantify the migration work.
 //
 // -autoscale hands the topology to the occupancy-driven controller
 // (open mode with -placement ring): per-shard occupancy is sampled

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -609,4 +612,37 @@ func normalized(t *testing.T, r pocketcloudlets.LoadReport) []string {
 		t.Fatal(err)
 	}
 	return strings.Split(out.String(), "\n")
+}
+
+// TestMidRunResizeEnergyIsWidthIndependent: an open-loop run with one
+// resize event mid-tape, on a queue deep enough that nothing sheds,
+// reports the same energy block with one worker as with several. The
+// resize drains under its fence before it stamps the grown shards'
+// provisioning instant, so their idle integral starts at the makespan
+// of the tape prefix admitted before the event, whoever served it. The
+// offered rate is far past what the fleet serves, so a backlog of cold
+// first requests is queued when the event fires: a stamp taken without
+// the drain reads a makespan that depends on how far the workers got.
+func TestMidRunResizeEnergyIsWidthIndependent(t *testing.T) {
+	spec := func(workers int) string {
+		path := filepath.Join(t.TempDir(), "resize.json")
+		body := fmt.Sprintf(`{"version": 1, "mode": "open", "users": 200, "seed": 4, "qps": 1000000, "duration": "20ms",
+			"fleet": {"shards": 4, "placement": "ring", "workers": %d, "queue": 100000},
+			"events": [{"at": "2ms", "resize": 6}]}`, workers)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	_, _, one := runScenario(t, "-scenario", spec(1))
+	_, _, wide := runScenario(t, "-scenario", spec(max(runtime.GOMAXPROCS(0), 4)))
+	if one.Shed+wide.Shed > 0 || one.Resizes != 1 || wide.Resizes != 1 {
+		t.Fatalf("shed %d and %d, resized %d and %d times: want no shed and one resize each", one.Shed, wide.Shed, one.Resizes, wide.Resizes)
+	}
+	if one.Workers == wide.Workers {
+		t.Fatalf("both runs had %d workers", one.Workers)
+	}
+	if !reflect.DeepEqual(one.Energy, wide.Energy) {
+		t.Errorf("energy with %d worker: %+v\nwith %d: %+v", one.Workers, *one.Energy, wide.Workers, *wide.Energy)
+	}
 }

@@ -52,6 +52,8 @@ var experimentMetrics = map[string]struct {
 	"arrivals_per_price":       {false, func(v float64) string { return fmt.Sprintf("%.1f", v) }},
 	"served_qps":               {true, withThousands},
 	"wall_p99_ms":              {false, func(v float64) string { return fmt.Sprintf("%.2f", v) }},
+	"resize_wall_ms":           {false, func(v float64) string { return fmt.Sprintf("%.1f", v) }},
+	"max_schedule_lag_ms":      {false, func(v float64) string { return fmt.Sprintf("%.1f", v) }},
 	"served":                   {true, withThousands},
 	"retries":                  {false, withThousands},
 	"unavailable":              {false, withThousands},

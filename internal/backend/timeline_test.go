@@ -85,8 +85,8 @@ func TestTimelineMemoryBound(t *testing.T) {
 // times the fine cache's reach: whatever the cache holds or has lost —
 // queried in ascending order, in an order that makes successive queries
 // collide in the direct-mapped slots, or by concurrent monotone walkers
-// — every admission equals the one a model with no cache at all (spine
-// only) computes.
+// — every admission equals the one a straight replay from genesis
+// (straightPrices, one pass a configuration) computes.
 func TestPricePureUnderEviction(t *testing.T) {
 	const (
 		n       = 6000                // laps the ring twice with 3-word FIFO states
@@ -99,8 +99,13 @@ func TestPricePureUnderEviction(t *testing.T) {
 		ats[i] = time.Duration(r.Int63n(int64(horizon)))
 	}
 	sort.Slice(ats, func(i, j int) bool { return ats[i] < ats[j] })
+	qs := make([]query, n)
+	for i, at := range ats {
+		qs[i] = query{at: at, uid: uint64(i % 97), qh: uint64(i) * 0x9E3779B97F4A7C15, seq: uint64(i), attempt: 1 + i%3}
+	}
 	price := func(m *Model, i int) faults.Admission {
-		return m.Price(0, ats[i], uint64(i%97), uint64(i)*0x9E3779B97F4A7C15, uint64(i), 1+i%3)
+		q := qs[i]
+		return m.Price(q.replica, q.at, q.uid, q.qh, q.seq, q.attempt)
 	}
 
 	for _, tc := range []struct {
@@ -113,15 +118,7 @@ func TestPricePureUnderEviction(t *testing.T) {
 		}
 		evicted := func(m *Model) bool { return m.reps[0].fine.head > 2*cacheWords }
 
-		spineOnly := NewModel(o)
-		spineOnly.reps[0].fine = fineCache{}
-		want := make([]faults.Admission, n)
-		for i := range want {
-			want[i] = price(spineOnly, i)
-		}
-		if spineOnly.reps[0].fine.head != 0 {
-			t.Fatalf("%v/%d: the spine-only reference cached a state", tc.disc, tc.depth)
-		}
+		want := straightPrices(o, 0, qs)
 
 		ascending := NewModel(o)
 		for i := range want {

@@ -219,7 +219,7 @@ func (d *dispatcher) execute(batch []*missTask) {
 			})
 		}
 	}
-	shards := f.topo.Load().shards
+	shards := f.view.Load().shards
 	var bt radio.BatchTransfer
 	if len(items) > 0 {
 		bt = radio.BatchExchange(f.cfg.Radio, items)

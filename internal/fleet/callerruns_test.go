@@ -246,11 +246,10 @@ func TestSameUserConcurrentDoIsSerializable(t *testing.T) {
 
 // TestResizeUnderCallerRunDo: closed-loop clients serve their users'
 // tapes with Do — on their own goroutines — while the fleet resizes
-// 4→6→3 (and keeps cycling until a request was actually caught
-// mid-migration and held). Every submission must be booked exactly
-// once and every user's tier sequence must equal a never-resized
-// fleet's: the epoch fence and the hold queues do for a caller-run
-// request what they did for a queued one.
+// 4→6→3 (and keeps cycling until a Do was actually begun while a resize
+// ran). Every submission must be booked exactly once and every user's
+// tier sequence must equal a never-resized fleet's: the resize's fence
+// waits out a caller-run request and holds off the next.
 func TestResizeUnderCallerRunDo(t *testing.T) {
 	g := smallGen(t, 48)
 	tapes := tapesFor(g, 48, 1)
@@ -258,8 +257,8 @@ func TestResizeUnderCallerRunDo(t *testing.T) {
 
 	const clients = 4
 	users := g.Users()[:48]
-	var stop atomic.Bool
-	var submitted atomic.Int64
+	var stop, resizing atomic.Bool
+	var submitted, during atomic.Int64
 	got := make(map[searchlog.UserID][]Source, len(users))
 	rounds := make(map[searchlog.UserID]int, len(users))
 	var mu sync.Mutex
@@ -273,6 +272,9 @@ func TestResizeUnderCallerRunDo(t *testing.T) {
 					uid := users[i].ID
 					tiers := make([]Source, 0, len(tapes[uid]))
 					for _, req := range tapes[uid] {
+						if resizing.Load() {
+							during.Add(1)
+						}
 						resp := f.Do(req)
 						if resp.Shed || resp.Err != nil {
 							t.Errorf("user %d request failed: %+v", uid, resp)
@@ -289,20 +291,20 @@ func TestResizeUnderCallerRunDo(t *testing.T) {
 			}
 		}(c)
 	}
-	var held int64
-	for cycle := 0; cycle < 400 && held == 0; cycle++ {
+	for cycle := 0; cycle < 400 && during.Load() == 0; cycle++ {
 		for _, n := range []int{6, 3, 4} {
-			st, err := f.Resize(n)
+			resizing.Store(true)
+			_, err := f.Resize(n)
+			resizing.Store(false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			held += st.HeldRequests
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
-	if held == 0 {
-		t.Fatal("no request was ever held mid-migration; the test exercised no hold queue")
+	if during.Load() == 0 {
+		t.Fatal("no Do was ever begun while a resize ran; the test exercised no fence")
 	}
 	if s := f.Stats(); s.Served != submitted.Load() || s.Shed != 0 {
 		t.Errorf("accounting broke: served %d, shed %d; submitted %d",
@@ -321,7 +323,7 @@ func TestResizeUnderCallerRunDo(t *testing.T) {
 			t.Errorf("user %d: tier sequence across live resizes diverges from the never-resized fleet", uid)
 		}
 	}
-	t.Logf("%d requests held across resizes, %d served", held, submitted.Load())
+	t.Logf("%d requests begun during resizes, %d served", during.Load(), submitted.Load())
 }
 
 // TestCloseRacesCallerRunDo: Close must wait out requests being served

@@ -49,7 +49,7 @@ func TestDenseSparseEquivalence(t *testing.T) {
 
 	// The dense fleet must actually have used the arena: every replayed
 	// user ID is below Population, so the sparse fallback stays empty.
-	for _, sh := range dense.topo.Load().shards {
+	for _, sh := range dense.view.Load().shards {
 		sh.mu.Lock()
 		if n := len(sh.users.sparse); n != 0 {
 			sh.mu.Unlock()

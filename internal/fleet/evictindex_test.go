@@ -73,7 +73,7 @@ func renderEvictionIndex(t *testing.T) string {
 	f.Drain()
 
 	var b strings.Builder
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range f.view.Load().shards {
 		fmt.Fprintf(&b, "start items pocketsearch-shard-%d\n", sh.id)
 		for _, it := range shardItems(sh) {
 			fmt.Fprintf(&b, "  %016x rel=%016x bytes=%d utility=%v\n", it.key, it.queryHash, it.bytes, it.utility)

@@ -495,24 +495,11 @@ type task struct {
 	enqueued int64 // sinceStart() at submission
 	reply    chan Response
 	barrier  chan struct{}
-	// held marks a task replayed from a migration hold queue; it must
-	// not be held again (its hold entry is, by construction, present
-	// while it is being replayed).
-	held bool
 	// inPlace marks a task its blocked caller is serving itself: process
 	// builds the answer in the caller's own Response and no channel is
-	// involved, unless the task turns out to be answered later (mailbox).
+	// involved, unless the task is parked with a dispatcher, which
+	// answers it later through a reply channel (shard.route).
 	inPlace bool
-}
-
-// mailbox trades an in-place task's mark for the reply channel its
-// caller will wait on: the task is about to be copied to where another
-// goroutine answers it later (a hold queue, a dispatcher).
-func (t *task) mailbox() {
-	if t.inPlace {
-		t.inPlace = false
-		t.reply = replyPool.Get().(chan Response)
-	}
 }
 
 // Fleet is a running serving layer. What every request reads comes first
@@ -522,15 +509,10 @@ type Fleet struct {
 	cfg    Config
 	queues []workerQueue
 
-	// topo is the physical serving view — shards plus the dispatchers
-	// coalescing their cloud misses — published atomically so workers
-	// route lock-free while Resize grows or shrinks it.
-	topo atomic.Pointer[topology]
-	// route is the logical user→shard mapping, also lock-free for
-	// readers; during a live resize it carries both the old and the new
-	// placement and flips users over one source shard at a time (see
-	// migrate.go).
-	route atomic.Pointer[routeTable]
+	// view is the placement, the shards and the dispatchers coalescing
+	// their cloud misses, read lock-free by every request and replaced
+	// as one value by a resize (migrate.go).
+	view atomic.Pointer[view]
 
 	// tl is the fleet-wide model timeline: every user clock and
 	// community replica clock is registered on it, so the model-time
@@ -542,12 +524,6 @@ type Fleet struct {
 	cohorts *cohortTable
 
 	closed bool // guarded by fence
-	// migrating is nonzero while a resize epoch may hold tasks;
-	// holdEntries counts live hold queues. Both zero is the fast path
-	// that keeps the serve path free of migration work outside a
-	// resize.
-	migrating   atomic.Int64
-	holdEntries atomic.Int64
 
 	_  [64]byte // end of what every request reads
 	wg sync.WaitGroup
@@ -555,12 +531,11 @@ type Fleet struct {
 	// resizeMu serializes Resize against itself and Close.
 	resizeMu sync.Mutex
 	// Cumulative migration counters (see MigrationStats).
-	migResizes   atomic.Int64
-	migMoved     atomic.Int64
-	migBytes     atomic.Int64
-	migTransfer  atomic.Int64
-	migDropped   atomic.Int64
-	heldRequests atomic.Int64
+	migResizes  atomic.Int64
+	migMoved    atomic.Int64
+	migBytes    atomic.Int64
+	migTransfer atomic.Int64
+	migDropped  atomic.Int64
 
 	// retired is the fold of the counter blocks (shard.ctr) of every
 	// shard a shrink retired, closed-out energy integrals included: a
@@ -571,10 +546,10 @@ type Fleet struct {
 	retired  shardCounters
 
 	// fence guards closed against concurrent Submit/Do/Close, and — held
-	// exclusively — fences route publications: enqueue computes a
-	// task's shard under its user's stripe, so a storeRoute caller knows
-	// no task routed by the previous table is still on its way into a
-	// queue.
+	// exclusively — fences a resize: enqueue routes a task, and a
+	// caller-run task is served, under its user's stripe, so a resize
+	// holding every stripe knows no task routed by the old view is on its
+	// way into a queue or being served outside one.
 	fence routeFence
 }
 
@@ -660,8 +635,7 @@ func New(cfg Config) (*Fleet, error) {
 			dispatchers = append(dispatchers, newDispatcher(f))
 		}
 	}
-	f.topo.Store(&topology{shards: shards, dispatchers: dispatchers})
-	f.route.Store(&routeTable{place: cfg.Placement, from: -1})
+	f.view.Store(&view{place: cfg.Placement, shards: shards, dispatchers: dispatchers})
 	for w := range f.queues {
 		f.queues[w].init(cfg.QueueDepth)
 		f.wg.Add(1)
@@ -692,12 +666,11 @@ func buildShards(cfg Config, ct *cohortTable, tl *modeltime.Timeline, lo, hi int
 	return shards, nil
 }
 
-// NumShards returns the logical shard count — the target placement's
-// during a live resize.
-func (f *Fleet) NumShards() int { return f.route.Load().place.Shards() }
+// NumShards returns the shard count.
+func (f *Fleet) NumShards() int { return len(f.view.Load().shards) }
 
 // PlacementName identifies the routing policy in use.
-func (f *Fleet) PlacementName() string { return f.route.Load().place.Name() }
+func (f *Fleet) PlacementName() string { return f.view.Load().place.Name() }
 
 // NumWorkers returns the worker-pool size.
 func (f *Fleet) NumWorkers() int { return len(f.queues) }
@@ -719,9 +692,9 @@ func (f *Fleet) Hedges(uid searchlog.UserID) bool { return f.cohorts.resolvePtr(
 // to the fleet they measure.
 func (f *Fleet) Observer() Observer { return f.cfg.Observer }
 
-// shardOf maps a user to their home shard under the current route.
+// shardOf maps a user to their home shard under the current placement.
 func (f *Fleet) shardOf(uid searchlog.UserID) int {
-	return f.route.Load().shardOf(placement.UserKey(uint64(uid)))
+	return f.view.Load().place.ShardOf(placement.UserKey(uint64(uid)))
 }
 
 // worker drains one queue in FIFO order, a whole backlog per hand-off,
@@ -755,9 +728,9 @@ func (f *Fleet) worker(id int) {
 	}
 }
 
-// process serves one request task — from a worker loop, from a blocking
-// caller with nothing queued ahead of it (enqueue), or from the
-// migration drainer replaying held tasks — building its answer in resp.
+// process serves one request task — from a worker loop, or from a
+// blocking caller with nothing queued ahead of it (enqueue) — building
+// its answer in resp.
 // Local hits, and cloud misses nothing prices or coalesces, come back
 // served from the shard. Any other miss comes back pending and is
 // planned here, under no lock: a miss a backend prices is then applied
@@ -771,11 +744,8 @@ func (f *Fleet) worker(id int) {
 // break. A task still inPlace on return was finished here and resp is
 // its caller's answer.
 func (f *Fleet) process(t *task, resp *Response) {
-	if f.maybeHold(t) {
-		return
-	}
-	tp := f.topo.Load()
-	sh, d := tp.shards[t.shard], f.dispatcherOf(tp, t.shard)
+	v := f.view.Load()
+	sh, d := v.shards[t.shard], f.dispatcherOf(v, t.shard)
 	for {
 		miss, waitFor := sh.route(t, d != nil, resp)
 		switch {
@@ -817,14 +787,14 @@ func (f *Fleet) finish(sh *shard, resp *Response, t *task) {
 
 // dispatcherOf returns the dispatcher coalescing the shard's misses,
 // nil when miss coalescing is off.
-func (f *Fleet) dispatcherOf(tp *topology, shard int) *dispatcher {
+func (f *Fleet) dispatcherOf(v *view, shard int) *dispatcher {
 	switch {
-	case len(tp.dispatchers) == 0:
+	case len(v.dispatchers) == 0:
 		return nil
 	case f.cfg.Batch.FleetWide:
-		return tp.dispatchers[0]
+		return v.dispatchers[0]
 	}
-	return tp.dispatchers[shard]
+	return v.dispatchers[shard]
 }
 
 // flushDispatchers forces out every miss parked for worker id's shards
@@ -832,16 +802,16 @@ func (f *Fleet) dispatcherOf(tp *topology, shard int) *dispatcher {
 // until they are applied — the Drain barrier must not ack while misses
 // are still lingering.
 func (f *Fleet) flushDispatchers(id int) {
-	tp := f.topo.Load()
-	if len(tp.dispatchers) == 0 {
+	v := f.view.Load()
+	if len(v.dispatchers) == 0 {
 		return
 	}
 	if f.cfg.Batch.FleetWide {
-		tp.dispatchers[0].flushWait()
+		v.dispatchers[0].flushWait()
 		return
 	}
-	for s := id; s < len(tp.shards); s += len(f.queues) {
-		tp.dispatchers[s].flushWait()
+	for s := id; s < len(v.shards); s += len(f.queues) {
+		v.dispatchers[s].flushWait()
 	}
 }
 
@@ -857,11 +827,12 @@ func (f *Fleet) flushDispatchers(id int) {
 // Submit(u, a) then Do(u, b) apply in order.
 //
 // The task's shard is computed — and a caller-run task processed —
-// under the read lock of the user's fence stripe, so a route publication
-// (storeRoute holds every stripe) fences out every task routed by the old
-// table, queued or running, before it starts an epoch barrier, and Close
-// waits out the same. A caller whose task is no longer inPlace awaits its
-// reply after the lock is released: a held or parked task answers later.
+// under the read lock of the user's fence stripe, so a resize (it holds
+// every stripe) starts its drain with every task routed by the old view
+// either queued or finished, and Close waits out the same; while a
+// resize holds the fence, Submit and Do wait here. A caller whose task
+// is no longer inPlace awaits its reply after the lock is released: a
+// parked task answers later.
 func (f *Fleet) enqueue(t *task, resp *Response) bool {
 	mu := f.fence.reader(t.req.User)
 	mu.RLock()
@@ -890,7 +861,7 @@ func (f *Fleet) enqueue(t *task, resp *Response) bool {
 }
 
 func (f *Fleet) recordShed(req Request, shard int) {
-	f.topo.Load().shards[shard].ctr.shed.Add(1)
+	f.view.Load().shards[shard].ctr.shed.Add(1)
 	if obs := f.cfg.Observer; obs != nil {
 		obs.Observe(Response{Req: req, Shed: true, Source: SourceShed})
 	}
@@ -923,7 +894,7 @@ func (f *Fleet) Do(req Request) (resp Response) {
 
 // replyPool recycles reply channels: the mailboxes of answers that
 // arrive later than the Do that asked — one queued behind other work,
-// held or parked. finish sends once into a task's channel and Do
+// or parked. finish sends once into a task's channel and Do
 // receives that send before pooling the channel, so a pooled channel is
 // always empty.
 var replyPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
@@ -933,18 +904,32 @@ var replyPool = sync.Pool{New: func() any { return make(chan Response, 1) }}
 // while other goroutines keep submitting (their requests may or may
 // not be covered).
 func (f *Fleet) Drain() {
-	acks := make([]chan struct{}, len(f.queues))
 	mu := f.fence.reader(0) // any stripe holds off Close
 	mu.RLock()
 	if f.closed {
 		mu.RUnlock()
 		return
 	}
+	acks := f.pushBarriers()
+	mu.RUnlock()
+	awaitBarriers(acks)
+}
+
+// pushBarriers pushes a barrier through every worker queue — a worker
+// acknowledges one once everything queued ahead of it is served and its
+// shards' dispatchers are flushed — and returns the acknowledgments.
+// The caller holds off Close: a fence stripe (Drain) or the whole fence
+// (a resize, which Drain could not serve).
+func (f *Fleet) pushBarriers() []chan struct{} {
+	acks := make([]chan struct{}, len(f.queues))
 	for w := range f.queues {
 		acks[w] = make(chan struct{}, 1)
 		f.queues[w].push(&task{barrier: acks[w]})
 	}
-	mu.RUnlock()
+	return acks
+}
+
+func awaitBarriers(acks []chan struct{}) {
 	for _, ack := range acks {
 		<-ack
 	}
@@ -966,7 +951,7 @@ func (f *Fleet) Close() {
 	}
 	f.fence.Unlock()
 	f.wg.Wait()
-	for _, d := range f.topo.Load().dispatchers {
+	for _, d := range f.view.Load().dispatchers {
 		d.close()
 	}
 }
@@ -1053,16 +1038,16 @@ func (s Stats) AnsweredRate() float64 {
 }
 
 // totals adds every live shard's counter block and the retired fold
-// into sum and returns the topology it walked.
-func (f *Fleet) totals(sum *shardCounters) *topology {
+// into sum and returns the view it walked.
+func (f *Fleet) totals(sum *shardCounters) *view {
 	f.retireMu.Lock()
 	defer f.retireMu.Unlock()
-	tp := f.topo.Load()
+	v := f.view.Load()
 	f.retired.addTo(sum)
-	for _, sh := range tp.shards {
+	for _, sh := range v.shards {
 		sh.ctr.addTo(sum)
 	}
-	return tp
+	return v
 }
 
 // Stats returns a fleet-wide snapshot. Every per-request counter is the
@@ -1070,7 +1055,7 @@ func (f *Fleet) totals(sum *shardCounters) *topology {
 // The per-shard residency walk takes each shard lock briefly.
 func (f *Fleet) Stats() Stats {
 	var sum shardCounters
-	tp := f.totals(&sum)
+	v := f.totals(&sum)
 	s := Stats{
 		Served:         sum.served.Load(),
 		Shed:           sum.shed.Load(),
@@ -1093,7 +1078,7 @@ func (f *Fleet) Stats() Stats {
 		RadioWakeups:   sum.wakeups.Load(),
 		Backend:        f.cohorts.bk.Stats(),
 	}
-	for _, sh := range tp.shards {
+	for _, sh := range v.shards {
 		sh.mu.Lock()
 		s.Users += sh.users.resident
 		s.PersonalBytes += sh.personalBytes
@@ -1126,10 +1111,10 @@ func loads(a []atomic.Int64, n int) []int64 {
 // function of modeled outcomes, never of wall time.
 func (f *Fleet) EnergyStats() energy.Snapshot {
 	var sum shardCounters
-	tp := f.totals(&sum)
+	v := f.totals(&sum)
 	s := sum.ledger.Snapshot()
 	mk := f.tl.Makespan()
-	for _, sh := range tp.shards {
+	for _, sh := range v.shards {
 		if d := mk - sh.provisionedAt; d > 0 {
 			s.ShardIdleJ += sh.power.IdleJ(d)
 		}
@@ -1145,29 +1130,18 @@ func (f *Fleet) EnergyStats() energy.Snapshot {
 // uses for its "65% of queries are cache hits" headline. Rates are
 // summed in user-ID order so the float result is bit-reproducible.
 func (f *Fleet) MeanUserHitRate() float64 {
-	type userRate struct {
-		id   searchlog.UserID
-		rate float64
+	var sum float64
+	var n int
+	for _, u := range f.UserServeCounts() {
+		if u.Served > 0 {
+			sum += float64(u.Hits) / float64(u.Served)
+			n++
+		}
 	}
-	var rates []userRate
-	for _, sh := range f.topo.Load().shards {
-		sh.mu.Lock()
-		sh.users.forEach(func(st *userState) {
-			if st.served > 0 {
-				rates = append(rates, userRate{st.uid, float64(st.hits) / float64(st.served)})
-			}
-		})
-		sh.mu.Unlock()
-	}
-	if len(rates) == 0 {
+	if n == 0 {
 		return 0
 	}
-	sort.Slice(rates, func(i, j int) bool { return rates[i].id < rates[j].id })
-	var sum float64
-	for _, r := range rates {
-		sum += r.rate
-	}
-	return sum / float64(len(rates))
+	return sum / float64(n)
 }
 
 // UserServeCount is one resident user's serving tally — the unit of
@@ -1186,7 +1160,7 @@ type UserServeCount struct {
 // sort makes the comparison independent of shard layout.
 func (f *Fleet) UserServeCounts() []UserServeCount {
 	var out []UserServeCount
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range f.view.Load().shards {
 		sh.mu.Lock()
 		sh.users.forEach(func(st *userState) {
 			out = append(out, UserServeCount{User: st.uid, Served: st.served, Hits: st.hits, Bytes: st.bytes})
@@ -1203,7 +1177,7 @@ func (f *Fleet) UserServeCounts() []UserServeCount {
 // serving (the pocketsearch.Cache.Stats concurrency guarantee).
 func (f *Fleet) CommunityStats() pocketsearch.Stats {
 	var agg pocketsearch.Stats
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range f.view.Load().shards {
 		st := sh.community.Stats()
 		agg.Queries += st.Queries
 		agg.Hits += st.Hits

@@ -391,7 +391,7 @@ func TestPerUserBudget(t *testing.T) {
 	if st.PersonalBytes > int64(len(users))*budget {
 		t.Errorf("personal bytes %d exceed %d users × %d budget", st.PersonalBytes, len(users), budget)
 	}
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range f.view.Load().shards {
 		sh.mu.Lock()
 		sh.users.forEach(func(ust *userState) {
 			if ust.bytes > budget {

@@ -3,7 +3,6 @@ package fleet
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,19 +51,14 @@ func TestHitPathLayout(t *testing.T) {
 	read := []span{
 		fieldSpan("cfg", unsafe.Offsetof(f.cfg), unsafe.Sizeof(f.cfg)),
 		fieldSpan("queues", unsafe.Offsetof(f.queues), unsafe.Sizeof(f.queues)),
-		fieldSpan("topo", unsafe.Offsetof(f.topo), unsafe.Sizeof(f.topo)),
-		fieldSpan("route", unsafe.Offsetof(f.route), unsafe.Sizeof(f.route)),
+		fieldSpan("view", unsafe.Offsetof(f.view), unsafe.Sizeof(f.view)),
 		fieldSpan("cohorts", unsafe.Offsetof(f.cohorts), unsafe.Sizeof(f.cohorts)),
 		fieldSpan("closed", unsafe.Offsetof(f.closed), unsafe.Sizeof(f.closed)),
-		fieldSpan("migrating", unsafe.Offsetof(f.migrating), unsafe.Sizeof(f.migrating)),
-		fieldSpan("holdEntries", unsafe.Offsetof(f.holdEntries), unsafe.Sizeof(f.holdEntries)),
 	}
-	// Everything a request may write in Fleet itself: the fence stripes
-	// (every request), and the fields only some requests touch.
+	// All a request writes in Fleet itself: the fence stripes.
 	fence := unsafe.Offsetof(f.fence) + unsafe.Offsetof(f.fence.stripes)
 	stripe := unsafe.Sizeof(f.fence.stripes[0])
 	written := []span{
-		fieldSpan("heldRequests", unsafe.Offsetof(f.heldRequests), unsafe.Sizeof(f.heldRequests)),
 		fieldSpan("fence.stripes", fence, unsafe.Sizeof(f.fence.stripes)),
 	}
 	for _, r := range read {
@@ -99,7 +93,7 @@ func TestHitPathLayout(t *testing.T) {
 		t.Errorf("Response is %d B, was 256: it is copied twice per request (Observe's argument) — re-measure hit_closed before growing it", got)
 	}
 	if got := unsafe.Sizeof(task{}); got != 96 {
-		t.Errorf("task is %d B, was 96: it is copied into the queue, a hold queue or a missTask — re-measure day_replay before growing it", got)
+		t.Errorf("task is %d B, was 96: it is copied into the queue or a missTask — re-measure day_replay before growing it", got)
 	}
 	if got := unsafe.Sizeof(userState{}); got > 88 {
 		t.Errorf("userState is %d B, at most 88 allowed: every resident user's arena slot pays it, and a shard's arena grows 1,024 slots a chunk — on fault_hedge (~150 users a shard) 16 B more per slot cost ~4%% heap per user", got)
@@ -368,10 +362,10 @@ func TestResizeLeavesStatsAlone(t *testing.T) {
 }
 
 // TestCallerRunDoAnsweredOnceWhenHandedOn: a Do that starts in place and
-// then cannot finish there — its user is held by a migration epoch, its
-// miss is parked with a dispatcher — is answered through a mailbox,
-// exactly once, with the response the observer saw; one whose pricing
-// is slow finishes in place once it is planned, also once.
+// then cannot finish there — its miss is parked with a dispatcher — is
+// answered through a mailbox, exactly once, with the response the
+// observer saw; one whose pricing is slow finishes in place once it is
+// planned, also once.
 func TestCallerRunDoAnsweredOnceWhenHandedOn(t *testing.T) {
 	g := smallGen(t, 16)
 	content := smallContent(t, g)
@@ -406,34 +400,6 @@ func TestCallerRunDoAnsweredOnceWhenHandedOn(t *testing.T) {
 		}
 		return resp
 	}
-
-	t.Run("held", func(t *testing.T) {
-		rec := &recorder{}
-		f := newTestFleet(t, g, content, func(cfg *Config) { cfg.Observer = rec })
-		sh := f.topo.Load().shards[f.shardOf(uid)]
-		q := &holdQueue{}
-		sh.mu.Lock()
-		sh.holds[uid] = q
-		f.holdEntries.Add(1)
-		sh.mu.Unlock()
-		resp := answered(t, f, rec, miss, func() {
-			for parked := 0; parked == 0; runtime.Gosched() {
-				sh.mu.Lock()
-				parked = len(q.tasks)
-				sh.mu.Unlock()
-			}
-			sh.mu.Lock()
-			held := q.tasks[0]
-			sh.mu.Unlock()
-			if held.inPlace || held.reply == nil {
-				t.Errorf("the held task kept its in-place mark (inPlace %v, reply %v)", held.inPlace, held.reply)
-			}
-			f.drainShardHolds(sh)
-		})
-		if resp.Source != SourceCloud || f.MigrationStats().HeldRequests != 1 {
-			t.Errorf("held request came back %+v with %d held", resp, f.MigrationStats().HeldRequests)
-		}
-	})
 
 	t.Run("parked", func(t *testing.T) {
 		rec := &recorder{}

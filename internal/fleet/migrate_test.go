@@ -74,7 +74,9 @@ func serveTapes(t testing.TB, f *Fleet, tapes map[searchlog.UserID][]Request) ma
 // warm-up round, live-resizing 4→6, then replaying the same tape must
 // produce per-request tiers identical to a fleet that never resized —
 // migrated users keep hitting their migrated personal caches, with no
-// cold-miss spike.
+// cold-miss spike. In the queued case the warm-up round is submitted to
+// one worker and the resize starts with it still queued: the resize's
+// own drain must serve all of it on the old shards before anyone moves.
 func TestResizeEquivalence(t *testing.T) {
 	g := smallGen(t, 64)
 	tapes := tapesFor(g, 24, 1)
@@ -83,31 +85,47 @@ func TestResizeEquivalence(t *testing.T) {
 	serveTapes(t, control, tapes)
 	want := serveTapes(t, control, tapes)
 
-	resized := newRingFleet(t, g, nil)
-	serveTapes(t, resized, tapes)
-	st, err := resized.Resize(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MovedUsers == 0 {
-		t.Fatal("ring 4→6 resize moved no users; test exercises nothing")
-	}
-	if st.DroppedUsers != 0 {
-		t.Fatalf("resize dropped %d users' state", st.DroppedUsers)
-	}
-	got := serveTapes(t, resized, tapes)
-
-	for uid, tiers := range want {
-		for i, tier := range tiers {
-			if got[uid][i] != tier {
-				t.Fatalf("user %d request %d served from %v after resize, %v without",
-					uid, i, got[uid][i], tier)
+	for _, queued := range []bool{false, true} {
+		t.Run(map[bool]string{false: "served", true: "queued"}[queued], func(t *testing.T) {
+			resized := newRingFleet(t, g, func(cfg *Config) {
+				cfg.Workers, cfg.QueueDepth = 1, 1<<16
+			})
+			if queued {
+				for _, tape := range tapes {
+					for _, req := range tape {
+						if !resized.Submit(req) {
+							t.Fatalf("warm-up request shed: %+v", req)
+						}
+					}
+				}
+			} else {
+				serveTapes(t, resized, tapes)
 			}
-		}
-	}
-	if c, r := control.Stats(), resized.Stats(); c.PersonalHits != r.PersonalHits ||
-		c.CommunityHits != r.CommunityHits || c.CloudMisses != r.CloudMisses {
-		t.Errorf("tier totals diverged: control %+v resized %+v", c, r)
+			st, err := resized.Resize(6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.MovedUsers == 0 {
+				t.Fatal("ring 4→6 resize moved no users; test exercises nothing")
+			}
+			if st.DroppedUsers != 0 {
+				t.Fatalf("resize dropped %d users' state", st.DroppedUsers)
+			}
+			got := serveTapes(t, resized, tapes)
+
+			for uid, tiers := range want {
+				for i, tier := range tiers {
+					if got[uid][i] != tier {
+						t.Fatalf("user %d request %d served from %v after resize, %v without",
+							uid, i, got[uid][i], tier)
+					}
+				}
+			}
+			if c, r := control.Stats(), resized.Stats(); c.PersonalHits != r.PersonalHits ||
+				c.CommunityHits != r.CommunityHits || c.CloudMisses != r.CloudMisses || c.Users != r.Users {
+				t.Errorf("tier totals diverged: control %+v resized %+v", c, r)
+			}
+		})
 	}
 }
 
@@ -224,10 +242,9 @@ func TestResizeShrink(t *testing.T) {
 	}
 }
 
-// TestResizeWhileServing resharpens the tentpole claim under -race:
-// clients hammer the fleet while it grows and shrinks, and every
-// submission is booked exactly once (Served+Shed), with no
-// request lost in a hold queue.
+// TestResizeWhileServing: under -race, clients hammer the fleet while
+// it grows and shrinks, and every submission is booked exactly once
+// (Served+Shed): a resize's drain loses no request it fenced out.
 func TestResizeWhileServing(t *testing.T) {
 	g := smallGen(t, 48)
 	f := newRingFleet(t, g, func(cfg *Config) {
@@ -301,7 +318,7 @@ func TestResizeValidation(t *testing.T) {
 		t.Error("Resize(0) should fail")
 	}
 	st, err := f.Resize(4)
-	if err != nil || st.Epochs != 0 || st.MovedUsers != 0 {
+	if err != nil || st != (ResizeStats{From: 4, To: 4}) {
 		t.Errorf("same-size resize should be a no-op: %+v, %v", st, err)
 	}
 	if _, err := New(Config{Engine: f.cfg.Engine, Content: f.cfg.Content, Shards: 4,
@@ -327,7 +344,7 @@ func mustRing(t *testing.T, n int) placement.Placement {
 // fleet of warmed users (each has replayed a month, so each carries a
 // personal table and a few database files) grown 4→6 and shrunk back,
 // per moved user. Nothing is being served meanwhile, so the figure is
-// the export/import pair and the epoch around it, not queueing.
+// the export/import pair and the fenced step around it, not queueing.
 func BenchmarkResizeMigrate(b *testing.B) {
 	const users = 1500
 	g := smallGen(b, users)
@@ -360,103 +377,11 @@ func BenchmarkResizeMigrate(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(moved), "us/moved-user")
 }
 
-// orderObserver records the queries each user was answered, in answer
-// order.
-type orderObserver struct {
-	mu   sync.Mutex
-	seen map[searchlog.UserID][]string
-}
-
-func (o *orderObserver) Observe(r Response) {
-	o.mu.Lock()
-	o.seen[r.Req.User] = append(o.seen[r.Req.User], r.Req.Query)
-	o.mu.Unlock()
-}
-
-// TestDrainHoldsManyUsers closes an epoch over a shard holding 2,500
-// users' requests — a wall-timer resize under load — while a client keeps
-// submitting for some of them. Every held request is answered in its
-// user's submission order, a request that arrived during the drain after
-// the ones it queued behind, and the shard's hold map is scanned once,
-// not once per held user.
-func TestDrainHoldsManyUsers(t *testing.T) {
-	const (
-		heldUsers = 2500
-		perUser   = 3
-		firstUID  = searchlog.UserID(100_000) // outside the population: nobody is resident
-	)
-	g := smallGen(t, 16)
-	u := g.Config().Universe
-	request := func(uid searchlog.UserID, k int) Request {
-		p := u.NavPair(8 * k)
-		return Request{User: uid, Query: u.QueryText(u.QueryOf(p)), Click: u.ResultURL(u.ResultOf(p))}
-	}
-	obs := &orderObserver{seen: make(map[searchlog.UserID][]string)}
-	f := newRingFleet(t, g, func(cfg *Config) { cfg.Observer = obs })
-	sh := f.topo.Load().shards[1]
-
-	sh.mu.Lock()
-	for i := 0; i < heldUsers; i++ {
-		uid := firstUID + searchlog.UserID(i)
-		q := &holdQueue{}
-		for k := 0; k < perUser; k++ {
-			q.tasks = append(q.tasks, task{req: request(uid, k), shard: sh.id})
-		}
-		sh.holds[uid] = q
-		f.holdEntries.Add(1)
-	}
-	sh.mu.Unlock()
-
-	// The late arrivals: one more request for every fifth user, racing
-	// the drain. Each is parked behind its user's queue or, once that
-	// queue is gone, served directly — after the held ones either way.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var resp Response
-		for i := 0; i < heldUsers; i += 5 {
-			f.process(&task{req: request(firstUID+searchlog.UserID(i), perUser), shard: sh.id}, &resp)
-		}
-	}()
-	passes := f.drainShardHolds(sh)
-	wg.Wait()
-	// A late request either joined a queue the pass had yet to delete or
-	// found none and was served: nothing is left for a second pass.
-	if again := f.drainShardHolds(sh); passes != 1 || again != 0 {
-		t.Errorf("%d held users drained in %d passes over the hold map (then %d more), want 1 (then 0)", heldUsers, passes, again)
-	}
-	sh.mu.Lock()
-	left := len(sh.holds)
-	sh.mu.Unlock()
-	if left != 0 || f.holdEntries.Load() != 0 {
-		t.Fatalf("%d hold queues left (%d counted) after the drain", left, f.holdEntries.Load())
-	}
-	obs.mu.Lock()
-	defer obs.mu.Unlock()
-	for i := 0; i < heldUsers; i++ {
-		uid := firstUID + searchlog.UserID(i)
-		want := perUser
-		if i%5 == 0 {
-			want++
-		}
-		got := obs.seen[uid]
-		if len(got) != want {
-			t.Fatalf("user %d was answered %d times, want %d", uid, len(got), want)
-		}
-		for k, q := range got {
-			if q != request(uid, k).Query {
-				t.Fatalf("user %d answer %d is %q, want %q: hold order broken", uid, k, q, request(uid, k).Query)
-			}
-		}
-	}
-}
-
-// moveOneAtATime is the epoch's transfer as it was before moveUsers: each
+// moveOneAtATime is a source's transfer as it was before moveUsers: each
 // mover exported and then imported before the next is touched, all on
 // the resizing goroutine. Kept as the oracle the pipelined transfer is
 // held to.
-func moveOneAtATime(tp *topology, p2 placement.Placement, src *shard, movers []searchlog.UserID, opts ResizeOptions, st *ResizeStats) {
+func moveOneAtATime(dst *view, src *shard, movers []searchlog.UserID, opts ResizeOptions, st *ResizeStats) {
 	for _, uid := range movers {
 		ex, ok, err := src.exportUser(uid)
 		if !ok {
@@ -467,7 +392,7 @@ func moveOneAtATime(tp *topology, p2 placement.Placement, src *shard, movers []s
 			st.DroppedUsers++
 			continue
 		}
-		if err := tp.shards[p2.ShardOf(placement.UserKey(uint64(uid)))].importUser(uid, ex); err != nil {
+		if err := dst.shards[dst.place.ShardOf(placement.UserKey(uint64(uid)))].importUser(uid, ex); err != nil {
 			st.DroppedUsers++
 			continue
 		}
@@ -492,7 +417,7 @@ type userImage struct {
 func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
 	t.Helper()
 	out := make(map[searchlog.UserID]userImage)
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range f.view.Load().shards {
 		sh.mu.Lock()
 		sh.users.forEach(func(st *userState) {
 			img := userImage{Shard: sh.id, Served: st.served, Hits: st.hits, Bytes: st.bytes, MissSeq: st.missSeq, Refs: slices.Clone(st.refs)}
@@ -519,7 +444,7 @@ func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
 
 // TestPipelinedResizeMatchesOneAtATime is the migration differential:
 // two identical warmed ring fleets walk 4→3→6→8→4→2, one through the
-// pipelined epoch, one through the one-at-a-time loop it replaced, with
+// pipelined transfer, one through the one-at-a-time loop it replaced, with
 // a round of traffic after every step. After each step the resize
 // counters, the fleet totals, the energy ledger and every resident
 // user's whole state — shard, serving counters, miss sequence, device

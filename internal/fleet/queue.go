@@ -43,8 +43,9 @@ func (q *workerQueue) init(limit int) {
 
 // push appends t in admission order without blocking. A request is
 // refused once limit of them are waiting; a barrier is always admitted —
-// it occupies one slot for one hand-off, and its sender (Drain under
-// a fence read lock, a migration epoch) must never wait on a full queue.
+// it occupies one slot for one hand-off, and its sender (Drain or a
+// resize, holding off Close through the fence) must never wait on a
+// full queue.
 func (q *workerQueue) push(t *task) bool {
 	q.mu.Lock()
 	if t.barrier == nil {

@@ -49,7 +49,7 @@ func TestOneRenderingPerFleet(t *testing.T) {
 	// record returns the user's stored record and database size.
 	record := func(uid searchlog.UserID) ([]byte, int64) {
 		t.Helper()
-		sh := f.topo.Load().shards[f.shardOf(uid)]
+		sh := f.view.Load().shards[f.shardOf(uid)]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		st := sh.users.get(uid)
@@ -84,7 +84,7 @@ func TestOneRenderingPerFleet(t *testing.T) {
 	}
 	commHash := hash64.Sum(u.ResultURL(u.ResultOf(commPair)))
 	var commRec []byte
-	for _, sh := range f.topo.Load().shards {
+	for _, sh := range f.view.Load().shards {
 		sh.mu.Lock()
 		rec, _, err := sh.community.DB().GetView(commHash)
 		sh.mu.Unlock()
@@ -100,7 +100,7 @@ func TestOneRenderingPerFleet(t *testing.T) {
 
 	// Copies are the caller's to write into.
 	a, b := users[0], users[1]
-	sha := f.topo.Load().shards[f.shardOf(a)]
+	sha := f.view.Load().shards[f.shardOf(a)]
 	sha.mu.Lock()
 	got, _, err := sha.users.get(a).cache.DB().Get(ch)
 	sha.mu.Unlock()

@@ -220,10 +220,10 @@ type shard struct {
 	// needs a user's device materialized.
 	basePower float64
 	// power is the shard's cloudlet-server energy envelope, and
-	// provisionedAt the model instant the shard joined the topology
-	// (zero for the initial build, the resize-time makespan for grown
-	// shards) — the idle integral runs from there. provisionedAt is
-	// written before the shard is published and read-only afterwards.
+	// provisionedAt the model instant the shard joined the view (zero
+	// for the initial build, for a grown shard the makespan after the
+	// resize's drain) — the idle integral runs from there. provisionedAt
+	// is written before the shard is published and read-only afterwards.
 	power         energy.ShardPower
 	provisionedAt time.Duration
 
@@ -244,12 +244,6 @@ type shard struct {
 	// clock the plan was computed against and every per-user outcome is
 	// identical to serving each miss in one lock hold.
 	pendingMiss map[searchlog.UserID]*missTask
-	// holds parks requests for users caught mid-migration: their old
-	// home shard has flipped but their state has not landed here yet.
-	// Each queue is drained in FIFO order once the user's migration
-	// epoch completes (see migrate.go), preserving per-user submission
-	// order across the move.
-	holds map[searchlog.UserID]*holdQueue
 }
 
 // shardCounters is the one home of every counter serving a request
@@ -369,7 +363,6 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		community:    community,
 		users:        newUserTable(cfg.Population),
 		pendingMiss:  make(map[searchlog.UserID]*missTask),
-		holds:        make(map[searchlog.UserID]*holdQueue),
 	}
 	if cfg.Batch.Enabled {
 		sh.ctr.batchSizes = make([]atomic.Int64, cfg.Batch.MaxBatch+1)
@@ -466,8 +459,10 @@ func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missT
 		sh.applyMissLocked(st, &t.req, &mc, exchange{}, resp)
 		return nil, nil
 	}
-	if park {
-		t.mailbox() // before the copy the dispatcher answers from
+	if park && t.inPlace {
+		// The dispatcher answers from a copy: the caller must wait on a
+		// reply channel instead.
+		t.inPlace, t.reply = false, replyPool.Get().(chan Response)
 	}
 	miss = &missTask{t: *t, mc: mc, done: make(chan struct{})}
 	sh.pendingMiss[t.req.User] = miss

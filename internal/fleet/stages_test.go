@@ -108,7 +108,7 @@ func TestStagesMatchPlan(t *testing.T) {
 				req = Request{User: uid, Query: "stages query nobody ever cached", Click: "http://stages.test/x"}
 			}
 
-			sh := f.topo.Load().shards[f.shardOf(uid)]
+			sh := f.view.Load().shards[f.shardOf(uid)]
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
 			st := sh.user(uid)

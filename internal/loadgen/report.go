@@ -139,7 +139,6 @@ type Report struct {
 	MigratedBytes          int64 `json:"migrated_bytes,omitempty"`
 	MigrationTransferBytes int64 `json:"migration_transfer_bytes,omitempty"`
 	DroppedUsers           int64 `json:"dropped_users,omitempty"`
-	HeldRequests           int64 `json:"held_requests,omitempty"`
 	// RetiredServed/RetiredShed are the serving counters of shards a
 	// shrink retired (fleet.RetiredLoad). Like ShardOccupancy the
 	// counters are cumulative over the fleet's lifetime, which equals
@@ -451,8 +450,8 @@ func (r Report) String() string {
 		fmt.Fprintf(&b, "\n")
 	}
 	if r.Resizes > 0 {
-		fmt.Fprintf(&b, "  resizes: %d (moved %d users / %d bytes, shipped %d bytes, dropped %d, held %d requests)\n",
-			r.Resizes, r.MigratedUsers, r.MigratedBytes, r.MigrationTransferBytes, r.DroppedUsers, r.HeldRequests)
+		fmt.Fprintf(&b, "  resizes: %d (moved %d users / %d bytes, shipped %d bytes, dropped %d)\n",
+			r.Resizes, r.MigratedUsers, r.MigratedBytes, r.MigrationTransferBytes, r.DroppedUsers)
 	}
 	if r.RetiredServed+r.RetiredShed > 0 {
 		fmt.Fprintf(&b, "  retired shards served %d / shed %d before retirement\n", r.RetiredServed, r.RetiredShed)
@@ -560,7 +559,6 @@ func fill(r *Report, f *fleet.Fleet, col *Collector, base baseline, elapsed time
 	r.MigratedBytes = mig.MovedBytes - base.mig.MovedBytes
 	r.MigrationTransferBytes = mig.TransferBytes - base.mig.TransferBytes
 	r.DroppedUsers = mig.DroppedUsers - base.mig.DroppedUsers
-	r.HeldRequests = mig.HeldRequests - base.mig.HeldRequests
 	rl := f.RetiredLoad()
 	r.RetiredServed = rl.Served
 	r.RetiredShed = rl.Shed
