@@ -22,10 +22,14 @@
 // Routing is pluggable (-placement): "modulo" is the legacy static
 // uid-hash mod shards mapping; "ring" is consistent hashing over
 // -vnodes virtual nodes per shard, which keeps a live resize cheap.
-// -resize-to N reshards the fleet to N shards -resize-at into the run;
-// requests wait while the resize drains, moves and publishes. Movers'
-// personal caches are migrated with them (unless -resize-drop discards
-// them — the remap-and-cold-start baseline), and the report's
+// -resize-to N reshards the fleet to N shards at model offset
+// -resize-at: the flags are shorthand for one spec event,
+// events[0] = {"at": T, "resize": N, "drop": D}. The offset is into the
+// arrival schedule in open mode and into the users' month logs in
+// closed mode, so the resize lands at the same point of the tape on any
+// host. Requests wait while the resize drains, moves and publishes.
+// Movers' personal caches are migrated with them (unless -resize-drop
+// discards them — the remap-and-cold-start baseline), and the report's
 // resizes/migrated_* fields quantify the migration work.
 //
 // -autoscale hands the topology to the occupancy-driven controller
@@ -103,7 +107,7 @@ import (
 type knob struct {
 	name, path, usage string
 	block             string // on a switch, the JSON the flag stands for: -faults is "faults": {}
-	enables           bool   // may create the absent pointer block its key lies in; the flags under that block "require" this one
+	enables           bool   // may create the absent pointer block or list element its key lies in; the flags under it "require" this one
 	nonzero           bool   // the key's 0 means "the default" in a spec file, but the flag has always refused it
 }
 
@@ -127,6 +131,9 @@ var knobs = []knob{
 	{name: "userbudget", path: "fleet.user_budget_bytes", usage: "per-user personal flash cap in bytes; 0 = unlimited"},
 	{name: "placement", path: "fleet.placement", usage: "user→shard routing: modulo (legacy static) or ring (consistent hashing)"},
 	{name: "vnodes", path: "fleet.vnodes", usage: "virtual nodes per shard on the ring (with -placement ring); 0 = default 64"},
+	{name: "resize-to", path: "events[0].resize", enables: true, usage: "live-reshard the fleet to this many shards at -resize-at"},
+	{name: "resize-at", path: "events[0].at", usage: "model offset of the -resize-to resize: into the arrival schedule (open) or the users' month logs (closed)"},
+	{name: "resize-drop", path: "events[0].drop", usage: "discard movers' personal state on the -resize-to resize instead of migrating it (cold-start baseline)"},
 	{name: "autoscale", path: "fleet.autoscale", block: "{}", enables: true, usage: "drive shard count from per-shard occupancy sampled on a model-time cadence (open mode with -placement ring)"},
 	{name: "autoscale-interval", path: "fleet.autoscale.interval", usage: "autoscaler model-time sampling cadence (with -autoscale); 0 = default 1s"},
 	{name: "autoscale-min", path: "fleet.autoscale.min", usage: "autoscaler shard floor (with -autoscale); 0 = default 1"},
@@ -182,17 +189,11 @@ func baseSpec(closed bool) *scenario.Spec {
 	return s
 }
 
-// runFlags is the parsed command line: the process-side switches, the
-// three wall-timer resize knobs (an operation performed on the fleet
-// during the run, not a key of the workload), and the text of every
-// flag the command line set. compile turns it into a runnable scenario
-// before any of the expensive ecosystem build starts, so a bad
-// invocation fails in microseconds with a usage message.
+// runFlags is the parsed command line: the process-side switches and
+// the text of every flag the command line set. compile turns it into a
+// runnable scenario before any of the expensive ecosystem build starts,
+// so a bad invocation fails in microseconds with a usage message.
 type runFlags struct {
-	resizeTo   int
-	resizeAt   time.Duration
-	resizeDrop bool
-
 	scenarioRef    string
 	communityUsers int
 	noSuggest      bool
@@ -232,9 +233,6 @@ func (rf *runFlags) register(fs *flag.FlagSet) {
 			fs.Bool(k.name, false, k.usage)
 		}
 	}
-	fs.IntVar(&rf.resizeTo, "resize-to", 0, "live-reshard the fleet to this many shards during the run; 0 = no resize")
-	fs.DurationVar(&rf.resizeAt, "resize-at", time.Second, "when after the run starts to trigger the -resize-to resize")
-	fs.BoolVar(&rf.resizeDrop, "resize-drop", false, "discard movers' personal state on resize instead of migrating it (cold-start baseline)")
 	fs.StringVar(&rf.scenarioRef, "scenario", "", "run a declarative scenario: a JSON file path or a preset (clone-storm, commuter, flash-crowd, regional-outage, mixed-fleet)")
 	fs.IntVar(&rf.communityUsers, "communityusers", 0, "build community content from only the first N users' logs (million-user fleets: avoids materializing the full month log); 0 = all users")
 	fs.BoolVar(&rf.noSuggest, "nosuggest", false, "skip the per-user auto-suggest index (million-user fleets: saves ~2.5 KB/user; no modeled outcome changes)")
@@ -285,21 +283,6 @@ func (rf *runFlags) compile() (*scenario.Compiled, []string) {
 	if rf.communityUsers < 0 {
 		bad("-communityusers must be non-negative, got %d", rf.communityUsers)
 	}
-	if rf.resizeTo < 0 {
-		bad("-resize-to must be non-negative, got %d", rf.resizeTo)
-	}
-	if msg := scenario.OverShardLimit("-resize-to", rf.resizeTo); msg != "" {
-		bad("%s", msg)
-	}
-	if rf.resizeAt < 0 {
-		bad("-resize-at must be non-negative, got %v", rf.resizeAt)
-	}
-	if rf.resizeDrop && rf.resizeTo == 0 {
-		bad("-resize-drop requires -resize-to")
-	}
-	if rf.set["autoscale"] == "true" && rf.resizeTo != 0 {
-		bad("-autoscale conflicts with -resize-to (the controller owns the topology)")
-	}
 
 	spec, source := baseSpec(rf.set["mode"] == "closed"), ""
 	conflict := func(name string) {
@@ -310,11 +293,6 @@ func (rf *runFlags) compile() (*scenario.Compiled, []string) {
 		if spec, source, err = scenario.Load(rf.scenarioRef); err != nil {
 			bad("-scenario: %v", err)
 			return nil, problems
-		}
-		for _, name := range []string{"resize-at", "resize-drop", "resize-to"} {
-			if _, set := rf.set[name]; set {
-				conflict(name)
-			}
 		}
 	}
 	for _, k := range knobs {
@@ -383,10 +361,6 @@ func main() {
 		os.Exit(2)
 	}
 	spec := comp.Spec
-	// The live-resize knobs ride outside the spec: they describe an
-	// operation performed on the fleet during the run, not the workload.
-	comp.Open.Resize = pocketcloudlets.LoadResize{To: rf.resizeTo, At: rf.resizeAt, Drop: rf.resizeDrop}
-	comp.Closed.Resize = comp.Open.Resize
 
 	progress := func(format string, args ...any) {
 		if !rf.jsonOut {
@@ -436,10 +410,6 @@ func main() {
 	progress("fleet up: %d shards (%s placement), %d workers, radio %s, batching %v, faults %v\n",
 		f.NumShards(), f.PlacementName(), f.NumWorkers(), spec.Fleet.Radio,
 		spec.Fleet.Batch.Enabled, spec.Faults != nil)
-	if rf.resizeTo > 0 {
-		progress("will live-resize to %d shards %v into the run (drop state: %v)\n",
-			rf.resizeTo, rf.resizeAt, rf.resizeDrop)
-	}
 
 	switch spec.Mode {
 	case "open":

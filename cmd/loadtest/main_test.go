@@ -90,9 +90,11 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-placement", "rendezvous"}, "-placement"},
 		{[]string{"-vnodes", "-1"}, "-vnodes"},
 		{[]string{"-vnodes", "32"}, "-vnodes"},
-		{[]string{"-resize-to", "-2"}, "-resize-to"},
-		{[]string{"-resize-to", "10000000"}, "-resize-to: 10000000 is over the 1024 limit: every shard preloads a community replica"},
-		{[]string{"-resize-at", "-1s"}, "-resize-at"},
+		{[]string{"-resize-to", "-2"}, "-resize-to: events[0].resize: must be non-negative, got -2"},
+		{[]string{"-resize-to", "0"}, "-resize-to: events[0]: needs a positive resize target"},
+		{[]string{"-resize-to", "10000000"}, "-resize-to: events[0].resize: 10000000 is over the 1024 limit: every shard preloads a community replica"},
+		{[]string{"-resize-to", "12", "-resize-at", "-1s"}, "-resize-at: events[0].at: must be non-negative"},
+		{[]string{"-resize-at", "1s"}, "-resize-at requires -resize-to"},
 		{[]string{"-resize-drop"}, "-resize-drop requires -resize-to"},
 		{[]string{"-arrivals", "weekly"}, "-arrivals"},
 		{[]string{"-mode", "closed", "-arrivals", "diurnal"}, "-arrivals"},
@@ -158,6 +160,9 @@ func TestValidateAcceptsRealInvocations(t *testing.T) {
 			"-batch", "-check", "-json"},
 		{"-placement", "ring", "-vnodes", "128", "-resize-to", "12", "-resize-at", "2s"},
 		{"-placement", "ring", "-resize-to", "12", "-resize-drop"},
+		{"-resize-to", "12", "-resize-at", "2s", "-resize-drop"},
+		{"-mode", "closed", "-duration", "0", "-placement", "ring", "-resize-to", "12", "-resize-at", "360h"},
+		{"-placement", "ring", "-autoscale", "-resize-to", "12", "-resize-at", "2s"},
 		{"-mode", "closed", "-duration", "0"},
 		{"-arrivals", "diurnal", "-diurnal-peak", "4"},
 		{"-arrivals", "peruser"},
@@ -235,10 +240,34 @@ func TestPlacementResolution(t *testing.T) {
 	}
 }
 
+// TestResizeFlagDefaults: the -resize-* flags are shorthand for the
+// spec's events[0], which both loops replay on the model-time timeline;
+// their defaults are the zero event's, and without them a run has no
+// event.
 func TestResizeFlagDefaults(t *testing.T) {
-	rf := parse(t)
-	if rf.resizeTo != 0 || rf.resizeAt != time.Second || rf.resizeDrop {
-		t.Errorf("resize defaults changed: %+v", rf)
+	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
+	new(runFlags).register(fs)
+	for name, want := range map[string]string{"resize-to": "0", "resize-at": "0s", "resize-drop": "false"} {
+		if got := fs.Lookup(name).DefValue; got != want {
+			t.Errorf("-%s defaults to %s, want %s", name, got, want)
+		}
+	}
+	for _, mode := range []string{"open", "closed"} {
+		if comp := compiled(t, "-mode", mode); len(comp.Spec.Events) != 0 || len(comp.Open.Events)+len(comp.Closed.Events) != 0 {
+			t.Errorf("%s: no resize flag, yet events %+v", mode, comp.Spec.Events)
+		}
+		comp := compiled(t, "-mode", mode, "-placement", "ring", "-resize-to", "12", "-resize-at", "360h", "-resize-drop")
+		want := []scenario.EventSpec{{At: scenario.Duration(360 * time.Hour), Resize: 12, Drop: true}}
+		if !reflect.DeepEqual(comp.Spec.Events, want) {
+			t.Errorf("%s: events %+v, want %+v", mode, comp.Spec.Events, want)
+		}
+		timeline := comp.Open.Events
+		if mode == "closed" {
+			timeline = comp.Closed.Events
+		}
+		if wantTL := []pocketcloudlets.LoadTimelineEvent{{At: 360 * time.Hour, ResizeTo: 12, DropState: true}}; !reflect.DeepEqual(timeline, wantTL) {
+			t.Errorf("%s: timeline %+v, want %+v", mode, timeline, wantTL)
+		}
 	}
 }
 
@@ -262,6 +291,8 @@ func TestScenarioFlagConflicts(t *testing.T) {
 		{"-faults"},
 		{"-loss", "0.1"},
 		{"-resize-to", "4"},
+		{"-resize-at", "1s"},
+		{"-resize-drop"},
 	}
 	for _, extra := range conflicting {
 		args := append([]string{"-scenario", "flash-crowd"}, extra...)
@@ -393,8 +424,8 @@ func TestKnobPathsResolve(t *testing.T) {
 			}
 		}
 	}
-	if got := len(knobs); got != 46 {
-		t.Errorf("%d workload flags, want 46 (none may be added or dropped silently)", got)
+	if got := len(knobs); got != 49 {
+		t.Errorf("%d workload flags, want 49 (none may be added or dropped silently)", got)
 	}
 }
 
@@ -644,5 +675,61 @@ func TestMidRunResizeEnergyIsWidthIndependent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one.Energy, wide.Energy) {
 		t.Errorf("energy with %d worker: %+v\nwith %d: %+v", one.Workers, *one.Energy, wide.Workers, *wide.Energy)
+	}
+}
+
+// TestClosedLoopResizeRail: a closed run's -resize-to fires at a model
+// offset of the users' month logs, so where it lands is a function of
+// the command line. Migrating and dropping, the normalized reports at
+// one worker and at several agree — movers and dropped users included —
+// but for the worker count itself. A migrating resize moves no request
+// to another tier: its tier counters and every user's serve counts are
+// those of a run that never resized.
+func TestClosedLoopResizeRail(t *testing.T) {
+	with := func(base []string, extra ...string) []string { return append(slices.Clone(base), extra...) }
+	base := []string{"-mode", "closed", "-users", "200", "-duration", "0", "-seed", "1", "-shards", "8", "-placement", "ring"}
+	resize := with(base, "-resize-to", "12", "-resize-at", "360h")
+	wide := fmt.Sprint(max(runtime.GOMAXPROCS(0), 4))
+	_, cf, control := runScenario(t, with(base, "-workers", "1")...)
+	for _, drop := range []bool{false, true} {
+		args := resize
+		if drop {
+			args = with(resize, "-resize-drop")
+		}
+		_, f, one := runScenario(t, with(args, "-workers", "1")...)
+		_, _, many := runScenario(t, with(args, "-workers", wide)...)
+		if one.Resizes != 1 || one.MigratedUsers == 0 || one.Shed+many.Shed != 0 {
+			t.Fatalf("drop %v: %d resizes moving %d users, %d and %d shed: want one resize that moves users, no shed",
+				drop, one.Resizes, one.MigratedUsers, one.Shed, many.Shed)
+		}
+		if dropped := one.DroppedUsers; (dropped == one.MigratedUsers) != drop || (dropped == 0) == drop {
+			t.Errorf("drop %v: %d of %d movers dropped", drop, dropped, one.MigratedUsers)
+		}
+		if one.Workers == many.Workers {
+			t.Fatalf("both runs had %d workers", one.Workers)
+		}
+		many.Workers = one.Workers
+		a, b := normalized(t, one), normalized(t, many)
+		if !slices.Equal(a, b) {
+			for i := range min(len(a), len(b)) {
+				if a[i] != b[i] {
+					t.Fatalf("drop %v: reports diverge at line %d:\n%s\n%s", drop, i+1, a[i], b[i])
+				}
+			}
+			t.Fatalf("drop %v: reports of %d and %d lines", drop, len(a), len(b))
+		}
+		if drop {
+			if one.PersonalHits >= control.PersonalHits {
+				t.Errorf("dropping %d movers' state cost no personal hit: %d vs %d", one.DroppedUsers, one.PersonalHits, control.PersonalHits)
+			}
+			continue
+		}
+		if one.Requests != control.Requests || one.PersonalHits != control.PersonalHits ||
+			one.CommunityHits != control.CommunityHits || one.CloudMisses != control.CloudMisses {
+			t.Errorf("migrating resize moved tiers: %+v\nno resize: %+v", one.Row, control.Row)
+		}
+		if !reflect.DeepEqual(f.UserServeCounts(), cf.UserServeCounts()) {
+			t.Error("migrating resize changed a user's serve counts")
+		}
 	}
 }

@@ -15,18 +15,6 @@ import (
 	"pocketcloudlets/internal/workload"
 )
 
-// WallResize is a live resize fired on the wall clock during a run: to
-// To shards (off unless positive), At into the run, Drop discarding
-// movers' personal state instead of migrating it — the
-// remap-and-cold-start baseline. A resize the run finishes before firing
-// is run just after serving completes, so its counters are always
-// measured.
-type WallResize struct {
-	To   int
-	At   time.Duration
-	Drop bool
-}
-
 // OpenConfig parameterizes an open-loop run.
 type OpenConfig struct {
 	// QPS is the target mean arrival rate, which the Classes' QPSShares
@@ -42,12 +30,10 @@ type OpenConfig struct {
 	Seed int64
 	// MaxRequests caps the schedule length. Zero selects 10 million.
 	MaxRequests int
-	// Resize is the wall-timer live resize.
-	Resize WallResize
 	// Events are resize events executed at model offsets of the arrival
 	// schedule (see Replay), so an event's position in the tape — and
-	// with it every per-user outcome — is a pure function of the spec,
-	// unlike the wall-timer Resize. Must be sorted by At.
+	// with it every per-user outcome — is a pure function of the spec.
+	// Must be sorted by At.
 	Events []TimelineEvent
 	// Autoscale, when non-nil, turns on the occupancy-driven shard
 	// autoscaler (internal/autoscale), sampled on its model-time cadence
@@ -74,10 +60,11 @@ func (cfg OpenConfig) classes(users int) []OpenClassConfig {
 	return cfg.Classes
 }
 
-// TimelineEvent is one scheduled resize of an open-loop run's event
-// timeline.
+// TimelineEvent is one scheduled resize of a run's event timeline.
 type TimelineEvent struct {
-	// At is the model offset from the start of the run.
+	// At is the model offset from the start of the run: of the arrival
+	// schedule in an open-loop run, of the users' month logs in a
+	// closed-loop one (see RunClosed).
 	At time.Duration
 	// ResizeTo is the shard count to live-resize the fleet to.
 	ResizeTo int
@@ -112,49 +99,18 @@ type OpenClassConfig struct {
 }
 
 // measure is the one measured run every driver goes through: capture
-// the baseline, arm the wall resize, drive, settle the resize — on every
-// exit, so no timer outlives the run — and fill r from the deltas.
-func measure(r *Report, f *fleet.Fleet, col *Collector, resize WallResize, drive func() error) error {
+// the baseline, drive, and fill r from the deltas.
+func measure(r *Report, f *fleet.Fleet, col *Collector, drive func() error) error {
 	base, err := begin(f, col)
 	if err != nil {
 		return err
 	}
-	settle := armResize(f, resize)
 	start := time.Now()
 	if err := drive(); err != nil {
-		settle(false)
 		return err
-	}
-	if err := settle(true); err != nil {
-		return fmt.Errorf("loadgen: resize: %w", err)
 	}
 	fill(r, f, col, base, time.Since(start))
 	return nil
-}
-
-// armResize arms the wall resize. The returned settle func stops the
-// timer and waits out a resize in flight; with run set it guarantees the
-// resize ran exactly once and reports its error, without it a resize
-// that has not fired never will.
-func armResize(f *fleet.Fleet, w WallResize) func(run bool) error {
-	if w.To <= 0 {
-		return func(bool) error { return nil }
-	}
-	var (
-		once sync.Once
-		err  error
-	)
-	resize := func() { _, err = f.ResizeWith(w.To, fleet.ResizeOptions{DropState: w.Drop}) }
-	timer := time.AfterFunc(w.At, func() { once.Do(resize) })
-	return func(run bool) error {
-		timer.Stop()
-		once.Do(func() {
-			if run {
-				resize()
-			}
-		})
-		return err
-	}
 }
 
 // classWeight is one user's relative arrival rate for PerUser
@@ -445,9 +401,9 @@ func OpenEvents(g *workload.Generator, cfg OpenConfig) ([]TraceEvent, error) {
 	return s.collect(), nil
 }
 
-// Replay owns the control plane of an open-loop replay: the scheduled
-// resize events and the autoscaler's samples, interleaved with the
-// arrival tape in model time. A caller fires every action due at or
+// Replay owns the control plane of a run: the scheduled resize events
+// and, open loop, the autoscaler's samples, interleaved with the
+// requests in model time. A caller fires every action due at or
 // before an arrival's offset before submitting it, then whatever
 // remains after the last arrival. A resize event goes before a sample
 // at the same offset; resize events past the last arrival still fire
@@ -467,7 +423,7 @@ type Replay struct {
 // NewReplay starts cfg's control plane (Events and Autoscale) over f
 // for a replay of events.
 func NewReplay(f *fleet.Fleet, cfg OpenConfig, events []TraceEvent) (*Replay, error) {
-	p, err := newReplay(f, cfg)
+	p, err := newReplay(f, cfg.Events, cfg.Autoscale)
 	if err != nil {
 		return nil, err
 	}
@@ -479,14 +435,15 @@ func NewReplay(f *fleet.Fleet, cfg OpenConfig, events []TraceEvent) (*Replay, er
 	return p, nil
 }
 
-// newReplay starts cfg's control plane for a replay whose last arrival
-// is not yet known: every sample is due until arrivalsEnd says where the
-// arrivals stop, and the replay fires only what is due at or before the
-// arrival in hand.
-func newReplay(f *fleet.Fleet, cfg OpenConfig) (*Replay, error) {
-	p := &Replay{f: f, timeline: cfg.Events, lastSample: -1}
-	if cfg.Autoscale != nil {
-		ac := cfg.Autoscale.WithDefaults(f.NumShards())
+// newReplay starts a control plane of timeline and, when as is
+// non-nil, an autoscaler, for a replay whose last arrival is not yet
+// known: every sample is due until arrivalsEnd says where the arrivals
+// stop, and the replay fires only what is due at or before the arrival
+// in hand.
+func newReplay(f *fleet.Fleet, timeline []TimelineEvent, as *autoscale.Config) (*Replay, error) {
+	p := &Replay{f: f, timeline: timeline, lastSample: -1}
+	if as != nil {
+		ac := as.WithDefaults(f.NumShards())
 		if err := ac.Validate(); err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
@@ -622,8 +579,8 @@ func replaySchedule(r *Report, f *fleet.Fleet, col *Collector, chunks <-chan []T
 		offered, sheds [curveBuckets]uint64
 		maxLag         time.Duration
 	)
-	err := measure(r, f, col, cfg.Resize, func() (err error) {
-		if p, err = newReplay(f, cfg); err != nil {
+	err := measure(r, f, col, func() (err error) {
+		if p, err = newReplay(f, cfg.Events, cfg.Autoscale); err != nil {
 			return err
 		}
 		last := time.Duration(-1)
@@ -723,8 +680,9 @@ type ClosedConfig struct {
 	// Seed is recorded in the report (closed-loop arrivals are fully
 	// determined by the generator's own seed).
 	Seed int64
-	// Resize is the wall-timer live resize.
-	Resize WallResize
+	// Events are resize events executed at model offsets of the users'
+	// month logs (see RunClosed). Must be sorted by At.
+	Events []TimelineEvent
 	// Classes are the run's client classes: a user whose index falls in
 	// a class's [Lo, Hi) range issues requests carrying the class tag,
 	// paced by the class's Pacer and capped by its MaxQueriesPerUser.
@@ -761,6 +719,14 @@ type ClosedClassConfig struct {
 // the closed-loop protocol whose hit rates correspond to the paper's
 // replay evaluation. col must be installed as the fleet's Observer; it
 // is reset at the start of the run.
+//
+// The run fires cfg.Events through the open loop's Replay. A request's
+// model offset is its log entry's: (cursor month − first month) × the
+// log window + the entry's At. The events cut the run into phases: in
+// each, every user who has not finished serves until their next entry
+// lies at or past the next event's offset, and once all have stopped
+// the events due there fire. Events past every user's last request fire
+// after serving, and a run without events is one phase.
 func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg ClosedConfig) (Report, error) {
 	if g == nil {
 		return Report{}, fmt.Errorf("loadgen: a workload generator is required")
@@ -769,7 +735,7 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 	if cfg.Users <= 0 || cfg.Users > len(profiles) {
 		return Report{}, fmt.Errorf("loadgen: Users must be in [1, %d], got %d", len(profiles), cfg.Users)
 	}
-	u := g.Config().Universe
+	u, window := g.Config().Universe, g.Config().Window
 
 	r := Report{
 		Mode:     "closed",
@@ -777,44 +743,76 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 		Seed:     cfg.Seed,
 		Users:    cfg.Users,
 	}
-	err := measure(&r, f, col, cfg.Resize, func() error {
+	err := measure(&r, f, col, func() error {
+		p, err := newReplay(f, cfg.Events, nil)
+		if err != nil {
+			return err
+		}
 		var deadline time.Time
 		if cfg.Duration > 0 {
 			deadline = time.Now().Add(cfg.Duration)
 		}
-		var wg sync.WaitGroup
-		for i := 0; i < cfg.Users; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var cls ClosedClassConfig
+		users := make([]closedUser, cfg.Users)
+		// serve sends user i's requests in stream order until one lies at
+		// or past bound, which is held for the next phase, or the user is
+		// done.
+		serve := func(i int, bound time.Duration) {
+			cu := &users[i]
+			if cu.cur == nil {
 				for _, cc := range cfg.Classes {
 					if i >= cc.Lo && i < cc.Hi {
-						cls = cc
+						cu.cls = cc
 						break
 					}
 				}
-				cur := g.Cursor(profiles[i], cfg.Month)
-				for n := 0; cls.MaxQueriesPerUser <= 0 || n < cls.MaxQueriesPerUser; n++ {
-					if cfg.Duration > 0 && !time.Now().Before(deadline) {
-						break
-					}
-					e, month := cur.Next()
-					if cfg.Duration <= 0 && month > cfg.Month {
-						break
-					}
-					resp := f.Do(request(u, e, cls.Name))
-					if resp.Shed || resp.Err != nil {
-						continue
-					}
-					if d := cls.Pace.Pause(resp.Outcome.ResponseTime()); d > 0 {
-						time.Sleep(d)
-					}
+				cu.cur = g.Cursor(profiles[i], cfg.Month)
+			}
+			for ; cu.cls.MaxQueriesPerUser <= 0 || cu.sent < cu.cls.MaxQueriesPerUser; cu.sent++ {
+				if cfg.Duration > 0 && !time.Now().Before(deadline) {
+					break
 				}
-			}(i)
+				if !cu.held {
+					cu.e, cu.month = cu.cur.Next()
+				}
+				if cfg.Duration <= 0 && cu.month > cfg.Month {
+					break
+				}
+				if cu.held = time.Duration(cu.month-cfg.Month)*window+cu.e.At >= bound; cu.held {
+					return
+				}
+				resp := f.Do(request(u, cu.e, cu.cls.Name))
+				if resp.Shed || resp.Err != nil {
+					continue
+				}
+				if d := cu.cls.Pace.Pause(resp.Outcome.ResponseTime()); d > 0 {
+					time.Sleep(d)
+				}
+			}
+			cu.done = true
 		}
-		wg.Wait()
-		return nil
+		for {
+			bound, more := p.Next()
+			if !more {
+				bound = math.MaxInt64
+			}
+			var wg sync.WaitGroup
+			for i := range users {
+				if !users[i].done {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						serve(i, bound)
+					}(i)
+				}
+			}
+			wg.Wait()
+			if !more {
+				return nil
+			}
+			if err := p.fireThrough(bound); err != nil {
+				return err
+			}
+		}
 	})
 	if err != nil {
 		return Report{}, err
@@ -844,6 +842,18 @@ func RunClosed(f *fleet.Fleet, col *Collector, g *workload.Generator, cfg Closed
 		}
 	}
 	return r, nil
+}
+
+// closedUser is one closed-loop user's place in their stream, kept
+// from one phase of the run to the next.
+type closedUser struct {
+	cls   ClosedClassConfig
+	cur   *workload.Cursor // nil before the user's first phase
+	e     searchlog.Entry  // the entry drawn last; held is set while it waits for a phase
+	month int              // e's month
+	held  bool
+	sent  int // requests sent
+	done  bool
 }
 
 // Tape materializes one user's month stream as ready-to-serve fleet

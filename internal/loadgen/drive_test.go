@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"pocketcloudlets/internal/autoscale"
+	"pocketcloudlets/internal/fleet"
 	"pocketcloudlets/internal/modeltime"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/workload"
@@ -24,22 +24,95 @@ var (
 	NewRingRig   = newRingRig
 )
 
-// TestFailedRunDisarmsWallResize: a run whose drive fails must not
-// leave the wall-timer resize armed behind it — the caller believes the
-// fleet idle from the moment the run returns.
-func TestFailedRunDisarmsWallResize(t *testing.T) {
+// TestClosedTimelinesEnd: a closed-loop run ends under every timeline
+// that could strand its users at an event, and fires each event exactly
+// once, in order, without losing or repeating a request: an event at 0,
+// two at one offset, events with a per-user cap or think time, and a
+// run whose wall deadline passes before an event's offset. A failed
+// event ends the run: the users, stopped before their first entry at or
+// past it, never resume, and no later event fires.
+func TestClosedTimelinesEnd(t *testing.T) {
+	const (
+		day   = 24 * time.Hour
+		month = 30 * day
+	)
 	g := smallGen(t, 16)
-	f, col := newRingRig(t, g, smallContent(t, g), 4)
-	boom := errors.New("boom")
-	var r Report
-	err := measure(&r, f, col, WallResize{To: 6, At: 20 * time.Millisecond}, func() error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("measure returned %v, want the drive's error", err)
+	content := smallContent(t, g)
+	capped := []ClosedClassConfig{{Hi: 16, MaxQueriesPerUser: 3}}
+	paced := []ClosedClassConfig{{Hi: 16, Pace: modeltime.Pacer{Scale: 1e-6, MaxPause: 100 * time.Microsecond}}}
+	run := func(f *fleet.Fleet, col *Collector, cfg ClosedConfig) (r Report, err error) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r, err = RunClosed(f, col, g, cfg)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("%+v: the run did not end within a minute", cfg)
+		}
+		return r, err
 	}
-	time.Sleep(100 * time.Millisecond)
-	if n, resizes := f.NumShards(), f.MigrationStats().Resizes; n != 4 || resizes != 0 {
-		t.Errorf("a failed run's wall resize fired after it returned: %d shards, %d resizes", n, resizes)
+	for _, c := range []struct {
+		name    string
+		cfg     ClosedConfig
+		control bool // the run serves what the same config without events serves
+	}{
+		{"event at 0", ClosedConfig{Events: []TimelineEvent{{At: 0, ResizeTo: 6}}}, true},
+		{"two events at one offset", ClosedConfig{Events: []TimelineEvent{{At: 15 * day, ResizeTo: 6}, {At: 15 * day, ResizeTo: 3}}}, true},
+		{"per-user cap", ClosedConfig{Classes: capped, Events: []TimelineEvent{{At: 0, ResizeTo: 6}, {At: 15 * day, ResizeTo: 5}, {At: 2 * month, ResizeTo: 3}}}, true},
+		{"think time", ClosedConfig{Classes: paced, Events: []TimelineEvent{{At: 15 * day, ResizeTo: 6, DropState: true}}}, true},
+		{"wall deadline before the event", ClosedConfig{Duration: 20 * time.Millisecond,
+			Events: []TimelineEvent{{At: 15 * day, ResizeTo: 6}, {At: 1000 * month, ResizeTo: 3}}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Users, c.cfg.Month = 16, 1
+			f, col := newRingRig(t, g, content, 4)
+			r, err := run(f, col, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := c.cfg.Events[len(c.cfg.Events)-1].ResizeTo
+			if r.Resizes != int64(len(c.cfg.Events)) || f.NumShards() != last {
+				t.Errorf("%d resizes ending at %d shards, want %d ending at %d", r.Resizes, f.NumShards(), len(c.cfg.Events), last)
+			}
+			if !c.control {
+				return
+			}
+			cf, ccol := newRingRig(t, g, content, 4)
+			noEvents := c.cfg
+			noEvents.Events = nil
+			want, err := run(cf, ccol, noEvents)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Requests != want.Requests || r.Served != want.Served || r.Shed+want.Shed != 0 {
+				t.Errorf("requests %d served %d shed %d, without events %d/%d/%d", r.Requests, r.Served, r.Shed, want.Requests, want.Served, want.Shed)
+			}
+		})
 	}
+	t.Run("failed event", func(t *testing.T) {
+		f, col := newRingRig(t, g, content, 4)
+		f.Close() // every Do sheds and every resize fails
+		_, err := run(f, col, ClosedConfig{Users: 16, Month: 1,
+			Events: []TimelineEvent{{At: 15 * day, ResizeTo: 6}, {At: 20 * day, ResizeTo: 3}}})
+		if err == nil || !strings.Contains(err.Error(), "timeline resize at 360h0m0s") {
+			t.Fatalf("RunClosed returned %v, want the first event's error", err)
+		}
+		var before uint64
+		for _, up := range g.Users() {
+			for _, e := range g.UserStream(up, 1) {
+				if e.At < 15*day {
+					before++
+				}
+			}
+		}
+		if cnt := col.snapshot(); cnt.row().Shed != before {
+			sent := cnt.row().Shed
+			t.Errorf("%d requests went out, want the %d before the failed event", sent, before)
+		}
+	})
 }
 
 // TestReplayOrder pins the control plane's order against the arrival

@@ -397,8 +397,8 @@ func TestTape(t *testing.T) {
 }
 
 // TestReportShardOccupancyAndResize drives a ring-routed fleet through
-// a mid-run live resize and checks the report's occupancy and migration
-// accounting adds up.
+// a live resize at a mid-month offset and checks the report's occupancy
+// and migration accounting adds up.
 func TestReportShardOccupancyAndResize(t *testing.T) {
 	g := smallGen(t, 64)
 	ring, err := placement.NewRing(4, 0)
@@ -422,7 +422,7 @@ func TestReportShardOccupancyAndResize(t *testing.T) {
 
 	r, err := RunClosed(f, col, g, ClosedConfig{
 		Users: 48, Month: 1,
-		Resize: WallResize{To: 6, At: 10 * time.Millisecond},
+		Events: []TimelineEvent{{At: 15 * 24 * time.Hour, ResizeTo: 6}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -465,15 +465,16 @@ func TestReportShardOccupancyAndResize(t *testing.T) {
 	}
 }
 
-// TestScheduleResizeAlwaysRuns: a resize the run beats to the punch is
-// still executed before the report, so counters are never silently zero.
+// TestScheduleResizeAlwaysRuns: a resize scheduled past every user's
+// last request is still executed before the report, so counters are
+// never silently zero.
 func TestScheduleResizeAlwaysRuns(t *testing.T) {
 	g := smallGen(t, 16)
 	f, col := newRig(t, g, smallContent(t, g))
 	r, err := RunClosed(f, col, g, ClosedConfig{
 		Users: 8, Month: 1,
 		Classes: []ClosedClassConfig{{Hi: 8, MaxQueriesPerUser: 2}},
-		Resize:  WallResize{To: 6, At: time.Hour},
+		Events:  []TimelineEvent{{At: 24 * 30 * 24 * time.Hour, ResizeTo: 6}},
 	})
 	if err != nil {
 		t.Fatal(err)

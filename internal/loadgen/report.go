@@ -133,7 +133,7 @@ type Report struct {
 	ShardSkew float64 `json:"shard_skew,omitempty"`
 
 	// Migration counters for live resizes performed during the run
-	// (wall-timer, timeline or autoscaler); all zero when no resize ran.
+	// (timeline or autoscaler); all zero when no resize ran.
 	Resizes                int64 `json:"resizes,omitempty"`
 	MigratedUsers          int64 `json:"migrated_users,omitempty"`
 	MigratedBytes          int64 `json:"migrated_bytes,omitempty"`

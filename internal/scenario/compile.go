@@ -49,8 +49,7 @@ type Compiled struct {
 	Ranges []ClassRange
 	// Open and Closed are the generator configs; the one matching
 	// Spec.Mode is authoritative (trace mode uses neither). Callers may
-	// tweak them (e.g. cmd/loadtest threads its resize flags through)
-	// before Run.
+	// tweak them before Run.
 	Open   loadgen.OpenConfig
 	Closed loadgen.ClosedConfig
 
@@ -96,6 +95,7 @@ func Compile(spec *Spec, source string) (*Compiled, error) {
 			Month:       spec.Month,
 			Seed:        spec.Seed,
 			MaxRequests: spec.MaxRequests,
+			Events:      spec.timeline(),
 			Scenario:    label,
 		}
 		if a := spec.Fleet.Autoscale; a != nil {
@@ -108,16 +108,6 @@ func Compile(spec *Spec, source string) (*Compiled, error) {
 				UpAfter:      a.UpAfter,
 				DownAfter:    a.DownAfter,
 				RatePerShard: a.RatePerShard,
-			}
-		}
-		// Resize events become the generator's model-time timeline;
-		// outage events stay here and lower onto the fault profile in
-		// FleetConfig. Validation already sorted the spec events.
-		for _, ev := range spec.Events {
-			if ev.Resize > 0 {
-				c.Open.Events = append(c.Open.Events, loadgen.TimelineEvent{
-					At: ev.At.D(), ResizeTo: ev.Resize, DropState: ev.Drop,
-				})
 			}
 		}
 		for ci, cs := range classes {
@@ -139,6 +129,7 @@ func Compile(spec *Spec, source string) (*Compiled, error) {
 			Month:    spec.Month,
 			Duration: spec.Duration.D(),
 			Seed:     spec.Seed,
+			Events:   spec.timeline(),
 			Scenario: label,
 		}
 		for ci, cs := range classes {
@@ -155,6 +146,19 @@ func Compile(spec *Spec, source string) (*Compiled, error) {
 		}
 	}
 	return c, nil
+}
+
+// timeline lowers the spec's resize events onto the generator's
+// model-time timeline; outage events stay in the spec and lower onto the
+// fault profile in FleetConfig. Validation already sorted the events.
+func (s *Spec) timeline() []loadgen.TimelineEvent {
+	var tl []loadgen.TimelineEvent
+	for _, ev := range s.Events {
+		if ev.Resize > 0 {
+			tl = append(tl, loadgen.TimelineEvent{At: ev.At.D(), ResizeTo: ev.Resize, DropState: ev.Drop})
+		}
+	}
+	return tl
 }
 
 // apportion assigns spec.Users to classes by largest remainder:

@@ -144,8 +144,11 @@ type Spec struct {
 	// for every class that does not override it.
 	Faults *FaultSpec `json:"faults,omitempty"`
 	// Events are scheduled operations on the run's model-time
-	// timeline: live resizes and fleet-wide outage windows. Open mode
-	// only; events must be sorted by offset.
+	// timeline: live resizes and fleet-wide outage windows. Open and
+	// closed mode (trace mode replays no timeline); events must be
+	// sorted by offset. A resize's offset is into the arrival schedule
+	// in open mode and into the users' month logs in closed mode (the
+	// month replayed first starts at 0, the next at one log window).
 	Events []EventSpec `json:"events,omitempty"`
 	// Classes are the client classes. Empty means one implicit class
 	// covering the whole population with the top-level knobs.

@@ -515,11 +515,31 @@ func TestAutoscaleEventsLowering(t *testing.T) {
 	if cfg.Faults.LossProb != 0 || cfg.Faults.EngineErrProb != 0 {
 		t.Fatalf("event-only profile should inject nothing but the window: %+v", cfg.Faults)
 	}
+
+	// A closed spec's resize events become the closed timeline, on any
+	// placement.
+	closed, err := Parse([]byte(`{"version": 1, "mode": "closed", "users": 60,
+		"events": [{"at": "360h", "resize": 12}, {"at": "400h", "resize": 6, "drop": true}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp, err = Compile(closed, "inline"); err != nil {
+		t.Fatal(err)
+	}
+	wantEvents = []loadgen.TimelineEvent{
+		{At: 360 * time.Hour, ResizeTo: 12},
+		{At: 400 * time.Hour, ResizeTo: 6, DropState: true},
+	}
+	if !reflect.DeepEqual(comp.Closed.Events, wantEvents) {
+		t.Fatalf("closed timeline events = %+v, want %+v", comp.Closed.Events, wantEvents)
+	}
 }
 
 // TestAutoscaleEventsValidation pins the semantic checks: autoscale
 // needs open mode and the ring placement, events need exactly one
-// operation, sorted offsets, and resize events need the ring.
+// operation and sorted offsets, and trace mode replays none. A row with
+// no wanted error must parse: resize events run on either placement and
+// in closed mode.
 func TestAutoscaleEventsValidation(t *testing.T) {
 	cases := []struct {
 		name, json, wantErr string
@@ -552,11 +572,15 @@ func TestAutoscaleEventsValidation(t *testing.T) {
 		{"resize-on-modulo",
 			`{"version":1,"mode":"open","users":10,"qps":5,"duration":"1s",
 				"events":[{"at":"1s","resize":4}]}`,
-			"resize events need the ring placement"},
+			""},
 		{"closed-mode-events",
 			`{"version":1,"mode":"closed","users":10,
-				"events":[{"at":"1s","outage":"1s"}]}`,
-			"only open mode replays a timeline"},
+				"events":[{"at":"1s","outage":"1s"},{"at":"360h","resize":4,"drop":true}]}`,
+			""},
+		{"trace-mode-events",
+			`{"version":1,"mode":"trace","users":10,"trace":"t.trace",
+				"events":[{"at":"1s","resize":4}]}`,
+			"trace mode replays no timeline"},
 		{"drop-on-outage",
 			`{"version":1,"mode":"open","users":10,"qps":5,"duration":"1s",
 				"events":[{"at":"1s","outage":"1s","drop":true}]}`,
@@ -565,6 +589,12 @@ func TestAutoscaleEventsValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse([]byte(tc.json))
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Parse refused %s: %v", tc.json, err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatalf("Parse accepted %s", tc.json)
 			}

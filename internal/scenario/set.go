@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// AbsentBlockError reports a path that runs through a pointer block
-// the spec does not have ("faults.loss" on a spec with no fault
-// profile) when the caller may not create it.
+// AbsentBlockError reports a path that runs through a pointer block or
+// list element the spec does not have ("faults.loss" on a spec with no
+// fault profile) when the caller may not create it.
 type AbsentBlockError struct {
 	// Block is the path of the absent block, e.g. "fleet.backend".
 	Block string
@@ -22,8 +22,9 @@ func (e *AbsentBlockError) Error() string { return e.Block + ": the spec has no 
 // "classes[0].hedge.clone_factor" — to the spec field it names, by the
 // same json-tag lookup Parse decodes with. A pointer block on the way
 // is entered only by a further segment, so a path may name the block
-// itself; an absent one is allocated when create is set and is an
-// *AbsentBlockError otherwise.
+// itself; an absent one — or the element just past a list's end,
+// "events[0]" of a spec with no events — is allocated when create is
+// set and is an *AbsentBlockError otherwise.
 func Field(spec *Spec, path string, create bool) (reflect.Value, error) {
 	cur := reflect.ValueOf(spec).Elem()
 	for at, rest := "", path; rest != ""; {
@@ -49,8 +50,14 @@ func Field(spec *Spec, path string, create bool) (reflect.Value, error) {
 		}
 		if indexed {
 			i, err := strconv.Atoi(strings.TrimSuffix(index, "]"))
-			if err != nil || cur.Kind() != reflect.Slice || i < 0 || i >= cur.Len() {
+			if err != nil || cur.Kind() != reflect.Slice || i < 0 || i > cur.Len() {
 				return reflect.Value{}, fmt.Errorf("%s: no such element", at)
+			}
+			if i == cur.Len() {
+				if !create {
+					return reflect.Value{}, &AbsentBlockError{Block: at}
+				}
+				cur.Set(reflect.Append(cur, reflect.Zero(cur.Type().Elem())))
 			}
 			cur = cur.Index(i)
 		}

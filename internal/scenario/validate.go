@@ -305,18 +305,6 @@ func overLimit(p *problems, name string, v, limit int, why string) {
 	}
 }
 
-// OverShardLimit is overLimit for a shard count that reaches a fleet
-// without passing through a spec (cmd/loadtest's -resize-to): the
-// problem in the validator's words, or "" within the ceiling.
-func OverShardLimit(name string, n int) string {
-	var p problems
-	overLimit(&p, name, n, maxShards, shardsWhy)
-	if len(p.list) == 0 {
-		return ""
-	}
-	return p.list[0]
-}
-
 // validateAutoscale vets the raw (pre-WithDefaults) autoscale block;
 // the controller's own WithDefaults/Validate run again at lowering
 // with the real initial shard count, so here only explicitly-set
@@ -381,10 +369,9 @@ func validateEvents(p *problems, s *Spec) {
 	if len(s.Events) == 0 {
 		return
 	}
-	if s.Mode != "open" {
-		p.addf("events: only open mode replays a timeline (mode is %q)", s.Mode)
+	if s.Mode == "trace" {
+		p.addf("events: trace mode replays no timeline")
 	}
-	hasResize := false
 	for i, e := range s.Events {
 		path := fmt.Sprintf("events[%d]", i)
 		if e.At < 0 {
@@ -404,18 +391,11 @@ func validateEvents(p *problems, s *Spec) {
 		switch {
 		case e.Resize > 0 && e.Outage > 0:
 			p.addf("%s: pick one of resize or outage per event", path)
-		case e.Resize > 0:
-			hasResize = true
-		case e.Outage > 0:
-			if e.Drop {
-				p.addf("%s.drop: only resize events move state", path)
-			}
-		default:
+		case e.Outage > 0 && e.Drop:
+			p.addf("%s.drop: only resize events move state", path)
+		case e.Resize <= 0 && e.Outage <= 0:
 			p.addf("%s: needs a positive resize target or outage length", path)
 		}
-	}
-	if hasResize && s.Fleet.Placement != "ring" {
-		p.addf("events: resize events need the ring placement, got %q", s.Fleet.Placement)
 	}
 }
 

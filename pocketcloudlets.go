@@ -161,9 +161,6 @@ type (
 	// its Classes (ClosedLoadClass) carry pacing and per-user caps.
 	ClosedLoadConfig = loadgen.ClosedConfig
 	ClosedLoadClass  = loadgen.ClosedClassConfig
-	// LoadResize is the wall-timer live resize of a load run
-	// (OpenLoadConfig.Resize, ClosedLoadConfig.Resize).
-	LoadResize = loadgen.WallResize
 	// ArrivalKind selects an open-loop arrival process: poisson,
 	// diurnal (a day-curve warp of the same arrivals) or peruser
 	// (per-user renewal processes weighted by workload class).
@@ -183,8 +180,8 @@ type (
 	// AutoscaleConfig parameterizes the occupancy-driven shard
 	// autoscaler (OpenLoadConfig.Autoscale).
 	AutoscaleConfig = autoscale.Config
-	// LoadTimelineEvent is one scheduled model-time operation an open
-	// load run replays (OpenLoadConfig.Events).
+	// LoadTimelineEvent is one scheduled model-time resize a load run
+	// replays (OpenLoadConfig.Events, ClosedLoadConfig.Events).
 	LoadTimelineEvent = loadgen.TimelineEvent
 	// EnergyReport is the load report's energy-ledger block.
 	EnergyReport = loadgen.EnergyReport

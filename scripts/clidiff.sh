@@ -11,11 +11,13 @@
 # configuration or driver refactor can bend (-hedge 1, bare -faults,
 # -backend-rate inf, ring/vnodes, -pace, peruser and diurnal+autoscale
 # open runs, the open-loop -scenario presets single- and multi-class, a
-# spec file in which only one of two classes hedges), and a trace leg:
-# one trace written by the tree's tracegen, replayed by both sides in
-# trace mode. Runs whose model outcome legitimately follows the wall
-# clock are left out (-batch with -outage), and open-loop flag runs use
-# -queue 100000 so nothing sheds.
+# spec file in which only one of two classes hedges, a spec file whose
+# timeline resizes the fleet twice — once migrating, once dropping
+# movers' state), and a trace leg: one trace written by the tree's
+# tracegen, replayed by both sides in trace mode. Runs whose model
+# outcome legitimately follows the wall clock are left out (-batch with
+# -outage), and open-loop flag runs and spec files use a queue of
+# 100000 so nothing sheds.
 #
 #   scripts/clidiff.sh HEAD~1
 set -euo pipefail
@@ -74,6 +76,8 @@ $closed -faults -loss 0.2 -retries 3 -replicas 3 -hedge 2 -backend-rate 30 -back
 -scenario regional-outage -users 150
 -scenario mixed-fleet -users 150
 -scenario cmd/loadtest/testdata/mixed-hedge.json
+-scenario cmd/loadtest/testdata/resize-events.json
+-scenario cmd/loadtest/testdata/resize-events.json -users 150 -seed 4
 -scenario $tmp/replay.json
 EOF_CMDS
 echo "clidiff: $n command lines, no differences against $ref"
