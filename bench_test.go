@@ -321,8 +321,8 @@ func BenchmarkFleetServeDo(b *testing.B) {
 
 // TestFleetServeDoAllocs holds BenchmarkFleetServeDo's closed-loop Do
 // to the two allocations the result text it hands the caller costs: one
-// copy of the stored record, one Results slice (DESIGN.md, "The
-// zero-allocation serve path").
+// string of a result's address and title (engine's Universe.Result), one
+// Results slice (DESIGN.md, "The zero-allocation serve path").
 func TestFleetServeDoAllocs(t *testing.T) {
 	const ceiling = 2
 	rig := fleetBench(t)
@@ -555,18 +555,18 @@ func BenchmarkFleetSubmit(b *testing.B) {
 // --- Fleet heap gate ---
 
 // TestFleetColdFillHeap holds the repository benchmark's cold_fill, at a
-// size a test can afford, within 5% of the 13,317 B of live heap per
+// size a test can afford, within 5% of the 4,790 B of live heap per
 // resident user recorded (DESIGN.md, "Capacity model"): a fresh 4-shard
 // fleet over the scenario universe, its community content from the first
 // 100 users' month 0, filled on one goroutine by every user's month-1
 // tape, its heap read after a forced collection — community replicas,
-// record table, arenas, per-user devices and caches, over the users they
-// are held for. One caller and a fixed seed make the number repeat to
-// the byte on a given toolchain, whatever GOMAXPROCS. A structure that
-// grows per user or per record — a record copied instead of shared, a
+// arenas, per-user devices and caches, over the users they are held
+// for. One caller and a fixed seed make the number repeat to a few
+// bytes on a given toolchain, whatever GOMAXPROCS. A structure that
+// grows per user or per record — record text kept instead of named, a
 // map sized by configuration — shows here first.
 func TestFleetColdFillHeap(t *testing.T) {
-	const users, ceiling = 1000, 13_983 // B/user: 13,317 recorded, +5%
+	const users, ceiling = 1000, 5_030 // B/user: 4,790 recorded, +5%
 	ucfg := scenario.UniverseConfig()
 	sim, err := pocketcloudlets.NewSimulation(pocketcloudlets.SimConfig{
 		Seed: 1, Users: users, UniverseConfig: &ucfg,

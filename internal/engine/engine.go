@@ -139,39 +139,19 @@ func parseB36(s string) (int, bool) {
 // ranked, materialized results. Latency and energy of reaching it are
 // modeled by the device/radio layer, not here.
 type Engine struct {
-	u *Universe
-	// records, when set, renders each result's record once for everyone
-	// holding this engine (WithSharedRecords); nil renders a fresh record
-	// per request.
-	records *recordTable
+	u       *Universe
+	records *Records
 }
 
 // New creates an engine over the given universe.
-func New(u *Universe) *Engine { return &Engine{u: u} }
-
-// WithSharedRecords returns an engine over the same universe whose
-// Record renders each result once and hands every later caller the same
-// bytes. The table lives exactly as long as the returned engine: the
-// fleet builds one such engine per fleet, so its community replicas,
-// every user's expansions and every migration share one rendering of
-// each result, and the next fleet starts from nothing.
-func (e *Engine) WithSharedRecords() *Engine {
-	return &Engine{u: e.u, records: &recordTable{u: e.u}}
-}
+func New(u *Universe) *Engine { return &Engine{u: u, records: &Records{u: u}} }
 
 // Universe returns the engine's corpus.
 func (e *Engine) Universe() *Universe { return e.u }
 
-// Record returns result r's stored form, byte for byte
-// Universe.Result(r).Record(). From an engine with shared records the
-// slice is shared — its capacity ends with the record, and nobody may
-// modify it; otherwise it is the caller's own.
-func (e *Engine) Record(r searchlog.ResultID) []byte {
-	if e.records != nil {
-		return e.records.record(r)
-	}
-	return e.u.Result(r).Record()
-}
+// Records returns the engine's record source: what every result
+// database of a cache the engine backs stores its records by.
+func (e *Engine) Records() *Records { return e.records }
 
 // SearchResponse is what the engine returns for a query: the ranked
 // results by identifier. Result text is a pure function of the

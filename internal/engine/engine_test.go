@@ -310,3 +310,23 @@ func TestPairsForQueryConsistentWithQueryOf(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFindIDBuildsNoText: naming the clicked result — a navigational
+// or a non-navigational one — allocates nothing.
+func TestFindIDBuildsNoText(t *testing.T) {
+	u := testUniverse(t)
+	e := New(u)
+	nav, _ := e.Search("site1")
+	nn := u.ResultURL(searchlog.ResultID(u.navResults + 5))
+	nonNav, _ := e.Search(u.QueryText(u.QueryOf(u.NonNavPair(5))))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := nav.FindID("www.site1.com/videos"); !ok {
+			t.Fatal("the section page is not found")
+		}
+		if _, ok := nonNav.FindID(nn); !ok {
+			t.Fatal("the non-navigational result is not found")
+		}
+	}); n != 0 {
+		t.Errorf("FindID allocates %.1f objects", n)
+	}
+}

@@ -32,22 +32,22 @@ type Result struct {
 	DisplayURL string
 }
 
-// Result materializes the search result with the given ID.
+// Result materializes the search result with the given ID. The address
+// and the title are built in one stack buffer and cut from one string,
+// and the snippet is a table read: a result costs one allocation.
 func (u *Universe) Result(r searchlog.ResultID) Result {
-	url := u.ResultURL(r)
+	var a [128]byte
+	b := u.appendURL(a[:0], r)
+	n := len(b)
+	s := string(u.appendTitle(b, r))
+	url := s[:n]
 	return Result{
 		ID:         r,
 		URL:        url,
-		Title:      u.title(r),
+		Title:      s[n:],
 		Snippet:    u.snippet(r),
 		DisplayURL: strings.TrimSuffix(url, "/"),
 	}
-}
-
-func (u *Universe) title(r searchlog.ResultID) string {
-	// Concatenated in a stack buffer: one allocation, the string itself.
-	var a [80]byte
-	return string(u.appendTitle(a[:0], r))
 }
 
 // appendTitle appends result r's title to b.
@@ -126,9 +126,9 @@ func (r Result) Record() []byte {
 	return append(b, r.Snippet...)
 }
 
-// appendRecord appends result r's record — byte for byte
+// AppendRecord appends result r's record — byte for byte
 // Result(r).Record() — to b, building no string on the way.
-func (u *Universe) appendRecord(b []byte, r searchlog.ResultID) []byte {
+func (u *Universe) AppendRecord(b []byte, r searchlog.ResultID) []byte {
 	b = u.appendTitle(b, r)
 	b = append(b, recordSep)
 	start := len(b)
@@ -138,6 +138,67 @@ func (u *Universe) appendRecord(b []byte, r searchlog.ResultID) []byte {
 	b = append(b, bytes.TrimSuffix(url, []byte("/"))...)
 	b = append(b, recordSep)
 	return append(b, u.snippet(r)...)
+}
+
+// RecordLen is the length of result r's record, len(Result(r).Record()),
+// summed from the widths of its fields: nothing is rendered.
+func (u *Universe) RecordLen(r searchlog.ResultID) int {
+	url := u.urlLen(r)
+	display := url
+	if int(r) < u.navResults && r%2 == 0 {
+		display-- // a front page's address ends in the '/' its display drops
+	}
+	return u.titleLen(r) + url + display + len(u.snippet(r)) + 3
+}
+
+// titleLen is the length of result r's title (appendTitle).
+func (u *Universe) titleLen(r searchlog.ResultID) int {
+	i := int(r)
+	n := len(lexicon[i%len(lexicon)]) + 1 + len(lexicon[(i/7+3)%len(lexicon)])
+	switch {
+	case i >= u.navResults:
+		return n + len("Info ") + b36Len(i-u.navResults) + len(": ") + len(" reference")
+	case i%2 == 0:
+		return n + len("Site ") + b36Len(i/2) + len(" — the ") + len(" portal")
+	default:
+		return n + len("Site ") + b36Len(i/2) + len(" Videos — ") + len(" section")
+	}
+}
+
+// urlLen is the length of result r's address (appendURL).
+func (u *Universe) urlLen(r searchlog.ResultID) int {
+	i := int(r)
+	switch {
+	case i >= u.navResults:
+		j := i - u.navResults
+		return len("www.info") + b36Len(j) + len(".net/article/") + b36Len(j%97)
+	case i%2 == 0:
+		return len("www.site") + b36Len(i/2) + len(".com/")
+	default:
+		return len("www.site") + b36Len(i/2) + len(".com/videos")
+	}
+}
+
+// b36Len is the number of digits strconv renders n ≥ 0 with in base 36.
+func b36Len(n int) int {
+	d := 1
+	for ; n >= 36; n /= 36 {
+		d++
+	}
+	return d
+}
+
+// RecordID names the result whose record is exactly rec: it reads the
+// address field, resolves it, and holds the result's rendering to rec.
+func (u *Universe) RecordID(rec []byte) (searchlog.ResultID, bool) {
+	_, rest, _ := bytes.Cut(rec, []byte{recordSep})
+	url, _, _ := bytes.Cut(rest, []byte{recordSep})
+	r, ok := u.ResolveURL(string(url))
+	if !ok || u.RecordLen(r) != len(rec) {
+		return 0, false
+	}
+	var a [1 << 10]byte
+	return r, bytes.Equal(u.AppendRecord(a[:0], r), rec)
 }
 
 // ParseRecord deserializes a record produced by Record. The result ID

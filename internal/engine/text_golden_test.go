@@ -233,10 +233,12 @@ func BenchmarkSearch(b *testing.B) {
 }
 
 // BenchmarkSearchClicked adds what cache expansion reads: the clicked
-// result's identifier and its record — rendered per request by a plain
-// engine, once per result by one with shared records (the fleet's).
+// result's identifier and its record's length (RecordLen), against
+// rendering the record (AppendRecord into a reused buffer), which
+// expansion did before a database stored records by ID.
 func BenchmarkSearchClicked(b *testing.B) {
 	u := MustUniverse(DefaultConfig())
+	e := New(u)
 	rng := rand.New(rand.NewSource(1))
 	queries := make([]string, 4096)
 	clicks := make([]string, len(queries))
@@ -246,16 +248,20 @@ func BenchmarkSearchClicked(b *testing.B) {
 		pairs := u.PairsForQuery(q)
 		clicks[i] = u.ResultURL(u.ResultOf(pairs[rng.Intn(len(pairs))]))
 	}
+	var buf []byte
 	for _, bc := range []struct {
 		name string
-		e    *Engine
-	}{{"fresh", New(u)}, {"shared", New(u).WithSharedRecords()}} {
+		size func(searchlog.ResultID) int
+	}{
+		{"length", u.RecordLen},
+		{"render", func(id searchlog.ResultID) int { buf = u.AppendRecord(buf[:0], id); return len(buf) }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				resp, _ := bc.e.Search(queries[i%len(queries)])
+				resp, _ := e.Search(queries[i%len(queries)])
 				id, _ := resp.FindID(clicks[i%len(clicks)])
-				benchSink += len(bc.e.Record(id))
+				benchSink += bc.size(id)
 			}
 		})
 	}

@@ -12,7 +12,7 @@ import (
 //
 // A file is either plain — the store holds its bytes — or one of a
 // mounted Volume's: a layer that keeps its files in a form of its own
-// (the result database keeps each as header entries over shared
+// (the result database keeps each as header entries naming their
 // records, internal/resultdb) mounts itself over their names, and the
 // store asks it for sizes and renders the bytes only when a caller reads
 // them. The two kinds are indistinguishable from outside. A store whose

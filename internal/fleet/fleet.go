@@ -216,11 +216,9 @@ type Observer interface {
 
 // Config parameterizes a fleet.
 type Config struct {
-	// Engine is the shared cloud engine (stateless, safe to share). The
-	// fleet serves through its own engine over the same universe, one
-	// that renders each result record once (Engine.WithSharedRecords):
-	// every replica and user database of the fleet references that one
-	// rendering, and it is released with the fleet.
+	// Engine is the shared cloud engine (safe to share). Every replica
+	// and user database of the fleet stores its records by ID in the
+	// engine's record source, which renders them where they are read.
 	Engine *engine.Engine
 	// Content is the community cache content; every shard preloads a
 	// replica.
@@ -588,7 +586,6 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: engine is required")
 	}
 	cfg = cfg.withDefaults()
-	cfg.Engine = cfg.Engine.WithSharedRecords()
 	if cfg.Placement == nil {
 		p, err := placement.NewModulo(cfg.Shards)
 		if err != nil {

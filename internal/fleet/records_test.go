@@ -4,22 +4,20 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"pocketcloudlets/internal/hash64"
+	"pocketcloudlets/internal/resultdb"
 	"pocketcloudlets/internal/searchlog"
 )
 
-// TestOneRenderingPerFleet holds the fleet to storing each result record
-// once: users on every shard who click the same uncached result — all at
-// once, so the record table is raced for — each store it, every one of
-// their databases references one backing array, and so do the shards'
+// TestFleetStoresRecordsByID holds the fleet to storing no record text:
+// users on every shard who click the same uncached result — all at once
+// — each store it as the result's ID and length, and so do the shards'
 // community replicas for a community result and a migrated user after a
-// resize. Sharing is invisible to accounting and to readers: each user's
-// database still counts the record's bytes, and DB.Get and the
-// cloudlet's mediated shard.Read hand out copies, so writing into one
-// changes nobody's record.
-func TestOneRenderingPerFleet(t *testing.T) {
+// resize. Naming is invisible to accounting and to readers: each user's
+// database counts the record's bytes, DB.Get renders them, and a copy is
+// the caller's to write into.
+func TestFleetStoresRecordsByID(t *testing.T) {
 	g := smallGen(t, 64)
 	content := smallContent(t, g)
 	f := newTestFleet(t, g, content, nil)
@@ -32,6 +30,7 @@ func TestOneRenderingPerFleet(t *testing.T) {
 	}
 	query, click := u.QueryText(u.QueryOf(p)), u.ResultURL(u.ResultOf(p))
 	ch := hash64.Sum(click)
+	want := resultdb.Record{Hash: ch, ID: uint32(u.ResultOf(p)), Length: uint32(u.RecordLen(u.ResultOf(p)))}
 	users := make([]searchlog.UserID, 16)
 	var wg sync.WaitGroup
 	for i := range users {
@@ -46,14 +45,14 @@ func TestOneRenderingPerFleet(t *testing.T) {
 	}
 	wg.Wait()
 
-	// record returns the user's stored record and database size.
-	record := func(uid searchlog.UserID) ([]byte, int64) {
+	// stored returns the user's stored record and database size.
+	stored := func(uid searchlog.UserID) (resultdb.Record, int64) {
 		t.Helper()
 		sh := f.view.Load().shards[f.shardOf(uid)]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		st := sh.users.get(uid)
-		rec, _, err := st.cache.DB().GetView(ch)
+		rec, _, err := st.cache.DB().Fetch(ch)
 		if err != nil {
 			t.Fatalf("user %d: %v", uid, err)
 		}
@@ -62,59 +61,56 @@ func TestOneRenderingPerFleet(t *testing.T) {
 		}
 		return rec, st.cache.DB().LogicalBytes()
 	}
-	shared, size := record(users[0])
-	if want := u.Result(u.ResultOf(p)).Record(); !bytes.Equal(shared, want) || size <= int64(len(want)) {
-		t.Fatalf("stored %q in a %d-byte database, want %q and its header", shared, size, want)
+	_, size := stored(users[0])
+	if size <= int64(want.Length) {
+		t.Fatalf("a %d-byte database holds a %d-byte record and its header", size, want.Length)
 	}
 	shards := map[int]bool{}
 	for _, uid := range users {
 		shards[f.shardOf(uid)] = true
-		if rec, n := record(uid); unsafe.SliceData(rec) != unsafe.SliceData(shared) || n != size {
-			t.Errorf("user %d holds its own rendering (%d bytes counted, want %d)", uid, n, size)
+		if rec, n := stored(uid); rec != want || n != size {
+			t.Errorf("user %d stores %+v (%d bytes counted), want %+v (%d)", uid, rec, n, want, size)
 		}
 	}
 	if len(shards) < 2 {
 		t.Fatalf("fixture: the users live on %d shard(s)", len(shards))
 	}
 
-	// The community replicas preload one rendering of a community result.
+	// The community replicas preload a community result by its ID.
 	var commPair searchlog.PairID
 	for commPair = range content.Scores {
 		break
 	}
-	commHash := hash64.Sum(u.ResultURL(u.ResultOf(commPair)))
-	var commRec []byte
+	commID := u.ResultOf(commPair)
+	commHash := hash64.Sum(u.ResultURL(commID))
 	for _, sh := range f.view.Load().shards {
 		sh.mu.Lock()
-		rec, _, err := sh.community.DB().GetView(commHash)
+		rec, _, err := sh.community.DB().Fetch(commHash)
 		sh.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if commRec == nil {
-			commRec = rec
-		} else if unsafe.SliceData(rec) != unsafe.SliceData(commRec) {
-			t.Errorf("shard %d's community replica holds its own rendering", sh.id)
+		if err != nil || rec.ID != uint32(commID) || int(rec.Length) != u.RecordLen(commID) {
+			t.Errorf("shard %d's community replica stores %+v, %v", sh.id, rec, err)
 		}
 	}
 
-	// Copies are the caller's to write into.
+	// Get renders the record, and the copy is the caller's to write into.
 	a, b := users[0], users[1]
 	sha := f.view.Load().shards[f.shardOf(a)]
 	sha.mu.Lock()
 	got, _, err := sha.users.get(a).cache.DB().Get(ch)
 	sha.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !bytes.Equal(got, u.Result(u.ResultOf(p)).Record()) {
+		t.Fatalf("Get renders %q, %v", got, err)
 	}
 	got[0] ^= 0xff
-	for _, uid := range []searchlog.UserID{a, b} {
-		if rec, _ := record(uid); !bytes.Equal(rec, u.Result(u.ResultOf(p)).Record()) {
-			t.Errorf("user %d's record changed under a write into a copy: %q", uid, rec)
-		}
+	shb := f.view.Load().shards[f.shardOf(b)]
+	shb.mu.Lock()
+	again, _, err := shb.users.get(b).cache.DB().Get(ch)
+	shb.mu.Unlock()
+	if err != nil || !bytes.Equal(again, u.Result(u.ResultOf(p)).Record()) {
+		t.Errorf("user %d's record changed under a write into a copy: %q", b, again)
 	}
 
-	// A migrated user's import references the same bytes.
+	// A migrated user's import names the same record.
 	home := map[searchlog.UserID]int{}
 	for _, uid := range users {
 		home[uid] = f.shardOf(uid)
@@ -128,8 +124,8 @@ func TestOneRenderingPerFleet(t *testing.T) {
 		if f.shardOf(uid) != home[uid] {
 			moved++
 		}
-		if rec, n := record(uid); unsafe.SliceData(rec) != unsafe.SliceData(shared) || n != size {
-			t.Errorf("after the resize user %d holds its own rendering (%d bytes counted, want %d)", uid, n, size)
+		if rec, n := stored(uid); rec != want || n != size {
+			t.Errorf("after the resize user %d stores %+v (%d bytes counted), want %+v (%d)", uid, rec, n, want, size)
 		}
 	}
 	if moved == 0 {

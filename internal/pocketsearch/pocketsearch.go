@@ -33,6 +33,7 @@ import (
 	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/resultdb"
+	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/suggest"
 )
 
@@ -172,7 +173,7 @@ func New(dev *device.Device, eng *engine.Engine, opts Options) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := resultdb.New(dev.Store(), resultdb.Config{Files: o.DatabaseFiles})
+	db, err := resultdb.NewFrom(dev.Store(), eng.Records(), resultdb.Config{Files: o.DatabaseFiles})
 	if err != nil {
 		return nil, err
 	}
@@ -207,11 +208,11 @@ func Build(dev *device.Device, eng *engine.Engine, content cachegen.Content, opt
 
 // Preload installs community content into the cache. Records are
 // bulk-loaded one database file at a time, merged with any records
-// already present; each is the engine's rendering (Engine.Record), so
-// replicas preloaded from one engine with shared records hold one copy.
+// already present (resultdb's Merge), each stored by its result's ID and
+// length: nothing is rendered.
 func (c *Cache) Preload(content cachegen.Content) error {
 	u := c.eng.Universe()
-	perFile := make(map[int]map[uint64][]byte)
+	recs := make([]resultdb.Record, 0, len(content.Triplets))
 	for _, tr := range content.Triplets {
 		q := u.QueryText(u.QueryOf(tr.Pair))
 		id := u.ResultOf(tr.Pair)
@@ -220,29 +221,18 @@ func (c *Cache) Preload(content cachegen.Content) error {
 		c.table.Put(qh, hashtable.SearchRef{ResultHash: rh, Score: content.Scores[tr.Pair]})
 		// Completions rank by community popularity: the pair's volume.
 		c.indexQuery(qh, q, float64(tr.Volume))
-		f := c.db.FileOf(rh)
-		if perFile[f] == nil {
-			perFile[f] = make(map[uint64][]byte)
-		}
-		if _, dup := perFile[f][rh]; !dup {
-			perFile[f][rh] = c.eng.Record(id)
-		}
+		recs = append(recs, record(u, rh, id))
 	}
-	for f, recs := range perFile {
-		existing, err := c.db.RecordsOf(f)
-		if err != nil {
-			return fmt.Errorf("pocketsearch: preload: %w", err)
-		}
-		for rh, rec := range existing {
-			if _, ok := recs[rh]; !ok {
-				recs[rh] = rec
-			}
-		}
-		if _, err := c.db.ReplaceFile(f, recs); err != nil {
-			return fmt.Errorf("pocketsearch: preload: %w", err)
-		}
+	if _, err := c.db.Merge(recs); err != nil {
+		return fmt.Errorf("pocketsearch: preload: %w", err)
 	}
 	return nil
+}
+
+// record is result id's record stored under hash rh, by its ID in the
+// engine's record source and its length.
+func record(u *engine.Universe, rh uint64, id searchlog.ResultID) resultdb.Record {
+	return resultdb.Record{Hash: rh, ID: uint32(id), Length: uint32(u.RecordLen(id))}
 }
 
 // Table exposes the underlying hash table (used by the cache manager
@@ -454,13 +444,13 @@ func (c *Cache) ServeStale(queryText string) (Outcome, bool) {
 	}
 	var fetch time.Duration
 	for _, r := range refs[:shown] {
-		rec, lat, err := c.db.GetView(r.ResultHash)
+		rec, lat, err := c.db.Fetch(r.ResultHash)
 		if err != nil {
 			continue
 		}
 		fetch += lat
 		if !c.opts.DiscardResults {
-			if res, perr := engine.ParseRecord(rec); perr == nil {
+			if res, perr := c.eng.Records().Result(rec.ID); perr == nil {
 				out.Results = append(out.Results, res)
 			}
 		}
@@ -513,11 +503,11 @@ func (c *Cache) Suggest(queryText string) []engine.Result {
 	refs := c.table.Lookup(hash64.Sum(queryText))
 	var out []engine.Result
 	for _, r := range refs {
-		rec, _, err := c.db.Get(r.ResultHash)
+		rec, _, err := c.db.Fetch(r.ResultHash)
 		if err != nil {
 			continue
 		}
-		res, err := engine.ParseRecord(rec)
+		res, err := c.eng.Records().Result(rec.ID)
 		if err != nil {
 			continue
 		}
@@ -570,7 +560,9 @@ func (c *Cache) QueryHashed(qh, ch uint64, queryText, clickURL string) (Outcome,
 // since (hashtable.Probe) — and qh the query's hash. The top-ranked
 // records are fetched from flash and rendered, the click is folded into
 // the ranking scores (Equations 1 and 2) and the pair is marked accessed,
-// all from the probed position: the index is searched once per hit. This
+// all from the probed position: the index is searched once per hit. A
+// record is fetched by name (resultdb's Fetch), its flash latency
+// charged, and a displayed result is the engine's Result of its ID. This
 // is the steady-state serve path; with DiscardResults set it allocates
 // nothing.
 func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome) error {
@@ -588,14 +580,14 @@ func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome
 	}
 	var fetch time.Duration
 	for _, r := range refs[:shown] {
-		rec, lat, err := c.db.GetView(r.ResultHash)
+		rec, lat, err := c.db.Fetch(r.ResultHash)
 		if err != nil {
 			out.Stages = c.dev.Since(mark)
 			return fmt.Errorf("pocketsearch: hit fetch: %w", err)
 		}
 		fetch += lat
 		if !c.opts.DiscardResults {
-			res, err := engine.ParseRecord(rec)
+			res, err := c.eng.Records().Result(rec.ID)
 			if err != nil {
 				out.Stages = c.dev.Since(mark)
 				return fmt.Errorf("pocketsearch: hit parse: %w", err)
@@ -675,12 +667,11 @@ const QueryRequestBytes = 800
 
 // expand implements the personalization component's cache expansion:
 // after a miss, the (query, clicked result) pair enters the cache with
-// score 1 so future repeats hit locally. Only the clicked result's
-// record is rendered — once per engine with shared records, which the
-// database then references rather than copies. The record is stored
-// before the pair is indexed, so a failed write leaves the query a clean
-// miss and never an index entry whose record cannot be fetched. It
-// returns the logical flash bytes the database grew by.
+// score 1 so future repeats hit locally. The clicked result's record is
+// stored by its ID and length, unrendered. The record is stored before
+// the pair is indexed, so a failed write leaves the query a clean miss
+// and never an index entry whose record cannot be fetched. It returns
+// the logical flash bytes the database grew by.
 func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse) int64 {
 	id, ok := resp.FindID(clickURL)
 	if !ok {
@@ -689,7 +680,7 @@ func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.Se
 		return 0
 	}
 	before := c.db.LogicalBytes()
-	lat, err := c.db.Put(ch, c.eng.Record(id))
+	lat, err := c.db.PutRecord(record(c.eng.Universe(), ch, id))
 	if err != nil {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package pocketsearch
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/flashsim"
 	"pocketcloudlets/internal/hash64"
+	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/searchlog"
 )
@@ -410,5 +412,61 @@ func TestRemovePairPrunesCompletion(t *testing.T) {
 		if c.Query == q {
 			t.Error("removed query should not complete")
 		}
+	}
+}
+
+// TestKeptResultsMatchParsedRecords: with results kept, a hit, a stale
+// serve and a suggestion each return, field for field, what ParseRecord
+// of the stored record's rendering gave when the serve path parsed it —
+// except Result.ID, which ParseRecord leaves zero (a record carries no
+// ID) and which is now the stored result's own. A record someone put as
+// bytes that is no result's rendering is still served as its parse.
+func TestKeptResultsMatchParsedRecords(t *testing.T) {
+	f := newFixture(t, 40, Options{})
+	q0, url0 := f.pairStrings(f.u.NavPair(0))
+	odd := []byte("Odd title\x1fwww.odd.example/\x1fwww.odd.example\x1fnot a universe record")
+	oddHash := hash64.Sum("www.odd.example/")
+	if _, err := f.cache.DB().Put(oddHash, odd); err != nil {
+		t.Fatal(err)
+	}
+	f.cache.Table().Put(hash64.Sum(q0), hashtable.SearchRef{ResultHash: oddHash, Score: 1e9})
+
+	check := func(what string, got []engine.Result) {
+		t.Helper()
+		if len(got) == 0 {
+			t.Fatalf("%s: no results", what)
+		}
+		for _, res := range got {
+			rh := hash64.Sum(res.URL)
+			rec, _, err := f.cache.DB().Get(rh)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want, err := engine.ParseRecord(rec)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if rh != oddHash {
+				stored, _, _ := f.cache.DB().Fetch(rh)
+				want.ID = searchlog.ResultID(stored.ID)
+			}
+			if res != want {
+				t.Fatalf("%s: result %+v, parsed record %+v", what, res, want)
+			}
+		}
+	}
+	for i := 0; i < 40; i++ {
+		q, url := f.pairStrings(f.u.NavPair(i))
+		out, err := f.cache.Query(q, url)
+		if err != nil || !out.Hit {
+			t.Fatalf("pair %d: %+v, %v", i, out, err)
+		}
+		check(fmt.Sprintf("pair %d hit", i), out.Results)
+		stale, _ := f.cache.ServeStale(q)
+		check(fmt.Sprintf("pair %d stale", i), stale.Results)
+		check(fmt.Sprintf("pair %d suggestion", i), f.cache.Suggest(q))
+	}
+	if out, _ := f.cache.Query(q0, url0); out.Results[0].Title != "Odd title" || out.Results[0].ID != 0 {
+		t.Errorf("the byte record is served as %+v", out.Results[0])
 	}
 }

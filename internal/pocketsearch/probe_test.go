@@ -57,6 +57,10 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 				if err != nil {
 					return out, fmt.Errorf("pocketsearch: hit parse: %w", err)
 				}
+				// A record carries no ID, so ParseRecord leaves it zero; the
+				// hit path reports the stored result's, which the address
+				// names.
+				res.ID, _ = c.eng.Universe().ResolveURL(res.URL)
 				out.Results = append(out.Results, res)
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/resultdb"
+	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/updater"
 )
 
@@ -225,6 +226,9 @@ type diffRig struct {
 	ref   *refDB
 	// live is the model of what both databases hold.
 	live map[uint64][]byte
+	// byID makes the rig's records universe results, put by ID and held
+	// to be stored by ID; otherwise they are random bytes, put as bytes.
+	byID bool
 }
 
 func (d *diffRig) flashParams() flashsim.Params {
@@ -315,13 +319,37 @@ func (d *diffRig) check(step string, probes []uint64) {
 	if got, want := realStore.Device().Stats(), refStore.Device().Stats(); got != want {
 		d.t.Fatalf("%s: flash counters %+v, reference %+v", step, got, want)
 	}
+	if !d.byID {
+		return
+	}
+	// Universe results are stored as their IDs: no record text is kept.
+	// Fetch is charged as GetView is, so the reference pays a Get to
+	// stay in step.
+	for _, h := range hashes {
+		r, lat, err := d.db().Fetch(h)
+		_, wantLat, _ := d.ref.Get(h)
+		if err != nil || int(r.ID) >= d.eng.Universe().NumResults() || int(r.Length) != len(d.live[h]) {
+			d.t.Fatalf("%s: Fetch(%x) = %+v, %v: not result's ID and length", step, h, r, err)
+		}
+		d.sameLat(fmt.Sprintf("%s: Fetch(%x)", step, h), lat, wantLat)
+	}
 }
 
 // TestDifferentialAgainstLegacyDatabase drives seeded random sequences
 // of every operation that writes the database through the real
 // implementation and the legacy reference, and compares everything
-// observable after each step.
-func TestDifferentialAgainstLegacyDatabase(t *testing.T) {
+// observable after each step. Its records are random bytes: the engine's
+// record source keeps them as handed.
+func TestDifferentialAgainstLegacyDatabase(t *testing.T) { runDifferential(t, false) }
+
+// TestDifferentialUniverseRecords is the same sequences over records
+// that are universe results, put by ID (PutRecord, ReplaceAll) and as
+// their renderings (ReplaceFile), which the source names by ID: the
+// real database stores no record text and renders every byte the
+// reference holds, and check holds every stored record to a result's ID.
+func TestDifferentialUniverseRecords(t *testing.T) { runDifferential(t, true) }
+
+func runDifferential(t *testing.T, byID bool) {
 	u, err := engine.NewUniverse(engine.Config{NavPairs: 64, NonNavPairs: 64, NonNavSegments: []engine.Segment{}})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +360,7 @@ func TestDifferentialAgainstLegacyDatabase(t *testing.T) {
 	}{{1, 1}, {4, 2}, {32, 3}, {32, 7}} {
 		t.Run(fmt.Sprintf("files%d/seed%d", tc.files, tc.seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
-			d := &diffRig{t: t, eng: engine.New(u), files: tc.files, gen: 100 * tc.seed, live: map[uint64][]byte{}}
+			d := &diffRig{t: t, eng: engine.New(u), files: tc.files, gen: 100 * tc.seed, live: map[uint64][]byte{}, byID: byID}
 			d.cache, d.ref = d.newPair()
 			// A small pool, so duplicate puts and deletes of absent
 			// hashes happen, spread over every file.
@@ -341,6 +369,9 @@ func TestDifferentialAgainstLegacyDatabase(t *testing.T) {
 				pool[i] = rng.Uint64()
 			}
 			record := func() []byte {
+				if byID {
+					return u.Result(searchlog.ResultID(rng.Intn(u.NumResults()))).Record()
+				}
 				rec := make([]byte, 1+rng.Intn(700))
 				rng.Read(rec)
 				return rec
@@ -352,7 +383,13 @@ func TestDifferentialAgainstLegacyDatabase(t *testing.T) {
 				case op < 10:
 					name = fmt.Sprintf("step %d Put(%x)", step, h)
 					rec := record()
-					lat, err := d.db().Put(h, rec)
+					var lat time.Duration
+					if byID {
+						id, _ := u.RecordID(rec)
+						lat, err = d.db().PutRecord(resultdb.Record{Hash: h, ID: uint32(id), Length: uint32(len(rec))})
+					} else {
+						lat, err = d.db().Put(h, rec)
+					}
 					wantLat, wantErr := d.ref.Put(h, rec)
 					if err != nil || wantErr != nil {
 						t.Fatalf("%s: %v / %v", name, err, wantErr)
@@ -422,9 +459,11 @@ func TestDifferentialAgainstLegacyDatabase(t *testing.T) {
 							}
 						}
 					}
+					// Named afresh: a kept record gets a second ID, and ReplaceAll
+					// must find a file holding the same bytes unchanged.
 					var recs []resultdb.Record
 					for ph, rec := range next {
-						recs = append(recs, resultdb.Record{Hash: ph, Data: rec})
+						recs = append(recs, resultdb.Record{Hash: ph, ID: d.eng.Records().Name(rec), Length: uint32(len(rec))})
 					}
 					lat, err := d.db().ReplaceAll(recs)
 					if err != nil {
@@ -486,6 +525,106 @@ func TestDifferentialAgainstLegacyDatabase(t *testing.T) {
 				d.check(name, pool[:4])
 			}
 		})
+	}
+}
+
+// TestMergeMatchesPerFileReplace holds Merge — a community preload's
+// bulk load by ID — to the per-file loop it replaced: read each touched
+// file's records, add the new ones (the first of a repeated hash, and
+// the new one where a file already holds its hash), ReplaceFile. Over
+// seeded databases that already hold records put by ID, on twin
+// jittered devices, the files' bytes, the summed latency and the flash
+// counters agree.
+func TestMergeMatchesPerFileReplace(t *testing.T) {
+	u, err := engine.NewUniverse(engine.Config{NavPairs: 64, NonNavPairs: 64, NonNavSegments: []engine.Segment{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := engine.New(u).Records()
+	record := func(rng *rand.Rand, h uint64) resultdb.Record {
+		id := searchlog.ResultID(rng.Intn(u.NumResults()))
+		return resultdb.Record{Hash: h, ID: uint32(id), Length: uint32(u.RecordLen(id))}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		files := []int{1, 4, 32}[seed%3]
+		p := flashsim.Params{JitterFrac: 0.2, Seed: seed}
+		store, refStore := flashsim.NewFileStore(flashsim.NewDevice(p)), flashsim.NewFileStore(flashsim.NewDevice(p))
+		db, err := resultdb.NewFrom(store, src, resultdb.Config{Files: files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := resultdb.NewFrom(refStore, src, resultdb.Config{Files: files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := make([]uint64, 40)
+		for i := range pool {
+			pool[i] = rng.Uint64()
+		}
+		for i := 0; i < 15; i++ {
+			r := record(rng, pool[rng.Intn(len(pool))])
+			if _, err := db.PutRecord(r); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.PutRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var recs []resultdb.Record
+		for i := 0; i < 30; i++ {
+			recs = append(recs, record(rng, pool[rng.Intn(len(pool))]))
+		}
+
+		perFile := map[int]map[uint64][]byte{}
+		for _, r := range recs {
+			f := ref.FileOf(r.Hash)
+			if perFile[f] == nil {
+				perFile[f] = map[uint64][]byte{}
+			}
+			if _, dup := perFile[f][r.Hash]; !dup {
+				perFile[f][r.Hash] = src.Record(r.ID)
+			}
+		}
+		var wantLat time.Duration
+		for f := 0; f < files; f++ {
+			next, ok := perFile[f]
+			if !ok {
+				continue
+			}
+			held, err := ref.RecordsOf(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h, rec := range held {
+				if _, ok := next[h]; !ok {
+					next[h] = rec
+				}
+			}
+			lat, err := ref.ReplaceFile(f, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLat += lat
+		}
+		lat, err := db.Merge(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lat != wantLat {
+			t.Errorf("seed %d: Merge took %v, the per-file loop %v", seed, lat, wantLat)
+		}
+		for f := 0; f < files; f++ {
+			name := fmt.Sprintf("psdb-%d.db", f)
+			got, _ := store.Peek(name)
+			want, _ := refStore.Peek(name)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d: file %d holds\n%q\nthe per-file loop's\n%q", seed, f, got, want)
+			}
+		}
+		if got, want := store.Device().Stats(), refStore.Device().Stats(); got != want {
+			t.Errorf("seed %d: flash counters %+v, the per-file loop's %+v", seed, got, want)
+		}
 	}
 }
 

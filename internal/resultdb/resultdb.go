@@ -13,14 +13,16 @@
 // modeled against the flash device (file open, page reads) plus a CPU
 // charge for parsing header entries.
 //
-// The database keeps its files as one slab of header entries, each
-// referencing its record, not as byte images: it is mounted on its
-// flash store as the volume of its file names, so the store holds
-// nothing per file and renders a file's plain text only when someone
-// asks for it, and every size and cost is computed from the header
-// entries exactly as the bytes would give it. A record is the very
-// slice handed to Put (or ReplaceFile/ReplaceAll), so a fleet whose
-// users cache the same result holds its bytes once.
+// The database keeps its files as one slab of header entries, not as
+// byte images: it is mounted on its flash store as the volume of its
+// file names, so the store holds nothing per file and renders a file's
+// plain text only when someone asks for it, and every size and cost is
+// computed from the header entries exactly as the bytes would give it.
+// An entry names its record — an ID in the database's record Source and
+// a length — and the bytes are the source's to give where they are read.
+// A database over the engine's universe (internal/engine's Records),
+// as every cache's is, so holds none: a result's record is a function of
+// its ID, rendered when someone reads it.
 package resultdb
 
 import (
@@ -34,7 +36,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-	"unsafe"
 
 	"pocketcloudlets/internal/flashsim"
 	"pocketcloudlets/internal/slab"
@@ -58,9 +59,48 @@ type Config struct {
 	HeaderParseCost time.Duration
 }
 
+// Source is where a database's records come from. The database stores
+// a record as its ID and length and asks the source for the bytes only
+// where bytes are read: Get and GetView, RecordsOf, ReplaceAll's
+// comparison of two records under different IDs, and the store's
+// renderings of the files. An ID stands for the same bytes as long as
+// the source lives. A source must be comparable: a reopened database
+// adopts its predecessor's files only when both have the same source.
+type Source interface {
+	// Name returns the ID of the record whose bytes are rec. A source
+	// may keep rec to name it, so the caller must not modify rec
+	// afterwards.
+	Name(rec []byte) uint32
+	// Record returns record id's bytes, which nobody may modify: the
+	// source's own when it keeps them, a fresh rendering otherwise.
+	Record(id uint32) []byte
+	// AppendRecord appends record id's bytes to b.
+	AppendRecord(b []byte, id uint32) []byte
+}
+
+// kept is the source of a database made by New: it keeps every record it
+// names, the very slice it was handed, and names it by its place. Records
+// stay with it after their database drops them, so it suits databases
+// that live as long as a test or a sweep point; a cache's database is
+// over a source that renders and keeps nothing.
+type kept struct{ recs [][]byte }
+
+func (k *kept) Name(rec []byte) uint32 {
+	k.recs = append(k.recs, rec)
+	return uint32(len(k.recs) - 1)
+}
+
+func (k *kept) Record(id uint32) []byte {
+	rec := k.recs[id]
+	return rec[:len(rec):len(rec)]
+}
+
+func (k *kept) AppendRecord(b []byte, id uint32) []byte { return append(b, k.recs[id]...) }
+
 // DB is the on-flash result database.
 type DB struct {
 	store *flashsim.FileStore
+	src   Source
 	cfg   Config
 	// names precomputes the file names so nothing formats strings. The
 	// slice is interned across databases (see fileNames): a million-user
@@ -94,26 +134,28 @@ type fileRun struct {
 }
 
 // entry is one header entry: it locates a record in its file's body and
-// references the record's bytes — data points at the first byte and
-// length says how many follow. The records tile the body in header
-// order, so an entry's offset is the sum of the lengths before it in its
-// run and is not stored. 32-bit lengths suffice because a database file
-// is megabytes at most, and parseFile refuses a header that says
-// otherwise.
+// names it — id in the database's source, length bytes long. The records
+// tile the body in header order, so an entry's offset is the sum of the
+// lengths before it in its run and is not stored. 32-bit lengths suffice
+// because a database file is megabytes at most, and parseFile refuses a
+// header that says otherwise. Sixteen bytes and no pointer: the
+// collector never scans a slab.
 type entry struct {
 	hash   uint64
-	data   *byte
+	id     uint32
 	length uint32
 }
 
-// newEntry is the entry of rec stored under hash.
-func newEntry(hash uint64, rec []byte) entry {
-	return entry{hash: hash, data: unsafe.SliceData(rec), length: uint32(len(rec))}
+// Record names one stored record: the hash it is stored under, its ID in
+// the database's source and its length in bytes.
+type Record struct {
+	Hash   uint64
+	ID     uint32
+	Length uint32
 }
 
-// record is the entry's record: the referenced bytes, capacity clipped
-// to the length so no append can reach past them.
-func (e entry) record() []byte { return unsafe.Slice(e.data, e.length) }
+func (r Record) entry() entry  { return entry{r.Hash, r.ID, r.Length} }
+func (e entry) record() Record { return Record{e.hash, e.id, e.length} }
 
 // tripleLen is the length of e's header triple at body offset off: three
 // hex numbers and two commas, known from the numbers' widths before a
@@ -152,18 +194,48 @@ func find(es []entry, hash uint64) int {
 	return -1
 }
 
-// New creates (or reopens) a database over the given flash store and
-// mounts it there as the volume of its file names. A database reopened
-// over a store that holds one of the same prefix and file count takes
-// its files as they are; any other file under its names — one someone
-// else wrote, or a database of another file count left — is plain bytes
-// to it, parsed on first touch.
+// New creates (or reopens) a database over the given flash store whose
+// records are the bytes it is handed: its source keeps them (kept). A
+// database reopened over a store that holds one of the same prefix
+// takes over that database's source, and so its files when the file
+// count is the same (see NewFrom).
 func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
+	cfg, err := cfg.check(store)
+	if err != nil {
+		return nil, err
+	}
+	var src Source = new(kept)
+	if prev, ok := store.Volume(cfg.Prefix).(*volume); ok {
+		src = prev.src
+	}
+	return open(store, src, cfg), nil
+}
+
+// NewFrom creates (or reopens) a database over the given flash store
+// whose records come from src, and mounts it there as the volume of its
+// file names. A database reopened over a store that holds one of the
+// same prefix, file count and source takes its files as they are; any
+// other file under its names — one someone else wrote, or a database of
+// another file count or source left — is plain bytes to it, parsed on
+// first touch and its records named by src.
+func NewFrom(store *flashsim.FileStore, src Source, cfg Config) (*DB, error) {
+	if src == nil {
+		return nil, fmt.Errorf("resultdb: record source is required")
+	}
+	cfg, err := cfg.check(store)
+	if err != nil {
+		return nil, err
+	}
+	return open(store, src, cfg), nil
+}
+
+// check validates cfg for a database over store and fills its defaults.
+func (cfg Config) check(store *flashsim.FileStore) (Config, error) {
 	if store == nil {
-		return nil, fmt.Errorf("resultdb: store is required")
+		return cfg, fmt.Errorf("resultdb: store is required")
 	}
 	if cfg.Files <= 0 {
-		return nil, fmt.Errorf("resultdb: file count must be positive, got %d", cfg.Files)
+		return cfg, fmt.Errorf("resultdb: file count must be positive, got %d", cfg.Files)
 	}
 	if cfg.Prefix == "" {
 		cfg.Prefix = "psdb-"
@@ -171,13 +243,17 @@ func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
 	if cfg.HeaderParseCost <= 0 {
 		cfg.HeaderParseCost = DefaultHeaderParseCost
 	}
-	db := &DB{store: store, cfg: cfg}
+	return cfg, nil
+}
+
+func open(store *flashsim.FileStore, src Source, cfg Config) *DB {
+	db := &DB{store: store, src: src, cfg: cfg}
 	db.names = fileNames(cfg.Prefix, cfg.Files)
-	if prev, ok := store.Volume(cfg.Prefix).(*volume); ok && prev.cfg.Files == cfg.Files {
+	if prev, ok := store.Volume(cfg.Prefix).(*volume); ok && prev.cfg.Files == cfg.Files && prev.src == src {
 		db.entries, db.files, db.raw, db.bytes = slices.Clone(prev.entries), slices.Clone(prev.files), maps.Clone(prev.raw), prev.bytes
 	}
 	store.Mount(cfg.Prefix, (*volume)(db))
-	return db, nil
+	return db
 }
 
 // nameTables interns the file-name slices shared by every database
@@ -261,12 +337,13 @@ func parseHeader(line []byte) ([]triple, error) {
 	return ts, nil
 }
 
-// parseFile reads a file held as plain bytes into a run of entries
-// referencing records inside data, and its header line's length. The
-// bytes must be what the database would write: the header in its own
-// rendering, the records tiling the body in header order. Anything else
-// is refused as corrupt, as a file without a header line always was.
-func parseFile(name string, data []byte) ([]entry, int, error) {
+// parseFile reads a file held as plain bytes into a run of entries, its
+// records named by src, and its header line's length. The bytes must be
+// what the database would write: the header in its own rendering, the
+// records tiling the body in header order. Anything else is refused as
+// corrupt, as a file without a header line always was, before a record
+// is named.
+func parseFile(name string, data []byte, src Source) ([]entry, int, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, 0, fmt.Errorf("resultdb: file %q has no header line", name)
@@ -282,11 +359,17 @@ func parseFile(name string, data []byte) ([]entry, int, error) {
 		if t.off != uint64(off) || t.length > uint64(len(body)-off) {
 			return nil, 0, fmt.Errorf("resultdb: file %q: record %x is not where its header says", name, t.hash)
 		}
-		es[k] = newEntry(t.hash, body[off:off+int(t.length)])
+		es[k] = entry{hash: t.hash, length: uint32(t.length)}
 		off += int(t.length)
 	}
 	if off != len(body) || !bytes.Equal(appendHeader(nil, es), data[:nl+1]) {
 		return nil, 0, fmt.Errorf("resultdb: file %q is not in the database's format", name)
+	}
+	off = 0
+	for k := range es {
+		end := off + int(es[k].length)
+		es[k].id = src.Name(body[off:end:end])
+		off = end
 	}
 	return es, nl + 1, nil
 }
@@ -327,7 +410,7 @@ func (db *DB) splice(i, lo, hi int, es []entry, hdr int) {
 func (db *DB) file(i int) ([]entry, int, error) {
 	lo, hi, hdr := db.run(i)
 	if data, ok := db.raw[i]; ok {
-		es, n, err := parseFile(db.names[i], data)
+		es, n, err := parseFile(db.names[i], data, db.src)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -353,35 +436,44 @@ func (db *DB) loadCost(es []entry, hdr int) time.Duration {
 // and augmenting the header. Storing an existing hash again is a no-op
 // (results are shared across queries and stored once — the paper's
 // factor-of-8 storage saving). It returns the modeled flash latency.
-// The database keeps record itself, not a copy: the caller must not
-// modify it afterwards.
+// The record is named by the database's source (Source.Name), which may
+// keep it: the caller must not modify it afterwards.
+func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
+	r := Record{Hash: resultHash, Length: uint32(len(record))}
+	if es, _, err := db.file(db.FileOf(resultHash)); err == nil && find(es, resultHash) < 0 {
+		r.ID = db.src.Name(record)
+	}
+	return db.PutRecord(r)
+}
+
+// PutRecord is Put of a record its source has named: r.ID and r.Length
+// must be a record of the database's source and its length.
 //
 // The write is incremental: the new entry goes in at the end of its
 // file's run, the header length grows by the new triple and its
-// separator, and nothing is serialized, parsed or copied.
-func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
-	i := db.FileOf(resultHash)
+// separator, and nothing is rendered, serialized, parsed or copied.
+func (db *DB) PutRecord(r Record) (time.Duration, error) {
+	i := db.FileOf(r.Hash)
 	es, hdr, err := db.file(i)
 	if err != nil {
 		return 0, err
 	}
 	lat := db.loadCost(es, hdr)
-	if find(es, resultHash) >= 0 {
+	if find(es, r.Hash) >= 0 {
 		return lat, nil
 	}
-	body := bodyLen(es)
-	e := newEntry(resultHash, record)
+	e := r.entry()
 	// The new header line is the stored one, its newline turned into the
 	// ';' before the new triple, then the triple and a newline.
-	newHdr := tripleLen(e, body) + 1
+	newHdr := tripleLen(e, bodyLen(es)) + 1
 	if len(es) > 0 {
 		newHdr += hdr
 	}
 	// The header line changes size, so it is rewritten in place
 	// (charged as a flash rewrite); the record itself is an append.
 	dev := db.store.Device()
-	lat += dev.RewriteCost(newHdr) + dev.WriteCost(len(record))
-	db.bytes += int64(newHdr - hdr + len(record))
+	lat += dev.RewriteCost(newHdr) + dev.WriteCost(int(r.Length))
+	db.bytes += int64(newHdr - hdr + int(r.Length))
 	_, hi, _ := db.run(i)
 	db.splice(i, hi, hi, []entry{e}, newHdr)
 	return lat, nil
@@ -389,31 +481,41 @@ func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 
 // Get retrieves the record stored under the result hash, with the
 // modeled latency: open + header read + header parse + record pages.
-// The returned slice is the caller's own copy; use GetView on paths that
-// must not allocate.
+// The returned slice is the caller's own copy.
 func (db *DB) Get(resultHash uint64) ([]byte, time.Duration, error) {
-	rec, lat, err := db.GetView(resultHash)
+	r, lat, err := db.Fetch(resultHash)
 	if err != nil {
 		return nil, lat, err
 	}
-	return append([]byte(nil), rec...), lat, nil
+	return db.src.AppendRecord(make([]byte, 0, r.Length), r.ID), lat, nil
 }
 
-// GetView is Get without the copy: the returned slice is the stored
-// record itself. The database never modifies a record, so a view stays
-// valid after later writes, but it may be shared — with whoever handed
-// it to Put and with every other database holding the same rendering —
-// so callers must not modify it.
+// GetView is Get without the copy where the source keeps the record:
+// the slice is then the very one the record was handed to Put as, and
+// from a source that renders it is a fresh rendering. Either way nobody
+// may modify it, and it stays valid after later writes, the record's own
+// deletion included: no write changes a record's bytes.
 func (db *DB) GetView(resultHash uint64) ([]byte, time.Duration, error) {
+	r, lat, err := db.Fetch(resultHash)
+	if err != nil {
+		return nil, lat, err
+	}
+	return db.src.Record(r.ID), lat, nil
+}
+
+// Fetch is GetView without the bytes: the same modeled latency, and the
+// record's name instead of its text — the retrieval of a reader that
+// needs only which record it is, as a cache's serve path does.
+func (db *DB) Fetch(resultHash uint64) (Record, time.Duration, error) {
 	i := db.FileOf(resultHash)
 	es, hdr, err := db.file(i)
 	if err != nil {
-		return nil, 0, err
+		return Record{}, 0, err
 	}
 	lat := db.loadCost(es, hdr)
 	k := find(es, resultHash)
 	if k < 0 {
-		return nil, lat, fmt.Errorf("resultdb: result %x not found in file %d", resultHash, i)
+		return Record{}, lat, fmt.Errorf("resultdb: result %x not found in file %d", resultHash, i)
 	}
 	lat += db.store.Device().ReadCost(int(es[k].length))
 	return es[k].record(), lat, nil
@@ -451,36 +553,24 @@ func (db *DB) Len() int {
 	return len(db.entries)
 }
 
-// Record is one result record and the hash it is stored under.
-type Record struct {
-	Hash uint64
-	Data []byte
-}
-
 func byHash(a, b Record) int { return cmp.Compare(a.Hash, b.Hash) }
 
 // ReplaceFile atomically replaces one database file's full record set
 // — the patch-application primitive of the Section 5.4 update cycle.
 // It returns the modeled flash latency of rewriting the file. Like Put,
-// the database keeps the records' slices.
+// the database has its source name the records.
 func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, error) {
-	recs := make([]Record, 0, len(records))
-	for hash, data := range records {
-		recs = append(recs, Record{hash, data})
-	}
-	return db.replace(i, recs)
-}
-
-// replace checks that recs may be file i's whole record set, orders them
-// by hash and rewrites the file with them.
-func (db *DB) replace(i int, recs []Record) (time.Duration, error) {
 	if i < 0 || i >= db.cfg.Files {
 		return 0, fmt.Errorf("resultdb: file index %d out of range [0, %d)", i, db.cfg.Files)
 	}
-	for _, r := range recs {
-		if db.FileOf(r.Hash) != i {
-			return 0, fmt.Errorf("resultdb: record %x does not belong in file %d", r.Hash, i)
+	for hash := range records {
+		if db.FileOf(hash) != i {
+			return 0, fmt.Errorf("resultdb: record %x does not belong in file %d", hash, i)
 		}
+	}
+	recs := make([]Record, 0, len(records))
+	for hash, data := range records {
+		recs = append(recs, Record{hash, db.src.Name(data), uint32(len(data))})
 	}
 	slices.SortFunc(recs, byHash)
 	return db.rewrite(i, recs), nil
@@ -492,7 +582,7 @@ func (db *DB) replace(i int, recs []Record) (time.Duration, error) {
 func (db *DB) rewrite(i int, recs []Record) time.Duration {
 	es := make([]entry, len(recs))
 	for k, r := range recs {
-		es[k] = newEntry(r.Hash, r.Data)
+		es[k] = r.entry()
 	}
 	hdr := lineLen(es)
 	size := hdr + bodyLen(es)
@@ -531,6 +621,21 @@ func (db *DB) takeRaw(i int) ([]byte, bool) {
 	return data, ok
 }
 
+// byFile orders records by the file they belong in, then by hash.
+func (db *DB) byFile(a, b Record) int {
+	return cmp.Or(cmp.Compare(db.FileOf(a.Hash), db.FileOf(b.Hash)), byHash(a, b))
+}
+
+// fileRun splits records, ordered by file (byFile), into the leading
+// run that belongs in file i and the rest.
+func (db *DB) fileRun(records []Record, i int) (run, rest []Record) {
+	n := 0
+	for n < len(records) && db.FileOf(records[n].Hash) == i {
+		n++
+	}
+	return records[:n], records[n:]
+}
+
 // ReplaceAll makes the database hold exactly records (each hash at most
 // once; the slice is reordered): every file whose record set differs is
 // rewritten as ReplaceFile would, files already holding their share are
@@ -538,22 +643,16 @@ func (db *DB) takeRaw(i int) ([]byte, bool) {
 // whole patch step of an update, or of a migrated user's import, in one
 // pass over the records and none over the files they leave untouched.
 func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
-	slices.SortFunc(records, func(a, b Record) int {
-		return cmp.Or(cmp.Compare(db.FileOf(a.Hash), db.FileOf(b.Hash)), byHash(a, b))
-	})
+	slices.SortFunc(records, db.byFile)
 	var total time.Duration
 	for i := 0; i < db.cfg.Files; i++ {
-		n := 0
-		for n < len(records) && db.FileOf(records[n].Hash) == i {
-			n++
-		}
-		next := records[:n]
-		records = records[n:]
+		var next []Record
+		next, records = db.fileRun(records, i)
 		es, hdr, err := db.file(i)
 		if err != nil {
 			return total, err
 		}
-		if !holds(es, hdr, next) {
+		if !db.holds(es, hdr, next) {
 			total += db.rewrite(i, next)
 		}
 	}
@@ -562,7 +661,9 @@ func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
 
 // holds reports whether a file's record set is exactly recs, which are
 // ordered by hash. A file that does not exist (hdr zero) holds nothing.
-func holds(es []entry, hdr int, recs []Record) bool {
+// Two records under one hash are the same when their IDs are; under
+// different IDs the source renders both to compare the bytes.
+func (db *DB) holds(es []entry, hdr int, recs []Record) bool {
 	if hdr == 0 {
 		return len(recs) == 0
 	}
@@ -573,19 +674,50 @@ func holds(es []entry, hdr int, recs []Record) bool {
 	es = slices.Clone(es)
 	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.hash, b.hash) })
 	for k, e := range es {
-		if e.hash != recs[k].Hash || !bytes.Equal(e.record(), recs[k].Data) {
+		r := recs[k]
+		if e.hash != r.Hash || e.length != r.Length ||
+			e.id != r.ID && !bytes.Equal(db.src.Record(e.id), db.src.Record(r.ID)) {
 			return false
 		}
 	}
 	return true
 }
 
+// Merge adds records to the files they belong in, a file at a time:
+// every file one of them belongs in is rewritten, as ReplaceFile would,
+// with the records it holds and theirs — theirs where both have a hash,
+// the first where records repeat one — and the summed latency of the
+// rewrites is returned. It is a cache's bulk load of community content.
+// The slice is reordered.
+func (db *DB) Merge(records []Record) (time.Duration, error) {
+	slices.SortStableFunc(records, db.byFile)
+	records = slices.CompactFunc(records, func(a, b Record) bool { return a.Hash == b.Hash })
+	var total time.Duration
+	for len(records) > 0 {
+		i := db.FileOf(records[0].Hash)
+		var next []Record
+		next, records = db.fileRun(records, i)
+		es, _, err := db.file(i)
+		if err != nil {
+			return total, err
+		}
+		recs := slices.Clone(next)
+		for _, e := range es {
+			if _, dup := slices.BinarySearchFunc(next, e.hash, func(r Record, h uint64) int { return cmp.Compare(r.Hash, h) }); !dup {
+				recs = append(recs, e.record())
+			}
+		}
+		slices.SortFunc(recs, byHash)
+		total += db.rewrite(i, recs)
+	}
+	return total, nil
+}
+
 // Delete removes the record stored under resultHash, rewriting its
 // database file without it. It reports whether the record existed and
 // the modeled flash latency of the rewrite (zero when absent). The
 // fleet layer uses this to reclaim personal-cache flash under a
-// storage budget. The records that stay are the ones the file held, not
-// copies.
+// storage budget.
 func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 	i := db.FileOf(resultHash)
 	es, _, err := db.file(i)
@@ -598,14 +730,11 @@ func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 	recs := make([]Record, 0, len(es)-1)
 	for _, e := range es {
 		if e.hash != resultHash {
-			recs = append(recs, Record{e.hash, e.record()})
+			recs = append(recs, e.record())
 		}
 	}
-	lat, err := db.replace(i, recs)
-	if err != nil {
-		return 0, false, err
-	}
-	return lat, true, nil
+	slices.SortFunc(recs, byHash)
+	return db.rewrite(i, recs), true, nil
 }
 
 // RecordsOf returns copies of the records of one file keyed by hash —
@@ -617,7 +746,7 @@ func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
 	}
 	out := make(map[uint64][]byte, len(es))
 	for _, e := range es {
-		out[e.hash] = append([]byte(nil), e.record()...)
+		out[e.hash] = db.src.AppendRecord(make([]byte, 0, e.length), e.id)
 	}
 	return out, nil
 }
@@ -694,7 +823,7 @@ func (v *volume) AppendFile(b []byte, name string) []byte {
 	lo, hi, _ := (*DB)(v).run(i)
 	b = appendHeader(b, v.entries[lo:hi])
 	for _, e := range v.entries[lo:hi] {
-		b = append(b, e.record()...)
+		b = v.src.AppendRecord(b, e.id)
 	}
 	return b
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -240,7 +241,7 @@ func TestHeaderSerializationRoundTrip(t *testing.T) {
 	f := func(hashes []uint64, sizes []uint16) bool {
 		es := make([]entry, min(len(hashes), len(sizes)))
 		for i := range es {
-			es[i] = newEntry(hashes[i], make([]byte, sizes[i]))
+			es[i] = entry{hash: hashes[i], length: uint32(sizes[i])}
 		}
 		line := appendHeader(make([]byte, 0, lineLen(es)), es)
 		parsed, err := parseHeader(line)
@@ -412,5 +413,42 @@ func BenchmarkGet(b *testing.B) {
 		if _, _, err := db.Get(uint64(i%2500) * 2654435761); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestEntryLayout holds a header entry to 16 bytes with no pointer in it.
+// A user's database is one slab of entries, the "result database entry
+// slab" row of DESIGN.md's "Measured bytes per user": every byte more is
+// paid per stored record by every resident user, and a pointer field
+// would send the collector through every user's slab again.
+func TestEntryLayout(t *testing.T) {
+	typ := reflect.TypeOf(entry{})
+	if typ.Size() > 16 {
+		t.Errorf("entry is %d B, at most 16 allowed: re-measure cold_fill's heap per user before growing it", typ.Size())
+	}
+	if path := pointerIn(typ, "entry"); path != "" {
+		t.Errorf("%s holds a pointer: the collector would scan every user's entry slab", path)
+	}
+}
+
+// pointerIn is the path of the first field of typ that is or holds a
+// pointer, or "".
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if p := pointerIn(typ.Field(i).Type, path+"."+typ.Field(i).Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	default:
+		return path
 	}
 }

@@ -39,10 +39,12 @@ func DefaultPolicy() Policy { return Policy{MinAccessedScore: 0.05} }
 type Update struct {
 	// Table is the merged hash table to install on the phone.
 	Table *hashtable.Table
-	// Records holds every result record the merged cache requires,
-	// keyed by result hash. The phone turns these into per-file
-	// patches against its database.
-	Records map[uint64][]byte
+	// Records names every result record the merged cache requires,
+	// keyed by result hash: its ID in the record source of the cache's
+	// engine (engine.Records) and its length. The zero Record asks the
+	// phone to keep the record it stores. The phone turns these into
+	// per-file patches against its database.
+	Records map[uint64]resultdb.Record
 	// Queries maps query hashes to their string form for the queries
 	// the server shipped, so the phone can rebuild its
 	// auto-completion index. Personal pairs the server cannot resolve
@@ -84,12 +86,12 @@ func BuildUpdate(phone *hashtable.Table, fresh cachegen.Content, u *engine.Unive
 
 	// Step 2: merge the fresh popular set; conflicts adopt the
 	// maximum of the phone's score and the server's score.
-	records := make(map[uint64][]byte)
+	records := make(map[uint64]resultdb.Record)
 	queries := make(map[uint64]string)
 	for _, tr := range fresh.Triplets {
 		q := u.QueryText(u.QueryOf(tr.Pair))
-		res := u.Result(u.ResultOf(tr.Pair))
-		qh, rh := hash64.Sum(q), hash64.Sum(res.URL)
+		id := u.ResultOf(tr.Pair)
+		qh, rh := hash64.Sum(q), hash64.Sum(u.ResultURL(id))
 		queries[qh] = q
 		score := fresh.Scores[tr.Pair]
 		if prev, ok := merged.Score(qh, rh); ok && prev > score {
@@ -100,7 +102,7 @@ func BuildUpdate(phone *hashtable.Table, fresh cachegen.Content, u *engine.Unive
 		if accessed {
 			merged.MarkAccessed(qh, rh)
 		}
-		records[rh] = res.Record()
+		records[rh] = resultdb.Record{Hash: rh, ID: uint32(id), Length: uint32(u.RecordLen(id))}
 	}
 
 	// Step 3: materialize records for preserved personal pairs. The
@@ -110,7 +112,7 @@ func BuildUpdate(phone *hashtable.Table, fresh cachegen.Content, u *engine.Unive
 		if _, ok := records[p.ResultHash]; ok {
 			continue
 		}
-		records[p.ResultHash] = nil // sentinel: keep the phone's copy
+		records[p.ResultHash] = resultdb.Record{} // keep the phone's copy
 	}
 
 	upd := Update{Table: merged, Records: records, Queries: queries}
@@ -120,7 +122,7 @@ func BuildUpdate(phone *hashtable.Table, fresh cachegen.Content, u *engine.Unive
 	}
 	upd.TableBytes = int64(buf.Len())
 	for _, rec := range records {
-		upd.RecordBytes += int64(len(rec))
+		upd.RecordBytes += int64(rec.Length)
 	}
 	return upd, nil
 }
@@ -130,12 +132,11 @@ func BuildUpdate(phone *hashtable.Table, fresh cachegen.Content, u *engine.Unive
 // move a user's personal component between shards. The table is the one
 // decoding its wire encoding would build (a deep copy preserving per-pair
 // Accessed bits, sized as that encoding in TableBytes), made without
-// writing the bytes; every record the table references is the result
-// database's stored record itself, which no write to either cache ever
-// changes (Apply stores it by reference, so a migrated user shares it);
-// and Queries carries the auto-completion
-// vocabulary. Applying the export to an empty cache reproduces the
-// source cache's hit/miss behavior exactly.
+// writing the bytes; every record the table references is named as the
+// result database stores it, by ID and length, so a move renders
+// nothing; and Queries carries the auto-completion vocabulary. Applying
+// the export to an empty cache reproduces the source cache's hit/miss
+// behavior exactly.
 func ExportState(c *pocketsearch.Cache) (Update, error) {
 	pairs := c.Table().Pairs()
 	table, err := hashtable.FromPairs(c.Table().SlotsPerEntry(), pairs)
@@ -144,7 +145,7 @@ func ExportState(c *pocketsearch.Cache) (Update, error) {
 	}
 	upd := Update{
 		Table:      table,
-		Records:    make(map[uint64][]byte, len(pairs)),
+		Records:    make(map[uint64]resultdb.Record, len(pairs)),
 		Queries:    c.QueryTexts(),
 		TableBytes: int64(hashtable.EncodedLen(len(pairs))),
 	}
@@ -153,7 +154,7 @@ func ExportState(c *pocketsearch.Cache) (Update, error) {
 		if _, ok := upd.Records[p.ResultHash]; ok {
 			continue
 		}
-		rec, _, err := db.GetView(p.ResultHash)
+		rec, _, err := db.Fetch(p.ResultHash)
 		if err != nil {
 			// The record is gone from flash; the pair cannot survive the
 			// move.
@@ -161,7 +162,7 @@ func ExportState(c *pocketsearch.Cache) (Update, error) {
 			continue
 		}
 		upd.Records[p.ResultHash] = rec
-		upd.RecordBytes += int64(len(rec))
+		upd.RecordBytes += int64(rec.Length)
 	}
 	return upd, nil
 }
@@ -177,12 +178,11 @@ func Apply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 	db := c.DB()
 
 	// The merged record set, keep sentinels resolved against the phone's
-	// current records (which the database never modifies, so a view is
-	// as good as a copy).
+	// current records.
 	records := make([]resultdb.Record, 0, len(upd.Records))
 	for rh, rec := range upd.Records {
-		if rec == nil {
-			existing, _, err := db.GetView(rh)
+		if rec == (resultdb.Record{}) {
+			existing, _, err := db.Fetch(rh)
 			if err != nil {
 				// The phone lost the record; drop the pair entirely.
 				upd.Table.RemoveResult(rh)
@@ -190,7 +190,7 @@ func Apply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 			}
 			rec = existing
 		}
-		records = append(records, resultdb.Record{Hash: rh, Data: rec})
+		records = append(records, rec)
 	}
 	total, err := db.ReplaceAll(records)
 	if err != nil {

@@ -2,7 +2,8 @@
 # Tier-1 verification gate (see ROADMAP.md): formatting, static
 # analysis, a full build, a vet and build for two other architectures,
 # the whole test suite, one iteration of the backend pricing
-# benchmarks, a race-detector pass,
+# benchmarks and of the result database and cache layer benchmarks, a
+# race-detector pass,
 # the scheduling-dependent rails three times over under the detector,
 # and the benchmark module's smoke test. Everything must pass before a
 # change lands. The performance contracts — allocation ceilings, the
@@ -15,9 +16,10 @@
 # magnitude, past the per-package test timeout on small machines,
 # and they are single-goroutine anyway. Every concurrent code path —
 # fleet serving, load generation, workload, cloudletos — runs under
-# the detector at full depth, and so does the result database's
-# differential test against its legacy reference (the buffers it hands
-# to the flash store are shared views, not copies).
+# the detector at full depth, and so do the result database's
+# differential tests against its legacy reference (the records of a
+# cache's database are named in the engine's record source, which every
+# cache over that engine shares).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +55,13 @@ echo "== backend pricing benchmarks, one iteration each =="
 # parallel) at each gate: a pattern that panics or a pricer that stops
 # building fails here. One iteration times nothing.
 go test -run '^$' -bench BenchmarkPrice -benchtime 1x ./internal/backend
+
+echo "== result database and cache benchmarks, one iteration each =="
+# The layer rows over the database's record API — Put and Get on a
+# database that keeps the bytes it is handed, a cache hit and a cache
+# miss over one that names its records — so a row that stops building
+# or panics fails here. One iteration times nothing.
+go test -run '^$' -bench 'BenchmarkPut|BenchmarkGet|BenchmarkQueryHit|BenchmarkQueryMiss' -benchtime 1x ./internal/resultdb ./internal/pocketsearch
 
 echo "== go test -race -short ./... =="
 go test -race -short ./...
