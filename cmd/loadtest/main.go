@@ -88,7 +88,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -196,7 +195,6 @@ func baseSpec(closed bool) *scenario.Spec {
 type runFlags struct {
 	scenarioRef    string
 	communityUsers int
-	noSuggest      bool
 	check, jsonOut bool
 	cpuProfile     string
 	memProfile     string
@@ -235,7 +233,6 @@ func (rf *runFlags) register(fs *flag.FlagSet) {
 	}
 	fs.StringVar(&rf.scenarioRef, "scenario", "", "run a declarative scenario: a JSON file path or a preset (clone-storm, commuter, flash-crowd, regional-outage, mixed-fleet)")
 	fs.IntVar(&rf.communityUsers, "communityusers", 0, "build community content from only the first N users' logs (million-user fleets: avoids materializing the full month log); 0 = all users")
-	fs.BoolVar(&rf.noSuggest, "nosuggest", false, "skip the per-user auto-suggest index (million-user fleets: saves ~2.5 KB/user; no modeled outcome changes)")
 	fs.BoolVar(&rf.check, "check", false, "verify report invariants after the run and exit non-zero on violation")
 	fs.BoolVar(&rf.jsonOut, "json", false, "emit the report as JSON only")
 	fs.StringVar(&rf.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole invocation (ecosystem build, fleet set-up and run) to this file on clean exit; read it with go tool pprof")
@@ -397,11 +394,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// A memory-layout knob like -communityusers, not a workload one:
-	// the auto-suggest index is never queried by a load run, and at
-	// million-user populations its per-user cost decides whether the
-	// fleet fits in host memory.
-	fcfg.Options.DisableSuggest = rf.noSuggest
 	f, err := sim.NewFleet(content, fcfg)
 	if err != nil {
 		fail(err)
@@ -629,11 +621,14 @@ func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.
 				problems = append(problems, fmt.Sprintf("energy.%s negative: %g", n.name, n.v))
 			}
 		}
-		if !near(e.DeviceJ, r.EnergyJ) {
+		// Both accounts fold each response's joules to integer
+		// nanojoules and convert with one expression (loadgen's
+		// counters.row), so they agree to the bit or not at all.
+		if e.DeviceJ != r.EnergyJ {
 			problems = append(problems, fmt.Sprintf(
 				"energy: ledger device joules %g disagree with collector energy_j %g", e.DeviceJ, r.EnergyJ))
 		}
-		if !near(e.RadioJ, r.RadioEnergyJ) {
+		if e.RadioJ != r.RadioEnergyJ {
 			problems = append(problems, fmt.Sprintf(
 				"energy: ledger radio joules %g disagree with collector radio_energy_j %g", e.RadioJ, r.RadioEnergyJ))
 		}
@@ -673,13 +668,4 @@ func check(comp *scenario.Compiled, f *pocketcloudlets.Fleet, r pocketcloudlets.
 		}
 	}
 	return problems
-}
-
-// near reports whether two joule totals agree within the ledger's
-// rounding slack: the ledger accumulates in integer nanojoules while
-// the collector sums float64 per response, so totals drift by at most
-// a relative hair.
-func near(a, b float64) bool {
-	scale := math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
-	return math.Abs(a-b) <= 1e-6*scale
 }

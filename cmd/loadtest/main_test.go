@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pocketcloudlets"
+	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/reportnorm"
 	"pocketcloudlets/internal/scenario"
 )
@@ -538,10 +539,12 @@ func TestCheckHedgeWinsPartitionHedgedMisses(t *testing.T) {
 }
 
 // TestCheckLedgerRadioAgainstCollector: -check holds the fleet ledger's
-// radio joules against the collector's per-response radio sum. A report
+// radio joules equal to the collector's per-response radio sum. A report
 // whose ledger moved joules from device base to radio still adds up —
-// device = base + radio, device ≈ energy_j — so only that comparison can
-// see it.
+// device = base + radio = energy_j — so only that comparison can see it.
+// Both accounts fold each response's joules to integer nanojoules, so a
+// collector sum one nanojoule off fails too, and the problem names both
+// figures.
 func TestCheckLedgerRadioAgainstCollector(t *testing.T) {
 	comp, f, report := runScenario(t, "-mode", "closed", "-duration", "0", "-users", "40",
 		"-faults", "-loss", "0.2", "-batch")
@@ -552,13 +555,21 @@ func TestCheckLedgerRadioAgainstCollector(t *testing.T) {
 	if e.RadioJ <= 0 {
 		t.Fatalf("the run booked no radio joules: %+v", e)
 	}
+	shifted := report
 	shift := e.RadioJ / 10
 	e.RadioJ += shift
 	e.DeviceBaseJ -= shift
-	report.Energy = &e
-	problems := check(comp, f, report)
+	shifted.Energy = &e
+	problems := check(comp, f, shifted)
 	if len(problems) != 1 || !strings.Contains(problems[0], "radio_energy_j") {
 		t.Errorf("a ledger radio 10%% off the collector's went unnoticed: %v", problems)
+	}
+	report.RadioEnergyJ = energy.Joules(energy.Nanojoules(report.RadioEnergyJ) + 1)
+	problems = check(comp, f, report)
+	if len(problems) != 1 || !strings.Contains(problems[0], "radio_energy_j") ||
+		!strings.Contains(problems[0], fmt.Sprintf("%g", report.Energy.RadioJ)) ||
+		!strings.Contains(problems[0], fmt.Sprintf("%g", report.RadioEnergyJ)) {
+		t.Errorf("a collector radio sum 1 nJ off the ledger's went unnoticed or unnamed: %v", problems)
 	}
 }
 
@@ -618,31 +629,85 @@ func TestSmokes(t *testing.T) {
 				return
 			}
 			_, _, other := runScenario(t, tc.b...)
-			a, b := normalized(t, report), normalized(t, other)
-			for i := range min(len(a), len(b)) {
-				if a[i] != b[i] {
-					t.Fatalf("%v and %v diverge at report line %d:\n%s\n%s", tc.a, tc.b, i+1, a[i], b[i])
-				}
-			}
-			if len(a) != len(b) {
-				t.Fatalf("%v and %v: reports of %d and %d lines", tc.a, tc.b, len(a), len(b))
+			if d := divergence(normalized(t, report, ""), normalized(t, other, "")); d != "" {
+				t.Fatalf("%v and %v: %s", tc.a, tc.b, d)
 			}
 		})
 	}
 }
 
-// normalized is a report's JSON through reportnorm, line by line.
-func normalized(t *testing.T, r pocketcloudlets.LoadReport) []string {
+// normalized is a report's JSON through reportnorm, line by line,
+// retaining the default-stripped keys named in keep.
+func normalized(t *testing.T, r pocketcloudlets.LoadReport, keep string) []string {
 	t.Helper()
 	raw, err := r.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := reportnorm.Run("", bytes.NewReader(raw), &out); err != nil {
+	if err := reportnorm.Run(keep, bytes.NewReader(raw), &out); err != nil {
 		t.Fatal(err)
 	}
 	return strings.Split(out.String(), "\n")
+}
+
+// divergence lists the lines on which two normalized reports differ,
+// "" when they are the same.
+func divergence(a, b []string) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("reports of %d and %d lines", len(a), len(b))
+	}
+	var d strings.Builder
+	for i := range a {
+		if a[i] != b[i] {
+			fmt.Fprintf(&d, "\nline %d:\n%s\n%s", i+1, a[i], b[i])
+		}
+	}
+	return d.String()
+}
+
+// TestReportIsExact: a report is a pure function of its command line,
+// to the last digit. The collector folds each response's joules to
+// integer nanojoules as the ledger does, so the order in which workers
+// deliver responses moves no figure: a faulted, hedged closed run
+// against a finite-rate backend, and an open-loop run whose queue holds
+// every request, normalize — backend rows kept — to the same lines at
+// one worker as at several.
+func TestReportIsExact(t *testing.T) {
+	wide := max(runtime.GOMAXPROCS(0), 4)
+	closed := func(workers int) []string {
+		return []string{"-mode", "closed", "-users", "64", "-duration", "0", "-seed", "3", "-faults", "-loss", "0.2",
+			"-retries", "3", "-replicas", "3", "-hedge", "2", "-backend-rate", "30", "-backend-queue", "16",
+			"-backend-disc", "ps", "-backend-offered", "20", "-backend-cancel", "-workers", fmt.Sprint(workers)}
+	}
+	path := filepath.Join(t.TempDir(), "open.json") // the report echoes it
+	open := func(workers int) []string {
+		body := fmt.Sprintf(`{"version": 1, "mode": "open", "users": 200, "seed": 4, "qps": 1000000, "duration": "20ms",
+			"fleet": {"shards": 4, "workers": %d, "queue": 100000}}`, workers)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return []string{"-scenario", path}
+	}
+	for _, tc := range []struct {
+		name string
+		args func(workers int) []string
+	}{
+		{"faulted hedged finite-rate closed", closed},
+		{"open loop, nothing shed", open},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, one := runScenario(t, tc.args(1)...)
+			_, _, many := runScenario(t, tc.args(wide)...)
+			if one.Shed+many.Shed != 0 || one.Workers == many.Workers {
+				t.Fatalf("%d and %d shed with %d and %d workers: want no shed and two widths", one.Shed, many.Shed, one.Workers, many.Workers)
+			}
+			many.Workers = one.Workers
+			if d := divergence(normalized(t, one, "backend"), normalized(t, many, "backend")); d != "" {
+				t.Errorf("1 and %d workers: %s", wide, d)
+			}
+		})
+	}
 }
 
 // TestMidRunResizeEnergyIsWidthIndependent: an open-loop run with one
@@ -709,14 +774,8 @@ func TestClosedLoopResizeRail(t *testing.T) {
 			t.Fatalf("both runs had %d workers", one.Workers)
 		}
 		many.Workers = one.Workers
-		a, b := normalized(t, one), normalized(t, many)
-		if !slices.Equal(a, b) {
-			for i := range min(len(a), len(b)) {
-				if a[i] != b[i] {
-					t.Fatalf("drop %v: reports diverge at line %d:\n%s\n%s", drop, i+1, a[i], b[i])
-				}
-			}
-			t.Fatalf("drop %v: reports of %d and %d lines", drop, len(a), len(b))
+		if d := divergence(normalized(t, one, ""), normalized(t, many, "")); d != "" {
+			t.Fatalf("drop %v: %s", drop, d)
 		}
 		if drop {
 			if one.PersonalHits >= control.PersonalHits {

@@ -1,8 +1,9 @@
 // Command reportnorm canonicalizes a cmd/loadtest JSON report on stdin
 // so two reports can be compared byte-for-byte for model determinism:
-// wall-clock and replica presentation fields stripped, floats at 9
-// significant digits, keys sorted (package internal/reportnorm). -keep
-// backend retains the per-replica backend rows it strips by default.
+// wall-clock and replica presentation fields stripped, keys sorted,
+// every number as the report printed it (package internal/reportnorm).
+// -keep backend retains the per-replica backend rows it strips by
+// default.
 package main
 
 import (

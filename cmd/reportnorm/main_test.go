@@ -12,34 +12,40 @@ import (
 
 // TestGolden pins the normalized output for a real loadtest report
 // (testdata/report.json was produced by a hedged, backend-enabled,
-// autoscaled run). Regenerate the goldens after an intentional format
-// change with:
+// autoscaled run), and for one float no shorter decimal prints: the
+// normalizer rewrites no number. Regenerate the goldens after an
+// intentional format change with:
 //
 //	go run ./cmd/reportnorm < cmd/reportnorm/testdata/report.json > cmd/reportnorm/testdata/report.golden
 //	go run ./cmd/reportnorm -keep backend < cmd/reportnorm/testdata/report.json > cmd/reportnorm/testdata/report_keep_backend.golden
 func TestGolden(t *testing.T) {
-	cases := []struct {
-		keep   string
-		golden string
-	}{
-		{"", "report.golden"},
-		{"backend", "report_keep_backend.golden"},
-	}
-	in, err := os.ReadFile(filepath.Join("testdata", "report.json"))
+	report, err := os.ReadFile(filepath.Join("testdata", "report.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+	golden := func(name string) []byte {
+		want, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
+		return want
+	}
+	cases := []struct {
+		keep, name string
+		in, want   []byte
+	}{
+		{"", "report.golden", report, golden("report.golden")},
+		{"backend", "report_keep_backend.golden", report, golden("report_keep_backend.golden")},
+		{"", "0.1+0.2", []byte(`{"energy_j": 0.30000000000000004, "elapsed_ns": 7}`),
+			[]byte("{\n  \"energy_j\": 0.30000000000000004\n}\n")},
+	}
+	for _, tc := range cases {
 		var out bytes.Buffer
-		if err := reportnorm.Run(tc.keep, bytes.NewReader(in), &out); err != nil {
-			t.Fatalf("-keep %q: %v", tc.keep, err)
+		if err := reportnorm.Run(tc.keep, bytes.NewReader(tc.in), &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("-keep %q: output differs from %s (see regeneration note above)", tc.keep, tc.golden)
+		if !bytes.Equal(out.Bytes(), tc.want) {
+			t.Errorf("-keep %q: output differs from %s (see regeneration note above):\n%s", tc.keep, tc.name, out.Bytes())
 		}
 	}
 }

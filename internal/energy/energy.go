@@ -160,6 +160,15 @@ func (m *Meter) Joules() float64 { return m.j }
 // Reset clears the meter.
 func (m *Meter) Reset() { m.j = 0 }
 
+// Nanojoules is the one rounding of a joule amount in the system: to
+// the nearest integer nanojoule, the fixed-point unit every joule
+// account (a Counter, loadgen's Collector) sums in, so two accounts of
+// the same responses agree exactly.
+func Nanojoules(j float64) int64 { return int64(math.Round(j * 1e9)) }
+
+// Joules converts a nanojoule sum to joules.
+func Joules(nj int64) float64 { return float64(nj) / 1e9 }
+
 // Counter is a concurrency-safe joule counter in fixed-point
 // nanojoules. Each Add converts its contribution to integer
 // nanojoules independently; the integer additions commute and
@@ -173,7 +182,7 @@ type Counter struct {
 // Add accumulates j joules. Adding nothing writes nothing: a request
 // that used no radio leaves the radio counter's cache line alone.
 func (c *Counter) Add(j float64) {
-	if nj := int64(math.Round(j * 1e9)); nj != 0 {
+	if nj := Nanojoules(j); nj != 0 {
 		c.nj.Add(nj)
 	}
 }
@@ -185,7 +194,7 @@ func (c *Counter) Charge(watts float64, d time.Duration) {
 
 // Joules returns the accumulated total.
 func (c *Counter) Joules() float64 {
-	return float64(c.nj.Load()) / 1e9
+	return Joules(c.nj.Load())
 }
 
 // Merge adds o's total to c as integer nanojoules — no rounding, so a

@@ -17,30 +17,33 @@ func near(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-6*scale
 }
 
-// TestEnergyStatsCrossFoot: the ledger's device-side counters track
-// the per-response energy the fleet served, the shard-side integrals
-// are positive once anything was served, and the snapshot cross-foots.
+// TestEnergyStatsCrossFoot: the ledger's device-side counters hold
+// exactly the per-response joules the fleet served, each response's
+// terms rounded to nanojoules once (energy.Nanojoules), the shard-side
+// integrals are positive once anything was served, and the snapshot
+// cross-foots.
 func TestEnergyStatsCrossFoot(t *testing.T) {
 	g := smallGen(t, 64)
 	tapes := tapesFor(g, 16, 1)
 	f := newTestFleet(t, g, smallContent(t, g), nil)
 
-	var wantDevice float64
+	var baseNJ, radioNJ int64
 	for _, tape := range tapes {
 		for _, req := range tape {
 			resp := f.Do(req)
 			if resp.Shed || resp.Err != nil {
 				t.Fatalf("request failed: %+v", resp)
 			}
-			wantDevice += resp.EnergyJ
+			baseNJ += energy.Nanojoules(resp.EnergyJ - resp.RadioJ)
+			radioNJ += energy.Nanojoules(resp.RadioJ)
 		}
 	}
 	f.Drain()
 
 	s := f.EnergyStats()
-	if !near(s.DeviceBaseJ+s.RadioJ, wantDevice) {
-		t.Errorf("ledger device energy %g J (base %g + radio %g), responses summed to %g J",
-			s.DeviceBaseJ+s.RadioJ, s.DeviceBaseJ, s.RadioJ, wantDevice)
+	if s.DeviceBaseJ != energy.Joules(baseNJ) || s.RadioJ != energy.Joules(radioNJ) {
+		t.Errorf("ledger base %g J and radio %g J, responses folded to %g J and %g J",
+			s.DeviceBaseJ, s.RadioJ, energy.Joules(baseNJ), energy.Joules(radioNJ))
 	}
 	if s.RadioJ <= 0 || s.DeviceBaseJ <= 0 {
 		t.Errorf("device counters empty after serving: %+v", s)
@@ -48,12 +51,11 @@ func TestEnergyStatsCrossFoot(t *testing.T) {
 	if s.ShardIdleJ <= 0 || s.ShardActiveJ <= 0 {
 		t.Errorf("shard integrals empty after serving: %+v", s)
 	}
-	if got := s.ShardJ(); !near(got, s.ShardIdleJ+s.ShardActiveJ) {
+	if got := s.ShardJ(); got != s.ShardIdleJ+s.ShardActiveJ {
 		t.Errorf("ShardJ() = %g, components sum to %g", got, s.ShardIdleJ+s.ShardActiveJ)
 	}
-	if got := s.TotalJ(); !near(got, s.DeviceBaseJ+s.RadioJ+s.ShardIdleJ+s.ShardActiveJ) {
-		t.Errorf("TotalJ() = %g, components sum to %g", got,
-			s.DeviceBaseJ+s.RadioJ+s.ShardIdleJ+s.ShardActiveJ)
+	if got := s.TotalJ(); got != s.RadioJ+s.DeviceBaseJ+s.ShardJ() {
+		t.Errorf("TotalJ() = %g, components sum to %g", got, s.RadioJ+s.DeviceBaseJ+s.ShardJ())
 	}
 }
 

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"sync"
 
+	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/fleet"
 )
 
@@ -15,16 +16,19 @@ type counters struct {
 	// bySource is a fixed array indexed by fleet.Source — no map churn
 	// on the per-response observation path.
 	bySource [fleet.NumSources]uint64
-	// Modeled energy sums over observed non-error responses: total,
-	// radio-only, and radio-only restricted to cloud misses.
-	energyJ    float64
-	radioJ     float64
-	missRadioJ float64
+	// Modeled energy over observed non-error responses, in integer
+	// nanojoules, folded term by term as the fleet's ledger books it:
+	// the baseline term, the radio term, and the radio term of cloud
+	// misses. Integer sums commute, so any interleaving of workers and
+	// stripes gives the same totals, and the ledger's.
+	baseNJ      int64
+	radioNJ     int64
+	missRadioNJ int64
 }
 
-// observe books one response into the aggregate. Caller holds the
-// owning stripe's lock.
-func (c *counters) observe(r *fleet.Response) {
+// observe books one response, whose energy terms are baseNJ and
+// radioNJ, into the aggregate. Caller holds the owning stripe's lock.
+func (c *counters) observe(r *fleet.Response, baseNJ, radioNJ int64) {
 	if r.Shed {
 		c.shed++
 		return
@@ -36,17 +40,16 @@ func (c *counters) observe(r *fleet.Response) {
 	c.wall.Observe(r.Wall)
 	c.model.Observe(r.Outcome.ResponseTime())
 	c.bySource[r.Source]++
-	c.energyJ += r.EnergyJ
-	c.radioJ += r.RadioJ
+	c.baseNJ += baseNJ
+	c.radioNJ += radioNJ
 	if r.Source == fleet.SourceCloud {
-		c.missRadioJ += r.RadioJ
+		c.missRadioNJ += radioNJ
 	}
 }
 
 // merge folds another aggregate into this one. Everything is additive
-// (histograms merge bucket-wise), so merging stripes in any fixed
-// order yields the same counters; only the float energy sums are
-// order-sensitive, and stripes are always merged in index order.
+// (histograms merge bucket-wise), so merging stripes in any order
+// yields the same counters.
 func (c *counters) merge(o *counters) {
 	c.wall.Merge(&o.wall)
 	c.model.Merge(&o.model)
@@ -55,14 +58,17 @@ func (c *counters) merge(o *counters) {
 	for i := range c.bySource {
 		c.bySource[i] += o.bySource[i]
 	}
-	c.energyJ += o.energyJ
-	c.radioJ += o.radioJ
-	c.missRadioJ += o.missRadioJ
+	c.baseNJ += o.baseNJ
+	c.radioNJ += o.radioNJ
+	c.missRadioNJ += o.missRadioNJ
 }
 
 // row derives the report row of this aggregate: the total row and
-// every class row alike.
+// every class row alike. Its joules are the ledger's expressions over
+// the same integers (EnergyReport's RadioJ, and DeviceJ = DeviceBaseJ +
+// RadioJ), so the two accounts of a run agree exactly.
 func (c *counters) row() Row {
+	radioJ := energy.Joules(c.radioNJ)
 	observed := c.bySource[fleet.SourcePersonal] + c.bySource[fleet.SourceCommunity] + c.bySource[fleet.SourceCloud] +
 		c.bySource[fleet.SourceDegraded] + c.bySource[fleet.SourceUnavailable]
 	r := Row{
@@ -75,8 +81,8 @@ func (c *counters) row() Row {
 		Unavailable:   c.bySource[fleet.SourceUnavailable],
 		Wall:          c.wall.Summary(),
 		Model:         c.model.Summary(),
-		EnergyJ:       c.energyJ,
-		RadioEnergyJ:  c.radioJ,
+		EnergyJ:       energy.Joules(c.baseNJ) + radioJ,
+		RadioEnergyJ:  radioJ,
 	}
 	r.Requests = r.Served + r.Shed
 	if r.Served > 0 {
@@ -87,10 +93,10 @@ func (c *counters) row() Row {
 		r.ShedRate = float64(r.Shed) / float64(r.Requests)
 	}
 	if observed > 0 {
-		r.EnergyPerQueryJ = c.energyJ / float64(observed)
+		r.EnergyPerQueryJ = r.EnergyJ / float64(observed)
 	}
 	if r.CloudMisses > 0 {
-		r.RadioEnergyPerMissJ = c.missRadioJ / float64(r.CloudMisses)
+		r.RadioEnergyPerMissJ = energy.Joules(c.missRadioNJ) / float64(r.CloudMisses)
 	}
 	return r
 }
@@ -127,10 +133,13 @@ func NewCollector() *Collector {
 
 // Observe implements fleet.Observer.
 func (c *Collector) Observe(r fleet.Response) {
+	// The ledger's two terms (fleet's shardCounters.book), rounded once
+	// for the total and the class row, outside the stripe's lock.
+	baseNJ, radioNJ := energy.Nanojoules(r.EnergyJ-r.RadioJ), energy.Nanojoules(r.RadioJ)
 	s := &c.stripes[uint64(r.Req.User)%collectorStripes]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.c.observe(&r)
+	s.c.observe(&r, baseNJ, radioNJ)
 	if cls := r.Req.Class; cls != "" {
 		cc := s.byClass[cls]
 		if cc == nil {
@@ -140,7 +149,7 @@ func (c *Collector) Observe(r fleet.Response) {
 			cc = &counters{}
 			s.byClass[cls] = cc
 		}
-		cc.observe(&r)
+		cc.observe(&r, baseNJ, radioNJ)
 	}
 }
 

@@ -272,12 +272,15 @@ func TestCollectorObserve(t *testing.T) {
 	if s.shed != 1 || s.errors != 1 || s.wall.Count() != 3 || s.bySource[fleet.SourceCommunity] != 1 {
 		t.Errorf("collector state wrong: %+v", s)
 	}
-	if s.energyJ != 3.5 || s.radioJ != 2 || s.missRadioJ != 2 {
-		t.Errorf("energy sums wrong: energy=%g radio=%g missRadio=%g", s.energyJ, s.radioJ, s.missRadioJ)
+	if s.baseNJ != 1.5e9 || s.radioNJ != 2e9 || s.missRadioNJ != 2e9 {
+		t.Errorf("energy sums wrong: base=%d radio=%d missRadio=%d nJ", s.baseNJ, s.radioNJ, s.missRadioNJ)
+	}
+	if r := s.row(); r.EnergyJ != 3.5 || r.RadioEnergyJ != 2 || r.RadioEnergyPerMissJ != 1 {
+		t.Errorf("energy row wrong: energy=%g radio=%g per miss=%g", r.EnergyJ, r.RadioEnergyJ, r.RadioEnergyPerMissJ)
 	}
 	col.Reset()
 	s = col.snapshot()
-	if s.shed != 0 || s.errors != 0 || s.wall.Count() != 0 || s.energyJ != 0 {
+	if s.shed != 0 || s.errors != 0 || s.wall.Count() != 0 || s.baseNJ != 0 {
 		t.Error("Reset did not clear the collector")
 	}
 }

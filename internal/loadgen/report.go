@@ -262,8 +262,9 @@ func backendReport(replica int, bs backend.ReplicaStats) BackendReport {
 // in joules: DeviceJ = DeviceBaseJ + RadioJ, ShardJ = ShardIdleJ +
 // ShardActiveJ, FleetJ = DeviceJ + ShardJ and PerAnsweredJ = FleetJ over
 // answered requests, by construction. cmd/loadtest -check holds DeviceJ
-// and RadioJ against the collector's energy_j and radio_energy_j sums
-// (within fixed-point rounding).
+// and RadioJ equal to the collector's energy_j and radio_energy_j: on a
+// fleet whose ledger is empty as the run starts, as every cmd/loadtest
+// fleet's is, the two are one expression over the same nanojoules.
 type EnergyReport struct {
 	// DeviceBaseJ is the devices' screen+CPU baseline over modeled
 	// response time; RadioJ their extra radio draw; DeviceJ the sum —

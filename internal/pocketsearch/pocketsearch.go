@@ -82,9 +82,10 @@ type Options struct {
 	// DisableSuggest skips maintaining the auto-completion index and
 	// its query-text map. Nothing modeled reads them — every latency,
 	// energy and hit/miss number is unchanged — but they cost a trie
-	// plus a string map per cache (~2.5 KB per user), which at a
-	// million users is the difference between fitting in host memory
-	// or not. Autocomplete returns nil while disabled.
+	// plus a string map per cache (~15 KB of live heap per user after a
+	// 2,000-user closed month), which at a million users is the
+	// difference between fitting in host memory or not. Load runs set
+	// it (scenario). Autocomplete returns nil while disabled.
 	DisableSuggest bool
 }
 

@@ -18,10 +18,13 @@
 //     one differs in them by construction; keep "backend" to retain
 //     them (scripts/bench.sh and scripts/clidiff.sh do, so backend
 //     counters can be diffed across commits);
-//   - floating-point values reformatted at 9 significant digits —
-//     energy totals are accumulated across worker goroutines and the
-//     summation order perturbs the last few ulps;
 //   - object keys sorted and output indented.
+//
+// It rewrites no number: each passes through as the report printed it,
+// so two normalized reports agree only where the model agrees to the
+// bit. The report's joules are summed in integer nanojoules
+// (energy.Nanojoules), so no figure depends on the order in which
+// workers delivered responses.
 //
 // cmd/loadtest's smoke test compares normalized reports in-process (a
 // single-backend run against -replicas 3 -hedge 1, among others);
@@ -32,7 +35,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -93,16 +95,6 @@ func normalize(v any, strip map[string]bool) any {
 			t[i] = normalize(e, strip)
 		}
 		return t
-	case json.Number:
-		s := t.String()
-		if !strings.ContainsAny(s, ".eE") {
-			return t // integer: already canonical
-		}
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return t
-		}
-		return json.Number(strconv.FormatFloat(f, 'g', 9, 64))
 	default:
 		return v
 	}
@@ -116,7 +108,7 @@ func Run(keep string, in io.Reader, out io.Writer) error {
 		return err
 	}
 	dec := json.NewDecoder(in)
-	dec.UseNumber()
+	dec.UseNumber() // numbers pass through verbatim
 	var report any
 	if err := dec.Decode(&report); err != nil {
 		return err

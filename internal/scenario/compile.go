@@ -315,10 +315,13 @@ func (c *Compiled) FleetConfig(obs fleet.Observer) (fleet.Config, error) {
 		Observer: obs,
 	}
 	// Load runs measure latency, energy and hit rates — nothing reads
-	// Outcome.Results — so serving skips materializing result structs.
+	// Outcome.Results or asks for a completion — so serving skips
+	// materializing result structs and builds no auto-suggest index.
 	// Latencies, energy and hit/miss classification are unchanged
-	// (pocketsearch.Options.DiscardResults contract).
+	// (the pocketsearch.Options DiscardResults and DisableSuggest
+	// contracts).
 	cfg.Options.DiscardResults = true
+	cfg.Options.DisableSuggest = true
 	if s.Fleet.Placement == "ring" {
 		n := s.Fleet.Shards
 		if n == 0 {

@@ -95,8 +95,11 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # before it returns. And the closed loop's event timeline: its users stop
 # at each event and resume after it, so a mid-month resize gives one
 # report at any worker count (cmd/loadtest), and no timeline strands a
-# user or fires an event twice.
-go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestResizeEquivalence|TestResizeWhileServing|TestResizeUnderCallerRunDo|TestPipelinedResizeMatchesOneAtATime|TestCloseRacesCallerRunDo|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent|TestChunkBoundaries|TestNoProducerOutlivesItsRun|TestClosedTimelinesEnd|TestClosedLoopResizeRail' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend ./internal/loadgen ./cmd/loadtest
+# user or fires an event twice. And the report itself: a faulted, hedged
+# closed run against a finite-rate backend and an open-loop run that
+# sheds nothing print the same report, every digit, at one worker and at
+# several.
+go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestResizeEquivalence|TestResizeWhileServing|TestResizeUnderCallerRunDo|TestPipelinedResizeMatchesOneAtATime|TestCloseRacesCallerRunDo|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent|TestChunkBoundaries|TestNoProducerOutlivesItsRun|TestClosedTimelinesEnd|TestClosedLoopResizeRail|TestReportIsExact' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend ./internal/loadgen ./cmd/loadtest
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root

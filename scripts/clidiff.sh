@@ -4,8 +4,14 @@
 # clean up) and from the working tree, runs a fixed list of command
 # lines through both, normalizes each JSON report with the tree's
 # `reportnorm -keep backend` (it is loadtest being compared: wall-clock
-# fields stripped, every model-deterministic block kept) and compares
-# the pairs byte for byte. Exits non-zero at the first difference.
+# fields stripped, every model-deterministic block kept, every number
+# as printed) and compares the pairs byte for byte. Exits non-zero at
+# the first difference. Reports are exact — the collector sums joules
+# in integer nanojoules as the ledger does — so a difference in any
+# digit is real. Against a ref whose collector summed float joules,
+# every row differs in the last digits of energy_j, energy_per_query_j,
+# radio_energy_j and radio_energy_per_miss_j (total and class rows),
+# and the ref's own figures vary from run to run.
 #
 # The list covers every cmd/loadtest TestSmokes row plus the corners a
 # configuration or driver refactor can bend (-hedge 1, bare -faults,
