@@ -55,7 +55,7 @@ type userState struct {
 	// refs lists the user's personal records, one per result, in no
 	// particular order: the budget enforcer finds this user's
 	// lowest-utility record without scanning the whole shard. Nil until
-	// the first expansion.
+	// the first expansion, and for good without a per-user budget.
 	refs []evictRef
 	// rt is the user's resolved cohort runtime: the radio tier their
 	// device is built with, the fault injector their cloud misses draw
@@ -68,8 +68,8 @@ type userState struct {
 }
 
 // evictRef is one personal record in its owner's eviction list: the
-// query that stored it, its result and the flash bytes its expansion
-// added.
+// query whose expansion stored it (the pair utilityOf scores), its
+// result and the flash bytes its expansion added.
 type evictRef struct {
 	queryHash  uint64
 	resultHash uint64
@@ -512,20 +512,25 @@ func (sh *shard) serveLocal(st *userState, req *Request, qh, ch uint64, resp *Re
 // behind (Outcome.Stored) and enforces the per-user budget. The database
 // grows only by a record it did not hold, and every listed record is
 // held (evicting one removes both), so a positive delta's result is not
-// in the list yet. Caller holds mu.
+// in the list yet. Only a budget reads the list, and the cap is
+// fleet-wide, so a fleet without one keeps no list. Caller holds mu.
 func (sh *shard) recordExpansion(st *userState, qh, ch uint64, delta int64) {
 	if delta <= 0 {
 		return
 	}
-	st.refs = append(slab.Reserve(st.refs, 1), evictRef{queryHash: qh, resultHash: ch, bytes: delta})
 	st.bytes += delta
 	sh.personalBytes += delta
+	if sh.perUserBytes <= 0 {
+		return
+	}
+	st.refs = append(slab.Reserve(st.refs, 1), evictRef{queryHash: qh, resultHash: ch, bytes: delta})
 	sh.enforceUserBudget(st)
 }
 
-// utilityOf is the eviction utility of a personal record: the best
-// click score any query still gives it (Equation 1's S values), so a
-// user's stale, decayed records go first.
+// utilityOf is the eviction utility of a personal record: the click
+// score (Equation 1's S) of the pair whose expansion stored it, or zero
+// once that pair is gone — so a user's stale, decayed records go first.
+// Another query that ranks the same result does not raise it.
 func (st *userState) utilityOf(ref evictRef) float64 {
 	if st.cache == nil {
 		return 0
@@ -627,8 +632,8 @@ func (sh *shard) exportUser(uid searchlog.UserID) (ex userExport, ok bool, err e
 
 // importUser installs an exported user on this shard: a fresh device
 // and cache are built, the export is applied through the normal update
-// path, the eviction index is rebuilt, and the per-user budget is
-// re-enforced under this shard's cap. The device clock syncs forward
+// path, the exported eviction index is adopted, and the per-user budget
+// is re-enforced under this shard's cap. The device clock syncs forward
 // to the exported clock (import happens off-device; no energy is
 // charged beyond the modeled patch flash time).
 func (sh *shard) importUser(uid searchlog.UserID, ex userExport) error {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // observable is everything a table shows the outside: what the slab
@@ -219,6 +220,20 @@ func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{1,
 		0, 1, 1, 9, 0, 1, 2, 10, 0, 1, 3, 11, 0, 1, 4, 12, 0, 1, 5, 13,
 		4, 1, 3, 0, 2, 1, 3, 0, 2, 1, 4, 0, 0, 1, 6, 5, 5, 1, 6, 0, 7, 0, 0, 0})
+	// At 3 slots, fill three entries of one query and empty the first:
+	// the entries behind it move up, and the next pairs open an entry at
+	// the tail. Then free a slot in the new first entry and refill it.
+	f.Add([]byte{2,
+		0, 1, 0, 9, 0, 1, 1, 10, 0, 1, 2, 11, 0, 1, 3, 12, 0, 1, 4, 13,
+		0, 1, 5, 14, 0, 1, 6, 15, 0, 1, 7, 16, 0, 1, 8, 17, 4, 1, 4, 0,
+		2, 1, 1, 0, 2, 1, 0, 0, 2, 1, 2, 0, 0, 1, 9, 18, 0, 1, 10, 19,
+		0, 1, 11, 20, 5, 1, 10, 0, 6, 1, 7, 0, 2, 1, 5, 0, 0, 1, 0, 21, 7, 0, 0, 0})
+	// At 2 slots, leave a chain's head entry holding one pair, then
+	// RemoveResult that result: the head moves to the next entry, and a
+	// second query holding only the result drops out of the index.
+	f.Add([]byte{1,
+		0, 1, 0, 9, 0, 1, 1, 10, 0, 1, 2, 11, 0, 1, 3, 12, 0, 2, 0, 13,
+		2, 1, 1, 0, 4, 1, 3, 0, 3, 0, 0, 0, 0, 1, 4, 14, 5, 1, 2, 0, 8, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -307,7 +322,8 @@ func hasPointers(typ reflect.Type) bool {
 // TestSlabsHoldNoPointers is the package comment's no-pointer rule: the
 // element type of every slab in Table, and the key and value of every
 // map, hold no pointer — so a table of any size adds nothing for the
-// collector to trace beyond its few slab headers.
+// collector to trace beyond its few slab headers. It also holds a node,
+// the host cost of every stored pair, at 32 B.
 func TestSlabsHoldNoPointers(t *testing.T) {
 	typ := reflect.TypeOf(Table{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -324,6 +340,9 @@ func TestSlabsHoldNoPointers(t *testing.T) {
 				t.Errorf("Table.%s holds %v, which has pointers: the collector traces every element", field.Name, elem)
 			}
 		}
+	}
+	if size := unsafe.Sizeof(node{}); size != 32 {
+		t.Errorf("a node is %d B, want 32: a stored pair costs its node", size)
 	}
 	if hasPointers(reflect.TypeOf(uint64(0))) || !hasPointers(reflect.TypeOf(struct{ refs []SearchRef }{})) {
 		t.Fatal("hasPointers misclassifies a type")

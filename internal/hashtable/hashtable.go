@@ -11,15 +11,21 @@
 // paper creates "by properly setting the second argument of the hash
 // function".
 //
-// The layout follows the paper's flat array. A table is two slabs of
-// fixed-size elements — entries (query hash, chain link, used-slot
-// count, flags) and their refs, SlotsPerEntry refs per entry — plus an
-// open-addressed index of each chain's first entry. Entries freed by
-// Remove go on a free list that the next new entry reuses. Nothing in
-// the slabs or the index holds a pointer, so the collector traces a
-// table's three headers however many queries it indexes, and the slabs
-// grow by an eighth (internal/slab), not by doubling, so a per-user
-// table carries little slack. TestSlabsHoldNoPointers keeps it that way.
+// The entries are modeled, not stored. A table is one slab of 32-byte
+// nodes, one per stored (query, result) pair — the query hash, the
+// pair's SearchRef, the link to the next node of the query's chain, and
+// a tag holding the pair's accessed bit and the ordinal of the modeled
+// entry that holds it — plus an open-addressed index of each chain's
+// first node. A chain runs in ascending ordinal, each entry's pairs in
+// slot order, so pairs are placed, ordered and counted exactly as in
+// the paper's flat array of slot blocks (NumEntries and FootprintBytes
+// count modeled entries) without a reserved slot that no pair uses.
+// Nodes freed by Remove go on a free list that the next new pair
+// reuses. Nothing in the slab or the index holds a pointer, so the
+// collector traces a table's two headers however many queries it
+// indexes, and the slab grows by an eighth (internal/slab), not by
+// doubling, so a per-user table carries little slack.
+// TestSlabsHoldNoPointers keeps it that way.
 package hashtable
 
 import (
@@ -40,29 +46,39 @@ type SearchRef struct {
 	Score      float64
 }
 
-// entry is one hash-table entry. Its refs are the used leading slots of
-// its block in Table.refs.
-type entry struct {
-	// query is the hash of the query whose chain holds the entry.
+// node is one stored (query, result) pair.
+type node struct {
+	// query is the hash of the query whose chain holds the pair.
 	query uint64
-	// next is the slab index of the chain's next entry (the next free
-	// entry while on the free list), or none.
+	ref   SearchRef
+	// next is the slab index of the chain's next node (the next free
+	// node while on the free list), or none.
 	next int32
-	// used counts the entry's occupied slots.
-	used int32
-	// flags holds one accessed bit per slot.
-	flags uint64
+	// tag is the pair's accessed bit (accessedBit) and, above it, the
+	// ordinal of its modeled entry in the chain — 0 for the first entry,
+	// dense to the last — or freeTag on the free list.
+	tag uint32
 }
 
-// none ends a chain or the free list.
-const none = -1
+// ordinal is the node's modeled entry within its chain.
+func (n *node) ordinal() uint32 { return n.tag >> ordShift }
 
-// Flag bits: bit i set means the user has accessed slot i of the entry.
-// The paper reserves the remaining bits for future use.
-const accessedBit = 1
+const (
+	// none ends a chain or the free list.
+	none = -1
+	// accessedBit is set when the user has accessed the pair — the
+	// pair's bit of its modeled entry's flags word, which the paper
+	// reserves otherwise for future use.
+	accessedBit = 1
+	// ordShift places the entry ordinal above the accessed bit.
+	ordShift = 1
+	// freeTag marks a node on the free list. No live tag reaches it: an
+	// ordinal is below the slab's length, which an int32 index bounds.
+	freeTag = ^uint32(0)
+)
 
 // MaxSlotsPerEntry is the most slots an entry can have: one accessed
-// bit per slot in the 64-bit flags word.
+// bit per slot in the modeled 64-bit flags word.
 const MaxSlotsPerEntry = 64
 
 // Table is the query hash table.
@@ -70,18 +86,15 @@ type Table struct {
 	slots int
 	// heads is the index of chain heads, open-addressed with linear
 	// probing: a slot holds one plus the slab index of a chain's first
-	// entry, or zero when empty, and a query's probe starts at its home
+	// node, or zero when empty, and a query's probe starts at its home
 	// slot. Its length is zero or a power of two, at most three quarters
 	// full.
 	heads   []int32
 	queries int
-	entries []entry
-	// refs holds slots refs per entry: entry e's block is
-	// refs[e*slots : (e+1)*slots].
-	refs []SearchRef
-	// free is the first entry of the free list, or none.
+	nodes   []node
+	// free is the first node of the free list, or none.
 	free int32
-	// numEntries and refCount count chained entries and stored refs for
+	// numEntries and refCount count modeled entries and stored pairs for
 	// O(1) stats.
 	numEntries int
 	refCount   int
@@ -128,13 +141,13 @@ func (t *Table) home(queryHash uint64) int {
 func (t *Table) slot(queryHash uint64) int {
 	mask := len(t.heads) - 1
 	s := t.home(queryHash)
-	for t.heads[s] != 0 && t.entries[t.heads[s]-1].query != queryHash {
+	for t.heads[s] != 0 && t.nodes[t.heads[s]-1].query != queryHash {
 		s = (s + 1) & mask
 	}
 	return s
 }
 
-// head returns the first entry of queryHash's chain.
+// head returns the first node of queryHash's chain.
 func (t *Table) head(queryHash uint64) (int32, bool) {
 	if t.queries == 0 {
 		return none, false
@@ -143,12 +156,12 @@ func (t *Table) head(queryHash uint64) (int32, bool) {
 	return h - 1, h != 0
 }
 
-// addHead indexes e as the first entry of its query's new chain.
-func (t *Table) addHead(e int32) {
+// addHead indexes n as the first node of its query's new chain.
+func (t *Table) addHead(n int32) {
 	if 4*(t.queries+1) > 3*len(t.heads) {
 		t.rehash(t.queries + 1)
 	}
-	t.heads[t.slot(t.entries[e].query)] = e + 1
+	t.heads[t.slot(t.nodes[n].query)] = n + 1
 	t.queries++
 }
 
@@ -162,13 +175,13 @@ func (t *Table) rehash(n int) {
 	t.heads = make([]int32, size)
 	for _, h := range old {
 		if h != 0 {
-			t.heads[t.slot(t.entries[h-1].query)] = h
+			t.heads[t.slot(t.nodes[h-1].query)] = h
 		}
 	}
 }
 
-// dropHead removes queryHash's chain from the index. The entries after
-// it in its probe run move back over the hole when their probe starts at
+// dropHead removes queryHash's chain from the index. The heads after it
+// in its probe run move back over the hole when their probe starts at
 // or before it, so no probe ever crosses an empty slot to reach its key.
 func (t *Table) dropHead(queryHash uint64) {
 	mask := len(t.heads) - 1
@@ -176,17 +189,11 @@ func (t *Table) dropHead(queryHash uint64) {
 	t.heads[hole] = 0
 	t.queries--
 	for s := (hole + 1) & mask; t.heads[s] != 0; s = (s + 1) & mask {
-		if (s-t.home(t.entries[t.heads[s]-1].query))&mask >= (s-hole)&mask {
+		if (s-t.home(t.nodes[t.heads[s]-1].query))&mask >= (s-hole)&mask {
 			t.heads[hole], t.heads[s] = t.heads[s], 0
 			hole = s
 		}
 	}
-}
-
-// block returns entry e's used refs.
-func (t *Table) block(e int32) []SearchRef {
-	base := int(e) * t.slots
-	return t.refs[base : base+int(t.entries[e].used)]
 }
 
 // Contains reports whether the query hash has an entry — the cache
@@ -222,8 +229,8 @@ func (t *Table) LookupInto(queryHash uint64, buf []SearchRef) []SearchRef {
 // Lookup order.
 func (t *Table) sortedRefs(head int32, buf []SearchRef) []SearchRef {
 	refs := buf[:0]
-	for e := head; e != none; e = t.entries[e].next {
-		refs = append(refs, t.block(e)...)
+	for n := head; n != none; n = t.nodes[n].next {
+		refs = append(refs, t.nodes[n].ref)
 	}
 	// Insertion sort instead of sort.Slice: chains are short (a handful
 	// of refs) and sort.Slice's reflection-based closure allocates.
@@ -252,19 +259,18 @@ func (t *Table) ContainsRef(queryHash, resultHash uint64) bool {
 }
 
 // Probe is the position of one stored (query, result) pair: the query's
-// chain and the entry and slot that hold the pair. A serve that has
-// classified a pair as a hit does everything else a hit does to the
-// table — rank the query's results, apply the click, set the accessed
-// bit — from the position, without looking the query up again.
+// chain and the node that holds the pair. A serve that has classified a
+// pair as a hit does everything else a hit does to the table — rank the
+// query's results, apply the click, set the accessed bit — from the
+// position, without looking the query up again.
 //
 // A Probe is valid until the next Put, Remove or RemoveResult on the
 // table it came from; using one after that is a misuse (it may read or
-// write slots that now hold another pair). The fleet never does: it
+// write a node that now holds another pair). The fleet never does: it
 // probes and serves under one shard-lock hold.
 type Probe struct {
-	t         *Table
-	head, ent int32
-	si        int32
+	t          *Table
+	head, node int32
 }
 
 // Probe locates the (query, result) pair; ok is false when it is not
@@ -274,18 +280,16 @@ func (t *Table) Probe(queryHash, resultHash uint64) (p Probe, ok bool) {
 	if !ok {
 		return Probe{}, false
 	}
-	for e := head; e != none; e = t.entries[e].next {
-		for si, r := range t.block(e) {
-			if r.ResultHash == resultHash {
-				return Probe{t: t, head: head, ent: e, si: int32(si)}, true
-			}
+	for n := head; n != none; n = t.nodes[n].next {
+		if t.nodes[n].ref.ResultHash == resultHash {
+			return Probe{t: t, head: head, node: n}, true
 		}
 	}
 	return Probe{}, false
 }
 
-// ref returns the probed pair's slot.
-func (p Probe) ref() *SearchRef { return &p.t.refs[int(p.ent)*p.t.slots+int(p.si)] }
+// pair returns the probed pair's node.
+func (p Probe) pair() *node { return &p.t.nodes[p.node] }
 
 // Refs is Table.LookupInto for the probed pair's query: every result of
 // the query in Lookup order, written into buf.
@@ -296,23 +300,20 @@ func (p Probe) Refs(buf []SearchRef) []SearchRef { return p.t.sortedRefs(p.head,
 // every sibling's is multiplied by decay (e^-lambda). It returns the
 // clicked result's new score.
 func (p Probe) Click(decay float64) float64 {
-	t := p.t
-	for e := p.head; e != none; e = t.entries[e].next {
-		refs := t.block(e)
-		for si := range refs {
-			if e == p.ent && int32(si) == p.si {
-				refs[si].Score++
-			} else {
-				refs[si].Score *= decay
-			}
+	nodes := p.t.nodes
+	for n := p.head; n != none; n = nodes[n].next {
+		if n == p.node {
+			nodes[n].ref.Score++
+		} else {
+			nodes[n].ref.Score *= decay
 		}
 	}
-	return p.ref().Score
+	return nodes[p.node].ref.Score
 }
 
 // MarkAccessed sets the probed pair's accessed flag (Table.MarkAccessed
 // without the search).
-func (p Probe) MarkAccessed() { p.t.entries[p.ent].flags |= accessedBit << uint(p.si) }
+func (p Probe) MarkAccessed() { p.pair().tag |= accessedBit }
 
 // Score returns the ranking score of a (query, result) pair.
 func (t *Table) Score(queryHash, resultHash uint64) (float64, bool) {
@@ -320,66 +321,70 @@ func (t *Table) Score(queryHash, resultHash uint64) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return p.ref().Score, true
+	return p.pair().ref.Score, true
 }
 
 // Put inserts or updates the (query, result) pair with the given
-// score. New results go into the first entry with a free slot, or a
-// new chained entry when all are full.
+// score. A new result goes into the first entry with a free slot, after
+// that entry's pairs, or into a new entry chained at the tail when all
+// are full.
 func (t *Table) Put(queryHash uint64, ref SearchRef) {
 	head, ok := t.head(queryHash)
 	if !ok {
-		e := t.newEntry(queryHash)
-		t.addHead(e)
-		t.appendRef(e, ref)
+		t.numEntries++
+		t.addHead(t.newNode(node{query: queryHash, ref: ref, next: none}))
 		return
 	}
+	// open is the last node of the first entry with a free slot; run
+	// counts the pairs of entry ord, the one the walk is in. tail trails
+	// n by a node, so when n opens an entry, tail closes the one before.
 	var open, tail int32 = none, none
-	for e := head; e != none; e = t.entries[e].next {
-		for si, r := range t.block(e) {
-			if r.ResultHash == ref.ResultHash {
-				t.refs[int(e)*t.slots+si].Score = ref.Score
-				return
+	run, ord := 0, uint32(0)
+	for n := head; n != none; tail, n = n, t.nodes[n].next {
+		nd := &t.nodes[n]
+		if nd.ref.ResultHash == ref.ResultHash {
+			nd.ref.Score = ref.Score
+			return
+		}
+		if nd.ordinal() != ord {
+			if open == none && run < t.slots {
+				open = tail
 			}
+			run, ord = 0, nd.ordinal()
 		}
-		if open == none && int(t.entries[e].used) < t.slots {
-			open = e
-		}
-		tail = e
+		run++
+	}
+	if open == none && run < t.slots {
+		open = tail
 	}
 	if open == none {
-		open = t.newEntry(queryHash)
-		t.entries[tail].next = open
+		open, ord = tail, ord+1
+		t.numEntries++
+	} else {
+		ord = t.nodes[open].ordinal()
 	}
-	t.appendRef(open, ref)
+	n := t.newNode(node{query: queryHash, ref: ref, next: t.nodes[open].next, tag: ord << ordShift})
+	t.nodes[open].next = n
 }
 
-// appendRef stores ref in entry e's first free slot.
-func (t *Table) appendRef(e int32, ref SearchRef) {
-	t.refs[int(e)*t.slots+int(t.entries[e].used)] = ref
-	t.entries[e].used++
+// newNode stores nd in a free node — the free list's first, or a new
+// one at the end of the slab — and returns its index.
+func (t *Table) newNode(nd node) int32 {
 	t.refCount++
-}
-
-// newEntry returns an empty, unlinked entry of queryHash's chain: the
-// free list's first, or a new one at the end of the slabs.
-func (t *Table) newEntry(queryHash uint64) int32 {
-	t.numEntries++
-	if e := t.free; e != none {
-		t.free = t.entries[e].next
-		t.entries[e] = entry{query: queryHash, next: none}
-		return e
+	if n := t.free; n != none {
+		t.free = t.nodes[n].next
+		t.nodes[n] = nd
+		return n
 	}
-	t.entries = append(slab.Reserve(t.entries, 1), entry{query: queryHash, next: none})
-	t.refs = slab.Reserve(t.refs, t.slots)[:len(t.refs)+t.slots]
-	return int32(len(t.entries) - 1)
+	t.nodes = append(slab.Reserve(t.nodes, 1), nd)
+	return int32(len(t.nodes) - 1)
 }
 
 // SetScore updates the score of an existing pair.
 func (t *Table) SetScore(queryHash, resultHash uint64, score float64) bool {
 	p, ok := t.Probe(queryHash, resultHash)
 	if ok {
-		p.ref().Score = score
+		p.pair().ref.Score = score
 	}
 	return ok
 }
@@ -397,11 +402,11 @@ func (t *Table) MarkAccessed(queryHash, resultHash uint64) bool {
 // Accessed reports whether the pair's accessed flag is set.
 func (t *Table) Accessed(queryHash, resultHash uint64) bool {
 	p, ok := t.Probe(queryHash, resultHash)
-	return ok && t.entries[p.ent].flags&(accessedBit<<uint(p.si)) != 0
+	return ok && p.pair().tag&accessedBit != 0
 }
 
-// Remove deletes the (query, result) pair, compacting its entry and
-// dropping empty entries. It reports whether the pair existed.
+// Remove deletes the (query, result) pair, dropping its entry when it
+// was the entry's last. It reports whether the pair existed.
 func (t *Table) Remove(queryHash, resultHash uint64) bool {
 	head, ok := t.head(queryHash)
 	return ok && t.removeFrom(queryHash, head, resultHash)
@@ -411,57 +416,51 @@ func (t *Table) Remove(queryHash, resultHash uint64) bool {
 // hash (used when a result's record is no longer available). It
 // returns the number of pairs removed.
 func (t *Table) RemoveResult(resultHash uint64) int {
-	n := 0
-	// A query holds a result at most once, and removal frees entries
+	removed := 0
+	// A query holds a result at most once, and removal frees a node
 	// without moving any, so one walk of the slab meets each query
-	// holding the result once, at the entry that holds it.
-	for e := range t.entries {
-		if slices.ContainsFunc(t.block(int32(e)), func(r SearchRef) bool { return r.ResultHash == resultHash }) {
-			qh := t.entries[e].query
+	// holding the result once, at the node that holds it.
+	for n := range t.nodes {
+		if nd := &t.nodes[n]; nd.tag != freeTag && nd.ref.ResultHash == resultHash {
+			qh := nd.query
 			head, _ := t.head(qh)
 			t.removeFrom(qh, head, resultHash)
-			n++
+			removed++
 		}
 	}
-	return n
+	return removed
 }
 
 // removeFrom removes resultHash from queryHash's chain, which starts at
-// head, and reports whether it was there. The entry's later refs and
-// their flag bits shift down one slot, and an entry left empty is
-// unlinked and freed — with the query itself when it was the chain's
-// last.
+// head, and reports whether it was there. Its node is unlinked and
+// freed — with the query itself when it was the chain's last — and when
+// it was the last pair of its entry, the entry goes: the entries after
+// it move up one ordinal.
 func (t *Table) removeFrom(queryHash uint64, head int32, resultHash uint64) bool {
 	prev := int32(none)
-	for e := head; e != none; prev, e = e, t.entries[e].next {
-		refs := t.block(e)
-		si := slices.IndexFunc(refs, func(r SearchRef) bool { return r.ResultHash == resultHash })
-		if si < 0 {
+	for n := head; n != none; prev, n = n, t.nodes[n].next {
+		if t.nodes[n].ref.ResultHash != resultHash {
 			continue
 		}
-		copy(refs[si:], refs[si+1:])
-		refs[len(refs)-1] = SearchRef{}
-		en := &t.entries[e]
-		en.used--
-		low := en.flags & ((1 << uint(si)) - 1)
-		high := (en.flags >> uint(si+1)) << uint(si)
-		en.flags = low | high
-		t.refCount--
-		if en.used > 0 {
-			return true
-		}
-		next := en.next
+		next, ord := t.nodes[n].next, t.nodes[n].ordinal()
 		switch {
 		case prev != none:
-			t.entries[prev].next = next
+			t.nodes[prev].next = next
 		case next != none:
 			t.heads[t.slot(queryHash)] = next + 1
 		default:
 			t.dropHead(queryHash)
 		}
-		*en = entry{next: t.free}
-		t.free = e
+		t.nodes[n] = node{next: t.free, tag: freeTag}
+		t.free = n
+		t.refCount--
+		if (prev != none && t.nodes[prev].ordinal() == ord) || (next != none && t.nodes[next].ordinal() == ord) {
+			return true
+		}
 		t.numEntries--
+		for m := next; m != none; m = t.nodes[m].next {
+			t.nodes[m].tag -= 1 << ordShift
+		}
 		return true
 	}
 	return false
@@ -480,13 +479,13 @@ type Pair struct {
 // hash, then result hash).
 func (t *Table) Pairs() []Pair {
 	out := make([]Pair, 0, t.refCount)
-	for e, en := range t.entries {
-		for si, r := range t.block(int32(e)) {
+	for _, nd := range t.nodes {
+		if nd.tag != freeTag {
 			out = append(out, Pair{
-				QueryHash:  en.query,
-				ResultHash: r.ResultHash,
-				Score:      r.Score,
-				Accessed:   en.flags&(accessedBit<<uint(si)) != 0,
+				QueryHash:  nd.query,
+				ResultHash: nd.ref.ResultHash,
+				Score:      nd.ref.Score,
+				Accessed:   nd.tag&accessedBit != 0,
 			})
 		}
 	}
@@ -500,44 +499,37 @@ func (t *Table) Pairs() []Pair {
 // without the bytes in between: pairs must be as Pairs returns them —
 // ordered by (query, result) hash, each at most once — and each query's
 // results fill its chain's entries front to back, as Put would have
-// placed them. Both slabs are sized exactly. State migration copies a
-// user's table this way (the updater's ExportState); EncodedLen sizes
-// the transfer it stands for.
+// placed them: pair k of a query is in entry k/slots. The slab is sized
+// exactly. State migration copies a user's table this way (the
+// updater's ExportState); EncodedLen sizes the transfer it stands for.
 func FromPairs(slotsPerEntry int, pairs []Pair) (*Table, error) {
 	t, err := New(slotsPerEntry)
 	if err != nil {
 		return nil, err
 	}
-	entries, queries := 0, 0
+	queries := 0
 	for rest := pairs; len(rest) > 0; queries++ {
-		n := queryRun(rest)
-		entries += (n + t.slots - 1) / t.slots
-		rest = rest[n:]
+		rest = rest[queryRun(rest):]
 	}
 	t.rehash(queries)
-	t.entries = make([]entry, 0, entries)
-	t.refs = make([]SearchRef, entries*t.slots)
-	t.numEntries, t.refCount = entries, len(pairs)
-	for len(pairs) > 0 {
-		run := pairs[:queryRun(pairs)]
-		for k, p := range run {
-			if k%t.slots == 0 {
-				if k > 0 {
-					t.entries[len(t.entries)-1].next = int32(len(t.entries))
-				}
-				t.entries = append(t.entries, entry{query: p.QueryHash, next: none})
-				if k == 0 {
-					t.addHead(int32(len(t.entries) - 1))
-				}
+	t.nodes = make([]node, len(pairs))
+	t.refCount = len(pairs)
+	for first := 0; first < len(pairs); {
+		run := queryRun(pairs[first:])
+		for k, p := range pairs[first : first+run] {
+			nd := node{query: p.QueryHash, ref: SearchRef{ResultHash: p.ResultHash, Score: p.Score},
+				next: int32(first + k + 1), tag: uint32(k/t.slots) << ordShift}
+			if k == run-1 {
+				nd.next = none
 			}
-			e := len(t.entries) - 1
-			t.refs[e*t.slots+k%t.slots] = SearchRef{ResultHash: p.ResultHash, Score: p.Score}
-			t.entries[e].used++
 			if p.Accessed {
-				t.entries[e].flags |= accessedBit << uint(k%t.slots)
+				nd.tag |= accessedBit
 			}
+			t.nodes[first+k] = nd
 		}
-		pairs = pairs[len(run):]
+		t.addHead(int32(first))
+		t.numEntries += (run + t.slots - 1) / t.slots
+		first += run
 	}
 	return t, nil
 }
