@@ -52,7 +52,7 @@ func (o BatchOptions) withDefaults() BatchOptions {
 
 // missTask is one classified cloud miss awaiting application: being
 // planned against the backend, or parked for coalescing. While it waits
-// it is the user's shard.pendingMiss entry.
+// it is the user's entry in their stripe's pending list.
 type missTask struct {
 	t task
 	// mc is the miss's fault plan, planned by its classifier right after

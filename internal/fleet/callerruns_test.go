@@ -22,7 +22,7 @@ import (
 
 // slowPricer prices exactly as the fleet's backend model does, after a
 // real sleep. Price is pure, so every outcome is unchanged, while a
-// priced miss stays pending (shard.pendingMiss) long enough for other
+// priced miss stays pending (userStripe.pending) long enough for other
 // goroutines to arrive: the tests' lever for holding a miss open, since
 // a miss owes its server no wall time.
 type slowPricer struct {
@@ -170,7 +170,7 @@ func interleavings(a, b []Request) [][]Request {
 // the response would mix a plan priced at one instant with a device
 // replay at another — an outcome no serial execution produces. So every
 // round's six responses must together equal what some serial order of
-// the two tapes yields. (Without route's wait on the pendingMiss marker
+// the two tapes yields. (Without route's wait on the pending marker
 // this fails within a round or two.)
 func TestSameUserConcurrentDoIsSerializable(t *testing.T) {
 	g := smallGen(t, 16)
@@ -385,8 +385,8 @@ func TestCloseRacesCallerRunDo(t *testing.T) {
 
 // contendedFleet is the contention the repository benchmark's
 // hit_closed has: a 2-shard fleet and two clients, each with its own 500
-// warmed users' months, so the two serve on one shard's lock in
-// stretches, about half the time. serve sends n caller-run Do hits
+// warmed users' months, so the two serve on one shard in stretches,
+// about half the time, on one community lock at each community hit. serve sends n caller-run Do hits
 // over both clients.
 func contendedFleet(tb testing.TB) (serve func(n int)) {
 	const clients, usersPerClient = 2, 500

@@ -50,12 +50,12 @@ func TestDenseSparseEquivalence(t *testing.T) {
 	// The dense fleet must actually have used the arena: every replayed
 	// user ID is below Population, so the sparse fallback stays empty.
 	for _, sh := range dense.view.Load().shards {
-		sh.mu.Lock()
-		if n := len(sh.users.sparse); n != 0 {
-			sh.mu.Unlock()
+		sh.lockUsers()
+		n := len(sh.users.sparse)
+		sh.unlockUsers()
+		if n != 0 {
 			t.Fatalf("dense fleet spilled %d users into the sparse map", n)
 		}
-		sh.mu.Unlock()
 	}
 }
 

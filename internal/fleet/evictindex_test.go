@@ -96,8 +96,8 @@ type evictItem struct {
 // order. The key names a (user, result) record stably across shards, so
 // the order does not depend on arena slots or list order.
 func shardItems(sh *shard) []evictItem {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.lockUsers()
+	defer sh.unlockUsers()
 	var out []evictItem
 	sh.users.forEach(func(st *userState) {
 		for _, ref := range st.refs {

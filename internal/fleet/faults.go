@@ -17,7 +17,7 @@ import (
 // classifying lock hold read it — in that hold when the miss is applied
 // there, after it otherwise — and stays valid until the miss is applied:
 // a miss applied after the classifying hold is pending
-// (shard.pendingMiss), so nothing advances the user's device in between.
+// (userStripe.pending), so nothing advances the user's device in between.
 type missCtx struct {
 	qh, ch uint64
 	// in is what the planner reads of the user, captured when the miss
@@ -56,10 +56,10 @@ type exchange struct {
 }
 
 // classifyLocked opens one cloud miss: it numbers the miss and captures
-// what the planner reads of the user. Caller holds mu. The per-user miss
-// sequence number feeds the pure fault hashes so repeats of a query draw
-// fresh outcomes, and — incremented in per-user submission order — is
-// identical between the two exchanges.
+// what the planner reads of the user. Caller holds the user's stripe.
+// The per-user miss sequence number feeds the pure fault hashes so
+// repeats of a query draw fresh outcomes, and — incremented in per-user
+// submission order — is identical between the two exchanges.
 func (sh *shard) classifyLocked(st *userState, uid searchlog.UserID, qh, ch uint64) missCtx {
 	st.missSeq++
 	return missCtx{qh: qh, ch: ch, in: planInput{
@@ -82,15 +82,17 @@ func (mc *missCtx) plan(pr faults.Pricer) {
 
 // planMiss plans a miss that route left pending, under no lock — a
 // priced plan replays the backend queues, which takes far longer than
-// anything else a request does under the shard lock — and then applies
-// it in one short hold. The marker is cleared on return; the caller
-// delivers resp and then closes the miss's done.
+// anything else a request does under a stripe — and then applies it in
+// one short hold of the user's stripe. The marker is cleared on return;
+// the caller delivers resp and then closes the miss's done.
 func (sh *shard) planMiss(mt *missTask, resp *Response) {
 	mt.mc.plan(sh.cohorts.pricer)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.applyPendingLocked(&mt.t.req, &mt.mc, exchange{}, resp)
-	delete(sh.pendingMiss, mt.t.req.User)
+	uid := mt.t.req.User
+	us := sh.stripeOf(uid)
+	us.mu.Lock()
+	defer us.mu.Unlock()
+	sh.applyPendingLocked(us, &mt.t.req, &mt.mc, exchange{}, resp)
+	us.clearPending(uid)
 }
 
 // chargeWaits charges the user-visible waits a miss carries beyond its
@@ -129,20 +131,21 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 // looked up afresh. The caller releases the miss (releaseMiss) once the
 // response is delivered.
 func (sh *shard) applyMiss(req *Request, mc *missCtx, x exchange, resp *Response) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.applyPendingLocked(req, mc, x, resp)
+	us := sh.stripeOf(req.User)
+	us.mu.Lock()
+	defer us.mu.Unlock()
+	sh.applyPendingLocked(us, req, mc, x, resp)
 }
 
 // applyPendingLocked is applyMiss under a hold the caller took
-// (planMiss). Caller holds mu.
-func (sh *shard) applyPendingLocked(req *Request, mc *missCtx, x exchange, resp *Response) {
+// (planMiss). Caller holds us, the user's stripe.
+func (sh *shard) applyPendingLocked(us *userStripe, req *Request, mc *missCtx, x exchange, resp *Response) {
 	st := sh.user(req.User)
 	if err := sh.materialize(st); err != nil {
 		*resp = Response{Req: *req, Err: err}
 		return
 	}
-	sh.applyMissLocked(st, req, mc, x, resp)
+	sh.applyMissLocked(us, st, req, mc, x, resp)
 }
 
 // releaseMiss clears a planned miss's pending marker and releases the
@@ -151,9 +154,10 @@ func (sh *shard) applyPendingLocked(req *Request, mc *missCtx, x exchange, resp 
 // worker serve, and the Observer see, the user's next request while a
 // dispatcher is still delivering this one.
 func (sh *shard) releaseMiss(mt *missTask) {
-	sh.mu.Lock()
-	delete(sh.pendingMiss, mt.t.req.User)
-	sh.mu.Unlock()
+	us := sh.stripeOf(mt.t.req.User)
+	us.mu.Lock()
+	us.clearPending(mt.t.req.User)
+	us.mu.Unlock()
 	close(mt.done)
 }
 
@@ -165,8 +169,9 @@ func (sh *shard) releaseMiss(mt *missTask) {
 // The response's stages are what the whole apply charged to the user's
 // device, plus on the community rung the stale serve the replica's
 // device ran. A clean plan replays nothing, waits for nothing and
-// wastes nothing, so it is the fault-free miss. Caller holds mu.
-func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exchange, resp *Response) {
+// wastes nothing, so it is the fault-free miss. Caller holds us, the
+// user's stripe.
+func (sh *shard) applyMissLocked(us *userStripe, st *userState, req *Request, mc *missCtx, x exchange, resp *Response) {
 	pl := mc.hplan.Delivered()
 	sh.ctr.bookPlan(&mc.hplan, pl, sh.cohorts.bk)
 	*resp = Response{Source: SourceCloud}
@@ -212,7 +217,7 @@ func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exc
 			resp.RadioJ = link.ActiveEnergy(resp.Outcome.RadioActive+failedActive) + wasteJ
 			resp.RadioJ += float64(cold) * link.TailEnergy()
 		}
-		sh.recordExpansion(st, mc.qh, mc.ch, resp.Outcome.Stored)
+		sh.recordExpansion(us, st, mc.qh, mc.ch, resp.Outcome.Stored)
 	}
 	resp.Outcome.Stages = dev.Since(mark)
 	resp.Outcome.Stages.Add(&replica)
@@ -228,25 +233,31 @@ func (sh *shard) applyMissLocked(st *userState, req *Request, mc *missCtx, x exc
 // attempts' radio-active time — an unreachable cloud is slow *and*
 // costs energy before the fallback even starts — and no stages: the
 // caller reads those off the user's device, and replica is what the
-// community rung's stale serve charged to the replica's. Caller holds mu
-// and has replayed the delivered ladder pl.
+// community rung's stale serve charged to the replica's. Caller holds
+// the user's stripe and has replayed the delivered ladder pl; the
+// community rung takes commMu.
 func (sh *shard) degradeLocked(st *userState, query string, qh uint64, pl faults.Plan) (src Source, out pocketsearch.Outcome, replica device.Stages) {
 	out.RadioActive = pl.FailedActive
-	switch {
-	case st.cache.ContainsQuery(qh):
+	if st.cache.ContainsQuery(qh) {
 		stale, _ := st.cache.ServeStale(query)
 		out.Results = stale.Results
-	case sh.community.ContainsQuery(qh):
+		return SourceDegraded, out, replica
+	}
+	sh.commMu.Lock()
+	held := sh.community.ContainsQuery(qh)
+	if held {
 		stale, _ := sh.community.ServeStale(query)
 		out.Results, replica = stale.Results, stale.Stages
-	default:
-		dev := st.cache.Device()
-		dev.Busy(pocketsearch.LookupCost, device.Lookup)
-		dev.Render(pocketsearch.UnavailablePageBytes)
-		dev.Misc()
-		return SourceUnavailable, out, replica
 	}
-	return SourceDegraded, out, replica
+	sh.commMu.Unlock()
+	if held {
+		return SourceDegraded, out, replica
+	}
+	dev := st.cache.Device()
+	dev.Busy(pocketsearch.LookupCost, device.Lookup)
+	dev.Render(pocketsearch.UnavailablePageBytes)
+	dev.Misc()
+	return SourceUnavailable, out, replica
 }
 
 // bookPlan books an applied miss's retry/hedge telemetry into the

@@ -9,26 +9,29 @@
 //   - The user population is sharded by user hash across N shards.
 //     Each shard holds one replica of the shared community cache
 //     (preloaded from community logs, read-mostly) plus the personal
-//     PocketSearch state of every resident user, all guarded by the
-//     shard lock.
-//   - Who runs a request: a shard's state is guarded by its lock,
+//     PocketSearch state of every resident user. A user's state is
+//     guarded by one of the shard's user stripes, the community replica
+//     by the shard's community lock, taken inside a stripe; lock order
+//     is fence stripe → user stripe → arena or community lock.
+//   - Who runs a request: a user's state is guarded by their stripe,
 //     whichever goroutine serves. W workers drain W bounded queues
 //     (shard s → queue s mod W) in FIFO order; a caller that blocks for
 //     its answer (Do) and finds nothing pending on that queue serves
-//     its own request under the same lock instead. One user's requests
-//     — a user hashes to one shard — are thus applied in submission
-//     order for any one submitting goroutine; order across users, or
-//     across goroutines racing on one user, is unconstrained. That,
-//     plus seedable workloads, makes fleet hit rates reproducible.
-//     Workers bounds queue-draining goroutines, not closed-loop
-//     parallelism: that is the number of clients.
+//     its own request under the same locks instead, beside callers
+//     serving users of the shard's other stripes. One user's requests
+//     — a user hashes to one shard and one stripe — are thus applied in
+//     submission order for any one submitting goroutine; order across
+//     users, or across goroutines racing on one user, is unconstrained.
+//     That, plus seedable workloads, makes fleet hit rates
+//     reproducible. Workers bounds queue-draining goroutines, not
+//     closed-loop parallelism: that is the number of clients.
 //   - A cloud miss priced against queued backend replicas is planned by
 //     the goroutine serving it with no lock held: pricing replays a
 //     replica's background queue, the longest step a request takes. The
-//     shard lock is held only to classify the miss and capture what its
-//     plan reads of the user, and then once more to apply it; in between
-//     the miss is the user's pending miss, so nothing moves the clock the
-//     plan reads.
+//     user's stripe is held only to classify the miss and capture what
+//     its plan reads of the user, and then once more to apply it; in
+//     between the miss is the user's pending miss, so nothing moves the
+//     clock the plan reads.
 //   - Submission (Submit) is non-blocking with explicit backpressure:
 //     when the shard's queue is full the request is shed and counted,
 //     never silently queued without bound (an open-loop load generator
@@ -40,7 +43,7 @@
 //     eviction) lives at device level in internal/cloudletos; the fleet
 //     does not use it.
 //   - With Config.Batch enabled, cloud misses are coalesced: a request
-//     is classified under the shard lock and, if it must go to the
+//     is classified under the user's stripe and, if it must go to the
 //     cloud, parked with a dispatcher goroutine instead of paying a
 //     full radio round trip there. The dispatcher collects concurrent
 //     misses (up to MaxBatch, or until the Linger window expires) and
@@ -1049,7 +1052,7 @@ func (f *Fleet) totals(sum *shardCounters) *view {
 
 // Stats returns a fleet-wide snapshot. Every per-request counter is the
 // one fold of the shards' blocks (totals).
-// The per-shard residency walk takes each shard lock briefly.
+// The per-shard residency walk takes each shard's stripes briefly.
 func (f *Fleet) Stats() Stats {
 	var sum shardCounters
 	v := f.totals(&sum)
@@ -1076,10 +1079,9 @@ func (f *Fleet) Stats() Stats {
 		Backend:        f.cohorts.bk.Stats(),
 	}
 	for _, sh := range v.shards {
-		sh.mu.Lock()
-		s.Users += sh.users.resident
-		s.PersonalBytes += sh.personalBytes
-		sh.mu.Unlock()
+		users, bytes := sh.residency()
+		s.Users += users
+		s.PersonalBytes += bytes
 	}
 	return s
 }
@@ -1158,11 +1160,11 @@ type UserServeCount struct {
 func (f *Fleet) UserServeCounts() []UserServeCount {
 	var out []UserServeCount
 	for _, sh := range f.view.Load().shards {
-		sh.mu.Lock()
+		sh.lockUsers()
 		sh.users.forEach(func(st *userState) {
 			out = append(out, UserServeCount{User: st.uid, Served: st.served, Hits: st.hits, Bytes: st.bytes})
 		})
-		sh.mu.Unlock()
+		sh.unlockUsers()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
 	return out
@@ -1170,8 +1172,8 @@ func (f *Fleet) UserServeCounts() []UserServeCount {
 
 // CommunityStats aggregates the activity counters of every shard's
 // community replica. It deliberately reads through the caches' own
-// stats locks without taking shard locks, so monitoring never blocks
-// serving (the pocketsearch.Cache.Stats concurrency guarantee).
+// stats locks without taking the community locks, so monitoring never
+// blocks serving (the pocketsearch.Cache.Stats concurrency guarantee).
 func (f *Fleet) CommunityStats() pocketsearch.Stats {
 	var agg pocketsearch.Stats
 	for _, sh := range f.view.Load().shards {

@@ -392,12 +392,12 @@ func TestPerUserBudget(t *testing.T) {
 		t.Errorf("personal bytes %d exceed %d users × %d budget", st.PersonalBytes, len(users), budget)
 	}
 	for _, sh := range f.view.Load().shards {
-		sh.mu.Lock()
+		sh.lockUsers()
 		sh.users.forEach(func(ust *userState) {
 			if ust.bytes > budget {
 				t.Errorf("user %d over budget: %d > %d", ust.uid, ust.bytes, budget)
 			}
 		})
-		sh.mu.Unlock()
+		sh.unlockUsers()
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -41,8 +42,10 @@ func apart(a, b span) bool {
 
 // TestHitPathLayout is the layout rail. What every request reads shares
 // no line with anything a request writes; the blocks different shards'
-// servers write — counter blocks, fence stripes — are a line apart from
-// each other and from their neighbours; Response and task are the size
+// servers write — counter blocks, fence stripes — and the locks
+// different users' requests take — a shard's user stripes and its
+// community lock — are a line apart from each other and from their
+// neighbours; Response and task are the size
 // the copy counts in DESIGN.md were measured at: grow one and this test
 // makes you look (ROADMAP item 1); and userState, one per resident user,
 // is no bigger than DESIGN.md's "Per-user state layout" allows.
@@ -83,6 +86,37 @@ func TestHitPathLayout(t *testing.T) {
 	if first-ctr < cacheLine || ctr+unsafe.Sizeof(sh.ctr)-last < cacheLine {
 		t.Errorf("shard.ctr's counters span [%d,%d) of a block at [%d,%d): less than a line of padding on a side",
 			first, last, ctr, ctr+unsafe.Sizeof(sh.ctr))
+	}
+	// A shard's locks: neighbouring user stripes' lock words are a line
+	// apart, and the community lock shares no line with a stripe's or
+	// with the counters; what every request reads of the shard shares no
+	// line with any of them.
+	counters := span{"ctr's counters", first, last}
+	comm := fieldSpan("commMu", unsafe.Offsetof(sh.commMu), unsafe.Sizeof(sh.commMu))
+	read = []span{
+		fieldSpan("cohorts", unsafe.Offsetof(sh.cohorts), unsafe.Sizeof(sh.cohorts)),
+		fieldSpan("community", unsafe.Offsetof(sh.community), unsafe.Sizeof(sh.community)),
+		fieldSpan("users.slots", unsafe.Offsetof(sh.users)+unsafe.Offsetof(sh.users.slots), unsafe.Sizeof(sh.users.slots)),
+		fieldSpan("users.chunks", unsafe.Offsetof(sh.users)+unsafe.Offsetof(sh.users.chunks), unsafe.Sizeof(sh.users.chunks)),
+	}
+	locks := []span{comm}
+	for i := range sh.stripes {
+		off := unsafe.Offsetof(sh.stripes) + uintptr(i)*unsafe.Sizeof(sh.stripes[0]) + unsafe.Offsetof(sh.stripes[0].mu)
+		locks = append(locks, fieldSpan(fmt.Sprintf("stripes[%d].mu", i), off, unsafe.Sizeof(sh.stripes[i].mu)))
+	}
+	for i, l := range locks {
+		others := append([]span{counters}, read...)
+		if i > 0 {
+			others = append(others, comm)
+		}
+		if i > 1 {
+			others = append(others, locks[i-1])
+		}
+		for _, o := range others {
+			if !apart(o, l) {
+				t.Errorf("shard.%s [%d,%d) can share a line with shard.%s [%d,%d)", o.name, o.off, o.end, l.name, l.off, l.end)
+			}
+		}
 	}
 	var q workerQueue
 	if pad := unsafe.Sizeof(q) - (unsafe.Offsetof(q.pending) + unsafe.Sizeof(q.pending)); pad < cacheLine {

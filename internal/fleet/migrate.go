@@ -146,14 +146,14 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 		sh.provisionedAt = joined
 	}
 	for s, src := range old.shards {
-		src.mu.Lock()
+		src.lockUsers()
 		var movers []searchlog.UserID
 		src.users.forEach(func(u *userState) {
 			if next.place.ShardOf(placement.UserKey(uint64(u.uid))) != s {
 				movers = append(movers, u.uid)
 			}
 		})
-		src.mu.Unlock()
+		src.unlockUsers()
 		slices.Sort(movers)
 		move(next, src, movers, opts, &st)
 	}
@@ -296,10 +296,7 @@ func (f *Fleet) ShardLoads() []ShardLoad {
 	out := make([]ShardLoad, len(v.shards))
 	for i, sh := range v.shards {
 		out[i] = ShardLoad{Shard: sh.id, Served: sh.ctr.served.Load(), Shed: sh.ctr.shed.Load()}
-		sh.mu.Lock()
-		out[i].Users = sh.users.resident
-		out[i].PersonalBytes = sh.personalBytes
-		sh.mu.Unlock()
+		out[i].Users, out[i].PersonalBytes = sh.residency()
 	}
 	return out
 }

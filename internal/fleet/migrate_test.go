@@ -418,7 +418,7 @@ func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
 	t.Helper()
 	out := make(map[searchlog.UserID]userImage)
 	for _, sh := range f.view.Load().shards {
-		sh.mu.Lock()
+		sh.lockUsers()
 		sh.users.forEach(func(st *userState) {
 			img := userImage{Shard: sh.id, Served: st.served, Hits: st.hits, Bytes: st.bytes, MissSeq: st.missSeq, Refs: slices.Clone(st.refs)}
 			slices.SortFunc(img.Refs, func(a, b evictRef) int { return cmp.Compare(a.resultHash, b.resultHash) })
@@ -437,7 +437,7 @@ func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
 			}
 			out[st.uid] = img
 		})
-		sh.mu.Unlock()
+		sh.unlockUsers()
 	}
 	return out
 }

@@ -49,8 +49,9 @@ func TestFleetStoresRecordsByID(t *testing.T) {
 	stored := func(uid searchlog.UserID) (resultdb.Record, int64) {
 		t.Helper()
 		sh := f.view.Load().shards[f.shardOf(uid)]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		us := sh.stripeOf(uid)
+		us.mu.Lock()
+		defer us.mu.Unlock()
 		st := sh.users.get(uid)
 		rec, _, err := st.cache.DB().Fetch(ch)
 		if err != nil {
@@ -84,9 +85,9 @@ func TestFleetStoresRecordsByID(t *testing.T) {
 	commID := u.ResultOf(commPair)
 	commHash := hash64.Sum(u.ResultURL(commID))
 	for _, sh := range f.view.Load().shards {
-		sh.mu.Lock()
+		sh.commMu.Lock()
 		rec, _, err := sh.community.DB().Fetch(commHash)
-		sh.mu.Unlock()
+		sh.commMu.Unlock()
 		if err != nil || rec.ID != uint32(commID) || int(rec.Length) != u.RecordLen(commID) {
 			t.Errorf("shard %d's community replica stores %+v, %v", sh.id, rec, err)
 		}
@@ -95,17 +96,17 @@ func TestFleetStoresRecordsByID(t *testing.T) {
 	// Get renders the record, and the copy is the caller's to write into.
 	a, b := users[0], users[1]
 	sha := f.view.Load().shards[f.shardOf(a)]
-	sha.mu.Lock()
+	sha.stripeOf(a).mu.Lock()
 	got, _, err := sha.users.get(a).cache.DB().Get(ch)
-	sha.mu.Unlock()
+	sha.stripeOf(a).mu.Unlock()
 	if err != nil || !bytes.Equal(got, u.Result(u.ResultOf(p)).Record()) {
 		t.Fatalf("Get renders %q, %v", got, err)
 	}
 	got[0] ^= 0xff
 	shb := f.view.Load().shards[f.shardOf(b)]
-	shb.mu.Lock()
+	shb.stripeOf(b).mu.Lock()
 	again, _, err := shb.users.get(b).cache.DB().Get(ch)
-	shb.mu.Unlock()
+	shb.stripeOf(b).mu.Unlock()
 	if err != nil || !bytes.Equal(again, u.Result(u.ResultOf(p)).Record()) {
 		t.Errorf("user %d's record changed under a write into a copy: %q", b, again)
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -83,14 +84,18 @@ type evictRef struct {
 // it. Slots are allocated from fixed-size chunks that are never
 // reallocated, so *userState pointers stay valid for the shard's
 // lifetime; freed slots (migration exports) are recycled via a free
-// list. Guarded by the shard lock.
+// list. A user's slot and dense entry are touched only under their
+// stripe, so a dense lookup takes no other lock (the chunk directory is
+// republished whole when it grows); mu guards what stripes share.
 type userTable struct {
 	// slots maps uid → slot+1 for uid < len(slots); 0 means absent.
 	slots []int32
+	// chunks is the slab arena's directory; chunk addresses never change.
+	chunks atomic.Pointer[[][]userState]
+
+	mu spinlock.Mutex
 	// sparse maps out-of-range uids → slot+1.
 	sparse map[searchlog.UserID]int32
-	// chunks is the slab arena; chunk addresses never change.
-	chunks [][]userState
 	free   []int32
 	next   int32
 	// resident counts live slots.
@@ -102,20 +107,21 @@ type userTable struct {
 // that a lightly populated shard stays cheap.
 const userChunkShift = 10
 
-func newUserTable(population int) userTable {
-	ut := userTable{}
+// init sizes the dense index for the configured population.
+func (ut *userTable) init(population int) {
 	if population > 0 {
 		ut.slots = make([]int32, population)
 	}
-	return ut
+	ut.chunks.Store(new([][]userState))
 }
 
 // at returns the state in slot s.
 func (ut *userTable) at(s int32) *userState {
-	return &ut.chunks[s>>userChunkShift][s&(1<<userChunkShift-1)]
+	return &(*ut.chunks.Load())[s>>userChunkShift][s&(1<<userChunkShift-1)]
 }
 
-// get returns the user's state, or nil when not resident.
+// get returns the user's state, or nil when not resident. Caller holds
+// the user's stripe.
 func (ut *userTable) get(uid searchlog.UserID) *userState {
 	if i := uint64(uid); i < uint64(len(ut.slots)) {
 		if s := ut.slots[i]; s != 0 {
@@ -123,23 +129,30 @@ func (ut *userTable) get(uid searchlog.UserID) *userState {
 		}
 		return nil
 	}
-	if s, ok := ut.sparse[uid]; ok {
+	ut.mu.Lock()
+	s, ok := ut.sparse[uid]
+	ut.mu.Unlock()
+	if ok {
 		return ut.at(s - 1)
 	}
 	return nil
 }
 
 // put allocates (or reuses) a slot for uid and returns its zeroed
-// state with uid and live set. The uid must not be resident.
+// state with uid and live set. The uid must not be resident. Caller
+// holds the user's stripe.
 func (ut *userTable) put(uid searchlog.UserID) *userState {
+	ut.mu.Lock()
+	defer ut.mu.Unlock()
 	var s int32
 	if n := len(ut.free); n > 0 {
 		s = ut.free[n-1]
 		ut.free = ut.free[:n-1]
 	} else {
 		s = ut.next
-		if int(s)>>userChunkShift == len(ut.chunks) {
-			ut.chunks = append(ut.chunks, make([]userState, 1<<userChunkShift))
+		if dir := *ut.chunks.Load(); int(s)>>userChunkShift == len(dir) {
+			dir = append(dir[:len(dir):len(dir)], make([]userState, 1<<userChunkShift))
+			ut.chunks.Store(&dir)
 		}
 		ut.next++
 	}
@@ -158,8 +171,11 @@ func (ut *userTable) put(uid searchlog.UserID) *userState {
 }
 
 // remove frees uid's slot, zeroing the state (releasing its cache and
-// maps to the collector) and recycling the slot.
+// maps to the collector) and recycling the slot. Caller holds the
+// user's stripe.
 func (ut *userTable) remove(uid searchlog.UserID) {
+	ut.mu.Lock()
+	defer ut.mu.Unlock()
 	var s int32
 	if i := uint64(uid); i < uint64(len(ut.slots)) {
 		s = ut.slots[i]
@@ -181,9 +197,10 @@ func (ut *userTable) remove(uid searchlog.UserID) {
 }
 
 // forEach visits every live state in arena (slot) order. Callers that
-// need a deterministic order sort afterwards by uid.
+// need a deterministic order sort afterwards by uid. Caller holds every
+// stripe (shard.lockUsers).
 func (ut *userTable) forEach(fn func(*userState)) {
-	for _, ch := range ut.chunks {
+	for _, ch := range *ut.chunks.Load() {
 		for i := range ch {
 			if st := &ch[i]; st.live {
 				fn(st)
@@ -194,9 +211,12 @@ func (ut *userTable) forEach(fn func(*userState)) {
 
 // shard holds a deterministic slice of the user population: one shared
 // community cache replica plus every resident user's personal state.
-// All of it is guarded by mu, whichever goroutine serves — the worker
-// draining the shard's queued tasks or a blocking caller running its
-// own request (package comment, "Who runs a request").
+// Whichever goroutine serves — the worker draining the shard's queued
+// tasks or a blocking caller running its own request (package comment,
+// "Who runs a request") — a user's state is guarded by their user
+// stripe, and the community replica by commMu, taken inside a stripe.
+// Requests of users on different stripes run side by side; a user's own
+// requests serialize on their stripe.
 type shard struct {
 	id   int
 	eng  *engine.Engine
@@ -226,24 +246,94 @@ type shard struct {
 	// is written before the shard is published and read-only afterwards.
 	power         energy.ShardPower
 	provisionedAt time.Duration
+	// community is the shared replica, guarded by commMu.
+	community *pocketsearch.Cache
+	users     userTable
 
-	// ctr is everything delivering a response writes outside mu.
+	// ctr is everything delivering a response writes outside the locks.
 	ctr shardCounters
 
-	// mu spins before it sleeps: route holds it for about a microsecond,
-	// and a caller parked behind that waits a scheduler wake-up, hundreds
-	// of times longer (DESIGN.md, "Who runs a request").
+	// commMu guards the community replica: its probe and hit, its
+	// clock's observation, and a degraded miss's stale serve. Like every
+	// lock a request takes it spins before it sleeps (DESIGN.md, "The
+	// shard's locks").
+	commMu spinlock.Mutex
+	_      [64]byte
+	// stripes guard the users, each user on the stripe stripeOf picks.
+	stripes [numStripes]userStripe
+}
+
+// numStripes is how many user stripes a shard has: with a handful of
+// clients serving a shard at once, two of them land on one stripe rarely.
+const numStripes = 16
+
+// userStripe guards the state of the users it holds: their arena slots
+// and everything in them, their share of the shard's personal bytes, and
+// their pending misses. Stripes are 80 B wide, so two lock words (12 B)
+// share no line wherever the array starts.
+type userStripe struct {
 	mu            spinlock.Mutex
-	community     *pocketsearch.Cache
-	users         userTable
 	personalBytes int64
-	// pendingMiss marks users with a cloud miss classified but not yet
-	// applied — being planned against the backend by the goroutine
-	// serving it, or parked in a batch dispatcher. At most one per user: whoever routes the
-	// user's next request waits on it first, so nothing moves the model
-	// clock the plan was computed against and every per-user outcome is
-	// identical to serving each miss in one lock hold.
-	pendingMiss map[searchlog.UserID]*missTask
+	// pending lists the stripe's users with a cloud miss classified but
+	// not yet applied — being planned against the backend, or parked in
+	// a batch dispatcher. At most one per user: whoever routes the user's
+	// next request waits on it first, so nothing moves the model clock
+	// the plan was computed against. A list, not a map: it holds a few
+	// misses at most, and costs nothing until one is pending.
+	pending []pendingMiss
+	_       [32]byte
+}
+
+// pendingMiss is one user's entry in their stripe's pending list.
+type pendingMiss struct {
+	uid searchlog.UserID
+	mt  *missTask
+}
+
+// pendingOf returns the user's pending miss, or nil. Caller holds mu.
+func (us *userStripe) pendingOf(uid searchlog.UserID) *missTask {
+	for _, p := range us.pending {
+		if p.uid == uid {
+			return p.mt
+		}
+	}
+	return nil
+}
+
+// clearPending drops the user's pending miss. Caller holds mu.
+func (us *userStripe) clearPending(uid searchlog.UserID) {
+	us.pending = slices.DeleteFunc(us.pending, func(p pendingMiss) bool { return p.uid == uid })
+}
+
+// stripeOf returns the user's stripe, picked by a mix of the uid: a
+// placement can give one shard users that agree in their low bits.
+func (sh *shard) stripeOf(uid searchlog.UserID) *userStripe {
+	return &sh.stripes[hash64.Mix(uint64(uid))%numStripes]
+}
+
+// lockUsers takes every user stripe, in index order, for a reader that
+// walks the users; unlockUsers releases them.
+func (sh *shard) lockUsers() {
+	for i := range sh.stripes {
+		sh.stripes[i].mu.Lock()
+	}
+}
+
+func (sh *shard) unlockUsers() {
+	for i := range sh.stripes {
+		sh.stripes[i].mu.Unlock()
+	}
+}
+
+// residency reports the shard's resident users and their personal
+// flash bytes.
+func (sh *shard) residency() (users int, bytes int64) {
+	sh.lockUsers()
+	defer sh.unlockUsers()
+	for i := range sh.stripes {
+		bytes += sh.stripes[i].personalBytes
+	}
+	return sh.users.resident, bytes
 }
 
 // shardCounters is the one home of every counter serving a request
@@ -251,8 +341,8 @@ type shard struct {
 // that served it and padded at both ends: serving writes no line a
 // request on another shard writes. Every fleet-wide reading is one fold:
 // the live shards' blocks plus Fleet.retired (Fleet.totals). Atomics,
-// because finish runs outside mu; integers, so totals are
-// interleaving-independent.
+// because requests on every stripe write them and finish runs outside
+// the locks; integers, so totals are interleaving-independent.
 type shardCounters struct {
 	_ [64]byte
 	// served and shed are the shard's occupancy; busyNS is the
@@ -361,9 +451,8 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		basePower:    dev.Config().BasePower,
 		power:        cfg.ShardPower.WithDefaults(),
 		community:    community,
-		users:        newUserTable(cfg.Population),
-		pendingMiss:  make(map[searchlog.UserID]*missTask),
 	}
+	sh.users.init(cfg.Population)
 	if cfg.Batch.Enabled {
 		sh.ctr.batchSizes = make([]atomic.Int64, cfg.Batch.MaxBatch+1)
 	}
@@ -372,7 +461,8 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 
 // user returns (lazily creating) the per-user state. The state starts
 // compact — counters and cohort runtime only; the simulated device and
-// personal cache are materialized on first need. Caller holds mu.
+// personal cache are materialized on first need. Caller holds the
+// user's stripe.
 func (sh *shard) user(uid searchlog.UserID) *userState {
 	if st := sh.users.get(uid); st != nil {
 		return st
@@ -388,7 +478,7 @@ func (sh *shard) user(uid searchlog.UserID) *userState {
 // energy, the fresh device clock is zero (a zero observation does not
 // move the timeline), base power is the fleet-wide constant, and an
 // empty personal cache can by definition serve no personal hit.
-// Caller holds mu.
+// Caller holds the user's stripe.
 func (sh *shard) materialize(st *userState) error {
 	if st.cache != nil {
 		return nil
@@ -407,12 +497,12 @@ func (sh *shard) materialize(st *userState) error {
 // read, migration sync and makespan observation goes through it —
 // serving code never touches the device clock directly. Bound per use
 // rather than kept in the arena slot; valid only once st.cache is
-// non-nil. Caller holds mu.
+// non-nil. Caller holds the user's stripe.
 func (sh *shard) clock(st *userState) modeltime.UserClock {
 	return sh.tl.BoundClock(st.cache.Device())
 }
 
-// route classifies one task under the shard lock and serves whatever
+// route classifies one task under the user's stripe and serves whatever
 // can be served at once. The routing mirrors the paper's two-component
 // cache (Figure 6) at fleet scale: the personal component is consulted
 // first (it carries the user's own expansions and click scores), then
@@ -429,15 +519,16 @@ func (sh *shard) clock(st *userState) modeltime.UserClock {
 // lock hold is always marked pending: the one rule that keeps the model
 // clock its plan was computed against still.
 func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missTask) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	qh := hash64.Sum(t.req.Query)
+	ch := hash64.Sum(t.req.Click)
+	us := sh.stripeOf(t.req.User)
+	us.mu.Lock()
+	defer us.mu.Unlock()
 
-	if prev := sh.pendingMiss[t.req.User]; prev != nil {
+	if prev := us.pendingOf(t.req.User); prev != nil {
 		return nil, prev
 	}
 	st := sh.user(t.req.User)
-	qh := hash64.Sum(t.req.Query)
-	ch := hash64.Sum(t.req.Click)
 	if sh.serveLocal(st, &t.req, qh, ch, resp) {
 		return nil, nil
 	}
@@ -447,7 +538,7 @@ func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missT
 	}
 	// The miss's whole fault ladder is planned against the user's model
 	// clock as of now: the clock cannot move before the miss is applied
-	// (pendingMiss blocks the user's next request), so the plan — and
+	// (a pending miss blocks the user's next request), so the plan — and
 	// with it every per-user outcome — is independent of how a dispatcher
 	// later composes batches and of which goroutine serves what. An
 	// unpriced plan is arithmetic, so a miss nothing coalesces is planned
@@ -456,7 +547,7 @@ func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missT
 	mc := sh.classifyLocked(st, t.req.User, qh, ch)
 	if sh.cohorts.pricer == nil && !park {
 		mc.plan(nil)
-		sh.applyMissLocked(st, &t.req, &mc, exchange{}, resp)
+		sh.applyMissLocked(us, st, &t.req, &mc, exchange{}, resp)
 		return nil, nil
 	}
 	if park && t.inPlace {
@@ -465,37 +556,30 @@ func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missT
 		t.inPlace, t.reply = false, replyPool.Get().(chan Response)
 	}
 	miss = &missTask{t: *t, mc: mc, done: make(chan struct{})}
-	sh.pendingMiss[t.req.User] = miss
+	us.pending = append(us.pending, pendingMiss{uid: t.req.User, mt: miss})
 	return miss, nil
 }
 
 // serveLocal serves the request from the local tier that holds the pair
 // — the user's personal component (none before the user's cache is
 // materialized), else the shard's community replica — into resp, and
-// reports false, resp untouched, when neither does: the request is the
-// cloud's. The tier serves from the position its index was probed at, so
-// each chain is searched once per request. Per-user serving counters and
-// the modeled energy attribution (base power over the response time) are
-// applied here. Caller holds mu.
+// reports false when neither does: the request is the cloud's. The tier
+// serves from the position its index was probed at, so each chain is
+// searched once per request. Per-user serving counters and the modeled
+// energy attribution (base power over the response time) are applied
+// here. Caller holds the user's stripe.
 func (sh *shard) serveLocal(st *userState, req *Request, qh, ch uint64, resp *Response) bool {
-	cache, tier := st.cache, SourcePersonal
 	var p hashtable.Probe
 	var ok bool
-	if cache != nil {
-		p, ok = cache.Probe(qh, ch)
+	if st.cache != nil {
+		p, ok = st.cache.Probe(qh, ch)
 	}
-	if !ok {
-		cache, tier = sh.community, SourceCommunity
-		if p, ok = cache.Probe(qh, ch); !ok {
-			return false
-		}
-	}
-	*resp = Response{Source: tier}
-	resp.Req = *req
-	resp.Err = cache.Hit(p, qh, req.Query, &resp.Outcome)
-	if tier == SourceCommunity {
-		// A community hit advanced the replica's device, not the user's.
-		sh.commClock.Observe()
+	if ok {
+		*resp = Response{Source: SourcePersonal}
+		resp.Req = *req
+		resp.Err = st.cache.Hit(p, qh, req.Query, &resp.Outcome)
+	} else if !sh.hitCommunity(req, qh, ch, resp) {
+		return false
 	}
 	st.served++
 	if resp.Outcome.Hit {
@@ -508,23 +592,41 @@ func (sh *shard) serveLocal(st *userState, req *Request, qh, ch uint64, resp *Re
 	return true
 }
 
+// hitCommunity serves the request from the community replica into resp,
+// under commMu, and reports false when the replica does not hold the
+// pair.
+func (sh *shard) hitCommunity(req *Request, qh, ch uint64, resp *Response) bool {
+	sh.commMu.Lock()
+	p, ok := sh.community.Probe(qh, ch)
+	if ok {
+		*resp = Response{Source: SourceCommunity}
+		resp.Req = *req
+		resp.Err = sh.community.Hit(p, qh, req.Query, &resp.Outcome)
+		// A community hit advanced the replica's device, not the user's.
+		sh.commClock.Observe()
+	}
+	sh.commMu.Unlock()
+	return ok
+}
+
 // recordExpansion books the personal-flash delta a served miss left
 // behind (Outcome.Stored) and enforces the per-user budget. The database
 // grows only by a record it did not hold, and every listed record is
 // held (evicting one removes both), so a positive delta's result is not
 // in the list yet. Only a budget reads the list, and the cap is
-// fleet-wide, so a fleet without one keeps no list. Caller holds mu.
-func (sh *shard) recordExpansion(st *userState, qh, ch uint64, delta int64) {
+// fleet-wide, so a fleet without one keeps no list. Caller holds us, the
+// user's stripe.
+func (sh *shard) recordExpansion(us *userStripe, st *userState, qh, ch uint64, delta int64) {
 	if delta <= 0 {
 		return
 	}
 	st.bytes += delta
-	sh.personalBytes += delta
+	us.personalBytes += delta
 	if sh.perUserBytes <= 0 {
 		return
 	}
 	st.refs = append(slab.Reserve(st.refs, 1), evictRef{queryHash: qh, resultHash: ch, bytes: delta})
-	sh.enforceUserBudget(st)
+	sh.enforceUserBudget(us, st)
 }
 
 // utilityOf is the eviction utility of a personal record: the click
@@ -543,8 +645,9 @@ func (st *userState) utilityOf(ref evictRef) float64 {
 }
 
 // enforceUserBudget evicts the user's lowest-utility personal records
-// until the user is back under the per-user byte cap. Caller holds mu.
-func (sh *shard) enforceUserBudget(st *userState) {
+// until the user is back under the per-user byte cap. Caller holds us,
+// the user's stripe.
+func (sh *shard) enforceUserBudget(us *userStripe, st *userState) {
 	if sh.perUserBytes <= 0 {
 		return
 	}
@@ -556,16 +659,16 @@ func (sh *shard) enforceUserBudget(st *userState) {
 				victim, best = i, s
 			}
 		}
-		sh.evictLocked(st, victim)
+		us.evictLocked(st, victim)
 	}
 }
 
 // evictLocked removes the user's i'th personal record from their cache
 // and their list, returning the bytes freed. Caller holds mu.
-func (sh *shard) evictLocked(st *userState, i int) int64 {
+func (us *userStripe) evictLocked(st *userState, i int) int64 {
 	freed := st.cache.EvictResult(st.refs[i].resultHash)
 	st.bytes -= freed
-	sh.personalBytes -= freed
+	us.personalBytes -= freed
 	last := len(st.refs) - 1
 	st.refs[i] = st.refs[last]
 	st.refs = st.refs[:last]
@@ -600,13 +703,14 @@ type userExport struct {
 // materialized is materialized first, so the wire format — and the
 // byte-identical round-trip contract — is the same for every mover.
 func (sh *shard) exportUser(uid searchlog.UserID) (ex userExport, ok bool, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	us := sh.stripeOf(uid)
+	us.mu.Lock()
+	defer us.mu.Unlock()
 	st := sh.users.get(uid)
 	if st == nil {
 		return userExport{}, false, nil
 	}
-	sh.personalBytes -= st.bytes
+	us.personalBytes -= st.bytes
 	if err := sh.materialize(st); err != nil {
 		sh.users.remove(uid)
 		return userExport{}, true, err
@@ -637,8 +741,9 @@ func (sh *shard) exportUser(uid searchlog.UserID) (ex userExport, ok bool, err e
 // to the exported clock (import happens off-device; no energy is
 // charged beyond the modeled patch flash time).
 func (sh *shard) importUser(uid searchlog.UserID, ex userExport) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	us := sh.stripeOf(uid)
+	us.mu.Lock()
+	defer us.mu.Unlock()
 	if sh.users.get(uid) != nil {
 		return fmt.Errorf("fleet: user %d already resident on shard %d", uid, sh.id)
 	}
@@ -656,10 +761,10 @@ func (sh *shard) importUser(uid searchlog.UserID, ex userExport) error {
 	st.hits = ex.hits
 	st.missSeq = ex.missSeq
 	st.bytes = st.cache.DB().LogicalBytes()
-	sh.personalBytes += st.bytes
+	us.personalBytes += st.bytes
 	// The source slot was zeroed by the export, so its list is this
 	// user's to keep.
 	st.refs = ex.refs
-	sh.enforceUserBudget(st)
+	sh.enforceUserBudget(us, st)
 	return nil
 }

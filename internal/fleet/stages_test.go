@@ -109,8 +109,9 @@ func TestStagesMatchPlan(t *testing.T) {
 			}
 
 			sh := f.view.Load().shards[f.shardOf(uid)]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
+			us := sh.stripeOf(uid)
+			us.mu.Lock()
+			defer us.mu.Unlock()
 			st := sh.user(uid)
 			if err := sh.materialize(st); err != nil {
 				t.Fatal(err)
@@ -134,7 +135,7 @@ func TestStagesMatchPlan(t *testing.T) {
 			devAt, devStore := dev.Now(), dev.StageTotal(device.Store)
 			replicaAt, replicaStore := replica.Now(), replica.StageTotal(device.Store)
 			var resp Response
-			sh.applyMissLocked(st, &req, &mc, exchange{}, &resp)
+			sh.applyMissLocked(us, st, &req, &mc, exchange{}, &resp)
 			want := SourceDegraded
 			switch row.rung {
 			case "cloud":

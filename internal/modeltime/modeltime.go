@@ -93,7 +93,8 @@ func (tl *Timeline) Makespan() time.Duration {
 //
 // UserClock adds no locking of its own: callers synchronize access the
 // same way they synchronize the underlying device (in the fleet, the
-// shard lock).
+// user's lock stripe, or for a community replica the shard's community
+// lock).
 type UserClock struct {
 	dev DeviceClock
 	tl  *Timeline

@@ -110,10 +110,11 @@ func (o Options) withDefaults() Options {
 // Concurrency contract: a Cache models one device and is single-owner —
 // Query, Preload, ReplaceTable and the other mutating methods must not
 // be called concurrently. The fleet layer (internal/fleet) enforces this
-// by serializing all access to a cache behind its shard lock. The only
+// by serializing all access to a cache behind one lock: a personal
+// cache's user stripe, a community replica's community lock. The only
 // exception is the activity counters: Stats and ResetStats are safe to
 // call from any goroutine, concurrently with Query, so monitoring never
-// needs the shard lock.
+// needs those locks.
 type Cache struct {
 	opts  Options
 	dev   *device.Device

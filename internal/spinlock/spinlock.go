@@ -30,19 +30,24 @@ import (
 
 // spins is how many times Lock yields and retries before it parks on the
 // underlying sync.Mutex. It is sized from three measurements on a 2-vCPU
-// Xeon host (go1.24, linux/amd64), over three units of the repository
+// Xeon host (go1.24, linux/amd64), over units of the repository
 // benchmark's workloads:
-//   - hold time: the fleet shard lock in route is held 256–512 ns at the
-//     median and under 1 µs at p99 on hit_closed; a backend replica lock
-//     in Price 4–8 µs at the median and 32–64 µs at p99 on fault_hedge;
+//   - hold time, timed from Lock's return to Unlock in log2 buckets over
+//     one timed pass of hit_closed: route holds a fleet user stripe
+//     0.5–1 µs at the median and 2–4 µs at p99 (the one shard lock the
+//     stripes replaced read the same buckets under the same timer), a
+//     community hit holds the shard's community lock 256–512 ns and
+//     1–2 µs. When the bound was set, a backend replica lock was held
+//     across Price's replay, 4–8 µs at the median and 32–64 µs at p99
+//     on fault_hedge;
 //   - one yield and retry costs about 0.14 µs;
 //   - a parked waiter runs again 0.2–0.6 ms after the unlock that woke
 //     it (runtime trace: 510 ms of scheduler delay over 918 wake-ups on
 //     hit_closed, 3.9 s over 19,480 on fault_hedge).
 //
-// 256 tries are about 36 µs: past the p99 hold of both locks, and a
-// fifth of one wake-up or less, so a waiter that gives up has spent less
-// than the park it falls back to.
+// 256 tries are about 36 µs: past the p99 hold of every one of these
+// locks, and a fifth of one wake-up or less, so a waiter that gives up
+// has spent less than the park it falls back to.
 const spins = 256
 
 // Mutex is a sync.Mutex whose Lock spins before it sleeps. The zero value

@@ -63,6 +63,12 @@ echo "== result database and cache benchmarks, one iteration each =="
 # or panics fails here. One iteration times nothing.
 go test -run '^$' -bench 'BenchmarkPut|BenchmarkGet|BenchmarkQueryHit|BenchmarkQueryMiss' -benchtime 1x ./internal/resultdb ./internal/pocketsearch
 
+echo "== shard lock benchmark, one iteration =="
+# The layer row of a shard's locks: hits and misses of one shard's users
+# served side by side (BenchmarkShardParallel). One iteration times
+# nothing.
+go test -run '^$' -bench BenchmarkShardParallel -benchtime 1x ./internal/fleet
+
 echo "== go test -race -short ./... =="
 go test -race -short ./...
 
@@ -88,7 +94,10 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # with backend pricing under concurrent walkers. A priced miss replays
 # under no lock: replays side by side publish the spine a serial run
 # builds, and four clients serve every user what one client does on each
-# route a priced miss takes (caller-run, slow-priced, batched). And the
+# route a priced miss takes (caller-run, slow-priced, batched); and with
+# every user on one shard, eight clients serve every user what one does
+# on each route a request takes under its user stripe (plain, evicting,
+# outage, batched, priced). And the
 # open-loop schedule's producer (internal/loadgen): the chunked stream is
 # the one-shot schedule at every chunk size, handed over and recycled
 # across goroutines, and a run that fails mid-replay stops its producer
@@ -99,7 +108,7 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # closed run against a finite-rate backend and an open-loop run that
 # sheds nothing print the same report, every digit, at one worker and at
 # several.
-go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestResizeEquivalence|TestResizeWhileServing|TestResizeUnderCallerRunDo|TestPipelinedResizeMatchesOneAtATime|TestCloseRacesCallerRunDo|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent|TestChunkBoundaries|TestNoProducerOutlivesItsRun|TestClosedTimelinesEnd|TestClosedLoopResizeRail|TestReportIsExact' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend ./internal/loadgen ./cmd/loadtest
+go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestResizeEquivalence|TestResizeWhileServing|TestResizeUnderCallerRunDo|TestPipelinedResizeMatchesOneAtATime|TestCloseRacesCallerRunDo|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent|TestOneShardClientsAgree|TestChunkBoundaries|TestNoProducerOutlivesItsRun|TestClosedTimelinesEnd|TestClosedLoopResizeRail|TestReportIsExact' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend ./internal/loadgen ./cmd/loadtest
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root
