@@ -22,6 +22,7 @@ import (
 	"pocketcloudlets"
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/experiments"
+	"pocketcloudlets/internal/fleet"
 	"pocketcloudlets/internal/loadgen"
 	"pocketcloudlets/internal/scenario"
 	"pocketcloudlets/internal/searchlog"
@@ -243,7 +244,7 @@ func BenchmarkAblationCoordinatedEviction(b *testing.B) {
 // iterations measure the hit-dominated serving path.
 type fleetRig struct {
 	f     *pocketcloudlets.Fleet
-	tapes [][]pocketcloudlets.FleetRequest
+	tapes [][]fleet.Request
 }
 
 var (
@@ -280,7 +281,7 @@ func fleetBench(tb testing.TB) *fleetRig {
 			fleetRigErr = err
 			return
 		}
-		f, err := sim.NewFleet(content, pocketcloudlets.FleetConfig{
+		f, err := sim.NewFleet(content, fleet.Config{
 			Shards: 4, QueueDepth: 8192,
 		})
 		if err != nil {
@@ -403,9 +404,9 @@ func fleetBatchBench(b *testing.B) *fleetRig {
 			fleetBatchRigErr = err
 			return
 		}
-		f, err := sim.NewFleet(content, pocketcloudlets.FleetConfig{
+		f, err := sim.NewFleet(content, fleet.Config{
 			Shards: 4, QueueDepth: 8192,
-			Batch: pocketcloudlets.FleetBatchOptions{Enabled: true},
+			Batch: fleet.BatchOptions{Enabled: true},
 		})
 		if err != nil {
 			fleetBatchRigErr = err
@@ -434,7 +435,7 @@ const fleet100kUsers = 100_000
 
 type fleet100kRig struct {
 	f    *pocketcloudlets.Fleet
-	reqs []pocketcloudlets.FleetRequest
+	reqs []fleet.Request
 }
 
 var (
@@ -466,7 +467,7 @@ func fleet100kBench(tb testing.TB) *fleet100kRig {
 			fleet100kErr = err
 			return
 		}
-		cfg := pocketcloudlets.FleetConfig{
+		cfg := fleet.Config{
 			Shards: 8, QueueDepth: 8192,
 			Population: fleet100kUsers,
 		}
@@ -481,7 +482,7 @@ func fleet100kBench(tb testing.TB) *fleet100kRig {
 			fleet100kErr = errEmptyTape
 			return
 		}
-		reqs := make([]pocketcloudlets.FleetRequest, fleet100kUsers)
+		reqs := make([]fleet.Request, fleet100kUsers)
 		for uid := range reqs {
 			r := base[uid%len(base)]
 			r.User = searchlog.UserID(uid)
@@ -578,11 +579,11 @@ func TestFleetColdFillHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tapes [][]pocketcloudlets.FleetRequest
+	var tapes [][]fleet.Request
 	for _, up := range sim.Generator.Users() {
 		tapes = append(tapes, loadgen.Tape(sim.Generator, up, 1))
 	}
-	cfg := pocketcloudlets.FleetConfig{Shards: 4, Population: users}
+	cfg := fleet.Config{Shards: 4, Population: users}
 	cfg.Options.DisableSuggest = true
 	base := liveHeap()
 	f, err := sim.NewFleet(content, cfg)

@@ -18,6 +18,7 @@ import (
 
 	"pocketcloudlets"
 	"pocketcloudlets/internal/energy"
+	"pocketcloudlets/internal/loadgen"
 	"pocketcloudlets/internal/reportnorm"
 	"pocketcloudlets/internal/scenario"
 )
@@ -266,7 +267,7 @@ func TestResizeFlagDefaults(t *testing.T) {
 		if mode == "closed" {
 			timeline = comp.Closed.Events
 		}
-		if wantTL := []pocketcloudlets.LoadTimelineEvent{{At: 360 * time.Hour, ResizeTo: 12, DropState: true}}; !reflect.DeepEqual(timeline, wantTL) {
+		if wantTL := []loadgen.TimelineEvent{{At: 360 * time.Hour, ResizeTo: 12, DropState: true}}; !reflect.DeepEqual(timeline, wantTL) {
 			t.Errorf("%s: timeline %+v, want %+v", mode, timeline, wantTL)
 		}
 	}

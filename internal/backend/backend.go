@@ -240,17 +240,6 @@ func NewModel(o Options) *Model {
 	return m
 }
 
-// Options returns the model's configuration (zero for a nil model).
-func (m *Model) Options() Options {
-	if m == nil {
-		return Options{}
-	}
-	return m.opts
-}
-
-// CancelOnWin reports whether the model reclaims abandoned work; nil-safe.
-func (m *Model) CancelOnWin() bool { return m != nil && m.opts.CancelOnWin }
-
 // drawService is the pure per-request service draw: the same
 // identifiers always cost the same service time, on any replica query
 // order.

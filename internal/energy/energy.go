@@ -88,8 +88,8 @@ const DeviceBaseW = 0.9
 
 // ShardPower is the power envelope of one fleet shard modeled as a
 // cloudlet server: a constant idle draw for as long as the shard is
-// provisioned, plus an active increment while it is serving. The
-// defaults describe a small edge server, not a phone — provisioning a
+// provisioned, plus an active increment while it is serving.
+// DefaultShardPower describes a small edge server, not a phone — provisioning a
 // shard that serves nothing still costs IdleW continuously, which is
 // exactly the waste an occupancy-driven autoscaler reclaims on the
 // trough of the diurnal curve.
@@ -101,21 +101,10 @@ type ShardPower struct {
 	ActiveW float64
 }
 
-// DefaultShardPower is the default cloudlet-server envelope.
+// DefaultShardPower is the cloudlet-server envelope every fleet shard
+// draws.
 func DefaultShardPower() ShardPower {
 	return ShardPower{IdleW: 10, ActiveW: 25}
-}
-
-// WithDefaults fills zero fields from DefaultShardPower.
-func (p ShardPower) WithDefaults() ShardPower {
-	def := DefaultShardPower()
-	if p.IdleW <= 0 {
-		p.IdleW = def.IdleW
-	}
-	if p.ActiveW <= 0 {
-		p.ActiveW = def.ActiveW
-	}
-	return p
 }
 
 // IdleJ is the joules a shard draws over a provisioned window,

@@ -118,10 +118,6 @@ func TestShardPowerModel(t *testing.T) {
 	if got := p.ActiveJ(2 * time.Second); got != (p.ActiveW-p.IdleW)*2 {
 		t.Errorf("ActiveJ(2s) = %v, want %v", got, (p.ActiveW-p.IdleW)*2)
 	}
-	custom := ShardPower{IdleW: 3}.WithDefaults()
-	if custom.IdleW != 3 || custom.ActiveW != p.ActiveW {
-		t.Errorf("WithDefaults kept %+v, want idle 3 active %v", custom, p.ActiveW)
-	}
 }
 
 func TestLedgerSnapshotCrossFoots(t *testing.T) {

@@ -75,14 +75,6 @@ type Options struct {
 	OutagePhase time.Duration
 }
 
-// Active reports whether any fault is actually configured — Enabled
-// with at least one non-zero failure source.
-func (o Options) Active() bool {
-	return o.Enabled &&
-		(o.LossProb > 0 || o.EngineErrProb > 0 || len(o.Windows) > 0 ||
-			(o.OutageEvery > 0 && o.OutageFor > 0))
-}
-
 // Down reports whether the radio is inside an outage at model time
 // now. Pure function of the options and now.
 func (o Options) Down(now time.Duration) bool {
@@ -95,20 +87,6 @@ func (o Options) Down(now time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// OutageShare returns the fraction of the duty-cycle period spent in
-// outage (zero when no periodic outage is configured) — the headline
-// severity knob of the availability experiments.
-func (o Options) OutageShare() float64 {
-	if o.OutageEvery <= 0 || o.OutageFor <= 0 {
-		return 0
-	}
-	s := float64(o.OutageFor) / float64(o.OutageEvery)
-	if s > 1 {
-		return 1
-	}
-	return s
 }
 
 // ParseOutageSpec parses the cmd/loadtest -outage syntax. Two forms:
@@ -167,9 +145,6 @@ type Injector struct {
 // New builds an injector from the options.
 func New(o Options) *Injector { return &Injector{opts: o} }
 
-// Options returns the injector's configuration.
-func (in *Injector) Options() Options { return in.opts }
-
 // RadioDown reports whether the radio is inside an outage at the
 // user's model time now.
 func (in *Injector) RadioDown(now time.Duration) bool { return in.opts.Down(now) }
@@ -199,50 +174,39 @@ func (in *Injector) EngineError(uid, qh, seq uint64, attempt int) bool {
 	return in.opts.EngineErrProb > 0 && in.roll(0x5E_E7_1E_55_C0_FF_EE_01, uid, qh, seq, attempt) < in.opts.EngineErrProb
 }
 
-// Default retry-policy constants.
+// The retry ladder's constants. Only the attempt cap is a setting
+// (RetryPolicy.MaxAttempts).
 const (
-	DefaultMaxAttempts   = 4
-	DefaultBaseBackoff   = 500 * time.Millisecond
-	DefaultMaxBackoff    = 8 * time.Second
-	DefaultRetryDeadline = 30 * time.Second
+	// DefaultMaxAttempts is the attempt cap a zero MaxAttempts selects.
+	DefaultMaxAttempts = 4
+	// BaseBackoff is the pause after the first failed attempt; each
+	// further failure doubles it up to MaxBackoff.
+	BaseBackoff = 500 * time.Millisecond
+	MaxBackoff  = 8 * time.Second
+	// RetryDeadline bounds the model time one miss may spend failing and
+	// backing off before it stops retrying.
+	RetryDeadline = 30 * time.Second
 )
 
 // RetryPolicy governs how the fleet retries a failed cloud exchange:
-// capped exponential backoff in model time, bounded by a per-miss
-// attempt cap and a model-time deadline. A retry costs the user modeled
-// latency and radio joules, never host time.
+// capped exponential backoff in model time (BaseBackoff doubling up to
+// MaxBackoff), bounded by a per-miss attempt cap and the RetryDeadline.
+// A retry costs the user modeled latency and radio joules, never host
+// time.
 type RetryPolicy struct {
 	// MaxAttempts caps radio attempts per cloud miss (first try
 	// included). Zero selects DefaultMaxAttempts; 1 disables retrying.
 	MaxAttempts int
-	// BaseBackoff is the pause after the first failed attempt; each
-	// further failure doubles it up to MaxBackoff. Zeros select the
-	// defaults.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Deadline bounds the model time one miss may spend failing and
-	// backing off before it stops retrying. Zero selects
-	// DefaultRetryDeadline; negative means no deadline.
-	Deadline time.Duration
 	// WallPauseScale is inert: nothing reads it, and a miss never
 	// pauses its server. The field stays only because the benchmark
 	// module (bench/) still sets it.
 	WallPauseScale float64
 }
 
-// WithDefaults resolves zero fields to the default policy.
+// WithDefaults resolves a zero attempt cap to DefaultMaxAttempts.
 func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = DefaultMaxAttempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = DefaultBaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoff
-	}
-	if p.Deadline == 0 {
-		p.Deadline = DefaultRetryDeadline
 	}
 	return p
 }
@@ -250,16 +214,13 @@ func (p RetryPolicy) WithDefaults() RetryPolicy {
 // Backoff returns the model-time pause after failed attempt number
 // attempt (1-based): BaseBackoff doubled per failure, capped at
 // MaxBackoff.
-func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	b := p.BaseBackoff
+func Backoff(attempt int) time.Duration {
+	b := BaseBackoff
 	for i := 1; i < attempt; i++ {
 		b *= 2
-		if b >= p.MaxBackoff {
-			return p.MaxBackoff
+		if b >= MaxBackoff {
+			return MaxBackoff
 		}
-	}
-	if b > p.MaxBackoff {
-		return p.MaxBackoff
 	}
 	return b
 }
@@ -355,7 +316,7 @@ func PlanMiss(in *Injector, pol RetryPolicy, p radio.Params, pr Pricer, replica 
 		pl.Attempts, pl.Success = 1, true
 		return pl
 	}
-	deadline := now + pol.Deadline
+	deadline := now + RetryDeadline
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		pl.Attempts = attempt
 		lost := in.RadioDown(now) || in.LostAttempt(uid, qh, seq, attempt)
@@ -401,10 +362,10 @@ func PlanMiss(in *Injector, pol RetryPolicy, p radio.Params, pr Pricer, replica 
 		if attempt == pol.MaxAttempts {
 			break
 		}
-		if pol.Deadline >= 0 && now >= deadline {
+		if now >= deadline {
 			break
 		}
-		b := pol.Backoff(attempt)
+		b := Backoff(attempt)
 		pl.Backoffs = append(pl.Backoffs, b)
 		pl.FailedWait += b
 		now += b

@@ -7,28 +7,6 @@ import (
 	"pocketcloudlets/internal/radio"
 )
 
-func TestOptionsActive(t *testing.T) {
-	if (Options{}).Active() {
-		t.Error("zero options should be inactive")
-	}
-	if (Options{Enabled: true}).Active() {
-		t.Error("enabled-but-inert options should be inactive")
-	}
-	for _, o := range []Options{
-		{Enabled: true, LossProb: 0.1},
-		{Enabled: true, EngineErrProb: 0.1},
-		{Enabled: true, Windows: []Window{{Start: 0, End: time.Second}}},
-		{Enabled: true, OutageEvery: 30 * time.Second, OutageFor: 6 * time.Second},
-	} {
-		if !o.Active() {
-			t.Errorf("%+v should be active", o)
-		}
-	}
-	if (Options{LossProb: 0.5}).Active() {
-		t.Error("disabled options should be inactive regardless of probabilities")
-	}
-}
-
 func TestDown(t *testing.T) {
 	o := Options{
 		OutageEvery: 30 * time.Second,
@@ -55,16 +33,6 @@ func TestDown(t *testing.T) {
 	}
 	if (Options{}).Down(0) {
 		t.Error("no outage configured should never be down")
-	}
-}
-
-func TestOutageShare(t *testing.T) {
-	o := Options{OutageEvery: 30 * time.Second, OutageFor: 6 * time.Second}
-	if got := o.OutageShare(); got != 0.2 {
-		t.Errorf("OutageShare = %g, want 0.2", got)
-	}
-	if got := (Options{}).OutageShare(); got != 0 {
-		t.Errorf("zero options OutageShare = %g, want 0", got)
 	}
 }
 
@@ -141,22 +109,19 @@ func TestRollsArePure(t *testing.T) {
 }
 
 func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults()
-	if p.MaxAttempts != DefaultMaxAttempts || p.BaseBackoff != DefaultBaseBackoff ||
-		p.MaxBackoff != DefaultMaxBackoff || p.Deadline != DefaultRetryDeadline {
+	if p := (RetryPolicy{}).WithDefaults(); p.MaxAttempts != DefaultMaxAttempts {
 		t.Errorf("defaults not applied: %+v", p)
 	}
-	p = RetryPolicy{Deadline: -1}.WithDefaults()
-	if p.Deadline != -1 {
-		t.Error("negative deadline (no deadline) must survive WithDefaults")
+	if p := (RetryPolicy{MaxAttempts: 1}).WithDefaults(); p.MaxAttempts != 1 {
+		t.Errorf("a set attempt cap must survive WithDefaults: %+v", p)
 	}
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 500 * time.Millisecond, MaxBackoff: 3 * time.Second}.WithDefaults()
-	want := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 3 * time.Second, 3 * time.Second}
+	want := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second,
+		MaxBackoff, MaxBackoff}
 	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w {
+		if got := Backoff(i + 1); got != w {
 			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
@@ -176,7 +141,7 @@ func TestPlanMissNilInjector(t *testing.T) {
 func TestPlanMissPermanentOutage(t *testing.T) {
 	in := New(Options{Enabled: true, Windows: []Window{{Start: 0, End: time.Hour}}})
 	p := radio.ThreeG()
-	pol := RetryPolicy{MaxAttempts: 3, Deadline: -1}.WithDefaults()
+	pol := RetryPolicy{MaxAttempts: 3}.WithDefaults()
 	pl := PlanMiss(in, pol, p, nil, 0, 0, false, 1, 2, 1)
 	if pl.Success {
 		t.Fatal("permanent outage should exhaust the ladder")
@@ -230,22 +195,21 @@ func TestPlanMissEscapesOutage(t *testing.T) {
 }
 
 // TestPlanMissDeadline verifies the model-time deadline stops the
-// ladder before the attempt cap.
+// ladder before the attempt cap: the last attempt is the first to end
+// past RetryDeadline.
 func TestPlanMissDeadline(t *testing.T) {
 	in := New(Options{Enabled: true, Windows: []Window{{Start: 0, End: time.Hour}}})
 	p := radio.ThreeG()
-	// One failed attempt (~3.9s for cold 3G) blows a 1s deadline: the
-	// ladder must stop at 1 attempt with no backoff taken.
-	pol := RetryPolicy{MaxAttempts: 10, Deadline: time.Second}.WithDefaults()
+	pol := RetryPolicy{MaxAttempts: 100}.WithDefaults()
 	pl := PlanMiss(in, pol, p, nil, 0, 0, false, 1, 2, 1)
-	if pl.Success || pl.Attempts != 1 || len(pl.Backoffs) != 0 {
-		t.Errorf("plan = %+v, want 1 exhausted attempt with no backoff", pl)
+	if pl.Success || pl.Attempts >= pol.MaxAttempts || len(pl.Backoffs) != pl.Attempts-1 {
+		t.Fatalf("plan = %+v, want an exhausted ladder stopped by the deadline", pl)
 	}
-	// Negative deadline means no deadline: the full cap is used.
-	pol = RetryPolicy{MaxAttempts: 10, Deadline: -1}.WithDefaults()
-	pl = PlanMiss(in, pol, p, nil, 0, 0, false, 1, 2, 1)
-	if pl.Attempts != 10 {
-		t.Errorf("no-deadline plan took %d attempts, want 10", pl.Attempts)
+	last := pl.Backoffs[len(pl.Backoffs)-1]
+	before := pl.FailedWait - radio.FailedAttemptCost(p, last < p.TailDuration) - last
+	if pl.FailedWait < RetryDeadline || before >= RetryDeadline {
+		t.Errorf("ladder ended at %v (previous attempt ended at %v), want the first attempt past %v",
+			pl.FailedWait, before, RetryDeadline)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestPlanMissRejectionRetries(t *testing.T) {
 func TestPlanMissEngineErrorBurnsBackendTime(t *testing.T) {
 	in := New(Options{Enabled: true, EngineErrProb: 1})
 	pr := &repPricer{adm: map[int]Admission{0: {Wait: 2 * time.Second, Service: time.Second}}}
-	pol := RetryPolicy{MaxAttempts: 2, Deadline: -1}.WithDefaults()
+	pol := RetryPolicy{MaxAttempts: 2}.WithDefaults()
 	pl := PlanMiss(in, pol, radio.ThreeG(), pr, 0, 0, false, 1, 2, 1)
 	if pl.Success || pl.Attempts != 2 {
 		t.Fatalf("always-erroring engine succeeded: %+v", pl)

@@ -85,7 +85,7 @@ func TestBackendDeterministicConcurrent(t *testing.T) {
 				cfg.Faults = backendBiteFaults(5)
 				cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 				cfg.Replicas = 3
-				cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+				hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond})
 				cfg.Backend = route.backend
 				if route.batch {
 					cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
@@ -185,7 +185,7 @@ func TestBackendCloneLoadFollowsResolvedPolicy(t *testing.T) {
 		// hedge applies policy hp (zero for the unhedged twin) to the fleet.
 		hedge func(cfg *Config, hp faults.HedgePolicy)
 	}{
-		{"one replica", 1, func(cfg *Config, hp faults.HedgePolicy) { cfg.Hedge = hp }},
+		{"one replica", 1, hedgeAll},
 		{"hedging cohort without an injector", 3, func(cfg *Config, hp faults.HedgePolicy) {
 			cfg.Cohorts = []Cohort{{Name: "clean", Faults: &faults.Options{}, Hedge: &hp}}
 			cfg.CohortOf = func(uid searchlog.UserID) int { return int(uid%2) - 1 }
@@ -238,7 +238,7 @@ func BenchmarkFleetDoPricedMiss(b *testing.B) {
 		cfg.Faults = faults.Options{Enabled: true, Seed: 1, LossProb: 0.1, OutageEvery: 30 * time.Second, OutageFor: 6 * time.Second}
 		cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 		cfg.Replicas = 3
-		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2}
+		hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2})
 		cfg.Backend = backend.Options{
 			Enabled: true, Seed: 1, ServiceRate: 30, QueueDepth: 16,
 			Discipline: backend.PS, Offered: 20, CancelOnWin: true,

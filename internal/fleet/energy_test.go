@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pocketcloudlets/internal/energy"
-	"pocketcloudlets/internal/searchlog"
 )
 
 // near reports whether two joule totals agree within the ledger's
@@ -103,47 +102,6 @@ func TestEnergyStatsSurvivesResize(t *testing.T) {
 	}
 	if s := f.Stats(); live+rl.Served != s.Served {
 		t.Errorf("live %d + retired %d served != fleet %d", live, rl.Served, s.Served)
-	}
-}
-
-// TestShardPowerScalesLedger: a hotter shard power model scales the
-// shard-side integrals without touching the device-side counters or
-// any serving outcome.
-func TestShardPowerScalesLedger(t *testing.T) {
-	g := smallGen(t, 64)
-	tapes := tapesFor(g, 12, 1)
-
-	run := func(p energy.ShardPower) (map[searchlog.UserID][]Source, energy.Snapshot) {
-		f := newTestFleet(t, g, smallContent(t, g), func(cfg *Config) {
-			cfg.ShardPower = p
-		})
-		tiers := map[searchlog.UserID][]Source{}
-		for uid, tape := range tapes {
-			for _, req := range tape {
-				tiers[uid] = append(tiers[uid], f.Do(req).Source)
-			}
-		}
-		f.Drain()
-		return tiers, f.EnergyStats()
-	}
-
-	baseTiers, base := run(energy.ShardPower{})
-	hotTiers, hot := run(energy.ShardPower{IdleW: 20, ActiveW: 50})
-	for uid := range baseTiers {
-		for i := range baseTiers[uid] {
-			if baseTiers[uid][i] != hotTiers[uid][i] {
-				t.Fatalf("shard power changed a serving outcome for user %d", uid)
-			}
-		}
-	}
-	if base.RadioJ != hot.RadioJ || base.DeviceBaseJ != hot.DeviceBaseJ {
-		t.Errorf("shard power touched device counters: %+v vs %+v", base, hot)
-	}
-	// Default is 10 W idle / 25 W active; the hot model doubles both,
-	// but the makespans of the two runs differ (wall-clock batching of
-	// model time), so only the sign of the change is stable.
-	if hot.ShardIdleJ <= base.ShardIdleJ || hot.ShardActiveJ <= base.ShardActiveJ {
-		t.Errorf("doubled shard power did not raise the integrals: base %+v hot %+v", base, hot)
 	}
 }
 

@@ -80,21 +80,6 @@ func (mc *missCtx) plan(pr faults.Pricer) {
 		in.now, in.tail, in.uid, mc.qh, in.seq)
 }
 
-// planMiss plans a miss that route left pending, under no lock — a
-// priced plan replays the backend queues, which takes far longer than
-// anything else a request does under a stripe — and then applies it in
-// one short hold of the user's stripe. The marker is cleared on return;
-// the caller delivers resp and then closes the miss's done.
-func (sh *shard) planMiss(mt *missTask, resp *Response) {
-	mt.mc.plan(sh.cohorts.pricer)
-	uid := mt.t.req.User
-	us := sh.stripeOf(uid)
-	us.mu.Lock()
-	defer us.mu.Unlock()
-	sh.applyPendingLocked(us, &mt.t.req, &mt.mc, exchange{}, resp)
-	us.clearPending(uid)
-}
-
 // chargeWaits charges the user-visible waits a miss carries beyond its
 // delivered ladder pl: the extra wait the hedge added on top of the
 // ladder (zero for a one-launch plan), and the modeled backend time the
@@ -127,19 +112,14 @@ func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
 	return cold
 }
 
-// applyMiss applies a planned miss a dispatcher coalesced: the user is
-// looked up afresh. The caller releases the miss (releaseMiss) once the
-// response is delivered.
+// applyMiss applies a planned miss that route left pending — priced, or
+// coalesced by a dispatcher — in one short hold of the user's stripe:
+// the user is looked up afresh. The caller releases the miss
+// (releaseMiss) once the response is delivered.
 func (sh *shard) applyMiss(req *Request, mc *missCtx, x exchange, resp *Response) {
 	us := sh.stripeOf(req.User)
 	us.mu.Lock()
 	defer us.mu.Unlock()
-	sh.applyPendingLocked(us, req, mc, x, resp)
-}
-
-// applyPendingLocked is applyMiss under a hold the caller took
-// (planMiss). Caller holds us, the user's stripe.
-func (sh *shard) applyPendingLocked(us *userStripe, req *Request, mc *missCtx, x exchange, resp *Response) {
 	st := sh.user(req.User)
 	if err := sh.materialize(st); err != nil {
 		*resp = Response{Req: *req, Err: err}

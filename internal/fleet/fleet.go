@@ -265,12 +265,6 @@ type Config struct {
 	// is enforced deterministically on the serving path. Zero means
 	// unlimited.
 	PerUserBytes int64
-	// ShardPower is the cloudlet-server power envelope of each shard: a
-	// provisioned shard draws IdleW continuously for as long as it is in
-	// the topology, plus the ActiveW increment over its busy time. Zero
-	// fields take energy.DefaultShardPower. The envelope only feeds the
-	// energy ledger (EnergyStats); it never affects serving outcomes.
-	ShardPower energy.ShardPower
 	// Batch configures cloud-miss coalescing: concurrent misses share
 	// one radio session (one wake-up, one handshake, one tail) instead
 	// of paying a full round trip each. The zero value disables it.
@@ -290,7 +284,7 @@ type Config struct {
 	// faults from an independently salted injector
 	// (faults.ReplicaOptions); replica 0 is byte-identical to the
 	// single-backend model. Zero or one is the single backend, on which
-	// nothing hedges whatever Hedge says. Only meaningful with fault
+	// no cohort hedges whatever its Hedge says. Only meaningful with fault
 	// injection on.
 	Replicas int
 	// Backend configures the modeled cloud backend servers
@@ -299,25 +293,17 @@ type Config struct {
 	// — and may be rejected by a bounded queue — instead of answering
 	// instantly. Replicas and CloneFactor are the fleet's to derive: its
 	// own Replicas, and the heaviest clone factor any cohort really
-	// hedges with (see Hedge). Requires fault injection (only an
+	// hedges with (see Cohort.Hedge). Requires fault injection (only an
 	// injector's ladder has attempts to price). The zero value — or an
 	// infinite ServiceRate — keeps every outcome byte-identical to an
 	// unqueued fleet.
 	Backend backend.Options
-	// Hedge is the fleet-wide hedging policy for cloud misses: a miss is
-	// dispatched to up to CloneFactor replicas (staggered by Hedge.Delay)
-	// and the first answer in hand wins; the losers' spent attempts are
-	// charged as wasted radio energy. Who hedges is one rule,
-	// faults.HedgePolicy.Over — an injector, Replicas >= 2 and
-	// CloneFactor >= 2 — resolved per cohort when the fleet is built;
-	// everyone else plans the single-backend ladder, byte-identical to
-	// an unreplicated fleet. Cohorts may override the policy per class.
-	Hedge faults.HedgePolicy
 	// Cohorts describe population slices whose devices differ from the
 	// fleet-wide defaults — a different radio tier, their own fault
-	// profile, their own retry policy. The scenario layer compiles its
-	// client classes down to these. Empty means every user runs the
-	// fleet-wide Radio/Faults/Retry exactly as before.
+	// profile, their own retry policy — or that hedge their cloud misses.
+	// The scenario layer compiles its client classes down to these.
+	// Empty means every user runs the fleet-wide Radio/Faults/Retry and
+	// nobody hedges.
 	Cohorts []Cohort
 	// CohortOf maps a user to an index into Cohorts; a negative or
 	// out-of-range index selects the fleet-wide defaults. It must be a
@@ -349,11 +335,15 @@ type Cohort struct {
 	// Retry overrides the modeled retry ladder for the cohort's cloud
 	// misses. Nil inherits Config.Retry.
 	Retry *faults.RetryPolicy
-	// Hedge overrides the hedging policy for the cohort's cloud misses.
-	// Nil inherits Config.Hedge; non-nil with CloneFactor < 2 disables
-	// hedging for the cohort even when the fleet hedges. The replica
-	// count stays fleet-wide (Config.Replicas); Config.Hedge names the
-	// rule for who actually hedges.
+	// Hedge is the hedging policy for the cohort's cloud misses: a miss
+	// is dispatched to up to CloneFactor replicas (staggered by Delay)
+	// and the first answer in hand wins; the losers' spent attempts are
+	// charged as wasted radio energy. Who hedges is one rule,
+	// faults.HedgePolicy.Over — an injector, Config.Replicas >= 2 and
+	// CloneFactor >= 2 — resolved per cohort when the fleet is built;
+	// everyone else, users outside any cohort included, plans the
+	// single-backend ladder, byte-identical to an unreplicated fleet.
+	// Nil does not hedge.
 	Hedge *faults.HedgePolicy
 }
 
@@ -414,7 +404,7 @@ func buildCohortTable(cfg Config) (*cohortTable, error) {
 	}
 	base := cohortRT{
 		link: cfg.Radio, retry: cfg.Retry,
-		injs: replicaInjectors(cfg.Faults, cfg.Replicas), hedge: cfg.Hedge,
+		injs: replicaInjectors(cfg.Faults, cfg.Replicas),
 	}
 	ct := &cohortTable{of: cfg.CohortOf}
 	ct.def = ct.resolve(base)
@@ -476,7 +466,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Batch = c.Batch.withDefaults()
 	c.Retry = c.Retry.WithDefaults()
-	c.ShardPower = c.ShardPower.WithDefaults()
 	return c
 }
 
@@ -733,16 +722,18 @@ func (f *Fleet) worker(id int) {
 // its answer in resp.
 // Local hits, and cloud misses nothing prices or coalesces, come back
 // served from the shard. Any other miss comes back pending and is
-// planned here, under no lock: a miss a backend prices is then applied
-// in one more short hold (planMiss); with miss coalescing on, a miss is
-// instead parked with the shard's dispatcher, which completes it
-// asynchronously. Either way the miss is applied after the lock hold
-// that classified it, so the shard marks it pending and whoever routes
-// the same user's next request waits for it first: a user's requests are
-// applied one at a time, in submission order for any one goroutine —
-// the determinism guarantee neither batching nor caller-run serving may
-// break. A task still inPlace on return was finished here and resp is
-// its caller's answer.
+// planned here, under no lock — a priced plan replays the backend
+// queues, which takes far longer than anything else a request does under
+// a stripe. With miss coalescing on, the miss is then parked with the
+// shard's dispatcher, which completes it asynchronously; otherwise it is
+// applied in one more short hold (applyMiss). Either way it is released
+// (releaseMiss) only once its response is delivered. The miss is applied
+// after the lock hold that classified it, so the shard marks it pending
+// and whoever routes the same user's next request waits for it first: a
+// user's requests are applied one at a time, in submission order for any
+// one goroutine — the determinism guarantee neither batching nor
+// caller-run serving may break. A task still inPlace on return was
+// finished here and resp is its caller's answer.
 func (f *Fleet) process(t *task, resp *Response) {
 	v := f.view.Load()
 	sh, d := v.shards[t.shard], f.dispatcherOf(v, t.shard)
@@ -757,13 +748,15 @@ func (f *Fleet) process(t *task, resp *Response) {
 			continue
 		case miss == nil:
 			f.finish(sh, resp, t)
-		case d != nil:
-			miss.mc.plan(sh.cohorts.pricer)
-			d.submit(miss)
 		default:
-			sh.planMiss(miss, resp)
-			f.finish(sh, resp, t)
-			close(miss.done)
+			miss.mc.plan(sh.cohorts.pricer)
+			if d != nil {
+				d.submit(miss)
+			} else {
+				sh.applyMiss(&miss.t.req, &miss.mc, exchange{}, resp)
+				f.finish(sh, resp, t)
+				sh.releaseMiss(miss)
+			}
 		}
 		return
 	}
@@ -1098,6 +1091,12 @@ func loads(a []atomic.Int64, n int) []int64 {
 	return out
 }
 
+// shardPower is every shard's cloudlet-server power envelope: a
+// provisioned shard draws IdleW continuously for as long as it is in the
+// topology, plus the ActiveW increment over its busy time. It only feeds
+// the energy ledger; it never affects serving outcomes.
+var shardPower = energy.DefaultShardPower()
+
 // EnergyStats snapshots the fleet energy ledger in joules. Device-side
 // counters (radio, baseline) accumulate per response in the serving
 // shard's ledger and are summed as integer nanojoules, live shards plus
@@ -1115,10 +1114,10 @@ func (f *Fleet) EnergyStats() energy.Snapshot {
 	mk := f.tl.Makespan()
 	for _, sh := range v.shards {
 		if d := mk - sh.provisionedAt; d > 0 {
-			s.ShardIdleJ += sh.power.IdleJ(d)
+			s.ShardIdleJ += shardPower.IdleJ(d)
 		}
 		if busy := time.Duration(sh.ctr.busyNS.Load()); busy > 0 {
-			s.ShardActiveJ += sh.power.ActiveJ(busy)
+			s.ShardActiveJ += shardPower.ActiveJ(busy)
 		}
 	}
 	return s

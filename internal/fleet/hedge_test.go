@@ -22,6 +22,14 @@ func hedgeBiteFaults(seed int64) faults.Options {
 	}
 }
 
+// hedgeAll makes every user hedge their cloud misses under hp: one
+// cohort, inheriting the fleet-wide radio, faults and retry policy,
+// covers the whole population.
+func hedgeAll(cfg *Config, hp faults.HedgePolicy) {
+	cfg.Cohorts = []Cohort{{Name: "hedged", Hedge: &hp}}
+	cfg.CohortOf = func(searchlog.UserID) int { return 0 }
+}
+
 // TestHedgedDeterministicConcurrent extends the fault-determinism
 // guarantee to the hedged path (run under -race by scripts/check.sh):
 // two concurrent closed-loop runs over replicated backends with hedging
@@ -39,7 +47,7 @@ func TestHedgedDeterministicConcurrent(t *testing.T) {
 			cfg.Faults = hedgeBiteFaults(5)
 			cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 			cfg.Replicas = 3
-			cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+			hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond})
 		})
 		return runFaultTraces(t, f, g, users), f.Stats()
 	}
@@ -87,7 +95,7 @@ func TestHedgingImprovesAvailability(t *testing.T) {
 			}
 			cfg.Retry = faults.RetryPolicy{MaxAttempts: 2}
 			cfg.Replicas = replicas
-			cfg.Hedge = hedge
+			hedgeAll(cfg, hedge)
 		})
 		runFaultTraces(t, f, g, users)
 		return f.Stats()
@@ -122,7 +130,7 @@ func TestHedgedTotalLossWinsNothing(t *testing.T) {
 		cfg.Faults = faults.Options{Enabled: true, LossProb: 1}
 		cfg.Retry = faults.RetryPolicy{MaxAttempts: 4}
 		cfg.Replicas = 3
-		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2}
+		hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2})
 	})
 
 	miss := missBeyondContent(t, g, len(content.Triplets), uid)

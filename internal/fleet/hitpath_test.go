@@ -203,7 +203,7 @@ func lossyHedgedBatched(cfg *Config) {
 	cfg.Faults = faults.Options{Enabled: true, Seed: 9, LossProb: 0.3}
 	cfg.Retry = faults.RetryPolicy{MaxAttempts: 3}
 	cfg.Replicas = 3
-	cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+	hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond})
 	cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
 }
 
@@ -369,7 +369,7 @@ func TestResizeLeavesStatsAlone(t *testing.T) {
 		cfg.Faults = faults.Options{Enabled: true, Seed: 5, LossProb: 0.5}
 		cfg.Retry = faults.RetryPolicy{MaxAttempts: 2}
 		cfg.Replicas = 3
-		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+		hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond})
 		cfg.Batch = BatchOptions{Enabled: true, Linger: time.Millisecond}
 	})
 	runResponses(t, f, g, g.Users()[:24])

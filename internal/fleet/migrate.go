@@ -167,10 +167,10 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 	f.retireMu.Lock()
 	for _, sh := range old.shards[min(n, n1):] {
 		if d := retiredAt - sh.provisionedAt; d > 0 {
-			sh.ctr.ledger.ShardIdle.Add(sh.power.IdleJ(d))
+			sh.ctr.ledger.ShardIdle.Add(shardPower.IdleJ(d))
 		}
 		if busy := time.Duration(sh.ctr.busyNS.Load()); busy > 0 {
-			sh.ctr.ledger.ShardActive.Add(sh.power.ActiveJ(busy))
+			sh.ctr.ledger.ShardActive.Add(shardPower.ActiveJ(busy))
 		}
 		sh.ctr.addTo(&f.retired)
 	}

@@ -62,10 +62,10 @@ func (c missPathCell) configure(cfg *Config) {
 	switch c.hedge {
 	case "clone1":
 		cfg.Replicas = 3
-		cfg.Hedge = faults.HedgePolicy{CloneFactor: 1, Delay: 200 * time.Millisecond}
+		hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 1, Delay: 200 * time.Millisecond})
 	case "hedged":
 		cfg.Replicas = 3
-		cfg.Hedge = faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond}
+		hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond})
 	}
 	switch c.backend {
 	case "inf":

@@ -239,12 +239,11 @@ type shard struct {
 	// default device config), captured once so energy attribution never
 	// needs a user's device materialized.
 	basePower float64
-	// power is the shard's cloudlet-server energy envelope, and
-	// provisionedAt the model instant the shard joined the view (zero
+	// provisionedAt is the model instant the shard joined the view (zero
 	// for the initial build, for a grown shard the makespan after the
-	// resize's drain) — the idle integral runs from there. provisionedAt
-	// is written before the shard is published and read-only afterwards.
-	power         energy.ShardPower
+	// resize's drain): the idle integral of its shardPower envelope runs
+	// from there. It is written before the shard is published and
+	// read-only afterwards.
 	provisionedAt time.Duration
 	// community is the shared replica, guarded by commMu.
 	community *pocketsearch.Cache
@@ -449,7 +448,6 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 		tl:           tl,
 		commClock:    tl.UserClock(dev),
 		basePower:    dev.Config().BasePower,
-		power:        cfg.ShardPower.WithDefaults(),
 		community:    community,
 	}
 	sh.users.init(cfg.Population)
@@ -513,7 +511,7 @@ func (sh *shard) clock(st *userState) modeltime.UserClock {
 // Exactly one outcome is meaningful: a completed response built in resp
 // (a local hit, an error, or an unpriced cloud miss on the user's own
 // link — planned and applied under this lock hold) and two nils; a miss
-// marked pending, which the caller must plan and then apply (planMiss)
+// marked pending, which the caller must plan and then apply (applyMiss)
 // or, with park set, hand to a dispatcher; or the user's pending miss
 // the caller must wait on before retrying. A miss applied after this
 // lock hold is always marked pending: the one rule that keeps the model
@@ -543,7 +541,7 @@ func (sh *shard) route(t *task, park bool, resp *Response) (miss, waitFor *missT
 	// later composes batches and of which goroutine serves what. An
 	// unpriced plan is arithmetic, so a miss nothing coalesces is planned
 	// and applied in this hold; any other miss is planned by its caller
-	// after it — a priced plan replays backend queues (planMiss).
+	// after it — a priced plan replays backend queues (Fleet.process).
 	mc := sh.classifyLocked(st, t.req.User, qh, ch)
 	if sh.cohorts.pricer == nil && !park {
 		mc.plan(nil)

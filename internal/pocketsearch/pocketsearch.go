@@ -42,29 +42,27 @@ import (
 // outweighs stale history.
 const DefaultLambda = 0.1
 
+// SlotsPerEntry is the paper's hash-table slot count: two result slots
+// per entry before a chain link, the footprint-optimal choice of
+// Figure 11 (Section 5.2.1).
+const SlotsPerEntry = 2
+
+// ResultsShown is how many top-ranked cached results a hit fetches and
+// displays: the prototype shows results in the auto-suggest box, and
+// two are fetched in Table 4's breakdown.
+const ResultsShown = 2
+
 // LookupCost is the modeled hash-table lookup time: the paper measures
 // 10 µs, negligible against every other component (Table 4).
 const LookupCost = 10 * time.Microsecond
 
 // Options configure a PocketSearch cache instance.
 type Options struct {
-	// SlotsPerEntry is the hash table slot count. Zero selects the
-	// paper's choice of 2.
-	SlotsPerEntry int
 	// DatabaseFiles is the result database file count. Zero selects
 	// the paper's choice of 32.
 	DatabaseFiles int
 	// Lambda is the Equation 2 decay constant. Zero selects DefaultLambda.
 	Lambda float64
-	// ResultsShown is how many top-ranked cached results are fetched
-	// and displayed on a hit (the prototype shows results in the
-	// auto-suggest box; two are fetched in Table 4's breakdown).
-	ResultsShown int
-	// IndexPlacement selects where the hash table lives across power
-	// cycles (Section 3.3): the default two-tier DRAM+NAND hierarchy
-	// reloads it from flash at every boot, while a three-tier
-	// hierarchy keeps it instantly available in PCM.
-	IndexPlacement device.IndexPlacement
 
 	// The three switches sit last, together, so that they pack into one
 	// word: a fleet holds an Options in every resident user's cache.
@@ -90,17 +88,11 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SlotsPerEntry == 0 {
-		o.SlotsPerEntry = 2
-	}
 	if o.DatabaseFiles == 0 {
 		o.DatabaseFiles = resultdb.DefaultFiles
 	}
 	if o.Lambda == 0 {
 		o.Lambda = DefaultLambda
-	}
-	if o.ResultsShown == 0 {
-		o.ResultsShown = 2
 	}
 	return o
 }
@@ -171,7 +163,7 @@ func New(dev *device.Device, eng *engine.Engine, opts Options) (*Cache, error) {
 		return nil, fmt.Errorf("pocketsearch: device and engine are required")
 	}
 	o := opts.withDefaults()
-	tbl, err := hashtable.New(o.SlotsPerEntry)
+	tbl, err := hashtable.New(SlotsPerEntry)
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +432,7 @@ func (c *Cache) ServeStale(queryText string) (Outcome, bool) {
 	var out Outcome
 	mark := c.dev.Stages()
 	c.dev.Busy(LookupCost, device.Lookup)
-	shown := c.opts.ResultsShown
+	shown := ResultsShown
 	if shown > len(refs) {
 		shown = len(refs)
 	}
@@ -484,17 +476,6 @@ func (c *Cache) EvictResult(resultHash uint64) int64 {
 		c.dev.Busy(lat, device.Store)
 	}
 	return before - c.db.LogicalBytes()
-}
-
-// Boot models a device power cycle: before the first query can be
-// served, the hash table must be available. Under the two-tier
-// hierarchy it streams out of NAND into DRAM; under the three-tier
-// hierarchy it is already resident in PCM and boot costs nothing
-// (Section 3.3). The load time is charged to the device and returned.
-func (c *Cache) Boot() time.Duration {
-	lat := c.dev.BootIndexLoad(c.table.FootprintBytes(), c.opts.IndexPlacement)
-	c.dev.Busy(lat, device.Boot)
-	return lat
 }
 
 // Suggest returns the cached results for a query without charging any
@@ -576,7 +557,7 @@ func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome
 
 	refs := p.Refs(c.refsBuf)
 	c.refsBuf = refs[:0]
-	shown := c.opts.ResultsShown
+	shown := ResultsShown
 	if shown > len(refs) {
 		shown = len(refs)
 	}

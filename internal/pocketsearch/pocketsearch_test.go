@@ -270,21 +270,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestBootPlacement(t *testing.T) {
-	two := newFixture(t, 40, Options{IndexPlacement: device.TwoTier})
-	lat2 := two.cache.Boot()
-	if lat2 <= 0 {
-		t.Error("two-tier boot should reload the index from NAND")
-	}
-	if two.dev.Now() != lat2 {
-		t.Error("boot time should be charged to the device")
-	}
-	three := newFixture(t, 40, Options{IndexPlacement: device.ThreeTier})
-	if lat3 := three.cache.Boot(); lat3 != 0 {
-		t.Errorf("three-tier boot = %v, want 0 (index resident in PCM)", lat3)
-	}
-}
-
 func TestSuggestCostFree(t *testing.T) {
 	f := newFixture(t, 10, Options{})
 	q, _ := f.pairStrings(f.u.NavPair(0))
@@ -303,7 +288,7 @@ func TestSuggestCostFree(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.SlotsPerEntry != 2 || o.DatabaseFiles != 32 || o.Lambda != DefaultLambda || o.ResultsShown != 2 {
+	if o.DatabaseFiles != 32 || o.Lambda != DefaultLambda {
 		t.Errorf("defaults = %+v", o)
 	}
 }

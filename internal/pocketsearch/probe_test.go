@@ -42,7 +42,7 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 	if len(refs) > 0 && clickCached {
 		c.stats.hits.Add(1)
 		out.Hit = true
-		shown := c.opts.ResultsShown
+		shown := ResultsShown
 		if shown > len(refs) {
 			shown = len(refs)
 		}

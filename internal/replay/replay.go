@@ -18,7 +18,6 @@ import (
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/searchlog"
-	"pocketcloudlets/internal/updater"
 	"pocketcloudlets/internal/workload"
 )
 
@@ -67,22 +66,17 @@ type Config struct {
 	// Month is the generator month index to replay (the paper uses
 	// the month after the one the cache was built from).
 	Month int
-	// Weeks is the number of weekly buckets to track (Figure 18).
-	// Zero selects 5 (a 30-day month spans 4 full weeks plus spill).
-	Weeks int
-	// DailyContent, when non-nil, enables the Section 6.2.2 daily
-	// update experiment: at each day boundary the cache runs a full
-	// Section 5.4 server synchronization against the content for that
-	// day. This exercises the complete updater path and suits small
-	// populations.
-	DailyContent func(day int) cachegen.Content
-	// DailyDelta, when non-nil, applies incremental daily updates
-	// instead: only the pairs that entered or left the popular set are
-	// installed or pruned. This is how the server would ship patches
-	// in steady state, and it scales to the full Figure 17 population.
-	// Mutually exclusive with DailyContent.
+	// DailyDelta, when non-nil, enables the Section 6.2.2 daily update
+	// experiment: at each day boundary only the pairs that entered or
+	// left the popular set are installed or pruned. This is how the
+	// server would ship patches in steady state, and it scales to the
+	// full Figure 17 population.
 	DailyDelta func(day int) Delta
 }
+
+// Weeks is the number of weekly buckets a replay tracks (Figure 18): a
+// 30-day month spans 4 full weeks plus spill.
+const Weeks = 5
 
 // Delta is one day's incremental community update.
 type Delta struct {
@@ -107,15 +101,12 @@ type UserOutcome struct {
 }
 
 // NewUserOutcome prepares an outcome accumulator for one user over the
-// given number of weekly buckets.
-func NewUserOutcome(up workload.UserProfile, weeks int) UserOutcome {
-	if weeks <= 0 {
-		weeks = 5
-	}
+// Weeks weekly buckets.
+func NewUserOutcome(up workload.UserProfile) UserOutcome {
 	return UserOutcome{
 		Profile:    up,
-		WeekVolume: make([]int, weeks),
-		WeekHits:   make([]int, weeks),
+		WeekVolume: make([]int, Weeks),
+		WeekHits:   make([]int, Weeks),
 	}
 }
 
@@ -202,10 +193,6 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Gen == nil {
 		return Result{}, fmt.Errorf("replay: generator is required")
 	}
-	weeks := cfg.Weeks
-	if weeks <= 0 {
-		weeks = 5
-	}
 	res := Result{Mode: cfg.Mode}
 	for _, class := range workload.Classes() {
 		users := cfg.Gen.UsersOfClass(class)
@@ -215,17 +202,17 @@ func Run(cfg Config) (Result, error) {
 		cr := ClassResult{
 			Class:          class,
 			Users:          len(users),
-			WeekHitRate:    make([]float64, weeks),
-			CumWeekHitRate: make([]float64, weeks),
+			WeekHitRate:    make([]float64, Weeks),
+			CumWeekHitRate: make([]float64, Weeks),
 		}
-		weekRateSum := make([]float64, weeks)
-		weekRateN := make([]int, weeks)
-		cumRateSum := make([]float64, weeks)
-		cumRateN := make([]int, weeks)
+		weekRateSum := make([]float64, Weeks)
+		weekRateN := make([]int, Weeks)
+		cumRateSum := make([]float64, Weeks)
+		cumRateN := make([]int, Weeks)
 		var rateSum, navShareSum float64
 		var navShareN int
 		for _, up := range users {
-			uo, err := replayUser(cfg, up, weeks)
+			uo, err := replayUser(cfg, up)
 			if err != nil {
 				return Result{}, err
 			}
@@ -236,7 +223,7 @@ func Run(cfg Config) (Result, error) {
 				navShareN++
 			}
 			cumV, cumH := 0, 0
-			for w := 0; w < weeks; w++ {
+			for w := 0; w < Weeks; w++ {
 				if uo.WeekVolume[w] > 0 {
 					weekRateSum[w] += float64(uo.WeekHits[w]) / float64(uo.WeekVolume[w])
 					weekRateN[w]++
@@ -255,7 +242,7 @@ func Run(cfg Config) (Result, error) {
 		if navShareN > 0 {
 			cr.NavShare = navShareSum / float64(navShareN)
 		}
-		for w := 0; w < weeks; w++ {
+		for w := 0; w < Weeks; w++ {
 			if weekRateN[w] > 0 {
 				cr.WeekHitRate[w] = weekRateSum[w] / float64(weekRateN[w])
 			}
@@ -269,7 +256,7 @@ func Run(cfg Config) (Result, error) {
 }
 
 // replayUser runs one user's month against a fresh cache instance.
-func replayUser(cfg Config, up workload.UserProfile, weeks int) (UserOutcome, error) {
+func replayUser(cfg Config, up workload.UserProfile) (UserOutcome, error) {
 	u := cfg.Gen.Config().Universe
 	eng := engine.New(u)
 	dev := device.New(device.Config{}, radio.ThreeG(), flashsim.Params{})
@@ -285,26 +272,16 @@ func replayUser(cfg Config, up workload.UserProfile, weeks int) (UserOutcome, er
 	}
 	dev.Reset()
 
-	uo := NewUserOutcome(up, weeks)
+	uo := NewUserOutcome(up)
 	stream := cfg.Gen.UserStream(up, cfg.Month)
 	day := 0
 	for _, e := range stream {
-		if cfg.DailyContent != nil || cfg.DailyDelta != nil {
+		if cfg.DailyDelta != nil {
 			d := int(e.At / (24 * time.Hour))
 			for day < d {
 				day++
-				if cfg.DailyContent != nil {
-					upd, err := updater.BuildUpdate(cache.Table(), cfg.DailyContent(day), u, updater.DefaultPolicy())
-					if err != nil {
-						return UserOutcome{}, err
-					}
-					if _, err := updater.Apply(cache, upd); err != nil {
-						return UserOutcome{}, err
-					}
-				} else {
-					if err := applyDelta(cache, u, cfg.DailyDelta(day)); err != nil {
-						return UserOutcome{}, err
-					}
+				if err := applyDelta(cache, u, cfg.DailyDelta(day)); err != nil {
+					return UserOutcome{}, err
 				}
 			}
 		}

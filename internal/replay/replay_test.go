@@ -152,26 +152,6 @@ func TestWarmupShape(t *testing.T) {
 // TestDailyUpdates checks the Section 6.2.2 experiment mechanics: daily
 // synchronization must not hurt the hit rate, and with identical daily
 // content it should roughly match the static cache.
-func TestDailyUpdates(t *testing.T) {
-	g := smallGen(t, 300)
-	content := smallContent(t, g)
-	static, err := Run(Config{Gen: g, Content: content, Mode: Full, UsersPerClass: 6, Month: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	daily, err := Run(Config{
-		Gen: g, Content: content, Mode: Full, UsersPerClass: 6, Month: 1,
-		DailyContent: func(day int) cachegen.Content { return content },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := daily.Average() - static.Average()
-	if diff < -0.05 {
-		t.Errorf("daily updates with identical content should not hurt: static %.3f daily %.3f", static.Average(), daily.Average())
-	}
-}
-
 // TestDailyDeltaInstallsAndPrunes verifies the incremental update path:
 // a pair added by a day-1 delta serves the user's later first visit,
 // and removed unaccessed pairs stop hitting.

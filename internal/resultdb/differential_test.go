@@ -246,7 +246,7 @@ func (d *diffRig) newPair() (*pocketsearch.Cache, *refDB) {
 	ref := &refDB{
 		store:     flashsim.NewFileStore(flashsim.NewDevice(p)),
 		files:     d.files,
-		parseCost: resultdb.DefaultHeaderParseCost,
+		parseCost: resultdb.HeaderParseCost,
 	}
 	return cache, ref
 }

@@ -44,19 +44,17 @@ import (
 // DefaultFiles is the paper's chosen database file count.
 const DefaultFiles = 32
 
-// DefaultHeaderParseCost is the modeled CPU time to parse one header
-// triple on the prototype-class device.
-const DefaultHeaderParseCost = 5 * time.Microsecond
+// HeaderParseCost is the modeled CPU time to parse one header triple
+// during retrieval on the prototype-class device.
+const HeaderParseCost = 5 * time.Microsecond
+
+// prefix names a database's files in the flash store: "psdb-<i>.db".
+const prefix = "psdb-"
 
 // Config parameterizes a database.
 type Config struct {
 	// Files is the number of database files (Figure 12 sweeps 1..256).
 	Files int
-	// Prefix names the files in the flash store: "<prefix><i>.db".
-	Prefix string
-	// HeaderParseCost is the CPU cost per header entry parsed during
-	// retrieval. Zero selects DefaultHeaderParseCost.
-	HeaderParseCost time.Duration
 }
 
 // Source is where a database's records come from. The database stores
@@ -196,8 +194,8 @@ func find(es []entry, hash uint64) int {
 
 // New creates (or reopens) a database over the given flash store whose
 // records are the bytes it is handed: its source keeps them (kept). A
-// database reopened over a store that holds one of the same prefix
-// takes over that database's source, and so its files when the file
+// database reopened over a store that already holds one takes over
+// that database's source, and so its files when the file
 // count is the same (see NewFrom).
 func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
 	cfg, err := cfg.check(store)
@@ -205,7 +203,7 @@ func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	var src Source = new(kept)
-	if prev, ok := store.Volume(cfg.Prefix).(*volume); ok {
+	if prev, ok := store.Volume(prefix).(*volume); ok {
 		src = prev.src
 	}
 	return open(store, src, cfg), nil
@@ -214,7 +212,7 @@ func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
 // NewFrom creates (or reopens) a database over the given flash store
 // whose records come from src, and mounts it there as the volume of its
 // file names. A database reopened over a store that holds one of the
-// same prefix, file count and source takes its files as they are; any
+// same file count and source takes its files as they are; any
 // other file under its names — one someone else wrote, or a database of
 // another file count or source left — is plain bytes to it, parsed on
 // first touch and its records named by src.
@@ -229,7 +227,7 @@ func NewFrom(store *flashsim.FileStore, src Source, cfg Config) (*DB, error) {
 	return open(store, src, cfg), nil
 }
 
-// check validates cfg for a database over store and fills its defaults.
+// check validates cfg for a database over store.
 func (cfg Config) check(store *flashsim.FileStore) (Config, error) {
 	if store == nil {
 		return cfg, fmt.Errorf("resultdb: store is required")
@@ -237,40 +235,33 @@ func (cfg Config) check(store *flashsim.FileStore) (Config, error) {
 	if cfg.Files <= 0 {
 		return cfg, fmt.Errorf("resultdb: file count must be positive, got %d", cfg.Files)
 	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "psdb-"
-	}
-	if cfg.HeaderParseCost <= 0 {
-		cfg.HeaderParseCost = DefaultHeaderParseCost
-	}
 	return cfg, nil
 }
 
 func open(store *flashsim.FileStore, src Source, cfg Config) *DB {
 	db := &DB{store: store, src: src, cfg: cfg}
-	db.names = fileNames(cfg.Prefix, cfg.Files)
-	if prev, ok := store.Volume(cfg.Prefix).(*volume); ok && prev.cfg.Files == cfg.Files && prev.src == src {
+	db.names = fileNames(cfg.Files)
+	if prev, ok := store.Volume(prefix).(*volume); ok && prev.cfg.Files == cfg.Files && prev.src == src {
 		db.entries, db.files, db.raw, db.bytes = slices.Clone(prev.entries), slices.Clone(prev.files), maps.Clone(prev.raw), prev.bytes
 	}
-	store.Mount(cfg.Prefix, (*volume)(db))
+	store.Mount(prefix, (*volume)(db))
 	return db
 }
 
 // nameTables interns the file-name slices shared by every database
-// with the same prefix and file count — one table per configuration,
-// not one per user.
-var nameTables sync.Map // "prefix\x00files" -> []string
+// with the same file count — one table per configuration, not one per
+// user.
+var nameTables sync.Map // files -> []string
 
-func fileNames(prefix string, files int) []string {
-	key := fmt.Sprintf("%s\x00%d", prefix, files)
-	if v, ok := nameTables.Load(key); ok {
+func fileNames(files int) []string {
+	if v, ok := nameTables.Load(files); ok {
 		return v.([]string)
 	}
 	names := make([]string, files)
 	for i := range names {
 		names[i] = fmt.Sprintf("%s%d.db", prefix, i)
 	}
-	v, _ := nameTables.LoadOrStore(key, names)
+	v, _ := nameTables.LoadOrStore(files, names)
 	return v.([]string)
 }
 
@@ -429,7 +420,7 @@ func (db *DB) loadCost(es []entry, hdr int) time.Duration {
 	if hdr == 0 {
 		return dev.OpenCost()
 	}
-	return dev.OpenCost() + dev.ReadCost(hdr) + time.Duration(len(es))*db.cfg.HeaderParseCost
+	return dev.OpenCost() + dev.ReadCost(hdr) + time.Duration(len(es))*HeaderParseCost
 }
 
 // Put stores a record under its result hash, appending it to its file
@@ -788,7 +779,7 @@ type volume DB
 // index is the file index name stands for, or -1 when it is not one of
 // the database's names.
 func (v *volume) index(name string) int {
-	rest, ok := strings.CutPrefix(name, v.cfg.Prefix)
+	rest, ok := strings.CutPrefix(name, prefix)
 	if !ok {
 		return -1
 	}

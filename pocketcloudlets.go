@@ -32,38 +32,29 @@ import (
 	"sort"
 
 	"pocketcloudlets/internal/adlet"
-	"pocketcloudlets/internal/autoscale"
 	"pocketcloudlets/internal/cachegen"
 	"pocketcloudlets/internal/cloudletos"
 	"pocketcloudlets/internal/device"
-	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/engine"
-	"pocketcloudlets/internal/faults"
 	"pocketcloudlets/internal/flashsim"
 	"pocketcloudlets/internal/fleet"
 	"pocketcloudlets/internal/loadgen"
-	"pocketcloudlets/internal/maplet"
-	"pocketcloudlets/internal/modeltime"
-	"pocketcloudlets/internal/placement"
 	"pocketcloudlets/internal/pocketsearch"
 	"pocketcloudlets/internal/pocketweb"
 	"pocketcloudlets/internal/radio"
-	"pocketcloudlets/internal/replay"
 	"pocketcloudlets/internal/searchlog"
-	"pocketcloudlets/internal/suggest"
 	"pocketcloudlets/internal/updater"
 	"pocketcloudlets/internal/workload"
 )
 
 // Re-exported types: the facade exposes the internal packages' types
-// under one import path so applications only depend on this package.
+// its callers name, and those its signatures need, under one import
+// path.
 type (
 	// Universe is the procedural query/result corpus.
 	Universe = engine.Universe
 	// Engine is the cloud search engine over a Universe.
 	Engine = engine.Engine
-	// Result is a materialized search result.
-	Result = engine.Result
 	// Generator produces synthetic per-user search streams.
 	Generator = workload.Generator
 	// UserProfile is one synthetic user.
@@ -76,10 +67,6 @@ type (
 	PocketSearch = pocketsearch.Cache
 	// Options configure a PocketSearch instance.
 	Options = pocketsearch.Options
-	// Outcome describes how one query was served.
-	Outcome = pocketsearch.Outcome
-	// Log is a window of search log entries.
-	Log = searchlog.Log
 	// Manager coordinates multiple cloudlets on one device.
 	Manager = cloudletos.Manager
 	// KVCloudlet is the generic cloudlet template (ads, maps, web).
@@ -94,106 +81,14 @@ type (
 	WebConfig = pocketweb.Config
 	// PocketAds is the advertisement cloudlet (Figures 1 and 6).
 	PocketAds = adlet.Cache
-	// Ad is one cached advertisement creative.
-	Ad = adlet.Ad
-	// PocketMaps is the mapping cloudlet (Table 2, Section 7).
-	PocketMaps = maplet.Cache
-	// MapConfig configures a PocketMaps instance.
-	MapConfig = maplet.Config
-	// MapRegion is a normalized world rectangle.
-	MapRegion = maplet.Region
-	// Completion is one auto-suggest entry.
-	Completion = suggest.Completion
-	// ReplayConfig parameterizes an evaluation replay.
-	ReplayConfig = replay.Config
-	// ReplayResult is a replay outcome.
-	ReplayResult = replay.Result
 	// Fleet is the sharded multi-user serving layer.
 	Fleet = fleet.Fleet
 	// FleetConfig parameterizes a fleet.
 	FleetConfig = fleet.Config
-	// FleetRequest is one search interaction to serve.
-	FleetRequest = fleet.Request
-	// FleetResponse describes how a fleet request was served.
-	FleetResponse = fleet.Response
-	// FleetStats is a fleet-wide counter snapshot.
-	FleetStats = fleet.Stats
-	// FleetBatchOptions configure cloud-miss coalescing into shared
-	// radio sessions.
-	FleetBatchOptions = fleet.BatchOptions
-	// FaultOptions configure the deterministic connectivity-fault model
-	// (outage windows, per-attempt loss, transient engine errors).
-	FaultOptions = faults.Options
-	// FaultWindow is one absolute outage interval in model time.
-	FaultWindow = faults.Window
-	// RetryPolicy governs retrying of faulted cloud misses.
-	RetryPolicy = faults.RetryPolicy
-	// HedgePolicy configures hedged cloud misses against replicated
-	// backends (FleetConfig.Replicas): clone factor, per-clone launch
-	// delay and the concurrent-dispatch cap.
-	HedgePolicy = faults.HedgePolicy
-	// HedgedPlan is one hedged miss's precomputed attempt ladders across
-	// replicas, including the winning dispatch and the waste charged to
-	// the losers.
-	HedgedPlan = faults.HedgedPlan
-	// Placement maps users to fleet shards (FleetConfig.Placement);
-	// implementations are NewModuloPlacement and NewRingPlacement.
-	Placement = placement.Placement
-	// FleetResizeOptions tune a live Fleet.ResizeWith call.
-	FleetResizeOptions = fleet.ResizeOptions
-	// FleetResizeStats report one live resize's migration work.
-	FleetResizeStats = fleet.ResizeStats
-	// FleetMigrationStats are a fleet's cumulative migration counters.
-	FleetMigrationStats = fleet.MigrationStats
-	// FleetShardLoad is one shard's occupancy snapshot.
-	FleetShardLoad = fleet.ShardLoad
-	// RadioParams are the link parameters of a radio technology.
-	RadioParams = radio.Params
 	// LoadCollector aggregates fleet responses into latency histograms.
 	LoadCollector = loadgen.Collector
 	// LoadReport is the machine-readable result of one load phase.
 	LoadReport = loadgen.Report
-	// OpenLoadConfig parameterizes an open-loop load run; its Classes
-	// (OpenLoadClass) carry the arrival processes.
-	OpenLoadConfig = loadgen.OpenConfig
-	OpenLoadClass  = loadgen.OpenClassConfig
-	// ClosedLoadConfig parameterizes a closed-loop (K users) load run;
-	// its Classes (ClosedLoadClass) carry pacing and per-user caps.
-	ClosedLoadConfig = loadgen.ClosedConfig
-	ClosedLoadClass  = loadgen.ClosedClassConfig
-	// ArrivalKind selects an open-loop arrival process: poisson,
-	// diurnal (a day-curve warp of the same arrivals) or peruser
-	// (per-user renewal processes weighted by workload class).
-	ArrivalKind = modeltime.Kind
-	// Pacer converts modeled response time into the wall think-time a
-	// paced closed-loop user takes between requests.
-	Pacer = modeltime.Pacer
-	// ModelTimeline is the fleet-wide model timeline (high-water mark
-	// over every model clock).
-	ModelTimeline = modeltime.Timeline
-	// EnergySnapshot totals the fleet's energy ledger in joules
-	// (Fleet.EnergyStats).
-	EnergySnapshot = energy.Snapshot
-	// ShardPower is the per-shard idle/active power model feeding the
-	// fleet's energy ledger (FleetConfig.ShardPower).
-	ShardPower = energy.ShardPower
-	// AutoscaleConfig parameterizes the occupancy-driven shard
-	// autoscaler (OpenLoadConfig.Autoscale).
-	AutoscaleConfig = autoscale.Config
-	// LoadTimelineEvent is one scheduled model-time resize a load run
-	// replays (OpenLoadConfig.Events, ClosedLoadConfig.Events).
-	LoadTimelineEvent = loadgen.TimelineEvent
-	// EnergyReport is the load report's energy-ledger block.
-	EnergyReport = loadgen.EnergyReport
-	// AutoscaleReport is the load report's autoscale block.
-	AutoscaleReport = loadgen.AutoscaleReport
-)
-
-// Re-exported arrival kinds.
-const (
-	ArrivalsPoisson = modeltime.Poisson
-	ArrivalsDiurnal = modeltime.Diurnal
-	ArrivalsPerUser = modeltime.PerUser
 )
 
 // RadioTech selects a radio technology for a simulated phone.
@@ -221,10 +116,6 @@ func (r RadioTech) params() radio.Params {
 
 // String implements fmt.Stringer.
 func (r RadioTech) String() string { return r.params().Name }
-
-// Params returns the link parameters of the technology, for use in
-// configurations that take RadioParams (e.g. FleetConfig.Radio).
-func (r RadioTech) Params() RadioParams { return r.params() }
 
 // SimConfig parameterizes a simulated ecosystem.
 type SimConfig struct {
@@ -266,9 +157,6 @@ func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	}
 	return &Simulation{Universe: u, Engine: engine.New(u), Generator: g}, nil
 }
-
-// MonthLog generates the full community search log for a month.
-func (s *Simulation) MonthLog(month int) Log { return s.Generator.MonthLog(month) }
 
 // CommunityContent extracts the community cache content from a month's
 // logs: the most popular (query, result) pairs covering the given share
@@ -349,14 +237,6 @@ func (s *Simulation) SyncWithServer(cache *PocketSearch, fresh Content) (Update,
 	return upd, nil
 }
 
-// Replay runs the Figure 17 style evaluation over this simulation.
-func (s *Simulation) Replay(cfg ReplayConfig) (ReplayResult, error) {
-	if cfg.Gen == nil {
-		cfg.Gen = s.Generator
-	}
-	return replay.Run(cfg)
-}
-
 // NewFleet builds a sharded serving fleet over this simulation's
 // engine, with every shard's community replica preloaded from content.
 func (s *Simulation) NewFleet(content Content, cfg FleetConfig) (*Fleet, error) {
@@ -368,34 +248,6 @@ func (s *Simulation) NewFleet(content Content, cfg FleetConfig) (*Fleet, error) 
 // NewLoadCollector creates an empty load-test collector; install it as
 // FleetConfig.Observer before running a load phase.
 func NewLoadCollector() *LoadCollector { return loadgen.NewCollector() }
-
-// NewModuloPlacement is the legacy static user→shard mapping
-// (uid-hash mod shards) — the fleet's default when FleetConfig leaves
-// Placement nil. A resize under modulo re-homes almost every user.
-func NewModuloPlacement(shards int) (Placement, error) {
-	return placement.NewModulo(shards)
-}
-
-// NewRingPlacement is consistent-hash routing over virtual nodes:
-// resizing from n shards re-homes only ~1/n of users, which keeps a
-// live Fleet.Resize cheap. vnodes <= 0 selects the default (64).
-func NewRingPlacement(shards, vnodes int) (Placement, error) {
-	return placement.NewRing(shards, vnodes)
-}
-
-// RunOpenLoad replays workload queries against a fleet as an open-loop
-// arrival process (Poisson by default; OpenLoadClass.Arrivals selects
-// diurnal or per-user) and reports latency percentiles, throughput,
-// hit- and shed-rates and the offered-rate curve.
-func (s *Simulation) RunOpenLoad(f *Fleet, col *LoadCollector, cfg OpenLoadConfig) (LoadReport, error) {
-	return loadgen.RunOpen(f, col, s.Generator, cfg)
-}
-
-// RunClosedLoad drives a fleet with K concurrent simulated users, each
-// waiting for every response before issuing their next query.
-func (s *Simulation) RunClosedLoad(f *Fleet, col *LoadCollector, cfg ClosedLoadConfig) (LoadReport, error) {
-	return loadgen.RunClosed(f, col, s.Generator, cfg)
-}
 
 // NewPocketAds builds the advertisement cloudlet on a phone,
 // provisioned with creatives for the same popular queries the search
@@ -420,14 +272,6 @@ func (s *Simulation) NewPocketWeb(dev *Device, cfg WebConfig) (*PocketWeb, error
 		return nil, fmt.Errorf("pocketcloudlets: device is required")
 	}
 	return pocketweb.New(dev, pocketweb.NewEngineSource(s.Universe), cfg)
-}
-
-// NewPocketMaps builds the mapping cloudlet on a phone.
-func NewPocketMaps(dev *Device, cfg MapConfig) (*PocketMaps, error) {
-	if dev == nil {
-		return nil, fmt.Errorf("pocketcloudlets: device is required")
-	}
-	return maplet.New(dev, cfg)
 }
 
 // NewManager creates a multi-cloudlet manager with the given flash

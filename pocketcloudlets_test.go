@@ -113,21 +113,6 @@ func TestSyncWithServer(t *testing.T) {
 	}
 }
 
-func TestReplayThroughFacade(t *testing.T) {
-	s, c := testSim(t)
-	res, err := s.Replay(pocketcloudlets.ReplayConfig{
-		Content:       c,
-		UsersPerClass: 5,
-		Month:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg := res.Average(); avg < 0.3 || avg > 0.95 {
-		t.Errorf("replay average hit rate %.3f implausible", avg)
-	}
-}
-
 func TestManagerThroughFacade(t *testing.T) {
 	s, _ := testSim(t)
 	phone := s.NewPhone(pocketcloudlets.Radio3G)
