@@ -45,7 +45,7 @@
 // Miss batching (-batch) coalesces concurrent cloud misses into shared
 // radio sessions — one wake-up, one handshake, one tail per batch —
 // capped at -batchmax misses after a -batchlinger collection window,
-// per shard by default or fleet-wide with -batchwide. The report's
+// one dispatcher per shard. The report's
 // energy figures (energy_per_query_j, radio_energy_per_miss_j,
 // radio_wakeups) quantify the savings; per-user hit/miss outcomes are
 // unchanged for the same seed.
@@ -145,7 +145,6 @@ var knobs = []knob{
 	{name: "batch", path: "fleet.batch.enabled", usage: "coalesce concurrent cloud misses into batched radio sessions"},
 	{name: "batchmax", path: "fleet.batch.max", usage: "max misses per batched radio session; 0 = default 16"},
 	{name: "batchlinger", path: "fleet.batch.linger", usage: "how long a dispatcher holds an open batch for more misses; 0 = default 200µs"},
-	{name: "batchwide", path: "fleet.batch.fleet_wide", usage: "pool misses fleet-wide into one dispatcher instead of one per shard"},
 	{name: "faults", path: "faults", block: "{}", enables: true, usage: "enable the deterministic connectivity-fault model"},
 	{name: "loss", path: "faults.loss", usage: "per-attempt probability a radio exchange is dropped (with -faults)"},
 	{name: "engineerr", path: "faults.engine_err", usage: "per-attempt probability of a transient cloud engine error (with -faults)"},

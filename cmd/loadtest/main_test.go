@@ -80,7 +80,6 @@ func TestValidateCatchesBadFlags(t *testing.T) {
 		{[]string{"-userbudget", "-1"}, "-userbudget"},
 		{[]string{"-batchmax", "4"}, "-batchmax"},
 		{[]string{"-batchlinger", "1ms"}, "-batchlinger"},
-		{[]string{"-batchwide"}, "-batchwide"},
 		{[]string{"-batch", "-batchmax", "-2"}, "-batchmax"},
 		{[]string{"-loss", "0.5"}, "-loss requires -faults"},
 		{[]string{"-engineerr", "0.1"}, "-engineerr requires -faults"},
@@ -426,8 +425,8 @@ func TestKnobPathsResolve(t *testing.T) {
 			}
 		}
 	}
-	if got := len(knobs); got != 49 {
-		t.Errorf("%d workload flags, want 49 (none may be added or dropped silently)", got)
+	if got := len(knobs); got != 48 {
+		t.Errorf("%d workload flags, want 48 (none may be added or dropped silently)", got)
 	}
 }
 

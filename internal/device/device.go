@@ -56,9 +56,9 @@ func DefaultConfig() Config {
 // device's clock but SyncClock is charged to exactly one stage, and the
 // device keeps a running total per stage (DESIGN.md, "Where a response's
 // time goes"). The first NumResponseStages are a response's: a serve's
-// time is what it charged to them. Store and Boot are device time no
-// user waits on — a miss's expansion write and an eviction's rewrite run
-// off the critical path, and the index loads before the first query.
+// time is what it charged to them. Store is device time no user waits
+// on: a miss's expansion write and an eviction's rewrite run off the
+// critical path.
 type Stage uint8
 
 const (
@@ -72,7 +72,6 @@ const (
 	Hedge                    // a clone win's launch stagger
 	Backend                  // queue and service time at the cloud replica
 	Store                    // flash writes: cache expansion, eviction, updates
-	Boot                     // loading the index at power-on (Section 3.3)
 	NumStages
 )
 
@@ -81,7 +80,7 @@ const (
 const NumResponseStages = int(Store)
 
 var stageNames = [NumStages]string{
-	"lookup", "fetch", "render", "misc", "radio", "radio-failed", "backoff", "hedge", "backend", "store", "boot",
+	"lookup", "fetch", "render", "misc", "radio", "radio-failed", "backoff", "hedge", "backend", "store",
 }
 
 func (s Stage) String() string { return stageNames[s] }

@@ -122,12 +122,11 @@ func TestTraceRecordsSegments(t *testing.T) {
 	}
 
 	// Summed per stage, the Figure 16 trace is the device's stage
-	// account, through every charge entry point: a boot, a hit, a failed
+	// account, through every charge entry point: a hit, a failed
 	// attempt with its backoff and the hedge and backend waits, the
 	// retried miss with its expansion write, and a batch member's miss.
 	d = newTestDevice()
 	d.StartTrace()
-	d.Busy(50*time.Millisecond, Boot)
 	mark := d.Stages()
 	d.Busy(10*time.Microsecond, Lookup)
 	d.Busy(10*time.Millisecond, Fetch)
@@ -175,7 +174,7 @@ func TestTraceRecordsSegments(t *testing.T) {
 	}
 	all := d.Stages()
 	if all.Total() != d.Now()-offResponse {
-		t.Errorf("the response stages sum to %v, the clock less store and boot to %v", all.Total(), d.Now()-offResponse)
+		t.Errorf("the response stages sum to %v, the clock less store to %v", all.Total(), d.Now()-offResponse)
 	}
 	if Store.String() != "store" || RadioFailed.String() != "radio-failed" {
 		t.Errorf("stage names: %v, %v", Store, RadioFailed)

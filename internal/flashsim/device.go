@@ -7,7 +7,10 @@
 // modeled latency they would take on the device, and the file store
 // accounts for the allocation slack ("flash fragmentation" in the
 // paper's terms, Section 5.2.2) that storing many small files incurs.
-// Both quantities drive the paper's Figure 8 (flash overhead of the
+// A layer that keeps its files in a form of its own — the result
+// database, internal/resultdb — charges the Device directly and rounds
+// each file with Device.AllocatedBytes, as the store does. Both
+// quantities drive the paper's Figure 8 (flash overhead of the
 // PocketSearch cache) and Figure 12 (retrieval time vs. number of
 // database files).
 package flashsim

@@ -3,8 +3,6 @@ package flashsim
 import (
 	"bytes"
 	"errors"
-	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -230,170 +228,3 @@ func TestBusyTimeAccumulates(t *testing.T) {
 		t.Error("busy time did not accumulate")
 	}
 }
-
-// partsVolume keeps its files — the names starting with "db" — as
-// lists of parts, their bytes the parts concatenated, rendered only when
-// the store is asked for them.
-type partsVolume map[string][]string
-
-func (v partsVolume) Claims(name string) bool { return strings.HasPrefix(name, "db") }
-
-func (v partsVolume) Size(name string) (int, bool) {
-	parts, ok := v[name]
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	return n, ok
-}
-
-func (v partsVolume) AppendFile(b []byte, name string) []byte {
-	for _, p := range v[name] {
-		b = append(b, p...)
-	}
-	return b
-}
-
-func (v partsVolume) Put(name string, data []byte) { v[name] = []string{string(data)} }
-
-func (v partsVolume) Remove(name string) bool {
-	_, ok := v[name]
-	delete(v, name)
-	return ok
-}
-
-func (v partsVolume) Held(names []string) []string {
-	for n := range v {
-		names = append(names, n)
-	}
-	return names
-}
-
-// TestOwnedContentReadsAsItsBytes: a file a mounted volume keeps in its
-// own form answers every question — sizes, names, accounting, every
-// read and its modeled latency, deletion — exactly as a plain file
-// holding its rendering does, on twin devices.
-func TestOwnedContentReadsAsItsBytes(t *testing.T) {
-	params := Params{AllocUnit: 4096, JitterFrac: 0.2, Seed: 3}
-	owned, plain := NewFileStore(NewDevice(params)), NewFileStore(NewDevice(params))
-	vol := partsVolume{"db": {"1,0,5\n", "hello", string(make([]byte, 5000))}}
-	rendered := vol.AppendFile(nil, "db")
-	for _, fs := range []*FileStore{owned, plain} {
-		fs.Write("other", []byte("x"))
-	}
-	owned.Mount("parts", vol)
-	plain.ReplaceSilently("db", append([]byte(nil), rendered...))
-
-	same := func(step string, got, want any) {
-		t.Helper()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: owned %v, plain %v", step, got, want)
-		}
-	}
-	for _, fs := range []*FileStore{owned, plain} {
-		if sz, err := fs.Size("db"); err != nil || sz != len(rendered) {
-			t.Errorf("Size = %d, %v; want %d", sz, err, len(rendered))
-		}
-	}
-	same("Names", owned.Names(), plain.Names())
-	same("LogicalBytes", owned.LogicalBytes(), plain.LogicalBytes())
-	same("AllocatedBytes", owned.AllocatedBytes(), plain.AllocatedBytes())
-	same("FragmentationBytes", owned.FragmentationBytes(), plain.FragmentationBytes())
-	for _, fs := range []*FileStore{owned, plain} {
-		if data, ok := fs.Peek("db"); !ok || !bytes.Equal(data, rendered) {
-			t.Errorf("Peek = %q, %v", data, ok)
-		}
-		if data, ok := fs.PeekRef("db"); !ok || !bytes.Equal(data, rendered) {
-			t.Errorf("PeekRef = %q, %v", data, ok)
-		}
-	}
-	for _, read := range []func(*FileStore) ([]byte, time.Duration, error){
-		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.Read("db") },
-		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.ReadAt("db", 6, 5) },
-		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.ReadAt("db", 3000, 9000) },
-		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.ReadAt("db", len(rendered)+1, 1) },
-		func(fs *FileStore) ([]byte, time.Duration, error) { return fs.Read("db-absent") },
-	} {
-		got, gotLat, gotErr := read(owned)
-		want, wantLat, wantErr := read(plain)
-		same("read", got, want)
-		same("read latency", gotLat, wantLat)
-		same("read error", gotErr, wantErr)
-	}
-	same("device counters", owned.Device().Stats(), plain.Device().Stats())
-	for _, fs := range []*FileStore{owned, plain} {
-		if err := fs.Delete("db"); err != nil || fs.Exists("db") {
-			t.Errorf("Delete: %v, still exists %v", err, fs.Exists("db"))
-		}
-		if err := fs.Delete("db"); err == nil {
-			t.Error("a second Delete should fail")
-		}
-	}
-	same("LogicalBytes after Delete", owned.LogicalBytes(), plain.LogicalBytes())
-}
-
-// TestThirdPartyWritesMakeOwnedContentPlain: Write, Append and
-// ReplaceSilently over a volume's file hand the volume the new bytes to
-// hold as they are — what the owner recognises as someone else's file
-// and parses afresh — and the store itself keeps nothing.
-func TestThirdPartyWritesMakeOwnedContentPlain(t *testing.T) {
-	for name, write := range map[string]func(*FileStore){
-		"Write":           func(fs *FileStore) { fs.Write("db", []byte("new")) },
-		"Append":          func(fs *FileStore) { fs.Append("db", []byte("new")) },
-		"ReplaceSilently": func(fs *FileStore) { fs.ReplaceSilently("db", []byte("new")) },
-	} {
-		fs := NewFileStore(NewDevice(Params{}))
-		vol := partsVolume{"db": {"ab", "c"}}
-		fs.Mount("parts", vol)
-		write(fs)
-		want := "new"
-		if name == "Append" {
-			want = "abcnew"
-		}
-		if parts := vol["db"]; len(parts) != 1 || parts[0] != want || fs.files != nil {
-			t.Errorf("%s: the volume holds %q, the store %d plain files; want %q in the volume", name, parts, len(fs.files), want)
-		}
-		if data, _ := fs.Peek("db"); string(data) != want {
-			t.Errorf("%s: file holds %q, want %q", name, data, want)
-		}
-	}
-}
-
-// TestMountRehomesFiles: mounting a volume hands it the plain files it
-// claims, and a volume mounted under a key already taken replaces the
-// old one, whose files stay in the store — in the new volume when it
-// claims them, plain otherwise — so no mount changes what the store
-// holds.
-func TestMountRehomesFiles(t *testing.T) {
-	fs := NewFileStore(NewDevice(Params{}))
-	fs.Write("db1", []byte("one"))
-	fs.Write("plain", []byte("p"))
-	first := partsVolume{}
-	fs.Mount("parts", first)
-	if first["db1"][0] != "one" || len(fs.files) != 1 {
-		t.Fatalf("after the mount the volume holds %v, the store %d plain files", first, len(fs.files))
-	}
-	fs.Write("db2", []byte("two"))
-	names := fs.Names()
-	// The replacement claims only db1, and already holds its own db1.
-	second := narrowVolume{partsVolume{"db1": {"mine"}}}
-	if fs.Mount("parts", second); !reflect.DeepEqual(fs.Volume("parts"), Volume(second)) || len(fs.vols) != 1 {
-		t.Fatalf("after a second mount the key holds %v, the store %d volumes", fs.Volume("parts"), len(fs.vols))
-	}
-	if got := fs.Names(); !reflect.DeepEqual(got, names) {
-		t.Errorf("names %v, want %v", got, names)
-	}
-	for name, want := range map[string]string{"db1": "mine", "db2": "two", "plain": "p"} {
-		if data, _ := fs.Peek(name); string(data) != want {
-			t.Errorf("%s holds %q, want %q", name, data, want)
-		}
-	}
-	if _, plain := fs.files["db2"]; !plain {
-		t.Error("db2, claimed by no volume, is not a plain file")
-	}
-}
-
-// narrowVolume is a partsVolume that claims only "db1".
-type narrowVolume struct{ partsVolume }
-
-func (v narrowVolume) Claims(name string) bool { return name == "db1" }

@@ -27,11 +27,6 @@ type BatchOptions struct {
 	// collection time only and never enters the modeled latency. Zero
 	// selects DefaultLinger.
 	Linger time.Duration
-	// FleetWide pools the misses of every shard into a single
-	// dispatcher, so one session can amortize across the whole fleet;
-	// the default is one dispatcher (one uplink session at a time) per
-	// shard.
-	FleetWide bool
 }
 
 // DefaultMaxBatch is the default cap on misses per radio session.
@@ -74,9 +69,9 @@ type dispatchMsg struct {
 	ack  chan struct{}
 }
 
-// dispatcher drains a miss queue into batched radio sessions. One
-// dispatcher serves either a single shard or (FleetWide) all of them;
-// it models one uplink, so its sessions are serialized.
+// dispatcher drains a miss queue into batched radio sessions. Each
+// shard has its own; it models one uplink, so its sessions are
+// serialized.
 type dispatcher struct {
 	f    *Fleet
 	ch   chan dispatchMsg

@@ -159,8 +159,8 @@ func TestBatchedOutcomesMatchUnbatched(t *testing.T) {
 }
 
 // TestBatchedOutcomesMatchUnbatchedSharded repeats the determinism
-// check on a sharded fleet with a fleet-wide dispatcher — misses of
-// different shards share sessions, crossing worker boundaries.
+// check on a sharded fleet, one dispatcher per shard: each shard's
+// misses are batched apart from the others', across worker boundaries.
 func TestBatchedOutcomesMatchUnbatchedSharded(t *testing.T) {
 	g := smallGen(t, 64)
 	content := smallContent(t, g)
@@ -176,9 +176,9 @@ func TestBatchedOutcomesMatchUnbatchedSharded(t *testing.T) {
 	}
 
 	plain, plainStats := run(BatchOptions{})
-	coal, coalStats := run(BatchOptions{Enabled: true, FleetWide: true, Linger: time.Millisecond})
+	coal, coalStats := run(BatchOptions{Enabled: true, Linger: time.Millisecond})
 	if !reflect.DeepEqual(withoutSessions(plainStats), withoutSessions(coalStats)) {
-		t.Errorf("fleet counters diverge:\n  unbatched: %+v\n  fleet-wide batched: %+v", plainStats, coalStats)
+		t.Errorf("fleet counters diverge:\n  unbatched: %+v\n  batched: %+v", plainStats, coalStats)
 	}
 	for uid, p := range plain {
 		c := coal[uid]
@@ -188,7 +188,7 @@ func TestBatchedOutcomesMatchUnbatchedSharded(t *testing.T) {
 		}
 		for i := range p.hits {
 			if c.hits[i] != p.hits[i] || c.sources[i] != p.sources[i] {
-				t.Errorf("user %d request %d diverges under fleet-wide batching", uid, i)
+				t.Errorf("user %d request %d diverges under sharded batching", uid, i)
 				break
 			}
 		}

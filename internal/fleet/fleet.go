@@ -616,11 +616,7 @@ func New(cfg Config) (*Fleet, error) {
 
 	var dispatchers []*dispatcher
 	if cfg.Batch.Enabled {
-		n := cfg.Shards
-		if cfg.Batch.FleetWide {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
+		for range cfg.Shards {
 			dispatchers = append(dispatchers, newDispatcher(f))
 		}
 	}
@@ -736,7 +732,7 @@ func (f *Fleet) worker(id int) {
 // finished here and resp is its caller's answer.
 func (f *Fleet) process(t *task, resp *Response) {
 	v := f.view.Load()
-	sh, d := v.shards[t.shard], f.dispatcherOf(v, t.shard)
+	sh, d := v.shards[t.shard], v.dispatcherOf(t.shard)
 	for {
 		miss, waitFor := sh.route(t, d != nil, resp)
 		switch {
@@ -780,12 +776,9 @@ func (f *Fleet) finish(sh *shard, resp *Response, t *task) {
 
 // dispatcherOf returns the dispatcher coalescing the shard's misses,
 // nil when miss coalescing is off.
-func (f *Fleet) dispatcherOf(v *view, shard int) *dispatcher {
-	switch {
-	case len(v.dispatchers) == 0:
+func (v *view) dispatcherOf(shard int) *dispatcher {
+	if len(v.dispatchers) == 0 {
 		return nil
-	case f.cfg.Batch.FleetWide:
-		return v.dispatchers[0]
 	}
 	return v.dispatchers[shard]
 }
@@ -797,10 +790,6 @@ func (f *Fleet) dispatcherOf(v *view, shard int) *dispatcher {
 func (f *Fleet) flushDispatchers(id int) {
 	v := f.view.Load()
 	if len(v.dispatchers) == 0 {
-		return
-	}
-	if f.cfg.Batch.FleetWide {
-		v.dispatchers[0].flushWait()
 		return
 	}
 	for s := id; s < len(v.shards); s += len(f.queues) {

@@ -114,14 +114,14 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 	if n == n1 {
 		return st, nil
 	}
-	// With per-shard batching each shard has its own dispatcher.
-	perShard := f.cfg.Batch.Enabled && !f.cfg.Batch.FleetWide
+	// With batching each shard has its own dispatcher.
+	batched := f.cfg.Batch.Enabled
 	next := &view{
 		place:       old.place.Resize(n),
 		shards:      slices.Clone(old.shards[:min(n, n1)]),
 		dispatchers: old.dispatchers,
 	}
-	if perShard {
+	if batched {
 		next.dispatchers = slices.Clone(old.dispatchers[:min(n, n1)])
 	}
 	if n > n1 {
@@ -130,7 +130,7 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 			return st, err
 		}
 		next.shards = append(next.shards, grown...)
-		if perShard {
+		if batched {
 			for range grown {
 				next.dispatchers = append(next.dispatchers, newDispatcher(f))
 			}
@@ -177,7 +177,7 @@ func (f *Fleet) resize(n int, opts ResizeOptions, move moveFunc) (ResizeStats, e
 	f.view.Store(next)
 	f.retireMu.Unlock()
 	f.fence.Unlock()
-	if perShard {
+	if batched {
 		for _, d := range old.dispatchers[min(n, n1):] {
 			d.close()
 		}

@@ -11,6 +11,7 @@ import (
 
 	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/placement"
+	"pocketcloudlets/internal/resultdb"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/workload"
 )
@@ -407,10 +408,33 @@ type userImage struct {
 	Served, Hits, Bytes   int64
 	MissSeq               uint64
 	Clock                 time.Duration
-	Table                 []byte            // the personal table's wire encoding
-	Files                 map[string][]byte // the result database, file by file
-	Refs                  []evictRef        // sorted by result: the list's order means nothing
-	Queries, Hit, Expands int               // the personal cache's own counters
+	Table                 []byte             // the personal table's wire encoding
+	Records               map[uint64]fetched // the result database's records, by hash
+	DBBytes               int64              // the result database's size
+	Refs                  []evictRef         // sorted by result: the list's order means nothing
+	Queries, Hit, Expands int                // the personal cache's own counters
+}
+
+// fetched is one record of a result database as Fetch returns it: its
+// name and its retrieval latency, which follows the header it sits in.
+type fetched struct {
+	Rec resultdb.Record
+	Lat time.Duration
+}
+
+// fetchAll fetches every record of db. Fetch charges the flash device,
+// so both sides of a comparison take their image at the same step.
+func fetchAll(t *testing.T, db *resultdb.DB) map[uint64]fetched {
+	t.Helper()
+	out := make(map[uint64]fetched)
+	for _, h := range db.Hashes() {
+		r, lat, err := db.Fetch(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[h] = fetched{r, lat}
+	}
+	return out
 }
 
 // fleetImage snapshots every resident user of a drained fleet.
@@ -427,11 +451,8 @@ func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
 				if err := st.cache.Table().Encode(&buf); err != nil {
 					t.Fatal(err)
 				}
-				store := st.cache.Device().Store()
-				img.Table, img.Clock, img.Files = buf.Bytes(), sh.clock(st).Now(), make(map[string][]byte)
-				for _, name := range store.Names() {
-					img.Files[name], _ = store.Peek(name)
-				}
+				img.Table, img.Clock = buf.Bytes(), sh.clock(st).Now()
+				img.Records, img.DBBytes = fetchAll(t, st.cache.DB()), st.cache.DB().LogicalBytes()
 				cs := st.cache.Stats()
 				img.Queries, img.Hit, img.Expands = cs.Queries, cs.Hits, cs.Expansions
 			}
@@ -448,7 +469,8 @@ func fleetImage(t *testing.T, f *Fleet) map[searchlog.UserID]userImage {
 // a round of traffic after every step. After each step the resize
 // counters, the fleet totals, the energy ledger and every resident
 // user's whole state — shard, serving counters, miss sequence, device
-// clock, table encoding, every database file's bytes, eviction index —
+// clock, table encoding, every database record's name and retrieval
+// latency and the database's size, eviction index —
 // must be equal.
 func TestPipelinedResizeMatchesOneAtATime(t *testing.T) {
 	g := smallGen(t, 160)

@@ -13,28 +13,24 @@
 // modeled against the flash device (file open, page reads) plus a CPU
 // charge for parsing header entries.
 //
-// The database keeps its files as one slab of header entries, not as
-// byte images: it is mounted on its flash store as the volume of its
-// file names, so the store holds nothing per file and renders a file's
-// plain text only when someone asks for it, and every size and cost is
-// computed from the header entries exactly as the bytes would give it.
-// An entry names its record — an ID in the database's record Source and
-// a length — and the bytes are the source's to give where they are read.
-// A database over the engine's universe (internal/engine's Records),
-// as every cache's is, so holds none: a result's record is a function of
-// its ID, rendered when someone reads it.
+// The database keeps its files itself, as one slab of header entries,
+// not as byte images: its flash store holds nothing for it, and every
+// size and cost is computed from the header entries exactly as the
+// bytes would give it and charged to the store's device. An entry names
+// its record — an ID in the database's record Source and a length — and
+// the bytes are the source's to give where they are read. A database
+// over the engine's universe (internal/engine's Records), as every
+// cache's is, so holds none: a result's record is a function of its ID,
+// rendered when someone reads it.
 package resultdb
 
 import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"maps"
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"pocketcloudlets/internal/flashsim"
@@ -48,9 +44,6 @@ const DefaultFiles = 32
 // during retrieval on the prototype-class device.
 const HeaderParseCost = 5 * time.Microsecond
 
-// prefix names a database's files in the flash store: "psdb-<i>.db".
-const prefix = "psdb-"
-
 // Config parameterizes a database.
 type Config struct {
 	// Files is the number of database files (Figure 12 sweeps 1..256).
@@ -59,11 +52,9 @@ type Config struct {
 
 // Source is where a database's records come from. The database stores
 // a record as its ID and length and asks the source for the bytes only
-// where bytes are read: Get and GetView, RecordsOf, ReplaceAll's
-// comparison of two records under different IDs, and the store's
-// renderings of the files. An ID stands for the same bytes as long as
-// the source lives. A source must be comparable: a reopened database
-// adopts its predecessor's files only when both have the same source.
+// where bytes are read: Get and GetView, RecordsOf, and ReplaceAll's
+// comparison of two records under different IDs. An ID stands for the
+// same bytes as long as the source lives.
 type Source interface {
 	// Name returns the ID of the record whose bytes are rec. A source
 	// may keep rec to name it, so the caller must not modify rec
@@ -97,14 +88,9 @@ func (k *kept) AppendRecord(b []byte, id uint32) []byte { return append(b, k.rec
 
 // DB is the on-flash result database.
 type DB struct {
-	store *flashsim.FileStore
-	src   Source
-	cfg   Config
-	// names precomputes the file names so nothing formats strings. The
-	// slice is interned across databases (see fileNames): a million-user
-	// fleet holds one database per user and they all name their files
-	// identically.
-	names []string
+	dev *flashsim.Device
+	src Source
+	cfg Config
 	// entries is the slab: the header entries of every file, grouped by
 	// file in file order, each file's run in header order. A user's
 	// records are this one allocation, however many files they fill.
@@ -113,13 +99,8 @@ type DB struct {
 	// Files long, allocated with the first file written, so a retrieval
 	// finds its file's run and header length without a search.
 	files []fileRun
-	// raw holds, by file index, the files written from outside the
-	// database as plain bytes (through the store: Write, Append,
-	// ReplaceSilently), parsed into the slab on first touch. Nil while
-	// there are none, which is always in a fleet.
-	raw map[int][]byte
 	// bytes is the total size of the database files, kept current by
-	// every write, the store's included.
+	// every write.
 	bytes int64
 }
 
@@ -135,9 +116,8 @@ type fileRun struct {
 // names it — id in the database's source, length bytes long. The records
 // tile the body in header order, so an entry's offset is the sum of the
 // lengths before it in its run and is not stored. 32-bit lengths suffice
-// because a database file is megabytes at most, and parseFile refuses a
-// header that says otherwise. Sixteen bytes and no pointer: the
-// collector never scans a slab.
+// because a database file is megabytes at most. Sixteen bytes and no
+// pointer: the collector never scans a slab.
 type entry struct {
 	hash   uint64
 	id     uint32
@@ -192,77 +172,32 @@ func find(es []entry, hash uint64) int {
 	return -1
 }
 
-// New creates (or reopens) a database over the given flash store whose
-// records are the bytes it is handed: its source keeps them (kept). A
-// database reopened over a store that already holds one takes over
-// that database's source, and so its files when the file
-// count is the same (see NewFrom).
+// New creates a database over the given flash store whose records are
+// the bytes it is handed: its source keeps them (kept).
 func New(store *flashsim.FileStore, cfg Config) (*DB, error) {
-	cfg, err := cfg.check(store)
-	if err != nil {
-		return nil, err
-	}
-	var src Source = new(kept)
-	if prev, ok := store.Volume(prefix).(*volume); ok {
-		src = prev.src
-	}
-	return open(store, src, cfg), nil
+	return open(store, new(kept), cfg)
 }
 
-// NewFrom creates (or reopens) a database over the given flash store
-// whose records come from src, and mounts it there as the volume of its
-// file names. A database reopened over a store that holds one of the
-// same file count and source takes its files as they are; any
-// other file under its names — one someone else wrote, or a database of
-// another file count or source left — is plain bytes to it, parsed on
-// first touch and its records named by src.
+// NewFrom creates a database over the given flash store whose records
+// come from src. The database keeps its files itself and charges their
+// costs to the store's device.
 func NewFrom(store *flashsim.FileStore, src Source, cfg Config) (*DB, error) {
 	if src == nil {
 		return nil, fmt.Errorf("resultdb: record source is required")
 	}
-	cfg, err := cfg.check(store)
-	if err != nil {
-		return nil, err
-	}
-	return open(store, src, cfg), nil
+	return open(store, src, cfg)
 }
 
-// check validates cfg for a database over store.
-func (cfg Config) check(store *flashsim.FileStore) (Config, error) {
+// open validates its arguments and makes an empty database on store's
+// device.
+func open(store *flashsim.FileStore, src Source, cfg Config) (*DB, error) {
 	if store == nil {
-		return cfg, fmt.Errorf("resultdb: store is required")
+		return nil, fmt.Errorf("resultdb: store is required")
 	}
 	if cfg.Files <= 0 {
-		return cfg, fmt.Errorf("resultdb: file count must be positive, got %d", cfg.Files)
+		return nil, fmt.Errorf("resultdb: file count must be positive, got %d", cfg.Files)
 	}
-	return cfg, nil
-}
-
-func open(store *flashsim.FileStore, src Source, cfg Config) *DB {
-	db := &DB{store: store, src: src, cfg: cfg}
-	db.names = fileNames(cfg.Files)
-	if prev, ok := store.Volume(prefix).(*volume); ok && prev.cfg.Files == cfg.Files && prev.src == src {
-		db.entries, db.files, db.raw, db.bytes = slices.Clone(prev.entries), slices.Clone(prev.files), maps.Clone(prev.raw), prev.bytes
-	}
-	store.Mount(prefix, (*volume)(db))
-	return db
-}
-
-// nameTables interns the file-name slices shared by every database
-// with the same file count — one table per configuration, not one per
-// user.
-var nameTables sync.Map // files -> []string
-
-func fileNames(files int) []string {
-	if v, ok := nameTables.Load(files); ok {
-		return v.([]string)
-	}
-	names := make([]string, files)
-	for i := range names {
-		names[i] = fmt.Sprintf("%s%d.db", prefix, i)
-	}
-	v, _ := nameTables.LoadOrStore(files, names)
-	return v.([]string)
+	return &DB{dev: store.Device(), src: src, cfg: cfg}, nil
 }
 
 // Files returns the configured file count.
@@ -295,76 +230,6 @@ func appendHeader(b []byte, es []entry) []byte {
 // hexLen is the number of digits strconv renders x with in base 16.
 func hexLen(x uint64) int { return max(1, (bits.Len64(x)+3)/4) }
 
-// triple is one parsed header entry.
-type triple struct {
-	hash, off, length uint64
-}
-
-func parseHeader(line []byte) ([]triple, error) {
-	s := strings.TrimSuffix(string(line), "\n")
-	if s == "" {
-		return nil, nil
-	}
-	ts := make([]triple, 0, strings.Count(s, ";")+1)
-	for _, part := range strings.Split(s, ";") {
-		fields := strings.Split(part, ",")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("resultdb: malformed header triple %q", part)
-		}
-		hash, err := strconv.ParseUint(fields[0], 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("resultdb: bad header hash: %v", err)
-		}
-		off, err := strconv.ParseUint(fields[1], 16, 32)
-		if err != nil {
-			return nil, fmt.Errorf("resultdb: bad header offset: %v", err)
-		}
-		length, err := strconv.ParseUint(fields[2], 16, 32)
-		if err != nil {
-			return nil, fmt.Errorf("resultdb: bad header length: %v", err)
-		}
-		ts = append(ts, triple{hash, off, length})
-	}
-	return ts, nil
-}
-
-// parseFile reads a file held as plain bytes into a run of entries, its
-// records named by src, and its header line's length. The bytes must be
-// what the database would write: the header in its own rendering, the
-// records tiling the body in header order. Anything else is refused as
-// corrupt, as a file without a header line always was, before a record
-// is named.
-func parseFile(name string, data []byte, src Source) ([]entry, int, error) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, 0, fmt.Errorf("resultdb: file %q has no header line", name)
-	}
-	ts, err := parseHeader(data[:nl+1])
-	if err != nil {
-		return nil, 0, err
-	}
-	body := data[nl+1:]
-	es := make([]entry, len(ts))
-	off := 0
-	for k, t := range ts {
-		if t.off != uint64(off) || t.length > uint64(len(body)-off) {
-			return nil, 0, fmt.Errorf("resultdb: file %q: record %x is not where its header says", name, t.hash)
-		}
-		es[k] = entry{hash: t.hash, length: uint32(t.length)}
-		off += int(t.length)
-	}
-	if off != len(body) || !bytes.Equal(appendHeader(nil, es), data[:nl+1]) {
-		return nil, 0, fmt.Errorf("resultdb: file %q is not in the database's format", name)
-	}
-	off = 0
-	for k := range es {
-		end := off + int(es[k].length)
-		es[k].id = src.Name(body[off:end:end])
-		off = end
-	}
-	return es, nl + 1, nil
-}
-
 // run is file i's run of the slab, entries[lo:hi], and its header
 // length, zero when the file does not exist.
 func (db *DB) run(i int) (lo, hi, hdr int) {
@@ -379,7 +244,7 @@ func (db *DB) run(i int) (lo, hi, hdr int) {
 }
 
 // splice replaces entries[lo:hi], which lie in file i's run, with es,
-// and makes hdr file i's header length (zero deletes the file). The
+// and makes hdr file i's header length. The
 // slab grows by an eighth (internal/slab) when it must, and the later
 // files' runs move by the difference.
 func (db *DB) splice(i, lo, hi int, es []entry, hdr int) {
@@ -396,31 +261,36 @@ func (db *DB) splice(i, lo, hi int, es []entry, hdr int) {
 }
 
 // file returns file i's run of the slab and its header length (zero when
-// the file does not exist) without device-cost accounting, first parsing
-// the file into the slab if it is held as plain bytes.
-func (db *DB) file(i int) ([]entry, int, error) {
+// the file does not exist) without device-cost accounting.
+func (db *DB) file(i int) ([]entry, int) {
 	lo, hi, hdr := db.run(i)
-	if data, ok := db.raw[i]; ok {
-		es, n, err := parseFile(db.names[i], data, db.src)
-		if err != nil {
-			return nil, 0, err
-		}
-		db.takeRaw(i)
-		db.splice(i, lo, hi, es, n)
-		hi, hdr = lo+len(es), n
+	return db.entries[lo:hi], hdr
+}
+
+// appendFile appends file i's bytes — its header line, then its records
+// in header order — to b, and reports whether the file exists. No
+// operation renders a file: every size and cost comes from the entries,
+// and the tests hold them to this rendering.
+func (db *DB) appendFile(b []byte, i int) ([]byte, bool) {
+	es, hdr := db.file(i)
+	if hdr == 0 {
+		return b, false
 	}
-	return db.entries[lo:hi], hdr, nil
+	b = appendHeader(b, es)
+	for _, e := range es {
+		b = db.src.AppendRecord(b, e.id)
+	}
+	return b, true
 }
 
 // loadCost is the modeled latency of reading a file's header: open the
 // file, read the header pages, parse each entry. Body latency charging
 // is left to the caller since most operations touch only one record.
 func (db *DB) loadCost(es []entry, hdr int) time.Duration {
-	dev := db.store.Device()
 	if hdr == 0 {
-		return dev.OpenCost()
+		return db.dev.OpenCost()
 	}
-	return dev.OpenCost() + dev.ReadCost(hdr) + time.Duration(len(es))*HeaderParseCost
+	return db.dev.OpenCost() + db.dev.ReadCost(hdr) + time.Duration(len(es))*HeaderParseCost
 }
 
 // Put stores a record under its result hash, appending it to its file
@@ -431,7 +301,7 @@ func (db *DB) loadCost(es []entry, hdr int) time.Duration {
 // keep it: the caller must not modify it afterwards.
 func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 	r := Record{Hash: resultHash, Length: uint32(len(record))}
-	if es, _, err := db.file(db.FileOf(resultHash)); err == nil && find(es, resultHash) < 0 {
+	if es, _ := db.file(db.FileOf(resultHash)); find(es, resultHash) < 0 {
 		r.ID = db.src.Name(record)
 	}
 	return db.PutRecord(r)
@@ -445,10 +315,7 @@ func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 // separator, and nothing is rendered, serialized, parsed or copied.
 func (db *DB) PutRecord(r Record) (time.Duration, error) {
 	i := db.FileOf(r.Hash)
-	es, hdr, err := db.file(i)
-	if err != nil {
-		return 0, err
-	}
+	es, hdr := db.file(i)
 	lat := db.loadCost(es, hdr)
 	if find(es, r.Hash) >= 0 {
 		return lat, nil
@@ -462,8 +329,7 @@ func (db *DB) PutRecord(r Record) (time.Duration, error) {
 	}
 	// The header line changes size, so it is rewritten in place
 	// (charged as a flash rewrite); the record itself is an append.
-	dev := db.store.Device()
-	lat += dev.RewriteCost(newHdr) + dev.WriteCost(int(r.Length))
+	lat += db.dev.RewriteCost(newHdr) + db.dev.WriteCost(int(r.Length))
 	db.bytes += int64(newHdr - hdr + int(r.Length))
 	_, hi, _ := db.run(i)
 	db.splice(i, hi, hi, []entry{e}, newHdr)
@@ -499,37 +365,25 @@ func (db *DB) GetView(resultHash uint64) ([]byte, time.Duration, error) {
 // needs only which record it is, as a cache's serve path does.
 func (db *DB) Fetch(resultHash uint64) (Record, time.Duration, error) {
 	i := db.FileOf(resultHash)
-	es, hdr, err := db.file(i)
-	if err != nil {
-		return Record{}, 0, err
-	}
+	es, hdr := db.file(i)
 	lat := db.loadCost(es, hdr)
 	k := find(es, resultHash)
 	if k < 0 {
 		return Record{}, lat, fmt.Errorf("resultdb: result %x not found in file %d", resultHash, i)
 	}
-	lat += db.store.Device().ReadCost(int(es[k].length))
+	lat += db.dev.ReadCost(int(es[k].length))
 	return es[k].record(), lat, nil
 }
 
 // Contains reports whether a record exists, without charging latency
 // (existence is known from the DRAM hash table in the real system).
 func (db *DB) Contains(resultHash uint64) bool {
-	es, _, err := db.file(db.FileOf(resultHash))
-	return err == nil && find(es, resultHash) >= 0
-}
-
-// parseRaw parses every file held as plain bytes that parses; the rest
-// stay as they are.
-func (db *DB) parseRaw() {
-	for i := range db.raw {
-		db.file(i)
-	}
+	es, _ := db.file(db.FileOf(resultHash))
+	return find(es, resultHash) >= 0
 }
 
 // Hashes returns every stored result hash in ascending order.
 func (db *DB) Hashes() []uint64 {
-	db.parseRaw()
 	var out []uint64
 	for _, e := range db.entries {
 		out = append(out, e.hash)
@@ -540,7 +394,6 @@ func (db *DB) Hashes() []uint64 {
 
 // Len returns the number of stored records.
 func (db *DB) Len() int {
-	db.parseRaw()
 	return len(db.entries)
 }
 
@@ -569,7 +422,6 @@ func (db *DB) ReplaceFile(i int, records map[uint64][]byte) (time.Duration, erro
 
 // rewrite installs recs — file i's records, ordered by hash — as the
 // file's whole content and returns the modeled latency of the rewrite.
-// A file held as plain bytes is replaced unread.
 func (db *DB) rewrite(i int, recs []Record) time.Duration {
 	es := make([]entry, len(recs))
 	for k, r := range recs {
@@ -577,39 +429,10 @@ func (db *DB) rewrite(i int, recs []Record) time.Duration {
 	}
 	hdr := lineLen(es)
 	size := hdr + bodyLen(es)
-	db.drop(i)
-	lo, hi, _ := db.run(i)
+	lo, hi, oldHdr := db.run(i)
+	db.bytes += int64(size - oldHdr - bodyLen(db.entries[lo:hi]))
 	db.splice(i, lo, hi, es, hdr)
-	db.bytes += int64(size)
-	dev := db.store.Device()
-	return dev.OpenCost() + dev.RewriteCost(size)
-}
-
-// drop deletes file i, in whichever form the database holds it, and
-// reports whether it existed.
-func (db *DB) drop(i int) bool {
-	if data, ok := db.takeRaw(i); ok {
-		db.bytes -= int64(len(data))
-		return true
-	}
-	lo, hi, hdr := db.run(i)
-	if hdr == 0 {
-		return false
-	}
-	db.bytes -= int64(hdr + bodyLen(db.entries[lo:hi]))
-	db.splice(i, lo, hi, nil, 0)
-	return true
-}
-
-// takeRaw removes file i's plain bytes from raw and returns them.
-func (db *DB) takeRaw(i int) ([]byte, bool) {
-	data, ok := db.raw[i]
-	if ok {
-		if delete(db.raw, i); len(db.raw) == 0 {
-			db.raw = nil
-		}
-	}
-	return data, ok
+	return db.dev.OpenCost() + db.dev.RewriteCost(size)
 }
 
 // byFile orders records by the file they belong in, then by hash.
@@ -639,11 +462,7 @@ func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
 	for i := 0; i < db.cfg.Files; i++ {
 		var next []Record
 		next, records = db.fileRun(records, i)
-		es, hdr, err := db.file(i)
-		if err != nil {
-			return total, err
-		}
-		if !db.holds(es, hdr, next) {
+		if es, hdr := db.file(i); !db.holds(es, hdr, next) {
 			total += db.rewrite(i, next)
 		}
 	}
@@ -688,10 +507,7 @@ func (db *DB) Merge(records []Record) (time.Duration, error) {
 		i := db.FileOf(records[0].Hash)
 		var next []Record
 		next, records = db.fileRun(records, i)
-		es, _, err := db.file(i)
-		if err != nil {
-			return total, err
-		}
+		es, _ := db.file(i)
 		recs := slices.Clone(next)
 		for _, e := range es {
 			if _, dup := slices.BinarySearchFunc(next, e.hash, func(r Record, h uint64) int { return cmp.Compare(r.Hash, h) }); !dup {
@@ -711,10 +527,7 @@ func (db *DB) Merge(records []Record) (time.Duration, error) {
 // storage budget.
 func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 	i := db.FileOf(resultHash)
-	es, _, err := db.file(i)
-	if err != nil {
-		return 0, false, err
-	}
+	es, _ := db.file(i)
 	if find(es, resultHash) < 0 {
 		return 0, false, nil
 	}
@@ -731,10 +544,7 @@ func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 // RecordsOf returns copies of the records of one file keyed by hash —
 // the server-side read when computing patches.
 func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
-	es, _, err := db.file(i)
-	if err != nil {
-		return nil, err
-	}
+	es, _ := db.file(i)
 	out := make(map[uint64][]byte, len(es))
 	for _, e := range es {
 		out[e.hash] = db.src.AppendRecord(make([]byte, 0, e.length), e.id)
@@ -746,23 +556,14 @@ func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
 // total (see DB.bytes), not a scan.
 func (db *DB) LogicalBytes() int64 { return db.bytes }
 
-// sizes calls fn with the index and size of every database file.
-func (db *DB) sizes(fn func(i, size int)) {
-	for i := range db.files {
-		if lo, hi, hdr := db.run(i); hdr != 0 {
-			fn(i, hdr+bodyLen(db.entries[lo:hi]))
-		}
-	}
-	for i, data := range db.raw {
-		fn(i, len(data))
-	}
-}
-
 // AllocatedBytes is the flash space the database occupies including
 // allocation slack.
 func (db *DB) AllocatedBytes() int64 {
 	var n int64
-	db.sizes(func(_, size int) { n += db.store.Device().AllocatedBytes(size) })
+	for i := range db.files {
+		es, hdr := db.file(i)
+		n += db.dev.AllocatedBytes(hdr + bodyLen(es))
+	}
 	return n
 }
 
@@ -770,73 +571,4 @@ func (db *DB) AllocatedBytes() int64 {
 // quantity that grows with the file count in the Figure 12 tradeoff.
 func (db *DB) FragmentationBytes() int64 {
 	return db.AllocatedBytes() - db.LogicalBytes()
-}
-
-// volume is the database as its flash store sees it: the
-// flashsim.Volume of its file names.
-type volume DB
-
-// index is the file index name stands for, or -1 when it is not one of
-// the database's names.
-func (v *volume) index(name string) int {
-	rest, ok := strings.CutPrefix(name, prefix)
-	if !ok {
-		return -1
-	}
-	rest, ok = strings.CutSuffix(rest, ".db")
-	i, err := strconv.Atoi(rest)
-	if !ok || err != nil || i < 0 || i >= v.cfg.Files || v.names[i] != name {
-		return -1
-	}
-	return i
-}
-
-// Claims implements flashsim.Volume.
-func (v *volume) Claims(name string) bool { return v.index(name) >= 0 }
-
-// Size implements flashsim.Volume.
-func (v *volume) Size(name string) (int, bool) {
-	i := v.index(name)
-	if data, ok := v.raw[i]; ok {
-		return len(data), true
-	}
-	lo, hi, hdr := (*DB)(v).run(i)
-	return hdr + bodyLen(v.entries[lo:hi]), hdr != 0
-}
-
-// AppendFile implements flashsim.Volume: the header line, then the
-// records in header order.
-func (v *volume) AppendFile(b []byte, name string) []byte {
-	i := v.index(name)
-	if data, ok := v.raw[i]; ok {
-		return append(b, data...)
-	}
-	lo, hi, _ := (*DB)(v).run(i)
-	b = appendHeader(b, v.entries[lo:hi])
-	for _, e := range v.entries[lo:hi] {
-		b = v.src.AppendRecord(b, e.id)
-	}
-	return b
-}
-
-// Put implements flashsim.Volume: a file written from outside the
-// database is held as the plain bytes it was given.
-func (v *volume) Put(name string, data []byte) {
-	db := (*DB)(v)
-	i := v.index(name)
-	db.drop(i)
-	if db.raw == nil {
-		db.raw = make(map[int][]byte)
-	}
-	db.raw[i] = data
-	db.bytes += int64(len(data))
-}
-
-// Remove implements flashsim.Volume.
-func (v *volume) Remove(name string) bool { return (*DB)(v).drop(v.index(name)) }
-
-// Held implements flashsim.Volume.
-func (v *volume) Held(names []string) []string {
-	(*DB)(v).sizes(func(i, _ int) { names = append(names, v.names[i]) })
-	return names
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,162 +237,25 @@ func TestAccountingConsistency(t *testing.T) {
 	}
 }
 
+// TestHeaderSerializationRoundTrip holds the header arithmetic to the
+// rendering: lineLen is the length appendHeader writes, and the line is
+// the legacy format, "hash,off,len" in hex, ';' between two, offsets the
+// running sum of the lengths.
 func TestHeaderSerializationRoundTrip(t *testing.T) {
 	f := func(hashes []uint64, sizes []uint16) bool {
 		es := make([]entry, min(len(hashes), len(sizes)))
+		triples := make([]string, len(es))
+		off := 0
 		for i := range es {
 			es[i] = entry{hash: hashes[i], length: uint32(sizes[i])}
-		}
-		line := appendHeader(make([]byte, 0, lineLen(es)), es)
-		parsed, err := parseHeader(line)
-		if err != nil || len(line) != lineLen(es) || cap(line) != len(line) || len(parsed) != len(es) {
-			return false
-		}
-		off := 0
-		for i, p := range parsed {
-			if p != (triple{hashes[i], uint64(off), uint64(sizes[i])}) {
-				return false
-			}
+			triples[i] = fmt.Sprintf("%x,%x,%x", hashes[i], off, sizes[i])
 			off += int(sizes[i])
 		}
-		return true
+		line := appendHeader(make([]byte, 0, lineLen(es)), es)
+		return len(line) == lineLen(es) && cap(line) == len(line) && string(line) == strings.Join(triples, ";")+"\n"
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParseHeaderRejectsMalformed(t *testing.T) {
-	for _, s := range []string{"a,b\n", "zz,1,2;bad\n", "1,zz,3\n", "1,2,zz\n"} {
-		if _, err := parseHeader([]byte(s)); err == nil {
-			t.Errorf("parseHeader(%q) should fail", s)
-		}
-	}
-	if ts, err := parseHeader([]byte("\n")); err != nil || len(ts) != 0 {
-		t.Error("empty header should parse to zero entries")
-	}
-}
-
-// TestPlainFilesParseInTheDatabaseFormat: a file someone else wrote as
-// plain bytes is read on first touch when it is byte for byte what the
-// database writes — and is then the same database — and refused as
-// corrupt otherwise, since a file whose records do not tile its body in
-// header order, or whose header is not the database's rendering, is not
-// one the database can extend.
-func TestPlainFilesParseInTheDatabaseFormat(t *testing.T) {
-	src := newDB(t, 4)
-	src.Put(1, []byte("a"))
-	src.Put(5, []byte("bb"))
-	img, _ := src.store.Peek("psdb-1.db")
-	if string(img) != "1,0,1;5,1,2\nabb" {
-		t.Fatalf("file image %q", img)
-	}
-	for _, tc := range []struct {
-		data string
-		ok   bool
-	}{
-		{string(img), true},
-		{"\n", true},
-		{"01,0,1;5,1,2\nabb", false}, // leading zero
-		{"1,0,1;5,2,2\naXbb", false}, // a gap before the second record
-		{"5,1,2;1,0,1\nabb", false},  // records out of header order
-		{"1,0,1;5,1,2\nabbZ", false}, // trailing bytes
-		{"1,0,1;5,1,3\nabb", false},  // past the end
-	} {
-		db := newDB(t, 4)
-		db.store.ReplaceSilently("psdb-1.db", []byte(tc.data))
-		db, err := New(db.store, Config{Files: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, putErr := db.Put(9, []byte("ccc"))
-		if (putErr == nil) != tc.ok {
-			t.Errorf("%q: Put error %v, want ok=%v", tc.data, putErr, tc.ok)
-			continue
-		}
-		if !tc.ok {
-			continue
-		}
-		after, _ := db.store.Peek("psdb-1.db")
-		want := "9,0,3\nccc"
-		if tc.data == string(img) {
-			want = "1,0,1;5,1,2;9,3,3\nabbccc"
-		}
-		if string(after) != want || db.LogicalBytes() != int64(len(want)) {
-			t.Errorf("%q: after Put the file holds %q (%d bytes counted), want %q", tc.data, after, db.LogicalBytes(), want)
-		}
-	}
-}
-
-// TestReopenAdoptsOrParses: the database is its store's volume for its
-// file names, so a database reopened over the store takes its files as
-// they are; a file someone else rewrote is plain bytes again, and the
-// reopened database parses it on first touch into the same records.
-func TestReopenAdoptsOrParses(t *testing.T) {
-	db := newDB(t, 4)
-	rec := []byte("record")
-	db.Put(1, rec)
-	db.Put(5, []byte("another"))
-	reopen := func() *DB {
-		t.Helper()
-		r, err := New(db.store, Config{Files: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if v := db.store.Volume("psdb-"); v != flashsim.Volume((*volume)(db)) {
-		t.Fatalf("the store's volume is %v, not the database", v)
-	}
-	adopted := reopen()
-	view, _, err := adopted.GetView(1)
-	if err != nil || &view[0] != &rec[0] || db.store.Volume("psdb-") != flashsim.Volume((*volume)(adopted)) {
-		t.Fatalf("the reopened database did not adopt the file: %q, %v", view, err)
-	}
-
-	img, _ := db.store.Peek("psdb-1.db")
-	db.store.Write("psdb-1.db", img) // a third party rewrites the same bytes
-	if data, ok := adopted.raw[1]; !ok || !bytes.Equal(data, img) || adopted.LogicalBytes() != db.LogicalBytes() {
-		t.Fatalf("a third-party write left %q in plain bytes, %d bytes counted", data, adopted.LogicalBytes())
-	}
-	parsed := reopen()
-	view, _, err = parsed.GetView(1)
-	if err != nil || string(view) != "record" || &view[0] == &rec[0] || parsed.Len() != 2 || parsed.raw != nil {
-		t.Fatalf("parse of the plain file: %q, %v, %d records", view, err, parsed.Len())
-	}
-	if parsed.LogicalBytes() != db.LogicalBytes() {
-		t.Errorf("reopened size %d, want %d", parsed.LogicalBytes(), db.LogicalBytes())
-	}
-	if after, _ := db.store.Peek("psdb-1.db"); !bytes.Equal(after, img) {
-		t.Errorf("the parsed file renders %q, want %q", after, img)
-	}
-}
-
-// TestReopenWithAnotherFileCount: a database of another file count over
-// the same names leaves its files to the new one as plain bytes, so what
-// the store holds is unchanged and the new database reads the records it
-// can find where its own file assignment puts them.
-func TestReopenWithAnotherFileCount(t *testing.T) {
-	old := newDB(t, 4)
-	old.Put(8, []byte("eight")) // file 0 of 4 and of 8
-	old.Put(3, []byte("three")) // file 3 of 4 and of 8
-	old.Put(6, []byte("six"))   // file 2 of 4, file 6 of 8
-	names, size := old.store.Names(), old.store.LogicalBytes()
-	db, err := New(old.store, Config{Files: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db.store.Names(); !slices.Equal(got, names) || db.store.LogicalBytes() != size {
-		t.Fatalf("files %v (%d bytes), want %v (%d bytes)", got, db.store.LogicalBytes(), names, size)
-	}
-	if got, _, err := db.Get(8); err != nil || string(got) != "eight" {
-		t.Errorf("Get(8) = %q, %v", got, err)
-	}
-	if db.Contains(6) {
-		t.Error("a record in another file count's file was found")
-	}
-	if _, err := db.Put(6, []byte("six")); err != nil || !db.store.Exists("psdb-6.db") {
-		t.Errorf("Put(6): %v", err)
 	}
 }
 

@@ -304,10 +304,9 @@ func (c *Compiled) FleetConfig(obs fleet.Observer) (fleet.Config, error) {
 		Radio:        radioParams(s.Fleet.Radio),
 		PerUserBytes: s.Fleet.UserBudgetBytes,
 		Batch: fleet.BatchOptions{
-			Enabled:   s.Fleet.Batch.Enabled,
-			MaxBatch:  s.Fleet.Batch.Max,
-			Linger:    s.Fleet.Batch.Linger.D(),
-			FleetWide: s.Fleet.Batch.FleetWide,
+			Enabled:  s.Fleet.Batch.Enabled,
+			MaxBatch: s.Fleet.Batch.Max,
+			Linger:   s.Fleet.Batch.Linger.D(),
 		},
 		Replicas: s.Fleet.Replicas,
 		Cohorts:  c.cohorts,

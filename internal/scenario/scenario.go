@@ -267,10 +267,9 @@ type BackendSpec struct {
 type BatchSpec struct {
 	Enabled bool `json:"enabled,omitempty"`
 	// Max caps misses per session (0 = 16); Linger is the collection
-	// window (0 = 200µs); FleetWide pools all shards' misses.
-	Max       int      `json:"max,omitempty"`
-	Linger    Duration `json:"linger,omitempty"`
-	FleetWide bool     `json:"fleet_wide,omitempty"`
+	// window (0 = 200µs).
+	Max    int      `json:"max,omitempty"`
+	Linger Duration `json:"linger,omitempty"`
 }
 
 // FaultSpec is a connectivity-fault profile, fleet-wide or per class.

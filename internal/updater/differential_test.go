@@ -12,6 +12,7 @@ import (
 	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/pocketsearch"
+	"pocketcloudlets/internal/resultdb"
 	"pocketcloudlets/internal/searchlog"
 )
 
@@ -128,14 +129,28 @@ func sameTable(a, b *hashtable.Table) bool {
 	return reflect.DeepEqual(a.Pairs(), b.Pairs()) && a.NumEntries() == b.NumEntries()
 }
 
-// flash is every file of a cache's store, by name.
-func flash(c *pocketsearch.Cache) map[string][]byte {
-	store := c.Device().Store()
-	files := make(map[string][]byte)
-	for _, name := range store.Names() {
-		files[name], _ = store.Peek(name)
+// dbImage is a cache's result database as its API shows it: every
+// record's name and retrieval latency, by hash, and the database's size.
+type dbImage struct {
+	Records map[uint64]resultdb.Record
+	Lats    map[uint64]time.Duration
+	Bytes   int64
+}
+
+// flash images c's result database. Fetch charges the flash device, so
+// both sides of a comparison take their image at the same step.
+func flash(t *testing.T, c *pocketsearch.Cache) dbImage {
+	t.Helper()
+	db := c.DB()
+	img := dbImage{Records: map[uint64]resultdb.Record{}, Lats: map[uint64]time.Duration{}, Bytes: db.LogicalBytes()}
+	for _, h := range db.Hashes() {
+		r, lat, err := db.Fetch(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Records[h], img.Lats[h] = r, lat
 	}
-	return files
+	return img
 }
 
 // TestExportApplyMatchReference holds the export/import pair a migrating
@@ -145,8 +160,9 @@ func flash(c *pocketsearch.Cache) map[string][]byte {
 // field for field (its records rendered by the engine's record source),
 // and applying it — to an empty cache as a migration
 // does, and as a second update over a cache already holding most of it —
-// leaves the same bytes in every flash file, the same table, the same
-// returned latency and the same device clock and energy.
+// leaves the same records, retrieval latencies and database size, the
+// same table, the same returned latency and the same device clock and
+// energy.
 func TestExportApplyMatchReference(t *testing.T) {
 	u := testUniverse(t)
 	rng := rand.New(rand.NewSource(9))
@@ -206,8 +222,8 @@ func TestExportApplyMatchReference(t *testing.T) {
 				t.Fatalf("trial %d round %d: latency %v clock %v energy %v, reference %v %v %v", trial, round,
 					lat, dst.Device().Now(), dst.Device().TotalEnergy(), refLat, refDst.Device().Now(), refDst.Device().TotalEnergy())
 			}
-			if !reflect.DeepEqual(flash(dst), flash(refDst)) {
-				t.Fatalf("trial %d round %d: flash differs from the reference's", trial, round)
+			if !reflect.DeepEqual(flash(t, dst), flash(t, refDst)) {
+				t.Fatalf("trial %d round %d: the result database differs from the reference's", trial, round)
 			}
 			if !sameTable(dst.Table(), refDst.Table()) {
 				t.Fatalf("trial %d round %d: table differs from the reference's", trial, round)

@@ -17,9 +17,11 @@
 # and they are single-goroutine anyway. Every concurrent code path —
 # fleet serving, load generation, workload, cloudletos — runs under
 # the detector at full depth, and so do the result database's
-# differential tests against its legacy reference (the records of a
-# cache's database are named in the engine's record source, which every
-# cache over that engine shares).
+# differential tests against its legacy reference: after every step they
+# compare each file's bytes (the database's rendering of its entries,
+# which it keeps itself, not in its flash store), every latency and the
+# flash counters. The records of a cache's database are named in the
+# engine's record source, which every cache over that engine shares.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,8 +127,9 @@ echo "== serve-stack size: non-test Go lines =="
 # simplicity PRs quote their before/after from this line. Informational,
 # never a failure.
 # internal/scenario — the configuration surface those four are driven
-# through — is tallied separately so the graded total stays comparable
-# across PRs.
+# through — and the result database and the flash model under it
+# (internal/resultdb, internal/flashsim) are tallied separately so the
+# graded total stays comparable across PRs.
 nontest_lines() {
     for d in "$@"; do
         find "$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0
@@ -134,5 +137,7 @@ nontest_lines() {
 }
 echo "graded tally (internal/fleet internal/faults internal/loadgen cmd/loadtest): $(nontest_lines internal/fleet internal/faults internal/loadgen cmd/loadtest) lines"
 echo "internal/scenario: $(nontest_lines internal/scenario) lines"
+echo "internal/resultdb: $(nontest_lines internal/resultdb) lines"
+echo "internal/flashsim: $(nontest_lines internal/flashsim) lines"
 
 echo "all checks passed"
