@@ -556,7 +556,7 @@ func BenchmarkFleetSubmit(b *testing.B) {
 // --- Fleet heap gate ---
 
 // TestFleetColdFillHeap holds the repository benchmark's cold_fill, at a
-// size a test can afford, within 5% of the 3,170 B of live heap per
+// size a test can afford, within 5% of the 2,565 B of live heap per
 // resident user recorded (DESIGN.md, "Capacity model"): a fresh 4-shard
 // fleet over the scenario universe, its community content from the first
 // 100 users' month 0, filled on one goroutine by every user's month-1
@@ -565,9 +565,13 @@ func BenchmarkFleetSubmit(b *testing.B) {
 // for. One caller and a fixed seed make the number repeat to a few
 // bytes on a given toolchain, whatever GOMAXPROCS. A structure that
 // grows per user or per record — record text kept instead of named, a
-// map sized by configuration — shows here first.
+// map sized by configuration — shows here first. The reading was 3,170 B
+// while every device carried its own copies of its tier's device, flash
+// and radio constants, cumulative stage totals and trace fields, every
+// cache a copy of the fleet's Options and a lookup buffer, and arena
+// chunks held 1,024 slots.
 func TestFleetColdFillHeap(t *testing.T) {
-	const users, ceiling = 1000, 3_329 // B/user: 3,170 recorded, +5%
+	const users, ceiling = 1000, 2_693 // B/user: 2,565 recorded, +5%
 	ucfg := scenario.UniverseConfig()
 	sim, err := pocketcloudlets.NewSimulation(pocketcloudlets.SimConfig{
 		Seed: 1, Users: users, UniverseConfig: &ucfg,

@@ -53,12 +53,13 @@ func DefaultConfig() Config {
 }
 
 // Stage is what a span of device time was spent on. Every advance of a
-// device's clock but SyncClock is charged to exactly one stage, and the
-// device keeps a running total per stage (DESIGN.md, "Where a response's
-// time goes"). The first NumResponseStages are a response's: a serve's
-// time is what it charged to them. Store is device time no user waits
-// on: a miss's expansion write and an eviction's rewrite run off the
-// critical path.
+// device's clock but SyncClock is charged to exactly one stage
+// (DESIGN.md, "Where a response's time goes"). The first
+// NumResponseStages are a response's: a serve's time is what it charged
+// to them, through the Window its server opened on the response's stage
+// vector. Store is device time no user waits on: a miss's expansion
+// write and an eviction's rewrite run off the critical path, and the
+// device keeps their sum (Stored).
 type Stage uint8
 
 const (
@@ -123,24 +124,21 @@ type PowerSegment struct {
 // End returns the model time at which the segment finishes.
 func (s PowerSegment) End() time.Duration { return s.Start + s.Duration }
 
-// Device is a simulated smartphone.
-type Device struct {
-	cfg   Config
-	flash *flashsim.Device
-	store *flashsim.FileStore
-	link  *radio.Link
-
-	clock   time.Duration
-	meter   energy.Meter // joules from BasePower over busy time
-	stages  [NumStages]time.Duration
-	trace   []PowerSegment
-	tracing bool
+// Profile is one device tier's constants — the device's timing and
+// power, its radio technology and its flash part — resolved, so a device
+// reads them as they are. Immutable once built: every device of a tier
+// reads its constants, and its flash part and link theirs, through one
+// pointer to it (the fleet's cohort table builds one per radio tier).
+type Profile struct {
+	Config Config
+	Link   radio.Params
+	Flash  flashsim.Params
 }
 
-// New creates a device with the given configuration, radio technology
-// and flash parameters. Zero-value Config fields are filled from
-// DefaultConfig.
-func New(cfg Config, link radio.Params, flash flashsim.Params) *Device {
+// NewProfile resolves a tier's constants. Zero-value Config fields are
+// filled from DefaultConfig, zero-valued flash fields from
+// flashsim.DefaultParams.
+func NewProfile(cfg Config, link radio.Params, flash flashsim.Params) *Profile {
 	def := DefaultConfig()
 	if cfg.BasePower <= 0 {
 		cfg.BasePower = def.BasePower
@@ -160,26 +158,52 @@ func New(cfg Config, link radio.Params, flash flashsim.Params) *Device {
 	if cfg.PCMBandwidth <= 0 {
 		cfg.PCMBandwidth = def.PCMBandwidth
 	}
-	fd := flashsim.NewDevice(flash)
-	return &Device{
-		cfg:   cfg,
-		flash: fd,
-		store: flashsim.NewFileStore(fd),
-		link:  radio.NewLink(link),
-	}
+	return &Profile{Config: cfg, Link: link, Flash: flash.Resolve()}
+}
+
+// Device is a simulated smartphone: its own state — clock, energy, flash
+// part, file store and radio link, held in one allocation — and its
+// tier's Profile.
+type Device struct {
+	p     *Profile
+	flash flashsim.Device
+	store flashsim.FileStore
+	link  radio.Link
+
+	clock time.Duration
+	// stored is the device time charged to Store.
+	stored time.Duration
+	meter  energy.Meter // joules from BasePower over busy time
+	// trace is the Figure 16 power trace; nil unless StartTrace ran.
+	trace *[]PowerSegment
+}
+
+// New creates a device with the given configuration, radio technology
+// and flash parameters, on a profile of its own (NewProfile). Zero-value
+// Config fields are filled from DefaultConfig.
+func New(cfg Config, link radio.Params, flash flashsim.Params) *Device {
+	return On(NewProfile(cfg, link, flash))
+}
+
+// On creates a device of the tier p describes. p must not change while
+// the device lives.
+func On(p *Profile) *Device {
+	d := &Device{p: p, flash: flashsim.MakeDevice(&p.Flash), link: radio.MakeLink(&p.Link)}
+	d.store = flashsim.MakeFileStore(&d.flash)
+	return d
 }
 
 // Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
+func (d *Device) Config() Config { return d.p.Config }
 
 // Flash returns the device's flash part.
-func (d *Device) Flash() *flashsim.Device { return d.flash }
+func (d *Device) Flash() *flashsim.Device { return &d.flash }
 
 // Store returns the device's flash file store.
-func (d *Device) Store() *flashsim.FileStore { return d.store }
+func (d *Device) Store() *flashsim.FileStore { return &d.store }
 
 // Link returns the device's radio link.
-func (d *Device) Link() *radio.Link { return d.link }
+func (d *Device) Link() *radio.Link { return &d.link }
 
 // Now returns the device's model time.
 func (d *Device) Now() time.Duration { return d.clock }
@@ -189,64 +213,75 @@ func (d *Device) Now() time.Duration { return d.clock }
 func (d *Device) TotalEnergy() float64 { return d.meter.Joules() + d.link.RadioEnergy() }
 
 // StartTrace begins recording power segments for Figure 16.
-func (d *Device) StartTrace() {
-	d.tracing = true
-	d.trace = nil
-}
+func (d *Device) StartTrace() { d.trace = new([]PowerSegment) }
 
 // Trace returns the recorded power segments.
-func (d *Device) Trace() []PowerSegment { return d.trace }
-
-// Stages returns the device's running totals on the response stages. A
-// serve reads them before it starts and hands them to Since when it is
-// done.
-func (d *Device) Stages() Stages { return Stages(d.stages[:NumResponseStages]) }
-
-// Since returns the response-stage time charged since the device's
-// totals were mark.
-func (d *Device) Since(mark Stages) Stages {
-	for i := range mark {
-		mark[i] = d.stages[i] - mark[i]
+func (d *Device) Trace() []PowerSegment {
+	if d.trace == nil {
+		return nil
 	}
-	return mark
+	return *d.trace
 }
 
-// StageTotal returns all the time the device has charged to s.
-func (d *Device) StageTotal(s Stage) time.Duration { return d.stages[s] }
+// Stored returns all the time the device has charged to Store.
+func (d *Device) Stored() time.Duration { return d.stored }
+
+// Window is a device serving one response: the charges made through it
+// book their response-stage time into the response's stage vector, the
+// one its server handed Device.Window. A serve that runs inside another
+// (a miss's cache exchange inside the fleet's retry ladder) opens its own
+// window on its own vector, which the outer serve adds to its vector. The
+// device holds nothing of a window, so a vector on its server's stack
+// stays there. Store time goes to the device's own sum, in a window or
+// not.
+type Window struct {
+	d *Device
+	v *Stages
+}
+
+// Window opens a window that books the device's response-stage time into
+// v. A nil v books it nowhere: the device's own charge methods (Busy,
+// Render, ...) are a nil window's, for work no response waits on.
+func (d *Device) Window(v *Stages) Window { return Window{d: d, v: v} }
 
 // charge advances the model clock by dur, charged to stage s at base
 // power plus extraWatts: the one place device time is booked.
-func (d *Device) charge(dur time.Duration, extraWatts float64, s Stage) {
-	if d.tracing && dur > 0 {
-		d.trace = append(d.trace, PowerSegment{
+func (w Window) charge(dur time.Duration, extraWatts float64, s Stage) {
+	d := w.d
+	if d.trace != nil && dur > 0 {
+		*d.trace = append(*d.trace, PowerSegment{
 			Start:    d.clock,
 			Duration: dur,
-			Watts:    d.cfg.BasePower + extraWatts,
+			Watts:    d.p.Config.BasePower + extraWatts,
 			Stage:    s,
 		})
 	}
-	d.meter.Charge(d.cfg.BasePower, dur)
-	d.stages[s] += dur
+	d.meter.Charge(d.p.Config.BasePower, dur)
+	if s == Store {
+		d.stored += dur
+	} else if w.v != nil {
+		w.v[s] += dur
+	}
 	d.clock += dur
 }
 
 // Busy advances the model clock by d with the device active locally
 // (CPU/screen on, radio not transmitting), charged to stage s. The
 // radio continues its own tail/idle accounting in parallel.
-func (d *Device) Busy(dur time.Duration, s Stage) {
+func (w Window) Busy(dur time.Duration, s Stage) {
 	if dur <= 0 {
 		return
 	}
-	d.charge(dur, d.link.InactiveExtraPower(), s)
-	d.link.Advance(dur)
+	w.charge(dur, w.d.link.InactiveExtraPower(), s)
+	w.d.link.Advance(dur)
 }
 
 // NetworkRequest performs a request/response exchange over the radio,
 // advancing the model clock by the exchange latency. The device stays
 // at base power while waiting (screen on, spinner visible).
-func (d *Device) NetworkRequest(reqBytes, respBytes int) radio.Transfer {
-	tr := d.link.Request(reqBytes, respBytes)
-	d.charge(tr.Total(), d.link.Params().ExtraActivePower, Radio)
+func (w Window) NetworkRequest(reqBytes, respBytes int) radio.Transfer {
+	tr := w.d.link.Request(reqBytes, respBytes)
+	w.charge(tr.Total(), w.d.p.Link.ExtraActivePower, Radio)
 	return tr
 }
 
@@ -256,9 +291,9 @@ func (d *Device) NetworkRequest(reqBytes, respBytes int) radio.Transfer {
 // handshake — and the user stares at a spinner for all of it, but no
 // payload ever arrives. The model clock and energy advance exactly as
 // a successful exchange's overhead would.
-func (d *Device) NetworkFailedRequest() radio.Transfer {
-	tr := d.link.FailedRequest()
-	d.charge(tr.Total(), d.link.Params().ExtraActivePower, RadioFailed)
+func (w Window) NetworkFailedRequest() radio.Transfer {
+	tr := w.d.link.FailedRequest()
+	w.charge(tr.Total(), w.d.p.Link.ExtraActivePower, RadioFailed)
 	return tr
 }
 
@@ -267,34 +302,48 @@ func (d *Device) NetworkFailedRequest() radio.Transfer {
 // the device waits wait of model time at base power (screen on,
 // spinner visible) while its link absorbs share of the session's
 // radio-active time and is left in the post-transfer tail.
-func (d *Device) NetworkBatchShare(wait, share time.Duration) {
+func (w Window) NetworkBatchShare(wait, share time.Duration) {
 	if wait < 0 {
 		wait = 0
 	}
-	d.charge(wait, d.link.Params().ExtraActivePower, Radio)
-	d.link.JoinBatch(wait, share)
+	w.charge(wait, w.d.p.Link.ExtraActivePower, Radio)
+	w.d.link.JoinBatch(wait, share)
 }
+
+// Render advances the clock by the render latency for a page and
+// returns that latency.
+func (w Window) Render(pageBytes int) time.Duration {
+	lat := w.d.RenderLatency(pageBytes)
+	w.Busy(lat, Render)
+	return lat
+}
+
+// Misc charges the per-query application overhead.
+func (w Window) Misc() time.Duration {
+	w.Busy(w.d.p.Config.MiscPerQuery, Misc)
+	return w.d.p.Config.MiscPerQuery
+}
+
+// Busy is Window.Busy charged to no response.
+func (d *Device) Busy(dur time.Duration, s Stage) { d.Window(nil).Busy(dur, s) }
+
+// NetworkRequest is Window.NetworkRequest charged to no response.
+func (d *Device) NetworkRequest(reqBytes, respBytes int) radio.Transfer {
+	return d.Window(nil).NetworkRequest(reqBytes, respBytes)
+}
+
+// Render is Window.Render charged to no response.
+func (d *Device) Render(pageBytes int) time.Duration { return d.Window(nil).Render(pageBytes) }
+
+// Misc is Window.Misc charged to no response.
+func (d *Device) Misc() time.Duration { return d.Window(nil).Misc() }
 
 // RenderLatency models the browser rendering a page of the given size.
 func (d *Device) RenderLatency(pageBytes int) time.Duration {
 	if pageBytes < 0 {
 		pageBytes = 0
 	}
-	return d.cfg.RenderBase + time.Duration(pageBytes)*d.cfg.RenderPerByte
-}
-
-// Render advances the clock by the render latency for a page and
-// returns that latency.
-func (d *Device) Render(pageBytes int) time.Duration {
-	lat := d.RenderLatency(pageBytes)
-	d.Busy(lat, Render)
-	return lat
-}
-
-// Misc charges the per-query application overhead.
-func (d *Device) Misc() time.Duration {
-	d.Busy(d.cfg.MiscPerQuery, Misc)
-	return d.cfg.MiscPerQuery
+	return d.p.Config.RenderBase + time.Duration(pageBytes)*d.p.Config.RenderPerByte
 }
 
 // SyncClock advances the model clock to t without charging energy.
@@ -322,10 +371,9 @@ func (d *Device) SyncClock(t time.Duration) {
 // cleared. Flash contents are preserved; the radio link is reset.
 func (d *Device) Reset() {
 	d.clock = 0
+	d.stored = 0
 	d.meter.Reset()
-	d.stages = [NumStages]time.Duration{}
 	d.trace = nil
-	d.tracing = false
 	d.link.Reset()
 	d.flash.ResetStats()
 }

@@ -121,60 +121,70 @@ func TestTraceRecordsSegments(t *testing.T) {
 		t.Errorf("local-serve power %g W, want ~0.9 W", seg.Watts)
 	}
 
-	// Summed per stage, the Figure 16 trace is the device's stage
-	// account, through every charge entry point: a hit, a failed
-	// attempt with its backoff and the hedge and backend waits, the
-	// retried miss with its expansion write, and a batch member's miss.
+	// Summed per stage, the Figure 16 trace is what the windows booked,
+	// through every charge entry point — a hit, a failed attempt with its
+	// backoff and the hedge and backend waits, the retried miss with its
+	// expansion write, and a batch member's miss — plus the device's Store
+	// sum; and a nil window books its response stages nowhere.
 	d = newTestDevice()
 	d.StartTrace()
-	mark := d.Stages()
-	d.Busy(10*time.Microsecond, Lookup)
-	d.Busy(10*time.Millisecond, Fetch)
-	d.Render(100 * 1000)
-	d.Misc()
-	hit := d.Since(mark)
+	var hit Stages
+	w := d.Window(&hit)
+	w.Busy(10*time.Microsecond, Lookup)
+	w.Busy(10*time.Millisecond, Fetch)
+	w.Render(100 * 1000)
+	w.Misc()
 	if want := 10*time.Microsecond + 10*time.Millisecond + d.RenderLatency(100*1000) + d.Config().MiscPerQuery; hit.Total() != want || hit.Network() != 0 {
 		t.Errorf("the hit's stages %v sum to %v with %v network, want %v and none", hit, hit.Total(), hit.Network(), want)
 	}
-	mark = d.Stages()
-	failed := d.NetworkFailedRequest()
-	d.Busy(500*time.Millisecond, Backoff)
-	d.Busy(200*time.Millisecond, Hedge)
-	d.Busy(30*time.Millisecond, Backend)
-	d.Busy(10*time.Microsecond, Lookup)
-	ok := d.NetworkRequest(800, 100*1000)
-	d.Render(100 * 1000)
-	d.Misc()
-	d.Busy(3*time.Millisecond, Store)
-	miss := d.Since(mark)
+	var miss Stages
+	w = d.Window(&miss)
+	failed := w.NetworkFailedRequest()
+	w.Busy(500*time.Millisecond, Backoff)
+	w.Busy(200*time.Millisecond, Hedge)
+	w.Busy(30*time.Millisecond, Backend)
+	w.Busy(10*time.Microsecond, Lookup)
+	ok := w.NetworkRequest(800, 100*1000)
+	w.Render(100 * 1000)
+	w.Misc()
+	w.Busy(3*time.Millisecond, Store)
 	if miss[RadioFailed] != failed.Total() || miss[Radio] != ok.Total() ||
 		miss.Network() != failed.Total()+500*time.Millisecond+200*time.Millisecond+30*time.Millisecond+ok.Total() {
 		t.Errorf("the retried miss's stages %v do not carry its exchanges %v and %v and its waits", miss, failed.Total(), ok.Total())
 	}
-	d.Busy(10*time.Microsecond, Lookup)
-	d.NetworkBatchShare(2*time.Second, time.Second)
+	var batched Stages
+	w = d.Window(&batched)
+	w.Busy(10*time.Microsecond, Lookup)
+	w.NetworkBatchShare(2*time.Second, time.Second)
+	w.Render(100 * 1000)
+	w.Misc()
+	unbooked := d.Now()
+	d.Busy(time.Second, Misc)
 	d.Render(100 * 1000)
-	d.Misc()
+	unbooked = d.Now() - unbooked
 
-	var traced [NumStages]time.Duration
-	var offResponse time.Duration
+	var traced, booked [NumStages]time.Duration
 	for _, seg := range d.Trace() {
 		traced[seg.Stage] += seg.Duration
 	}
+	for _, v := range []*Stages{&hit, &miss, &batched} {
+		for s, dur := range v {
+			booked[s] += dur
+		}
+	}
+	booked[Misc] += time.Second
+	booked[Render] += d.RenderLatency(100 * 1000)
+	booked[Store] = d.Stored()
 	for s := Stage(0); s < NumStages; s++ {
-		if traced[s] != d.StageTotal(s) {
-			t.Errorf("stage %v: the trace holds %v, the account %v", s, traced[s], d.StageTotal(s))
+		if traced[s] != booked[s] {
+			t.Errorf("stage %v: the trace holds %v, the windows and the store sum %v", s, traced[s], booked[s])
 		}
 		if traced[s] == 0 {
 			t.Errorf("stage %v was never charged", s)
 		}
-		if int(s) >= NumResponseStages {
-			offResponse += d.StageTotal(s)
-		}
 	}
-	all := d.Stages()
-	if all.Total() != d.Now()-offResponse {
-		t.Errorf("the response stages sum to %v, the clock less store to %v", all.Total(), d.Now()-offResponse)
+	if all := hit.Total() + miss.Total() + batched.Total(); all != d.Now()-d.Stored()-unbooked {
+		t.Errorf("the windows sum to %v, the clock less store and the unbooked charges to %v", all, d.Now()-d.Stored()-unbooked)
 	}
 	if Store.String() != "store" || RadioFailed.String() != "radio-failed" {
 		t.Errorf("stage names: %v, %v", Store, RadioFailed)
@@ -191,10 +201,12 @@ func TestRenderLatencyClampsNegative(t *testing.T) {
 func TestReset(t *testing.T) {
 	d := newTestDevice()
 	d.Store().Write("f", []byte("persist"))
+	d.StartTrace()
 	d.NetworkRequest(800, 1000)
+	d.Busy(time.Millisecond, Store)
 	d.Reset()
-	if d.Now() != 0 || d.TotalEnergy() != 0 {
-		t.Error("reset did not clear clock/energy")
+	if d.Now() != 0 || d.TotalEnergy() != 0 || d.Stored() != 0 || d.Trace() != nil {
+		t.Error("reset did not clear clock/energy/store time/trace")
 	}
 	if !d.Store().Exists("f") {
 		t.Error("reset should preserve flash contents")

@@ -69,14 +69,14 @@ func (d *Device) BootIndexLoad(indexBytes int64, p IndexPlacement) time.Duration
 		return 0
 	default:
 		// Stream the index out of NAND into DRAM.
-		return d.flash.Params().FileOpenLatency + d.nandStream(indexBytes)
+		return d.p.Flash.FileOpenLatency + d.nandStream(indexBytes)
 	}
 }
 
 // nandStream returns the time to sequentially read n bytes from NAND
 // at page granularity.
 func (d *Device) nandStream(n int64) time.Duration {
-	p := d.flash.Params()
+	p := &d.p.Flash
 	pages := (n + int64(p.PageSize) - 1) / int64(p.PageSize)
 	return time.Duration(pages) * p.PageReadLatency
 }
@@ -86,10 +86,10 @@ func (d *Device) nandStream(n int64) time.Duration {
 func (d *Device) IndexAccess(bytes int, t Tier) time.Duration {
 	switch t {
 	case DRAM:
-		return time.Duration(float64(bytes) / d.cfg.DRAMBandwidth * float64(time.Second))
+		return time.Duration(float64(bytes) / d.p.Config.DRAMBandwidth * float64(time.Second))
 	case PCM:
-		return time.Duration(float64(bytes) / d.cfg.PCMBandwidth * float64(time.Second))
+		return time.Duration(float64(bytes) / d.p.Config.PCMBandwidth * float64(time.Second))
 	default:
-		return d.flash.Params().FileOpenLatency + d.nandStream(int64(bytes))
+		return d.p.Flash.FileOpenLatency + d.nandStream(int64(bytes))
 	}
 }

@@ -118,11 +118,10 @@ func measureServe(l *Lab, p servePath) (time.Duration, float64) {
 				if pageBytes == 0 {
 					pageBytes = 100_000
 				}
-				mark := dev.Stages()
-				dev.NetworkRequest(800, pageBytes)
-				dev.Render(pageBytes)
-				dev.Misc()
-				out.Stages = dev.Since(mark)
+				w := dev.Window(&out.Stages)
+				w.NetworkRequest(800, pageBytes)
+				w.Render(pageBytes)
+				w.Misc()
 			}
 			totalTime += out.ResponseTime()
 			totalEnergy += dev.TotalEnergy() - before

@@ -79,16 +79,18 @@ type Stats struct {
 	BusyTime     time.Duration
 }
 
-// Device is a simulated flash part plus filesystem stack.
+// Device is a simulated flash part plus filesystem stack. It reads its
+// constants through a pointer, so the devices of one tier share one
+// Params (internal/device's Profile).
 type Device struct {
-	params Params
+	params *Params
 	stats  Stats
 	jitter *rand.Rand
 }
 
-// NewDevice creates a device with the given parameters. Zero-valued
-// latency or geometry fields are filled from DefaultParams.
-func NewDevice(p Params) *Device {
+// Resolve returns p with its zero-valued latency and geometry fields
+// filled from DefaultParams: the form a device reads.
+func (p Params) Resolve() Params {
 	def := DefaultParams()
 	if p.PageSize <= 0 {
 		p.PageSize = def.PageSize
@@ -111,7 +113,22 @@ func NewDevice(p Params) *Device {
 	if p.FileOpenLatency <= 0 {
 		p.FileOpenLatency = def.FileOpenLatency
 	}
-	d := &Device{params: p}
+	return p
+}
+
+// NewDevice creates a device with the given parameters. Zero-valued
+// latency or geometry fields are filled from DefaultParams.
+func NewDevice(p Params) *Device {
+	r := p.Resolve()
+	d := MakeDevice(&r)
+	return &d
+}
+
+// MakeDevice returns a device, by value for embedding, that reads its
+// constants through p: resolved parameters (Params.Resolve) that must
+// not change while the device lives.
+func MakeDevice(p *Params) Device {
+	d := Device{params: p}
 	if p.JitterFrac > 0 {
 		d.jitter = rand.New(rand.NewSource(p.Seed))
 	}
@@ -119,7 +136,7 @@ func NewDevice(p Params) *Device {
 }
 
 // Params returns the device parameters.
-func (d *Device) Params() Params { return d.params }
+func (d *Device) Params() Params { return *d.params }
 
 // Stats returns a snapshot of the accumulated statistics.
 func (d *Device) Stats() Stats { return d.stats }

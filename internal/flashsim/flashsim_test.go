@@ -115,8 +115,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if fs.Exists("a") {
 		t.Fatal("file should not exist yet")
 	}
-	fs.Write("a", []byte("hello"))
-	fs.Append("a", []byte(" world"))
+	fs.Write("a", []byte("hello world"))
 	data, lat, err := fs.Read("a")
 	if err != nil {
 		t.Fatal(err)
@@ -129,25 +128,6 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 	if sz, _ := fs.Size("a"); sz != 11 {
 		t.Errorf("size = %d, want 11", sz)
-	}
-}
-
-func TestFileStoreReadAt(t *testing.T) {
-	fs := NewFileStore(NewDevice(Params{}))
-	fs.Write("f", []byte("0123456789"))
-	data, _, err := fs.ReadAt("f", 3, 4)
-	if err != nil || string(data) != "3456" {
-		t.Errorf("ReadAt(3,4) = %q, %v", data, err)
-	}
-	data, _, err = fs.ReadAt("f", 8, 100) // past end: truncated
-	if err != nil || string(data) != "89" {
-		t.Errorf("ReadAt(8,100) = %q, %v", data, err)
-	}
-	if _, _, err := fs.ReadAt("f", 11, 1); err == nil {
-		t.Error("ReadAt past end offset should fail")
-	}
-	if _, _, err := fs.ReadAt("missing", 0, 1); err == nil {
-		t.Error("ReadAt on missing file should fail")
 	}
 }
 
@@ -192,29 +172,18 @@ func TestFileStoreAccounting(t *testing.T) {
 func TestFragmentationProperties(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		fs := NewFileStore(NewDevice(Params{AllocUnit: 4096}))
+		names := make(map[string]bool)
 		for i, s := range sizes {
-			fs.Write(string(rune('a'+i%26))+string(rune('0'+i%10)), make([]byte, int(s)%5000))
+			name := string(rune('a'+i%26)) + string(rune('0'+i%10))
+			fs.Write(name, make([]byte, int(s)%5000))
+			names[name] = true
 		}
 		frag := fs.FragmentationBytes()
 		// Slack is non-negative and below one unit per file.
-		return frag >= 0 && frag < int64(len(fs.Names())+1)*4096
+		return frag >= 0 && frag < int64(len(names)+1)*4096
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	fs := NewFileStore(NewDevice(Params{}))
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		fs.Write(n, []byte("x"))
-	}
-	names := fs.Names()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
 	}
 }
 

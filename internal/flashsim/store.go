@@ -2,7 +2,6 @@ package flashsim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -22,8 +21,13 @@ type FileStore struct {
 
 // NewFileStore creates an empty store on the given device.
 func NewFileStore(dev *Device) *FileStore {
-	return &FileStore{dev: dev}
+	fs := MakeFileStore(dev)
+	return &fs
 }
+
+// MakeFileStore returns an empty store on the given device, by value for
+// embedding.
+func MakeFileStore(dev *Device) FileStore { return FileStore{dev: dev} }
 
 // Device returns the underlying flash device.
 func (fs *FileStore) Device() *Device { return fs.dev }
@@ -70,14 +74,6 @@ func (fs *FileStore) Write(name string, data []byte) time.Duration {
 	return t
 }
 
-// Append adds data to the end of the named file, creating it if needed,
-// and returns the modeled latency. Appends program only the new pages.
-func (fs *FileStore) Append(name string, data []byte) time.Duration {
-	t := fs.dev.OpenCost() + fs.dev.WriteCost(len(data))
-	fs.set(name, append(fs.files[name], data...))
-	return t
-}
-
 // Read returns the full contents of the named file and the modeled
 // latency (open plus per-page reads).
 func (fs *FileStore) Read(name string) ([]byte, time.Duration, error) {
@@ -87,26 +83,6 @@ func (fs *FileStore) Read(name string) ([]byte, time.Duration, error) {
 	}
 	t := fs.dev.OpenCost() + fs.dev.ReadCost(len(data))
 	return data, t, nil
-}
-
-// ReadAt returns n bytes starting at off from the named file, charging
-// open cost plus reads for the touched pages only. Reads past the end
-// of the file are truncated.
-func (fs *FileStore) ReadAt(name string, off, n int) ([]byte, time.Duration, error) {
-	data, ok := fs.files[name]
-	if !ok {
-		return nil, 0, &ErrNotExist{name}
-	}
-	size := len(data)
-	if off < 0 || off > size {
-		return nil, 0, fmt.Errorf("flashsim: offset %d out of range for %q (size %d)", off, name, size)
-	}
-	end := off + n
-	if n < 0 || end > size {
-		end = size
-	}
-	t := fs.dev.OpenCost() + fs.dev.ReadCost(end-off)
-	return append([]byte(nil), data[off:end]...), t, nil
 }
 
 // Peek returns the named file's contents without charging any device
@@ -136,16 +112,6 @@ func (fs *FileStore) Delete(name string) error {
 	}
 	delete(fs.files, name)
 	return nil
-}
-
-// Names returns the stored file names in sorted order.
-func (fs *FileStore) Names() []string {
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // LogicalBytes is the sum of file sizes.

@@ -76,37 +76,39 @@ func (sh *shard) classifyLocked(st *userState, uid searchlog.UserID, qh, ch uint
 // which prices each dispatch against the backend, so it needs no lock.
 func (mc *missCtx) plan(pr faults.Pricer) {
 	in := &mc.in
-	mc.hplan = faults.PlanHedged(in.rt.injs, in.rt.retry, in.rt.hedge, in.rt.link, pr,
+	mc.hplan = faults.PlanHedged(in.rt.injs, in.rt.retry, in.rt.hedge, in.rt.prof.Link, pr,
 		in.now, in.tail, in.uid, mc.qh, in.seq)
 }
 
 // chargeWaits charges the user-visible waits a miss carries beyond its
-// delivered ladder pl: the extra wait the hedge added on top of the
-// ladder (zero for a one-launch plan), and the modeled backend time the
-// ladder spent at its replica — failed exchanges' queue-and-service time
-// plus the successful exchange's own admission. Both are local device
-// time with no extra radio energy (the link idles down naturally while
-// the server grinds), and both are zero without hedging or a backend
-// model, so the charge is byte-neutral when they are off.
-func (mc *missCtx) chargeWaits(dev *device.Device, pl faults.Plan) {
-	dev.Busy(mc.hplan.Wait, device.Hedge)
-	dev.Busy(pl.BackendWait+pl.FinalBackend(), device.Backend)
+// delivered ladder pl through w, the miss's window on the user's device:
+// the extra wait the hedge added on top of the ladder (zero for a
+// one-launch plan), and the modeled backend time the ladder spent at its
+// replica — failed exchanges' queue-and-service time plus the successful
+// exchange's own admission. Both are local device time with no extra
+// radio energy (the link idles down naturally while the server grinds),
+// and both are zero without hedging or a backend model, so the charge is
+// byte-neutral when they are off.
+func (mc *missCtx) chargeWaits(w device.Window, pl faults.Plan) {
+	w.Busy(mc.hplan.Wait, device.Hedge)
+	w.Busy(pl.BackendWait+pl.FinalBackend(), device.Backend)
 }
 
 // replayFailedAttempts charges a plan's failed attempts and backoffs
-// against the user's own device, exactly as the analytic plan priced
-// them: each failure pays the radio session overhead (wake-up when the
-// link is idle, plus the handshake) for nothing, each backoff is local
-// wait. It returns how many failed attempts opened a session cold —
-// each of those sessions eventually pays a full tail.
-func replayFailedAttempts(dev *device.Device, pl faults.Plan) (cold int) {
+// against the user's own device, through the miss's window w, exactly as
+// the analytic plan priced them: each failure pays the radio session
+// overhead (wake-up when the link is idle, plus the handshake) for
+// nothing, each backoff is local wait. It returns how many failed
+// attempts opened a session cold — each of those sessions eventually
+// pays a full tail.
+func replayFailedAttempts(w device.Window, pl faults.Plan) (cold int) {
 	for i := 0; i < pl.Failures(); i++ {
-		tr := dev.NetworkFailedRequest()
+		tr := w.NetworkFailedRequest()
 		if !tr.WasWarm {
 			cold++
 		}
 		if i < len(pl.Backoffs) {
-			dev.Busy(pl.Backoffs[i], device.Backoff)
+			w.Busy(pl.Backoffs[i], device.Backoff)
 		}
 	}
 	return cold
@@ -146,11 +148,12 @@ func (sh *shard) releaseMiss(mt *missTask) {
 // user's device, then either the successful exchange runs — on the
 // user's own link, or as the member's slice of a shared session — and
 // expands the personal component, or the miss degrades down the ladder.
-// The response's stages are what the whole apply charged to the user's
-// device, plus on the community rung the stale serve the replica's
-// device ran. A clean plan replays nothing, waits for nothing and
-// wastes nothing, so it is the fault-free miss. Caller holds us, the
-// user's stripe.
+// The response's stages are what the ladder charged to the user's device
+// through the apply's window, plus what the serve at its end booked in
+// its own: the cache's exchange, or a stale answer on the user's device
+// or the community replica's. A clean plan replays nothing, waits for
+// nothing and wastes nothing, so it is the fault-free miss. Caller holds
+// us, the user's stripe.
 func (sh *shard) applyMissLocked(us *userStripe, st *userState, req *Request, mc *missCtx, x exchange, resp *Response) {
 	pl := mc.hplan.Delivered()
 	sh.ctr.bookPlan(&mc.hplan, pl, sh.cohorts.bk)
@@ -159,9 +162,9 @@ func (sh *shard) applyMissLocked(us *userStripe, st *userState, req *Request, mc
 	if st.rt.injs[0] != nil {
 		resp.Attempts = pl.Attempts
 	}
-	dev, link := st.cache.Device(), st.rt.link
-	mark := dev.Stages()
-	var replica device.Stages
+	link := &st.rt.prof.Link
+	var ladder device.Stages
+	w := st.cache.Device().Window(&ladder)
 	// The losers' attempts ran beside the winner's, off the link: pure
 	// energy waste, zero for a one-launch plan.
 	failedActive, wasteJ := pl.FailedActive, link.ActiveEnergy(mc.hplan.WastedActive)
@@ -169,23 +172,23 @@ func (sh *shard) applyMissLocked(us *userStripe, st *userState, req *Request, mc
 		// A hedged miss degrades only once its last ladder has given up,
 		// and an exhausted ladder may still have burned backend time on
 		// engine errors: the user waits both out after the replay.
-		cold := replayFailedAttempts(dev, pl)
-		mc.chargeWaits(dev, pl)
-		resp.Source, resp.Outcome, replica = sh.degradeLocked(st, req.Query, mc.qh, pl)
+		cold := replayFailedAttempts(w, pl)
+		mc.chargeWaits(w, pl)
+		resp.Source, resp.Outcome = sh.degradeLocked(st, w, req.Query, mc.qh, pl)
 		resp.RadioJ = link.ActiveEnergy(failedActive) + float64(cold)*link.TailEnergy() + wasteJ
 	} else {
 		// A hedged clone win waits out the winner's launch stagger before
 		// its ladder starts; the primary's doomed attempts run
 		// concurrently during it and are charged as waste, off the link.
-		mc.chargeWaits(dev, pl)
-		cold := replayFailedAttempts(dev, pl)
+		mc.chargeWaits(w, pl)
+		cold := replayFailedAttempts(w, pl)
 		// The two exchanges sum their radio joules in different float
 		// orders, and the ledger is exact to the nanojoule: each keeps
 		// its own expression.
 		if x.bt != nil {
 			resp.BatchSize = x.bt.Size()
 			resp.Outcome = st.cache.ApplyBatchedMiss(req.Query, req.Click, x.eresp, x.found, x.bt.ItemLatency(x.slot), x.bt.ItemShare(x.slot))
-			resp.RadioJ = x.bt.ItemRadioEnergy(link, x.slot) + link.ActiveEnergy(failedActive) +
+			resp.RadioJ = x.bt.ItemRadioEnergy(*link, x.slot) + link.ActiveEnergy(failedActive) +
 				float64(cold)*link.TailEnergy() + wasteJ
 		} else {
 			resp.Outcome, resp.Err = st.cache.QueryHashed(mc.qh, mc.ch, req.Query, req.Click)
@@ -199,8 +202,7 @@ func (sh *shard) applyMissLocked(us *userStripe, st *userState, req *Request, mc
 		}
 		sh.recordExpansion(us, st, mc.qh, mc.ch, resp.Outcome.Stored)
 	}
-	resp.Outcome.Stages = dev.Since(mark)
-	resp.Outcome.Stages.Add(&replica)
+	resp.Outcome.Stages.Add(&ladder)
 	st.served++
 	sh.clock(st).Observe()
 	resp.EnergyJ = sh.basePower*resp.Outcome.ResponseTime().Seconds() + resp.RadioJ
@@ -211,33 +213,32 @@ func (sh *shard) applyMissLocked(us *userStripe, st *userState, req *Request, mc
 // a stale answer from the community replica, or the explicit locally
 // rendered "results unavailable" page. The outcome carries the failed
 // attempts' radio-active time — an unreachable cloud is slow *and*
-// costs energy before the fallback even starts — and no stages: the
-// caller reads those off the user's device, and replica is what the
-// community rung's stale serve charged to the replica's. Caller holds
-// the user's stripe and has replayed the delivered ladder pl; the
-// community rung takes commMu.
-func (sh *shard) degradeLocked(st *userState, query string, qh uint64, pl faults.Plan) (src Source, out pocketsearch.Outcome, replica device.Stages) {
-	out.RadioActive = pl.FailedActive
+// costs energy before the fallback even starts — and, on a stale rung,
+// the stages the stale serve booked on the device that ran it, the
+// user's or the community replica's. The unavailable page is charged
+// through w, the miss's window on the user's device. Caller holds the
+// user's stripe and has replayed the delivered ladder pl; the community
+// rung takes commMu.
+func (sh *shard) degradeLocked(st *userState, w device.Window, query string, qh uint64, pl faults.Plan) (src Source, out pocketsearch.Outcome) {
 	if st.cache.ContainsQuery(qh) {
-		stale, _ := st.cache.ServeStale(query)
-		out.Results = stale.Results
-		return SourceDegraded, out, replica
+		out, _ = st.cache.ServeStale(query)
+		out.RadioActive = pl.FailedActive
+		return SourceDegraded, out
 	}
 	sh.commMu.Lock()
 	held := sh.community.ContainsQuery(qh)
 	if held {
-		stale, _ := sh.community.ServeStale(query)
-		out.Results, replica = stale.Results, stale.Stages
+		out, _ = sh.community.ServeStale(query)
 	}
 	sh.commMu.Unlock()
+	out.RadioActive = pl.FailedActive
 	if held {
-		return SourceDegraded, out, replica
+		return SourceDegraded, out
 	}
-	dev := st.cache.Device()
-	dev.Busy(pocketsearch.LookupCost, device.Lookup)
-	dev.Render(pocketsearch.UnavailablePageBytes)
-	dev.Misc()
-	return SourceUnavailable, out, replica
+	w.Busy(pocketsearch.LookupCost, device.Lookup)
+	w.Render(pocketsearch.UnavailablePageBytes)
+	w.Misc()
+	return SourceUnavailable, out
 }
 
 // bookPlan books an applied miss's retry/hedge telemetry into the

@@ -93,9 +93,11 @@ import (
 
 	"pocketcloudlets/internal/backend"
 	"pocketcloudlets/internal/cachegen"
+	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/faults"
+	"pocketcloudlets/internal/flashsim"
 	"pocketcloudlets/internal/modeltime"
 	"pocketcloudlets/internal/placement"
 	"pocketcloudlets/internal/pocketsearch"
@@ -350,7 +352,10 @@ type Cohort struct {
 // cohortRT is a cohort's resolved runtime: what a user's device is
 // actually built with.
 type cohortRT struct {
-	link  radio.Params
+	// prof is the cohort's device tier — its radio technology and the
+	// default device and flash constants — built once, and read through
+	// by every device of the cohort's users.
+	prof  *device.Profile
 	retry faults.RetryPolicy
 	// injs are the per-replica injectors: one per modeled replica when
 	// the cohort injects faults, the single nil injector when not.
@@ -403,7 +408,7 @@ func buildCohortTable(cfg Config) (*cohortTable, error) {
 		return nil, fmt.Errorf("fleet: %d cohorts configured without CohortOf", len(cfg.Cohorts))
 	}
 	base := cohortRT{
-		link: cfg.Radio, retry: cfg.Retry,
+		prof: device.NewProfile(device.Config{}, cfg.Radio, flashsim.Params{}), retry: cfg.Retry,
 		injs: replicaInjectors(cfg.Faults, cfg.Replicas),
 	}
 	ct := &cohortTable{of: cfg.CohortOf}
@@ -411,7 +416,7 @@ func buildCohortTable(cfg Config) (*cohortTable, error) {
 	for _, co := range cfg.Cohorts {
 		rt := base
 		if co.Radio.Name != "" {
-			rt.link = co.Radio
+			rt.prof = device.NewProfile(device.Config{}, co.Radio, flashsim.Params{})
 		}
 		if co.Faults != nil {
 			rt.injs = replicaInjectors(*co.Faults, cfg.Replicas)

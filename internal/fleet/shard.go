@@ -9,7 +9,6 @@ import (
 	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/energy"
 	"pocketcloudlets/internal/engine"
-	"pocketcloudlets/internal/flashsim"
 	"pocketcloudlets/internal/hash64"
 	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/modeltime"
@@ -103,9 +102,10 @@ type userTable struct {
 }
 
 // userChunkShift sizes arena chunks at 1<<userChunkShift states
-// (~100 KB per chunk): big enough to amortize allocation, small enough
-// that a lightly populated shard stays cheap.
-const userChunkShift = 10
+// (~22 KB per chunk): big enough to amortize allocation, small enough
+// that a shard's last, partly filled chunk costs little beside its
+// residents.
+const userChunkShift = 8
 
 // init sizes the dense index for the configured population.
 func (ut *userTable) init(population int) {
@@ -218,9 +218,11 @@ func (ut *userTable) forEach(fn func(*userState)) {
 // Requests of users on different stripes run side by side; a user's own
 // requests serialize on their stripe.
 type shard struct {
-	id   int
-	eng  *engine.Engine
-	opts pocketsearch.Options
+	id  int
+	eng *engine.Engine
+	// settings are the fleet's cache Options resolved once: every
+	// personal cache on the shard reads them through this pointer.
+	settings *pocketsearch.Settings
 	// perUserBytes caps each user's personal flash footprint; zero
 	// means unlimited. Enforcement is deterministic: it runs after the
 	// expansion that crossed the cap, evicting that user's
@@ -433,7 +435,7 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 	// it must never absorb one user's personalization — and it runs on
 	// the fleet-wide radio tier regardless of cohorts.
 	commOpts.DisablePersonalization = true
-	dev := device.New(device.Config{}, cfg.Radio, flashsim.Params{})
+	dev := device.On(ct.def.prof)
 	community, err := pocketsearch.Build(dev, cfg.Engine, cfg.Content, commOpts)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: shard %d community build: %w", id, err)
@@ -442,7 +444,7 @@ func newShard(id int, cfg Config, ct *cohortTable, tl *modeltime.Timeline) (*sha
 	sh := &shard{
 		id:           id,
 		eng:          cfg.Engine,
-		opts:         cfg.Options,
+		settings:     cfg.Options.Settings(),
 		perUserBytes: cfg.PerUserBytes,
 		cohorts:      ct,
 		tl:           tl,
@@ -481,8 +483,7 @@ func (sh *shard) materialize(st *userState) error {
 	if st.cache != nil {
 		return nil
 	}
-	dev := device.New(device.Config{}, st.rt.link, flashsim.Params{})
-	cache, err := pocketsearch.New(dev, sh.eng, sh.opts)
+	cache, err := pocketsearch.NewShared(device.On(st.rt.prof), sh.eng, sh.settings)
 	if err != nil {
 		return err
 	}

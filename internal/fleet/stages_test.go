@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pocketcloudlets/internal/backend"
 	"pocketcloudlets/internal/device"
 	"pocketcloudlets/internal/faults"
 	"pocketcloudlets/internal/hash64"
@@ -132,8 +133,8 @@ func TestStagesMatchPlan(t *testing.T) {
 				Primary: faults.HedgeLaunch{Plan: pl}, Wait: row.hedge, Winner: winner,
 			}}
 
-			devAt, devStore := dev.Now(), dev.StageTotal(device.Store)
-			replicaAt, replicaStore := replica.Now(), replica.StageTotal(device.Store)
+			devAt, devStore := dev.Now(), dev.Stored()
+			replicaAt, replicaStore := replica.Now(), replica.Stored()
 			var resp Response
 			sh.applyMissLocked(us, st, &req, &mc, exchange{}, &resp)
 			want := SourceDegraded
@@ -172,8 +173,8 @@ func TestStagesMatchPlan(t *testing.T) {
 				t.Errorf("local stages lookup %v, render %v, misc %v", s[device.Lookup], s[device.Render], s[device.Misc])
 			}
 
-			advance := dev.Now() - devAt - (dev.StageTotal(device.Store) - devStore)
-			replicaAdvance := replica.Now() - replicaAt - (replica.StageTotal(device.Store) - replicaStore)
+			advance := dev.Now() - devAt - (dev.Stored() - devStore)
+			replicaAdvance := replica.Now() - replicaAt - (replica.Stored() - replicaStore)
 			if (replicaAdvance > 0) != (row.rung == "community") {
 				t.Errorf("the community replica's device advanced %v", replicaAdvance)
 			}
@@ -182,5 +183,89 @@ func TestStagesMatchPlan(t *testing.T) {
 					got, want, advance, replicaAdvance)
 			}
 		})
+	}
+}
+
+// TestStagesMatchTheTrace is the stage rail: the device keeps no stage
+// totals, so the Figure 16 power trace is the independent account of
+// where a response's time went. Over 20 seeds, one user of a one-shard
+// fleet serves their month through Do — on a lossy, outage-prone,
+// engine-erroring, hedged fleet over a queued backend, so responses take
+// every route and charge every response stage — with their device and
+// the shard's community replica tracing. Every response's stages equal
+// the segments the two devices traced during it, less flash writes,
+// summed by stage. Run under -race -count 3 by scripts/check.sh: the
+// replica's device is shared by the shard's users under commMu.
+func TestStagesMatchTheTrace(t *testing.T) {
+	g := smallGen(t, 20)
+	content := smallContent(t, g)
+	var charged device.Stages
+	sources := map[Source]int{}
+	for seed := 1; seed <= 20; seed++ {
+		f := newTestFleet(t, g, content, func(cfg *Config) {
+			cfg.Shards, cfg.Workers = 1, 1
+			cfg.Faults = backendBiteFaults(int64(seed))
+			cfg.Faults.LossProb = 0.5
+			cfg.Faults.OutageEvery, cfg.Faults.OutageFor = 30*time.Second, 6*time.Second
+			cfg.Retry = faults.RetryPolicy{MaxAttempts: 2}
+			cfg.Replicas = 3
+			cfg.Backend = backend.Options{Enabled: true, Seed: int64(seed), ServiceRate: 20, Discipline: backend.PS}
+			hedgeAll(cfg, faults.HedgePolicy{CloneFactor: 2, Delay: 200 * time.Millisecond})
+		})
+		up := g.Users()[seed-1]
+		sh := f.view.Load().shards[f.shardOf(up.ID)]
+		us := sh.stripeOf(up.ID)
+		us.mu.Lock()
+		st := sh.user(up.ID)
+		if err := sh.materialize(st); err != nil {
+			t.Fatal(err)
+		}
+		dev := st.cache.Device()
+		dev.StartTrace()
+		sh.commMu.Lock()
+		sh.community.Device().StartTrace()
+		sh.commMu.Unlock()
+		us.mu.Unlock()
+
+		// traced returns the segments each device traced since the last
+		// call, summed by response stage.
+		var seen [2]int
+		traced := func() (sum device.Stages) {
+			us.mu.Lock()
+			defer us.mu.Unlock()
+			sh.commMu.Lock()
+			defer sh.commMu.Unlock()
+			for i, d := range []*device.Device{dev, sh.community.Device()} {
+				tr := d.Trace()
+				for _, seg := range tr[seen[i]:] {
+					if seg.Stage != device.Store {
+						sum[seg.Stage] += seg.Duration
+					}
+				}
+				seen[i] = len(tr)
+			}
+			return sum
+		}
+		for i, req := range requestsFor(g, up, 1) {
+			resp := f.Do(req)
+			if resp.Err != nil {
+				t.Fatalf("seed %d request %d: %v", seed, i, resp.Err)
+			}
+			if got := traced(); got != resp.Outcome.Stages {
+				t.Fatalf("seed %d request %d (%v): stages %v, the trace %v", seed, i, resp.Source, resp.Outcome.Stages, got)
+			}
+			charged.Add(&resp.Outcome.Stages)
+			sources[resp.Source]++
+		}
+	}
+	for s, d := range charged {
+		if d == 0 {
+			t.Errorf("no response charged stage %v", device.Stage(s))
+		}
+	}
+	for _, src := range []Source{SourcePersonal, SourceCommunity, SourceCloud, SourceDegraded, SourceUnavailable} {
+		if sources[src] == 0 {
+			t.Errorf("no response came from %v: %v", src, sources)
+		}
 	}
 }

@@ -64,9 +64,6 @@ type Options struct {
 	// Lambda is the Equation 2 decay constant. Zero selects DefaultLambda.
 	Lambda float64
 
-	// The three switches sit last, together, so that they pack into one
-	// word: a fleet holds an Options in every resident user's cache.
-
 	// DisablePersonalization turns off cache expansion and score
 	// updates — the "community only" configuration of Figure 17.
 	DisablePersonalization bool
@@ -97,6 +94,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Settings are Options resolved for serving: defaults applied and
+// Equation 2's decay factor computed. Immutable, so the caches built from
+// one Options value share one (NewShared): a fleet's resident users hold
+// a pointer to their fleet's, not a copy each.
+type Settings struct {
+	opts Options
+	// decay is e^-Lambda, the factor Equation 2 applies to every
+	// unselected sibling of a clicked result.
+	decay float64
+}
+
+// Settings resolves o for serving.
+func (o Options) Settings() *Settings {
+	o = o.withDefaults()
+	return &Settings{opts: o, decay: math.Exp(-o.Lambda)}
+}
+
 // Cache is a live PocketSearch instance on a device.
 //
 // Concurrency contract: a Cache models one device and is single-owner —
@@ -108,7 +122,7 @@ func (o Options) withDefaults() Options {
 // call from any goroutine, concurrently with Query, so monitoring never
 // needs those locks.
 type Cache struct {
-	opts  Options
+	set   *Settings
 	dev   *device.Device
 	table *hashtable.Table
 	db    *resultdb.DB
@@ -122,14 +136,12 @@ type Cache struct {
 	// the index can follow hash table updates.
 	completions *suggest.Index
 	queryText   map[uint64]string
-	// refsBuf is the scratch buffer hash-table lookups reuse so the
-	// steady-state serve path allocates nothing. Single-owner like the
-	// rest of the cache: only the serialized mutating methods touch it.
-	refsBuf []hashtable.SearchRef
-	// decay is e^-Lambda, the factor Equation 2 applies to every
-	// unselected sibling of a clicked result.
-	decay float64
 }
+
+// refsOnStack is how many of a query's results a serve sorts in a buffer
+// on its own stack; a longer chain (none a load run builds) spills to the
+// heap.
+const refsOnStack = 16
 
 // cacheStats is the atomic backing store for Stats.
 type cacheStats struct {
@@ -159,27 +171,31 @@ func (s Stats) HitRate() float64 {
 // New creates an empty PocketSearch cache on the device, backed by the
 // given cloud engine for misses.
 func New(dev *device.Device, eng *engine.Engine, opts Options) (*Cache, error) {
+	return NewShared(dev, eng, opts.Settings())
+}
+
+// NewShared is New for a cache that shares its settings with the other
+// caches built from them. s must not change while the cache lives.
+func NewShared(dev *device.Device, eng *engine.Engine, s *Settings) (*Cache, error) {
 	if dev == nil || eng == nil {
 		return nil, fmt.Errorf("pocketsearch: device and engine are required")
 	}
-	o := opts.withDefaults()
 	tbl, err := hashtable.New(SlotsPerEntry)
 	if err != nil {
 		return nil, err
 	}
-	db, err := resultdb.NewFrom(dev.Store(), eng.Records(), resultdb.Config{Files: o.DatabaseFiles})
+	db, err := resultdb.NewFrom(dev.Store(), eng.Records(), resultdb.Config{Files: s.opts.DatabaseFiles})
 	if err != nil {
 		return nil, err
 	}
 	c := &Cache{
-		opts:  o,
+		set:   s,
 		dev:   dev,
 		table: tbl,
 		db:    db,
 		eng:   eng,
-		decay: math.Exp(-o.Lambda),
 	}
-	if !o.DisableSuggest {
+	if !s.opts.DisableSuggest {
 		c.completions = suggest.New()
 		c.queryText = make(map[uint64]string)
 	}
@@ -194,9 +210,7 @@ func Build(dev *device.Device, eng *engine.Engine, content cachegen.Content, opt
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Preload(content); err != nil {
-		return nil, err
-	}
+	c.Preload(content)
 	return c, nil
 }
 
@@ -204,7 +218,7 @@ func Build(dev *device.Device, eng *engine.Engine, content cachegen.Content, opt
 // bulk-loaded one database file at a time, merged with any records
 // already present (resultdb's Merge), each stored by its result's ID and
 // length: nothing is rendered.
-func (c *Cache) Preload(content cachegen.Content) error {
+func (c *Cache) Preload(content cachegen.Content) {
 	u := c.eng.Universe()
 	recs := make([]resultdb.Record, 0, len(content.Triplets))
 	for _, tr := range content.Triplets {
@@ -217,10 +231,7 @@ func (c *Cache) Preload(content cachegen.Content) error {
 		c.indexQuery(qh, q, float64(tr.Volume))
 		recs = append(recs, record(u, rh, id))
 	}
-	if _, err := c.db.Merge(recs); err != nil {
-		return fmt.Errorf("pocketsearch: preload: %w", err)
-	}
-	return nil
+	c.db.Merge(recs)
 }
 
 // record is result id's record stored under hash rh, by its ID in the
@@ -252,7 +263,7 @@ func (c *Cache) QueryTexts() map[uint64]string {
 // that survived the merge.
 func (c *Cache) ReplaceTable(t *hashtable.Table, queryTexts map[uint64]string) {
 	c.table = t
-	if c.opts.DisableSuggest {
+	if c.set.opts.DisableSuggest {
 		return
 	}
 	for qh, q := range queryTexts {
@@ -281,21 +292,10 @@ func (c *Cache) ReplaceTable(t *hashtable.Table, queryTexts map[uint64]string) {
 	}
 }
 
-// lookupScratch is Table.LookupInto through the cache's reusable
-// scratch buffer. The returned slice is valid until the next
-// lookupScratch call; single-owner like every mutating method.
-func (c *Cache) lookupScratch(qh uint64) []hashtable.SearchRef {
-	refs := c.table.LookupInto(qh, c.refsBuf)
-	if refs != nil {
-		c.refsBuf = refs[:0]
-	}
-	return refs
-}
-
 // indexQuery records a query string for auto-completion, keeping the
 // best score seen.
 func (c *Cache) indexQuery(qh uint64, q string, score float64) {
-	if c.opts.DisableSuggest {
+	if c.set.opts.DisableSuggest {
 		return
 	}
 	c.queryText[qh] = q
@@ -422,7 +422,8 @@ const UnavailablePageBytes = 2_000
 // must not learn from an answer the user did not choose. It reports
 // false, charging nothing, when the query has no cached results.
 func (c *Cache) ServeStale(queryText string) (Outcome, bool) {
-	refs := c.lookupScratch(hash64.Sum(queryText))
+	var buf [refsOnStack]hashtable.SearchRef
+	refs := c.table.LookupInto(hash64.Sum(queryText), buf[:0])
 	if len(refs) == 0 {
 		return Outcome{}, false
 	}
@@ -430,8 +431,8 @@ func (c *Cache) ServeStale(queryText string) (Outcome, bool) {
 	c.stats.stale.Add(1)
 
 	var out Outcome
-	mark := c.dev.Stages()
-	c.dev.Busy(LookupCost, device.Lookup)
+	w := c.dev.Window(&out.Stages)
+	w.Busy(LookupCost, device.Lookup)
 	shown := ResultsShown
 	if shown > len(refs) {
 		shown = len(refs)
@@ -443,16 +444,15 @@ func (c *Cache) ServeStale(queryText string) (Outcome, bool) {
 			continue
 		}
 		fetch += lat
-		if !c.opts.DiscardResults {
+		if !c.set.opts.DiscardResults {
 			if res, perr := c.eng.Records().Result(rec.ID); perr == nil {
 				out.Results = append(out.Results, res)
 			}
 		}
 	}
-	c.dev.Busy(fetch, device.Fetch)
-	c.dev.Render(ResultsPageBytes)
-	c.dev.Misc()
-	out.Stages = c.dev.Since(mark)
+	w.Busy(fetch, device.Fetch)
+	w.Render(ResultsPageBytes)
+	w.Misc()
 	return out, true
 }
 
@@ -472,7 +472,7 @@ func (c *Cache) EvictResult(resultHash uint64) int64 {
 			}
 		}
 	}
-	if lat, ok, err := c.db.Delete(resultHash); err == nil && ok {
+	if lat, ok := c.db.Delete(resultHash); ok {
 		c.dev.Busy(lat, device.Store)
 	}
 	return before - c.db.LogicalBytes()
@@ -530,12 +530,14 @@ func (c *Cache) QueryHashed(qh, ch uint64, queryText, clickURL string) (Outcome,
 
 	// Cache miss: query the engine over the radio.
 	c.stats.queries.Add(1)
-	mark := c.dev.Stages()
-	c.dev.Busy(LookupCost, device.Lookup)
+	var out Outcome
+	w := c.dev.Window(&out.Stages)
+	w.Busy(LookupCost, device.Lookup)
 	c.stats.misses.Add(1)
 	resp, found := c.eng.Search(queryText)
-	tr := c.dev.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
-	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, mark, tr), nil
+	tr := w.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
+	c.missOutcome(w, qh, ch, queryText, clickURL, resp, found, tr, &out)
+	return out, nil
 }
 
 // Hit serves a cache hit into out: p is where a Probe of this cache found
@@ -552,11 +554,11 @@ func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome
 	c.stats.queries.Add(1)
 	c.stats.hits.Add(1)
 	*out = Outcome{Hit: true}
-	mark := c.dev.Stages()
-	c.dev.Busy(LookupCost, device.Lookup)
+	w := c.dev.Window(&out.Stages)
+	w.Busy(LookupCost, device.Lookup)
 
-	refs := p.Refs(c.refsBuf)
-	c.refsBuf = refs[:0]
+	var buf [refsOnStack]hashtable.SearchRef
+	refs := p.Refs(buf[:0])
 	shown := ResultsShown
 	if shown > len(refs) {
 		shown = len(refs)
@@ -565,51 +567,46 @@ func (c *Cache) Hit(p hashtable.Probe, qh uint64, queryText string, out *Outcome
 	for _, r := range refs[:shown] {
 		rec, lat, err := c.db.Fetch(r.ResultHash)
 		if err != nil {
-			out.Stages = c.dev.Since(mark)
 			return fmt.Errorf("pocketsearch: hit fetch: %w", err)
 		}
 		fetch += lat
-		if !c.opts.DiscardResults {
+		if !c.set.opts.DiscardResults {
 			res, err := c.eng.Records().Result(rec.ID)
 			if err != nil {
-				out.Stages = c.dev.Since(mark)
 				return fmt.Errorf("pocketsearch: hit parse: %w", err)
 			}
 			out.Results = append(out.Results, res)
 		}
 	}
-	c.dev.Busy(fetch, device.Fetch)
-	c.dev.Render(ResultsPageBytes)
-	c.dev.Misc()
-	out.Stages = c.dev.Since(mark)
-	if !c.opts.DisablePersonalization {
+	w.Busy(fetch, device.Fetch)
+	w.Render(ResultsPageBytes)
+	w.Misc()
+	if !c.set.opts.DisablePersonalization {
 		// Personal clicks outweigh raw community volume in the
 		// completion ranking: the user's own queries surface first.
-		c.indexQuery(qh, queryText, p.Click(c.decay)*suggestPersonalBoost)
+		c.indexQuery(qh, queryText, p.Click(c.set.decay)*suggestPersonalBoost)
 	}
 	p.MarkAccessed()
 	return nil
 }
 
 // missOutcome is the tail every cache miss shares once its exchange has
-// been charged to the device — tr is the radio's account of it, the one
-// term in which a miss on the device's own link and a member of a
-// coalesced session differ, and mark the device's stage totals before
-// the lookup. The device still renders the downloaded page and pays the
-// fixed misc cost, and the clicked result expands the personalization
-// component, off the response's stages.
-func (c *Cache) missOutcome(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse, found bool, mark device.Stages, tr radio.Transfer) Outcome {
-	out := Outcome{WasWarm: tr.WasWarm, RadioActive: tr.RadioActive}
-	c.dev.Render(MissPageBytes(resp))
-	c.dev.Misc()
-	if found && !c.opts.DiscardResults {
+// been charged to the device, through w, the window on out's stages — tr
+// is the radio's account of it, the one term in which a miss on the
+// device's own link and a member of a coalesced session differ. The
+// device still renders the downloaded page and pays the fixed misc cost,
+// and the clicked result expands the personalization component, off the
+// response's stages.
+func (c *Cache) missOutcome(w device.Window, qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse, found bool, tr radio.Transfer, out *Outcome) {
+	out.WasWarm, out.RadioActive = tr.WasWarm, tr.RadioActive
+	w.Render(MissPageBytes(resp))
+	w.Misc()
+	if found && !c.set.opts.DiscardResults {
 		out.Results = resp.Results()
 	}
-	if !c.opts.DisablePersonalization && clickURL != "" {
+	if !c.set.opts.DisablePersonalization && clickURL != "" {
 		out.Stored = c.expand(qh, ch, queryText, clickURL, resp)
 	}
-	out.Stages = c.dev.Since(mark)
-	return out
 }
 
 // MissPageBytes returns the result-page size a miss for resp ships
@@ -636,11 +633,13 @@ func MissPageBytes(resp engine.SearchResponse) int {
 func (c *Cache) ApplyBatchedMiss(queryText, clickURL string, resp engine.SearchResponse, found bool, wait, share time.Duration) Outcome {
 	c.stats.queries.Add(1)
 	c.stats.misses.Add(1)
-	mark := c.dev.Stages()
-	c.dev.Busy(LookupCost, device.Lookup)
-	c.dev.NetworkBatchShare(wait, share)
-	return c.missOutcome(hash64.Sum(queryText), hash64.Sum(clickURL), queryText, clickURL, resp, found,
-		mark, radio.Transfer{RadioActive: share})
+	var out Outcome
+	w := c.dev.Window(&out.Stages)
+	w.Busy(LookupCost, device.Lookup)
+	w.NetworkBatchShare(wait, share)
+	c.missOutcome(w, hash64.Sum(queryText), hash64.Sum(clickURL), queryText, clickURL, resp, found,
+		radio.Transfer{RadioActive: share}, &out)
+	return out
 }
 
 // QueryRequestBytes is the size of the HTTP search request — exported
@@ -651,10 +650,8 @@ const QueryRequestBytes = 800
 // expand implements the personalization component's cache expansion:
 // after a miss, the (query, clicked result) pair enters the cache with
 // score 1 so future repeats hit locally. The clicked result's record is
-// stored by its ID and length, unrendered. The record is stored before
-// the pair is indexed, so a failed write leaves the query a clean miss
-// and never an index entry whose record cannot be fetched. It returns
-// the logical flash bytes the database grew by.
+// stored by its ID and length, unrendered, and the pair indexed. It
+// returns the logical flash bytes the database grew by.
 func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.SearchResponse) int64 {
 	id, ok := resp.FindID(clickURL)
 	if !ok {
@@ -663,10 +660,7 @@ func (c *Cache) expand(qh, ch uint64, queryText, clickURL string, resp engine.Se
 		return 0
 	}
 	before := c.db.LogicalBytes()
-	lat, err := c.db.PutRecord(record(c.eng.Universe(), ch, id))
-	if err != nil {
-		return 0
-	}
+	lat := c.db.PutRecord(record(c.eng.Universe(), ch, id))
 	// Stored off the critical path, but still paid in time/energy.
 	c.dev.Busy(lat, device.Store)
 	c.table.Put(qh, hashtable.SearchRef{ResultHash: ch, Score: 1})

@@ -11,6 +11,7 @@ import (
 	"pocketcloudlets/internal/engine"
 	"pocketcloudlets/internal/flashsim"
 	"pocketcloudlets/internal/hash64"
+	"pocketcloudlets/internal/hashtable"
 	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/workload"
@@ -21,17 +22,17 @@ import (
 // per result with math.Exp per sibling, Score, MarkAccessed — each its
 // own walk of the query's chain. Kept as the oracle Hit answers to. It
 // writes a hit's stages by hand, as the cache once did, so the vector Hit
-// reads off the device answers to code that never calls Since.
+// books through its window answers to code that opens none.
 func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 	qh, ch := hash64.Sum(queryText), hash64.Sum(clickURL)
 	c.stats.queries.Add(1)
 
 	var out Outcome
-	mark := c.dev.Stages()
 	out.Stages[device.Lookup] = LookupCost
 	c.dev.Busy(LookupCost, device.Lookup)
 
-	refs := c.lookupScratch(qh)
+	var buf [refsOnStack]hashtable.SearchRef
+	refs := c.table.LookupInto(qh, buf[:0])
 	var clickCached bool
 	for _, r := range refs {
 		if r.ResultHash == ch {
@@ -52,7 +53,7 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 				return out, fmt.Errorf("pocketsearch: hit fetch: %w", err)
 			}
 			out.Stages[device.Fetch] += lat
-			if !c.opts.DiscardResults {
+			if !c.set.opts.DiscardResults {
 				res, err := engine.ParseRecord(rec)
 				if err != nil {
 					return out, fmt.Errorf("pocketsearch: hit parse: %w", err)
@@ -67,12 +68,12 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 		c.dev.Busy(out.Stages[device.Fetch], device.Fetch)
 		out.Stages[device.Render] = c.dev.Render(ResultsPageBytes)
 		out.Stages[device.Misc] = c.dev.Misc()
-		if !c.opts.DisablePersonalization {
-			for _, r := range c.lookupScratch(qh) {
+		if !c.set.opts.DisablePersonalization {
+			for _, r := range c.table.LookupInto(qh, buf[:0]) {
 				if r.ResultHash == ch {
 					c.table.SetScore(qh, ch, r.Score+1)
 				} else {
-					c.table.SetScore(qh, r.ResultHash, r.Score*math.Exp(-c.opts.Lambda))
+					c.table.SetScore(qh, r.ResultHash, r.Score*math.Exp(-c.set.opts.Lambda))
 				}
 			}
 			if s, ok := c.table.Score(qh, ch); ok {
@@ -85,8 +86,10 @@ func refQuery(c *Cache, queryText, clickURL string) (Outcome, error) {
 
 	c.stats.misses.Add(1)
 	resp, found := c.eng.Search(queryText)
-	tr := c.dev.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
-	return c.missOutcome(qh, ch, queryText, clickURL, resp, found, mark, tr), nil
+	w := c.dev.Window(&out.Stages)
+	tr := w.NetworkRequest(QueryRequestBytes, MissPageBytes(resp))
+	c.missOutcome(w, qh, ch, queryText, clickURL, resp, found, tr, &out)
+	return out, nil
 }
 
 // TestProbedHitMatchesChainWalks replays 200 users' month tapes, seeds 1

@@ -171,9 +171,11 @@ type Transfer struct {
 // Total is the end-to-end network latency of the exchange.
 func (t Transfer) Total() time.Duration { return t.Wakeup + t.Handshake + t.Payload }
 
-// Link is a radio link instance with its own model clock.
+// Link is a radio link instance with its own model clock. It reads its
+// technology's constants through a pointer, so the links of one tier
+// share one Params (internal/device's Profile).
 type Link struct {
-	params Params
+	params *Params
 	now    time.Duration // model time
 	// tailEnds is the model time at which the current tail expires;
 	// zero or past means the link is idle.
@@ -186,10 +188,18 @@ type Link struct {
 }
 
 // NewLink creates a link in the Idle state at model time zero.
-func NewLink(p Params) *Link { return &Link{params: p} }
+func NewLink(p Params) *Link {
+	l := MakeLink(&p)
+	return &l
+}
+
+// MakeLink returns a link in the Idle state at model time zero, by value
+// for embedding, that reads its constants through p: parameters that
+// must not change while the link lives.
+func MakeLink(p *Params) Link { return Link{params: p} }
 
 // Params returns the link's technology parameters.
-func (l *Link) Params() Params { return l.params }
+func (l *Link) Params() Params { return *l.params }
 
 // Now returns the link's current model time.
 func (l *Link) Now() time.Duration { return l.now }

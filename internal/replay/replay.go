@@ -266,9 +266,7 @@ func replayUser(cfg Config, up workload.UserProfile) (UserOutcome, error) {
 		return UserOutcome{}, err
 	}
 	if cfg.Mode != PersonalizationOnly {
-		if err := cache.Preload(cfg.Content); err != nil {
-			return UserOutcome{}, err
-		}
+		cache.Preload(cfg.Content)
 	}
 	dev.Reset()
 
@@ -280,9 +278,7 @@ func replayUser(cfg Config, up workload.UserProfile) (UserOutcome, error) {
 			d := int(e.At / (24 * time.Hour))
 			for day < d {
 				day++
-				if err := applyDelta(cache, u, cfg.DailyDelta(day)); err != nil {
-					return UserOutcome{}, err
-				}
+				applyDelta(cache, u, cfg.DailyDelta(day))
 			}
 		}
 		q := u.QueryText(u.QueryOf(e.Pair))
@@ -300,7 +296,7 @@ func replayUser(cfg Config, up workload.UserProfile) (UserOutcome, error) {
 // applyDelta installs one day's incremental community update: new
 // popular pairs are preloaded, dropped ones are pruned unless the user
 // has accessed them.
-func applyDelta(cache *pocketsearch.Cache, u *engine.Universe, d Delta) error {
+func applyDelta(cache *pocketsearch.Cache, u *engine.Universe, d Delta) {
 	for _, p := range d.Remove {
 		qh := hash64.Sum(u.QueryText(u.QueryOf(p)))
 		rh := hash64.Sum(u.ResultURL(u.ResultOf(p)))
@@ -310,7 +306,6 @@ func applyDelta(cache *pocketsearch.Cache, u *engine.Universe, d Delta) error {
 		cache.RemovePair(qh, rh)
 	}
 	if len(d.Add.Triplets) > 0 {
-		return cache.Preload(d.Add)
+		cache.Preload(d.Add)
 	}
-	return nil
 }

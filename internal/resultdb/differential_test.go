@@ -384,7 +384,7 @@ func runDifferential(t *testing.T, byID bool) {
 					var lat time.Duration
 					if byID {
 						id, _ := u.RecordID(rec)
-						lat, err = d.db().PutRecord(resultdb.Record{Hash: h, ID: uint32(id), Length: uint32(len(rec))})
+						lat = d.db().PutRecord(resultdb.Record{Hash: h, ID: uint32(id), Length: uint32(len(rec))})
 					} else {
 						lat, err = d.db().Put(h, rec)
 					}
@@ -398,10 +398,10 @@ func runDifferential(t *testing.T, byID bool) {
 					}
 				case op < 13:
 					name = fmt.Sprintf("step %d Delete(%x)", step, h)
-					lat, ok, err := d.db().Delete(h)
+					lat, ok := d.db().Delete(h)
 					wantLat, wantOK, wantErr := d.ref.Delete(h)
-					if err != nil || wantErr != nil || ok != wantOK {
-						t.Fatalf("%s: %v %v / %v %v", name, ok, err, wantOK, wantErr)
+					if wantErr != nil || ok != wantOK {
+						t.Fatalf("%s: %v / %v %v", name, ok, wantOK, wantErr)
 					}
 					d.sameLat(name, lat, wantLat)
 					delete(d.live, h)
@@ -463,10 +463,7 @@ func runDifferential(t *testing.T, byID bool) {
 					for ph, rec := range next {
 						recs = append(recs, resultdb.Record{Hash: ph, ID: d.eng.Records().Name(rec), Length: uint32(len(rec))})
 					}
-					lat, err := d.db().ReplaceAll(recs)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
+					lat := d.db().ReplaceAll(recs)
 					var wantLat time.Duration
 					for f := 0; f < tc.files; f++ {
 						want := map[uint64][]byte{}
@@ -554,12 +551,8 @@ func TestMergeMatchesPerFileReplace(t *testing.T) {
 		}
 		for i := 0; i < 15; i++ {
 			r := record(rng, pool[rng.Intn(len(pool))])
-			if _, err := db.PutRecord(r); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ref.PutRecord(r); err != nil {
-				t.Fatal(err)
-			}
+			db.PutRecord(r)
+			ref.PutRecord(r)
 		}
 		var recs []resultdb.Record
 		for i := 0; i < 30; i++ {
@@ -582,11 +575,7 @@ func TestMergeMatchesPerFileReplace(t *testing.T) {
 			if !ok {
 				continue
 			}
-			held, err := ref.RecordsOf(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for h, rec := range held {
+			for h, rec := range ref.RecordsOf(f) {
 				if _, ok := next[h]; !ok {
 					next[h] = rec
 				}
@@ -597,11 +586,7 @@ func TestMergeMatchesPerFileReplace(t *testing.T) {
 			}
 			wantLat += lat
 		}
-		lat, err := db.Merge(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lat != wantLat {
+		if lat := db.Merge(recs); lat != wantLat {
 			t.Errorf("seed %d: Merge took %v, the per-file loop %v", seed, lat, wantLat)
 		}
 		for f := 0; f < files; f++ {
@@ -673,8 +658,8 @@ func TestViewsOutliveTheNextWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := db.Delete(1); err != nil {
-		t.Fatal(err)
+	if _, ok := db.Delete(1); !ok {
+		t.Fatal("the record to delete was not stored")
 	}
 	if string(view) != "shared record" || !bytes.HasSuffix(whole, view) {
 		t.Errorf("a held view changed under later writes: %q", view)

@@ -298,13 +298,14 @@ func (db *DB) loadCost(es []entry, hdr int) time.Duration {
 // (results are shared across queries and stored once — the paper's
 // factor-of-8 storage saving). It returns the modeled flash latency.
 // The record is named by the database's source (Source.Name), which may
-// keep it: the caller must not modify it afterwards.
+// keep it: the caller must not modify it afterwards. It never fails; the
+// error result stays for the callers written against it.
 func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 	r := Record{Hash: resultHash, Length: uint32(len(record))}
 	if es, _ := db.file(db.FileOf(resultHash)); find(es, resultHash) < 0 {
 		r.ID = db.src.Name(record)
 	}
-	return db.PutRecord(r)
+	return db.PutRecord(r), nil
 }
 
 // PutRecord is Put of a record its source has named: r.ID and r.Length
@@ -313,12 +314,12 @@ func (db *DB) Put(resultHash uint64, record []byte) (time.Duration, error) {
 // The write is incremental: the new entry goes in at the end of its
 // file's run, the header length grows by the new triple and its
 // separator, and nothing is rendered, serialized, parsed or copied.
-func (db *DB) PutRecord(r Record) (time.Duration, error) {
+func (db *DB) PutRecord(r Record) time.Duration {
 	i := db.FileOf(r.Hash)
 	es, hdr := db.file(i)
 	lat := db.loadCost(es, hdr)
 	if find(es, r.Hash) >= 0 {
-		return lat, nil
+		return lat
 	}
 	e := r.entry()
 	// The new header line is the stored one, its newline turned into the
@@ -333,7 +334,7 @@ func (db *DB) PutRecord(r Record) (time.Duration, error) {
 	db.bytes += int64(newHdr - hdr + int(r.Length))
 	_, hi, _ := db.run(i)
 	db.splice(i, hi, hi, []entry{e}, newHdr)
-	return lat, nil
+	return lat
 }
 
 // Get retrieves the record stored under the result hash, with the
@@ -456,7 +457,7 @@ func (db *DB) fileRun(records []Record, i int) (run, rest []Record) {
 // left alone, and the summed latency of the rewrites is returned — the
 // whole patch step of an update, or of a migrated user's import, in one
 // pass over the records and none over the files they leave untouched.
-func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
+func (db *DB) ReplaceAll(records []Record) time.Duration {
 	slices.SortFunc(records, db.byFile)
 	var total time.Duration
 	for i := 0; i < db.cfg.Files; i++ {
@@ -466,7 +467,7 @@ func (db *DB) ReplaceAll(records []Record) (time.Duration, error) {
 			total += db.rewrite(i, next)
 		}
 	}
-	return total, nil
+	return total
 }
 
 // holds reports whether a file's record set is exactly recs, which are
@@ -499,7 +500,7 @@ func (db *DB) holds(es []entry, hdr int, recs []Record) bool {
 // the first where records repeat one — and the summed latency of the
 // rewrites is returned. It is a cache's bulk load of community content.
 // The slice is reordered.
-func (db *DB) Merge(records []Record) (time.Duration, error) {
+func (db *DB) Merge(records []Record) time.Duration {
 	slices.SortStableFunc(records, db.byFile)
 	records = slices.CompactFunc(records, func(a, b Record) bool { return a.Hash == b.Hash })
 	var total time.Duration
@@ -517,7 +518,7 @@ func (db *DB) Merge(records []Record) (time.Duration, error) {
 		slices.SortFunc(recs, byHash)
 		total += db.rewrite(i, recs)
 	}
-	return total, nil
+	return total
 }
 
 // Delete removes the record stored under resultHash, rewriting its
@@ -525,11 +526,11 @@ func (db *DB) Merge(records []Record) (time.Duration, error) {
 // the modeled flash latency of the rewrite (zero when absent). The
 // fleet layer uses this to reclaim personal-cache flash under a
 // storage budget.
-func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
+func (db *DB) Delete(resultHash uint64) (time.Duration, bool) {
 	i := db.FileOf(resultHash)
 	es, _ := db.file(i)
 	if find(es, resultHash) < 0 {
-		return 0, false, nil
+		return 0, false
 	}
 	recs := make([]Record, 0, len(es)-1)
 	for _, e := range es {
@@ -538,18 +539,18 @@ func (db *DB) Delete(resultHash uint64) (time.Duration, bool, error) {
 		}
 	}
 	slices.SortFunc(recs, byHash)
-	return db.rewrite(i, recs), true, nil
+	return db.rewrite(i, recs), true
 }
 
 // RecordsOf returns copies of the records of one file keyed by hash —
 // the server-side read when computing patches.
-func (db *DB) RecordsOf(i int) (map[uint64][]byte, error) {
+func (db *DB) RecordsOf(i int) map[uint64][]byte {
 	es, _ := db.file(i)
 	out := make(map[uint64][]byte, len(es))
 	for _, e := range es {
 		out[e.hash] = db.src.AppendRecord(make([]byte, 0, e.length), e.id)
 	}
-	return out, nil
+	return out
 }
 
 // LogicalBytes is the total size of the database files: a running

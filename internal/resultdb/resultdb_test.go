@@ -194,10 +194,7 @@ func TestReplaceFileAndRecordsOf(t *testing.T) {
 	if !db.Contains(1) {
 		t.Error("other files should be untouched")
 	}
-	recs, err := db.RecordsOf(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := db.RecordsOf(0)
 	if len(recs) != 2 || !bytes.Equal(recs[12], []byte("new12")) {
 		t.Errorf("RecordsOf(0) = %v", recs)
 	}
@@ -215,9 +212,8 @@ func TestReplaceFileValidation(t *testing.T) {
 
 func TestRecordsOfEmptyFile(t *testing.T) {
 	db := newDB(t, 4)
-	recs, err := db.RecordsOf(2)
-	if err != nil || len(recs) != 0 {
-		t.Errorf("RecordsOf on empty file = %v, %v", recs, err)
+	if recs := db.RecordsOf(2); len(recs) != 0 {
+		t.Errorf("RecordsOf on empty file = %v", recs)
 	}
 }
 

@@ -100,10 +100,7 @@ func refApply(c *pocketsearch.Cache, upd refUpdate) (time.Duration, error) {
 	}
 	var total time.Duration
 	for f := 0; f < db.Files(); f++ {
-		current, err := db.RecordsOf(f)
-		if err != nil {
-			return total, err
-		}
+		current := db.RecordsOf(f)
 		next := perFile[f]
 		if next == nil {
 			next = map[uint64][]byte{}

@@ -192,10 +192,7 @@ func Apply(c *pocketsearch.Cache, upd Update) (time.Duration, error) {
 		}
 		records = append(records, rec)
 	}
-	total, err := db.ReplaceAll(records)
-	if err != nil {
-		return total, err
-	}
+	total := db.ReplaceAll(records)
 	c.ReplaceTable(upd.Table, upd.Queries)
 	c.Device().Busy(total, device.Store)
 	return total, nil

@@ -7,7 +7,8 @@
 # the scheduling-dependent rails three times over under the detector,
 # and the benchmark module's smoke test. Everything must pass before a
 # change lands. The performance contracts — allocation ceilings, the
-# cold-fill heap ceiling, loadtest's end-to-end smokes — are tests that
+# cold-fill heap ceiling, the per-user object layout
+# (TestUserStateLayout), loadtest's end-to-end smokes — are tests that
 # `go test ./...` runs (DESIGN.md, "Gates"), and so is every fuzz
 # target over its seed corpus.
 #
@@ -109,8 +110,12 @@ echo "== hit-path, index and lock rails x3: go test -race -count 3 =="
 # user or fires an event twice. And the report itself: a faulted, hedged
 # closed run against a finite-rate backend and an open-loop run that
 # sheds nothing print the same report, every digit, at one worker and at
-# several.
-go test -race -count 3 -run 'TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestResizeEquivalence|TestResizeWhileServing|TestResizeUnderCallerRunDo|TestPipelinedResizeMatchesOneAtATime|TestCloseRacesCallerRunDo|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent|TestOneShardClientsAgree|TestChunkBoundaries|TestNoProducerOutlivesItsRun|TestClosedTimelinesEnd|TestClosedLoopResizeRail|TestReportIsExact' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend ./internal/loadgen ./cmd/loadtest
+# several. And the stage rail: a response's stages are booked through a
+# window on the vector its server hands the device, and the community
+# replica's device, which only commMu guards, serves every user of its
+# shard, so every response's stages must equal what the user's and the
+# replica's power traces recorded during it.
+go test -race -count 3 -run 'TestStagesMatchTheTrace|TestCountersCrossFootThroughResizes|TestResizeLeavesStatsAlone|TestCallerRunDoAnsweredOnceWhenHandedOn|TestResizeEquivalence|TestResizeWhileServing|TestResizeUnderCallerRunDo|TestPipelinedResizeMatchesOneAtATime|TestCloseRacesCallerRunDo|TestRouteFence|TestHitPathLayout|TestEvictionIndexGolden|TestTableMatchesOracle|TestFromPairsMatchesDecode|TestMutualExclusion|TestProgressOnOneProcessor|TestLongHoldParks|TestQueuedWaiterDoesNotSpin|TestPricePureUnderEviction|TestSpinePublication|TestBackendDeterministicConcurrent|TestOneShardClientsAgree|TestChunkBoundaries|TestNoProducerOutlivesItsRun|TestClosedTimelinesEnd|TestClosedLoopResizeRail|TestReportIsExact' ./internal/fleet ./internal/hashtable ./internal/spinlock ./internal/backend ./internal/loadgen ./cmd/loadtest
 
 echo "== benchmark smoke + golden digests: (cd bench && go test -short -race ./...) =="
 # bench/ is its own module (BENCHMARK.json's program), so neither root
