@@ -43,9 +43,7 @@ func All() []Spec {
 		{Name: "ablation-decay", ID: "Ablation", Heavy: true, Run: func(l *Lab) Table { return AblationDecay(l).Table() }},
 		{Name: "ablation-threetier", ID: "Ablation", Run: func(*Lab) Table { return AblationThreeTier().Table() }},
 		{Name: "ablation-eviction", ID: "Ablation", Run: func(*Lab) Table { return AblationCoordinatedEviction().Table() }},
-		{Name: "ext-pocketweb", ID: "Extension", Heavy: true, Run: func(l *Lab) Table { return ExtPocketWeb(l).Table() }},
 		{Name: "ext-autocomplete", ID: "Extension", Heavy: true, Run: func(l *Lab) Table { return ExtAutocomplete(l).Table() }},
-		{Name: "ext-maplet", ID: "Extension", Run: func(l *Lab) Table { return ExtMaplet(l.Seed).Table() }},
 	}
 }
 

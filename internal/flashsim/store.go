@@ -9,10 +9,9 @@ import (
 // file contents in memory while charging modeled flash latencies for
 // every operation and accounting allocation slack per file.
 //
-// PocketWeb's page cache (internal/pocketweb) and the generic key-value
-// cloudlets (internal/cloudletos) keep their files in this store. The
-// result database (internal/resultdb) keeps its own files and uses only
-// the store's device.
+// The key-value cloudlets (internal/cloudletos) keep their files in this
+// store. The result database (internal/resultdb) keeps its own files and
+// uses only the store's device.
 type FileStore struct {
 	dev *Device
 	// files holds the files by name; nil until the first.
@@ -98,9 +97,10 @@ func (fs *FileStore) Peek(name string) ([]byte, bool) {
 }
 
 // ReplaceSilently sets the named file's contents without charging any
-// device cost, for layers that charge their own modeled latencies. The
-// store takes ownership of data — it is stored, not copied — so the
-// caller must never modify it.
+// device cost. Its caller is resultdb's differential reference, a test
+// oracle that charges its own modeled latencies. The store takes
+// ownership of data — it is stored, not copied — so the caller must
+// never modify it.
 func (fs *FileStore) ReplaceSilently(name string, data []byte) {
 	fs.set(name, data)
 }

@@ -204,7 +204,8 @@ func NewShared(dev *device.Device, eng *engine.Engine, s *Settings) (*Cache, err
 
 // Build creates a cache preloaded with community content. The preload
 // models the overnight provisioning path (WiFi or tethered, device
-// charging), so it charges flash write latency but no radio cost.
+// charging), which is uncharged: the device books no time, energy or
+// radio use for it.
 func Build(dev *device.Device, eng *engine.Engine, content cachegen.Content, opts Options) (*Cache, error) {
 	c, err := New(dev, eng, opts)
 	if err != nil {
@@ -217,7 +218,8 @@ func Build(dev *device.Device, eng *engine.Engine, content cachegen.Content, opt
 // Preload installs community content into the cache. Records are
 // bulk-loaded one database file at a time, merged with any records
 // already present (resultdb's Merge), each stored by its result's ID and
-// length: nothing is rendered.
+// length: nothing is rendered. The flash write latency Merge returns is
+// discarded, so a preload charges the device nothing.
 func (c *Cache) Preload(content cachegen.Content) {
 	u := c.eng.Universe()
 	recs := make([]resultdb.Record, 0, len(content.Triplets))

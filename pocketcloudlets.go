@@ -40,7 +40,6 @@ import (
 	"pocketcloudlets/internal/fleet"
 	"pocketcloudlets/internal/loadgen"
 	"pocketcloudlets/internal/pocketsearch"
-	"pocketcloudlets/internal/pocketweb"
 	"pocketcloudlets/internal/radio"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/updater"
@@ -75,10 +74,6 @@ type (
 	Quota = cloudletos.Quota
 	// Update is a server-built cache update (Section 5.4).
 	Update = updater.Update
-	// PocketWeb is the web-content cloudlet (Section 3.2 / footnote 2).
-	PocketWeb = pocketweb.Cache
-	// WebConfig configures a PocketWeb instance.
-	WebConfig = pocketweb.Config
 	// PocketAds is the advertisement cloudlet (Figures 1 and 6).
 	PocketAds = adlet.Cache
 	// Fleet is the sharded multi-user serving layer.
@@ -263,15 +258,6 @@ func (s *Simulation) NewPocketAds(dev *Device, content Content) (*PocketAds, err
 	ads.Provision(content, s.Universe)
 	dev.Reset()
 	return ads, nil
-}
-
-// NewPocketWeb builds a PocketWeb web-content cloudlet on a phone,
-// browsing the simulation's corpus as the origin web.
-func (s *Simulation) NewPocketWeb(dev *Device, cfg WebConfig) (*PocketWeb, error) {
-	if dev == nil {
-		return nil, fmt.Errorf("pocketcloudlets: device is required")
-	}
-	return pocketweb.New(dev, pocketweb.NewEngineSource(s.Universe), cfg)
 }
 
 // NewManager creates a multi-cloudlet manager with the given flash

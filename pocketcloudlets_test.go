@@ -150,6 +150,9 @@ func TestPocketAdsThroughFacade(t *testing.T) {
 	if ads.Len() == 0 {
 		t.Fatal("provisioned ad cache is empty")
 	}
+	if _, err := s.NewPocketAds(nil, c); err == nil {
+		t.Error("nil device should fail")
+	}
 	// Find a cached, monetized query and serve it end to end.
 	for _, tr := range c.Triplets {
 		q, url := s.PairStrings(tr.Pair)
@@ -165,27 +168,6 @@ func TestPocketAdsThroughFacade(t *testing.T) {
 		}
 	}
 	t.Error("no monetized cached query found")
-}
-
-func TestPocketWebThroughFacade(t *testing.T) {
-	s, c := testSim(t)
-	phone := s.NewPhone(pocketcloudlets.Radio3G)
-	web, err := s.NewPocketWeb(phone, pocketcloudlets.WebConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, url := s.PairStrings(c.Triplets[0].Pair)
-	web.Provision([]string{url}, 0)
-	out, err := web.Visit(url, 0)
-	if err != nil || !out.Hit {
-		t.Errorf("provisioned page should hit: %+v, %v", out, err)
-	}
-	if _, err := s.NewPocketWeb(nil, pocketcloudlets.WebConfig{}); err == nil {
-		t.Error("nil device should fail")
-	}
-	if _, err := s.NewPocketAds(nil, c); err == nil {
-		t.Error("nil device should fail")
-	}
 }
 
 func TestRadioTechStrings(t *testing.T) {

@@ -25,6 +25,12 @@
 # -outage), and open-loop flag runs and spec files use a queue of
 # 100000 so nothing sheds.
 #
+# A second leg compares cmd/experiments the same way: both sides run
+# `-quick -run <every name both sides' -list prints>` once, with the
+# wall-clock "computed in" notes and "total:" line dropped, and the two
+# outputs must be byte-identical. A name only one side lists is printed,
+# not compared. Each side's run takes about 30 s on two cores.
+#
 #   scripts/clidiff.sh HEAD~1
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,8 +40,9 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git archive "$ref" | tar -x -C "$tmp/ref"
-(cd "$tmp/ref" && go build -o "$tmp/ref-loadtest" ./cmd/loadtest)
+(cd "$tmp/ref" && go build -o "$tmp/ref-loadtest" ./cmd/loadtest && go build -o "$tmp/ref-experiments" ./cmd/experiments)
 go build -o "$tmp/new-loadtest" ./cmd/loadtest
+go build -o "$tmp/new-experiments" ./cmd/experiments
 go build -o "$tmp/reportnorm" ./cmd/reportnorm
 go build -o "$tmp/tracegen" ./cmd/tracegen
 
@@ -87,3 +94,20 @@ $closed -faults -loss 0.2 -retries 3 -replicas 3 -hedge 2 -backend-rate 30 -back
 -scenario $tmp/replay.json
 EOF_CMDS
 echo "clidiff: $n command lines, no differences against $ref"
+
+for side in ref new; do
+    "$tmp/$side-experiments" -list | awk '{print $1}' > "$tmp/$side.names"
+done
+grep -vxF -f "$tmp/new.names" "$tmp/ref.names" | sed 's/^/only in '"$ref"': /' || true
+grep -vxF -f "$tmp/ref.names" "$tmp/new.names" | sed 's/^/only in the tree: /' || true
+names=$(grep -xF -f "$tmp/ref.names" "$tmp/new.names" | paste -sd, -)
+for side in ref new; do
+    "$tmp/$side-experiments" -quick -run "$names" |
+        grep -v -e '^  note: computed in ' -e '^total: ' > "$tmp/$side.txt"
+done
+if ! cmp "$tmp/ref.txt" "$tmp/new.txt" >&2; then
+    echo "clidiff: experiments -quick output differs between $ref and the tree" >&2
+    diff -u "$tmp/ref.txt" "$tmp/new.txt" | head -40 >&2
+    exit 1
+fi
+echo "clidiff: experiments -quick -run $names: no differences against $ref"
