@@ -54,7 +54,7 @@ func (r SharedResultsResult) PageFactor() float64 {
 // two strawmen: duplicating records per pair, and storing a full
 // result page per query.
 func AblationSharedResults(l *Lab) SharedResultsResult {
-	content := l.Content(0, EvalShare)
+	content := l.Content()
 	u := l.Universe()
 	var r SharedResultsResult
 	seenResults := map[searchlog.ResultID]bool{}
@@ -112,7 +112,7 @@ func AblationDecay(l *Lab) DecayResult {
 	if len(sample) > 60 {
 		sample = sample[:60]
 	}
-	content := l.Content(0, EvalShare)
+	content := l.Content()
 	for _, lambda := range r.Lambdas {
 		hits, total, top := 0, 0, 0
 		for _, up := range sample {

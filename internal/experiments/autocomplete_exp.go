@@ -34,7 +34,7 @@ type AutocompleteResult struct {
 func ExtAutocomplete(l *Lab) AutocompleteResult {
 	u := l.Universe()
 	_, cache := newServeCache(l, pathPocketSearch)
-	content := l.Content(0, EvalShare)
+	content := l.Content()
 	query := u.QueryText(u.QueryOf(content.Triplets[0].Pair))
 
 	r := AutocompleteResult{Query: query, Keystroke: len(query), LocalPerKey: pocketsearch.LookupCost}

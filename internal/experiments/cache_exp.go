@@ -27,7 +27,7 @@ type Fig7Result struct {
 // Fig7 computes cumulative query-search-result volume against the
 // number of most popular pairs cached.
 func Fig7(l *Lab) Fig7Result {
-	tbl := l.Triplets(0)
+	tbl := l.Triplets()
 	r := Fig7Result{Counts: Fig7Counts}
 	for _, n := range Fig7Counts {
 		r.Shares = append(r.Shares, tbl.CumulativeShare(n))
@@ -68,7 +68,7 @@ type Fig8Result struct {
 // Fig8 computes the DRAM (hash table) and flash (result database)
 // footprint of the cache at increasing aggregate-volume targets.
 func Fig8(l *Lab) Fig8Result {
-	tbl := l.Triplets(0)
+	tbl := l.Triplets()
 	u := l.Universe()
 	model := cachegen.MemoryModel{
 		SlotsPerEntry: 2,
@@ -139,7 +139,7 @@ type Fig11Result struct {
 // numbers of search results per entry and measures the modeled DRAM
 // footprint of each variant.
 func Fig11(l *Lab) Fig11Result {
-	content := l.Content(0, EvalShare)
+	content := l.Content()
 	u := l.Universe()
 	r := Fig11Result{Slots: Fig11Slots}
 	best, bestFoot := 0, int64(1<<62)

@@ -185,7 +185,7 @@ type Table3Row struct {
 // Table3 extracts the most popular (query, search result, volume)
 // triplets from the community logs.
 func Table3(l *Lab, topN int) Table3Result {
-	tbl := l.Triplets(0)
+	tbl := l.Triplets()
 	u := l.Universe()
 	if topN > len(tbl.Triplets) {
 		topN = len(tbl.Triplets)

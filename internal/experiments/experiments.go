@@ -15,7 +15,6 @@ import (
 
 	"pocketcloudlets/internal/cachegen"
 	"pocketcloudlets/internal/engine"
-	"pocketcloudlets/internal/replay"
 	"pocketcloudlets/internal/searchlog"
 	"pocketcloudlets/internal/workload"
 )
@@ -83,7 +82,8 @@ func pad(s string, w int) string {
 
 // Lab owns the shared, lazily computed simulation state every
 // log-driven experiment needs: the universe, the user population, the
-// month logs and their triplet tables, and community cache contents.
+// month logs, the triplet table and the evaluation cache's content, the
+// replays, and the results two registry entries read.
 type Lab struct {
 	// Seed drives all randomness.
 	Seed int64
@@ -94,18 +94,7 @@ type Lab struct {
 	// 100; benchmarks may use fewer).
 	UsersPerClass int
 
-	universe *engine.Universe
-	eng      *engine.Engine
-	gen      *workload.Generator
-	logs     map[int]searchlog.Log
-	triplets map[int]searchlog.TripletTable
-	contents map[contentKey]cachegen.Content
-	replays  map[replay.Mode]replay.Result
-}
-
-type contentKey struct {
-	month int
-	share int // share * 1000
+	built map[string]any // see shared
 }
 
 // NewLab creates a lab. Zero values select the calibrated defaults
@@ -117,79 +106,60 @@ func NewLab(seed int64, users, usersPerClass int) *Lab {
 	if usersPerClass <= 0 {
 		usersPerClass = 100
 	}
-	return &Lab{
-		Seed:          seed,
-		Users:         users,
-		UsersPerClass: usersPerClass,
-		logs:          make(map[int]searchlog.Log),
-		triplets:      make(map[int]searchlog.TripletTable),
-		contents:      make(map[contentKey]cachegen.Content),
-	}
+	return &Lab{Seed: seed, Users: users, UsersPerClass: usersPerClass, built: make(map[string]any)}
 }
 
-// Universe returns the lab's corpus, building it on first use.
-func (l *Lab) Universe() *engine.Universe {
-	if l.universe == nil {
-		l.universe = engine.MustUniverse(engine.DefaultConfig())
+// shared returns f(l), built on first use and kept under key.
+func shared[R any](l *Lab, key string, f func(*Lab) R) R {
+	if r, ok := l.built[key]; ok {
+		return r.(R)
 	}
-	return l.universe
+	r := f(l)
+	l.built[key] = r
+	return r
+}
+
+// Universe returns the lab's corpus.
+func (l *Lab) Universe() *engine.Universe {
+	return shared(l, "universe", func(*Lab) *engine.Universe { return engine.MustUniverse(engine.DefaultConfig()) })
 }
 
 // Engine returns the lab's cloud engine.
 func (l *Lab) Engine() *engine.Engine {
-	if l.eng == nil {
-		l.eng = engine.New(l.Universe())
-	}
-	return l.eng
+	return shared(l, "engine", func(l *Lab) *engine.Engine { return engine.New(l.Universe()) })
 }
 
 // Generator returns the lab's workload generator.
 func (l *Lab) Generator() *workload.Generator {
-	if l.gen == nil {
+	return shared(l, "generator", func(l *Lab) *workload.Generator {
 		g, err := workload.New(workload.DefaultConfig(l.Universe(), l.Users, l.Seed))
 		if err != nil {
 			panic(fmt.Sprintf("experiments: generator: %v", err))
 		}
-		l.gen = g
-	}
-	return l.gen
+		return g
+	})
 }
 
-// MonthLog returns (and caches) the community log for a month.
+// MonthLog returns the community log for a month.
 func (l *Lab) MonthLog(month int) searchlog.Log {
-	if log, ok := l.logs[month]; ok {
-		return log
-	}
-	log := l.Generator().MonthLog(month)
-	l.logs[month] = log
-	return log
+	return shared(l, fmt.Sprint("log ", month), func(l *Lab) searchlog.Log { return l.Generator().MonthLog(month) })
 }
 
-// Triplets returns (and caches) the sorted triplet table for a month.
-func (l *Lab) Triplets(month int) searchlog.TripletTable {
-	if tbl, ok := l.triplets[month]; ok {
-		return tbl
-	}
-	tbl := searchlog.ExtractTriplets(l.MonthLog(month).Entries)
-	l.triplets[month] = tbl
-	return tbl
+// Triplets returns month 0's sorted triplet table.
+func (l *Lab) Triplets() searchlog.TripletTable {
+	return shared(l, "triplets", func(l *Lab) searchlog.TripletTable { return searchlog.ExtractTriplets(l.MonthLog(0).Entries) })
 }
 
-// Content returns (and caches) community cache content built from a
-// month's logs at a cumulative-volume share.
-func (l *Lab) Content(month int, share float64) cachegen.Content {
-	key := contentKey{month: month, share: int(share * 1000)}
-	if c, ok := l.contents[key]; ok {
-		return c
-	}
-	tbl := l.Triplets(month)
-	n, err := cachegen.SelectByShare(tbl, share)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: content selection: %v", err))
-	}
-	c := cachegen.Generate(tbl, l.Universe(), n)
-	l.contents[key] = c
-	return c
+// Content returns the evaluation cache's community content: month 0's
+// most popular pairs up to EvalShare of the volume.
+func (l *Lab) Content() cachegen.Content {
+	return shared(l, "content", func(l *Lab) cachegen.Content {
+		n, err := cachegen.SelectByShare(l.Triplets(), EvalShare)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: content selection: %v", err))
+		}
+		return cachegen.Generate(l.Triplets(), l.Universe(), n)
+	})
 }
 
 // EvalShare is the cumulative-volume share the paper's evaluation cache

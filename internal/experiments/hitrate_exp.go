@@ -11,27 +11,22 @@ import (
 	"pocketcloudlets/internal/workload"
 )
 
-// runReplay executes (and caches) one Figure 17 replay configuration;
+// runReplay executes (and keeps) one Figure 17 replay configuration;
 // Figures 17, 18 and 19 all read from the same three replays.
 func (l *Lab) runReplay(mode replay.Mode) replay.Result {
-	if l.replays == nil {
-		l.replays = make(map[replay.Mode]replay.Result)
-	}
-	if res, ok := l.replays[mode]; ok {
+	return shared(l, "replay "+mode.String(), func(l *Lab) replay.Result {
+		res, err := replay.Run(replay.Config{
+			Gen:           l.Generator(),
+			Content:       l.Content(),
+			Mode:          mode,
+			UsersPerClass: l.UsersPerClass,
+			Month:         1,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: replay: %v", err))
+		}
 		return res
-	}
-	res, err := replay.Run(replay.Config{
-		Gen:           l.Generator(),
-		Content:       l.Content(0, EvalShare),
-		Mode:          mode,
-		UsersPerClass: l.UsersPerClass,
-		Month:         1,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: replay: %v", err))
-	}
-	l.replays[mode] = res
-	return res
 }
 
 // Fig17Result carries per-mode, per-class hit rates.
@@ -66,14 +61,19 @@ func (r Fig17Result) Rate(mode replay.Mode, class workload.Class) float64 {
 func (r Fig17Result) Average(mode replay.Mode) float64 {
 	for i, m := range r.Modes {
 		if m == mode {
-			var sum float64
-			for _, cr := range r.Results[i].Classes {
-				sum += cr.HitRate
-			}
-			return sum / float64(len(r.Results[i].Classes))
+			return meanRate(r.Results[i])
 		}
 	}
 	return 0
+}
+
+// meanRate is a replay's class-averaged hit rate.
+func meanRate(res replay.Result) float64 {
+	var sum float64
+	for _, cr := range res.Classes {
+		sum += cr.HitRate
+	}
+	return sum / float64(len(res.Classes))
 }
 
 // Table renders the hit rates.
@@ -121,6 +121,16 @@ func Fig18(l *Lab) Fig18Result {
 		r.Weeks12 = append(r.Weeks12, w12)
 	}
 	return r
+}
+
+// week1 returns a mode's week-one hit rates by class, or nil.
+func (r Fig18Result) week1(mode replay.Mode) []float64 {
+	for i, m := range r.Modes {
+		if m == mode {
+			return r.Week1[i]
+		}
+	}
+	return nil
 }
 
 // Table renders both panels.
@@ -208,7 +218,7 @@ func DailyUpdates(l *Lab) DailyUpdatesResult {
 		totalVolume++
 	}
 	deltas := make([]replay.Delta, 31)
-	prevSet := contentPairSet(l.Content(0, EvalShare))
+	prevSet := contentPairSet(l.Content())
 	idx := 0
 	totalChanged := 0
 	for day := 1; day <= 30; day++ {
@@ -233,7 +243,7 @@ func DailyUpdates(l *Lab) DailyUpdatesResult {
 
 	daily, err := replay.Run(replay.Config{
 		Gen:           l.Generator(),
-		Content:       l.Content(0, EvalShare),
+		Content:       l.Content(),
 		Mode:          replay.Full,
 		UsersPerClass: l.UsersPerClass,
 		Month:         1,
@@ -248,16 +258,9 @@ func DailyUpdates(l *Lab) DailyUpdatesResult {
 		panic(err)
 	}
 
-	avg := func(res replay.Result) float64 {
-		var sum float64
-		for _, cr := range res.Classes {
-			sum += cr.HitRate
-		}
-		return sum / float64(len(res.Classes))
-	}
 	return DailyUpdatesResult{
-		StaticAvg:          avg(static),
-		DailyAvg:           avg(daily),
+		StaticAvg:          meanRate(static),
+		DailyAvg:           meanRate(daily),
 		ChangedPairsPerDay: float64(totalChanged) / 30,
 	}
 }

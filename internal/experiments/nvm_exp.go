@@ -94,11 +94,9 @@ func (r Fig2Result) Table() Table {
 	return t
 }
 
+// mustCap is the all-techniques capacity in a year, 0 outside the trend.
 func mustCap(base int64, year int) int64 {
-	c, ok := nvm.CapacityIn(base, nvm.Scenarios()[3], year)
-	if !ok {
-		return 0
-	}
+	c, _ := nvm.CapacityIn(base, nvm.Scenarios()[3], year)
 	return c
 }
 

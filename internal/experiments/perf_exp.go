@@ -57,7 +57,7 @@ func (p servePath) radio() radio.Params {
 // evaluation content over the given radio.
 func newServeCache(l *Lab, p servePath) (*device.Device, *pocketsearch.Cache) {
 	dev := device.New(device.Config{}, p.radio(), flashsim.Params{})
-	cache, err := pocketsearch.Build(dev, l.Engine(), l.Content(0, EvalShare), pocketsearch.Options{})
+	cache, err := pocketsearch.Build(dev, l.Engine(), l.Content(), pocketsearch.Options{})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: cache build: %v", err))
 	}
@@ -67,7 +67,7 @@ func newServeCache(l *Lab, p servePath) (*device.Device, *pocketsearch.Cache) {
 
 // probePairs picks cached pairs to query, spread across the content.
 func probePairs(l *Lab, n int) []searchlog.PairID {
-	content := l.Content(0, EvalShare)
+	content := l.Content()
 	pairs := make([]searchlog.PairID, 0, n)
 	if len(content.Triplets) == 0 {
 		return pairs
@@ -80,6 +80,15 @@ func probePairs(l *Lab, n int) []searchlog.PairID {
 		pairs = append(pairs, content.Triplets[i].Pair)
 	}
 	return pairs
+}
+
+// pageBytes is the size of the result page the engine serves for q,
+// 100 KB when it has none.
+func (l *Lab) pageBytes(q string) int {
+	if resp, _ := l.Engine().Search(q); resp.PageBytes != 0 {
+		return resp.PageBytes
+	}
+	return 100_000
 }
 
 // measureServe runs the perf protocol over one serving path and
@@ -113,11 +122,7 @@ func measureServe(l *Lab, p servePath) (time.Duration, float64) {
 				// Force the network path: serve the same query via
 				// the engine over the radio, render, account misc —
 				// exactly the miss path's cost structure.
-				resp, _ := l.Engine().Search(q)
-				pageBytes := resp.PageBytes
-				if pageBytes == 0 {
-					pageBytes = 100_000
-				}
+				pageBytes := l.pageBytes(q)
 				w := dev.Window(&out.Stages)
 				w.NetworkRequest(800, pageBytes)
 				w.Render(pageBytes)
@@ -222,30 +227,23 @@ func Fig15(l *Lab) Fig15Result {
 
 // Speedup returns the response-time ratio of a path over PocketSearch.
 func (r Fig15Result) Speedup(path string) float64 {
-	var base, target time.Duration
-	for i, p := range r.Paths {
-		if p == "PocketSearch" {
-			base = r.Time[i]
-		}
-		if p == path {
-			target = r.Time[i]
-		}
-	}
-	if base == 0 {
-		return 0
-	}
-	return float64(target) / float64(base)
+	return r.ratio(path, func(i int) float64 { return float64(r.Time[i]) })
 }
 
 // EnergyRatio returns the energy ratio of a path over PocketSearch.
 func (r Fig15Result) EnergyRatio(path string) float64 {
+	return r.ratio(path, func(i int) float64 { return r.Energy[i] })
+}
+
+// ratio returns a path's value over PocketSearch's, or 0.
+func (r Fig15Result) ratio(path string, v func(i int) float64) float64 {
 	var base, target float64
 	for i, p := range r.Paths {
 		if p == "PocketSearch" {
-			base = r.Energy[i]
+			base = v(i)
 		}
 		if p == path {
-			target = r.Energy[i]
+			target = v(i)
 		}
 	}
 	if base == 0 {
@@ -256,36 +254,22 @@ func (r Fig15Result) EnergyRatio(path string) float64 {
 
 // TableTime renders Figure 15a.
 func (r Fig15Result) TableTime() Table {
-	t := Table{
-		ID:      "Figure 15a",
-		Title:   "Average search user response time per query",
-		Columns: []string{"serving path", "response time", "vs PocketSearch"},
-		Notes:   []string{"paper: PocketSearch is 16x faster than 3G, 25x than Edge, 7x than 802.11g"},
-	}
-	for i, p := range r.Paths {
-		t.Rows = append(t.Rows, []string{
-			p,
-			fmt.Sprintf("%.0f ms", ms(r.Time[i])),
-			fmt.Sprintf("%.1fx", r.Speedup(p)),
-		})
-	}
-	return t
+	return r.table("Figure 15a", "Average search user response time per query", "response time",
+		"paper: PocketSearch is 16x faster than 3G, 25x than Edge, 7x than 802.11g",
+		func(i int) string { return fmt.Sprintf("%.0f ms", ms(r.Time[i])) }, r.Speedup)
 }
 
 // TableEnergy renders Figure 15b.
 func (r Fig15Result) TableEnergy() Table {
-	t := Table{
-		ID:      "Figure 15b",
-		Title:   "Average energy per query",
-		Columns: []string{"serving path", "energy", "vs PocketSearch"},
-		Notes:   []string{"paper: PocketSearch is 23x more energy efficient than 3G, 41x than Edge, 11x than 802.11g"},
-	}
+	return r.table("Figure 15b", "Average energy per query", "energy",
+		"paper: PocketSearch is 23x more energy efficient than 3G, 41x than Edge, 11x than 802.11g",
+		func(i int) string { return fmt.Sprintf("%.2f J", r.Energy[i]) }, r.EnergyRatio)
+}
+
+func (r Fig15Result) table(id, title, column, note string, cell func(i int) string, ratio func(string) float64) Table {
+	t := Table{ID: id, Title: title, Columns: []string{"serving path", column, "vs PocketSearch"}, Notes: []string{note}}
 	for i, p := range r.Paths {
-		t.Rows = append(t.Rows, []string{
-			p,
-			fmt.Sprintf("%.2f J", r.Energy[i]),
-			fmt.Sprintf("%.1fx", r.EnergyRatio(p)),
-		})
+		t.Rows = append(t.Rows, []string{p, cell(i), fmt.Sprintf("%.1fx", ratio(p))})
 	}
 	return t
 }
@@ -317,11 +301,7 @@ func Fig16(l *Lab) Fig16Result {
 					panic(err)
 				}
 			} else {
-				resp, _ := l.Engine().Search(q)
-				pageBytes := resp.PageBytes
-				if pageBytes == 0 {
-					pageBytes = 100_000
-				}
+				pageBytes := l.pageBytes(q)
 				dev.NetworkRequest(800, pageBytes)
 				dev.Render(pageBytes)
 				dev.Misc()
@@ -372,16 +352,12 @@ func (r Fig16Result) Table() Table {
 
 // Table5Result carries the navigation response times.
 type Table5Result struct {
-	// SearchLocal and Search3G are the measured search times.
-	SearchLocal, Search3G time.Duration
-	// Pages maps page kind to load time.
 	Pages []Table5Page
 }
 
 // Table5Page is one page class of Table 5.
 type Table5Page struct {
-	Name     string
-	LoadTime time.Duration
+	Name string
 	// Local and Radio are total navigation times (search + load).
 	Local, Radio time.Duration
 	Speedup      float64
@@ -393,7 +369,7 @@ type Table5Page struct {
 func Table5(l *Lab) Table5Result {
 	local, _ := measureServe(l, pathPocketSearch)
 	over3G, _ := measureServe(l, path3G)
-	r := Table5Result{SearchLocal: local, Search3G: over3G}
+	var r Table5Result
 	for _, page := range []struct {
 		name string
 		load time.Duration
@@ -401,7 +377,7 @@ func Table5(l *Lab) Table5Result {
 		{"Lightweight Page", 15 * time.Second},
 		{"Heavyweight Page", 30 * time.Second},
 	} {
-		p := Table5Page{Name: page.name, LoadTime: page.load}
+		p := Table5Page{Name: page.name}
 		p.Local = local + page.load
 		p.Radio = over3G + page.load
 		p.Speedup = float64(p.Radio-p.Local) / float64(p.Radio)

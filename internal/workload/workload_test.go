@@ -137,59 +137,11 @@ func TestUsersOfClass(t *testing.T) {
 	}
 }
 
-// TestCommunityConcentration verifies the Figure 4 calibration: the
-// paper's headline community statistics must emerge from the generated
-// aggregate log.
-func TestCommunityConcentration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration test generates a large log")
-	}
-	g := defaultGen(t, CommunityUsers)
-	log := g.MonthLog(0)
-	u := g.Config().Universe
-
-	// Figure 4a, all users: top 6000 queries ≈ 60% of query volume.
-	all := analysis.QueryVolumes(log.Entries, u, analysis.Filter{})
-	share6000 := analysis.TopShares(all, []int{6000})[0].Share
-	if share6000 < 0.52 || share6000 > 0.68 {
-		t.Errorf("top-6000 query share = %.3f, want ~0.60", share6000)
-	}
-
-	// Navigational queries far more concentrated: top 5000 ≈ 90%.
-	nav := analysis.QueryVolumes(log.Entries, u, analysis.Filter{Nav: analysis.NavOnly})
-	navShare := analysis.TopShares(nav, []int{5000})[0].Share
-	if navShare < 0.82 || navShare > 0.97 {
-		t.Errorf("navigational top-5000 share = %.3f, want ~0.90", navShare)
-	}
-
-	// Non-navigational: top 5000 ≈ 30%.
-	nonNav := analysis.QueryVolumes(log.Entries, u, analysis.Filter{Nav: analysis.NonNavOnly})
-	nonNavShare := analysis.TopShares(nonNav, []int{5000})[0].Share
-	if nonNavShare < 0.20 || nonNavShare > 0.45 {
-		t.Errorf("non-navigational top-5000 share = %.3f, want ~0.30", nonNavShare)
-	}
-
-	// Figure 4b: fewer results than queries for the same share — the
-	// paper needs 6000 queries but only 4000 results to reach 60%.
-	results := analysis.ResultVolumes(log.Entries, u, analysis.Filter{})
-	resShare4000 := analysis.TopShares(results, []int{4000})[0].Share
-	if resShare4000 < share6000-0.06 {
-		t.Errorf("top-4000 result share %.3f should be near top-6000 query share %.3f", resShare4000, share6000)
-	}
-
-	// Featurephone traffic more concentrated than smartphone.
-	smart := analysis.QueryVolumes(log.Entries, u, analysis.Filter{Device: analysis.SmartphoneOnly})
-	feat := analysis.QueryVolumes(log.Entries, u, analysis.Filter{Device: analysis.FeaturephoneOnly})
-	smartShare := analysis.TopShares(smart, []int{6000})[0].Share
-	featShare := analysis.TopShares(feat, []int{6000})[0].Share
-	if featShare <= smartShare {
-		t.Errorf("featurephone top-6000 share %.3f should exceed smartphone %.3f", featShare, smartShare)
-	}
-}
-
 // TestRepeatabilityCalibration verifies the Figure 5 shape: roughly
 // half of users submit a new query at most 30% of the time, and the
-// mean repeat rate is near the paper's 56.5%.
+// mean repeat rate is near the paper's 56.5%. It is not the experiments'
+// fig5 check run twice: it draws a different, 4,000-user population, and
+// its mean-repeat floor (0.46) is not that row's (0.45).
 func TestRepeatabilityCalibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration test generates a large log")

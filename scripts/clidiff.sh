@@ -29,7 +29,10 @@
 # `-quick -run <every name both sides' -list prints>` once, with the
 # wall-clock "computed in" notes and "total:" line dropped, and the two
 # outputs must be byte-identical. A name only one side lists is printed,
-# not compared. Each side's run takes about 30 s on two cores.
+# not compared. Each side's run takes about 30 s on two cores. A side
+# whose run fails one of the paper's checks (exit 1; a ref from before
+# the checks never does) stops the leg with the failed rows from its
+# stderr.
 #
 #   scripts/clidiff.sh HEAD~1
 set -euo pipefail
@@ -102,8 +105,18 @@ grep -vxF -f "$tmp/new.names" "$tmp/ref.names" | sed 's/^/only in '"$ref"': /' |
 grep -vxF -f "$tmp/ref.names" "$tmp/new.names" | sed 's/^/only in the tree: /' || true
 names=$(grep -xF -f "$tmp/ref.names" "$tmp/new.names" | paste -sd, -)
 for side in ref new; do
-    "$tmp/$side-experiments" -quick -run "$names" |
-        grep -v -e '^  note: computed in ' -e '^total: ' > "$tmp/$side.txt"
+    label=$ref
+    [ "$side" = ref ] || label="the tree"
+    status=0
+    "$tmp/$side-experiments" -quick -run "$names" > "$tmp/$side.out" 2> "$tmp/$side.err" || status=$?
+    if [ "$status" -ne 0 ]; then
+        what="exited $status"
+        [ "$status" -ne 1 ] || what="failed a paper check"
+        echo "clidiff: experiments -quick $what on $label" >&2
+        cat "$tmp/$side.err" >&2
+        exit 1
+    fi
+    grep -v -e '^  note: computed in ' -e '^total: ' "$tmp/$side.out" > "$tmp/$side.txt"
 done
 if ! cmp "$tmp/ref.txt" "$tmp/new.txt" >&2; then
     echo "clidiff: experiments -quick output differs between $ref and the tree" >&2
